@@ -8,12 +8,12 @@ rule (b⊗Phi)a := b⊗Phi(a).  Both routes are constructed here for the flat
 fixture and shown to produce the same matrix.
 """
 
-from bimodconn import preceq, sigma_exists
+from bimodconn import Connection, preceq, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.fixtures import conn_d
-from bimodconn.tensorconn import (RightConnection, associated_connection,
-                                  degeneracy_brute, degeneracy_submodules,
-                                  nu_hat, tensor_connection_induced,
+from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
+                                  degeneracy_submodules, nu_hat,
+                                  tensor_connection_induced,
                                   tensor_connection_original)
 
 
@@ -25,9 +25,9 @@ def main() -> None:
     print("degeneracy kernels N0, M0:", pair.n0.dim, pair.m0.dim)
     print("brute-force pairing oracle:", degeneracy_brute(pair).status)
 
-    rc = RightConnection(conn.module, conn.calculus, conn.nabla)
+    rc = Connection(conn.forms, conn.nabla)
     kap = preceq(ic.calculus, conn.calculus)[0]
-    nu = nu_hat(rc.module, kap)
+    nu = nu_hat(rc, kap)
     print("nu-hat rank in degree 1:", nu.rank(1))
 
     tco = tensor_connection_original(rc, conn, ic, nu, sigma_exists(conn))

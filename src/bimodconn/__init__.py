@@ -3,20 +3,17 @@
 from .linalg import (LinMap, QuotientSpace, Space, factor_through, kernel,
                      quotient, row_reduce)
 from .algebra import (Algebra, BalancedTensor, Bimodule, RightAHomSpace,
-                      RightModule, check_algebra, check_bimodule,
-                      check_right_module, kappa0, right_hom_space,
-                      tensor_over_A)
-from .calculus import (CalculusMorphism, FirstOrderCalculus, GradedCalculus,
-                       UniversalCalculus, preceq, quotient_calculus,
-                       universal_graded)
+                      RightModule, check_algebra, check_bimodule, kappa0,
+                      right_hom_space, tensor_over_A)
+from .calculus import (CalculusMorphism, GradedCalculus, UniversalCalculus,
+                       preceq, quotient_calculus, universal_graded)
 from .forms import Forms
 from .connection import (Connection, DegreeRHom, check_right_leibniz,
                          induced_first_order, kappa0_op, kappa1, nabla_hat,
                          sigma_exists)
 from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                         extend_connection, j_ideal, sigma_full)
-from .tensorconn import (RightConnection, associated_connection,
-                         check_compatibility, check_right_connection,
+from .tensorconn import (associated_connection, check_compatibility,
                          degeneracy_brute, degeneracy_submodules, nu_hat,
                          tensor_connection_induced,
                          tensor_connection_original)
@@ -25,13 +22,12 @@ from .report import Report, Verdict
 
 __all__ = [
     "Algebra", "BalancedTensor", "Bimodule", "CalculusMorphism", "Connection",
-    "DegreeRHom", "FirstOrderCalculus", "Forms", "GradedCalculus",
-    "InducedCalculus", "LinMap", "ModelError", "ModelFile", "OmegaHat",
-    "OmegaM", "QuotientSpace", "Report", "RightAHomSpace", "RightConnection",
-    "RightModule", "Space", "UniversalCalculus", "Verdict",
-    "associated_connection", "check_algebra", "check_bimodule",
-    "check_compatibility", "check_right_connection", "check_right_leibniz",
-    "check_right_module", "curvature", "degeneracy_brute",
+    "DegreeRHom", "Forms", "GradedCalculus", "InducedCalculus", "LinMap",
+    "ModelError", "ModelFile", "OmegaHat", "OmegaM", "QuotientSpace",
+    "Report", "RightAHomSpace", "RightModule", "Space", "UniversalCalculus",
+    "Verdict", "associated_connection", "check_algebra", "check_bimodule",
+    "check_compatibility", "check_right_leibniz", "curvature",
+    "degeneracy_brute",
     "degeneracy_submodules", "extend_connection", "factor_through",
     "induced_first_order", "j_ideal", "kappa0", "kappa0_op", "kappa1",
     "kernel", "nabla_hat", "nu_hat", "parse_model", "preceq", "quotient",

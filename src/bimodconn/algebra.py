@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from . import anchors
 from .linalg import (DimensionError, LinMap, Mat, Space, SpanBuilder, Vec,
-                     frac, identity_mat, is_zero_vec, mat_mul, mat_sub,
-                     mat_vec, null_space, quotient, QuotientSpace, row_reduce,
-                     vec_add, vec_scale, zero_mat, zeros)
+                     frac, identity_mat, is_zero_vec, mat_mul, mat_vec,
+                     null_space, quotient, QuotientSpace, row_reduce, zero_mat,
+                     zeros)
 from .report import Verdict, failed, passed
 
 
@@ -248,14 +248,6 @@ def _check_one_sided(mod, matrices: list[Mat], side: str, check_id: str,
                 return failed(check_id, anchor,
                               {"axiom": f"{side}-associativity", "pair": [i, j]})
     return None
-
-
-def check_right_module(n: RightModule) -> Verdict:
-    bad = _check_one_sided(n, n.right_matrices(), "right",
-                           "check-right-module", anchors.RIGHT_MODULE)
-    if bad is not None:
-        return bad
-    return passed("check-right-module", anchors.RIGHT_MODULE, {"dim": n.dim})
 
 
 def check_bimodule(m: Bimodule) -> Verdict:

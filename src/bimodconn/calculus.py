@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import anchors
 from .algebra import Algebra, Bimodule
 from .linalg import (DimensionError, LinMap, LinSolver, Mat, Space,
-                     SpanBuilder, Vec, factor_through, is_zero_vec, quotient,
-                     QuotientSpace, vec_add, vec_scale, zero_mat, zeros)
+                     SpanBuilder, Vec, factor_through, quotient, QuotientSpace,
+                     zeros)
 from .report import Verdict, failed, passed
 
 
@@ -54,7 +54,6 @@ class UniversalCalculus:
                     v[j * n + t] -= c          # e_j ⊗ 1
             self.de[j] = v
         self._tails: list[list[tuple[int, ...]]] = []
-        self._tail_emb: list[dict[tuple[int, ...], Vec]] = []
         self._bar_to_emb: list[Mat] = []
         self._solvers: list[LinSolver] = []
         self._rmul_cache: dict[tuple[int, tuple[Fraction, ...]], Mat] = {}
@@ -72,6 +71,7 @@ class UniversalCalculus:
 
     def _build_degrees(self) -> None:
         n = self.algebra.dim
+        tail_embs: list[dict[tuple[int, ...], Vec]] = []
         for r in range(self.D + 1):
             tails = list(itertools.product(self.complement, repeat=r))
             emb: dict[tuple[int, ...], Vec] = {}
@@ -83,10 +83,10 @@ class UniversalCalculus:
                 elif r == 1:
                     emb[beta] = self.de[beta[0]][:]
                 else:
-                    emb[beta] = self.product_emb(self._tail_emb[r - 1][beta[:-1]],
+                    emb[beta] = self.product_emb(tail_embs[r - 1][beta[:-1]],
                                                  r - 1, self.de[beta[-1]], 1)
             self._tails.append(tails)
-            self._tail_emb.append(emb)
+            tail_embs.append(emb)
             cols: list[Vec] = []
             for i0 in range(n):
                 e = self.algebra.basis_vec(i0)
@@ -118,10 +118,6 @@ class UniversalCalculus:
     def tails(self, r: int) -> list[tuple[int, ...]]:
         """The de_j1⋯de_jr tail index tuples of the degree-r bar basis."""
         return self._tails[r]
-
-    def tail_emb(self, r: int, beta: tuple[int, ...]) -> Vec:
-        """Tensor-power coordinates of de_j1⋯de_jr."""
-        return self._tail_emb[r][beta][:]
 
     # -- coordinate conversions ------------------------------------------
     def to_emb(self, r: int, bar: Vec) -> Vec:
@@ -243,17 +239,6 @@ class UniversalCalculus:
         return out
 
 
-@dataclass
-class FirstOrderCalculus:
-    """First-order view: Ω¹ = Ω¹_u/K with its bimodule structure and d."""
-
-    algebra: Algebra
-    K: Space                    # defining kernel, in degree-1 bar coordinates
-    omega1: QuotientSpace
-    d: LinMap                   # A → Ω¹
-    omega1_bimodule: Bimodule
-
-
 class GradedCalculus:
     """A truncated calculus presented as universal modulo a graded ideal."""
 
@@ -337,22 +322,6 @@ class GradedCalculus:
             self._bimods[r] = Bimodule.from_actions(a, left, right)
         return self._bimods[r]
 
-    def first_order(self) -> FirstOrderCalculus:
-        d = LinMap.from_matrix(Space.standard(self.algebra.dim),
-                               Space.standard(self.dim(1)),
-                               self._first_order_d_matrix())
-        return FirstOrderCalculus(self.algebra, self.ideal[1],
-                                  self.quotients[1], d,
-                                  self.degree_bimodule(1))
-
-    def _first_order_d_matrix(self) -> Mat:
-        cols = []
-        for i in range(self.algebra.dim):
-            emb = self.universal.d_emb(self.algebra.basis_vec(i), 0)
-            cols.append(self.class_of_emb(1, emb))
-        return [[cols[c][row] for c in range(len(cols))]
-                for row in range(self.dim(1))]
-
     def d_of_algebra(self, f: Vec) -> Vec:
         """Class of d f in Ω¹ coordinates."""
         return self.class_of_emb(1, self.universal.d_emb(f, 0))
@@ -364,11 +333,6 @@ def universal_graded(algebra: Algebra, truncation: int = 3) -> GradedCalculus:
     ideal = [Space.subspace(Space.standard(uni.bar_dim(r)), [])
              for r in range(truncation + 1)]
     return GradedCalculus(uni, ideal, [])
-
-
-def universal_first_order(algebra: Algebra) -> FirstOrderCalculus:
-    """Ω¹_u = ker(μ: A⊗A → A) with d_u f = 1⊗f − f⊗1 and K = {0}."""
-    return universal_graded(algebra, 1).first_order()
 
 
 def saturate_ideal(uni: UniversalCalculus,
@@ -443,9 +407,8 @@ class CalculusMorphism:
     target: GradedCalculus
     maps: list[LinMap]          # degree 0..D
 
-    def verify(self, degree_one_only: bool = False) -> Verdict:
-        from .linalg import mat_vec
-        top = 1 if degree_one_only else self.source.D
+    def verify(self) -> Verdict:
+        top = self.source.D
         # intertwines the differentials
         for r in range(top):
             lhs = self.maps[r + 1].compose(self.source.d_map(r))
@@ -476,8 +439,7 @@ class CalculusMorphism:
         return self.maps[r].apply(v)
 
 
-def preceq(c1: GradedCalculus, c2: GradedCalculus,
-           degree_one_only: bool = False) \
+def preceq(c1: GradedCalculus, c2: GradedCalculus) \
         -> tuple[CalculusMorphism | None, tuple[int, Vec] | None]:
     """(Ω₁,d₁) ⪯ (Ω₂,d₂): the canonical projection ρ: Ω₂ → Ω₁ exists iff the
     defining ideal of Ω₂ is contained degree-wise in that of Ω₁.
@@ -489,8 +451,7 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus,
     if c1.universal is not c2.universal and \
             (c1.algebra != c2.algebra or c1.D != c2.D):
         raise DimensionError("calculi must share algebra and truncation")
-    top = 1 if degree_one_only else c1.D
-    for r in range(1, top + 1):
+    for r in range(1, c1.D + 1):
         i1 = SpanBuilder(c1.universal.bar_dim(r))
         for b in c1.ideal[r].basis:
             i1.add(b)
@@ -499,10 +460,6 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus,
                 return None, (r, b)
     maps = [LinMap.identity(Space.standard(c1.algebra.dim))]
     for r in range(1, c1.D + 1):
-        if degree_one_only and r > 1:
-            maps.append(LinMap.zero(Space.standard(c2.dim(r)),
-                                    Space.standard(c1.dim(r))))
-            continue
         h, w = factor_through(c2.quotients[r].projection,
                               c1.quotients[r].projection)
         assert h is not None, "ideal inclusion should guarantee factoring"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cached_property
 
 from . import anchors
 from .calculus import preceq
@@ -28,9 +29,8 @@ from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                         extend_connection, j_ideal, sigma_full)
 from .model import ModelError, ModelFile, parse_model
 from .report import Report, Verdict
-from .tensorconn import (RightConnection, associated_connection,
-                         check_compatibility, degeneracy_brute,
-                         degeneracy_submodules, nu_hat,
+from .tensorconn import (associated_connection, check_compatibility,
+                         degeneracy_brute, degeneracy_submodules, nu_hat,
                          tensor_connection_induced,
                          tensor_connection_original)
 
@@ -43,60 +43,50 @@ class _Pipeline:
 
     def __init__(self, conn: Connection):
         self.conn = conn
-        self._cache: dict = {}
 
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def induced_first_order(self):
-        return self._memo("ifo", lambda: induced_first_order(self.conn))
+        return induced_first_order(self.conn)
 
-    @property
+    @cached_property
     def kappa1(self):
-        return self._memo(
-            "k1", lambda: kappa1(self.conn, self.induced_first_order))
+        return kappa1(self.conn, self.induced_first_order)
 
-    @property
+    @cached_property
     def sigma(self):
-        return self._memo("sig", lambda: sigma_exists(self.conn, self.kappa1))
+        return sigma_exists(self.conn, self.kappa1)
 
-    @property
+    @cached_property
     def extension(self):
-        return self._memo("ext", lambda: extend_connection(self.conn))
+        return extend_connection(self.conn)
 
-    @property
+    @cached_property
     def curvature(self):
-        return self._memo("curv", lambda: curvature(self.conn))
+        return curvature(self.conn)
 
-    @property
+    @cached_property
     def omega_hat(self):
-        return self._memo("oh", lambda: OmegaHat(self.conn))
+        return OmegaHat(self.conn)
 
-    @property
+    @cached_property
     def j_ideal(self):
-        return self._memo("j", lambda: j_ideal(self.conn, self.omega_hat))
+        return j_ideal(self.conn, self.omega_hat)
 
-    @property
+    @cached_property
     def omega_m(self):
-        return self._memo("om", lambda: OmegaM(self.conn, self.j_ideal))
+        return OmegaM(self.conn, self.j_ideal)
 
-    @property
+    @cached_property
     def induced_calculus(self):
-        return self._memo(
-            "ic", lambda: InducedCalculus(self.conn, self.omega_m))
+        return InducedCalculus(self.conn, self.omega_m)
 
-    @property
+    @cached_property
     def sigma_full(self):
-        return self._memo("sf", lambda: sigma_full(self.induced_calculus))
+        return sigma_full(self.induced_calculus)
 
-    @property
+    @cached_property
     def kappa_hat(self):
-        return self._memo(
-            "kap", lambda: preceq(self.induced_calculus.calculus,
-                                  self.conn.calculus)[0])
+        return preceq(self.induced_calculus.calculus, self.conn.calculus)[0]
 
 
 def _scope(report: Report, command: str, connection: str | None = None) -> None:
@@ -156,14 +146,13 @@ def _cmd_tensor(report: Report, model: ModelFile,
     for req in model.tensor_requests:
         _scope(report, "tensor", f"{req.left}⊗{req.right}")
         c = model.connections[req.right]
-        n_conn = model.connections[req.left]
-        rc = RightConnection(n_conn.module, model.calculus, n_conn.nabla)
+        rc = model.connections[req.left]
         pair = degeneracy_submodules(rc.module, c.module)
         report.extend(pair.verdicts)
         report.append(degeneracy_brute(pair))
         report.append(check_compatibility(c, rc, pair))
         p = pipelines[req.right]
-        nu = nu_hat(rc.module, p.kappa_hat)
+        nu = nu_hat(rc, p.kappa_hat)
         report.extend(nu.verdicts)
         if req.route in ("nu-hat", "both"):
             tco = tensor_connection_original(rc, c, p.induced_calculus, nu,

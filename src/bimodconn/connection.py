@@ -1,9 +1,12 @@
-"""Connections on bimodules: ∇̂, the induced first-order calculus, κ₁ and σ.
+"""Connections: ∇̂, the induced first-order calculus, κ₁ and σ.
 
-A connection is stored as the exact matrix of ∇: M → M⊗_AΩ¹ in quotient
-class coordinates.  Right-Ω-linear operators of degree r are stored by their
-restriction to M (a right-A-linear map M → M⊗_AΩ^r) and extended on demand;
-this is faithful because M generates M⊗_AΩ as a right Ω-module.
+One :class:`Connection` type covers every module a connection acts on: a
+bimodule M, or a right module N on the tensor side, against Ω or Ω_∇.  It
+is stored as the exact matrix of ∇: M → M⊗_AΩ¹ in quotient class
+coordinates of its :class:`Forms`.  Right-Ω-linear operators of degree r
+are stored by their restriction to M (a right-A-linear map M → M⊗_AΩ^r)
+and extended on demand; this is faithful because M generates M⊗_AΩ as a
+right Ω-module.
 """
 
 from __future__ import annotations
@@ -13,22 +16,25 @@ from fractions import Fraction
 
 from . import anchors
 from .algebra import BalancedTensor, Bimodule, tensor_over_A
-from .calculus import GradedCalculus
 from .forms import Forms, _cols_to_mat
 from .linalg import (LinMap, Mat, Space, SpanBuilder, Vec, factor_through,
-                     mat_mul, mat_vec, zero_mat, zeros)
+                     mat_mul, mat_vec, vec_add, zero_mat, zeros)
 from .report import Verdict, failed, passed
 
 
 class Connection:
-    """∇: M → M⊗_AΩ¹ with the right Leibniz rule as its defining contract."""
+    """∇: M → M⊗_AΩ¹ with the right Leibniz rule as its defining contract.
 
-    def __init__(self, module: Bimodule, calculus: GradedCalculus, nabla: Mat):
-        self.module = module
-        self.calculus = calculus
-        self.forms = Forms(module, calculus)
-        if len(nabla) != self.forms.dim(1) or \
-                (nabla and len(nabla[0]) != module.dim):
+    M is ``forms.module`` (a bimodule or a right module) and Ω is
+    ``forms.calculus``; only the right action of M is used.
+    """
+
+    def __init__(self, forms: Forms, nabla: Mat):
+        self.forms = forms
+        self.module = forms.module
+        self.calculus = forms.calculus
+        if len(nabla) != forms.dim(1) or \
+                (nabla and len(nabla[0]) != self.module.dim):
             raise ValueError("nabla matrix must be dim(M⊗Ω¹) x dim(M)")
         self.nabla = [row[:] for row in nabla]
         self._ext_mats: dict[int, Mat] = {}
@@ -58,7 +64,7 @@ class Connection:
     def nabla_ext_matrix(self, r: int) -> Mat:
         """Extension ∇: T_r → T_{r+1} on quotient class coordinates."""
         if r == 0:
-            return [row[:] for row in self.nabla]
+            return self.nabla
         if r not in self._ext_mats:
             f = self.forms
             plain = self.nabla_ext_plain(r)
@@ -314,7 +320,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
         for ai in range(m.dim):
             av = m.basis_vec(ai)
             lhs = c.nabla_apply(m.act_left(fv, av))
-            rhs = vec_sum(d_ops[f].apply(av),
+            rhs = vec_add(d_ops[f].apply(av),
                           c.forms.act_left(1, fv, c.nabla_apply(av)))
             if lhs != rhs:
                 ifo.verdicts.append(failed("left-leibniz-induced",
@@ -329,10 +335,6 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                                    anchors.INDUCED_SUBGROUP,
                                    {"dim_omega1_nabla": span.dim}))
     return ifo
-
-
-def vec_sum(u: Vec, v: Vec) -> Vec:
-    return [a + b for a, b in zip(u, v)]
 
 
 @dataclass
@@ -465,7 +467,7 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
             wq = zeros(tens.left_factor.dim)
             wq[wi] = Fraction(1)
             op = ind.op_from_coords(h.apply(wq))
-            out = vec_sum(out, [cc * x for x in op.apply(c.module.basis_vec(mj))])
+            out = vec_add(out, [cc * x for x in op.apply(c.module.basis_vec(mj))])
         cols.append(out)
     sigma = SigmaMap("projected" if cal.ideal[1].dim else "universal",
                      tens, _cols_to_mat(cols, c.forms.dim(1)))
@@ -493,7 +495,7 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
         for ai in range(c.module.dim):
             av = c.module.basis_vec(ai)
             lhs = c.nabla_apply(c.module.act_left(fv, av))
-            rhs = vec_sum(sigma.apply(tens.project_pure(df_q, av)),
+            rhs = vec_add(sigma.apply(tens.project_pure(df_q, av)),
                           c.forms.act_left(1, fv, c.nabla_apply(av)))
             if lhs != rhs:
                 res.verdicts.append(failed("sigma-left-leibniz",

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from . import anchors
 from .algebra import right_module_generators
-from .calculus import GradedCalculus, calculus_from_ideal, preceq
-from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat, vec_sum
+from .calculus import calculus_from_ideal, preceq
+from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
 from .forms import _cols_to_mat
-from .linalg import (LinMap, Mat, Space, SpanBuilder, Vec, factor_through,
-                     mat_mul, mat_vec, quotient, QuotientSpace, zeros)
+from .linalg import (LinMap, Mat, Space, SpanBuilder, Vec, mat_mul, mat_vec,
+                     quotient, QuotientSpace, vec_add, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -51,7 +51,7 @@ def extend_connection(c: Connection) -> list[Verdict]:
                     w[wi] = Fraction(1)
                     lhs = mat_vec(c.nabla_ext_matrix(r + s),
                                   f.mult_class(r, q, s, w))
-                    rhs = vec_sum(
+                    rhs = vec_add(
                         f.mult_class(r + 1, nq, s, w),
                         [sign * x for x in
                          f.mult_class(r, q, s + 1, cal.d_apply(s, w))])
@@ -341,7 +341,7 @@ class OmegaM:
         """Factored ∇: Ω(M)_r → Ω(M)_{r+1}."""
         if r not in self._nabla:
             c = self.connection
-            nx = c.nabla_ext_matrix(r) if r else c.nabla
+            nx = c.nabla_ext_matrix(r)
             cols = []
             for k in range(self.dim(r)):
                 q = zeros(self.dim(r))
@@ -394,7 +394,7 @@ class OmegaM:
                                     anchors.J_GENERATORS))
         # quotient coherence: p∘∇ = ∇̄∘p on every T_r basis element
         for r in range(f.D):
-            nx = c.nabla_ext_matrix(r) if r else c.nabla
+            nx = c.nabla_ext_matrix(r)
             pm = self.quotients[r]
             for k in range(f.dim(r)):
                 t = zeros(f.dim(r))
@@ -415,13 +415,13 @@ class OmegaM:
                 q = zeros(self.dim(r))
                 q[k] = Fraction(1)
                 v = self.quotients[r].lift(q)
-                nv = mat_vec(c.nabla_ext_matrix(r) if r else c.nabla, v)
+                nv = mat_vec(c.nabla_ext_matrix(r), v)
                 for fi in range(a.dim):
                     fv = a.basis_vec(fi)
                     lhs = self.project(r + 1, mat_vec(
-                        c.nabla_ext_matrix(r) if r else c.nabla,
+                        c.nabla_ext_matrix(r),
                         f.act_right(r, v, fv)))
-                    rhs = vec_sum(f.act_right(r + 1, nv, fv),
+                    rhs = vec_add(f.act_right(r + 1, nv, fv),
                                   [sign * x for x in
                                    f.mult_class(r, v, 1,
                                                 cal.d_of_algebra(fv))])
@@ -672,7 +672,7 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
             bar = zeros(uni.bar_dim(r))
             bar[k] = Fraction(1)
             op = induced._raw[r][k]
-            lhs = mat_mul(c.nabla_ext_matrix(r) if r else c.nabla, op.matrix)
+            lhs = mat_mul(c.nabla_ext_matrix(r), op.matrix)
             first = induced.kappa_raw(r + 1, mat_vec(dm, bar)).matrix
             second = mat_mul(op.ext_matrix(1), c.nabla)
             rhs = [[a + sign * b for a, b in zip(ra, rb)]

@@ -1,8 +1,7 @@
 """Shared example inputs: small algebras, calculi, and connections.
 
-Everything here is deterministic: searches enumerate candidates in a fixed
-order and return the first hit, so repeated runs always produce identical
-objects.  The builders are cached because several of them (notably the
+Everything here is deterministic: every example is pinned, so repeated
+runs always produce identical objects.  The builders are cached because several of them (notably the
 2×2-matrix quotient calculus) take a few seconds to saturate.
 """
 
@@ -107,26 +106,18 @@ def m2_quotient(truncation: int = 3) -> GradedCalculus:
 # connections
 # ---------------------------------------------------------------------------
 
-def regular_connection(calc: GradedCalculus,
-                       theta_emb: Vec | None = None) -> Connection:
-    """∇a = class(d_u a + θ·a) on M = A with its regular actions."""
+def regular_connection(calc: GradedCalculus) -> Connection:
+    """∇a = class(d_u a) on M = A with its regular actions."""
     algebra = calc.algebra
     uni = calc.universal
     module = algebra.regular_bimodule()
     forms = Forms(module, calc)
     unit = algebra.unit_vec()
-    cols = []
-    for i in range(algebra.dim):
-        ei = algebra.basis_vec(i)
-        col = forms.class_of_pair_emb(1, unit, uni.d_emb(ei, 0))
-        if theta_emb is not None:
-            te = uni.product_emb(theta_emb, 1, ei, 0)
-            col = [a + b for a, b in
-                   zip(col, forms.class_of_pair_emb(1, unit, te))]
-        cols.append(col)
+    cols = [forms.class_of_pair_emb(1, unit, uni.d_emb(algebra.basis_vec(i), 0))
+            for i in range(algebra.dim)]
     nabla = [[cols[c][r] for c in range(len(cols))]
              for r in range(forms.dim(1))]
-    return Connection(module, calc, nabla)
+    return Connection(forms, nabla)
 
 
 @cache
@@ -136,53 +127,16 @@ def conn_d(level: str = "universal") -> Connection:
     return regular_connection(calc)
 
 
-def sigma_refuting_theta(calc: GradedCalculus,
-                         grid=(F(0), F(1), F(-1))) -> Connection | None:
-    """First twisted regular connection on which σ is absent, or None.
-
-    Enumerates θ = x·(e1⊗e2) + y·(e2⊗e1)-style degree-one elements over the
-    grid in a fixed order and keeps the first connection whose κ₁ does not
-    annihilate the defining kernel of the calculus.
-    """
-    uni = calc.universal
-    basis1 = []
-    for k in range(uni.bar_dim(1)):
-        bar = zeros(uni.bar_dim(1))
-        bar[k] = F(1)
-        basis1.append(uni.to_emb(1, bar))
-    n1 = len(basis1)
-
-    def assemble(coeffs):
-        out = zeros(uni.emb_dim(1))
-        for c, v in zip(coeffs, basis1):
-            if c:
-                out = [a + c * b for a, b in zip(out, v)]
-        return out
-
-    from itertools import product
-    for coeffs in product(grid, repeat=n1):
-        theta = assemble(coeffs)
-        c = regular_connection(calc, theta)
-        if check_right_leibniz(c).status != "pass":
-            continue
-        if not sigma_exists(c, kappa1(c)).exists:
-            return c
-    return None
-
-
 @cache
 def twist() -> Connection:
     """A connection on which σ is provably absent.
 
-    First tries twisting the regular bimodule over the e1⊗e2-quotient
-    calculus of the two-point algebra.  No twist of that module ever
-    obstructs σ (every κ₁ image factors through the quotient there), so the
-    builder falls back to the connection ∇ξ = −class(d_u ξ) on the bimodule
-    M = Ω¹_u itself, whose κ₁ provably does not annihilate e1⊗e2.
+    No twist of the regular bimodule over the e1⊗e2-quotient calculus of the
+    two-point algebra obstructs σ (every κ₁ image factors through the
+    quotient there), so the fixture is the connection ∇ξ = −class(d_u ξ) on
+    the bimodule M = Ω¹_u itself, whose κ₁ provably does not annihilate
+    e1⊗e2.
     """
-    found = sigma_refuting_theta(a2_quotient())
-    if found is not None:
-        return found
     calc = a2_quotient()
     uni = calc.universal
     base = a2_universal()
@@ -220,7 +174,7 @@ def twist() -> Connection:
         cols.append([-x for x in deg2_to_t1(d2)])
     nabla = [[cols[c][r] for c in range(module.dim)]
              for r in range(forms.dim(1))]
-    c = Connection(module, calc, nabla)
+    c = Connection(forms, nabla)
     if check_right_leibniz(c).status != "pass" or \
             sigma_exists(c, kappa1(c)).exists:
         raise DimensionError(
@@ -266,7 +220,7 @@ def grass() -> Connection:
                 cols.append(col)
         nabla = [[cols[c][r] for c in range(len(cols))]
                  for r in range(forms.dim(1))]
-        return Connection(module, calc, nabla)
+        return Connection(forms, nabla)
 
     gamma = zeros(uni.bar_dim(1))
     gamma[0 * nt + 2] = F(1)                     # e11 · de21

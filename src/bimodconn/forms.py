@@ -9,7 +9,6 @@ what keeps desk-scale computations fast and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Bimodule
@@ -51,9 +50,6 @@ class Forms:
     def dims(self) -> list[int]:
         return [self.dim(r) for r in range(self.D + 1)]
 
-    def tu_index(self, r: int, m_i: int, beta: tuple[int, ...]) -> int:
-        return m_i * self.n_tails(r) + self._tail_pos[r][beta]
-
     def _build_quotients(self) -> None:
         m = self.module
         for r in range(self.D + 1):
@@ -94,10 +90,6 @@ class Forms:
 
     def class_of_pair_emb(self, r: int, m_vec: Vec, u_emb: Vec) -> Vec:
         return self.class_of_pair_bar(r, m_vec, self.uni.from_emb(r, u_emb))
-
-    def pure_module(self, m_vec: Vec) -> Vec:
-        """M = T_0; identity embedding for symmetry of the API."""
-        return m_vec[:]
 
     # -- tail right multiplication ----------------------------------------
     def _trm(self, r: int, i0: int) -> list[list[tuple[int, int, Fraction]]]:
@@ -228,10 +220,6 @@ class Forms:
         omega_bar = self.calculus.quotients[s].lift(omega_q)
         tu = self.mult_tu_by_bar(r, self.lift(r, q), s, omega_bar)
         return self.project(r + s, tu)
-
-    def right_module_matrices(self, r: int) -> list[Mat]:
-        return [self.right_action_matrix(r, i)
-                for i in range(self.algebra.dim)]
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω)."""

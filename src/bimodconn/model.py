@@ -195,7 +195,7 @@ def _parse_connection(doc, path: str, model: ModelFile) -> Connection:
         cols.append(forms.project(1, [nabla_tu[r][c] for r in range(n_rows)]))
     nabla = [[cols[c][r] for c in range(module.dim)]
              for r in range(forms.dim(1))]
-    return Connection(module, model.calculus, nabla)
+    return Connection(forms, nabla)
 
 
 def parse_model(path: str, truncation: int | None = None) -> ModelFile:
@@ -265,13 +265,3 @@ def parse_model(path: str, truncation: int | None = None) -> ModelFile:
                              f"expected one of {', '.join(ROUTES)}")
         model.tensor_requests.append(TensorRequest(left, right, route))
     return model
-
-
-def serialize_connection_tu(conn: Connection) -> list[list[Fraction]]:
-    """The ∇ matrix in the free-coordinate layout model files use."""
-    forms = conn.forms
-    n_rows = conn.module.dim * forms.n_tails(1)
-    cols = [forms.lift(1, conn.nabla_apply(conn.module.basis_vec(c)))
-            for c in range(conn.module.dim)]
-    return [[cols[c][r] for c in range(conn.module.dim)]
-            for r in range(n_rows)]

@@ -6,7 +6,9 @@ operators (the interpretation (b⊗Φ̂)a := b⊗Φ̂(a)), which makes the sum
 The same connection arises from a connection ∇′ against the original
 calculus by first pushing ∇′b down with ν̂ = id⊗κ̂; both routes are built
 and compared here, together with the degeneracy submodules N₀, M₀ they
-assume stable.
+assume stable.  The N-side ∇′ and the associated connection ∇′_M are plain
+:class:`Connection` objects over a right module N; the right Leibniz rule
+is checked by :func:`check_right_leibniz` as for a bimodule.
 """
 
 from __future__ import annotations
@@ -15,87 +17,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import anchors
-from .algebra import (BalancedTensor, Bimodule, RightModule,
-                      balancing_relations, tensor_over_A)
-from .calculus import CalculusMorphism, GradedCalculus
-from .connection import Connection, vec_sum
+from .algebra import (BalancedTensor, Bimodule, balancing_relations,
+                      tensor_over_A)
+from .calculus import CalculusMorphism
+from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms, _cols_to_mat
 from .linalg import (DimensionError, LinMap, Mat, Space, SpanBuilder, Vec,
                      factor_through, is_zero_vec, kernel, mat_mul, mat_vec,
-                     zeros)
+                     vec_add, zeros)
 from .report import Verdict, failed, passed
-
-
-# ---------------------------------------------------------------------------
-# connections on right modules
-# ---------------------------------------------------------------------------
-
-class RightConnection:
-    """∇′: N → N⊗_AΩ¹ on a right module, against an arbitrary calculus."""
-
-    def __init__(self, module, calculus: GradedCalculus, nabla: Mat):
-        self.module = module
-        self.calculus = calculus
-        self.forms = Forms(module, calculus)
-        if len(nabla) != self.forms.dim(1) or \
-                (nabla and len(nabla[0]) != module.dim):
-            raise ValueError("nabla matrix must be dim(N⊗Ω¹) x dim(N)")
-        self.nabla = [row[:] for row in nabla]
-        self._ext_mats: dict = {}
-
-    def nabla_apply(self, b_vec: Vec) -> Vec:
-        return mat_vec(self.nabla, b_vec)
-
-    def nabla_ext_plain(self, r: int) -> Mat:
-        """Extension on free coordinates: T^u_r → T_{r+1} classes."""
-        key = (r, "plain")
-        if key not in self._ext_mats:
-            f = self.forms
-            nt = f.n_tails(r)
-            cols = []
-            for b_i in range(self.module.dim):
-                nb = f.lift(1, self.nabla_apply(self.module.basis_vec(b_i)))
-                for bidx in range(nt):
-                    beta = f._tails[r][bidx]
-                    cols.append(f.project(r + 1, f.concat_tu(1, nb, beta)))
-            self._ext_mats[key] = _cols_to_mat(cols, f.dim(r + 1))
-        return self._ext_mats[key]
-
-    def nabla_ext_matrix(self, r: int) -> Mat:
-        """Extension ∇′: N⊗Ω^r → N⊗Ω^{r+1} on class coordinates."""
-        if r == 0:
-            return [row[:] for row in self.nabla]
-        if r not in self._ext_mats:
-            f = self.forms
-            plain = self.nabla_ext_plain(r)
-            cols = []
-            for c in range(f.dim(r)):
-                q = zeros(f.dim(r))
-                q[c] = Fraction(1)
-                cols.append(mat_vec(plain, f.lift(r, q)))
-            self._ext_mats[r] = _cols_to_mat(cols, f.dim(r + 1))
-        return self._ext_mats[r]
-
-
-def check_right_connection(rc: RightConnection) -> Verdict:
-    """∇′(b·f) = (∇′b)·f + b⊗df on all basis pairs, exactly."""
-    n, a = rc.module, rc.module.algebra
-    f = rc.forms
-    uni = rc.calculus.universal
-    for bi in range(n.dim):
-        bv = n.basis_vec(bi)
-        nb = rc.nabla_apply(bv)
-        for fi in range(a.dim):
-            fv = a.basis_vec(fi)
-            lhs = rc.nabla_apply(n.act_right(bv, fv))
-            df_bar = uni.from_emb(1, uni.d_emb(fv, 0))
-            rhs = vec_sum(f.act_right(1, nb, fv),
-                          f.class_of_pair_bar(1, bv, df_bar))
-            if lhs != rhs:
-                return failed("right-leibniz", anchors.RIGHT_LEIBNIZ,
-                              {"module_basis": bi, "algebra_basis": fi})
-    return passed("right-leibniz", anchors.RIGHT_LEIBNIZ)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +134,7 @@ def degeneracy_brute(pair: DegeneracyPair) -> Verdict:
                   {"dim_n0": pair.n0.dim, "dim_m0": pair.m0.dim})
 
 
-def check_compatibility(c: Connection, rc: RightConnection,
+def check_compatibility(c: Connection, rc: Connection,
                         pair: DegeneracyPair) -> Verdict:
     """∇M₀ ⊆ M₀⊗_AΩ¹ and ∇′N₀ ⊆ N₀⊗_AΩ¹ (each against its own calculus)."""
     for sub, forms, nab, side in (
@@ -250,19 +181,24 @@ class NuHat:
                                   Space.standard(len(m)), m).rank()
 
 
-def nu_hat(n, kappa_hat: CalculusMorphism | None) -> NuHat:
-    """Build ν̂ from κ̂, or report it unavailable when κ̂ does not exist.
+def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
+    """Build ν̂ on the module of ∇′ from κ̂, or report it unavailable when κ̂
+    does not exist.
 
     Both N⊗Ω^r and N⊗Ω_∇^r are quotients of the same free coordinate space
     N ⊗ (degree-r tails); since κ̂ is the canonical factoring of the two
-    ideal quotients, ν̂ is lift-then-reproject between them.
+    ideal quotients, ν̂ is lift-then-reproject between them.  The source is
+    ``rc.forms``; only the target N⊗Ω_∇ is built here.
     """
     if kappa_hat is None:
         nu = NuHat(False)
         nu.verdicts.append(Verdict("nu-hat", anchors.NU_HAT, "unavailable"))
         return nu
-    src = Forms(n, kappa_hat.source)
-    tgt = Forms(n, kappa_hat.target)
+    if rc.calculus is not kappa_hat.source:
+        raise DimensionError(
+            "the N-side connection must live over the source of κ̂")
+    src = rc.forms
+    tgt = Forms(rc.module, kappa_hat.target)
     nu = NuHat(True, src, tgt)
     for r in range(src.D + 1):
         cols = []
@@ -391,7 +327,7 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
         img = zeros(w.dim)
         for k, cc in enumerate(rel):
             if cc:
-                img = vec_sum(img, [cc * x for x in plain_cols[k]])
+                img = vec_add(img, [cc * x for x in plain_cols[k]])
         if not is_zero_vec(img):
             tc.verdicts.append(failed("tensor-connection-well-defined",
                                       well_defined_anchor,
@@ -407,7 +343,7 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
         out = zeros(w.dim)
         for k, cc in enumerate(plain):
             if cc:
-                out = vec_sum(out, [cc * x for x in plain_cols[k]])
+                out = vec_add(out, [cc * x for x in plain_cols[k]])
         cols.append(out)
     tc.matrix = _cols_to_mat(cols, w.dim)
     _check_tensor_leibniz(tc, c)
@@ -440,7 +376,7 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
                 for l, cv in enumerate(piece):
                     if cv:
                         extra[j * t1 + l] += cc * cv
-            rhs = vec_sum(rhs, w.project(extra))
+            rhs = vec_add(rhs, w.project(extra))
             if lhs != rhs:
                 tc.verdicts.append(failed("tensor-right-leibniz",
                                           anchors.TENSOR_CONNECTION,
@@ -450,7 +386,7 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
                               anchors.TENSOR_CONNECTION))
 
 
-def tensor_connection_induced(rc: RightConnection, c: Connection,
+def tensor_connection_induced(rc: Connection, c: Connection,
                               induced: InducedCalculus) -> TensorConnection:
     """∇⊗(b⊗a) := (∇′_M b)·a + b⊗∇a with ∇′_M against (Ω¹_∇, d_∇)."""
     if rc.calculus is not induced.calculus:
@@ -462,7 +398,7 @@ def tensor_connection_induced(rc: RightConnection, c: Connection,
                            anchors.INTERPRETED)
 
 
-def tensor_connection_original(rc: RightConnection, c: Connection,
+def tensor_connection_original(rc: Connection, c: Connection,
                                induced: InducedCalculus, nu: NuHat,
                                sigma=None) -> TensorConnection:
     """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, with the σ-route agreement check."""
@@ -482,7 +418,7 @@ def tensor_connection_original(rc: RightConnection, c: Connection,
     return tc
 
 
-def _check_sigma_route(tc: TensorConnection, rc: RightConnection,
+def _check_sigma_route(tc: TensorConnection, rc: Connection,
                        c: Connection, sigma) -> None:
     """(id_N⊗σ)(∇′b)⊗a + b⊗∇a equals the ν̂-route value on all pure pairs."""
     n, m = rc.module, c.module
@@ -538,12 +474,12 @@ class AssociatedResult:
     """∇′_M with ν̂∘∇′ = ∇′_M∘ν̂, or the obstruction to factoring it."""
 
     exists: bool
-    connection: RightConnection | None = None
+    connection: Connection | None = None
     ext_matrices: list[Mat] = field(default_factory=list)
     verdicts: list[Verdict] = field(default_factory=list)
 
 
-def associated_connection(rc: RightConnection, nu: NuHat) -> AssociatedResult:
+def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     """Push ∇′ through ν̂ degree-wise; absent when ker ν̂ is not preserved."""
     if not nu.available:
         res = AssociatedResult(False)
@@ -570,8 +506,7 @@ def associated_connection(rc: RightConnection, nu: NuHat) -> AssociatedResult:
                                          "kernel_element": wit}))
             return res
         res.ext_matrices.append(h.mat())
-    res.connection = RightConnection(rc.module, tgt.calculus,
-                                     res.ext_matrices[0])
+    res.connection = Connection(tgt, res.ext_matrices[0])
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked entrywise
     for r in range(src.D):
@@ -582,5 +517,5 @@ def associated_connection(rc: RightConnection, nu: NuHat) -> AssociatedResult:
                                        {"degree": r}))
             return res
     res.verdicts.append(passed("associated-square", anchors.ASSOCIATED))
-    res.verdicts.append(check_right_connection(res.connection))
+    res.verdicts.append(check_right_leibniz(res.connection))
     return res

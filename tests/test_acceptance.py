@@ -6,18 +6,21 @@ from pathlib import Path
 from _shared import FIXTURES, induced, pipeline
 from bimodconn import cli
 from bimodconn.calculus import preceq
-from bimodconn.connection import (check_right_leibniz, induced_first_order,
-                                  kappa0_op, kappa1, nabla_hat, sigma_exists)
+from bimodconn.connection import (Connection, check_right_leibniz,
+                                  induced_first_order, kappa0_op, kappa1,
+                                  nabla_hat, sigma_exists)
 from bimodconn.curvature import curvature, sigma_full
 from bimodconn.fixtures import a2_universal, conn_d, m2_universal, twist
 from bimodconn.linalg import is_zero_vec
 from bimodconn.model import parse_model
-from bimodconn.tensorconn import (RightConnection, associated_connection,
-                                  degeneracy_brute, degeneracy_submodules,
-                                  nu_hat, tensor_connection_induced,
+from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
+                                  degeneracy_submodules, nu_hat,
+                                  tensor_connection_induced,
                                   tensor_connection_original)
 
-MODELS = Path(__file__).resolve().parents[1] / "models"
+ROOT = Path(__file__).resolve().parents[1]
+MODELS = ROOT / "models"
+GOLDEN = ROOT / "perfbench" / "golden" / "a2_trio"
 
 
 def test_01_universal_dimension_law():
@@ -113,9 +116,9 @@ def test_09_tensor_product_routes():
     for which in ("flat", "flatq"):
         conn = pipeline(which)[0]
         ic = induced(which)
-        rc = RightConnection(conn.module, conn.calculus, conn.nabla)
+        rc = Connection(conn.forms, conn.nabla)
         kap = preceq(ic.calculus, conn.calculus)[0]
-        nu = nu_hat(rc.module, kap)
+        nu = nu_hat(rc, kap)
         tco = tensor_connection_original(rc, conn, ic, nu, sigma_exists(conn))
         assert all(v.ok for v in tco.verdicts)
         assert any(v.check_id == "tensor-route-agreement"
@@ -134,3 +137,14 @@ def test_10_deterministic_reports():
     second = cli.run("all", parse_model(str(MODELS / "a2_flat.model")))
     assert first.to_json().encode() == second.to_json().encode()
     assert first.summary == "pass"
+
+
+def test_11_reports_match_golden():
+    # the checked-in reports of the a2 models, reproduced byte for byte
+    for name in ("a2_flat", "a2_quotient", "a2_twist"):
+        report = cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+        for ext, text in (("json", report.to_json()),
+                          ("txt", report.to_text())):
+            with open(GOLDEN / f"{name}.{ext}", encoding="utf-8",
+                      newline="") as fh:
+                assert text == fh.read(), f"{name}.{ext}"

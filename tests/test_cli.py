@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bimodconn import cli
+from bimodconn.forms import Forms
 from bimodconn.model import ModelError, parse_model
 from bimodconn.report import Report, Verdict, failed, passed
 
@@ -109,6 +110,25 @@ def test_report_json_round_trip():
     doc = json.loads(report.to_json())
     assert doc["summary"] == "pass"
     assert all("paper_anchor" in rec for rec in doc["records"])
+
+
+def test_each_forms_built_once(monkeypatch):
+    # parsing builds M⊗Ω for the one connection; the tensor route reuses it
+    # as the N-side source and builds only its Ω_∇ target
+    builds = []
+    init = Forms.__init__
+
+    def counting_init(self, module, calculus):
+        builds.append(calculus)
+        init(self, module, calculus)
+
+    monkeypatch.setattr(Forms, "__init__", counting_init)
+    model = parse_model(str(MODELS / "a2_flat.model"))
+    assert len(builds) == 1
+    report = cli.run("tensor", model)
+    assert report.summary == "pass"
+    assert len(builds) == 2
+    assert builds[1] is not model.calculus
 
 
 def test_summary_fail_drives_exit_code():

@@ -25,7 +25,7 @@ def test_right_leibniz_flat():
 def test_right_leibniz_zero_map_fails():
     c0 = conn_d("universal")
     forms_dim = c0.forms.dim(1)
-    bad = Connection(c0.module, c0.calculus, zero_mat(forms_dim, 2))
+    bad = Connection(c0.forms, zero_mat(forms_dim, 2))
     v = check_right_leibniz(bad)
     assert v.status == "fail"
     assert v.witness is not None

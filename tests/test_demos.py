@@ -1,0 +1,19 @@
+"""The a2 walkthrough scripts in demos/ run to completion."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", ["tensor_routes", "sigma_obstruction",
+                                  "induced_calculus"])
+def test_demo_main_runs(name, capsys):
+    spec = importlib.util.spec_from_file_location(f"demo_{name}",
+                                                  DEMOS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main()
+    assert capsys.readouterr().out

@@ -3,16 +3,16 @@ and the associated connection."""
 
 from fractions import Fraction
 
+import pytest
+
 from _shared import FIXTURES, induced, pipeline
 from bimodconn.algebra import Bimodule, RightModule, check_bimodule
 from bimodconn.calculus import preceq
-from bimodconn.connection import (Connection, check_right_leibniz,
-                                  sigma_exists, vec_sum)
+from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.fixtures import a2, a2_universal, conn_d
 from bimodconn.forms import Forms
-from bimodconn.linalg import is_zero_vec, mat, zeros
-from bimodconn.tensorconn import (RightConnection, associated_connection,
-                                  check_compatibility, check_right_connection,
+from bimodconn.linalg import DimensionError, is_zero_vec, mat, vec_add, zeros
+from bimodconn.tensorconn import (associated_connection, check_compatibility,
                                   degeneracy_brute, degeneracy_submodules,
                                   nu_hat, tensor_connection_induced,
                                   tensor_connection_original)
@@ -25,9 +25,9 @@ def kappa_hat(which: str):
     return preceq(induced(which).calculus, conn.calculus)[0]
 
 
-def rc_of(which: str) -> RightConnection:
+def rc_of(which: str) -> Connection:
     conn = pipeline(which)[0]
-    return RightConnection(conn.module, conn.calculus, conn.nabla)
+    return Connection(conn.forms, conn.nabla)
 
 
 # ---------------------------------------------------------------------------
@@ -74,12 +74,12 @@ def column_connection() -> Connection:
     emb = zeros(4)
     emb[0 * 2 + 1] = F(1)                           # e1 (x) e2
     col = [-x for x in forms.class_of_pair_emb(1, [F(1)], emb)]
-    c = Connection(m, cal, [[x] for x in col])
+    c = Connection(forms, [[x] for x in col])
     assert check_right_leibniz(c).ok
     return c
 
 
-def skew_connection(perturbed: bool = False) -> RightConnection:
+def skew_connection(perturbed: bool = False) -> Connection:
     n = skew_right_module()
     cal = a2_universal()
     forms = Forms(n, cal)
@@ -91,11 +91,11 @@ def skew_connection(perturbed: bool = False) -> RightConnection:
     if perturbed:
         emb = zeros(4)
         emb[0 * 2 + 1] = F(1)                       # add y⊗(e1⊗e2) to ∇′x
-        cols[0] = vec_sum(cols[0],
+        cols[0] = vec_add(cols[0],
                           forms.class_of_pair_emb(1, n.basis_vec(1), emb))
     nabla = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
-    rc = RightConnection(n, cal, nabla)
-    assert check_right_connection(rc).ok
+    rc = Connection(forms, nabla)
+    assert check_right_leibniz(rc).ok
     return rc
 
 
@@ -124,7 +124,7 @@ def test_compatibility_pass_and_fail():
 # ---------------------------------------------------------------------------
 
 def test_nu_hat_iso_in_degree_one_flat():
-    nu = nu_hat(rc_of("flat").module, kappa_hat("flat"))
+    nu = nu_hat(rc_of("flat"), kappa_hat("flat"))
     assert nu.available
     assert all(v.ok for v in nu.verdicts)
     assert nu.rank(1) == nu.source.dim(1) == 2
@@ -132,9 +132,14 @@ def test_nu_hat_iso_in_degree_one_flat():
 
 def test_nu_hat_unavailable_without_kappa_hat():
     assert kappa_hat("twist") is None
-    nu = nu_hat(rc_of("twist").module, None)
+    nu = nu_hat(rc_of("twist"), None)
     assert not nu.available
     assert any(v.status == "unavailable" for v in nu.verdicts)
+
+
+def test_nu_hat_rejects_connection_over_another_calculus():
+    with pytest.raises(DimensionError):
+        nu_hat(rc_of("flatq"), kappa_hat("flat"))
 
 
 def test_both_routes_flat():
@@ -142,7 +147,7 @@ def test_both_routes_flat():
         conn = pipeline(which)[0]
         ic = induced(which)
         rc = rc_of(which)
-        nu = nu_hat(rc.module, kappa_hat(which))
+        nu = nu_hat(rc, kappa_hat(which))
         sig = sigma_exists(conn)
         tco = tensor_connection_original(rc, conn, ic, nu, sig)
         assert tco.available
@@ -162,7 +167,7 @@ def test_both_routes_flat():
 def test_associated_connection_of_d_is_d_nabla():
     # ∇′ = d on N = A: the associated connection is d against (Ω_∇, d_∇)
     rc = rc_of("flat")
-    nu = nu_hat(rc.module, kappa_hat("flat"))
+    nu = nu_hat(rc, kappa_hat("flat"))
     assoc = associated_connection(rc, nu)
     assert assoc.exists
     am = assoc.connection
