@@ -2,9 +2,11 @@
 
 Degree r of the universal calculus is realized concretely inside the
 (r+1)-fold tensor power of A, with the basis {e_i · de_j1 ⋯ de_jr} where the
-j's range over a fixed complement of the unit.  That basis ("bar basis") is
-free, so conversions between abstract coordinates and the tensor-power
-embedding are exact linear solves, products are slot-contractions, and the
+j's range over a fixed complement of the unit.  That basis ("bar basis")
+realizes Ω^r_u ≅ A ⊗ Ā^{⊗r} with Ā = A/ℂ1, so the conversions between bar
+and tensor-power coordinates are closed forms: to_emb sums sparse bar
+columns, and from_emb is id ⊗ π^{⊗r} with π: A → Ā, checked by the round
+trip back to its input.  Products are slot-contractions, and the
 differential is the alternating unit-insertion map.
 
 Every calculus is canonically "universal modulo a graded differential
@@ -20,10 +22,15 @@ from fractions import Fraction
 
 from . import anchors
 from .algebra import Algebra, Bimodule
-from .linalg import (DimensionError, LinMap, LinSolver, Mat, Space,
-                     SpanBuilder, Vec, factor_through, quotient, QuotientSpace,
-                     zeros)
+from .linalg import (DimensionError, LinMap, Mat, Space, SpanBuilder, Vec,
+                     factor_through, quotient, QuotientSpace, zeros)
 from .report import Verdict, failed, passed
+
+
+def _exact(c: Fraction) -> Fraction | int:
+    """c as an int when it is integral: the ±1 entries of π and of the bar
+    columns then multiply in plain int arithmetic."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _flat(idx: tuple[int, ...], n: int) -> int:
@@ -42,7 +49,7 @@ class UniversalCalculus:
         self.algebra = algebra
         self.D = truncation
         n = algebra.dim
-        self.complement = self._unit_complement()
+        self.complement, self._pi = self._unit_complement()
         # d(e_j) in A⊗A coordinates
         self.de: dict[int, Vec] = {}
         unit = algebra.unit_vec()
@@ -54,20 +61,30 @@ class UniversalCalculus:
                     v[j * n + t] -= c          # e_j ⊗ 1
             self.de[j] = v
         self._tails: list[list[tuple[int, ...]]] = []
-        self._bar_to_emb: list[Mat] = []
-        self._solvers: list[LinSolver] = []
+        # per degree, per bar basis vector: its nonzero (row, coeff) entries
+        # in tensor-power coordinates
+        self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
         self._rmul_cache: dict[tuple[int, tuple[Fraction, ...]], Mat] = {}
         self._build_degrees()
 
     # -- construction -----------------------------------------------------
-    def _unit_complement(self) -> list[int]:
-        span = SpanBuilder(self.algebra.dim)
-        span.add(self.algebra.unit_vec())
+    def _unit_complement(self) \
+            -> tuple[list[int], list[list[tuple[int, Fraction | int]]]]:
+        """The basis indices completing the unit to a basis, and the
+        projection π: A → A/ℂ1 as, per basis vector e_k, the nonzero
+        (complement position, coeff) pairs of e_k modulo the unit."""
+        a = self.algebra
+        span = SpanBuilder(a.dim)
+        span.add(a.unit_vec())
         comp = []
-        for i in range(self.algebra.dim):
-            if span.add(self.algebra.basis_vec(i)):
+        for i in range(a.dim):
+            if span.add(a.basis_vec(i)):
                 comp.append(i)
-        return comp
+        pi = []
+        for k in range(a.dim):
+            coords = span.coords(a.basis_vec(k))
+            pi.append([(p, _exact(c)) for p, c in enumerate(coords[1:]) if c])
+        return comp, pi
 
     def _build_degrees(self) -> None:
         n = self.algebra.dim
@@ -76,33 +93,28 @@ class UniversalCalculus:
             tails = list(itertools.product(self.complement, repeat=r))
             emb: dict[tuple[int, ...], Vec] = {}
             for beta in tails:
-                if r == 0:
-                    v = zeros(1)
-                    v[0] = Fraction(1)  # formal empty product placeholder
-                    emb[beta] = v
-                elif r == 1:
-                    emb[beta] = self.de[beta[0]][:]
-                else:
+                if r == 1:
+                    emb[beta] = self.de[beta[0]]
+                elif r > 1:
                     emb[beta] = self.product_emb(tail_embs[r - 1][beta[:-1]],
                                                  r - 1, self.de[beta[-1]], 1)
             self._tails.append(tails)
             tail_embs.append(emb)
-            cols: list[Vec] = []
+            cols = []
             for i0 in range(n):
                 e = self.algebra.basis_vec(i0)
                 for beta in tails:
-                    if r == 0:
-                        cols.append(e[:])
-                    else:
-                        cols.append(self.product_emb(e, 0, emb[beta], r))
-            m = [[cols[c][row] for c in range(len(cols))]
-                 for row in range(n ** (r + 1))]
-            self._bar_to_emb.append(m)
-            solver = LinSolver(m)
-            if solver.rank != len(cols):
-                raise DimensionError(
-                    f"bar basis degenerate in degree {r}; algebra data invalid")
-            self._solvers.append(solver)
+                    col = e if r == 0 else self.product_emb(e, 0, emb[beta], r)
+                    cols.append([(row, _exact(c))
+                                 for row, c in enumerate(col) if c])
+            self._bar_cols.append(cols)
+            # id ⊗ π^{⊗r} inverts the bar basis exactly when it is a basis
+            for k, col in enumerate(cols):
+                unit_k = zeros(len(cols))
+                unit_k[k] = Fraction(1)
+                if self._contract(r, col) != unit_k:
+                    raise DimensionError(f"bar basis degenerate in degree {r}; "
+                                         "algebra data invalid")
 
     # -- dimensions and bases --------------------------------------------
     def bar_dim(self, r: int) -> int:
@@ -120,20 +132,52 @@ class UniversalCalculus:
         return self._tails[r]
 
     # -- coordinate conversions ------------------------------------------
+    def _contract(self, r: int, terms) -> Vec:
+        """id ⊗ π^{⊗r} on (flat index, coeff) tensor-power terms, in bar
+        coordinates."""
+        n, m = self.algebra.dim, len(self.complement)
+        head, tail_dim = n ** r, m ** r
+        bar = zeros(self.bar_dim(r))
+        for flat, c in terms:
+            i0, rest = divmod(flat, head)
+            acc = [(i0 * tail_dim, 1)]
+            stride = 1
+            for _ in range(r):
+                rest, k = divmod(rest, n)
+                acc = [(t + p * stride, s * cp)
+                       for t, s in acc for p, cp in self._pi[k]]
+                stride *= m
+            for t, s in acc:
+                bar[t] += c if s == 1 else c * s
+        return bar
+
+    def _emb_terms(self, r: int, bar: Vec) -> dict[int, Fraction]:
+        """Nonzero tensor-power coordinates of a bar-coordinate vector."""
+        out: dict[int, Fraction] = {}
+        cols = self._bar_cols[r]
+        for k, coeff in enumerate(bar):
+            if coeff:
+                for row, c in cols[k]:
+                    v = coeff if c == 1 else coeff * c
+                    prev = out.get(row)
+                    out[row] = v if prev is None else prev + v
+        return {row: c for row, c in out.items() if c}
+
     def to_emb(self, r: int, bar: Vec) -> Vec:
         out = zeros(self.emb_dim(r))
-        m = self._bar_to_emb[r]
-        for c, coeff in enumerate(bar):
-            if coeff:
-                col_stride = coeff
-                for row in range(len(out)):
-                    if m[row][c]:
-                        out[row] += col_stride * m[row][c]
+        for row, c in self._emb_terms(r, bar).items():
+            out[row] = c
         return out
 
     def from_emb(self, r: int, emb: Vec) -> Vec:
-        bar = self._solvers[r].solve(emb)
-        if bar is None:
+        """Bar coordinates of a tensor-power vector: id ⊗ π^{⊗r}, checked by
+        the round trip back to ``emb``."""
+        if len(emb) != self.emb_dim(r):
+            raise DimensionError(f"expected {self.emb_dim(r)} tensor-power "
+                                 f"coordinates in degree {r}")
+        terms = {flat: c for flat, c in enumerate(emb) if c}
+        bar = self._contract(r, terms.items())
+        if self._emb_terms(r, bar) != terms:
             raise DimensionError(
                 f"vector is not in the universal calculus in degree {r}")
         return bar

@@ -7,7 +7,7 @@ equality test in the rest of the package is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 Vec = list[Fraction]

@@ -33,10 +33,17 @@ from .algebra import Algebra, Bimodule, check_algebra, check_bimodule
 from .calculus import GradedCalculus, quotient_calculus, universal_graded
 from .connection import Connection, check_right_leibniz
 from .forms import Forms
+from .linalg import DimensionError
 from .report import Verdict
 
 SCHEMA_VERSION = 1
 ROUTES = ("induced", "nu-hat", "both")
+# Largest tensor-power dimension dim^(truncation+1) a model may ask for: the
+# universal calculus stores dense vectors of that length in its top degree.
+# It admits every shipped model (m2 at D=3 is 256) and the two-point algebra
+# up to D=11.  The bound counts at least 2 per tensor slot, so it also caps
+# the number of degrees of a one-dimensional algebra.
+MAX_EMB_DIM = 4096
 
 
 class ModelError(Exception):
@@ -123,6 +130,17 @@ def _parse_algebra(doc, path: str) -> Algebra:
     return Algebra.from_table(table, unit)
 
 
+def _emb_dim_exceeds(dim: int, truncation: int) -> bool:
+    """max(dim, 2)^(truncation+1) > MAX_EMB_DIM, in at most
+    log2(MAX_EMB_DIM)+1 steps whatever the truncation."""
+    size = 1
+    for _ in range(truncation + 1):
+        size *= max(dim, 2)
+        if size > MAX_EMB_DIM:
+            return True
+    return False
+
+
 def _parse_calculus(doc, path: str, algebra: Algebra,
                     truncation_override: int | None) -> tuple[int, GradedCalculus]:
     doc = doc if doc is not None else {}
@@ -133,6 +151,10 @@ def _parse_calculus(doc, path: str, algebra: Algebra,
         truncation = truncation_override
     if not isinstance(truncation, int) or truncation < 1:
         raise ModelError(f"{path}.truncation", "expected a positive integer")
+    if _emb_dim_exceeds(algebra.dim, truncation):
+        raise ModelError(f"{path}.truncation",
+                         f"dim^(truncation+1) exceeds {MAX_EMB_DIM} for "
+                         f"dim {algebra.dim}, truncation {truncation}")
     base = universal_graded(algebra, truncation)
     gens_doc = doc.get("ideal_generators", [])
     if not isinstance(gens_doc, list):
@@ -152,7 +174,7 @@ def _parse_calculus(doc, path: str, algebra: Algebra,
                            algebra.dim ** (degree + 1))
         try:
             base.universal.from_emb(degree, element)
-        except Exception:
+        except DimensionError:
             raise ModelError(f"{gpath}.element",
                              "element does not lie in the universal calculus "
                              f"in degree {degree}") from None

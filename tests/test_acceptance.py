@@ -11,7 +11,6 @@ from bimodconn.connection import (Connection, check_right_leibniz,
                                   nabla_hat, sigma_exists)
 from bimodconn.curvature import curvature, sigma_full
 from bimodconn.fixtures import a2_universal, conn_d, m2_universal, twist
-from bimodconn.linalg import is_zero_vec
 from bimodconn.model import parse_model
 from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
                                   degeneracy_submodules, nu_hat,
@@ -20,7 +19,7 @@ from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
 
 ROOT = Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
-GOLDEN = ROOT / "perfbench" / "golden" / "a2_trio"
+GOLDEN = ROOT / "perfbench" / "golden"
 
 
 def test_01_universal_dimension_law():
@@ -140,11 +139,16 @@ def test_10_deterministic_reports():
 
 
 def test_11_reports_match_golden():
-    # the checked-in reports of the a2 models, reproduced byte for byte
-    for name in ("a2_flat", "a2_quotient", "a2_twist"):
-        report = cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    # the checked-in reports of the a2 models, reproduced byte for byte, at
+    # the truncation the model states and at D=9
+    cases = [("a2_trio", name, None)
+             for name in ("a2_flat", "a2_quotient", "a2_twist")]
+    cases += [("a2_deep", name, 9) for name in ("a2_flat", "a2_quotient")]
+    for golden, name, truncation in cases:
+        report = cli.run("all", parse_model(str(MODELS / f"{name}.model"),
+                                            truncation=truncation))
         for ext, text in (("json", report.to_json()),
                           ("txt", report.to_text())):
-            with open(GOLDEN / f"{name}.{ext}", encoding="utf-8",
+            with open(GOLDEN / golden / f"{name}.{ext}", encoding="utf-8",
                       newline="") as fh:
-                assert text == fh.read(), f"{name}.{ext}"
+                assert text == fh.read(), f"{golden}/{name}.{ext}"

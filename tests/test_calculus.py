@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
-from bimodconn.calculus import (preceq, quotient_calculus, universal_graded)
+import pytest
+
+from bimodconn.algebra import Algebra
+from bimodconn.calculus import UniversalCalculus, preceq, quotient_calculus
 from bimodconn.fixtures import (a2, a2_quotient, a2_universal, m2,
                                 m2_universal)
-from bimodconn.linalg import is_zero_vec, zeros
+from bimodconn.linalg import DimensionError, LinSolver, is_zero_vec, zeros
 
 F = Fraction
 
@@ -135,3 +138,53 @@ def test_preceq_transitive_on_chain():
     rho1, _ = preceq(a2_quotient(), a2_universal())
     rho2, _ = preceq(a2_quotient(), a2_quotient())
     assert rho1 is not None and rho2 is not None
+
+
+def _bar_columns(uni, r):
+    """e_i·de_j1⋯de_jr in tensor-power coordinates, built from d and the
+    product alone, in bar-index order."""
+    a = uni.algebra
+    cols = []
+    for i0, beta in uni.bar_index(r):
+        col = a.basis_vec(i0)
+        for deg, j in enumerate(beta):
+            col = uni.product_emb(col, deg, uni.d_emb(a.basis_vec(j), 0), 1)
+        cols.append(col)
+    return cols
+
+
+def test_from_emb_matches_dense_solve():
+    # id ⊗ π^{⊗r} agrees with a solve against the dense bar→emb matrix on
+    # d and product outputs in every degree
+    for cal in (a2_universal(), m2_universal()):
+        uni = cal.universal
+        a = uni.algebra
+        cols = [_bar_columns(uni, r) for r in range(uni.D + 1)]
+        for r in range(uni.D + 1):
+            for k, col in enumerate(cols[r]):
+                unit_k = zeros(uni.bar_dim(r))
+                unit_k[k] = F(1)
+                assert uni.to_emb(r, unit_k) == col
+            solver = LinSolver([list(row) for row in zip(*cols[r])])
+            assert solver.rank == uni.bar_dim(r)
+            inputs = []
+            for col in cols[r]:
+                for i in range(a.dim):
+                    f = a.basis_vec(i)
+                    inputs.append(uni.product_emb(f, 0, col, r))
+                    inputs.append(uni.product_emb(col, r, f, 0))
+            if r:
+                inputs += [uni.d_emb(col, r - 1) for col in cols[r - 1]]
+                inputs += [uni.product_emb(uni.d_emb(a.basis_vec(j), 0), 1,
+                                           col, r - 1)
+                           for j in uni.complement for col in cols[r - 1]]
+            for x in inputs:
+                assert uni.from_emb(r, x) == solver.solve(x)
+
+
+def test_bar_basis_guard_rejects_one_sided_unit():
+    # e1 is a left unit of A2 but not a right one (e2·e1 = 0), so
+    # id ⊗ π does not invert e_i·de_j
+    a = a2()
+    with pytest.raises(DimensionError, match="bar basis degenerate"):
+        UniversalCalculus(Algebra.from_table(a.structure, [F(1), F(0)]), 2)

@@ -1,13 +1,16 @@
 """Model-file parsing, pipeline dispatch, report shape, and exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bimodconn import cli
+from bimodconn.fixtures import a2_universal
 from bimodconn.forms import Forms
-from bimodconn.model import ModelError, parse_model
+from bimodconn.linalg import DimensionError, LinSolver
+from bimodconn.model import MAX_EMB_DIM, ModelError, parse_model
 from bimodconn.report import Report, Verdict, failed, passed
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -74,6 +77,38 @@ def test_parse_rejects_unknown_schema(tmp_path):
     assert err.value.path == "schema"
 
 
+def test_parse_rejects_generator_outside_universal(tmp_path):
+    # e1 ⊗ e1 multiplies to e1 ≠ 0, so it is not in Ω¹_u
+    outside = ["1", "0", "0", "0"]
+    doc = flat_doc()
+    doc["calculus"]["ideal_generators"] = [{"degree": 1, "element": outside}]
+    with pytest.raises(ModelError) as err:
+        parse_model(write_doc(tmp_path, doc))
+    assert err.value.path == "calculus.ideal_generators[0].element"
+    with pytest.raises(DimensionError):
+        a2_universal().universal.from_emb(1, [Fraction(x) for x in outside])
+
+
+def test_parse_rejects_oversized_truncation(tmp_path, capsys):
+    # 2^13 > 4096 ≥ 2^12: a2 is admitted up to D=11
+    assert 2 ** 12 <= MAX_EMB_DIM < 2 ** 13
+    for d in (12, 10 ** 18):
+        with pytest.raises(ModelError) as err:
+            parse_model(str(MODELS / "a2_flat.model"), truncation=d)
+        assert err.value.path == "calculus.truncation"
+    # a one-dimensional algebra counts 2 per slot, so its degrees are capped
+    doc = flat_doc()
+    doc["algebra"] = {"dim": 1, "structure": [[["1"]]], "unit": ["1"]}
+    doc["calculus"]["truncation"] = 10 ** 18
+    with pytest.raises(ModelError) as err:
+        parse_model(write_doc(tmp_path, doc))
+    assert err.value.path == "calculus.truncation"
+    code = cli.main(["check", "--model", str(MODELS / "a2_flat.model"),
+                     "--truncation", "40"])
+    assert code == 2
+    assert "calculus.truncation" in capsys.readouterr().err
+
+
 def test_run_check_reports_axioms_only():
     model = parse_model(str(MODELS / "a2_flat.model"))
     report = cli.run("check", model)
@@ -129,6 +164,20 @@ def test_each_forms_built_once(monkeypatch):
     assert report.summary == "pass"
     assert len(builds) == 2
     assert builds[1] is not model.calculus
+
+
+def test_parse_builds_no_linsolver(monkeypatch):
+    # bar coordinates of the universal calculus are closed-form
+    builds = []
+    init = LinSolver.__init__
+
+    def counting_init(self, a):
+        builds.append(len(a))
+        init(self, a)
+
+    monkeypatch.setattr(LinSolver, "__init__", counting_init)
+    parse_model(str(MODELS / "a2_flat.model"), truncation=9)
+    assert builds == []
 
 
 def test_summary_fail_drives_exit_code():

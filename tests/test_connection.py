@@ -5,7 +5,7 @@ from fractions import Fraction
 from bimodconn.connection import (Connection, check_right_leibniz,
                                   induced_first_order, kappa0_op, kappa1,
                                   nabla_hat, sigma_exists)
-from bimodconn.fixtures import a2, a2_quotient, a2_universal, conn_d, twist
+from bimodconn.fixtures import a2, conn_d, twist
 from bimodconn.linalg import is_zero_vec, zero_mat, zeros
 
 F = Fraction
