@@ -22,7 +22,7 @@ def main() -> None:
     ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
 
     pair = degeneracy_submodules(conn.module.as_right_module(), conn.module)
-    print("degeneracy kernels N0, M0:", pair.n0.dim, pair.m0.dim)
+    print("degeneracy kernels N0, M0:", len(pair.n0), len(pair.m0))
     print("brute-force pairing oracle:", degeneracy_brute(pair).status)
 
     rc = Connection(conn.forms, conn.nabla)

@@ -1,7 +1,7 @@
 """Exact computer algebra for connections on bimodules over finite-dimensional algebras."""
 
-from .linalg import (LinMap, QuotientSpace, Space, factor_through, kernel,
-                     quotient, row_reduce)
+from .linalg import (QuotientSpace, factor_through, null_space, quotient, rank,
+                     row_reduce)
 from .algebra import (Algebra, BalancedTensor, Bimodule, RightAHomSpace,
                       RightModule, check_algebra, check_bimodule, kappa0,
                       right_hom_space, tensor_over_A)
@@ -22,16 +22,17 @@ from .report import Report, Verdict
 
 __all__ = [
     "Algebra", "BalancedTensor", "Bimodule", "CalculusMorphism", "Connection",
-    "DegreeRHom", "Forms", "GradedCalculus", "InducedCalculus", "LinMap",
+    "DegreeRHom", "Forms", "GradedCalculus", "InducedCalculus",
     "ModelError", "ModelFile", "OmegaHat", "OmegaM", "QuotientSpace",
-    "Report", "RightAHomSpace", "RightModule", "Space", "UniversalCalculus",
+    "Report", "RightAHomSpace", "RightModule", "UniversalCalculus",
     "Verdict", "associated_connection", "check_algebra", "check_bimodule",
     "check_compatibility", "check_right_leibniz", "curvature",
     "degeneracy_brute",
     "degeneracy_submodules", "extend_connection", "factor_through",
     "induced_first_order", "j_ideal", "kappa0", "kappa0_op", "kappa1",
-    "kernel", "nabla_hat", "nu_hat", "parse_model", "preceq", "quotient",
-    "quotient_calculus", "right_hom_space", "row_reduce", "sigma_exists",
+    "nabla_hat", "null_space", "nu_hat", "parse_model", "preceq", "quotient",
+    "quotient_calculus", "rank", "right_hom_space", "row_reduce",
+    "sigma_exists",
     "sigma_full", "tensor_connection_induced", "tensor_connection_original",
     "tensor_over_A", "universal_graded",
 ]

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import anchors
-from .linalg import (DimensionError, LinMap, Mat, Space, SpanBuilder, Vec,
-                     frac, identity_mat, is_zero_vec, mat_mul, mat_vec,
-                     null_space, quotient, QuotientSpace, row_reduce, zero_mat,
-                     zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, frac, identity_mat,
+                     is_zero_vec, mat_mul, mat_vec, null_space, quotient,
+                     QuotientSpace, row_reduce, zero_mat, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -78,7 +77,7 @@ class Algebra:
                 m[k][j] = col[k]
         return m
 
-    def multiplication_map(self) -> LinMap:
+    def multiplication_map(self) -> Mat:
         """μ: A⊗A → A on the plain tensor basis e_i⊗e_j (index i·n + j)."""
         n = self.dim
         m = zero_mat(n, n * n)
@@ -87,7 +86,7 @@ class Algebra:
                 col = self.structure[i][j]
                 for k in range(n):
                     m[k][i * n + j] = col[k]
-        return LinMap.from_matrix(Space.standard(n * n), Space.standard(n), m)
+        return m
 
     def regular_bimodule(self) -> "Bimodule":
         """A as a bimodule over itself via left/right multiplication."""
@@ -312,40 +311,10 @@ class BalancedTensor:
         ry = self.right_factor.right_matrix(f)
         return _kron_right(self.left_factor.dim, ry)
 
-    def _plain_left_matrix(self, f: Vec) -> Mat:
-        lx = self.left_factor.left_matrix(f)  # requires a Bimodule left factor
-        return _kron_left(lx, self.right_factor.dim)
-
     def induced_right_matrix(self, f: Vec) -> Mat:
-        p, s = self.quotient.projection.mat(), self.quotient.section.mat()
-        return mat_mul(p, mat_mul(self._plain_right_matrix(f), s))
-
-    def induced_left_matrix(self, f: Vec) -> Mat:
-        p, s = self.quotient.projection.mat(), self.quotient.section.mat()
-        return mat_mul(p, mat_mul(self._plain_left_matrix(f), s))
-
-    def as_bimodule(self) -> Bimodule:
-        a = self.left_factor.algebra
-        left = [self.induced_left_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        right = [self.induced_right_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        return Bimodule.from_actions(a, left, right)
-
-    def as_right_module(self) -> RightModule:
-        a = self.left_factor.algebra
-        right = [self.induced_right_matrix(a.basis_vec(i)) for i in range(a.dim)]
-        return RightModule.from_action(a, right)
-
-
-def _kron_left(lx: Mat, ydim: int) -> Mat:
-    xdim = len(lx)
-    out = zero_mat(xdim * ydim, xdim * ydim)
-    for i in range(xdim):
-        for k in range(xdim):
-            c = lx[i][k]
-            if c:
-                for j in range(ydim):
-                    out[i * ydim + j][k * ydim + j] = c
-    return out
+        q = self.quotient
+        return mat_mul(q.projection,
+                       mat_mul(self._plain_right_matrix(f), q.section))
 
 
 def _kron_right(xdim: int, ry: Mat) -> Mat:
@@ -389,12 +358,10 @@ def tensor_over_A(x, y: Bimodule) -> BalancedTensor:
     """Balanced tensor product X⊗_AY of a right module X and a bimodule Y."""
     if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise DimensionError("tensor factors live over different algebras")
-    plain = Space.standard(x.dim * y.dim)
-    span = SpanBuilder(plain.dim)
+    span = SpanBuilder(x.dim * y.dim)
     for rel in balancing_relations(x, y):
         span.add(rel)
-    q = quotient(plain, span.to_space(plain))
-    return BalancedTensor(x, y, q)
+    return BalancedTensor(x, y, quotient(x.dim * y.dim, span.basis))
 
 
 @dataclass
@@ -457,17 +424,9 @@ def right_hom_space(x, y) -> RightAHomSpace:
                         row[k * xd + c] -= ry[r][k]
                 if not is_zero_vec(row):
                     rows.append(row)
-    if rows:
-        sols = null_space(rows, yd * xd)
-    else:
-        # no constraints: every linear map is right-A-linear
-        sols = []
-        for p in range(yd * xd):
-            v = zeros(yd * xd)
-            v[p] = Fraction(1)
-            sols.append(v)
+    # with no constraints every linear map is right-A-linear
     basis = [[[v[r * xd + c] for c in range(xd)] for r in range(yd)]
-             for v in sols]
+             for v in null_space(rows, yd * xd)]
     return RightAHomSpace(xs, ys, basis)
 
 

@@ -17,13 +17,15 @@ ideal-inclusion tests.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import anchors
 from .algebra import Algebra, Bimodule
-from .linalg import (DimensionError, LinMap, Mat, Space, SpanBuilder, Vec,
-                     factor_through, quotient, QuotientSpace, zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, factor_through,
+                     identity_mat, mat_mul, mat_vec, quotient, QuotientSpace,
+                     zeros)
 from .report import Verdict, failed, passed
 
 
@@ -286,17 +288,16 @@ class UniversalCalculus:
 class GradedCalculus:
     """A truncated calculus presented as universal modulo a graded ideal."""
 
-    def __init__(self, universal: UniversalCalculus, ideal: list[Space],
+    def __init__(self, universal: UniversalCalculus, ideal: list[list[Vec]],
                  generators: list[tuple[int, Vec]] | None = None):
         self.universal = universal
         self.algebra = universal.algebra
         self.D = universal.D
-        self.ideal = ideal
+        self.ideal = ideal              # per degree, a basis in bar coordinates
         self.generators = generators or []
         self.quotients: list[QuotientSpace] = []
         for r in range(self.D + 1):
-            total = Space.standard(universal.bar_dim(r))
-            self.quotients.append(quotient(total, ideal[r]))
+            self.quotients.append(quotient(universal.bar_dim(r), ideal[r]))
         self._d_mats: dict[int, Mat] = {}
         self._bimods: dict[int, Bimodule] = {}
 
@@ -309,7 +310,7 @@ class GradedCalculus:
 
     @property
     def is_universal(self) -> bool:
-        return all(s.dim == 0 for s in self.ideal)
+        return not any(self.ideal)
 
     def lift_to_emb(self, r: int, q: Vec) -> Vec:
         return self.universal.to_emb(r, self.quotients[r].lift(q))
@@ -334,13 +335,7 @@ class GradedCalculus:
                                for row in range(self.dim(r + 1))]
         return self._d_mats[r]
 
-    def d_map(self, r: int) -> LinMap:
-        return LinMap.from_matrix(Space.standard(self.dim(r)),
-                                  Space.standard(self.dim(r + 1)),
-                                  self.d_matrix(r))
-
     def d_apply(self, r: int, q: Vec) -> Vec:
-        from .linalg import mat_vec
         return mat_vec(self.d_matrix(r), q)
 
     def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
@@ -352,10 +347,9 @@ class GradedCalculus:
     def degree_bimodule(self, r: int) -> Bimodule:
         """Ω^r as an A-bimodule in quotient coordinates."""
         if r not in self._bimods:
-            from .linalg import mat_mul
             a = self.algebra
-            p = self.quotients[r].projection.mat()
-            sct = self.quotients[r].section.mat()
+            p = self.quotients[r].projection
+            sct = self.quotients[r].section
             left, right = [], []
             for i in range(a.dim):
                 f = a.basis_vec(i)
@@ -374,9 +368,7 @@ class GradedCalculus:
 def universal_graded(algebra: Algebra, truncation: int = 3) -> GradedCalculus:
     """The universal calculus truncated at the given degree."""
     uni = UniversalCalculus(algebra, truncation)
-    ideal = [Space.subspace(Space.standard(uni.bar_dim(r)), [])
-             for r in range(truncation + 1)]
-    return GradedCalculus(uni, ideal, [])
+    return GradedCalculus(uni, [[] for _ in range(truncation + 1)])
 
 
 def saturate_ideal(uni: UniversalCalculus,
@@ -384,38 +376,38 @@ def saturate_ideal(uni: UniversalCalculus,
     """Smallest two-sided graded ideal containing the generators, closed
     under d, degree-wise up to the truncation.
 
-    Fixpoint loop: alternate closure under left/right multiplication by the
-    algebra basis and by the degree-one generators de_j (j in the unit
-    complement), and under d, until dimensions stabilize per degree.
+    FIFO worklist: every vector that enlarges its degree's span is expanded
+    exactly once, by left/right multiplication with the algebra basis, by
+    d, and by left/right multiplication with the degree-one generators de_j
+    (j in the unit complement).  The span is finite-dimensional, so the
+    worklist runs dry.
     """
     spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
+    queue: deque[tuple[int, Vec]] = deque()
     for deg, bar in generators:
         if deg < 1 or deg > uni.D:
             raise DimensionError("ideal generators must be homogeneous of "
                                  "degree between 1 and the truncation")
-        spans[deg].add(bar)
-    changed = True
-    while changed:
-        changed = False
-        for r in range(1, uni.D + 1):
-            basis_now = [b[:] for b in spans[r].basis]
-            for v in basis_now:
-                emb = uni.to_emb(r, v)
-                for i in range(uni.algebra.dim):
-                    f = uni.algebra.basis_vec(i)
-                    lm = uni.from_emb(r, uni.product_emb(f, 0, emb, r))
-                    rm = uni.from_emb(r, uni.product_emb(emb, r, f, 0))
-                    changed |= spans[r].add(lm)
-                    changed |= spans[r].add(rm)
-                if r + 1 <= uni.D:
-                    changed |= spans[r + 1].add(
-                        uni.from_emb(r + 1, uni.d_emb(emb, r)))
-                    for j in uni.complement:
-                        de = uni.de[j]
-                        changed |= spans[r + 1].add(
-                            uni.from_emb(r + 1, uni.product_emb(de, 1, emb, r)))
-                        changed |= spans[r + 1].add(
-                            uni.from_emb(r + 1, uni.product_emb(emb, r, de, 1)))
+        if spans[deg].add(bar):
+            queue.append((deg, bar))
+    while queue:
+        r, v = queue.popleft()
+        emb = uni.to_emb(r, v)
+        images = []
+        for i in range(uni.algebra.dim):
+            f = uni.algebra.basis_vec(i)
+            images.append((r, uni.product_emb(f, 0, emb, r)))
+            images.append((r, uni.product_emb(emb, r, f, 0)))
+        if r < uni.D:
+            images.append((r + 1, uni.d_emb(emb, r)))
+            for j in uni.complement:
+                de = uni.de[j]
+                images.append((r + 1, uni.product_emb(de, 1, emb, r)))
+                images.append((r + 1, uni.product_emb(emb, r, de, 1)))
+        for s, img in images:
+            w = uni.from_emb(s, img)
+            if spans[s].add(w):
+                queue.append((s, w))
     return spans
 
 
@@ -430,17 +422,7 @@ def quotient_calculus(base: GradedCalculus,
     uni = base.universal
     gens_bar = [(deg, uni.from_emb(deg, emb)) for deg, emb in generators]
     spans = saturate_ideal(uni, gens_bar)
-    ideal = [spans[r].to_space(Space.standard(uni.bar_dim(r)))
-             for r in range(uni.D + 1)]
-    return GradedCalculus(uni, ideal, gens_bar)
-
-
-def calculus_from_ideal(uni: UniversalCalculus,
-                        ideal_bases: list[list[Vec]]) -> GradedCalculus:
-    """Calculus from an already-closed graded differential ideal (bar coords)."""
-    ideal = [Space.subspace(Space.standard(uni.bar_dim(r)), ideal_bases[r])
-             for r in range(uni.D + 1)]
-    return GradedCalculus(uni, ideal, [])
+    return GradedCalculus(uni, [s.basis for s in spans], gens_bar)
 
 
 @dataclass
@@ -449,14 +431,14 @@ class CalculusMorphism:
 
     source: GradedCalculus
     target: GradedCalculus
-    maps: list[LinMap]          # degree 0..D
+    maps: list[Mat]             # degree 0..D
 
     def verify(self) -> Verdict:
         top = self.source.D
         # intertwines the differentials
         for r in range(top):
-            lhs = self.maps[r + 1].compose(self.source.d_map(r))
-            rhs = self.target.d_map(r).compose(self.maps[r])
+            lhs = mat_mul(self.maps[r + 1], self.source.d_matrix(r))
+            rhs = mat_mul(self.target.d_matrix(r), self.maps[r])
             if lhs != rhs:
                 return failed("calculus-morphism-d", anchors.RHO_EXISTS,
                               {"degree": r})
@@ -480,7 +462,7 @@ class CalculusMorphism:
         return passed("calculus-morphism", anchors.RHO_EXISTS)
 
     def apply(self, r: int, v: Vec) -> Vec:
-        return self.maps[r].apply(v)
+        return mat_vec(self.maps[r], v)
 
 
 def preceq(c1: GradedCalculus, c2: GradedCalculus) \
@@ -497,15 +479,16 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus) \
         raise DimensionError("calculi must share algebra and truncation")
     for r in range(1, c1.D + 1):
         i1 = SpanBuilder(c1.universal.bar_dim(r))
-        for b in c1.ideal[r].basis:
+        for b in c1.ideal[r]:
             i1.add(b)
-        for b in c2.ideal[r].basis:
+        for b in c2.ideal[r]:
             if not i1.contains(b):
                 return None, (r, b)
-    maps = [LinMap.identity(Space.standard(c1.algebra.dim))]
+    maps = [identity_mat(c1.algebra.dim)]
     for r in range(1, c1.D + 1):
         h, w = factor_through(c2.quotients[r].projection,
-                              c1.quotients[r].projection)
+                              c1.quotients[r].projection,
+                              c1.universal.bar_dim(r))
         assert h is not None, "ideal inclusion should guarantee factoring"
         maps.append(h)
     return CalculusMorphism(c2, c1, maps), None

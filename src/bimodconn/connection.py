@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import anchors
-from .algebra import BalancedTensor, Bimodule, tensor_over_A
+from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms, _cols_to_mat
-from .linalg import (LinMap, Mat, Space, SpanBuilder, Vec, factor_through,
-                     mat_mul, mat_vec, vec_add, zero_mat, zeros)
+from .linalg import (Mat, SpanBuilder, Vec, factor_through, mat_mul, mat_vec,
+                     rank, vec_add, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -167,9 +167,6 @@ class DegreeRHom:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.matrix for x in row)
 
-    def vectorize(self) -> Vec:
-        return [x for row in self.matrix for x in row]
-
     def right_linearity_witness(self) -> tuple[int, int] | None:
         """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None."""
         f = self.forms
@@ -220,52 +217,6 @@ class InducedFirstOrder:
     def d_nabla(self, f_vec: Vec) -> DegreeRHom:
         return nabla_hat(self.connection, kappa0_op(self.connection, f_vec))
 
-    def left_op_matrix(self, f_vec: Vec) -> Mat:
-        """Matrix of Φ ↦ f̂∘Φ on operator matrices (degree-0 extension)."""
-        c = self.connection
-        out = zero_mat(c.forms.dim(1), c.forms.dim(1))
-        for i, cc in enumerate(f_vec):
-            if cc:
-                la = c.forms.left_action_matrix(1, i)
-                out = [[a + cc * b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(out, la)]
-        return out
-
-    def op_coords(self, phi: DegreeRHom) -> Vec | None:
-        return self.span.coords(phi.vectorize())
-
-    def contains(self, phi: DegreeRHom) -> bool:
-        return self.span.contains(phi.vectorize())
-
-    def basis_ops(self) -> list[DegreeRHom]:
-        c = self.connection
-        m = c.module.dim
-        t1 = c.forms.dim(1)
-        return [DegreeRHom(c.forms, 1,
-                           [[v[r * m + s] for s in range(m)] for r in range(t1)])
-                for v in self.span.basis]
-
-    def as_bimodule(self) -> Bimodule:
-        """Ω¹_∇ as an A-bimodule in span coordinates."""
-        c = self.connection
-        a = c.module.algebra
-        left, right = [], []
-        for i in range(a.dim):
-            f = a.basis_vec(i)
-            lcols, rcols = [], []
-            for op in self.basis_ops():
-                lphi = DegreeRHom(c.forms, 1,
-                                  mat_mul(self.left_op_matrix(f), op.matrix))
-                rphi = DegreeRHom(c.forms, 1,
-                                  mat_mul(op.matrix, c.module.left_matrix(f)))
-                lc, rc = self.op_coords(lphi), self.op_coords(rphi)
-                assert lc is not None and rc is not None
-                lcols.append(lc)
-                rcols.append(rc)
-            left.append(_cols_to_mat(lcols, self.dim))
-            right.append(_cols_to_mat(rcols, self.dim))
-        return Bimodule.from_actions(a, left, right)
-
     def op_from_coords(self, coords: Vec) -> DegreeRHom:
         c = self.connection
         m = c.module.dim
@@ -293,7 +244,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                                        {"algebra_basis": g, "witness": w}))
             return ifo
     for f in range(a.dim):
-        lf = ifo.left_op_matrix(a.basis_vec(f))
+        lf = c.forms.left_matrix(1, a.basis_vec(f))
         for g in range(a.dim):
             for h in range(a.dim):
                 op = mat_mul(lf, mat_mul(d_ops[g].matrix,
@@ -305,7 +256,8 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
             prod = kappa0_op(c, a.mult(a.basis_vec(f), a.basis_vec(g)))
             lhs = nabla_hat(c, prod).matrix
             rhs1 = mat_mul(d_ops[f].matrix, m.left_matrix(a.basis_vec(g)))
-            rhs2 = mat_mul(ifo.left_op_matrix(a.basis_vec(f)), d_ops[g].matrix)
+            rhs2 = mat_mul(c.forms.left_matrix(1, a.basis_vec(f)),
+                           d_ops[g].matrix)
             rhs = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(rhs1, rhs2)]
             if lhs != rhs:
                 ifo.verdicts.append(failed("d-nabla-derivation",
@@ -343,19 +295,18 @@ class Kappa1:
 
     connection: Connection
     induced: InducedFirstOrder
-    linmap: LinMap                       # bar Ω¹_u → span coords of Ω¹_∇
+    matrix: Mat                          # bar Ω¹_u → span coords of Ω¹_∇
     verdicts: list[Verdict] = field(default_factory=list)
 
     def op(self, alpha_bar: Vec) -> DegreeRHom:
-        coords = self.linmap.apply(alpha_bar)
-        return self.induced.op_from_coords(coords)
+        return self.induced.op_from_coords(mat_vec(self.matrix, alpha_bar))
 
     def rank(self) -> int:
-        return self.linmap.rank()
+        return rank(self.matrix)
 
     @property
     def injective(self) -> bool:
-        return self.rank() == self.linmap.domain.dim
+        return self.rank() == self.connection.calculus.universal.bar_dim(1)
 
 
 def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
@@ -367,16 +318,13 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     nt = len(uni.tails(1))
     cols = []
     for i0 in range(a.dim):
-        lm = induced.left_op_matrix(a.basis_vec(i0))
+        lm = c.forms.left_matrix(1, a.basis_vec(i0))
         for j in [b[0] for b in uni.tails(1)]:
             op = mat_mul(lm, induced.d_nabla(a.basis_vec(j)).matrix)
             coords = induced.span.coords([x for row in op for x in row])
             assert coords is not None, "kappa1 image must lie in omega1_nabla"
             cols.append(coords)
-    linmap = LinMap.from_matrix(Space.standard(uni.bar_dim(1)),
-                                Space.standard(induced.dim),
-                                _cols_to_mat(cols, induced.dim))
-    k = Kappa1(c, induced, linmap)
+    k = Kappa1(c, induced, _cols_to_mat(cols, induced.dim))
     # diagram: κ₁ ∘ d_u = d_∇ on all algebra basis elements
     for f in range(a.dim):
         fv = a.basis_vec(f)
@@ -396,7 +344,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
                 alpha[bi] = Fraction(1)
                 moved = mat_vec(fl, mat_vec(gr, alpha))
                 lhs = k.op(moved).matrix
-                rhs = mat_mul(induced.left_op_matrix(a.basis_vec(f)),
+                rhs = mat_mul(c.forms.left_matrix(1, a.basis_vec(f)),
                               mat_mul(k.op(alpha).matrix,
                                       c.module.left_matrix(a.basis_vec(g))))
                 if lhs != rhs:
@@ -439,9 +387,8 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     if k1 is None:
         k1 = kappa1(c)
     cal = c.calculus
-    pi1 = cal.quotients[1].projection
-    g = k1.linmap
-    h, wit = factor_through(pi1, g)
+    h, wit = factor_through(cal.quotients[1].projection, k1.matrix,
+                            cal.universal.bar_dim(1))
     res = SigmaResult(h is not None, None, None)
     if h is None:
         res.witness_bar = wit
@@ -466,17 +413,17 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
             wi, mj = divmod(flat, c.module.dim)
             wq = zeros(tens.left_factor.dim)
             wq[wi] = Fraction(1)
-            op = ind.op_from_coords(h.apply(wq))
+            op = ind.op_from_coords(mat_vec(h, wq))
             out = vec_add(out, [cc * x for x in op.apply(c.module.basis_vec(mj))])
         cols.append(out)
-    sigma = SigmaMap("projected" if cal.ideal[1].dim else "universal",
+    sigma = SigmaMap("projected" if cal.ideal[1] else "universal",
                      tens, _cols_to_mat(cols, c.forms.dim(1)))
     res.sigma = sigma
     # well-definedness on balanced classes
     for wi in range(omega1_bimod.dim):
         wq = zeros(omega1_bimod.dim)
         wq[wi] = Fraction(1)
-        op = ind.op_from_coords(h.apply(wq))
+        op = ind.op_from_coords(mat_vec(h, wq))
         for mj in range(c.module.dim):
             direct = op.apply(c.module.basis_vec(mj))
             via = sigma.apply(tens.project_pure(wq, c.module.basis_vec(mj)))

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 from . import anchors
 from .algebra import right_module_generators
-from .calculus import calculus_from_ideal, preceq
+from .calculus import GradedCalculus, preceq
 from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
 from .forms import _cols_to_mat
-from .linalg import (LinMap, Mat, Space, SpanBuilder, Vec, mat_mul, mat_vec,
-                     quotient, QuotientSpace, vec_add, zeros)
+from .linalg import (Mat, SpanBuilder, Vec, mat_mul, mat_vec, null_space,
+                     quotient, QuotientSpace, rank, vec_add, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -30,7 +30,7 @@ def extend_connection(c: Connection) -> list[Verdict]:
     verdicts = []
     for r in range(1, f.D):
         plain = c.nabla_ext_plain(r)
-        for k, v in enumerate(f.quotient_space(r).sub.basis_in_ambient):
+        for k, v in enumerate(f.quotient_space(r).sub):
             if any(x != 0 for x in mat_vec(plain, v)):
                 verdicts.append(failed("nabla-extension-well-defined",
                                        anchors.EXTENDING_NABLA,
@@ -103,7 +103,7 @@ def curvature(c: Connection) -> CurvatureResult:
     for fi in range(a.dim):
         fv = a.basis_vec(fi)
         lhs = mat_mul(op.matrix, c.module.left_matrix(fv))
-        rhs = _left_on_forms(c, 2, fv, op.matrix)
+        rhs = mat_mul(f.left_matrix(2, fv), op.matrix)
         if lhs != rhs:
             for mi in range(c.module.dim):
                 mv = c.module.basis_vec(mi)
@@ -121,18 +121,6 @@ def curvature(c: Connection) -> CurvatureResult:
         verdicts.append(Verdict("curvature-left-linear",
                                 anchors.NOT_LEFT_LINEAR, "fail", witness))
     return CurvatureResult(op, witness is None, witness, verdicts)
-
-
-def _left_on_forms(c: Connection, r: int, f_vec: Vec, m: Mat) -> Mat:
-    out = None
-    for i, cc in enumerate(f_vec):
-        if cc:
-            piece = mat_mul(c.forms.left_action_matrix(r, i), m)
-            piece = [[cc * x for x in row] for row in piece]
-            out = piece if out is None else \
-                [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(out, piece)]
-    assert out is not None
-    return out
 
 
 class OmegaHat:
@@ -228,13 +216,14 @@ class OmegaHat:
 
 @dataclass
 class JIdeal:
-    """J_r ⊆ M⊗_AΩ^r spanned by all (∇̂²Φ)(a)·ω, as quotient-coordinate spaces."""
+    """J_r ⊆ M⊗_AΩ^r spanned by all (∇̂²Φ)(a)·ω, as bases in quotient
+    coordinates of M⊗_AΩ^r."""
 
-    spans: list[Space]
+    spans: list[list[Vec]]
     verdicts: list[Verdict] = field(default_factory=list)
 
     def dims(self) -> list[int]:
-        return [s.dim for s in self.spans]
+        return [len(s) for s in self.spans]
 
 
 def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
@@ -253,9 +242,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                         w = zeros(cal.dim(s))
                         w[wi] = Fraction(1)
                         builders[p + 2 + s].add(f.mult_class(p + 2, base, s, w))
-    j = JIdeal([b.to_space(Space.standard(f.dim(r)))
-                for r, b in enumerate(builders)])
-    if j.spans[0].dim or j.spans[1].dim:
+    j = JIdeal([b.basis for b in builders])
+    if j.spans[0] or j.spans[1]:
         j.verdicts.append(failed("j-degrees-0-1-vanish", anchors.J_DEGREES_01,
                                  {"dims": j.dims()}))
     else:
@@ -263,7 +251,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     # closure: ∇J ⊆ J, Φ̂(J) ⊆ J for Φ̂ ∈ Ω̂, f·J ⊆ J
     a = c.module.algebra
     for r in range(2, D + 1):
-        for k, v in enumerate(j.spans[r].basis_in_ambient):
+        for k, v in enumerate(j.spans[r]):
             if r + 1 <= D and not builders[r + 1].contains(
                     mat_vec(c.nabla_ext_matrix(r), v)):
                 j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
@@ -305,12 +293,12 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
         j.verdicts.append(passed("early-quotient-span-in-j2",
                                  anchors.FACTORING_PROPOSED,
                                  {"span_dim": sub2.dim,
-                                  "j2_dim": j.spans[2].dim}))
+                                  "j2_dim": len(j.spans[2])}))
     else:
         j.verdicts.append(failed("early-quotient-span-in-j2",
                                  anchors.FACTORING_PROPOSED, None,
                                  {"span_dim": sub2.dim,
-                                  "j2_dim": j.spans[2].dim}))
+                                  "j2_dim": len(j.spans[2])}))
     return j
 
 
@@ -322,7 +310,7 @@ class OmegaM:
         self.j = j
         f = c.forms
         self.quotients: list[QuotientSpace] = [
-            quotient(Space.standard(f.dim(r)), j.spans[r])
+            quotient(f.dim(r), j.spans[r])
             for r in range(f.D + 1)]
         self.verdicts: list[Verdict] = []
         self._nabla: dict[int, Mat] = {}
@@ -353,16 +341,15 @@ class OmegaM:
 
     def left_matrix(self, r: int, f_vec: Vec) -> Mat:
         c = self.connection
-        raw = _left_on_forms(c, r, f_vec, self.quotients[r].section.mat()) \
-            if r else None
         if r == 0:
             return c.module.left_matrix(f_vec)
-        return mat_mul(self.quotients[r].projection.mat(), raw)
+        q = self.quotients[r]
+        return mat_mul(q.projection,
+                       mat_mul(c.forms.left_matrix(r, f_vec), q.section))
 
     def curvature_matrix(self) -> Mat:
-        c = self.connection
-        return mat_mul(self.quotients[2].projection.mat(),
-                       c.curvature_matrix(0))
+        return mat_mul(self.quotients[2].projection,
+                       self.connection.curvature_matrix(0))
 
     def _check(self) -> None:
         c = self.connection
@@ -371,7 +358,7 @@ class OmegaM:
         # ∇ descends (J is ∇-stable; re-check at the matrix level)
         for r in range(2, f.D):
             nx = c.nabla_ext_matrix(r)
-            for k, v in enumerate(self.j.spans[r].basis_in_ambient):
+            for k, v in enumerate(self.j.spans[r]):
                 if any(self.project(r + 1, mat_vec(nx, v))):
                     self.verdicts.append(failed("omega-m-nabla-descends",
                                                 anchors.UNIQUE_FACTORIZATIONS,
@@ -486,13 +473,11 @@ class InducedCalculus:
             self._raw.append(ops)
             prev_pos = pos
         # κ̄ = J-projected operators, as matrices on bar coordinates
-        self.kappa: list[LinMap] = []
+        self.kappa: list[Mat] = []
         for r in range(D + 1):
             cols = [self._project_op(r, op) for op in self._raw[r]]
-            self.kappa.append(LinMap.from_matrix(
-                Space.standard(uni.bar_dim(r)),
-                Space.standard(omega_m.dim(r) * c.module.dim),
-                _cols_to_mat(cols, omega_m.dim(r) * c.module.dim)))
+            self.kappa.append(
+                _cols_to_mat(cols, omega_m.dim(r) * c.module.dim))
         self._check_multiplicative()
         self._check_diagram()
         self._build_calculus()
@@ -535,7 +520,7 @@ class InducedCalculus:
                 u[ki] = Fraction(1)
                 for kj in range(a.dim):
                     moved = mat_vec(rmul[kj], u)
-                    lhs = self.kappa[r].apply(moved)
+                    lhs = mat_vec(self.kappa[r], moved)
                     comp = self._raw[r][ki].compose(self._raw[0][kj])
                     if lhs != self._project_op(r, comp):
                         self.verdicts.append(failed(
@@ -553,7 +538,7 @@ class InducedCalculus:
             for k in range(uni.bar_dim(r)):
                 bar = zeros(uni.bar_dim(r))
                 bar[k] = Fraction(1)
-                lhs = self.kappa[r + 1].apply(mat_vec(dm, bar))
+                lhs = mat_vec(self.kappa[r + 1], mat_vec(dm, bar))
                 rhs = self._project_op(r + 1, nabla_hat(c, self._raw[r][k]))
                 if lhs != rhs:
                     self.verdicts.append(failed("kappa-d-diagram",
@@ -566,12 +551,11 @@ class InducedCalculus:
         """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention."""
         c = self.connection
         uni = c.calculus.universal
-        from .linalg import kernel
         bases: list[list[Vec]] = [[]]
-        self.kappa0_injective = self.kappa[0].rank() == uni.algebra.dim
+        self.kappa0_injective = rank(self.kappa[0]) == uni.algebra.dim
         for r in range(1, uni.D + 1):
-            bases.append(kernel(self.kappa[r]).basis_in_ambient)
-        self.calculus = calculus_from_ideal(uni, bases)
+            bases.append(null_space(self.kappa[r], uni.bar_dim(r)))
+        self.calculus = GradedCalculus(uni, bases)
         self.verdicts.append(Verdict(
             "omega0-is-algebra", anchors.OMEGA0_IS_A, "pass", None,
             {"kappa0_injective": self.kappa0_injective}))
@@ -691,8 +675,8 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
     if ok:
         verdicts.append(passed("sigma-u-derivation", anchors.SIGMA_U_DEGREE0))
     for r in range(1, cal.D + 1):
-        for k, v in enumerate(cal.ideal[r].basis_in_ambient):
-            if any(induced.kappa[r].apply(v)):
+        for k, v in enumerate(cal.ideal[r]):
+            if any(mat_vec(induced.kappa[r], v)):
                 witnesses.append((r, v))
                 break
     if witnesses:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .algebra import Bimodule
 from .calculus import GradedCalculus
-from .linalg import (DimensionError, Mat, Space, SpanBuilder, Vec, mat_vec,
-                     quotient, QuotientSpace, zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, mat_vec, quotient,
+                     QuotientSpace, zero_mat, zeros)
 
 
 class Forms:
@@ -53,13 +53,11 @@ class Forms:
     def _build_quotients(self) -> None:
         m = self.module
         for r in range(self.D + 1):
-            total = Space.standard(self.tu_dim(r))
-            span = SpanBuilder(total.dim)
-            if self.calculus.ideal[r].dim:
-                for v in self.calculus.ideal[r].basis:
-                    for i in range(m.dim):
-                        span.add(self._pair_from_bar(r, m.basis_vec(i), v))
-            self._quotients.append(quotient(total, span.to_space(total)))
+            span = SpanBuilder(self.tu_dim(r))
+            for v in self.calculus.ideal[r]:
+                for i in range(m.dim):
+                    span.add(self._pair_from_bar(r, m.basis_vec(i), v))
+            self._quotients.append(quotient(self.tu_dim(r), span.basis))
 
     def quotient_space(self, r: int) -> QuotientSpace:
         return self._quotients[r]
@@ -198,6 +196,15 @@ class Forms:
                 cols.append(self.project(r, tu))
             self._right_mats[key] = _cols_to_mat(cols, self.dim(r))
         return self._right_mats[key]
+
+    def left_matrix(self, r: int, f: Vec) -> Mat:
+        """Left action of f = Σ fᵢ·e_i on T_r: Σ fᵢ·(left action of e_i)."""
+        out = zero_mat(self.dim(r), self.dim(r))
+        for i, c in enumerate(f):
+            if c:
+                out = [[a + c * b for a, b in zip(ra, rb)]
+                       for ra, rb in zip(out, self.left_action_matrix(r, i))]
+        return out
 
     def act_left(self, r: int, f: Vec, q: Vec) -> Vec:
         out = zeros(self.dim(r))

@@ -64,14 +64,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return [a + b for a, b in zip(u, v, strict=True)]
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [a - b for a, b in zip(u, v, strict=True)]
-
-
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return [c * a for a in v]
-
-
 _ZERO = Fraction(0)
 
 
@@ -88,22 +80,6 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     # column-at-a-time so sparse right factors cost O(rows · nnz(column))
     cols = [mat_vec(a, list(cb)) for cb in zip(*b)] if b else []
     return [[col[i] for col in cols] for i in range(len(a))]
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return [vec_add(ra, rb) for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [vec_sub(ra, rb) for ra, rb in zip(a, b, strict=True)]
-
-
-def mat_scale(c: Fraction, a: Mat) -> Mat:
-    return [vec_scale(c, r) for r in a]
-
-
-def transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
@@ -136,10 +112,9 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
     return r, m, pivots
 
 
-def null_space(matrix: Mat, n_cols: int | None = None) -> list[Vec]:
-    """Basis of {x : matrix @ x = 0}, deterministic (free columns ascending)."""
-    if n_cols is None:
-        n_cols = len(matrix[0]) if matrix else 0
+def null_space(matrix: Mat, n_cols: int) -> list[Vec]:
+    """Basis of {x : matrix @ x = 0} for a matrix with n_cols columns,
+    deterministic (free columns ascending)."""
     rows = [r for r in matrix if any(x != 0 for x in r)]
     rank, rref, pivots = row_reduce(rows) if rows else (0, [], [])
     pivot_set = set(pivots)
@@ -155,164 +130,55 @@ def null_space(matrix: Mat, n_cols: int | None = None) -> list[Vec]:
     return basis
 
 
-@dataclass(frozen=True)
-class Space:
-    """A finite-dimensional rational vector space.
-
-    A plain coordinate space has ``ambient is None``.  A subspace records the
-    enclosing space and a basis given by vectors in ambient coordinates.
-    """
-
-    dim: int
-    ambient: "Space | None" = None
-    basis_in_ambient: tuple[tuple[Fraction, ...], ...] | None = None
-
-    @staticmethod
-    def standard(n: int) -> "Space":
-        return Space(n)
-
-    @staticmethod
-    def subspace(ambient: "Space", basis_vectors: list[Vec]) -> "Space":
-        for v in basis_vectors:
-            if len(v) != ambient.dim:
-                raise DimensionError("basis vector does not live in ambient")
-        rank, _, _ = row_reduce(basis_vectors) if basis_vectors else (0, [], [])
-        if rank != len(basis_vectors):
-            raise DimensionError("basis vectors are linearly dependent")
-        return Space(len(basis_vectors), ambient,
-                     tuple(tuple(v) for v in basis_vectors))
-
-    @property
-    def basis(self) -> list[Vec]:
-        if self.basis_in_ambient is None:
-            raise DimensionError("plain coordinate space has no ambient basis")
-        return [list(v) for v in self.basis_in_ambient]
-
-
-@dataclass(frozen=True)
-class LinMap:
-    """Linear map stored as a (codomain.dim x domain.dim) matrix."""
-
-    domain: Space
-    codomain: Space
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.matrix) != self.codomain.dim:
-            raise DimensionError("matrix row count != codomain dim")
-        for row in self.matrix:
-            if len(row) != self.domain.dim:
-                raise DimensionError("matrix column count != domain dim")
-
-    @staticmethod
-    def from_matrix(domain: Space, codomain: Space, m: Mat) -> "LinMap":
-        return LinMap(domain, codomain, tuple(tuple(frac(x) for x in row)
-                                              for row in m))
-
-    @staticmethod
-    def identity(space: Space) -> "LinMap":
-        return LinMap.from_matrix(space, space, identity_mat(space.dim))
-
-    @staticmethod
-    def zero(domain: Space, codomain: Space) -> "LinMap":
-        return LinMap.from_matrix(domain, codomain,
-                                  zero_mat(codomain.dim, domain.dim))
-
-    def mat(self) -> Mat:
-        return [list(r) for r in self.matrix]
-
-    def apply(self, v: Vec) -> Vec:
-        return mat_vec(self.mat(), v)
-
-    def compose(self, other: "LinMap") -> "LinMap":
-        """self after other."""
-        if other.codomain.dim != self.domain.dim:
-            raise DimensionError("composition shape mismatch")
-        return LinMap.from_matrix(other.domain, self.codomain,
-                                  mat_mul(self.mat(), other.mat()))
-
-    def add(self, other: "LinMap") -> "LinMap":
-        return LinMap.from_matrix(self.domain, self.codomain,
-                                  mat_add(self.mat(), other.mat()))
-
-    def sub(self, other: "LinMap") -> "LinMap":
-        return LinMap.from_matrix(self.domain, self.codomain,
-                                  mat_sub(self.mat(), other.mat()))
-
-    def scale(self, c) -> "LinMap":
-        return LinMap.from_matrix(self.domain, self.codomain,
-                                  mat_scale(frac(c), self.mat()))
-
-    def rank(self) -> int:
-        r, _, _ = row_reduce(self.mat()) if self.matrix else (0, [], [])
-        return r
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LinMap) and self.matrix == other.matrix
-                and self.domain.dim == other.domain.dim
-                and self.codomain.dim == other.codomain.dim)
-
-
-def kernel(f: LinMap) -> Space:
-    """Kernel of f as a subspace of f.domain."""
-    basis = null_space(f.mat(), f.domain.dim)
-    return Space.subspace(f.domain, basis)
+def rank(matrix: Mat) -> int:
+    return row_reduce(matrix)[0] if matrix else 0
 
 
 @dataclass(frozen=True)
 class QuotientSpace:
-    """total / sub, with a deterministic projection/section pair."""
+    """total / span(sub), with a deterministic projection/section pair.
 
-    total: Space
-    sub: Space
-    projection: LinMap
-    section: LinMap
+    ``projection`` is a (dim x total) matrix, ``section`` a (total x dim)
+    one; ``sub`` is the independent basis the quotient was taken by.
+    """
+
+    sub: list[Vec]
+    projection: Mat
+    section: Mat
 
     @property
     def dim(self) -> int:
-        return self.projection.codomain.dim
-
-    @property
-    def space(self) -> Space:
-        return self.projection.codomain
+        return len(self.projection)
 
     def project(self, v: Vec) -> Vec:
-        if self.sub.dim == 0:
+        if not self.sub:
             return v[:]
-        return self.projection.apply(v)
+        return mat_vec(self.projection, v)
 
     def lift(self, q: Vec) -> Vec:
-        if self.sub.dim == 0:
+        if not self.sub:
             return q[:]
-        return self.section.apply(q)
+        return mat_vec(self.section, q)
 
 
-def quotient(total: Space, sub: Space) -> QuotientSpace:
-    """Quotient of `total` by the subspace `sub`.
+def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
+    """Quotient of the coordinate space of dimension `total` by the span of
+    the independent vectors `sub`.
 
     The section maps quotient coordinates to the pivot-complement basis of the
-    row reduction of sub's basis, so results are reproducible given input
-    ordering.
+    row reduction of sub, so results are reproducible given input ordering.
     """
-    if sub.dim == 0:
-        sub_basis: Mat = []
-    else:
-        if sub.ambient is None or sub.ambient.dim != total.dim:
-            raise DimensionError("sub is not presented inside total")
-        sub_basis = sub.basis
-    rank, rref, pivots = (row_reduce(sub_basis) if sub_basis else (0, [], []))
-    if rank != sub.dim:
+    if any(len(v) != total for v in sub):
+        raise DimensionError("sub is not presented inside total")
+    sub_rank, rref, pivots = row_reduce(sub) if sub else (0, [], [])
+    if sub_rank != len(sub):
         raise DimensionError("sub basis is degenerate")
-    free = [c for c in range(total.dim) if c not in set(pivots)]
-    qdim = total.dim - sub.dim
-    qspace = Space.standard(qdim)
+    free = [c for c in range(total) if c not in set(pivots)]
+    qdim = total - sub_rank
     # projection: reduce e_i modulo sub, read off free coordinates
-    proj = zero_mat(qdim, total.dim)
-    for i in range(total.dim):
-        v = zeros(total.dim)
+    proj = zero_mat(qdim, total)
+    for i in range(total):
+        v = zeros(total)
         v[i] = Fraction(1)
         for r, pc in enumerate(pivots):
             if v[pc] != 0:
@@ -320,39 +186,36 @@ def quotient(total: Space, sub: Space) -> QuotientSpace:
                 v = [a - f * b for a, b in zip(v, rref[r])]
         for k, fc in enumerate(free):
             proj[k][i] = v[fc]
-    sect = zero_mat(total.dim, qdim)
+    sect = zero_mat(total, qdim)
     for k, fc in enumerate(free):
         sect[fc][k] = Fraction(1)
-    q = QuotientSpace(total, sub,
-                      LinMap.from_matrix(total, qspace, proj),
-                      LinMap.from_matrix(qspace, total, sect))
-    return q
+    return QuotientSpace(sub, proj, sect)
 
 
-def factor_through(f: LinMap, g: LinMap) -> tuple[LinMap | None, Vec | None]:
-    """Factor g through the surjection f.
+def factor_through(f: Mat, g: Mat, n: int) -> tuple[Mat | None, Vec | None]:
+    """Factor g through the surjection f, both maps on an n-dimensional
+    domain.
 
     Returns (h, None) with h∘f = g when kernel(f) ⊆ kernel(g); h is unique
     because f is surjective.  Otherwise returns (None, witness) with a vector
     in ker(f) \\ ker(g).  Raises SurjectivityError when f is not onto.
     """
-    if f.domain.dim != g.domain.dim:
+    if any(len(row) != n for row in f) or any(len(row) != n for row in g):
         raise DimensionError("f and g must share a domain")
-    if f.rank() != f.codomain.dim:
+    if rank(f) != len(f):
         raise SurjectivityError("factor_through requires f surjective")
-    for v in null_space(f.mat(), f.domain.dim):
-        if not is_zero_vec(g.apply(v)):
+    for v in null_space(f, n):
+        if not is_zero_vec(mat_vec(g, v)):
             return None, v
-    solver = LinSolver(f.mat())
+    solver = LinSolver(f)
     cols = []
-    for i in range(f.codomain.dim):
-        e = zeros(f.codomain.dim)
+    for i in range(len(f)):
+        e = zeros(len(f))
         e[i] = Fraction(1)
         x = solver.solve(e)
         assert x is not None  # f surjective
-        cols.append(g.apply(x))
-    h = LinMap.from_matrix(f.codomain, g.codomain, transpose(cols))
-    return h, None
+        cols.append(mat_vec(g, x))
+    return [[col[k] for col in cols] for k in range(len(g))], None
 
 
 class LinSolver:
@@ -455,6 +318,3 @@ class SpanBuilder:
         for k, c in combo.items():
             out[k] = c
         return out
-
-    def to_space(self, ambient: Space) -> Space:
-        return Space.subspace(ambient, [b[:] for b in self.basis])

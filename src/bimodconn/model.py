@@ -81,6 +81,12 @@ def _rat_mat(value, path: str, n_rows: int, n_cols: int) -> list[list[Fraction]]
             for r, row in enumerate(value)]
 
 
+def _is_int(value) -> bool:
+    """An integer in the JSON sense: ``true``/``false`` load as bools, which
+    Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
     if key not in obj:
         if required:
@@ -115,7 +121,7 @@ def _parse_algebra(doc, path: str) -> Algebra:
     if not isinstance(doc, dict):
         raise ModelError(path, "expected an object")
     dim = _get(doc, "dim", path)
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ModelError(f"{path}.dim", "expected a positive integer")
     structure = _get(doc, "structure", path)
     if not isinstance(structure, list) or len(structure) != dim:
@@ -149,7 +155,7 @@ def _parse_calculus(doc, path: str, algebra: Algebra,
     truncation = doc.get("truncation", 3)
     if truncation_override is not None:
         truncation = truncation_override
-    if not isinstance(truncation, int) or truncation < 1:
+    if not _is_int(truncation) or truncation < 1:
         raise ModelError(f"{path}.truncation", "expected a positive integer")
     if _emb_dim_exceeds(algebra.dim, truncation):
         raise ModelError(f"{path}.truncation",
@@ -167,7 +173,7 @@ def _parse_calculus(doc, path: str, algebra: Algebra,
         if not isinstance(g, dict):
             raise ModelError(gpath, "expected an object")
         degree = _get(g, "degree", gpath)
-        if not isinstance(degree, int) or not 1 <= degree <= truncation:
+        if not _is_int(degree) or not 1 <= degree <= truncation:
             raise ModelError(f"{gpath}.degree",
                              "expected an integer between 1 and the truncation")
         element = _rat_vec(_get(g, "element", gpath), f"{gpath}.element",
@@ -205,7 +211,7 @@ def _parse_connection(doc, path: str, model: ModelFile) -> Connection:
     if not isinstance(doc, dict):
         raise ModelError(path, "expected an object")
     mod_name = _get(doc, "module", path)
-    if mod_name not in model.modules:
+    if not isinstance(mod_name, str) or mod_name not in model.modules:
         raise ModelError(f"{path}.module", f"unknown module {mod_name!r}")
     module = model.modules[mod_name]
     forms = Forms(module, model.calculus)
@@ -233,7 +239,7 @@ def parse_model(path: str, truncation: int | None = None) -> ModelFile:
     if not isinstance(doc, dict):
         raise ModelError("<root>", "expected a JSON object")
     schema = _get(doc, "schema", "")
-    if schema != SCHEMA_VERSION:
+    if not _is_int(schema) or schema != SCHEMA_VERSION:
         raise ModelError("schema", f"unsupported schema version {schema!r}")
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
@@ -279,7 +285,7 @@ def parse_model(path: str, truncation: int | None = None) -> ModelFile:
         right = _get(req, "right", tpath)
         route = req.get("route", "both")
         for key, cname in (("left", left), ("right", right)):
-            if cname not in model.connections:
+            if not isinstance(cname, str) or cname not in model.connections:
                 raise ModelError(f"{tpath}.{key}",
                                  f"unknown connection {cname!r}")
         if route not in ROUTES:

@@ -23,9 +23,9 @@ from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms, _cols_to_mat
-from .linalg import (DimensionError, LinMap, Mat, Space, SpanBuilder, Vec,
-                     factor_through, is_zero_vec, kernel, mat_mul, mat_vec,
-                     vec_add, zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, factor_through,
+                     is_zero_vec, mat_mul, mat_vec, null_space, rank, vec_add,
+                     zeros)
 from .report import Verdict, failed, passed
 
 
@@ -40,8 +40,8 @@ class DegeneracyPair:
     left: object                 # N, a right module
     right: Bimodule              # M
     tensor: BalancedTensor       # N ⊗_A M
-    n0: Space
-    m0: Space
+    n0: list[Vec]                # basis of N₀
+    m0: list[Vec]                # basis of M₀
     verdicts: list[Verdict] = field(default_factory=list)
 
 
@@ -59,9 +59,7 @@ def degeneracy_submodules(n, m: Bimodule,
         for i in range(m.dim):
             col.extend(t.project_pure(n.basis_vec(j), m.basis_vec(i)))
         n_cols.append(col)
-    n0 = kernel(LinMap.from_matrix(Space.standard(n.dim),
-                                   Space.standard(m.dim * t.dim),
-                                   _cols_to_mat(n_cols, m.dim * t.dim)))
+    n0 = null_space(_cols_to_mat(n_cols, m.dim * t.dim), n.dim)
     # a ↦ (class of b_j⊗a)_j, stacked over the N basis
     m_cols = []
     for i in range(m.dim):
@@ -69,25 +67,23 @@ def degeneracy_submodules(n, m: Bimodule,
         for j in range(n.dim):
             col.extend(t.project_pure(n.basis_vec(j), m.basis_vec(i)))
         m_cols.append(col)
-    m0 = kernel(LinMap.from_matrix(Space.standard(m.dim),
-                                   Space.standard(n.dim * t.dim),
-                                   _cols_to_mat(m_cols, n.dim * t.dim)))
+    m0 = null_space(_cols_to_mat(m_cols, n.dim * t.dim), m.dim)
     pair = DegeneracyPair(n, m, t, n0, m0)
     a = m.algebra
     span_n = SpanBuilder(n.dim)
-    for v in n0.basis:
+    for v in n0:
         span_n.add(v)
     span_m = SpanBuilder(m.dim)
-    for v in m0.basis:
+    for v in m0:
         span_m.add(v)
-    for v in n0.basis:
+    for v in n0:
         for fi in range(a.dim):
             if not span_n.contains(n.act_right(v, a.basis_vec(fi))):
                 pair.verdicts.append(failed(
                     "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
                     {"side": "N0", "algebra_basis": fi, "vector": v}))
                 return pair
-    for v in m0.basis:
+    for v in m0:
         for fi in range(a.dim):
             fv = a.basis_vec(fi)
             for moved, side in ((m.act_right(v, fv), "M0-right"),
@@ -99,7 +95,7 @@ def degeneracy_submodules(n, m: Bimodule,
                     return pair
     pair.verdicts.append(passed("degeneracy-submodules",
                                 anchors.ASSUME_DEGENERACY,
-                                {"dim_n0": n0.dim, "dim_m0": m0.dim}))
+                                {"dim_n0": len(n0), "dim_m0": len(m0)}))
     return pair
 
 
@@ -122,16 +118,16 @@ def degeneracy_brute(pair: DegeneracyPair) -> Verdict:
     span_m = SpanBuilder(m.dim)
     for i in m0_b:
         span_m.add(m.basis_vec(i))
-    ok = (span_n.dim == pair.n0.dim
-          and all(span_n.contains(v) for v in pair.n0.basis)
-          and span_m.dim == pair.m0.dim
-          and all(span_m.contains(v) for v in pair.m0.basis))
+    ok = (span_n.dim == len(pair.n0)
+          and all(span_n.contains(v) for v in pair.n0)
+          and span_m.dim == len(pair.m0)
+          and all(span_m.contains(v) for v in pair.m0))
     if not ok:
         return failed("degeneracy-brute-oracle", anchors.ASSUME_DEGENERACY,
-                      {"kernel_dims": [pair.n0.dim, pair.m0.dim],
+                      {"kernel_dims": [len(pair.n0), len(pair.m0)],
                        "brute_dims": [span_n.dim, span_m.dim]})
     return passed("degeneracy-brute-oracle", anchors.ASSUME_DEGENERACY,
-                  {"dim_n0": pair.n0.dim, "dim_m0": pair.m0.dim})
+                  {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
 
 def check_compatibility(c: Connection, rc: Connection,
@@ -140,22 +136,22 @@ def check_compatibility(c: Connection, rc: Connection,
     for sub, forms, nab, side in (
             (pair.m0, c.forms, c.nabla, "M0"),
             (pair.n0, rc.forms, rc.nabla, "N0")):
-        if sub.dim == 0:
+        if not sub:
             continue
         uni = forms.calculus.universal
         span = SpanBuilder(forms.dim(1))
-        for v in sub.basis:
+        for v in sub:
             for k in range(uni.bar_dim(1)):
                 bar = zeros(uni.bar_dim(1))
                 bar[k] = Fraction(1)
                 span.add(forms.class_of_pair_bar(1, v, bar))
-        for v in sub.basis:
+        for v in sub:
             if not span.contains(mat_vec(nab, v)):
                 return failed("tensor-compatibility",
                               anchors.ASSUME_DEGENERACY,
                               {"side": side, "vector": v})
     return passed("tensor-compatibility", anchors.ASSUME_DEGENERACY,
-                  {"dim_n0": pair.n0.dim, "dim_m0": pair.m0.dim})
+                  {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +172,7 @@ class NuHat:
         return mat_vec(self.maps[r], v)
 
     def rank(self, r: int) -> int:
-        m = self.maps[r]
-        return LinMap.from_matrix(Space.standard(len(m[0]) if m else 0),
-                                  Space.standard(len(m)), m).rank()
+        return rank(self.maps[r])
 
 
 def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
@@ -209,7 +203,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         nu.maps.append(_cols_to_mat(cols, tgt.dim(r)))
     # well defined: the source relations are killed in the target
     for r in range(src.D + 1):
-        for v in src.quotient_space(r).sub.basis:
+        for v in src.quotient_space(r).sub:
             if not is_zero_vec(tgt.project(r, v)):
                 nu.verdicts.append(failed("nu-hat-well-defined",
                                           anchors.NU_HAT,
@@ -489,13 +483,9 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     src, tgt = nu.source, nu.target
     res = AssociatedResult(True)
     for r in range(src.D):
-        f = LinMap.from_matrix(Space.standard(src.dim(r)),
-                               Space.standard(tgt.dim(r)), nu.maps[r])
-        g = LinMap.from_matrix(Space.standard(src.dim(r)),
-                               Space.standard(tgt.dim(r + 1)),
-                               mat_mul(nu.maps[r + 1],
-                                       rc.nabla_ext_matrix(r)))
-        h, wit = factor_through(f, g)
+        h, wit = factor_through(
+            nu.maps[r], mat_mul(nu.maps[r + 1], rc.nabla_ext_matrix(r)),
+            src.dim(r))
         if h is None:
             res.exists = False
             res.connection = None
@@ -505,7 +495,7 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
                                         {"degree": r,
                                          "kernel_element": wit}))
             return res
-        res.ext_matrices.append(h.mat())
+        res.ext_matrices.append(h)
     res.connection = Connection(tgt, res.ext_matrices[0])
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked entrywise

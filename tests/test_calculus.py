@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from bimodconn.algebra import Algebra
-from bimodconn.calculus import UniversalCalculus, preceq, quotient_calculus
+from bimodconn.calculus import (UniversalCalculus, preceq, quotient_calculus,
+                                saturate_ideal)
 from bimodconn.fixtures import (a2, a2_quotient, a2_universal, m2,
                                 m2_universal)
-from bimodconn.linalg import DimensionError, LinSolver, is_zero_vec, zeros
+from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder,
+                              is_zero_vec, zeros)
 
 F = Fraction
 
@@ -101,16 +103,40 @@ def test_quotient_idempotent():
     assert first.dims() == second.dims()
 
 
+@pytest.mark.parametrize("truncation, attempts", [(3, 30), (9, 114)])
+def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
+                                                   attempts):
+    # one attempt per generator, then per basis vector of I^r: 2n products
+    # by the algebra basis, and below the top degree d and 2 products by
+    # each de_j; re-expanding a vector would add more attempts
+    uni = UniversalCalculus(a2(), truncation)
+    gens = [(1, uni.from_emb(1, emb_e1e2()))]
+    calls = []
+    add = SpanBuilder.add
+
+    def counting_add(self, v):
+        calls.append(v)
+        return add(self, v)
+
+    monkeypatch.setattr(SpanBuilder, "add", counting_add)
+    spans = saturate_ideal(uni, gens)
+    n, m = uni.algebra.dim, len(uni.complement)
+    expected = len(gens) + sum(
+        s.dim * (2 * n + (1 + 2 * m if r < uni.D else 0))
+        for r, s in enumerate(spans))
+    assert len(calls) == expected == attempts
+
+
 def test_preceq_reflexive():
     rho, _ = preceq(a2_quotient(), a2_quotient())
     assert rho is not None
-    assert rho.verify()
+    assert rho.verify().ok
 
 
 def test_preceq_quotient_below_universal():
     rho, _ = preceq(a2_quotient(), a2_universal())
     assert rho is not None
-    assert rho.verify()
+    assert rho.verify().ok
 
 
 def test_preceq_converse_fails_with_witness():
@@ -131,7 +157,7 @@ def test_preceq_zero_calculus_below_everything():
     assert zero_cal.dims() == [2, 0, 0, 0]
     rho, _ = preceq(zero_cal, a2_universal())
     assert rho is not None
-    assert rho.verify()
+    assert rho.verify().ok
 
 
 def test_preceq_transitive_on_chain():

@@ -77,6 +77,51 @@ def test_parse_rejects_unknown_schema(tmp_path):
     assert err.value.path == "schema"
 
 
+@pytest.mark.parametrize("field, path", [
+    (("schema",), "schema"),
+    (("algebra", "dim"), "algebra.dim"),
+    (("calculus", "truncation"), "calculus.truncation"),
+])
+def test_parse_rejects_boolean_integer(tmp_path, field, path):
+    # JSON true loads as a Python bool, which compares equal to 1
+    doc = flat_doc()
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = True
+    with pytest.raises(ModelError) as err:
+        parse_model(write_doc(tmp_path, doc))
+    assert err.value.path == path
+
+
+def test_parse_rejects_boolean_generator_degree(tmp_path):
+    doc = flat_doc()
+    doc["calculus"]["ideal_generators"] = [
+        {"degree": True, "element": ["0", "1", "0", "0"]}]
+    with pytest.raises(ModelError) as err:
+        parse_model(write_doc(tmp_path, doc))
+    assert err.value.path == "calculus.ideal_generators[0].degree"
+
+
+@pytest.mark.parametrize("section, key, path", [
+    ("connections", "module", "connections.nabla.module"),
+    ("tensor", "left", "tensor[0].left"),
+    ("tensor", "right", "tensor[0].right"),
+])
+def test_parse_rejects_list_as_name(tmp_path, capsys, section, key, path):
+    # a list is unhashable, so it must be rejected before any lookup
+    doc = flat_doc()
+    entry = doc["connections"]["nabla"] if section == "connections" \
+        else doc["tensor"][0]
+    entry[key] = ["nabla"]
+    model_path = write_doc(tmp_path, doc)
+    with pytest.raises(ModelError) as err:
+        parse_model(model_path)
+    assert err.value.path == path
+    assert cli.main(["check", "--model", model_path]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_parse_rejects_generator_outside_universal(tmp_path):
     # e1 ⊗ e1 multiplies to e1 ≠ 0, so it is not in Ω¹_u
     outside = ["1", "0", "0", "0"]
