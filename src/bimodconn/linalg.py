@@ -1,12 +1,17 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Vectors are lists of :class:`fractions.Fraction`, matrices are lists of rows.
-Everything is computed exactly; there is no floating point anywhere, so every
-equality test in the rest of the package is decidable.
+At every public boundary vectors are dense lists of
+:class:`fractions.Fraction` and matrices are lists of rows.  Inside
+elimination (``row_reduce``, ``SpanBuilder``) rows are sparse,
+``dict[column, Fraction]`` holding only the nonzero entries, because almost
+every entry the package eliminates on is zero.  Everything is computed
+exactly; there is no floating point anywhere, so every equality test in the
+rest of the package is decidable.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,12 +71,33 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 _ZERO = Fraction(0)
 
+SparseVec = dict[int, Fraction]
+
+
+def _sparse(v: Vec) -> SparseVec:
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _eliminate(v: SparseVec, c: Fraction, row: SparseVec) -> None:
+    """v -= c·row in place; entries that cancel are dropped."""
+    nc = -c
+    for j, b in row.items():
+        x = v.get(j)
+        if x is None:
+            v[j] = nc * b
+        elif x := x + nc * b:
+            v[j] = x
+        else:
+            del v[j]
+
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
+    if m and len(m[0]) != len(v):
+        raise DimensionError("matrix-vector shape mismatch")
     nz = [(j, c) for j, c in enumerate(v) if c]
     if not nz:
         return [_ZERO] * len(m)
-    return [sum((row[j] * c for j, c in nz), _ZERO) for row in m]
+    return [sum([x * c for j, c in nz if (x := row[j])], _ZERO) for row in m]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -88,28 +114,28 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
     Returns (rank, rref, pivot_columns).  Deterministic given the input row
     order: pivots are chosen left to right, first nonzero row wins.
     """
-    m = [row[:] for row in matrix]
+    m = [_sparse(row) for row in matrix]
     n_rows = len(m)
-    n_cols = len(m[0]) if n_rows else 0
+    n_cols = len(matrix[0]) if n_rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(n_cols):
         if r >= n_rows:
             break
-        pr = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, n_rows) if c in m[i]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         pv = m[r][c]
         if pv != 1:
-            m[r] = [x / pv for x in m[r]]
+            m[r] = {j: x / pv for j, x in m[r].items()}
         for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if i != r and c in m[i]:
+                _eliminate(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
-    return r, m, pivots
+    rref = [[row.get(j, _ZERO) for j in range(n_cols)] for row in m]
+    return r, rref, pivots
 
 
 def null_space(matrix: Mat, n_cols: int) -> list[Vec]:
@@ -138,17 +164,26 @@ def rank(matrix: Mat) -> int:
 class QuotientSpace:
     """total / span(sub), with a deterministic projection/section pair.
 
-    ``projection`` is a (dim x total) matrix, ``section`` a (total x dim)
-    one; ``sub`` is the independent basis the quotient was taken by.
+    ``projection`` is a (dim x total) matrix; ``sub`` is the independent
+    basis the quotient was taken by, and ``free`` the columns of total (the
+    pivot complement of sub) whose unit vectors represent the quotient basis.
     """
 
     sub: list[Vec]
     projection: Mat
-    section: Mat
+    free: list[int]
 
     @property
     def dim(self) -> int:
-        return len(self.projection)
+        return len(self.free)
+
+    @property
+    def section(self) -> Mat:
+        """The (total x dim) matrix of ``lift``."""
+        sect = zero_mat(len(self.sub) + self.dim, self.dim)
+        for k, fc in enumerate(self.free):
+            sect[fc][k] = Fraction(1)
+        return sect
 
     def project(self, v: Vec) -> Vec:
         if not self.sub:
@@ -156,9 +191,12 @@ class QuotientSpace:
         return mat_vec(self.projection, v)
 
     def lift(self, q: Vec) -> Vec:
-        if not self.sub:
-            return q[:]
-        return mat_vec(self.section, q)
+        if len(q) != self.dim:
+            raise DimensionError("not a vector of the quotient")
+        v = zeros(len(self.sub) + self.dim)
+        for fc, x in zip(self.free, q):
+            v[fc] = x
+        return v
 
 
 def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
@@ -167,29 +205,24 @@ def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
 
     The section maps quotient coordinates to the pivot-complement basis of the
     row reduction of sub, so results are reproducible given input ordering.
+    Reducing e_i modulo the reduced rows leaves e_i itself for a free column
+    i and e_i - row for the pivot i of a row, so the projection is read off
+    the reduced rows directly.
     """
     if any(len(v) != total for v in sub):
         raise DimensionError("sub is not presented inside total")
     sub_rank, rref, pivots = row_reduce(sub) if sub else (0, [], [])
     if sub_rank != len(sub):
         raise DimensionError("sub basis is degenerate")
-    free = [c for c in range(total) if c not in set(pivots)]
-    qdim = total - sub_rank
-    # projection: reduce e_i modulo sub, read off free coordinates
-    proj = zero_mat(qdim, total)
-    for i in range(total):
-        v = zeros(total)
-        v[i] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, rref[r])]
-        for k, fc in enumerate(free):
-            proj[k][i] = v[fc]
-    sect = zero_mat(total, qdim)
+    pivot_set = set(pivots)
+    free = [c for c in range(total) if c not in pivot_set]
+    proj = zero_mat(len(free), total)
     for k, fc in enumerate(free):
-        sect[fc][k] = Fraction(1)
-    return QuotientSpace(sub, proj, sect)
+        proj[k][fc] = Fraction(1)
+    for row, pc in zip(rref, pivots):
+        for k, fc in enumerate(free):
+            proj[k][pc] = -row[fc]
+    return QuotientSpace(sub, proj, free)
 
 
 def factor_through(f: Mat, g: Mat, n: int) -> tuple[Mat | None, Vec | None]:
@@ -263,7 +296,7 @@ class SpanBuilder:
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: list[Vec] = []        # echelon rows, pivot-normalized
+        self.rows: list[SparseVec] = []  # echelon rows, pivot-normalized
         self.row_pivots: list[int] = []
         self.row_exprs: list[dict[int, Fraction]] = []  # in inserted basis
         self.basis: list[Vec] = []       # independent inserted vectors
@@ -272,47 +305,45 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Vec) -> tuple[Vec, dict[int, Fraction]]:
-        v = v[:]
-        combo: dict[int, Fraction] = {}
-        for row, pc, expr in zip(self.rows, self.row_pivots, self.row_exprs):
-            c = v[pc]
-            if c != 0:
-                v = [a - c * b for a, b in zip(v, row)]
-                for k, ce in expr.items():
-                    combo[k] = combo.get(k, Fraction(0)) + c * ce
-        return v, combo
-
-    def add(self, v: Vec) -> bool:
+    def _reduce(self, v: Vec) -> tuple[SparseVec, dict[int, Fraction]]:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient space")
+        res = _sparse(v)
+        combo: dict[int, Fraction] = {}
+        for row, pc, expr in zip(self.rows, self.row_pivots, self.row_exprs):
+            c = res.get(pc)
+            if c is not None:
+                _eliminate(res, c, row)
+                for k, ce in expr.items():
+                    combo[k] = combo.get(k, _ZERO) + c * ce
+        return res, combo
+
+    def add(self, v: Vec) -> bool:
         res, combo = self._reduce(v)
-        pc = next((i for i, x in enumerate(res) if x != 0), None)
-        if pc is None:
+        if not res:
             return False
+        pc = min(res)
         idx = len(self.basis)
         self.basis.append(v[:])
         pv = res[pc]
-        row = [x / pv for x in res]
+        row = {j: x / pv for j, x in res.items()}
         # expression of `row` in inserted vectors: (v - combo·basis)/pv
         expr = {k: -c / pv for k, c in combo.items()}
-        expr[idx] = expr.get(idx, Fraction(0)) + Fraction(1) / pv
+        expr[idx] = 1 / pv
         # keep rows ordered by pivot for determinism of coords
-        pos = next((i for i, p in enumerate(self.row_pivots) if p > pc),
-                   len(self.rows))
+        pos = bisect.bisect(self.row_pivots, pc)
         self.rows.insert(pos, row)
         self.row_pivots.insert(pos, pc)
         self.row_exprs.insert(pos, expr)
         return True
 
     def contains(self, v: Vec) -> bool:
-        res, _ = self._reduce(v)
-        return is_zero_vec(res)
+        return not self._reduce(v)[0]
 
     def coords(self, v: Vec) -> Vec | None:
         """Coordinates of v in the inserted independent basis, or None."""
         res, combo = self._reduce(v)
-        if not is_zero_vec(res):
+        if res:
             return None
         out = zeros(len(self.basis))
         for k, c in combo.items():

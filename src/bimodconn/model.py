@@ -234,8 +234,12 @@ def parse_model(path: str, truncation: int | None = None) -> ModelFile:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelError("<file>", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelError("<file>", f"not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelError("<file>", f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelError("<file>", "JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelError("<root>", "expected a JSON object")
     schema = _get(doc, "schema", "")

@@ -139,11 +139,12 @@ def test_10_deterministic_reports():
 
 
 def test_11_reports_match_golden():
-    # the checked-in reports of the a2 models, reproduced byte for byte, at
-    # the truncation the model states and at D=9
+    # the checked-in reports of every model, reproduced byte for byte, at
+    # the truncation the model states and, for the a2 models, at D=9
     cases = [("a2_trio", name, None)
              for name in ("a2_flat", "a2_quotient", "a2_twist")]
     cases += [("a2_deep", name, 9) for name in ("a2_flat", "a2_quotient")]
+    cases += [("m2_grass", "m2_grass", None)]
     for golden, name, truncation in cases:
         report = cli.run("all", parse_model(str(MODELS / f"{name}.model"),
                                             truncation=truncation))

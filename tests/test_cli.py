@@ -250,6 +250,21 @@ def test_main_exit_two_on_missing_file(tmp_path, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+def test_main_exit_two_on_non_utf8_file(tmp_path, capsys):
+    p = tmp_path / "latin1.model"
+    p.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    assert cli.main(["check", "--model", str(p)]) == 2
+    assert "model error at <file>: not UTF-8" in capsys.readouterr().err
+
+
+def test_main_exit_two_on_deeply_nested_json(tmp_path, capsys):
+    p = tmp_path / "nested.model"
+    p.write_text("[" * 200_000)
+    assert cli.main(["check", "--model", str(p)]) == 2
+    assert "model error at <file>: JSON nested too deeply" in \
+        capsys.readouterr().err
+
+
 def test_main_exit_one_on_failing_identity(capsys):
     # the gauge-potential fixture has a genuinely non-left-linear curvature
     code = cli.main(["curvature", "--model", str(MODELS / "m2_grass.model")])
