@@ -6,17 +6,20 @@ rank-2 module over the 2x2 matrix algebra with a gauge potential shows the
 failure with an explicit witness; factoring M⊗Omega by the graded
 submodule J generated by second-commutator images repairs it, and on the
 quotient both linearities hold.  (This demo runs the full pipeline on the
-matrix-algebra fixture and takes a few seconds.)
+m2_grass model and takes a second or two.)
 """
 
-from bimodconn import curvature
+from pathlib import Path
+
+from bimodconn import curvature, parse_model
 from bimodconn.curvature import OmegaHat, OmegaM, j_ideal
-from bimodconn.fixtures import grass
 from bimodconn.report import rat_str
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    conn = grass()
+    conn = parse_model(str(MODELS / "m2_grass.model")).connections["nabla"]
     res = curvature(conn)
     print("curvature is zero:", res.operator.is_zero())
     print("curvature left-linear upstairs:", res.left_linear)

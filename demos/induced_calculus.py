@@ -9,13 +9,16 @@ M = A over the two-point algebra and shows it reproduces the calculus we
 started from.
 """
 
-from bimodconn import induced_first_order, kappa1
+from pathlib import Path
+
+from bimodconn import induced_first_order, kappa1, parse_model
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
-from bimodconn.fixtures import conn_d
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    conn = conn_d("universal")
+    conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
     print("calculus dims (degrees 0..3):", conn.calculus.dims())
 
     ifo = induced_first_order(conn)

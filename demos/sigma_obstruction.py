@@ -3,25 +3,29 @@
 A left Leibniz rule for a connection needs a map sigma sending
 Omega^1 ⊗ M to M ⊗ Omega^1.  It exists exactly when kappa1 annihilates the
 defining kernel K of the calculus.  On the quotient calculus of the
-two-point algebra the flat connection admits sigma, but the shipped twist
-fixture — a connection on the bimodule of degree-one universal forms —
-does not: kappa1 sends an element of K to a nonzero operator, so nothing
+two-point algebra the flat connection (a2_quotient) admits sigma, but the
+shipped a2_twist model — a connection on the bimodule of degree-one
+universal forms — does not: kappa1 sends an element of K to a nonzero operator, so nothing
 can factor through the projection.
 """
 
-from bimodconn import kappa1, sigma_exists
-from bimodconn.fixtures import conn_d, twist
+from pathlib import Path
+
+from bimodconn import kappa1, parse_model, sigma_exists
 from bimodconn.report import rat_str
+
+MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    ok = sigma_exists(conn_d("quotient"))
+    flat = parse_model(str(MODELS / "a2_quotient.model")).connections["nabla"]
+    ok = sigma_exists(flat)
     print("flat connection on the quotient calculus: sigma exists =", ok.exists)
 
-    c = twist()
+    c = parse_model(str(MODELS / "a2_twist.model")).connections["nabla"]
     k1 = kappa1(c)
     res = sigma_exists(c, k1)
-    print("twist fixture: sigma exists =", res.exists)
+    print("a2_twist model: sigma exists =", res.exists)
     wit = res.witness_bar
     print("witness in K (bar coordinates):", [rat_str(x) for x in wit])
     print("kappa1(witness) is zero:", k1.op(wit).is_zero())

@@ -4,21 +4,24 @@ Given a right-module connection on N and a bimodule connection on M, one
 can either push the N-side derivative down to the induced calculus with
 nu-hat = id⊗kappa-hat and add b⊗(nabla a), or first build the associated
 connection on N against (Omega_nabla, d_nabla) and use the interpretation
-rule (b⊗Phi)a := b⊗Phi(a).  Both routes are constructed here for the flat
-fixture and shown to produce the same matrix.
+rule (b⊗Phi)a := b⊗Phi(a).  Both routes are constructed here for the
+a2_flat model and shown to produce the same matrix.
 """
 
-from bimodconn import Connection, preceq, sigma_exists
+from pathlib import Path
+
+from bimodconn import Connection, parse_model, preceq, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
-from bimodconn.fixtures import conn_d
 from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
                                   degeneracy_submodules, nu_hat,
                                   tensor_connection_induced,
                                   tensor_connection_original)
 
+MODELS = Path(__file__).resolve().parents[1] / "models"
+
 
 def main() -> None:
-    conn = conn_d("universal")
+    conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
     ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
 
     pair = degeneracy_submodules(conn.module.as_right_module(), conn.module)

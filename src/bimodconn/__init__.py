@@ -2,9 +2,8 @@
 
 from .linalg import (QuotientSpace, factor_through, null_space, quotient, rank,
                      row_reduce)
-from .algebra import (Algebra, BalancedTensor, Bimodule, RightAHomSpace,
-                      RightModule, check_algebra, check_bimodule, kappa0,
-                      right_hom_space, tensor_over_A)
+from .algebra import (Algebra, BalancedTensor, Bimodule, RightModule,
+                      check_algebra, check_bimodule, tensor_over_A)
 from .calculus import (CalculusMorphism, GradedCalculus, UniversalCalculus,
                        preceq, quotient_calculus, universal_graded)
 from .forms import Forms
@@ -21,18 +20,16 @@ from .model import ModelError, ModelFile, parse_model
 from .report import Report, Verdict
 
 __all__ = [
-    "Algebra", "BalancedTensor", "Bimodule", "CalculusMorphism", "Connection",
-    "DegreeRHom", "Forms", "GradedCalculus", "InducedCalculus",
-    "ModelError", "ModelFile", "OmegaHat", "OmegaM", "QuotientSpace",
-    "Report", "RightAHomSpace", "RightModule", "UniversalCalculus",
+    "Algebra", "BalancedTensor", "Bimodule", "CalculusMorphism",
+    "Connection", "DegreeRHom", "Forms", "GradedCalculus",
+    "InducedCalculus", "ModelError", "ModelFile", "OmegaHat", "OmegaM",
+    "QuotientSpace", "Report", "RightModule", "UniversalCalculus",
     "Verdict", "associated_connection", "check_algebra", "check_bimodule",
     "check_compatibility", "check_right_leibniz", "curvature",
-    "degeneracy_brute",
-    "degeneracy_submodules", "extend_connection", "factor_through",
-    "induced_first_order", "j_ideal", "kappa0", "kappa0_op", "kappa1",
-    "nabla_hat", "null_space", "nu_hat", "parse_model", "preceq", "quotient",
-    "quotient_calculus", "rank", "right_hom_space", "row_reduce",
-    "sigma_exists",
-    "sigma_full", "tensor_connection_induced", "tensor_connection_original",
-    "tensor_over_A", "universal_graded",
+    "degeneracy_brute", "degeneracy_submodules", "extend_connection",
+    "factor_through", "induced_first_order", "j_ideal", "kappa0_op",
+    "kappa1", "nabla_hat", "null_space", "nu_hat", "parse_model", "preceq",
+    "quotient", "quotient_calculus", "rank", "row_reduce", "sigma_exists",
+    "sigma_full", "tensor_connection_induced",
+    "tensor_connection_original", "tensor_over_A", "universal_graded",
 ]

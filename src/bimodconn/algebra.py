@@ -1,4 +1,4 @@
-"""Finite-dimensional algebras, bimodules, tensor products over A, Hom spaces.
+"""Finite-dimensional algebras, bimodules and tensor products over A.
 
 An algebra is given by structure constants on a fixed basis; modules are
 given by dense action matrices per algebra basis element.  All constructions
@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from . import anchors
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, frac, identity_mat,
-                     is_zero_vec, mat_mul, mat_vec, null_space, quotient,
-                     QuotientSpace, row_reduce, zero_mat, zeros)
+                     is_zero_vec, mat_mul, mat_vec, quotient, QuotientSpace,
+                     zero_mat, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -58,41 +58,6 @@ class Algebra:
                     if s:
                         out[k] += c * s
         return out
-
-    def left_mult_matrix(self, v: Vec) -> Mat:
-        """Matrix of x ↦ v·x on A."""
-        m = zero_mat(self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.mult(v, self.basis_vec(j))
-            for k in range(self.dim):
-                m[k][j] = col[k]
-        return m
-
-    def right_mult_matrix(self, v: Vec) -> Mat:
-        """Matrix of x ↦ x·v on A."""
-        m = zero_mat(self.dim, self.dim)
-        for j in range(self.dim):
-            col = self.mult(self.basis_vec(j), v)
-            for k in range(self.dim):
-                m[k][j] = col[k]
-        return m
-
-    def multiplication_map(self) -> Mat:
-        """μ: A⊗A → A on the plain tensor basis e_i⊗e_j (index i·n + j)."""
-        n = self.dim
-        m = zero_mat(n, n * n)
-        for i in range(n):
-            for j in range(n):
-                col = self.structure[i][j]
-                for k in range(n):
-                    m[k][i * n + j] = col[k]
-        return m
-
-    def regular_bimodule(self) -> "Bimodule":
-        """A as a bimodule over itself via left/right multiplication."""
-        left = [self.left_mult_matrix(self.basis_vec(i)) for i in range(self.dim)]
-        right = [self.right_mult_matrix(self.basis_vec(i)) for i in range(self.dim)]
-        return Bimodule.from_actions(self, left, right)
 
 
 def check_algebra(a: Algebra) -> Verdict:
@@ -209,7 +174,6 @@ def right_module_generators(mod) -> list[int]:
     """Greedy minimal-ish generating set of basis indices over the right
     action: every basis vector lies in the right submodule the chosen
     indices generate.  Deterministic (ascending basis order)."""
-    from .linalg import SpanBuilder
     gens: list[int] = []
     reached = SpanBuilder(mod.dim)
     mats = mod.right_matrices()
@@ -362,119 +326,3 @@ def tensor_over_A(x, y: Bimodule) -> BalancedTensor:
     for rel in balancing_relations(x, y):
         span.add(rel)
     return BalancedTensor(x, y, quotient(x.dim * y.dim, span.basis))
-
-
-@dataclass
-class RightAHomSpace:
-    """Space of right-A-linear maps X → Y, as explicit matrices."""
-
-    source: RightModule
-    target: RightModule
-    basis: list[Mat]          # each a target.dim x source.dim matrix
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def vectorize(self, m: Mat) -> Vec:
-        return [m[r][c] for r in range(self.target.dim)
-                for c in range(self.source.dim)]
-
-    def coords(self, m: Mat) -> Vec | None:
-        span = SpanBuilder(self.target.dim * self.source.dim)
-        for b in self.basis:
-            span.add(self.vectorize(b))
-        return span.coords(self.vectorize(m))
-
-    def contains(self, m: Mat) -> bool:
-        return self.coords(m) is not None
-
-
-def is_right_linear(m: Mat, source, target) -> bool:
-    """Does the matrix m satisfy m∘R_f = R_f∘m for all algebra basis f?"""
-    a = source.algebra
-    for i in range(a.dim):
-        f = a.basis_vec(i)
-        if mat_mul(m, source.right_matrix(f)) != mat_mul(target.right_matrix(f), m):
-            return False
-    return True
-
-
-def right_hom_space(x, y) -> RightAHomSpace:
-    """Solve φ(m·f) = φ(m)·f for φ: X → Y linear; return a basis of solutions."""
-    xs = x.as_right_module() if isinstance(x, Bimodule) else x
-    ys = y.as_right_module() if isinstance(y, Bimodule) else y
-    xd, yd = xs.dim, ys.dim
-    a = xs.algebra
-    rows: list[Vec] = []
-    # unknowns: phi[r][c], vectorized row-major (index r*xd + c)
-    for i in range(a.dim):
-        rx = xs.right_matrix(a.basis_vec(i))
-        ry = ys.right_matrix(a.basis_vec(i))
-        for r in range(yd):
-            for c in range(xd):
-                row = zeros(yd * xd)
-                # (phi @ rx)[r][c] = sum_k phi[r][k] rx[k][c]
-                for k in range(xd):
-                    if rx[k][c]:
-                        row[r * xd + k] += rx[k][c]
-                # (ry @ phi)[r][c] = sum_k ry[r][k] phi[k][c]
-                for k in range(yd):
-                    if ry[r][k]:
-                        row[k * xd + c] -= ry[r][k]
-                if not is_zero_vec(row):
-                    rows.append(row)
-    # with no constraints every linear map is right-A-linear
-    basis = [[[v[r * xd + c] for c in range(xd)] for r in range(yd)]
-             for v in null_space(rows, yd * xd)]
-    return RightAHomSpace(xs, ys, basis)
-
-
-@dataclass
-class Kappa0:
-    """The left-multiplication embedding f ↦ f̂ of A into End^A(M)."""
-
-    algebra: Algebra
-    module: Bimodule
-    operators: list[Mat]      # f̂ for each algebra basis element
-    verdict: Verdict
-
-    def operator(self, f: Vec) -> Mat:
-        out = zero_mat(self.module.dim, self.module.dim)
-        for i, c in enumerate(f):
-            if c:
-                out = [[a + c * b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(out, self.operators[i])]
-        return out
-
-    def image_rank(self) -> int:
-        rows = [[m[r][c] for r in range(self.module.dim)
-                 for c in range(self.module.dim)] for m in self.operators]
-        rank, _, _ = row_reduce(rows)
-        return rank
-
-    @property
-    def injective(self) -> bool:
-        return self.image_rank() == self.algebra.dim
-
-
-def kappa0(a: Algebra, m: Bimodule) -> Kappa0:
-    """Left-multiplication operators, verified right-A-linear and multiplicative."""
-    ops = [m.left_matrix(a.basis_vec(i)) for i in range(a.dim)]
-    mod = m.as_right_module()
-    for i, op in enumerate(ops):
-        if not is_right_linear(op, mod, mod):
-            return Kappa0(a, m, ops,
-                          failed("kappa0-right-linear", anchors.KAPPA0,
-                                 {"basis": i}))
-    for i in range(a.dim):
-        for j in range(a.dim):
-            prod_op = m.left_matrix(a.mult(a.basis_vec(i), a.basis_vec(j)))
-            if prod_op != mat_mul(ops[i], ops[j]):
-                return Kappa0(a, m, ops,
-                              failed("kappa0-multiplicative", anchors.KAPPA0,
-                                     {"pair": [i, j]}))
-    v = passed("kappa0", anchors.KAPPA0, {"image_rank": None})
-    k = Kappa0(a, m, ops, v)
-    v.dims = {"image_rank": k.image_rank(), "algebra_dim": a.dim}
-    return k

@@ -228,9 +228,13 @@ def main(argv: list[str] | None = None) -> int:
             print(Report([exc.verdict]).to_text(), file=sys.stderr)
         return 2
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+                fh.write("\n")
+        except OSError as exc:
+            print(f"cannot write {args.json_out}: {exc}", file=sys.stderr)
+            return 2
     print(report.to_text())
     return 0 if report.summary == "pass" else 1
 

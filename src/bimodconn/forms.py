@@ -86,9 +86,6 @@ class Forms:
     def class_of_pair_bar(self, r: int, m_vec: Vec, u_bar: Vec) -> Vec:
         return self.project(r, self._pair_from_bar(r, m_vec, u_bar))
 
-    def class_of_pair_emb(self, r: int, m_vec: Vec, u_emb: Vec) -> Vec:
-        return self.class_of_pair_bar(r, m_vec, self.uni.from_emb(r, u_emb))
-
     # -- tail right multiplication ----------------------------------------
     def _trm(self, r: int, i0: int) -> list[list[tuple[int, int, Fraction]]]:
         """Expansion of u_beta·e_i0 = Σ coeff · e_k0·u_gamma per tail beta.

@@ -1,16 +1,15 @@
 """Acceptance gate: the ten headline properties of the analysis engine,
-checked end to end on the shipped fixtures and model files."""
+checked end to end on the shipped model files."""
 
 from pathlib import Path
 
-from _shared import FIXTURES, induced, pipeline
+from _shared import MODELS, NAMES, induced, nabla, pipeline, universal
 from bimodconn import cli
 from bimodconn.calculus import preceq
 from bimodconn.connection import (Connection, check_right_leibniz,
                                   induced_first_order, kappa0_op, kappa1,
                                   nabla_hat, sigma_exists)
 from bimodconn.curvature import curvature, sigma_full
-from bimodconn.fixtures import a2_universal, conn_d, m2_universal, twist
 from bimodconn.model import parse_model
 from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
                                   degeneracy_submodules, nu_hat,
@@ -18,18 +17,17 @@ from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
                                   tensor_connection_original)
 
 ROOT = Path(__file__).resolve().parents[1]
-MODELS = ROOT / "models"
 GOLDEN = ROOT / "perfbench" / "golden"
 
 
 def test_01_universal_dimension_law():
     # dim of the degree-one universal calculus is n^2 - n
-    assert a2_universal().dim(1) == 2
-    assert m2_universal().dim(1) == 12
+    assert universal("a2_flat").dim(1) == 2
+    assert universal("m2_grass").dim(1) == 12
 
 
 def test_02_right_leibniz_and_derivation_law():
-    for which in FIXTURES:
+    for which in NAMES:
         conn = pipeline(which)[0]
         assert check_right_leibniz(conn).ok
         ifo = induced_first_order(conn)
@@ -39,7 +37,7 @@ def test_02_right_leibniz_and_derivation_law():
 
 
 def test_03_kappa1_diagram_commutes():
-    for which in FIXTURES:
+    for which in NAMES:
         conn = pipeline(which)[0]
         k1 = kappa1(conn)
         ids = {v.check_id: v for v in k1.verdicts}
@@ -48,12 +46,12 @@ def test_03_kappa1_diagram_commutes():
 
 
 def test_04_sigma_dichotomy():
-    for level in ("universal", "quotient"):
-        res = sigma_exists(conn_d(level))
+    for name in ("a2_flat", "a2_quotient"):
+        res = sigma_exists(nabla(name))
         assert res.exists
         ids = {v.check_id: v for v in res.verdicts}
         assert ids["sigma-left-leibniz"].ok
-    c = twist()
+    c = nabla("a2_twist")
     k1 = kappa1(c)
     res = sigma_exists(c, k1)
     assert not res.exists
@@ -62,20 +60,20 @@ def test_04_sigma_dichotomy():
 
 
 def test_05_curvature_linearity_report():
-    for which in FIXTURES:
+    for which in NAMES:
         conn, _, _, om = pipeline(which)
         res = curvature(conn)
         assert any(v.check_id == "curvature-right-omega-linear" and v.ok
                    for v in res.verdicts)
         ids = {v.check_id: v for v in om.verdicts}
         assert ids["curvature-left-linear-on-omega-m"].ok
-    grass_res = curvature(pipeline("grass")[0])
+    grass_res = curvature(pipeline("m2_grass")[0])
     assert not grass_res.left_linear
     assert grass_res.witness is not None
 
 
 def test_06_j_closure():
-    for which in FIXTURES:
+    for which in NAMES:
         j = pipeline(which)[2]
         assert j.dims()[0] == 0 and j.dims()[1] == 0
         ids = {v.check_id: v for v in j.verdicts}
@@ -84,12 +82,12 @@ def test_06_j_closure():
 
 
 def test_07_d_nabla_squared_zero():
-    for which in FIXTURES:
+    for which in NAMES:
         ic = induced(which)
         assert any(v.check_id == "d-nabla-squared-zero" and v.ok
                    for v in ic.verdicts)
-    # on the gauge fixture the unfactored nabla-hat square is nonzero
-    conn = pipeline("grass")[0]
+    # on the gauge model the unfactored nabla-hat square is nonzero
+    conn = pipeline("m2_grass")[0]
     squares = []
     for i in range(conn.module.algebra.dim):
         f_hat = kappa0_op(conn, conn.module.algebra.basis_vec(i))
@@ -98,7 +96,7 @@ def test_07_d_nabla_squared_zero():
 
 
 def test_08_sigma_u_full_degree_identities():
-    for which in ("flat", "flatq"):
+    for which in ("a2_flat", "a2_quotient"):
         sf = sigma_full(induced(which))
         ids = {v.check_id: v for v in sf.verdicts}
         assert ids["sigma-u-multiplicative"].ok
@@ -107,12 +105,12 @@ def test_08_sigma_u_full_degree_identities():
 
 
 def test_09_tensor_product_routes():
-    for which in FIXTURES:
+    for which in NAMES:
         conn = pipeline(which)[0]
         pair = degeneracy_submodules(conn.module.as_right_module(),
                                      conn.module)
         assert degeneracy_brute(pair).ok
-    for which in ("flat", "flatq"):
+    for which in ("a2_flat", "a2_quotient"):
         conn = pipeline(which)[0]
         ic = induced(which)
         rc = Connection(conn.forms, conn.nabla)

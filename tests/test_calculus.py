@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from _shared import a2, m2, model, universal
 from bimodconn.algebra import Algebra
 from bimodconn.calculus import (UniversalCalculus, preceq, quotient_calculus,
                                 saturate_ideal)
-from bimodconn.fixtures import (a2, a2_quotient, a2_universal, m2,
-                                m2_universal)
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder,
                               is_zero_vec, zeros)
 
@@ -22,40 +21,40 @@ def emb_e1e2():
 
 
 def test_dim_omega1_two_point():
-    assert a2_universal().dim(1) == 2
+    assert universal("a2_flat").dim(1) == 2
 
 
 def test_dim_omega1_matrix():
-    assert m2_universal().dim(1) == 12
+    assert universal("m2_grass").dim(1) == 12
 
 
 def test_d_of_e1():
-    cal = a2_universal()
+    cal = universal("a2_flat")
     d = cal.universal.d_emb(a2().basis_vec(0), 0)
     # d e1 = e2 (x) e1 - e1 (x) e2 in plain tensor-square coordinates
     assert d == [F(0), F(-1), F(1), F(0)]
 
 
 def test_d_of_unit_is_zero():
-    cal = a2_universal()
+    cal = universal("a2_flat")
     assert is_zero_vec(cal.universal.d_emb(a2().unit_vec(), 0))
 
 
 def test_graded_dims_two_point():
-    assert a2_universal().dims() == [2, 2, 2, 2]
+    assert universal("a2_flat").dims() == [2, 2, 2, 2]
 
 
 def test_graded_dims_matrix():
-    assert m2_universal().dims() == [4, 12, 36, 108]
+    assert universal("m2_grass").dims() == [4, 12, 36, 108]
 
 
 def test_degree_zero_is_algebra():
-    assert a2_universal().dim(0) == a2().dim
-    assert m2_universal().dim(0) == m2().dim
+    assert universal("a2_flat").dim(0) == a2().dim
+    assert universal("m2_grass").dim(0) == m2().dim
 
 
 def test_d_squared_zero():
-    for cal in (a2_universal(), a2_quotient()):
+    for cal in (universal("a2_flat"), model("a2_quotient").calculus):
         for r in range(cal.D - 1):
             for col in range(cal.dim(r)):
                 e = zeros(cal.dim(r))
@@ -64,7 +63,7 @@ def test_d_squared_zero():
 
 
 def test_graded_leibniz_spot():
-    cal = a2_universal()
+    cal = universal("a2_flat")
     for i in range(cal.dim(1)):
         for j in range(cal.dim(1)):
             u, v = zeros(cal.dim(1)), zeros(cal.dim(1))
@@ -77,17 +76,17 @@ def test_graded_leibniz_spot():
 
 
 def test_quotient_empty_generators_is_universal():
-    cal = quotient_calculus(a2_universal(), [])
-    assert cal.dims() == a2_universal().dims()
+    cal = quotient_calculus(universal("a2_flat"), [])
+    assert cal.dims() == universal("a2_flat").dims()
 
 
 def test_quotient_by_e1e2():
-    cal = a2_quotient()
+    cal = model("a2_quotient").calculus
     assert cal.dim(1) == 1
 
 
 def test_quotient_by_everything():
-    base = a2_universal()
+    base = universal("a2_flat")
     gens = []
     for k in (1, 2):             # e1 (x) e2 and e2 (x) e1 span all of degree 1
         e = zeros(base.universal.emb_dim(1))
@@ -98,8 +97,8 @@ def test_quotient_by_everything():
 
 
 def test_quotient_idempotent():
-    first = a2_quotient()
-    second = quotient_calculus(a2_universal(), [(1, emb_e1e2())])
+    first = model("a2_quotient").calculus
+    second = quotient_calculus(universal("a2_flat"), [(1, emb_e1e2())])
     assert first.dims() == second.dims()
 
 
@@ -128,41 +127,43 @@ def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
 
 
 def test_preceq_reflexive():
-    rho, _ = preceq(a2_quotient(), a2_quotient())
+    quo = model("a2_quotient").calculus
+    rho, _ = preceq(quo, quo)
     assert rho is not None
     assert rho.verify().ok
 
 
 def test_preceq_quotient_below_universal():
-    rho, _ = preceq(a2_quotient(), a2_universal())
+    rho, _ = preceq(model("a2_quotient").calculus, universal("a2_flat"))
     assert rho is not None
     assert rho.verify().ok
 
 
 def test_preceq_converse_fails_with_witness():
-    rho, wit = preceq(a2_universal(), a2_quotient())
+    rho, wit = preceq(universal("a2_flat"), model("a2_quotient").calculus)
     assert rho is None
     deg, bar = wit
     assert deg == 1
     # the witness lies in the quotient's defining ideal
-    emb = a2_universal().universal.to_emb(1, bar)
-    assert is_zero_vec(a2_quotient().class_of_emb(1, emb))
+    emb = universal("a2_flat").universal.to_emb(1, bar)
+    assert is_zero_vec(model("a2_quotient").calculus.class_of_emb(1, emb))
 
 
 def test_preceq_zero_calculus_below_everything():
-    base = a2_universal()
+    base = universal("a2_flat")
     gens = [(1, e) for e in ([F(0), F(1), F(0), F(0)],
                              [F(0), F(0), F(1), F(0)])]
     zero_cal = quotient_calculus(base, gens)
     assert zero_cal.dims() == [2, 0, 0, 0]
-    rho, _ = preceq(zero_cal, a2_universal())
+    rho, _ = preceq(zero_cal, universal("a2_flat"))
     assert rho is not None
     assert rho.verify().ok
 
 
 def test_preceq_transitive_on_chain():
-    rho1, _ = preceq(a2_quotient(), a2_universal())
-    rho2, _ = preceq(a2_quotient(), a2_quotient())
+    quo = model("a2_quotient").calculus
+    rho1, _ = preceq(quo, universal("a2_flat"))
+    rho2, _ = preceq(quo, quo)
     assert rho1 is not None and rho2 is not None
 
 
@@ -182,7 +183,7 @@ def _bar_columns(uni, r):
 def test_from_emb_matches_dense_solve():
     # id ⊗ π^{⊗r} agrees with a solve against the dense bar→emb matrix on
     # d and product outputs in every degree
-    for cal in (a2_universal(), m2_universal()):
+    for cal in (universal("a2_flat"), universal("m2_grass")):
         uni = cal.universal
         a = uni.algebra
         cols = [_bar_columns(uni, r) for r in range(uni.D + 1)]

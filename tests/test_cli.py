@@ -6,15 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from _shared import MODELS, universal
 from bimodconn import cli
-from bimodconn.fixtures import a2_universal
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver
 from bimodconn.model import MAX_EMB_DIM, ModelError, parse_model
 from bimodconn.report import Report, Verdict, failed, passed
-
-MODELS = Path(__file__).resolve().parents[1] / "models"
-
 
 def flat_doc() -> dict:
     return json.loads((MODELS / "a2_flat.model").read_text())
@@ -131,7 +128,8 @@ def test_parse_rejects_generator_outside_universal(tmp_path):
         parse_model(write_doc(tmp_path, doc))
     assert err.value.path == "calculus.ideal_generators[0].element"
     with pytest.raises(DimensionError):
-        a2_universal().universal.from_emb(1, [Fraction(x) for x in outside])
+        universal("a2_flat").universal.from_emb(
+            1, [Fraction(x) for x in outside])
 
 
 def test_parse_rejects_oversized_truncation(tmp_path, capsys):
@@ -265,8 +263,17 @@ def test_main_exit_two_on_deeply_nested_json(tmp_path, capsys):
         capsys.readouterr().err
 
 
+def test_main_exit_two_on_unwritable_json(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "report.json"
+    code = cli.main(["check", "--model", str(MODELS / "a2_flat.model"),
+                     "--json", str(out)])
+    assert code == 2
+    assert f"cannot write {out}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_exit_one_on_failing_identity(capsys):
-    # the gauge-potential fixture has a genuinely non-left-linear curvature
+    # the gauge-potential model has a genuinely non-left-linear curvature
     code = cli.main(["curvature", "--model", str(MODELS / "m2_grass.model")])
     assert code == 1
     out = capsys.readouterr().out

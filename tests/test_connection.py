@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 
+from _shared import a2, nabla
 from bimodconn.connection import (Connection, check_right_leibniz,
                                   induced_first_order, kappa0_op, kappa1,
                                   nabla_hat, sigma_exists)
-from bimodconn.fixtures import a2, conn_d, twist
 from bimodconn.linalg import is_zero_vec, zero_mat, zeros
 
 F = Fraction
@@ -18,12 +18,12 @@ def emb_e1e2():
 
 
 def test_right_leibniz_flat():
-    for level in ("universal", "quotient"):
-        assert check_right_leibniz(conn_d(level)).status == "pass"
+    for name in ("a2_flat", "a2_quotient"):
+        assert check_right_leibniz(nabla(name)).status == "pass"
 
 
 def test_right_leibniz_zero_map_fails():
-    c0 = conn_d("universal")
+    c0 = nabla("a2_flat")
     forms_dim = c0.forms.dim(1)
     bad = Connection(c0.forms, zero_mat(forms_dim, 2))
     v = check_right_leibniz(bad)
@@ -32,69 +32,71 @@ def test_right_leibniz_zero_map_fails():
 
 
 def test_right_leibniz_twist():
-    assert check_right_leibniz(twist()).status == "pass"
+    assert check_right_leibniz(nabla("a2_twist")).status == "pass"
 
 
 def test_nabla_hat_of_identity_vanishes():
-    c = conn_d("universal")
+    c = nabla("a2_flat")
     one_hat = kappa0_op(c, a2().unit_vec())
     assert nabla_hat(c, one_hat).is_zero()
 
 
 def test_nabla_hat_of_e1_on_e2():
-    c = conn_d("universal")
+    c = nabla("a2_flat")
     nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
-    expected = c.forms.class_of_pair_emb(1, a2().unit_vec(),
-                                         [-x for x in emb_e1e2()])
+    bar = c.calculus.universal.from_emb(1, [-x for x in emb_e1e2()])
+    expected = c.forms.class_of_pair_bar(1, a2().unit_vec(), bar)
     assert nh.apply(a2().basis_vec(1)) == expected
 
 
 def test_nabla_hat_of_e1_is_left_mult_by_de1():
     # with nabla = d, (nabla-hat e1-hat)(a) = (d e1)·a for every basis a
-    c = conn_d("universal")
+    c = nabla("a2_flat")
     uni = c.calculus.universal
     nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
     de1 = uni.d_emb(a2().basis_vec(0), 0)
     for i in range(2):
         prod = uni.product_emb(de1, 1, a2().basis_vec(i), 0)
-        expected = c.forms.class_of_pair_emb(1, a2().unit_vec(), prod)
+        expected = c.forms.class_of_pair_bar(1, a2().unit_vec(),
+                                             uni.from_emb(1, prod))
         assert nh.apply(a2().basis_vec(i)) == expected
 
 
 def test_induced_first_order_dim():
-    ifo = induced_first_order(conn_d("universal"))
+    ifo = induced_first_order(nabla("a2_flat"))
     assert ifo.dim == 2
     assert all(v.ok for v in ifo.verdicts)
 
 
 def test_d_nabla_of_unit_is_zero():
-    ifo = induced_first_order(conn_d("universal"))
+    ifo = induced_first_order(nabla("a2_flat"))
     assert ifo.d_nabla(a2().unit_vec()).is_zero()
 
 
 def test_induced_derivation_law_on_twist():
-    ifo = induced_first_order(twist())
+    ifo = induced_first_order(nabla("a2_twist"))
     assert all(v.ok for v in ifo.verdicts)
 
 
 def test_kappa1_on_e1_tensor_e2():
-    c = conn_d("universal")
+    c = nabla("a2_flat")
     k1 = kappa1(c)
-    op = k1.op(c.calculus.universal.from_emb(1, emb_e1e2()))
+    bar = c.calculus.universal.from_emb(1, emb_e1e2())
+    op = k1.op(bar)
     assert is_zero_vec(op.apply(a2().basis_vec(0)))
-    expected = c.forms.class_of_pair_emb(1, a2().unit_vec(), emb_e1e2())
+    expected = c.forms.class_of_pair_bar(1, a2().unit_vec(), bar)
     assert op.apply(a2().basis_vec(1)) == expected
 
 
 def test_kappa1_injective_on_flat():
-    k1 = kappa1(conn_d("universal"))
+    k1 = kappa1(nabla("a2_flat"))
     assert k1.rank() == 2
     assert k1.injective
     assert all(v.ok for v in k1.verdicts)
 
 
 def test_kappa1_of_d_unit_is_zero():
-    c = conn_d("universal")
+    c = nabla("a2_flat")
     k1 = kappa1(c)
     d_unit = c.calculus.universal.d_emb(a2().unit_vec(), 0)
     assert is_zero_vec(d_unit)
@@ -102,14 +104,14 @@ def test_kappa1_of_d_unit_is_zero():
 
 
 def test_sigma_exists_universal():
-    res = sigma_exists(conn_d("universal"))
+    res = sigma_exists(nabla("a2_flat"))
     assert res.exists
     assert res.sigma.level == "universal"
     assert all(v.ok for v in res.verdicts)
 
 
 def test_sigma_exists_on_quotient():
-    res = sigma_exists(conn_d("quotient"))
+    res = sigma_exists(nabla("a2_quotient"))
     assert res.exists
     assert res.sigma.level == "projected"
     assert all(v.ok for v in res.verdicts)
@@ -118,7 +120,7 @@ def test_sigma_exists_on_quotient():
 
 
 def test_sigma_absent_on_twist():
-    c = twist()
+    c = nabla("a2_twist")
     k1 = kappa1(c)
     res = sigma_exists(c, k1)
     assert not res.exists

@@ -1,4 +1,4 @@
-"""The a2 walkthrough scripts in demos/ run to completion."""
+"""The walkthrough scripts in demos/ run to completion."""
 
 import importlib.util
 from pathlib import Path
@@ -9,7 +9,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("name", ["tensor_routes", "sigma_obstruction",
-                                  "induced_calculus"])
+                                  "induced_calculus", "curvature_quotient"])
 def test_demo_main_runs(name, capsys):
     spec = importlib.util.spec_from_file_location(f"demo_{name}",
                                                   DEMOS / f"{name}.py")

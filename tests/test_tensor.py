@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import FIXTURES, induced, pipeline
+from _shared import NAMES, a2, induced, nabla, pipeline, universal
 from bimodconn.algebra import Bimodule, RightModule, check_bimodule
 from bimodconn.calculus import preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
-from bimodconn.fixtures import a2, a2_universal, conn_d
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, is_zero_vec, mat, vec_add, zeros
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
@@ -35,7 +34,7 @@ def rc_of(which: str) -> Connection:
 # ---------------------------------------------------------------------------
 
 def test_regular_pairing_is_faithful():
-    conn = conn_d("universal")
+    conn = nabla("a2_flat")
     pair = degeneracy_submodules(conn.module.as_right_module(), conn.module)
     assert pair.n0 == []
     assert pair.m0 == []
@@ -43,7 +42,7 @@ def test_regular_pairing_is_faithful():
 
 
 def test_degeneracy_brute_oracle_everywhere():
-    for which in FIXTURES:
+    for which in NAMES:
         conn = pipeline(which)[0]
         pair = degeneracy_submodules(conn.module.as_right_module(),
                                      conn.module)
@@ -69,11 +68,12 @@ def skew_right_module() -> RightModule:
 
 def column_connection() -> Connection:
     m = column_module()
-    cal = a2_universal()
+    cal = universal("a2_flat")
     forms = Forms(m, cal)
     emb = zeros(4)
     emb[0 * 2 + 1] = F(1)                           # e1 (x) e2
-    col = [-x for x in forms.class_of_pair_emb(1, [F(1)], emb)]
+    bar = cal.universal.from_emb(1, emb)
+    col = [-x for x in forms.class_of_pair_bar(1, [F(1)], bar)]
     c = Connection(forms, [[x] for x in col])
     assert check_right_leibniz(c).ok
     return c
@@ -81,7 +81,7 @@ def column_connection() -> Connection:
 
 def skew_connection(perturbed: bool = False) -> Connection:
     n = skew_right_module()
-    cal = a2_universal()
+    cal = universal("a2_flat")
     forms = Forms(n, cal)
     uni = cal.universal
     cols = []
@@ -91,10 +91,10 @@ def skew_connection(perturbed: bool = False) -> Connection:
     if perturbed:
         emb = zeros(4)
         emb[0 * 2 + 1] = F(1)                       # add y⊗(e1⊗e2) to ∇′x
-        cols[0] = vec_add(cols[0],
-                          forms.class_of_pair_emb(1, n.basis_vec(1), emb))
-    nabla = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
-    rc = Connection(forms, nabla)
+        cols[0] = vec_add(cols[0], forms.class_of_pair_bar(
+            1, n.basis_vec(1), uni.from_emb(1, emb)))
+    matrix = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
+    rc = Connection(forms, matrix)
     assert check_right_leibniz(rc).ok
     return rc
 
@@ -124,26 +124,26 @@ def test_compatibility_pass_and_fail():
 # ---------------------------------------------------------------------------
 
 def test_nu_hat_iso_in_degree_one_flat():
-    nu = nu_hat(rc_of("flat"), kappa_hat("flat"))
+    nu = nu_hat(rc_of("a2_flat"), kappa_hat("a2_flat"))
     assert nu.available
     assert all(v.ok for v in nu.verdicts)
     assert nu.rank(1) == nu.source.dim(1) == 2
 
 
 def test_nu_hat_unavailable_without_kappa_hat():
-    assert kappa_hat("twist") is None
-    nu = nu_hat(rc_of("twist"), None)
+    assert kappa_hat("a2_twist") is None
+    nu = nu_hat(rc_of("a2_twist"), None)
     assert not nu.available
     assert any(v.status == "unavailable" for v in nu.verdicts)
 
 
 def test_nu_hat_rejects_connection_over_another_calculus():
     with pytest.raises(DimensionError):
-        nu_hat(rc_of("flatq"), kappa_hat("flat"))
+        nu_hat(rc_of("a2_quotient"), kappa_hat("a2_flat"))
 
 
 def test_both_routes_flat():
-    for which in ("flat", "flatq"):
+    for which in ("a2_flat", "a2_quotient"):
         conn = pipeline(which)[0]
         ic = induced(which)
         rc = rc_of(which)
@@ -166,8 +166,8 @@ def test_both_routes_flat():
 
 def test_associated_connection_of_d_is_d_nabla():
     # ∇′ = d on N = A: the associated connection is d against (Ω_∇, d_∇)
-    rc = rc_of("flat")
-    nu = nu_hat(rc, kappa_hat("flat"))
+    rc = rc_of("a2_flat")
+    nu = nu_hat(rc, kappa_hat("a2_flat"))
     assoc = associated_connection(rc, nu)
     assert assoc.exists
     am = assoc.connection
