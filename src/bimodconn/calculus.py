@@ -1,13 +1,17 @@
 """Universal differential calculus, quotients by differential ideals, and ⪯.
 
-Degree r of the universal calculus is realized concretely inside the
-(r+1)-fold tensor power of A, with the basis {e_i · de_j1 ⋯ de_jr} where the
-j's range over a fixed complement of the unit.  That basis ("bar basis")
-realizes Ω^r_u ≅ A ⊗ Ā^{⊗r} with Ā = A/ℂ1, so the conversions between bar
-and tensor-power coordinates are closed forms: to_emb sums sparse bar
-columns, and from_emb is id ⊗ π^{⊗r} with π: A → Ā, checked by the round
-trip back to its input.  Products are slot-contractions, and the
-differential is the alternating unit-insertion map.
+Degree r of the universal calculus is stored in the basis
+{e_i · de_j1 ⋯ de_jr} where the j's range over a fixed complement of the
+unit.  That basis ("bar basis") realizes Ω^r_u ≅ A ⊗ Ā^{⊗r} with
+Ā = A/ℂ1 and π: A → Ā, and the structure maps are closed forms on it:
+d(e_i·de_β) = de_i·de_β with de_i expanded through π; right multiplication
+by e_k moves e_k left through the tail by (x·de_j)·e_k = x·d(e_j e_k) −
+(x·e_j)·de_k; and u·(e_k·de_γ) is u·e_k followed by the tail γ.
+
+Tensor-power coordinates (Ω^r_u inside A^{⊗(r+1)}) appear only at intake:
+model files give ideal generators in them, and from_emb converts one to
+bar coordinates by id ⊗ π^{⊗r}, checked by the round trip back to its
+input.
 
 Every calculus is canonically "universal modulo a graded differential
 ideal", truncated at a degree D; the partial order ⪯ then reduces to exact
@@ -23,23 +27,16 @@ from fractions import Fraction
 
 from . import anchors
 from .algebra import Algebra, Bimodule
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, factor_through,
-                     identity_mat, mat_mul, mat_vec, quotient, QuotientSpace,
-                     zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
+                     factor_through, identity_mat, mat_mul, mat_vec, quotient,
+                     QuotientSpace, zeros)
 from .report import Verdict, failed, passed
 
 
-def _exact(c: Fraction) -> Fraction | int:
-    """c as an int when it is integral: the ±1 entries of π and of the bar
-    columns then multiply in plain int arithmetic."""
+def _exact(c: Fraction | int) -> Fraction | int:
+    """c as an int when it is integral: the ±1 entries of π, of the tail
+    tables and of the bar columns then multiply in plain int arithmetic."""
     return c.numerator if c.denominator == 1 else c
-
-
-def _flat(idx: tuple[int, ...], n: int) -> int:
-    out = 0
-    for i in idx:
-        out = out * n + i
-    return out
 
 
 class UniversalCalculus:
@@ -50,24 +47,20 @@ class UniversalCalculus:
             raise DimensionError("truncation degree must be >= 1")
         self.algebra = algebra
         self.D = truncation
-        n = algebra.dim
         self.complement, self._pi = self._unit_complement()
-        # d(e_j) in A⊗A coordinates
-        self.de: dict[int, Vec] = {}
-        unit = algebra.unit_vec()
-        for j in range(n):
-            v = zeros(n * n)
-            for t, c in enumerate(unit):
-                if c:
-                    v[t * n + j] += c          # 1 ⊗ e_j
-                    v[j * n + t] -= c          # e_j ⊗ 1
-            self.de[j] = v
-        self._tails: list[list[tuple[int, ...]]] = []
-        # per degree, per bar basis vector: its nonzero (row, coeff) entries
-        # in tensor-power coordinates
-        self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
+        self._unit = [(t, _exact(c)) for t, c in enumerate(algebra.unit) if c]
+        # per basis pair (i, j): the nonzero (k, coeff) of e_i·e_j
+        self._mult = [[[(k, _exact(c)) for k, c in enumerate(cell) if c]
+                       for cell in row] for row in algebra.structure]
+        self._tails = [list(itertools.product(self.complement, repeat=r))
+                       for r in range(self.D + 1)]
+        self._tail_times: dict[tuple[int, int],
+                               list[list[tuple[int, int, Fraction | int]]]] = {}
         self._rmul_cache: dict[tuple[int, tuple[Fraction, ...]], Mat] = {}
-        self._build_degrees()
+        # per degree, per bar basis vector: its nonzero (row, coeff) entries
+        # in tensor-power coordinates, for the intake of model data
+        self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
+        self._build_bar_cols()
 
     # -- construction -----------------------------------------------------
     def _unit_complement(self) \
@@ -88,42 +81,9 @@ class UniversalCalculus:
             pi.append([(p, _exact(c)) for p, c in enumerate(coords[1:]) if c])
         return comp, pi
 
-    def _build_degrees(self) -> None:
-        n = self.algebra.dim
-        tail_embs: list[dict[tuple[int, ...], Vec]] = []
-        for r in range(self.D + 1):
-            tails = list(itertools.product(self.complement, repeat=r))
-            emb: dict[tuple[int, ...], Vec] = {}
-            for beta in tails:
-                if r == 1:
-                    emb[beta] = self.de[beta[0]]
-                elif r > 1:
-                    emb[beta] = self.product_emb(tail_embs[r - 1][beta[:-1]],
-                                                 r - 1, self.de[beta[-1]], 1)
-            self._tails.append(tails)
-            tail_embs.append(emb)
-            cols = []
-            for i0 in range(n):
-                e = self.algebra.basis_vec(i0)
-                for beta in tails:
-                    col = e if r == 0 else self.product_emb(e, 0, emb[beta], r)
-                    cols.append([(row, _exact(c))
-                                 for row, c in enumerate(col) if c])
-            self._bar_cols.append(cols)
-            # id ⊗ π^{⊗r} inverts the bar basis exactly when it is a basis
-            for k, col in enumerate(cols):
-                unit_k = zeros(len(cols))
-                unit_k[k] = Fraction(1)
-                if self._contract(r, col) != unit_k:
-                    raise DimensionError(f"bar basis degenerate in degree {r}; "
-                                         "algebra data invalid")
-
     # -- dimensions and bases --------------------------------------------
     def bar_dim(self, r: int) -> int:
         return self.algebra.dim * len(self._tails[r])
-
-    def emb_dim(self, r: int) -> int:
-        return self.algebra.dim ** (r + 1)
 
     def bar_index(self, r: int) -> list[tuple[int, tuple[int, ...]]]:
         return [(i0, beta) for i0 in range(self.algebra.dim)
@@ -133,7 +93,146 @@ class UniversalCalculus:
         """The de_j1⋯de_jr tail index tuples of the degree-r bar basis."""
         return self._tails[r]
 
-    # -- coordinate conversions ------------------------------------------
+    # -- structure maps in bar coordinates -------------------------------
+    # A bar basis vector e_i0·de_β has index i0·m^r + (index of β), where
+    # m = len(complement) and the first tail slot is the most significant,
+    # so appending a tail γ of degree s to index x gives x·m^s + (index of γ).
+    def tail_times(self, r: int, k: int) \
+            -> list[list[tuple[int, int, Fraction | int]]]:
+        """de_β·e_k = Σ c·e_k0·de_γ, per degree-r tail β: the (k0, index of
+        γ, c) terms, by (x·de_j)·e_k = x·d(e_j e_k) − (x·e_j)·de_k with
+        x = de_β' and β = β'j."""
+        key = (r, k)
+        table = self._tail_times.get(key)
+        if table is not None:
+            return table
+        if r == 0:
+            table = [[(k, 0, 1)]]
+        else:
+            m = len(self.complement)
+            table = []
+            for bidx, beta in enumerate(self._tails[r]):
+                head, j = bidx // m, beta[-1]
+                acc: dict[tuple[int, int], Fraction | int] = {}
+                for l, cl in self._mult[j][k]:
+                    for p, cp in self._pi[l]:
+                        for t, ct in self._unit:
+                            at = (t, head * m + p)
+                            acc[at] = acc.get(at, 0) + cl * cp * ct
+                for k0, g, c in self.tail_times(r - 1, j)[head]:
+                    for p, cp in self._pi[k]:
+                        at = (k0, g * m + p)
+                        acc[at] = acc.get(at, 0) - c * cp
+                table.append([(k0, g, _exact(c))
+                              for (k0, g), c in sorted(acc.items()) if c])
+        self._tail_times[key] = table
+        return table
+
+    def _times_basis(self, r: int, u: Vec, k: int) -> Vec:
+        """u·e_k for u in degree-r bar coordinates."""
+        nt = len(self._tails[r])
+        table = self.tail_times(r, k)
+        out = zeros(self.bar_dim(r))
+        for flat, c in enumerate(u):
+            if c:
+                i0, bidx = divmod(flat, nt)
+                for k0, g, ct in table[bidx]:
+                    cc = c * ct
+                    for l, cl in self._mult[i0][k0]:
+                        out[l * nt + g] += cc * cl
+        return out
+
+    def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
+        """Ω^r × Ω^s → Ω^{r+s}: u·(e_k·de_γ) is u·e_k followed by γ."""
+        nt = len(self._tails[s])
+        out = zeros(self.bar_dim(r + s))
+        times: dict[int, Vec] = {}
+        for flat, c in enumerate(v):
+            if c:
+                k, g = divmod(flat, nt)
+                w = times.get(k)
+                if w is None:
+                    w = times[k] = self._times_basis(r, u, k)
+                for x, cw in enumerate(w):
+                    if cw:
+                        out[x * nt + g] += c * cw
+        return out
+
+    def d(self, r: int, v: Vec) -> Vec:
+        """d: Ω^r → Ω^{r+1}, d(e_i0·de_β) = de_i0·de_β with de_i0 expanded
+        through π as Σ π(e_i0)_p · 1·de_{c_p}."""
+        nt = len(self._tails[r])
+        nt1 = nt * len(self.complement)
+        out = zeros(self.bar_dim(r + 1))
+        for flat, c in enumerate(v):
+            if c:
+                i0, bidx = divmod(flat, nt)
+                for p, cp in self._pi[i0]:
+                    for t, ct in self._unit:
+                        out[t * nt1 + p * nt + bidx] += c * cp * ct
+        return out
+
+    def d_bar_matrix(self, r: int) -> Mat:
+        return _cols_to_mat([self.d(r, e)
+                             for e in identity_mat(self.bar_dim(r))],
+                            self.bar_dim(r + 1))
+
+    def left_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
+        return _cols_to_mat([self.product(0, f, r, e)
+                             for e in identity_mat(self.bar_dim(r))],
+                            self.bar_dim(r))
+
+    def right_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
+        key = (r, tuple(f))
+        if key not in self._rmul_cache:
+            self._rmul_cache[key] = _cols_to_mat(
+                [self.product(r, e, 0, f) for e in identity_mat(self.bar_dim(r))],
+                self.bar_dim(r))
+        return self._rmul_cache[key]
+
+    # -- intake of tensor-power coordinates -------------------------------
+    # Model files give ideal generators in A^{⊗(r+1)} (flat index, first
+    # slot most significant).  Nothing else uses these coordinates.
+    def emb_dim(self, r: int) -> int:
+        return self.algebra.dim ** (r + 1)
+
+    def _build_bar_cols(self) -> None:
+        """e_i0·de_β in tensor-power coordinates, by x·de_j =
+        (x·1)⊗e_j − (x·e_j)⊗1 on the last slot of x = e_i0·de_β'.  For a
+        two-sided unit x·1 = x; keeping the product lets the guard below
+        reject a unit that is one-sided."""
+        n, m = self.algebra.dim, len(self.complement)
+        prev = [[(i0, 1)] for i0 in range(n)]
+        for r in range(self.D + 1):
+            if r:
+                nt_prev = len(self._tails[r - 1])
+                cols = []
+                for i0 in range(n):
+                    for bidx, beta in enumerate(self._tails[r]):
+                        j = beta[-1]
+                        acc: dict[int, Fraction | int] = {}
+                        for flat, c in prev[i0 * nt_prev + bidx // m]:
+                            head, last = divmod(flat, n)
+                            for t, ct in self._unit:
+                                for l, cl in self._mult[last][t]:
+                                    row = (head * n + l) * n + j
+                                    acc[row] = acc.get(row, 0) + c * ct * cl
+                            for l, cl in self._mult[last][j]:
+                                for t, ct in self._unit:
+                                    row = (head * n + l) * n + t
+                                    acc[row] = acc.get(row, 0) - c * cl * ct
+                        cols.append([(row, _exact(c))
+                                     for row, c in sorted(acc.items()) if c])
+                prev = cols
+            self._bar_cols.append(prev)
+            # id ⊗ π^{⊗r} inverts the bar basis exactly when it is a basis
+            for k, col in enumerate(prev):
+                unit_k = zeros(len(prev))
+                unit_k[k] = Fraction(1)
+                if self._contract(r, col) != unit_k:
+                    raise DimensionError(f"bar basis degenerate in degree {r}; "
+                                         "algebra data invalid")
+
     def _contract(self, r: int, terms) -> Vec:
         """id ⊗ π^{⊗r} on (flat index, coeff) tensor-power terms, in bar
         coordinates."""
@@ -165,12 +264,6 @@ class UniversalCalculus:
                     out[row] = v if prev is None else prev + v
         return {row: c for row, c in out.items() if c}
 
-    def to_emb(self, r: int, bar: Vec) -> Vec:
-        out = zeros(self.emb_dim(r))
-        for row, c in self._emb_terms(r, bar).items():
-            out[row] = c
-        return out
-
     def from_emb(self, r: int, emb: Vec) -> Vec:
         """Bar coordinates of a tensor-power vector: id ⊗ π^{⊗r}, checked by
         the round trip back to ``emb``."""
@@ -184,117 +277,15 @@ class UniversalCalculus:
                 f"vector is not in the universal calculus in degree {r}")
         return bar
 
-    # -- structure maps in embedding coordinates -------------------------
-    def product_emb(self, u: Vec, r: int, v: Vec, s: int) -> Vec:
-        """Product Ω^r × Ω^s → Ω^{r+s} on tensor-power coordinates."""
-        n = self.algebra.dim
-        out = zeros(n ** (r + s + 1))
-        for iu, cu in enumerate(u):
-            if cu == 0:
-                continue
-            # decode digits of iu, length r+1
-            idx_u = []
-            x = iu
-            for _ in range(r + 1):
-                idx_u.append(x % n)
-                x //= n
-            idx_u.reverse()
-            for iv, cv in enumerate(v):
-                if cv == 0:
-                    continue
-                idx_v = []
-                x = iv
-                for _ in range(s + 1):
-                    idx_v.append(x % n)
-                    x //= n
-                idx_v.reverse()
-                c = cu * cv
-                prod = self.algebra.structure[idx_u[-1]][idx_v[0]]
-                head = _flat(tuple(idx_u[:-1]), n)
-                for mmid, cm in enumerate(prod):
-                    if cm:
-                        flat = head
-                        flat = flat * n + mmid
-                        for d in idx_v[1:]:
-                            flat = flat * n + d
-                        out[flat] += c * cm
-        return out
-
-    def d_emb(self, u: Vec, r: int) -> Vec:
-        """Alternating unit-insertion differential Ω^r → Ω^{r+1}."""
-        n = self.algebra.dim
-        unit = self.algebra.unit_vec()
-        out = zeros(n ** (r + 2))
-        for iu, cu in enumerate(u):
-            if cu == 0:
-                continue
-            idx = []
-            x = iu
-            for _ in range(r + 1):
-                idx.append(x % n)
-                x //= n
-            idx.reverse()
-            sign = Fraction(1)
-            for p in range(r + 2):
-                for t, ct in enumerate(unit):
-                    if ct:
-                        new = tuple(idx[:p]) + (t,) + tuple(idx[p:])
-                        out[_flat(new, n)] += sign * cu * ct
-                sign = -sign
-        return out
-
-    # -- structure maps in bar coordinates -------------------------------
-    def d_bar_matrix(self, r: int) -> Mat:
-        cols = []
-        for c in range(self.bar_dim(r)):
-            bar = zeros(self.bar_dim(r))
-            bar[c] = Fraction(1)
-            cols.append(self.from_emb(r + 1, self.d_emb(self.to_emb(r, bar), r)))
-        return [[cols[c][row] for c in range(len(cols))]
-                for row in range(self.bar_dim(r + 1))]
-
-    def left_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
-        n = self.algebra.dim
-        tails = self._tails[r]
-        cols = []
-        for i0 in range(n):
-            prod = self.algebra.mult(f, self.algebra.basis_vec(i0))
-            for bi, beta in enumerate(tails):
-                col = zeros(self.bar_dim(r))
-                for k, ck in enumerate(prod):
-                    if ck:
-                        col[k * len(tails) + bi] += ck
-                cols.append(col)
-        return [[cols[c][row] for c in range(len(cols))]
-                for row in range(self.bar_dim(r))]
-
-    def right_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
-        key = (r, tuple(f))
-        cached = self._rmul_cache.get(key)
-        if cached is not None:
-            return cached
-        cols = []
-        for c in range(self.bar_dim(r)):
-            bar = zeros(self.bar_dim(r))
-            bar[c] = Fraction(1)
-            emb = self.product_emb(self.to_emb(r, bar), r, f, 0)
-            cols.append(self.from_emb(r, emb))
-        out = [[cols[c][row] for c in range(len(cols))]
-               for row in range(self.bar_dim(r))]
-        self._rmul_cache[key] = out
-        return out
-
 
 class GradedCalculus:
     """A truncated calculus presented as universal modulo a graded ideal."""
 
-    def __init__(self, universal: UniversalCalculus, ideal: list[list[Vec]],
-                 generators: list[tuple[int, Vec]] | None = None):
+    def __init__(self, universal: UniversalCalculus, ideal: list[list[Vec]]):
         self.universal = universal
         self.algebra = universal.algebra
         self.D = universal.D
         self.ideal = ideal              # per degree, a basis in bar coordinates
-        self.generators = generators or []
         self.quotients: list[QuotientSpace] = []
         for r in range(self.D + 1):
             self.quotients.append(quotient(universal.bar_dim(r), ideal[r]))
@@ -312,12 +303,6 @@ class GradedCalculus:
     def is_universal(self) -> bool:
         return not any(self.ideal)
 
-    def lift_to_emb(self, r: int, q: Vec) -> Vec:
-        return self.universal.to_emb(r, self.quotients[r].lift(q))
-
-    def class_of_emb(self, r: int, emb: Vec) -> Vec:
-        return self.quotients[r].project(self.universal.from_emb(r, emb))
-
     def class_of_bar(self, r: int, bar: Vec) -> Vec:
         return self.quotients[r].project(bar)
 
@@ -325,14 +310,10 @@ class GradedCalculus:
     def d_matrix(self, r: int) -> Mat:
         """d: Ω^r → Ω^{r+1} in quotient coordinates."""
         if r not in self._d_mats:
-            cols = []
-            for c in range(self.dim(r)):
-                q = zeros(self.dim(r))
-                q[c] = Fraction(1)
-                emb = self.universal.d_emb(self.lift_to_emb(r, q), r)
-                cols.append(self.class_of_emb(r + 1, emb))
-            self._d_mats[r] = [[cols[c][row] for c in range(len(cols))]
-                               for row in range(self.dim(r + 1))]
+            cols = [self.class_of_bar(
+                        r + 1, self.universal.d(r, self.quotients[r].lift(q)))
+                    for q in identity_mat(self.dim(r))]
+            self._d_mats[r] = _cols_to_mat(cols, self.dim(r + 1))
         return self._d_mats[r]
 
     def d_apply(self, r: int, q: Vec) -> Vec:
@@ -340,9 +321,9 @@ class GradedCalculus:
 
     def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
         """Product of quotient classes, via representatives."""
-        emb = self.universal.product_emb(self.lift_to_emb(r, u), r,
-                                         self.lift_to_emb(s, v), s)
-        return self.class_of_emb(r + s, emb)
+        bar = self.universal.product(r, self.quotients[r].lift(u),
+                                     s, self.quotients[s].lift(v))
+        return self.class_of_bar(r + s, bar)
 
     def degree_bimodule(self, r: int) -> Bimodule:
         """Ω^r as an A-bimodule in quotient coordinates."""
@@ -362,7 +343,7 @@ class GradedCalculus:
 
     def d_of_algebra(self, f: Vec) -> Vec:
         """Class of d f in Ω¹ coordinates."""
-        return self.class_of_emb(1, self.universal.d_emb(f, 0))
+        return self.class_of_bar(1, self.universal.d(0, f))
 
 
 def universal_graded(algebra: Algebra, truncation: int = 3) -> GradedCalculus:
@@ -390,22 +371,20 @@ def saturate_ideal(uni: UniversalCalculus,
                                  "degree between 1 and the truncation")
         if spans[deg].add(bar):
             queue.append((deg, bar))
+    des = [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
     while queue:
         r, v = queue.popleft()
-        emb = uni.to_emb(r, v)
         images = []
         for i in range(uni.algebra.dim):
             f = uni.algebra.basis_vec(i)
-            images.append((r, uni.product_emb(f, 0, emb, r)))
-            images.append((r, uni.product_emb(emb, r, f, 0)))
+            images.append((r, uni.product(0, f, r, v)))
+            images.append((r, uni.product(r, v, 0, f)))
         if r < uni.D:
-            images.append((r + 1, uni.d_emb(emb, r)))
-            for j in uni.complement:
-                de = uni.de[j]
-                images.append((r + 1, uni.product_emb(de, 1, emb, r)))
-                images.append((r + 1, uni.product_emb(emb, r, de, 1)))
-        for s, img in images:
-            w = uni.from_emb(s, img)
+            images.append((r + 1, uni.d(r, v)))
+            for de in des:
+                images.append((r + 1, uni.product(1, de, r, v)))
+                images.append((r + 1, uni.product(r, v, 1, de)))
+        for s, w in images:
             if spans[s].add(w):
                 queue.append((s, w))
     return spans
@@ -414,15 +393,13 @@ def saturate_ideal(uni: UniversalCalculus,
 def quotient_calculus(base: GradedCalculus,
                       generators: list[tuple[int, Vec]]) -> GradedCalculus:
     """Quotient of the universal calculus by the differential ideal the
-    homogeneous generators span.  Generators are given in tensor-power
-    coordinates of their degree and must lie in the universal calculus.
+    homogeneous generators span.  Generators are given in bar coordinates
+    of their degree.
     """
     if not base.is_universal:
         raise DimensionError("quotient_calculus expects the universal calculus")
-    uni = base.universal
-    gens_bar = [(deg, uni.from_emb(deg, emb)) for deg, emb in generators]
-    spans = saturate_ideal(uni, gens_bar)
-    return GradedCalculus(uni, [s.basis for s in spans], gens_bar)
+    spans = saturate_ideal(base.universal, generators)
+    return GradedCalculus(base.universal, [s.basis for s in spans])
 
 
 @dataclass

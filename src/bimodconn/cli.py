@@ -18,6 +18,8 @@ input is invalid.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from functools import cached_property
 
@@ -219,6 +221,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", dest="json_out", default=None,
                         help="write the JSON report to this path")
     args = parser.parse_args(argv)
+    # fail before the analysis, with the error open() would raise
+    if args.json_out and \
+            not os.path.isdir(os.path.dirname(args.json_out) or "."):
+        return _cannot_write(args.json_out, FileNotFoundError(
+            errno.ENOENT, os.strerror(errno.ENOENT), args.json_out))
     try:
         model = parse_model(args.model, truncation=args.truncation)
         report = run(args.command, model, connection=args.connection)
@@ -233,10 +240,14 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write(report.to_json())
                 fh.write("\n")
         except OSError as exc:
-            print(f"cannot write {args.json_out}: {exc}", file=sys.stderr)
-            return 2
+            return _cannot_write(args.json_out, exc)
     print(report.to_text())
     return 0 if report.summary == "pass" else 1
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

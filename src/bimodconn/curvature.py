@@ -16,9 +16,8 @@ from . import anchors
 from .algebra import right_module_generators
 from .calculus import GradedCalculus, preceq
 from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
-from .forms import _cols_to_mat
-from .linalg import (Mat, SpanBuilder, Vec, mat_mul, mat_vec, null_space,
-                     quotient, QuotientSpace, rank, vec_add, zeros)
+from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, mat_mul, mat_vec,
+                     null_space, quotient, QuotientSpace, rank, vec_add, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -614,22 +613,19 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
     a = uni.algebra
     second: list[tuple[int, Vec, "DegreeRHom"]] = []
     for a_i in range(a.dim):
-        second.append((0, uni.to_emb(0, a.basis_vec(a_i)),
-                       induced._raw[0][a_i]))
+        second.append((0, a.basis_vec(a_i), induced._raw[0][a_i]))
     for j in uni.complement:
-        dop = induced.kappa_raw(
-            1, uni.from_emb(1, uni.d_emb(a.basis_vec(j), 0)))
-        second.append((1, uni.de[j], dop))
+        dj = uni.d(0, a.basis_vec(j))
+        second.append((1, dj, induced.kappa_raw(1, dj)))
     ok = True
     for r in range(uni.D + 1):
         for ki in range(uni.bar_dim(r)):
             u = zeros(uni.bar_dim(r))
             u[ki] = Fraction(1)
-            ue = uni.to_emb(r, u)
-            for kj, (s, ve, vop) in enumerate(second):
+            for kj, (s, v, vop) in enumerate(second):
                 if r + s > uni.D:
                     continue
-                prod = uni.from_emb(r + s, uni.product_emb(ue, r, ve, s))
+                prod = uni.product(r, u, s, v)
                 lhs = induced._project_op(r + s,
                                           induced.kappa_raw(r + s, prod))
                 rhs = induced._project_op(r + s,

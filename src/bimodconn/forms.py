@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .algebra import Bimodule
 from .calculus import GradedCalculus
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, mat_vec, quotient,
-                     QuotientSpace, zero_mat, zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
+                     mat_vec, quotient, QuotientSpace, zero_mat, zeros)
 
 
 class Forms:
@@ -33,7 +33,6 @@ class Forms:
             {beta: k for k, beta in enumerate(ts)} for ts in self._tails]
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
-        self._trm_cache: dict[tuple[int, int], list[list[tuple[int, int, Fraction]]]] = {}
         self._left_mats: dict[tuple[int, int], Mat] = {}
         self._right_mats: dict[tuple[int, int], Mat] = {}
 
@@ -87,34 +86,6 @@ class Forms:
         return self.project(r, self._pair_from_bar(r, m_vec, u_bar))
 
     # -- tail right multiplication ----------------------------------------
-    def _trm(self, r: int, i0: int) -> list[list[tuple[int, int, Fraction]]]:
-        """Expansion of u_beta·e_i0 = Σ coeff · e_k0·u_gamma per tail beta.
-
-        Entry [beta_idx] is a list of (k0, gamma_idx, coeff).
-        """
-        key = (r, i0)
-        if key not in self._trm_cache:
-            rb = self.uni.right_mult_bar_matrix(r, self.algebra.basis_vec(i0))
-            nt = self.n_tails(r)
-            unit = self.algebra.unit_vec()
-            table: list[list[tuple[int, int, Fraction]]] = []
-            for bidx in range(nt):
-                acc = zeros(self.uni.bar_dim(r))
-                for t, ct in enumerate(unit):
-                    if ct:
-                        col = t * nt + bidx
-                        for row in range(len(acc)):
-                            if rb[row][col]:
-                                acc[row] += ct * rb[row][col]
-                entries = []
-                for flat, c in enumerate(acc):
-                    if c:
-                        k0, gidx = divmod(flat, nt)
-                        entries.append((k0, gidx, c))
-                table.append(entries)
-            self._trm_cache[key] = table
-        return self._trm_cache[key]
-
     def mult_tu_by_bar(self, r: int, tu: Vec, s: int, omega_bar: Vec) -> Vec:
         """(element of T^u_r) · (degree-s universal element) → T^u_{r+s}."""
         nt_r, nt_s = self.n_tails(r), self.n_tails(s)
@@ -131,7 +102,7 @@ class Forms:
                     continue
                 i0, sidx = divmod(oflat, nt_s)
                 beta_s = tails_s[sidx]
-                for (k0, gidx, d) in self._trm(r, i0)[bidx]:
+                for (k0, gidx, d) in self.uni.tail_times(r, i0)[bidx]:
                     gamma = tails_r[gidx] + beta_s
                     me = self.module.act_right(self.module.basis_vec(m_i),
                                                self.algebra.basis_vec(k0))
@@ -230,7 +201,3 @@ class Forms:
         left = [self.left_action_matrix(r, i) for i in range(self.algebra.dim)]
         right = [self.right_action_matrix(r, i) for i in range(self.algebra.dim)]
         return Bimodule.from_actions(self.algebra, left, right)
-
-
-def _cols_to_mat(cols: list[Vec], n_rows: int) -> Mat:
-    return [[cols[c][row] for c in range(len(cols))] for row in range(n_rows)]

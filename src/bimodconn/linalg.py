@@ -54,6 +54,11 @@ def zero_mat(r: int, c: int) -> Mat:
     return [zeros(c) for _ in range(r)]
 
 
+def _cols_to_mat(cols: list[Vec], n_rows: int) -> Mat:
+    """The matrix with the given columns (n_rows rows even with none)."""
+    return [[col[row] for col in cols] for row in range(n_rows)]
+
+
 def identity_mat(n: int) -> Mat:
     m = zero_mat(n, n)
     for i in range(n):

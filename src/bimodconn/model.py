@@ -38,8 +38,9 @@ from .report import Verdict
 
 SCHEMA_VERSION = 1
 ROUTES = ("induced", "nu-hat", "both")
-# Largest tensor-power dimension dim^(truncation+1) a model may ask for: the
-# universal calculus stores dense vectors of that length in its top degree.
+# Largest tensor-power dimension dim^(truncation+1) a model may ask for:
+# ideal generators, and the intake check of the bar basis, use vectors of
+# that length in the top degree.
 # It admits every shipped model (m2 at D=3 is 256) and the two-point algebra
 # up to D=11.  The bound counts at least 2 per tensor slot, so it also caps
 # the number of degrees of a one-dimensional algebra.
@@ -179,12 +180,11 @@ def _parse_calculus(doc, path: str, algebra: Algebra,
         element = _rat_vec(_get(g, "element", gpath), f"{gpath}.element",
                            algebra.dim ** (degree + 1))
         try:
-            base.universal.from_emb(degree, element)
+            gens.append((degree, base.universal.from_emb(degree, element)))
         except DimensionError:
             raise ModelError(f"{gpath}.element",
                              "element does not lie in the universal calculus "
                              f"in degree {degree}") from None
-        gens.append((degree, element))
     return truncation, quotient_calculus(base, gens)
 
 

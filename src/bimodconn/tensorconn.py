@@ -22,10 +22,10 @@ from .algebra import (BalancedTensor, Bimodule, balancing_relations,
 from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
-from .forms import Forms, _cols_to_mat
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, factor_through,
-                     is_zero_vec, mat_mul, mat_vec, null_space, rank, vec_add,
-                     zeros)
+from .forms import Forms
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
+                     factor_through, is_zero_vec, mat_mul, mat_vec, null_space,
+                     rank, vec_add, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -360,7 +360,7 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
             fv = a.basis_vec(fi)
             lhs = tc.apply(mat_vec(tn.induced_right_matrix(fv), q))
             rhs = mat_vec(w.induced_right_matrix(fv), dq)
-            df_bar = uni.from_emb(1, uni.d_emb(fv, 0))
+            df_bar = uni.d(0, fv)
             extra = zeros(w.plain_dim)
             for flat, cc in enumerate(plain):
                 if cc == 0:

@@ -272,6 +272,22 @@ def test_main_exit_two_on_unwritable_json(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_checks_json_dir_before_parsing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing-dir" / "report.json"
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parse_model called before the --json check")
+
+    monkeypatch.setattr(cli, "parse_model", no_parse)
+    code = cli.main(["all", "--model", str(MODELS / "m2_grass.model"),
+                     "--json", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    with pytest.raises(OSError) as opened:
+        open(out, "w", encoding="utf-8")
+    assert err == f"cannot write {out}: {opened.value}\n"
+
+
 def test_main_exit_one_on_failing_identity(capsys):
     # the gauge-potential model has a genuinely non-left-linear curvature
     code = cli.main(["curvature", "--model", str(MODELS / "m2_grass.model")])

@@ -54,11 +54,10 @@ def test_nabla_hat_of_e1_is_left_mult_by_de1():
     c = nabla("a2_flat")
     uni = c.calculus.universal
     nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
-    de1 = uni.d_emb(a2().basis_vec(0), 0)
+    de1 = uni.d(0, a2().basis_vec(0))
     for i in range(2):
-        prod = uni.product_emb(de1, 1, a2().basis_vec(i), 0)
-        expected = c.forms.class_of_pair_bar(1, a2().unit_vec(),
-                                             uni.from_emb(1, prod))
+        prod = uni.product(1, de1, 0, a2().basis_vec(i))
+        expected = c.forms.class_of_pair_bar(1, a2().unit_vec(), prod)
         assert nh.apply(a2().basis_vec(i)) == expected
 
 
@@ -98,9 +97,9 @@ def test_kappa1_injective_on_flat():
 def test_kappa1_of_d_unit_is_zero():
     c = nabla("a2_flat")
     k1 = kappa1(c)
-    d_unit = c.calculus.universal.d_emb(a2().unit_vec(), 0)
+    d_unit = c.calculus.universal.d(0, a2().unit_vec())
     assert is_zero_vec(d_unit)
-    assert k1.op(c.calculus.universal.from_emb(1, d_unit)).is_zero()
+    assert k1.op(d_unit).is_zero()
 
 
 def test_sigma_exists_universal():

@@ -86,7 +86,7 @@ def skew_connection(perturbed: bool = False) -> Connection:
     uni = cal.universal
     cols = []
     for i, j in ((0, 1), (1, 0)):                   # x⊗de2, y⊗de1
-        bar = uni.from_emb(1, uni.d_emb(a2().basis_vec(j), 0))
+        bar = uni.d(0, a2().basis_vec(j))
         cols.append(forms.class_of_pair_bar(1, n.basis_vec(i), bar))
     if perturbed:
         emb = zeros(4)
@@ -174,7 +174,7 @@ def test_associated_connection_of_d_is_d_nabla():
     uni = am.calculus.universal
     unit = a2().unit_vec()
     for i in range(a2().dim):
-        bar = uni.from_emb(1, uni.d_emb(a2().basis_vec(i), 0))
+        bar = uni.d(0, a2().basis_vec(i))
         expected = am.forms.class_of_pair_bar(1, unit, bar)
         assert am.nabla_apply(rc.module.basis_vec(i)) == expected
     assert is_zero_vec(am.nabla_apply(unit))
