@@ -26,8 +26,8 @@ class Algebra:
     """
 
     dim: int
-    structure: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    unit: tuple[Fraction, ...]
+    structure: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
+    unit: tuple[int | Fraction, ...]
 
     @staticmethod
     def from_table(structure, unit) -> "Algebra":
@@ -39,7 +39,7 @@ class Algebra:
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
-        v[i] = Fraction(1)
+        v[i] = 1
         return v
 
     def unit_vec(self) -> Vec:
@@ -105,7 +105,7 @@ class RightModule:
 
     dim: int
     algebra: Algebra
-    right_action: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    right_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
 
     @staticmethod
     def from_action(algebra: Algebra, right: list[Mat]) -> "RightModule":
@@ -124,7 +124,7 @@ class RightModule:
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
-        v[i] = Fraction(1)
+        v[i] = 1
         return v
 
 
@@ -134,8 +134,8 @@ class Bimodule:
 
     dim: int
     algebra: Algebra
-    left_action: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    right_action: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    left_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
+    right_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
 
     @staticmethod
     def from_actions(algebra: Algebra, left: list[Mat], right: list[Mat]) -> "Bimodule":
@@ -163,7 +163,7 @@ class Bimodule:
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
-        v[i] = Fraction(1)
+        v[i] = 1
         return v
 
     def as_right_module(self) -> RightModule:

@@ -28,15 +28,9 @@ from fractions import Fraction
 from . import anchors
 from .algebra import Algebra, Bimodule
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     factor_through, identity_mat, mat_mul, mat_vec, quotient,
-                     QuotientSpace, zeros)
+                     _exact, factor_through, identity_mat, mat_mul, mat_vec,
+                     quotient, QuotientSpace, zeros)
 from .report import Verdict, failed, passed
-
-
-def _exact(c: Fraction | int) -> Fraction | int:
-    """c as an int when it is integral: the ±1 entries of π, of the tail
-    tables and of the bar columns then multiply in plain int arithmetic."""
-    return c.numerator if c.denominator == 1 else c
 
 
 class UniversalCalculus:
@@ -56,7 +50,7 @@ class UniversalCalculus:
                        for r in range(self.D + 1)]
         self._tail_times: dict[tuple[int, int],
                                list[list[tuple[int, int, Fraction | int]]]] = {}
-        self._rmul_cache: dict[tuple[int, tuple[Fraction, ...]], Mat] = {}
+        self._rmul_cache: dict[tuple[int, tuple[int | Fraction, ...]], Mat] = {}
         # per degree, per bar basis vector: its nonzero (row, coeff) entries
         # in tensor-power coordinates, for the intake of model data
         self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
@@ -228,7 +222,7 @@ class UniversalCalculus:
             # id ⊗ π^{⊗r} inverts the bar basis exactly when it is a basis
             for k, col in enumerate(prev):
                 unit_k = zeros(len(prev))
-                unit_k[k] = Fraction(1)
+                unit_k[k] = 1
                 if self._contract(r, col) != unit_k:
                     raise DimensionError(f"bar basis degenerate in degree {r}; "
                                          "algebra data invalid")
@@ -252,9 +246,9 @@ class UniversalCalculus:
                 bar[t] += c if s == 1 else c * s
         return bar
 
-    def _emb_terms(self, r: int, bar: Vec) -> dict[int, Fraction]:
+    def _emb_terms(self, r: int, bar: Vec) -> dict[int, int | Fraction]:
         """Nonzero tensor-power coordinates of a bar-coordinate vector."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         cols = self._bar_cols[r]
         for k, coeff in enumerate(bar):
             if coeff:
@@ -424,10 +418,10 @@ class CalculusMorphism:
             for s in range(top + 1 - r):
                 for ci in range(self.source.dim(r)):
                     u = zeros(self.source.dim(r))
-                    u[ci] = Fraction(1)
+                    u[ci] = 1
                     for cj in range(self.source.dim(s)):
                         v = zeros(self.source.dim(s))
-                        v[cj] = Fraction(1)
+                        v[cj] = 1
                         lhs_v = self.apply(r + s, self.source.product(r, u, s, v))
                         rhs_v = self.target.product(r, self.apply(r, u),
                                                     s, self.apply(s, v))

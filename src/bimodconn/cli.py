@@ -30,7 +30,7 @@ from .connection import (Connection, induced_first_order, kappa1,
 from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                         extend_connection, j_ideal, sigma_full)
 from .model import ModelError, ModelFile, parse_model
-from .report import Report, Verdict
+from .report import Report, Verdict, rationals
 from .tensorconn import (associated_connection, check_compatibility,
                          degeneracy_brute, degeneracy_submodules, nu_hat,
                          tensor_connection_induced,
@@ -121,7 +121,7 @@ def _cmd_sigma(report: Report, name: str, p: _Pipeline) -> None:
     if p.sigma.exists and p.sigma.sigma is not None:
         report.append(Verdict("sigma-matrix", anchors.PLUMBING, "pass", None,
                               {"level": p.sigma.sigma.level,
-                               "matrix": p.sigma.sigma.matrix}))
+                               "matrix": rationals(p.sigma.sigma.matrix)}))
     report.extend(p.sigma_full.verdicts)
 
 

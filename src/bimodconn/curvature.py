@@ -10,15 +10,13 @@ whose degree-wise kernels cut out the induced calculus Ω_∇.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
 from . import anchors
 from .algebra import right_module_generators
 from .calculus import GradedCalculus, preceq
 from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
 from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, mat_mul, mat_vec,
                      null_space, quotient, QuotientSpace, rank, vec_add, zeros)
-from .report import Verdict, failed, passed
+from .report import Verdict, failed, passed, rationals
 
 
 def extend_connection(c: Connection) -> list[Verdict]:
@@ -40,14 +38,14 @@ def extend_connection(c: Connection) -> list[Verdict]:
     cal = c.calculus
     for r in range(f.D):
         for s in range(1, f.D - r):
-            sign = Fraction(1) if r % 2 == 0 else Fraction(-1)
+            sign = 1 if r % 2 == 0 else -1
             for qi in range(f.dim(r)):
                 q = zeros(f.dim(r))
-                q[qi] = Fraction(1)
+                q[qi] = 1
                 nq = mat_vec(c.nabla_ext_matrix(r), q)
                 for wi in range(cal.dim(s)):
                     w = zeros(cal.dim(s))
-                    w[wi] = Fraction(1)
+                    w[wi] = 1
                     lhs = mat_vec(c.nabla_ext_matrix(r + s),
                                   f.mult_class(r, q, s, w))
                     rhs = vec_add(
@@ -110,7 +108,7 @@ def curvature(c: Connection) -> CurvatureResult:
                                             mat_vec(rhs, mv))]
                 if any(dl):
                     witness = {"algebra_basis": fi, "module_basis": mi,
-                               "difference": dl}
+                               "difference": rationals(dl)}
                     break
             break
     if witness is None:
@@ -177,7 +175,7 @@ class OmegaHat:
         D = c.forms.D
         dops = [[nabla_hat(c, op) for op in self.ops(r)] for r in range(D)]
         for r in range(D):
-            sign = Fraction(1) if r % 2 == 0 else Fraction(-1)
+            sign = 1 if r % 2 == 0 else -1
             for ki, phi in enumerate(self.ops(r)):
                 for s in range(D - r):
                     for kj, psi in enumerate(self.ops(s)):
@@ -239,7 +237,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                 for s in range(1, D - p - 2 + 1):
                     for wi in range(cal.dim(s)):
                         w = zeros(cal.dim(s))
-                        w[wi] = Fraction(1)
+                        w[wi] = 1
                         builders[p + 2 + s].add(f.mult_class(p + 2, base, s, w))
     j = JIdeal([b.basis for b in builders])
     if j.spans[0] or j.spans[1]:
@@ -332,7 +330,7 @@ class OmegaM:
             cols = []
             for k in range(self.dim(r)):
                 q = zeros(self.dim(r))
-                q[k] = Fraction(1)
+                q[k] = 1
                 cols.append(self.project(r + 1,
                                          mat_vec(nx, self.quotients[r].lift(q))))
             self._nabla[r] = _cols_to_mat(cols, self.dim(r + 1))
@@ -384,7 +382,7 @@ class OmegaM:
             pm = self.quotients[r]
             for k in range(f.dim(r)):
                 t = zeros(f.dim(r))
-                t[k] = Fraction(1)
+                t[k] = 1
                 if mat_vec(self.nabla_matrix(r), pm.project(t)) != \
                         self.project(r + 1, mat_vec(nx, t)):
                     self.verdicts.append(failed("omega-m-projection-coherent",
@@ -396,10 +394,10 @@ class OmegaM:
         # right Leibniz of the factored ∇: ∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df
         cal = c.calculus
         for r in range(f.D):
-            sign = Fraction(1) if r % 2 == 0 else Fraction(-1)
+            sign = 1 if r % 2 == 0 else -1
             for k in range(self.dim(r)):
                 q = zeros(self.dim(r))
-                q[k] = Fraction(1)
+                q[k] = 1
                 v = self.quotients[r].lift(q)
                 nv = mat_vec(c.nabla_ext_matrix(r), v)
                 for fi in range(a.dim):
@@ -426,7 +424,7 @@ class OmegaM:
                 base = mat_vec(c.curvature_matrix(0), mv)
                 for wi in range(cal.dim(s)):
                     w = zeros(cal.dim(s))
-                    w[wi] = Fraction(1)
+                    w[wi] = 1
                     lhs = self.project(s + 2, mat_vec(
                         c.curvature_matrix(s),
                         f.mult_class(0, mv, s, w)))
@@ -495,7 +493,7 @@ class InducedCalculus:
                 m = self._raw[r][k].scale(cc)
                 acc = m if acc is None else acc.add(m)
         if acc is None:
-            z = [[Fraction(0)] * c.module.dim
+            z = [[0] * c.module.dim
                  for _ in range(c.forms.dim(r))]
             return DegreeRHom(c.forms, r, z)
         return acc
@@ -516,7 +514,7 @@ class InducedCalculus:
                     for kj in range(a.dim)]
             for ki in range(uni.bar_dim(r)):
                 u = zeros(uni.bar_dim(r))
-                u[ki] = Fraction(1)
+                u[ki] = 1
                 for kj in range(a.dim):
                     moved = mat_vec(rmul[kj], u)
                     lhs = mat_vec(self.kappa[r], moved)
@@ -536,7 +534,7 @@ class InducedCalculus:
             dm = uni.d_bar_matrix(r)
             for k in range(uni.bar_dim(r)):
                 bar = zeros(uni.bar_dim(r))
-                bar[k] = Fraction(1)
+                bar[k] = 1
                 lhs = mat_vec(self.kappa[r + 1], mat_vec(dm, bar))
                 rhs = self._project_op(r + 1, nabla_hat(c, self._raw[r][k]))
                 if lhs != rhs:
@@ -582,7 +580,7 @@ class InducedCalculus:
         }
         witness = None
         if wit_fwd is not None and wit_bwd is not None:
-            witness = {"degree": wit_fwd[0], "bar": wit_fwd[1]}
+            witness = {"degree": wit_fwd[0], "bar": rationals(wit_fwd[1])}
         return Verdict("induced-calculus-compare", anchors.PARTIAL_ORDER,
                        "pass", witness, detail)
 
@@ -621,7 +619,7 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
     for r in range(uni.D + 1):
         for ki in range(uni.bar_dim(r)):
             u = zeros(uni.bar_dim(r))
-            u[ki] = Fraction(1)
+            u[ki] = 1
             for kj, (s, v, vop) in enumerate(second):
                 if r + s > uni.D:
                     continue
@@ -646,11 +644,11 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
     # σ_u derivation identity: ∇σ_u(ω⊗ξ) = σ_u(d_uω⊗ξ) + (−1)^r σ_u(ω⊗∇ξ)
     ok = True
     for r in range(uni.D):
-        sign = Fraction(1) if r % 2 == 0 else Fraction(-1)
+        sign = 1 if r % 2 == 0 else -1
         dm = uni.d_bar_matrix(r)
         for k in range(uni.bar_dim(r)):
             bar = zeros(uni.bar_dim(r))
-            bar[k] = Fraction(1)
+            bar[k] = 1
             op = induced._raw[r][k]
             lhs = mat_mul(c.nabla_ext_matrix(r), op.matrix)
             first = induced.kappa_raw(r + 1, mat_vec(dm, bar)).matrix
@@ -679,7 +677,7 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
         verdicts.append(Verdict("sigma-all-degrees", anchors.SIGMA_FULL_IFF,
                                 "absent",
                                 {"witness_degree": witnesses[0][0],
-                                 "witness_bar": witnesses[0][1]}))
+                                 "witness_bar": rationals(witnesses[0][1])}))
     else:
         verdicts.append(passed("sigma-all-degrees", anchors.SIGMA_FULL_IFF))
     # existence is equivalent to (Ω_∇, d_∇) ⪯ (Ω, d)

@@ -9,8 +9,6 @@ what keeps desk-scale computations fast and exact.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Bimodule
 from .calculus import GradedCalculus
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
@@ -137,7 +135,7 @@ class Forms:
             cols = []
             for c in range(self.dim(r)):
                 q = zeros(self.dim(r))
-                q[c] = Fraction(1)
+                q[c] = 1
                 tu = self.lift(r, q)
                 out = zeros(self.tu_dim(r))
                 for flat, cc in enumerate(tu):
@@ -159,7 +157,7 @@ class Forms:
             cols = []
             for c in range(self.dim(r)):
                 q = zeros(self.dim(r))
-                q[c] = Fraction(1)
+                q[c] = 1
                 tu = self.mult_tu_by_bar(r, self.lift(r, q), 0, f_bar)
                 cols.append(self.project(r, tu))
             self._right_mats[key] = _cols_to_mat(cols, self.dim(r))

@@ -1,12 +1,17 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-At every public boundary vectors are dense lists of
-:class:`fractions.Fraction` and matrices are lists of rows.  Inside
+An entry is an ``int`` when its value is integral and a
+:class:`fractions.Fraction` when it is not, so integral data (every shipped
+model) runs in plain int arithmetic.  Parsed values, quotients and the
+results of elimination are normalized so; a sum or product with a
+non-integral operand may still hold an integral value as a Fraction, which
+compares and hashes equal to the int.  At every public boundary
+vectors are dense lists of entries and matrices are lists of rows.  Inside
 elimination (``row_reduce``, ``SpanBuilder``) rows are sparse,
-``dict[column, Fraction]`` holding only the nonzero entries, because almost
+``dict[column, entry]`` holding only the nonzero entries, because almost
 every entry the package eliminates on is zero.  Everything is computed
-exactly; there is no floating point anywhere, so every equality test in the
-rest of the package is decidable.
+exactly: the one division, :func:`_div`, returns an int or a Fraction, never
+a float, so every equality test in the rest of the package is decidable.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
-Vec = list[Fraction]
-Mat = list[list[Fraction]]
+Vec = list[int | Fraction]
+Mat = list[list[int | Fraction]]
 
 
 class DimensionError(ValueError):
@@ -27,14 +32,34 @@ class SurjectivityError(ValueError):
     """Raised when an operation requires a surjective map and got none."""
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/4', or Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
+def _exact(c: int | Fraction) -> int | Fraction:
+    """The entry of value c: an int when c is integral, else the Fraction.
+
+    Parsed values, quotients and the results of elimination pass through
+    here, so integral values stay in int arithmetic.
+    """
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b exactly, as an entry: the only true division in the package,
+    because ``/`` on two ints gives a float."""
+    if type(a) is int and type(b) is int:
+        q, rem = divmod(a, b)
+        return Fraction(a, b) if rem else q
+    return _exact(a / b)
+
+
+def frac(x) -> int | Fraction:
+    """Coerce ints, strings like '3/4', or Fractions to an entry."""
+    if isinstance(x, bool):
+        raise TypeError(f"not an exact rational: {x!r}")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
+    if isinstance(x, Fraction):
+        return _exact(x)
+    if isinstance(x, str):
+        return _exact(Fraction(x))
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -47,7 +72,7 @@ def mat(rows) -> Mat:
 
 
 def zeros(n: int) -> Vec:
-    return [Fraction(0)] * n
+    return [0] * n
 
 
 def zero_mat(r: int, c: int) -> Mat:
@@ -62,7 +87,7 @@ def _cols_to_mat(cols: list[Vec], n_rows: int) -> Mat:
 def identity_mat(n: int) -> Mat:
     m = zero_mat(n, n)
     for i in range(n):
-        m[i][i] = Fraction(1)
+        m[i][i] = 1
     return m
 
 
@@ -74,16 +99,14 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return [a + b for a, b in zip(u, v, strict=True)]
 
 
-_ZERO = Fraction(0)
-
-SparseVec = dict[int, Fraction]
+SparseVec = dict[int, int | Fraction]
 
 
 def _sparse(v: Vec) -> SparseVec:
     return {j: x for j, x in enumerate(v) if x}
 
 
-def _eliminate(v: SparseVec, c: Fraction, row: SparseVec) -> None:
+def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
     """v -= c·row in place; entries that cancel are dropped."""
     nc = -c
     for j, b in row.items():
@@ -101,8 +124,8 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
         raise DimensionError("matrix-vector shape mismatch")
     nz = [(j, c) for j, c in enumerate(v) if c]
     if not nz:
-        return [_ZERO] * len(m)
-    return [sum([x * c for j, c in nz if (x := row[j])], _ZERO) for row in m]
+        return [0] * len(m)
+    return [sum([x * c for j, c in nz if (x := row[j])]) for row in m]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -133,13 +156,18 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
         m[r], m[pr] = m[pr], m[r]
         pv = m[r][c]
         if pv != 1:
-            m[r] = {j: x / pv for j, x in m[r].items()}
+            m[r] = {j: _div(x, pv) for j, x in m[r].items()}
         for i in range(n_rows):
             if i != r and c in m[i]:
                 _eliminate(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
-    rref = [[row.get(j, _ZERO) for j in range(n_cols)] for row in m]
+    rref = []
+    for row in m:
+        dense = [0] * n_cols
+        for j, x in row.items():
+            dense[j] = _exact(x)
+        rref.append(dense)
     return r, rref, pivots
 
 
@@ -154,7 +182,7 @@ def null_space(matrix: Mat, n_cols: int) -> list[Vec]:
         if fc in pivot_set:
             continue
         v = zeros(n_cols)
-        v[fc] = Fraction(1)
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -rref[r][fc]
         basis.append(v)
@@ -187,7 +215,7 @@ class QuotientSpace:
         """The (total x dim) matrix of ``lift``."""
         sect = zero_mat(len(self.sub) + self.dim, self.dim)
         for k, fc in enumerate(self.free):
-            sect[fc][k] = Fraction(1)
+            sect[fc][k] = 1
         return sect
 
     def project(self, v: Vec) -> Vec:
@@ -223,7 +251,7 @@ def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
     free = [c for c in range(total) if c not in pivot_set]
     proj = zero_mat(len(free), total)
     for k, fc in enumerate(free):
-        proj[k][fc] = Fraction(1)
+        proj[k][fc] = 1
     for row, pc in zip(rref, pivots):
         for k, fc in enumerate(free):
             proj[k][pc] = -row[fc]
@@ -249,7 +277,7 @@ def factor_through(f: Mat, g: Mat, n: int) -> tuple[Mat | None, Vec | None]:
     cols = []
     for i in range(len(f)):
         e = zeros(len(f))
-        e[i] = Fraction(1)
+        e[i] = 1
         x = solver.solve(e)
         assert x is not None  # f surjective
         cols.append(mat_vec(g, x))
@@ -262,8 +290,7 @@ class LinSolver:
     def __init__(self, a: Mat):
         self.n_rows = len(a)
         self.n_cols = len(a[0]) if a else 0
-        aug = [row[:] + [Fraction(1) if i == j else Fraction(0)
-                         for j in range(self.n_rows)]
+        aug = [row[:] + [1 if i == j else 0 for j in range(self.n_rows)]
                for i, row in enumerate(a)]
         rank, rref, pivots = row_reduce(aug) if aug else (0, [], [])
         # keep only pivots within the A block
@@ -279,15 +306,14 @@ class LinSolver:
         """One solution of A x = b, or None when inconsistent."""
         if len(b) != self.n_rows:
             raise DimensionError("rhs length mismatch")
-        zero = Fraction(0)
-        tb = [sum((c * b[j] for j, c in trow if b[j]), zero)
+        tb = [sum([c * b[j] for j, c in trow if b[j]])
               for trow in self._t_rows]
         for r in range(self.rank, len(self.rref)):
             if tb[r] != 0:
                 return None
         x = zeros(self.n_cols)
         for r, pc in enumerate(self.pivots):
-            x[pc] = tb[r]
+            x[pc] = _exact(tb[r])
         return x
 
 
@@ -303,24 +329,24 @@ class SpanBuilder:
         self.ambient_dim = ambient_dim
         self.rows: list[SparseVec] = []  # echelon rows, pivot-normalized
         self.row_pivots: list[int] = []
-        self.row_exprs: list[dict[int, Fraction]] = []  # in inserted basis
+        self.row_exprs: list[SparseVec] = []  # in inserted basis
         self.basis: list[Vec] = []       # independent inserted vectors
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: Vec) -> tuple[SparseVec, dict[int, Fraction]]:
+    def _reduce(self, v: Vec) -> tuple[SparseVec, SparseVec]:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient space")
         res = _sparse(v)
-        combo: dict[int, Fraction] = {}
+        combo: SparseVec = {}
         for row, pc, expr in zip(self.rows, self.row_pivots, self.row_exprs):
             c = res.get(pc)
             if c is not None:
                 _eliminate(res, c, row)
                 for k, ce in expr.items():
-                    combo[k] = combo.get(k, _ZERO) + c * ce
+                    combo[k] = combo.get(k, 0) + c * ce
         return res, combo
 
     def add(self, v: Vec) -> bool:
@@ -331,10 +357,10 @@ class SpanBuilder:
         idx = len(self.basis)
         self.basis.append(v[:])
         pv = res[pc]
-        row = {j: x / pv for j, x in res.items()}
+        row = {j: _div(x, pv) for j, x in res.items()}
         # expression of `row` in inserted vectors: (v - combo·basis)/pv
-        expr = {k: -c / pv for k, c in combo.items()}
-        expr[idx] = 1 / pv
+        expr = {k: _div(-c, pv) for k, c in combo.items()}
+        expr[idx] = _div(1, pv)
         # keep rows ordered by pivot for determinism of coords
         pos = bisect.bisect(self.row_pivots, pc)
         self.rows.insert(pos, row)
@@ -352,5 +378,5 @@ class SpanBuilder:
             return None
         out = zeros(len(self.basis))
         for k, c in combo.items():
-            out[k] = c
+            out[k] = _exact(c)
         return out

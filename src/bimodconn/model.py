@@ -1,8 +1,8 @@
 """Model files: JSON descriptions of an algebra, a calculus, modules and
 connections, parsed into fully validated engine objects.
 
-Layout (all rationals are strings like ``"2/3"`` or ``"-1"``; matrices are
-row-major lists of rows)::
+Layout (all rationals are strings like ``"2/3"``, ``"-1"`` or ``"0.25"``,
+without exponent; matrices are row-major lists of rows)::
 
     {
       "schema": 1,
@@ -33,7 +33,7 @@ from .algebra import Algebra, Bimodule, check_algebra, check_bimodule
 from .calculus import GradedCalculus, quotient_calculus, universal_graded
 from .connection import Connection, check_right_leibniz
 from .forms import Forms
-from .linalg import DimensionError
+from .linalg import DimensionError, Mat, Vec, _exact
 from .report import Verdict
 
 SCHEMA_VERSION = 1
@@ -59,23 +59,30 @@ class ModelError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-def parse_rational(value, path: str) -> Fraction:
+def parse_rational(value, path: str) -> int | Fraction:
+    """The entry a rational string gives: ``p``, ``p/q`` or a decimal.
+
+    Exponent notation is refused: ``Fraction`` expands ``"1e10000000"``
+    into a ten-million-digit integer, which takes seconds.
+    """
     if not isinstance(value, str):
         raise ModelError(path, f"expected a rational string, got {value!r}")
+    if "e" in value or "E" in value:
+        raise ModelError(path, f"exponent notation is not accepted: {value!r}")
     try:
         f = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelError(path, f"not a rational: {value!r} ({exc})") from None
-    return f
+    return _exact(f)
 
 
-def _rat_vec(value, path: str, length: int) -> list[Fraction]:
+def _rat_vec(value, path: str, length: int) -> Vec:
     if not isinstance(value, list) or len(value) != length:
         raise ModelError(path, f"expected a list of {length} rationals")
     return [parse_rational(x, f"{path}[{i}]") for i, x in enumerate(value)]
 
 
-def _rat_mat(value, path: str, n_rows: int, n_cols: int) -> list[list[Fraction]]:
+def _rat_mat(value, path: str, n_rows: int, n_cols: int) -> Mat:
     if not isinstance(value, list) or len(value) != n_rows:
         raise ModelError(path, f"expected a matrix with {n_rows} rows")
     return [_rat_vec(row, f"{path}[{r}]", n_cols)

@@ -25,6 +25,18 @@ def rat_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def rationals(entries):
+    """A vector or matrix of entries with each entry as a Fraction.
+
+    Entries are ints when integral, but ``jsonable`` writes a bare int as a
+    JSON number (as it must for counts and indices), so rational payloads
+    go through here where they enter a :class:`Verdict`.
+    """
+    if isinstance(entries, list):
+        return [rationals(x) for x in entries]
+    return Fraction(entries)
+
+
 def jsonable(obj):
     """Recursively convert Fractions to strings for JSON output."""
     if isinstance(obj, Fraction):

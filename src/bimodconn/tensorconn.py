@@ -14,8 +14,6 @@ is checked by :func:`check_right_leibniz` as for a bimodule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-
 from . import anchors
 from .algebra import (BalancedTensor, Bimodule, balancing_relations,
                       tensor_over_A)
@@ -26,7 +24,7 @@ from .forms import Forms
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
                      factor_through, is_zero_vec, mat_mul, mat_vec, null_space,
                      rank, vec_add, zeros)
-from .report import Verdict, failed, passed
+from .report import Verdict, failed, passed, rationals
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def degeneracy_submodules(n, m: Bimodule,
             if not span_n.contains(n.act_right(v, a.basis_vec(fi))):
                 pair.verdicts.append(failed(
                     "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
-                    {"side": "N0", "algebra_basis": fi, "vector": v}))
+                    {"side": "N0", "algebra_basis": fi, "vector": rationals(v)}))
                 return pair
     for v in m0:
         for fi in range(a.dim):
@@ -91,7 +89,7 @@ def degeneracy_submodules(n, m: Bimodule,
                 if not span_m.contains(moved):
                     pair.verdicts.append(failed(
                         "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
-                        {"side": side, "algebra_basis": fi, "vector": v}))
+                        {"side": side, "algebra_basis": fi, "vector": rationals(v)}))
                     return pair
     pair.verdicts.append(passed("degeneracy-submodules",
                                 anchors.ASSUME_DEGENERACY,
@@ -143,13 +141,13 @@ def check_compatibility(c: Connection, rc: Connection,
         for v in sub:
             for k in range(uni.bar_dim(1)):
                 bar = zeros(uni.bar_dim(1))
-                bar[k] = Fraction(1)
+                bar[k] = 1
                 span.add(forms.class_of_pair_bar(1, v, bar))
         for v in sub:
             if not span.contains(mat_vec(nab, v)):
                 return failed("tensor-compatibility",
                               anchors.ASSUME_DEGENERACY,
-                              {"side": side, "vector": v})
+                              {"side": side, "vector": rationals(v)})
     return passed("tensor-compatibility", anchors.ASSUME_DEGENERACY,
                   {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
@@ -198,7 +196,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         cols = []
         for c in range(src.dim(r)):
             q = zeros(src.dim(r))
-            q[c] = Fraction(1)
+            q[c] = 1
             cols.append(tgt.project(r, src.lift(r, q)))
         nu.maps.append(_cols_to_mat(cols, tgt.dim(r)))
     # well defined: the source relations are killed in the target
@@ -207,7 +205,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
             if not is_zero_vec(tgt.project(r, v)):
                 nu.verdicts.append(failed("nu-hat-well-defined",
                                           anchors.NU_HAT,
-                                          {"degree": r, "vector": v}))
+                                          {"degree": r, "vector": rationals(v)}))
                 return nu
     nu.verdicts.append(passed("nu-hat-well-defined", anchors.NU_HAT))
     # right linear over the calculi: commutes with ·f and with ·de_j
@@ -227,7 +225,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         for j in uni.complement:
             for c in range(src.dim(r)):
                 q = zeros(src.dim(r))
-                q[c] = Fraction(1)
+                q[c] = 1
                 lhs_v = tgt.project(r + 1,
                                     tgt.concat_tu(r, tgt.lift(r, nu.apply(r, q)),
                                                   (j,)))
@@ -325,14 +323,14 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
         if not is_zero_vec(img):
             tc.verdicts.append(failed("tensor-connection-well-defined",
                                       well_defined_anchor,
-                                      {"relation": rel}))
+                                      {"relation": rationals(rel)}))
             return tc
     tc.verdicts.append(passed("tensor-connection-well-defined",
                               well_defined_anchor))
     cols = []
     for col in range(tn.dim):
         q = zeros(tn.dim)
-        q[col] = Fraction(1)
+        q[col] = 1
         plain = tn.lift(q)
         out = zeros(w.dim)
         for k, cc in enumerate(plain):
@@ -353,7 +351,7 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
     t1 = c.forms.dim(1)
     for col in range(tn.dim):
         q = zeros(tn.dim)
-        q[col] = Fraction(1)
+        q[col] = 1
         dq = tc.apply(q)
         plain = tn.lift(q)
         for fi in range(a.dim):
@@ -493,7 +491,7 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
             res.verdicts.append(Verdict("associated-connection",
                                         anchors.ASSOCIATED, "absent",
                                         {"degree": r,
-                                         "kernel_element": wit}))
+                                         "kernel_element": rationals(wit)}))
             return res
         res.ext_matrices.append(h)
     res.connection = Connection(tgt, res.ext_matrices[0])

@@ -1,6 +1,8 @@
 """Acceptance gate: the ten headline properties of the analysis engine,
 checked end to end on the shipped model files."""
 
+import json
+from fractions import Fraction
 from pathlib import Path
 
 from _shared import MODELS, NAMES, induced, nabla, pipeline, universal
@@ -151,3 +153,41 @@ def test_11_reports_match_golden():
             with open(GOLDEN / golden / f"{name}.{ext}", encoding="utf-8",
                       newline="") as fh:
                 assert text == fh.read(), f"{golden}/{name}.{ext}"
+
+
+def _mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def test_12_module_basis_change_keeps_every_verdict(tmp_path):
+    # a2_twist in the module basis m'_k = Σ_j P_jk m_j: the actions become
+    # P⁻¹·L·P, and so does the connection matrix, whose rows are module
+    # indices because a2 has one degree-one tail.  P has non-integral
+    # entries, so the Fraction arithmetic runs end to end, which no shipped
+    # model reaches.
+    doc = json.loads((MODELS / "a2_twist.model").read_text())
+    p = [[Fraction(1), Fraction(2, 3)], [Fraction(1, 2), Fraction(2)]]
+    det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+    p_inv = [[p[1][1] / det, -p[0][1] / det], [-p[1][0] / det, p[0][0] / det]]
+    assert _mul(p, p_inv) == [[1, 0], [0, 1]]
+
+    def rebased(m):
+        m = [[Fraction(x) for x in row] for row in m]
+        assert len(m) == len(p)
+        return [[str(x) for x in row] for row in _mul(p_inv, _mul(m, p))]
+
+    module = doc["modules"]["M"]
+    for side in ("left", "right"):
+        module[side] = [rebased(m) for m in module[side]]
+    nabla = doc["connections"]["nabla"]
+    nabla["nabla"] = rebased(nabla["nabla"])
+    path = tmp_path / "a2_twist_rebased.model"
+    path.write_text(json.dumps(doc))
+    model = parse_model(str(path))
+    assert any(x.denominator != 1
+               for row in model.connections["nabla"].nabla for x in row)
+    got = cli.run("all", model)
+    want = cli.run("all", parse_model(str(MODELS / "a2_twist.model")))
+    assert [(v.check_id, v.status, v.dims) for v in got.records] == \
+        [(v.check_id, v.status, v.dims) for v in want.records]

@@ -1,16 +1,18 @@
 """Model-file parsing, pipeline dispatch, report shape, and exit codes."""
 
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from _shared import MODELS, universal
+from _shared import MODELS, NAMES, universal
 from bimodconn import cli
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver
-from bimodconn.model import MAX_EMB_DIM, ModelError, parse_model
+from bimodconn.model import (MAX_EMB_DIM, ModelError, parse_model,
+                             parse_rational)
 from bimodconn.report import Report, Verdict, failed, passed
 
 def flat_doc() -> dict:
@@ -51,6 +53,23 @@ def test_parse_rejects_zero_denominator(tmp_path):
     with pytest.raises(ModelError) as err:
         parse_model(write_doc(tmp_path, doc))
     assert "unit" in err.value.path
+
+
+def test_main_exit_two_fast_on_exponent_notation(tmp_path, capsys):
+    # Fraction("1e10000000") builds a ten-million-digit integer (seconds)
+    doc = flat_doc()
+    doc["algebra"]["unit"][0] = "1e10000000"
+    start = time.perf_counter()
+    assert cli.main(["check", "--model", write_doc(tmp_path, doc)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "model error at algebra.unit[0]: exponent notation" in \
+        capsys.readouterr().err
+    with pytest.raises(ModelError, match="exponent"):
+        parse_rational("2E3", "x")
+    # p, p/q and decimals stay accepted, as entries
+    assert [parse_rational(x, "x") for x in ("-3", "6/4", "0.50", "2.0")] \
+        == [-3, Fraction(3, 2), Fraction(1, 2), 2]
+    assert type(parse_rational("2.0", "x")) is int
 
 
 def test_parse_rejects_non_associative_algebra(tmp_path):
@@ -295,3 +314,59 @@ def test_main_exit_one_on_failing_identity(capsys):
     out = capsys.readouterr().out
     assert "curvature-left-linear" in out
     assert "FAIL" in out
+
+
+def _odd_numbers(root) -> list[tuple[object, bool]]:
+    """Numbers reachable from root through lists, tuples, dicts and package
+    objects that are not ints: floats anywhere, bools held as entries (a
+    flag under a string key or in an attribute is fine) and Fractions,
+    each with whether it sits in a Verdict."""
+    odd, seen = [], set()
+    stack = [(root, False, False)]
+    while stack:
+        obj, entry, in_verdict = stack.pop()
+        kind = type(obj)
+        if kind in (int, str) or obj is None or \
+                (kind is bool and not entry) or id(obj) in seen:
+            continue
+        if kind in (bool, float, Fraction):
+            odd.append((obj, in_verdict))
+            continue
+        seen.add(id(obj))
+        if kind in (list, tuple):
+            if not set(map(type, obj)) <= {int}:
+                stack.extend((x, True, in_verdict) for x in obj)
+        elif kind is dict:
+            for k, v in obj.items():
+                stack += [(k, True, in_verdict),
+                          (v, not isinstance(k, str), in_verdict)]
+        else:
+            assert kind.__module__.startswith("bimodconn."), kind
+            stack.extend((v, False, in_verdict or kind is Verdict)
+                         for v in vars(obj).values())
+    return odd
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_no_float_bool_or_integral_fraction_after_all(monkeypatch, name):
+    # every operand of a shipped model is integral, so every cached matrix
+    # and vector holds plain ints; only report payloads carry Fractions
+    pipelines = []
+    make = cli._Pipeline
+
+    def recording(conn):
+        pipelines.append(make(conn))
+        return pipelines[-1]
+
+    monkeypatch.setattr(cli, "_Pipeline", recording)
+    model = parse_model(str(MODELS / f"{name}.model"))
+    report = cli.run("all", model)
+    cal, conn = model.calculus, model.connections["nabla"]
+    (p,) = pipelines
+    assert cal._d_mats and cal.universal._tail_times and cal.quotients
+    assert conn.nabla and conn.forms.quotient_space(1).projection
+    assert p.induced_calculus.kappa and p.sigma_full.verdicts
+    assert (p.sigma.sigma is not None) == (name in ("a2_flat", "a2_quotient"))
+    odd = _odd_numbers([model, pipelines, report.records])
+    assert [x for x, in_verdict in odd if not in_verdict] == []
+    assert {type(x) for x, _ in odd} <= {Fraction}

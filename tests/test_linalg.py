@@ -1,6 +1,8 @@
 """Exact linear algebra: row reduction, kernels, quotients, factorization."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -9,11 +11,41 @@ from hypothesis import strategies as st
 
 from _shared import a2
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
-                              factor_through, identity_mat, mat, mat_mul,
+                              factor_through, frac, identity_mat, mat, mat_mul,
                               mat_vec, null_space, quotient, rank, row_reduce,
                               vec, vec_add, zero_mat, zeros)
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
+
 F = Fraction
+
+
+def test_frac_gives_int_when_integral_and_rejects_bool():
+    assert [type(x) for x in vec([3, "4/2", F(6, 3), "1/2", F(1, 3)])] == \
+        [int, int, int, F, F]
+    # a bool is an int to Python, but would render as JSON true
+    for bad in (True, False, 0.5, None):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            frac(bad)
+
+
+def test_only_true_division_is_the_linalg_helper():
+    # `/` on two ints gives a float, so all division goes through _div
+    outside, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_div"
+                  and path.name == "linalg.py" for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
+                    isinstance(node.op, ast.Div):
+                if id(node) in helper:
+                    inside += 1
+                else:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert inside == 1
 
 
 def test_row_reduce_identity():
@@ -136,9 +168,10 @@ def test_wrong_length_vectors_are_rejected():
 
 # Oracle tests against sympy, on rationals that are not integral: every
 # operand of the shipped models is, so the goldens never divide by a pivot
-# other than 1.
-ENTRIES = st.just(F(0)) | st.fractions(min_value=-3, max_value=3,
-                                       max_denominator=5)
+# other than 1.  Integral draws mix in, so that the int-typed copies of the
+# draws meet Fraction operands.
+ENTRIES = st.just(F(0)) | st.integers(-3, 3).map(F) | \
+    st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
 @st.composite
@@ -169,16 +202,34 @@ def _sym_rank(rows):
     return _sym(rows).rank() if rows else 0
 
 
+def _ints(v):
+    """Int-typed copy of a draw: integral entries as int, as the package
+    holds them; the oracle tests run on the draw and on this copy."""
+    if isinstance(v, list):
+        return [_ints(x) for x in v]
+    return v.numerator if v.denominator == 1 else v
+
+
+def _typed(v) -> bool:
+    """Every entry an int exactly when it is integral."""
+    if isinstance(v, list):
+        return all(_typed(x) for x in v)
+    return type(v) is (int if v.denominator == 1 else F)
+
+
 @settings(deadline=None)
 @given(matrices())
 def test_row_reduce_and_null_space_match_sympy(m):
     n_cols = len(m[0])
-    got_rank, rref, pivots = row_reduce(m)
     s_rref, s_pivots = _sym(m).rref()
-    assert pivots == list(s_pivots)
-    assert got_rank == len(s_pivots) == rank(m)
-    assert rref == [_frac(s_rref.row(i)) for i in range(len(m))]
-    assert null_space(m, n_cols) == [_frac(v) for v in _sym(m).nullspace()]
+    for rows in (m, _ints(m)):
+        got_rank, rref, pivots = row_reduce(rows)
+        assert pivots == list(s_pivots)
+        assert got_rank == len(s_pivots) == rank(rows)
+        assert rref == [_frac(s_rref.row(i)) for i in range(len(m))]
+        null = null_space(rows, n_cols)
+        assert null == [_frac(v) for v in _sym(m).nullspace()]
+        assert _typed(rref) and _typed(null)
 
 
 @settings(deadline=None)
@@ -189,35 +240,48 @@ def test_quotient_splits_and_kills_sub(m, data):
     for v in m:
         if _sym_rank(sub + [v]) > len(sub):
             sub.append(v)
-    q = quotient(n, sub)
-    assert q.dim == n - len(sub)
-    assert mat_mul(q.projection, q.section) == identity_mat(q.dim)
-    for s in sub:
-        assert q.project(s) == zeros(q.dim)
-    cls = data.draw(st.lists(ENTRIES, min_size=q.dim, max_size=q.dim))
-    assert q.project(q.lift(cls)) == cls
-    for v in m:
-        # v and lift(project(v)) differ by an element of span(sub)
-        diff = vec_add(v, [-x for x in q.lift(q.project(v))])
-        assert _sym_rank(sub + [diff]) == len(sub)
+    cls = data.draw(st.lists(ENTRIES, min_size=n - len(sub),
+                             max_size=n - len(sub)))
+    results = []
+    for rows, subs, c in ((m, sub, cls), (_ints(m), _ints(sub), _ints(cls))):
+        q = quotient(n, subs)
+        assert q.dim == n - len(sub)
+        assert _typed(q.projection) and _typed(q.section)
+        assert mat_mul(q.projection, q.section) == identity_mat(q.dim)
+        for s in subs:
+            assert q.project(s) == zeros(q.dim)
+        assert q.project(q.lift(c)) == c
+        for v in rows:
+            # v and lift(project(v)) differ by an element of span(sub)
+            diff = vec_add(v, [-x for x in q.lift(q.project(v))])
+            assert _sym_rank(sub + [diff]) == len(sub)
+        results.append((q.projection, q.free))
+    assert results[0] == results[1]
 
 
 @settings(deadline=None)
 @given(matrices(), st.data())
 def test_span_builder_matches_sympy(m, data):
     n = len(m[0])
-    span = SpanBuilder(n)
-    added = [span.add(v) for v in m]
-    assert span.dim == _sym_rank(m) == sum(added)
     probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
-    for v in m + [probe]:
-        inside = _sym_rank(m + [v]) == span.dim
-        assert span.contains(v) == inside
-        c = span.coords(v)
-        if not inside:
-            assert c is None
-            continue
-        rebuilt = zeros(n)
-        for ck, b in zip(c, span.basis, strict=True):
-            rebuilt = vec_add(rebuilt, [ck * x for x in b])
-        assert rebuilt == v
+    results = []
+    for rows in (m + [probe], _ints(m + [probe])):
+        span = SpanBuilder(n)
+        added = [span.add(v) for v in rows[:-1]]
+        assert span.dim == _sym_rank(m) == sum(added)
+        coords = []
+        for v in rows:
+            inside = _sym_rank(m + [v]) == span.dim
+            assert span.contains(v) == inside
+            c = span.coords(v)
+            coords.append(c)
+            if not inside:
+                assert c is None
+                continue
+            assert _typed(c)
+            rebuilt = zeros(n)
+            for ck, b in zip(c, span.basis, strict=True):
+                rebuilt = vec_add(rebuilt, [ck * x for x in b])
+            assert rebuilt == v
+        results.append(coords)
+    assert results[0] == results[1]
