@@ -84,7 +84,8 @@ def check_algebra(a: Algebra) -> Verdict:
     return passed("check-algebra", anchors.ALGEBRA, {"dim": a.dim})
 
 
-def _action_matrix(actions: list[Mat], f: Vec) -> Mat:
+def _action_matrix(actions, f: Vec) -> Mat:
+    """Σ fᵢ·(action matrix of e_i), read off the stored action tuples."""
     out = zero_mat(len(actions[0]), len(actions[0]))
     for i, c in enumerate(f):
         if c == 0:
@@ -99,6 +100,14 @@ def _action_matrix(actions: list[Mat], f: Vec) -> Mat:
     return out
 
 
+def _act(actions, f: Vec, v: Vec) -> Vec:
+    """(action of f)·v; a basis element f applies its stored matrix as is."""
+    nz = [i for i, c in enumerate(f) if c]
+    if len(nz) == 1 and f[nz[0]] == 1:
+        return mat_vec(actions[nz[0]], v)
+    return mat_vec(_action_matrix(actions, f), v)
+
+
 @dataclass(frozen=True)
 class RightModule:
     """Finite-dimensional right module via one action matrix per basis element."""
@@ -107,20 +116,14 @@ class RightModule:
     algebra: Algebra
     right_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
 
-    @staticmethod
-    def from_action(algebra: Algebra, right: list[Mat]) -> "RightModule":
-        return RightModule(len(right[0]), algebra,
-                           tuple(tuple(tuple(frac(x) for x in row) for row in m)
-                                 for m in right))
-
     def right_matrices(self) -> list[Mat]:
         return [[list(r) for r in m] for m in self.right_action]
 
     def act_right(self, m: Vec, f: Vec) -> Vec:
-        return mat_vec(_action_matrix(self.right_matrices(), f), m)
+        return _act(self.right_action, f, m)
 
     def right_matrix(self, f: Vec) -> Mat:
-        return _action_matrix(self.right_matrices(), f)
+        return _action_matrix(self.right_action, f)
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
@@ -150,16 +153,16 @@ class Bimodule:
         return [[list(r) for r in m] for m in self.right_action]
 
     def left_matrix(self, f: Vec) -> Mat:
-        return _action_matrix(self.left_matrices(), f)
+        return _action_matrix(self.left_action, f)
 
     def right_matrix(self, f: Vec) -> Mat:
-        return _action_matrix(self.right_matrices(), f)
+        return _action_matrix(self.right_action, f)
 
     def act_left(self, f: Vec, m: Vec) -> Vec:
-        return mat_vec(self.left_matrix(f), m)
+        return _act(self.left_action, f, m)
 
     def act_right(self, m: Vec, f: Vec) -> Vec:
-        return mat_vec(self.right_matrix(f), m)
+        return _act(self.right_action, f, m)
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)

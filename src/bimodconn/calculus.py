@@ -25,12 +25,10 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import anchors
 from .algebra import Algebra, Bimodule
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
                      _exact, factor_through, identity_mat, mat_mul, mat_vec,
                      quotient, QuotientSpace, zeros)
-from .report import Verdict, failed, passed
 
 
 class UniversalCalculus:
@@ -403,37 +401,6 @@ class CalculusMorphism:
     source: GradedCalculus
     target: GradedCalculus
     maps: list[Mat]             # degree 0..D
-
-    def verify(self) -> Verdict:
-        top = self.source.D
-        # intertwines the differentials
-        for r in range(top):
-            lhs = mat_mul(self.maps[r + 1], self.source.d_matrix(r))
-            rhs = mat_mul(self.target.d_matrix(r), self.maps[r])
-            if lhs != rhs:
-                return failed("calculus-morphism-d", anchors.RHO_EXISTS,
-                              {"degree": r})
-        # multiplicative on basis pairs within truncation
-        for r in range(top + 1):
-            for s in range(top + 1 - r):
-                for ci in range(self.source.dim(r)):
-                    u = zeros(self.source.dim(r))
-                    u[ci] = 1
-                    for cj in range(self.source.dim(s)):
-                        v = zeros(self.source.dim(s))
-                        v[cj] = 1
-                        lhs_v = self.apply(r + s, self.source.product(r, u, s, v))
-                        rhs_v = self.target.product(r, self.apply(r, u),
-                                                    s, self.apply(s, v))
-                        if lhs_v != rhs_v:
-                            return failed("calculus-morphism-product",
-                                          anchors.RHO_EXISTS,
-                                          {"degrees": [r, s],
-                                           "basis": [ci, cj]})
-        return passed("calculus-morphism", anchors.RHO_EXISTS)
-
-    def apply(self, r: int, v: Vec) -> Vec:
-        return mat_vec(self.maps[r], v)
 
 
 def preceq(c1: GradedCalculus, c2: GradedCalculus) \

@@ -12,6 +12,7 @@ right Ω-module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import anchors
@@ -38,6 +39,8 @@ class Connection:
             raise ValueError("nabla matrix must be dim(M⊗Ω¹) x dim(M)")
         self.nabla = [row[:] for row in nabla]
         self._ext_mats: dict[int, Mat] = {}
+        # ∇̂Φ matrices by DegreeRHom.key of Φ
+        self.nabla_hats: dict[tuple, Mat] = {}
 
     def nabla_apply(self, m_vec: Vec) -> Vec:
         return mat_vec(self.nabla, m_vec)
@@ -103,34 +106,38 @@ def check_right_leibniz(c: Connection) -> Verdict:
 
 @dataclass
 class DegreeRHom:
-    """Degree-r right-Ω-linear operator, stored by its restriction to M."""
+    """Degree-r right-Ω-linear operator, stored by its restriction to M.
+
+    Extensions and compositions are computed once per operator content and
+    kept in ``forms.op_cache``; the matrices found there are shared, so no
+    caller may change ``matrix`` or an extension in place.
+    """
 
     forms: Forms
     degree: int
     matrix: Mat              # dim T_degree x dim M
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def key(self) -> tuple:
+        """Content key: the degree and the matrix as a tuple of rows."""
+        return (self.degree, tuple(map(tuple, self.matrix)))
 
     def apply(self, m_vec: Vec) -> Vec:
         return mat_vec(self.matrix, m_vec)
-
-    def _lifted_images(self) -> list[Vec]:
-        if "img" not in self._cache:
-            f = self.forms
-            self._cache["img"] = [
-                f.lift(self.degree, self.apply(f.module.basis_vec(i)))
-                for i in range(f.module.dim)]
-        return self._cache["img"]
 
     def ext_matrix(self, s: int) -> Mat:
         """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω."""
         if s == 0:
             return self.matrix
-        if s in self._cache:
-            return self._cache[s]
+        cache = self.forms.op_cache
+        key = ("ext", self.key, s)
+        if key in cache:
+            return cache[key]
         f = self.forms
         r = self.degree
         nt = f.n_tails(s)
-        imgs = self._lifted_images()
+        imgs = [f.lift(r, self.apply(f.module.basis_vec(i)))
+                for i in range(f.module.dim)]
         cols = []
         for c in range(f.dim(s)):
             q = zeros(f.dim(s))
@@ -146,13 +153,16 @@ class DegreeRHom:
                     if pv:
                         out[k] += cc * pv
             cols.append(f.project(r + s, out))
-        self._cache[s] = _cols_to_mat(cols, f.dim(r + s))
-        return self._cache[s]
+        cache[key] = _cols_to_mat(cols, f.dim(r + s))
+        return cache[key]
 
     def compose(self, other: "DegreeRHom") -> "DegreeRHom":
         """self ∘ other (other applied first)."""
-        return DegreeRHom(self.forms, self.degree + other.degree,
-                          mat_mul(self.ext_matrix(other.degree), other.matrix))
+        cache = self.forms.op_cache
+        key = ("compose", self.key, other.key)
+        if key not in cache:
+            cache[key] = mat_mul(self.ext_matrix(other.degree), other.matrix)
+        return DegreeRHom(self.forms, self.degree + other.degree, cache[key])
 
     def add(self, other: "DegreeRHom") -> "DegreeRHom":
         return DegreeRHom(self.forms, self.degree,
@@ -188,17 +198,21 @@ def kappa0_op(c: Connection, f_vec: Vec) -> DegreeRHom:
 
 
 def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:
-    """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇, a degree r+1 right-Ω operator."""
+    """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇, a degree r+1 right-Ω operator.
+
+    Computed once per operator content; the result matrix is shared.
+    """
     r = phi.degree
     if r + 1 > c.calculus.D:
         raise ValueError("degree overflow past truncation")
-    first = mat_mul(c.nabla_ext_matrix(r), phi.matrix)
-    second = mat_mul(phi.ext_matrix(1), c.nabla)
-    sign = -1 if r % 2 == 0 else 1
-    # ∇∘Φ + (−(−1)^r)·Φ∘∇
-    m = [[a + sign * b for a, b in zip(ra, rb)]
-         for ra, rb in zip(first, second)]
-    return DegreeRHom(c.forms, r + 1, m)
+    if phi.key not in c.nabla_hats:
+        first = mat_mul(c.nabla_ext_matrix(r), phi.matrix)
+        second = mat_mul(phi.ext_matrix(1), c.nabla)
+        sign = -1 if r % 2 == 0 else 1
+        # ∇∘Φ + (−(−1)^r)·Φ∘∇
+        c.nabla_hats[phi.key] = [[a + sign * b for a, b in zip(ra, rb)]
+                                 for ra, rb in zip(first, second)]
+    return DegreeRHom(c.forms, r + 1, c.nabla_hats[phi.key])
 
 
 @dataclass

@@ -9,7 +9,7 @@ what keeps desk-scale computations fast and exact.
 
 from __future__ import annotations
 
-from .algebra import Bimodule
+from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
                      mat_vec, quotient, QuotientSpace, zero_mat, zeros)
@@ -29,10 +29,15 @@ class Forms:
         self._tails = [self.uni.tails(r) for r in range(self.D + 1)]
         self._tail_pos = [
             {beta: k for k, beta in enumerate(ts)} for ts in self._tails]
+        # M generates M⊗_AΩ as a right Ω-module, and so do these basis indices
+        self.generators = right_module_generators(module)
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
         self._left_mats: dict[tuple[int, int], Mat] = {}
         self._right_mats: dict[tuple[int, int], Mat] = {}
+        # right-Ω operator extensions and compositions on these spaces, by
+        # operator content (see connection.DegreeRHom)
+        self.op_cache: dict[tuple, Mat] = {}
 
     # -- spaces -----------------------------------------------------------
     def n_tails(self, r: int) -> int:
@@ -48,12 +53,14 @@ class Forms:
         return [self.dim(r) for r in range(self.D + 1)]
 
     def _build_quotients(self) -> None:
+        """T_r = T^u_r / (M⊗I^r).  M⊗I^r is spanned by g⊗ι over the module
+        generators g alone: m = g·a gives m⊗ι = g⊗a·ι, and I is a left ideal."""
         m = self.module
         for r in range(self.D + 1):
             span = SpanBuilder(self.tu_dim(r))
-            for v in self.calculus.ideal[r]:
-                for i in range(m.dim):
-                    span.add(self._pair_from_bar(r, m.basis_vec(i), v))
+            for g in self.generators:
+                for v in self.calculus.ideal[r]:
+                    span.add(self._pair_from_bar(r, m.basis_vec(g), v))
             self._quotients.append(quotient(self.tu_dim(r), span.basis))
 
     def quotient_space(self, r: int) -> QuotientSpace:
@@ -131,7 +138,7 @@ class Forms:
         key = (r, i)
         if key not in self._left_mats:
             nt = self.n_tails(r)
-            lm = self.module.left_matrices()[i]
+            lm = self.module.left_action[i]
             cols = []
             for c in range(self.dim(r)):
                 q = zeros(self.dim(r))

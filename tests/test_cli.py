@@ -10,7 +10,7 @@ import pytest
 from _shared import MODELS, NAMES, universal
 from bimodconn import cli
 from bimodconn.forms import Forms
-from bimodconn.linalg import DimensionError, LinSolver
+from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
 from bimodconn.model import (MAX_EMB_DIM, ModelError, parse_model,
                              parse_rational)
 from bimodconn.report import Report, Verdict, failed, passed
@@ -226,6 +226,45 @@ def test_each_forms_built_once(monkeypatch):
     assert report.summary == "pass"
     assert len(builds) == 2
     assert builds[1] is not model.calculus
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
+    # Forms spans M⊗I^r by g⊗ι over the right-module generators g only;
+    # rebuild it from every basis vector m_i instead, for every Forms that
+    # parse + all builds (the N-side ones of the tensor requests included)
+    built = []
+    init = Forms.__init__
+
+    def recording_init(self, module, calculus):
+        init(self, module, calculus)
+        built.append(self)
+
+    monkeypatch.setattr(Forms, "__init__", recording_init)
+    model = parse_model(str(MODELS / f"{name}.model"))
+    cli.run("all", model)
+    assert len(built) == (2 if model.tensor_requests else 1)
+    if name == "m2_grass":
+        assert len(built[0].generators) < built[0].module.dim
+    for f in built:
+        for r in range(f.D + 1):
+            full = SpanBuilder(f.tu_dim(r))
+            for v in f.calculus.ideal[r]:
+                for i in range(f.module.dim):
+                    full.add(f._pair_from_bar(r, f.module.basis_vec(i), v))
+            old = quotient(f.tu_dim(r), full.basis)
+            new = f.quotient_space(r)
+            assert (new.projection, new.free) == (old.projection, old.free)
+
+
+@pytest.mark.parametrize("name", ["a2_twist", "m2_grass"])
+def test_all_twice_on_one_model_gives_the_same_bytes(name):
+    # the second run reads its operators from the caches of the model's
+    # Forms and Connection, so a caller that changed a shared matrix in
+    # place would change the second report
+    model = parse_model(str(MODELS / f"{name}.model"))
+    first = cli.run("all", model).to_json()
+    assert cli.run("all", model).to_json() == first
 
 
 def test_parse_builds_no_linsolver(monkeypatch):

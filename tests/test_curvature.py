@@ -3,11 +3,17 @@ calculus with its all-degree sigma."""
 
 from fractions import Fraction
 
-from _shared import NAMES, a2, induced, pipeline
-from bimodconn.connection import kappa0_op
+import pytest
+
+from _shared import MODELS, NAMES, a2, induced, model, pipeline
+from bimodconn import cli
+from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
+                                  kappa0_op)
 from bimodconn.curvature import curvature, extend_connection, nabla_hat, \
     sigma_full
-from bimodconn.linalg import is_zero_vec
+from bimodconn.forms import Forms
+from bimodconn.linalg import is_zero_vec, mat_mul, mat_vec
+from bimodconn.model import ModelFile
 
 F = Fraction
 
@@ -16,6 +22,67 @@ def test_extension_well_defined_everywhere():
     for which in NAMES:
         conn = pipeline(which)[0]
         assert all(v.ok for v in extend_connection(conn))
+
+
+def test_extension_failure_names_a_vector_of_the_generator_span(
+        monkeypatch, capsys):
+    # A connection that obeys the right Leibniz rule always extends, and
+    # parse_model rejects any other, so this ∇ is built directly: m2_grass's
+    # ∇ with one entry changed.  (On the a2 models I = 0 or Ω² = 0, where
+    # the check cannot fail.)
+    m2 = model("m2_grass")
+    good = m2.connections["nabla"]
+    f = good.forms
+    bad = [row[:] for row in good.nabla]
+    bad[0][0] += 1
+    conn = Connection(f, bad)
+    assert not check_right_leibniz(conn).ok
+    (v,) = extend_connection(conn)
+    assert v.check_id == "nabla-extension-well-defined" and not v.ok
+    r, k = v.witness["degree"], v.witness["sub_basis"]
+    sub = f.quotient_space(r).sub
+    assert k < len(sub)
+    # the witness is the first vector of M⊗I^r, as spanned from the module
+    # generators, that ∇ does not send to zero
+    plain = conn.nabla_ext_plain(r)
+    assert any(mat_vec(plain, sub[k]))
+    assert not any(any(mat_vec(plain, w)) for w in sub[:k])
+    monkeypatch.setattr(cli, "parse_model", lambda path, truncation=None:
+                        ModelFile(m2.name, m2.algebra, m2.truncation,
+                                  m2.calculus, m2.modules, {"nabla": conn}))
+    code = cli.main(["curvature", "--model", str(MODELS / "m2_grass.model")])
+    assert code == 1
+    assert f'[   FAIL    ] nabla-extension-well-defined (Extending ∇ to)  ' \
+        f'witness={{"degree": {r}, "sub_basis": {k}}}' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["a2_flat", "a2_twist"])
+def test_cached_operators_match_a_cold_computation(name):
+    # compose, ext_matrix and nabla_hat read shared matrices out of the
+    # caches of Forms and Connection; recompute each on fresh ones
+    conn, oh, _, _ = pipeline(name)
+    f = conn.forms
+
+    def cold(op):
+        forms = Forms(f.module, f.calculus)
+        return (Connection(forms, conn.nabla),
+                DegreeRHom(forms, op.degree, op.matrix))
+
+    ops = [op for r in range(f.D + 1) for op in oh.ops(r)]
+    # the same matrices one degree up extend differently
+    ops += [DegreeRHom(f, op.degree + 1, op.matrix) for op in ops
+            if op.degree < f.D and f.dim(op.degree + 1) == f.dim(op.degree)]
+    for phi in ops:
+        for s in range(f.D + 1 - phi.degree):
+            assert phi.ext_matrix(s) == cold(phi)[1].ext_matrix(s)
+        if phi.degree < f.D:
+            assert nabla_hat(conn, phi).matrix == \
+                nabla_hat(*cold(phi)).matrix
+        for psi in ops:
+            if phi.degree + psi.degree <= f.D:
+                assert phi.compose(psi).matrix == \
+                    mat_mul(phi.ext_matrix(psi.degree), psi.matrix) == \
+                    cold(phi)[1].compose(psi).matrix
 
 
 def test_flat_curvature_vanishes():

@@ -62,8 +62,8 @@ def column_module() -> Bimodule:
 
 
 def skew_right_module() -> RightModule:
-    right = [mat([[0, 0], [0, 1]]), mat([[1, 0], [0, 0]])]
-    return RightModule.from_action(a2(), right)
+    right = (((0, 0), (0, 1)), ((1, 0), (0, 0)))
+    return RightModule(2, a2(), right)
 
 
 def column_connection() -> Connection:
