@@ -10,6 +10,8 @@ whose degree-wise kernels cut out the induced calculus Ω_∇.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+
 from . import anchors
 from .calculus import GradedCalculus, preceq
 from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
@@ -438,6 +440,18 @@ class OmegaM:
                                     anchors.RIGHT_OMEGA_HOM))
 
 
+def _combination(vecs: list[Vec], terms: list[tuple[int, int | Fraction]],
+                 n: int) -> Vec:
+    """Σ c·vecs[i] over the (i, c) terms, of length n; a single term with
+    c = 1 is vecs[i] itself, which the caller must not change."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return vecs[terms[0][0]]
+    out = [0] * n
+    for i, c in terms:
+        out = [x + c * y for x, y in zip(out, vecs[i])]
+    return out
+
+
 class InducedCalculus:
     """Ω_∇ from the kernels of κ, with d_∇ and the comparison with Ω."""
 
@@ -468,12 +482,17 @@ class InducedCalculus:
                 pos[(i0, beta)] = k
             self._raw.append(ops)
             prev_pos = pos
-        # κ̄ = J-projected operators, as matrices on bar coordinates
-        self.kappa: list[Mat] = []
-        for r in range(D + 1):
-            cols = [self._project_op(r, op) for op in self._raw[r]]
-            self.kappa.append(
-                _cols_to_mat(cols, omega_m.dim(r) * c.module.dim))
+        # κ̄ = J-projected operators, as matrices on bar coordinates; column
+        # u is the projection of u's raw operator, flattened row by row
+        self._columns: list[list[Vec]] = [
+            [self._project_op(r, op) for op in self._raw[r]]
+            for r in range(D + 1)]
+        self.kappa: list[Mat] = [
+            _cols_to_mat(cols, omega_m.dim(r) * c.module.dim)
+            for r, cols in enumerate(self._columns)]
+        # first failing pairs, which sigma_full reports under its own ids
+        self.multiplicative_failure: tuple[int, int, int] | None = None
+        self.diagram_failure: tuple[int, int] | None = None
         self._check_multiplicative()
         self._check_diagram()
         self._build_calculus()
@@ -498,27 +517,48 @@ class InducedCalculus:
         return acc
 
     def _check_multiplicative(self) -> None:
-        """κ(u·v) = κ(u)∘κ(v), projected to Ω(M), on bar basis pairs.
+        """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.
 
         Products by a pure monomial v = e_k0·de_j1⋯de_js split as
         (u·e_k0)·de_j1⋯de_js; multiplication by de-tails is concatenation of
         bar monomials, for which both sides agree by construction, and J is
         a right Ω-module, so it suffices to check v of degree zero — the only
         place where the contraction u·e_k0 happens.
+
+        The left side is the combination of κ̄'s columns at the nonzeros of
+        u·e_k.  The right side is P·(R_u·L_k), for u's raw operator R_u, the
+        left action L_k of e_k on M and the projection P onto Ω(M)_r; it is
+        (P·R_u)·L_k, column u of κ̄ as an Ω(M)_r × M matrix times L_k, so no
+        operator is composed or projected per pair.  The first failing pair,
+        in the order r, u, k, is kept as ``multiplicative_failure``.
         """
         uni = self.connection.calculus.universal
-        a = self.connection.module.algebra
+        m = self.connection.module
+        a = m.algebra
+        # L_k by columns, each as its nonzero (row, entry) pairs
+        l_cols = [[[(j, x) for j, x in enumerate(col) if x]
+                   for col in zip(*m.left_action[k])] for k in range(a.dim)]
         for r in range(uni.D + 1):
-            rmul = [uni.right_mult_bar_matrix(r, a.basis_vec(kj))
-                    for kj in range(a.dim)]
-            for ki in range(uni.bar_dim(r)):
-                u = zeros(uni.bar_dim(r))
-                u[ki] = 1
+            cols, rows = self._columns[r], self.kappa[r]
+            n, width = len(rows), uni.bar_dim(r)
+            if not n:
+                continue        # Ω(M)_r = 0, where both sides vanish
+            # u·e_k for every bar basis vector u, as its nonzero (index, coeff)
+            moved = [[[(x, cc) for x, cc in enumerate(col) if cc]
+                      for col in zip(*uni.right_mult_bar_matrix(
+                          r, a.basis_vec(kj)))]
+                     for kj in range(a.dim)]
+            # (P·R_u)·L_k for every u at once: its row (i, c) is the
+            # combination of κ̄'s rows (i, j) by L_k[j][c]; then by columns
+            right = [list(zip(*[_combination(
+                         rows, [(i + j, x) for j, x in lc], width)
+                         for i in range(0, n, m.dim) for lc in l_cols[kj]]))
+                     for kj in range(a.dim)]
+            for ki in range(width):
                 for kj in range(a.dim):
-                    moved = mat_vec(rmul[kj], u)
-                    lhs = mat_vec(self.kappa[r], moved)
-                    comp = self._raw[r][ki].compose(self._raw[0][kj])
-                    if lhs != self._project_op(r, comp):
+                    lhs = _combination(cols, moved[kj][ki], n)
+                    if lhs != list(right[kj][ki]):
+                        self.multiplicative_failure = (r, ki, kj)
                         self.verdicts.append(failed(
                             "kappa-multiplicative", anchors.OMEGA_HAT,
                             {"degree": r, "basis": [ki, kj]}))
@@ -526,7 +566,8 @@ class InducedCalculus:
         self.verdicts.append(passed("kappa-multiplicative", anchors.OMEGA_HAT))
 
     def _check_diagram(self) -> None:
-        """κ∘d_u = ∇̂∘κ after projection to Ω(M), on bar basis elements."""
+        """κ∘d_u = ∇̂∘κ after projection to Ω(M), on bar basis elements; the
+        first failing one is kept as ``diagram_failure``."""
         c = self.connection
         uni = c.calculus.universal
         for r in range(uni.D):
@@ -537,6 +578,7 @@ class InducedCalculus:
                 lhs = mat_vec(self.kappa[r + 1], mat_vec(dm, bar))
                 rhs = self._project_op(r + 1, nabla_hat(c, self._raw[r][k]))
                 if lhs != rhs:
+                    self.diagram_failure = (r, k)
                     self.verdicts.append(failed("kappa-d-diagram",
                                                 anchors.D_NABLA_SQUARED,
                                                 {"degree": r, "basis": k}))
@@ -593,78 +635,66 @@ class SigmaFull:
     verdicts: list[Verdict] = field(default_factory=list)
 
 
-def sigma_full(induced: InducedCalculus) -> SigmaFull:
-    """σ_u(ω⊗ξ) = κ(ω)(ξ) always exists; it factors through every degree of
-    the quotient calculus iff κ̄ kills the defining ideal degree-wise."""
-    c = induced.connection
-    cal = c.calculus
-    uni = cal.universal
-    witnesses = []
-    verdicts = []
-    # σ_u multiplicativity: σ_u(ω₁ω₂⊗ξ) = σ_u(ω₁⊗σ_u(ω₂⊗ξ)) on spanning
-    # pairs, as an identity of operators on ξ ∈ M, modulo J.  A general ω₂
-    # is a sum of e_k·de_j1⋯de_js, and right multiplication by a de-tail is
-    # concatenation of bar monomials, for which both sides agree by
-    # construction; the pairs with ω₂ = e_k (the contraction) and ω₂ = de_j
-    # (one tail step) therefore span all products.
+def _sigma_u_product_failure(induced: InducedCalculus) \
+        -> tuple[int, int, int] | None:
+    """The first (r, u, ω₂) with σ_u(uω₂⊗ξ) ≠ σ_u(u⊗σ_u(ω₂⊗ξ)) modulo J, by
+    r, bar basis vector u, then ω₂ = e_0, …, e_{n−1}, de_j (j in the unit
+    complement).  A general ω₂ is a sum of e_k·de_j1⋯de_js, and right
+    multiplication by a de-tail is concatenation of bar monomials, for
+    which both sides agree by construction; so the pairs with ω₂ = e_k (the
+    contraction) and ω₂ = de_j span all products.  The former are κ's
+    multiplicativity and come first for each u: InducedCalculus's first
+    failure stands unless a product by de_j fails at an earlier u.
+    """
+    uni = induced.connection.calculus.universal
     a = uni.algebra
-    second: list[tuple[int, Vec, "DegreeRHom"]] = []
-    for a_i in range(a.dim):
-        second.append((0, a.basis_vec(a_i), induced._raw[0][a_i]))
-    for j in uni.complement:
+    contraction = induced.multiplicative_failure
+    tails = []
+    for t, j in enumerate(uni.complement):
         dj = uni.d(0, a.basis_vec(j))
-        second.append((1, dj, induced.kappa_raw(1, dj)))
-    ok = True
-    for r in range(uni.D + 1):
+        tails.append((a.dim + t, dj, induced.kappa_raw(1, dj)))
+    for r in range(uni.D):
         for ki in range(uni.bar_dim(r)):
+            if contraction is not None and contraction[:2] == (r, ki):
+                return contraction
             u = zeros(uni.bar_dim(r))
             u[ki] = 1
-            for kj, (s, v, vop) in enumerate(second):
-                if r + s > uni.D:
-                    continue
+            for kj, v, vop in tails:
                 # κ̄ is linear, so the projected κ(u·v) is read off κ̄'s matrix
-                lhs = mat_vec(induced.kappa[r + s], uni.product(r, u, s, v))
-                rhs = induced._project_op(r + s,
+                lhs = mat_vec(induced.kappa[r + 1], uni.product(r, u, 1, v))
+                rhs = induced._project_op(r + 1,
                                           induced._raw[r][ki].compose(vop))
                 if lhs != rhs:
-                    verdicts.append(failed(
-                        "sigma-u-multiplicative", anchors.SIGMA_U_GRADED,
-                        {"degree": r, "basis": [ki, kj]}))
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
+                    return r, ki, kj
+    return contraction
+
+
+def sigma_full(induced: InducedCalculus) -> SigmaFull:
+    """σ_u(ω⊗ξ) = κ(ω)(ξ) always exists; it factors through every degree of
+    the quotient calculus iff κ̄ kills the defining ideal degree-wise.
+
+    The σ_u identities are κ's, read off ``induced``: the products by e_k
+    are κ's multiplicativity, and ∇σ_u(ω⊗ξ) = σ_u(d_uω⊗ξ) + (−1)^r
+    σ_u(ω⊗∇ξ) says ∇∘κ(ω) − (−1)^r κ(ω)∘∇ = ∇̂κ(ω) equals κ(d_uω), the
+    κ∘d_u = ∇̂∘κ diagram on the same pairs.  Only products by de_j are new.
+    """
+    c = induced.connection
+    cal = c.calculus
+    witnesses = []
+    verdicts = []
+    fail = _sigma_u_product_failure(induced)
+    if fail is None:
         verdicts.append(passed("sigma-u-multiplicative",
                                anchors.SIGMA_U_GRADED))
-    # σ_u derivation identity: ∇σ_u(ω⊗ξ) = σ_u(d_uω⊗ξ) + (−1)^r σ_u(ω⊗∇ξ)
-    ok = True
-    for r in range(uni.D):
-        sign = 1 if r % 2 == 0 else -1
-        dm = uni.d_bar_matrix(r)
-        for k in range(uni.bar_dim(r)):
-            bar = zeros(uni.bar_dim(r))
-            bar[k] = 1
-            op = induced._raw[r][k]
-            lhs = mat_mul(c.nabla_ext_matrix(r), op.matrix)
-            # the σ_u(d_uω⊗ξ) term, projected, is κ̄·d_uω
-            first = mat_vec(induced.kappa[r + 1], mat_vec(dm, bar))
-            second = mat_mul(op.ext_matrix(1), c.nabla)
-            rest = DegreeRHom(c.forms, r + 1,
-                              [[a - sign * b for a, b in zip(ra, rb)]
-                               for ra, rb in zip(lhs, second)])
-            if induced._project_op(r + 1, rest) != first:
-                verdicts.append(failed("sigma-u-derivation",
-                                       anchors.SIGMA_U_DEGREE0,
-                                       {"degree": r, "basis": k}))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
+    else:
+        verdicts.append(failed("sigma-u-multiplicative", anchors.SIGMA_U_GRADED,
+                               {"degree": fail[0], "basis": list(fail[1:])}))
+    if induced.diagram_failure is None:
         verdicts.append(passed("sigma-u-derivation", anchors.SIGMA_U_DEGREE0))
+    else:
+        r, k = induced.diagram_failure
+        verdicts.append(failed("sigma-u-derivation", anchors.SIGMA_U_DEGREE0,
+                               {"degree": r, "basis": k}))
     for r in range(1, cal.D + 1):
         for k, v in enumerate(cal.ideal[r]):
             if any(mat_vec(induced.kappa[r], v)):

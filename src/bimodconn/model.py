@@ -228,7 +228,7 @@ def _parse_connection(doc, path: str, model: ModelFile) -> Connection:
     cols = []
     for c in range(module.dim):
         cols.append(forms.project(1, [nabla_tu[r][c] for r in range(n_rows)]))
-    nabla = [[cols[c][r] for c in range(module.dim)]
+    nabla = [[_exact(cols[c][r]) for c in range(module.dim)]
              for r in range(forms.dim(1))]
     return Connection(forms, nabla)
 

@@ -43,9 +43,9 @@ def universal(name: str) -> GradedCalculus:
 
 
 @cache
-def pipeline(name: str):
+def pipeline(name: str, truncation: int | None = None):
     """(connection, OmegaHat, JIdeal, OmegaM) for one model's ∇."""
-    conn = nabla(name)
+    conn = model(name, truncation).connections["nabla"]
     oh = OmegaHat(conn)
     j = j_ideal(conn, oh)
     om = OmegaM(conn, j)
@@ -53,6 +53,6 @@ def pipeline(name: str):
 
 
 @cache
-def induced(name: str) -> InducedCalculus:
-    conn, _, _, om = pipeline(name)
+def induced(name: str, truncation: int | None = None) -> InducedCalculus:
+    conn, _, _, om = pipeline(name, truncation)
     return InducedCalculus(conn, om)

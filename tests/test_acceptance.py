@@ -160,14 +160,12 @@ def _mul(a, b):
             for row in a]
 
 
-def test_12_module_basis_change_keeps_every_verdict(tmp_path):
-    # a2_twist in the module basis m'_k = Σ_j P_jk m_j: the actions become
-    # P⁻¹·L·P, and so does the connection matrix, whose rows are module
-    # indices because a2 has one degree-one tail.  P has non-integral
-    # entries, so the Fraction arithmetic runs end to end, which no shipped
-    # model reaches.
+def _rebased_twist(tmp_path, p) -> str:
+    """a2_twist in the module basis m'_k = Σ_j P_jk m_j, written to a file:
+    the actions become P⁻¹·L·P, and so does the connection matrix, whose
+    rows are module indices because a2 has one degree-one tail."""
     doc = json.loads((MODELS / "a2_twist.model").read_text())
-    p = [[Fraction(1), Fraction(2, 3)], [Fraction(1, 2), Fraction(2)]]
+    p = [[Fraction(x) for x in row] for row in p]
     det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
     p_inv = [[p[1][1] / det, -p[0][1] / det], [-p[1][0] / det, p[0][0] / det]]
     assert _mul(p, p_inv) == [[1, 0], [0, 1]]
@@ -184,10 +182,25 @@ def test_12_module_basis_change_keeps_every_verdict(tmp_path):
     nabla["nabla"] = rebased(nabla["nabla"])
     path = tmp_path / "a2_twist_rebased.model"
     path.write_text(json.dumps(doc))
-    model = parse_model(str(path))
+    return str(path)
+
+
+def test_12_module_basis_change_keeps_every_verdict(tmp_path):
+    # P has non-integral entries, so the Fraction arithmetic runs end to
+    # end, which no shipped model reaches.
+    p = [[1, Fraction(2, 3)], [Fraction(1, 2), 2]]
+    model = parse_model(_rebased_twist(tmp_path, p))
     assert any(x.denominator != 1
                for row in model.connections["nabla"].nabla for x in row)
     got = cli.run("all", model)
     want = cli.run("all", parse_model(str(MODELS / "a2_twist.model")))
     assert [(v.check_id, v.status, v.dims) for v in got.records] == \
         [(v.check_id, v.status, v.dims) for v in want.records]
+
+
+def test_12_integral_connection_entries_parse_to_ints(tmp_path):
+    # the rebased data hold non-integral entries, the projected ∇ does not
+    p = [[1, Fraction(1, 2)], [-1, 3]]
+    nabla = parse_model(_rebased_twist(tmp_path, p)).connections["nabla"].nabla
+    assert nabla == [[-4, 5]]
+    assert all(type(x) is int for row in nabla for x in row)

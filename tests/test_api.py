@@ -1,6 +1,13 @@
-"""The public names of the bimodconn package."""
+"""The public names of the bimodconn package, and the function names the
+benchmark profiles."""
+
+import ast
+from pathlib import Path
 
 import bimodconn
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bimodconn"
 
 
 def test_all_names_resolve_and_star_import():
@@ -10,3 +17,45 @@ def test_all_names_resolve_and_star_import():
     namespace = {}
     exec("from bimodconn import *", namespace)
     assert set(bimodconn.__all__) <= set(namespace)
+
+
+def _table(tree: ast.Module, name: str) -> dict:
+    """The literal value of a module-level assignment ``name = {...}``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} in perfbench/layers.py")
+
+
+def _defined(module: str) -> set[str]:
+    """Qualified names of the functions and methods a module defines."""
+    path = PACKAGE / f"{module}.py"
+    if not path.is_file():
+        return set()
+    names = set()
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(prefix + child.name)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return names
+
+
+def test_every_function_the_benchmark_profiles_is_defined():
+    # perfbench/layers.py names each profiled function "module:Qualified.name",
+    # a caller after "<"; the bench reads a renamed one as "missing", so the
+    # rename fails here.  The file is parsed, not imported.
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text(
+        encoding="utf-8"))
+    names = {name for table in ("INCLUSIVE_S", "CALLS")
+             for targets in _table(tree, table).values()
+             for target in targets for name in target.split("<")}
+    assert "curvature:sigma_full" in names
+    missing = [name for name in sorted(names)
+               if name.partition(":")[2] not in _defined(name.partition(":")[0])]
+    assert not missing

@@ -5,15 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import _reference
 from _shared import MODELS, NAMES, a2, induced, model, pipeline
 from bimodconn import cli
 from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
                                   kappa0_op)
-from bimodconn.curvature import curvature, extend_connection, nabla_hat, \
-    sigma_full
+from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
+                                 extend_connection, j_ideal, nabla_hat,
+                                 sigma_full)
 from bimodconn.forms import Forms
 from bimodconn.linalg import is_zero_vec, mat_mul, mat_vec
-from bimodconn.model import ModelFile
+from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
 
@@ -206,3 +208,109 @@ def test_compare_flat_mutually_below():
 def test_compare_twist_not_below():
     v = induced("a2_twist").compare()
     assert not v.dims["calculus_preceq_induced"]
+
+
+# κ's identities and the σ_u identities that restate them, with the
+# per-pair reference that decides each one on its own
+REFERENCE = {"kappa-multiplicative": _reference.kappa_multiplicative,
+             "kappa-d-diagram": _reference.kappa_d_diagram,
+             "sigma-u-multiplicative": _reference.sigma_u_multiplicative,
+             "sigma-u-derivation": _reference.sigma_u_derivation}
+
+
+def _kappa_and_sigma_u_verdicts(ic: InducedCalculus) -> dict:
+    found = {v.check_id: v for v in ic.verdicts + sigma_full(ic).verdicts
+             if v.check_id in REFERENCE}
+    assert found.keys() == REFERENCE.keys()
+    return found
+
+
+@pytest.mark.parametrize("name, truncation",
+                         [(n, None) for n in NAMES] + [("a2_flat", 9)])
+def test_kappa_and_sigma_u_checks_match_the_per_pair_reference(name,
+                                                                truncation):
+    ic = induced(name, truncation)
+    for check_id, v in _kappa_and_sigma_u_verdicts(ic).items():
+        want = REFERENCE[check_id](ic)
+        assert v.witness == want
+        assert v.ok == (want is None)
+
+
+def _wrong_tail_coefficient(r, k, b):
+    """The first coefficient of de_β·e_k, β the b-th tail of degree r, off
+    by one."""
+    def fault(uni):
+        table = uni.tail_times(r, k)
+        k0, g, c = table[b][0]
+        table[b][0] = (k0, g, c + 1)
+    return fault
+
+
+def _wrong_d_entry(uni):
+    """Entry (0, 1) of d: Ω² → Ω³ in bar coordinates off by one."""
+    d = uni.d
+
+    def wrong(r, v):
+        out = d(r, v)
+        if r == 2:
+            out[0] += v[1]
+        return out
+    uni.d = wrong
+
+
+def _wrong_tail_product(ki):
+    """One entry of u·v, for u the ki-th degree-one bar basis vector and v
+    of degree one, off by one: only σ_u's products by de_j read it."""
+    def fault(uni):
+        product = uni.product
+
+        def wrong(r, u, s, v):
+            out = product(r, u, s, v)
+            if (r, s) == (1, 1):
+                out[20] += u[ki]
+            return out
+        uni.product = wrong
+    return fault
+
+
+def _witness(r, *basis):
+    """The witness {"degree": r, "basis": …} of a failing pair or element."""
+    return {"degree": r, "basis": basis[0] if len(basis) == 1 else list(basis)}
+
+
+@pytest.mark.parametrize("name, faults, witnesses", [
+    ("m2_grass", [_wrong_tail_coefficient(1, 2, 2)],
+     {"kappa-multiplicative": _witness(1, 5, 2),
+      "sigma-u-multiplicative": _witness(1, 5, 2)}),
+    # in the top degree, where κ fails at (u, k) = (1, 0) and (0, 1): the
+    # first is the smaller u
+    ("a2_flat", [_wrong_tail_coefficient(3, 0, 0),
+                 _wrong_tail_coefficient(3, 1, 0)],
+     {"kappa-multiplicative": _witness(3, 0, 1),
+      "sigma-u-multiplicative": _witness(3, 0, 1)}),
+    ("a2_flat", [_wrong_d_entry],
+     {"kappa-d-diagram": _witness(2, 1),
+      "sigma-u-derivation": _witness(2, 1)}),
+    # a product by de_j (index 4 = dim A + 0) fails alone, before the
+    # contraction at an earlier u, and after it at the same u
+    ("m2_grass", [_wrong_tail_product(3)],
+     {"sigma-u-multiplicative": _witness(1, 3, 4)}),
+    ("m2_grass", [_wrong_tail_coefficient(1, 2, 2), _wrong_tail_product(3)],
+     {"kappa-multiplicative": _witness(1, 5, 2),
+      "sigma-u-multiplicative": _witness(1, 3, 4)}),
+    ("m2_grass", [_wrong_tail_coefficient(1, 2, 2), _wrong_tail_product(5)],
+     {"kappa-multiplicative": _witness(1, 5, 2),
+      "sigma-u-multiplicative": _witness(1, 5, 2)})])
+def test_a_fault_upstream_of_kappa_fails_like_the_reference(
+        name, faults, witnesses):
+    # a fresh parse: the faults must not reach the shared cached models
+    m = parse_model(str(MODELS / f"{name}.model"))
+    for fault in faults:
+        fault(m.calculus.universal)
+    conn = m.connections["nabla"]
+    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    verdicts = _kappa_and_sigma_u_verdicts(ic)
+    assert all(v.ok == (v.witness is None) for v in verdicts.values())
+    got = {k: v.witness for k, v in verdicts.items()}
+    assert got == {k: ref(ic) for k, ref in REFERENCE.items()}
+    assert got == {k: witnesses.get(k) for k in REFERENCE}
