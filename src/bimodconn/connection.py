@@ -38,7 +38,7 @@ class Connection:
                 (nabla and len(nabla[0]) != self.module.dim):
             raise ValueError("nabla matrix must be dim(M⊗Ω¹) x dim(M)")
         self.nabla = [row[:] for row in nabla]
-        self._ext_mats: dict[int, Mat] = {}
+        self._ext_mats: dict[int | tuple[int, str], Mat] = {}
         # ∇̂Φ matrices by DegreeRHom.key of Φ
         self.nabla_hats: dict[tuple, Mat] = {}
 
@@ -80,8 +80,13 @@ class Connection:
         return self._ext_mats[r]
 
     def curvature_matrix(self, r: int) -> Mat:
-        """∇∘∇: T_r → T_{r+2}."""
-        return mat_mul(self.nabla_ext_matrix(r + 1), self.nabla_ext_matrix(r))
+        """∇∘∇: T_r → T_{r+2}, computed once per degree; the matrix is
+        shared, so no caller may change it in place."""
+        key = (r, "curvature")
+        if key not in self._ext_mats:
+            self._ext_mats[key] = mat_mul(self.nabla_ext_matrix(r + 1),
+                                          self.nabla_ext_matrix(r))
+        return self._ext_mats[key]
 
 
 def check_right_leibniz(c: Connection) -> Verdict:

@@ -23,6 +23,12 @@ from .report import Verdict, failed, passed, rationals
 def extend_connection(c: Connection) -> list[Verdict]:
     """Check ∇ extends to T_r for all r < D: well-defined on classes and
     satisfying the graded right Leibniz rule ∇(q·ω) = (∇q)·ω + (−1)^r q·dω.
+
+    The Leibniz rule is decided for ω in Ω¹ and every r ≤ D−2.  Since
+    Ω^s = Ω¹·Ω^{s−1}, it follows for every s by induction: for ω = ω₁·ω'
+    with ω₁ in Ω¹, ∇((q·ω₁)·ω') splits at ω' by the rule in degrees
+    (r+1, s−1), then ∇(q·ω₁) splits by the rule for Ω¹, and the two dω
+    terms add up to (−1)^r q·d(ω₁ω').
     """
     f = c.forms
     verdicts = []
@@ -37,28 +43,27 @@ def extend_connection(c: Connection) -> list[Verdict]:
     verdicts.append(passed("nabla-extension-well-defined",
                            anchors.EXTENDING_NABLA))
     cal = c.calculus
-    for r in range(f.D):
-        for s in range(1, f.D - r):
-            sign = 1 if r % 2 == 0 else -1
-            for qi in range(f.dim(r)):
-                q = zeros(f.dim(r))
-                q[qi] = 1
-                nq = mat_vec(c.nabla_ext_matrix(r), q)
-                for wi in range(cal.dim(s)):
-                    w = zeros(cal.dim(s))
-                    w[wi] = 1
-                    lhs = mat_vec(c.nabla_ext_matrix(r + s),
-                                  f.mult_class(r, q, s, w))
-                    rhs = vec_add(
-                        f.mult_class(r + 1, nq, s, w),
-                        [sign * x for x in
-                         f.mult_class(r, q, s + 1, cal.d_apply(s, w))])
-                    if lhs != rhs:
-                        verdicts.append(failed(
-                            "nabla-extension-graded-leibniz",
-                            anchors.EXTENDING_NABLA,
-                            {"degrees": [r, s], "basis": [qi, wi]}))
-                        return verdicts
+    for r in range(f.D - 1):
+        sign = 1 if r % 2 == 0 else -1
+        for qi in range(f.dim(r)):
+            q = zeros(f.dim(r))
+            q[qi] = 1
+            nq = mat_vec(c.nabla_ext_matrix(r), q)
+            for wi in range(cal.dim(1)):
+                w = zeros(cal.dim(1))
+                w[wi] = 1
+                lhs = mat_vec(c.nabla_ext_matrix(r + 1),
+                              f.mult_class(r, q, 1, w))
+                rhs = vec_add(
+                    f.mult_class(r + 1, nq, 1, w),
+                    [sign * x for x in
+                     f.mult_class(r, q, 2, cal.d_apply(1, w))])
+                if lhs != rhs:
+                    verdicts.append(failed(
+                        "nabla-extension-graded-leibniz",
+                        anchors.EXTENDING_NABLA,
+                        {"degrees": [r, 1], "basis": [qi, wi]}))
+                    return verdicts
     verdicts.append(passed("nabla-extension-graded-leibniz",
                            anchors.EXTENDING_NABLA))
     return verdicts
@@ -122,45 +127,71 @@ def curvature(c: Connection) -> CurvatureResult:
 
 
 class OmegaHat:
-    """Ω̂: graded operator algebra generated by κ₀(A) under ∇̂ and composition.
+    """Ω̂: the graded operator algebra generated by κ₀(A) under ∇̂ and
+    composition, with the checks of ∇̂ on it.
 
-    Worklist fixpoint: each operator that enlarges its degree's span is kept
-    and later combined (∇̂ and two-sided composition) with every operator
-    known at that time; per-degree dimensions stabilize because all spaces
-    are finite-dimensional within the truncation.
+    Ω̂ is built from its generators T: T₀ is a basis of κ₀(A) and T_k a
+    basis of ∇̂(T_{k−1}), k = 1..D (``gen_ops``).  A worklist W is seeded
+    with T₀; each operator w that enlarges its degree's span is kept, and
+    ∇̂w and t∘w, for every t in T with deg t + deg w ≤ D, are tried in turn.
+    Then:
+
+    - W ⊆ Ω̂, since every candidate is built from Ω̂ by ∇̂ or composition;
+    - W is ∇̂-closed, since ∇̂ is linear and was tried on every kept operator,
+      so W holds T = T₀, ∇̂T₀, ∇̂²T₀, …;
+    - W is closed under composition on the left by T and contains 1 ∈ κ₀(A),
+      so W contains every word t₁∘⋯∘t_k in T.
+
+    By the graded Leibniz rule ∇̂(Φ∘Ψ) = (∇̂Φ)∘Ψ + (−1)^r Φ∘∇̂Ψ, the words in T
+    span a ∇̂-closed algebra, which is Ω̂: if the derivation identity holds on
+    the pairs ``_check_derivation`` decides, W is exactly the fixpoint of
+    two-sided composition and ∇̂ from κ₀(A).  If it fails, the verdict
+    already fails.  ``ops(r)`` is a basis of Ω̂_r in the order W found it.
     """
 
     def __init__(self, connection: Connection):
         self.connection = connection
         c = connection
         f = c.forms
+        D = f.D
         # a right-A-linear operator is determined by its values on a
         # generating set of M, so spans live in the smaller coordinate space
         self.generators = f.generators
-        self.spans = [SpanBuilder(f.dim(r) * len(self.generators))
-                      for r in range(f.D + 1)]
-        self._ops: list[list[DegreeRHom]] = [[] for _ in range(f.D + 1)]
+
+        def key(op: DegreeRHom) -> Vec:
+            return [op.matrix[i][g] for i in range(f.dim(op.degree))
+                    for g in self.generators]
+
+        def new_span(r: int) -> SpanBuilder:
+            return SpanBuilder(f.dim(r) * len(self.generators))
+
+        a = c.module.algebra
+        self._gens: list[list[DegreeRHom]] = []
+        found = [kappa0_op(c, a.basis_vec(i)) for i in range(a.dim)]
+        for r in range(D + 1):
+            span = new_span(r)
+            self._gens.append([op for op in found if span.add(key(op))])
+            if r < D:
+                found = [nabla_hat(c, t) for t in self._gens[r]]
+        self.spans = [new_span(r) for r in range(D + 1)]
+        self._ops: list[list[DegreeRHom]] = [[] for _ in range(D + 1)]
         self.verdicts: list[Verdict] = []
         queue: list[DegreeRHom] = []
 
         def try_add(op: DegreeRHom) -> None:
-            key = [op.matrix[i][g] for i in range(f.dim(op.degree))
-                   for g in self.generators]
-            if self.spans[op.degree].add(key):
+            if self.spans[op.degree].add(key(op)):
                 self._ops[op.degree].append(op)
                 queue.append(op)
 
-        for i in range(c.module.algebra.dim):
-            try_add(kappa0_op(c, c.module.algebra.basis_vec(i)))
-        while queue:
-            op = queue.pop(0)
-            r = op.degree
-            if r + 1 <= f.D:
-                try_add(nabla_hat(c, op))
-            for s in range(f.D + 1 - r):
-                for other in list(self._ops[s]):
-                    try_add(op.compose(other))
-                    try_add(other.compose(op))
+        for t in self._gens[0]:
+            try_add(t)
+        for w in queue:             # grows while it is read
+            s = w.degree
+            if s < D:
+                try_add(nabla_hat(c, w))
+            for r in range(D + 1 - s):
+                for t in self._gens[r]:
+                    try_add(t.compose(w))
         self._check_derivation()
         self._check_square_identity()
 
@@ -168,21 +199,32 @@ class OmegaHat:
         return self.spans[r].dim
 
     def ops(self, r: int) -> list[DegreeRHom]:
+        """A basis of Ω̂_r."""
         return self._ops[r]
 
+    def gen_ops(self, r: int) -> list[DegreeRHom]:
+        """T_r: a basis of κ₀(A) for r = 0, of ∇̂(T_{r−1}) above."""
+        return self._gens[r]
+
     def _check_derivation(self) -> None:
-        """∇̂(Φ∘Ψ) = (∇̂Φ)∘Ψ + (−1)^r Φ∘(∇̂Ψ) on spanning pairs."""
+        """∇̂(t∘w) = (∇̂t)∘w + (−1)^r t∘(∇̂w) for t in T_r and w in Ω̂_s.
+
+        This covers every pair (Φ, Ψ) of Ω̂, by induction on the length of
+        Φ as a word in T: for Φ = t∘Φ', ∇̂(t∘(Φ'∘Ψ)) splits at t by the pair
+        (t, Φ'∘Ψ), and ∇̂(Φ'∘Ψ) splits by induction.  The witness indexes
+        ``gen_ops(r)`` and ``ops(s)``.
+        """
         c = self.connection
         D = c.forms.D
-        dops = [[nabla_hat(c, op) for op in self.ops(r)] for r in range(D)]
         for r in range(D):
             sign = 1 if r % 2 == 0 else -1
-            for ki, phi in enumerate(self.ops(r)):
+            for ki, t in enumerate(self.gen_ops(r)):
+                dt = nabla_hat(c, t)
                 for s in range(D - r):
-                    for kj, psi in enumerate(self.ops(s)):
-                        lhs = nabla_hat(c, phi.compose(psi))
-                        rhs = dops[r][ki].compose(psi).add(
-                            phi.compose(dops[s][kj]).scale(sign))
+                    for kj, w in enumerate(self.ops(s)):
+                        lhs = nabla_hat(c, t.compose(w))
+                        rhs = dt.compose(w).add(
+                            t.compose(nabla_hat(c, w)).scale(sign))
                         if lhs.matrix != rhs.matrix:
                             self.verdicts.append(failed(
                                 "nabla-hat-graded-derivation",
@@ -193,14 +235,19 @@ class OmegaHat:
                                     anchors.GRADED_DERIVATION))
 
     def _check_square_identity(self) -> None:
-        """∇̂²Φ = ∇²∘Φ − Φ∘∇² on M, an independent sign cross-check."""
+        """∇̂²t = ∇²∘t − t∘∇² on M for t in T, an independent sign cross-check.
+
+        Both sides are linear and split over words: ∇̂² is an even
+        derivation, ∇̂²(Φ∘Ψ) = (∇̂²Φ)∘Ψ + Φ∘(∇̂²Ψ), and so is [∇², ·]; so the
+        identity on T holds on all of Ω̂.  The witness indexes ``gen_ops``.
+        """
         c = self.connection
         D = c.forms.D
         for r in range(D - 1):
-            for k, phi in enumerate(self.ops(r)):
-                lhs = nabla_hat(c, nabla_hat(c, phi)).matrix
-                rhs1 = mat_mul(c.curvature_matrix(r), phi.matrix)
-                rhs2 = mat_mul(phi.ext_matrix(2), c.curvature_matrix(0))
+            for k, t in enumerate(self.gen_ops(r)):
+                lhs = nabla_hat(c, nabla_hat(c, t)).matrix
+                rhs1 = mat_mul(c.curvature_matrix(r), t.matrix)
+                rhs2 = mat_mul(t.ext_matrix(2), c.curvature_matrix(0))
                 rhs = [[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(rhs1, rhs2)]
                 if lhs != rhs:
@@ -246,7 +293,9 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                                  {"dims": j.dims()}))
     else:
         j.verdicts.append(passed("j-degrees-0-1-vanish", anchors.J_DEGREES_01))
-    # closure: ∇J ⊆ J, Φ̂(J) ⊆ J for Φ̂ ∈ Ω̂, f·J ⊆ J
+    # closure: ∇J ⊆ J, f·J ⊆ J and t(J) ⊆ J for t in T of degree ≥ 1.  Every
+    # Φ̂ ∈ Ω̂ is a sum of words in T, and T₀ ⊆ κ₀(A) acts as f·, so Φ̂(J) ⊆ J
+    # follows; the "omega-hat" witness indexes gen_ops(p)
     a = c.module.algebra
     for r in range(2, D + 1):
         for k, v in enumerate(j.spans[r]):
@@ -264,9 +313,9 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                                               "basis": k, "algebra_basis": i}))
                     return j
             for p in range(1, D - r + 1):
-                for kp, phi in enumerate(omega_hat.ops(p)):
+                for kp, t in enumerate(omega_hat.gen_ops(p)):
                     if not builders[r + p].contains(
-                            mat_vec(phi.ext_matrix(r), v)):
+                            mat_vec(t.ext_matrix(r), v)):
                         j.verdicts.append(failed(
                             "j-closure", anchors.J_CLOSURE,
                             {"op": "omega-hat", "degrees": [p, r],

@@ -1,14 +1,17 @@
-"""The per-pair checks of κ's identities and of σ_u's: the reference the
-checks of ``InducedCalculus`` and ``sigma_full`` are tested against.
+"""Reference routes that checks in ``src/`` are tested against; each
+function returns the witness of the first failing case, or None when every
+case holds.
 
-Each pair builds the raw operators it needs, composes them and projects the
-result to Ω(M), and ``sigma_full``'s identities are decided on their own,
-not read off ``InducedCalculus``.  Each function returns the witness of the
-first failing pair, or None when every pair holds.
+The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
+``sigma_full``): each pair builds the raw operators it needs, composes them
+and projects the result to Ω(M), and ``sigma_full``'s identities are
+decided on their own, not read off ``InducedCalculus``.  Below them, the
+whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal``
+and ``extend_connection``).
 """
 
-from bimodconn.connection import DegreeRHom, nabla_hat
-from bimodconn.linalg import mat_mul, mat_vec, zeros
+from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
+from bimodconn.linalg import SpanBuilder, mat_mul, mat_vec, zeros
 
 
 def kappa_multiplicative(induced):
@@ -92,4 +95,165 @@ def sigma_u_derivation(induced):
                                for rx, ry in zip(lhs, second)])
             if induced._project_op(r + 1, rest) != first:
                 return {"degree": r, "basis": k}
+    return None
+
+
+# -- Ω̂, J and the ∇-extension, decided on whole spans --------------------
+#
+# The route the checks of ``OmegaHat``, ``j_ideal`` and
+# ``extend_connection`` replace: Ω̂ as the fixpoint of ∇̂ and two-sided
+# composition over all of Ω̂, the derivation identity on every pair of
+# spanning operators, the square identity and J-closure on every spanning
+# operator, and the graded Leibniz rule for ω in every degree s.  Each check
+# returns the witness of its first failing case in the old shape, or None.
+
+
+def omega_hat_ops(c):
+    """A basis of Ω̂_r for every r: each operator that enlarges its degree's
+    span is combined with ∇̂ and, on both sides, with every operator known
+    at that time."""
+    f = c.forms
+    a = c.module.algebra
+    spans = [SpanBuilder(f.dim(r) * c.module.dim) for r in range(f.D + 1)]
+    ops = [[] for _ in range(f.D + 1)]
+    queue = []
+
+    def try_add(op):
+        if spans[op.degree].add([x for row in op.matrix for x in row]):
+            ops[op.degree].append(op)
+            queue.append(op)
+
+    for i in range(a.dim):
+        try_add(kappa0_op(c, a.basis_vec(i)))
+    while queue:
+        op = queue.pop(0)
+        r = op.degree
+        if r + 1 <= f.D:
+            try_add(nabla_hat(c, op))
+        for s in range(f.D + 1 - r):
+            for other in list(ops[s]):
+                try_add(op.compose(other))
+                try_add(other.compose(op))
+    return ops
+
+
+def derivation_holds(c, phi, psi):
+    """∇̂(Φ∘Ψ) = (∇̂Φ)∘Ψ + (−1)^r Φ∘(∇̂Ψ), r the degree of Φ."""
+    sign = 1 if phi.degree % 2 == 0 else -1
+    lhs = nabla_hat(c, phi.compose(psi))
+    rhs = nabla_hat(c, phi).compose(psi).add(
+        phi.compose(nabla_hat(c, psi)).scale(sign))
+    return lhs.matrix == rhs.matrix
+
+
+def square_holds(c, phi):
+    """∇̂²Φ = ∇²∘Φ − Φ∘∇² on M."""
+    lhs = nabla_hat(c, nabla_hat(c, phi)).matrix
+    rhs1 = mat_mul(c.curvature_matrix(phi.degree), phi.matrix)
+    rhs2 = mat_mul(phi.ext_matrix(2), c.curvature_matrix(0))
+    return lhs == [[x - y for x, y in zip(rx, ry)]
+                   for rx, ry in zip(rhs1, rhs2)]
+
+
+def leibniz_holds(c, r, qi, s, wi):
+    """∇(q·ω) = (∇q)·ω + (−1)^r q·dω for q the qi-th basis vector of T_r
+    and ω the wi-th basis vector of Ω^s."""
+    f = c.forms
+    cal = c.calculus
+    sign = 1 if r % 2 == 0 else -1
+    q = zeros(f.dim(r))
+    q[qi] = 1
+    w = zeros(cal.dim(s))
+    w[wi] = 1
+    lhs = mat_vec(c.nabla_ext_matrix(r + s), f.mult_class(r, q, s, w))
+    rhs = [x + sign * y for x, y in zip(
+        f.mult_class(r + 1, mat_vec(c.nabla_ext_matrix(r), q), s, w),
+        f.mult_class(r, q, s + 1, cal.d_apply(s, w)))]
+    return lhs == rhs
+
+
+def graded_derivation(c, ops):
+    """The derivation identity on every pair of spanning operators."""
+    D = c.forms.D
+    for r in range(D):
+        for ki, phi in enumerate(ops[r]):
+            for s in range(D - r):
+                for kj, psi in enumerate(ops[s]):
+                    if not derivation_holds(c, phi, psi):
+                        return {"degrees": [r, s], "basis": [ki, kj]}
+    return None
+
+
+def squared_identity(c, ops):
+    """The square identity on every spanning operator."""
+    for r in range(c.forms.D - 1):
+        for k, phi in enumerate(ops[r]):
+            if not square_holds(c, phi):
+                return {"degree": r, "basis": k}
+    return None
+
+
+def j_spans(c, ops):
+    """J_r as a SpanBuilder per degree, spanned by (∇̂²Φ)(a)·ω for Φ in
+    ``ops``, a a basis vector of M and ω a basis vector of Ω^s."""
+    f = c.forms
+    D = f.D
+    cal = c.calculus
+    builders = [SpanBuilder(f.dim(r)) for r in range(D + 1)]
+    for p in range(D - 1):
+        for phi in ops[p]:
+            sq = nabla_hat(c, nabla_hat(c, phi))
+            for ai in range(c.module.dim):
+                base = sq.apply(c.module.basis_vec(ai))
+                builders[p + 2].add(base)
+                for s in range(1, D - p - 1):
+                    for wi in range(cal.dim(s)):
+                        w = zeros(cal.dim(s))
+                        w[wi] = 1
+                        builders[p + 2 + s].add(
+                            f.mult_class(p + 2, base, s, w))
+    return builders
+
+
+def j_degrees_01(c, ops):
+    """J⁰ = J¹ = 0, with the dims of J as the witness otherwise."""
+    dims = [b.dim for b in j_spans(c, ops)]
+    return {"dims": dims} if dims[0] or dims[1] else None
+
+
+def j_closure(c, ops):
+    """∇J ⊆ J, f·J ⊆ J and Φ(J) ⊆ J for every spanning operator Φ of
+    degree ≥ 1, on every basis vector of J."""
+    f = c.forms
+    D = f.D
+    builders = j_spans(c, ops)
+    for r in range(2, D + 1):
+        for k, v in enumerate(builders[r].basis):
+            if r + 1 <= D and not builders[r + 1].contains(
+                    mat_vec(c.nabla_ext_matrix(r), v)):
+                return {"op": "nabla", "degree": r, "basis": k}
+            for i in range(c.module.algebra.dim):
+                if not builders[r].contains(
+                        mat_vec(f.left_action_matrix(r, i), v)):
+                    return {"op": "left", "degree": r, "basis": k,
+                            "algebra_basis": i}
+            for p in range(1, D - r + 1):
+                for kp, phi in enumerate(ops[p]):
+                    if not builders[r + p].contains(
+                            mat_vec(phi.ext_matrix(r), v)):
+                        return {"op": "omega-hat", "degrees": [p, r],
+                                "basis": [kp, k]}
+    return None
+
+
+def graded_leibniz(c):
+    """The graded Leibniz rule on basis pairs (q, ω), for ω in every degree
+    s ≥ 1 with r + s < D."""
+    f = c.forms
+    for r in range(f.D):
+        for s in range(1, f.D - r):
+            for qi in range(f.dim(r)):
+                for wi in range(c.calculus.dim(s)):
+                    if not leibniz_holds(c, r, qi, s, wi):
+                        return {"degrees": [r, s], "basis": [qi, wi]}
     return None

@@ -1,13 +1,15 @@
-"""The shipped model files as the tests' example library, and cached
-per-process analysis pipelines over their connections."""
+"""The shipped model files as the tests' example library, cached
+per-process analysis pipelines over their connections, and one generated
+model beside them."""
 
 from functools import cache
 from pathlib import Path
 
-from bimodconn.algebra import Algebra
+from bimodconn.algebra import Algebra, Bimodule
 from bimodconn.calculus import GradedCalculus, universal_graded
 from bimodconn.connection import Connection
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
+from bimodconn.forms import Forms
 from bimodconn.model import ModelFile, parse_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -56,3 +58,33 @@ def pipeline(name: str, truncation: int | None = None):
 def induced(name: str, truncation: int | None = None) -> InducedCalculus:
     conn, _, _, om = pipeline(name, truncation)
     return InducedCalculus(conn, om)
+
+
+def upper_triangular_2() -> Algebra:
+    """T₂, the upper-triangular 2×2 matrices on the basis e11, e12, e22:
+    not semisimple, e12 spans its radical."""
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
+        table[i][j][k] = 1
+    return Algebra.from_table(table, [1, 0, 1])
+
+
+def regular_connection(a: Algebra, truncation: int, gamma: int) -> Connection:
+    """∇ = d + Γ· on the regular bimodule A over the universal calculus, Γ
+    the bar basis 1-form of index ``gamma``.  Column c of ∇ is the class of
+    1⊗(d e_c + Γ·e_c); right Leibniz holds by construction."""
+    left = [[[a.structure[i][j][k] for j in range(a.dim)]
+             for k in range(a.dim)] for i in range(a.dim)]
+    right = [[[a.structure[j][i][k] for j in range(a.dim)]
+              for k in range(a.dim)] for i in range(a.dim)]
+    cal = universal_graded(a, truncation)
+    uni = cal.universal
+    forms = Forms(Bimodule.from_actions(a, left, right), cal)
+    g = [0] * uni.bar_dim(1)
+    g[gamma] = 1
+    cols = [forms.class_of_pair_bar(1, a.unit_vec(), [
+        x + y for x, y in zip(uni.d(0, a.basis_vec(c)),
+                              uni.product(1, g, 0, a.basis_vec(c)))])
+        for c in range(a.dim)]
+    return Connection(forms, [[col[r] for col in cols]
+                              for r in range(forms.dim(1))])
