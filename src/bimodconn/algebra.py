@@ -84,8 +84,8 @@ def check_algebra(a: Algebra) -> Verdict:
     return passed("check-algebra", anchors.ALGEBRA, {"dim": a.dim})
 
 
-def _action_matrix(actions, f: Vec) -> Mat:
-    """Σ fᵢ·(action matrix of e_i), read off the stored action tuples."""
+def action_matrix(actions, f: Vec) -> Mat:
+    """Σ fᵢ·(action matrix of e_i), from one square matrix per basis element."""
     out = zero_mat(len(actions[0]), len(actions[0]))
     for i, c in enumerate(f):
         if c == 0:
@@ -100,12 +100,12 @@ def _action_matrix(actions, f: Vec) -> Mat:
     return out
 
 
-def _act(actions, f: Vec, v: Vec) -> Vec:
+def act(actions, f: Vec, v: Vec) -> Vec:
     """(action of f)·v; a basis element f applies its stored matrix as is."""
     nz = [i for i, c in enumerate(f) if c]
     if len(nz) == 1 and f[nz[0]] == 1:
         return mat_vec(actions[nz[0]], v)
-    return mat_vec(_action_matrix(actions, f), v)
+    return mat_vec(action_matrix(actions, f), v)
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,10 @@ class RightModule:
         return [[list(r) for r in m] for m in self.right_action]
 
     def act_right(self, m: Vec, f: Vec) -> Vec:
-        return _act(self.right_action, f, m)
+        return act(self.right_action, f, m)
 
     def right_matrix(self, f: Vec) -> Mat:
-        return _action_matrix(self.right_action, f)
+        return action_matrix(self.right_action, f)
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
@@ -153,16 +153,16 @@ class Bimodule:
         return [[list(r) for r in m] for m in self.right_action]
 
     def left_matrix(self, f: Vec) -> Mat:
-        return _action_matrix(self.left_action, f)
+        return action_matrix(self.left_action, f)
 
     def right_matrix(self, f: Vec) -> Mat:
-        return _action_matrix(self.right_action, f)
+        return action_matrix(self.right_action, f)
 
     def act_left(self, f: Vec, m: Vec) -> Vec:
-        return _act(self.left_action, f, m)
+        return act(self.left_action, f, m)
 
     def act_right(self, m: Vec, f: Vec) -> Vec:
-        return _act(self.right_action, f, m)
+        return act(self.right_action, f, m)
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
@@ -199,13 +199,13 @@ def right_module_generators(mod) -> list[int]:
 def _check_one_sided(mod, matrices: list[Mat], side: str, check_id: str,
                      anchor: str) -> Verdict | None:
     a = mod.algebra
-    unit_m = _action_matrix(matrices, a.unit_vec())
+    unit_m = action_matrix(matrices, a.unit_vec())
     if unit_m != identity_mat(mod.dim):
         return failed(check_id, anchor, {"axiom": f"{side}-unit"})
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.mult(a.basis_vec(i), a.basis_vec(j))
-            m_prod = _action_matrix(matrices, prod)
+            m_prod = action_matrix(matrices, prod)
             if side == "left":
                 m_comp = mat_mul(matrices[i], matrices[j])
             else:
@@ -235,8 +235,9 @@ def check_bimodule(m: Bimodule) -> Verdict:
 class BalancedTensor:
     """X ⊗_A Y: the plain tensor product modulo balancing relations.
 
-    Retains the lift (section) and project maps so elements can move between
-    representative and class form deterministically.
+    Keeps the quotient, so plain (representative) coordinates project to
+    classes deterministically, and maps on the plain tensor induce maps on
+    classes by ``QuotientSpace.induced``.
     """
 
     left_factor: object   # Bimodule or RightModule
@@ -271,17 +272,12 @@ class BalancedTensor:
     def project_pure(self, x: Vec, y: Vec) -> Vec:
         return self.project(self.pure(x, y))
 
-    def lift(self, cls: Vec) -> Vec:
-        return self.quotient.lift(cls)
-
     def _plain_right_matrix(self, f: Vec) -> Mat:
         ry = self.right_factor.right_matrix(f)
         return _kron_right(self.left_factor.dim, ry)
 
     def induced_right_matrix(self, f: Vec) -> Mat:
-        q = self.quotient
-        return mat_mul(q.projection,
-                       mat_mul(self._plain_right_matrix(f), q.section))
+        return self.quotient.induced(self._plain_right_matrix(f), self.quotient)
 
 
 def _kron_right(xdim: int, ry: Mat) -> Mat:

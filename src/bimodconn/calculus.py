@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     _exact, factor_through, identity_mat, mat_mul, mat_vec,
+                     _exact, factor_through, identity_mat, mat_vec,
                      quotient, QuotientSpace, zeros)
 
 
@@ -302,10 +302,8 @@ class GradedCalculus:
     def d_matrix(self, r: int) -> Mat:
         """d: Ω^r → Ω^{r+1} in quotient coordinates."""
         if r not in self._d_mats:
-            cols = [self.class_of_bar(
-                        r + 1, self.universal.d(r, self.quotients[r].lift(q)))
-                    for q in identity_mat(self.dim(r))]
-            self._d_mats[r] = _cols_to_mat(cols, self.dim(r + 1))
+            self._d_mats[r] = self.quotients[r].induced(
+                self.universal.d_bar_matrix(r), self.quotients[r + 1])
         return self._d_mats[r]
 
     def d_apply(self, r: int, q: Vec) -> Vec:
@@ -321,15 +319,12 @@ class GradedCalculus:
         """Ω^r as an A-bimodule in quotient coordinates."""
         if r not in self._bimods:
             a = self.algebra
-            p = self.quotients[r].projection
-            sct = self.quotients[r].section
-            left, right = [], []
-            for i in range(a.dim):
-                f = a.basis_vec(i)
-                lm = self.universal.left_mult_bar_matrix(r, f)
-                rm = self.universal.right_mult_bar_matrix(r, f)
-                left.append(mat_mul(p, mat_mul(lm, sct)))
-                right.append(mat_mul(p, mat_mul(rm, sct)))
+            q = self.quotients[r]
+            uni = self.universal
+            left = [q.induced(uni.left_mult_bar_matrix(r, a.basis_vec(i)), q)
+                    for i in range(a.dim)]
+            right = [q.induced(uni.right_mult_bar_matrix(r, a.basis_vec(i)), q)
+                     for i in range(a.dim)]
             self._bimods[r] = Bimodule.from_actions(a, left, right)
         return self._bimods[r]
 

@@ -46,22 +46,12 @@ class Connection:
         return mat_vec(self.nabla, m_vec)
 
     def nabla_ext_plain(self, r: int) -> Mat:
-        """Extension on free coordinates: T^u_r → T_{r+1} classes.
-
-        ∇(m_i ⊗ de_j1⋯de_jr) = (∇ m_i)·de_j1⋯de_jr; the a⊗dω term
-        vanishes on this basis since d(de_j1⋯de_jr) = 0.
-        """
+        """Extension on free coordinates: T^u_r → T_{r+1} classes, every
+        column of ``Forms.extension_columns`` for ∇."""
         key = (r, "plain")
         if key not in self._ext_mats:
-            f = self.forms
-            nt = f.n_tails(r)
-            cols = []
-            for m_i in range(self.module.dim):
-                nm = f.lift(1, self.nabla_apply(self.module.basis_vec(m_i)))
-                for bidx in range(nt):
-                    beta = f._tails[r][bidx]
-                    cols.append(f.project(r + 1, f.concat_tu(1, nm, beta)))
-            self._ext_mats[key] = _cols_to_mat(cols, f.dim(r + 1))
+            self._ext_mats[key] = self.forms.extension_columns(
+                1, self.nabla, r, range(self.forms.tu_dim(r)))
         return self._ext_mats[key]
 
     def nabla_ext_matrix(self, r: int) -> Mat:
@@ -69,14 +59,8 @@ class Connection:
         if r == 0:
             return self.nabla
         if r not in self._ext_mats:
-            f = self.forms
-            plain = self.nabla_ext_plain(r)
-            cols = []
-            for c in range(f.dim(r)):
-                q = zeros(f.dim(r))
-                q[c] = 1
-                cols.append(mat_vec(plain, f.lift(r, q)))
-            self._ext_mats[r] = _cols_to_mat(cols, f.dim(r + 1))
+            self._ext_mats[r] = self.forms.quotient_space(r).columns(
+                self.nabla_ext_plain(r))
         return self._ext_mats[r]
 
     def curvature_matrix(self, r: int) -> Mat:
@@ -136,29 +120,10 @@ class DegreeRHom:
             return self.matrix
         cache = self.forms.op_cache
         key = ("ext", self.key, s)
-        if key in cache:
-            return cache[key]
-        f = self.forms
-        r = self.degree
-        nt = f.n_tails(s)
-        imgs = [f.lift(r, self.apply(f.module.basis_vec(i)))
-                for i in range(f.module.dim)]
-        cols = []
-        for c in range(f.dim(s)):
-            q = zeros(f.dim(s))
-            q[c] = 1
-            tu = f.lift(s, q)
-            out = zeros(f.tu_dim(r + s))
-            for flat, cc in enumerate(tu):
-                if cc == 0:
-                    continue
-                m_i, bidx = divmod(flat, nt)
-                piece = f.concat_tu(r, imgs[m_i], f._tails[s][bidx])
-                for k, pv in enumerate(piece):
-                    if pv:
-                        out[k] += cc * pv
-            cols.append(f.project(r + s, out))
-        cache[key] = _cols_to_mat(cols, f.dim(r + s))
+        if key not in cache:
+            f = self.forms
+            cache[key] = f.extension_columns(self.degree, self.matrix, s,
+                                             f.quotient_space(s).free)
         return cache[key]
 
     def compose(self, other: "DegreeRHom") -> "DegreeRHom":
@@ -415,35 +380,22 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
                                     {"kernel_element_bar": rationals(wit)}))
         return res
     res.verdicts.append(passed("sigma-exists", anchors.FACTOR_UNIQUELY))
-    # realize σ on Ω¹ ⊗_A M
+    # realize σ on Ω¹ ⊗_A M: column (wi, mj) of the plain tensor is
+    # κ̂₁(class wi)(a_mj), so σ is read off the columns at the tensor's free
     omega1_bimod = cal.degree_bimodule(1)
     tens = tensor_over_A(omega1_bimod, c.module)
-    ind = k1.induced
-    cols = []
-    for col in range(tens.dim):
-        q = zeros(tens.dim)
-        q[col] = 1
-        plain = tens.lift(q)
-        out = zeros(c.forms.dim(1))
-        for flat, cc in enumerate(plain):
-            if cc == 0:
-                continue
-            wi, mj = divmod(flat, c.module.dim)
-            wq = zeros(tens.left_factor.dim)
-            wq[wi] = 1
-            op = ind.op_from_coords(mat_vec(h, wq))
-            out = vec_add(out, [cc * x for x in op.apply(c.module.basis_vec(mj))])
-        cols.append(out)
+    ops = [k1.induced.op_from_coords([row[wi] for row in h]).matrix
+           for wi in range(omega1_bimod.dim)]
+    plain = [[x for op in ops for x in op[row]]
+             for row in range(c.forms.dim(1))]
     sigma = SigmaMap("projected" if cal.ideal[1] else "universal",
-                     tens, _cols_to_mat(cols, c.forms.dim(1)))
+                     tens, tens.quotient.columns(plain))
     res.sigma = sigma
     # well-definedness on balanced classes
-    for wi in range(omega1_bimod.dim):
-        wq = zeros(omega1_bimod.dim)
-        wq[wi] = 1
-        op = ind.op_from_coords(mat_vec(h, wq))
+    for wi, op in enumerate(ops):
+        wq = omega1_bimod.basis_vec(wi)
         for mj in range(c.module.dim):
-            direct = op.apply(c.module.basis_vec(mj))
+            direct = [row[mj] for row in op]
             via = sigma.apply(tens.project_pure(wq, c.module.basis_vec(mj)))
             if direct != via:
                 res.verdicts.append(failed("sigma-well-defined",

@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import anchors
 from .calculus import GradedCalculus, preceq
 from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
-from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, mat_mul, mat_vec,
-                     null_space, quotient, QuotientSpace, rank, vec_add, zeros)
+from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, identity_mat,
+                     mat_mul, mat_vec, null_space, quotient, QuotientSpace,
+                     rank, vec_add, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -133,20 +134,18 @@ class OmegaHat:
     Ω̂ is built from its generators T: T₀ is a basis of κ₀(A) and T_k a
     basis of ∇̂(T_{k−1}), k = 1..D (``gen_ops``).  A worklist W is seeded
     with T₀; each operator w that enlarges its degree's span is kept, and
-    ∇̂w and t∘w, for every t in T with deg t + deg w ≤ D, are tried in turn.
-    Then:
+    t∘w, for every t in T with deg t + deg w ≤ D, is tried in turn.  Then:
 
-    - W ⊆ Ω̂, since every candidate is built from Ω̂ by ∇̂ or composition;
-    - W is ∇̂-closed, since ∇̂ is linear and was tried on every kept operator,
-      so W holds T = T₀, ∇̂T₀, ∇̂²T₀, …;
-    - W is closed under composition on the left by T and contains 1 ∈ κ₀(A),
-      so W contains every word t₁∘⋯∘t_k in T.
+    - W ⊆ Ω̂, since every candidate is a composition of operators of Ω̂;
+    - W holds T₀ and is closed under composition on the left by T, and
+      1 ∈ span T₀, so span W holds every word t₁∘⋯∘t_k in T (T included).
 
-    By the graded Leibniz rule ∇̂(Φ∘Ψ) = (∇̂Φ)∘Ψ + (−1)^r Φ∘∇̂Ψ, the words in T
-    span a ∇̂-closed algebra, which is Ω̂: if the derivation identity holds on
-    the pairs ``_check_derivation`` decides, W is exactly the fixpoint of
-    two-sided composition and ∇̂ from κ₀(A).  If it fails, the verdict
-    already fails.  ``ops(r)`` is a basis of Ω̂_r in the order W found it.
+    The graded Leibniz rule ∇̂(t∘w) = (∇̂t)∘w + (−1)^r t∘∇̂w, with ∇̂t in
+    span T, then makes span W ∇̂-closed, by induction on the length of w as
+    a word: so span W is Ω̂, the closure of κ₀(A) under composition and ∇̂.
+    ``_check_derivation`` decides that rule on the pairs (t, w) it needs;
+    if it fails, the verdict already fails.  ``ops(r)`` is a basis of Ω̂_r
+    in the order W found it.
     """
 
     def __init__(self, connection: Connection):
@@ -186,10 +185,7 @@ class OmegaHat:
         for t in self._gens[0]:
             try_add(t)
         for w in queue:             # grows while it is read
-            s = w.degree
-            if s < D:
-                try_add(nabla_hat(c, w))
-            for r in range(D + 1 - s):
+            for r in range(D + 1 - w.degree):
                 for t in self._gens[r]:
                     try_add(t.compose(w))
         self._check_derivation()
@@ -375,15 +371,8 @@ class OmegaM:
     def nabla_matrix(self, r: int) -> Mat:
         """Factored ∇: Ω(M)_r → Ω(M)_{r+1}."""
         if r not in self._nabla:
-            c = self.connection
-            nx = c.nabla_ext_matrix(r)
-            cols = []
-            for k in range(self.dim(r)):
-                q = zeros(self.dim(r))
-                q[k] = 1
-                cols.append(self.project(r + 1,
-                                         mat_vec(nx, self.quotients[r].lift(q))))
-            self._nabla[r] = _cols_to_mat(cols, self.dim(r + 1))
+            self._nabla[r] = self.quotients[r].induced(
+                self.connection.nabla_ext_matrix(r), self.quotients[r + 1])
         return self._nabla[r]
 
     def left_matrix(self, r: int, f_vec: Vec) -> Mat:
@@ -391,8 +380,7 @@ class OmegaM:
         if r == 0:
             return c.module.left_matrix(f_vec)
         q = self.quotients[r]
-        return mat_mul(q.projection,
-                       mat_mul(c.forms.left_matrix(r, f_vec), q.section))
+        return q.induced(c.forms.left_matrix(r, f_vec), q)
 
     def curvature_matrix(self) -> Mat:
         return mat_mul(self.quotients[2].projection,
@@ -445,10 +433,9 @@ class OmegaM:
         cal = c.calculus
         for r in range(f.D):
             sign = 1 if r % 2 == 0 else -1
-            for k in range(self.dim(r)):
-                q = zeros(self.dim(r))
-                q[k] = 1
-                v = self.quotients[r].lift(q)
+            units = identity_mat(f.dim(r))
+            for k, fc in enumerate(self.quotients[r].free):
+                v = units[fc]       # the lift of basis class k
                 nv = mat_vec(c.nabla_ext_matrix(r), v)
                 for fi in range(a.dim):
                     fv = a.basis_vec(fi)

@@ -9,10 +9,10 @@ what keeps desk-scale computations fast and exact.
 
 from __future__ import annotations
 
-from .algebra import Bimodule, right_module_generators
+from .algebra import Bimodule, act, action_matrix, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     mat_vec, quotient, QuotientSpace, zero_mat, zeros)
+                     quotient, QuotientSpace, zeros)
 
 
 class Forms:
@@ -132,68 +132,70 @@ class Forms:
             out[m_i * nt_out + pos[self._tails[r][bidx] + beta]] = c
         return out
 
+    # -- right-Ω extensions ----------------------------------------------
+    def extension_columns(self, r: int, phi, s: int,
+                          indices: range | list[int]) -> Mat:
+        """Columns of the extension of a degree-r map Φ: M → T_r to
+        T^u_s → T_{r+s}, at the given T^u_s indices, in class coordinates.
+
+        The column of m_i⊗de_β is the class of Φ(m_i)·de_β, the tail
+        concatenated to a representative of Φ(m_i).  For a right-Ω-linear Φ
+        that is Φ(m_i⊗de_β) by definition.  ∇ is not right-Ω-linear, but the
+        same formula holds for it on this free basis: the graded Leibniz rule
+        gives ∇(m_i⊗de_β) = (∇m_i)·de_β + m_i⊗d(de_β), and d(de_β) = 0.
+        """
+        nt = self.n_tails(s)
+        tails = self._tails[s]
+        imgs = [self.lift(r, [row[i] for row in phi])
+                for i in range(self.module.dim)]
+        cols = []
+        for flat in indices:
+            m_i, bidx = divmod(flat, nt)
+            cols.append(self.project(
+                r + s, self.concat_tu(r, imgs[m_i], tails[bidx])))
+        return _cols_to_mat(cols, self.dim(r + s))
+
     # -- actions on quotient coordinates ----------------------------------
     def left_action_matrix(self, r: int, i: int) -> Mat:
-        """Left action of basis element e_i on T_r (quotient coordinates)."""
+        """Left action of basis element e_i on T_r (quotient coordinates):
+        the extension of m ↦ e_i·m, which commutes with the right action."""
         key = (r, i)
         if key not in self._left_mats:
-            nt = self.n_tails(r)
-            lm = self.module.left_action[i]
-            cols = []
-            for c in range(self.dim(r)):
-                q = zeros(self.dim(r))
-                q[c] = 1
-                tu = self.lift(r, q)
-                out = zeros(self.tu_dim(r))
-                for flat, cc in enumerate(tu):
-                    if cc == 0:
-                        continue
-                    m_i, bidx = divmod(flat, nt)
-                    for a in range(self.module.dim):
-                        if lm[a][m_i]:
-                            out[a * nt + bidx] += cc * lm[a][m_i]
-                cols.append(self.project(r, out))
-            self._left_mats[key] = _cols_to_mat(cols, self.dim(r))
+            self._left_mats[key] = self.extension_columns(
+                0, self.module.left_action[i], r, self._quotients[r].free)
         return self._left_mats[key]
 
     def right_action_matrix(self, r: int, i: int) -> Mat:
-        """Right action of basis element e_i on T_r (quotient coordinates)."""
+        """Right action of basis element e_i on T_r (quotient coordinates),
+        read off the columns at ``free`` of the action on T^u_r."""
         key = (r, i)
         if key not in self._right_mats:
             f_bar = self.algebra.basis_vec(i)
             cols = []
-            for c in range(self.dim(r)):
-                q = zeros(self.dim(r))
-                q[c] = 1
-                tu = self.mult_tu_by_bar(r, self.lift(r, q), 0, f_bar)
-                cols.append(self.project(r, tu))
+            for fc in self._quotients[r].free:
+                tu = zeros(self.tu_dim(r))
+                tu[fc] = 1
+                cols.append(self.project(
+                    r, self.mult_tu_by_bar(r, tu, 0, f_bar)))
             self._right_mats[key] = _cols_to_mat(cols, self.dim(r))
         return self._right_mats[key]
 
+    def _left_actions(self, r: int) -> list[Mat]:
+        return [self.left_action_matrix(r, i) for i in range(self.algebra.dim)]
+
+    def _right_actions(self, r: int) -> list[Mat]:
+        return [self.right_action_matrix(r, i)
+                for i in range(self.algebra.dim)]
+
     def left_matrix(self, r: int, f: Vec) -> Mat:
-        """Left action of f = Σ fᵢ·e_i on T_r: Σ fᵢ·(left action of e_i)."""
-        out = zero_mat(self.dim(r), self.dim(r))
-        for i, c in enumerate(f):
-            if c:
-                out = [[a + c * b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(out, self.left_action_matrix(r, i))]
-        return out
+        """Left action of f = Σ fᵢ·e_i on T_r."""
+        return action_matrix(self._left_actions(r), f)
 
     def act_left(self, r: int, f: Vec, q: Vec) -> Vec:
-        out = zeros(self.dim(r))
-        for i, c in enumerate(f):
-            if c:
-                out = [a + c * b for a, b in
-                       zip(out, mat_vec(self.left_action_matrix(r, i), q))]
-        return out
+        return act(self._left_actions(r), f, q)
 
     def act_right(self, r: int, q: Vec, f: Vec) -> Vec:
-        out = zeros(self.dim(r))
-        for i, c in enumerate(f):
-            if c:
-                out = [a + c * b for a, b in
-                       zip(out, mat_vec(self.right_action_matrix(r, i), q))]
-        return out
+        return act(self._right_actions(r), f, q)
 
     def mult_class(self, r: int, q: Vec, s: int, omega_q: Vec) -> Vec:
         """(T_r class) · (Ω^s class), via representatives."""
@@ -203,6 +205,5 @@ class Forms:
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω)."""
-        left = [self.left_action_matrix(r, i) for i in range(self.algebra.dim)]
-        right = [self.right_action_matrix(r, i) for i in range(self.algebra.dim)]
-        return Bimodule.from_actions(self.algebra, left, right)
+        return Bimodule.from_actions(self.algebra, self._left_actions(r),
+                                     self._right_actions(r))

@@ -195,11 +195,14 @@ def rank(matrix: Mat) -> int:
 
 @dataclass(frozen=True)
 class QuotientSpace:
-    """total / span(sub), with a deterministic projection/section pair.
+    """total / span(sub), with a deterministic projection and lift.
 
     ``projection`` is a (dim x total) matrix; ``sub`` is the independent
     basis the quotient was taken by, and ``free`` the columns of total (the
-    pivot complement of sub) whose unit vectors represent the quotient basis.
+    pivot complement of sub) whose unit vectors represent the quotient basis:
+    lift(e_k) = e_{free[k]}.  So a map m on total, composed with ``lift``,
+    is m's columns at ``free``, and the map it induces on classes is read
+    off those columns (``columns``, ``induced``).
     """
 
     sub: list[Vec]
@@ -210,15 +213,19 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.free)
 
-    @property
-    def section(self) -> Mat:
-        """The (total x dim) matrix of ``lift``."""
-        sect = zero_mat(len(self.sub) + self.dim, self.dim)
-        for k, fc in enumerate(self.free):
-            sect[fc][k] = 1
-        return sect
+    def columns(self, m: Mat) -> Mat:
+        """m·lift: the columns of m at ``free``."""
+        return [[row[fc] for fc in self.free] for row in m]
+
+    def induced(self, m: Mat, target: "QuotientSpace") -> Mat:
+        """target.projection·m·lift: the map of classes that m, from this
+        total space to target's, induces."""
+        cols = self.columns(m)
+        return mat_mul(target.projection, cols) if target.sub else cols
 
     def project(self, v: Vec) -> Vec:
+        if len(v) != len(self.sub) + self.dim:
+            raise DimensionError("not a vector of the total space")
         if not self.sub:
             return v[:]
         return mat_vec(self.projection, v)
@@ -236,7 +243,7 @@ def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
     """Quotient of the coordinate space of dimension `total` by the span of
     the independent vectors `sub`.
 
-    The section maps quotient coordinates to the pivot-complement basis of the
+    The lift maps quotient coordinates to the pivot-complement basis of the
     row reduction of sub, so results are reproducible given input ordering.
     Reducing e_i modulo the reduced rows leaves e_i itself for a free column
     i and e_i - row for the pivot i of a row, so the projection is read off

@@ -179,7 +179,8 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
 
     Both N⊗Ω^r and N⊗Ω_∇^r are quotients of the same free coordinate space
     N ⊗ (degree-r tails); since κ̂ is the canonical factoring of the two
-    ideal quotients, ν̂ is lift-then-reproject between them.  The source is
+    ideal quotients, ν̂ is lift-then-reproject between them: the target's
+    projection read at the source's ``free`` columns.  The source is
     ``rc.forms``; only the target N⊗Ω_∇ is built here.
     """
     if kappa_hat is None:
@@ -193,12 +194,8 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     tgt = Forms(rc.module, kappa_hat.target)
     nu = NuHat(True, src, tgt)
     for r in range(src.D + 1):
-        cols = []
-        for c in range(src.dim(r)):
-            q = zeros(src.dim(r))
-            q[c] = 1
-            cols.append(tgt.project(r, src.lift(r, q)))
-        nu.maps.append(_cols_to_mat(cols, tgt.dim(r)))
+        nu.maps.append(src.quotient_space(r).columns(
+            tgt.quotient_space(r).projection))
     # well defined: the source relations are killed in the target
     for r in range(src.D + 1):
         for v in src.quotient_space(r).sub:
@@ -223,14 +220,14 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         if r + 1 > src.D:
             continue
         for j in uni.complement:
-            for c in range(src.dim(r)):
-                q = zeros(src.dim(r))
-                q[c] = 1
+            for c, fc in enumerate(src.quotient_space(r).free):
+                tu = zeros(src.tu_dim(r))      # the lift of basis class c
+                tu[fc] = 1
+                image = [row[c] for row in nu.maps[r]]
                 lhs_v = tgt.project(r + 1,
-                                    tgt.concat_tu(r, tgt.lift(r, nu.apply(r, q)),
-                                                  (j,)))
+                                    tgt.concat_tu(r, tgt.lift(r, image), (j,)))
                 rhs_v = nu.apply(r + 1, src.project(
-                    r + 1, src.concat_tu(r, src.lift(r, q), (j,))))
+                    r + 1, src.concat_tu(r, tu, (j,))))
                 if lhs_v != rhs_v:
                     nu.verdicts.append(failed(
                         "nu-hat-right-linear", anchors.NU_HAT,
@@ -262,20 +259,39 @@ class TensorConnection:
         return mat_vec(self.matrix, cls)
 
 
-def _interpretation_ops(induced: InducedCalculus) -> list[Mat]:
-    """Matrix of a ↦ (1·de_j)·a for each degree-one tail, via κ̄."""
-    c = induced.connection
-    uni = c.calculus.universal
-    nt = len(uni.tails(1))
-    unit = uni.algebra.unit_vec()
-    ops = []
-    for bidx in range(nt):
-        bar = zeros(uni.bar_dim(1))
-        for t, ct in enumerate(unit):
-            if ct:
-                bar[t * nt + bidx] += ct
-        ops.append(induced.kappa_raw(1, bar).matrix)
-    return ops
+def _tail_bars(uni) -> list[Vec]:
+    """Bar coordinates of 1·de_j per degree-one tail (j): d(e_j) itself,
+    since π(e_j) is a unit vector for j in the unit complement."""
+    return [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
+
+
+def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
+                       xi_list: list[Vec], tail_ops: list[Mat]) -> Mat:
+    """The plain matrix of ∇⊗ on N⊗M, into W = N⊗_A(M⊗_AΩ¹): column
+    (j, i) is the W-class of ξ_j·a_i + b_j⊗∇a_i.
+
+    ξ_j is a degree-one N-form of ``xi_forms``.  A term x·b_k⊗de_β of its
+    representative acts on a_i through its tail: it gives x·b_k⊗(T_β·a_i)
+    for the M → M⊗_AΩ¹ matrix T_β = ``tail_ops[β]``.
+    """
+    m = c.module
+    nt = xi_forms.n_tails(1)
+    t1 = c.forms.dim(1)
+    cols = []
+    for j, xi in enumerate(xi_list):
+        terms = [(divmod(flat, nt), cc)
+                 for flat, cc in enumerate(xi_forms.lift(1, xi)) if cc]
+        for i in range(m.dim):
+            out = zeros(w.plain_dim)
+            for (k, bidx), cc in terms:
+                for l, row in enumerate(tail_ops[bidx]):
+                    if row[i]:
+                        out[k * t1 + l] += cc * row[i]
+            for l, row in enumerate(c.nabla):
+                if row[i]:
+                    out[j * t1 + l] += row[i]
+            cols.append(w.project(out))
+    return _cols_to_mat(cols, w.dim)
 
 
 def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
@@ -283,93 +299,57 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
                     well_defined_anchor: str) -> TensorConnection:
     """Assemble ∇⊗ from the degree-one N-forms ξ_j = "(∇ of b_j) downstairs".
 
-    Each ξ_j lives in N⊗_AΩ¹_∇; its tails act on M through κ̄, which is the
-    interpretation rule (b⊗Φ̂)a := b⊗Φ̂(a).
+    Each ξ_j lives in N⊗_AΩ¹_∇; its tails act on M through κ̄(1·de_β),
+    which is the interpretation rule (b⊗Φ̂)a := b⊗Φ̂(a).
     """
     m = c.module
     tn = tensor_over_A(n, m)
-    t1_bimod = c.forms.as_bimodule(1)
-    w = tensor_over_A(n, t1_bimod)
-    ops = _interpretation_ops(induced)
-    nt = xi_forms.n_tails(1)
-    t1 = c.forms.dim(1)
-    # plain columns over the pure basis (b_j, a_i)
-    plain_cols: list[Vec] = []
-    for j in range(n.dim):
-        xi = xi_forms.lift(1, xi_list[j])
-        for i in range(m.dim):
-            av = m.basis_vec(i)
-            out = zeros(w.plain_dim)
-            for flat, cc in enumerate(xi):
-                if cc == 0:
-                    continue
-                k, bidx = divmod(flat, nt)
-                val = mat_vec(ops[bidx], av)
-                for l, cv in enumerate(val):
-                    if cv:
-                        out[k * t1 + l] += cc * cv
-            na = c.nabla_apply(av)
-            for l, cv in enumerate(na):
-                if cv:
-                    out[j * t1 + l] += cv
-            plain_cols.append(w.project(out))
+    w = tensor_over_A(n, c.forms.as_bimodule(1))
+    uni = c.calculus.universal
+    tail_ops = [induced.kappa_raw(1, bar).matrix for bar in _tail_bars(uni)]
+    plain = _pure_pair_columns(c, w, xi_forms, xi_list, tail_ops)
     tc = TensorConnection(route, tn, w, [])
     # well defined on balanced classes
     for rel in balancing_relations(n, m):
-        img = zeros(w.dim)
-        for k, cc in enumerate(rel):
-            if cc:
-                img = vec_add(img, [cc * x for x in plain_cols[k]])
-        if not is_zero_vec(img):
+        if not is_zero_vec(mat_vec(plain, rel)):
             tc.verdicts.append(failed("tensor-connection-well-defined",
                                       well_defined_anchor,
                                       {"relation": rationals(rel)}))
             return tc
     tc.verdicts.append(passed("tensor-connection-well-defined",
                               well_defined_anchor))
-    cols = []
-    for col in range(tn.dim):
-        q = zeros(tn.dim)
-        q[col] = 1
-        plain = tn.lift(q)
-        out = zeros(w.dim)
-        for k, cc in enumerate(plain):
-            if cc:
-                out = vec_add(out, [cc * x for x in plain_cols[k]])
-        cols.append(out)
-    tc.matrix = _cols_to_mat(cols, w.dim)
+    tc.matrix = tn.quotient.columns(plain)
     _check_tensor_leibniz(tc, c)
     return tc
 
 
 def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
-    """∇⊗(x·f) = (∇⊗x)·f + x⊗df on all domain basis / algebra pairs."""
+    """∇⊗(x·f) = (∇⊗x)·f + x⊗df on all domain basis / algebra pairs.
+
+    Per f, ∇⊗∘(·f) and (·f)∘∇⊗ are computed once as matrices; the class x
+    at basis index k lifts to the pure pair free[k] = (j, i), where x⊗df is
+    the W-class of b_j⊗(a_i⊗df).
+    """
     tn, w = tc.domain, tc.codomain
-    n, m = tn.left_factor, c.module
+    m = c.module
     a = m.algebra
     uni = c.calculus.universal
     t1 = c.forms.dim(1)
-    for col in range(tn.dim):
-        q = zeros(tn.dim)
-        q[col] = 1
-        dq = tc.apply(q)
-        plain = tn.lift(q)
-        for fi in range(a.dim):
-            fv = a.basis_vec(fi)
-            lhs = tc.apply(mat_vec(tn.induced_right_matrix(fv), q))
-            rhs = mat_vec(w.induced_right_matrix(fv), dq)
-            df_bar = uni.d(0, fv)
+    per_f = []
+    for fi in range(a.dim):
+        fv = a.basis_vec(fi)
+        df_bar = uni.d(0, fv)
+        per_f.append((mat_mul(tc.matrix, tn.induced_right_matrix(fv)),
+                      mat_mul(w.induced_right_matrix(fv), tc.matrix),
+                      [c.forms.class_of_pair_bar(1, m.basis_vec(i), df_bar)
+                       for i in range(m.dim)]))
+    for col, fc in enumerate(tn.quotient.free):
+        j, i = divmod(fc, m.dim)
+        for fi, (lhs, rhs, pieces) in enumerate(per_f):
             extra = zeros(w.plain_dim)
-            for flat, cc in enumerate(plain):
-                if cc == 0:
-                    continue
-                j, i = divmod(flat, m.dim)
-                piece = c.forms.class_of_pair_bar(1, m.basis_vec(i), df_bar)
-                for l, cv in enumerate(piece):
-                    if cv:
-                        extra[j * t1 + l] += cc * cv
-            rhs = vec_add(rhs, w.project(extra))
-            if lhs != rhs:
+            extra[j * t1:(j + 1) * t1] = pieces[i]
+            if [row[col] for row in lhs] != vec_add(
+                    [row[col] for row in rhs], w.project(extra)):
                 tc.verdicts.append(failed("tensor-right-leibniz",
                                           anchors.TENSOR_CONNECTION,
                                           {"basis": col, "algebra_basis": fi}))
@@ -412,43 +392,24 @@ def tensor_connection_original(rc: Connection, c: Connection,
 
 def _check_sigma_route(tc: TensorConnection, rc: Connection,
                        c: Connection, sigma) -> None:
-    """(id_N⊗σ)(∇′b)⊗a + b⊗∇a equals the ν̂-route value on all pure pairs."""
+    """(id_N⊗σ)(∇′b)⊗a + b⊗∇a equals the ν̂-route value on all pure pairs:
+    the pure-pair columns with the tails acting by σ(1·de_β ⊗ a)."""
     n, m = rc.module, c.module
-    w = tc.codomain
+    s = sigma.sigma
     cal = c.calculus
-    src = rc.forms
-    nt = src.n_tails(1)
-    uni = cal.universal
-    unit = uni.algebra.unit_vec()
-    t1 = c.forms.dim(1)
-    # Ω¹ class of the tail 1·de_j, per tail index
-    tail_cls = []
-    for bidx in range(nt):
-        bar = zeros(uni.bar_dim(1))
-        for t, ct in enumerate(unit):
-            if ct:
-                bar[t * nt + bidx] += ct
-        tail_cls.append(cal.class_of_bar(1, bar))
+    tail_ops = []
+    for bar in _tail_bars(cal.universal):
+        cls = cal.class_of_bar(1, bar)
+        tail_ops.append(_cols_to_mat(
+            [s.apply(s.tensor.project_pure(cls, m.basis_vec(i)))
+             for i in range(m.dim)], c.forms.dim(1)))
+    xi = [rc.nabla_apply(n.basis_vec(j)) for j in range(n.dim)]
+    plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
     for j in range(n.dim):
-        xi = src.lift(1, rc.nabla_apply(n.basis_vec(j)))
         for i in range(m.dim):
-            av = m.basis_vec(i)
-            out = zeros(w.plain_dim)
-            for flat, cc in enumerate(xi):
-                if cc == 0:
-                    continue
-                k, bidx = divmod(flat, nt)
-                val = sigma.sigma.apply(
-                    sigma.sigma.tensor.project_pure(tail_cls[bidx], av))
-                for l, cv in enumerate(val):
-                    if cv:
-                        out[k * t1 + l] += cc * cv
-            na = c.nabla_apply(av)
-            for l, cv in enumerate(na):
-                if cv:
-                    out[j * t1 + l] += cv
-            via_sigma = w.project(out)
-            via_nu = tc.apply(tc.domain.project_pure(n.basis_vec(j), av))
+            via_sigma = [row[j * m.dim + i] for row in plain]
+            via_nu = tc.apply(tc.domain.project_pure(n.basis_vec(j),
+                                                     m.basis_vec(i)))
             if via_sigma != via_nu:
                 tc.verdicts.append(failed("tensor-route-agreement",
                                           anchors.NEC_SUFF,

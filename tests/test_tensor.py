@@ -178,3 +178,44 @@ def test_associated_connection_of_d_is_d_nabla():
         expected = am.forms.class_of_pair_bar(1, unit, bar)
         assert am.nabla_apply(rc.module.basis_vec(i)) == expected
     assert is_zero_vec(am.nabla_apply(unit))
+
+
+def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
+    conn = pipeline("a2_flat")[0]
+    rc = rc_of("a2_flat")
+    nu = nu_hat(rc, kappa_hat("a2_flat"))
+    sig = sigma_exists(conn)
+    sig.sigma.matrix[1][0] += 1
+    tco = tensor_connection_original(rc, conn, induced("a2_flat"), nu, sig)
+    (v,) = [v for v in tco.verdicts if v.check_id == "tensor-route-agreement"]
+    assert not v.ok
+    # per pure pair (b_j, a_i): (id_N⊗σ)(∇′b_j)⊗a_i + b_j⊗∇a_i against the
+    # ν̂ route, with σ applied to each term b_k⊗(1·de_β) of ∇′b_j
+    n, m, w = rc.module, conn.module, tco.codomain
+    uni = conn.calculus.universal
+    nt, t1 = rc.forms.n_tails(1), conn.forms.dim(1)
+    unit = uni.algebra.unit_vec()
+    tails = []
+    for bidx in range(nt):
+        bar = zeros(uni.bar_dim(1))
+        for t, ct in enumerate(unit):
+            bar[t * nt + bidx] = ct
+        tails.append(conn.calculus.class_of_bar(1, bar))
+    differ = []
+    for j in range(n.dim):
+        xi = rc.forms.lift(1, rc.nabla_apply(n.basis_vec(j)))
+        for i in range(m.dim):
+            av = m.basis_vec(i)
+            out = zeros(w.plain_dim)
+            for flat, cc in enumerate(xi):
+                k, bidx = divmod(flat, nt)
+                val = sig.sigma.apply(
+                    sig.sigma.tensor.project_pure(tails[bidx], av))
+                for l, x in enumerate(val):
+                    out[k * t1 + l] += cc * x
+            out = vec_add(out, w.pure(n.basis_vec(j), conn.nabla_apply(av)))
+            via_nu = tco.apply(tco.domain.project_pure(n.basis_vec(j), av))
+            if w.project(out) != via_nu:
+                differ.append([j, i])
+    assert differ
+    assert v.witness == {"pair": differ[0]}
