@@ -122,9 +122,6 @@ class RightModule:
     def act_right(self, m: Vec, f: Vec) -> Vec:
         return act(self.right_action, f, m)
 
-    def right_matrix(self, f: Vec) -> Mat:
-        return action_matrix(self.right_action, f)
-
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
         v[i] = 1

@@ -18,8 +18,8 @@ from fractions import Fraction
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
-from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, factor_through,
-                     mat_mul, mat_vec, rank, vec_add, zeros)
+from .linalg import (Mat, QuotientSpace, SpanBuilder, Vec, _cols_to_mat,
+                     factor_through, mat_mul, mat_vec, rank, vec_add, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -73,23 +73,48 @@ class Connection:
         return self._ext_mats[key]
 
 
+def leibniz_failure(c: Connection, r: int, s: int, omegas: list[Vec],
+                    cols: list[int] | range,
+                    proj: QuotientSpace | None = None) \
+        -> tuple[int, int] | None:
+    """The graded right Leibniz rule ∇(q·ω) = (∇q)·ω + (−1)^r q·dω for q in
+    T_r and each ω of Ω^s in ``omegas``, decided as the matrix identity
+
+        N_{r+s}·R(r, s, ω) − R(r+1, s, ω)·N_r − (−1)^r R(r, s+1, dω) = 0,
+
+    N the extension of ∇ and R ``Forms.right_mult_matrix``, on the columns
+    ``cols`` of T_r and after projecting by ``proj`` when given.  Returns
+    the first failing (k, i), column cols[k] and ω = omegas[i], by k and
+    then i; None when the rule holds.
+    """
+    f = c.forms
+    sign = 1 if r % 2 == 0 else -1
+    n_r, n_rs = c.nabla_ext_matrix(r), c.nabla_ext_matrix(r + s)
+    diffs = []
+    for w in omegas:
+        d_w = c.calculus.d_apply(s, w)
+        diff = [[x - y - sign * z for x, y, z in zip(rx, ry, rz)]
+                for rx, ry, rz in zip(
+                    mat_mul(n_rs, f.right_mult_matrix(r, s, w)),
+                    mat_mul(f.right_mult_matrix(r + 1, s, w), n_r),
+                    f.right_mult_matrix(r, s + 1, d_w))]
+        diffs.append(mat_mul(proj.projection, diff)
+                     if proj is not None and proj.sub else diff)
+    for k, col in enumerate(cols):
+        for i, diff in enumerate(diffs):
+            if any(row[col] for row in diff):
+                return k, i
+    return None
+
+
 def check_right_leibniz(c: Connection) -> Verdict:
     """∇(a·f) = (∇a)·f + a⊗df on all basis pairs, exactly."""
-    m, a = c.module, c.module.algebra
-    f = c.forms
-    for ai in range(m.dim):
-        av = m.basis_vec(ai)
-        na = c.nabla_apply(av)
-        for fi in range(a.dim):
-            fv = a.basis_vec(fi)
-            lhs = c.nabla_apply(m.act_right(av, fv))
-            rhs = f.act_right(1, na, fv)
-            df_bar = c.calculus.universal.d(0, fv)
-            rhs = [x + y for x, y in
-                   zip(rhs, f.class_of_pair_bar(1, av, df_bar))]
-            if lhs != rhs:
-                return failed("right-leibniz", anchors.RIGHT_LEIBNIZ,
-                              {"module_basis": ai, "algebra_basis": fi})
+    a = c.module.algebra
+    fail = leibniz_failure(c, 0, 0, [a.basis_vec(i) for i in range(a.dim)],
+                           range(c.module.dim))
+    if fail is not None:
+        return failed("right-leibniz", anchors.RIGHT_LEIBNIZ,
+                      {"module_basis": fail[0], "algebra_basis": fail[1]})
     return passed("right-leibniz", anchors.RIGHT_LEIBNIZ)
 
 

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 from . import anchors
 from .calculus import GradedCalculus, preceq
-from .connection import Connection, DegreeRHom, kappa0_op, nabla_hat
+from .connection import (Connection, DegreeRHom, kappa0_op, leibniz_failure,
+                         nabla_hat)
 from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, identity_mat,
                      mat_mul, mat_vec, null_space, quotient, QuotientSpace,
-                     rank, vec_add, zeros)
+                     rank, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -43,28 +44,14 @@ def extend_connection(c: Connection) -> list[Verdict]:
                 return verdicts
     verdicts.append(passed("nabla-extension-well-defined",
                            anchors.EXTENDING_NABLA))
-    cal = c.calculus
+    omegas = identity_mat(c.calculus.dim(1))
     for r in range(f.D - 1):
-        sign = 1 if r % 2 == 0 else -1
-        for qi in range(f.dim(r)):
-            q = zeros(f.dim(r))
-            q[qi] = 1
-            nq = mat_vec(c.nabla_ext_matrix(r), q)
-            for wi in range(cal.dim(1)):
-                w = zeros(cal.dim(1))
-                w[wi] = 1
-                lhs = mat_vec(c.nabla_ext_matrix(r + 1),
-                              f.mult_class(r, q, 1, w))
-                rhs = vec_add(
-                    f.mult_class(r + 1, nq, 1, w),
-                    [sign * x for x in
-                     f.mult_class(r, q, 2, cal.d_apply(1, w))])
-                if lhs != rhs:
-                    verdicts.append(failed(
-                        "nabla-extension-graded-leibniz",
-                        anchors.EXTENDING_NABLA,
-                        {"degrees": [r, 1], "basis": [qi, wi]}))
-                    return verdicts
+        fail = leibniz_failure(c, r, 1, omegas, range(f.dim(r)))
+        if fail is not None:
+            verdicts.append(failed("nabla-extension-graded-leibniz",
+                                   anchors.EXTENDING_NABLA,
+                                   {"degrees": [r, 1], "basis": list(fail)}))
+            return verdicts
     verdicts.append(passed("nabla-extension-graded-leibniz",
                            anchors.EXTENDING_NABLA))
     return verdicts
@@ -279,10 +266,9 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                 base = sq.apply(c.module.basis_vec(ai))
                 builders[p + 2].add(base)
                 for s in range(1, D - p - 2 + 1):
-                    for wi in range(cal.dim(s)):
-                        w = zeros(cal.dim(s))
-                        w[wi] = 1
-                        builders[p + 2 + s].add(f.mult_class(p + 2, base, s, w))
+                    for w in identity_mat(cal.dim(s)):
+                        builders[p + 2 + s].add(
+                            mat_vec(f.right_mult_matrix(p + 2, s, w), base))
     j = JIdeal([b.basis for b in builders])
     if j.spans[0] or j.spans[1]:
         j.verdicts.append(failed("j-degrees-0-1-vanish", anchors.J_DEGREES_01,
@@ -429,29 +415,17 @@ class OmegaM:
                     return
         self.verdicts.append(passed("omega-m-projection-coherent",
                                     anchors.CANONICAL_PROJECTION))
-        # right Leibniz of the factored ∇: ∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df
-        cal = c.calculus
+        # right Leibniz of the factored ∇: ∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df, on the
+        # lifts of Ω(M)'s basis classes
+        basis = [a.basis_vec(i) for i in range(a.dim)]
         for r in range(f.D):
-            sign = 1 if r % 2 == 0 else -1
-            units = identity_mat(f.dim(r))
-            for k, fc in enumerate(self.quotients[r].free):
-                v = units[fc]       # the lift of basis class k
-                nv = mat_vec(c.nabla_ext_matrix(r), v)
-                for fi in range(a.dim):
-                    fv = a.basis_vec(fi)
-                    lhs = self.project(r + 1, mat_vec(
-                        c.nabla_ext_matrix(r),
-                        f.act_right(r, v, fv)))
-                    rhs = vec_add(f.act_right(r + 1, nv, fv),
-                                  [sign * x for x in
-                                   f.mult_class(r, v, 1,
-                                                cal.d_of_algebra(fv))])
-                    if lhs != self.project(r + 1, rhs):
-                        self.verdicts.append(failed(
-                            "omega-m-right-leibniz",
-                            anchors.UNIQUE_FACTORIZATIONS,
-                            {"degree": r, "basis": [k, fi]}))
-                        return
+            fail = leibniz_failure(c, r, 0, basis, self.quotients[r].free,
+                                   self.quotients[r + 1])
+            if fail is not None:
+                self.verdicts.append(failed("omega-m-right-leibniz",
+                                            anchors.UNIQUE_FACTORIZATIONS,
+                                            {"degree": r, "basis": list(fail)}))
+                return
         self.verdicts.append(passed("omega-m-right-leibniz",
                                     anchors.UNIQUE_FACTORIZATIONS))
         # factored curvature stays a right Ω-homomorphism
@@ -459,13 +433,12 @@ class OmegaM:
             for mi in range(c.module.dim):
                 mv = c.module.basis_vec(mi)
                 base = mat_vec(c.curvature_matrix(0), mv)
-                for wi in range(cal.dim(s)):
-                    w = zeros(cal.dim(s))
-                    w[wi] = 1
+                for wi, w in enumerate(identity_mat(c.calculus.dim(s))):
                     lhs = self.project(s + 2, mat_vec(
                         c.curvature_matrix(s),
-                        f.mult_class(0, mv, s, w)))
-                    rhs = self.project(s + 2, f.mult_class(2, base, s, w))
+                        mat_vec(f.right_mult_matrix(0, s, w), mv)))
+                    rhs = self.project(s + 2, mat_vec(
+                        f.right_mult_matrix(2, s, w), base))
                     if lhs != rhs:
                         self.verdicts.append(failed(
                             "curvature-right-omega-on-omega-m",

@@ -5,6 +5,11 @@ the universal calculus is literally the coordinate space M ⊗ (tails of
 degree r); for a quotient calculus it is that space modulo the image of
 M ⊗ I^r.  Right multiplication by a tail is index concatenation, which is
 what keeps desk-scale computations fast and exact.
+
+``right_mult_matrix(r, s, ω)`` is the one right multiplication on classes:
+the matrix T_r → T_{r+s} of q ↦ q·ω for an Ω^s class ω, read off the
+columns at ``free`` of the product on representatives (``mult_tu_by_bar``)
+and computed once per (r, s, ω).  The right A-action is its s = 0 case.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ class Forms:
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
         self._left_mats: dict[tuple[int, int], Mat] = {}
-        self._right_mats: dict[tuple[int, int], Mat] = {}
+        self._right_mats: dict[tuple, Mat] = {}
         # right-Ω operator extensions and compositions on these spaces, by
         # operator content (see connection.DegreeRHom)
         self.op_cache: dict[tuple, Mat] = {}
@@ -60,7 +65,7 @@ class Forms:
             span = SpanBuilder(self.tu_dim(r))
             for g in self.generators:
                 for v in self.calculus.ideal[r]:
-                    span.add(self._pair_from_bar(r, m.basis_vec(g), v))
+                    span.add(self.mult_tu_by_bar(0, m.basis_vec(g), r, v))
             self._quotients.append(quotient(self.tu_dim(r), span.basis))
 
     def quotient_space(self, r: int) -> QuotientSpace:
@@ -73,22 +78,9 @@ class Forms:
         return self._quotients[r].lift(q)
 
     # -- element construction ---------------------------------------------
-    def _pair_from_bar(self, r: int, m_vec: Vec, u_bar: Vec) -> Vec:
-        """T^u coordinates of class(m ⊗ u) for u in degree-r bar coords."""
-        nt = self.n_tails(r)
-        out = zeros(self.tu_dim(r))
-        for flat, c in enumerate(u_bar):
-            if c == 0:
-                continue
-            i0, bidx = divmod(flat, nt)
-            me = self.module.act_right(m_vec, self.algebra.basis_vec(i0))
-            for a, ca in enumerate(me):
-                if ca:
-                    out[a * nt + bidx] += c * ca
-        return out
-
     def class_of_pair_bar(self, r: int, m_vec: Vec, u_bar: Vec) -> Vec:
-        return self.project(r, self._pair_from_bar(r, m_vec, u_bar))
+        """Class of m ⊗ u for u in degree-r bar coordinates."""
+        return self.project(r, self.mult_tu_by_bar(0, m_vec, r, u_bar))
 
     # -- tail right multiplication ----------------------------------------
     def mult_tu_by_bar(self, r: int, tu: Vec, s: int, omega_bar: Vec) -> Vec:
@@ -98,6 +90,7 @@ class Forms:
         out = zeros(self.tu_dim(r + s))
         pos = self._tail_pos[r + s]
         nt_out = self.n_tails(r + s)
+        right = self.module.right_action
         for flat, c in enumerate(tu):
             if c == 0:
                 continue
@@ -108,14 +101,12 @@ class Forms:
                 i0, sidx = divmod(oflat, nt_s)
                 beta_s = tails_s[sidx]
                 for (k0, gidx, d) in self.uni.tail_times(r, i0)[bidx]:
-                    gamma = tails_r[gidx] + beta_s
-                    me = self.module.act_right(self.module.basis_vec(m_i),
-                                               self.algebra.basis_vec(k0))
                     coeff = c * oc * d
-                    gpos = pos[gamma]
-                    for a, ca in enumerate(me):
-                        if ca:
-                            out[a * nt_out + gpos] += coeff * ca
+                    gpos = pos[tails_r[gidx] + beta_s]
+                    # m_i·e_k0 is column m_i of the stored right action
+                    for a, row in enumerate(right[k0]):
+                        if row[m_i]:
+                            out[a * nt_out + gpos] += coeff * row[m_i]
         return out
 
     def concat_tu(self, r: int, tu: Vec, beta: tuple[int, ...]) -> Vec:
@@ -165,26 +156,30 @@ class Forms:
                 0, self.module.left_action[i], r, self._quotients[r].free)
         return self._left_mats[key]
 
-    def right_action_matrix(self, r: int, i: int) -> Mat:
-        """Right action of basis element e_i on T_r (quotient coordinates),
-        read off the columns at ``free`` of the action on T^u_r."""
-        key = (r, i)
+    def right_mult_matrix(self, r: int, s: int, omega: Vec) -> Mat:
+        """Right multiplication q ↦ q·ω by an Ω^s class ω, as the class
+        matrix T_r → T_{r+s}: the columns at ``free`` of ``mult_tu_by_bar``
+        by a representative of ω.  Computed once per (r, s, ω); the matrix
+        is shared, so no caller may change it in place."""
+        if r + s > self.D:
+            raise DimensionError("product degree past the truncation")
+        key = (r, s, tuple(omega))
         if key not in self._right_mats:
-            f_bar = self.algebra.basis_vec(i)
+            omega_bar = self.calculus.quotients[s].lift(omega)
             cols = []
             for fc in self._quotients[r].free:
-                tu = zeros(self.tu_dim(r))
+                tu = zeros(self.tu_dim(r))      # the lift of a basis class
                 tu[fc] = 1
                 cols.append(self.project(
-                    r, self.mult_tu_by_bar(r, tu, 0, f_bar)))
-            self._right_mats[key] = _cols_to_mat(cols, self.dim(r))
+                    r + s, self.mult_tu_by_bar(r, tu, s, omega_bar)))
+            self._right_mats[key] = _cols_to_mat(cols, self.dim(r + s))
         return self._right_mats[key]
 
     def _left_actions(self, r: int) -> list[Mat]:
         return [self.left_action_matrix(r, i) for i in range(self.algebra.dim)]
 
     def _right_actions(self, r: int) -> list[Mat]:
-        return [self.right_action_matrix(r, i)
+        return [self.right_mult_matrix(r, 0, self.algebra.basis_vec(i))
                 for i in range(self.algebra.dim)]
 
     def left_matrix(self, r: int, f: Vec) -> Mat:
@@ -196,12 +191,6 @@ class Forms:
 
     def act_right(self, r: int, q: Vec, f: Vec) -> Vec:
         return act(self._right_actions(r), f, q)
-
-    def mult_class(self, r: int, q: Vec, s: int, omega_q: Vec) -> Vec:
-        """(T_r class) · (Ω^s class), via representatives."""
-        omega_bar = self.calculus.quotients[s].lift(omega_q)
-        tu = self.mult_tu_by_bar(r, self.lift(r, q), s, omega_bar)
-        return self.project(r + s, tu)
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω)."""

@@ -63,14 +63,6 @@ def frac(x) -> int | Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def vec(xs) -> Vec:
-    return [frac(x) for x in xs]
-
-
-def mat(rows) -> Mat:
-    return [vec(r) for r in rows]
-
-
 def zeros(n: int) -> Vec:
     return [0] * n
 

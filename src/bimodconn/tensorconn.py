@@ -205,13 +205,19 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
                                           {"degree": r, "vector": rationals(v)}))
                 return nu
     nu.verdicts.append(passed("nu-hat-well-defined", anchors.NU_HAT))
-    # right linear over the calculi: commutes with ·f and with ·de_j
+    # right linear over the calculi: commutes with ·f and with ·de_j, as
+    # the squares ν_r·R^src(r, 0, e_i) = R^tgt(r, 0, e_i)·ν_r and
+    # ν_{r+1}·R^src(r, 1, [de_j]) = R^tgt(r, 1, [de_j])·ν_r
     uni = src.uni
     a = uni.algebra
+    tails = [(j, src.calculus.d_of_algebra(a.basis_vec(j)),
+              tgt.calculus.d_of_algebra(a.basis_vec(j)))
+             for j in uni.complement]
     for r in range(src.D + 1):
         for fi in range(a.dim):
-            lhs = mat_mul(nu.maps[r], src.right_action_matrix(r, fi))
-            rhs = mat_mul(tgt.right_action_matrix(r, fi), nu.maps[r])
+            e_i = a.basis_vec(fi)
+            lhs = mat_mul(nu.maps[r], src.right_mult_matrix(r, 0, e_i))
+            rhs = mat_mul(tgt.right_mult_matrix(r, 0, e_i), nu.maps[r])
             if lhs != rhs:
                 nu.verdicts.append(failed("nu-hat-right-linear",
                                           anchors.NU_HAT,
@@ -219,19 +225,14 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
                 return nu
         if r + 1 > src.D:
             continue
-        for j in uni.complement:
-            for c, fc in enumerate(src.quotient_space(r).free):
-                tu = zeros(src.tu_dim(r))      # the lift of basis class c
-                tu[fc] = 1
-                image = [row[c] for row in nu.maps[r]]
-                lhs_v = tgt.project(r + 1,
-                                    tgt.concat_tu(r, tgt.lift(r, image), (j,)))
-                rhs_v = nu.apply(r + 1, src.project(
-                    r + 1, src.concat_tu(r, tu, (j,))))
-                if lhs_v != rhs_v:
+        for j, de_src, de_tgt in tails:
+            lhs = mat_mul(tgt.right_mult_matrix(r, 1, de_tgt), nu.maps[r])
+            rhs = mat_mul(nu.maps[r + 1], src.right_mult_matrix(r, 1, de_src))
+            for col in range(src.dim(r)):
+                if any(x[col] != y[col] for x, y in zip(lhs, rhs)):
                     nu.verdicts.append(failed(
                         "nu-hat-right-linear", anchors.NU_HAT,
-                        {"degree": r, "tail": j, "basis": c}))
+                        {"degree": r, "tail": j, "basis": col}))
                     return nu
     nu.verdicts.append(passed("nu-hat-right-linear", anchors.NU_HAT))
     return nu

@@ -1,5 +1,5 @@
 """Reference routes that checks in ``src/`` are tested against; each
-function returns the witness of the first failing case, or None when every
+check returns the witness of the first failing case, or None when every
 case holds.
 
 The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
@@ -7,11 +7,14 @@ The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 and projects the result to Ω(M), and ``sigma_full``'s identities are
 decided on their own, not read off ``InducedCalculus``.  Below them, the
 whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal``
-and ``extend_connection``).
+and ``extend_connection``).  Last, the per-pair route of the three right
+Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
+rule and ``OmegaM``'s), which multiply classes through representatives
+(``mult_class``) rather than ``Forms.right_mult_matrix``.
 """
 
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
-from bimodconn.linalg import SpanBuilder, mat_mul, mat_vec, zeros
+from bimodconn.linalg import SpanBuilder, mat_mul, mat_vec, vec_add, zeros
 
 
 def kappa_multiplicative(induced):
@@ -165,10 +168,10 @@ def leibniz_holds(c, r, qi, s, wi):
     q[qi] = 1
     w = zeros(cal.dim(s))
     w[wi] = 1
-    lhs = mat_vec(c.nabla_ext_matrix(r + s), f.mult_class(r, q, s, w))
+    lhs = mat_vec(c.nabla_ext_matrix(r + s), mult_class(f, r, q, s, w))
     rhs = [x + sign * y for x, y in zip(
-        f.mult_class(r + 1, mat_vec(c.nabla_ext_matrix(r), q), s, w),
-        f.mult_class(r, q, s + 1, cal.d_apply(s, w)))]
+        mult_class(f, r + 1, mat_vec(c.nabla_ext_matrix(r), q), s, w),
+        mult_class(f, r, q, s + 1, cal.d_apply(s, w)))]
     return lhs == rhs
 
 
@@ -211,7 +214,7 @@ def j_spans(c, ops):
                         w = zeros(cal.dim(s))
                         w[wi] = 1
                         builders[p + 2 + s].add(
-                            f.mult_class(p + 2, base, s, w))
+                            mult_class(f, p + 2, base, s, w))
     return builders
 
 
@@ -256,4 +259,65 @@ def graded_leibniz(c):
                 for wi in range(c.calculus.dim(s)):
                     if not leibniz_holds(c, r, qi, s, wi):
                         return {"degrees": [r, s], "basis": [qi, wi]}
+    return None
+
+
+# -- the right Leibniz checks, per basis pair -----------------------------
+
+
+def mult_class(f, r, q, s, omega):
+    """(T_r class q)·(Ω^s class ω), via representatives: lift both, multiply
+    on T^u and project."""
+    omega_bar = f.calculus.quotients[s].lift(omega)
+    return f.project(r + s, f.mult_tu_by_bar(r, f.lift(r, q), s, omega_bar))
+
+
+def right_leibniz(c):
+    """∇(a·f) = (∇a)·f + a⊗df on basis pairs of M and A."""
+    m, a, f = c.module, c.module.algebra, c.forms
+    for ai in range(m.dim):
+        av = m.basis_vec(ai)
+        na = c.nabla_apply(av)
+        for fi in range(a.dim):
+            fv = a.basis_vec(fi)
+            lhs = c.nabla_apply(m.act_right(av, fv))
+            rhs = vec_add(mult_class(f, 1, na, 0, fv), f.class_of_pair_bar(
+                1, av, c.calculus.universal.d(0, fv)))
+            if lhs != rhs:
+                return {"module_basis": ai, "algebra_basis": fi}
+    return None
+
+
+def graded_leibniz_degree_one(c):
+    """The graded Leibniz rule on basis pairs (q, ω), ω in Ω¹, r ≤ D−2."""
+    f = c.forms
+    for r in range(f.D - 1):
+        for qi in range(f.dim(r)):
+            for wi in range(c.calculus.dim(1)):
+                if not leibniz_holds(c, r, qi, 1, wi):
+                    return {"degrees": [r, 1], "basis": [qi, wi]}
+    return None
+
+
+def omega_m_right_leibniz(c, omega_m):
+    """∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df on Ω(M), at the lift of each basis class
+    of Ω(M)_r and each basis element f of A."""
+    f = c.forms
+    a = c.module.algebra
+    for r in range(f.D):
+        sign = 1 if r % 2 == 0 else -1
+        nx = c.nabla_ext_matrix(r)
+        for k, fc in enumerate(omega_m.quotients[r].free):
+            v = zeros(f.dim(r))
+            v[fc] = 1
+            nv = mat_vec(nx, v)
+            for fi in range(a.dim):
+                fv = a.basis_vec(fi)
+                lhs = omega_m.project(r + 1, mat_vec(
+                    nx, mult_class(f, r, v, 0, fv)))
+                rhs = vec_add(mult_class(f, r + 1, nv, 0, fv),
+                              [sign * x for x in mult_class(
+                                  f, r, v, 1, c.calculus.d_of_algebra(fv))])
+                if lhs != omega_m.project(r + 1, rhs):
+                    return {"degree": r, "basis": [k, fi]}
     return None

@@ -1,5 +1,5 @@
-"""The public names of the bimodconn package, and the function names the
-benchmark profiles."""
+"""The public names of the bimodconn package, the function names the
+benchmark profiles, and the functions nothing in the program calls."""
 
 import ast
 from pathlib import Path
@@ -59,3 +59,29 @@ def test_every_function_the_benchmark_profiles_is_defined():
     missing = [name for name in sorted(names)
                if name.partition(":")[2] not in _defined(name.partition(":")[0])]
     assert not missing
+
+
+def test_every_defined_function_is_referenced():
+    # a function or method that no code in src/ (re-exports in __init__.py
+    # aside) or demos/ names is reached only from tests, if at all, and
+    # should be deleted; names are compared as identifiers and attributes,
+    # so a def line does not count as a use of itself.  Dunder methods are
+    # called by Python itself.
+    programs = [p for p in sorted(PACKAGE.glob("*.py"))
+                if p.name != "__init__.py"] + sorted(
+                    (ROOT / "demos").glob("*.py"))
+    used = set()
+    for path in programs:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not node.name.startswith("__") \
+                    and node.name not in used:
+                unused.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert unused == []

@@ -251,7 +251,7 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
             full = SpanBuilder(f.tu_dim(r))
             for v in f.calculus.ideal[r]:
                 for i in range(f.module.dim):
-                    full.add(f._pair_from_bar(r, f.module.basis_vec(i), v))
+                    full.add(f.mult_tu_by_bar(0, f.module.basis_vec(i), r, v))
             old = quotient(f.tu_dim(r), full.basis)
             new = f.quotient_space(r)
             assert (new.projection, new.free) == (old.projection, old.free)

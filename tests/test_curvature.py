@@ -404,10 +404,11 @@ def _flipped_nabla_hat(degree):
     return fault
 
 
-def _wrong_ext_entry(row, col):
-    """Entry (row, col) of ∇: T_2 → T_3 off by one, before any use."""
+def _wrong_ext_entry(row, col, degree=2):
+    """Entry (row, col) of ∇: T_degree → T_{degree+1} off by one, before
+    any use."""
     def fault(monkeypatch, conn):
-        conn.nabla_ext_matrix(2)[row][col] += 1
+        conn.nabla_ext_matrix(degree)[row][col] += 1
     return fault
 
 
@@ -463,3 +464,82 @@ def test_a_fault_fails_the_span_checks_like_the_reference(
     # the identity must really fail at the generator route's own witness
     for check_id in failing:
         assert _fails_at(check_id, conn, oh, j, got[check_id].witness)
+
+
+# the three right Leibniz checks, each decided on right multiplication
+# matrices by ``connection.leibniz_failure``, against the per-pair reference
+LEIBNIZ = {"right-leibniz": lambda conn, om: _reference.right_leibniz(conn),
+           "nabla-extension-graded-leibniz":
+               lambda conn, om: _reference.graded_leibniz_degree_one(conn),
+           "omega-m-right-leibniz": _reference.omega_m_right_leibniz}
+
+
+def _leibniz_verdicts_match_the_reference(conn) -> dict:
+    """The Leibniz verdicts of ``conn`` that ran, by check id, after
+    asserting that each has the reference's status and witness."""
+    om = OmegaM(conn, j_ideal(conn, OmegaHat(conn)))
+    got = {v.check_id: v for v in [check_right_leibniz(conn)]
+           + extend_connection(conn) + om.verdicts if v.check_id in LEIBNIZ}
+    for check_id, v in got.items():
+        want = LEIBNIZ[check_id](conn, om)
+        assert v.witness == want, check_id
+        assert v.ok == (want is None), check_id
+    return got
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: model(n).connections["nabla"] for n in NAMES],
+    lambda: model("a2_flat", 9).connections["nabla"],
+    _t2_connection],
+    ids=[*NAMES, "a2_flat-D9", "t2-D3"])
+def test_leibniz_checks_match_the_per_pair_reference(make):
+    got = _leibniz_verdicts_match_the_reference(make())
+    assert got.keys() == LEIBNIZ.keys()
+    assert all(v.ok for v in got.values())
+
+
+def _with_nabla(name, change):
+    """A fresh parse's ∇, with ``change`` applied to a copy of its matrix."""
+    conn = parse_model(str(MODELS / f"{name}.model")).connections["nabla"]
+    matrix = [row[:] for row in conn.nabla]
+    change(matrix)
+    return Connection(conn.forms, matrix)
+
+
+def _zero(matrix):
+    for row in matrix:
+        row[:] = [0] * len(row)
+
+
+def _plus_one_at(row, col):
+    def change(matrix):
+        matrix[row][col] += 1
+    return change
+
+
+def _with_wrong_ext_entry(name, row, col, degree):
+    conn = parse_model(str(MODELS / f"{name}.model")).connections["nabla"]
+    _wrong_ext_entry(row, col, degree)(None, conn)
+    return conn
+
+
+@pytest.mark.parametrize("make, failing", [
+    (lambda: _with_nabla("a2_flat", _zero),
+     {"right-leibniz", "nabla-extension-graded-leibniz",
+      "omega-m-right-leibniz"}),
+    # the extension is not well defined, so its Leibniz rule is not decided
+    (lambda: _with_nabla("m2_grass", _plus_one_at(3, 5)),
+     {"right-leibniz", "omega-m-right-leibniz"}),
+    # fails at (module basis, algebra basis) = (2, 1) and (3, 0): the first
+    # is the smaller module basis vector
+    (lambda: _with_nabla("m2_grass", _plus_one_at(0, 3)),
+     {"right-leibniz", "omega-m-right-leibniz"}),
+    (lambda: _with_wrong_ext_entry("m2_grass", 5, 7, 2),
+     {"nabla-extension-graded-leibniz", "omega-m-right-leibniz"}),
+    (lambda: _with_wrong_ext_entry("m2_grass", 5, 7, 1),
+     {"nabla-extension-graded-leibniz", "omega-m-right-leibniz"})],
+    ids=["a2_flat-zero", "m2_grass-nabla-3-5", "m2_grass-nabla-0-3",
+         "m2_grass-ext2-5-7", "m2_grass-ext1-5-7"])
+def test_a_fault_fails_the_leibniz_checks_like_the_reference(make, failing):
+    got = _leibniz_verdicts_match_the_reference(make())
+    assert {k for k, v in got.items() if not v.ok} == failing

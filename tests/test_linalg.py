@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from _shared import a2
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
-                              _cols_to_mat, factor_through, frac, identity_mat, mat, mat_mul,
+                              _cols_to_mat, factor_through, frac, identity_mat, mat_mul,
                               mat_vec, null_space, quotient, rank, row_reduce,
-                              vec, vec_add, zero_mat, zeros)
+                              vec_add, zero_mat, zeros)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
 
@@ -21,7 +21,7 @@ F = Fraction
 
 
 def test_frac_gives_int_when_integral_and_rejects_bool():
-    assert [type(x) for x in vec([3, "4/2", F(6, 3), "1/2", F(1, 3)])] == \
+    assert [type(frac(x)) for x in [3, "4/2", F(6, 3), "1/2", F(1, 3)]] == \
         [int, int, int, F, F]
     # a bool is an int to Python, but would render as JSON true
     for bad in (True, False, 0.5, None):
@@ -68,19 +68,19 @@ def test_every_imported_name_is_used():
 
 
 def test_row_reduce_identity():
-    rank, _, pivots = row_reduce(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    rank, _, pivots = row_reduce([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert rank == 3
     assert pivots == [0, 1, 2]
 
 
 def test_row_reduce_zero():
-    rank, _, pivots = row_reduce(mat([[0, 0, 0, 0], [0, 0, 0, 0]]))
+    rank, _, pivots = row_reduce([[0, 0, 0, 0], [0, 0, 0, 0]])
     assert rank == 0
     assert pivots == []
 
 
 def test_row_reduce_rank_one():
-    rank, reduced, pivots = row_reduce(mat([[1, 2], [2, 4]]))
+    rank, reduced, pivots = row_reduce([[1, 2], [2, 4]])
     assert rank == 1
     assert pivots == [0]
     assert reduced[0] == [F(1), F(2)]
@@ -142,15 +142,15 @@ def test_factor_through_identity():
 
 
 def test_factor_through_zero_always_factors():
-    s = mat([[1, 1]])
+    s = [[1, 1]]
     h, wit = factor_through(s, zero_mat(1, 2), 2)
     assert wit is None
     assert h == zero_mat(1, 1)
 
 
 def test_factor_through_absent_with_witness():
-    s = mat([[1, 1]])
-    d = mat([[1, -1]])
+    s = [[1, 1]]
+    d = [[1, -1]]
     h, wit = factor_through(s, d, 2)
     assert h is None
     assert mat_vec(s, wit) == zeros(1)
@@ -159,35 +159,35 @@ def test_factor_through_absent_with_witness():
 
 def test_factor_through_rejects_bad_shapes_and_non_surjection():
     with pytest.raises(DimensionError, match="share a domain"):
-        factor_through(mat([[1, 1]]), mat([[1, 1, 1]]), 2)
+        factor_through([[1, 1]], [[1, 1, 1]], 2)
     with pytest.raises(SurjectivityError):
-        factor_through(mat([[1, 1], [2, 2]]), mat([[1, 1]]), 2)
+        factor_through([[1, 1], [2, 2]], [[1, 1]], 2)
 
 
 def test_rank_nullity():
-    f = mat([[1, 2, 3], [2, 4, 6]])
+    f = [[1, 2, 3], [2, 4, 6]]
     assert len(null_space(f, 3)) + rank(f) == 3
 
 
 def test_wrong_length_vectors_are_rejected():
     span = SpanBuilder(3)
-    span.add(vec([1, 0, 0]))
-    for bad in (vec([1, 0]), vec([1, 0, 0, 0])):
+    span.add([1, 0, 0])
+    for bad in ([1, 0], [1, 0, 0, 0]):
         with pytest.raises(DimensionError):
             span.contains(bad)
         with pytest.raises(DimensionError):
             span.coords(bad)
         with pytest.raises(DimensionError):
             mat_vec(identity_mat(3), bad)
-    q = quotient(3, [vec([1, 0, 0])])
-    for bad in (vec([1]), vec([1, 0, 0])):
+    q = quotient(3, [[1, 0, 0]])
+    for bad in ([1], [1, 0, 0]):
         with pytest.raises(DimensionError):
             q.lift(bad)
-    for bad in (vec([1, 0]), vec([1, 0, 0, 0])):
+    for bad in ([1, 0], [1, 0, 0, 0]):
         with pytest.raises(DimensionError):
             q.project(bad)
     q = quotient(3, [])
-    for bad in (vec([1, 0]), vec([1, 0, 0, 0])):
+    for bad in ([1, 0], [1, 0, 0, 0]):
         with pytest.raises(DimensionError):
             q.project(bad)
         with pytest.raises(DimensionError):

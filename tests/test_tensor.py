@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from _shared import NAMES, a2, induced, nabla, pipeline, universal
+import _reference
+from _shared import MODELS, NAMES, a2, induced, nabla, pipeline, universal
 from bimodconn.algebra import Bimodule, RightModule, check_bimodule
 from bimodconn.calculus import preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
+from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
-from bimodconn.linalg import DimensionError, is_zero_vec, mat, vec_add, zeros
+from bimodconn.linalg import (DimensionError, identity_mat, is_zero_vec,
+                              vec_add, zeros)
+from bimodconn.model import parse_model
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
                                   degeneracy_brute, degeneracy_submodules,
                                   nu_hat, tensor_connection_induced,
@@ -54,8 +58,8 @@ def test_degeneracy_brute_oracle_everywhere():
 # every m, so N0 = span(x) while y⊗m stays nonzero and M0 = 0.
 
 def column_module() -> Bimodule:
-    left = [mat([[1]]), mat([[0]])]
-    right = [mat([[1]]), mat([[0]])]
+    left = [[[1]], [[0]]]
+    right = [[[1]], [[0]]]
     m = Bimodule.from_actions(a2(), left, right)
     assert check_bimodule(m).ok
     return m
@@ -162,6 +166,37 @@ def test_both_routes_flat():
         assert all(v.ok for v in tci.verdicts)
         # the two routes build the same connection matrix on N⊗M
         assert tci.matrix == tco.matrix
+
+
+def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
+    # a fresh pipeline, so the fault does not reach the cached models
+    conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
+    target = InducedCalculus(
+        conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn)))).calculus
+    a = conn.module.algebra
+    # the target's class of de_j replaced by that of e_0·de_j
+    d_of_algebra = target.d_of_algebra
+    target.d_of_algebra = lambda f: target.product(
+        0, a.basis_vec(0), 1, d_of_algebra(f))
+    nu = nu_hat(Connection(conn.forms, conn.nabla),
+                preceq(target, conn.calculus)[0])
+    (v,) = [v for v in nu.verdicts if v.check_id == "nu-hat-right-linear"]
+    # ν̂(q)·de_j against ν̂(q·de_j), column by column, by representatives
+    src, tgt = nu.source, nu.target
+    differ = []
+    for r in range(src.D):
+        for j in src.uni.complement:
+            de_src = conn.calculus.d_of_algebra(a.basis_vec(j))
+            de_tgt = target.d_of_algebra(a.basis_vec(j))
+            for c, q in enumerate(identity_mat(src.dim(r))):
+                lhs = _reference.mult_class(tgt, r, nu.apply(r, q), 1, de_tgt)
+                rhs = nu.apply(r + 1,
+                               _reference.mult_class(src, r, q, 1, de_src))
+                if lhs != rhs:
+                    differ.append({"degree": r, "tail": j, "basis": c})
+    assert differ
+    assert v.witness == differ[0]
+    assert v.witness["basis"] > 0
 
 
 def test_associated_connection_of_d_is_d_nabla():
