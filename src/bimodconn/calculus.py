@@ -28,7 +28,7 @@ from fractions import Fraction
 from .algebra import Algebra, Bimodule
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
                      _exact, factor_through, identity_mat, mat_vec,
-                     quotient, QuotientSpace, zeros)
+                     quotient, QuotientSpace, zero_mat, zeros)
 
 
 class UniversalCalculus:
@@ -175,12 +175,24 @@ class UniversalCalculus:
                             self.bar_dim(r))
 
     def right_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
+        """u ↦ u·f in degree r: column e_i0·de_β is Σ f_k·(e_i0·de_β)·e_k
+        over f's nonzeros, read off ``tail_times`` as in ``_times_basis``."""
         key = (r, tuple(f))
-        if key not in self._rmul_cache:
-            self._rmul_cache[key] = _cols_to_mat(
-                [self.product(r, e, 0, f) for e in identity_mat(self.bar_dim(r))],
-                self.bar_dim(r))
-        return self._rmul_cache[key]
+        m = self._rmul_cache.get(key)
+        if m is None:
+            nt = len(self._tails[r])
+            m = self._rmul_cache[key] = zero_mat(self.bar_dim(r),
+                                                 self.bar_dim(r))
+            for k in itertools.compress(range(len(f)), f):
+                table = self.tail_times(r, k)
+                for i0, mult in enumerate(self._mult):
+                    for bidx, terms in enumerate(table):
+                        col = i0 * nt + bidx
+                        for k0, g, ct in terms:
+                            c = f[k] * ct
+                            for l, cl in mult[k0]:
+                                m[l * nt + g][col] += c * cl
+        return m
 
     # -- intake of tensor-power coordinates -------------------------------
     # Model files give ideal generators in A^{⊗(r+1)} (flat index, first

@@ -19,7 +19,8 @@ from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
 from .linalg import (Mat, QuotientSpace, SpanBuilder, Vec, _cols_to_mat,
-                     factor_through, mat_mul, mat_vec, rank, vec_add, zeros)
+                     factor_through, identity_mat, mat_mul, mat_vec, rank,
+                     vec_add, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -342,19 +343,19 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
                                      {"algebra_basis": f}))
             return k
     k.verdicts.append(passed("kappa1-diagram", anchors.DIAGRAM_COMMUTES))
-    # bimodule linearity: κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples
-    for f in range(a.dim):
-        fl = uni.left_mult_bar_matrix(1, a.basis_vec(f))
-        for g in range(a.dim):
-            gr = uni.right_mult_bar_matrix(1, a.basis_vec(g))
-            for bi in range(uni.bar_dim(1)):
-                alpha = zeros(uni.bar_dim(1))
-                alpha[bi] = 1
-                moved = mat_vec(fl, mat_vec(gr, alpha))
-                lhs = k.op(moved).matrix
-                rhs = mat_mul(c.forms.left_matrix(1, a.basis_vec(f)),
-                              mat_mul(k.op(alpha).matrix,
-                                      c.module.left_matrix(a.basis_vec(g))))
+    # bimodule linearity: κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples (f, g, α);
+    # f·α·g for every α at once is the matrix fl·gr, read by columns
+    basis = identity_mat(a.dim)
+    alpha_ops = [k.op(e).matrix for e in identity_mat(uni.bar_dim(1))]
+    g_hats = [c.module.left_matrix(gv) for gv in basis]
+    for f, fv in enumerate(basis):
+        fl = uni.left_mult_bar_matrix(1, fv)
+        f_hat = c.forms.left_matrix(1, fv)
+        for g, gv in enumerate(basis):
+            moved = mat_mul(fl, uni.right_mult_bar_matrix(1, gv))
+            for bi, alpha_op in enumerate(alpha_ops):
+                lhs = k.op([row[bi] for row in moved]).matrix
+                rhs = mat_mul(f_hat, mat_mul(alpha_op, g_hats[g]))
                 if lhs != rhs:
                     k.verdicts.append(failed("kappa1-bimodule-linear",
                                              anchors.DIAGRAM_COMMUTES,

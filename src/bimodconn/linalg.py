@@ -9,16 +9,20 @@ compares and hashes equal to the int.  At every public boundary
 vectors are dense lists of entries and matrices are lists of rows.  Inside
 elimination (``row_reduce``, ``SpanBuilder``) rows are sparse,
 ``dict[column, entry]`` holding only the nonzero entries, because almost
-every entry the package eliminates on is zero.  Everything is computed
+every entry the package eliminates on is zero; ``SpanBuilder`` keeps its
+rows reduced and keyed by pivot, so reducing a vector touches only the rows
+at the pivots in its support.  The kernels (``mat_vec``, ``mat_mul``,
+``_sparse``) find the nonzeros of a dense row with ``itertools.compress``,
+at C speed, and do Python-level work only on those.  Everything is computed
 exactly: the one division, :func:`_div`, returns an int or a Fraction, never
 a float, so every equality test in the rest of the package is decidable.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 Vec = list[int | Fraction]
 Mat = list[list[int | Fraction]]
@@ -95,7 +99,7 @@ SparseVec = dict[int, int | Fraction]
 
 
 def _sparse(v: Vec) -> SparseVec:
-    return {j: x for j, x in enumerate(v) if x}
+    return {j: v[j] for j in compress(range(len(v)), v)}
 
 
 def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
@@ -114,18 +118,28 @@ def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
 def mat_vec(m: Mat, v: Vec) -> Vec:
     if m and len(m[0]) != len(v):
         raise DimensionError("matrix-vector shape mismatch")
-    nz = [(j, c) for j, c in enumerate(v) if c]
+    nz = [(j, v[j]) for j in compress(range(len(v)), v)]
     if not nz:
         return [0] * len(m)
     return [sum([x * c for j, c in nz if (x := row[j])]) for row in m]
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
+    """a·b row by row: row i is the sum of a[i][k]·b[k] over the nonzeros
+    a[i][k], each b[k] taken at its nonzeros."""
     if a and b and len(a[0]) != len(b):
         raise DimensionError("matrix product shape mismatch")
-    # column-at-a-time so sparse right factors cost O(rows · nnz(column))
-    cols = [mat_vec(a, list(cb)) for cb in zip(*b)] if b else []
-    return [[col[i] for col in cols] for i in range(len(a))]
+    n = len(b[0]) if b else 0
+    b_nz = {k: [(j, b[k][j]) for j in compress(range(n), b[k])]
+            for k in compress(range(len(b)), map(any, b))}
+    out = [[0] * n for _ in a]
+    for i in compress(range(len(a)), map(any, a)):
+        arow, acc = a[i], out[i]
+        for k in compress(range(len(arow)), arow):
+            c = arow[k]
+            for j, x in b_nz.get(k, ()):
+                acc[j] += c * x
+    return out
 
 
 def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
@@ -317,35 +331,36 @@ class LinSolver:
 
 
 class SpanBuilder:
-    """Incrementally built span with an echelonized internal basis.
+    """Incrementally built span with a reduced echelon internal basis.
 
     ``add`` returns True when the vector enlarged the span; independent input
     vectors are remembered so callers can recover coordinates in terms of the
-    vectors they actually inserted.
+    vectors they actually inserted.  The reduced rows are kept by pivot, each
+    with its expression in the inserted vectors; a row is 1 at its pivot and
+    0 at every other pivot, so reducing v eliminates exactly the pivots in
+    v's support, each by v's own entry there.
     """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self.rows: list[SparseVec] = []  # echelon rows, pivot-normalized
-        self.row_pivots: list[int] = []
-        self.row_exprs: list[SparseVec] = []  # in inserted basis
+        self._rows: dict[int, tuple[SparseVec, SparseVec]] = {}
         self.basis: list[Vec] = []       # independent inserted vectors
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def _reduce(self, v: Vec) -> tuple[SparseVec, SparseVec]:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient space")
         res = _sparse(v)
         combo: SparseVec = {}
-        for row, pc, expr in zip(self.rows, self.row_pivots, self.row_exprs):
-            c = res.get(pc)
-            if c is not None:
-                _eliminate(res, c, row)
-                for k, ce in expr.items():
-                    combo[k] = combo.get(k, 0) + c * ce
+        for pc in [p for p in res if p in self._rows]:
+            c = v[pc]
+            row, expr = self._rows[pc]
+            _eliminate(res, c, row)
+            for k, ce in expr.items():
+                combo[k] = combo.get(k, 0) + c * ce
         return res, combo
 
     def add(self, v: Vec) -> bool:
@@ -360,11 +375,13 @@ class SpanBuilder:
         # expression of `row` in inserted vectors: (v - combo·basis)/pv
         expr = {k: _div(-c, pv) for k, c in combo.items()}
         expr[idx] = _div(1, pv)
-        # keep rows ordered by pivot for determinism of coords
-        pos = bisect.bisect(self.row_pivots, pc)
-        self.rows.insert(pos, row)
-        self.row_pivots.insert(pos, pc)
-        self.row_exprs.insert(pos, expr)
+        # clear the new pivot from the other rows, keeping them reduced
+        for other, other_expr in self._rows.values():
+            c = other.get(pc)
+            if c is not None:
+                _eliminate(other, c, row)
+                _eliminate(other_expr, c, expr)
+        self._rows[pc] = (row, expr)
         return True
 
     def contains(self, v: Vec) -> bool:

@@ -10,11 +10,20 @@ whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal``
 and ``extend_connection``).  Last, the per-pair route of the three right
 Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
 rule and ``OmegaM``'s), which multiply classes through representatives
-(``mult_class``) rather than ``Forms.right_mult_matrix``.
+(``mult_class``) rather than ``Forms.right_mult_matrix``.  Then the
+per-triple route of κ₁'s bimodule linearity (``kappa1``).
+
+Last, the ``linalg`` kernels the sparse ones replaced: the product that
+builds one column of b at a time, and the span builder that keeps echelon
+rows in a list and walks all of them to reduce a vector.
 """
 
+import bisect
+
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
-from bimodconn.linalg import SpanBuilder, mat_mul, mat_vec, vec_add, zeros
+from bimodconn.linalg import (DimensionError, SpanBuilder, _div, _eliminate,
+                              _exact, _sparse, mat_mul, mat_vec, vec_add,
+                              zeros)
 
 
 def kappa_multiplicative(induced):
@@ -321,3 +330,99 @@ def omega_m_right_leibniz(c, omega_m):
                 if lhs != omega_m.project(r + 1, rhs):
                     return {"degree": r, "basis": [k, fi]}
     return None
+
+
+# -- κ₁'s bimodule linearity, per basis triple ----------------------------
+#
+# The loop ``kappa1`` replaced: f·α·g, κ₁(α) and the two action matrices are
+# rebuilt for every triple (f, g, α), α a unit vector, where ``kappa1``
+# builds κ₁(α) once per α and reads f·α·g off the columns of fl·gr.
+
+def kappa1_bimodule_linear(k):
+    """κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples."""
+    c = k.connection
+    uni = c.calculus.universal
+    a = c.module.algebra
+    for f in range(a.dim):
+        fl = uni.left_mult_bar_matrix(1, a.basis_vec(f))
+        for g in range(a.dim):
+            gr = uni.right_mult_bar_matrix(1, a.basis_vec(g))
+            for bi in range(uni.bar_dim(1)):
+                alpha = zeros(uni.bar_dim(1))
+                alpha[bi] = 1
+                moved = mat_vec(fl, mat_vec(gr, alpha))
+                lhs = k.op(moved).matrix
+                rhs = mat_mul(c.forms.left_matrix(1, a.basis_vec(f)),
+                              mat_mul(k.op(alpha).matrix,
+                                      c.module.left_matrix(a.basis_vec(g))))
+                if lhs != rhs:
+                    return {"triple": [f, g, bi]}
+    return None
+
+
+# -- the dense linalg kernels ----------------------------------------------
+
+def dense_mat_mul(a, b):
+    """a·b one column of b at a time, each column a full ``mat_vec``."""
+    if a and b and len(a[0]) != len(b):
+        raise DimensionError("matrix product shape mismatch")
+    cols = [mat_vec(a, list(cb)) for cb in zip(*b)] if b else []
+    return [[col[i] for col in cols] for i in range(len(a))]
+
+
+class EchelonSpanBuilder:
+    """``SpanBuilder`` on echelon rows kept in pivot order: reducing v walks
+    every row, and a new row is inserted unreduced."""
+
+    def __init__(self, ambient_dim):
+        self.ambient_dim = ambient_dim
+        self.rows = []
+        self.row_pivots = []
+        self.row_exprs = []
+        self.basis = []
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _reduce(self, v):
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector does not live in the ambient space")
+        res = _sparse(v)
+        combo = {}
+        for row, pc, expr in zip(self.rows, self.row_pivots, self.row_exprs):
+            c = res.get(pc)
+            if c is not None:
+                _eliminate(res, c, row)
+                for k, ce in expr.items():
+                    combo[k] = combo.get(k, 0) + c * ce
+        return res, combo
+
+    def add(self, v):
+        res, combo = self._reduce(v)
+        if not res:
+            return False
+        pc = min(res)
+        idx = len(self.basis)
+        self.basis.append(v[:])
+        pv = res[pc]
+        row = {j: _div(x, pv) for j, x in res.items()}
+        expr = {k: _div(-c, pv) for k, c in combo.items()}
+        expr[idx] = _div(1, pv)
+        pos = bisect.bisect(self.row_pivots, pc)
+        self.rows.insert(pos, row)
+        self.row_pivots.insert(pos, pc)
+        self.row_exprs.insert(pos, expr)
+        return True
+
+    def contains(self, v):
+        return not self._reduce(v)[0]
+
+    def coords(self, v):
+        res, combo = self._reduce(v)
+        if res:
+            return None
+        out = zeros(len(self.basis))
+        for k, c in combo.items():
+            out[k] = _exact(c)
+        return out

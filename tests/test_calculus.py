@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref)
-from _shared import MODELS, NAMES, a2, m2, model, universal
+from _shared import (MODELS, NAMES, a2, m2, model, universal,
+                     upper_triangular_2)
 from bimodconn import cli
 from bimodconn.algebra import Algebra
 from bimodconn.calculus import (UniversalCalculus, preceq, quotient_calculus,
-                                saturate_ideal)
+                                saturate_ideal, universal_graded)
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder,
                               identity_mat, is_zero_vec, mat_mul, mat_vec,
                               vec_add, zeros)
@@ -251,6 +252,23 @@ def test_bar_native_maps_match_embedding():
                     for v in identity_mat(uni.bar_dim(s)):
                         assert uni.product(r, u, s, v) == \
                             product_ref(uni, r, u, s, v)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: universal("a2_flat"), lambda: universal("m2_grass"),
+    lambda: universal_graded(upper_triangular_2(), 3)],
+    ids=["a2", "m2", "T2"])
+def test_right_mult_bar_matrix_is_the_product_on_unit_columns(make):
+    # built from tail_times and the structure constants, not from product;
+    # for each e_k and for a combination with a non-integral coefficient
+    uni = make().universal
+    a = uni.algebra
+    combo = [F(1, 2)] + [0] * (a.dim - 2) + [-3]
+    for r in range(uni.D + 1):
+        for f in identity_mat(a.dim) + [combo]:
+            rm = uni.right_mult_bar_matrix(r, f)
+            for k, u in enumerate(identity_mat(uni.bar_dim(r))):
+                assert [row[k] for row in rm] == uni.product(r, u, 0, f)
 
 
 @st.composite

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
-from _shared import a2, nabla
+import pytest
+
+import _reference
+from _shared import MODELS, NAMES, a2, nabla
 from bimodconn.connection import (Connection, check_right_leibniz,
                                   induced_first_order, kappa0_op, kappa1,
                                   nabla_hat, sigma_exists)
 from bimodconn.linalg import is_zero_vec, zero_mat, zeros
+from bimodconn.model import parse_model
 
 F = Fraction
 
@@ -130,3 +134,33 @@ def test_sigma_absent_on_twist():
     assert is_zero_vec(cal.class_of_bar(1, wit))
     # ...and has nonzero kappa1-image, so sigma cannot factor through
     assert not k1.op(wit).is_zero()
+
+
+def _linearity_witness(k1):
+    """The witness of κ₁'s ``kappa1-bimodule-linear`` verdict."""
+    (v,) = [v for v in k1.verdicts if v.check_id == "kappa1-bimodule-linear"]
+    assert v.ok == (v.witness is None)
+    return v.witness
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_kappa1_linearity_matches_the_per_triple_reference(name):
+    k1 = kappa1(nabla(name))
+    assert _linearity_witness(k1) is None
+    assert _reference.kappa1_bimodule_linear(k1) is None
+
+
+@pytest.mark.parametrize("name, g, entry, triple", [
+    ("m2_grass", 2, (11, 10), [1, 2, 10]),
+    ("a2_quotient", 1, (1, 0), [1, 1, 0])])
+def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
+        name, g, entry, triple):
+    # a fresh parse: the fault must not reach the shared cached models; one
+    # entry of the cached u ↦ u·e_g on Ω¹ off by one
+    m = parse_model(str(MODELS / f"{name}.model"))
+    row, col = entry
+    m.calculus.universal.right_mult_bar_matrix(
+        1, m.algebra.basis_vec(g))[row][col] += 1
+    k1 = kappa1(m.connections["nabla"])
+    assert _linearity_witness(k1) == {"triple": triple}
+    assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}

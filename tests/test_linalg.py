@@ -9,7 +9,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 from _shared import a2
+from bimodconn import linalg
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
                               _cols_to_mat, factor_through, frac, identity_mat, mat_mul,
                               mat_vec, null_space, quotient, rank, row_reduce,
@@ -319,3 +321,102 @@ def test_span_builder_matches_sympy(m, data):
             assert rebuilt == v
         results.append(coords)
     assert results[0] == results[1]
+
+
+# The sparse kernels against the dense ones they replaced
+# (``tests/_reference.py``), on the draws above and on products of every
+# shape, empty ones included.
+
+@st.composite
+def products(draw):
+    """(a, b) with a of shape n×k and b of shape k×m, each of n, k, m
+    possibly 0, with a zero column of a and a zero row of b mixed in."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [draw(st.lists(ENTRIES, min_size=k, max_size=k)) for _ in range(n)]
+    b = [draw(st.lists(ENTRIES, min_size=m, max_size=m)) for _ in range(k)]
+    if k and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        for row in a:
+            row[j] = F(0)
+        b[draw(st.integers(0, k - 1))] = [F(0)] * m
+    return a, b
+
+
+@settings(deadline=None)
+@given(products())
+def test_mat_mul_matches_the_dense_reference(ab):
+    a, b = ab
+    m = len(b[0]) if b else 0
+    for x, y in ((a, b), (_ints(a), _ints(b)), (a, _ints(b))):
+        got = mat_mul(x, y)
+        assert got == _reference.dense_mat_mul(x, y)
+        assert [len(row) for row in got] == [m] * len(x)
+        if x:
+            with pytest.raises(DimensionError):
+                mat_mul(x, y + [zeros(m or 1)])
+
+
+def _assert_reduced(span: SpanBuilder) -> None:
+    """Each row starts at its pivot with a 1, is 0 at every other pivot and
+    is the combination of the inserted vectors its expression names."""
+    n = span.ambient_dim
+    for pc, (row, expr) in span._rows.items():
+        assert min(row) == pc and row[pc] == 1 and all(row.values())
+        assert not any(p in row for p in span._rows if p != pc)
+        rebuilt = zeros(n)
+        for k, c in expr.items():
+            rebuilt = vec_add(rebuilt, [c * x for x in span.basis[k]])
+        assert rebuilt == [row.get(j, 0) for j in range(n)]
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
+def test_span_builder_matches_the_echelon_reference(m, data):
+    n = len(m[0])
+    probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    for rows in (m, _ints(m)):
+        span, ref = SpanBuilder(n), _reference.EchelonSpanBuilder(n)
+        for v in rows:
+            assert span.add(v) == ref.add(v)
+            assert span.basis == ref.basis and span.dim == ref.dim
+            assert sorted(span._rows) == ref.row_pivots
+            _assert_reduced(span)
+        for v in rows + [probe, _ints(probe)]:
+            assert span.contains(v) == ref.contains(v)
+            assert span.coords(v) == ref.coords(v)
+
+
+def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
+        monkeypatch):
+    # the reduced rows are 0 at every other pivot, so one reduction costs
+    # one elimination per pivot in v's support, however many rows there
+    # are; the echelon reference also eliminates at pivots its own
+    # eliminations filled in, and walks every row to find them
+    rows = [[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0],
+            [0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0]]
+    probes = identity_mat(7) + rows + [[1, 0, 0, 1, 0, 1, 0],
+                                       [0, 0, 0, 0, 0, 1, 1]]
+    span, ref = SpanBuilder(7), _reference.EchelonSpanBuilder(7)
+    for v in rows:
+        span.add(v)
+        ref.add(v)
+    pivots = set(ref.row_pivots)
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(v, c, row):
+        calls.append(c)
+        eliminate(v, c, row)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(_reference, "_eliminate", counting)
+    for v in probes:
+        want = len(pivots & {j for j, x in enumerate(v) if x})
+        for reduce in (span.contains, span.coords):
+            calls.clear()
+            reduce(v)
+            assert len(calls) == want
+    calls.clear()
+    for v in probes:
+        ref.contains(v)
+    assert len(calls) > sum(len(pivots & {j for j, x in enumerate(v) if x})
+                            for v in probes)
