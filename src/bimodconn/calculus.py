@@ -6,7 +6,9 @@ unit.  That basis ("bar basis") realizes Ω^r_u ≅ A ⊗ Ā^{⊗r} with
 Ā = A/ℂ1 and π: A → Ā, and the structure maps are closed forms on it:
 d(e_i·de_β) = de_i·de_β with de_i expanded through π; right multiplication
 by e_k moves e_k left through the tail by (x·de_j)·e_k = x·d(e_j e_k) −
-(x·e_j)·de_k; and u·(e_k·de_γ) is u·e_k followed by the tail γ.
+(x·e_j)·de_k; and u·(e_k·de_γ) is u·e_k followed by the tail γ.  Left and
+right multiplication by each e_i and d are kept as sparse column tables,
+built once, which every map that uses them reads.
 
 Tensor-power coordinates (Ω^r_u inside A^{⊗(r+1)}) appear only at intake:
 model files give ideal generators in them, and from_emb converts one to
@@ -26,9 +28,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     _exact, factor_through, identity_mat, mat_vec,
-                     quotient, QuotientSpace, zero_mat, zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _exact,
+                     factor_through, identity_mat, mat_vec, quotient,
+                     QuotientSpace, zero_mat, zeros)
+
+
+# Sparse columns of a linear map: per column, its nonzero (row, coeff) pairs.
+Cols = list[list[tuple[int, int | Fraction]]]
+
+
+def _combine(cols: Cols, v: Vec, n_rows: int) -> Vec:
+    """Σ v_x·(column x) over v's nonzeros."""
+    out = zeros(n_rows)
+    for x in itertools.compress(range(len(v)), v):
+        c = v[x]
+        for row, cc in cols[x]:
+            out[row] += c * cc
+    return out
+
+
+def _dense(maps: list[Cols], f: Vec, n_rows: int) -> Mat:
+    """Σ f_k·(map k) over f's nonzeros, as a dense matrix."""
+    m = zero_mat(n_rows, len(maps[0]))
+    for k in itertools.compress(range(len(f)), f):
+        for x, col in enumerate(maps[k]):
+            for row, c in col:
+                m[row][x] += f[k] * c
+    return m
 
 
 class UniversalCalculus:
@@ -49,6 +75,12 @@ class UniversalCalculus:
         self._tail_times: dict[tuple[int, int],
                                list[list[tuple[int, int, Fraction | int]]]] = {}
         self._rmul_cache: dict[tuple[int, tuple[int | Fraction, ...]], Mat] = {}
+        # per degree r: the sparse columns of L_{e_i} and R_{e_i} on Ω^r
+        # (per basis index i), and of d: Ω^r → Ω^{r+1} below the truncation
+        self._left_cols: list[list[Cols]] = []
+        self._right_cols: list[list[Cols]] = []
+        self._d_cols: list[Cols] = []
+        self._build_structure_cols()
         # per degree, per bar basis vector: its nonzero (row, coeff) entries
         # in tensor-power coordinates, for the intake of model data
         self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
@@ -120,19 +152,43 @@ class UniversalCalculus:
         self._tail_times[key] = table
         return table
 
-    def _times_basis(self, r: int, u: Vec, k: int) -> Vec:
-        """u·e_k for u in degree-r bar coordinates."""
+    def _right_columns(self, r: int, k: int) -> Cols:
+        """The sparse columns of R_{e_k} on Ω^r: (e_i0·de_β)·e_k is
+        Σ c·(e_i0 e_k0)·de_γ over the ``tail_times`` terms (k0, γ, c) of β."""
         nt = len(self._tails[r])
         table = self.tail_times(r, k)
-        out = zeros(self.bar_dim(r))
-        for flat, c in enumerate(u):
-            if c:
-                i0, bidx = divmod(flat, nt)
-                for k0, g, ct in table[bidx]:
-                    cc = c * ct
-                    for l, cl in self._mult[i0][k0]:
-                        out[l * nt + g] += cc * cl
-        return out
+        cols = []
+        for mult in self._mult:
+            for terms in table:
+                acc: dict[int, Fraction | int] = {}
+                for k0, g, ct in terms:
+                    for l, cl in mult[k0]:
+                        row = l * nt + g
+                        acc[row] = acc.get(row, 0) + ct * cl
+                cols.append([(row, _exact(c))
+                             for row, c in sorted(acc.items()) if c])
+        return cols
+
+    def _build_structure_cols(self) -> None:
+        """The column tables of L_{e_i}, R_{e_i} and d, degree by degree:
+        e_i·(e_i0·de_β) = (e_i e_i0)·de_β; R_{e_k} as in ``_right_columns``;
+        and d(e_i0·de_β) = Σ π(e_i0)_p·1·de_{c_p}·de_β, the unit 1 = Σ u_t·e_t
+        written out."""
+        n, m = self.algebra.dim, len(self.complement)
+        for r in range(self.D + 1):
+            nt = len(self._tails[r])
+            self._left_cols.append([
+                [[(l * nt + bidx, c) for l, c in self._mult[i][i0]]
+                 for i0 in range(n) for bidx in range(nt)]
+                for i in range(n)])
+            self._right_cols.append([self._right_columns(r, k)
+                                     for k in range(n)])
+            if r < self.D:
+                nt1 = nt * m
+                self._d_cols.append([
+                    [(t * nt1 + p * nt + bidx, _exact(cp * ct))
+                     for p, cp in self._pi[i0] for t, ct in self._unit]
+                    for i0 in range(n) for bidx in range(nt)])
 
     def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
         """Ω^r × Ω^s → Ω^{r+s}: u·(e_k·de_γ) is u·e_k followed by γ."""
@@ -144,7 +200,8 @@ class UniversalCalculus:
                 k, g = divmod(flat, nt)
                 w = times.get(k)
                 if w is None:
-                    w = times[k] = self._times_basis(r, u, k)
+                    w = times[k] = _combine(self._right_cols[r][k], u,
+                                            self.bar_dim(r))
                 for x, cw in enumerate(w):
                     if cw:
                         out[x * nt + g] += c * cw
@@ -153,45 +210,25 @@ class UniversalCalculus:
     def d(self, r: int, v: Vec) -> Vec:
         """d: Ω^r → Ω^{r+1}, d(e_i0·de_β) = de_i0·de_β with de_i0 expanded
         through π as Σ π(e_i0)_p · 1·de_{c_p}."""
-        nt = len(self._tails[r])
-        nt1 = nt * len(self.complement)
-        out = zeros(self.bar_dim(r + 1))
-        for flat, c in enumerate(v):
-            if c:
-                i0, bidx = divmod(flat, nt)
-                for p, cp in self._pi[i0]:
-                    for t, ct in self._unit:
-                        out[t * nt1 + p * nt + bidx] += c * cp * ct
-        return out
+        return _combine(self._d_cols[r], v, self.bar_dim(r + 1))
 
+    # Dense views of the column tables, for maps on quotient coordinates.
     def d_bar_matrix(self, r: int) -> Mat:
-        return _cols_to_mat([self.d(r, e)
-                             for e in identity_mat(self.bar_dim(r))],
-                            self.bar_dim(r + 1))
+        return _dense([self._d_cols[r]], [1], self.bar_dim(r + 1))
 
     def left_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
-        return _cols_to_mat([self.product(0, f, r, e)
-                             for e in identity_mat(self.bar_dim(r))],
-                            self.bar_dim(r))
+        """u ↦ f·u in degree r: Σ f_k·L_{e_k} over f's nonzeros."""
+        return _dense(self._left_cols[r], f, self.bar_dim(r))
 
     def right_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
-        """u ↦ u·f in degree r: column e_i0·de_β is Σ f_k·(e_i0·de_β)·e_k
-        over f's nonzeros, read off ``tail_times`` as in ``_times_basis``."""
+        """u ↦ u·f in degree r: Σ f_k·R_{e_k} over f's nonzeros, computed
+        once per (r, f); the matrix is shared, so no caller may change it
+        in place."""
         key = (r, tuple(f))
         m = self._rmul_cache.get(key)
         if m is None:
-            nt = len(self._tails[r])
-            m = self._rmul_cache[key] = zero_mat(self.bar_dim(r),
-                                                 self.bar_dim(r))
-            for k in itertools.compress(range(len(f)), f):
-                table = self.tail_times(r, k)
-                for i0, mult in enumerate(self._mult):
-                    for bidx, terms in enumerate(table):
-                        col = i0 * nt + bidx
-                        for k0, g, ct in terms:
-                            c = f[k] * ct
-                            for l, cl in mult[k0]:
-                                m[l * nt + g][col] += c * cl
+            m = self._rmul_cache[key] = _dense(self._right_cols[r], f,
+                                               self.bar_dim(r))
         return m
 
     # -- intake of tensor-power coordinates -------------------------------
@@ -356,11 +393,19 @@ def saturate_ideal(uni: UniversalCalculus,
     """Smallest two-sided graded ideal containing the generators, closed
     under d, degree-wise up to the truncation.
 
-    FIFO worklist: every vector that enlarges its degree's span is expanded
-    exactly once, by left/right multiplication with the algebra basis, by
-    d, and by left/right multiplication with the degree-one generators de_j
-    (j in the unit complement).  The span is finite-dimensional, so the
-    worklist runs dry.
+    FIFO worklist: every vector v that enlarges its degree's span is
+    expanded exactly once, into e_i·v and v·e_i for ascending i and then dv
+    below the truncation, each read off the sparse column tables of
+    L_{e_i}, R_{e_i} and d.  So the span I is closed under both actions of
+    A and under d.  Products by the degree-one generators de_j need no
+    attempts of their own: for v in I^r with r < D, the graded Leibniz rule
+    of Ω_u gives
+
+        v·de_j = (−1)^r (d(v·e_j) − dv·e_j),    de_j·v = d(e_j·v) − e_j·dv,
+
+    and each term on the right is in I^{r+1}.  Ω_u is generated by A and
+    the de_j, so I is then a two-sided ideal.  The span is
+    finite-dimensional, so the worklist runs dry.
     """
     spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue: deque[tuple[int, Vec]] = deque()
@@ -370,19 +415,15 @@ def saturate_ideal(uni: UniversalCalculus,
                                  "degree between 1 and the truncation")
         if spans[deg].add(bar):
             queue.append((deg, bar))
-    des = [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
     while queue:
         r, v = queue.popleft()
+        n = uni.bar_dim(r)
         images = []
-        for i in range(uni.algebra.dim):
-            f = uni.algebra.basis_vec(i)
-            images.append((r, uni.product(0, f, r, v)))
-            images.append((r, uni.product(r, v, 0, f)))
+        for left, right in zip(uni._left_cols[r], uni._right_cols[r]):
+            images.append((r, _combine(left, v, n)))
+            images.append((r, _combine(right, v, n)))
         if r < uni.D:
             images.append((r + 1, uni.d(r, v)))
-            for de in des:
-                images.append((r + 1, uni.product(1, de, r, v)))
-                images.append((r + 1, uni.product(r, v, 1, de)))
         for s, w in images:
             if spans[s].add(w):
                 queue.append((s, w))

@@ -14,10 +14,12 @@ and computed once per (r, s, ω).  The right A-action is its s = 0 case.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .algebra import Bimodule, act, action_matrix, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     quotient, QuotientSpace, zeros)
+                     QuotientSpace, zeros)
 
 
 class Forms:
@@ -58,15 +60,32 @@ class Forms:
         return [self.dim(r) for r in range(self.D + 1)]
 
     def _build_quotients(self) -> None:
-        """T_r = T^u_r / (M⊗I^r).  M⊗I^r is spanned by g⊗ι over the module
-        generators g alone: m = g·a gives m⊗ι = g⊗a·ι, and I is a left ideal."""
-        m = self.module
+        """T_r = T^u_r / (M⊗I^r), M⊗I^r spanned by ``_ideal_tensors(r)``."""
         for r in range(self.D + 1):
             span = SpanBuilder(self.tu_dim(r))
-            for g in self.generators:
-                for v in self.calculus.ideal[r]:
-                    span.add(self.mult_tu_by_bar(0, m.basis_vec(g), r, v))
-            self._quotients.append(quotient(self.tu_dim(r), span.basis))
+            for tu in self._ideal_tensors(r):
+                span.add(tu)
+            self._quotients.append(span.quotient())
+
+    def _ideal_tensors(self, r: int) -> list[Vec]:
+        """g⊗ι for each module generator g and each ι in the basis of I^r.
+        These span M⊗I^r: m = g·a gives m⊗ι = g⊗a·ι, and I is a left ideal.
+        g⊗(e_i0·de_β) = (g·e_i0)⊗de_β, and g·e_i0 is column g of the stored
+        right action of e_i0, so g⊗ι is read off those columns at ι's
+        nonzeros."""
+        nt = self.n_tails(r)
+        out = []
+        for g in self.generators:
+            moved = [[(a, row[g]) for a, row in enumerate(act) if row[g]]
+                     for act in self.module.right_action]
+            for iota in self.calculus.ideal[r]:
+                tu = zeros(self.tu_dim(r))
+                for flat in compress(range(len(iota)), iota):
+                    i0, bidx = divmod(flat, nt)
+                    for a, x in moved[i0]:
+                        tu[a * nt + bidx] += iota[flat] * x
+                out.append(tu)
+        return out
 
     def quotient_space(self, r: int) -> QuotientSpace:
         return self._quotients[r]

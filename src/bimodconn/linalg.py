@@ -247,28 +247,19 @@ class QuotientSpace:
 
 def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
     """Quotient of the coordinate space of dimension `total` by the span of
-    the independent vectors `sub`.
+    the independent vectors `sub`: one ``SpanBuilder`` pass, then
+    :meth:`SpanBuilder.quotient`.
 
     The lift maps quotient coordinates to the pivot-complement basis of the
-    row reduction of sub, so results are reproducible given input ordering.
-    Reducing e_i modulo the reduced rows leaves e_i itself for a free column
-    i and e_i - row for the pivot i of a row, so the projection is read off
-    the reduced rows directly.
+    reduced rows of sub, so results are reproducible given input ordering.
     """
     if any(len(v) != total for v in sub):
         raise DimensionError("sub is not presented inside total")
-    sub_rank, rref, pivots = row_reduce(sub) if sub else (0, [], [])
-    if sub_rank != len(sub):
-        raise DimensionError("sub basis is degenerate")
-    pivot_set = set(pivots)
-    free = [c for c in range(total) if c not in pivot_set]
-    proj = zero_mat(len(free), total)
-    for k, fc in enumerate(free):
-        proj[k][fc] = 1
-    for row, pc in zip(rref, pivots):
-        for k, fc in enumerate(free):
-            proj[k][pc] = -row[fc]
-    return QuotientSpace(sub, proj, free)
+    span = SpanBuilder(total)
+    for v in sub:
+        if not span.add(v):
+            raise DimensionError("sub basis is degenerate")
+    return span.quotient()
 
 
 def factor_through(f: Mat, g: Mat, n: int) -> tuple[Mat | None, Vec | None]:
@@ -396,3 +387,19 @@ class SpanBuilder:
         for k, c in combo.items():
             out[k] = _exact(c)
         return out
+
+    def quotient(self) -> QuotientSpace:
+        """The ambient space modulo this span, read off the reduced rows:
+        they are the span's RREF, so e_i reduces to itself for a free column
+        i and to e_i − row for the pivot i of a row, and the projection's
+        column i is that remainder in the free coordinates."""
+        free = [c for c in range(self.ambient_dim) if c not in self._rows]
+        pos = {fc: k for k, fc in enumerate(free)}
+        proj = zero_mat(len(free), self.ambient_dim)
+        for k, fc in enumerate(free):
+            proj[k][fc] = 1
+        for pc, (row, _) in self._rows.items():
+            for j, x in row.items():
+                if j != pc:         # every other entry is in a free column
+                    proj[pos[j]][pc] = -_exact(x)
+        return QuotientSpace(self.basis[:], proj, free)

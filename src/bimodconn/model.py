@@ -163,8 +163,9 @@ def _parse_calculus(doc, path: str, algebra: Algebra,
     truncation = doc.get("truncation", 3)
     if truncation_override is not None:
         truncation = truncation_override
-    if not _is_int(truncation) or truncation < 1:
-        raise ModelError(f"{path}.truncation", "expected a positive integer")
+    # curvature, J and the checks built on them need Ω²
+    if not _is_int(truncation) or truncation < 2:
+        raise ModelError(f"{path}.truncation", "expected an integer >= 2")
     if _emb_dim_exceeds(algebra.dim, truncation):
         raise ModelError(f"{path}.truncation",
                          f"dim^(truncation+1) exceeds {MAX_EMB_DIM} for "

@@ -7,23 +7,27 @@ The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 and projects the result to Ω(M), and ``sigma_full``'s identities are
 decided on their own, not read off ``InducedCalculus``.  Below them, the
 whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal``
-and ``extend_connection``).  Last, the per-pair route of the three right
+and ``extend_connection``).  Next, the per-pair route of the three right
 Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
 rule and ``OmegaM``'s), which multiply classes through representatives
 (``mult_class``) rather than ``Forms.right_mult_matrix``.  Then the
 per-triple route of κ₁'s bimodule linearity (``kappa1``).
 
-Last, the ``linalg`` kernels the sparse ones replaced: the product that
-builds one column of b at a time, and the span builder that keeps echelon
-rows in a list and walks all of them to reduce a vector.
+Then the ``linalg`` kernels the sparse ones replaced: the product that
+builds one column of b at a time, the span builder that keeps echelon
+rows in a list and walks all of them to reduce a vector, and the quotient
+read off a second row reduction of its sub.  Last, the ideal saturation
+that also tries every product by de_j, each a dense
+``UniversalCalculus.product``.
 """
 
 import bisect
+from collections import deque
 
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
-from bimodconn.linalg import (DimensionError, SpanBuilder, _div, _eliminate,
-                              _exact, _sparse, mat_mul, mat_vec, vec_add,
-                              zeros)
+from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
+                              _div, _eliminate, _exact, _sparse, mat_mul,
+                              mat_vec, row_reduce, vec_add, zero_mat, zeros)
 
 
 def kappa_multiplicative(induced):
@@ -426,3 +430,52 @@ class EchelonSpanBuilder:
         for k, c in combo.items():
             out[k] = _exact(c)
         return out
+
+
+def quotient(total, sub):
+    """total / span(sub) by ``row_reduce``: reducing e_i modulo the RREF rows
+    leaves e_i for a free column i and e_i − row for the pivot i of a row."""
+    if any(len(v) != total for v in sub):
+        raise DimensionError("sub is not presented inside total")
+    sub_rank, rref, pivots = row_reduce(sub) if sub else (0, [], [])
+    if sub_rank != len(sub):
+        raise DimensionError("sub basis is degenerate")
+    pivot_set = set(pivots)
+    free = [c for c in range(total) if c not in pivot_set]
+    proj = zero_mat(len(free), total)
+    for k, fc in enumerate(free):
+        proj[k][fc] = 1
+    for row, pc in zip(rref, pivots):
+        for k, fc in enumerate(free):
+            proj[k][pc] = -row[fc]
+    return QuotientSpace(sub, proj, free)
+
+
+# -- ideal saturation -------------------------------------------------------
+
+def saturate_ideal(uni, generators):
+    """The FIFO worklist that expands each new vector v by e_i·v and v·e_i,
+    dv, and de_j·v and v·de_j for j in the unit complement, every image a
+    dense ``product`` (or ``d``)."""
+    spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
+    queue = deque()
+    for deg, bar in generators:
+        if spans[deg].add(bar):
+            queue.append((deg, bar))
+    des = [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
+    while queue:
+        r, v = queue.popleft()
+        images = []
+        for i in range(uni.algebra.dim):
+            f = uni.algebra.basis_vec(i)
+            images.append((r, uni.product(0, f, r, v)))
+            images.append((r, uni.product(r, v, 0, f)))
+        if r < uni.D:
+            images.append((r + 1, uni.d(r, v)))
+            for de in des:
+                images.append((r + 1, uni.product(1, de, r, v)))
+                images.append((r + 1, uni.product(r, v, 1, de)))
+        for s, w in images:
+            if spans[s].add(w):
+                queue.append((s, w))
+    return spans

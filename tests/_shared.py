@@ -69,17 +69,30 @@ def upper_triangular_2() -> Algebra:
     return Algebra.from_table(table, [1, 0, 1])
 
 
-def regular_connection(a: Algebra, truncation: int, gamma: int) -> Connection:
-    """∇ = d + Γ· on the regular bimodule A over the universal calculus, Γ
-    the bar basis 1-form of index ``gamma``.  Column c of ∇ is the class of
-    1⊗(d e_c + Γ·e_c); right Leibniz holds by construction."""
+def cyclic_group_algebra(k: int) -> Algebra:
+    """ℂ[ℤ_k] on the basis g⁰, …, g^{k−1}: commutative and semisimple, with
+    no idempotent basis vector but the unit."""
+    table = [[[int(t == (i + j) % k) for t in range(k)] for j in range(k)]
+             for i in range(k)]
+    return Algebra.from_table(table, [1] + [0] * (k - 1))
+
+
+def regular_bimodule(a: Algebra) -> Bimodule:
+    """A acting on itself by left and right multiplication."""
     left = [[[a.structure[i][j][k] for j in range(a.dim)]
              for k in range(a.dim)] for i in range(a.dim)]
     right = [[[a.structure[j][i][k] for j in range(a.dim)]
               for k in range(a.dim)] for i in range(a.dim)]
+    return Bimodule.from_actions(a, left, right)
+
+
+def regular_connection(a: Algebra, truncation: int, gamma: int) -> Connection:
+    """∇ = d + Γ· on the regular bimodule A over the universal calculus, Γ
+    the bar basis 1-form of index ``gamma``.  Column c of ∇ is the class of
+    1⊗(d e_c + Γ·e_c); right Leibniz holds by construction."""
     cal = universal_graded(a, truncation)
     uni = cal.universal
-    forms = Forms(Bimodule.from_actions(a, left, right), cal)
+    forms = Forms(regular_bimodule(a), cal)
     g = [0] * uni.bar_dim(1)
     g[gamma] = 1
     cols = [forms.class_of_pair_bar(1, a.unit_vec(), [

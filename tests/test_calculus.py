@@ -1,22 +1,24 @@
 """Universal and quotient differential calculi and the partial order."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref)
-from _shared import (MODELS, NAMES, a2, m2, model, universal,
-                     upper_triangular_2)
+from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
+                     universal, upper_triangular_2)
 from bimodconn import cli
 from bimodconn.algebra import Algebra
 from bimodconn.calculus import (UniversalCalculus, preceq, quotient_calculus,
                                 saturate_ideal, universal_graded)
-from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder,
+from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, frac,
                               identity_mat, is_zero_vec, mat_mul, mat_vec,
-                              vec_add, zeros)
+                              row_reduce, vec_add, zeros)
 from bimodconn.model import parse_model
 
 F = Fraction
@@ -114,12 +116,13 @@ def test_quotient_idempotent():
     assert first.dims() == second.dims()
 
 
-@pytest.mark.parametrize("truncation, attempts", [(3, 30), (9, 114)])
+@pytest.mark.parametrize("truncation, attempts", [(3, 24), (9, 84)])
 def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
                                                    attempts):
     # one attempt per generator, then per basis vector of I^r: 2n products
-    # by the algebra basis, and below the top degree d and 2 products by
-    # each de_j; re-expanding a vector would add more attempts
+    # by the algebra basis, and d below the top degree (the products by de_j
+    # follow by the Leibniz rule); re-expanding a vector would add more
+    # attempts
     uni = UniversalCalculus(a2(), truncation)
     gens = [(1, uni.from_emb(1, emb_e1e2()))]
     calls = []
@@ -131,11 +134,76 @@ def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
 
     monkeypatch.setattr(SpanBuilder, "add", counting_add)
     spans = saturate_ideal(uni, gens)
-    n, m = uni.algebra.dim, len(uni.complement)
-    expected = len(gens) + sum(
-        s.dim * (2 * n + (1 + 2 * m if r < uni.D else 0))
-        for r, s in enumerate(spans))
+    n = uni.algebra.dim
+    expected = len(gens) + sum(s.dim * (2 * n + (1 if r < uni.D else 0))
+                               for r, s in enumerate(spans))
     assert len(calls) == expected == attempts
+
+
+def _model_generators(name, uni):
+    """A shipped model's ideal generators in bar coordinates of ``uni``."""
+    doc = json.loads((MODELS / f"{name}.model").read_text(encoding="utf-8"))
+    return [(g["degree"], uni.from_emb(g["degree"],
+                                       [frac(x) for x in g["element"]]))
+            for g in doc["calculus"].get("ideal_generators", [])]
+
+
+def _assert_saturation_matches_reference(uni, gens):
+    # the same span in every degree, and the same basis of I¹, which
+    # sigma-all-degrees reads its witness off
+    spans = saturate_ideal(uni, gens)
+    ref = _reference.saturate_ideal(uni, gens)
+    for r, (s, t) in enumerate(zip(spans, ref)):
+        assert s.dim == t.dim, r
+        assert row_reduce(s.basis) == row_reduce(t.basis), r
+    assert spans[1].basis == ref[1].basis
+
+
+@pytest.mark.parametrize("name, truncation",
+                         [(n, None) for n in NAMES] + [("a2_quotient", 9)])
+def test_saturation_matches_the_worklist_reference(name, truncation):
+    uni = model(name, truncation).calculus.universal
+    _assert_saturation_matches_reference(uni, _model_generators(name, uni))
+
+
+def test_saturation_matches_the_worklist_reference_on_t2():
+    uni = UniversalCalculus(upper_triangular_2(), 3)
+    e12_de11 = [0] * uni.bar_dim(1)
+    e12_de11[2] = 1                      # e12·de11, a radical element
+    _assert_saturation_matches_reference(uni, [(1, e12_de11)])
+    # d(e11)·d(e12), and a combination in degree 3
+    dd = uni.product(1, uni.d(0, [1, 0, 0]), 1, uni.d(0, [0, 1, 0]))
+    top = [F(1, 2) * (k % 3) for k in range(uni.bar_dim(3))]
+    _assert_saturation_matches_reference(uni, [(2, dd), (3, top)])
+
+
+_ALGEBRAS = {"a2": a2, "T2": upper_triangular_2,
+             "CZ3": lambda: cyclic_group_algebra(3), "M2": m2}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(sorted(_ALGEBRAS)), st.integers(1, 3), st.data())
+def test_saturation_matches_the_worklist_reference_on_drawn_generators(
+        name, truncation, data):
+    uni = UniversalCalculus(_ALGEBRAS[name](), truncation)
+    gens = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        r = data.draw(st.integers(1, truncation))
+        gens.append((r, data.draw(bar_elements(uni, r))))
+    _assert_saturation_matches_reference(uni, gens)
+
+
+def test_a_wrong_column_table_entry_fails_the_saturation_reference():
+    # the reference forms e_i·v through ``product``, which does not read
+    # the table of L_{e_i}
+    uni = UniversalCalculus(m2(), 3)
+    gens = _model_generators("m2_grass", uni)
+    _assert_saturation_matches_reference(uni, gens)
+    col = uni._left_cols[1][0][0]       # e11·(e11·de_c0) = e11·de_c0
+    row, c = col[0]
+    col[0] = (row, c + 1)
+    with pytest.raises(AssertionError):
+        _assert_saturation_matches_reference(uni, gens)
 
 
 def assert_calculus_morphism(rho):

@@ -171,6 +171,29 @@ def test_parse_rejects_oversized_truncation(tmp_path, capsys):
     assert "calculus.truncation" in capsys.readouterr().err
 
 
+def test_parse_rejects_truncation_below_two(tmp_path, capsys):
+    # curvature, J and Ω(M) need Ω²: at truncation 1 `all` used to end in
+    # an IndexError; now the file and the option are refused at intake
+    for d in (1, 0, -1):
+        doc = flat_doc()
+        doc["calculus"]["truncation"] = d
+        model_path = write_doc(tmp_path, doc)
+        with pytest.raises(ModelError) as err:
+            parse_model(model_path)
+        assert err.value.path == "calculus.truncation"
+        assert cli.main(["all", "--model", model_path]) == 2
+        assert "calculus.truncation" in capsys.readouterr().err
+    for name in NAMES:
+        with pytest.raises(ModelError) as err:
+            parse_model(str(MODELS / f"{name}.model"), truncation=1)
+        assert err.value.path == "calculus.truncation"
+        assert cli.main(["all", "--model", str(MODELS / f"{name}.model"),
+                         "--truncation", "1"]) == 2
+        assert "calculus.truncation" in capsys.readouterr().err
+    two = parse_model(str(MODELS / "a2_flat.model"), truncation=2)
+    assert two.truncation == 2
+
+
 def test_run_check_reports_axioms_only():
     model = parse_model(str(MODELS / "a2_flat.model"))
     report = cli.run("check", model)

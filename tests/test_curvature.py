@@ -240,24 +240,21 @@ def test_kappa_and_sigma_u_checks_match_the_per_pair_reference(name,
 
 def _wrong_tail_coefficient(r, k, b):
     """The first coefficient of de_β·e_k, β the b-th tail of degree r, off
-    by one."""
+    by one, and the column table of R_{e_k} rebuilt from it."""
     def fault(uni):
         table = uni.tail_times(r, k)
         k0, g, c = table[b][0]
         table[b][0] = (k0, g, c + 1)
+        uni._right_cols[r][k] = uni._right_columns(r, k)
     return fault
 
 
 def _wrong_d_entry(uni):
-    """Entry (0, 1) of d: Ω² → Ω³ in bar coordinates off by one."""
-    d = uni.d
-
-    def wrong(r, v):
-        out = d(r, v)
-        if r == 2:
-            out[0] += v[1]
-        return out
-    uni.d = wrong
+    """Entry (0, 1) of d: Ω² → Ω³ in bar coordinates off by one, in the
+    column table that d and its matrix are read off."""
+    col = dict(uni._d_cols[2][1])
+    col[0] = col.get(0, 0) + 1
+    uni._d_cols[2][1] = sorted((row, c) for row, c in col.items() if c)
 
 
 def _wrong_tail_product(ki):

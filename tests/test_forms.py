@@ -1,12 +1,14 @@
 """Right multiplication on M⊗_AΩ: ``Forms.right_mult_matrix`` against the
-product through representatives, and its algebraic laws."""
+product through representatives, and its algebraic laws; and the g⊗ι that
+span M⊗_AI against the same product."""
 
 import pytest
 
 import _reference
-from _shared import MODELS, NAMES, model, regular_connection, \
-    upper_triangular_2
+from _shared import MODELS, NAMES, model, regular_bimodule, \
+    regular_connection, upper_triangular_2
 from bimodconn import cli
+from bimodconn.calculus import quotient_calculus, universal_graded
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, _cols_to_mat, identity_mat, \
     mat_mul, zeros
@@ -90,3 +92,32 @@ def test_right_mult_matrix_rejects_bad_degrees_and_lengths():
         with pytest.raises(DimensionError):
             f.right_mult_matrix(0, 1, bad)
     assert f.right_mult_matrix(0, 1, w1)
+
+
+def _t2_forms_over_a_quotient() -> tuple:
+    """The regular bimodule of T₂ and T₂'s calculus at D=3 modulo the ideal
+    generated by e12·de11 and by d(e11)·d(e12)."""
+    a = upper_triangular_2()
+    base = universal_graded(a, 3)
+    uni = base.universal
+    e12_de11 = [0] * uni.bar_dim(1)
+    e12_de11[2] = 1
+    dd = uni.product(1, uni.d(0, [1, 0, 0]), 1, uni.d(0, [0, 1, 0]))
+    cal = quotient_calculus(base, [(1, e12_de11), (2, dd)])
+    assert all(cal.ideal[1:]) and cal.dims()[1:] != [0] * 3
+    return regular_bimodule(a), cal
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda n=n: (model(n).connections["nabla"].module,
+                    model(n).calculus)) for n in NAMES],
+    _t2_forms_over_a_quotient], ids=[*NAMES, "T2"])
+def test_ideal_tensors_are_the_product(make):
+    # Forms reads g⊗ι off the stored right action; it must be the product
+    # m⊗u of T^u_0 × Ω^r_u, for every generator g and ideal basis vector ι
+    module, cal = make()
+    f = Forms(module, cal)
+    for r in range(f.D + 1):
+        assert f._ideal_tensors(r) == [
+            f.mult_tu_by_bar(0, module.basis_vec(g), r, iota)
+            for g in f.generators for iota in cal.ideal[r]]

@@ -297,6 +297,25 @@ def test_quotient_splits_and_kills_sub(m, data):
 
 @settings(deadline=None)
 @given(matrices(), st.data())
+def test_quotient_read_off_the_span_matches_the_row_reduce_reference(m, data):
+    # SpanBuilder.quotient() on every row, dependent ones included, and
+    # quotient() on the independent ones, against a second row reduction
+    # (tests/_reference.py); a prefix of the rows, so sub may be empty
+    n = len(m[0])
+    rows = m[:data.draw(st.integers(0, len(m)))]
+    for vs in (rows, _ints(rows)):
+        span = SpanBuilder(n)
+        for v in vs:
+            span.add(v)
+        want = _reference.quotient(n, span.basis)
+        for q in (span.quotient(), quotient(n, span.basis)):
+            assert (q.projection, q.free) == (want.projection, want.free)
+            assert q.sub == span.basis
+            assert _typed(q.projection)
+
+
+@settings(deadline=None)
+@given(matrices(), st.data())
 def test_span_builder_matches_sympy(m, data):
     n = len(m[0])
     probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
