@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import anchors
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, frac, identity_mat,
-                     is_zero_vec, mat_mul, mat_vec, quotient, QuotientSpace,
+                     is_zero_vec, mat_mul, mat_vec, QuotientSpace,
                      zero_mat, zeros)
 from .report import Verdict, failed, passed
 
@@ -321,4 +321,4 @@ def tensor_over_A(x, y: Bimodule) -> BalancedTensor:
     span = SpanBuilder(x.dim * y.dim)
     for rel in balancing_relations(x, y):
         span.add(rel)
-    return BalancedTensor(x, y, quotient(x.dim * y.dim, span.basis))
+    return BalancedTensor(x, y, span.quotient())

@@ -28,23 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _exact,
-                     factor_through, identity_mat, mat_vec, quotient,
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _combine,
+                     _exact, factor_through, identity_mat, mat_vec, quotient,
                      QuotientSpace, zero_mat, zeros)
-
-
-# Sparse columns of a linear map: per column, its nonzero (row, coeff) pairs.
-Cols = list[list[tuple[int, int | Fraction]]]
-
-
-def _combine(cols: Cols, v: Vec, n_rows: int) -> Vec:
-    """Σ v_x·(column x) over v's nonzeros."""
-    out = zeros(n_rows)
-    for x in itertools.compress(range(len(v)), v):
-        c = v[x]
-        for row, cc in cols[x]:
-            out[row] += c * cc
-    return out
 
 
 def _dense(maps: list[Cols], f: Vec, n_rows: int) -> Mat:
@@ -212,6 +198,15 @@ class UniversalCalculus:
         through π as Σ π(e_i0)_p · 1·de_{c_p}."""
         return _combine(self._d_cols[r], v, self.bar_dim(r + 1))
 
+    # The column tables themselves, shared: no caller may change them.
+    def right_cols(self, r: int, k: int) -> Cols:
+        """R_{e_k} on Ω^r: column x holds the nonzeros of (bar basis x)·e_k."""
+        return self._right_cols[r][k]
+
+    def d_cols(self, r: int) -> Cols:
+        """d: Ω^r → Ω^{r+1}: column x holds the nonzeros of d(bar basis x)."""
+        return self._d_cols[r]
+
     # Dense views of the column tables, for maps on quotient coordinates.
     def d_bar_matrix(self, r: int) -> Mat:
         return _dense([self._d_cols[r]], [1], self.bar_dim(r + 1))
@@ -322,14 +317,15 @@ class UniversalCalculus:
 class GradedCalculus:
     """A truncated calculus presented as universal modulo a graded ideal."""
 
-    def __init__(self, universal: UniversalCalculus, ideal: list[list[Vec]]):
+    def __init__(self, universal: UniversalCalculus,
+                 quotients: list[QuotientSpace]):
+        """Degree r is Ω^r_u / ``quotients[r].sub``; the ideal's basis per
+        degree, in bar coordinates, is ``ideal[r]``."""
         self.universal = universal
         self.algebra = universal.algebra
         self.D = universal.D
-        self.ideal = ideal              # per degree, a basis in bar coordinates
-        self.quotients: list[QuotientSpace] = []
-        for r in range(self.D + 1):
-            self.quotients.append(quotient(universal.bar_dim(r), ideal[r]))
+        self.quotients = quotients
+        self.ideal = [q.sub for q in quotients]
         self._d_mats: dict[int, Mat] = {}
         self._bimods: dict[int, Bimodule] = {}
 
@@ -385,7 +381,8 @@ class GradedCalculus:
 def universal_graded(algebra: Algebra, truncation: int = 3) -> GradedCalculus:
     """The universal calculus truncated at the given degree."""
     uni = UniversalCalculus(algebra, truncation)
-    return GradedCalculus(uni, [[] for _ in range(truncation + 1)])
+    return GradedCalculus(uni, [quotient(uni.bar_dim(r), [])
+                                for r in range(truncation + 1)])
 
 
 def saturate_ideal(uni: UniversalCalculus,
@@ -434,12 +431,12 @@ def quotient_calculus(base: GradedCalculus,
                       generators: list[tuple[int, Vec]]) -> GradedCalculus:
     """Quotient of the universal calculus by the differential ideal the
     homogeneous generators span.  Generators are given in bar coordinates
-    of their degree.
+    of their degree; each degree's quotient is read off the saturated span.
     """
     if not base.is_universal:
         raise DimensionError("quotient_calculus expects the universal calculus")
     spans = saturate_ideal(base.universal, generators)
-    return GradedCalculus(base.universal, [s.basis for s in spans])
+    return GradedCalculus(base.universal, [s.quotient() for s in spans])
 
 
 @dataclass

@@ -19,8 +19,8 @@ from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
 from .linalg import (Mat, QuotientSpace, SpanBuilder, Vec, _cols_to_mat,
-                     factor_through, identity_mat, mat_mul, mat_vec, rank,
-                     vec_add, zeros)
+                     _combination, _sparse, factor_through, identity_mat,
+                     mat_mul, mat_vec, rank, vec_add, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -344,19 +344,26 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
             return k
     k.verdicts.append(passed("kappa1-diagram", anchors.DIAGRAM_COMMUTES))
     # bimodule linearity: κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples (f, g, α);
-    # f·α·g for every α at once is the matrix fl·gr, read by columns
+    # f·α·g for every α at once is the matrix fl·gr, read by columns, and
+    # κ₁ is linear, so the left side is the combination of the flattened
+    # κ₁(α') at the nonzeros α' of f·α·g
     basis = identity_mat(a.dim)
     alpha_ops = [k.op(e).matrix for e in identity_mat(uni.bar_dim(1))]
-    g_hats = [c.module.left_matrix(gv) for gv in basis]
+    alpha_flat = [[x for row in op for x in row] for op in alpha_ops]
+    width = c.forms.dim(1) * c.module.dim
+    # κ₁(α)∘ĝ per g and α, shared by every f
+    alpha_g = [[mat_mul(op, c.module.left_matrix(gv)) for op in alpha_ops]
+               for gv in basis]
     for f, fv in enumerate(basis):
         fl = uni.left_mult_bar_matrix(1, fv)
         f_hat = c.forms.left_matrix(1, fv)
         for g, gv in enumerate(basis):
             moved = mat_mul(fl, uni.right_mult_bar_matrix(1, gv))
-            for bi, alpha_op in enumerate(alpha_ops):
-                lhs = k.op([row[bi] for row in moved]).matrix
-                rhs = mat_mul(f_hat, mat_mul(alpha_op, g_hats[g]))
-                if lhs != rhs:
+            for bi, col in enumerate(zip(*moved)):
+                lhs = _combination(alpha_flat, list(_sparse(col).items()),
+                                   width)
+                rhs = mat_mul(f_hat, alpha_g[g][bi])
+                if lhs != [x for row in rhs for x in row]:
                     k.verdicts.append(failed("kappa1-bimodule-linear",
                                              anchors.DIAGRAM_COMMUTES,
                                              {"triple": [f, g, bi]}))

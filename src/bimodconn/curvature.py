@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from . import anchors
 from .calculus import GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, kappa0_op, leibniz_failure,
                          nabla_hat)
-from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, identity_mat,
-                     mat_mul, mat_vec, null_space, quotient, QuotientSpace,
-                     rank, zeros)
+from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, _combination,
+                     _sparse, identity_mat, mat_mul, mat_vec, null_space,
+                     quotient, QuotientSpace, rank, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -255,15 +256,24 @@ class JIdeal:
 
 
 def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
+    """J spanned by (∇̂²Φ)(a)·ω over a basis of each Ω̂_p, the basis of M and
+    the basis of Ω^s, with its closure checks.
+
+    ∇̂²Φ is taken as ∇²∘Φ − Φ∘∇², from the cached curvature matrices: the
+    two ∇Φ∇ terms of ∇̂(∇̂Φ) cancel, and ``nabla-hat-squared-identity``
+    decides that identity on Ω̂.
+    """
     f = c.forms
     D = f.D
     builders = [SpanBuilder(f.dim(r)) for r in range(D + 1)]
     cal = c.calculus
     for p in range(D - 1):
         for phi in omega_hat.ops(p):
-            sq = nabla_hat(c, nabla_hat(c, phi))
+            sq = [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(
+                mat_mul(c.curvature_matrix(p), phi.matrix),
+                mat_mul(phi.ext_matrix(2), c.curvature_matrix(0)))]
             for ai in range(c.module.dim):
-                base = sq.apply(c.module.basis_vec(ai))
+                base = [row[ai] for row in sq]
                 builders[p + 2].add(base)
                 for s in range(1, D - p - 2 + 1):
                     for w in identity_mat(cal.dim(s)):
@@ -449,20 +459,17 @@ class OmegaM:
                                     anchors.RIGHT_OMEGA_HOM))
 
 
-def _combination(vecs: list[Vec], terms: list[tuple[int, int | Fraction]],
-                 n: int) -> Vec:
-    """Σ c·vecs[i] over the (i, c) terms, of length n; a single term with
-    c = 1 is vecs[i] itself, which the caller must not change."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        return vecs[terms[0][0]]
-    out = [0] * n
-    for i, c in terms:
-        out = [x + c * y for x, y in zip(out, vecs[i])]
-    return out
-
-
 class InducedCalculus:
-    """Ω_∇ from the kernels of κ, with d_∇ and the comparison with Ω."""
+    """Ω_∇ from the kernels of κ, with d_∇ and the comparison with Ω.
+
+    κ̄ is kept by columns: column u is the raw operator of the bar basis
+    monomial u projected to Ω(M), flattened row by row, so κ̄ of any bar
+    vector is the combination of its columns at the vector's nonzeros
+    (``image``).  Each identity of κ is decided on those columns, which
+    decide it on every element by linearity: no operator is composed,
+    extended or projected per pair.  ``d_ops`` are the ∇̂ê_j, j in the unit
+    complement, that every raw operator of degree ≥ 1 ends in.
+    """
 
     def __init__(self, c: Connection, omega_m: OmegaM):
         self.connection = c
@@ -474,8 +481,9 @@ class InducedCalculus:
         self.verdicts: list[Verdict] = []
         # raw operators for each bar basis monomial e_i0 de_j1 ⋯ de_jr
         self._raw: list[list[DegreeRHom]] = []
-        d_ops = {j: nabla_hat(c, kappa0_op(c, a.basis_vec(j)))
-                 for j in uni.complement}
+        self.d_ops: dict[int, DegreeRHom] = {
+            j: nabla_hat(c, kappa0_op(c, a.basis_vec(j)))
+            for j in uni.complement}
         prev_pos: dict[tuple[int, tuple[int, ...]], int] = {}
         for r in range(D + 1):
             ops = []
@@ -486,7 +494,7 @@ class InducedCalculus:
                 else:
                     # reuse the degree-(r−1) prefix so extensions stay cached
                     prefix = self._raw[r - 1][prev_pos[(i0, beta[:-1])]]
-                    op = prefix.compose(d_ops[beta[-1]])
+                    op = prefix.compose(self.d_ops[beta[-1]])
                 ops.append(op)
                 pos[(i0, beta)] = k
             self._raw.append(ops)
@@ -507,23 +515,26 @@ class InducedCalculus:
         self._build_calculus()
 
     def _project_op(self, r: int, op: DegreeRHom) -> Vec:
-        """The operator projected to Ω(M)_r, flattened row by row as in κ."""
+        """The operator projected to Ω(M)_r, flattened row by row as in κ:
+        row k of the operator, at its nonzeros, times the projection's
+        sparse column k."""
         q = self.omega_m.quotients[r]
-        m = mat_mul(q.projection, op.matrix) if q.sub else op.matrix
-        return [x for row in m for x in row]
+        if not q.sub:
+            return [x for row in op.matrix for x in row]
+        width = self.connection.module.dim
+        out = [0] * (q.dim * width)
+        for k, row in enumerate(op.matrix):
+            nz = [(c, row[c]) for c in compress(range(width), row)]
+            for p, pc in q.proj_cols[k]:
+                for c, x in nz:
+                    out[p * width + c] += pc * x
+        return out
 
-    def kappa_raw(self, r: int, bar: Vec) -> DegreeRHom:
-        c = self.connection
-        acc = None
-        for k, cc in enumerate(bar):
-            if cc:
-                m = self._raw[r][k].scale(cc)
-                acc = m if acc is None else acc.add(m)
-        if acc is None:
-            z = [[0] * c.module.dim
-                 for _ in range(c.forms.dim(r))]
-            return DegreeRHom(c.forms, r, z)
-        return acc
+    def image(self, r: int, terms: list[tuple[int, int | Fraction]]) -> Vec:
+        """κ̄ of Σ c·(bar basis vector x) over the (x, c) terms, flattened as
+        κ̄'s columns are; one term with c = 1 is that column itself, which
+        the caller must not change."""
+        return _combination(self._columns[r], terms, len(self.kappa[r]))
 
     def _check_multiplicative(self) -> None:
         """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.
@@ -535,11 +546,12 @@ class InducedCalculus:
         place where the contraction u·e_k0 happens.
 
         The left side is the combination of κ̄'s columns at the nonzeros of
-        u·e_k.  The right side is P·(R_u·L_k), for u's raw operator R_u, the
-        left action L_k of e_k on M and the projection P onto Ω(M)_r; it is
-        (P·R_u)·L_k, column u of κ̄ as an Ω(M)_r × M matrix times L_k, so no
-        operator is composed or projected per pair.  The first failing pair,
-        in the order r, u, k, is kept as ``multiplicative_failure``.
+        u·e_k, which column u of R_{e_k}'s table holds.  The right side is
+        P·(R_u·L_k), for u's raw operator R_u, the left action L_k of e_k on
+        M and the projection P onto Ω(M)_r; it is (P·R_u)·L_k, column u of
+        κ̄ as an Ω(M)_r × M matrix times L_k, so no operator is composed or
+        projected per pair.  The first failing pair, in the order r, u, k,
+        is kept as ``multiplicative_failure``.
         """
         uni = self.connection.calculus.universal
         m = self.connection.module
@@ -548,24 +560,20 @@ class InducedCalculus:
         l_cols = [[[(j, x) for j, x in enumerate(col) if x]
                    for col in zip(*m.left_action[k])] for k in range(a.dim)]
         for r in range(uni.D + 1):
-            cols, rows = self._columns[r], self.kappa[r]
+            rows = self.kappa[r]
             n, width = len(rows), uni.bar_dim(r)
             if not n:
                 continue        # Ω(M)_r = 0, where both sides vanish
-            # u·e_k for every bar basis vector u, as its nonzero (index, coeff)
-            moved = [[[(x, cc) for x, cc in enumerate(col) if cc]
-                      for col in zip(*uni.right_mult_bar_matrix(
-                          r, a.basis_vec(kj)))]
-                     for kj in range(a.dim)]
             # (P·R_u)·L_k for every u at once: its row (i, c) is the
             # combination of κ̄'s rows (i, j) by L_k[j][c]; then by columns
             right = [list(zip(*[_combination(
                          rows, [(i + j, x) for j, x in lc], width)
                          for i in range(0, n, m.dim) for lc in l_cols[kj]]))
                      for kj in range(a.dim)]
+            moved = [uni.right_cols(r, kj) for kj in range(a.dim)]
             for ki in range(width):
                 for kj in range(a.dim):
-                    lhs = _combination(cols, moved[kj][ki], n)
+                    lhs = self.image(r, moved[kj][ki])
                     if lhs != list(right[kj][ki]):
                         self.multiplicative_failure = (r, ki, kj)
                         self.verdicts.append(failed(
@@ -576,15 +584,14 @@ class InducedCalculus:
 
     def _check_diagram(self) -> None:
         """κ∘d_u = ∇̂∘κ after projection to Ω(M), on bar basis elements; the
-        first failing one is kept as ``diagram_failure``."""
+        first failing one is kept as ``diagram_failure``.  κ̄(d_u(e_k)) is
+        the combination of κ̄'s columns at the nonzeros of d's column k."""
         c = self.connection
         uni = c.calculus.universal
         for r in range(uni.D):
-            dm = uni.d_bar_matrix(r)
+            d_cols = uni.d_cols(r)
             for k in range(uni.bar_dim(r)):
-                bar = zeros(uni.bar_dim(r))
-                bar[k] = 1
-                lhs = mat_vec(self.kappa[r + 1], mat_vec(dm, bar))
+                lhs = self.image(r + 1, d_cols[k])
                 rhs = self._project_op(r + 1, nabla_hat(c, self._raw[r][k]))
                 if lhs != rhs:
                     self.diagram_failure = (r, k)
@@ -598,11 +605,10 @@ class InducedCalculus:
         """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention."""
         c = self.connection
         uni = c.calculus.universal
-        bases: list[list[Vec]] = [[]]
         self.kappa0_injective = rank(self.kappa[0]) == uni.algebra.dim
-        for r in range(1, uni.D + 1):
-            bases.append(null_space(self.kappa[r], uni.bar_dim(r)))
-        self.calculus = GradedCalculus(uni, bases)
+        self.calculus = GradedCalculus(uni, [quotient(uni.bar_dim(0), [])] + [
+            quotient(uni.bar_dim(r), null_space(self.kappa[r], uni.bar_dim(r)))
+            for r in range(1, uni.D + 1)])
         self.verdicts.append(Verdict(
             "omega0-is-algebra", anchors.OMEGA0_IS_A, "pass", None,
             {"kappa0_injective": self.kappa0_injective}))
@@ -654,27 +660,34 @@ def _sigma_u_product_failure(induced: InducedCalculus) \
     contraction) and ω₂ = de_j span all products.  The former are κ's
     multiplicativity and come first for each u: InducedCalculus's first
     failure stands unless a product by de_j fails at an earlier u.
+
+    For ω₂ = de_j, whose bar coordinates are 1·de_j = Σ c_i·e_i·de_j (the
+    unit 1 = Σ c_i·e_i written out), the left side is κ̄(u·1·de_j), the
+    combination of κ̄'s columns at the nonzeros of the product.  The right
+    side, κ(u)∘κ(1·de_j) projected, is κ̄'s own column at the monomial
+    u·de_j, index u·m + t for j the t-th of the m complement indices: that
+    column is the projection of κ(u)∘∇̂ê_j, and κ(1·de_j) = Σ c_i·ê_i∘∇̂ê_j
+    = ∇̂ê_j because M is unital, so Σ c_i·ê_i is the identity (parsing
+    rejects a module that fails ``check_bimodule``, unitality included).
     """
     uni = induced.connection.calculus.universal
     a = uni.algebra
+    m = len(uni.complement)
     contraction = induced.multiplicative_failure
-    tails = []
-    for t, j in enumerate(uni.complement):
-        dj = uni.d(0, a.basis_vec(j))
-        tails.append((a.dim + t, dj, induced.kappa_raw(1, dj)))
+    tails = [uni.d(0, a.basis_vec(j)) for j in uni.complement]
     for r in range(uni.D):
+        columns = induced._columns[r + 1]
         for ki in range(uni.bar_dim(r)):
             if contraction is not None and contraction[:2] == (r, ki):
                 return contraction
             u = zeros(uni.bar_dim(r))
             u[ki] = 1
-            for kj, v, vop in tails:
-                # κ̄ is linear, so the projected κ(u·v) is read off κ̄'s matrix
-                lhs = mat_vec(induced.kappa[r + 1], uni.product(r, u, 1, v))
-                rhs = induced._project_op(r + 1,
-                                          induced._raw[r][ki].compose(vop))
-                if lhs != rhs:
-                    return r, ki, kj
+            for t, v in enumerate(tails):
+                lhs = induced.image(r + 1,
+                                    list(_sparse(uni.product(r, u, 1, v))
+                                         .items()))
+                if lhs != columns[ki * m + t]:
+                    return r, ki, a.dim + t
     return contraction
 
 
@@ -685,7 +698,11 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
     The σ_u identities are κ's, read off ``induced``: the products by e_k
     are κ's multiplicativity, and ∇σ_u(ω⊗ξ) = σ_u(d_uω⊗ξ) + (−1)^r
     σ_u(ω⊗∇ξ) says ∇∘κ(ω) − (−1)^r κ(ω)∘∇ = ∇̂κ(ω) equals κ(d_uω), the
-    κ∘d_u = ∇̂∘κ diagram on the same pairs.  Only products by de_j are new.
+    κ∘d_u = ∇̂∘κ diagram on the same pairs.  Only products by de_j are new,
+    and each is read off κ̄'s columns (``_sigma_u_product_failure``).  The
+    witness of ``sigma-all-degrees`` is the first basis vector ι of I^r,
+    by degree, with κ̄(ι) ≠ 0, and κ̄(ι) is the combination of κ̄'s columns
+    at ι's nonzeros.
     """
     c = induced.connection
     cal = c.calculus
@@ -705,8 +722,8 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
         verdicts.append(failed("sigma-u-derivation", anchors.SIGMA_U_DEGREE0,
                                {"degree": r, "basis": k}))
     for r in range(1, cal.D + 1):
-        for k, v in enumerate(cal.ideal[r]):
-            if any(mat_vec(induced.kappa[r], v)):
+        for v in cal.ideal[r]:
+            if any(induced.image(r, list(_sparse(v).items()))):
                 witnesses.append((r, v))
                 break
     if witnesses:

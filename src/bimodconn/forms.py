@@ -6,6 +6,11 @@ degree r); for a quotient calculus it is that space modulo the image of
 M ⊗ I^r.  Right multiplication by a tail is index concatenation, which is
 what keeps desk-scale computations fast and exact.
 
+``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
+column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
+the projection's sparse columns (see ``linalg.QuotientSpace``) at the
+concatenated indices of Φ(m)'s representative.
+
 ``right_mult_matrix(r, s, ω)`` is the one right multiplication on classes:
 the matrix T_r → T_{r+s} of q ↦ q·ω for an Ω^s class ω, read off the
 columns at ``free`` of the product on representatives (``mult_tu_by_bar``)
@@ -19,7 +24,7 @@ from itertools import compress
 from .algebra import Bimodule, act, action_matrix, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     QuotientSpace, zeros)
+                     QuotientSpace, zero_mat, zeros)
 
 
 class Forms:
@@ -128,20 +133,6 @@ class Forms:
                             out[a * nt_out + gpos] += coeff * row[m_i]
         return out
 
-    def concat_tu(self, r: int, tu: Vec, beta: tuple[int, ...]) -> Vec:
-        """Right multiplication by the pure tail de_j1⋯de_js (concatenation)."""
-        s = len(beta)
-        nt_r = self.n_tails(r)
-        nt_out = self.n_tails(r + s)
-        pos = self._tail_pos[r + s]
-        out = zeros(self.tu_dim(r + s))
-        for flat, c in enumerate(tu):
-            if c == 0:
-                continue
-            m_i, bidx = divmod(flat, nt_r)
-            out[m_i * nt_out + pos[self._tails[r][bidx] + beta]] = c
-        return out
-
     # -- right-Ω extensions ----------------------------------------------
     def extension_columns(self, r: int, phi, s: int,
                           indices: range | list[int]) -> Mat:
@@ -153,17 +144,31 @@ class Forms:
         that is Φ(m_i⊗de_β) by definition.  ∇ is not right-Ω-linear, but the
         same formula holds for it on this free basis: the graded Leibniz rule
         gives ∇(m_i⊗de_β) = (∇m_i)·de_β + m_i⊗d(de_β), and d(de_β) = 0.
+
+        Φ(m_i) is Σ_k Φ[k][m_i] times class k of T_r, whose representative
+        is the basis tensor m_a⊗de_γ at free_r[k]; concatenating β gives
+        the basis tensor m_a⊗de_γβ, at index m_a·N_{r+s} + γ·N_s + β for
+        N_t tails of degree t (the first tail slot is the most
+        significant).  So the column is the sum of Φ[k][m_i] times the
+        projection's sparse column at that index, over Φ's nonzeros in
+        column m_i: nothing is lifted, concatenated or projected densely.
         """
-        nt = self.n_tails(s)
-        tails = self._tails[s]
-        imgs = [self.lift(r, [row[i] for row in phi])
-                for i in range(self.module.dim)]
-        cols = []
-        for flat in indices:
-            m_i, bidx = divmod(flat, nt)
-            cols.append(self.project(
-                r + s, self.concat_tu(r, imgs[m_i], tails[bidx])))
-        return _cols_to_mat(cols, self.dim(r + s))
+        nt_r, nt_s = self.n_tails(r), self.n_tails(s)
+        nt = nt_r * nt_s
+        proj = self._quotients[r + s].proj_cols
+        # per class k of T_r: the index of its representative, β = ()
+        heads = [m_a * nt + g * nt_s for m_a, g in
+                 (divmod(fc, nt_r) for fc in self._quotients[r].free)]
+        # per module basis vector m_i: the nonzero (head, Φ[k][m_i])
+        terms = [[(heads[k], row[i]) for k, row in enumerate(phi) if row[i]]
+                 for i in range(self.module.dim)]
+        out = zero_mat(self.dim(r + s), len(indices))
+        for x, flat in enumerate(indices):
+            m_i, bidx = divmod(flat, nt_s)
+            for head, c in terms[m_i]:
+                for row, p in proj[head + bidx]:
+                    out[row][x] += c * p
+        return out
 
     # -- actions on quotient coordinates ----------------------------------
     def left_action_matrix(self, r: int, i: int) -> Mat:

@@ -11,8 +11,13 @@ elimination (``row_reduce``, ``SpanBuilder``) rows are sparse,
 ``dict[column, entry]`` holding only the nonzero entries, because almost
 every entry the package eliminates on is zero; ``SpanBuilder`` keeps its
 rows reduced and keyed by pivot, so reducing a vector touches only the rows
-at the pivots in its support.  The kernels (``mat_vec``, ``mat_mul``,
-``_sparse``) find the nonzeros of a dense row with ``itertools.compress``,
+at the pivots in its support.  A map that is applied far more often than it
+is built is also kept by sparse columns (``Cols``: per column, its nonzero
+(row, entry) pairs) and applied by ``_combine`` at the nonzeros of the
+argument: the structure maps of the universal calculus, and the projection
+of every :class:`QuotientSpace`, whose column i is the class of the unit
+vector e_i.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
+``_combine``) find the nonzeros of a dense row with ``itertools.compress``,
 at C speed, and do Python-level work only on those.  Everything is computed
 exactly: the one division, :func:`_div`, returns an int or a Fraction, never
 a float, so every equality test in the rest of the package is decidable.
@@ -26,6 +31,8 @@ from itertools import compress
 
 Vec = list[int | Fraction]
 Mat = list[list[int | Fraction]]
+# Sparse columns of a linear map: per column, its nonzero (row, coeff) pairs.
+Cols = list[list[tuple[int, int | Fraction]]]
 
 
 class DimensionError(ValueError):
@@ -113,6 +120,28 @@ def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
             v[j] = x
         else:
             del v[j]
+
+
+def _combine(cols: Cols, v: Vec, n_rows: int) -> Vec:
+    """Σ v_x·(column x) over v's nonzeros."""
+    out = [0] * n_rows
+    for x in compress(range(len(v)), v):
+        c = v[x]
+        for row, cc in cols[x]:
+            out[row] += c * cc
+    return out
+
+
+def _combination(vecs: list[Vec], terms: list[tuple[int, int | Fraction]],
+                 n: int) -> Vec:
+    """Σ c·vecs[i] over the (i, c) terms, of length n; a single term with
+    c = 1 is vecs[i] itself, which the caller must not change."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        return vecs[terms[0][0]]
+    out = [0] * n
+    for i, c in terms:
+        out = [x + c * y for x, y in zip(out, vecs[i])]
+    return out
 
 
 def mat_vec(m: Mat, v: Vec) -> Vec:
@@ -203,17 +232,23 @@ def rank(matrix: Mat) -> int:
 class QuotientSpace:
     """total / span(sub), with a deterministic projection and lift.
 
-    ``projection`` is a (dim x total) matrix; ``sub`` is the independent
-    basis the quotient was taken by, and ``free`` the columns of total (the
-    pivot complement of sub) whose unit vectors represent the quotient basis:
-    lift(e_k) = e_{free[k]}.  So a map m on total, composed with ``lift``,
-    is m's columns at ``free``, and the map it induces on classes is read
-    off those columns (``columns``, ``induced``).
+    ``projection`` is a (dim x total) matrix and ``proj_cols`` the same map
+    by sparse columns: column i is the class of e_i, which is [(k, 1)] for
+    i = free[k] and holds the few nonzeros of −row at the pivot i of a
+    reduced row of sub.  ``project`` combines those columns at v's
+    nonzeros, and a caller that needs the class of one unit vector reads
+    its column.  ``sub`` is the independent basis the quotient was taken
+    by, and ``free`` the columns of total (the pivot complement of sub)
+    whose unit vectors represent the quotient basis: lift(e_k) =
+    e_{free[k]}.  So a map m on total, composed with ``lift``, is m's
+    columns at ``free``, and the map it induces on classes is read off
+    those columns (``columns``, ``induced``).
     """
 
     sub: list[Vec]
     projection: Mat
     free: list[int]
+    proj_cols: Cols
 
     @property
     def dim(self) -> int:
@@ -234,7 +269,7 @@ class QuotientSpace:
             raise DimensionError("not a vector of the total space")
         if not self.sub:
             return v[:]
-        return mat_vec(self.projection, v)
+        return _combine(self.proj_cols, v, self.dim)
 
     def lift(self, q: Vec) -> Vec:
         if len(q) != self.dim:
@@ -394,12 +429,16 @@ class SpanBuilder:
         i and to e_i − row for the pivot i of a row, and the projection's
         column i is that remainder in the free coordinates."""
         free = [c for c in range(self.ambient_dim) if c not in self._rows]
-        pos = {fc: k for k, fc in enumerate(free)}
-        proj = zero_mat(len(free), self.ambient_dim)
+        cols: Cols = [[] for _ in range(self.ambient_dim)]
         for k, fc in enumerate(free):
-            proj[k][fc] = 1
+            cols[fc].append((k, 1))
+        pos = {fc: k for k, fc in enumerate(free)}
         for pc, (row, _) in self._rows.items():
-            for j, x in row.items():
-                if j != pc:         # every other entry is in a free column
-                    proj[pos[j]][pc] = -_exact(x)
-        return QuotientSpace(self.basis[:], proj, free)
+            # every entry but the pivot is in a free column
+            cols[pc] = sorted((pos[j], -_exact(x))
+                              for j, x in row.items() if j != pc)
+        proj = zero_mat(len(free), self.ambient_dim)
+        for c, col in enumerate(cols):
+            for k, x in col:
+                proj[k][c] = x
+        return QuotientSpace(self.basis[:], proj, free, cols)

@@ -300,14 +300,16 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
                     well_defined_anchor: str) -> TensorConnection:
     """Assemble ∇⊗ from the degree-one N-forms ξ_j = "(∇ of b_j) downstairs".
 
-    Each ξ_j lives in N⊗_AΩ¹_∇; its tails act on M through κ̄(1·de_β),
-    which is the interpretation rule (b⊗Φ̂)a := b⊗Φ̂(a).
+    Each ξ_j lives in N⊗_AΩ¹_∇; its tail de_j acts on M through
+    κ(1·de_j) = ∇̂ê_j (``InducedCalculus.d_ops``; 1 acts as the identity
+    because M is unital), which is the interpretation rule
+    (b⊗Φ̂)a := b⊗Φ̂(a).
     """
     m = c.module
     tn = tensor_over_A(n, m)
     w = tensor_over_A(n, c.forms.as_bimodule(1))
-    uni = c.calculus.universal
-    tail_ops = [induced.kappa_raw(1, bar).matrix for bar in _tail_bars(uni)]
+    tail_ops = [induced.d_ops[j].matrix
+                for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, w, xi_forms, xi_list, tail_ops)
     tc = TensorConnection(route, tn, w, [])
     # well defined on balanced classes

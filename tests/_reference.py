@@ -4,12 +4,16 @@ case holds.
 
 The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 ``sigma_full``): each pair builds the raw operators it needs, composes them
-and projects the result to Ω(M), and ``sigma_full``'s identities are
-decided on their own, not read off ``InducedCalculus``.  Below them, the
-whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal``
-and ``extend_connection``).  Next, the per-pair route of the three right
-Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
-rule and ``OmegaM``'s), which multiply classes through representatives
+and projects the result to Ω(M) by the dense projection matrix
+(``project_op``), and ``sigma_full``'s identities are decided on their own,
+not read off ``InducedCalculus``; κ(1·de_j) is the sum of raw operators
+(``kappa_raw``), not ∇̂ê_j.  Beside them, the extension of a map on M that
+lifts Φ(m), concatenates the tail and projects densely
+(``extension_columns``).  Below them, the whole-span checks of Ω̂, J and
+the ∇-extension (``OmegaHat``, ``j_ideal`` and ``extend_connection``).
+Next, the per-pair route of the three right Leibniz checks
+(``check_right_leibniz``, ``extend_connection``'s graded rule and
+``OmegaM``'s), which multiply classes through representatives
 (``mult_class``) rather than ``Forms.right_mult_matrix``.  Then the
 per-triple route of κ₁'s bimodule linearity (``kappa1``).
 
@@ -30,6 +34,29 @@ from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
                               mat_vec, row_reduce, vec_add, zero_mat, zeros)
 
 
+def kappa_raw(induced, r, bar):
+    """κ(bar) as an operator: the sum of the raw operators of the bar basis
+    monomials, weighted by bar's entries."""
+    c = induced.connection
+    acc = None
+    for k, cc in enumerate(bar):
+        if cc:
+            m = induced._raw[r][k].scale(cc)
+            acc = m if acc is None else acc.add(m)
+    if acc is None:
+        return DegreeRHom(c.forms, r,
+                          [[0] * c.module.dim for _ in range(c.forms.dim(r))])
+    return acc
+
+
+def project_op(induced, r, op):
+    """The operator projected to Ω(M)_r by the dense projection matrix,
+    flattened row by row as κ̄'s columns are."""
+    q = induced.omega_m.quotients[r]
+    m = mat_mul(q.projection, op.matrix) if q.sub else op.matrix
+    return [x for row in m for x in row]
+
+
 def kappa_multiplicative(induced):
     """κ(u·e_k) = κ(u)∘κ(e_k), projected to Ω(M), on bar basis pairs."""
     uni = induced.connection.calculus.universal
@@ -44,7 +71,7 @@ def kappa_multiplicative(induced):
                 moved = mat_vec(rmul[kj], u)
                 lhs = mat_vec(induced.kappa[r], moved)
                 comp = induced._raw[r][ki].compose(induced._raw[0][kj])
-                if lhs != induced._project_op(r, comp):
+                if lhs != project_op(induced, r, comp):
                     return {"degree": r, "basis": [ki, kj]}
     return None
 
@@ -59,7 +86,8 @@ def kappa_d_diagram(induced):
             bar = zeros(uni.bar_dim(r))
             bar[k] = 1
             lhs = mat_vec(induced.kappa[r + 1], mat_vec(dm, bar))
-            rhs = induced._project_op(r + 1, nabla_hat(c, induced._raw[r][k]))
+            rhs = project_op(induced, r + 1,
+                             nabla_hat(c, induced._raw[r][k]))
             if lhs != rhs:
                 return {"degree": r, "basis": k}
     return None
@@ -75,7 +103,7 @@ def sigma_u_multiplicative(induced):
         second.append((0, a.basis_vec(a_i), induced._raw[0][a_i]))
     for j in uni.complement:
         dj = uni.d(0, a.basis_vec(j))
-        second.append((1, dj, induced.kappa_raw(1, dj)))
+        second.append((1, dj, kappa_raw(induced, 1, dj)))
     for r in range(uni.D + 1):
         for ki in range(uni.bar_dim(r)):
             u = zeros(uni.bar_dim(r))
@@ -84,8 +112,8 @@ def sigma_u_multiplicative(induced):
                 if r + s > uni.D:
                     continue
                 lhs = mat_vec(induced.kappa[r + s], uni.product(r, u, s, v))
-                rhs = induced._project_op(r + s,
-                                          induced._raw[r][ki].compose(vop))
+                rhs = project_op(induced, r + s,
+                                 induced._raw[r][ki].compose(vop))
                 if lhs != rhs:
                     return {"degree": r, "basis": [ki, kj]}
     return None
@@ -109,9 +137,41 @@ def sigma_u_derivation(induced):
             rest = DegreeRHom(c.forms, r + 1,
                               [[x - sign * y for x, y in zip(rx, ry)]
                                for rx, ry in zip(lhs, second)])
-            if induced._project_op(r + 1, rest) != first:
+            if project_op(induced, r + 1, rest) != first:
                 return {"degree": r, "basis": k}
     return None
+
+
+# -- the extension of a map on M, through representatives -----------------
+
+def concat_tu(f, r, tu, beta):
+    """Right multiplication of a T^u_r vector by the pure tail
+    de_j1⋯de_js (concatenation)."""
+    s = len(beta)
+    nt_r, nt_out = f.n_tails(r), f.n_tails(r + s)
+    tails_r = f.uni.tails(r)
+    pos = {b: k for k, b in enumerate(f.uni.tails(r + s))}
+    out = zeros(f.tu_dim(r + s))
+    for flat, c in enumerate(tu):
+        if c:
+            m_i, bidx = divmod(flat, nt_r)
+            out[m_i * nt_out + pos[tails_r[bidx] + beta]] = c
+    return out
+
+
+def extension_columns(f, r, phi, s, indices):
+    """``Forms.extension_columns`` by lift, concatenation and a dense
+    projection per column: the column of m_i⊗de_β is the class of the lift
+    of Φ(m_i) with β concatenated."""
+    q = f.quotient_space(r + s)
+    tails = f.uni.tails(s)
+    imgs = [f.lift(r, [row[i] for row in phi]) for i in range(f.module.dim)]
+    cols = []
+    for flat in indices:
+        m_i, bidx = divmod(flat, f.n_tails(s))
+        tu = concat_tu(f, r, imgs[m_i], tails[bidx])
+        cols.append(mat_vec(q.projection, tu) if q.sub else tu)
+    return [[col[k] for col in cols] for k in range(q.dim)]
 
 
 # -- Ω̂, J and the ∇-extension, decided on whole spans --------------------
@@ -448,7 +508,9 @@ def quotient(total, sub):
     for row, pc in zip(rref, pivots):
         for k, fc in enumerate(free):
             proj[k][pc] = -row[fc]
-    return QuotientSpace(sub, proj, free)
+    cols = [[(k, row[c]) for k, row in enumerate(proj) if row[c]]
+            for c in range(total)]
+    return QuotientSpace(sub, proj, free, cols)
 
 
 # -- ideal saturation -------------------------------------------------------

@@ -86,15 +86,20 @@ def regular_bimodule(a: Algebra) -> Bimodule:
     return Bimodule.from_actions(a, left, right)
 
 
-def regular_connection(a: Algebra, truncation: int, gamma: int) -> Connection:
+def regular_connection(a: Algebra, truncation: int,
+                       gamma: int | list) -> Connection:
     """∇ = d + Γ· on the regular bimodule A over the universal calculus, Γ
-    the bar basis 1-form of index ``gamma``.  Column c of ∇ is the class of
+    the bar basis 1-form of index ``gamma``, or the 1-form of bar
+    coordinates ``gamma``.  Column c of ∇ is the class of
     1⊗(d e_c + Γ·e_c); right Leibniz holds by construction."""
     cal = universal_graded(a, truncation)
     uni = cal.universal
     forms = Forms(regular_bimodule(a), cal)
-    g = [0] * uni.bar_dim(1)
-    g[gamma] = 1
+    if isinstance(gamma, int):
+        g = [0] * uni.bar_dim(1)
+        g[gamma] = 1
+    else:
+        g = gamma
     cols = [forms.class_of_pair_bar(1, a.unit_vec(), [
         x + y for x, y in zip(uni.d(0, a.basis_vec(c)),
                               uni.product(1, g, 0, a.basis_vec(c)))])

@@ -1,5 +1,6 @@
 """The public names of the bimodconn package, the function names the
-benchmark profiles, and the functions nothing in the program calls."""
+benchmark profiles, the functions nothing in the program calls, and the
+reference routes the program no longer takes."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,18 @@ def test_every_defined_function_is_referenced():
                     and node.name not in used:
                 unused.append(f"{path.name}:{node.lineno}:{node.name}")
     assert unused == []
+
+
+def test_no_reference_route_is_named_in_the_package():
+    # κ(1·de_j) is InducedCalculus.d_ops, and a tail is concatenated inside
+    # Forms.extension_columns; the sums of raw operators (kappa_raw) and the
+    # concatenation of a whole vector (concat_tu) are routes of
+    # tests/_reference.py only
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("id", "attr", "name"):
+                name = getattr(node, field, None)
+                if name in ("kappa_raw", "concat_tu"):
+                    named.add(f"{path.name}:{node.lineno}:{name}")
+    assert named == set()

@@ -231,7 +231,18 @@ def _kappa_and_sigma_u_verdicts(ic: InducedCalculus) -> dict:
                          [(n, None) for n in NAMES] + [("a2_flat", 9)])
 def test_kappa_and_sigma_u_checks_match_the_per_pair_reference(name,
                                                                 truncation):
-    ic = induced(name, truncation)
+    _assert_matches_the_per_pair_reference(induced(name, truncation))
+
+
+def test_kappa_and_sigma_u_checks_match_the_per_pair_reference_on_t2():
+    # Γ = 2·e11·de11 + e12·de11: J ≠ 0, and unlike on every shipped model
+    # the projections to Ω(M) hold entries other than 0 and 1
+    conn = regular_connection(upper_triangular_2(), 3, [2, 0, 1, 0, 0, 0])
+    _assert_matches_the_per_pair_reference(
+        InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn)))))
+
+
+def _assert_matches_the_per_pair_reference(ic: InducedCalculus) -> None:
     for check_id, v in _kappa_and_sigma_u_verdicts(ic).items():
         want = REFERENCE[check_id](ic)
         assert v.witness == want
@@ -362,12 +373,16 @@ def _flat(op):
     ids=[*NAMES, "a2_flat-D9", "t2-D3"])
 def test_omega_hat_and_span_checks_match_the_whole_span_reference(make):
     conn = make()
-    oh, _, got = _span_verdicts(conn)
+    oh, j, got = _span_verdicts(conn)
     ops, want = _span_reference(conn)
+    # J from ∇²∘Φ − Φ∘∇² spans what ∇̂(∇̂Φ) spans over the reference's Ω̂
+    j_ref = _reference.j_spans(conn, ops)
     for r in range(conn.forms.D + 1):
         new = [_flat(op) for op in oh.ops(r)]
         old = [_flat(op) for op in ops[r]]
         assert len(new) == oh.dim(r) == len(old) == rank(new + old)
+        new, old = j.spans[r], j_ref[r].basis
+        assert len(new) == len(old) == rank(new + old)
     assert {k: v.ok for k, v in got.items()} == \
         {k: w is None for k, w in want.items()}
 

@@ -1,6 +1,7 @@
 """Right multiplication on M⊗_AΩ: ``Forms.right_mult_matrix`` against the
-product through representatives, and its algebraic laws; and the g⊗ι that
-span M⊗_AI against the same product."""
+product through representatives, and its algebraic laws; the g⊗ι that
+span M⊗_AI against the same product; and every extension a run computes
+against the extension through representatives."""
 
 import pytest
 
@@ -9,10 +10,11 @@ from _shared import MODELS, NAMES, model, regular_bimodule, \
     regular_connection, upper_triangular_2
 from bimodconn import cli
 from bimodconn.calculus import quotient_calculus, universal_graded
+from bimodconn.connection import Connection
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, _cols_to_mat, identity_mat, \
     mat_mul, zeros
-from bimodconn.model import parse_model
+from bimodconn.model import ModelFile, parse_model
 
 
 def _forms_built_by_all(monkeypatch, name) -> list[Forms]:
@@ -60,7 +62,8 @@ def _check_right_mult(f: Forms) -> None:
                 for fc in f.quotient_space(r).free:
                     tu = zeros(f.tu_dim(r))
                     tu[fc] = 1
-                    cols.append(f.project(r + 1, f.concat_tu(r, tu, (j,))))
+                    cols.append(f.project(
+                        r + 1, _reference.concat_tu(f, r, tu, (j,))))
                 assert f.right_mult_matrix(
                     r, 1, cal.d_of_algebra(a.basis_vec(j))) == \
                     _cols_to_mat(cols, f.dim(r + 1))
@@ -121,3 +124,59 @@ def test_ideal_tensors_are_the_product(make):
         assert f._ideal_tensors(r) == [
             f.mult_tu_by_bar(0, module.basis_vec(g), r, iota)
             for g in f.generators for iota in cal.ideal[r]]
+
+
+def _t2_model() -> ModelFile:
+    """∇ = d + Γ· on T₂'s regular bimodule at D=3 (``regular_connection``)."""
+    conn = regular_connection(upper_triangular_2(), 3, 0)
+    return ModelFile("t2", conn.module.algebra, conn.forms.D, conn.calculus,
+                     {"A": conn.module}, {"nabla": conn})
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda n=n: parse_model(str(MODELS / f"{n}.model"))) for n in NAMES],
+    lambda: parse_model(str(MODELS / "a2_flat.model"), truncation=9),
+    _t2_model], ids=[*NAMES, "a2_flat-D9", "t2-D3"])
+def test_every_cached_extension_matches_the_representative_route(
+        monkeypatch, make):
+    # after `all`, every extension held by a Forms (an operator's, in
+    # op_cache, or a left action's) and by a Connection (∇'s) must be the
+    # lift → concatenate → project route of tests/_reference.py
+    built: dict[type, list] = {Forms: [], Connection: []}
+    for cls, seen in built.items():
+        def recording_init(self, *args, init=cls.__init__, seen=seen):
+            init(self, *args)
+            seen.append(self)
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    m = make()
+    cli.run("all", m)
+    conns = list({id(c): c for c in built[Connection]
+                  + list(m.connections.values())}.values())
+    forms = list({id(f): f for f in built[Forms]
+                  + [c.forms for c in conns]}.values())
+    checked = 0
+    for f in forms:
+        for key, mat in f.op_cache.items():
+            if key[0] == "ext":
+                (degree, rows), s = key[1:]
+                assert mat == _reference.extension_columns(
+                    f, degree, [list(row) for row in rows], s,
+                    f.quotient_space(s).free)
+                checked += 1
+        for (r, i), mat in f._left_mats.items():
+            assert mat == _reference.extension_columns(
+                f, 0, f.module.left_action[i], r, f.quotient_space(r).free)
+            checked += 1
+    for c in conns:
+        f = c.forms
+        for key, mat in c._ext_mats.items():
+            r = key if isinstance(key, int) else key[0]
+            if key == (r, "curvature"):
+                continue                # ∇∘∇: a product of two extensions
+            want = _reference.extension_columns(f, 1, c.nabla, r,
+                                                range(f.tu_dim(r)))
+            if key == r:
+                want = f.quotient_space(r).columns(want)
+            assert mat == want
+            checked += 1
+    assert checked > 0

@@ -439,3 +439,29 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
         ref.contains(v)
     assert len(calls) > sum(len(pivots & {j for j, x in enumerate(v) if x})
                             for v in probes)
+
+
+@st.composite
+def sub_bases(draw):
+    """(total, an independent sub basis with Fraction entries, a vector of
+    the total space): total ≤ 8, the sub empty in some draws."""
+    total = draw(st.integers(1, 8))
+    vec = st.lists(ENTRIES, min_size=total, max_size=total)
+    span = SpanBuilder(total)
+    for v in draw(st.lists(vec, max_size=total)):
+        span.add(v)
+    return total, span.basis, draw(vec)
+
+
+@settings(deadline=None)
+@given(sub_bases())
+def test_project_combines_the_projection_columns(drawn):
+    # project reads the sparse columns; the dense projection is the oracle
+    total, sub, v = drawn
+    for q in (quotient(total, sub), quotient(total, []),
+              quotient(total, _ints(sub))):
+        assert q.proj_cols == [
+            [(k, row[c]) for k, row in enumerate(q.projection) if row[c]]
+            for c in range(total)]
+        for w in (v, _ints(v)):
+            assert q.project(w) == mat_vec(q.projection, w)
