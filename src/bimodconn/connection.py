@@ -7,6 +7,13 @@ coordinates of its :class:`Forms`.  Right-Ω-linear operators of degree r
 are stored by their restriction to M (a right-A-linear map M → M⊗_AΩ^r)
 and extended on demand; this is faithful because M generates M⊗_AΩ as a
 right Ω-module.
+
+Operators, their extensions and ∇'s extensions are kept by sparse columns
+(``linalg.Cols``: per basis vector, its nonzero (row, coeff) pairs), because
+they are almost all zeros: a composition, a sum or ∇̂ combines the columns
+of one factor at the nonzeros of the other (``_commutator``), so its cost
+is the number of nonzeros met, not the size of the matrices.  Only the
+small maps stay dense: ∇ itself, the actions and what a report prints.
 """
 
 from __future__ import annotations
@@ -18,9 +25,10 @@ from fractions import Fraction
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
-from .linalg import (Mat, QuotientSpace, SpanBuilder, Vec, _cols_to_mat,
-                     _combination, _sparse, factor_through, identity_mat,
-                     mat_mul, mat_vec, rank, vec_add, zeros)
+from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, Vec,
+                     _col_sum, _col_vec, _cols_to_mat, _combination,
+                     _combine, _sparse, _to_cols, _to_mat, factor_through,
+                     identity_mat, mat_mul, mat_vec, rank, vec_add)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -39,39 +47,53 @@ class Connection:
                 (nabla and len(nabla[0]) != self.module.dim):
             raise ValueError("nabla matrix must be dim(M⊗Ω¹) x dim(M)")
         self.nabla = [row[:] for row in nabla]
-        self._ext_mats: dict[int | tuple[int, str], Mat] = {}
-        # ∇̂Φ matrices by DegreeRHom.key of Φ
-        self.nabla_hats: dict[tuple, Mat] = {}
+        # ∇'s extensions by sparse columns, by (degree, kind)
+        self._ext_cols: dict[tuple[int, str], Cols] = {
+            (0, "ext"): _to_cols(self.nabla, self.module.dim)}
+        self._ext_mats: dict[int, Mat] = {}
+        # ∇̂Φ columns by DegreeRHom.key of Φ
+        self.nabla_hats: dict[tuple, Cols] = {}
 
     def nabla_apply(self, m_vec: Vec) -> Vec:
         return mat_vec(self.nabla, m_vec)
 
-    def nabla_ext_plain(self, r: int) -> Mat:
+    def nabla_ext_plain(self, r: int) -> Cols:
         """Extension on free coordinates: T^u_r → T_{r+1} classes, every
         column of ``Forms.extension_columns`` for ∇."""
         key = (r, "plain")
-        if key not in self._ext_mats:
-            self._ext_mats[key] = self.forms.extension_columns(
-                1, self.nabla, r, range(self.forms.tu_dim(r)))
-        return self._ext_mats[key]
+        if key not in self._ext_cols:
+            self._ext_cols[key] = self.forms.extension_columns(
+                1, self._ext_cols[0, "ext"], r, range(self.forms.tu_dim(r)))
+        return self._ext_cols[key]
+
+    def nabla_ext_cols(self, r: int) -> Cols:
+        """Extension ∇: T_r → T_{r+1} on quotient class coordinates, by
+        sparse columns: the plain extension's columns at ``free``."""
+        key = (r, "ext")
+        if key not in self._ext_cols:
+            plain = self.nabla_ext_plain(r)
+            self._ext_cols[key] = [
+                plain[fc] for fc in self.forms.quotient_space(r).free]
+        return self._ext_cols[key]
 
     def nabla_ext_matrix(self, r: int) -> Mat:
-        """Extension ∇: T_r → T_{r+1} on quotient class coordinates."""
-        if r == 0:
-            return self.nabla
+        """``nabla_ext_cols(r)`` as a dense matrix, for the maps on classes
+        built from ∇ (products with actions and quotient maps)."""
         if r not in self._ext_mats:
-            self._ext_mats[r] = self.forms.quotient_space(r).columns(
-                self.nabla_ext_plain(r))
+            self._ext_mats[r] = _to_mat(self.nabla_ext_cols(r),
+                                        self.forms.dim(r + 1))
         return self._ext_mats[r]
 
-    def curvature_matrix(self, r: int) -> Mat:
-        """∇∘∇: T_r → T_{r+2}, computed once per degree; the matrix is
-        shared, so no caller may change it in place."""
+    def curvature_cols(self, r: int) -> Cols:
+        """∇∘∇: T_r → T_{r+2} by sparse columns, computed once per degree:
+        column j combines ∇'s columns in degree r+1 at the nonzeros of its
+        column j in degree r."""
         key = (r, "curvature")
-        if key not in self._ext_mats:
-            self._ext_mats[key] = mat_mul(self.nabla_ext_matrix(r + 1),
-                                          self.nabla_ext_matrix(r))
-        return self._ext_mats[key]
+        if key not in self._ext_cols:
+            outer = self.nabla_ext_cols(r + 1)
+            self._ext_cols[key] = [_col_sum([(outer[k], x) for k, x in col])
+                                   for col in self.nabla_ext_cols(r)]
+        return self._ext_cols[key]
 
 
 def leibniz_failure(c: Connection, r: int, s: int, omegas: list[Vec],
@@ -121,56 +143,78 @@ def check_right_leibniz(c: Connection) -> Verdict:
 
 @dataclass
 class DegreeRHom:
-    """Degree-r right-Ω-linear operator, stored by its restriction to M.
+    """Degree-r right-Ω-linear operator, stored by its restriction to M as
+    sparse columns: ``cols[i]`` holds the nonzero (row, coeff) pairs of
+    Φ(m_i) in T_r, sorted by row, so equal operators have equal columns.
 
     Extensions and compositions are computed once per operator content and
-    kept in ``forms.op_cache``; the matrices found there are shared, so no
-    caller may change ``matrix`` or an extension in place.
+    kept in ``forms.op_cache``; the columns found there are shared, so no
+    caller may change ``cols`` or an extension in place.
     """
 
     forms: Forms
     degree: int
-    matrix: Mat              # dim T_degree x dim M
+    cols: Cols               # per basis vector of M, its rows in T_degree
 
     @cached_property
     def key(self) -> tuple:
-        """Content key: the degree and the matrix as a tuple of rows."""
-        return (self.degree, tuple(map(tuple, self.matrix)))
+        """Content key: the degree and the columns as tuples."""
+        return (self.degree, tuple(map(tuple, self.cols)))
 
     def apply(self, m_vec: Vec) -> Vec:
-        return mat_vec(self.matrix, m_vec)
+        return _combine(self.cols, m_vec, self.forms.dim(self.degree))
 
-    def ext_matrix(self, s: int) -> Mat:
-        """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω."""
+    def flat(self, at: list[int] | range | None = None) -> Vec:
+        """The matrix T_degree × M row by row, at the module basis indices
+        ``at`` (every one by default)."""
+        at = range(len(self.cols)) if at is None else at
+        out = [0] * (self.forms.dim(self.degree) * len(at))
+        for x, i in enumerate(at):
+            for row, c in self.cols[i]:
+                out[row * len(at) + x] = c
+        return out
+
+    def ext_cols(self, s: int) -> Cols:
+        """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω,
+        by sparse columns."""
         if s == 0:
-            return self.matrix
+            return self.cols
         cache = self.forms.op_cache
         key = ("ext", self.key, s)
         if key not in cache:
             f = self.forms
-            cache[key] = f.extension_columns(self.degree, self.matrix, s,
+            cache[key] = f.extension_columns(self.degree, self.cols, s,
                                              f.quotient_space(s).free)
         return cache[key]
 
     def compose(self, other: "DegreeRHom") -> "DegreeRHom":
-        """self ∘ other (other applied first)."""
+        """self ∘ other (other applied first): column i combines this
+        operator's extension columns at the nonzeros of other's column i."""
+        degree = self.degree + other.degree
+        if degree > self.forms.D:
+            raise ValueError("degree overflow past truncation")
         cache = self.forms.op_cache
         key = ("compose", self.key, other.key)
         if key not in cache:
-            cache[key] = mat_mul(self.ext_matrix(other.degree), other.matrix)
-        return DegreeRHom(self.forms, self.degree + other.degree, cache[key])
+            ext = self.ext_cols(other.degree)
+            cache[key] = [_col_sum([(ext[k], c) for k, c in col])
+                          for col in other.cols]
+        return DegreeRHom(self.forms, degree, cache[key])
 
     def add(self, other: "DegreeRHom") -> "DegreeRHom":
+        if other.degree != self.degree:
+            raise ValueError("operators of different degrees")
         return DegreeRHom(self.forms, self.degree,
-                          [[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.matrix, other.matrix)])
+                          [_col_sum([(a, 1), (b, 1)])
+                           for a, b in zip(self.cols, other.cols)])
 
     def scale(self, c: int | Fraction) -> "DegreeRHom":
         return DegreeRHom(self.forms, self.degree,
-                          [[c * x for x in row] for row in self.matrix])
+                          [[(row, c * x) for row, x in col] if c else []
+                           for col in self.cols])
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.matrix for x in row)
+        return not any(self.cols)
 
     def right_linearity_witness(self) -> tuple[int, int] | None:
         """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None."""
@@ -188,26 +232,37 @@ class DegreeRHom:
         return None
 
 
+def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
+                sign: int) -> Cols:
+    """The columns of X∘Φ + sign·Φ∘X on M, for a map X of degree s given by
+    its extension ``x_ext`` to T_r (r the degree of Φ) and its restriction
+    ``x_cols`` to M: column i combines x_ext at the nonzeros of Φ's column
+    i and Φ's extension to T_s at the nonzeros of X's column i."""
+    ext = phi.ext_cols(s)
+    return [_col_sum([(x_ext[k], c) for k, c in col]
+                     + [(ext[k], sign * c) for k, c in x_col])
+            for col, x_col in zip(phi.cols, x_cols)]
+
+
 def kappa0_op(c: Connection, f_vec: Vec) -> DegreeRHom:
     """The left-multiplication operator f̂ as a degree-0 right-Ω operator."""
-    return DegreeRHom(c.forms, 0, c.module.left_matrix(f_vec))
+    return DegreeRHom(c.forms, 0,
+                      _to_cols(c.module.left_matrix(f_vec), c.module.dim))
 
 
 def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:
-    """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇, a degree r+1 right-Ω operator.
+    """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇, a degree r+1 right-Ω operator: ∇'s extension
+    columns at Φ's nonzeros, less (−1)^r Φ's extension columns at ∇'s.
 
-    Computed once per operator content; the result matrix is shared.
+    Computed once per operator content; the result columns are shared.
     """
     r = phi.degree
     if r + 1 > c.calculus.D:
         raise ValueError("degree overflow past truncation")
     if phi.key not in c.nabla_hats:
-        first = mat_mul(c.nabla_ext_matrix(r), phi.matrix)
-        second = mat_mul(phi.ext_matrix(1), c.nabla)
-        sign = -1 if r % 2 == 0 else 1
-        # ∇∘Φ + (−(−1)^r)·Φ∘∇
-        c.nabla_hats[phi.key] = [[a + sign * b for a, b in zip(ra, rb)]
-                                 for ra, rb in zip(first, second)]
+        c.nabla_hats[phi.key] = _commutator(
+            c.nabla_ext_cols(r), c.nabla_ext_cols(0), 1, phi,
+            -1 if r % 2 == 0 else 1)
     return DegreeRHom(c.forms, r + 1, c.nabla_hats[phi.key])
 
 
@@ -227,15 +282,13 @@ class InducedFirstOrder:
         return nabla_hat(self.connection, kappa0_op(self.connection, f_vec))
 
     def op_from_coords(self, coords: Vec) -> DegreeRHom:
+        """Σ coords_k·(inserted operator k), from the flattened operators."""
         c = self.connection
         m = c.module.dim
-        t1 = c.forms.dim(1)
-        acc = zeros(t1 * m)
-        for k, cc in enumerate(coords):
-            if cc:
-                acc = [a + cc * b for a, b in zip(acc, self.span.basis[k])]
-        return DegreeRHom(c.forms, 1,
-                          [[acc[r * m + s] for s in range(m)] for r in range(t1)])
+        acc = _combination(self.span.basis, list(_sparse(coords).items()),
+                           c.forms.dim(1) * m)
+        return DegreeRHom(c.forms, 1, _to_cols(
+            [acc[r:r + m] for r in range(0, len(acc), m)], m))
 
 
 def induced_first_order(c: Connection) -> InducedFirstOrder:
@@ -252,23 +305,17 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                                        anchors.NABLA_HAT,
                                        {"algebra_basis": g, "witness": w}))
             return ifo
+    hats = [kappa0_op(c, a.basis_vec(f)) for f in range(a.dim)]
     for f in range(a.dim):
-        lf = c.forms.left_matrix(1, a.basis_vec(f))
         for g in range(a.dim):
             for h in range(a.dim):
-                op = mat_mul(lf, mat_mul(d_ops[g].matrix,
-                                         m.left_matrix(a.basis_vec(h))))
-                span.add([x for row in op for x in row])
+                span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
     # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ)
     for f in range(a.dim):
         for g in range(a.dim):
             prod = kappa0_op(c, a.mult(a.basis_vec(f), a.basis_vec(g)))
-            lhs = nabla_hat(c, prod).matrix
-            rhs1 = mat_mul(d_ops[f].matrix, m.left_matrix(a.basis_vec(g)))
-            rhs2 = mat_mul(c.forms.left_matrix(1, a.basis_vec(f)),
-                           d_ops[g].matrix)
-            rhs = [[x + y for x, y in zip(rx, ry)] for rx, ry in zip(rhs1, rhs2)]
-            if lhs != rhs:
+            rhs = d_ops[f].compose(hats[g]).add(hats[f].compose(d_ops[g]))
+            if nabla_hat(c, prod).cols != rhs.cols:
                 ifo.verdicts.append(failed("d-nabla-derivation",
                                            anchors.DERIVATION_SINCE,
                                            {"pair": [f, g]}))
@@ -324,13 +371,12 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
         induced = induced_first_order(c)
     uni = c.calculus.universal
     a = c.module.algebra
-    nt = len(uni.tails(1))
+    hats = [kappa0_op(c, fv) for fv in identity_mat(a.dim)]
     cols = []
     for i0 in range(a.dim):
-        lm = c.forms.left_matrix(1, a.basis_vec(i0))
         for j in [b[0] for b in uni.tails(1)]:
-            op = mat_mul(lm, induced.d_nabla(a.basis_vec(j)).matrix)
-            coords = induced.span.coords([x for row in op for x in row])
+            op = hats[i0].compose(induced.d_nabla(a.basis_vec(j)))
+            coords = induced.span.coords(op.flat())
             assert coords is not None, "kappa1 image must lie in omega1_nabla"
             cols.append(coords)
     k = Kappa1(c, induced, _cols_to_mat(cols, induced.dim))
@@ -338,7 +384,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     for f in range(a.dim):
         fv = a.basis_vec(f)
         alpha = uni.d(0, fv)
-        if k.op(alpha).matrix != induced.d_nabla(fv).matrix:
+        if k.op(alpha).cols != induced.d_nabla(fv).cols:
             k.verdicts.append(failed("kappa1-diagram", anchors.DIAGRAM_COMMUTES,
                                      {"algebra_basis": f}))
             return k
@@ -348,22 +394,19 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     # κ₁ is linear, so the left side is the combination of the flattened
     # κ₁(α') at the nonzeros α' of f·α·g
     basis = identity_mat(a.dim)
-    alpha_ops = [k.op(e).matrix for e in identity_mat(uni.bar_dim(1))]
-    alpha_flat = [[x for row in op for x in row] for op in alpha_ops]
+    alpha_ops = [k.op(e) for e in identity_mat(uni.bar_dim(1))]
+    alpha_flat = [op.flat() for op in alpha_ops]
     width = c.forms.dim(1) * c.module.dim
     # κ₁(α)∘ĝ per g and α, shared by every f
-    alpha_g = [[mat_mul(op, c.module.left_matrix(gv)) for op in alpha_ops]
-               for gv in basis]
+    alpha_g = [[op.compose(g_hat) for op in alpha_ops] for g_hat in hats]
     for f, fv in enumerate(basis):
         fl = uni.left_mult_bar_matrix(1, fv)
-        f_hat = c.forms.left_matrix(1, fv)
         for g, gv in enumerate(basis):
             moved = mat_mul(fl, uni.right_mult_bar_matrix(1, gv))
             for bi, col in enumerate(zip(*moved)):
                 lhs = _combination(alpha_flat, list(_sparse(col).items()),
                                    width)
-                rhs = mat_mul(f_hat, alpha_g[g][bi])
-                if lhs != [x for row in rhs for x in row]:
+                if lhs != hats[f].compose(alpha_g[g][bi]).flat():
                     k.verdicts.append(failed("kappa1-bimodule-linear",
                                              anchors.DIAGRAM_COMMUTES,
                                              {"triple": [f, g, bi]}))
@@ -417,10 +460,10 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     # κ̂₁(class wi)(a_mj), so σ is read off the columns at the tensor's free
     omega1_bimod = cal.degree_bimodule(1)
     tens = tensor_over_A(omega1_bimod, c.module)
-    ops = [k1.induced.op_from_coords([row[wi] for row in h]).matrix
+    t1 = c.forms.dim(1)
+    ops = [k1.induced.op_from_coords([row[wi] for row in h])
            for wi in range(omega1_bimod.dim)]
-    plain = [[x for op in ops for x in op[row]]
-             for row in range(c.forms.dim(1))]
+    plain = _to_mat([col for op in ops for col in op.cols], t1)
     sigma = SigmaMap("projected" if cal.ideal[1] else "universal",
                      tens, tens.quotient.columns(plain))
     res.sigma = sigma
@@ -428,7 +471,7 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     for wi, op in enumerate(ops):
         wq = omega1_bimod.basis_vec(wi)
         for mj in range(c.module.dim):
-            direct = [row[mj] for row in op]
+            direct = _col_vec(op.cols[mj], t1)
             via = sigma.apply(tens.project_pure(wq, c.module.basis_vec(mj)))
             if direct != via:
                 res.verdicts.append(failed("sigma-well-defined",

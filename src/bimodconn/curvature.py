@@ -15,11 +15,12 @@ from itertools import compress
 
 from . import anchors
 from .calculus import GradedCalculus, preceq
-from .connection import (Connection, DegreeRHom, kappa0_op, leibniz_failure,
-                         nabla_hat)
-from .linalg import (Mat, SpanBuilder, Vec, _cols_to_mat, _combination,
-                     _sparse, identity_mat, mat_mul, mat_vec, null_space,
-                     quotient, QuotientSpace, rank, zeros)
+from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
+                         leibniz_failure, nabla_hat)
+from .linalg import (Cols, Mat, SpanBuilder, Vec, _col_vec, _cols_to_mat,
+                     _combination, _combine, _sparse, _to_mat, identity_mat,
+                     mat_mul, mat_vec, null_space, quotient, QuotientSpace,
+                     rank, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -38,7 +39,7 @@ def extend_connection(c: Connection) -> list[Verdict]:
     for r in range(1, f.D):
         plain = c.nabla_ext_plain(r)
         for k, v in enumerate(f.quotient_space(r).sub):
-            if any(x != 0 for x in mat_vec(plain, v)):
+            if any(_combine(plain, v, f.dim(r + 1))):
                 verdicts.append(failed("nabla-extension-well-defined",
                                        anchors.EXTENDING_NABLA,
                                        {"degree": r, "sub_basis": k}))
@@ -73,11 +74,11 @@ def curvature(c: Connection) -> CurvatureResult:
     if c.calculus.D < 2:
         raise ValueError("curvature needs truncation at least 2")
     f = c.forms
-    op = DegreeRHom(f, 2, c.curvature_matrix(0))
+    op = DegreeRHom(f, 2, c.curvature_cols(0))
     verdicts = []
     ok = True
     for s in range(1, f.D - 1):
-        if op.ext_matrix(s) != c.curvature_matrix(s):
+        if op.ext_cols(s) != c.curvature_cols(s):
             verdicts.append(failed("curvature-right-omega-linear",
                                    anchors.RIGHT_OMEGA_HOM, {"degree": s}))
             ok = False
@@ -93,18 +94,14 @@ def curvature(c: Connection) -> CurvatureResult:
     a = c.module.algebra
     witness = None
     for fi in range(a.dim):
-        fv = a.basis_vec(fi)
-        lhs = mat_mul(op.matrix, c.module.left_matrix(fv))
-        rhs = mat_mul(f.left_matrix(2, fv), op.matrix)
+        f_hat = kappa0_op(c, a.basis_vec(fi))
+        lhs, rhs = op.compose(f_hat).cols, f_hat.compose(op).cols
         if lhs != rhs:
-            for mi in range(c.module.dim):
-                mv = c.module.basis_vec(mi)
-                dl = [x - y for x, y in zip(mat_vec(lhs, mv),
-                                            mat_vec(rhs, mv))]
-                if any(dl):
-                    witness = {"algebra_basis": fi, "module_basis": mi,
-                               "difference": rationals(dl)}
-                    break
+            mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            dl = [x - y for x, y in zip(_col_vec(lhs[mi], f.dim(2)),
+                                        _col_vec(rhs[mi], f.dim(2)))]
+            witness = {"algebra_basis": fi, "module_basis": mi,
+                       "difference": rationals(dl)}
             break
     if witness is None:
         verdicts.append(passed("curvature-left-linear",
@@ -146,8 +143,7 @@ class OmegaHat:
         self.generators = f.generators
 
         def key(op: DegreeRHom) -> Vec:
-            return [op.matrix[i][g] for i in range(f.dim(op.degree))
-                    for g in self.generators]
+            return op.flat(self.generators)
 
         def new_span(r: int) -> SpanBuilder:
             return SpanBuilder(f.dim(r) * len(self.generators))
@@ -209,7 +205,7 @@ class OmegaHat:
                         lhs = nabla_hat(c, t.compose(w))
                         rhs = dt.compose(w).add(
                             t.compose(nabla_hat(c, w)).scale(sign))
-                        if lhs.matrix != rhs.matrix:
+                        if lhs.cols != rhs.cols:
                             self.verdicts.append(failed(
                                 "nabla-hat-graded-derivation",
                                 anchors.GRADED_DERIVATION,
@@ -229,18 +225,19 @@ class OmegaHat:
         D = c.forms.D
         for r in range(D - 1):
             for k, t in enumerate(self.gen_ops(r)):
-                lhs = nabla_hat(c, nabla_hat(c, t)).matrix
-                rhs1 = mat_mul(c.curvature_matrix(r), t.matrix)
-                rhs2 = mat_mul(t.ext_matrix(2), c.curvature_matrix(0))
-                rhs = [[a - b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(rhs1, rhs2)]
-                if lhs != rhs:
+                if nabla_hat(c, nabla_hat(c, t)).cols != _square_hat(c, t):
                     self.verdicts.append(failed(
                         "nabla-hat-squared-identity", anchors.CURVATURE,
                         {"degree": r, "basis": k}))
                     return
         self.verdicts.append(passed("nabla-hat-squared-identity",
                                     anchors.CURVATURE))
+
+
+def _square_hat(c: Connection, phi: DegreeRHom) -> Cols:
+    """∇²∘Φ − Φ∘∇² on M, by columns, from the cached curvature columns."""
+    return _commutator(c.curvature_cols(phi.degree), c.curvature_cols(0), 2,
+                       phi, -1)
 
 
 @dataclass
@@ -259,7 +256,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     """J spanned by (∇̂²Φ)(a)·ω over a basis of each Ω̂_p, the basis of M and
     the basis of Ω^s, with its closure checks.
 
-    ∇̂²Φ is taken as ∇²∘Φ − Φ∘∇², from the cached curvature matrices: the
+    ∇̂²Φ is taken as ∇²∘Φ − Φ∘∇², from the cached curvature columns: the
     two ∇Φ∇ terms of ∇̂(∇̂Φ) cancel, and ``nabla-hat-squared-identity``
     decides that identity on Ω̂.
     """
@@ -269,11 +266,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     cal = c.calculus
     for p in range(D - 1):
         for phi in omega_hat.ops(p):
-            sq = [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(
-                mat_mul(c.curvature_matrix(p), phi.matrix),
-                mat_mul(phi.ext_matrix(2), c.curvature_matrix(0)))]
-            for ai in range(c.module.dim):
-                base = [row[ai] for row in sq]
+            for col in _square_hat(c, phi):
+                base = _col_vec(col, f.dim(p + 2))
                 builders[p + 2].add(base)
                 for s in range(1, D - p - 2 + 1):
                     for w in identity_mat(cal.dim(s)):
@@ -292,7 +286,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     for r in range(2, D + 1):
         for k, v in enumerate(j.spans[r]):
             if r + 1 <= D and not builders[r + 1].contains(
-                    mat_vec(c.nabla_ext_matrix(r), v)):
+                    _combine(c.nabla_ext_cols(r), v, f.dim(r + 1))):
                 j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
                                          {"op": "nabla", "degree": r,
                                           "basis": k}))
@@ -307,7 +301,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
             for p in range(1, D - r + 1):
                 for kp, t in enumerate(omega_hat.gen_ops(p)):
                     if not builders[r + p].contains(
-                            mat_vec(t.ext_matrix(r), v)):
+                            _combine(t.ext_cols(r), v, f.dim(r + p))):
                         j.verdicts.append(failed(
                             "j-closure", anchors.J_CLOSURE,
                             {"op": "omega-hat", "degrees": [p, r],
@@ -316,7 +310,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     j.verdicts.append(passed("j-closure", anchors.J_CLOSURE))
     # the earlier proposal: factor by span{∇²(fa) − f∇²a} only; that span is
     # contained in J² by construction, equality is merely reported
-    r2 = c.curvature_matrix(0)
+    r2 = c.curvature_cols(0)
     sub2 = SpanBuilder(f.dim(2))
     contained = True
     for fi in range(a.dim):
@@ -324,8 +318,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
         for ai in range(c.module.dim):
             av = c.module.basis_vec(ai)
             v = [x - y for x, y in zip(
-                mat_vec(r2, c.module.act_left(fv, av)),
-                f.act_left(2, fv, mat_vec(r2, av)))]
+                _combine(r2, c.module.act_left(fv, av), f.dim(2)),
+                f.act_left(2, fv, _col_vec(r2[ai], f.dim(2))))]
             sub2.add(v)
             contained &= builders[2].contains(v)
     if contained:
@@ -379,8 +373,9 @@ class OmegaM:
         return q.induced(c.forms.left_matrix(r, f_vec), q)
 
     def curvature_matrix(self) -> Mat:
+        c = self.connection
         return mat_mul(self.quotients[2].projection,
-                       self.connection.curvature_matrix(0))
+                       _to_mat(c.curvature_cols(0), c.forms.dim(2)))
 
     def _check(self) -> None:
         c = self.connection
@@ -440,13 +435,14 @@ class OmegaM:
                                     anchors.UNIQUE_FACTORIZATIONS))
         # factored curvature stays a right Ω-homomorphism
         for s in range(1, f.D - 1):
+            curv = c.curvature_cols(s)
             for mi in range(c.module.dim):
                 mv = c.module.basis_vec(mi)
-                base = mat_vec(c.curvature_matrix(0), mv)
+                base = _col_vec(c.curvature_cols(0)[mi], f.dim(2))
                 for wi, w in enumerate(identity_mat(c.calculus.dim(s))):
-                    lhs = self.project(s + 2, mat_vec(
-                        c.curvature_matrix(s),
-                        mat_vec(f.right_mult_matrix(0, s, w), mv)))
+                    lhs = self.project(s + 2, _combine(
+                        curv, mat_vec(f.right_mult_matrix(0, s, w), mv),
+                        f.dim(s + 2)))
                     rhs = self.project(s + 2, mat_vec(
                         f.right_mult_matrix(2, s, w), base))
                     if lhs != rhs:
@@ -516,17 +512,16 @@ class InducedCalculus:
 
     def _project_op(self, r: int, op: DegreeRHom) -> Vec:
         """The operator projected to Ω(M)_r, flattened row by row as in κ:
-        row k of the operator, at its nonzeros, times the projection's
-        sparse column k."""
+        each nonzero (k, x) of the operator's column c adds x times the
+        projection's sparse column k to column c."""
         q = self.omega_m.quotients[r]
         if not q.sub:
-            return [x for row in op.matrix for x in row]
+            return op.flat()
         width = self.connection.module.dim
         out = [0] * (q.dim * width)
-        for k, row in enumerate(op.matrix):
-            nz = [(c, row[c]) for c in compress(range(width), row)]
-            for p, pc in q.proj_cols[k]:
-                for c, x in nz:
+        for c, col in enumerate(op.cols):
+            for k, x in col:
+                for p, pc in q.proj_cols[k]:
                     out[p * width + c] += pc * x
         return out
 
@@ -549,32 +544,29 @@ class InducedCalculus:
         u·e_k, which column u of R_{e_k}'s table holds.  The right side is
         P·(R_u·L_k), for u's raw operator R_u, the left action L_k of e_k on
         M and the projection P onto Ω(M)_r; it is (P·R_u)·L_k, column u of
-        κ̄ as an Ω(M)_r × M matrix times L_k, so no operator is composed or
-        projected per pair.  The first failing pair, in the order r, u, k,
-        is kept as ``multiplicative_failure``.
+        κ̄ as an Ω(M)_r × M matrix times L_k: each nonzero x at (i, j) adds
+        x·L_k[j][c] at (i, c) for the nonzeros of L_k's row j, so no
+        operator is composed or projected per pair.  The first failing pair,
+        in the order r, u, k, is kept as ``multiplicative_failure``.
         """
         uni = self.connection.calculus.universal
         m = self.connection.module
         a = m.algebra
-        # L_k by columns, each as its nonzero (row, entry) pairs
-        l_cols = [[[(j, x) for j, x in enumerate(col) if x]
-                   for col in zip(*m.left_action[k])] for k in range(a.dim)]
+        # L_k by rows, each as its nonzero (column, entry) pairs
+        l_rows = [[list(_sparse(row).items()) for row in m.left_action[k]]
+                  for k in range(a.dim)]
         for r in range(uni.D + 1):
-            rows = self.kappa[r]
-            n, width = len(rows), uni.bar_dim(r)
-            if not n:
-                continue        # Ω(M)_r = 0, where both sides vanish
-            # (P·R_u)·L_k for every u at once: its row (i, c) is the
-            # combination of κ̄'s rows (i, j) by L_k[j][c]; then by columns
-            right = [list(zip(*[_combination(
-                         rows, [(i + j, x) for j, x in lc], width)
-                         for i in range(0, n, m.dim) for lc in l_cols[kj]]))
-                     for kj in range(a.dim)]
+            n = len(self.kappa[r])
             moved = [uni.right_cols(r, kj) for kj in range(a.dim)]
-            for ki in range(width):
+            for ki, col in enumerate(self._columns[r]):
+                nz = [(x - x % m.dim, x % m.dim, col[x])
+                      for x in compress(range(n), col)]
                 for kj in range(a.dim):
-                    lhs = self.image(r, moved[kj][ki])
-                    if lhs != list(right[kj][ki]):
+                    rhs = [0] * n
+                    for i, j, x in nz:
+                        for c, y in l_rows[kj][j]:
+                            rhs[i + c] += x * y
+                    if self.image(r, moved[kj][ki]) != rhs:
                         self.multiplicative_failure = (r, ki, kj)
                         self.verdicts.append(failed(
                             "kappa-multiplicative", anchors.OMEGA_HAT,

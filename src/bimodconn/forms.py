@@ -9,22 +9,26 @@ what keeps desk-scale computations fast and exact.
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
 the projection's sparse columns (see ``linalg.QuotientSpace``) at the
-concatenated indices of Φ(m)'s representative.
+concatenated indices of Φ(m)'s representative.  Both the map and its
+extension are kept by sparse columns (``linalg.Cols``).
 
 ``right_mult_matrix(r, s, ω)`` is the one right multiplication on classes:
-the matrix T_r → T_{r+s} of q ↦ q·ω for an Ω^s class ω, read off the
-columns at ``free`` of the product on representatives (``mult_tu_by_bar``)
-and computed once per (r, s, ω).  The right A-action is its s = 0 case.
+the matrix T_r → T_{r+s} of q ↦ q·ω for an Ω^s class ω.  Its column k is
+the product of class k's representative (a basis tensor) by a
+representative of ω, as the terms of ``_product_terms``, each read as the
+projection's sparse column at its index; it is computed once per
+(r, s, ω).  The right A-action is its s = 0 case.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import compress
 
 from .algebra import Bimodule, act, action_matrix, right_module_generators
 from .calculus import GradedCalculus
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     QuotientSpace, zero_mat, zeros)
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _col_sum,
+                     _to_cols, _to_mat, QuotientSpace, zero_mat, zeros)
 
 
 class Forms:
@@ -43,6 +47,10 @@ class Forms:
             {beta: k for k, beta in enumerate(ts)} for ts in self._tails]
         # M generates M⊗_AΩ as a right Ω-module, and so do these basis indices
         self.generators = right_module_generators(module)
+        # per k and module basis index i: the nonzero (a, x) of m_i·e_k,
+        # column i of the stored right action of e_k
+        self._moved = [_to_cols(act, module.dim)
+                       for act in module.right_action]
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
         self._left_mats: dict[tuple[int, int], Mat] = {}
@@ -81,13 +89,11 @@ class Forms:
         nt = self.n_tails(r)
         out = []
         for g in self.generators:
-            moved = [[(a, row[g]) for a, row in enumerate(act) if row[g]]
-                     for act in self.module.right_action]
             for iota in self.calculus.ideal[r]:
                 tu = zeros(self.tu_dim(r))
                 for flat in compress(range(len(iota)), iota):
                     i0, bidx = divmod(flat, nt)
-                    for a, x in moved[i0]:
+                    for a, x in self._moved[i0][g]:
                         tu[a * nt + bidx] += iota[flat] * x
                 out.append(tu)
         return out
@@ -109,35 +115,43 @@ class Forms:
     # -- tail right multiplication ----------------------------------------
     def mult_tu_by_bar(self, r: int, tu: Vec, s: int, omega_bar: Vec) -> Vec:
         """(element of T^u_r) · (degree-s universal element) → T^u_{r+s}."""
+        out = zeros(self.tu_dim(r + s))
+        for flat in compress(range(len(tu)), tu):
+            c = tu[flat]
+            for at, x in self._product_terms(r, flat, s, omega_bar):
+                out[at] += c * x
+        return out
+
+    def _product_terms(self, r: int, flat: int, s: int, omega_bar: Vec) \
+            -> list[tuple[int, int | Fraction]]:
+        """The (index, coeff) terms in T^u_{r+s} of the basis tensor
+        m_i⊗de_β at ``flat`` of T^u_r times the degree-s universal element
+        ``omega_bar``; an index may repeat.  (m_i⊗de_β)·(e_i0·de_σ) is
+        Σ d·(m_i·e_k0)⊗de_γσ over the ``tail_times`` terms (k0, γ, d) of β,
+        and m_i·e_k0 is column m_i of the stored right action of e_k0."""
         nt_r, nt_s = self.n_tails(r), self.n_tails(s)
         tails_r, tails_s = self._tails[r], self._tails[s]
-        out = zeros(self.tu_dim(r + s))
         pos = self._tail_pos[r + s]
         nt_out = self.n_tails(r + s)
-        right = self.module.right_action
-        for flat, c in enumerate(tu):
-            if c == 0:
-                continue
-            m_i, bidx = divmod(flat, nt_r)
-            for oflat, oc in enumerate(omega_bar):
-                if oc == 0:
-                    continue
-                i0, sidx = divmod(oflat, nt_s)
-                beta_s = tails_s[sidx]
-                for (k0, gidx, d) in self.uni.tail_times(r, i0)[bidx]:
-                    coeff = c * oc * d
-                    gpos = pos[tails_r[gidx] + beta_s]
-                    # m_i·e_k0 is column m_i of the stored right action
-                    for a, row in enumerate(right[k0]):
-                        if row[m_i]:
-                            out[a * nt_out + gpos] += coeff * row[m_i]
+        m_i, bidx = divmod(flat, nt_r)
+        out = []
+        for oflat in compress(range(len(omega_bar)), omega_bar):
+            oc = omega_bar[oflat]
+            i0, sidx = divmod(oflat, nt_s)
+            beta_s = tails_s[sidx]
+            for k0, gidx, d in self.uni.tail_times(r, i0)[bidx]:
+                gpos = pos[tails_r[gidx] + beta_s]
+                coeff = oc * d
+                out.extend((a * nt_out + gpos, coeff * x)
+                           for a, x in self._moved[k0][m_i])
         return out
 
     # -- right-Ω extensions ----------------------------------------------
-    def extension_columns(self, r: int, phi, s: int,
-                          indices: range | list[int]) -> Mat:
-        """Columns of the extension of a degree-r map Φ: M → T_r to
-        T^u_s → T_{r+s}, at the given T^u_s indices, in class coordinates.
+    def extension_columns(self, r: int, phi: Cols, s: int,
+                          indices: range | list[int]) -> Cols:
+        """Sparse columns of the extension of a degree-r map Φ: M → T_r,
+        given by its sparse columns, to T^u_s → T_{r+s}, at the given T^u_s
+        indices, in class coordinates.
 
         The column of m_i⊗de_β is the class of Φ(m_i)·de_β, the tail
         concatenated to a representative of Φ(m_i).  For a right-Ω-linear Φ
@@ -159,15 +173,11 @@ class Forms:
         # per class k of T_r: the index of its representative, β = ()
         heads = [m_a * nt + g * nt_s for m_a, g in
                  (divmod(fc, nt_r) for fc in self._quotients[r].free)]
-        # per module basis vector m_i: the nonzero (head, Φ[k][m_i])
-        terms = [[(heads[k], row[i]) for k, row in enumerate(phi) if row[i]]
-                 for i in range(self.module.dim)]
-        out = zero_mat(self.dim(r + s), len(indices))
-        for x, flat in enumerate(indices):
+        out = []
+        for flat in indices:
             m_i, bidx = divmod(flat, nt_s)
-            for head, c in terms[m_i]:
-                for row, p in proj[head + bidx]:
-                    out[row][x] += c * p
+            out.append(_col_sum([(proj[heads[k] + bidx], c)
+                                 for k, c in phi[m_i]]))
         return out
 
     # -- actions on quotient coordinates ----------------------------------
@@ -176,27 +186,31 @@ class Forms:
         the extension of m ↦ e_i·m, which commutes with the right action."""
         key = (r, i)
         if key not in self._left_mats:
-            self._left_mats[key] = self.extension_columns(
-                0, self.module.left_action[i], r, self._quotients[r].free)
+            self._left_mats[key] = _to_mat(self.extension_columns(
+                0, _to_cols(self.module.left_action[i], self.module.dim), r,
+                self._quotients[r].free), self.dim(r))
         return self._left_mats[key]
 
     def right_mult_matrix(self, r: int, s: int, omega: Vec) -> Mat:
         """Right multiplication q ↦ q·ω by an Ω^s class ω, as the class
-        matrix T_r → T_{r+s}: the columns at ``free`` of ``mult_tu_by_bar``
-        by a representative of ω.  Computed once per (r, s, ω); the matrix
-        is shared, so no caller may change it in place."""
+        matrix T_r → T_{r+s}: column k sums the projection's sparse columns
+        at the ``_product_terms`` of class k's representative, the basis
+        tensor at free[k], by a representative of ω.  Computed once per
+        (r, s, ω); the matrix is shared, so no caller may change it in
+        place."""
         if r + s > self.D:
             raise DimensionError("product degree past the truncation")
         key = (r, s, tuple(omega))
         if key not in self._right_mats:
             omega_bar = self.calculus.quotients[s].lift(omega)
-            cols = []
-            for fc in self._quotients[r].free:
-                tu = zeros(self.tu_dim(r))      # the lift of a basis class
-                tu[fc] = 1
-                cols.append(self.project(
-                    r + s, self.mult_tu_by_bar(r, tu, s, omega_bar)))
-            self._right_mats[key] = _cols_to_mat(cols, self.dim(r + s))
+            proj = self._quotients[r + s].proj_cols
+            free = self._quotients[r].free
+            out = zero_mat(self.dim(r + s), len(free))
+            for k, fc in enumerate(free):
+                for at, x in self._product_terms(r, fc, s, omega_bar):
+                    for row, p in proj[at]:
+                        out[row][k] += x * p
+            self._right_mats[key] = out
         return self._right_mats[key]
 
     def _left_actions(self, r: int) -> list[Mat]:

@@ -12,11 +12,15 @@ elimination (``row_reduce``, ``SpanBuilder``) rows are sparse,
 every entry the package eliminates on is zero; ``SpanBuilder`` keeps its
 rows reduced and keyed by pivot, so reducing a vector touches only the rows
 at the pivots in its support.  A map that is applied far more often than it
-is built is also kept by sparse columns (``Cols``: per column, its nonzero
-(row, entry) pairs) and applied by ``_combine`` at the nonzeros of the
-argument: the structure maps of the universal calculus, and the projection
-of every :class:`QuotientSpace`, whose column i is the class of the unit
-vector e_i.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
+is built, or that is almost all zeros, is kept by sparse columns (``Cols``:
+per column, its nonzero (row, entry) pairs sorted by row), applied by
+``_combine`` at the nonzeros of a dense argument, and combined with other
+columns by ``_col_sum``: the structure maps of the universal calculus; the
+projection of every :class:`QuotientSpace`, whose column i is the class of
+the unit vector e_i; and on M⊗_AΩ, every right-Ω operator, each of its
+extensions, ∇'s extensions and the curvature (see ``connection``).
+``_to_cols`` and ``_to_mat`` convert between the two forms for the small
+dense maps.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
 ``_combine``) find the nonzeros of a dense row with ``itertools.compress``,
 at C speed, and do Python-level work only on those.  Everything is computed
 exactly: the one division, :func:`_div`, returns an int or a Fraction, never
@@ -31,8 +35,10 @@ from itertools import compress
 
 Vec = list[int | Fraction]
 Mat = list[list[int | Fraction]]
-# Sparse columns of a linear map: per column, its nonzero (row, coeff) pairs.
-Cols = list[list[tuple[int, int | Fraction]]]
+# A sparse column: its nonzero (row, coeff) pairs, sorted by row.
+Col = list[tuple[int, int | Fraction]]
+# Sparse columns of a linear map, one Col per column.
+Cols = list[Col]
 
 
 class DimensionError(ValueError):
@@ -141,6 +147,43 @@ def _combination(vecs: list[Vec], terms: list[tuple[int, int | Fraction]],
     out = [0] * n
     for i, c in terms:
         out = [x + c * y for x, y in zip(out, vecs[i])]
+    return out
+
+
+def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
+    """Σ c·col over the (col, c) terms, each c nonzero, as one sparse column
+    sorted by row with the cancelled entries dropped; a single term with
+    c = 1 is that column itself, which the caller must not change."""
+    if len(terms) == 1:
+        col, c = terms[0]
+        return col if c == 1 else [(row, c * x) for row, x in col]
+    acc: dict[int, int | Fraction] = {}
+    for col, c in terms:
+        for row, x in col:
+            acc[row] = acc.get(row, 0) + c * x
+    return sorted([(row, x) for row, x in acc.items() if x])
+
+
+def _col_vec(col: Col, n_rows: int) -> Vec:
+    """A sparse column as a dense vector of length n_rows."""
+    out = [0] * n_rows
+    for row, x in col:
+        out[row] = x
+    return out
+
+
+def _to_cols(m: Mat, n_cols: int) -> Cols:
+    """The sparse columns of a matrix with n_cols columns."""
+    return [[(i, row[j]) for i, row in enumerate(m) if row[j]]
+            for j in range(n_cols)]
+
+
+def _to_mat(cols: Cols, n_rows: int) -> Mat:
+    """The dense matrix, with n_rows rows, of sparse columns."""
+    out = zero_mat(n_rows, len(cols))
+    for j, col in enumerate(cols):
+        for i, x in col:
+            out[i][j] = x
     return out
 
 

@@ -21,9 +21,9 @@ from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _cols_to_mat,
-                     factor_through, is_zero_vec, mat_mul, mat_vec, null_space,
-                     rank, vec_add, zeros)
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec,
+                     _cols_to_mat, _sparse, factor_through, is_zero_vec,
+                     mat_mul, mat_vec, null_space, rank, vec_add, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -267,13 +267,13 @@ def _tail_bars(uni) -> list[Vec]:
 
 
 def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
-                       xi_list: list[Vec], tail_ops: list[Mat]) -> Mat:
+                       xi_list: list[Vec], tail_ops: list[Cols]) -> Mat:
     """The plain matrix of ∇⊗ on N⊗M, into W = N⊗_A(M⊗_AΩ¹): column
     (j, i) is the W-class of ξ_j·a_i + b_j⊗∇a_i.
 
     ξ_j is a degree-one N-form of ``xi_forms``.  A term x·b_k⊗de_β of its
     representative acts on a_i through its tail: it gives x·b_k⊗(T_β·a_i)
-    for the M → M⊗_AΩ¹ matrix T_β = ``tail_ops[β]``.
+    for the M → M⊗_AΩ¹ map T_β = ``tail_ops[β]``, by sparse columns.
     """
     m = c.module
     nt = xi_forms.n_tails(1)
@@ -285,9 +285,8 @@ def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
         for i in range(m.dim):
             out = zeros(w.plain_dim)
             for (k, bidx), cc in terms:
-                for l, row in enumerate(tail_ops[bidx]):
-                    if row[i]:
-                        out[k * t1 + l] += cc * row[i]
+                for l, x in tail_ops[bidx][i]:
+                    out[k * t1 + l] += cc * x
             for l, row in enumerate(c.nabla):
                 if row[i]:
                     out[j * t1 + l] += row[i]
@@ -308,7 +307,7 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
     m = c.module
     tn = tensor_over_A(n, m)
     w = tensor_over_A(n, c.forms.as_bimodule(1))
-    tail_ops = [induced.d_ops[j].matrix
+    tail_ops = [induced.d_ops[j].cols
                 for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, w, xi_forms, xi_list, tail_ops)
     tc = TensorConnection(route, tn, w, [])
@@ -403,9 +402,9 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
     tail_ops = []
     for bar in _tail_bars(cal.universal):
         cls = cal.class_of_bar(1, bar)
-        tail_ops.append(_cols_to_mat(
-            [s.apply(s.tensor.project_pure(cls, m.basis_vec(i)))
-             for i in range(m.dim)], c.forms.dim(1)))
+        tail_ops.append([list(_sparse(s.apply(
+            s.tensor.project_pure(cls, m.basis_vec(i)))).items())
+            for i in range(m.dim)])
     xi = [rc.nabla_apply(n.basis_vec(j)) for j in range(n.dim)]
     plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
     for j in range(n.dim):

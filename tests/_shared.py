@@ -60,13 +60,18 @@ def induced(name: str, truncation: int | None = None) -> InducedCalculus:
     return InducedCalculus(conn, om)
 
 
-def upper_triangular_2() -> Algebra:
-    """T₂, the upper-triangular 2×2 matrices on the basis e11, e12, e22:
-    not semisimple, e12 spans its radical."""
-    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j, k in ((0, 0, 0), (0, 1, 1), (1, 2, 1), (2, 2, 2)):
-        table[i][j][k] = 1
-    return Algebra.from_table(table, [1, 0, 1])
+def upper_triangular(n: int) -> Algebra:
+    """T_n, the upper-triangular n×n matrices on the matrix units e_ij,
+    i ≤ j, in row order (e11, e12, e22 for n = 2): not semisimple, the
+    e_ij with i < j span its radical."""
+    units = [(i, j) for i in range(n) for j in range(i, n)]
+    pos = {u: k for k, u in enumerate(units)}
+    table = [[[0] * len(units) for _ in units] for _ in units]
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            if j == k:
+                table[a][b][pos[i, l]] = 1
+    return Algebra.from_table(table, [int(i == j) for i, j in units])
 
 
 def cyclic_group_algebra(k: int) -> Algebra:

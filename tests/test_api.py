@@ -101,3 +101,56 @@ def test_no_reference_route_is_named_in_the_package():
                 if name in ("kappa_raw", "concat_tu"):
                     named.add(f"{path.name}:{node.lineno}:{name}")
     assert named == set()
+
+
+# the sparse operator route: each function below works on sparse columns
+# (``linalg.Cols``) and may call no dense kernel
+SPARSE_ROUTE = {
+    "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
+                   "Connection.curvature_cols", "DegreeRHom.key",
+                   "DegreeRHom.apply", "DegreeRHom.flat",
+                   "DegreeRHom.ext_cols", "DegreeRHom.compose",
+                   "DegreeRHom.add", "DegreeRHom.scale", "DegreeRHom.is_zero",
+                   "_commutator", "nabla_hat"},
+    "curvature": {"_square_hat", "InducedCalculus._project_op"},
+    "forms": {"Forms.extension_columns"},
+}
+DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
+                 "_cols_to_mat", "nabla_ext_matrix", "left_matrix",
+                 "projection"}
+# the dense operator route of tests/_reference.py
+DENSE_ROUTE = {"ext_matrix", "DenseRHom", "DenseRoute", "matrix"}
+
+
+def test_the_operator_route_stays_sparse():
+    # a right-Ω operator, each of its extensions, ∇̂ and ∇'s extensions are
+    # sparse columns; the dense route (a dense extension per operator, a
+    # mat_mul per composition) lives in tests/_reference.py only, so no
+    # function of the sparse route may name a dense kernel, and no
+    # DegreeRHom may grow a dense matrix again
+    found, dense = set(), []
+    for module, names in SPARSE_ROUTE.items():
+        path = PACKAGE / f"{module}.py"
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.FunctionDef) and \
+                        prefix + child.name in names:
+                    found.add(f"{module}:{prefix}{child.name}")
+                    for sub in ast.walk(child):
+                        name = getattr(sub, "id", getattr(sub, "attr", None))
+                        if name in DENSE_KERNELS | DENSE_ROUTE:
+                            dense.append(f"{path.name}:{sub.lineno}:{name}")
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == {f"{m}:{n}" for m, ns in SPARSE_ROUTE.items() for n in ns}
+    assert dense == []
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("id", "attr", "name"):
+                if getattr(node, field, None) in DENSE_ROUTE - {"matrix"}:
+                    named.add(f"{path.name}:{node.lineno}")
+    assert named == set()

@@ -11,7 +11,7 @@ import _reference
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref)
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
-                     universal, upper_triangular_2)
+                     universal, upper_triangular)
 from bimodconn import cli
 from bimodconn.algebra import Algebra
 from bimodconn.calculus import (UniversalCalculus, preceq, quotient_calculus,
@@ -167,7 +167,7 @@ def test_saturation_matches_the_worklist_reference(name, truncation):
 
 
 def test_saturation_matches_the_worklist_reference_on_t2():
-    uni = UniversalCalculus(upper_triangular_2(), 3)
+    uni = UniversalCalculus(upper_triangular(2), 3)
     e12_de11 = [0] * uni.bar_dim(1)
     e12_de11[2] = 1                      # e12·de11, a radical element
     _assert_saturation_matches_reference(uni, [(1, e12_de11)])
@@ -177,7 +177,7 @@ def test_saturation_matches_the_worklist_reference_on_t2():
     _assert_saturation_matches_reference(uni, [(2, dd), (3, top)])
 
 
-_ALGEBRAS = {"a2": a2, "T2": upper_triangular_2,
+_ALGEBRAS = {"a2": a2, "T2": lambda: upper_triangular(2),
              "CZ3": lambda: cyclic_group_algebra(3), "M2": m2}
 
 
@@ -324,7 +324,7 @@ def test_bar_native_maps_match_embedding():
 
 @pytest.mark.parametrize("make", [
     lambda: universal("a2_flat"), lambda: universal("m2_grass"),
-    lambda: universal_graded(upper_triangular_2(), 3)],
+    lambda: universal_graded(upper_triangular(2), 3)],
     ids=["a2", "m2", "T2"])
 def test_right_mult_bar_matrix_is_the_product_on_unit_columns(make):
     # built from tail_times and the structure constants, not from product;

@@ -65,6 +65,27 @@ def test_nabla_hat_of_e1_is_left_mult_by_de1():
         assert nh.apply(a2().basis_vec(i)) == expected
 
 
+def test_compose_past_the_truncation_raises():
+    # a2_flat has D = 3, and ∇̂∇̂ê₁ has degree 2, so the product would have
+    # degree 4; it used to end in an IndexError
+    c = nabla("a2_flat")
+    t2 = nabla_hat(c, nabla_hat(c, kappa0_op(c, a2().basis_vec(0))))
+    assert t2.degree == 2 and c.forms.D == 3
+    with pytest.raises(ValueError, match="truncation"):
+        t2.compose(t2)
+    with pytest.raises(ValueError, match="truncation"):
+        nabla_hat(c, t2.compose(nabla_hat(c, kappa0_op(c, a2().unit_vec()))))
+
+
+def test_add_across_degrees_raises():
+    # it used to return a degree-0 operator, silently wrong
+    c = nabla("a2_flat")
+    e1 = kappa0_op(c, a2().basis_vec(0))
+    with pytest.raises(ValueError, match="degree"):
+        e1.add(nabla_hat(c, e1))
+    assert e1.add(e1).cols == e1.scale(2).cols
+
+
 def test_induced_first_order_dim():
     ifo = induced_first_order(nabla("a2_flat"))
     assert ifo.dim == 2

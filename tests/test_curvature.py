@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _shared import (MODELS, NAMES, a2, induced, model, pipeline,
-                     regular_connection, upper_triangular_2)
+from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
+                     model, pipeline, regular_connection, upper_triangular)
 from bimodconn import cli
 from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
                                   kappa0_op)
@@ -16,7 +16,7 @@ from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
-from bimodconn.linalg import is_zero_vec, mat_mul, mat_vec, rank
+from bimodconn.linalg import _combine, is_zero_vec, mat_mul, mat_vec, rank
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -49,8 +49,8 @@ def test_extension_failure_names_a_vector_of_the_generator_span(
     # the witness is the first vector of M⊗I^r, as spanned from the module
     # generators, that ∇ does not send to zero
     plain = conn.nabla_ext_plain(r)
-    assert any(mat_vec(plain, sub[k]))
-    assert not any(any(mat_vec(plain, w)) for w in sub[:k])
+    assert any(_combine(plain, sub[k], f.dim(r + 1)))
+    assert not any(any(_combine(plain, w, f.dim(r + 1))) for w in sub[:k])
     monkeypatch.setattr(cli, "parse_model", lambda path, truncation=None:
                         ModelFile(m2.name, m2.algebra, m2.truncation,
                                   m2.calculus, m2.modules, {"nabla": conn}))
@@ -62,31 +62,33 @@ def test_extension_failure_names_a_vector_of_the_generator_span(
 
 @pytest.mark.parametrize("name", ["a2_flat", "a2_twist"])
 def test_cached_operators_match_a_cold_computation(name):
-    # compose, ext_matrix and nabla_hat read shared matrices out of the
-    # caches of Forms and Connection; recompute each on fresh ones
+    # compose, ext_cols and nabla_hat read shared sparse columns out of the
+    # caches of Forms and Connection; recompute each on fresh ones, and
+    # compare them densified
     conn, oh, _, _ = pipeline(name)
     f = conn.forms
+    dense, ext_matrix = _reference.dense, _reference.ext_matrix
 
     def cold(op):
         forms = Forms(f.module, f.calculus)
         return (Connection(forms, conn.nabla),
-                DegreeRHom(forms, op.degree, op.matrix))
+                DegreeRHom(forms, op.degree, op.cols))
 
     ops = [op for r in range(f.D + 1) for op in oh.ops(r)]
-    # the same matrices one degree up extend differently
-    ops += [DegreeRHom(f, op.degree + 1, op.matrix) for op in ops
+    # the same columns one degree up extend differently
+    ops += [DegreeRHom(f, op.degree + 1, op.cols) for op in ops
             if op.degree < f.D and f.dim(op.degree + 1) == f.dim(op.degree)]
     for phi in ops:
         for s in range(f.D + 1 - phi.degree):
-            assert phi.ext_matrix(s) == cold(phi)[1].ext_matrix(s)
+            assert ext_matrix(phi, s) == ext_matrix(cold(phi)[1], s)
         if phi.degree < f.D:
-            assert nabla_hat(conn, phi).matrix == \
-                nabla_hat(*cold(phi)).matrix
+            assert dense(nabla_hat(conn, phi)) == \
+                dense(nabla_hat(*cold(phi)))
         for psi in ops:
             if phi.degree + psi.degree <= f.D:
-                assert phi.compose(psi).matrix == \
-                    mat_mul(phi.ext_matrix(psi.degree), psi.matrix) == \
-                    cold(phi)[1].compose(psi).matrix
+                assert dense(phi.compose(psi)) == \
+                    mat_mul(ext_matrix(phi, psi.degree), dense(psi)) == \
+                    dense(cold(phi)[1].compose(psi))
 
 
 def test_flat_curvature_vanishes():
@@ -237,7 +239,7 @@ def test_kappa_and_sigma_u_checks_match_the_per_pair_reference(name,
 def test_kappa_and_sigma_u_checks_match_the_per_pair_reference_on_t2():
     # Γ = 2·e11·de11 + e12·de11: J ≠ 0, and unlike on every shipped model
     # the projections to Ω(M) hold entries other than 0 and 1
-    conn = regular_connection(upper_triangular_2(), 3, [2, 0, 1, 0, 0, 0])
+    conn = regular_connection(upper_triangular(2), 3, [2, 0, 1, 0, 0, 0])
     _assert_matches_the_per_pair_reference(
         InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn)))))
 
@@ -341,7 +343,7 @@ curvature_module = importlib.import_module("bimodconn.curvature")
 def _t2_connection():
     """∇ = d + Γ· on T₂ at D=3, Γ = e11·de11: not flat, J ≠ 0, and Ω̂_r is
     more than the span of T_r for r ≥ 1."""
-    return regular_connection(upper_triangular_2(), 3, 0)
+    return regular_connection(upper_triangular(2), 3, 0)
 
 
 def _span_verdicts(conn):
@@ -363,7 +365,7 @@ def _span_reference(conn):
 
 
 def _flat(op):
-    return [x for row in op.matrix for x in row]
+    return [x for row in _reference.dense(op) for x in row]
 
 
 @pytest.mark.parametrize("make", [
@@ -406,21 +408,32 @@ def test_generated_non_flat_model_passes_every_check_but_left_linearity():
 
 
 def _flipped_nabla_hat(degree):
-    """∇̂ with its sign flipped on the operators of one degree."""
+    """∇̂ with its sign flipped on the operators of one degree, on the
+    sparse route and on the dense route of tests/_reference.py alike."""
     def fault(monkeypatch, conn):
         def wrong(c, phi):
             out = nabla_hat(c, phi)
             return out.scale(-1) if phi.degree == degree else out
+        dense_hat = _reference.DenseRoute.nabla_hat
+
+        def dense_wrong(route, phi):
+            out = dense_hat(route, phi)
+            return out.scale(-1) if phi.degree == degree else out
         monkeypatch.setattr(curvature_module, "nabla_hat", wrong)
         monkeypatch.setattr(_reference, "nabla_hat", wrong)
+        monkeypatch.setattr(_reference.DenseRoute, "nabla_hat", dense_wrong)
     return fault
 
 
 def _wrong_ext_entry(row, col, degree=2):
     """Entry (row, col) of ∇: T_degree → T_{degree+1} off by one, before
-    any use."""
+    any use: a new sparse column replaces column col of the cached
+    extension (the old one may be shared with the plain extension)."""
     def fault(monkeypatch, conn):
-        conn.nabla_ext_matrix(degree)[row][col] += 1
+        cols = conn.nabla_ext_cols(degree)
+        entries = dict(cols[col])
+        entries[row] = entries.get(row, 0) + 1
+        cols[col] = sorted((k, x) for k, x in entries.items() if x)
     return fault
 
 
@@ -445,7 +458,7 @@ def _fails_at(check_id, conn, oh, j, w):
     # basis vector of J_r, whose image must leave J
     if w["op"] == "omega-hat":
         (p, r), (kp, k) = w["degrees"], w["basis"]
-        op, target = oh.gen_ops(p)[kp].ext_matrix(r), r + p
+        op, target = _reference.ext_matrix(oh.gen_ops(p)[kp], r), r + p
     elif w["op"] == "left":
         r, k = w["degree"], w["basis"]
         op, target = conn.forms.left_action_matrix(r, w["algebra_basis"]), r
@@ -476,6 +489,72 @@ def test_a_fault_fails_the_span_checks_like_the_reference(
     # the identity must really fail at the generator route's own witness
     for check_id in failing:
         assert _fails_at(check_id, conn, oh, j, got[check_id].witness)
+
+
+# Ω̂ and the raw κ operators on sparse columns against the dense operator
+# route of tests/_reference.py: the shipped models, and ∇ = d + Γ· on
+# generated algebras (Γ the bar basis 1-form 0)
+GENERATED = {"M2-D3": lambda: regular_connection(m2(), 3, 0),
+             "CZ3-D3": lambda: regular_connection(cyclic_group_algebra(3), 3,
+                                                  0),
+             "T2-D3": _t2_connection,
+             "T3-D2": lambda: regular_connection(upper_triangular(3), 2, 0)}
+
+
+def _omega_hat_witnesses(oh):
+    return {v.check_id: v.witness for v in oh.verdicts}
+
+
+def _assert_omega_hat_matches_the_dense_route(conn, oh):
+    """Every operator of Ω̂ and of T equals the dense route's, in order,
+    and the two routes give the same witnesses; returns the dense route
+    and its Ω̂ basis."""
+    route = _reference.DenseRoute(conn)
+    gens, ops, derivation, square = _reference.omega_hat(route)
+    dense = _reference.dense
+    for r in range(conn.forms.D + 1):
+        assert [dense(t) for t in oh.gen_ops(r)] == [t.matrix for t in gens[r]]
+        assert [dense(w) for w in oh.ops(r)] == [w.matrix for w in ops[r]]
+    assert _omega_hat_witnesses(oh) == {
+        "nabla-hat-graded-derivation": derivation,
+        "nabla-hat-squared-identity": square}
+    return route, ops
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: model(n).connections["nabla"] for n in NAMES],
+    *GENERATED.values()], ids=[*NAMES, *GENERATED])
+def test_sparse_operators_match_the_dense_route(make):
+    conn = make()
+    f = conn.forms
+    oh = OmegaHat(conn)
+    route, ops = _assert_omega_hat_matches_the_dense_route(conn, oh)
+    # every extension and every ∇̂ of Ω̂'s basis
+    for r in range(f.D + 1):
+        for op, want in zip(oh.ops(r), ops[r]):
+            for s in range(f.D + 1 - r):
+                assert _reference.ext_matrix(op, s) == want.ext_matrix(s)
+            if r < f.D:
+                assert _reference.dense(nabla_hat(conn, op)) == \
+                    route.nabla_hat(want).matrix
+    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, oh)))
+    assert [[_reference.dense(op) for op in ops] for ops in ic._raw] == \
+        [[op.matrix for op in ops] for ops in _reference.raw_ops(route)]
+
+
+@pytest.mark.parametrize("make, degree", [
+    (lambda: parse_model(str(MODELS / "m2_grass.model")).connections["nabla"],
+     1),
+    (lambda: parse_model(str(MODELS / "a2_flat.model")).connections["nabla"],
+     2),
+    (_t2_connection, 1)], ids=["m2_grass-1", "a2_flat-2", "T2-D3-1"])
+def test_a_flipped_nabla_hat_gives_the_dense_route_the_same_witnesses(
+        monkeypatch, make, degree):
+    conn = make()
+    _flipped_nabla_hat(degree)(monkeypatch, conn)
+    oh = OmegaHat(conn)
+    _assert_omega_hat_matches_the_dense_route(conn, oh)
+    assert not all(v.ok for v in oh.verdicts)
 
 
 # the three right Leibniz checks, each decided on right multiplication

@@ -7,13 +7,13 @@ import pytest
 
 import _reference
 from _shared import MODELS, NAMES, model, regular_bimodule, \
-    regular_connection, upper_triangular_2
+    regular_connection, upper_triangular
 from bimodconn import cli
 from bimodconn.calculus import quotient_calculus, universal_graded
 from bimodconn.connection import Connection
 from bimodconn.forms import Forms
-from bimodconn.linalg import DimensionError, _cols_to_mat, identity_mat, \
-    mat_mul, zeros
+from bimodconn.linalg import DimensionError, _cols_to_mat, _to_mat, \
+    identity_mat, mat_mul, zeros
 from bimodconn.model import ModelFile, parse_model
 
 
@@ -78,7 +78,7 @@ def test_right_mult_matrix_on_every_forms_of_all(monkeypatch, name):
 
 
 def test_right_mult_matrix_on_the_t2_model():
-    _check_right_mult(regular_connection(upper_triangular_2(), 3, 0).forms)
+    _check_right_mult(regular_connection(upper_triangular(2), 3, 0).forms)
 
 
 def test_right_mult_matrix_rejects_bad_degrees_and_lengths():
@@ -100,7 +100,7 @@ def test_right_mult_matrix_rejects_bad_degrees_and_lengths():
 def _t2_forms_over_a_quotient() -> tuple:
     """The regular bimodule of T₂ and T₂'s calculus at D=3 modulo the ideal
     generated by e12·de11 and by d(e11)·d(e12)."""
-    a = upper_triangular_2()
+    a = upper_triangular(2)
     base = universal_graded(a, 3)
     uni = base.universal
     e12_de11 = [0] * uni.bar_dim(1)
@@ -128,7 +128,7 @@ def test_ideal_tensors_are_the_product(make):
 
 def _t2_model() -> ModelFile:
     """∇ = d + Γ· on T₂'s regular bimodule at D=3 (``regular_connection``)."""
-    conn = regular_connection(upper_triangular_2(), 3, 0)
+    conn = regular_connection(upper_triangular(2), 3, 0)
     return ModelFile("t2", conn.module.algebra, conn.forms.D, conn.calculus,
                      {"A": conn.module}, {"nabla": conn})
 
@@ -154,14 +154,16 @@ def test_every_cached_extension_matches_the_representative_route(
                   + list(m.connections.values())}.values())
     forms = list({id(f): f for f in built[Forms]
                   + [c.forms for c in conns]}.values())
+    # (the sparse columns of operators and extensions are compared densified)
     checked = 0
     for f in forms:
-        for key, mat in f.op_cache.items():
+        for key, cols in f.op_cache.items():
             if key[0] == "ext":
-                (degree, rows), s = key[1:]
-                assert mat == _reference.extension_columns(
-                    f, degree, [list(row) for row in rows], s,
-                    f.quotient_space(s).free)
+                (degree, phi), s = key[1:]
+                assert _to_mat(cols, f.dim(degree + s)) == \
+                    _reference.extension_columns(
+                        f, degree, _to_mat(phi, f.dim(degree)), s,
+                        f.quotient_space(s).free)
                 checked += 1
         for (r, i), mat in f._left_mats.items():
             assert mat == _reference.extension_columns(
@@ -169,14 +171,15 @@ def test_every_cached_extension_matches_the_representative_route(
             checked += 1
     for c in conns:
         f = c.forms
-        for key, mat in c._ext_mats.items():
-            r = key if isinstance(key, int) else key[0]
-            if key == (r, "curvature"):
+        for (r, kind), cols in c._ext_cols.items():
+            if kind == "curvature":
                 continue                # ∇∘∇: a product of two extensions
             want = _reference.extension_columns(f, 1, c.nabla, r,
                                                 range(f.tu_dim(r)))
-            if key == r:
+            if kind == "ext":
                 want = f.quotient_space(r).columns(want)
-            assert mat == want
+            assert _to_mat(cols, f.dim(r + 1)) == want
             checked += 1
+        for r, mat in c._ext_mats.items():
+            assert mat == _to_mat(c.nabla_ext_cols(r), f.dim(r + 1))
     assert checked > 0

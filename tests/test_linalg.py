@@ -13,9 +13,10 @@ import _reference
 from _shared import a2
 from bimodconn import linalg
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
-                              _cols_to_mat, factor_through, frac, identity_mat, mat_mul,
-                              mat_vec, null_space, quotient, rank, row_reduce,
-                              vec_add, zero_mat, zeros)
+                              _col_sum, _col_vec, _cols_to_mat, _to_cols,
+                              _to_mat, factor_through, frac, identity_mat,
+                              mat_mul, mat_vec, null_space, quotient, rank,
+                              row_reduce, vec_add, zero_mat, zeros)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
 
@@ -373,6 +374,27 @@ def test_mat_mul_matches_the_dense_reference(ab):
         if x:
             with pytest.raises(DimensionError):
                 mat_mul(x, y + [zeros(m or 1)])
+
+
+@settings(deadline=None)
+@given(products())
+def test_sparse_columns_compose_like_mat_mul(ab):
+    # a·b by columns, as DegreeRHom.compose builds it: column j combines
+    # a's columns at the nonzeros of b's column j
+    a, b = ab
+    k, m = len(b), len(b[0]) if b else 0
+    for x, y in ((a, b), (_ints(a), _ints(b))):
+        x_cols, y_cols = _to_cols(x, k), _to_cols(y, m)
+        assert _to_mat(x_cols, len(x)) == x
+        assert [_col_vec(col, len(x)) for col in x_cols] == \
+            [[row[j] for row in x] for j in range(k)]
+        prod = [_col_sum([(x_cols[i], c) for i, c in col]) for col in y_cols]
+        assert _to_mat(prod, len(x)) == mat_mul(x, y)
+        # sorted by row, cancelled entries dropped: equal maps, equal columns
+        assert all(all(c for _, c in col) and
+                   [i for i, _ in col] == sorted({i for i, _ in col})
+                   for col in prod)
+        assert prod == _to_cols(mat_mul(x, y), m)
 
 
 def _assert_reduced(span: SpanBuilder) -> None:
