@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _combine,
-                     _exact, factor_through, identity_mat, mat_vec, quotient,
-                     QuotientSpace, zero_mat, zeros)
+                     _exact, identity_mat, mat_vec, quotient, QuotientSpace,
+                     zero_mat, zeros)
 
 
 def _dense(maps: list[Cols], f: Vec, n_rows: int) -> Mat:
@@ -441,7 +441,8 @@ def quotient_calculus(base: GradedCalculus,
 
 @dataclass
 class CalculusMorphism:
-    """Per-degree maps between calculi intertwining products and d."""
+    """Per-degree maps between calculi intertwining products and d, such as
+    ``preceq``'s canonical projection ρ_r = P₁·lift₂."""
 
     source: GradedCalculus
     target: GradedCalculus
@@ -451,27 +452,22 @@ class CalculusMorphism:
 def preceq(c1: GradedCalculus, c2: GradedCalculus) \
         -> tuple[CalculusMorphism | None, tuple[int, Vec] | None]:
     """(Ω₁,d₁) ⪯ (Ω₂,d₂): the canonical projection ρ: Ω₂ → Ω₁ exists iff the
-    defining ideal of Ω₂ is contained degree-wise in that of Ω₁.
+    defining ideal of Ω₂ is contained degree-wise in that of Ω₁, the kernel
+    of Ω₁'s projection P₁.  Then ρ_r = P₁·lift₂, P₁'s columns at Ω₂'s free
+    columns: P₂·lift₂ = I and ker P₂ ⊆ ker P₁ give ρ_r·P₂ = P₁.
 
-    Returns (ρ, None) on success, (None, (degree, witness)) with a witness
-    element of I₂ \\ I₁ otherwise.  Witness coordinates are degree-wise bar
+    Returns (ρ, None) on success, (None, (degree, witness)) otherwise, the
+    witness the first basis vector of I₂ \\ I₁ by degree, in bar
     coordinates of the shared universal calculus.
     """
     if c1.universal is not c2.universal and \
             (c1.algebra != c2.algebra or c1.D != c2.D):
         raise DimensionError("calculi must share algebra and truncation")
     for r in range(1, c1.D + 1):
-        i1 = SpanBuilder(c1.universal.bar_dim(r))
-        for b in c1.ideal[r]:
-            i1.add(b)
         for b in c2.ideal[r]:
-            if not i1.contains(b):
+            if any(c1.quotients[r].project(b)):
                 return None, (r, b)
-    maps = [identity_mat(c1.algebra.dim)]
-    for r in range(1, c1.D + 1):
-        h, w = factor_through(c2.quotients[r].projection,
-                              c1.quotients[r].projection,
-                              c1.universal.bar_dim(r))
-        assert h is not None, "ideal inclusion should guarantee factoring"
-        maps.append(h)
+    maps = [identity_mat(c1.algebra.dim)] + [
+        c2.quotients[r].columns(c1.quotients[r].projection)
+        for r in range(1, c1.D + 1)]
     return CalculusMorphism(c2, c1, maps), None

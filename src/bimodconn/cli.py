@@ -24,7 +24,6 @@ import sys
 from functools import cached_property
 
 from . import anchors
-from .calculus import preceq
 from .connection import (Connection, induced_first_order, kappa1,
                          sigma_exists)
 from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
@@ -88,7 +87,7 @@ class _Pipeline:
 
     @cached_property
     def kappa_hat(self):
-        return preceq(self.induced_calculus.calculus, self.conn.calculus)[0]
+        return self.induced_calculus.below[0]
 
 
 def _scope(report: Report, command: str, connection: str | None = None) -> None:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 
 from . import anchors
-from .calculus import GradedCalculus, preceq
+from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
 from .linalg import (Cols, Mat, SpanBuilder, Vec, _col_vec, _cols_to_mat,
@@ -243,9 +244,10 @@ def _square_hat(c: Connection, phi: DegreeRHom) -> Cols:
 @dataclass
 class JIdeal:
     """J_r ⊆ M⊗_AΩ^r spanned by all (∇̂²Φ)(a)·ω, as bases in quotient
-    coordinates of M⊗_AΩ^r."""
+    coordinates of M⊗_AΩ^r, and the quotients M⊗_AΩ^r / J_r."""
 
     spans: list[list[Vec]]
+    quotients: list[QuotientSpace]
     verdicts: list[Verdict] = field(default_factory=list)
 
     def dims(self) -> list[int]:
@@ -273,7 +275,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                     for w in identity_mat(cal.dim(s)):
                         builders[p + 2 + s].add(
                             mat_vec(f.right_mult_matrix(p + 2, s, w), base))
-    j = JIdeal([b.basis for b in builders])
+    j = JIdeal([b.basis for b in builders], [b.quotient() for b in builders])
     if j.spans[0] or j.spans[1]:
         j.verdicts.append(failed("j-degrees-0-1-vanish", anchors.J_DEGREES_01,
                                  {"dims": j.dims()}))
@@ -341,10 +343,7 @@ class OmegaM:
     def __init__(self, c: Connection, j: JIdeal):
         self.connection = c
         self.j = j
-        f = c.forms
-        self.quotients: list[QuotientSpace] = [
-            quotient(f.dim(r), j.spans[r])
-            for r in range(f.D + 1)]
+        self.quotients = j.quotients
         self.verdicts: list[Verdict] = []
         self._nabla: dict[int, Mat] = {}
         self._check()
@@ -495,14 +494,12 @@ class InducedCalculus:
                 pos[(i0, beta)] = k
             self._raw.append(ops)
             prev_pos = pos
-        # κ̄ = J-projected operators, as matrices on bar coordinates; column
-        # u is the projection of u's raw operator, flattened row by row
+        # κ̄ = J-projected operators on bar coordinates; column u is the
+        # projection of u's raw operator, flattened row by row
         self._columns: list[list[Vec]] = [
             [self._project_op(r, op) for op in self._raw[r]]
             for r in range(D + 1)]
-        self.kappa: list[Mat] = [
-            _cols_to_mat(cols, omega_m.dim(r) * c.module.dim)
-            for r, cols in enumerate(self._columns)]
+        self._heights = [omega_m.dim(r) * c.module.dim for r in range(D + 1)]
         # first failing pairs, which sigma_full reports under its own ids
         self.multiplicative_failure: tuple[int, int, int] | None = None
         self.diagram_failure: tuple[int, int] | None = None
@@ -529,7 +526,7 @@ class InducedCalculus:
         """κ̄ of Σ c·(bar basis vector x) over the (x, c) terms, flattened as
         κ̄'s columns are; one term with c = 1 is that column itself, which
         the caller must not change."""
-        return _combination(self._columns[r], terms, len(self.kappa[r]))
+        return _combination(self._columns[r], terms, self._heights[r])
 
     def _check_multiplicative(self) -> None:
         """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.
@@ -556,13 +553,12 @@ class InducedCalculus:
         l_rows = [[list(_sparse(row).items()) for row in m.left_action[k]]
                   for k in range(a.dim)]
         for r in range(uni.D + 1):
-            n = len(self.kappa[r])
             moved = [uni.right_cols(r, kj) for kj in range(a.dim)]
             for ki, col in enumerate(self._columns[r]):
                 nz = [(x - x % m.dim, x % m.dim, col[x])
-                      for x in compress(range(n), col)]
+                      for x in compress(range(len(col)), col)]
                 for kj in range(a.dim):
-                    rhs = [0] * n
+                    rhs = [0] * len(col)
                     for i, j, x in nz:
                         for c, y in l_rows[kj][j]:
                             rhs[i + c] += x * y
@@ -594,12 +590,15 @@ class InducedCalculus:
         self.verdicts.append(passed("kappa-d-diagram", anchors.D_NABLA_SQUARED))
 
     def _build_calculus(self) -> None:
-        """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention."""
+        """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention; κ̄'s
+        rows exist for one degree at a time, for its rank or null space."""
         c = self.connection
         uni = c.calculus.universal
-        self.kappa0_injective = rank(self.kappa[0]) == uni.algebra.dim
+        self.kappa0_injective = rank(_cols_to_mat(
+            self._columns[0], self._heights[0])) == uni.algebra.dim
         self.calculus = GradedCalculus(uni, [quotient(uni.bar_dim(0), [])] + [
-            quotient(uni.bar_dim(r), null_space(self.kappa[r], uni.bar_dim(r)))
+            quotient(uni.bar_dim(r), null_space(_cols_to_mat(
+                self._columns[r], self._heights[r]), uni.bar_dim(r)))
             for r in range(1, uni.D + 1)])
         self.verdicts.append(Verdict(
             "omega0-is-algebra", anchors.OMEGA0_IS_A, "pass", None,
@@ -616,9 +615,14 @@ class InducedCalculus:
         self.verdicts.append(passed("d-nabla-squared-zero",
                                     anchors.D_NABLA_SQUARED))
 
+    @cached_property
+    def below(self) -> tuple[CalculusMorphism | None, tuple[int, Vec] | None]:
+        """Ω_∇ ⪯ Ω as ``preceq`` decides it, once; ρ is κ̂ when it exists."""
+        return preceq(self.calculus, self.connection.calculus)
+
     def compare(self) -> Verdict:
         """Is Ω_∇ ⪯ Ω (and/or conversely) in the lattice of calculi?"""
-        rho_fwd, wit_fwd = preceq(self.calculus, self.connection.calculus)
+        rho_fwd, wit_fwd = self.below
         rho_bwd, wit_bwd = preceq(self.connection.calculus, self.calculus)
         detail = {
             "induced_dims": self.calculus.dims(),
@@ -726,7 +730,7 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
     else:
         verdicts.append(passed("sigma-all-degrees", anchors.SIGMA_FULL_IFF))
     # existence is equivalent to (Ω_∇, d_∇) ⪯ (Ω, d)
-    rho, _ = preceq(induced.calculus, cal)
+    rho = induced.below[0]
     agree = (rho is not None) == (not witnesses)
     verdicts.append(Verdict("sigma-iff-preceq", anchors.SIGMA_FULL_IFF,
                             "pass" if agree else "fail",

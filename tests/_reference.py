@@ -23,20 +23,22 @@ per-triple route of κ₁'s bimodule linearity (``kappa1``).
 Then the ``linalg`` kernels the sparse ones replaced: the product that
 builds one column of b at a time, the span builder that keeps echelon
 rows in a list and walks all of them to reduce a vector, and the quotient
-read off a second row reduction of its sub.  Last, the ideal saturation
+read off a second row reduction of its sub.  Then the ideal saturation
 that also tries every product by de_j, each a dense
-``UniversalCalculus.product``.
+``UniversalCalculus.product``.  Last, ⪯ decided by eliminating I₁ afresh
+and ρ built by ``factor_through``.
 """
 
 import bisect
 from collections import deque
 from dataclasses import dataclass, field
 
+from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
-                              _div, _eliminate, _exact, _sparse, _to_mat,
-                              mat_mul, mat_vec, row_reduce, vec_add, zero_mat,
-                              zeros)
+                              _cols_to_mat, _div, _eliminate, _exact, _sparse,
+                              _to_mat, factor_through, identity_mat, mat_mul,
+                              mat_vec, row_reduce, vec_add, zero_mat, zeros)
 
 
 def dense(op):
@@ -68,6 +70,14 @@ def kappa_raw(induced, r, bar):
     return acc
 
 
+def kappa_matrices(induced):
+    """κ̄ per degree as a dense matrix on bar coordinates, read off its
+    columns."""
+    width = induced.connection.module.dim
+    return [_cols_to_mat(cols, induced.omega_m.dim(r) * width)
+            for r, cols in enumerate(induced._columns)]
+
+
 def project_op(induced, r, op):
     """The operator, a dense matrix, projected to Ω(M)_r by the dense
     projection matrix, flattened row by row as κ̄'s columns are."""
@@ -78,6 +88,7 @@ def project_op(induced, r, op):
 
 def kappa_multiplicative(induced):
     """κ(u·e_k) = κ(u)∘κ(e_k), projected to Ω(M), on bar basis pairs."""
+    kappa = kappa_matrices(induced)
     uni = induced.connection.calculus.universal
     a = induced.connection.module.algebra
     for r in range(uni.D + 1):
@@ -88,7 +99,7 @@ def kappa_multiplicative(induced):
             u[ki] = 1
             for kj in range(a.dim):
                 moved = mat_vec(rmul[kj], u)
-                lhs = mat_vec(induced.kappa[r], moved)
+                lhs = mat_vec(kappa[r], moved)
                 comp = induced._raw[r][ki].compose(induced._raw[0][kj])
                 if lhs != project_op(induced, r, dense(comp)):
                     return {"degree": r, "basis": [ki, kj]}
@@ -97,6 +108,7 @@ def kappa_multiplicative(induced):
 
 def kappa_d_diagram(induced):
     """κ∘d_u = ∇̂∘κ after projection to Ω(M), on bar basis elements."""
+    kappa = kappa_matrices(induced)
     c = induced.connection
     uni = c.calculus.universal
     for r in range(uni.D):
@@ -104,7 +116,7 @@ def kappa_d_diagram(induced):
         for k in range(uni.bar_dim(r)):
             bar = zeros(uni.bar_dim(r))
             bar[k] = 1
-            lhs = mat_vec(induced.kappa[r + 1], mat_vec(dm, bar))
+            lhs = mat_vec(kappa[r + 1], mat_vec(dm, bar))
             rhs = project_op(induced, r + 1,
                              dense(nabla_hat(c, induced._raw[r][k])))
             if lhs != rhs:
@@ -115,6 +127,7 @@ def kappa_d_diagram(induced):
 def sigma_u_multiplicative(induced):
     """σ_u(ω₁ω₂⊗ξ) = σ_u(ω₁⊗σ_u(ω₂⊗ξ)) modulo J, for ω₂ = e_k (indices
     0..n−1) and ω₂ = de_j (indices n, n+1, … over the unit complement)."""
+    kappa = kappa_matrices(induced)
     uni = induced.connection.calculus.universal
     a = uni.algebra
     second = []
@@ -130,7 +143,7 @@ def sigma_u_multiplicative(induced):
             for kj, (s, v, vop) in enumerate(second):
                 if r + s > uni.D:
                     continue
-                lhs = mat_vec(induced.kappa[r + s], uni.product(r, u, s, v))
+                lhs = mat_vec(kappa[r + s], uni.product(r, u, s, v))
                 rhs = project_op(induced, r + s,
                                  dense(induced._raw[r][ki].compose(vop)))
                 if lhs != rhs:
@@ -141,6 +154,7 @@ def sigma_u_multiplicative(induced):
 def sigma_u_derivation(induced):
     """∇σ_u(ω⊗ξ) = σ_u(d_uω⊗ξ) + (−1)^r σ_u(ω⊗∇ξ) modulo J, on bar basis
     elements, with ∇∘κ(ω) and κ(ω)∘∇ composed apart."""
+    kappa = kappa_matrices(induced)
     c = induced.connection
     uni = c.calculus.universal
     for r in range(uni.D):
@@ -151,7 +165,7 @@ def sigma_u_derivation(induced):
             bar[k] = 1
             op = induced._raw[r][k]
             lhs = mat_mul(c.nabla_ext_matrix(r), dense(op))
-            first = mat_vec(induced.kappa[r + 1], mat_vec(dm, bar))
+            first = mat_vec(kappa[r + 1], mat_vec(dm, bar))
             second = mat_mul(ext_matrix(op, 1), c.nabla)
             rest = [[x - sign * y for x, y in zip(rx, ry)]
                     for rx, ry in zip(lhs, second)]
@@ -712,3 +726,27 @@ def saturate_ideal(uni, generators):
             if spans[s].add(w):
                 queue.append((s, w))
     return spans
+
+
+# -- the partial order ⪯ ----------------------------------------------------
+
+def preceq(c1, c2):
+    """(ρ, None) or (None, (degree, witness)) as ``calculus.preceq``: I₂ ⊆ I₁
+    decided against a fresh elimination of I₁'s basis, the witness the first
+    basis vector of I₂ outside it, and ρ_r the h with h·P₂ = P₁ that
+    ``factor_through`` solves for."""
+    for r in range(1, c1.D + 1):
+        i1 = SpanBuilder(c1.universal.bar_dim(r))
+        for b in c1.ideal[r]:
+            i1.add(b)
+        for b in c2.ideal[r]:
+            if not i1.contains(b):
+                return None, (r, b)
+    maps = [identity_mat(c1.algebra.dim)]
+    for r in range(1, c1.D + 1):
+        h, _ = factor_through(c2.quotients[r].projection,
+                              c1.quotients[r].projection,
+                              c1.universal.bar_dim(r))
+        assert h is not None, "ideal inclusion should guarantee factoring"
+        maps.append(h)
+    return CalculusMorphism(c2, c1, maps), None

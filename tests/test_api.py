@@ -1,6 +1,7 @@
 """The public names of the bimodconn package, the function names the
-benchmark profiles, the functions nothing in the program calls, and the
-reference routes the program no longer takes."""
+benchmark profiles, the functions nothing in the program calls, the
+reference routes the program no longer takes, and the stages that reuse
+what an earlier one built."""
 
 import ast
 from pathlib import Path
@@ -101,6 +102,32 @@ def test_no_reference_route_is_named_in_the_package():
                 if name in ("kappa_raw", "concat_tu"):
                     named.add(f"{path.name}:{node.lineno}:{name}")
     assert named == set()
+
+
+def _function(module: str, qualname: str) -> ast.FunctionDef:
+    """The definition of a function or method of a package module."""
+    node = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for part in qualname.split("."):
+        node = next(child for child in ast.iter_child_nodes(node)
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                    and child.name == part)
+    return node
+
+
+def test_preceq_and_omega_m_eliminate_nothing_again():
+    # I₁ is the kernel of Ω₁'s projection, which decides I₂ ⊆ I₁ on I₂'s
+    # basis, and ρ = P₁·lift₂ is read off Ω₂'s free columns, so preceq
+    # builds no span, solver or row reduction (the elimination and
+    # factor_through route is tests/_reference.py's); and Ω(M) takes J's
+    # quotients from j_ideal rather than eliminating J a second time
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(_function("calculus", "preceq"))}
+    assert named & {"SpanBuilder", "factor_through", "LinSolver",
+                    "row_reduce", "null_space", "rank"} == set()
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(_function("curvature", "OmegaM.__init__"))
+              if isinstance(node, ast.Call)}
+    assert "quotient" not in called
 
 
 # the sparse operator route: each function below works on sparse columns

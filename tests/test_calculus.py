@@ -1,7 +1,10 @@
 """Universal and quotient differential calculi and the partial order."""
 
+import dataclasses
+import itertools
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,14 @@ from hypothesis import strategies as st
 import _reference
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref)
-from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
-                     universal, upper_triangular)
+from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
+                     model, regular_connection, universal, upper_triangular)
 from bimodconn import cli
 from bimodconn.algebra import Algebra
-from bimodconn.calculus import (UniversalCalculus, preceq, quotient_calculus,
-                                saturate_ideal, universal_graded)
+from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
+                                quotient_calculus, saturate_ideal,
+                                universal_graded)
+from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, frac,
                               identity_mat, is_zero_vec, mat_mul, mat_vec,
                               row_reduce, vec_add, zeros)
@@ -263,6 +268,60 @@ def test_preceq_transitive_on_chain():
     rho1, _ = preceq(quo, universal("a2_flat"))
     rho2, _ = preceq(quo, quo)
     assert rho1 is not None and rho2 is not None
+
+
+# ⪯ decided by P₁ on I₂'s basis with ρ = P₁·lift₂, against the reference
+# that eliminates I₁ afresh and solves h·P₂ = P₁ with factor_through
+
+@cache
+def _order_calculi(name):
+    """(the model's calculus, the universal calculus, Ω_∇) of a shipped
+    model, or of ∇ = d + Γ· on T₂ at D=3 ("t2") or T₃ at D=2 ("t3"), whose
+    calculus is the universal one."""
+    if name in NAMES:
+        return model(name).calculus, universal(name), induced(name).calculus
+    n, truncation = {"t2": (2, 3), "t3": (3, 2)}[name]
+    conn = regular_connection(upper_triangular(n), truncation, 0)
+    omega_m = OmegaM(conn, j_ideal(conn, OmegaHat(conn)))
+    return (conn.calculus, universal_graded(conn.calculus.algebra, truncation),
+            InducedCalculus(conn, omega_m).calculus)
+
+
+def _assert_preceq_matches_reference(c1, c2):
+    rho, wit = preceq(c1, c2)
+    ref_rho, ref_wit = _reference.preceq(c1, c2)
+    assert wit == ref_wit
+    assert (rho is None) == (ref_rho is None)
+    if rho is not None:
+        assert rho.source is c2 and rho.target is c1
+        assert rho.maps == ref_rho.maps
+        # ρ_r·P₂ = P₁, the factoring that ideal inclusion guarantees
+        for r, h in enumerate(rho.maps):
+            assert mat_mul(h, c2.quotients[r].projection) == \
+                c1.quotients[r].projection, r
+
+
+@pytest.mark.parametrize("name", NAMES + ("t2", "t3"))
+def test_preceq_matches_the_reference_on_every_ordered_pair(name):
+    for c1, c2 in itertools.product(_order_calculi(name), repeat=2):
+        _assert_preceq_matches_reference(c1, c2)
+
+
+def test_a_wrong_projection_column_fails_the_preceq_reference():
+    # inclusion is read off P₁'s sparse columns, which the reference does
+    # not read: one wrong entry there keeps P₁ from killing I₂ ⊆ I₁
+    cal = model("a2_quotient").calculus
+    _assert_preceq_matches_reference(cal, cal)
+    q = cal.quotients[1]
+    x = next(i for i, c in enumerate(cal.ideal[1][0]) if c)
+    col = dict(q.proj_cols[x])
+    col[0] = col.get(0, 0) + 1
+    cols = q.proj_cols[:x] + [sorted(col.items())] + q.proj_cols[x + 1:]
+    bad = GradedCalculus(cal.universal, [
+        dataclasses.replace(q, proj_cols=cols) if r == 1 else cal.quotients[r]
+        for r in range(cal.D + 1)])
+    with pytest.raises(AssertionError):
+        _assert_preceq_matches_reference(bad, cal)
 
 
 def test_from_emb_matches_dense_solve():

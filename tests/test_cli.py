@@ -1,6 +1,8 @@
 """Model-file parsing, pipeline dispatch, report shape, and exit codes."""
 
+import importlib
 import json
+import pkgutil
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from _shared import MODELS, NAMES, universal
+import bimodconn
 from bimodconn import cli
+from bimodconn.calculus import preceq
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
 from bimodconn.model import (MAX_EMB_DIM, ModelError, parse_model,
@@ -427,8 +431,34 @@ def test_no_float_bool_or_integral_fraction_after_all(monkeypatch, name):
     (p,) = pipelines
     assert cal._d_mats and cal.universal._tail_times and cal.quotients
     assert conn.nabla and conn.forms.quotient_space(1).projection
-    assert p.induced_calculus.kappa and p.sigma_full.verdicts
+    assert p.induced_calculus._columns and p.sigma_full.verdicts
     assert (p.sigma.sigma is not None) == (name in ("a2_flat", "a2_quotient"))
     odd = _odd_numbers([model, pipelines, report.records])
     assert [x for x, in_verdict in odd if not in_verdict] == []
     assert {type(x) for x, _ in odd} <= {Fraction}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_all_decides_each_order_once_per_pipeline(monkeypatch, name):
+    # Ω_∇ ⪯ Ω is decided once (InducedCalculus.below, which sigma_full,
+    # compare and κ̂ for the tensor routes read) and Ω ⪯ Ω_∇ once, in
+    # compare.  Every module that binds preceq is patched by name, through
+    # importlib: the package re-exports the function ``curvature`` under its
+    # module's name, so ``bimodconn.curvature`` is not that module.
+    calls = []
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return preceq(c1, c2)
+
+    for info in pkgutil.iter_modules(bimodconn.__path__):
+        module = importlib.import_module(f"bimodconn.{info.name}")
+        if getattr(module, "preceq", None) is preceq:
+            monkeypatch.setattr(module, "preceq", counting)
+    model = parse_model(str(MODELS / f"{name}.model"))
+    cli.run("all", model)
+    cal = model.calculus
+    assert len(model.connections) == 1
+    assert len(calls) == 2
+    (c1, c2), (d1, d2) = calls
+    assert c2 is cal and d1 is cal and c1 is d2 is not cal
