@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import anchors
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, frac, identity_mat,
-                     is_zero_vec, mat_mul, mat_vec, QuotientSpace,
-                     zero_mat, zeros)
+from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _to_cols, _to_mat,
+                     frac, identity_mat, is_zero_vec, mat_mul, mat_vec,
+                     QuotientSpace, zero_mat, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -233,8 +233,8 @@ class BalancedTensor:
     """X ⊗_A Y: the plain tensor product modulo balancing relations.
 
     Keeps the quotient, so plain (representative) coordinates project to
-    classes deterministically, and maps on the plain tensor induce maps on
-    classes by ``QuotientSpace.induced``.
+    classes deterministically, and maps on the plain tensor, by columns,
+    induce maps on classes by ``QuotientSpace.induced``.
     """
 
     left_factor: object   # Bimodule or RightModule
@@ -269,24 +269,14 @@ class BalancedTensor:
     def project_pure(self, x: Vec, y: Vec) -> Vec:
         return self.project(self.pure(x, y))
 
-    def _plain_right_matrix(self, f: Vec) -> Mat:
-        ry = self.right_factor.right_matrix(f)
-        return _kron_right(self.left_factor.dim, ry)
-
     def induced_right_matrix(self, f: Vec) -> Mat:
-        return self.quotient.induced(self._plain_right_matrix(f), self.quotient)
-
-
-def _kron_right(xdim: int, ry: Mat) -> Mat:
-    ydim = len(ry)
-    out = zero_mat(xdim * ydim, xdim * ydim)
-    for j in range(ydim):
-        for l in range(ydim):
-            c = ry[j][l]
-            if c:
-                for i in range(xdim):
-                    out[i * ydim + j][i * ydim + l] = c
-    return out
+        """·f on classes, from the plain map x_i⊗y_j ↦ x_i⊗(y_j·f) by
+        columns."""
+        ry = _to_cols(self.right_factor.right_matrix(f), self.right_factor.dim)
+        ydim = self.right_factor.dim
+        plain = [[(i * ydim + l, c) for l, c in ry[j]]
+                 for i in range(self.left_factor.dim) for j in range(ydim)]
+        return _to_mat(self.quotient.induced(plain, self.quotient), self.dim)
 
 
 def balancing_relations(x, y: Bimodule) -> list[Vec]:

@@ -29,18 +29,8 @@ from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _combine,
-                     _exact, identity_mat, mat_vec, quotient, QuotientSpace,
-                     zero_mat, zeros)
-
-
-def _dense(maps: list[Cols], f: Vec, n_rows: int) -> Mat:
-    """Σ f_k·(map k) over f's nonzeros, as a dense matrix."""
-    m = zero_mat(n_rows, len(maps[0]))
-    for k in itertools.compress(range(len(f)), f):
-        for x, col in enumerate(maps[k]):
-            for row, c in col:
-                m[row][x] += f[k] * c
-    return m
+                     _exact, _to_mat, identity_mat, mat_vec, quotient,
+                     QuotientSpace, zeros)
 
 
 class UniversalCalculus:
@@ -60,7 +50,6 @@ class UniversalCalculus:
                        for r in range(self.D + 1)]
         self._tail_times: dict[tuple[int, int],
                                list[list[tuple[int, int, Fraction | int]]]] = {}
-        self._rmul_cache: dict[tuple[int, tuple[int | Fraction, ...]], Mat] = {}
         # per degree r: the sparse columns of L_{e_i} and R_{e_i} on Ω^r
         # (per basis index i), and of d: Ω^r → Ω^{r+1} below the truncation
         self._left_cols: list[list[Cols]] = []
@@ -199,6 +188,10 @@ class UniversalCalculus:
         return _combine(self._d_cols[r], v, self.bar_dim(r + 1))
 
     # The column tables themselves, shared: no caller may change them.
+    def left_cols(self, r: int, k: int) -> Cols:
+        """L_{e_k} on Ω^r: column x holds the nonzeros of e_k·(bar basis x)."""
+        return self._left_cols[r][k]
+
     def right_cols(self, r: int, k: int) -> Cols:
         """R_{e_k} on Ω^r: column x holds the nonzeros of (bar basis x)·e_k."""
         return self._right_cols[r][k]
@@ -206,25 +199,6 @@ class UniversalCalculus:
     def d_cols(self, r: int) -> Cols:
         """d: Ω^r → Ω^{r+1}: column x holds the nonzeros of d(bar basis x)."""
         return self._d_cols[r]
-
-    # Dense views of the column tables, for maps on quotient coordinates.
-    def d_bar_matrix(self, r: int) -> Mat:
-        return _dense([self._d_cols[r]], [1], self.bar_dim(r + 1))
-
-    def left_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
-        """u ↦ f·u in degree r: Σ f_k·L_{e_k} over f's nonzeros."""
-        return _dense(self._left_cols[r], f, self.bar_dim(r))
-
-    def right_mult_bar_matrix(self, r: int, f: Vec) -> Mat:
-        """u ↦ u·f in degree r: Σ f_k·R_{e_k} over f's nonzeros, computed
-        once per (r, f); the matrix is shared, so no caller may change it
-        in place."""
-        key = (r, tuple(f))
-        m = self._rmul_cache.get(key)
-        if m is None:
-            m = self._rmul_cache[key] = _dense(self._right_cols[r], f,
-                                               self.bar_dim(r))
-        return m
 
     # -- intake of tensor-power coordinates -------------------------------
     # Model files give ideal generators in A^{⊗(r+1)} (flat index, first
@@ -347,8 +321,9 @@ class GradedCalculus:
     def d_matrix(self, r: int) -> Mat:
         """d: Ω^r → Ω^{r+1} in quotient coordinates."""
         if r not in self._d_mats:
-            self._d_mats[r] = self.quotients[r].induced(
-                self.universal.d_bar_matrix(r), self.quotients[r + 1])
+            self._d_mats[r] = _to_mat(self.quotients[r].induced(
+                self.universal.d_cols(r), self.quotients[r + 1]),
+                self.dim(r + 1))
         return self._d_mats[r]
 
     def d_apply(self, r: int, q: Vec) -> Vec:
@@ -363,14 +338,12 @@ class GradedCalculus:
     def degree_bimodule(self, r: int) -> Bimodule:
         """Ω^r as an A-bimodule in quotient coordinates."""
         if r not in self._bimods:
-            a = self.algebra
             q = self.quotients[r]
             uni = self.universal
-            left = [q.induced(uni.left_mult_bar_matrix(r, a.basis_vec(i)), q)
-                    for i in range(a.dim)]
-            right = [q.induced(uni.right_mult_bar_matrix(r, a.basis_vec(i)), q)
-                     for i in range(a.dim)]
-            self._bimods[r] = Bimodule.from_actions(a, left, right)
+            left, right = [[_to_mat(q.induced(cols(r, i), q), q.dim)
+                            for i in range(self.algebra.dim)]
+                           for cols in (uni.left_cols, uni.right_cols)]
+            self._bimods[r] = Bimodule.from_actions(self.algebra, left, right)
         return self._bimods[r]
 
     def d_of_algebra(self, f: Vec) -> Vec:
@@ -454,7 +427,8 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus) \
     """(Ω₁,d₁) ⪯ (Ω₂,d₂): the canonical projection ρ: Ω₂ → Ω₁ exists iff the
     defining ideal of Ω₂ is contained degree-wise in that of Ω₁, the kernel
     of Ω₁'s projection P₁.  Then ρ_r = P₁·lift₂, P₁'s columns at Ω₂'s free
-    columns: P₂·lift₂ = I and ker P₂ ⊆ ker P₁ give ρ_r·P₂ = P₁.
+    columns, densified as a map on classes: P₂·lift₂ = I and ker P₂ ⊆ ker P₁
+    give ρ_r·P₂ = P₁.
 
     Returns (ρ, None) on success, (None, (degree, witness)) otherwise, the
     witness the first basis vector of I₂ \\ I₁ by degree, in bar
@@ -468,6 +442,7 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus) \
             if any(c1.quotients[r].project(b)):
                 return None, (r, b)
     maps = [identity_mat(c1.algebra.dim)] + [
-        c2.quotients[r].columns(c1.quotients[r].projection)
+        _to_mat([c1.quotients[r].proj_cols[fc] for fc in c2.quotients[r].free],
+                c1.dim(r))
         for r in range(1, c1.D + 1)]
     return CalculusMorphism(c2, c1, maps), None

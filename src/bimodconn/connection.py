@@ -8,12 +8,16 @@ are stored by their restriction to M (a right-A-linear map M → M⊗_AΩ^r)
 and extended on demand; this is faithful because M generates M⊗_AΩ as a
 right Ω-module.
 
-Operators, their extensions and ∇'s extensions are kept by sparse columns
-(``linalg.Cols``: per basis vector, its nonzero (row, coeff) pairs), because
-they are almost all zeros: a composition, a sum or ∇̂ combines the columns
-of one factor at the nonzeros of the other (``_commutator``), so its cost
-is the number of nonzeros met, not the size of the matrices.  Only the
-small maps stay dense: ∇ itself, the actions and what a report prints.
+Every map on M⊗_AΩ is stored by sparse columns (``linalg.Cols``: per basis
+vector, its nonzero (row, coeff) pairs), because these maps are almost all
+zeros: operators, their extensions, ∇'s extensions, the curvature and the
+actions and right multiplications of ``Forms``.  A composition, a sum, ∇̂
+or a Leibniz identity combines the columns of one factor at the nonzeros
+of the other (``linalg._compose``, ``_commutator``, ``leibniz_failure``),
+so its cost is the number of nonzeros met, not the size of the matrices.
+Dense matrices remain only for inputs, printed maps and dense solvers: ∇
+itself, the module's actions, κ₁ and σ, and the projection that
+``factor_through`` takes in ``sigma_exists``.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
 from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, Vec,
                      _col_sum, _col_vec, _cols_to_mat, _combination,
-                     _combine, _sparse, _to_cols, _to_mat, factor_through,
-                     identity_mat, mat_mul, mat_vec, rank, vec_add)
+                     _combine, _compose, _sparse, _to_cols, _to_mat,
+                     factor_through, identity_mat, mat_vec, rank, vec_add)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -50,7 +54,6 @@ class Connection:
         # ∇'s extensions by sparse columns, by (degree, kind)
         self._ext_cols: dict[tuple[int, str], Cols] = {
             (0, "ext"): _to_cols(self.nabla, self.module.dim)}
-        self._ext_mats: dict[int, Mat] = {}
         # ∇̂Φ columns by DegreeRHom.key of Φ
         self.nabla_hats: dict[tuple, Cols] = {}
 
@@ -76,23 +79,14 @@ class Connection:
                 plain[fc] for fc in self.forms.quotient_space(r).free]
         return self._ext_cols[key]
 
-    def nabla_ext_matrix(self, r: int) -> Mat:
-        """``nabla_ext_cols(r)`` as a dense matrix, for the maps on classes
-        built from ∇ (products with actions and quotient maps)."""
-        if r not in self._ext_mats:
-            self._ext_mats[r] = _to_mat(self.nabla_ext_cols(r),
-                                        self.forms.dim(r + 1))
-        return self._ext_mats[r]
-
     def curvature_cols(self, r: int) -> Cols:
         """∇∘∇: T_r → T_{r+2} by sparse columns, computed once per degree:
         column j combines ∇'s columns in degree r+1 at the nonzeros of its
         column j in degree r."""
         key = (r, "curvature")
         if key not in self._ext_cols:
-            outer = self.nabla_ext_cols(r + 1)
-            self._ext_cols[key] = [_col_sum([(outer[k], x) for k, x in col])
-                                   for col in self.nabla_ext_cols(r)]
+            self._ext_cols[key] = _compose(self.nabla_ext_cols(r + 1),
+                                           self.nabla_ext_cols(r))
         return self._ext_cols[key]
 
 
@@ -101,31 +95,31 @@ def leibniz_failure(c: Connection, r: int, s: int, omegas: list[Vec],
                     proj: QuotientSpace | None = None) \
         -> tuple[int, int] | None:
     """The graded right Leibniz rule ∇(q·ω) = (∇q)·ω + (−1)^r q·dω for q in
-    T_r and each ω of Ω^s in ``omegas``, decided as the matrix identity
+    T_r and each ω of Ω^s in ``omegas``, decided as the identity of maps
 
         N_{r+s}·R(r, s, ω) − R(r+1, s, ω)·N_r − (−1)^r R(r, s+1, dω) = 0,
 
-    N the extension of ∇ and R ``Forms.right_mult_matrix``, on the columns
-    ``cols`` of T_r and after projecting by ``proj`` when given.  Returns
-    the first failing (k, i), column cols[k] and ω = omegas[i], by k and
-    then i; None when the rule holds.
+    N ∇'s extension and R ``Forms.right_mult_cols``, on the columns ``cols``
+    of T_r and after projecting by ``proj`` when given.  The column of the
+    left side is one ``_col_sum``: N_{r+s}'s columns at the nonzeros of
+    R's column, R(r+1, s, ω)'s columns at the nonzeros of N_r's column and
+    R(r, s+1, dω)'s column.  Returns the first failing (k, i), column
+    cols[k] and ω = omegas[i], by k and then i; None when the rule holds.
     """
     f = c.forms
     sign = 1 if r % 2 == 0 else -1
-    n_r, n_rs = c.nabla_ext_matrix(r), c.nabla_ext_matrix(r + s)
-    diffs = []
-    for w in omegas:
-        d_w = c.calculus.d_apply(s, w)
-        diff = [[x - y - sign * z for x, y, z in zip(rx, ry, rz)]
-                for rx, ry, rz in zip(
-                    mat_mul(n_rs, f.right_mult_matrix(r, s, w)),
-                    mat_mul(f.right_mult_matrix(r + 1, s, w), n_r),
-                    f.right_mult_matrix(r, s + 1, d_w))]
-        diffs.append(mat_mul(proj.projection, diff)
-                     if proj is not None and proj.sub else diff)
+    n_r, n_rs = c.nabla_ext_cols(r), c.nabla_ext_cols(r + s)
+    maps = [(f.right_mult_cols(r, s, w), f.right_mult_cols(r + 1, s, w),
+             f.right_mult_cols(r, s + 1, c.calculus.d_apply(s, w)))
+            for w in omegas]
     for k, col in enumerate(cols):
-        for i, diff in enumerate(diffs):
-            if any(row[col] for row in diff):
+        for i, (rm, rm_next, rm_dw) in enumerate(maps):
+            diff = _col_sum([(n_rs[row], x) for row, x in rm[col]]
+                            + [(rm_next[row], -x) for row, x in n_r[col]]
+                            + [(rm_dw[col], -sign)])
+            if proj is not None:
+                diff = _compose(proj.proj_cols, [diff])[0]
+            if diff:
                 return k, i
     return None
 
@@ -196,9 +190,7 @@ class DegreeRHom:
         cache = self.forms.op_cache
         key = ("compose", self.key, other.key)
         if key not in cache:
-            ext = self.ext_cols(other.degree)
-            cache[key] = [_col_sum([(ext[k], c) for k, c in col])
-                          for col in other.cols]
+            cache[key] = _compose(self.ext_cols(other.degree), other.cols)
         return DegreeRHom(self.forms, degree, cache[key])
 
     def add(self, other: "DegreeRHom") -> "DegreeRHom":
@@ -390,22 +382,19 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
             return k
     k.verdicts.append(passed("kappa1-diagram", anchors.DIAGRAM_COMMUTES))
     # bimodule linearity: κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples (f, g, α);
-    # f·α·g for every α at once is the matrix fl·gr, read by columns, and
-    # κ₁ is linear, so the left side is the combination of the flattened
-    # κ₁(α') at the nonzeros α' of f·α·g
-    basis = identity_mat(a.dim)
+    # f·α·g for every α at once is L_{e_f}∘R_{e_g} by columns, and κ₁ is
+    # linear, so the left side is the combination of the flattened κ₁(α')
+    # at the nonzeros α' of f·α·g
     alpha_ops = [k.op(e) for e in identity_mat(uni.bar_dim(1))]
     alpha_flat = [op.flat() for op in alpha_ops]
     width = c.forms.dim(1) * c.module.dim
     # κ₁(α)∘ĝ per g and α, shared by every f
     alpha_g = [[op.compose(g_hat) for op in alpha_ops] for g_hat in hats]
-    for f, fv in enumerate(basis):
-        fl = uni.left_mult_bar_matrix(1, fv)
-        for g, gv in enumerate(basis):
-            moved = mat_mul(fl, uni.right_mult_bar_matrix(1, gv))
-            for bi, col in enumerate(zip(*moved)):
-                lhs = _combination(alpha_flat, list(_sparse(col).items()),
-                                   width)
+    for f in range(a.dim):
+        for g in range(a.dim):
+            moved = _compose(uni.left_cols(1, f), uni.right_cols(1, g))
+            for bi, col in enumerate(moved):
+                lhs = _combination(alpha_flat, col, width)
                 if lhs != hats[f].compose(alpha_g[g][bi]).flat():
                     k.verdicts.append(failed("kappa1-bimodule-linear",
                                              anchors.DIAGRAM_COMMUTES,
@@ -446,8 +435,8 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     if k1 is None:
         k1 = kappa1(c)
     cal = c.calculus
-    h, wit = factor_through(cal.quotients[1].projection, k1.matrix,
-                            cal.universal.bar_dim(1))
+    h, wit = factor_through(_to_mat(cal.quotients[1].proj_cols, cal.dim(1)),
+                            k1.matrix, cal.universal.bar_dim(1))
     res = SigmaResult(h is not None, None, None)
     if h is None:
         res.witness_bar = wit

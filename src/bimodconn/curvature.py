@@ -18,10 +18,10 @@ from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
-from .linalg import (Cols, Mat, SpanBuilder, Vec, _col_vec, _cols_to_mat,
-                     _combination, _combine, _sparse, _to_mat, identity_mat,
-                     mat_mul, mat_vec, null_space, quotient, QuotientSpace,
-                     rank, zeros)
+from .linalg import (Cols, SpanBuilder, Vec, _col_vec, _cols_to_mat,
+                     _combination, _combine, _compose, _sparse, _to_cols,
+                     identity_mat, mat_mul, null_space, quotient,
+                     QuotientSpace, rank, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -273,8 +273,9 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                 builders[p + 2].add(base)
                 for s in range(1, D - p - 2 + 1):
                     for w in identity_mat(cal.dim(s)):
-                        builders[p + 2 + s].add(
-                            mat_vec(f.right_mult_matrix(p + 2, s, w), base))
+                        builders[p + 2 + s].add(_combine(
+                            f.right_mult_cols(p + 2, s, w), base,
+                            f.dim(p + 2 + s)))
     j = JIdeal([b.basis for b in builders], [b.quotient() for b in builders])
     if j.spans[0] or j.spans[1]:
         j.verdicts.append(failed("j-degrees-0-1-vanish", anchors.J_DEGREES_01,
@@ -294,8 +295,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                                           "basis": k}))
                 return j
             for i in range(a.dim):
-                if not builders[r].contains(
-                        mat_vec(f.left_action_matrix(r, i), v)):
+                if not builders[r].contains(f.act_left(r, a.basis_vec(i), v)):
                     j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
                                              {"op": "left", "degree": r,
                                               "basis": k, "algebra_basis": i}))
@@ -338,14 +338,15 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
 
 
 class OmegaM:
-    """Ω(M) = (M⊗_AΩ)/J with the factored actions, ∇ and left-linear curvature."""
+    """Ω(M) = (M⊗_AΩ)/J with the factored ∇ and the checks that ∇, the
+    actions and the curvature descend to it, on maps by columns."""
 
     def __init__(self, c: Connection, j: JIdeal):
         self.connection = c
         self.j = j
         self.quotients = j.quotients
         self.verdicts: list[Verdict] = []
-        self._nabla: dict[int, Mat] = {}
+        self._nabla: dict[int, Cols] = {}
         self._check()
 
     def dim(self, r: int) -> int:
@@ -357,46 +358,36 @@ class OmegaM:
     def project(self, r: int, t_class: Vec) -> Vec:
         return self.quotients[r].project(t_class)
 
-    def nabla_matrix(self, r: int) -> Mat:
+    def nabla_cols(self, r: int) -> Cols:
         """Factored ∇: Ω(M)_r → Ω(M)_{r+1}."""
         if r not in self._nabla:
             self._nabla[r] = self.quotients[r].induced(
-                self.connection.nabla_ext_matrix(r), self.quotients[r + 1])
+                self.connection.nabla_ext_cols(r), self.quotients[r + 1])
         return self._nabla[r]
-
-    def left_matrix(self, r: int, f_vec: Vec) -> Mat:
-        c = self.connection
-        if r == 0:
-            return c.module.left_matrix(f_vec)
-        q = self.quotients[r]
-        return q.induced(c.forms.left_matrix(r, f_vec), q)
-
-    def curvature_matrix(self) -> Mat:
-        c = self.connection
-        return mat_mul(self.quotients[2].projection,
-                       _to_mat(c.curvature_cols(0), c.forms.dim(2)))
 
     def _check(self) -> None:
         c = self.connection
         f = c.forms
         a = c.module.algebra
-        # ∇ descends (J is ∇-stable; re-check at the matrix level)
+        # ∇ descends (J is ∇-stable; re-check on J's basis)
         for r in range(2, f.D):
-            nx = c.nabla_ext_matrix(r)
+            nx = c.nabla_ext_cols(r)
             for k, v in enumerate(self.j.spans[r]):
-                if any(self.project(r + 1, mat_vec(nx, v))):
+                if any(self.project(r + 1, _combine(nx, v, f.dim(r + 1)))):
                     self.verdicts.append(failed("omega-m-nabla-descends",
                                                 anchors.UNIQUE_FACTORIZATIONS,
                                                 {"degree": r, "basis": k}))
                     return
         self.verdicts.append(passed("omega-m-nabla-descends",
                                     anchors.UNIQUE_FACTORIZATIONS))
-        # curvature is left A-linear on Ω(M)
-        rbar = self.curvature_matrix()
+        # curvature is left A-linear on Ω(M): R̄∘f = f∘R̄ for R̄ = P∘∇² on M
+        q2 = self.quotients[2]
+        rbar = _compose(q2.proj_cols, c.curvature_cols(0))
         for fi in range(a.dim):
             fv = a.basis_vec(fi)
-            lhs = mat_mul(rbar, c.module.left_matrix(fv))
-            rhs = mat_mul(self.left_matrix(2, fv), rbar)
+            lhs = _compose(rbar, _to_cols(c.module.left_matrix(fv),
+                                          c.module.dim))
+            rhs = _compose(q2.induced(f.left_action_cols(2, fv), q2), rbar)
             if lhs != rhs:
                 self.verdicts.append(failed("curvature-left-linear-on-omega-m",
                                             anchors.J_GENERATORS,
@@ -406,17 +397,17 @@ class OmegaM:
                                     anchors.J_GENERATORS))
         # quotient coherence: p∘∇ = ∇̄∘p on every T_r basis element
         for r in range(f.D):
-            nx = c.nabla_ext_matrix(r)
             pm = self.quotients[r]
-            for k in range(f.dim(r)):
-                t = zeros(f.dim(r))
-                t[k] = 1
-                if mat_vec(self.nabla_matrix(r), pm.project(t)) != \
-                        self.project(r + 1, mat_vec(nx, t)):
-                    self.verdicts.append(failed("omega-m-projection-coherent",
-                                                anchors.CANONICAL_PROJECTION,
-                                                {"degree": r, "basis": k}))
-                    return
+            lhs = _compose(self.nabla_cols(r), pm.proj_cols)
+            rhs = _compose(self.quotients[r + 1].proj_cols,
+                           c.nabla_ext_cols(r))
+            k = next((k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y),
+                     None)
+            if k is not None:
+                self.verdicts.append(failed("omega-m-projection-coherent",
+                                            anchors.CANONICAL_PROJECTION,
+                                            {"degree": r, "basis": k}))
+                return
         self.verdicts.append(passed("omega-m-projection-coherent",
                                     anchors.CANONICAL_PROJECTION))
         # right Leibniz of the factored ∇: ∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df, on the
@@ -432,19 +423,19 @@ class OmegaM:
                 return
         self.verdicts.append(passed("omega-m-right-leibniz",
                                     anchors.UNIQUE_FACTORIZATIONS))
-        # factored curvature stays a right Ω-homomorphism
+        # factored curvature stays a right Ω-homomorphism: on Ω(M),
+        # ∇²(m·ω) = ∇²(m)·ω for basis vectors m of M and ω of Ω^s
+        r2 = c.curvature_cols(0)
         for s in range(1, f.D - 1):
             curv = c.curvature_cols(s)
+            proj = self.quotients[s + 2].proj_cols
+            sides = [
+                (_compose(proj, _compose(curv, f.right_mult_cols(0, s, w))),
+                 _compose(proj, _compose(f.right_mult_cols(2, s, w), r2)))
+                for w in identity_mat(c.calculus.dim(s))]
             for mi in range(c.module.dim):
-                mv = c.module.basis_vec(mi)
-                base = _col_vec(c.curvature_cols(0)[mi], f.dim(2))
-                for wi, w in enumerate(identity_mat(c.calculus.dim(s))):
-                    lhs = self.project(s + 2, _combine(
-                        curv, mat_vec(f.right_mult_matrix(0, s, w), mv),
-                        f.dim(s + 2)))
-                    rhs = self.project(s + 2, mat_vec(
-                        f.right_mult_matrix(2, s, w), base))
-                    if lhs != rhs:
+                for wi, (lhs, rhs) in enumerate(sides):
+                    if lhs[mi] != rhs[mi]:
                         self.verdicts.append(failed(
                             "curvature-right-omega-on-omega-m",
                             anchors.RIGHT_OMEGA_HOM,

@@ -6,18 +6,22 @@ degree r); for a quotient calculus it is that space modulo the image of
 M ⊗ I^r.  Right multiplication by a tail is index concatenation, which is
 what keeps desk-scale computations fast and exact.
 
+Every map on these spaces is stored by sparse columns (``linalg.Cols``),
+and dense only where a caller needs a dense matrix: the actions of
+``as_bimodule``, which a ``Bimodule`` holds dense.
+
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
 the projection's sparse columns (see ``linalg.QuotientSpace``) at the
-concatenated indices of Φ(m)'s representative.  Both the map and its
-extension are kept by sparse columns (``linalg.Cols``).
+concatenated indices of Φ(m)'s representative.  The left action of f in A
+on T_r is the extension of m ↦ f·m (``left_action_cols``).
 
-``right_mult_matrix(r, s, ω)`` is the one right multiplication on classes:
-the matrix T_r → T_{r+s} of q ↦ q·ω for an Ω^s class ω.  Its column k is
-the product of class k's representative (a basis tensor) by a
-representative of ω, as the terms of ``_product_terms``, each read as the
-projection's sparse column at its index; it is computed once per
-(r, s, ω).  The right A-action is its s = 0 case.
+``right_mult_cols(r, s, ω)`` is the one right multiplication on classes:
+q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω.  Its column k is the product
+of class k's representative (a basis tensor) by a representative of ω, as
+the terms of ``_product_terms``, each read as the projection's sparse
+column at its index.  The right A-action is its s = 0 case.  Both are
+computed once per argument.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 
-from .algebra import Bimodule, act, action_matrix, right_module_generators
+from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
-from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _col_sum,
-                     _to_cols, _to_mat, QuotientSpace, zero_mat, zeros)
+from .linalg import (Cols, DimensionError, SpanBuilder, Vec, _col_sum,
+                     _combine, _to_cols, _to_mat, QuotientSpace, zeros)
 
 
 class Forms:
@@ -53,11 +57,12 @@ class Forms:
                        for act in module.right_action]
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
-        self._left_mats: dict[tuple[int, int], Mat] = {}
-        self._right_mats: dict[tuple, Mat] = {}
+        # the actions on T_r by columns, by (r, f) and by (r, s, ω)
+        self._left_cols: dict[tuple, Cols] = {}
+        self._right_cols: dict[tuple, Cols] = {}
         # right-Ω operator extensions and compositions on these spaces, by
         # operator content (see connection.DegreeRHom)
-        self.op_cache: dict[tuple, Mat] = {}
+        self.op_cache: dict[tuple, Cols] = {}
 
     # -- spaces -----------------------------------------------------------
     def n_tails(self, r: int) -> int:
@@ -181,56 +186,47 @@ class Forms:
         return out
 
     # -- actions on quotient coordinates ----------------------------------
-    def left_action_matrix(self, r: int, i: int) -> Mat:
-        """Left action of basis element e_i on T_r (quotient coordinates):
-        the extension of m ↦ e_i·m, which commutes with the right action."""
-        key = (r, i)
-        if key not in self._left_mats:
-            self._left_mats[key] = _to_mat(self.extension_columns(
-                0, _to_cols(self.module.left_action[i], self.module.dim), r,
-                self._quotients[r].free), self.dim(r))
-        return self._left_mats[key]
+    # The columns are shared: no caller may change them.
+    def left_action_cols(self, r: int, f: Vec) -> Cols:
+        """Left action q ↦ f·q of f in A on T_r, by columns: the extension
+        of m ↦ f·m, which commutes with the right action."""
+        key = (r, tuple(f))
+        if key not in self._left_cols:
+            self._left_cols[key] = self.extension_columns(
+                0, _to_cols(self.module.left_matrix(f), self.module.dim), r,
+                self._quotients[r].free)
+        return self._left_cols[key]
 
-    def right_mult_matrix(self, r: int, s: int, omega: Vec) -> Mat:
-        """Right multiplication q ↦ q·ω by an Ω^s class ω, as the class
-        matrix T_r → T_{r+s}: column k sums the projection's sparse columns
-        at the ``_product_terms`` of class k's representative, the basis
-        tensor at free[k], by a representative of ω.  Computed once per
-        (r, s, ω); the matrix is shared, so no caller may change it in
-        place."""
+    def right_mult_cols(self, r: int, s: int, omega: Vec) -> Cols:
+        """Right multiplication q ↦ q·ω by an Ω^s class ω, T_r → T_{r+s}, by
+        columns: column k sums the projection's sparse columns at the
+        ``_product_terms`` of class k's representative, the basis tensor at
+        free[k], by a representative of ω."""
         if r + s > self.D:
             raise DimensionError("product degree past the truncation")
         key = (r, s, tuple(omega))
-        if key not in self._right_mats:
+        if key not in self._right_cols:
             omega_bar = self.calculus.quotients[s].lift(omega)
             proj = self._quotients[r + s].proj_cols
-            free = self._quotients[r].free
-            out = zero_mat(self.dim(r + s), len(free))
-            for k, fc in enumerate(free):
-                for at, x in self._product_terms(r, fc, s, omega_bar):
-                    for row, p in proj[at]:
-                        out[row][k] += x * p
-            self._right_mats[key] = out
-        return self._right_mats[key]
-
-    def _left_actions(self, r: int) -> list[Mat]:
-        return [self.left_action_matrix(r, i) for i in range(self.algebra.dim)]
-
-    def _right_actions(self, r: int) -> list[Mat]:
-        return [self.right_mult_matrix(r, 0, self.algebra.basis_vec(i))
-                for i in range(self.algebra.dim)]
-
-    def left_matrix(self, r: int, f: Vec) -> Mat:
-        """Left action of f = Σ fᵢ·e_i on T_r."""
-        return action_matrix(self._left_actions(r), f)
+            self._right_cols[key] = [
+                _col_sum([(proj[at], x) for at, x in
+                          self._product_terms(r, fc, s, omega_bar)])
+                for fc in self._quotients[r].free]
+        return self._right_cols[key]
 
     def act_left(self, r: int, f: Vec, q: Vec) -> Vec:
-        return act(self._left_actions(r), f, q)
+        """f·q for f in A and a class q of T_r."""
+        return _combine(self.left_action_cols(r, f), q, self.dim(r))
 
     def act_right(self, r: int, q: Vec, f: Vec) -> Vec:
-        return act(self._right_actions(r), f, q)
+        """q·f for a class q of T_r and f in A."""
+        return _combine(self.right_mult_cols(r, 0, f), q, self.dim(r))
 
     def as_bimodule(self, r: int) -> Bimodule:
-        """T_r as an A-bimodule (left action on M, right action on Ω)."""
-        return Bimodule.from_actions(self.algebra, self._left_actions(r),
-                                     self._right_actions(r))
+        """T_r as an A-bimodule (left action on M, right action on Ω), its
+        actions densified for ``Bimodule``."""
+        basis = [self.algebra.basis_vec(i) for i in range(self.algebra.dim)]
+        n = self.dim(r)
+        left = [_to_mat(self.left_action_cols(r, f), n) for f in basis]
+        right = [_to_mat(self.right_mult_cols(r, 0, f), n) for f in basis]
+        return Bimodule.from_actions(self.algebra, left, right)

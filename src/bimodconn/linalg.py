@@ -5,26 +5,28 @@ An entry is an ``int`` when its value is integral and a
 model) runs in plain int arithmetic.  Parsed values, quotients and the
 results of elimination are normalized so; a sum or product with a
 non-integral operand may still hold an integral value as a Fraction, which
-compares and hashes equal to the int.  At every public boundary
-vectors are dense lists of entries and matrices are lists of rows.  Inside
-elimination (``row_reduce``, ``SpanBuilder``) rows are sparse,
-``dict[column, entry]`` holding only the nonzero entries, because almost
-every entry the package eliminates on is zero; ``SpanBuilder`` keeps its
-rows reduced and keyed by pivot, so reducing a vector touches only the rows
-at the pivots in its support.  A map that is applied far more often than it
-is built, or that is almost all zeros, is kept by sparse columns (``Cols``:
-per column, its nonzero (row, entry) pairs sorted by row), applied by
-``_combine`` at the nonzeros of a dense argument, and combined with other
-columns by ``_col_sum``: the structure maps of the universal calculus; the
-projection of every :class:`QuotientSpace`, whose column i is the class of
-the unit vector e_i; and on M⊗_AΩ, every right-Ω operator, each of its
-extensions, ∇'s extensions and the curvature (see ``connection``).
-``_to_cols`` and ``_to_mat`` convert between the two forms for the small
-dense maps.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
-``_combine``) find the nonzeros of a dense row with ``itertools.compress``,
-at C speed, and do Python-level work only on those.  Everything is computed
-exactly: the one division, :func:`_div`, returns an int or a Fraction, never
-a float, so every equality test in the rest of the package is decidable.
+compares and hashes equal to the int.
+
+Every linear map the package stores is stored by columns (``Cols``: per
+column, its nonzero (row, entry) pairs sorted by row), and dense only for
+inputs, printed maps and dense solvers.  That covers the structure maps of
+the universal calculus, the projection of every :class:`QuotientSpace`
+(column i is the class of the unit vector e_i), and every map on M⊗_AΩ
+(see ``forms`` and ``connection``).  Such a map is applied by ``_combine``
+at the nonzeros of a dense vector, composed by ``_compose`` and summed by
+``_col_sum``, so its cost is the number of nonzeros met.  Dense matrices
+(lists of rows) remain for the model's actions and ∇, for the small maps on
+classes that a report prints, and for ``row_reduce``, ``null_space``,
+``rank`` and ``factor_through``; ``_to_cols`` and ``_to_mat`` convert
+between the two forms.  Inside elimination (``row_reduce``,
+``SpanBuilder``) rows are sparse, ``dict[column, entry]``; ``SpanBuilder``
+keeps its rows reduced and keyed by pivot, so reducing a vector touches only
+the rows at the pivots in its support.  The kernels (``mat_vec``,
+``mat_mul``, ``_sparse``, ``_combine``) find the nonzeros of a dense row
+with ``itertools.compress``, at C speed, and do Python-level work only on
+those.  Everything is computed exactly: the one division, :func:`_div`,
+returns an int or a Fraction, never a float, so every equality test in the
+rest of the package is decidable.
 """
 
 from __future__ import annotations
@@ -164,6 +166,12 @@ def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
     return sorted([(row, x) for row, x in acc.items() if x])
 
 
+def _compose(a: Cols, b: Cols) -> Cols:
+    """a∘b by columns (b applied first): column i combines a's columns at
+    the nonzeros of b's column i."""
+    return [_col_sum([(a[k], c) for k, c in col]) for col in b]
+
+
 def _col_vec(col: Col, n_rows: int) -> Vec:
     """A sparse column as a dense vector of length n_rows."""
     out = [0] * n_rows
@@ -275,21 +283,19 @@ def rank(matrix: Mat) -> int:
 class QuotientSpace:
     """total / span(sub), with a deterministic projection and lift.
 
-    ``projection`` is a (dim x total) matrix and ``proj_cols`` the same map
-    by sparse columns: column i is the class of e_i, which is [(k, 1)] for
-    i = free[k] and holds the few nonzeros of −row at the pivot i of a
-    reduced row of sub.  ``project`` combines those columns at v's
-    nonzeros, and a caller that needs the class of one unit vector reads
-    its column.  ``sub`` is the independent basis the quotient was taken
-    by, and ``free`` the columns of total (the pivot complement of sub)
-    whose unit vectors represent the quotient basis: lift(e_k) =
+    ``proj_cols`` is the projection by sparse columns: column i is the class
+    of e_i, which is [(k, 1)] for i = free[k] and holds the few nonzeros of
+    −row at the pivot i of a reduced row of sub.  ``project`` combines those
+    columns at v's nonzeros, and a caller that needs the class of one unit
+    vector reads its column.  ``sub`` is the independent basis the quotient
+    was taken by, and ``free`` the columns of total (the pivot complement of
+    sub) whose unit vectors represent the quotient basis: lift(e_k) =
     e_{free[k]}.  So a map m on total, composed with ``lift``, is m's
     columns at ``free``, and the map it induces on classes is read off
     those columns (``columns``, ``induced``).
     """
 
     sub: list[Vec]
-    projection: Mat
     free: list[int]
     proj_cols: Cols
 
@@ -298,14 +304,14 @@ class QuotientSpace:
         return len(self.free)
 
     def columns(self, m: Mat) -> Mat:
-        """m·lift: the columns of m at ``free``."""
+        """m·lift: the columns of the dense matrix m at ``free``."""
         return [[row[fc] for fc in self.free] for row in m]
 
-    def induced(self, m: Mat, target: "QuotientSpace") -> Mat:
-        """target.projection·m·lift: the map of classes that m, from this
-        total space to target's, induces."""
-        cols = self.columns(m)
-        return mat_mul(target.projection, cols) if target.sub else cols
+    def induced(self, m: Cols, target: "QuotientSpace") -> Cols:
+        """The map of classes that m, from this total space to target's and
+        given by columns, induces: m's columns at ``free``, each projected
+        through ``target.proj_cols``."""
+        return _compose(target.proj_cols, [m[fc] for fc in self.free])
 
     def project(self, v: Vec) -> Vec:
         if len(v) != len(self.sub) + self.dim:
@@ -480,8 +486,4 @@ class SpanBuilder:
             # every entry but the pivot is in a free column
             cols[pc] = sorted((pos[j], -_exact(x))
                               for j, x in row.items() if j != pc)
-        proj = zero_mat(len(free), self.ambient_dim)
-        for c, col in enumerate(cols):
-            for k, x in col:
-                proj[k][c] = x
-        return QuotientSpace(self.basis[:], proj, free, cols)
+        return QuotientSpace(self.basis[:], free, cols)

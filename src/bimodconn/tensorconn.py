@@ -22,8 +22,9 @@ from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec,
-                     _cols_to_mat, _sparse, factor_through, is_zero_vec,
-                     mat_mul, mat_vec, null_space, rank, vec_add, zeros)
+                     _cols_to_mat, _sparse, _to_mat, factor_through,
+                     is_zero_vec, mat_mul, mat_vec, null_space, rank, vec_add,
+                     zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -180,8 +181,11 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     Both N⊗Ω^r and N⊗Ω_∇^r are quotients of the same free coordinate space
     N ⊗ (degree-r tails); since κ̂ is the canonical factoring of the two
     ideal quotients, ν̂ is lift-then-reproject between them: the target's
-    projection read at the source's ``free`` columns.  The source is
-    ``rc.forms``; only the target N⊗Ω_∇ is built here.
+    projection columns at the source's ``free`` columns.  ν̂ is kept dense,
+    because ``rank`` and ``factor_through`` take it, and the right
+    multiplications and ∇'s extensions it is multiplied with are densified
+    where they meet it.  The source is ``rc.forms``; only the target N⊗Ω_∇
+    is built here.
     """
     if kappa_hat is None:
         nu = NuHat(False)
@@ -194,8 +198,9 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     tgt = Forms(rc.module, kappa_hat.target)
     nu = NuHat(True, src, tgt)
     for r in range(src.D + 1):
-        nu.maps.append(src.quotient_space(r).columns(
-            tgt.quotient_space(r).projection))
+        proj = tgt.quotient_space(r).proj_cols
+        nu.maps.append(_to_mat([proj[fc] for fc in src.quotient_space(r).free],
+                               tgt.dim(r)))
     # well defined: the source relations are killed in the target
     for r in range(src.D + 1):
         for v in src.quotient_space(r).sub:
@@ -213,11 +218,15 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     tails = [(j, src.calculus.d_of_algebra(a.basis_vec(j)),
               tgt.calculus.d_of_algebra(a.basis_vec(j)))
              for j in uni.complement]
+
+    def right(f: Forms, r: int, s: int, w: Vec) -> Mat:
+        return _to_mat(f.right_mult_cols(r, s, w), f.dim(r + s))
+
     for r in range(src.D + 1):
         for fi in range(a.dim):
             e_i = a.basis_vec(fi)
-            lhs = mat_mul(nu.maps[r], src.right_mult_matrix(r, 0, e_i))
-            rhs = mat_mul(tgt.right_mult_matrix(r, 0, e_i), nu.maps[r])
+            lhs = mat_mul(nu.maps[r], right(src, r, 0, e_i))
+            rhs = mat_mul(right(tgt, r, 0, e_i), nu.maps[r])
             if lhs != rhs:
                 nu.verdicts.append(failed("nu-hat-right-linear",
                                           anchors.NU_HAT,
@@ -226,8 +235,8 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         if r + 1 > src.D:
             continue
         for j, de_src, de_tgt in tails:
-            lhs = mat_mul(tgt.right_mult_matrix(r, 1, de_tgt), nu.maps[r])
-            rhs = mat_mul(nu.maps[r + 1], src.right_mult_matrix(r, 1, de_src))
+            lhs = mat_mul(right(tgt, r, 1, de_tgt), nu.maps[r])
+            rhs = mat_mul(nu.maps[r + 1], right(src, r, 1, de_src))
             for col in range(src.dim(r)):
                 if any(x[col] != y[col] for x, y in zip(lhs, rhs)):
                     nu.verdicts.append(failed(
@@ -443,10 +452,12 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
         return res
     src, tgt = nu.source, nu.target
     res = AssociatedResult(True)
+    # ν̂∘∇′ per degree, ∇′'s extension densified to meet ν̂
+    pushed = [mat_mul(nu.maps[r + 1], _to_mat(rc.nabla_ext_cols(r),
+                                              src.dim(r + 1)))
+              for r in range(src.D)]
     for r in range(src.D):
-        h, wit = factor_through(
-            nu.maps[r], mat_mul(nu.maps[r + 1], rc.nabla_ext_matrix(r)),
-            src.dim(r))
+        h, wit = factor_through(nu.maps[r], pushed[r], src.dim(r))
         if h is None:
             res.exists = False
             res.connection = None
@@ -461,9 +472,7 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked entrywise
     for r in range(src.D):
-        lhs = mat_mul(nu.maps[r + 1], rc.nabla_ext_matrix(r))
-        rhs = mat_mul(res.ext_matrices[r], nu.maps[r])
-        if lhs != rhs:
+        if pushed[r] != mat_mul(res.ext_matrices[r], nu.maps[r]):
             res.verdicts.append(failed("associated-square", anchors.ASSOCIATED,
                                        {"degree": r}))
             return res

@@ -5,19 +5,19 @@ case holds.
 The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 ``sigma_full``): each pair builds the raw operators it needs, composes them
 and projects the result to Ω(M) by the dense projection matrix
-(``project_op``), and ``sigma_full``'s identities are decided on their own,
-not read off ``InducedCalculus``; κ(1·de_j) is the sum of raw operators
-(``kappa_raw``), not ∇̂ê_j.  Beside them, the dense operator route that
-right-Ω operators took before they were kept by sparse columns
-(``DenseRHom``, ``DenseRoute``, with ``omega_hat`` and ``raw_ops`` replaying
-``OmegaHat`` and κ's raw operators on it), and the extension of a map on M
-that lifts Φ(m), concatenates the tail and projects densely
-(``extension_columns``).  Below them, the whole-span checks of Ω̂, J and
-the ∇-extension (``OmegaHat``, ``j_ideal`` and ``extend_connection``).
-Next, the per-pair route of the three right Leibniz checks
-(``check_right_leibniz``, ``extend_connection``'s graded rule and
-``OmegaM``'s), which multiply classes through representatives
-(``mult_class``) rather than ``Forms.right_mult_matrix``.  Then the
+(``project_op``, the projection's columns densified), and ``sigma_full``'s
+identities are decided on their own, not read off ``InducedCalculus``;
+κ(1·de_j) is the sum of raw operators (``kappa_raw``), not ∇̂ê_j.  Beside
+them, the dense operator route that right-Ω operators took before they were
+kept by sparse columns (``DenseRHom``, ``DenseRoute``, with ``omega_hat``
+and ``raw_ops`` replaying ``OmegaHat`` and κ's raw operators on it), and
+the extension of a map on M that lifts Φ(m), concatenates the tail and
+projects densely (``extension_columns``).  Below them, the whole-span
+checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal`` and
+``extend_connection``).  Next, the per-pair route of the three right
+Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
+rule and ``OmegaM``'s), which multiply classes through representatives
+(``mult_class``) rather than ``Forms.right_mult_cols``.  Then the
 per-triple route of κ₁'s bimodule linearity (``kappa1``).
 
 Then the ``linalg`` kernels the sparse ones replaced: the product that
@@ -51,9 +51,20 @@ def ext_matrix(op, s):
     return _to_mat(op.ext_cols(s), op.forms.dim(op.degree + s))
 
 
+def projection(q):
+    """A quotient's projection as a dense matrix, read off its columns."""
+    return _to_mat(q.proj_cols, q.dim)
+
+
+def nabla_ext(c, r):
+    """∇'s extension T_r → T_{r+1} as a dense matrix, read off its
+    columns."""
+    return _to_mat(c.nabla_ext_cols(r), c.forms.dim(r + 1))
+
+
 def curvature_matrix(c, r):
     """∇∘∇: T_r → T_{r+2} as a product of ∇'s two dense extensions."""
-    return mat_mul(c.nabla_ext_matrix(r + 1), c.nabla_ext_matrix(r))
+    return mat_mul(nabla_ext(c, r + 1), nabla_ext(c, r))
 
 
 def kappa_raw(induced, r, bar):
@@ -82,7 +93,7 @@ def project_op(induced, r, op):
     """The operator, a dense matrix, projected to Ω(M)_r by the dense
     projection matrix, flattened row by row as κ̄'s columns are."""
     q = induced.omega_m.quotients[r]
-    m = mat_mul(q.projection, op) if q.sub else op
+    m = mat_mul(projection(q), op) if q.sub else op
     return [x for row in m for x in row]
 
 
@@ -92,7 +103,7 @@ def kappa_multiplicative(induced):
     uni = induced.connection.calculus.universal
     a = induced.connection.module.algebra
     for r in range(uni.D + 1):
-        rmul = [uni.right_mult_bar_matrix(r, a.basis_vec(kj))
+        rmul = [_to_mat(uni.right_cols(r, kj), uni.bar_dim(r))
                 for kj in range(a.dim)]
         for ki in range(uni.bar_dim(r)):
             u = zeros(uni.bar_dim(r))
@@ -112,7 +123,7 @@ def kappa_d_diagram(induced):
     c = induced.connection
     uni = c.calculus.universal
     for r in range(uni.D):
-        dm = uni.d_bar_matrix(r)
+        dm = _to_mat(uni.d_cols(r), uni.bar_dim(r + 1))
         for k in range(uni.bar_dim(r)):
             bar = zeros(uni.bar_dim(r))
             bar[k] = 1
@@ -159,12 +170,12 @@ def sigma_u_derivation(induced):
     uni = c.calculus.universal
     for r in range(uni.D):
         sign = 1 if r % 2 == 0 else -1
-        dm = uni.d_bar_matrix(r)
+        dm = _to_mat(uni.d_cols(r), uni.bar_dim(r + 1))
         for k in range(uni.bar_dim(r)):
             bar = zeros(uni.bar_dim(r))
             bar[k] = 1
             op = induced._raw[r][k]
-            lhs = mat_mul(c.nabla_ext_matrix(r), dense(op))
+            lhs = mat_mul(nabla_ext(c, r), dense(op))
             first = mat_vec(kappa[r + 1], mat_vec(dm, bar))
             second = mat_mul(ext_matrix(op, 1), c.nabla)
             rest = [[x - sign * y for x, y in zip(rx, ry)]
@@ -355,7 +366,7 @@ def extension_columns(f, r, phi, s, indices):
     for flat in indices:
         m_i, bidx = divmod(flat, f.n_tails(s))
         tu = concat_tu(f, r, imgs[m_i], tails[bidx])
-        cols.append(mat_vec(q.projection, tu) if q.sub else tu)
+        cols.append(mat_vec(projection(q), tu) if q.sub else tu)
     return [[col[k] for col in cols] for k in range(q.dim)]
 
 
@@ -426,9 +437,9 @@ def leibniz_holds(c, r, qi, s, wi):
     q[qi] = 1
     w = zeros(cal.dim(s))
     w[wi] = 1
-    lhs = mat_vec(c.nabla_ext_matrix(r + s), mult_class(f, r, q, s, w))
+    lhs = mat_vec(nabla_ext(c, r + s), mult_class(f, r, q, s, w))
     rhs = [x + sign * y for x, y in zip(
-        mult_class(f, r + 1, mat_vec(c.nabla_ext_matrix(r), q), s, w),
+        mult_class(f, r + 1, mat_vec(nabla_ext(c, r), q), s, w),
         mult_class(f, r, q, s + 1, cal.d_apply(s, w)))]
     return lhs == rhs
 
@@ -491,11 +502,12 @@ def j_closure(c, ops):
     for r in range(2, D + 1):
         for k, v in enumerate(builders[r].basis):
             if r + 1 <= D and not builders[r + 1].contains(
-                    mat_vec(c.nabla_ext_matrix(r), v)):
+                    mat_vec(nabla_ext(c, r), v)):
                 return {"op": "nabla", "degree": r, "basis": k}
             for i in range(c.module.algebra.dim):
+                left = f.left_action_cols(r, c.module.algebra.basis_vec(i))
                 if not builders[r].contains(
-                        mat_vec(f.left_action_matrix(r, i), v)):
+                        mat_vec(_to_mat(left, f.dim(r)), v)):
                     return {"op": "left", "degree": r, "basis": k,
                             "algebra_basis": i}
             for p in range(1, D - r + 1):
@@ -564,7 +576,7 @@ def omega_m_right_leibniz(c, omega_m):
     a = c.module.algebra
     for r in range(f.D):
         sign = 1 if r % 2 == 0 else -1
-        nx = c.nabla_ext_matrix(r)
+        nx = nabla_ext(c, r)
         for k, fc in enumerate(omega_m.quotients[r].free):
             v = zeros(f.dim(r))
             v[fc] = 1
@@ -592,18 +604,21 @@ def kappa1_bimodule_linear(k):
     c = k.connection
     uni = c.calculus.universal
     a = c.module.algebra
+    n = uni.bar_dim(1)
     for f in range(a.dim):
-        fl = uni.left_mult_bar_matrix(1, a.basis_vec(f))
+        fl = _to_mat(uni.left_cols(1, f), n)
         for g in range(a.dim):
-            gr = uni.right_mult_bar_matrix(1, a.basis_vec(g))
+            gr = _to_mat(uni.right_cols(1, g), n)
             for bi in range(uni.bar_dim(1)):
                 alpha = zeros(uni.bar_dim(1))
                 alpha[bi] = 1
                 moved = mat_vec(fl, mat_vec(gr, alpha))
                 lhs = dense(k.op(moved))
-                rhs = mat_mul(c.forms.left_matrix(1, a.basis_vec(f)),
-                              mat_mul(dense(k.op(alpha)),
-                                      c.module.left_matrix(a.basis_vec(g))))
+                fm = _to_mat(c.forms.left_action_cols(1, a.basis_vec(f)),
+                             c.forms.dim(1))
+                rhs = mat_mul(fm, mat_mul(dense(k.op(alpha)),
+                                          c.module.left_matrix(
+                                              a.basis_vec(g))))
                 if lhs != rhs:
                     return {"triple": [f, g, bi]}
     return None
@@ -695,7 +710,7 @@ def quotient(total, sub):
             proj[k][pc] = -row[fc]
     cols = [[(k, row[c]) for k, row in enumerate(proj) if row[c]]
             for c in range(total)]
-    return QuotientSpace(sub, proj, free, cols)
+    return QuotientSpace(sub, free, cols)
 
 
 # -- ideal saturation -------------------------------------------------------
@@ -744,8 +759,8 @@ def preceq(c1, c2):
                 return None, (r, b)
     maps = [identity_mat(c1.algebra.dim)]
     for r in range(1, c1.D + 1):
-        h, _ = factor_through(c2.quotients[r].projection,
-                              c1.quotients[r].projection,
+        h, _ = factor_through(projection(c2.quotients[r]),
+                              projection(c1.quotients[r]),
                               c1.universal.bar_dim(r))
         assert h is not None, "ideal inclusion should guarantee factoring"
         maps.append(h)

@@ -1,6 +1,6 @@
 """The shipped model files as the tests' example library, cached
-per-process analysis pipelines over their connections, and one generated
-model beside them."""
+per-process analysis pipelines over their connections, and generated
+models beside them."""
 
 from functools import cache
 from pathlib import Path
@@ -111,3 +111,10 @@ def regular_connection(a: Algebra, truncation: int,
         for c in range(a.dim)]
     return Connection(forms, [[col[r] for col in cols]
                               for r in range(forms.dim(1))])
+
+
+def model_file(conn: Connection, name: str = "generated") -> ModelFile:
+    """An in-memory model file holding one generated connection, named
+    "nabla", and its bimodule, named "A", for ``cli.run``."""
+    return ModelFile(name, conn.module.algebra, conn.forms.D, conn.calculus,
+                     {"A": conn.module}, {"nabla": conn})

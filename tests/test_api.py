@@ -1,12 +1,14 @@
 """The public names of the bimodconn package, the function names the
 benchmark profiles, the functions nothing in the program calls, the
-reference routes the program no longer takes, and the stages that reuse
-what an earlier one built."""
+reference routes the program no longer takes, the stages that reuse
+what an earlier one built, and the maps that are stored by columns only."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import bimodconn
+from bimodconn.linalg import QuotientSpace
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bimodconn"
@@ -138,9 +140,12 @@ SPARSE_ROUTE = {
                    "DegreeRHom.apply", "DegreeRHom.flat",
                    "DegreeRHom.ext_cols", "DegreeRHom.compose",
                    "DegreeRHom.add", "DegreeRHom.scale", "DegreeRHom.is_zero",
-                   "_commutator", "nabla_hat"},
-    "curvature": {"_square_hat", "InducedCalculus._project_op"},
-    "forms": {"Forms.extension_columns"},
+                   "_commutator", "nabla_hat", "leibniz_failure"},
+    "curvature": {"_square_hat", "InducedCalculus._project_op",
+                  "OmegaM.nabla_cols"},
+    "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
+              "Forms.act_right"},
+    "linalg": {"_compose", "QuotientSpace.induced"},
 }
 DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
                  "_cols_to_mat", "nabla_ext_matrix", "left_matrix",
@@ -180,4 +185,30 @@ def test_the_operator_route_stays_sparse():
             for field in ("id", "attr", "name"):
                 if getattr(node, field, None) in DENSE_ROUTE - {"matrix"}:
                     named.add(f"{path.name}:{node.lineno}")
+    assert named == set()
+
+
+# the dense twins of maps that are stored by columns: the dense projection
+# of a quotient, ∇'s dense extensions, the dense actions and right
+# multiplications on M⊗_AΩ and the dense structure maps of the universal
+# calculus
+DENSE_TWINS = {"nabla_ext_matrix", "right_mult_matrix", "left_action_matrix",
+               "d_bar_matrix", "left_mult_bar_matrix",
+               "right_mult_bar_matrix"}
+
+
+def test_each_map_is_stored_once_by_columns():
+    # a quotient keeps its projection by sparse columns only, and no module
+    # defines or reads a dense twin of a map it holds by columns
+    assert [f.name for f in dataclasses.fields(QuotientSpace)] == \
+        ["sub", "free", "proj_cols"]
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "projection":
+                named.add(f"{path.name}:{node.lineno}:projection")
+            for field in ("id", "attr", "name"):
+                name = getattr(node, field, None)
+                if name in DENSE_TWINS:
+                    named.add(f"{path.name}:{node.lineno}:{name}")
     assert named == set()

@@ -21,9 +21,9 @@ from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
                                 quotient_calculus, saturate_ideal,
                                 universal_graded)
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
-from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, frac,
-                              identity_mat, is_zero_vec, mat_mul, mat_vec,
-                              row_reduce, vec_add, zeros)
+from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, _to_mat,
+                              frac, identity_mat, is_zero_vec, mat_mul,
+                              mat_vec, row_reduce, vec_add, zeros)
 from bimodconn.model import parse_model
 
 F = Fraction
@@ -297,8 +297,8 @@ def _assert_preceq_matches_reference(c1, c2):
         assert rho.maps == ref_rho.maps
         # ρ_r·P₂ = P₁, the factoring that ideal inclusion guarantees
         for r, h in enumerate(rho.maps):
-            assert mat_mul(h, c2.quotients[r].projection) == \
-                c1.quotients[r].projection, r
+            assert mat_mul(h, _reference.projection(c2.quotients[r])) == \
+                _reference.projection(c1.quotients[r]), r
 
 
 @pytest.mark.parametrize("name", NAMES + ("t2", "t3"))
@@ -361,9 +361,11 @@ def test_bar_native_maps_match_embedding():
         a = uni.algebra
         for r in range(uni.D + 1):
             algebra_basis = identity_mat(a.dim)
-            lefts = [uni.left_mult_bar_matrix(r, f) for f in algebra_basis]
-            rights = [uni.right_mult_bar_matrix(r, f) for f in algebra_basis]
-            dm = uni.d_bar_matrix(r) if r < uni.D else None
+            n = uni.bar_dim(r)
+            lefts = [_to_mat(uni.left_cols(r, k), n) for k in range(a.dim)]
+            rights = [_to_mat(uni.right_cols(r, k), n) for k in range(a.dim)]
+            dm = _to_mat(uni.d_cols(r), uni.bar_dim(r + 1)) \
+                if r < uni.D else None
             for k, u in enumerate(identity_mat(uni.bar_dim(r))):
                 if dm is not None:
                     assert uni.d(r, u) == d_ref(uni, r, u)
@@ -387,13 +389,17 @@ def test_bar_native_maps_match_embedding():
     ids=["a2", "m2", "T2"])
 def test_right_mult_bar_matrix_is_the_product_on_unit_columns(make):
     # built from tail_times and the structure constants, not from product;
-    # for each e_k and for a combination with a non-integral coefficient
+    # for each e_k and for a combination with a non-integral coefficient,
+    # Σ f_k·R_{e_k} read off the densified column tables
     uni = make().universal
     a = uni.algebra
     combo = [F(1, 2)] + [0] * (a.dim - 2) + [-3]
     for r in range(uni.D + 1):
+        n = uni.bar_dim(r)
+        tables = [_to_mat(uni.right_cols(r, k), n) for k in range(a.dim)]
         for f in identity_mat(a.dim) + [combo]:
-            rm = uni.right_mult_bar_matrix(r, f)
+            rm = [[sum(c * m[i][j] for c, m in zip(f, tables) if c)
+                   for j in range(n)] for i in range(n)]
             for k, u in enumerate(identity_mat(uni.bar_dim(r))):
                 assert [row[k] for row in rm] == uni.product(r, u, 0, f)
 

@@ -281,7 +281,7 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
                     full.add(f.mult_tu_by_bar(0, f.module.basis_vec(i), r, v))
             old = quotient(f.tu_dim(r), full.basis)
             new = f.quotient_space(r)
-            assert (new.projection, new.free) == (old.projection, old.free)
+            assert (new.proj_cols, new.free) == (old.proj_cols, old.free)
 
 
 @pytest.mark.parametrize("name", ["a2_twist", "m2_grass"])
@@ -430,7 +430,7 @@ def test_no_float_bool_or_integral_fraction_after_all(monkeypatch, name):
     cal, conn = model.calculus, model.connections["nabla"]
     (p,) = pipelines
     assert cal._d_mats and cal.universal._tail_times and cal.quotients
-    assert conn.nabla and conn.forms.quotient_space(1).projection
+    assert conn.nabla and conn.forms.quotient_space(1).proj_cols
     assert p.induced_calculus._columns and p.sigma_full.verdicts
     assert (p.sigma.sigma is not None) == (name in ("a2_flat", "a2_quotient"))
     odd = _odd_numbers([model, pipelines, report.records])

@@ -177,11 +177,14 @@ def test_kappa1_linearity_matches_the_per_triple_reference(name):
 def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
         name, g, entry, triple):
     # a fresh parse: the fault must not reach the shared cached models; one
-    # entry of the cached u ↦ u·e_g on Ω¹ off by one
+    # entry of the column table of u ↦ u·e_g on Ω¹ off by one, in a new
+    # column that replaces column col
     m = parse_model(str(MODELS / f"{name}.model"))
     row, col = entry
-    m.calculus.universal.right_mult_bar_matrix(
-        1, m.algebra.basis_vec(g))[row][col] += 1
+    table = m.calculus.universal.right_cols(1, g)
+    entries = dict(table[col])
+    entries[row] = entries.get(row, 0) + 1
+    table[col] = sorted((k, x) for k, x in entries.items() if x)
     k1 = kappa1(m.connections["nabla"])
     assert _linearity_witness(k1) == {"triple": triple}
     assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}

@@ -8,7 +8,8 @@ import pytest
 
 import _reference
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
-                     model, pipeline, regular_connection, upper_triangular)
+                     model, model_file, pipeline, regular_connection,
+                     upper_triangular)
 from bimodconn import cli
 from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
                                   kappa0_op)
@@ -16,7 +17,8 @@ from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
-from bimodconn.linalg import _combine, is_zero_vec, mat_mul, mat_vec, rank
+from bimodconn.linalg import (_combine, _to_mat, is_zero_vec, mat_mul,
+                              mat_vec, rank)
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -399,9 +401,7 @@ def test_generated_non_flat_model_passes_every_check_but_left_linearity():
     assert [len(oh.gen_ops(r)) for r in range(D + 1)] == [3, 2, 1, 1]
     assert [oh.dim(r) for r in range(D + 1)] == [3, 5, 9, 18]
     assert j_ideal(conn, oh).dims() == [0, 0, 1, 5]
-    rep = cli.run("all", ModelFile("t2", conn.module.algebra, D,
-                                   conn.calculus, {"A": conn.module},
-                                   {"nabla": conn}))
+    rep = cli.run("all", model_file(conn, "t2"))
     # curvature is not left-linear, as the paper predicts for a non-flat Γ
     assert {v.check_id for v in rep.records if not v.ok} == \
         {"curvature-left-linear"}
@@ -461,10 +461,12 @@ def _fails_at(check_id, conn, oh, j, w):
         op, target = _reference.ext_matrix(oh.gen_ops(p)[kp], r), r + p
     elif w["op"] == "left":
         r, k = w["degree"], w["basis"]
-        op, target = conn.forms.left_action_matrix(r, w["algebra_basis"]), r
+        fv = conn.module.algebra.basis_vec(w["algebra_basis"])
+        op = _to_mat(conn.forms.left_action_cols(r, fv), conn.forms.dim(r))
+        target = r
     else:
         r, k = w["degree"], w["basis"]
-        op, target = conn.nabla_ext_matrix(r), r + 1
+        op, target = _reference.nabla_ext(conn, r), r + 1
     return not _in_span(j.spans[target], mat_vec(op, j.spans[r][k]))
 
 
@@ -557,8 +559,9 @@ def test_a_flipped_nabla_hat_gives_the_dense_route_the_same_witnesses(
     assert not all(v.ok for v in oh.verdicts)
 
 
-# the three right Leibniz checks, each decided on right multiplication
-# matrices by ``connection.leibniz_failure``, against the per-pair reference
+# the three right Leibniz checks, each decided on the columns of ∇'s
+# extensions and of the right multiplications by
+# ``connection.leibniz_failure``, against the per-pair reference
 LEIBNIZ = {"right-leibniz": lambda conn, om: _reference.right_leibniz(conn),
            "nabla-extension-graded-leibniz":
                lambda conn, om: _reference.graded_leibniz_degree_one(conn),
@@ -581,8 +584,8 @@ def _leibniz_verdicts_match_the_reference(conn) -> dict:
 @pytest.mark.parametrize("make", [
     *[lambda n=n: model(n).connections["nabla"] for n in NAMES],
     lambda: model("a2_flat", 9).connections["nabla"],
-    _t2_connection],
-    ids=[*NAMES, "a2_flat-D9", "t2-D3"])
+    _t2_connection, GENERATED["T3-D2"], GENERATED["M2-D3"]],
+    ids=[*NAMES, "a2_flat-D9", "t2-D3", "T3-D2", "M2-D3"])
 def test_leibniz_checks_match_the_per_pair_reference(make):
     got = _leibniz_verdicts_match_the_reference(make())
     assert got.keys() == LEIBNIZ.keys()

@@ -1,4 +1,4 @@
-"""Right multiplication on M⊗_AΩ: ``Forms.right_mult_matrix`` against the
+"""Right multiplication on M⊗_AΩ: ``Forms.right_mult_cols`` against the
 product through representatives, and its algebraic laws; the g⊗ι that
 span M⊗_AI against the same product; and every extension a run computes
 against the extension through representatives."""
@@ -6,7 +6,7 @@ against the extension through representatives."""
 import pytest
 
 import _reference
-from _shared import MODELS, NAMES, model, regular_bimodule, \
+from _shared import MODELS, NAMES, model, model_file, regular_bimodule, \
     regular_connection, upper_triangular
 from bimodconn import cli
 from bimodconn.calculus import quotient_calculus, universal_graded
@@ -14,7 +14,7 @@ from bimodconn.connection import Connection
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, _cols_to_mat, _to_mat, \
     identity_mat, mat_mul, zeros
-from bimodconn.model import ModelFile, parse_model
+from bimodconn.model import parse_model
 
 
 def _forms_built_by_all(monkeypatch, name) -> list[Forms]:
@@ -33,16 +33,21 @@ def _forms_built_by_all(monkeypatch, name) -> list[Forms]:
     return built
 
 
+def _right_mult(f: Forms, r: int, s: int, w) -> list:
+    """``Forms.right_mult_cols`` densified."""
+    return _to_mat(f.right_mult_cols(r, s, w), f.dim(r + s))
+
+
 def _check_right_mult(f: Forms) -> None:
     cal = f.calculus
     a = cal.algebra
     for r in range(f.D + 1):
         # the unit acts as the identity
-        assert f.right_mult_matrix(r, 0, a.unit_vec()) == identity_mat(f.dim(r))
+        assert _right_mult(f, r, 0, a.unit_vec()) == identity_mat(f.dim(r))
         # the product through representatives, on every basis pair
         for s in range(f.D - r + 1):
             for w in identity_mat(cal.dim(s)):
-                rm = f.right_mult_matrix(r, s, w)
+                rm = _right_mult(f, r, s, w)
                 for k, q in enumerate(identity_mat(f.dim(r))):
                     assert [row[k] for row in rm] == \
                         _reference.mult_class(f, r, q, s, w)
@@ -51,10 +56,10 @@ def _check_right_mult(f: Forms) -> None:
             for t in range(f.D - r - s + 1):
                 for w1 in identity_mat(cal.dim(s)):
                     for w2 in identity_mat(cal.dim(t)):
-                        assert mat_mul(f.right_mult_matrix(r + s, t, w2),
-                                       f.right_mult_matrix(r, s, w1)) == \
-                            f.right_mult_matrix(r, s + t,
-                                                cal.product(s, w1, t, w2))
+                        assert mat_mul(_right_mult(f, r + s, t, w2),
+                                       _right_mult(f, r, s, w1)) == \
+                            _right_mult(f, r, s + t,
+                                        cal.product(s, w1, t, w2))
         # ·[de_j] is concatenation of the tail (j,) on representatives
         if r < f.D:
             for j in cal.universal.complement:
@@ -64,8 +69,8 @@ def _check_right_mult(f: Forms) -> None:
                     tu[fc] = 1
                     cols.append(f.project(
                         r + 1, _reference.concat_tu(f, r, tu, (j,))))
-                assert f.right_mult_matrix(
-                    r, 1, cal.d_of_algebra(a.basis_vec(j))) == \
+                assert _right_mult(
+                    f, r, 1, cal.d_of_algebra(a.basis_vec(j))) == \
                     _cols_to_mat(cols, f.dim(r + 1))
 
 
@@ -89,12 +94,12 @@ def test_right_mult_matrix_rejects_bad_degrees_and_lengths():
     for r, s in ((D, 1), (1, D), (D, D)):
         w = identity_mat(f.calculus.dim(s))[0]
         with pytest.raises(DimensionError):
-            f.right_mult_matrix(r, s, w)
+            f.right_mult_cols(r, s, w)
     # an ω that is not an Ω^s class
     for bad in (w1[:-1], w1 + [0], []):
         with pytest.raises(DimensionError):
-            f.right_mult_matrix(0, 1, bad)
-    assert f.right_mult_matrix(0, 1, w1)
+            f.right_mult_cols(0, 1, bad)
+    assert any(f.right_mult_cols(0, 1, w1))
 
 
 def _t2_forms_over_a_quotient() -> tuple:
@@ -126,22 +131,17 @@ def test_ideal_tensors_are_the_product(make):
             for g in f.generators for iota in cal.ideal[r]]
 
 
-def _t2_model() -> ModelFile:
-    """∇ = d + Γ· on T₂'s regular bimodule at D=3 (``regular_connection``)."""
-    conn = regular_connection(upper_triangular(2), 3, 0)
-    return ModelFile("t2", conn.module.algebra, conn.forms.D, conn.calculus,
-                     {"A": conn.module}, {"nabla": conn})
-
-
 @pytest.mark.parametrize("make", [
     *[(lambda n=n: parse_model(str(MODELS / f"{n}.model"))) for n in NAMES],
     lambda: parse_model(str(MODELS / "a2_flat.model"), truncation=9),
-    _t2_model], ids=[*NAMES, "a2_flat-D9", "t2-D3"])
+    lambda: model_file(regular_connection(upper_triangular(2), 3, 0), "t2")],
+    ids=[*NAMES, "a2_flat-D9", "t2-D3"])
 def test_every_cached_extension_matches_the_representative_route(
         monkeypatch, make):
     # after `all`, every extension held by a Forms (an operator's, in
     # op_cache, or a left action's) and by a Connection (∇'s) must be the
-    # lift → concatenate → project route of tests/_reference.py
+    # lift → concatenate → project route of tests/_reference.py; every one
+    # is held by sparse columns and compared densified
     built: dict[type, list] = {Forms: [], Connection: []}
     for cls, seen in built.items():
         def recording_init(self, *args, init=cls.__init__, seen=seen):
@@ -165,9 +165,10 @@ def test_every_cached_extension_matches_the_representative_route(
                         f, degree, _to_mat(phi, f.dim(degree)), s,
                         f.quotient_space(s).free)
                 checked += 1
-        for (r, i), mat in f._left_mats.items():
-            assert mat == _reference.extension_columns(
-                f, 0, f.module.left_action[i], r, f.quotient_space(r).free)
+        for (r, fv), cols in f._left_cols.items():
+            assert _to_mat(cols, f.dim(r)) == _reference.extension_columns(
+                f, 0, f.module.left_matrix(list(fv)), r,
+                f.quotient_space(r).free)
             checked += 1
     for c in conns:
         f = c.forms
@@ -180,6 +181,4 @@ def test_every_cached_extension_matches_the_representative_route(
                 want = f.quotient_space(r).columns(want)
             assert _to_mat(cols, f.dim(r + 1)) == want
             checked += 1
-        for r, mat in c._ext_mats.items():
-            assert mat == _to_mat(c.nabla_ext_cols(r), f.dim(r + 1))
     assert checked > 0

@@ -13,7 +13,7 @@ import _reference
 from _shared import a2
 from bimodconn import linalg
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
-                              _col_sum, _col_vec, _cols_to_mat, _to_cols,
+                              _col_vec, _cols_to_mat, _compose, _to_cols,
                               _to_mat, factor_through, frac, identity_mat,
                               mat_mul, mat_vec, null_space, quotient, rank,
                               row_reduce, vec_add, zero_mat, zeros)
@@ -277,14 +277,14 @@ def test_quotient_splits_and_kills_sub(m, data):
     for rows, subs, c in ((m, sub, cls), (_ints(m), _ints(sub), _ints(cls))):
         q = quotient(n, subs)
         assert q.dim == n - len(sub)
-        assert _typed(q.projection)
+        assert _typed(_to_mat(q.proj_cols, q.dim))
         # columns/induced read m·lift off the columns at free
         lifts = [q.lift(e) for e in identity_mat(q.dim)]
         square = mat_mul([list(col) for col in zip(*rows)], rows)
         assert q.columns(rows) == _cols_to_mat(
             [mat_vec(rows, x) for x in lifts], len(rows))
-        assert q.induced(square, q) == _cols_to_mat(
-            [q.project(mat_vec(square, x)) for x in lifts], q.dim)
+        assert _to_mat(q.induced(_to_cols(square, n), q), q.dim) == \
+            _cols_to_mat([q.project(mat_vec(square, x)) for x in lifts], q.dim)
         for s in subs:
             assert q.project(s) == zeros(q.dim)
         assert q.project(q.lift(c)) == c
@@ -292,7 +292,7 @@ def test_quotient_splits_and_kills_sub(m, data):
             # v and lift(project(v)) differ by an element of span(sub)
             diff = vec_add(v, [-x for x in q.lift(q.project(v))])
             assert _sym_rank(sub + [diff]) == len(sub)
-        results.append((q.projection, q.free))
+        results.append((q.proj_cols, q.free))
     assert results[0] == results[1]
 
 
@@ -310,9 +310,9 @@ def test_quotient_read_off_the_span_matches_the_row_reduce_reference(m, data):
             span.add(v)
         want = _reference.quotient(n, span.basis)
         for q in (span.quotient(), quotient(n, span.basis)):
-            assert (q.projection, q.free) == (want.projection, want.free)
+            assert (q.proj_cols, q.free) == (want.proj_cols, want.free)
             assert q.sub == span.basis
-            assert _typed(q.projection)
+            assert _typed(_to_mat(q.proj_cols, q.dim))
 
 
 @settings(deadline=None)
@@ -379,8 +379,8 @@ def test_mat_mul_matches_the_dense_reference(ab):
 @settings(deadline=None)
 @given(products())
 def test_sparse_columns_compose_like_mat_mul(ab):
-    # a·b by columns, as DegreeRHom.compose builds it: column j combines
-    # a's columns at the nonzeros of b's column j
+    # a·b by columns, as _compose builds it for every stored map: column j
+    # combines a's columns at the nonzeros of b's column j
     a, b = ab
     k, m = len(b), len(b[0]) if b else 0
     for x, y in ((a, b), (_ints(a), _ints(b))):
@@ -388,7 +388,7 @@ def test_sparse_columns_compose_like_mat_mul(ab):
         assert _to_mat(x_cols, len(x)) == x
         assert [_col_vec(col, len(x)) for col in x_cols] == \
             [[row[j] for row in x] for j in range(k)]
-        prod = [_col_sum([(x_cols[i], c) for i, c in col]) for col in y_cols]
+        prod = _compose(x_cols, y_cols)
         assert _to_mat(prod, len(x)) == mat_mul(x, y)
         # sorted by row, cancelled entries dropped: equal maps, equal columns
         assert all(all(c for _, c in col) and
@@ -478,12 +478,13 @@ def sub_bases(draw):
 @settings(deadline=None)
 @given(sub_bases())
 def test_project_combines_the_projection_columns(drawn):
-    # project reads the sparse columns; the dense projection is the oracle
+    # project reads the sparse columns; the projection densified from them
+    # is the oracle, and the columns are sorted by row with no zero entry
     total, sub, v = drawn
     for q in (quotient(total, sub), quotient(total, []),
               quotient(total, _ints(sub))):
-        assert q.proj_cols == [
-            [(k, row[c]) for k, row in enumerate(q.projection) if row[c]]
-            for c in range(total)]
+        dense = _to_mat(q.proj_cols, q.dim)
+        assert q.proj_cols == _to_cols(dense, total) == \
+            _reference.quotient(total, q.sub).proj_cols
         for w in (v, _ints(v)):
-            assert q.project(w) == mat_vec(q.projection, w)
+            assert q.project(w) == mat_vec(dense, w)
