@@ -30,8 +30,8 @@ from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
 from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, Vec,
-                     _col_sum, _col_vec, _cols_to_mat, _combination,
-                     _combine, _compose, _sparse, _to_cols, _to_mat,
+                     _col_sum, _col_vec, _cols_to_mat, _combine, _compose,
+                     _sparse, _to_cols, _to_mat,
                      factor_through, identity_mat, mat_vec, rank, vec_add)
 from .report import Verdict, failed, passed, rationals
 
@@ -264,6 +264,8 @@ class InducedFirstOrder:
 
     connection: Connection
     span: SpanBuilder                      # vectorized operator matrices
+    # the operators the span accepted, in the order of span.basis
+    ops: list[DegreeRHom] = field(default_factory=list)
     verdicts: list[Verdict] = field(default_factory=list)
 
     @property
@@ -274,13 +276,11 @@ class InducedFirstOrder:
         return nabla_hat(self.connection, kappa0_op(self.connection, f_vec))
 
     def op_from_coords(self, coords: Vec) -> DegreeRHom:
-        """Σ coords_k·(inserted operator k), from the flattened operators."""
-        c = self.connection
-        m = c.module.dim
-        acc = _combination(self.span.basis, list(_sparse(coords).items()),
-                           c.forms.dim(1) * m)
-        return DegreeRHom(c.forms, 1, _to_cols(
-            [acc[r:r + m] for r in range(0, len(acc), m)], m))
+        """Σ coords_k·(accepted operator k), column by column."""
+        terms = [(self.ops[k], x) for k, x in _sparse(coords).items()]
+        return DegreeRHom(self.connection.forms, 1, [
+            _col_sum([(op.cols[i], x) for op, x in terms])
+            for i in range(self.connection.module.dim)])
 
 
 def induced_first_order(c: Connection) -> InducedFirstOrder:
@@ -301,7 +301,9 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
     for f in range(a.dim):
         for g in range(a.dim):
             for h in range(a.dim):
-                span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
+                op = hats[f].compose(d_ops[g].compose(hats[h]))
+                if span.add(op.flat()):
+                    ifo.ops.append(op)
     # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ)
     for f in range(a.dim):
         for g in range(a.dim):
@@ -383,19 +385,19 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     k.verdicts.append(passed("kappa1-diagram", anchors.DIAGRAM_COMMUTES))
     # bimodule linearity: κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples (f, g, α);
     # f·α·g for every α at once is L_{e_f}∘R_{e_g} by columns, and κ₁ is
-    # linear, so the left side is the combination of the flattened κ₁(α')
-    # at the nonzeros α' of f·α·g
+    # linear, so the left side is the combination of the flattened κ₁(α'),
+    # each one sparse column, at the nonzeros α' of f·α·g
     alpha_ops = [k.op(e) for e in identity_mat(uni.bar_dim(1))]
-    alpha_flat = [op.flat() for op in alpha_ops]
-    width = c.forms.dim(1) * c.module.dim
+    alpha_flat = [list(_sparse(op.flat()).items()) for op in alpha_ops]
     # κ₁(α)∘ĝ per g and α, shared by every f
     alpha_g = [[op.compose(g_hat) for op in alpha_ops] for g_hat in hats]
     for f in range(a.dim):
         for g in range(a.dim):
             moved = _compose(uni.left_cols(1, f), uni.right_cols(1, g))
             for bi, col in enumerate(moved):
-                lhs = _combination(alpha_flat, col, width)
-                if lhs != hats[f].compose(alpha_g[g][bi]).flat():
+                lhs = _col_sum([(alpha_flat[x], y) for x, y in col])
+                rhs = hats[f].compose(alpha_g[g][bi]).flat()
+                if dict(lhs) != _sparse(rhs):
                     k.verdicts.append(failed("kappa1-bimodule-linear",
                                              anchors.DIAGRAM_COMMUTES,
                                              {"triple": [f, g, bi]}))

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 
 from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
-from .linalg import (Cols, SpanBuilder, Vec, _col_vec, _cols_to_mat,
-                     _combination, _combine, _compose, _sparse, _to_cols,
+from .linalg import (Col, Cols, Mat, SpanBuilder, Vec, _col_sum, _col_vec,
+                     _combine, _compose, _sparse, _to_cols, _to_mat,
                      identity_mat, mat_mul, null_space, quotient,
                      QuotientSpace, rank, zeros)
 from .report import Verdict, failed, passed, rationals
@@ -448,13 +447,15 @@ class OmegaM:
 class InducedCalculus:
     """Ω_∇ from the kernels of κ, with d_∇ and the comparison with Ω.
 
-    κ̄ is kept by columns: column u is the raw operator of the bar basis
-    monomial u projected to Ω(M), flattened row by row, so κ̄ of any bar
-    vector is the combination of its columns at the vector's nonzeros
+    κ̄ is kept by sparse columns (``linalg.Cols``, one per degree): column u
+    is the raw operator of the bar basis monomial u projected to Ω(M),
+    flattened row by row (entry (p, c) at row p·dim M + c), so κ̄ of any bar
+    vector is the ``_col_sum`` of its columns at the vector's nonzeros
     (``image``).  Each identity of κ is decided on those columns, which
     decide it on every element by linearity: no operator is composed,
-    extended or projected per pair.  ``d_ops`` are the ∇̂ê_j, j in the unit
-    complement, that every raw operator of degree ≥ 1 ends in.
+    extended or projected per pair.  κ̄ is densified one degree at a time,
+    only for its rank and null space.  ``d_ops`` are the ∇̂ê_j, j in the
+    unit complement, that every raw operator of degree ≥ 1 ends in.
     """
 
     def __init__(self, c: Connection, omega_m: OmegaM):
@@ -487,10 +488,9 @@ class InducedCalculus:
             prev_pos = pos
         # κ̄ = J-projected operators on bar coordinates; column u is the
         # projection of u's raw operator, flattened row by row
-        self._columns: list[list[Vec]] = [
+        self._columns: list[Cols] = [
             [self._project_op(r, op) for op in self._raw[r]]
             for r in range(D + 1)]
-        self._heights = [omega_m.dim(r) * c.module.dim for r in range(D + 1)]
         # first failing pairs, which sigma_full reports under its own ids
         self.multiplicative_failure: tuple[int, int, int] | None = None
         self.diagram_failure: tuple[int, int] | None = None
@@ -498,26 +498,20 @@ class InducedCalculus:
         self._check_diagram()
         self._build_calculus()
 
-    def _project_op(self, r: int, op: DegreeRHom) -> Vec:
+    def _project_op(self, r: int, op: DegreeRHom) -> Col:
         """The operator projected to Ω(M)_r, flattened row by row as in κ:
         each nonzero (k, x) of the operator's column c adds x times the
-        projection's sparse column k to column c."""
-        q = self.omega_m.quotients[r]
-        if not q.sub:
-            return op.flat()
+        projection's sparse column k, at the rows p·dim M + c."""
+        proj = self.omega_m.quotients[r].proj_cols
         width = self.connection.module.dim
-        out = [0] * (q.dim * width)
-        for c, col in enumerate(op.cols):
-            for k, x in col:
-                for p, pc in q.proj_cols[k]:
-                    out[p * width + c] += pc * x
-        return out
+        return _col_sum([([(p * width + c, y) for p, y in proj[k]], x)
+                         for c, col in enumerate(op.cols) for k, x in col])
 
-    def image(self, r: int, terms: list[tuple[int, int | Fraction]]) -> Vec:
+    def image(self, r: int, terms: list[tuple[int, int | Fraction]]) -> Col:
         """κ̄ of Σ c·(bar basis vector x) over the (x, c) terms, flattened as
         κ̄'s columns are; one term with c = 1 is that column itself, which
         the caller must not change."""
-        return _combination(self._columns[r], terms, self._heights[r])
+        return _col_sum([(self._columns[r][x], c) for x, c in terms])
 
     def _check_multiplicative(self) -> None:
         """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.
@@ -546,14 +540,14 @@ class InducedCalculus:
         for r in range(uni.D + 1):
             moved = [uni.right_cols(r, kj) for kj in range(a.dim)]
             for ki, col in enumerate(self._columns[r]):
-                nz = [(x - x % m.dim, x % m.dim, col[x])
-                      for x in compress(range(len(col)), col)]
+                nz = [(x - x % m.dim, x % m.dim, y) for x, y in col]
                 for kj in range(a.dim):
-                    rhs = [0] * len(col)
+                    rhs: dict[int, int | Fraction] = {}
                     for i, j, x in nz:
                         for c, y in l_rows[kj][j]:
-                            rhs[i + c] += x * y
-                    if self.image(r, moved[kj][ki]) != rhs:
+                            rhs[i + c] = rhs.get(i + c, 0) + x * y
+                    if dict(self.image(r, moved[kj][ki])) != \
+                            {i: x for i, x in rhs.items() if x}:
                         self.multiplicative_failure = (r, ki, kj)
                         self.verdicts.append(failed(
                             "kappa-multiplicative", anchors.OMEGA_HAT,
@@ -581,15 +575,18 @@ class InducedCalculus:
         self.verdicts.append(passed("kappa-d-diagram", anchors.D_NABLA_SQUARED))
 
     def _build_calculus(self) -> None:
-        """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention; κ̄'s
-        rows exist for one degree at a time, for its rank or null space."""
+        """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention; κ̄ is
+        densified one degree at a time, for its rank or null space."""
         c = self.connection
         uni = c.calculus.universal
-        self.kappa0_injective = rank(_cols_to_mat(
-            self._columns[0], self._heights[0])) == uni.algebra.dim
+
+        def rows(r: int) -> Mat:
+            return _to_mat(self._columns[r],
+                           self.omega_m.dim(r) * c.module.dim)
+
+        self.kappa0_injective = rank(rows(0)) == uni.algebra.dim
         self.calculus = GradedCalculus(uni, [quotient(uni.bar_dim(0), [])] + [
-            quotient(uni.bar_dim(r), null_space(_cols_to_mat(
-                self._columns[r], self._heights[r]), uni.bar_dim(r)))
+            quotient(uni.bar_dim(r), null_space(rows(r), uni.bar_dim(r)))
             for r in range(1, uni.D + 1)])
         self.verdicts.append(Verdict(
             "omega0-is-algebra", anchors.OMEGA0_IS_A, "pass", None,
@@ -710,7 +707,7 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
                                {"degree": r, "basis": k}))
     for r in range(1, cal.D + 1):
         for v in cal.ideal[r]:
-            if any(induced.image(r, list(_sparse(v).items()))):
+            if induced.image(r, list(_sparse(v).items())):
                 witnesses.append((r, v))
                 break
     if witnesses:

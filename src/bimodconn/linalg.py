@@ -11,14 +11,15 @@ Every linear map the package stores is stored by columns (``Cols``: per
 column, its nonzero (row, entry) pairs sorted by row), and dense only for
 inputs, printed maps and dense solvers.  That covers the structure maps of
 the universal calculus, the projection of every :class:`QuotientSpace`
-(column i is the class of the unit vector e_i), and every map on M⊗_AΩ
-(see ``forms`` and ``connection``).  Such a map is applied by ``_combine``
-at the nonzeros of a dense vector, composed by ``_compose`` and summed by
+(column i is the class of the unit vector e_i), every map on M⊗_AΩ (see
+``forms`` and ``connection``), κ̄ (``curvature.InducedCalculus``) and the
+operators that span Ω¹_∇.  Such a map is applied by ``_combine`` at the
+nonzeros of a dense vector, composed by ``_compose`` and summed by
 ``_col_sum``, so its cost is the number of nonzeros met.  Dense matrices
 (lists of rows) remain for the model's actions and ∇, for the small maps on
-classes that a report prints, and for ``row_reduce``, ``null_space``,
-``rank`` and ``factor_through``; ``_to_cols`` and ``_to_mat`` convert
-between the two forms.  Inside elimination (``row_reduce``,
+classes (κ₁, σ and those a report prints), and for ``row_reduce``,
+``null_space``, ``rank`` and ``factor_through``; ``_to_cols`` and
+``_to_mat`` convert between the two forms.  Inside elimination (``row_reduce``,
 ``SpanBuilder``) rows are sparse, ``dict[column, entry]``; ``SpanBuilder``
 keeps its rows reduced and keyed by pivot, so reducing a vector touches only
 the rows at the pivots in its support.  The kernels (``mat_vec``,
@@ -140,18 +141,6 @@ def _combine(cols: Cols, v: Vec, n_rows: int) -> Vec:
     return out
 
 
-def _combination(vecs: list[Vec], terms: list[tuple[int, int | Fraction]],
-                 n: int) -> Vec:
-    """Σ c·vecs[i] over the (i, c) terms, of length n; a single term with
-    c = 1 is vecs[i] itself, which the caller must not change."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        return vecs[terms[0][0]]
-    out = [0] * n
-    for i, c in terms:
-        out = [x + c * y for x, y in zip(out, vecs[i])]
-    return out
-
-
 def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
     """Σ c·col over the (col, c) terms, each c nonzero, as one sparse column
     sorted by row with the cancelled entries dropped; a single term with
@@ -260,7 +249,7 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
 def null_space(matrix: Mat, n_cols: int) -> list[Vec]:
     """Basis of {x : matrix @ x = 0} for a matrix with n_cols columns,
     deterministic (free columns ascending)."""
-    rows = [r for r in matrix if any(x != 0 for x in r)]
+    rows = [r for r in matrix if any(r)]
     rank, rref, pivots = row_reduce(rows) if rows else (0, [], [])
     pivot_set = set(pivots)
     basis = []

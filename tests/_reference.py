@@ -5,8 +5,10 @@ case holds.
 The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 ``sigma_full``): each pair builds the raw operators it needs, composes them
 and projects the result to Ω(M) by the dense projection matrix
-(``project_op``, the projection's columns densified), and ``sigma_full``'s
-identities are decided on their own, not read off ``InducedCalculus``;
+(``project_op``, the projection's columns densified); κ̄ itself
+(``kappa_matrices``) is each raw operator projected so, not read off
+``InducedCalculus``'s columns, and ``sigma_full``'s identities are decided
+on their own, not read off ``InducedCalculus``;
 κ(1·de_j) is the sum of raw operators (``kappa_raw``), not ∇̂ê_j.  Beside
 them, the dense operator route that right-Ω operators took before they were
 kept by sparse columns (``DenseRHom``, ``DenseRoute``, with ``omega_hat``
@@ -82,11 +84,13 @@ def kappa_raw(induced, r, bar):
 
 
 def kappa_matrices(induced):
-    """κ̄ per degree as a dense matrix on bar coordinates, read off its
-    columns."""
+    """κ̄ per degree as a dense matrix on bar coordinates: column u is u's
+    raw operator projected by the dense projection matrix (``project_op``),
+    not read off ``InducedCalculus``'s own columns."""
     width = induced.connection.module.dim
-    return [_cols_to_mat(cols, induced.omega_m.dim(r) * width)
-            for r, cols in enumerate(induced._columns)]
+    return [_cols_to_mat([project_op(induced, r, dense(op)) for op in ops],
+                         induced.omega_m.dim(r) * width)
+            for r, ops in enumerate(induced._raw)]
 
 
 def project_op(induced, r, op):

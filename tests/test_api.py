@@ -140,9 +140,12 @@ SPARSE_ROUTE = {
                    "DegreeRHom.apply", "DegreeRHom.flat",
                    "DegreeRHom.ext_cols", "DegreeRHom.compose",
                    "DegreeRHom.add", "DegreeRHom.scale", "DegreeRHom.is_zero",
-                   "_commutator", "nabla_hat", "leibniz_failure"},
+                   "_commutator", "nabla_hat", "leibniz_failure",
+                   "InducedFirstOrder.op_from_coords"},
     "curvature": {"_square_hat", "InducedCalculus._project_op",
-                  "OmegaM.nabla_cols"},
+                  "InducedCalculus.image",
+                  "InducedCalculus._check_multiplicative",
+                  "InducedCalculus._check_diagram", "OmegaM.nabla_cols"},
     "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
               "Forms.act_right"},
     "linalg": {"_compose", "QuotientSpace.induced"},
@@ -190,11 +193,12 @@ def test_the_operator_route_stays_sparse():
 
 # the dense twins of maps that are stored by columns: the dense projection
 # of a quotient, ∇'s dense extensions, the dense actions and right
-# multiplications on M⊗_AΩ and the dense structure maps of the universal
-# calculus
+# multiplications on M⊗_AΩ, the dense structure maps of the universal
+# calculus, and κ̄'s flattened dense columns with their combination and
+# their heights
 DENSE_TWINS = {"nabla_ext_matrix", "right_mult_matrix", "left_action_matrix",
                "d_bar_matrix", "left_mult_bar_matrix",
-               "right_mult_bar_matrix"}
+               "right_mult_bar_matrix", "_combination", "_heights"}
 
 
 def test_each_map_is_stored_once_by_columns():

@@ -17,8 +17,8 @@ from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
-from bimodconn.linalg import (_combine, _to_mat, is_zero_vec, mat_mul,
-                              mat_vec, rank)
+from bimodconn.linalg import (_col_vec, _combine, _to_mat, is_zero_vec,
+                              mat_mul, mat_vec, rank)
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -238,12 +238,21 @@ def test_kappa_and_sigma_u_checks_match_the_per_pair_reference(name,
     _assert_matches_the_per_pair_reference(induced(name, truncation))
 
 
+def _induced_calculus(conn: Connection) -> InducedCalculus:
+    """A fresh Ω_∇ of ``conn``, built through Ω̂, J and Ω(M)."""
+    return InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+
+
+def _t2_weighted():
+    """T₂ at D=3 with Γ = 2·e11·de11 + e12·de11: J ≠ 0, and unlike on every
+    shipped model the projections to Ω(M) hold entries other than 0 and
+    1."""
+    return _induced_calculus(
+        regular_connection(upper_triangular(2), 3, [2, 0, 1, 0, 0, 0]))
+
+
 def test_kappa_and_sigma_u_checks_match_the_per_pair_reference_on_t2():
-    # Γ = 2·e11·de11 + e12·de11: J ≠ 0, and unlike on every shipped model
-    # the projections to Ω(M) hold entries other than 0 and 1
-    conn = regular_connection(upper_triangular(2), 3, [2, 0, 1, 0, 0, 0])
-    _assert_matches_the_per_pair_reference(
-        InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn)))))
+    _assert_matches_the_per_pair_reference(_t2_weighted())
 
 
 def _assert_matches_the_per_pair_reference(ic: InducedCalculus) -> None:
@@ -251,6 +260,42 @@ def _assert_matches_the_per_pair_reference(ic: InducedCalculus) -> None:
         want = REFERENCE[check_id](ic)
         assert v.witness == want
         assert v.ok == (want is None)
+
+
+def _kappa_column_failure(ic: InducedCalculus) -> tuple[int, int] | None:
+    """The first (degree, bar basis vector) whose κ̄ column is not sorted by
+    row, holds a zero entry or, densified, differs from the reference's
+    column (the raw operator projected by the dense projection matrix)."""
+    width = ic.connection.module.dim
+    for r, want in enumerate(_reference.kappa_matrices(ic)):
+        for u, col in enumerate(ic._columns[r]):
+            rows = [row for row, _ in col]
+            if rows != sorted(set(rows)) or not all(x for _, x in col) or \
+                    _col_vec(col, ic.omega_m.dim(r) * width) != \
+                    [line[u] for line in want]:
+                return r, u
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: induced(n) for n in NAMES],
+    lambda: induced("a2_flat", 9), _t2_weighted,
+    lambda: _induced_calculus(regular_connection(upper_triangular(3), 2, 0))],
+    ids=[*NAMES, "a2_flat-D9", "t2-D3", "t3-D2"])
+def test_kappa_columns_are_sparse_and_match_the_dense_reference(make):
+    assert _kappa_column_failure(make()) is None
+
+
+@pytest.mark.parametrize("fault", [
+    lambda col: [(col[0][0], 2 * col[0][1])] + col[1:],
+    lambda col: col + [(col[-1][0] + 1, 0)],
+    lambda col: col[::-1]], ids=["entry", "zero", "order"])
+def test_a_perturbed_kappa_column_fails_the_dense_reference(fault):
+    ic = _t2_weighted()
+    r, u = next((r, u) for r, cols in enumerate(ic._columns)
+                for u, col in enumerate(cols) if len(col) > 1)
+    ic._columns[r][u] = fault(ic._columns[r][u])
+    assert _kappa_column_failure(ic) == (r, u)
 
 
 def _wrong_tail_coefficient(r, k, b):
