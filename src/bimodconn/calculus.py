@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
-from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _combine,
-                     _exact, _to_mat, identity_mat, mat_vec, quotient,
-                     QuotientSpace, zeros)
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
+                     _combine, _exact, _sparse, _sparse_sum, _to_mat,
+                     identity_mat, mat_vec, quotient, QuotientSpace, zeros)
 
 
 class UniversalCalculus:
@@ -57,9 +57,10 @@ class UniversalCalculus:
         self._d_cols: list[Cols] = []
         self._build_structure_cols()
         # per degree, per bar basis vector: its nonzero (row, coeff) entries
-        # in tensor-power coordinates, for the intake of model data
+        # in tensor-power coordinates, for the intake of model data; built
+        # through degree 1 here and further by from_emb as it needs them
         self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
-        self._build_bar_cols()
+        self._extend_bar_cols(1)
 
     # -- construction -----------------------------------------------------
     def _unit_complement(self) \
@@ -206,15 +207,21 @@ class UniversalCalculus:
     def emb_dim(self, r: int) -> int:
         return self.algebra.dim ** (r + 1)
 
-    def _build_bar_cols(self) -> None:
-        """e_i0·de_β in tensor-power coordinates, by x·de_j =
-        (x·1)⊗e_j − (x·e_j)⊗1 on the last slot of x = e_i0·de_β'.  For a
-        two-sided unit x·1 = x; keeping the product lets the guard below
-        reject a unit that is one-sided."""
+    def _extend_bar_cols(self, top: int) -> None:
+        """e_i0·de_β in tensor-power coordinates through degree top, by
+        x·de_j = (x·1)⊗e_j − (x·e_j)⊗1 on the last slot of x = e_i0·de_β'.
+
+        The guard, the round trip id ⊗ π^{⊗r}, maps each column to its bar
+        basis vector exactly when x·1 = x for every x above, as π kills 1.
+        Degree 1 asks that of every e_i0: it rejects a one-sided unit, and
+        once 1 is a right unit every higher degree passes too, so degree 1
+        is built at construction and the rest as model data needs them."""
         n, m = self.algebra.dim, len(self.complement)
-        prev = [[(i0, 1)] for i0 in range(n)]
-        for r in range(self.D + 1):
-            if r:
+        for r in range(len(self._bar_cols), top + 1):
+            if r == 0:
+                cols = [[(i0, 1)] for i0 in range(n)]
+            else:
+                prev = self._bar_cols[r - 1]
                 nt_prev = len(self._tails[r - 1])
                 cols = []
                 for i0 in range(n):
@@ -233,15 +240,11 @@ class UniversalCalculus:
                                     acc[row] = acc.get(row, 0) - c * cl * ct
                         cols.append([(row, _exact(c))
                                      for row, c in sorted(acc.items()) if c])
-                prev = cols
-            self._bar_cols.append(prev)
-            # id ⊗ π^{⊗r} inverts the bar basis exactly when it is a basis
-            for k, col in enumerate(prev):
-                unit_k = zeros(len(prev))
-                unit_k[k] = 1
+            for col, unit_k in zip(cols, identity_mat(len(cols))):
                 if self._contract(r, col) != unit_k:
                     raise DimensionError(f"bar basis degenerate in degree {r}; "
                                          "algebra data invalid")
+            self._bar_cols.append(cols)
 
     def _contract(self, r: int, terms) -> Vec:
         """id ⊗ π^{⊗r} on (flat index, coeff) tensor-power terms, in bar
@@ -262,27 +265,17 @@ class UniversalCalculus:
                 bar[t] += c if s == 1 else c * s
         return bar
 
-    def _emb_terms(self, r: int, bar: Vec) -> dict[int, int | Fraction]:
-        """Nonzero tensor-power coordinates of a bar-coordinate vector."""
-        out: dict[int, int | Fraction] = {}
-        cols = self._bar_cols[r]
-        for k, coeff in enumerate(bar):
-            if coeff:
-                for row, c in cols[k]:
-                    v = coeff if c == 1 else coeff * c
-                    prev = out.get(row)
-                    out[row] = v if prev is None else prev + v
-        return {row: c for row, c in out.items() if c}
-
     def from_emb(self, r: int, emb: Vec) -> Vec:
         """Bar coordinates of a tensor-power vector: id ⊗ π^{⊗r}, checked by
         the round trip back to ``emb``."""
         if len(emb) != self.emb_dim(r):
             raise DimensionError(f"expected {self.emb_dim(r)} tensor-power "
                                  f"coordinates in degree {r}")
-        terms = {flat: c for flat, c in enumerate(emb) if c}
+        self._extend_bar_cols(r)
+        terms = _sparse(emb)
         bar = self._contract(r, terms.items())
-        if self._emb_terms(r, bar) != terms:
+        if _sparse_sum([(col, c) for col, c in zip(self._bar_cols[r], bar)
+                        if c]) != terms:
             raise DimensionError(
                 f"vector is not in the universal calculus in degree {r}")
         return bar
@@ -365,11 +358,11 @@ def saturate_ideal(uni: UniversalCalculus,
 
     FIFO worklist: every vector v that enlarges its degree's span is
     expanded exactly once, into e_i·v and v·e_i for ascending i and then dv
-    below the truncation, each read off the sparse column tables of
-    L_{e_i}, R_{e_i} and d.  So the span I is closed under both actions of
-    A and under d.  Products by the degree-one generators de_j need no
-    attempts of their own: for v in I^r with r < D, the graded Leibniz rule
-    of Ω_u gives
+    below the truncation, each combined sparsely from the column tables of
+    L_{e_i}, R_{e_i} and d at v's nonzeros.  So the span I is closed under
+    both actions of A and under d.  Products by the degree-one generators
+    de_j need no attempts of their own: for v in I^r with r < D, the graded
+    Leibniz rule of Ω_u gives
 
         v·de_j = (−1)^r (d(v·e_j) − dv·e_j),    de_j·v = d(e_j·v) − e_j·dv,
 
@@ -378,23 +371,21 @@ def saturate_ideal(uni: UniversalCalculus,
     finite-dimensional, so the worklist runs dry.
     """
     spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
-    queue: deque[tuple[int, Vec]] = deque()
+    queue: deque[tuple[int, SparseVec]] = deque()
     for deg, bar in generators:
         if deg < 1 or deg > uni.D:
             raise DimensionError("ideal generators must be homogeneous of "
                                  "degree between 1 and the truncation")
         if spans[deg].add(bar):
-            queue.append((deg, bar))
+            queue.append((deg, _sparse(bar)))
     while queue:
         r, v = queue.popleft()
-        n = uni.bar_dim(r)
-        images = []
-        for left, right in zip(uni._left_cols[r], uni._right_cols[r]):
-            images.append((r, _combine(left, v, n)))
-            images.append((r, _combine(right, v, n)))
+        maps = [(r, cols) for lr in zip(uni._left_cols[r], uni._right_cols[r])
+                for cols in lr]
         if r < uni.D:
-            images.append((r + 1, uni.d(r, v)))
-        for s, w in images:
+            maps.append((r + 1, uni.d_cols(r)))
+        for s, cols in maps:
+            w = _sparse_sum([(cols[x], c) for x, c in v.items()])
             if spans[s].add(w):
                 queue.append((s, w))
     return spans

@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
-from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, Vec,
+from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, SparseVec, Vec,
                      _col_sum, _col_vec, _cols_to_mat, _combine, _compose,
                      _sparse, _to_cols, _to_mat,
                      factor_through, identity_mat, mat_vec, rank, vec_add)
@@ -158,15 +158,13 @@ class DegreeRHom:
     def apply(self, m_vec: Vec) -> Vec:
         return _combine(self.cols, m_vec, self.forms.dim(self.degree))
 
-    def flat(self, at: list[int] | range | None = None) -> Vec:
+    def flat(self, at: list[int] | range | None = None) -> SparseVec:
         """The matrix T_degree × M row by row, at the module basis indices
-        ``at`` (every one by default)."""
+        ``at`` (every one by default), as a sparse vector: entry (row, x)
+        at row·len(at) + x."""
         at = range(len(self.cols)) if at is None else at
-        out = [0] * (self.forms.dim(self.degree) * len(at))
-        for x, i in enumerate(at):
-            for row, c in self.cols[i]:
-                out[row * len(at) + x] = c
-        return out
+        return {row * len(at) + x: c
+                for x, i in enumerate(at) for row, c in self.cols[i]}
 
     def ext_cols(self, s: int) -> Cols:
         """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω,
@@ -388,7 +386,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     # linear, so the left side is the combination of the flattened κ₁(α'),
     # each one sparse column, at the nonzeros α' of f·α·g
     alpha_ops = [k.op(e) for e in identity_mat(uni.bar_dim(1))]
-    alpha_flat = [list(_sparse(op.flat()).items()) for op in alpha_ops]
+    alpha_flat = [list(op.flat().items()) for op in alpha_ops]
     # κ₁(α)∘ĝ per g and α, shared by every f
     alpha_g = [[op.compose(g_hat) for op in alpha_ops] for g_hat in hats]
     for f in range(a.dim):
@@ -397,7 +395,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
             for bi, col in enumerate(moved):
                 lhs = _col_sum([(alpha_flat[x], y) for x, y in col])
                 rhs = hats[f].compose(alpha_g[g][bi]).flat()
-                if dict(lhs) != _sparse(rhs):
+                if dict(lhs) != rhs:
                     k.verdicts.append(failed("kappa1-bimodule-linear",
                                              anchors.DIAGRAM_COMMUTES,
                                              {"triple": [f, g, bi]}))

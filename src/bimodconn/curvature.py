@@ -142,9 +142,6 @@ class OmegaHat:
         # generating set of M, so spans live in the smaller coordinate space
         self.generators = f.generators
 
-        def key(op: DegreeRHom) -> Vec:
-            return op.flat(self.generators)
-
         def new_span(r: int) -> SpanBuilder:
             return SpanBuilder(f.dim(r) * len(self.generators))
 
@@ -153,7 +150,8 @@ class OmegaHat:
         found = [kappa0_op(c, a.basis_vec(i)) for i in range(a.dim)]
         for r in range(D + 1):
             span = new_span(r)
-            self._gens.append([op for op in found if span.add(key(op))])
+            self._gens.append([op for op in found
+                               if span.add(op.flat(self.generators))])
             if r < D:
                 found = [nabla_hat(c, t) for t in self._gens[r]]
         self.spans = [new_span(r) for r in range(D + 1)]
@@ -162,7 +160,7 @@ class OmegaHat:
         queue: list[DegreeRHom] = []
 
         def try_add(op: DegreeRHom) -> None:
-            if self.spans[op.degree].add(key(op)):
+            if self.spans[op.degree].add(op.flat(self.generators)):
                 self._ops[op.degree].append(op)
                 queue.append(op)
 

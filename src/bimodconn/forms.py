@@ -31,8 +31,9 @@ from itertools import compress
 
 from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
-from .linalg import (Cols, DimensionError, SpanBuilder, Vec, _col_sum,
-                     _combine, _to_cols, _to_mat, QuotientSpace, zeros)
+from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
+                     _col_sum, _combine, _to_cols, _to_mat, QuotientSpace,
+                     zeros)
 
 
 class Forms:
@@ -85,22 +86,23 @@ class Forms:
                 span.add(tu)
             self._quotients.append(span.quotient())
 
-    def _ideal_tensors(self, r: int) -> list[Vec]:
-        """g⊗ι for each module generator g and each ι in the basis of I^r.
-        These span M⊗I^r: m = g·a gives m⊗ι = g⊗a·ι, and I is a left ideal.
-        g⊗(e_i0·de_β) = (g·e_i0)⊗de_β, and g·e_i0 is column g of the stored
-        right action of e_i0, so g⊗ι is read off those columns at ι's
-        nonzeros."""
+    def _ideal_tensors(self, r: int) -> list[SparseVec]:
+        """g⊗ι for each module generator g and each ι in the basis of I^r,
+        sparse.  These span M⊗I^r: m = g·a gives m⊗ι = g⊗a·ι, and I is a
+        left ideal.  g⊗(e_i0·de_β) = (g·e_i0)⊗de_β, and g·e_i0 is column g
+        of the stored right action of e_i0, so g⊗ι is read off those
+        columns at ι's nonzeros."""
         nt = self.n_tails(r)
         out = []
         for g in self.generators:
             for iota in self.calculus.ideal[r]:
-                tu = zeros(self.tu_dim(r))
+                tu: SparseVec = {}
                 for flat in compress(range(len(iota)), iota):
                     i0, bidx = divmod(flat, nt)
                     for a, x in self._moved[i0][g]:
-                        tu[a * nt + bidx] += iota[flat] * x
-                out.append(tu)
+                        at, y = a * nt + bidx, iota[flat] * x
+                        tu[at] = tu[at] + y if at in tu else y
+                out.append({at: y for at, y in tu.items() if y})
         return out
 
     def quotient_space(self, r: int) -> QuotientSpace:

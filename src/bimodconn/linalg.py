@@ -19,15 +19,16 @@ nonzeros of a dense vector, composed by ``_compose`` and summed by
 (lists of rows) remain for the model's actions and ∇, for the small maps on
 classes (κ₁, σ and those a report prints), and for ``row_reduce``,
 ``null_space``, ``rank`` and ``factor_through``; ``_to_cols`` and
-``_to_mat`` convert between the two forms.  Inside elimination (``row_reduce``,
-``SpanBuilder``) rows are sparse, ``dict[column, entry]``; ``SpanBuilder``
-keeps its rows reduced and keyed by pivot, so reducing a vector touches only
-the rows at the pivots in its support.  The kernels (``mat_vec``,
-``mat_mul``, ``_sparse``, ``_combine``) find the nonzeros of a dense row
-with ``itertools.compress``, at C speed, and do Python-level work only on
-those.  Everything is computed exactly: the one division, :func:`_div`,
-returns an int or a Fraction, never a float, so every equality test in the
-rest of the package is decidable.
+``_to_mat`` convert between the two forms.  One eliminator keeps sparse
+rows, ``dict[column, entry]``, reduced and keyed by pivot, so reducing a
+vector touches only the rows at the pivots in its support: ``SpanBuilder``
+holds them, takes its vectors sparse or dense and tracks coordinates only
+when ``coords`` asks, and ``row_reduce`` reads its RREF off them.  The
+kernels (``mat_vec``, ``mat_mul``, ``_sparse``, ``_combine``) find the
+nonzeros of a dense row with ``itertools.compress``, at C speed, and do
+Python-level work only on those.  Everything is computed exactly: the one
+division, :func:`_div`, returns an int or a Fraction, never a float, so
+every equality test in the rest of the package is decidable.
 """
 
 from __future__ import annotations
@@ -122,10 +123,9 @@ def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
     """v -= c·row in place; entries that cancel are dropped."""
     nc = -c
     for j, b in row.items():
-        x = v.get(j)
-        if x is None:
+        if j not in v:
             v[j] = nc * b
-        elif x := x + nc * b:
+        elif x := v[j] + nc * b:
             v[j] = x
         else:
             del v[j]
@@ -141,6 +141,16 @@ def _combine(cols: Cols, v: Vec, n_rows: int) -> Vec:
     return out
 
 
+def _sparse_sum(terms: list[tuple[Col, int | Fraction]]) -> SparseVec:
+    """Σ c·col over the (col, c) terms, as a SparseVec with the cancelled
+    entries dropped."""
+    acc: SparseVec = {}
+    for col, c in terms:
+        for row, x in col:
+            acc[row] = acc[row] + c * x if row in acc else c * x
+    return {row: x for row, x in acc.items() if x}
+
+
 def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
     """Σ c·col over the (col, c) terms, each c nonzero, as one sparse column
     sorted by row with the cancelled entries dropped; a single term with
@@ -148,11 +158,7 @@ def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
     if len(terms) == 1:
         col, c = terms[0]
         return col if c == 1 else [(row, c * x) for row, x in col]
-    acc: dict[int, int | Fraction] = {}
-    for col, c in terms:
-        for row, x in col:
-            acc[row] = acc.get(row, 0) + c * x
-    return sorted([(row, x) for row, x in acc.items() if x])
+    return sorted(_sparse_sum(terms).items())
 
 
 def _compose(a: Cols, b: Cols) -> Cols:
@@ -214,36 +220,21 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
     """Reduced row echelon form with exact arithmetic.
 
-    Returns (rank, rref, pivot_columns).  Deterministic given the input row
-    order: pivots are chosen left to right, first nonzero row wins.
+    Returns (rank, rref, pivot_columns), the zero rows last.  The RREF is
+    unique, so it is read off the rows ``_absorb`` builds, as in a
+    ``SpanBuilder``, until they span every column.
     """
-    m = [_sparse(row) for row in matrix]
-    n_rows = len(m)
-    n_cols = len(matrix[0]) if n_rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
+    n_cols = len(matrix[0]) if matrix else 0
+    rows: dict[int, SparseVec] = {}
+    for row in matrix:
+        if len(rows) == n_cols:
             break
-        pr = next((i for i in range(r, n_rows) if c in m[i]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = {j: _div(x, pv) for j, x in m[r].items()}
-        for i in range(n_rows):
-            if i != r and c in m[i]:
-                _eliminate(m[i], m[i][c], m[r])
-        pivots.append(c)
-        r += 1
-    rref = []
-    for row in m:
-        dense = [0] * n_cols
-        for j, x in row.items():
-            dense[j] = _exact(x)
-        rref.append(dense)
-    return r, rref, pivots
+        _absorb(rows, _sparse(row))
+    pivots = sorted(rows)
+    rref = [_col_vec([(j, _exact(x)) for j, x in rows[pc].items()], n_cols)
+            for pc in pivots]
+    rref += [[0] * n_cols for _ in range(len(matrix) - len(pivots))]
+    return len(pivots), rref, pivots
 
 
 def null_space(matrix: Mat, n_cols: int) -> list[Vec]:
@@ -394,72 +385,88 @@ class LinSolver:
         return x
 
 
-class SpanBuilder:
-    """Incrementally built span with a reduced echelon internal basis.
+def _reduce(rows: dict[int, SparseVec], res: SparseVec) -> SparseVec:
+    """res modulo reduced rows, in place: each row, keyed by its pivot, is 1
+    there and 0 at every other pivot, so eliminating the pivots in res's
+    support, each by res's entry there, leaves no pivot in res."""
+    for pc in [p for p in res if p in rows]:
+        _eliminate(res, res[pc], rows[pc])
+    return res
 
-    ``add`` returns True when the vector enlarged the span; independent input
-    vectors are remembered so callers can recover coordinates in terms of the
-    vectors they actually inserted.  The reduced rows are kept by pivot, each
-    with its expression in the inserted vectors; a row is 1 at its pivot and
-    0 at every other pivot, so reducing v eliminates exactly the pivots in
-    v's support, each by v's own entry there.
+
+def _absorb(rows: dict[int, SparseVec], res: SparseVec) -> bool:
+    """Reduce res modulo the rows; a nonzero residual becomes the row of its
+    first column, scaled to 1 there, cleared from the other rows.  True
+    when res enlarged their span."""
+    if not _reduce(rows, res):
+        return False
+    pc = min(res)
+    pv = res[pc]
+    row = res if pv == 1 else {j: _div(x, pv) for j, x in res.items()}
+    for other in rows.values():
+        if pc in other:
+            _eliminate(other, other[pc], row)
+    rows[pc] = row
+    return True
+
+
+class SpanBuilder:
+    """Incrementally built span, kept as its reduced row echelon form
+    ``_rows`` (see ``_absorb``); ``basis`` holds the vectors that enlarged
+    it, in order, dense.
+
+    ``add``, ``contains`` and ``coords`` take a ``SparseVec`` (no zero
+    entry, keys in range(ambient_dim); left unchanged) or a ``Vec`` (its
+    length checked, made sparse at once).  A full span reduces nothing.
+    ``coords`` builds, on its first call, the rows of the vectors (b_k, e_k)
+    with e_k in extra columns: this span's rows, each followed by its
+    expression in ``basis``, so (v, 0) reduces to (0, −coords of v).  An
+    ``add`` that enlarges the span drops them.
     """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, tuple[SparseVec, SparseVec]] = {}
+        self._rows: dict[int, SparseVec] = {}
+        self._tracked: dict[int, SparseVec] | None = None
         self.basis: list[Vec] = []       # independent inserted vectors
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v: Vec) -> tuple[SparseVec, SparseVec]:
+    def _intake(self, v: Vec | SparseVec) -> SparseVec:
+        """A sparse copy of v for elimination to change."""
+        if type(v) is dict:
+            return v.copy()
         if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient space")
-        res = _sparse(v)
-        combo: SparseVec = {}
-        for pc in [p for p in res if p in self._rows]:
-            c = v[pc]
-            row, expr = self._rows[pc]
-            _eliminate(res, c, row)
-            for k, ce in expr.items():
-                combo[k] = combo.get(k, 0) + c * ce
-        return res, combo
+        return _sparse(v)
 
-    def add(self, v: Vec) -> bool:
-        res, combo = self._reduce(v)
-        if not res:
+    def add(self, v: Vec | SparseVec) -> bool:
+        """Add v; True when it enlarged the span."""
+        res = self._intake(v)
+        if len(self._rows) == self.ambient_dim or not _absorb(self._rows, res):
             return False
-        pc = min(res)
-        idx = len(self.basis)
-        self.basis.append(v[:])
-        pv = res[pc]
-        row = {j: _div(x, pv) for j, x in res.items()}
-        # expression of `row` in inserted vectors: (v - combo·basis)/pv
-        expr = {k: _div(-c, pv) for k, c in combo.items()}
-        expr[idx] = _div(1, pv)
-        # clear the new pivot from the other rows, keeping them reduced
-        for other, other_expr in self._rows.values():
-            c = other.get(pc)
-            if c is not None:
-                _eliminate(other, c, row)
-                _eliminate(other_expr, c, expr)
-        self._rows[pc] = (row, expr)
+        self._tracked = None
+        self.basis.append(_col_vec(v.items(), self.ambient_dim)
+                          if type(v) is dict else v[:])
         return True
 
-    def contains(self, v: Vec) -> bool:
-        return not self._reduce(v)[0]
+    def contains(self, v: Vec | SparseVec) -> bool:
+        return not _reduce(self._rows, self._intake(v))
 
-    def coords(self, v: Vec) -> Vec | None:
+    def coords(self, v: Vec | SparseVec) -> Vec | None:
         """Coordinates of v in the inserted independent basis, or None."""
-        res, combo = self._reduce(v)
-        if res:
+        n = self.ambient_dim
+        if self._tracked is None:
+            self._tracked = {}
+            for k, b in enumerate(self.basis):
+                _absorb(self._tracked, _sparse(b) | {n + k: 1})
+        res = _reduce(self._tracked, self._intake(v))
+        if any(j < n for j in res):
             return None
-        out = zeros(len(self.basis))
-        for k, c in combo.items():
-            out[k] = _exact(c)
-        return out
+        return _col_vec([(j - n, _exact(-x)) for j, x in res.items()],
+                        len(self.basis))
 
     def quotient(self) -> QuotientSpace:
         """The ambient space modulo this span, read off the reduced rows:
@@ -471,7 +478,7 @@ class SpanBuilder:
         for k, fc in enumerate(free):
             cols[fc].append((k, 1))
         pos = {fc: k for k, fc in enumerate(free)}
-        for pc, (row, _) in self._rows.items():
+        for pc, row in self._rows.items():
             # every entry but the pivot is in a free column
             cols[pc] = sorted((pos[j], -_exact(x))
                               for j, x in row.items() if j != pc)

@@ -27,13 +27,15 @@ builds one column of b at a time, the span builder that keeps echelon
 rows in a list and walks all of them to reduce a vector, and the quotient
 read off a second row reduction of its sub.  Then the ideal saturation
 that also tries every product by de_j, each a dense
-``UniversalCalculus.product``.  Last, ⪯ decided by eliminating I₁ afresh
-and ρ built by ``factor_through``.
+``UniversalCalculus.product``.  Then ⪯ decided by eliminating I₁ afresh
+and ρ built by ``factor_through``.  Last, the parse of a rational string
+that reads every string by ``Fraction``.
 """
 
 import bisect
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
@@ -41,6 +43,7 @@ from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
                               _cols_to_mat, _div, _eliminate, _exact, _sparse,
                               _to_mat, factor_through, identity_mat, mat_mul,
                               mat_vec, row_reduce, vec_add, zero_mat, zeros)
+from bimodconn.model import ModelError
 
 
 def dense(op):
@@ -769,3 +772,18 @@ def preceq(c1, c2):
         assert h is not None, "ideal inclusion should guarantee factoring"
         maps.append(h)
     return CalculusMorphism(c2, c1, maps), None
+
+
+# -- parsing -----------------------------------------------------------------
+
+def parse_rational(value, path):
+    """``model.parse_rational`` with every string read by ``Fraction``."""
+    if not isinstance(value, str):
+        raise ModelError(path, f"expected a rational string, got {value!r}")
+    if "e" in value or "E" in value:
+        raise ModelError(path, f"exponent notation is not accepted: {value!r}")
+    try:
+        f = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ModelError(path, f"not a rational: {value!r} ({exc})") from None
+    return _exact(f)

@@ -135,6 +135,7 @@ def test_preceq_and_omega_m_eliminate_nothing_again():
 # the sparse operator route: each function below works on sparse columns
 # (``linalg.Cols``) and may call no dense kernel
 SPARSE_ROUTE = {
+    "calculus": {"saturate_ideal"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
                    "Connection.curvature_cols", "DegreeRHom.key",
                    "DegreeRHom.apply", "DegreeRHom.flat",
@@ -145,9 +146,10 @@ SPARSE_ROUTE = {
     "curvature": {"_square_hat", "InducedCalculus._project_op",
                   "InducedCalculus.image",
                   "InducedCalculus._check_multiplicative",
-                  "InducedCalculus._check_diagram", "OmegaM.nabla_cols"},
+                  "InducedCalculus._check_diagram", "OmegaM.nabla_cols",
+                  "OmegaHat.__init__"},
     "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
-              "Forms.act_right"},
+              "Forms.act_right", "Forms._ideal_tensors"},
     "linalg": {"_compose", "QuotientSpace.induced"},
 }
 DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
@@ -157,12 +159,20 @@ DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
 DENSE_ROUTE = {"ext_matrix", "DenseRHom", "DenseRoute", "matrix"}
 
 
+def _dense_list(node) -> bool:
+    """A ``[...] * n`` allocation: a dense vector built to be filled in."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+        and isinstance(node.left, ast.List)
+
+
 def test_the_operator_route_stays_sparse():
     # a right-Ω operator, each of its extensions, ∇̂ and ∇'s extensions are
     # sparse columns; the dense route (a dense extension per operator, a
     # mat_mul per composition) lives in tests/_reference.py only, so no
-    # function of the sparse route may name a dense kernel, and no
-    # DegreeRHom may grow a dense matrix again
+    # function of the sparse route may name a dense kernel or fill a dense
+    # list, and no DegreeRHom may grow a dense matrix again.  The spans of
+    # the ideal, of M⊗I and of Ω̂ take their vectors sparse: the ideal's
+    # images, each g⊗ι and each operator's key (its flattening)
     found, dense = set(), []
     for module, names in SPARSE_ROUTE.items():
         path = PACKAGE / f"{module}.py"
@@ -178,10 +188,18 @@ def test_the_operator_route_stays_sparse():
                         name = getattr(sub, "id", getattr(sub, "attr", None))
                         if name in DENSE_KERNELS | DENSE_ROUTE:
                             dense.append(f"{path.name}:{sub.lineno}:{name}")
+                        elif _dense_list(sub):
+                            dense.append(f"{path.name}:{sub.lineno}:[]*")
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     assert found == {f"{m}:{n}" for m, ns in SPARSE_ROUTE.items() for n in ns}
     assert dense == []
+    # the ideal's images are sparse combinations of the column tables, not
+    # dense ones (_combine) nor the dense d of the universal calculus
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(_function("calculus", "saturate_ideal"))
+              if isinstance(node, ast.Call)}
+    assert called & {"_combine", "d"} == set()
     named = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

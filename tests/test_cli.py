@@ -8,7 +8,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference
 from _shared import MODELS, NAMES, universal
 import bimodconn
 from bimodconn import cli
@@ -74,6 +77,22 @@ def test_main_exit_two_fast_on_exponent_notation(tmp_path, capsys):
     assert [parse_rational(x, "x") for x in ("-3", "6/4", "0.50", "2.0")] \
         == [-3, Fraction(3, 2), Fraction(1, 2), 2]
     assert type(parse_rational("2.0", "x")) is int
+
+
+@settings(deadline=None)
+@given(st.text() | st.from_regex(r"-?[0-9]{1,40}", fullmatch=True) |
+       st.sampled_from(["+1", " 1", "1 ", "1_0", "--1", "-", "", "-0", "007",
+                        "\u0661", "-\u0661", "1/0", "1" * 5000, "-1" * 3]))
+def test_integer_strings_parse_as_the_fraction_route_does(value):
+    # integer strings skip Fraction; every string gets the value, type and
+    # error message the Fraction-only route gives
+    def outcome(parse):
+        try:
+            x = parse(value, "x")
+        except ModelError as exc:
+            return str(exc)
+        return type(x), x
+    assert outcome(parse_rational) == outcome(_reference.parse_rational)
 
 
 def test_parse_rejects_non_associative_algebra(tmp_path):

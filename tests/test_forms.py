@@ -12,7 +12,7 @@ from bimodconn import cli
 from bimodconn.calculus import quotient_calculus, universal_graded
 from bimodconn.connection import Connection
 from bimodconn.forms import Forms
-from bimodconn.linalg import DimensionError, _cols_to_mat, _to_mat, \
+from bimodconn.linalg import DimensionError, _col_vec, _cols_to_mat, _to_mat, \
     identity_mat, mat_mul, zeros
 from bimodconn.model import parse_model
 
@@ -122,11 +122,14 @@ def _t2_forms_over_a_quotient() -> tuple:
     _t2_forms_over_a_quotient], ids=[*NAMES, "T2"])
 def test_ideal_tensors_are_the_product(make):
     # Forms reads g⊗ι off the stored right action; it must be the product
-    # m⊗u of T^u_0 × Ω^r_u, for every generator g and ideal basis vector ι
+    # m⊗u of T^u_0 × Ω^r_u, for every generator g and ideal basis vector ι.
+    # The tensors are sparse, with no zero entry, and compared densified
     module, cal = make()
     f = Forms(module, cal)
     for r in range(f.D + 1):
-        assert f._ideal_tensors(r) == [
+        tensors = f._ideal_tensors(r)
+        assert all(all(tu.values()) for tu in tensors)
+        assert [_col_vec(tu.items(), f.tu_dim(r)) for tu in tensors] == [
             f.mult_tu_by_bar(0, module.basis_vec(g), r, iota)
             for g in f.generators for iota in cal.ideal[r]]
 

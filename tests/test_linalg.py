@@ -397,34 +397,68 @@ def test_sparse_columns_compose_like_mat_mul(ab):
         assert prod == _to_cols(mat_mul(x, y), m)
 
 
-def _assert_reduced(span: SpanBuilder) -> None:
+def _assert_reduced(span: SpanBuilder, ref) -> None:
     """Each row starts at its pivot with a 1, is 0 at every other pivot and
-    is the combination of the inserted vectors its expression names."""
+    lies in the span of the inserted vectors, which ``ref`` holds."""
     n = span.ambient_dim
-    for pc, (row, expr) in span._rows.items():
+    for pc, row in span._rows.items():
         assert min(row) == pc and row[pc] == 1 and all(row.values())
         assert not any(p in row for p in span._rows if p != pc)
-        rebuilt = zeros(n)
-        for k, c in expr.items():
-            rebuilt = vec_add(rebuilt, [c * x for x in span.basis[k]])
-        assert rebuilt == [row.get(j, 0) for j in range(n)]
+        assert ref.contains([row.get(j, 0) for j in range(n)])
+
+
+def _sparse_draw(v):
+    """The nonzero entries of a dense draw, as a SparseVec."""
+    return {j: x for j, x in enumerate(v) if x}
 
 
 @settings(deadline=None)
 @given(matrices(), st.data())
 def test_span_builder_matches_the_echelon_reference(m, data):
+    # the same vectors fed dense and sparse, with contains and coords
+    # interleaved with add: every answer the reference's, and coords right
+    # after each add that drops the coordinates built for the last call
     n = len(m[0])
     probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
     for rows in (m, _ints(m)):
-        span, ref = SpanBuilder(n), _reference.EchelonSpanBuilder(n)
+        probes = rows + [probe, _ints(probe)]
+        ref = _reference.EchelonSpanBuilder(n)
+        spans = SpanBuilder(n), SpanBuilder(n)
         for v in rows:
-            assert span.add(v) == ref.add(v)
-            assert span.basis == ref.basis and span.dim == ref.dim
-            assert sorted(span._rows) == ref.row_pivots
-            _assert_reduced(span)
-        for v in rows + [probe, _ints(probe)]:
-            assert span.contains(v) == ref.contains(v)
-            assert span.coords(v) == ref.coords(v)
+            added = ref.add(v)
+            for span, w in zip(spans, (v, _sparse_draw(v))):
+                assert span.add(w) == added
+                assert span.basis == ref.basis and span.dim == ref.dim
+                assert sorted(span._rows) == ref.row_pivots
+                _assert_reduced(span, ref)
+                if data.draw(st.booleans()):
+                    x = data.draw(st.sampled_from(probes))
+                    assert span.coords(_sparse_draw(x)) == ref.coords(x)
+        quotients = [(q.sub, q.free, q.proj_cols)
+                     for q in (s.quotient() for s in spans)]
+        assert quotients[0] == quotients[1]
+        for v in probes:
+            for span in spans:
+                for w in (v, _sparse_draw(v)):
+                    assert span.contains(w) == ref.contains(v)
+                    assert span.coords(w) == ref.coords(v)
+
+
+def test_sparse_input_is_not_changed_and_a_full_span_is_not_reduced(
+        monkeypatch):
+    span = SpanBuilder(3)
+    v = {0: 1, 2: F(1, 2)}
+    assert span.add(v) and v == {0: 1, 2: F(1, 2)}
+    assert span.basis == [[1, 0, F(1, 2)]]
+    assert span.coords({2: 1}) is None and span.coords(v) == [1]
+    assert span.add([0, 1, 0]) and span.add({2: 3})
+    calls = []
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda *args: calls.append(args))
+    assert not span.add([1, 1, 1]) and not span.add({1: 5})
+    assert calls == []
+    with pytest.raises(DimensionError):
+        span.add([1, 1])
 
 
 def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
@@ -441,6 +475,8 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
     for v in rows:
         span.add(v)
         ref.add(v)
+    # coordinates are built on the first coords call, before counting
+    span.coords(rows[0])
     pivots = set(ref.row_pivots)
     calls = []
     eliminate = linalg._eliminate
