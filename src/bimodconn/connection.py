@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
@@ -54,8 +53,8 @@ class Connection:
         # ∇'s extensions by sparse columns, by (degree, kind)
         self._ext_cols: dict[tuple[int, str], Cols] = {
             (0, "ext"): _to_cols(self.nabla, self.module.dim)}
-        # ∇̂Φ columns by DegreeRHom.key of Φ
-        self.nabla_hats: dict[tuple, Cols] = {}
+        # ∇̂Φ by the id of Φ (DegreeRHom.key)
+        self.nabla_hats: dict[int, DegreeRHom] = {}
 
     def nabla_apply(self, m_vec: Vec) -> Vec:
         return mat_vec(self.nabla, m_vec)
@@ -141,9 +140,14 @@ class DegreeRHom:
     sparse columns: ``cols[i]`` holds the nonzero (row, coeff) pairs of
     Φ(m_i) in T_r, sorted by row, so equal operators have equal columns.
 
-    Extensions and compositions are computed once per operator content and
-    kept in ``forms.op_cache``; the columns found there are shared, so no
-    caller may change ``cols`` or an extension in place.
+    ``key`` is the operator's id in the intern table ``forms.op_ids``: equal
+    operators of one ``Forms`` get one id, and each instance tuples and
+    hashes its content once.  Extensions and compositions are computed once
+    per operand ids and kept in ``forms.op_cache``, ∇̂ in
+    ``Connection.nabla_hats``; a composition or ∇̂ found there is the
+    operator itself, whose id is already known.  Only operators of one
+    ``Forms`` are combined.  Columns and operators are shared, so no caller
+    may change ``cols`` or an extension in place.
     """
 
     forms: Forms
@@ -151,9 +155,11 @@ class DegreeRHom:
     cols: Cols               # per basis vector of M, its rows in T_degree
 
     @cached_property
-    def key(self) -> tuple:
-        """Content key: the degree and the columns as tuples."""
-        return (self.degree, tuple(map(tuple, self.cols)))
+    def key(self) -> int:
+        """The id of the content, the degree and the columns as tuples."""
+        ids = self.forms.op_ids
+        return ids.setdefault((self.degree, tuple(map(tuple, self.cols))),
+                              len(ids))
 
     def apply(self, m_vec: Vec) -> Vec:
         return _combine(self.cols, m_vec, self.forms.dim(self.degree))
@@ -188,8 +194,9 @@ class DegreeRHom:
         cache = self.forms.op_cache
         key = ("compose", self.key, other.key)
         if key not in cache:
-            cache[key] = _compose(self.ext_cols(other.degree), other.cols)
-        return DegreeRHom(self.forms, degree, cache[key])
+            cache[key] = DegreeRHom(self.forms, degree, _compose(
+                self.ext_cols(other.degree), other.cols))
+        return cache[key]
 
     def add(self, other: "DegreeRHom") -> "DegreeRHom":
         if other.degree != self.degree:
@@ -197,11 +204,6 @@ class DegreeRHom:
         return DegreeRHom(self.forms, self.degree,
                           [_col_sum([(a, 1), (b, 1)])
                            for a, b in zip(self.cols, other.cols)])
-
-    def scale(self, c: int | Fraction) -> "DegreeRHom":
-        return DegreeRHom(self.forms, self.degree,
-                          [[(row, c * x) for row, x in col] if c else []
-                           for col in self.cols])
 
     def is_zero(self) -> bool:
         return not any(self.cols)
@@ -244,16 +246,17 @@ def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:
     """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇, a degree r+1 right-Ω operator: ∇'s extension
     columns at Φ's nonzeros, less (−1)^r Φ's extension columns at ∇'s.
 
-    Computed once per operator content; the result columns are shared.
+    Computed once per operator id; the result is shared.
     """
     r = phi.degree
     if r + 1 > c.calculus.D:
         raise ValueError("degree overflow past truncation")
-    if phi.key not in c.nabla_hats:
-        c.nabla_hats[phi.key] = _commutator(
+    hats = c.nabla_hats
+    if phi.key not in hats:
+        hats[phi.key] = DegreeRHom(c.forms, r + 1, _commutator(
             c.nabla_ext_cols(r), c.nabla_ext_cols(0), 1, phi,
-            -1 if r % 2 == 0 else 1)
-    return DegreeRHom(c.forms, r + 1, c.nabla_hats[phi.key])
+            -1 if r % 2 == 0 else 1))
+    return hats[phi.key]
 
 
 @dataclass

@@ -158,8 +158,13 @@ class OmegaHat:
         self._ops: list[list[DegreeRHom]] = [[] for _ in range(D + 1)]
         self.verdicts: list[Verdict] = []
         queue: list[DegreeRHom] = []
+        # ids already tried: their content lies in their degree's span
+        seen: set[int] = set()
 
         def try_add(op: DegreeRHom) -> None:
+            if op.key in seen:
+                return
+            seen.add(op.key)
             if self.spans[op.degree].add(op.flat(self.generators)):
                 self._ops[op.degree].append(op)
                 queue.append(op)
@@ -189,8 +194,10 @@ class OmegaHat:
 
         This covers every pair (Φ, Ψ) of Ω̂, by induction on the length of
         Φ as a word in T: for Φ = t∘Φ', ∇̂(t∘(Φ'∘Ψ)) splits at t by the pair
-        (t, Φ'∘Ψ), and ∇̂(Φ'∘Ψ) splits by induction.  The witness indexes
-        ``gen_ops(r)`` and ``ops(s)``.
+        (t, Φ'∘Ψ), and ∇̂(Φ'∘Ψ) splits by induction.  Column i of the right
+        side is one ``_col_sum``: (∇̂t)'s extension columns at the nonzeros
+        of w's column i and (−1)^r t's at those of (∇̂w)'s.  The witness
+        indexes ``gen_ops(r)`` and ``ops(s)``.
         """
         c = self.connection
         D = c.forms.D
@@ -200,10 +207,13 @@ class OmegaHat:
                 dt = nabla_hat(c, t)
                 for s in range(D - r):
                     for kj, w in enumerate(self.ops(s)):
-                        lhs = nabla_hat(c, t.compose(w))
-                        rhs = dt.compose(w).add(
-                            t.compose(nabla_hat(c, w)).scale(sign))
-                        if lhs.cols != rhs.cols:
+                        lhs = nabla_hat(c, t.compose(w)).cols
+                        dw = nabla_hat(c, w).cols
+                        dt_ext, t_ext = dt.ext_cols(s), t.ext_cols(s + 1)
+                        if any(col != _col_sum(
+                                [(dt_ext[k], x) for k, x in w_col]
+                                + [(t_ext[k], sign * x) for k, x in dw_col])
+                               for col, w_col, dw_col in zip(lhs, w.cols, dw)):
                             self.verdicts.append(failed(
                                 "nabla-hat-graded-derivation",
                                 anchors.GRADED_DERIVATION,

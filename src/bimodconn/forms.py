@@ -28,12 +28,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
                      _col_sum, _combine, _to_cols, _to_mat, QuotientSpace,
                      zeros)
+
+if TYPE_CHECKING:
+    from .connection import DegreeRHom
 
 
 class Forms:
@@ -61,9 +65,12 @@ class Forms:
         # the actions on T_r by columns, by (r, f) and by (r, s, ω)
         self._left_cols: dict[tuple, Cols] = {}
         self._right_cols: dict[tuple, Cols] = {}
-        # right-Ω operator extensions and compositions on these spaces, by
-        # operator content (see connection.DegreeRHom)
-        self.op_cache: dict[tuple, Cols] = {}
+        # the intern table of right-Ω operators on these spaces: the id of
+        # each content, (degree, columns as tuples); see DegreeRHom.key
+        self.op_ids: dict[tuple, int] = {}
+        # by operand ids: ("ext", id, s) the extension to T_s, by columns;
+        # ("compose", id, id) the composition, an operator
+        self.op_cache: dict[tuple, Cols | DegreeRHom] = {}
 
     # -- spaces -----------------------------------------------------------
     def n_tails(self, r: int) -> int:

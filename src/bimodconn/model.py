@@ -45,6 +45,10 @@ ROUTES = ("induced", "nu-hat", "both")
 # up to D=11.  The bound counts at least 2 per tensor slot, so it also caps
 # the number of degrees of a one-dimensional algebra.
 MAX_EMB_DIM = 4096
+# Most modules, connections and tensor requests a model may hold, each: every
+# connection builds its own M⊗_AΩ, and `all` runs every check once per
+# connection and per tensor request.
+MAX_ENTRIES = 16
 
 
 class ModelError(Exception):
@@ -260,6 +264,10 @@ def parse_model(path: str, truncation: int | None = None) -> ModelFile:
     name = doc.get("name", "unnamed")
     if not isinstance(name, str):
         raise ModelError("name", "expected a string")
+    for key in ("modules", "connections", "tensor"):
+        entries = doc.get(key)
+        if isinstance(entries, (dict, list)) and len(entries) > MAX_ENTRIES:
+            raise ModelError(key, f"more than {MAX_ENTRIES} entries")
     algebra = _parse_algebra(_get(doc, "algebra", ""), "algebra")
     v = check_algebra(algebra)
     if not v.ok:

@@ -56,6 +56,13 @@ def ext_matrix(op, s):
     return _to_mat(op.ext_cols(s), op.forms.dim(op.degree + s))
 
 
+def scaled(op, c):
+    """c times a ``DegreeRHom``, column by column (a negation for c = −1)."""
+    return DegreeRHom(op.forms, op.degree,
+                      [[(row, c * x) for row, x in col] if c else []
+                       for col in op.cols])
+
+
 def projection(q):
     """A quotient's projection as a dense matrix, read off its columns."""
     return _to_mat(q.proj_cols, q.dim)
@@ -79,7 +86,7 @@ def kappa_raw(induced, r, bar):
     acc = None
     for k, cc in enumerate(bar):
         if cc:
-            m = induced._raw[r][k].scale(cc)
+            m = scaled(induced._raw[r][k], cc)
             acc = m if acc is None else acc.add(m)
     if acc is None:
         return DegreeRHom(c.forms, r, [[] for _ in range(c.module.dim)])
@@ -421,7 +428,7 @@ def derivation_holds(c, phi, psi):
     sign = 1 if phi.degree % 2 == 0 else -1
     lhs = nabla_hat(c, phi.compose(psi))
     rhs = nabla_hat(c, phi).compose(psi).add(
-        phi.compose(nabla_hat(c, psi)).scale(sign))
+        scaled(phi.compose(nabla_hat(c, psi)), sign))
     return dense(lhs) == dense(rhs)
 
 

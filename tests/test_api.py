@@ -140,14 +140,14 @@ SPARSE_ROUTE = {
                    "Connection.curvature_cols", "DegreeRHom.key",
                    "DegreeRHom.apply", "DegreeRHom.flat",
                    "DegreeRHom.ext_cols", "DegreeRHom.compose",
-                   "DegreeRHom.add", "DegreeRHom.scale", "DegreeRHom.is_zero",
+                   "DegreeRHom.add", "DegreeRHom.is_zero",
                    "_commutator", "nabla_hat", "leibniz_failure",
                    "InducedFirstOrder.op_from_coords"},
     "curvature": {"_square_hat", "InducedCalculus._project_op",
                   "InducedCalculus.image",
                   "InducedCalculus._check_multiplicative",
                   "InducedCalculus._check_diagram", "OmegaM.nabla_cols",
-                  "OmegaHat.__init__"},
+                  "OmegaHat.__init__", "OmegaHat._check_derivation"},
     "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
               "Forms.act_right", "Forms._ideal_tensors"},
     "linalg": {"_compose", "QuotientSpace.induced"},

@@ -18,8 +18,8 @@ from bimodconn import cli
 from bimodconn.calculus import preceq
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
-from bimodconn.model import (MAX_EMB_DIM, ModelError, parse_model,
-                             parse_rational)
+from bimodconn.model import (MAX_EMB_DIM, MAX_ENTRIES, ModelError,
+                             parse_model, parse_rational)
 from bimodconn.report import Report, Verdict, failed, passed
 
 def flat_doc() -> dict:
@@ -192,6 +192,38 @@ def test_parse_rejects_oversized_truncation(tmp_path, capsys):
                      "--truncation", "40"])
     assert code == 2
     assert "calculus.truncation" in capsys.readouterr().err
+
+
+def _entries(doc: dict, key: str, n: int) -> None:
+    """Set n modules, connections or tensor requests on an a2_flat doc:
+    copies of its own one, the first keeping its name, so the connections
+    are all on M and the requests all on nabla."""
+    if key == "tensor":
+        doc[key] = doc[key] * n
+    else:
+        (name, entry), = doc[key].items()
+        doc[key] = {name: entry, **{f"x{k}": entry for k in range(1, n)}}
+
+
+@pytest.mark.parametrize("key", ["modules", "connections", "tensor"])
+def test_parse_caps_the_number_of_entries(tmp_path, capsys, key):
+    # each connection builds its own M⊗_AΩ and `all` runs per connection and
+    # per request; past the cap the file is refused before anything is built
+    doc = flat_doc()
+    _entries(doc, key, MAX_ENTRIES)
+    model = parse_model(write_doc(tmp_path, doc))
+    got = {"modules": model.modules, "connections": model.connections,
+           "tensor": model.tensor_requests}[key]
+    assert len(got) == MAX_ENTRIES
+    doc = flat_doc()
+    _entries(doc, key, MAX_ENTRIES + 1)
+    doc["algebra"]["unit"] = ["2", "0"]     # never read: nothing is built
+    model_path = write_doc(tmp_path, doc)
+    with pytest.raises(ModelError) as err:
+        parse_model(model_path)
+    assert err.value.path == key
+    assert cli.main(["check", "--model", model_path]) == 2
+    assert f"model error at {key}:" in capsys.readouterr().err
 
 
 def test_parse_rejects_truncation_below_two(tmp_path, capsys):

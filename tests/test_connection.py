@@ -6,9 +6,10 @@ import pytest
 
 import _reference
 from _shared import MODELS, NAMES, a2, nabla
-from bimodconn.connection import (Connection, check_right_leibniz,
-                                  induced_first_order, kappa0_op, kappa1,
-                                  nabla_hat, sigma_exists)
+from bimodconn.connection import (Connection, DegreeRHom,
+                                  check_right_leibniz, induced_first_order,
+                                  kappa0_op, kappa1, nabla_hat, sigma_exists)
+from bimodconn.forms import Forms
 from bimodconn.linalg import is_zero_vec, zero_mat, zeros
 from bimodconn.model import parse_model
 
@@ -83,7 +84,26 @@ def test_add_across_degrees_raises():
     e1 = kappa0_op(c, a2().basis_vec(0))
     with pytest.raises(ValueError, match="degree"):
         e1.add(nabla_hat(c, e1))
-    assert e1.add(e1).cols == e1.scale(2).cols
+    assert e1.add(e1).cols == _reference.scaled(e1, 2).cols
+
+
+def test_equal_operators_share_one_id_per_forms():
+    # DegreeRHom.key interns the content (degree, columns) in its Forms:
+    # equal columns in one degree give one id, and a composition or ∇̂
+    # found in a cache is the operator itself
+    c = nabla("a2_flat")
+    f = Forms(c.module, c.calculus)
+    conn = Connection(f, c.nabla)
+    e1 = kappa0_op(conn, a2().basis_vec(0))
+    twin = DegreeRHom(f, 0, [list(col) for col in e1.cols])
+    content = tuple(map(tuple, e1.cols))
+    assert twin is not e1 and twin.key == e1.key == f.op_ids[0, content]
+    assert nabla_hat(conn, twin) is nabla_hat(conn, e1)
+    assert twin.compose(e1) is e1.compose(twin)
+    # the same columns one degree up extend differently: another id
+    assert f.dim(1) == f.dim(0)
+    up = DegreeRHom(f, 1, e1.cols)
+    assert up.key != e1.key and up.key == f.op_ids[1, content]
 
 
 def test_induced_first_order_dim():

@@ -17,8 +17,8 @@ from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
-from bimodconn.linalg import (_col_vec, _combine, _to_mat, is_zero_vec,
-                              mat_mul, mat_vec, rank)
+from bimodconn.linalg import (SpanBuilder, _col_vec, _combine, _to_mat,
+                              is_zero_vec, mat_mul, mat_vec, rank)
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -128,6 +128,28 @@ def test_omega_hat_second_derivative_vanishes_flat():
     for i in range(2):
         f_hat = kappa0_op(conn, a2().basis_vec(i))
         assert nabla_hat(conn, nabla_hat(conn, f_hat)).is_zero()
+
+
+def test_omega_hat_adds_each_operator_it_meets_once(monkeypatch):
+    # the worklist tries T₀ and t∘w for each kept w and each t in T; many
+    # candidates repeat an operator already tried, and OmegaHat skips an id
+    # it has met, so its spans see one add per distinct id
+    conn = pipeline("m2_grass")[0]
+    adds = []
+    add = SpanBuilder.add
+
+    def counting_add(self, v):
+        adds.append(self)
+        return add(self, v)
+
+    monkeypatch.setattr(SpanBuilder, "add", counting_add)
+    oh = OmegaHat(conn)
+    D = conn.forms.D
+    tried = list(oh.gen_ops(0)) + [
+        t.compose(w) for s in range(D + 1) for w in oh.ops(s)
+        for r in range(D + 1 - s) for t in oh.gen_ops(r)]
+    assert sum(any(span is x for x in oh.spans) for span in adds) == \
+        len({op.key for op in tried}) < len(tried)
 
 
 def test_j_degrees_zero_one_vanish_everywhere():
@@ -458,7 +480,7 @@ def _flipped_nabla_hat(degree):
     def fault(monkeypatch, conn):
         def wrong(c, phi):
             out = nabla_hat(c, phi)
-            return out.scale(-1) if phi.degree == degree else out
+            return _reference.scaled(out, -1) if phi.degree == degree else out
         dense_hat = _reference.DenseRoute.nabla_hat
 
         def dense_wrong(route, phi):

@@ -134,40 +134,50 @@ def test_ideal_tensors_are_the_product(make):
             for g in f.generators for iota in cal.ideal[r]]
 
 
-@pytest.mark.parametrize("make", [
-    *[(lambda n=n: parse_model(str(MODELS / f"{n}.model"))) for n in NAMES],
-    lambda: parse_model(str(MODELS / "a2_flat.model"), truncation=9),
-    lambda: model_file(regular_connection(upper_triangular(2), 3, 0), "t2")],
-    ids=[*NAMES, "a2_flat-D9", "t2-D3"])
+# the runs whose caches are checked, and the ("ext", …) entries of
+# Forms.op_cache that `all` leaves on each, over every Forms it builds
+CACHE_RUNS = {
+    **{n: lambda n=n: parse_model(str(MODELS / f"{n}.model")) for n in NAMES},
+    "a2_flat-D9": lambda: parse_model(str(MODELS / "a2_flat.model"),
+                                      truncation=9),
+    "t2-D3": lambda: model_file(regular_connection(upper_triangular(2), 3, 0),
+                                "t2")}
+EXT_ENTRIES = {"a2_flat": 19, "a2_quotient": 10, "a2_twist": 10,
+               "m2_grass": 70, "a2_flat-D9": 79, "t2-D3": 51}
+
+
+@pytest.mark.parametrize("name", CACHE_RUNS)
 def test_every_cached_extension_matches_the_representative_route(
-        monkeypatch, make):
+        monkeypatch, name):
     # after `all`, every extension held by a Forms (an operator's, in
     # op_cache, or a left action's) and by a Connection (∇'s) must be the
-    # lift → concatenate → project route of tests/_reference.py; every one
-    # is held by sparse columns and compared densified
+    # lift → concatenate → project route of tests/_reference.py; an
+    # operator's degree and columns are read back from the Forms' intern
+    # table by its id
     built: dict[type, list] = {Forms: [], Connection: []}
     for cls, seen in built.items():
         def recording_init(self, *args, init=cls.__init__, seen=seen):
             init(self, *args)
             seen.append(self)
         monkeypatch.setattr(cls, "__init__", recording_init)
-    m = make()
+    m = CACHE_RUNS[name]()
     cli.run("all", m)
     conns = list({id(c): c for c in built[Connection]
                   + list(m.connections.values())}.values())
     forms = list({id(f): f for f in built[Forms]
                   + [c.forms for c in conns]}.values())
     # (the sparse columns of operators and extensions are compared densified)
-    checked = 0
+    checked = n_ext = 0
     for f in forms:
+        contents = {op_id: content for content, op_id in f.op_ids.items()}
         for key, cols in f.op_cache.items():
             if key[0] == "ext":
-                (degree, phi), s = key[1:]
+                (degree, phi), s = contents[key[1]], key[2]
                 assert _to_mat(cols, f.dim(degree + s)) == \
                     _reference.extension_columns(
                         f, degree, _to_mat(phi, f.dim(degree)), s,
                         f.quotient_space(s).free)
-                checked += 1
+                n_ext += 1
         for (r, fv), cols in f._left_cols.items():
             assert _to_mat(cols, f.dim(r)) == _reference.extension_columns(
                 f, 0, f.module.left_matrix(list(fv)), r,
@@ -184,4 +194,4 @@ def test_every_cached_extension_matches_the_representative_route(
                 want = f.quotient_space(r).columns(want)
             assert _to_mat(cols, f.dim(r + 1)) == want
             checked += 1
-    assert checked > 0
+    assert n_ext == EXT_ENTRIES[name] and checked > 0
