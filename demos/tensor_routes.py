@@ -5,7 +5,7 @@ can either push the N-side derivative down to the induced calculus with
 nu-hat = id⊗kappa-hat and add b⊗(nabla a), or first build the associated
 connection on N against (Omega_nabla, d_nabla) and use the interpretation
 rule (b⊗Phi)a := b⊗Phi(a).  Both routes are constructed here for the
-a2_flat model and shown to produce the same matrix.
+a2_flat model and shown to produce the same columns.
 """
 
 from pathlib import Path
@@ -38,7 +38,7 @@ def main() -> None:
     tci = tensor_connection_induced(assoc.connection, conn, ic)
     for v in tco.verdicts + assoc.verdicts:
         print(" ", v.check_id, "->", v.status)
-    print("routes agree entrywise:", tci.matrix == tco.matrix)
+    print("routes agree entrywise:", tci.cols == tco.cols)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import anchors
-from .linalg import (DimensionError, Mat, SpanBuilder, Vec, _to_cols, _to_mat,
-                     frac, identity_mat, is_zero_vec, mat_mul, mat_vec,
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
+                     _to_cols, frac, identity_mat, mat_mul, mat_vec,
                      QuotientSpace, zero_mat, zeros)
 from .report import Verdict, failed, passed
 
@@ -269,37 +269,32 @@ class BalancedTensor:
     def project_pure(self, x: Vec, y: Vec) -> Vec:
         return self.project(self.pure(x, y))
 
-    def induced_right_matrix(self, f: Vec) -> Mat:
-        """·f on classes, from the plain map x_i⊗y_j ↦ x_i⊗(y_j·f) by
-        columns."""
+    def induced_right_cols(self, f: Vec) -> Cols:
+        """·f on classes by columns, from the plain map x_i⊗y_j ↦
+        x_i⊗(y_j·f)."""
         ry = _to_cols(self.right_factor.right_matrix(f), self.right_factor.dim)
         ydim = self.right_factor.dim
         plain = [[(i * ydim + l, c) for l, c in ry[j]]
                  for i in range(self.left_factor.dim) for j in range(ydim)]
-        return _to_mat(self.quotient.induced(plain, self.quotient), self.dim)
+        return self.quotient.induced(plain, self.quotient)
 
 
-def balancing_relations(x, y: Bimodule) -> list[Vec]:
-    """Spanning set of (x·f)⊗y − x⊗(f·y) over all basis triples."""
-    xd, yd = x.dim, y.dim
+def balancing_relations(x, y: Bimodule) -> list[SparseVec]:
+    """Spanning set of (x·f)⊗y − x⊗(f·y) over all basis triples, each a
+    sparse plain-tensor vector; the zero ones are left out.  x_i·f and
+    f·y_j are columns of the stored actions of f = e_fi."""
+    yd = y.dim
+    right = [_to_cols(act, x.dim) for act in x.right_action]
+    left = [_to_cols(act, yd) for act in y.left_action]
     rels = []
-    a = x.algebra
-    for i in range(xd):
-        xi = x.basis_vec(i)
-        for fi in range(a.dim):
-            f = a.basis_vec(fi)
-            xf = x.act_right(xi, f)
+    for i in range(x.dim):
+        for fi in range(x.algebra.dim):
             for j in range(yd):
-                yj = y.basis_vec(j)
-                fy = y.act_left(f, yj)
-                rel = zeros(xd * yd)
-                for k, c in enumerate(xf):
-                    if c:
-                        rel[k * yd + j] += c
-                for l, c in enumerate(fy):
-                    if c:
-                        rel[i * yd + l] -= c
-                if not is_zero_vec(rel):
+                rel: SparseVec = {k * yd + j: c for k, c in right[fi][i]}
+                for l, c in left[fi][j]:
+                    at = i * yd + l
+                    rel[at] = rel.get(at, 0) - c
+                if rel := {at: c for at, c in rel.items() if c}:
                     rels.append(rel)
     return rels
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
                      _combine, _exact, _sparse, _sparse_sum, _to_mat,
-                     identity_mat, mat_vec, quotient, QuotientSpace, zeros)
+                     identity_mat, quotient, QuotientSpace, zeros)
 
 
 class UniversalCalculus:
@@ -293,7 +293,7 @@ class GradedCalculus:
         self.D = universal.D
         self.quotients = quotients
         self.ideal = [q.sub for q in quotients]
-        self._d_mats: dict[int, Mat] = {}
+        self._d_cols: dict[int, Cols] = {}
         self._bimods: dict[int, Bimodule] = {}
 
     # -- basics -----------------------------------------------------------
@@ -311,16 +311,16 @@ class GradedCalculus:
         return self.quotients[r].project(bar)
 
     # -- induced structure -------------------------------------------------
-    def d_matrix(self, r: int) -> Mat:
-        """d: Ω^r → Ω^{r+1} in quotient coordinates."""
-        if r not in self._d_mats:
-            self._d_mats[r] = _to_mat(self.quotients[r].induced(
-                self.universal.d_cols(r), self.quotients[r + 1]),
-                self.dim(r + 1))
-        return self._d_mats[r]
+    def d_cols(self, r: int) -> Cols:
+        """d: Ω^r → Ω^{r+1} in quotient coordinates, by columns, computed
+        once per degree; the columns are shared."""
+        if r not in self._d_cols:
+            self._d_cols[r] = self.quotients[r].induced(
+                self.universal.d_cols(r), self.quotients[r + 1])
+        return self._d_cols[r]
 
     def d_apply(self, r: int, q: Vec) -> Vec:
-        return mat_vec(self.d_matrix(r), q)
+        return _combine(self.d_cols(r), q, self.dim(r + 1))
 
     def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
         """Product of quotient classes, via representatives."""

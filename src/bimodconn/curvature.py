@@ -17,10 +17,9 @@ from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
-from .linalg import (Col, Cols, Mat, SpanBuilder, Vec, _col_sum, _col_vec,
-                     _combine, _compose, _sparse, _to_cols, _to_mat,
-                     identity_mat, mat_mul, null_space, quotient,
-                     QuotientSpace, rank, zeros)
+from .linalg import (Col, Cols, SpanBuilder, Vec, _col_sum, _col_vec,
+                     _combine, _compose, _sparse, _to_cols, identity_mat,
+                     kernel_quotient, quotient, QuotientSpace, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -461,8 +460,8 @@ class InducedCalculus:
     vector is the ``_col_sum`` of its columns at the vector's nonzeros
     (``image``).  Each identity of κ is decided on those columns, which
     decide it on every element by linearity: no operator is composed,
-    extended or projected per pair.  κ̄ is densified one degree at a time,
-    only for its rank and null space.  ``d_ops`` are the ∇̂ê_j, j in the
+    extended or projected per pair, and Ω_∇ is read off one elimination of
+    each degree's rows (``_build_calculus``).  ``d_ops`` are the ∇̂ê_j, j in the
     unit complement, that every raw operator of degree ≥ 1 ends in.
     """
 
@@ -583,27 +582,21 @@ class InducedCalculus:
         self.verdicts.append(passed("kappa-d-diagram", anchors.D_NABLA_SQUARED))
 
     def _build_calculus(self) -> None:
-        """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention; κ̄ is
-        densified one degree at a time, for its rank or null space."""
-        c = self.connection
-        uni = c.calculus.universal
-
-        def rows(r: int) -> Mat:
-            return _to_mat(self._columns[r],
-                           self.omega_m.dim(r) * c.module.dim)
-
-        self.kappa0_injective = rank(rows(0)) == uni.algebra.dim
+        """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention: each
+        degree is read off one elimination of κ̄'s rows
+        (``linalg.kernel_quotient``), and κ₀ is injective when that
+        quotient keeps all of A.  d_∇² = 0 is decided by columns."""
+        uni = self.connection.calculus.universal
+        self.kappa0_injective = \
+            kernel_quotient(self._columns[0]).dim == uni.algebra.dim
         self.calculus = GradedCalculus(uni, [quotient(uni.bar_dim(0), [])] + [
-            quotient(uni.bar_dim(r), null_space(rows(r), uni.bar_dim(r)))
-            for r in range(1, uni.D + 1)])
+            kernel_quotient(self._columns[r]) for r in range(1, uni.D + 1)])
         self.verdicts.append(Verdict(
             "omega0-is-algebra", anchors.OMEGA0_IS_A, "pass", None,
             {"kappa0_injective": self.kappa0_injective}))
-        # d_∇² = 0 in coordinates on the image of κ
         for r in range(uni.D - 1):
-            dd = mat_mul(self.calculus.d_matrix(r + 1),
-                         self.calculus.d_matrix(r))
-            if any(x != 0 for row in dd for x in row):
+            if any(_compose(self.calculus.d_cols(r + 1),
+                            self.calculus.d_cols(r))):
                 self.verdicts.append(failed("d-nabla-squared-zero",
                                             anchors.D_NABLA_SQUARED,
                                             {"degree": r}))

@@ -7,26 +7,25 @@ results of elimination are normalized so; a sum or product with a
 non-integral operand may still hold an integral value as a Fraction, which
 compares and hashes equal to the int.
 
-Every linear map the package stores is stored by columns (``Cols``: per
-column, its nonzero (row, entry) pairs sorted by row), and dense only for
-inputs, printed maps and dense solvers.  That covers the structure maps of
-the universal calculus, the projection of every :class:`QuotientSpace`
-(column i is the class of the unit vector e_i), every map on M⊗_AΩ (see
-``forms`` and ``connection``), κ̄ (``curvature.InducedCalculus``) and the
-operators that span Ω¹_∇.  Such a map is applied by ``_combine`` at the
-nonzeros of a dense vector, composed by ``_compose`` and summed by
-``_col_sum``, so its cost is the number of nonzeros met.  Dense matrices
-(lists of rows) remain for the model's actions and ∇, for the small maps on
-classes (κ₁, σ and those a report prints), and for ``row_reduce``,
-``null_space``, ``rank`` and ``factor_through``; ``_to_cols`` and
-``_to_mat`` convert between the two forms.  One eliminator keeps sparse
-rows, ``dict[column, entry]``, reduced and keyed by pivot, so reducing a
-vector touches only the rows at the pivots in its support: ``SpanBuilder``
-holds them, takes its vectors sparse or dense and tracks coordinates only
-when ``coords`` asks, and ``row_reduce`` reads its RREF off them.  The
-kernels (``mat_vec``, ``mat_mul``, ``_sparse``, ``_combine``) find the
-nonzeros of a dense row with ``itertools.compress``, at C speed, and do
-Python-level work only on those.  Everything is computed exactly: the one
+Every linear map a check uses is stored by columns (``Cols``: per column,
+its nonzero (row, entry) pairs sorted by row): the structure maps of the
+universal calculus, the projection of every :class:`QuotientSpace` (column
+i is the class of e_i), d on classes, every map on M⊗_AΩ (``forms``,
+``connection``), κ̄, the operators that span Ω¹_∇, ν̂, ∇⊗ and ·f on a
+balanced tensor.  Such a map is applied by ``_combine`` at the nonzeros of
+a dense vector, composed by ``_compose`` and summed by ``_col_sum``, so its
+cost is the number of nonzeros met.  Dense matrices (lists of rows) remain
+for the model's actions and ∇, for κ₁, σ and ρ (printed, or taken by a
+dense solver), and at the line that hands a map to ``row_reduce``,
+``null_space``, ``rank`` or ``factor_through``; ``_to_cols`` and
+``_to_mat`` convert.  One eliminator keeps sparse rows, ``dict[column,
+entry]``, reduced and keyed by pivot, so reducing a vector touches only the
+rows at the pivots in its support: ``SpanBuilder`` holds them (sparse or
+dense intake, coordinates only when ``coords`` asks), ``row_reduce`` reads
+its RREF off them, and ``kernel_quotient`` the quotient by a map's kernel
+off one elimination of the map's rows.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
+``_combine``) find the nonzeros of a dense row with ``itertools.compress``
+and do Python-level work only on those.  Everything is exact: the one
 division, :func:`_div`, returns an int or a Fraction, never a float, so
 every equality test in the rest of the package is decidable.
 """
@@ -469,17 +468,51 @@ class SpanBuilder:
                         len(self.basis))
 
     def quotient(self) -> QuotientSpace:
-        """The ambient space modulo this span, read off the reduced rows:
-        they are the span's RREF, so e_i reduces to itself for a free column
-        i and to e_i − row for the pivot i of a row, and the projection's
-        column i is that remainder in the free coordinates."""
-        free = [c for c in range(self.ambient_dim) if c not in self._rows]
-        cols: Cols = [[] for _ in range(self.ambient_dim)]
-        for k, fc in enumerate(free):
-            cols[fc].append((k, 1))
-        pos = {fc: k for k, fc in enumerate(free)}
-        for pc, row in self._rows.items():
-            # every entry but the pivot is in a free column
-            cols[pc] = sorted((pos[j], -_exact(x))
-                              for j, x in row.items() if j != pc)
-        return QuotientSpace(self.basis[:], free, cols)
+        """The ambient space modulo this span, read off the reduced rows."""
+        return _quotient_of_rows(self.ambient_dim, self._rows, self.basis[:])
+
+
+def _quotient_of_rows(n: int, rows: dict[int, SparseVec],
+                      sub: list[Vec]) -> QuotientSpace:
+    """The n-dimensional space modulo the span of sub, read off that span's
+    RREF ``rows`` (keyed by pivot): e_i reduces to itself for a free column
+    i and to e_i − row for the pivot i of a row, and the projection's
+    column i is that remainder in the free coordinates."""
+    free = [c for c in range(n) if c not in rows]
+    cols: Cols = [[] for _ in range(n)]
+    for k, fc in enumerate(free):
+        cols[fc].append((k, 1))
+    pos = {fc: k for k, fc in enumerate(free)}
+    for pc, row in rows.items():
+        # every entry but the pivot is in a free column
+        cols[pc] = sorted((pos[j], -_exact(x))
+                          for j, x in row.items() if j != pc)
+    return QuotientSpace(sub, free, cols)
+
+
+def kernel_quotient(cols: Cols) -> QuotientSpace:
+    """The domain of a map, given by its n sparse columns, modulo its
+    kernel: ``quotient(n, null_space(m, n))`` with ``sub`` the kernel's
+    RREF, from one elimination of the map's rows.  The rows are reduced
+    with column u at index n−1−u, so each non-pivot u is the pivot of the
+    kernel vector e_u − Σ (row's entry at u)·e_(row's pivot), zero at every
+    other non-pivot: these vectors are the kernel's RREF."""
+    n = len(cols)
+    by_row: dict[int, SparseVec] = {}
+    for u, col in enumerate(cols):
+        for i, x in col:
+            by_row.setdefault(i, {})[n - 1 - u] = x
+    rows: dict[int, SparseVec] = {}
+    # sparsest rows first: on ℂ[ℤ₅] at D=3 that keeps fill-in and the
+    # rationals small enough to take a quarter off κ̄'s top degree
+    for row in sorted(by_row.values(), key=len):
+        if len(rows) == n:
+            break
+        _absorb(rows, row)
+    kernel = {u: {u: 1} for u in range(n) if n - 1 - u not in rows}
+    for p, row in rows.items():
+        for j, x in row.items():
+            if j != p:
+                kernel[n - 1 - j][n - 1 - p] = _exact(-x)
+    return _quotient_of_rows(n, kernel, [_col_vec(row.items(), n)
+                                         for row in kernel.values()])

@@ -21,10 +21,10 @@ from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
-from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec,
-                     _cols_to_mat, _sparse, _to_mat, factor_through,
-                     is_zero_vec, mat_mul, mat_vec, null_space, rank, vec_add,
-                     zeros)
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _col_sum,
+                     _col_vec, _cols_to_mat, _combine, _compose, _sparse,
+                     _sparse_sum, _to_cols, _to_mat, factor_through,
+                     is_zero_vec, kernel_quotient, mat_vec, null_space, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -159,19 +159,19 @@ def check_compatibility(c: Connection, rc: Connection,
 
 @dataclass
 class NuHat:
-    """Per-degree maps N⊗_AΩ^r → N⊗_AΩ_∇^r, b⊗ω ↦ b⊗κ̂(ω)."""
+    """Per-degree maps N⊗_AΩ^r → N⊗_AΩ_∇^r, b⊗ω ↦ b⊗κ̂(ω), by columns."""
 
     available: bool
     source: Forms | None = None          # N ⊗ Ω
     target: Forms | None = None          # N ⊗ Ω_∇
-    maps: list[Mat] = field(default_factory=list)
+    maps: list[Cols] = field(default_factory=list)
     verdicts: list[Verdict] = field(default_factory=list)
 
     def apply(self, r: int, v: Vec) -> Vec:
-        return mat_vec(self.maps[r], v)
+        return _combine(self.maps[r], v, self.target.dim(r))
 
     def rank(self, r: int) -> int:
-        return rank(self.maps[r])
+        return kernel_quotient(self.maps[r]).dim
 
 
 def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
@@ -181,11 +181,10 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     Both N⊗Ω^r and N⊗Ω_∇^r are quotients of the same free coordinate space
     N ⊗ (degree-r tails); since κ̂ is the canonical factoring of the two
     ideal quotients, ν̂ is lift-then-reproject between them: the target's
-    projection columns at the source's ``free`` columns.  ν̂ is kept dense,
-    because ``rank`` and ``factor_through`` take it, and the right
-    multiplications and ∇'s extensions it is multiplied with are densified
-    where they meet it.  The source is ``rc.forms``; only the target N⊗Ω_∇
-    is built here.
+    projection columns at the source's ``free`` columns, held as they are.
+    Its right linearity is decided by composing those columns with the
+    right multiplications of ``Forms``.  The source is ``rc.forms``; only
+    the target N⊗Ω_∇ is built here.
     """
     if kappa_hat is None:
         nu = NuHat(False)
@@ -199,8 +198,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     nu = NuHat(True, src, tgt)
     for r in range(src.D + 1):
         proj = tgt.quotient_space(r).proj_cols
-        nu.maps.append(_to_mat([proj[fc] for fc in src.quotient_space(r).free],
-                               tgt.dim(r)))
+        nu.maps.append([proj[fc] for fc in src.quotient_space(r).free])
     # well defined: the source relations are killed in the target
     for r in range(src.D + 1):
         for v in src.quotient_space(r).sub:
@@ -210,41 +208,39 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
                                           {"degree": r, "vector": rationals(v)}))
                 return nu
     nu.verdicts.append(passed("nu-hat-well-defined", anchors.NU_HAT))
-    # right linear over the calculi: commutes with ·f and with ·de_j, as
-    # the squares ν_r·R^src(r, 0, e_i) = R^tgt(r, 0, e_i)·ν_r and
-    # ν_{r+1}·R^src(r, 1, [de_j]) = R^tgt(r, 1, [de_j])·ν_r
+    nu.verdicts.append(_nu_right_linear(nu))
+    return nu
+
+
+def _nu_right_linear(nu: NuHat) -> Verdict:
+    """ν̂ is right linear over the calculi: it commutes with ·f and with
+    ·de_j, as the squares ν_r·R^src(r, 0, e_i) = R^tgt(r, 0, e_i)·ν_r and
+    ν_{r+1}·R^src(r, 1, [de_j]) = R^tgt(r, 1, [de_j])·ν_r, composed by
+    columns; the witness is the first failing square, and for ·de_j its
+    first differing column."""
+    src, tgt = nu.source, nu.target
     uni = src.uni
     a = uni.algebra
     tails = [(j, src.calculus.d_of_algebra(a.basis_vec(j)),
               tgt.calculus.d_of_algebra(a.basis_vec(j)))
              for j in uni.complement]
-
-    def right(f: Forms, r: int, s: int, w: Vec) -> Mat:
-        return _to_mat(f.right_mult_cols(r, s, w), f.dim(r + s))
-
     for r in range(src.D + 1):
         for fi in range(a.dim):
             e_i = a.basis_vec(fi)
-            lhs = mat_mul(nu.maps[r], right(src, r, 0, e_i))
-            rhs = mat_mul(right(tgt, r, 0, e_i), nu.maps[r])
-            if lhs != rhs:
-                nu.verdicts.append(failed("nu-hat-right-linear",
-                                          anchors.NU_HAT,
-                                          {"degree": r, "algebra_basis": fi}))
-                return nu
+            if _compose(nu.maps[r], src.right_mult_cols(r, 0, e_i)) != \
+                    _compose(tgt.right_mult_cols(r, 0, e_i), nu.maps[r]):
+                return failed("nu-hat-right-linear", anchors.NU_HAT,
+                              {"degree": r, "algebra_basis": fi})
         if r + 1 > src.D:
             continue
         for j, de_src, de_tgt in tails:
-            lhs = mat_mul(right(tgt, r, 1, de_tgt), nu.maps[r])
-            rhs = mat_mul(nu.maps[r + 1], right(src, r, 1, de_src))
-            for col in range(src.dim(r)):
-                if any(x[col] != y[col] for x, y in zip(lhs, rhs)):
-                    nu.verdicts.append(failed(
-                        "nu-hat-right-linear", anchors.NU_HAT,
-                        {"degree": r, "tail": j, "basis": col}))
-                    return nu
-    nu.verdicts.append(passed("nu-hat-right-linear", anchors.NU_HAT))
-    return nu
+            lhs = _compose(tgt.right_mult_cols(r, 1, de_tgt), nu.maps[r])
+            rhs = _compose(nu.maps[r + 1], src.right_mult_cols(r, 1, de_src))
+            for col, (x, y) in enumerate(zip(lhs, rhs)):
+                if x != y:
+                    return failed("nu-hat-right-linear", anchors.NU_HAT,
+                                  {"degree": r, "tail": j, "basis": col})
+    return passed("nu-hat-right-linear", anchors.NU_HAT)
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +249,21 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
 
 @dataclass
 class TensorConnection:
-    """∇⊗ on N⊗_AM, valued in N⊗_A(M⊗_AΩ¹), by either route."""
+    """∇⊗ on N⊗_AM, valued in N⊗_A(M⊗_AΩ¹), by either route; ``cols``
+    holds it by columns, one per class of N⊗_AM, once it is built."""
 
     route: str                       # "induced" or "nu-hat"
     domain: BalancedTensor           # N ⊗_A M
     codomain: BalancedTensor         # N ⊗_A (M⊗_AΩ¹)
-    matrix: Mat                      # codomain.dim x domain.dim
+    cols: Cols | None = None
     verdicts: list[Verdict] = field(default_factory=list)
 
     @property
     def available(self) -> bool:
-        return bool(self.matrix)
+        return self.cols is not None
 
     def apply(self, cls: Vec) -> Vec:
-        return mat_vec(self.matrix, cls)
+        return _combine(self.cols, cls, self.codomain.dim)
 
 
 def _tail_bars(uni) -> list[Vec]:
@@ -276,31 +273,29 @@ def _tail_bars(uni) -> list[Vec]:
 
 
 def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
-                       xi_list: list[Vec], tail_ops: list[Cols]) -> Mat:
-    """The plain matrix of ∇⊗ on N⊗M, into W = N⊗_A(M⊗_AΩ¹): column
-    (j, i) is the W-class of ξ_j·a_i + b_j⊗∇a_i.
+                       xi_list: list[Vec], tail_ops: list[Cols]) -> Cols:
+    """∇⊗ on the plain N⊗M by columns, into W = N⊗_A(M⊗_AΩ¹): column
+    (j, i) is the W-class of ξ_j·a_i + b_j⊗∇a_i, the sum of W's
+    projection columns at the plain indices of its terms.
 
     ξ_j is a degree-one N-form of ``xi_forms``.  A term x·b_k⊗de_β of its
     representative acts on a_i through its tail: it gives x·b_k⊗(T_β·a_i)
     for the M → M⊗_AΩ¹ map T_β = ``tail_ops[β]``, by sparse columns.
     """
-    m = c.module
     nt = xi_forms.n_tails(1)
     t1 = c.forms.dim(1)
+    free = xi_forms.quotient_space(1).free
+    proj = w.quotient.proj_cols
+    nabla = c.nabla_ext_cols(0)
     cols = []
     for j, xi in enumerate(xi_list):
-        terms = [(divmod(flat, nt), cc)
-                 for flat, cc in enumerate(xi_forms.lift(1, xi)) if cc]
-        for i in range(m.dim):
-            out = zeros(w.plain_dim)
-            for (k, bidx), cc in terms:
-                for l, x in tail_ops[bidx][i]:
-                    out[k * t1 + l] += cc * x
-            for l, row in enumerate(c.nabla):
-                if row[i]:
-                    out[j * t1 + l] += row[i]
-            cols.append(w.project(out))
-    return _cols_to_mat(cols, w.dim)
+        terms = [(divmod(free[k], nt), x) for k, x in enumerate(xi) if x]
+        for i, nabla_i in enumerate(nabla):
+            cols.append(_col_sum(
+                [(proj[k * t1 + l], x * y)
+                 for (k, bidx), x in terms for l, y in tail_ops[bidx][i]]
+                + [(proj[j * t1 + l], y) for l, y in nabla_i]))
+    return cols
 
 
 def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
@@ -319,17 +314,17 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
     tail_ops = [induced.d_ops[j].cols
                 for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, w, xi_forms, xi_list, tail_ops)
-    tc = TensorConnection(route, tn, w, [])
+    tc = TensorConnection(route, tn, w)
     # well defined on balanced classes
     for rel in balancing_relations(n, m):
-        if not is_zero_vec(mat_vec(plain, rel)):
-            tc.verdicts.append(failed("tensor-connection-well-defined",
-                                      well_defined_anchor,
-                                      {"relation": rationals(rel)}))
+        if _sparse_sum([(plain[at], x) for at, x in rel.items()]):
+            tc.verdicts.append(failed(
+                "tensor-connection-well-defined", well_defined_anchor,
+                {"relation": rationals(_col_vec(rel.items(), tn.plain_dim))}))
             return tc
     tc.verdicts.append(passed("tensor-connection-well-defined",
                               well_defined_anchor))
-    tc.matrix = tn.quotient.columns(plain)
+    tc.cols = [plain[fc] for fc in tn.quotient.free]
     _check_tensor_leibniz(tc, c)
     return tc
 
@@ -337,30 +332,31 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
 def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
     """∇⊗(x·f) = (∇⊗x)·f + x⊗df on all domain basis / algebra pairs.
 
-    Per f, ∇⊗∘(·f) and (·f)∘∇⊗ are computed once as matrices; the class x
+    Per f, ∇⊗∘(·f) and (·f)∘∇⊗ are composed once by columns; the class x
     at basis index k lifts to the pure pair free[k] = (j, i), where x⊗df is
-    the W-class of b_j⊗(a_i⊗df).
+    the W-class of b_j⊗(a_i⊗df), W's projection columns at b_j and the
+    nonzeros of the class of a_i⊗df.
     """
     tn, w = tc.domain, tc.codomain
     m = c.module
     a = m.algebra
     uni = c.calculus.universal
     t1 = c.forms.dim(1)
+    proj = w.quotient.proj_cols
     per_f = []
     for fi in range(a.dim):
         fv = a.basis_vec(fi)
         df_bar = uni.d(0, fv)
-        per_f.append((mat_mul(tc.matrix, tn.induced_right_matrix(fv)),
-                      mat_mul(w.induced_right_matrix(fv), tc.matrix),
-                      [c.forms.class_of_pair_bar(1, m.basis_vec(i), df_bar)
-                       for i in range(m.dim)]))
+        per_f.append((_compose(tc.cols, tn.induced_right_cols(fv)),
+                      _compose(w.induced_right_cols(fv), tc.cols),
+                      [_sparse(c.forms.class_of_pair_bar(
+                          1, m.basis_vec(i), df_bar)) for i in range(m.dim)]))
     for col, fc in enumerate(tn.quotient.free):
         j, i = divmod(fc, m.dim)
         for fi, (lhs, rhs, pieces) in enumerate(per_f):
-            extra = zeros(w.plain_dim)
-            extra[j * t1:(j + 1) * t1] = pieces[i]
-            if [row[col] for row in lhs] != vec_add(
-                    [row[col] for row in rhs], w.project(extra)):
+            if _sparse_sum([(lhs[col], 1), (rhs[col], -1)]
+                           + [(proj[j * t1 + l], -x)
+                              for l, x in pieces[i].items()]):
                 tc.verdicts.append(failed("tensor-right-leibniz",
                                           anchors.TENSOR_CONNECTION,
                                           {"basis": col, "algebra_basis": fi}))
@@ -388,7 +384,7 @@ def tensor_connection_original(rc: Connection, c: Connection,
     if not nu.available:
         tc = TensorConnection("nu-hat", tensor_over_A(rc.module, c.module),
                               tensor_over_A(rc.module,
-                                            c.forms.as_bimodule(1)), [])
+                                            c.forms.as_bimodule(1)))
         tc.verdicts.append(Verdict("tensor-connection-original",
                                    anchors.ORIGINAL_ROUTE, "unavailable"))
         return tc
@@ -418,10 +414,9 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
     plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
     for j in range(n.dim):
         for i in range(m.dim):
-            via_sigma = [row[j * m.dim + i] for row in plain]
             via_nu = tc.apply(tc.domain.project_pure(n.basis_vec(j),
                                                      m.basis_vec(i)))
-            if via_sigma != via_nu:
+            if dict(plain[j * m.dim + i]) != _sparse(via_nu):
                 tc.verdicts.append(failed("tensor-route-agreement",
                                           anchors.NEC_SUFF,
                                           {"pair": [j, i]}))
@@ -452,12 +447,14 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
         return res
     src, tgt = nu.source, nu.target
     res = AssociatedResult(True)
-    # ν̂∘∇′ per degree, ∇′'s extension densified to meet ν̂
-    pushed = [mat_mul(nu.maps[r + 1], _to_mat(rc.nabla_ext_cols(r),
-                                              src.dim(r + 1)))
+    # ν̂∘∇′ per degree, by columns; both maps are densified only for
+    # factor_through
+    pushed = [_compose(nu.maps[r + 1], rc.nabla_ext_cols(r))
               for r in range(src.D)]
     for r in range(src.D):
-        h, wit = factor_through(nu.maps[r], pushed[r], src.dim(r))
+        h, wit = factor_through(_to_mat(nu.maps[r], tgt.dim(r)),
+                                _to_mat(pushed[r], tgt.dim(r + 1)),
+                                src.dim(r))
         if h is None:
             res.exists = False
             res.connection = None
@@ -470,9 +467,10 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
         res.ext_matrices.append(h)
     res.connection = Connection(tgt, res.ext_matrices[0])
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
-    # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked entrywise
+    # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked by columns
     for r in range(src.D):
-        if pushed[r] != mat_mul(res.ext_matrices[r], nu.maps[r]):
+        if pushed[r] != _compose(_to_cols(res.ext_matrices[r], tgt.dim(r)),
+                                 nu.maps[r]):
             res.verdicts.append(failed("associated-square", anchors.ASSOCIATED,
                                        {"degree": r}))
             return res

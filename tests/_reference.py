@@ -28,8 +28,13 @@ rows in a list and walks all of them to reduce a vector, and the quotient
 read off a second row reduction of its sub.  Then the ideal saturation
 that also tries every product by de_j, each a dense
 ``UniversalCalculus.product``.  Then ⪯ decided by eliminating I₁ afresh
-and ρ built by ``factor_through``.  Last, the parse of a rational string
-that reads every string by ``Fraction``.
+and ρ built by ``factor_through``.  Then Ω_∇ through κ̄ densified and its
+null space (``kernel_quotient``), and the dense tensor checks: ν̂'s
+right-linearity squares, the balancing relations as dense vectors, ∇⊗
+filled in entry by entry, its right Leibniz rule with ·f on classes
+through representatives, and the associated connection's factors and
+square.  Last, the parse of a rational string that reads every string by
+``Fraction``.
 """
 
 import bisect
@@ -37,12 +42,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from bimodconn import linalg
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
                               _cols_to_mat, _div, _eliminate, _exact, _sparse,
                               _to_mat, factor_through, identity_mat, mat_mul,
-                              mat_vec, row_reduce, vec_add, zero_mat, zeros)
+                              mat_vec, null_space, row_reduce, vec_add,
+                              zero_mat, zeros)
 from bimodconn.model import ModelError
 
 
@@ -779,6 +786,158 @@ def preceq(c1, c2):
         assert h is not None, "ideal inclusion should guarantee factoring"
         maps.append(h)
     return CalculusMorphism(c2, c1, maps), None
+
+
+# -- Ω_∇ and the tensor routes ----------------------------------------------
+
+def kernel_quotient(cols, n_rows):
+    """``linalg.kernel_quotient`` as the map densified, its null space
+    taken by ``null_space`` and the quotient by that basis by
+    ``linalg.quotient``: the route ``InducedCalculus`` took to Ω_∇."""
+    n = len(cols)
+    return linalg.quotient(n, null_space(_to_mat(cols, n_rows), n))
+
+
+def nu_hat_right_linear(nu):
+    """The witness of ``nu-hat-right-linear``, or None: ν̂'s maps and the
+    right multiplications of ``Forms`` densified and the squares multiplied
+    by ``mat_mul``."""
+    src, tgt = nu.source, nu.target
+    maps = [_to_mat(m, tgt.dim(r)) for r, m in enumerate(nu.maps)]
+    a = src.uni.algebra
+
+    def right(f, r, s, w):
+        return _to_mat(f.right_mult_cols(r, s, w), f.dim(r + s))
+
+    for r in range(src.D + 1):
+        for fi in range(a.dim):
+            e_i = a.basis_vec(fi)
+            if mat_mul(maps[r], right(src, r, 0, e_i)) != \
+                    mat_mul(right(tgt, r, 0, e_i), maps[r]):
+                return {"degree": r, "algebra_basis": fi}
+        if r + 1 > src.D:
+            continue
+        for j in src.uni.complement:
+            de_src = src.calculus.d_of_algebra(a.basis_vec(j))
+            de_tgt = tgt.calculus.d_of_algebra(a.basis_vec(j))
+            lhs = mat_mul(right(tgt, r, 1, de_tgt), maps[r])
+            rhs = mat_mul(maps[r + 1], right(src, r, 1, de_src))
+            for col in range(src.dim(r)):
+                if any(x[col] != y[col] for x, y in zip(lhs, rhs)):
+                    return {"degree": r, "tail": j, "basis": col}
+    return None
+
+
+def balancing_relations(x, y):
+    """``algebra.balancing_relations`` as dense plain-tensor vectors, each
+    x_i·f and f·y_j applied by ``act_right`` and ``act_left``."""
+    xd, yd = x.dim, y.dim
+    rels = []
+    a = x.algebra
+    for i in range(xd):
+        for fi in range(a.dim):
+            f = a.basis_vec(fi)
+            xf = x.act_right(x.basis_vec(i), f)
+            for j in range(yd):
+                fy = y.act_left(f, y.basis_vec(j))
+                rel = zeros(xd * yd)
+                for k, c in enumerate(xf):
+                    if c:
+                        rel[k * yd + j] += c
+                for l, c in enumerate(fy):
+                    if c:
+                        rel[i * yd + l] -= c
+                if any(rel):
+                    rels.append(rel)
+    return rels
+
+
+def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
+    """∇⊗ on classes as a dense matrix: each pure pair's plain vector
+    ξ_j·a_i + b_j⊗∇a_i filled in entry by entry and projected, then the
+    columns at the domain's ``free``."""
+    w = tc.codomain
+    nt = xi_forms.n_tails(1)
+    t1 = c.forms.dim(1)
+    cols = []
+    for j, xi in enumerate(xi_list):
+        terms = [(divmod(flat, nt), cc)
+                 for flat, cc in enumerate(xi_forms.lift(1, xi)) if cc]
+        for i in range(c.module.dim):
+            out = zeros(w.plain_dim)
+            for (k, bidx), cc in terms:
+                for l, x in tail_ops[bidx][i]:
+                    out[k * t1 + l] += cc * x
+            for l, row in enumerate(c.nabla):
+                out[j * t1 + l] += row[i]
+            cols.append(w.project(out))
+    return tc.domain.quotient.columns(_cols_to_mat(cols, w.dim))
+
+
+def right_on_classes(bt, f):
+    """·f on the classes of a balanced tensor X⊗_AY, dense: the class of
+    x_i⊗(y_j·f) for the pure pair (i, j) at each ``free`` column."""
+    y = bt.right_factor
+    cols = []
+    for fc in bt.quotient.free:
+        i, j = divmod(fc, y.dim)
+        cols.append(bt.project(bt.pure(bt.left_factor.basis_vec(i),
+                                       y.act_right(y.basis_vec(j), f))))
+    return _cols_to_mat(cols, bt.dim)
+
+
+def tensor_right_leibniz(tc, c):
+    """The witness of ``tensor-right-leibniz``, or None: ∇⊗ densified,
+    ∇⊗∘(·f) and (·f)∘∇⊗ multiplied by ``mat_mul`` and x⊗df a dense plain
+    vector projected."""
+    tn, w = tc.domain, tc.codomain
+    m = c.module
+    a = m.algebra
+    t1 = c.forms.dim(1)
+    mat = _to_mat(tc.cols, w.dim)
+    per_f = [(mat_mul(mat, right_on_classes(tn, fv)),
+              mat_mul(right_on_classes(w, fv), mat),
+              c.calculus.universal.d(0, fv))
+             for fv in identity_mat(a.dim)]
+    for col, fc in enumerate(tn.quotient.free):
+        j, i = divmod(fc, m.dim)
+        for fi, (lhs, rhs, df_bar) in enumerate(per_f):
+            extra = zeros(w.plain_dim)
+            extra[j * t1:(j + 1) * t1] = c.forms.class_of_pair_bar(
+                1, m.basis_vec(i), df_bar)
+            if [row[col] for row in lhs] != vec_add(
+                    [row[col] for row in rhs], w.project(extra)):
+                return {"basis": col, "algebra_basis": fi}
+    return None
+
+
+def associated_factors(rc, nu):
+    """``factor_through``'s results for ∇′_M degree by degree, on ν̂ and
+    ν̂∘∇′ multiplied densely: the list of (h, witness) up to the first
+    absent degree."""
+    src, tgt = nu.source, nu.target
+    out = []
+    for r in range(src.D):
+        pushed = mat_mul(_to_mat(nu.maps[r + 1], tgt.dim(r + 1)),
+                         _to_mat(rc.nabla_ext_cols(r), src.dim(r + 1)))
+        out.append(factor_through(_to_mat(nu.maps[r], tgt.dim(r)), pushed,
+                                  src.dim(r)))
+        if out[-1][0] is None:
+            break
+    return out
+
+
+def associated_square(rc, nu, ext_matrices):
+    """The witness of ``associated-square``, or None: ν̂∘∇′ and ∇′_M∘ν̂
+    compared as dense products."""
+    src, tgt = nu.source, nu.target
+    for r in range(src.D):
+        nu_r = _to_mat(nu.maps[r], tgt.dim(r))
+        pushed = mat_mul(_to_mat(nu.maps[r + 1], tgt.dim(r + 1)),
+                         _to_mat(rc.nabla_ext_cols(r), src.dim(r + 1)))
+        if pushed != mat_mul(ext_matrices[r], nu_r):
+            return {"degree": r}
+    return None
 
 
 # -- parsing -----------------------------------------------------------------

@@ -135,7 +135,8 @@ def test_preceq_and_omega_m_eliminate_nothing_again():
 # the sparse operator route: each function below works on sparse columns
 # (``linalg.Cols``) and may call no dense kernel
 SPARSE_ROUTE = {
-    "calculus": {"saturate_ideal"},
+    "algebra": {"balancing_relations"},
+    "calculus": {"saturate_ideal", "GradedCalculus.d_cols"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
                    "Connection.curvature_cols", "DegreeRHom.key",
                    "DegreeRHom.apply", "DegreeRHom.flat",
@@ -146,11 +147,14 @@ SPARSE_ROUTE = {
     "curvature": {"_square_hat", "InducedCalculus._project_op",
                   "InducedCalculus.image",
                   "InducedCalculus._check_multiplicative",
-                  "InducedCalculus._check_diagram", "OmegaM.nabla_cols",
+                  "InducedCalculus._check_diagram",
+                  "InducedCalculus._build_calculus", "OmegaM.nabla_cols",
                   "OmegaHat.__init__", "OmegaHat._check_derivation"},
     "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
               "Forms.act_right", "Forms._ideal_tensors"},
-    "linalg": {"_compose", "QuotientSpace.induced"},
+    "linalg": {"_compose", "QuotientSpace.induced", "kernel_quotient"},
+    "tensorconn": {"nu_hat", "_nu_right_linear", "_pure_pair_columns",
+                   "_check_tensor_leibniz"},
 }
 DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
                  "_cols_to_mat", "nabla_ext_matrix", "left_matrix",
@@ -212,11 +216,12 @@ def test_the_operator_route_stays_sparse():
 # the dense twins of maps that are stored by columns: the dense projection
 # of a quotient, ∇'s dense extensions, the dense actions and right
 # multiplications on M⊗_AΩ, the dense structure maps of the universal
-# calculus, and κ̄'s flattened dense columns with their combination and
-# their heights
+# calculus, κ̄'s flattened dense columns with their combination and their
+# heights, d on classes and ·f on a balanced tensor
 DENSE_TWINS = {"nabla_ext_matrix", "right_mult_matrix", "left_action_matrix",
                "d_bar_matrix", "left_mult_bar_matrix",
-               "right_mult_bar_matrix", "_combination", "_heights"}
+               "right_mult_bar_matrix", "_combination", "_heights",
+               "d_matrix", "_d_mats", "induced_right_matrix"}
 
 
 def test_each_map_is_stored_once_by_columns():
@@ -234,3 +239,22 @@ def test_each_map_is_stored_once_by_columns():
                 if name in DENSE_TWINS:
                     named.add(f"{path.name}:{node.lineno}:{name}")
     assert named == set()
+
+
+def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():
+    # Ω_∇ is read off one elimination of κ̄'s rows (kernel_quotient), with
+    # no dense κ̄, rank, null space or second row reduction; and every map
+    # a check composes is composed by columns, so mat_mul is left to the
+    # axiom checks of algebra.py on the model's dense actions
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(_function("curvature",
+                                            "InducedCalculus._build_calculus"))}
+    assert named & {"null_space", "rank", "row_reduce", "_to_mat"} == set()
+    assert "kernel_quotient" in named
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "id", getattr(node, "attr", None)) == "mat_mul" \
+                    or isinstance(node, ast.alias) and node.name == "mat_mul":
+                users.add(path.name)
+    assert users == {"algebra.py"}

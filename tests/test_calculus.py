@@ -216,8 +216,10 @@ def assert_calculus_morphism(rho):
     pair within the truncation."""
     src, tgt = rho.source, rho.target
     for r in range(src.D):
-        assert mat_mul(rho.maps[r + 1], src.d_matrix(r)) == \
-            mat_mul(tgt.d_matrix(r), rho.maps[r]), ("d", r)
+        assert mat_mul(rho.maps[r + 1],
+                       _to_mat(src.d_cols(r), src.dim(r + 1))) == \
+            mat_mul(_to_mat(tgt.d_cols(r), tgt.dim(r + 1)),
+                    rho.maps[r]), ("d", r)
     for r in range(src.D + 1):
         for s in range(src.D + 1 - r):
             for ci in range(src.dim(r)):

@@ -1,5 +1,6 @@
 """Model-file parsing, pipeline dispatch, report shape, and exit codes."""
 
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -12,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _shared import MODELS, NAMES, universal
+from _shared import (MODELS, NAMES, cyclic_group_algebra, m2, model_file,
+                     regular_connection, universal, upper_triangular)
 import bimodconn
 from bimodconn import cli
 from bimodconn.calculus import preceq
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
 from bimodconn.model import (MAX_EMB_DIM, MAX_ENTRIES, ModelError,
-                             parse_model, parse_rational)
+                             TensorRequest, parse_model, parse_rational)
 from bimodconn.report import Report, Verdict, failed, passed
 
 def flat_doc() -> dict:
@@ -480,7 +482,7 @@ def test_no_float_bool_or_integral_fraction_after_all(monkeypatch, name):
     report = cli.run("all", model)
     cal, conn = model.calculus, model.connections["nabla"]
     (p,) = pipelines
-    assert cal._d_mats and cal.universal._tail_times and cal.quotients
+    assert cal._d_cols and cal.universal._tail_times and cal.quotients
     assert conn.nabla and conn.forms.quotient_space(1).proj_cols
     assert p.induced_calculus._columns and p.sigma_full.verdicts
     assert (p.sigma.sigma is not None) == (name in ("a2_flat", "a2_quotient"))
@@ -513,3 +515,28 @@ def test_all_decides_each_order_once_per_pipeline(monkeypatch, name):
     assert len(calls) == 2
     (c1, c2), (d1, d2) = calls
     assert c2 is cal and d1 is cal and c1 is d2 is not cal
+
+
+# The SHA-256 of the JSON `all` report of ∇ = d + Γ· (Γ the bar basis
+# 1-form 0) on generated algebras, with a "both" tensor request for ∇ on
+# itself: what the program reports there, recorded so that a refactor that
+# changes a byte of it fails; the reference routes check that it is right.
+GENERATED_PINS = {
+    "T3-D2": (lambda: upper_triangular(3), 2,
+              "c92a28d7f9c14f9f52fa3171cf351e0c5e994be67b87e7aca4cb1ef0382a23cf"),
+    "CZ4-D2": (lambda: cyclic_group_algebra(4), 2,
+               "2562eb77fc24981fa759069b1beb146cc03f7bdfb88ca45867173cff7c9efa28"),
+    "CZ3-D3": (lambda: cyclic_group_algebra(3), 3,
+               "599dae3f29a134e7f5867439ed9da395c0e856bb0d16bcbc991d535286f8413a"),
+    "M2-D3": (m2, 3,
+              "a3243bd8d53de3d62fc8498c4c832399ad3fce4dd98d0d3c2e431b18ad09cc5d"),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_PINS)
+def test_the_all_report_of_a_generated_model_is_pinned(name):
+    algebra, truncation, digest = GENERATED_PINS[name]
+    mf = model_file(regular_connection(algebra(), truncation, 0))
+    mf.tensor_requests.append(TensorRequest("nabla", "nabla", "both"))
+    report = cli.run("all", mf).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == digest

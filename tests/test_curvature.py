@@ -18,7 +18,8 @@ from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  sigma_full)
 from bimodconn.forms import Forms
 from bimodconn.linalg import (SpanBuilder, _col_vec, _combine, _to_mat,
-                              is_zero_vec, mat_mul, mat_vec, rank)
+                              is_zero_vec, kernel_quotient, mat_mul, mat_vec,
+                              rank, row_reduce)
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -306,6 +307,33 @@ def _kappa_column_failure(ic: InducedCalculus) -> tuple[int, int] | None:
     ids=[*NAMES, "a2_flat-D9", "t2-D3", "t3-D2"])
 def test_kappa_columns_are_sparse_and_match_the_dense_reference(make):
     assert _kappa_column_failure(make()) is None
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: induced(n) for n in NAMES],
+    lambda: _induced_calculus(regular_connection(upper_triangular(3), 2, 0)),
+    lambda: _induced_calculus(
+        regular_connection(cyclic_group_algebra(4), 2, 0))],
+    ids=[*NAMES, "t3-D2", "cz4-D2"])
+def test_omega_nabla_is_read_off_one_elimination_of_kappa_bar(make):
+    # each degree of Ω_∇ is kernel_quotient of κ̄'s columns, and that is
+    # the quotient by the null space of κ̄ densified, with the kernel's RREF
+    # as its sub; κ₀ is injective exactly when κ̄ has full rank in degree 0
+    ic = make()
+    width = ic.connection.module.dim
+    for r, cols in enumerate(ic._columns):
+        q = kernel_quotient(cols)
+        want = _reference.kernel_quotient(cols, ic.omega_m.dim(r) * width)
+        assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
+        rref = row_reduce(want.sub)[1][:len(want.sub)] if want.sub else []
+        assert q.sub == rref
+        if r:
+            got = ic.calculus.quotients[r]
+            assert (got.sub, got.free, got.proj_cols) == \
+                (q.sub, q.free, q.proj_cols)
+    assert ic.kappa0_injective == (
+        rank(_to_mat(ic._columns[0], ic.omega_m.dim(0) * width))
+        == ic.connection.module.algebra.dim)
 
 
 @pytest.mark.parametrize("fault", [

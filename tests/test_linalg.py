@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
@@ -15,8 +15,9 @@ from bimodconn import linalg
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
                               _col_vec, _cols_to_mat, _compose, _to_cols,
                               _to_mat, factor_through, frac, identity_mat,
-                              mat_mul, mat_vec, null_space, quotient, rank,
-                              row_reduce, vec_add, zero_mat, zeros)
+                              kernel_quotient, mat_mul, mat_vec, null_space,
+                              quotient, rank, row_reduce, vec_add, zero_mat,
+                              zeros)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
 
@@ -346,6 +347,42 @@ def test_span_builder_matches_sympy(m, data):
 # The sparse kernels against the dense ones they replaced
 # (``tests/_reference.py``), on the draws above and on products of every
 # shape, empty ones included.
+
+def _assert_kernel_quotient(rows, n_cols):
+    """kernel_quotient of the columns of rows against the quotient by the
+    null space (tests/_reference.py), with the kernel's RREF as its sub."""
+    cols = _to_cols(rows, n_cols)
+    q = kernel_quotient(cols)
+    want = _reference.kernel_quotient(cols, len(rows))
+    assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
+    kernel = null_space(rows, n_cols)
+    assert q.sub == (row_reduce(kernel)[1] if kernel else [])
+    assert _typed(q.sub) and _typed(_to_mat(q.proj_cols, q.dim))
+    return q
+
+
+@settings(deadline=None)
+@given(matrices())
+@example([[F(0), F(0), F(0)], [F(0), F(0), F(0)]])          # the zero map
+@example([[F(1), F(2)], [F(0), F(1)], [F(1), F(1)]])        # injective
+@example([[F(0), F(0)], [F(1), F(-2)], [F(0), F(0)]])       # empty rows
+def test_kernel_quotient_is_the_quotient_by_the_null_space(m):
+    n = len(m[0])
+    for rows in (m, _ints(m)):
+        q = _assert_kernel_quotient(rows, n)
+        assert q.dim == _sym_rank(m)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=5)
+    .map(lambda rows: (rows, n))))
+def test_kernel_quotient_on_int_maps(drawn):
+    # int entries throughout, zero rows and no rows at all among the draws
+    rows, n = drawn
+    q = _assert_kernel_quotient(rows, n)
+    assert q.dim == (_sym_rank([[F(x) for x in row] for row in rows]))
+
 
 @st.composite
 def products(draw):

@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _shared import MODELS, NAMES, a2, induced, nabla, pipeline, universal
-from bimodconn.algebra import Bimodule, RightModule, check_bimodule
+from _shared import (MODELS, NAMES, a2, induced, nabla, pipeline,
+                     regular_connection, universal, upper_triangular)
+from bimodconn import tensorconn
+from bimodconn.algebra import (Bimodule, RightModule, balancing_relations,
+                               check_bimodule)
 from bimodconn.calculus import preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
-from bimodconn.linalg import (DimensionError, identity_mat, is_zero_vec,
+from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _to_mat,
+                              factor_through, identity_mat, is_zero_vec,
                               vec_add, zeros)
 from bimodconn.model import parse_model
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
@@ -165,7 +169,7 @@ def test_both_routes_flat():
         tci = tensor_connection_induced(assoc.connection, conn, ic)
         assert all(v.ok for v in tci.verdicts)
         # the two routes build the same connection matrix on N⊗M
-        assert tci.matrix == tco.matrix
+        assert tci.cols == tco.cols
 
 
 def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
@@ -254,3 +258,125 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
                 differ.append([j, i])
     assert differ
     assert v.witness == {"pair": differ[0]}
+
+
+# ---------------------------------------------------------------------------
+# the column routes against the dense references
+# ---------------------------------------------------------------------------
+
+def _fresh(name: str):
+    """(∇, Ω_∇) built afresh, so a fault reaches no cached pipeline: a
+    shipped model's ∇, or ∇ = d + Γ· on T₃ at D=2 ("t3")."""
+    if name == "t3":
+        c = regular_connection(upper_triangular(3), 2, 0)
+    else:
+        c = parse_model(str(MODELS / f"{name}.model")).connections["nabla"]
+    return c, InducedCalculus(c, OmegaM(c, j_ideal(c, OmegaHat(c))))
+
+
+def _routes(c: Connection, ic: InducedCalculus):
+    """ν̂, the ν̂ route, the associated connection and the induced route for
+    ∇′ = ∇ (N = M), as ``cli.run`` builds them for a "both" request."""
+    nu = nu_hat(c, ic.below[0])
+    tco = tensor_connection_original(c, c, ic, nu, sigma_exists(c))
+    assoc = associated_connection(c, nu)
+    tci = tensor_connection_induced(assoc.connection, c, ic)
+    return nu, tco, assoc, tci
+
+
+def _witness(verdicts, check_id: str):
+    (v,) = [v for v in verdicts if v.check_id == check_id]
+    return v.witness
+
+
+TENSOR_CASES = ["a2_flat", "a2_quotient", "t3"]
+
+
+@pytest.mark.parametrize("name", TENSOR_CASES)
+def test_the_tensor_checks_by_columns_match_the_dense_references(name):
+    c, ic = _fresh(name)
+    nu, tco, assoc, tci = _routes(c, ic)
+    assert nu.available and assoc.exists
+    assert _witness(nu.verdicts, "nu-hat-right-linear") == \
+        _reference.nu_hat_right_linear(nu)
+    n = c.module
+    tail_ops = [ic.d_ops[j].cols for j in c.calculus.universal.complement]
+    rc = assoc.connection
+    for tc, xi_forms, xi in (
+            (tco, nu.target, [nu.apply(1, c.nabla_apply(n.basis_vec(j)))
+                              for j in range(n.dim)]),
+            (tci, rc.forms, [rc.nabla_apply(n.basis_vec(j))
+                             for j in range(n.dim)])):
+        assert _to_mat(tc.cols, tc.codomain.dim) == \
+            _reference.tensor_matrix(c, tc, xi_forms, xi, tail_ops)
+        assert _witness(tc.verdicts, "tensor-right-leibniz") == \
+            _reference.tensor_right_leibniz(tc, c)
+        assert _witness(tc.verdicts, "tensor-connection-well-defined") is None
+    for x, y in ((n, n), (n, c.forms.as_bimodule(1))):
+        rels = balancing_relations(x, y)
+        assert [_col_vec(rel.items(), x.dim * y.dim) for rel in rels] == \
+            _reference.balancing_relations(x, y)
+        assert all(rel and all(rel.values()) for rel in rels)
+    assert assoc.ext_matrices == \
+        [h for h, _ in _reference.associated_factors(c, nu)]
+    assert _witness(assoc.verdicts, "associated-square") == \
+        _reference.associated_square(c, nu, assoc.ext_matrices)
+
+
+def _bumped(col, row: int = 0):
+    """A sparse column with 1 added at the given row, as a new list."""
+    return _col_sum([(col, 1), ([(row, 1)], 1)])
+
+
+@pytest.mark.parametrize("name", TENSOR_CASES)
+def test_a_perturbed_nu_hat_column_fails_as_the_dense_squares_do(name):
+    c, ic = _fresh(name)
+    # the last column of ν̂ in degree 1 off by one in row 0
+    nu = nu_hat(c, ic.below[0])
+    assert nu.verdicts[-1].ok
+    nu.maps[1] = nu.maps[1][:]
+    nu.maps[1][-1] = _bumped(nu.maps[1][-1])
+    v = tensorconn._nu_right_linear(nu)
+    assert not v.ok
+    assert v.witness == _reference.nu_hat_right_linear(nu)
+
+
+@pytest.mark.parametrize("name, col, row",
+                         [("a2_flat", 0, 0), ("a2_quotient", 1, 0),
+                          ("t3", 0, 5)])
+def test_a_perturbed_tensor_column_fails_right_leibniz_as_the_dense_route(
+        name, col, row):
+    # one entry of ∇⊗ off by one, where that change is not itself right
+    # linear
+    c, ic = _fresh(name)
+    for tc in _routes(c, ic)[1::2]:
+        tc.cols[col] = _bumped(tc.cols[col], row)
+        tc.verdicts = []
+        tensorconn._check_tensor_leibniz(tc, c)
+        (v,) = tc.verdicts
+        assert not v.ok
+        assert v.witness == _reference.tensor_right_leibniz(tc, c)
+
+
+@pytest.mark.parametrize("name", TENSOR_CASES)
+def test_a_perturbed_associated_entry_fails_the_square_as_the_dense_route(
+        monkeypatch, name):
+    # ∇′_M's matrix in degree 0, off by one at (0, 0) as factor_through
+    # hands it over
+    c, ic = _fresh(name)
+    nu = nu_hat(c, ic.below[0])
+
+    calls = []
+
+    def perturbed(f, g, n):
+        h, wit = factor_through(f, g, n)
+        calls.append(n)
+        if len(calls) == 1:
+            h[0][0] += 1
+        return h, wit
+
+    monkeypatch.setattr(tensorconn, "factor_through", perturbed)
+    assoc = associated_connection(c, nu)
+    witness = _witness(assoc.verdicts, "associated-square")
+    assert witness == {"degree": 0}
+    assert witness == _reference.associated_square(c, nu, assoc.ext_matrices)
