@@ -11,8 +11,8 @@ m2_grass model and takes a second or two.)
 
 from pathlib import Path
 
-from bimodconn import curvature, parse_model
-from bimodconn.curvature import OmegaHat, OmegaM, j_ideal
+from bimodconn import parse_model
+from bimodconn.curvature import OmegaHat, OmegaM, curvature, j_ideal
 from bimodconn.report import rat_str
 
 MODELS = Path(__file__).resolve().parents[1] / "models"

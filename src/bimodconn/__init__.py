@@ -10,8 +10,8 @@ from .forms import Forms
 from .connection import (Connection, DegreeRHom, check_right_leibniz,
                          induced_first_order, kappa0_op, kappa1, nabla_hat,
                          sigma_exists)
-from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
-                        extend_connection, j_ideal, sigma_full)
+from .curvature import (InducedCalculus, OmegaHat, OmegaM, extend_connection,
+                        j_ideal, sigma_full)
 from .tensorconn import (associated_connection, check_compatibility,
                          degeneracy_brute, degeneracy_submodules, nu_hat,
                          tensor_connection_induced,
@@ -25,11 +25,11 @@ __all__ = [
     "InducedCalculus", "ModelError", "ModelFile", "OmegaHat", "OmegaM",
     "QuotientSpace", "Report", "RightModule", "UniversalCalculus",
     "Verdict", "associated_connection", "check_algebra", "check_bimodule",
-    "check_compatibility", "check_right_leibniz", "curvature",
-    "degeneracy_brute", "degeneracy_submodules", "extend_connection",
-    "factor_through", "induced_first_order", "j_ideal", "kappa0_op",
-    "kappa1", "nabla_hat", "null_space", "nu_hat", "parse_model", "preceq",
-    "quotient", "quotient_calculus", "rank", "row_reduce", "sigma_exists",
-    "sigma_full", "tensor_connection_induced",
-    "tensor_connection_original", "tensor_over_A", "universal_graded",
+    "check_compatibility", "check_right_leibniz", "degeneracy_brute",
+    "degeneracy_submodules", "extend_connection", "factor_through",
+    "induced_first_order", "j_ideal", "kappa0_op", "kappa1", "nabla_hat",
+    "null_space", "nu_hat", "parse_model", "preceq", "quotient",
+    "quotient_calculus", "rank", "row_reduce", "sigma_exists", "sigma_full",
+    "tensor_connection_induced", "tensor_connection_original",
+    "tensor_over_A", "universal_graded",
 ]

@@ -26,6 +26,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
@@ -80,6 +81,26 @@ class UniversalCalculus:
             coords = span.coords(a.basis_vec(k))
             pi.append([(p, _exact(c)) for p, c in enumerate(coords[1:]) if c])
         return comp, pi
+
+    @cached_property
+    def algebra_generators(self) -> list[int]:
+        """Basis indices that generate A as a unital algebra: all of them,
+        less each one, in ascending order, that the rest do without.  S
+        generates A iff span{1} closed under R_{e_s}, s in S, is A."""
+        n, right = self.algebra.dim, self._right_cols[0]
+        gens = list(range(n))
+        for i in range(n):
+            rest = [s for s in gens if s != i]
+            span, queue = SpanBuilder(n), [dict(self._unit)]
+            while queue:
+                v = queue.pop()
+                if span.add(v):
+                    queue += [_sparse_sum([(right[s][x], c)
+                                           for x, c in v.items()])
+                              for s in rest]
+            if span.dim == n:
+                gens = rest
+        return gens
 
     # -- dimensions and bases --------------------------------------------
     def bar_dim(self, r: int) -> int:
@@ -359,7 +380,10 @@ def saturate_ideal(uni: UniversalCalculus,
     FIFO worklist: every vector v that enlarges its degree's span is
     expanded exactly once, into e_i·v and v·e_i for ascending i and then dv
     below the truncation, each combined sparsely from the column tables of
-    L_{e_i}, R_{e_i} and d at v's nonzeros.  So the span I is closed under
+    L_{e_i}, R_{e_i} and d at v's nonzeros.  Above degree 1, i runs over
+    the ``algebra_generators`` only, as L_{ab} = L_a∘L_b and R_{ab} =
+    R_b∘R_a; degree 1, fed only by the generators and by itself, keeps the
+    whole basis and so I¹'s basis and order.  So the span I is closed under
     both actions of A and under d.  Products by the degree-one generators
     de_j need no attempts of their own: for v in I^r with r < D, the graded
     Leibniz rule of Ω_u gives
@@ -380,8 +404,9 @@ def saturate_ideal(uni: UniversalCalculus,
             queue.append((deg, _sparse(bar)))
     while queue:
         r, v = queue.popleft()
-        maps = [(r, cols) for lr in zip(uni._left_cols[r], uni._right_cols[r])
-                for cols in lr]
+        acts = uni.algebra_generators if r > 1 else range(uni.algebra.dim)
+        maps = [(r, cols) for i in acts
+                for cols in (uni._left_cols[r][i], uni._right_cols[r][i])]
         if r < uni.D:
             maps.append((r + 1, uni.d_cols(r)))
         for s, cols in maps:

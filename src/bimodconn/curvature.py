@@ -275,6 +275,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     for p in range(D - 1):
         for phi in omega_hat.ops(p):
             for col in _square_hat(c, phi):
+                if not col:         # a zero column spans nothing
+                    continue
                 base = _col_vec(col, f.dim(p + 2))
                 builders[p + 2].add(base)
                 for s in range(1, D - p - 2 + 1):
@@ -430,14 +432,18 @@ class OmegaM:
         self.verdicts.append(passed("omega-m-right-leibniz",
                                     anchors.UNIQUE_FACTORIZATIONS))
         # factored curvature stays a right Ω-homomorphism: on Ω(M),
-        # ∇²(m·ω) = ∇²(m)·ω for basis vectors m of M and ω of Ω^s
+        # ∇²(m·ω) = ∇²(m)·ω for basis vectors m of M and ω of Ω^s; a side
+        # whose curvature factor is zero is zero, with no product built
         r2 = c.curvature_cols(0)
+        zero = [[] for _ in r2]
         for s in range(1, f.D - 1):
             curv = c.curvature_cols(s)
             proj = self.quotients[s + 2].proj_cols
             sides = [
-                (_compose(proj, _compose(curv, f.right_mult_cols(0, s, w))),
-                 _compose(proj, _compose(f.right_mult_cols(2, s, w), r2)))
+                (_compose(proj, _compose(curv, f.right_mult_cols(0, s, w)))
+                 if any(curv) else zero,
+                 _compose(proj, _compose(f.right_mult_cols(2, s, w), r2))
+                 if any(r2) else zero)
                 for w in identity_mat(c.calculus.dim(s))]
             for mi in range(c.module.dim):
                 for wi, (lhs, rhs) in enumerate(sides):

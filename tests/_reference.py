@@ -16,7 +16,8 @@ and ``raw_ops`` replaying ``OmegaHat`` and κ's raw operators on it), and
 the extension of a map on M that lifts Φ(m), concatenates the tail and
 projects densely (``extension_columns``).  Below them, the whole-span
 checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal`` and
-``extend_connection``).  Next, the per-pair route of the three right
+``extend_connection``), and ``j_ideal``'s and ``OmegaM``'s right
+multiplications before they skipped a zero factor.  Next, the per-pair route of the three right
 Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
 rule and ``OmegaM``'s), which multiply classes through representatives
 (``mult_class``) rather than ``Forms.right_mult_cols``.  Then the
@@ -45,11 +46,12 @@ from fractions import Fraction
 from bimodconn import linalg
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
+from bimodconn.curvature import _square_hat
 from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
-                              _cols_to_mat, _div, _eliminate, _exact, _sparse,
-                              _to_mat, factor_through, identity_mat, mat_mul,
-                              mat_vec, null_space, row_reduce, vec_add,
-                              zero_mat, zeros)
+                              _col_vec, _cols_to_mat, _div, _eliminate, _exact,
+                              _sparse, _to_mat, factor_through, identity_mat,
+                              mat_mul, mat_vec, null_space, row_reduce,
+                              vec_add, zero_mat, zeros)
 from bimodconn.model import ModelError
 
 
@@ -506,6 +508,50 @@ def j_spans(c, ops):
                         builders[p + 2 + s].add(
                             mult_class(f, p + 2, base, s, w))
     return builders
+
+
+def j_ideal_spans(c, omega_hat):
+    """J_r as a SpanBuilder per degree, by ``j_ideal``'s loop before it
+    skipped the zero columns: every column of ∇²∘Φ − Φ∘∇², for Φ in
+    ``omega_hat``'s basis of Ω̂_p, is added and multiplied on the right by
+    every basis vector of Ω^s, the right multiplication densified."""
+    f = c.forms
+    D = f.D
+    builders = [SpanBuilder(f.dim(r)) for r in range(D + 1)]
+    for p in range(D - 1):
+        for phi in omega_hat.ops(p):
+            for col in _square_hat(c, phi):
+                base = _col_vec(col, f.dim(p + 2))
+                builders[p + 2].add(base)
+                for s in range(1, D - p - 1):
+                    for w in identity_mat(c.calculus.dim(s)):
+                        right = _to_mat(f.right_mult_cols(p + 2, s, w),
+                                        f.dim(p + 2 + s))
+                        builders[p + 2 + s].add(mat_vec(right, base))
+    return builders
+
+
+def curvature_right_omega(c, omega_m):
+    """∇²(m·ω) = ∇²(m)·ω on Ω(M), for basis vectors m of M and ω of Ω^s, by
+    ``OmegaM``'s loop before it skipped a zero curvature factor: both
+    sides built for every ω, as dense matrices from the cached curvature
+    columns, and compared at m by m, then ω."""
+    f = c.forms
+    r2 = _to_mat(c.curvature_cols(0), f.dim(2))
+    for s in range(1, f.D - 1):
+        curv = _to_mat(c.curvature_cols(s), f.dim(s + 2))
+        proj = projection(omega_m.quotients[s + 2])
+        sides = [
+            (mat_mul(proj, mat_mul(curv, _to_mat(f.right_mult_cols(0, s, w),
+                                                 f.dim(s)))),
+             mat_mul(proj, mat_mul(_to_mat(f.right_mult_cols(2, s, w),
+                                           f.dim(s + 2)), r2)))
+            for w in identity_mat(c.calculus.dim(s))]
+        for mi in range(c.module.dim):
+            for wi, (lhs, rhs) in enumerate(sides):
+                if [row[mi] for row in lhs] != [row[mi] for row in rhs]:
+                    return {"degree": s, "basis": [mi, wi]}
+    return None
 
 
 def j_degrees_01(c, ops):

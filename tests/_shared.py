@@ -6,7 +6,8 @@ from functools import cache
 from pathlib import Path
 
 from bimodconn.algebra import Algebra, Bimodule
-from bimodconn.calculus import GradedCalculus, universal_graded
+from bimodconn.calculus import (GradedCalculus, quotient_calculus,
+                                universal_graded)
 from bimodconn.connection import Connection
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
@@ -91,13 +92,16 @@ def regular_bimodule(a: Algebra) -> Bimodule:
     return Bimodule.from_actions(a, left, right)
 
 
-def regular_connection(a: Algebra, truncation: int,
-                       gamma: int | list) -> Connection:
-    """∇ = d + Γ· on the regular bimodule A over the universal calculus, Γ
-    the bar basis 1-form of index ``gamma``, or the 1-form of bar
-    coordinates ``gamma``.  Column c of ∇ is the class of
+def regular_connection(a: Algebra, truncation: int, gamma: int | list,
+                       generators: list = ()) -> Connection:
+    """∇ = d + Γ· on the regular bimodule A over the universal calculus, or
+    over its quotient by the ideal of the (degree, bar vector)
+    ``generators``, Γ the bar basis 1-form of index ``gamma``, or the 1-form
+    of bar coordinates ``gamma``.  Column c of ∇ is the class of
     1⊗(d e_c + Γ·e_c); right Leibniz holds by construction."""
     cal = universal_graded(a, truncation)
+    if generators:
+        cal = quotient_calculus(cal, generators)
     uni = cal.universal
     forms = Forms(regular_bimodule(a), cal)
     if isinstance(gamma, int):

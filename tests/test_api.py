@@ -5,6 +5,8 @@ what an earlier one built, and the maps that are stored by columns only."""
 
 import ast
 import dataclasses
+import importlib
+import types
 from pathlib import Path
 
 import bimodconn
@@ -21,6 +23,18 @@ def test_all_names_resolve_and_star_import():
     namespace = {}
     exec("from bimodconn import *", namespace)
     assert set(bimodconn.__all__) <= set(namespace)
+
+
+def test_each_submodule_is_its_own_attribute():
+    # the package re-exports no function under a submodule's name, so
+    # ``import bimodconn.curvature as m`` gives the module, and a
+    # monkeypatch through it reaches the module's own names
+    import bimodconn.curvature as m
+    assert isinstance(m, types.ModuleType)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"bimodconn.{path.stem}")
+            assert getattr(bimodconn, path.stem) is module, path.stem
 
 
 def _table(tree: ast.Module, name: str) -> dict:
@@ -136,7 +150,8 @@ def test_preceq_and_omega_m_eliminate_nothing_again():
 # (``linalg.Cols``) and may call no dense kernel
 SPARSE_ROUTE = {
     "algebra": {"balancing_relations"},
-    "calculus": {"saturate_ideal", "GradedCalculus.d_cols"},
+    "calculus": {"saturate_ideal", "GradedCalculus.d_cols",
+                 "UniversalCalculus.algebra_generators"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
                    "Connection.curvature_cols", "DegreeRHom.key",
                    "DegreeRHom.apply", "DegreeRHom.flat",
@@ -158,7 +173,7 @@ SPARSE_ROUTE = {
 }
 DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
                  "_cols_to_mat", "nabla_ext_matrix", "left_matrix",
-                 "projection"}
+                 "projection", "mult"}
 # the dense operator route of tests/_reference.py
 DENSE_ROUTE = {"ext_matrix", "DenseRHom", "DenseRoute", "matrix"}
 

@@ -20,7 +20,8 @@ from bimodconn.algebra import Algebra
 from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
                                 quotient_calculus, saturate_ideal,
                                 universal_graded)
-from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
+from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, j_ideal,
+                                 sigma_full)
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, _to_mat,
                               frac, identity_mat, is_zero_vec, mat_mul,
                               mat_vec, row_reduce, vec_add, zeros)
@@ -121,15 +122,16 @@ def test_quotient_idempotent():
     assert first.dims() == second.dims()
 
 
-@pytest.mark.parametrize("truncation, attempts", [(3, 24), (9, 84)])
+@pytest.mark.parametrize("truncation, attempts", [(3, 16), (9, 52)])
 def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
                                                    attempts):
     # one attempt per generator, then per basis vector of I^r: 2n products
-    # by the algebra basis, and d below the top degree (the products by de_j
-    # follow by the Leibniz rule); re-expanding a vector would add more
-    # attempts
+    # by the algebra basis in degree 1 and 2|S| by the algebra generators S
+    # above it, and d below the top degree (the products by de_j follow by
+    # the Leibniz rule); re-expanding a vector would add more attempts
     uni = UniversalCalculus(a2(), truncation)
     gens = [(1, uni.from_emb(1, emb_e1e2()))]
+    acts = len(uni.algebra_generators)      # computed before the count
     calls = []
     add = SpanBuilder.add
 
@@ -140,8 +142,9 @@ def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
     monkeypatch.setattr(SpanBuilder, "add", counting_add)
     spans = saturate_ideal(uni, gens)
     n = uni.algebra.dim
-    expected = len(gens) + sum(s.dim * (2 * n + (1 if r < uni.D else 0))
-                               for r, s in enumerate(spans))
+    expected = len(gens) + sum(
+        s.dim * (2 * (n if r == 1 else acts) + (1 if r < uni.D else 0))
+        for r, s in enumerate(spans))
     assert len(calls) == expected == attempts
 
 
@@ -209,6 +212,108 @@ def test_a_wrong_column_table_entry_fails_the_saturation_reference():
     col[0] = (row, c + 1)
     with pytest.raises(AssertionError):
         _assert_saturation_matches_reference(uni, gens)
+
+
+def test_a_wrong_generator_table_entry_above_degree_one_fails_the_reference():
+    # above degree 1 the saturation acts by the algebra generators only
+    # (T₂'s are e12 and e22), and the reference by every e_i and de_j: a
+    # wrong entry in the table of R_{e22} on Ω² is caught, although both
+    # read that table
+    uni = UniversalCalculus(upper_triangular(2), 3)
+    assert uni.algebra_generators == [1, 2]
+    e12_de11 = [0] * uni.bar_dim(1)
+    e12_de11[2] = 1
+    gens = [(1, e12_de11)]
+    _assert_saturation_matches_reference(uni, gens)
+    col = uni._right_cols[2][2][2]      # (e11·de12·de11)·e22
+    row, c = col[0]
+    col[0] = (row, c + 1)
+    with pytest.raises(AssertionError):
+        _assert_saturation_matches_reference(uni, gens)
+
+
+def _direct_sum(a: Algebra, b: Algebra) -> Algebra:
+    """A ⊕ B on the basis of A followed by that of B."""
+    n = a.dim + b.dim
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for alg, off in ((a, 0), (b, a.dim)):
+        for i, row in enumerate(alg.structure):
+            for j, cell in enumerate(row):
+                for k, c in enumerate(cell):
+                    table[off + i][off + j][off + k] = c
+    return Algebra.from_table(table, list(a.unit) + list(b.unit))
+
+
+def _generated_dim(a: Algebra, gens: list[int]) -> int:
+    """The dimension of the unital subalgebra the basis vectors e_s, s in
+    gens, generate: span{1} closed under left multiplication by each e_s,
+    by ``Algebra.mult``."""
+    span = SpanBuilder(a.dim)
+    queue = [a.unit_vec()]
+    span.add(queue[0])
+    while queue:
+        v = queue.pop()
+        for s in gens:
+            w = a.mult(a.basis_vec(s), v)
+            if span.add(w):
+                queue.append(w)
+    return span.dim
+
+
+_GENERATED_BY = {**_ALGEBRAS,
+                 "T2+a2": lambda: _direct_sum(upper_triangular(2), a2())}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATED_BY))
+def test_algebra_generators_generate_and_each_is_needed(name):
+    a = _GENERATED_BY[name]()
+    gens = UniversalCalculus(a, 1).algebra_generators
+    assert gens == sorted(gens)
+    assert _generated_dim(a, gens) == a.dim
+    for s in gens:
+        assert _generated_dim(a, [t for t in gens if t != s]) < a.dim, s
+    # deterministic: a second calculus on the same algebra, at another
+    # truncation, finds the same set
+    assert UniversalCalculus(a, 3).algebra_generators == gens
+
+
+def test_algebra_generators_of_m2_and_a2():
+    # M₂: e12 and e21 (e11 = e12·e21, e22 = e21·e12); ℂ²: e2 (e1 = 1 − e2)
+    assert UniversalCalculus(m2(), 1).algebra_generators == [1, 2]
+    assert UniversalCalculus(a2(), 1).algebra_generators == [1]
+
+
+def test_algebra_generators_are_found_only_above_degree_one():
+    # computed when the saturation first expands a vector above degree 1,
+    # so never for a model without ideal generators
+    m = parse_model(str(MODELS / "a2_flat.model"))
+    assert "algebra_generators" not in vars(m.calculus.universal)
+    m = parse_model(str(MODELS / "m2_grass.model"))
+    assert vars(m.calculus.universal)["algebra_generators"] == [1, 2]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(sorted(_ALGEBRAS)), st.integers(2, 3), st.data())
+def test_sigma_witness_degree_matches_the_reference_saturation(
+        name, truncation, data):
+    # sigma-all-degrees reads its witness off the saturation's basis, whose
+    # order above degree 1 follows the algebra generators; its degree is
+    # the first in which κ̄ does not kill the ideal, whatever its basis.
+    # Generators above degree 1 give such a witness on about 40% of draws
+    a = _ALGEBRAS[name]()
+    uni = UniversalCalculus(a, truncation)
+    gens = [(r, data.draw(bar_elements(uni, r)))
+            for r in data.draw(st.lists(st.integers(2, truncation),
+                                        min_size=1, max_size=2))]
+    gamma = data.draw(st.integers(0, uni.bar_dim(1) - 1))
+    conn = regular_connection(a, truncation, gamma, gens)
+    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    witnesses = sigma_full(ic).witnesses
+    ref = _reference.saturate_ideal(uni, gens)
+    want = next((r for r in range(1, truncation + 1) for v in ref[r].basis
+                 if ic.image(r, [(k, x) for k, x in enumerate(v) if x])),
+                None)
+    assert (witnesses[0][0] if witnesses else None) == want
 
 
 def assert_calculus_morphism(rho):

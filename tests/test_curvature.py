@@ -1,7 +1,6 @@
 """Curvature, Omega-hat, the submodule J, Omega(M), and the full induced
 calculus with its all-degree sigma."""
 
-import importlib
 from fractions import Fraction
 
 import pytest
@@ -10,9 +9,10 @@ import _reference
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
                      model, model_file, pipeline, regular_connection,
                      upper_triangular)
+import bimodconn.curvature as curvature_module
 from bimodconn import cli
 from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
-                                  kappa0_op)
+                                  kappa0_op, leibniz_failure)
 from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
@@ -433,9 +433,6 @@ SPAN_CHECKS = {"nabla-extension-graded-leibniz": _reference.graded_leibniz,
                "j-degrees-0-1-vanish": _reference.j_degrees_01,
                "j-closure": _reference.j_closure}
 
-# the module itself: the package re-exports the function ``curvature``
-curvature_module = importlib.import_module("bimodconn.curvature")
-
 
 def _t2_connection():
     """∇ = d + Γ· on T₂ at D=3, Γ = e11·de11: not flat, J ≠ 0, and Ω̂_r is
@@ -732,3 +729,67 @@ def _with_wrong_ext_entry(name, row, col, degree):
 def test_a_fault_fails_the_leibniz_checks_like_the_reference(make, failing):
     got = _leibniz_verdicts_match_the_reference(make())
     assert {k for k, v in got.items() if not v.ok} == failing
+
+
+# J and Ω(M)'s right-Ω curvature check multiply no zero column: against the
+# loops that built every right multiplication
+CURVATURE_RIGHT_OMEGA = "curvature-right-omega-on-omega-m"
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda n=n: model(n).connections["nabla"] for n in NAMES],
+    lambda: model("a2_flat", 9).connections["nabla"],
+    GENERATED["T3-D2"], GENERATED["M2-D3"]],
+    ids=[*NAMES, "a2_flat-D9", "T3-D2", "M2-D3"])
+def test_j_and_omega_m_match_the_loops_over_every_product(make):
+    conn = make()
+    oh = OmegaHat(conn)
+    j = j_ideal(conn, oh)
+    ref = _reference.j_ideal_spans(conn, oh)
+    # the same vectors in the same order, so the same quotients
+    assert j.spans == [b.basis for b in ref]
+    assert [(q.sub, q.free, q.proj_cols) for q in j.quotients] == \
+        [(q.sub, q.free, q.proj_cols) for q in (b.quotient() for b in ref)]
+    om = OmegaM(conn, j)
+    (got,) = [v for v in om.verdicts if v.check_id == CURVATURE_RIGHT_OMEGA]
+    assert got.ok and _reference.curvature_right_omega(conn, om) is None
+
+
+def test_a_flat_connection_multiplies_no_zero_map():
+    # a2_flat at D=9: every curvature column is zero, so j_ideal builds no
+    # right multiplication and Ω(M)'s right-Ω check none (building every
+    # product, they built 56 and 28, 14 of them the same); the Leibniz
+    # check's own are built first
+    conn = parse_model(str(MODELS / "a2_flat.model"),
+                       truncation=9).connections["nabla"]
+    f = conn.forms
+    oh = OmegaHat(conn)
+    before = len(f._right_cols)
+    j = j_ideal(conn, oh)
+    assert len(f._right_cols) == before
+    basis = [f.algebra.basis_vec(i) for i in range(f.algebra.dim)]
+    for r in range(f.D):
+        leibniz_failure(conn, r, 0, basis, j.quotients[r].free,
+                        j.quotients[r + 1])
+    before = len(f._right_cols)
+    om = OmegaM(conn, j)
+    assert len(f._right_cols) == before
+    assert all(v.ok for v in om.verdicts)
+
+
+@pytest.mark.parametrize("degree, column", [(1, 0), (1, 1), (3, 1)])
+def test_a_nonzero_curvature_column_gives_the_witness_of_every_product(
+        degree, column):
+    # one curvature column of a flat ∇ made nonzero: the side it composes
+    # with is built, the other stays skipped, and the witness is the one of
+    # the loop that builds both
+    conn = parse_model(str(MODELS / "a2_flat.model"),
+                       truncation=5).connections["nabla"]
+    j = j_ideal(conn, OmegaHat(conn))
+    curv = conn.curvature_cols(degree)
+    assert not any(curv) and not any(conn.curvature_cols(0))
+    curv[column] = [(0, 1)]
+    om = OmegaM(conn, j)
+    (got,) = [v for v in om.verdicts if v.check_id == CURVATURE_RIGHT_OMEGA]
+    want = _reference.curvature_right_omega(conn, om)
+    assert want is not None and not got.ok and got.witness == want
