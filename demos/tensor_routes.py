@@ -24,7 +24,7 @@ def main() -> None:
     conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
     ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
 
-    pair = degeneracy_submodules(conn.module.as_right_module(), conn.module)
+    pair = degeneracy_submodules(conn.module, conn.module)
     print("degeneracy kernels N0, M0:", len(pair.n0), len(pair.m0))
     print("brute-force pairing oracle:", degeneracy_brute(pair).status)
 

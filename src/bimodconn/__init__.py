@@ -2,8 +2,8 @@
 
 from .linalg import (QuotientSpace, factor_through, null_space, quotient, rank,
                      row_reduce)
-from .algebra import (Algebra, BalancedTensor, Bimodule, RightModule,
-                      check_algebra, check_bimodule, tensor_over_A)
+from .algebra import (Algebra, BalancedTensor, Bimodule, check_algebra,
+                      check_bimodule, tensor_over_A)
 from .calculus import (CalculusMorphism, GradedCalculus, UniversalCalculus,
                        preceq, quotient_calculus, universal_graded)
 from .forms import Forms
@@ -23,8 +23,8 @@ __all__ = [
     "Algebra", "BalancedTensor", "Bimodule", "CalculusMorphism",
     "Connection", "DegreeRHom", "Forms", "GradedCalculus",
     "InducedCalculus", "ModelError", "ModelFile", "OmegaHat", "OmegaM",
-    "QuotientSpace", "Report", "RightModule", "UniversalCalculus",
-    "Verdict", "associated_connection", "check_algebra", "check_bimodule",
+    "QuotientSpace", "Report", "UniversalCalculus", "Verdict",
+    "associated_connection", "check_algebra", "check_bimodule",
     "check_compatibility", "check_right_leibniz", "degeneracy_brute",
     "degeneracy_submodules", "extend_connection", "factor_through",
     "induced_first_order", "j_ideal", "kappa0_op", "kappa1", "nabla_hat",

@@ -109,26 +109,6 @@ def act(actions, f: Vec, v: Vec) -> Vec:
 
 
 @dataclass(frozen=True)
-class RightModule:
-    """Finite-dimensional right module via one action matrix per basis element."""
-
-    dim: int
-    algebra: Algebra
-    right_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
-
-    def right_matrices(self) -> list[Mat]:
-        return [[list(r) for r in m] for m in self.right_action]
-
-    def act_right(self, m: Vec, f: Vec) -> Vec:
-        return act(self.right_action, f, m)
-
-    def basis_vec(self, i: int) -> Vec:
-        v = zeros(self.dim)
-        v[i] = 1
-        return v
-
-
-@dataclass(frozen=True)
 class Bimodule:
     """Finite-dimensional A-bimodule with commuting left and right actions."""
 
@@ -165,9 +145,6 @@ class Bimodule:
         v = zeros(self.dim)
         v[i] = 1
         return v
-
-    def as_right_module(self) -> RightModule:
-        return RightModule(self.dim, self.algebra, self.right_action)
 
 
 def right_module_generators(mod) -> list[int]:
@@ -237,7 +214,7 @@ class BalancedTensor:
     induce maps on classes by ``QuotientSpace.induced``.
     """
 
-    left_factor: object   # Bimodule or RightModule
+    left_factor: Bimodule   # only its right action is read
     right_factor: Bimodule
     quotient: QuotientSpace
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _combine, _exact, _sparse, _sparse_sum, _to_mat,
+                     _combine, _div, _exact, _sparse, _sparse_sum, _to_mat,
                      identity_mat, quotient, QuotientSpace, zeros)
 
 
@@ -68,19 +68,17 @@ class UniversalCalculus:
             -> tuple[list[int], list[list[tuple[int, Fraction | int]]]]:
         """The basis indices completing the unit to a basis, and the
         projection π: A → A/ℂ1 as, per basis vector e_k, the nonzero
-        (complement position, coeff) pairs of e_k modulo the unit."""
-        a = self.algebra
-        span = SpanBuilder(a.dim)
-        span.add(a.unit_vec())
-        comp = []
-        for i in range(a.dim):
-            if span.add(a.basis_vec(i)):
-                comp.append(i)
-        pi = []
-        for k in range(a.dim):
-            coords = span.coords(a.basis_vec(k))
-            pi.append([(p, _exact(c)) for p, c in enumerate(coords[1:]) if c])
-        return comp, pi
+        (complement position, coeff) pairs of e_k modulo the unit.
+
+        The complement is every index but u, the last at which the unit's
+        coefficient 1_u is nonzero.  π(e_k) is the unit vector at k's
+        position for k ≠ u, and 1 ≡ 0 gives π(e_u) = −Σ_{t<u} (1_t/1_u)·π(e_t).
+        """
+        unit = self.algebra.unit
+        u = max(t for t, c in enumerate(unit) if c)
+        pi = [[(k if k < u else k - 1, 1)] for k in range(self.algebra.dim)]
+        pi[u] = [(t, _div(-c, unit[u])) for t, c in enumerate(unit[:u]) if c]
+        return [k for k in range(self.algebra.dim) if k != u], pi
 
     @cached_property
     def algebra_generators(self) -> list[int]:

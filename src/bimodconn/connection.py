@@ -15,13 +15,15 @@ actions and right multiplications of ``Forms``.  A composition, a sum, ∇̂
 or a Leibniz identity combines the columns of one factor at the nonzeros
 of the other (``linalg._compose``, ``_commutator``, ``leibniz_failure``),
 so its cost is the number of nonzeros met, not the size of the matrices.
-Dense matrices remain only for inputs, printed maps and dense solvers: ∇
-itself, the module's actions, κ₁ and σ, and the projection that
-``factor_through`` takes in ``sigma_exists``.
+κ₁ is kept as its operators, one per bar basis vector of Ω¹_u, and σ's
+operators are κ₁'s at the representatives of Ω¹'s classes.  Dense matrices
+remain only for inputs and printed maps: ∇ itself, the module's actions and
+σ, and the projection whose null space gives σ's witness when σ is absent.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,9 +31,9 @@ from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
 from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _col_vec, _cols_to_mat, _combine, _compose,
-                     _sparse, _to_cols, _to_mat,
-                     factor_through, identity_mat, mat_vec, rank, vec_add)
+                     _col_sum, _col_vec, _combine, _compose, _sparse,
+                     _to_cols, _to_mat, identity_mat, kernel_quotient,
+                     mat_vec, null_space, vec_add)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -259,14 +261,29 @@ def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:
     return hats[phi.key]
 
 
+def _left_leibniz_failure(c: Connection, x: Callable[[int, Vec], Vec]) \
+        -> list[int] | None:
+    """The first basis pair [f, ai], by f and then ai, at which the left
+    Leibniz rule ∇(f·a) = X(f, a) + f·∇a fails, X(f, a) = ``x(f, a)``;
+    None when it holds on every pair."""
+    a, m = c.module.algebra, c.module
+    for f in range(a.dim):
+        fv = a.basis_vec(f)
+        for ai in range(m.dim):
+            av = m.basis_vec(ai)
+            lhs = c.nabla_apply(m.act_left(fv, av))
+            rhs = vec_add(x(f, av), c.forms.act_left(1, fv, c.nabla_apply(av)))
+            if lhs != rhs:
+                return [f, ai]
+    return None
+
+
 @dataclass
 class InducedFirstOrder:
     """Ω¹_∇ ⊆ Hom^A(M, M⊗_AΩ¹) with d_∇ = ∇̂∘κ₀ and actions f·Φ·g = f̂∘Φ∘ĝ."""
 
     connection: Connection
     span: SpanBuilder                      # vectorized operator matrices
-    # the operators the span accepted, in the order of span.basis
-    ops: list[DegreeRHom] = field(default_factory=list)
     verdicts: list[Verdict] = field(default_factory=list)
 
     @property
@@ -275,13 +292,6 @@ class InducedFirstOrder:
 
     def d_nabla(self, f_vec: Vec) -> DegreeRHom:
         return nabla_hat(self.connection, kappa0_op(self.connection, f_vec))
-
-    def op_from_coords(self, coords: Vec) -> DegreeRHom:
-        """Σ coords_k·(accepted operator k), column by column."""
-        terms = [(self.ops[k], x) for k, x in _sparse(coords).items()]
-        return DegreeRHom(self.connection.forms, 1, [
-            _col_sum([(op.cols[i], x) for op, x in terms])
-            for i in range(self.connection.module.dim)])
 
 
 def induced_first_order(c: Connection) -> InducedFirstOrder:
@@ -302,9 +312,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
     for f in range(a.dim):
         for g in range(a.dim):
             for h in range(a.dim):
-                op = hats[f].compose(d_ops[g].compose(hats[h]))
-                if span.add(op.flat()):
-                    ifo.ops.append(op)
+                span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
     # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ)
     for f in range(a.dim):
         for g in range(a.dim):
@@ -317,23 +325,11 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                 return ifo
     ifo.verdicts.append(passed("d-nabla-derivation", anchors.DERIVATION_SINCE))
     # left Leibniz in the induced calculus: ∇(fa) = (d_∇f)(a) + f∇a
-    ok = True
-    for f in range(a.dim):
-        fv = a.basis_vec(f)
-        for ai in range(m.dim):
-            av = m.basis_vec(ai)
-            lhs = c.nabla_apply(m.act_left(fv, av))
-            rhs = vec_add(d_ops[f].apply(av),
-                          c.forms.act_left(1, fv, c.nabla_apply(av)))
-            if lhs != rhs:
-                ifo.verdicts.append(failed("left-leibniz-induced",
-                                           anchors.INDUCED_SUBGROUP,
-                                           {"pair": [f, ai]}))
-                ok = False
-                break
-        if not ok:
-            break
-    if ok:
+    pair = _left_leibniz_failure(c, lambda f, av: d_ops[f].apply(av))
+    if pair is not None:
+        ifo.verdicts.append(failed("left-leibniz-induced",
+                                   anchors.INDUCED_SUBGROUP, {"pair": pair}))
+    else:
         ifo.verdicts.append(passed("left-leibniz-induced",
                                    anchors.INDUCED_SUBGROUP,
                                    {"dim_omega1_nabla": span.dim}))
@@ -342,22 +338,30 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
 
 @dataclass
 class Kappa1:
-    """κ₁: Ω¹_u → Ω¹_∇ with κ₁∘d_u = d_∇, as an exact matrix on bar coords."""
+    """κ₁: Ω¹_u → Ω¹_∇ with κ₁∘d_u = d_∇, held as its operators: ``ops[u]``
+    is κ₁ of the bar basis vector u."""
 
     connection: Connection
-    induced: InducedFirstOrder
-    matrix: Mat                          # bar Ω¹_u → span coords of Ω¹_∇
+    ops: list[DegreeRHom]
     verdicts: list[Verdict] = field(default_factory=list)
 
     def op(self, alpha_bar: Vec) -> DegreeRHom:
-        return self.induced.op_from_coords(mat_vec(self.matrix, alpha_bar))
+        """κ₁(α): per column of M, ``ops``' columns combined at α's
+        nonzeros."""
+        terms = [(self.ops[u], x) for u, x in _sparse(alpha_bar).items()]
+        return DegreeRHom(self.connection.forms, 1, [
+            _col_sum([(op.cols[i], x) for op, x in terms])
+            for i in range(self.connection.module.dim)])
 
     def rank(self) -> int:
-        return rank(self.matrix)
+        """The rank of κ₁: the dimension of Ω¹_u modulo its kernel, the map
+        given by the operators' flattenings as columns."""
+        return kernel_quotient([list(op.flat().items())
+                                for op in self.ops]).dim
 
     @property
     def injective(self) -> bool:
-        return self.rank() == self.connection.calculus.universal.bar_dim(1)
+        return self.rank() == len(self.ops)
 
 
 def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
@@ -367,14 +371,11 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     uni = c.calculus.universal
     a = c.module.algebra
     hats = [kappa0_op(c, fv) for fv in identity_mat(a.dim)]
-    cols = []
-    for i0 in range(a.dim):
-        for j in [b[0] for b in uni.tails(1)]:
-            op = hats[i0].compose(induced.d_nabla(a.basis_vec(j)))
-            coords = induced.span.coords(op.flat())
-            assert coords is not None, "kappa1 image must lie in omega1_nabla"
-            cols.append(coords)
-    k = Kappa1(c, induced, _cols_to_mat(cols, induced.dim))
+    ops = [hats[i0].compose(induced.d_nabla(a.basis_vec(beta[0])))
+           for i0, beta in uni.bar_index(1)]
+    assert all(induced.span.contains(op.flat()) for op in ops), \
+        "kappa1 image must lie in omega1_nabla"
+    k = Kappa1(c, ops)
     # diagram: κ₁ ∘ d_u = d_∇ on all algebra basis elements
     for f in range(a.dim):
         fv = a.basis_vec(f)
@@ -388,10 +389,9 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
     # f·α·g for every α at once is L_{e_f}∘R_{e_g} by columns, and κ₁ is
     # linear, so the left side is the combination of the flattened κ₁(α'),
     # each one sparse column, at the nonzeros α' of f·α·g
-    alpha_ops = [k.op(e) for e in identity_mat(uni.bar_dim(1))]
-    alpha_flat = [list(op.flat().items()) for op in alpha_ops]
+    alpha_flat = [list(op.flat().items()) for op in ops]
     # κ₁(α)∘ĝ per g and α, shared by every f
-    alpha_g = [[op.compose(g_hat) for op in alpha_ops] for g_hat in hats]
+    alpha_g = [[op.compose(g_hat) for op in ops] for g_hat in hats]
     for f in range(a.dim):
         for g in range(a.dim):
             moved = _compose(uni.left_cols(1, f), uni.right_cols(1, g))
@@ -431,17 +431,24 @@ class SigmaResult:
 def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     """σ exists iff κ₁ annihilates the defining kernel K = I¹ of the calculus.
 
-    On success σ(α⊗a) = κ̂₁(α)(a); the left Leibniz rule ∇(fa) = σ(df⊗a)+f∇a
-    is then verified exactly on all basis pairs.  On failure the witness is
-    an element of K with nonzero κ₁-image.
+    K is the kernel of Ω¹'s projection P₁, spanned by its ``sub``, so the
+    inclusion K ⊆ ker κ₁ is decided on that basis, as ``preceq`` decides
+    its ideal inclusions.  On success σ(α⊗a) = κ̂₁(α)(a), with κ₁ taken at
+    the representatives of Ω¹'s classes: κ₁'s operators at P₁'s ``free``
+    columns, the unique h with h·P₁ = κ₁.  The left Leibniz rule
+    ∇(fa) = σ(df⊗a) + f∇a is then verified exactly on all basis pairs.  On
+    failure the witness is the first vector of P₁'s null space (the
+    canonical basis of ``null_space``) with nonzero κ₁-image.
     """
     if k1 is None:
         k1 = kappa1(c)
     cal = c.calculus
-    h, wit = factor_through(_to_mat(cal.quotients[1].proj_cols, cal.dim(1)),
-                            k1.matrix, cal.universal.bar_dim(1))
-    res = SigmaResult(h is not None, None, None)
-    if h is None:
+    q1 = cal.quotients[1]
+    absent = any(not k1.op(b).is_zero() for b in q1.sub)
+    res = SigmaResult(not absent, None, None)
+    if absent:
+        kernel = null_space(_to_mat(q1.proj_cols, q1.dim), len(q1.proj_cols))
+        wit = next(v for v in kernel if not k1.op(v).is_zero())
         res.witness_bar = wit
         res.verdicts.append(Verdict("sigma-exists", anchors.FACTOR_UNIQUELY,
                                     "absent",
@@ -453,8 +460,7 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     omega1_bimod = cal.degree_bimodule(1)
     tens = tensor_over_A(omega1_bimod, c.module)
     t1 = c.forms.dim(1)
-    ops = [k1.induced.op_from_coords([row[wi] for row in h])
-           for wi in range(omega1_bimod.dim)]
+    ops = [k1.ops[fc] for fc in q1.free]
     plain = _to_mat([col for op in ops for col in op.cols], t1)
     sigma = SigmaMap("projected" if cal.ideal[1] else "universal",
                      tens, tens.quotient.columns(plain))
@@ -473,19 +479,12 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     res.verdicts.append(passed("sigma-well-defined",
                                anchors.GENERALIZED_PERMUTATION))
     # left Leibniz rule: ∇(fa) = σ(df ⊗ a) + f ∇a
-    a = c.module.algebra
-    for f in range(a.dim):
-        fv = a.basis_vec(f)
-        df_q = cal.d_of_algebra(fv)
-        for ai in range(c.module.dim):
-            av = c.module.basis_vec(ai)
-            lhs = c.nabla_apply(c.module.act_left(fv, av))
-            rhs = vec_add(sigma.apply(tens.project_pure(df_q, av)),
-                          c.forms.act_left(1, fv, c.nabla_apply(av)))
-            if lhs != rhs:
-                res.verdicts.append(failed("sigma-left-leibniz",
-                                           anchors.LEFT_LEIBNIZ,
-                                           {"pair": [f, ai]}))
-                return res
-    res.verdicts.append(passed("sigma-left-leibniz", anchors.LEFT_LEIBNIZ))
+    dfs = [cal.d_of_algebra(fv) for fv in identity_mat(c.module.algebra.dim)]
+    pair = _left_leibniz_failure(
+        c, lambda f, av: sigma.apply(tens.project_pure(dfs[f], av)))
+    if pair is not None:
+        res.verdicts.append(failed("sigma-left-leibniz", anchors.LEFT_LEIBNIZ,
+                                   {"pair": pair}))
+    else:
+        res.verdicts.append(passed("sigma-left-leibniz", anchors.LEFT_LEIBNIZ))
     return res

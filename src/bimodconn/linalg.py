@@ -11,19 +11,19 @@ Every linear map a check uses is stored by columns (``Cols``: per column,
 its nonzero (row, entry) pairs sorted by row): the structure maps of the
 universal calculus, the projection of every :class:`QuotientSpace` (column
 i is the class of e_i), d on classes, every map on M⊗_AΩ (``forms``,
-``connection``), κ̄, the operators that span Ω¹_∇, ν̂, ∇⊗ and ·f on a
-balanced tensor.  Such a map is applied by ``_combine`` at the nonzeros of
-a dense vector, composed by ``_compose`` and summed by ``_col_sum``, so its
-cost is the number of nonzeros met.  Dense matrices (lists of rows) remain
-for the model's actions and ∇, for κ₁, σ and ρ (printed, or taken by a
-dense solver), and at the line that hands a map to ``row_reduce``,
+``connection``), κ̄, the operators that span Ω¹_∇ and those of κ₁, ν̂, ∇⊗
+and ·f on a balanced tensor.  Such a map is applied by ``_combine`` at the
+nonzeros of a dense vector, composed by ``_compose`` and summed by
+``_col_sum``, so its cost is the number of nonzeros met.  Dense matrices
+(lists of rows) remain for the model's actions and ∇, for σ and ρ
+(printed), and at the line that hands a map to ``row_reduce``,
 ``null_space``, ``rank`` or ``factor_through``; ``_to_cols`` and
 ``_to_mat`` convert.  One eliminator keeps sparse rows, ``dict[column,
 entry]``, reduced and keyed by pivot, so reducing a vector touches only the
 rows at the pivots in its support: ``SpanBuilder`` holds them (sparse or
-dense intake, coordinates only when ``coords`` asks), ``row_reduce`` reads
-its RREF off them, and ``kernel_quotient`` the quotient by a map's kernel
-off one elimination of the map's rows.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
+dense intake), ``row_reduce`` reads its RREF off them, and
+``kernel_quotient`` the quotient by a map's kernel off one elimination of
+the map's rows.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
 ``_combine``) find the nonzeros of a dense row with ``itertools.compress``
 and do Python-level work only on those.  Everything is exact: the one
 division, :func:`_div`, returns an int or a Fraction, never a float, so
@@ -414,19 +414,14 @@ class SpanBuilder:
     ``_rows`` (see ``_absorb``); ``basis`` holds the vectors that enlarged
     it, in order, dense.
 
-    ``add``, ``contains`` and ``coords`` take a ``SparseVec`` (no zero
-    entry, keys in range(ambient_dim); left unchanged) or a ``Vec`` (its
-    length checked, made sparse at once).  A full span reduces nothing.
-    ``coords`` builds, on its first call, the rows of the vectors (b_k, e_k)
-    with e_k in extra columns: this span's rows, each followed by its
-    expression in ``basis``, so (v, 0) reduces to (0, −coords of v).  An
-    ``add`` that enlarges the span drops them.
+    ``add`` and ``contains`` take a ``SparseVec`` (no zero entry, keys in
+    range(ambient_dim); left unchanged) or a ``Vec`` (its length checked,
+    made sparse at once).  A full span reduces nothing.
     """
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVec] = {}
-        self._tracked: dict[int, SparseVec] | None = None
         self.basis: list[Vec] = []       # independent inserted vectors
 
     @property
@@ -446,26 +441,12 @@ class SpanBuilder:
         res = self._intake(v)
         if len(self._rows) == self.ambient_dim or not _absorb(self._rows, res):
             return False
-        self._tracked = None
         self.basis.append(_col_vec(v.items(), self.ambient_dim)
                           if type(v) is dict else v[:])
         return True
 
     def contains(self, v: Vec | SparseVec) -> bool:
         return not _reduce(self._rows, self._intake(v))
-
-    def coords(self, v: Vec | SparseVec) -> Vec | None:
-        """Coordinates of v in the inserted independent basis, or None."""
-        n = self.ambient_dim
-        if self._tracked is None:
-            self._tracked = {}
-            for k, b in enumerate(self.basis):
-                _absorb(self._tracked, _sparse(b) | {n + k: 1})
-        res = _reduce(self._tracked, self._intake(v))
-        if any(j < n for j in res):
-            return None
-        return _col_vec([(j - n, _exact(-x)) for j, x in res.items()],
-                        len(self.basis))
 
     def quotient(self) -> QuotientSpace:
         """The ambient space modulo this span, read off the reduced rows."""

@@ -21,15 +21,18 @@ multiplications before they skipped a zero factor.  Next, the per-pair route of 
 Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
 rule and ``OmegaM``'s), which multiply classes through representatives
 (``mult_class``) rather than ``Forms.right_mult_cols``.  Then the
-per-triple route of κ₁'s bimodule linearity (``kappa1``).
+per-triple route of κ₁'s bimodule linearity (``kappa1``), κ₁ as
+coordinates in the accepted basis of Ω¹_∇ with σ built by
+``factor_through`` (``kappa1_coords``, ``sigma``), and the unit complement
+and π read off a span's coordinates (``unit_complement``).
 
 Then the ``linalg`` kernels the sparse ones replaced: the product that
 builds one column of b at a time, the span builder that keeps echelon
 rows in a list and walks all of them to reduce a vector, and the quotient
 read off a second row reduction of its sub.  Then the ideal saturation
-that also tries every product by de_j, each a dense
-``UniversalCalculus.product``.  Then ⪯ decided by eliminating I₁ afresh
-and ρ built by ``factor_through``.  Then Ω_∇ through κ̄ densified and its
+that also tries every product by de_j, each formed in tensor-power
+coordinates, so that it reads none of the column tables it checks.  Then
+⪯ decided by eliminating I₁ afresh and ρ built by ``factor_through``.  Then Ω_∇ through κ̄ densified and its
 null space (``kernel_quotient``), and the dense tensor checks: ν̂'s
 right-linearity squares, the balancing relations as dense vectors, ∇⊗
 filled in entry by entry, its right Leibniz rule with ·f on classes
@@ -39,11 +42,14 @@ square.  Last, the parse of a rational string that reads every string by
 """
 
 import bisect
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from _embedding import d_emb, product_emb, to_emb
 from bimodconn import linalg
+from bimodconn.algebra import tensor_over_A
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
@@ -691,6 +697,79 @@ def kappa1_bimodule_linear(k):
     return None
 
 
+# -- κ₁ by coordinates in Ω¹_∇, and σ by factor_through ---------------------
+#
+# The route ``kappa1`` and ``sigma_exists`` took before κ₁ was kept as its
+# operators: κ₁(u) as coordinates in the basis of Ω¹_∇ that
+# ``induced_first_order``'s span accepts (the f̂∘∇̂(ĝ)∘ĥ that enlarge it,
+# in (f, g, h) order), and σ from ``factor_through`` on the densified P₁
+# and that matrix, each of σ's operators the accepted ones combined at a
+# column of h.
+
+def flatten(op):
+    """A ``DegreeRHom`` as ``DegreeRHom.flat`` lays it out, dense: its
+    matrix T_r × M row by row."""
+    return [x for row in dense(op) for x in row]
+
+
+def kappa1_coords(k1):
+    """(κ₁'s matrix, the accepted operators): column u of the matrix holds
+    the coordinates of ``k1.ops[u]`` in the accepted operators, found by
+    ``EchelonSpanBuilder.coords``."""
+    c = k1.connection
+    a = c.module.algebra
+    hats = [kappa0_op(c, e) for e in identity_mat(a.dim)]
+    d_ops = [nabla_hat(c, h) for h in hats]
+    span = EchelonSpanBuilder(c.forms.dim(1) * c.module.dim)
+    accepted = []
+    for f, g, h in itertools.product(range(a.dim), repeat=3):
+        op = hats[f].compose(d_ops[g].compose(hats[h]))
+        if span.add(flatten(op)):
+            accepted.append(op)
+    cols = [span.coords(flatten(op)) for op in k1.ops]
+    assert None not in cols, "kappa1 image must lie in omega1_nabla"
+    return _cols_to_mat(cols, span.dim), accepted
+
+
+def sigma(k1):
+    """(exists, witness_bar, matrix) of ``sigma_exists``: h and the witness
+    from ``factor_through(P₁, κ₁'s matrix)``, and σ's matrix read off the
+    operators Σ h[k][wi]·(accepted k), one per class wi of Ω¹."""
+    c = k1.connection
+    cal = c.calculus
+    mat, accepted = kappa1_coords(k1)
+    h, wit = factor_through(projection(cal.quotients[1]), mat,
+                            cal.universal.bar_dim(1))
+    if h is None:
+        return False, wit, None
+    t1, width = c.forms.dim(1), c.module.dim
+    plain = []
+    for wi in range(cal.dim(1)):
+        op = zero_mat(t1, width)
+        for row, acc in zip(h, accepted):
+            if row[wi]:
+                op = [[x + row[wi] * y for x, y in zip(r0, r1)]
+                      for r0, r1 in zip(op, dense(acc))]
+        plain += [[r[i] for r in op] for i in range(width)]
+    tens = tensor_over_A(cal.degree_bimodule(1), c.module)
+    return True, None, tens.quotient.columns(_cols_to_mat(plain, t1))
+
+
+# -- the unit complement ------------------------------------------------------
+
+def unit_complement(a):
+    """(complement, π) of ``UniversalCalculus._unit_complement`` by the span
+    route it replaced: the unit, then each basis vector that enlarges the
+    span, is the basis; π(e_k) is e_k's coordinates in it past the unit's,
+    found by ``EchelonSpanBuilder.coords``."""
+    span = EchelonSpanBuilder(a.dim)
+    span.add(a.unit_vec())
+    comp = [i for i in range(a.dim) if span.add(a.basis_vec(i))]
+    pi = [[(p, x) for p, x in enumerate(span.coords(e)[1:]) if x]
+          for e in identity_mat(a.dim)]
+    return comp, pi
+
+
 # -- the dense linalg kernels ----------------------------------------------
 
 def dense_mat_mul(a, b):
@@ -784,27 +863,31 @@ def quotient(total, sub):
 
 def saturate_ideal(uni, generators):
     """The FIFO worklist that expands each new vector v by e_i·v and v·e_i,
-    dv, and de_j·v and v·de_j for j in the unit complement, every image a
-    dense ``product`` (or ``d``)."""
+    dv, and de_j·v and v·de_j for j in the unit complement, every image
+    formed in tensor-power coordinates (``_embedding``) and brought back by
+    ``from_emb``, so no column table of ``UniversalCalculus`` is read."""
+    a = uni.algebra
     spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue = deque()
     for deg, bar in generators:
         if spans[deg].add(bar):
             queue.append((deg, bar))
-    des = [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
+    fs = [to_emb(uni, 0, f) for f in identity_mat(a.dim)]
+    des = [d_emb(a, f, 0) for f in (fs[j] for j in uni.complement)]
     while queue:
         r, v = queue.popleft()
+        v_emb = to_emb(uni, r, v)
         images = []
-        for i in range(uni.algebra.dim):
-            f = uni.algebra.basis_vec(i)
-            images.append((r, uni.product(0, f, r, v)))
-            images.append((r, uni.product(r, v, 0, f)))
+        for f in fs:
+            images.append((r, product_emb(a, f, 0, v_emb, r)))
+            images.append((r, product_emb(a, v_emb, r, f, 0)))
         if r < uni.D:
-            images.append((r + 1, uni.d(r, v)))
+            images.append((r + 1, d_emb(a, v_emb, r)))
             for de in des:
-                images.append((r + 1, uni.product(1, de, r, v)))
-                images.append((r + 1, uni.product(r, v, 1, de)))
+                images.append((r + 1, product_emb(a, de, 1, v_emb, r)))
+                images.append((r + 1, product_emb(a, v_emb, r, de, 1)))
         for s, w in images:
+            w = uni.from_emb(s, w)
             if spans[s].add(w):
                 queue.append((s, w))
     return spans

@@ -109,8 +109,7 @@ def test_08_sigma_u_full_degree_identities():
 def test_09_tensor_product_routes():
     for which in NAMES:
         conn = pipeline(which)[0]
-        pair = degeneracy_submodules(conn.module.as_right_module(),
-                                     conn.module)
+        pair = degeneracy_submodules(conn.module, conn.module)
         assert degeneracy_brute(pair).ok
     for which in ("a2_flat", "a2_quotient"):
         conn = pipeline(which)[0]

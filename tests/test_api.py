@@ -146,6 +146,18 @@ def test_preceq_and_omega_m_eliminate_nothing_again():
     assert "quotient" not in called
 
 
+def test_kappa1_and_sigma_read_kappa1_off_its_operators():
+    # κ₁ is kept as its operators, one per bar basis vector, with no
+    # coordinates in Ω¹_∇'s basis; σ decides ker P₁ ⊆ ker κ₁ on I¹'s basis
+    # and reads h with h·P₁ = κ₁ off κ₁'s operators at Ω¹'s free columns,
+    # as preceq reads ρ (the factor_through route is tests/_reference.py's)
+    for name in ("kappa1", "sigma_exists"):
+        named = {getattr(node, "id", getattr(node, "attr", None))
+                 for node in ast.walk(_function("connection", name))}
+        assert named & {"coords", "factor_through", "LinSolver",
+                        "rank"} == set(), name
+
+
 # the sparse operator route: each function below works on sparse columns
 # (``linalg.Cols``) and may call no dense kernel
 SPARSE_ROUTE = {
@@ -158,7 +170,7 @@ SPARSE_ROUTE = {
                    "DegreeRHom.ext_cols", "DegreeRHom.compose",
                    "DegreeRHom.add", "DegreeRHom.is_zero",
                    "_commutator", "nabla_hat", "leibniz_failure",
-                   "InducedFirstOrder.op_from_coords"},
+                   "Kappa1.op"},
     "curvature": {"_square_hat", "InducedCalculus._project_op",
                   "InducedCalculus.image",
                   "InducedCalculus._check_multiplicative",

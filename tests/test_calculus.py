@@ -16,7 +16,7 @@ from _embedding import (bar_columns, d_emb, d_ref, product_emb,
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
                      model, regular_connection, universal, upper_triangular)
 from bimodconn import cli
-from bimodconn.algebra import Algebra
+from bimodconn.algebra import Algebra, check_algebra
 from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
                                 quotient_calculus, saturate_ideal,
                                 universal_graded)
@@ -202,8 +202,8 @@ def test_saturation_matches_the_worklist_reference_on_drawn_generators(
 
 
 def test_a_wrong_column_table_entry_fails_the_saturation_reference():
-    # the reference forms e_i·v through ``product``, which does not read
-    # the table of L_{e_i}
+    # the reference forms e_i·v in tensor-power coordinates, which read no
+    # table of L_{e_i}
     uni = UniversalCalculus(m2(), 3)
     gens = _model_generators("m2_grass", uni)
     _assert_saturation_matches_reference(uni, gens)
@@ -214,11 +214,26 @@ def test_a_wrong_column_table_entry_fails_the_saturation_reference():
         _assert_saturation_matches_reference(uni, gens)
 
 
+def test_a_wrong_generator_table_entry_on_omega2_fails_the_reference_on_m2():
+    # the reference forms every product in tensor-power coordinates, so a
+    # wrong entry in the table of R_{e21} on Ω² (M₂'s algebra generators
+    # are e12 and e21) reaches the saturation only; it was missed while the
+    # reference multiplied through ``product``, which reads the same table
+    uni = UniversalCalculus(m2(), 3)
+    assert uni.algebra_generators == [1, 2]
+    gens = _model_generators("m2_grass", uni)
+    _assert_saturation_matches_reference(uni, gens)
+    col = uni._right_cols[2][2][2]      # (e11·de11·de21)·e21
+    row, c = col[0]
+    col[0] = (row, c + 1)
+    with pytest.raises(AssertionError):
+        _assert_saturation_matches_reference(uni, gens)
+
+
 def test_a_wrong_generator_table_entry_above_degree_one_fails_the_reference():
     # above degree 1 the saturation acts by the algebra generators only
     # (T₂'s are e12 and e22), and the reference by every e_i and de_j: a
-    # wrong entry in the table of R_{e22} on Ω² is caught, although both
-    # read that table
+    # wrong entry in the table of R_{e22} on Ω² is caught
     uni = UniversalCalculus(upper_triangular(2), 3)
     assert uni.algebra_generators == [1, 2]
     e12_de11 = [0] * uni.bar_dim(1)
@@ -495,9 +510,10 @@ def test_bar_native_maps_match_embedding():
     lambda: universal_graded(upper_triangular(2), 3)],
     ids=["a2", "m2", "T2"])
 def test_right_mult_bar_matrix_is_the_product_on_unit_columns(make):
-    # built from tail_times and the structure constants, not from product;
-    # for each e_k and for a combination with a non-integral coefficient,
-    # Σ f_k·R_{e_k} read off the densified column tables
+    # built from tail_times and the structure constants; for each e_k and
+    # for a combination with a non-integral coefficient, Σ f_k·R_{e_k} read
+    # off the densified column tables against the product in tensor-power
+    # coordinates, which reads no column table
     uni = make().universal
     a = uni.algebra
     combo = [F(1, 2)] + [0] * (a.dim - 2) + [-3]
@@ -508,7 +524,7 @@ def test_right_mult_bar_matrix_is_the_product_on_unit_columns(make):
             rm = [[sum(c * m[i][j] for c, m in zip(f, tables) if c)
                    for j in range(n)] for i in range(n)]
             for k, u in enumerate(identity_mat(uni.bar_dim(r))):
-                assert [row[k] for row in rm] == uni.product(r, u, 0, f)
+                assert [row[k] for row in rm] == product_ref(uni, r, u, 0, f)
 
 
 @st.composite
@@ -543,6 +559,43 @@ def test_universal_laws_on_random_elements(name, data):
         assert d(r + s, prod(r, u, s, v)) == rhs
     if r + 2 <= uni.D:
         assert is_zero_vec(d(r + 1, d(r, u)))
+
+
+def _rebased(a: Algebra, p) -> Algebra:
+    """A on the basis f_i = Σ_j p[j][i]·e_j, p invertible: each f_i·f_j and
+    the unit solved for in f-coordinates."""
+    solver = LinSolver(p)
+    fs = [[row[i] for row in p] for i in range(a.dim)]
+    return Algebra.from_table([[solver.solve(a.mult(u, v)) for v in fs]
+                               for u in fs], solver.solve(a.unit_vec()))
+
+
+def _m2_rebased() -> Algebra:
+    """M₂ on e11, e12, e21 and (3/2)(e22 − e12), whose unit is
+    f0 + f1 + (2/3)·f3: its last nonzero coefficient is not integral."""
+    p = identity_mat(4)
+    p[1][3], p[3][3] = F(-3, 2), F(3, 2)
+    a = _rebased(m2(), p)
+    assert check_algebra(a).ok and a.unit == (1, 1, 0, F(2, 3))
+    return a
+
+
+@pytest.mark.parametrize("make", [a2, lambda: upper_triangular(2), m2,
+                                  _m2_rebased],
+                         ids=["C2", "T2", "M2", "M2-rebased"])
+def test_the_unit_complement_matches_the_span_reference(make):
+    # the closed form (every index but the unit's last nonzero one, u, and
+    # π(e_u) = −Σ_{t<u} (1_t/1_u)·π(e_t)) against the unit followed by each
+    # basis vector that enlarges the span, π read off its coordinates
+    a = make()
+    uni = UniversalCalculus(a, 1)
+    assert (uni.complement, uni._pi) == _reference.unit_complement(a)
+    # π kills the unit
+    pi_unit = [0] * len(uni.complement)
+    for k, c in enumerate(a.unit):
+        for p, x in uni._pi[k]:
+            pi_unit[p] += c * x
+    assert not any(pi_unit)
 
 
 def test_bar_basis_guard_rejects_one_sided_unit():

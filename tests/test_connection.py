@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _shared import MODELS, NAMES, a2, nabla
+from _shared import (MODELS, NAMES, a2, model, nabla, regular_connection,
+                     upper_triangular)
 from bimodconn.connection import (Connection, DegreeRHom,
                                   check_right_leibniz, induced_first_order,
                                   kappa0_op, kappa1, nabla_hat, sigma_exists)
 from bimodconn.forms import Forms
-from bimodconn.linalg import is_zero_vec, zero_mat, zeros
+from bimodconn.linalg import is_zero_vec, rank, zero_mat, zeros
 from bimodconn.model import parse_model
 
 F = Fraction
@@ -208,3 +209,49 @@ def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
     k1 = kappa1(m.connections["nabla"])
     assert _linearity_witness(k1) == {"triple": triple}
     assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}
+
+
+# σ and κ₁'s rank against the route they took before κ₁ was kept as its
+# operators (tests/_reference.py): κ₁ as coordinates in the accepted basis
+# of Ω¹_∇, σ from factor_through on the densified P₁ and that matrix
+SIGMA_CASES = {
+    **{name: (lambda name=name: nabla(name)) for name in NAMES},
+    **{f"{name}-D9": (lambda name=name: model(name, 9).connections["nabla"])
+       for name in ("a2_flat", "a2_quotient")},
+    "T3-D2": lambda: regular_connection(upper_triangular(3), 2, 0),
+}
+
+
+def _assert_sigma_matches_the_reference(c, k1):
+    res = sigma_exists(c, k1)
+    exists, witness, matrix = _reference.sigma(k1)
+    assert (res.exists, res.witness_bar) == (exists, witness)
+    assert (res.sigma.matrix if res.exists else None) == matrix
+    return res
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA_CASES))
+def test_sigma_and_kappa1_rank_match_the_coordinate_reference(case):
+    c = SIGMA_CASES[case]()
+    k1 = kappa1(c)
+    _assert_sigma_matches_the_reference(c, k1)
+    dense_rank = rank(_reference.kappa1_coords(k1)[0])
+    assert k1.rank() == dense_rank
+    assert k1.injective == (dense_rank == c.calculus.universal.bar_dim(1))
+
+
+@pytest.mark.parametrize("name, exists", [("a2_flat", True),
+                                          ("a2_quotient", False)])
+def test_sigma_of_a_perturbed_kappa1_matches_the_reference(name, exists):
+    # κ₁(e_0·de) replaced by κ₁(e_0·de) + κ₁(e_1·de), still in Ω¹_∇.  On
+    # a2_quotient I¹ is spanned by e_0·de, which κ₁ killed, so σ is then
+    # absent; a2_flat's calculus is universal (I¹ = 0), so σ still exists
+    # there, but is no longer well defined on balanced classes
+    c = nabla(name)
+    k1 = kappa1(c)
+    assert all(v.ok for v in sigma_exists(c, k1).verdicts)
+    k1.ops[0] = k1.ops[0].add(k1.ops[1])
+    res = _assert_sigma_matches_the_reference(c, k1)
+    assert res.exists == exists
+    failing = [v.check_id for v in res.verdicts if not v.ok]
+    assert failing == ["sigma-well-defined" if exists else "sigma-exists"]

@@ -180,8 +180,6 @@ def test_wrong_length_vectors_are_rejected():
         with pytest.raises(DimensionError):
             span.contains(bad)
         with pytest.raises(DimensionError):
-            span.coords(bad)
-        with pytest.raises(DimensionError):
             mat_vec(identity_mat(3), bad)
     q = quotient(3, [[1, 0, 0]])
     for bad in ([1], [1, 0, 0]):
@@ -321,27 +319,13 @@ def test_quotient_read_off_the_span_matches_the_row_reduce_reference(m, data):
 def test_span_builder_matches_sympy(m, data):
     n = len(m[0])
     probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
-    results = []
     for rows in (m + [probe], _ints(m + [probe])):
         span = SpanBuilder(n)
         added = [span.add(v) for v in rows[:-1]]
         assert span.dim == _sym_rank(m) == sum(added)
-        coords = []
         for v in rows:
             inside = _sym_rank(m + [v]) == span.dim
             assert span.contains(v) == inside
-            c = span.coords(v)
-            coords.append(c)
-            if not inside:
-                assert c is None
-                continue
-            assert _typed(c)
-            rebuilt = zeros(n)
-            for ck, b in zip(c, span.basis, strict=True):
-                rebuilt = vec_add(rebuilt, [ck * x for x in b])
-            assert rebuilt == v
-        results.append(coords)
-    assert results[0] == results[1]
 
 
 # The sparse kernels against the dense ones they replaced
@@ -452,9 +436,8 @@ def _sparse_draw(v):
 @settings(deadline=None)
 @given(matrices(), st.data())
 def test_span_builder_matches_the_echelon_reference(m, data):
-    # the same vectors fed dense and sparse, with contains and coords
-    # interleaved with add: every answer the reference's, and coords right
-    # after each add that drops the coordinates built for the last call
+    # the same vectors fed dense and sparse, with contains interleaved with
+    # add: every answer the reference's
     n = len(m[0])
     probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
     for rows in (m, _ints(m)):
@@ -470,7 +453,7 @@ def test_span_builder_matches_the_echelon_reference(m, data):
                 _assert_reduced(span, ref)
                 if data.draw(st.booleans()):
                     x = data.draw(st.sampled_from(probes))
-                    assert span.coords(_sparse_draw(x)) == ref.coords(x)
+                    assert span.contains(_sparse_draw(x)) == ref.contains(x)
         quotients = [(q.sub, q.free, q.proj_cols)
                      for q in (s.quotient() for s in spans)]
         assert quotients[0] == quotients[1]
@@ -478,7 +461,6 @@ def test_span_builder_matches_the_echelon_reference(m, data):
             for span in spans:
                 for w in (v, _sparse_draw(v)):
                     assert span.contains(w) == ref.contains(v)
-                    assert span.coords(w) == ref.coords(v)
 
 
 def test_sparse_input_is_not_changed_and_a_full_span_is_not_reduced(
@@ -487,7 +469,6 @@ def test_sparse_input_is_not_changed_and_a_full_span_is_not_reduced(
     v = {0: 1, 2: F(1, 2)}
     assert span.add(v) and v == {0: 1, 2: F(1, 2)}
     assert span.basis == [[1, 0, F(1, 2)]]
-    assert span.coords({2: 1}) is None and span.coords(v) == [1]
     assert span.add([0, 1, 0]) and span.add({2: 3})
     calls = []
     monkeypatch.setattr(linalg, "_eliminate",
@@ -512,8 +493,6 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
     for v in rows:
         span.add(v)
         ref.add(v)
-    # coordinates are built on the first coords call, before counting
-    span.coords(rows[0])
     pivots = set(ref.row_pivots)
     calls = []
     eliminate = linalg._eliminate
@@ -525,10 +504,9 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
     monkeypatch.setattr(_reference, "_eliminate", counting)
     for v in probes:
         want = len(pivots & {j for j, x in enumerate(v) if x})
-        for reduce in (span.contains, span.coords):
-            calls.clear()
-            reduce(v)
-            assert len(calls) == want
+        calls.clear()
+        span.contains(v)
+        assert len(calls) == want
     calls.clear()
     for v in probes:
         ref.contains(v)

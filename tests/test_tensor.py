@@ -9,8 +9,7 @@ import _reference
 from _shared import (MODELS, NAMES, a2, induced, nabla, pipeline,
                      regular_connection, universal, upper_triangular)
 from bimodconn import tensorconn
-from bimodconn.algebra import (Bimodule, RightModule, balancing_relations,
-                               check_bimodule)
+from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
 from bimodconn.calculus import preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
@@ -43,7 +42,7 @@ def rc_of(which: str) -> Connection:
 
 def test_regular_pairing_is_faithful():
     conn = nabla("a2_flat")
-    pair = degeneracy_submodules(conn.module.as_right_module(), conn.module)
+    pair = degeneracy_submodules(conn.module, conn.module)
     assert pair.n0 == []
     assert pair.m0 == []
     assert all(v.ok for v in pair.verdicts)
@@ -52,8 +51,7 @@ def test_regular_pairing_is_faithful():
 def test_degeneracy_brute_oracle_everywhere():
     for which in NAMES:
         conn = pipeline(which)[0]
-        pair = degeneracy_submodules(conn.module.as_right_module(),
-                                     conn.module)
+        pair = degeneracy_submodules(conn.module, conn.module)
         assert degeneracy_brute(pair).ok
 
 
@@ -69,9 +67,13 @@ def column_module() -> Bimodule:
     return m
 
 
-def skew_right_module() -> RightModule:
-    right = (((0, 0), (0, 1)), ((1, 0), (0, 0)))
-    return RightModule(2, a2(), right)
+def skew_right_module() -> Bimodule:
+    # only the right action of N is read; ℂ² is commutative, so the same
+    # matrices as the left action make N a bimodule
+    right = [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]
+    n = Bimodule.from_actions(a2(), right, right)
+    assert check_bimodule(n).ok
+    return n
 
 
 def column_connection() -> Connection:
