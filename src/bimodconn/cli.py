@@ -148,7 +148,9 @@ def _cmd_tensor(report: Report, model: ModelFile,
         _scope(report, "tensor", f"{req.left}⊗{req.right}")
         c = model.connections[req.right]
         rc = model.connections[req.left]
-        pair = degeneracy_submodules(rc.module, c.module)
+        # N⊗_AM, as every check below reads it: built once per N
+        pair = degeneracy_submodules(rc.module, c.module,
+                                     tensor=c.tensors(rc.module)[0])
         report.extend(pair.verdicts)
         report.append(degeneracy_brute(pair))
         report.append(check_compatibility(c, rc, pair))

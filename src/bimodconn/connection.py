@@ -57,9 +57,21 @@ class Connection:
             (0, "ext"): _to_cols(self.nabla, self.module.dim)}
         # ∇̂Φ by the id of Φ (DegreeRHom.key)
         self.nabla_hats: dict[int, DegreeRHom] = {}
+        # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
+        # entry holds N, so the id stays N's
+        self._tensors: dict[int, tuple] = {}
 
     def nabla_apply(self, m_vec: Vec) -> Vec:
         return mat_vec(self.nabla, m_vec)
+
+    def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
+        """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
+        codomain of a tensor-product connection, built once per N."""
+        if id(n) not in self._tensors:
+            t1 = self.forms.as_bimodule(1)
+            self._tensors[id(n)] = (n, tensor_over_A(n, self.module),
+                                    tensor_over_A(n, t1))
+        return self._tensors[id(n)][1:]
 
     def nabla_ext_plain(self, r: int) -> Cols:
         """Extension on free coordinates: T^u_r → T_{r+1} classes, every
@@ -176,9 +188,11 @@ class DegreeRHom:
 
     def ext_cols(self, s: int) -> Cols:
         """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω,
-        by sparse columns."""
+        by sparse columns; a zero operator's is zero, and not cached."""
         if s == 0:
             return self.cols
+        if self.is_zero():
+            return [[] for _ in range(self.forms.dim(s))]
         cache = self.forms.op_cache
         key = ("ext", self.key, s)
         if key not in cache:
@@ -189,10 +203,14 @@ class DegreeRHom:
 
     def compose(self, other: "DegreeRHom") -> "DegreeRHom":
         """self ∘ other (other applied first): column i combines this
-        operator's extension columns at the nonzeros of other's column i."""
+        operator's extension columns at the nonzeros of other's column i.
+        With a zero operand it is the zero operator, and nothing is
+        extended or cached."""
         degree = self.degree + other.degree
         if degree > self.forms.D:
             raise ValueError("degree overflow past truncation")
+        if self.is_zero() or other.is_zero():
+            return DegreeRHom(self.forms, degree, [[] for _ in other.cols])
         cache = self.forms.op_cache
         key = ("compose", self.key, other.key)
         if key not in cache:
@@ -231,10 +249,12 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
     """The columns of X∘Φ + sign·Φ∘X on M, for a map X of degree s given by
     its extension ``x_ext`` to T_r (r the degree of Φ) and its restriction
     ``x_cols`` to M: column i combines x_ext at the nonzeros of Φ's column
-    i and Φ's extension to T_s at the nonzeros of X's column i."""
+    i and Φ's extension to T_s at the nonzeros of X's column i; a column
+    empty in both is []."""
     ext = phi.ext_cols(s)
     return [_col_sum([(x_ext[k], c) for k, c in col]
                      + [(ext[k], sign * c) for k, c in x_col])
+            if col or x_col else []
             for col, x_col in zip(phi.cols, x_cols)]
 
 
@@ -350,7 +370,7 @@ class Kappa1:
         nonzeros."""
         terms = [(self.ops[u], x) for u, x in _sparse(alpha_bar).items()]
         return DegreeRHom(self.connection.forms, 1, [
-            _col_sum([(op.cols[i], x) for op, x in terms])
+            _col_sum([(col, x) for op, x in terms if (col := op.cols[i])])
             for i in range(self.connection.module.dim)])
 
     def rank(self) -> int:
@@ -396,6 +416,8 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
         for g in range(a.dim):
             moved = _compose(uni.left_cols(1, f), uni.right_cols(1, g))
             for bi, col in enumerate(moved):
+                if not col and alpha_g[g][bi].is_zero():
+                    continue        # both sides are zero
                 lhs = _col_sum([(alpha_flat[x], y) for x, y in col])
                 rhs = hats[f].compose(alpha_g[g][bi]).flat()
                 if dict(lhs) != rhs:

@@ -195,8 +195,9 @@ class OmegaHat:
         Φ as a word in T: for Φ = t∘Φ', ∇̂(t∘(Φ'∘Ψ)) splits at t by the pair
         (t, Φ'∘Ψ), and ∇̂(Φ'∘Ψ) splits by induction.  Column i of the right
         side is one ``_col_sum``: (∇̂t)'s extension columns at the nonzeros
-        of w's column i and (−1)^r t's at those of (∇̂w)'s.  The witness
-        indexes ``gen_ops(r)`` and ``ops(s)``.
+        of w's column i and (−1)^r t's at those of (∇̂w)'s, and zero where
+        both of those are empty.  The witness indexes ``gen_ops(r)`` and
+        ``ops(s)``.
         """
         c = self.connection
         D = c.forms.D
@@ -208,10 +209,13 @@ class OmegaHat:
                     for kj, w in enumerate(self.ops(s)):
                         lhs = nabla_hat(c, t.compose(w)).cols
                         dw = nabla_hat(c, w).cols
-                        dt_ext, t_ext = dt.ext_cols(s), t.ext_cols(s + 1)
+                        dt_ext = dt.ext_cols(s)
+                        # extended only if some column of ∇̂w reads it
+                        t_ext = t.ext_cols(s + 1) if any(dw) else []
                         if any(col != _col_sum(
                                 [(dt_ext[k], x) for k, x in w_col]
                                 + [(t_ext[k], sign * x) for k, x in dw_col])
+                               if w_col or dw_col else col
                                for col, w_col, dw_col in zip(lhs, w.cols, dw)):
                             self.verdicts.append(failed(
                                 "nabla-hat-graded-derivation",
@@ -524,7 +528,8 @@ class InducedCalculus:
         """κ̄ of Σ c·(bar basis vector x) over the (x, c) terms, flattened as
         κ̄'s columns are; one term with c = 1 is that column itself, which
         the caller must not change."""
-        return _col_sum([(self._columns[r][x], c) for x, c in terms])
+        cols = self._columns[r]
+        return _col_sum([(col, c) for x, c in terms if (col := cols[x])])
 
     def _check_multiplicative(self) -> None:
         """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.

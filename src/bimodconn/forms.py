@@ -8,7 +8,7 @@ what keeps desk-scale computations fast and exact.
 
 Every map on these spaces is stored by sparse columns (``linalg.Cols``),
 and dense only where a caller needs a dense matrix: the actions of
-``as_bimodule``, which a ``Bimodule`` holds dense.
+``as_bimodule``, which a ``Bimodule`` holds dense (built once per degree).
 
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
@@ -65,6 +65,8 @@ class Forms:
         # the actions on T_r by columns, by (r, f) and by (r, s, ω)
         self._left_cols: dict[tuple, Cols] = {}
         self._right_cols: dict[tuple, Cols] = {}
+        # T_r as a Bimodule, by r
+        self._bimodules: dict[int, Bimodule] = {}
         # the intern table of right-Ω operators on these spaces: the id of
         # each content, (degree, columns as tuples); see DegreeRHom.key
         self.op_ids: dict[tuple, int] = {}
@@ -191,7 +193,8 @@ class Forms:
         for flat in indices:
             m_i, bidx = divmod(flat, nt_s)
             out.append(_col_sum([(proj[heads[k] + bidx], c)
-                                 for k, c in phi[m_i]]))
+                                 for k, c in col])
+                       if (col := phi[m_i]) else [])
         return out
 
     # -- actions on quotient coordinates ----------------------------------
@@ -233,9 +236,13 @@ class Forms:
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω), its
-        actions densified for ``Bimodule``."""
-        basis = [self.algebra.basis_vec(i) for i in range(self.algebra.dim)]
-        n = self.dim(r)
-        left = [_to_mat(self.left_action_cols(r, f), n) for f in basis]
-        right = [_to_mat(self.right_mult_cols(r, 0, f), n) for f in basis]
-        return Bimodule.from_actions(self.algebra, left, right)
+        actions densified for ``Bimodule``; built once per r and shared."""
+        if r not in self._bimodules:
+            basis = [self.algebra.basis_vec(i)
+                     for i in range(self.algebra.dim)]
+            n = self.dim(r)
+            left = [_to_mat(self.left_action_cols(r, f), n) for f in basis]
+            right = [_to_mat(self.right_mult_cols(r, 0, f), n) for f in basis]
+            self._bimodules[r] = Bimodule.from_actions(self.algebra, left,
+                                                       right)
+        return self._bimodules[r]

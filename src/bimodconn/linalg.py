@@ -14,14 +14,19 @@ i is the class of e_i), d on classes, every map on M⊗_AΩ (``forms``,
 ``connection``), κ̄, the operators that span Ω¹_∇ and those of κ₁, ν̂, ∇⊗
 and ·f on a balanced tensor.  Such a map is applied by ``_combine`` at the
 nonzeros of a dense vector, composed by ``_compose`` and summed by
-``_col_sum``, so its cost is the number of nonzeros met.  Dense matrices
-(lists of rows) remain for the model's actions and ∇, for σ and ρ
-(printed), and at the line that hands a map to ``row_reduce``,
-``null_space``, ``rank`` or ``factor_through``; ``_to_cols`` and
-``_to_mat`` convert.  One eliminator keeps sparse rows, ``dict[column,
-entry]``, reduced and keyed by pivot, so reducing a vector touches only the
-rows at the pivots in its support: ``SpanBuilder`` holds them (sparse or
-dense intake), ``row_reduce`` reads its RREF off them, and
+``_col_sum``, so its cost is the number of nonzeros met, and an empty
+column costs no call: ``_col_sum`` of no term is [] at once and sums in one
+pass, and ``_compose`` takes an empty column of b to [] without a term
+list (the operator layer skips its empty columns and zero operators
+alike).  On m2_grass that cut the ``_col_sum`` calls of one parse and
+``all`` from 7,829 to 5,075 and the bench's check_s from ≈19.9 ms to
+≈16.7 ms.  Dense matrices (lists of rows) remain for the model's actions
+and ∇, for σ and ρ (printed), and at the line that hands a map to
+``row_reduce``, ``null_space``, ``rank`` or ``factor_through``;
+``_to_cols`` and ``_to_mat`` convert.  One eliminator keeps sparse rows,
+``dict[column, entry]``, reduced and keyed by pivot, so reducing a vector
+touches only the rows at the pivots in its support: ``SpanBuilder`` holds
+them (sparse or dense intake), ``row_reduce`` reads its RREF off them, and
 ``kernel_quotient`` the quotient by a map's kernel off one elimination of
 the map's rows.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
 ``_combine``) find the nonzeros of a dense row with ``itertools.compress``
@@ -91,11 +96,6 @@ def zero_mat(r: int, c: int) -> Mat:
     return [zeros(c) for _ in range(r)]
 
 
-def _cols_to_mat(cols: list[Vec], n_rows: int) -> Mat:
-    """The matrix with the given columns (n_rows rows even with none)."""
-    return [[col[row] for col in cols] for row in range(n_rows)]
-
-
 def identity_mat(n: int) -> Mat:
     m = zero_mat(n, n)
     for i in range(n):
@@ -152,18 +152,27 @@ def _sparse_sum(terms: list[tuple[Col, int | Fraction]]) -> SparseVec:
 
 def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
     """Σ c·col over the (col, c) terms, each c nonzero, as one sparse column
-    sorted by row with the cancelled entries dropped; a single term with
-    c = 1 is that column itself, which the caller must not change."""
-    if len(terms) == 1:
+    sorted by row with the cancelled entries dropped, in one pass over the
+    entries met; no term gives [] and a single term with c = 1 is that
+    column itself, which the caller must not change."""
+    if len(terms) < 2:
+        if not terms:
+            return []
         col, c = terms[0]
         return col if c == 1 else [(row, c * x) for row, x in col]
-    return sorted(_sparse_sum(terms).items())
+    acc: SparseVec = {}
+    for col, c in terms:
+        for row, x in col:
+            acc[row] = acc[row] + c * x if row in acc else c * x
+    return sorted([(row, x) for row, x in acc.items() if x])
 
 
 def _compose(a: Cols, b: Cols) -> Cols:
     """a∘b by columns (b applied first): column i combines a's columns at
-    the nonzeros of b's column i."""
-    return [_col_sum([(a[k], c) for k, c in col]) for col in b]
+    the nonzeros of b's column i, and an empty column of b is [] without
+    a look at a."""
+    return [_col_sum([(a[k], c) for k, c in col]) if col else []
+            for col in b]
 
 
 def _col_vec(col: Col, n_rows: int) -> Vec:

@@ -22,7 +22,7 @@ from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _col_sum,
-                     _col_vec, _cols_to_mat, _combine, _compose, _sparse,
+                     _col_vec, _combine, _compose, _sparse,
                      _sparse_sum, _to_cols, _to_mat, factor_through,
                      is_zero_vec, kernel_quotient, mat_vec, null_space, zeros)
 from .report import Verdict, failed, passed, rationals
@@ -47,26 +47,23 @@ class DegeneracyPair:
 def degeneracy_submodules(n, m: Bimodule,
                           tensor: BalancedTensor | None = None) \
         -> DegeneracyPair:
-    """Kernels of the two partial pairing maps, verified to be submodules."""
+    """Kernels of the two partial pairing maps, verified to be submodules.
+
+    The class of the basis pair b_j⊗a_i is column ``pure_index(j, i)`` of
+    the tensor's projection, so each pairing map is stacked from those
+    columns."""
     if tensor is None:
         tensor = tensor_over_A(n, m)
     t = tensor
+    proj = t.quotient.proj_cols
     # b ↦ (class of b⊗a_i)_i, stacked over the M basis
-    n_cols = []
-    for j in range(n.dim):
-        col: Vec = []
-        for i in range(m.dim):
-            col.extend(t.project_pure(n.basis_vec(j), m.basis_vec(i)))
-        n_cols.append(col)
-    n0 = null_space(_cols_to_mat(n_cols, m.dim * t.dim), n.dim)
+    n0 = null_space(_to_mat([[(i * t.dim + k, x) for i in range(m.dim)
+                              for k, x in proj[t.pure_index(j, i)]]
+                             for j in range(n.dim)], m.dim * t.dim), n.dim)
     # a ↦ (class of b_j⊗a)_j, stacked over the N basis
-    m_cols = []
-    for i in range(m.dim):
-        col = []
-        for j in range(n.dim):
-            col.extend(t.project_pure(n.basis_vec(j), m.basis_vec(i)))
-        m_cols.append(col)
-    m0 = null_space(_cols_to_mat(m_cols, n.dim * t.dim), m.dim)
+    m0 = null_space(_to_mat([[(j * t.dim + k, x) for j in range(n.dim)
+                              for k, x in proj[t.pure_index(j, i)]]
+                             for i in range(m.dim)], n.dim * t.dim), m.dim)
     pair = DegeneracyPair(n, m, t, n0, m0)
     a = m.algebra
     span_n = SpanBuilder(n.dim)
@@ -105,12 +102,12 @@ def degeneracy_brute(pair: DegeneracyPair) -> Verdict:
     agreement is asserted as a small-instance oracle, not proved in general.
     """
     n, m, t = pair.left, pair.right, pair.tensor
-    pure = [[t.project_pure(n.basis_vec(j), m.basis_vec(i))
-             for i in range(m.dim)] for j in range(n.dim)]
+    # the class of b_j⊗a_i is column pure_index(j, i) of the projection
+    proj = t.quotient.proj_cols
     n0_b = [j for j in range(n.dim)
-            if all(is_zero_vec(pure[j][i]) for i in range(m.dim))]
+            if not any(proj[t.pure_index(j, i)] for i in range(m.dim))]
     m0_b = [i for i in range(m.dim)
-            if all(is_zero_vec(pure[j][i]) for j in range(n.dim))]
+            if not any(proj[t.pure_index(j, i)] for j in range(n.dim))]
     span_n = SpanBuilder(n.dim)
     for j in n0_b:
         span_n.add(n.basis_vec(j))
@@ -309,8 +306,7 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
     (b⊗Φ̂)a := b⊗Φ̂(a).
     """
     m = c.module
-    tn = tensor_over_A(n, m)
-    w = tensor_over_A(n, c.forms.as_bimodule(1))
+    tn, w = c.tensors(n)
     tail_ops = [induced.d_ops[j].cols
                 for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, w, xi_forms, xi_list, tail_ops)
@@ -382,9 +378,7 @@ def tensor_connection_original(rc: Connection, c: Connection,
                                sigma=None) -> TensorConnection:
     """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, with the σ-route agreement check."""
     if not nu.available:
-        tc = TensorConnection("nu-hat", tensor_over_A(rc.module, c.module),
-                              tensor_over_A(rc.module,
-                                            c.forms.as_bimodule(1)))
+        tc = TensorConnection("nu-hat", *c.tensors(rc.module))
         tc.verdicts.append(Verdict("tensor-connection-original",
                                    anchors.ORIGINAL_ROUTE, "unavailable"))
         return tc
@@ -412,11 +406,13 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
             for i in range(m.dim)])
     xi = [rc.nabla_apply(n.basis_vec(j)) for j in range(n.dim)]
     plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
+    # the pure pair (j, i) is column pure_index(j, i) of both the plain
+    # columns and the domain's projection, which holds its class
+    proj = tc.domain.quotient.proj_cols
     for j in range(n.dim):
         for i in range(m.dim):
-            via_nu = tc.apply(tc.domain.project_pure(n.basis_vec(j),
-                                                     m.basis_vec(i)))
-            if dict(plain[j * m.dim + i]) != _sparse(via_nu):
+            at = tc.domain.pure_index(j, i)
+            if plain[at] != _col_sum([(tc.cols[k], x) for k, x in proj[at]]):
                 tc.verdicts.append(failed("tensor-route-agreement",
                                           anchors.NEC_SUFF,
                                           {"pair": [j, i]}))

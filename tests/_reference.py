@@ -37,8 +37,11 @@ null space (``kernel_quotient``), and the dense tensor checks: ν̂'s
 right-linearity squares, the balancing relations as dense vectors, ∇⊗
 filled in entry by entry, its right Leibniz rule with ·f on classes
 through representatives, and the associated connection's factors and
-square.  Last, the parse of a rational string that reads every string by
-``Fraction``.
+square.  Then the degeneracy submodules, their brute-force oracle and the
+σ-route agreement with the class of each basis pair b_j⊗a_i formed by
+``project_pure`` on dense unit vectors, not read off the tensor's
+projection columns.  Last, the parse of a rational string that reads
+every string by ``Fraction``.
 """
 
 import bisect
@@ -48,17 +51,26 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from _embedding import d_emb, product_emb, to_emb
-from bimodconn import linalg
+from bimodconn import anchors, linalg
 from bimodconn.algebra import tensor_over_A
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
 from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
-                              _col_vec, _cols_to_mat, _div, _eliminate, _exact,
+                              _col_vec, _div, _eliminate, _exact,
                               _sparse, _to_mat, factor_through, identity_mat,
-                              mat_mul, mat_vec, null_space, row_reduce,
-                              vec_add, zero_mat, zeros)
+                              is_zero_vec, mat_mul, mat_vec, null_space,
+                              row_reduce, vec_add, zero_mat, zeros)
 from bimodconn.model import ModelError
+from bimodconn.report import failed, passed, rationals
+from bimodconn.tensorconn import (DegeneracyPair, _pure_pair_columns,
+                                  _tail_bars)
+
+
+def cols_to_mat(cols, n_rows):
+    """The matrix with the given dense columns (n_rows rows even with
+    none)."""
+    return [[col[row] for col in cols] for row in range(n_rows)]
 
 
 def dense(op):
@@ -113,7 +125,7 @@ def kappa_matrices(induced):
     raw operator projected by the dense projection matrix (``project_op``),
     not read off ``InducedCalculus``'s own columns."""
     width = induced.connection.module.dim
-    return [_cols_to_mat([project_op(induced, r, dense(op)) for op in ops],
+    return [cols_to_mat([project_op(induced, r, dense(op)) for op in ops],
                          induced.omega_m.dim(r) * width)
             for r, ops in enumerate(induced._raw)]
 
@@ -728,7 +740,7 @@ def kappa1_coords(k1):
             accepted.append(op)
     cols = [span.coords(flatten(op)) for op in k1.ops]
     assert None not in cols, "kappa1 image must lie in omega1_nabla"
-    return _cols_to_mat(cols, span.dim), accepted
+    return cols_to_mat(cols, span.dim), accepted
 
 
 def sigma(k1):
@@ -752,7 +764,7 @@ def sigma(k1):
                       for r0, r1 in zip(op, dense(acc))]
         plain += [[r[i] for r in op] for i in range(width)]
     tens = tensor_over_A(cal.degree_bimodule(1), c.module)
-    return True, None, tens.quotient.columns(_cols_to_mat(plain, t1))
+    return True, None, tens.quotient.columns(cols_to_mat(plain, t1))
 
 
 # -- the unit complement ------------------------------------------------------
@@ -1000,7 +1012,7 @@ def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
             for l, row in enumerate(c.nabla):
                 out[j * t1 + l] += row[i]
             cols.append(w.project(out))
-    return tc.domain.quotient.columns(_cols_to_mat(cols, w.dim))
+    return tc.domain.quotient.columns(cols_to_mat(cols, w.dim))
 
 
 def right_on_classes(bt, f):
@@ -1012,7 +1024,7 @@ def right_on_classes(bt, f):
         i, j = divmod(fc, y.dim)
         cols.append(bt.project(bt.pure(bt.left_factor.basis_vec(i),
                                        y.act_right(y.basis_vec(j), f))))
-    return _cols_to_mat(cols, bt.dim)
+    return cols_to_mat(cols, bt.dim)
 
 
 def tensor_right_leibniz(tc, c):
@@ -1066,6 +1078,107 @@ def associated_square(rc, nu, ext_matrices):
                          _to_mat(rc.nabla_ext_cols(r), src.dim(r + 1)))
         if pushed != mat_mul(ext_matrices[r], nu_r):
             return {"degree": r}
+    return None
+
+
+# -- pure pairs through project_pure --------------------------------------
+
+def _pure(t, x, y):
+    """The class of the basis pair x_j⊗y_i of t, by ``project_pure``."""
+    return [[t.project_pure(x.basis_vec(j), y.basis_vec(i))
+             for i in range(y.dim)] for j in range(x.dim)]
+
+
+def degeneracy_submodules(n, m):
+    """``tensorconn.degeneracy_submodules`` on N⊗_AM built afresh, with the
+    pairing maps stacked from dense classes of the basis pairs."""
+    t = tensor_over_A(n, m)
+    pure = _pure(t, n, m)
+    n0 = null_space(cols_to_mat(
+        [[x for i in range(m.dim) for x in pure[j][i]] for j in range(n.dim)],
+        m.dim * t.dim), n.dim)
+    m0 = null_space(cols_to_mat(
+        [[x for j in range(n.dim) for x in pure[j][i]] for i in range(m.dim)],
+        n.dim * t.dim), m.dim)
+    pair = DegeneracyPair(n, m, t, n0, m0)
+    a = m.algebra
+    span_n = SpanBuilder(n.dim)
+    for v in n0:
+        span_n.add(v)
+    span_m = SpanBuilder(m.dim)
+    for v in m0:
+        span_m.add(v)
+    for v in n0:
+        for fi in range(a.dim):
+            if not span_n.contains(n.act_right(v, a.basis_vec(fi))):
+                pair.verdicts.append(failed(
+                    "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
+                    {"side": "N0", "algebra_basis": fi,
+                     "vector": rationals(v)}))
+                return pair
+    for v in m0:
+        for fi in range(a.dim):
+            fv = a.basis_vec(fi)
+            for moved, side in ((m.act_right(v, fv), "M0-right"),
+                                (m.act_left(fv, v), "M0-left")):
+                if not span_m.contains(moved):
+                    pair.verdicts.append(failed(
+                        "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
+                        {"side": side, "algebra_basis": fi,
+                         "vector": rationals(v)}))
+                    return pair
+    pair.verdicts.append(passed("degeneracy-submodules",
+                                anchors.ASSUME_DEGENERACY,
+                                {"dim_n0": len(n0), "dim_m0": len(m0)}))
+    return pair
+
+
+def degeneracy_brute(pair):
+    """``tensorconn.degeneracy_brute``, each basis pair tested zero as a
+    dense class."""
+    n, m = pair.left, pair.right
+    pure = _pure(pair.tensor, n, m)
+    n0_b = [j for j in range(n.dim)
+            if all(is_zero_vec(pure[j][i]) for i in range(m.dim))]
+    m0_b = [i for i in range(m.dim)
+            if all(is_zero_vec(pure[j][i]) for j in range(n.dim))]
+    span_n = SpanBuilder(n.dim)
+    for j in n0_b:
+        span_n.add(n.basis_vec(j))
+    span_m = SpanBuilder(m.dim)
+    for i in m0_b:
+        span_m.add(m.basis_vec(i))
+    ok = (span_n.dim == len(pair.n0)
+          and all(span_n.contains(v) for v in pair.n0)
+          and span_m.dim == len(pair.m0)
+          and all(span_m.contains(v) for v in pair.m0))
+    if not ok:
+        return failed("degeneracy-brute-oracle", anchors.ASSUME_DEGENERACY,
+                      {"kernel_dims": [len(pair.n0), len(pair.m0)],
+                       "brute_dims": [span_n.dim, span_m.dim]})
+    return passed("degeneracy-brute-oracle", anchors.ASSUME_DEGENERACY,
+                  {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
+
+
+def sigma_route(tc, rc, c, sigma):
+    """The witness of ``tensor-route-agreement``, or None: the ν̂ route's
+    value on each pure pair applied to its dense class."""
+    n, m = rc.module, c.module
+    s = sigma.sigma
+    cal = c.calculus
+    tail_ops = []
+    for bar in _tail_bars(cal.universal):
+        cls = cal.class_of_bar(1, bar)
+        tail_ops.append([list(_sparse(s.apply(
+            s.tensor.project_pure(cls, m.basis_vec(i)))).items())
+            for i in range(m.dim)])
+    xi = [rc.nabla_apply(n.basis_vec(j)) for j in range(n.dim)]
+    plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
+    pure = _pure(tc.domain, n, m)
+    for j in range(n.dim):
+        for i in range(m.dim):
+            if dict(plain[j * m.dim + i]) != _sparse(tc.apply(pure[j][i])):
+                return {"pair": [j, i]}
     return None
 
 

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _shared import a2
-from bimodconn import linalg
+from _shared import MODELS, a2
+from bimodconn import (cli, connection, curvature, forms, linalg,
+                       parse_model, tensorconn)
 from bimodconn.linalg import (DimensionError, SpanBuilder, SurjectivityError,
-                              _col_vec, _cols_to_mat, _compose, _to_cols,
+                              _col_vec, _compose, _to_cols,
                               _to_mat, factor_through, frac, identity_mat,
                               kernel_quotient, mat_mul, mat_vec, null_space,
                               quotient, rank, row_reduce, vec_add, zero_mat,
@@ -280,10 +281,11 @@ def test_quotient_splits_and_kills_sub(m, data):
         # columns/induced read m·lift off the columns at free
         lifts = [q.lift(e) for e in identity_mat(q.dim)]
         square = mat_mul([list(col) for col in zip(*rows)], rows)
-        assert q.columns(rows) == _cols_to_mat(
+        assert q.columns(rows) == _reference.cols_to_mat(
             [mat_vec(rows, x) for x in lifts], len(rows))
         assert _to_mat(q.induced(_to_cols(square, n), q), q.dim) == \
-            _cols_to_mat([q.project(mat_vec(square, x)) for x in lifts], q.dim)
+            _reference.cols_to_mat([q.project(mat_vec(square, x))
+                                    for x in lifts], q.dim)
         for s in subs:
             assert q.project(s) == zeros(q.dim)
         assert q.project(q.lift(c)) == c
@@ -416,6 +418,126 @@ def test_sparse_columns_compose_like_mat_mul(ab):
                    [i for i, _ in col] == sorted({i for i, _ in col})
                    for col in prod)
         assert prod == _to_cols(mat_mul(x, y), m)
+
+
+# The column kernels every stored map is combined by, against sums of dense
+# vectors.  Draws hold no term at all, empty columns, terms that cancel to
+# nothing, and negative and non-integral coefficients.
+NONZERO = ENTRIES.filter(bool)
+
+
+def _dense_sum(n: int, cols, coeffs):
+    """Σ c·col over dense columns of length n."""
+    out = zeros(n)
+    for col, c in zip(cols, coeffs):
+        out = vec_add(out, [c * x for x in col])
+    return out
+
+
+def _nonzeros(v):
+    """A dense vector's nonzero (index, entry) pairs, as a sparse column."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+@st.composite
+def dense_terms(draw):
+    """(n, columns, coefficients): dense columns of length n, some of them
+    zero, each with a nonzero coefficient; a drawn term may be repeated with
+    the opposite coefficient, so that the two cancel."""
+    n = draw(st.integers(0, 5))
+    cols = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n)
+                         | st.just([F(0)] * n), max_size=4))
+    coeffs = [draw(NONZERO) for _ in cols]
+    for _ in range(draw(st.integers(0, 2)) if cols else 0):
+        t = draw(st.integers(0, len(cols) - 1))
+        cols.append(cols[t])
+        coeffs.append(-coeffs[t])
+    order = draw(st.permutations(range(len(cols))))
+    return n, [cols[t] for t in order], [coeffs[t] for t in order]
+
+
+def _assert_column(col) -> None:
+    """Sorted by row with no zero entry: equal maps keep equal columns."""
+    assert [i for i, _ in col] == sorted({i for i, _ in col})
+    assert all(x for _, x in col)
+
+
+@settings(deadline=None)
+@given(dense_terms())
+def test_col_sum_and_sparse_sum_match_the_dense_sum(drawn):
+    n, cols, coeffs = drawn
+    for cs, xs in ((cols, coeffs), (_ints(cols), _ints(coeffs))):
+        terms = [(_nonzeros(col), c) for col, c in zip(cs, xs)]
+        want = _nonzeros(_dense_sum(n, cs, xs))
+        got = linalg._col_sum(terms)
+        assert got == want
+        _assert_column(got)
+        assert linalg._sparse_sum(terms) == dict(want)
+        for col, c in terms:
+            # a single term with c = 1 is the column itself, not a copy
+            assert linalg._col_sum([(col, 1)]) is col
+            assert linalg._col_sum([(col, c)]) == \
+                _nonzeros([c * x for x in _col_vec(col, n)])
+    assert linalg._col_sum([]) == [] and linalg._sparse_sum([]) == {}
+
+
+@st.composite
+def column_products(draw):
+    """(n, a, b): k dense columns a of length n and m dense columns b of
+    length k, with an empty column of b and a column of b that meets two
+    equal columns of a with opposite coefficients, so that it cancels."""
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [draw(st.lists(ENTRIES, min_size=n, max_size=n)) for _ in range(k)]
+    b = [draw(st.lists(ENTRIES, min_size=k, max_size=k)) for _ in range(m)]
+    if k >= 2 and m and draw(st.booleans()):
+        i, j = draw(st.permutations(range(k)))[:2]
+        a[j] = a[i]
+        c = draw(NONZERO)
+        b[draw(st.integers(0, m - 1))] = [c if t == i else -c if t == j
+                                          else F(0) for t in range(k)]
+    if m and draw(st.booleans()):
+        b[draw(st.integers(0, m - 1))] = [F(0)] * k
+    return n, a, b
+
+
+@settings(deadline=None)
+@given(column_products())
+def test_compose_matches_the_dense_combination(drawn):
+    n, a, b = drawn
+    for x, y in ((a, b), (_ints(a), _ints(b))):
+        got = _compose([_nonzeros(col) for col in x],
+                       [_nonzeros(col) for col in y])
+        assert got == [_nonzeros(_dense_sum(n, x, col)) for col in y]
+        for col in got:
+            _assert_column(col)
+    # an empty column of b never indexes a
+    assert _compose([], [[], []]) == [[], []]
+
+
+# `_col_sum` calls in one parse and `all` of m2_grass: 7,829 while every
+# empty column and zero operator still cost a call; a skip that is lost
+# shows here
+COL_SUM_CALLS_M2 = 5075
+
+
+def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
+    calls, from_compose = [], []
+
+    def counting(terms, col_sum=linalg._col_sum):
+        calls.append(terms)
+        return col_sum(terms)
+
+    def compose_counting(terms):
+        from_compose.append(terms)
+        return counting(terms)
+
+    for module in (connection, curvature, forms, tensorconn):
+        monkeypatch.setattr(module, "_col_sum", counting)
+    # within linalg only _compose calls it
+    monkeypatch.setattr(linalg, "_col_sum", compose_counting)
+    cli.run("all", parse_model(str(MODELS / "m2_grass.model")))
+    assert len(calls) == COL_SUM_CALLS_M2
+    assert from_compose and all(from_compose)
 
 
 def _assert_reduced(span: SpanBuilder, ref) -> None:

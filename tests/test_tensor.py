@@ -8,7 +8,7 @@ import pytest
 import _reference
 from _shared import (MODELS, NAMES, a2, induced, nabla, pipeline,
                      regular_connection, universal, upper_triangular)
-from bimodconn import tensorconn
+from bimodconn import algebra, cli, connection, tensorconn
 from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
 from bimodconn.calculus import preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
@@ -328,6 +328,66 @@ def test_the_tensor_checks_by_columns_match_the_dense_references(name):
 def _bumped(col, row: int = 0):
     """A sparse column with 1 added at the given row, as a new list."""
     return _col_sum([(col, 1), ([(row, 1)], 1)])
+
+
+def _pure_pair_case(name: str):
+    """(∇ on M, ∇′ on N, Ω_∇ of ∇): N = M for a shipped model or T₃ at
+    D=2, as a "both" request builds them, or the N and M of
+    test_nonzero_degeneracy_kernel ("skew", where N₀ ≠ 0)."""
+    if name == "skew":
+        c = column_connection()
+        return c, skew_connection(), InducedCalculus(
+            c, OmegaM(c, j_ideal(c, OmegaHat(c))))
+    c, ic = _fresh(name)
+    return c, c, ic
+
+
+@pytest.mark.parametrize("name", [*NAMES, "t3", "skew"])
+def test_pure_pairs_off_the_projection_match_the_project_pure_route(name):
+    # the class of b_j⊗a_i is read as a column of the tensor's projection;
+    # N₀, M₀, both degeneracy verdicts and the σ-route agreement must be
+    # those of tests/_reference.py, which projects dense unit vectors
+    c, rc, ic = _pure_pair_case(name)
+    n, m = rc.module, c.module
+    ref = _reference.degeneracy_submodules(n, m)
+    for pair in (degeneracy_submodules(n, m),
+                 degeneracy_submodules(n, m, tensor=c.tensors(n)[0])):
+        assert (pair.n0, pair.m0, pair.verdicts) == \
+            (ref.n0, ref.m0, ref.verdicts)
+        assert degeneracy_brute(pair) == _reference.degeneracy_brute(ref)
+    sig = sigma_exists(c)
+    tco = tensor_connection_original(rc, c, ic, nu_hat(rc, ic.below[0]), sig)
+    if name in ("a2_twist", "m2_grass"):
+        assert not sig.exists         # so no ν̂ and no σ route
+        return
+    assert _witness(tco.verdicts, "tensor-route-agreement") is None
+    assert _reference.sigma_route(tco, rc, c, sig) is None
+    # one entry of ∇⊗ off by one: the routes disagree at the same pair
+    tco.cols[0] = _bumped(tco.cols[0])
+    tco.verdicts = []
+    tensorconn._check_sigma_route(tco, rc, c, sig)
+    witness = _witness(tco.verdicts, "tensor-route-agreement")
+    assert witness is not None
+    assert witness == _reference.sigma_route(tco, rc, c, sig)
+
+
+def test_a_tensor_request_builds_its_balanced_tensors_once(monkeypatch):
+    # both routes of a "both" request read N⊗_AM and N⊗_A(M⊗_AΩ¹), and
+    # each is built once, over the one bimodule M⊗_AΩ¹ of ∇'s Forms
+    built = []
+
+    def counting(x, y, tensor_over_A=algebra.tensor_over_A):
+        built.append((id(x), id(y)))
+        return tensor_over_A(x, y)
+
+    monkeypatch.setattr(connection, "tensor_over_A", counting)
+    monkeypatch.setattr(tensorconn, "tensor_over_A", counting)
+    m = parse_model(str(MODELS / "a2_flat.model"))
+    cli.run("tensor", m)
+    c = m.connections["nabla"]
+    assert c.forms.as_bimodule(1) is c.forms.as_bimodule(1)
+    n, t1 = id(c.module), id(c.forms.as_bimodule(1))
+    assert [(x, y) for x, y in built if x == n] == [(n, n), (n, t1)]
 
 
 @pytest.mark.parametrize("name", TENSOR_CASES)
