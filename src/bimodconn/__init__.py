@@ -1,7 +1,6 @@
 """Exact computer algebra for connections on bimodules over finite-dimensional algebras."""
 
-from .linalg import (QuotientSpace, factor_through, null_space, quotient, rank,
-                     row_reduce)
+from .linalg import QuotientSpace, null_space, quotient, rank, row_reduce
 from .algebra import (Algebra, BalancedTensor, Bimodule, check_algebra,
                       check_bimodule, tensor_over_A)
 from .calculus import (CalculusMorphism, GradedCalculus, UniversalCalculus,
@@ -26,7 +25,7 @@ __all__ = [
     "QuotientSpace", "Report", "UniversalCalculus", "Verdict",
     "associated_connection", "check_algebra", "check_bimodule",
     "check_compatibility", "check_right_leibniz", "degeneracy_brute",
-    "degeneracy_submodules", "extend_connection", "factor_through",
+    "degeneracy_submodules", "extend_connection",
     "induced_first_order", "j_ideal", "kappa0_op", "kappa1", "nabla_hat",
     "null_space", "nu_hat", "parse_model", "preceq", "quotient",
     "quotient_calculus", "rank", "row_reduce", "sigma_exists", "sigma_full",

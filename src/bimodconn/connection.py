@@ -18,7 +18,7 @@ so its cost is the number of nonzeros met, not the size of the matrices.
 κ₁ is kept as its operators, one per bar basis vector of Ω¹_u, and σ's
 operators are κ₁'s at the representatives of Ω¹'s classes.  Dense matrices
 remain only for inputs and printed maps: ∇ itself, the module's actions and
-σ, and the projection whose null space gives σ's witness when σ is absent.
+σ; σ's witness is read off the columns of Ω¹'s projection by ``null_space``.
 """
 
 from __future__ import annotations
@@ -460,7 +460,8 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     columns, the unique h with h·P₁ = κ₁.  The left Leibniz rule
     ∇(fa) = σ(df⊗a) + f∇a is then verified exactly on all basis pairs.  On
     failure the witness is the first vector of P₁'s null space (the
-    canonical basis of ``null_space``) with nonzero κ₁-image.
+    canonical basis of ``null_space``, read off P₁'s columns) with nonzero
+    κ₁-image.
     """
     if k1 is None:
         k1 = kappa1(c)
@@ -469,8 +470,8 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     absent = any(not k1.op(b).is_zero() for b in q1.sub)
     res = SigmaResult(not absent, None, None)
     if absent:
-        kernel = null_space(_to_mat(q1.proj_cols, q1.dim), len(q1.proj_cols))
-        wit = next(v for v in kernel if not k1.op(v).is_zero())
+        wit = next(v for v in null_space(q1.proj_cols)
+                   if not k1.op(v).is_zero())
         res.witness_bar = wit
         res.verdicts.append(Verdict("sigma-exists", anchors.FACTOR_UNIQUELY,
                                     "absent",
@@ -478,14 +479,15 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
         return res
     res.verdicts.append(passed("sigma-exists", anchors.FACTOR_UNIQUELY))
     # realize σ on Ω¹ ⊗_A M: column (wi, mj) of the plain tensor is
-    # κ̂₁(class wi)(a_mj), so σ is read off the columns at the tensor's free
+    # κ̂₁(class wi)(a_mj), so σ is read off the columns at the tensor's
+    # free, densified once, for printing
     omega1_bimod = cal.degree_bimodule(1)
     tens = tensor_over_A(omega1_bimod, c.module)
     t1 = c.forms.dim(1)
     ops = [k1.ops[fc] for fc in q1.free]
-    plain = _to_mat([col for op in ops for col in op.cols], t1)
-    sigma = SigmaMap("projected" if cal.ideal[1] else "universal",
-                     tens, tens.quotient.columns(plain))
+    plain = [col for op in ops for col in op.cols]
+    sigma = SigmaMap("projected" if cal.ideal[1] else "universal", tens,
+                     _to_mat([plain[fc] for fc in tens.quotient.free], t1))
     res.sigma = sigma
     # well-definedness on balanced classes
     for wi, op in enumerate(ops):

@@ -288,7 +288,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                         builders[p + 2 + s].add(_combine(
                             f.right_mult_cols(p + 2, s, w), base,
                             f.dim(p + 2 + s)))
-    j = JIdeal([b.basis for b in builders], [b.quotient() for b in builders])
+    quotients = [b.quotient() for b in builders]
+    j = JIdeal([q.sub for q in quotients], quotients)
     if j.spans[0] or j.spans[1]:
         j.verdicts.append(failed("j-degrees-0-1-vanish", anchors.J_DEGREES_01,
                                  {"dims": j.dims()}))

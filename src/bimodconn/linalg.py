@@ -21,14 +21,15 @@ list (the operator layer skips its empty columns and zero operators
 alike).  On m2_grass that cut the ``_col_sum`` calls of one parse and
 ``all`` from 7,829 to 5,075 and the bench's check_s from ≈19.9 ms to
 ≈16.7 ms.  Dense matrices (lists of rows) remain for the model's actions
-and ∇, for σ and ρ (printed), and at the line that hands a map to
-``row_reduce``, ``null_space``, ``rank`` or ``factor_through``;
-``_to_cols`` and ``_to_mat`` convert.  One eliminator keeps sparse rows,
-``dict[column, entry]``, reduced and keyed by pivot, so reducing a vector
-touches only the rows at the pivots in its support: ``SpanBuilder`` holds
-them (sparse or dense intake), ``row_reduce`` reads its RREF off them, and
-``kernel_quotient`` the quotient by a map's kernel off one elimination of
-the map's rows.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
+and ∇ and for the maps a report prints (σ, ρ, ∇′_M); ``_to_cols`` and
+``_to_mat`` convert.  One eliminator keeps sparse rows, ``dict[column,
+entry]``, reduced and keyed by pivot, so reducing a vector touches only the
+rows at the pivots in its support: ``SpanBuilder`` holds them (sparse or
+dense intake), ``row_reduce`` reads its RREF off them, and ``null_space``
+and ``kernel_quotient`` read a map's kernel off one elimination of the rows
+of its columns, so no kernel witness densifies its map.  No check calls
+``row_reduce``, ``rank`` or ``LinSolver`` any more; they stay as public and
+profiled names.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
 ``_combine``) find the nonzeros of a dense row with ``itertools.compress``
 and do Python-level work only on those.  Everything is exact: the one
 division, :func:`_div`, returns an int or a Fraction, never a float, so
@@ -51,10 +52,6 @@ Cols = list[Col]
 
 class DimensionError(ValueError):
     """Raised when shapes or containments do not line up."""
-
-
-class SurjectivityError(ValueError):
-    """Raised when an operation requires a surjective map and got none."""
 
 
 def _exact(c: int | Fraction) -> int | Fraction:
@@ -245,22 +242,14 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
     return len(pivots), rref, pivots
 
 
-def null_space(matrix: Mat, n_cols: int) -> list[Vec]:
-    """Basis of {x : matrix @ x = 0} for a matrix with n_cols columns,
-    deterministic (free columns ascending)."""
-    rows = [r for r in matrix if any(r)]
-    rank, rref, pivots = row_reduce(rows) if rows else (0, [], [])
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(n_cols):
-        if fc in pivot_set:
-            continue
-        v = zeros(n_cols)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis
+def null_space(cols: Cols) -> list[Vec]:
+    """Basis of the kernel of a map given by its sparse columns, from one
+    elimination of its rows (``_kernel``): for each free column fc
+    ascending, e_fc − Σ row_pc[fc]·e_pc over the reduced rows, keyed by
+    their pivots pc."""
+    n = len(cols)
+    return [_col_vec(v.items(), n)
+            for v in _kernel(cols, range(n)).values()]
 
 
 def rank(matrix: Mat) -> int:
@@ -280,7 +269,7 @@ class QuotientSpace:
     sub) whose unit vectors represent the quotient basis: lift(e_k) =
     e_{free[k]}.  So a map m on total, composed with ``lift``, is m's
     columns at ``free``, and the map it induces on classes is read off
-    those columns (``columns``, ``induced``).
+    those columns (``induced``).
     """
 
     sub: list[Vec]
@@ -290,10 +279,6 @@ class QuotientSpace:
     @property
     def dim(self) -> int:
         return len(self.free)
-
-    def columns(self, m: Mat) -> Mat:
-        """m·lift: the columns of the dense matrix m at ``free``."""
-        return [[row[fc] for fc in self.free] for row in m]
 
     def induced(self, m: Cols, target: "QuotientSpace") -> Cols:
         """The map of classes that m, from this total space to target's and
@@ -332,32 +317,6 @@ def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
         if not span.add(v):
             raise DimensionError("sub basis is degenerate")
     return span.quotient()
-
-
-def factor_through(f: Mat, g: Mat, n: int) -> tuple[Mat | None, Vec | None]:
-    """Factor g through the surjection f, both maps on an n-dimensional
-    domain.
-
-    Returns (h, None) with h∘f = g when kernel(f) ⊆ kernel(g); h is unique
-    because f is surjective.  Otherwise returns (None, witness) with a vector
-    in ker(f) \\ ker(g).  Raises SurjectivityError when f is not onto.
-    """
-    if any(len(row) != n for row in f) or any(len(row) != n for row in g):
-        raise DimensionError("f and g must share a domain")
-    if rank(f) != len(f):
-        raise SurjectivityError("factor_through requires f surjective")
-    for v in null_space(f, n):
-        if not is_zero_vec(mat_vec(g, v)):
-            return None, v
-    solver = LinSolver(f)
-    cols = []
-    for i in range(len(f)):
-        e = zeros(len(f))
-        e[i] = 1
-        x = solver.solve(e)
-        assert x is not None  # f surjective
-        cols.append(mat_vec(g, x))
-    return [[col[k] for col in cols] for k in range(len(g))], None
 
 
 class LinSolver:
@@ -420,8 +379,8 @@ def _absorb(rows: dict[int, SparseVec], res: SparseVec) -> bool:
 
 class SpanBuilder:
     """Incrementally built span, kept as its reduced row echelon form
-    ``_rows`` (see ``_absorb``); ``basis`` holds the vectors that enlarged
-    it, in order, dense.
+    ``_rows`` (see ``_absorb``); ``_added`` holds the vectors that enlarged
+    it, in order, sparse, densified only as a quotient's ``sub``.
 
     ``add`` and ``contains`` take a ``SparseVec`` (no zero entry, keys in
     range(ambient_dim); left unchanged) or a ``Vec`` (its length checked,
@@ -431,7 +390,7 @@ class SpanBuilder:
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVec] = {}
-        self.basis: list[Vec] = []       # independent inserted vectors
+        self._added: list[SparseVec] = []   # independent inserted vectors
 
     @property
     def dim(self) -> int:
@@ -450,8 +409,7 @@ class SpanBuilder:
         res = self._intake(v)
         if len(self._rows) == self.ambient_dim or not _absorb(self._rows, res):
             return False
-        self.basis.append(_col_vec(v.items(), self.ambient_dim)
-                          if type(v) is dict else v[:])
+        self._added.append(v.copy() if type(v) is dict else _sparse(v))
         return True
 
     def contains(self, v: Vec | SparseVec) -> bool:
@@ -459,7 +417,9 @@ class SpanBuilder:
 
     def quotient(self) -> QuotientSpace:
         """The ambient space modulo this span, read off the reduced rows."""
-        return _quotient_of_rows(self.ambient_dim, self._rows, self.basis[:])
+        n = self.ambient_dim
+        return _quotient_of_rows(n, self._rows, [_col_vec(v.items(), n)
+                                                 for v in self._added])
 
 
 def _quotient_of_rows(n: int, rows: dict[int, SparseVec],
@@ -480,18 +440,17 @@ def _quotient_of_rows(n: int, rows: dict[int, SparseVec],
     return QuotientSpace(sub, free, cols)
 
 
-def kernel_quotient(cols: Cols) -> QuotientSpace:
-    """The domain of a map, given by its n sparse columns, modulo its
-    kernel: ``quotient(n, null_space(m, n))`` with ``sub`` the kernel's
-    RREF, from one elimination of the map's rows.  The rows are reduced
-    with column u at index n−1−u, so each non-pivot u is the pivot of the
-    kernel vector e_u − Σ (row's entry at u)·e_(row's pivot), zero at every
-    other non-pivot: these vectors are the kernel's RREF."""
+def _kernel(cols: Cols, at: range) -> dict[int, SparseVec]:
+    """The kernel of a map given by its n sparse columns, from one
+    elimination of its rows with column u at index at[u] (at a permutation
+    of range(n)): the column u at each non-pivot index gives the kernel
+    vector e_u − Σ (row's entry at that index)·e_(column at row's pivot),
+    keyed by u ascending and held sparse."""
     n = len(cols)
     by_row: dict[int, SparseVec] = {}
-    for u, col in enumerate(cols):
+    for k, col in zip(at, cols):
         for i, x in col:
-            by_row.setdefault(i, {})[n - 1 - u] = x
+            by_row.setdefault(i, {})[k] = x
     rows: dict[int, SparseVec] = {}
     # sparsest rows first: on ℂ[ℤ₅] at D=3 that keeps fill-in and the
     # rationals small enough to take a quarter off κ̄'s top degree
@@ -499,10 +458,23 @@ def kernel_quotient(cols: Cols) -> QuotientSpace:
         if len(rows) == n:
             break
         _absorb(rows, row)
-    kernel = {u: {u: 1} for u in range(n) if n - 1 - u not in rows}
+    col_at = {k: u for u, k in enumerate(at)}
+    kernel = {u: {u: 1} for u, k in enumerate(at) if k not in rows}
     for p, row in rows.items():
-        for j, x in row.items():
-            if j != p:
-                kernel[n - 1 - j][n - 1 - p] = _exact(-x)
+        for k, x in row.items():
+            if k != p:
+                kernel[col_at[k]][col_at[p]] = _exact(-x)
+    return kernel
+
+
+def kernel_quotient(cols: Cols) -> QuotientSpace:
+    """The domain of a map, given by its n sparse columns, modulo its
+    kernel: ``quotient(n, null_space(cols))`` with ``sub`` the kernel's
+    RREF, from one elimination of the map's rows.  The rows are reduced
+    with column u at index n−1−u, so each kernel vector of ``_kernel`` is
+    zero at every other non-pivot u and has its first nonzero at u: these
+    vectors are the kernel's RREF."""
+    n = len(cols)
+    kernel = _kernel(cols, range(n - 1, -1, -1))
     return _quotient_of_rows(n, kernel, [_col_vec(row.items(), n)
                                          for row in kernel.values()])

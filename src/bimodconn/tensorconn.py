@@ -22,9 +22,9 @@ from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _col_sum,
-                     _col_vec, _combine, _compose, _sparse,
-                     _sparse_sum, _to_cols, _to_mat, factor_through,
-                     is_zero_vec, kernel_quotient, mat_vec, null_space, zeros)
+                     _col_vec, _combine, _compose, _sparse, _sparse_sum,
+                     _to_cols, _to_mat, is_zero_vec, kernel_quotient, mat_vec,
+                     null_space, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -57,13 +57,13 @@ def degeneracy_submodules(n, m: Bimodule,
     t = tensor
     proj = t.quotient.proj_cols
     # b ↦ (class of b⊗a_i)_i, stacked over the M basis
-    n0 = null_space(_to_mat([[(i * t.dim + k, x) for i in range(m.dim)
-                              for k, x in proj[t.pure_index(j, i)]]
-                             for j in range(n.dim)], m.dim * t.dim), n.dim)
+    n0 = null_space([[(i * t.dim + k, x) for i in range(m.dim)
+                      for k, x in proj[t.pure_index(j, i)]]
+                     for j in range(n.dim)])
     # a ↦ (class of b_j⊗a)_j, stacked over the N basis
-    m0 = null_space(_to_mat([[(j * t.dim + k, x) for j in range(n.dim)
-                              for k, x in proj[t.pure_index(j, i)]]
-                             for i in range(m.dim)], n.dim * t.dim), m.dim)
+    m0 = null_space([[(j * t.dim + k, x) for j in range(n.dim)
+                      for k, x in proj[t.pure_index(j, i)]]
+                     for i in range(m.dim)])
     pair = DegeneracyPair(n, m, t, n0, m0)
     a = m.algebra
     span_n = SpanBuilder(n.dim)
@@ -426,7 +426,9 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
 
 @dataclass
 class AssociatedResult:
-    """∇′_M with ν̂∘∇′ = ∇′_M∘ν̂, or the obstruction to factoring it."""
+    """∇′_M with ν̂∘∇′ = ∇′_M∘ν̂, degree by degree (``ext_matrices``, dense
+    for ``Connection``), or the obstruction to it: a vector of ker ν̂ that
+    ν̂∘∇′ does not kill."""
 
     exists: bool
     connection: Connection | None = None
@@ -435,7 +437,15 @@ class AssociatedResult:
 
 
 def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
-    """Push ∇′ through ν̂ degree-wise; absent when ker ν̂ is not preserved."""
+    """Push ∇′ through ν̂ degree-wise; absent when ker ν̂ is not preserved.
+
+    ker ν̂_r ⊆ ker(ν̂∘∇′)_r is decided on the canonical basis of
+    ``null_space(ν̂_r)``, the witness the first kernel vector ν̂∘∇′ does not
+    kill, as ``sigma_exists`` decides σ.  ∇′_M is then read off ν̂∘∇′'s
+    columns, as ``preceq`` reads ρ: ν̂'s target ideal contains its
+    source's, so the target's ``free`` columns are among the source's, and
+    ν̂ takes the source class at the target's k-th free column to e_k.
+    """
     if not nu.available:
         res = AssociatedResult(False)
         res.verdicts.append(Verdict("associated-connection",
@@ -443,24 +453,24 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
         return res
     src, tgt = nu.source, nu.target
     res = AssociatedResult(True)
-    # ν̂∘∇′ per degree, by columns; both maps are densified only for
-    # factor_through
+    # ν̂∘∇′ per degree, by columns
     pushed = [_compose(nu.maps[r + 1], rc.nabla_ext_cols(r))
               for r in range(src.D)]
     for r in range(src.D):
-        h, wit = factor_through(_to_mat(nu.maps[r], tgt.dim(r)),
-                                _to_mat(pushed[r], tgt.dim(r + 1)),
-                                src.dim(r))
-        if h is None:
+        wit = next((v for v in null_space(nu.maps[r])
+                    if any(_combine(pushed[r], v, tgt.dim(r + 1)))), None)
+        if wit is not None:
             res.exists = False
-            res.connection = None
             res.ext_matrices = []
             res.verdicts.append(Verdict("associated-connection",
                                         anchors.ASSOCIATED, "absent",
                                         {"degree": r,
                                          "kernel_element": rationals(wit)}))
             return res
-        res.ext_matrices.append(h)
+        pos = {fc: k for k, fc in enumerate(src.quotient_space(r).free)}
+        res.ext_matrices.append(_to_mat(
+            [pushed[r][pos[fc]] for fc in tgt.quotient_space(r).free],
+            tgt.dim(r + 1)))
     res.connection = Connection(tgt, res.ext_matrices[0])
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked by columns

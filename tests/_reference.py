@@ -29,8 +29,12 @@ and π read off a span's coordinates (``unit_complement``).
 Then the ``linalg`` kernels the sparse ones replaced: the product that
 builds one column of b at a time, the span builder that keeps echelon
 rows in a list and walks all of them to reduce a vector, and the quotient
-read off a second row reduction of its sub.  Then the ideal saturation
-that also tries every product by de_j, each formed in tensor-power
+read off a second row reduction of its sub.  At the top, next to the
+dense helpers, the dense null space off ``row_reduce`` (``null_space``)
+and the factorisation through a surjection on ``LinSolver``
+(``factor_through``), which σ, ⪯ and ∇′_M took before they were read
+off a map's columns at a quotient's ``free`` columns.  Then the ideal
+saturation that also tries every product by de_j, each formed in tensor-power
 coordinates, so that it reads none of the column tables it checks.  Then
 ⪯ decided by eliminating I₁ afresh and ρ built by ``factor_through``.  Then Ω_∇ through κ̄ densified and its
 null space (``kernel_quotient``), and the dense tensor checks: ν̂'s
@@ -56,11 +60,11 @@ from bimodconn.algebra import tensor_over_A
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
-from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
-                              _col_vec, _div, _eliminate, _exact,
-                              _sparse, _to_mat, factor_through, identity_mat,
-                              is_zero_vec, mat_mul, mat_vec, null_space,
-                              row_reduce, vec_add, zero_mat, zeros)
+from bimodconn.linalg import (DimensionError, LinSolver, QuotientSpace,
+                              SpanBuilder, _col_vec, _div, _eliminate, _exact,
+                              _sparse, _to_mat, identity_mat, is_zero_vec,
+                              mat_mul, mat_vec, rank, row_reduce, vec_add,
+                              zero_mat, zeros)
 from bimodconn.model import ModelError
 from bimodconn.report import failed, passed, rationals
 from bimodconn.tensorconn import (DegeneracyPair, _pure_pair_columns,
@@ -71,6 +75,52 @@ def cols_to_mat(cols, n_rows):
     """The matrix with the given dense columns (n_rows rows even with
     none)."""
     return [[col[row] for col in cols] for row in range(n_rows)]
+
+
+def at_free(q, m):
+    """m·lift: the columns of the dense matrix m at the quotient q's
+    ``free`` columns."""
+    return [[row[fc] for fc in q.free] for row in m]
+
+
+def null_space(matrix, n_cols):
+    """Basis of {x : matrix @ x = 0} for a dense matrix with n_cols columns,
+    off ``row_reduce``'s RREF: for each free column fc ascending,
+    e_fc − Σ rref[r][fc]·e_(pivot r), the basis ``linalg.null_space`` reads
+    off a map's columns."""
+    rows = [r for r in matrix if any(r)]
+    _, rref, pivots = row_reduce(rows) if rows else (0, [], [])
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        v = zeros(n_cols)
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rref[r][fc]
+        basis.append(v)
+    return basis
+
+
+class SurjectivityError(ValueError):
+    """Raised when ``factor_through`` is handed a map that is not onto."""
+
+
+def factor_through(f, g, n):
+    """Factor g through the surjection f, both dense maps on an
+    n-dimensional domain: (h, None) with h∘f = g when ker f ⊆ ker g, h's
+    column i g applied to a ``LinSolver`` solution of f x = e_i; otherwise
+    (None, the first vector of ``null_space(f)`` that g does not kill)."""
+    if any(len(row) != n for row in f) or any(len(row) != n for row in g):
+        raise DimensionError("f and g must share a domain")
+    if rank(f) != len(f):
+        raise SurjectivityError("factor_through requires f surjective")
+    for v in null_space(f, n):
+        if not is_zero_vec(mat_vec(g, v)):
+            return None, v
+    solver = LinSolver(f)
+    cols = [mat_vec(g, solver.solve(e)) for e in identity_mat(len(f))]
+    return cols_to_mat(cols, len(g)), None
 
 
 def dense(op):
@@ -585,7 +635,7 @@ def j_closure(c, ops):
     D = f.D
     builders = j_spans(c, ops)
     for r in range(2, D + 1):
-        for k, v in enumerate(builders[r].basis):
+        for k, v in enumerate(builders[r].quotient().sub):
             if r + 1 <= D and not builders[r + 1].contains(
                     mat_vec(nabla_ext(c, r), v)):
                 return {"op": "nabla", "degree": r, "basis": k}
@@ -764,7 +814,7 @@ def sigma(k1):
                       for r0, r1 in zip(op, dense(acc))]
         plain += [[r[i] for r in op] for i in range(width)]
     tens = tensor_over_A(cal.degree_bimodule(1), c.module)
-    return True, None, tens.quotient.columns(cols_to_mat(plain, t1))
+    return True, None, at_free(tens.quotient, cols_to_mat(plain, t1))
 
 
 # -- the unit complement ------------------------------------------------------
@@ -1012,7 +1062,7 @@ def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
             for l, row in enumerate(c.nabla):
                 out[j * t1 + l] += row[i]
             cols.append(w.project(out))
-    return tc.domain.quotient.columns(cols_to_mat(cols, w.dim))
+    return at_free(tc.domain.quotient, cols_to_mat(cols, w.dim))
 
 
 def right_on_classes(bt, f):

@@ -84,10 +84,13 @@ def test_every_defined_function_is_referenced():
     # aside) or demos/ names is reached only from tests, if at all, and
     # should be deleted; names are compared as identifiers and attributes,
     # so a def line does not count as a use of itself.  Dunder methods are
-    # called by Python itself.
+    # called by Python itself.  LinSolver.solve is exempt by its qualified
+    # name alone: perfbench/layers.py profiles it, and it is kept for the
+    # benchmark's counts though nothing in src/ solves a system any more.
     programs = [p for p in sorted(PACKAGE.glob("*.py"))
                 if p.name != "__init__.py"] + sorted(
                     (ROOT / "demos").glob("*.py"))
+    kept = {"linalg.py:LinSolver.solve"}
     used = set()
     for path in programs:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -97,10 +100,15 @@ def test_every_defined_function_is_referenced():
                 used.add(node.attr)
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(f): f"{c.name}." for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not node.name.startswith("__") \
-                    and node.name not in used:
+                    and node.name not in used and (
+                        f"{path.name}:{owner.get(id(node), '')}{node.name}"
+                        not in kept):
                 unused.append(f"{path.name}:{node.lineno}:{node.name}")
     assert unused == []
 
@@ -130,14 +138,20 @@ def _function(module: str, qualname: str) -> ast.FunctionDef:
     return node
 
 
+def _named(module: str, qualname: str) -> set[str]:
+    """The identifiers and attributes a function of a package module
+    names."""
+    return {getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(_function(module, qualname))}
+
+
 def test_preceq_and_omega_m_eliminate_nothing_again():
     # I₁ is the kernel of Ω₁'s projection, which decides I₂ ⊆ I₁ on I₂'s
     # basis, and ρ = P₁·lift₂ is read off Ω₂'s free columns, so preceq
     # builds no span, solver or row reduction (the elimination and
     # factor_through route is tests/_reference.py's); and Ω(M) takes J's
     # quotients from j_ideal rather than eliminating J a second time
-    named = {getattr(node, "id", getattr(node, "attr", None))
-             for node in ast.walk(_function("calculus", "preceq"))}
+    named = _named("calculus", "preceq")
     assert named & {"SpanBuilder", "factor_through", "LinSolver",
                     "row_reduce", "null_space", "rank"} == set()
     called = {getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -152,10 +166,41 @@ def test_kappa1_and_sigma_read_kappa1_off_its_operators():
     # and reads h with h·P₁ = κ₁ off κ₁'s operators at Ω¹'s free columns,
     # as preceq reads ρ (the factor_through route is tests/_reference.py's)
     for name in ("kappa1", "sigma_exists"):
-        named = {getattr(node, "id", getattr(node, "attr", None))
-                 for node in ast.walk(_function("connection", name))}
+        named = _named("connection", name)
         assert named & {"coords", "factor_through", "LinSolver",
                         "rank"} == set(), name
+
+
+def test_kernels_and_factorisations_are_read_off_columns():
+    # a kernel is read off one elimination of a map's rows, the map handed
+    # over by its columns, and a factorisation through a quotient off the
+    # columns at its free columns: σ's witness, N₀/M₀ and ∇′_M take no
+    # dense route (the dense null space and factor_through are
+    # tests/_reference.py's), no null_space call densifies its map, and no
+    # module names factor_through or QuotientSpace.columns
+    for module, name in (("connection", "sigma_exists"),
+                         ("tensorconn", "degeneracy_submodules"),
+                         ("tensorconn", "associated_connection")):
+        named = _named(module, name)
+        assert "null_space" in named, name
+        assert named & {"factor_through", "LinSolver", "row_reduce",
+                        "columns"} == set(), name
+    assert "_to_mat" not in _named("tensorconn", "degeneracy_submodules")
+    for name in ("null_space", "_kernel"):
+        assert _named("linalg", name) & {"row_reduce", "_to_mat"} == set()
+    assert not hasattr(QuotientSpace, "columns")
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("id", "attr", "name"):
+                if getattr(node, field, None) == "factor_through":
+                    found.add(f"{path.name}:{node.lineno}:factor_through")
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "null_space":
+                for sub in ast.walk(node):
+                    if getattr(sub, "id", None) == "_to_mat":
+                        found.add(f"{path.name}:{sub.lineno}:_to_mat")
+    assert found == set()
 
 
 # the sparse operator route: each function below works on sparse columns
@@ -273,9 +318,7 @@ def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():
     # no dense κ̄, rank, null space or second row reduction; and every map
     # a check composes is composed by columns, so mat_mul is left to the
     # axiom checks of algebra.py on the model's dense actions
-    named = {getattr(node, "id", getattr(node, "attr", None))
-             for node in ast.walk(_function("curvature",
-                                            "InducedCalculus._build_calculus"))}
+    named = _named("curvature", "InducedCalculus._build_calculus")
     assert named & {"null_space", "rank", "row_reduce", "_to_mat"} == set()
     assert "kernel_quotient" in named
     users = set()

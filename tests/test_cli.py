@@ -332,7 +332,7 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
             for v in f.calculus.ideal[r]:
                 for i in range(f.module.dim):
                     full.add(f.mult_tu_by_bar(0, f.module.basis_vec(i), r, v))
-            old = quotient(f.tu_dim(r), full.basis)
+            old = quotient(f.tu_dim(r), full.quotient().sub)
             new = f.quotient_space(r)
             assert (new.proj_cols, new.free) == (old.proj_cols, old.free)
 

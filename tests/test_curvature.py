@@ -477,7 +477,7 @@ def test_omega_hat_and_span_checks_match_the_whole_span_reference(make):
         new = [_flat(op) for op in oh.ops(r)]
         old = [_flat(op) for op in ops[r]]
         assert len(new) == oh.dim(r) == len(old) == rank(new + old)
-        new, old = j.spans[r], j_ref[r].basis
+        new, old = j.spans[r], j_ref[r].quotient().sub
         assert len(new) == len(old) == rank(new + old)
     assert {k: v.ok for k, v in got.items()} == \
         {k: w is None for k, w in want.items()}
@@ -747,7 +747,7 @@ def test_j_and_omega_m_match_the_loops_over_every_product(make):
     j = j_ideal(conn, oh)
     ref = _reference.j_ideal_spans(conn, oh)
     # the same vectors in the same order, so the same quotients
-    assert j.spans == [b.basis for b in ref]
+    assert j.spans == [b.quotient().sub for b in ref]
     assert [(q.sub, q.free, q.proj_cols) for q in j.quotients] == \
         [(q.sub, q.free, q.proj_cols) for q in (b.quotient() for b in ref)]
     om = OmegaM(conn, j)

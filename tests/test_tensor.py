@@ -15,9 +15,10 @@ from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
 from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _to_mat,
-                              factor_through, identity_mat, is_zero_vec,
+                              identity_mat, is_zero_vec,
                               vec_add, zeros)
 from bimodconn.model import parse_model
+from bimodconn.report import rationals
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
                                   degeneracy_brute, degeneracy_submodules,
                                   nu_hat, tensor_connection_induced,
@@ -423,22 +424,46 @@ def test_a_perturbed_tensor_column_fails_right_leibniz_as_the_dense_route(
 @pytest.mark.parametrize("name", TENSOR_CASES)
 def test_a_perturbed_associated_entry_fails_the_square_as_the_dense_route(
         monkeypatch, name):
-    # ∇′_M's matrix in degree 0, off by one at (0, 0) as factor_through
-    # hands it over
+    # ∇′_M's matrix in degree 0, off by one at (0, 0) as it is densified
+    # off ν̂∘∇′'s columns at the target's free columns
     c, ic = _fresh(name)
     nu = nu_hat(c, ic.below[0])
 
     calls = []
 
-    def perturbed(f, g, n):
-        h, wit = factor_through(f, g, n)
-        calls.append(n)
+    def perturbed(cols, n_rows):
+        m = _to_mat(cols, n_rows)
+        calls.append(n_rows)
         if len(calls) == 1:
-            h[0][0] += 1
-        return h, wit
+            m[0][0] += 1
+        return m
 
-    monkeypatch.setattr(tensorconn, "factor_through", perturbed)
+    monkeypatch.setattr(tensorconn, "_to_mat", perturbed)
     assoc = associated_connection(c, nu)
+    assert calls[0] == nu.target.dim(1)
     witness = _witness(assoc.verdicts, "associated-square")
     assert witness == {"degree": 0}
     assert witness == _reference.associated_square(c, nu, assoc.ext_matrices)
+
+
+def test_a_kernel_vector_of_nu_hat_that_nabla_moves_is_the_absent_witness():
+    # T₃ at D=2: ν̂₁ takes N⊗Ω¹ (30 dims) onto N⊗Ω¹_∇ (27 dims).  Its three
+    # columns off the target's free columns are zero, so their unit vectors
+    # span ker ν̂₁, and ν̂∘∇′ kills them.  With the first of them set to e_0,
+    # ν̂₁'s column at the representative of target class 0, ker ν̂₁ holds
+    # a difference of two unit vectors instead, which ν̂∘∇′ does not kill
+    c, ic = _fresh("t3")
+    nu = nu_hat(c, ic.below[0])
+    src, tgt = nu.source.quotient_space(1), nu.target.quotient_space(1)
+    assert (src.dim, tgt.dim) == (30, 27)
+    off = [k for k, fc in enumerate(src.free) if fc not in tgt.free]
+    assert len(off) == 3 and all(nu.maps[1][k] == [] for k in off)
+    nu.maps[1][off[0]] = [(0, 1)]
+    assoc = associated_connection(c, nu)
+    (v,) = [v for v in assoc.verdicts if v.check_id == "associated-connection"]
+    assert v.status == "absent" and not assoc.exists
+    assert assoc.connection is None and assoc.ext_matrices == []
+    factors = _reference.associated_factors(c, nu)
+    assert [h is None for h, _ in factors] == [False, True]
+    assert v.witness == {"degree": 1,
+                         "kernel_element": rationals(factors[1][1])}
