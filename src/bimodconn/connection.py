@@ -229,16 +229,20 @@ class DegreeRHom:
         return not any(self.cols)
 
     def right_linearity_witness(self) -> tuple[int, int] | None:
-        """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None."""
+        """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None,
+        the first in a, then f.  Both sides are sparse columns: Φ's columns
+        combined at the nonzeros of m_a·e_f (column a of the stored right
+        action of e_f), and the columns of ·e_f on T_degree combined at Φ's
+        column a; an empty side is [] without a call."""
         f = self.forms
-        m, a = f.module, f.algebra
-        for ai in range(m.dim):
-            av = m.basis_vec(ai)
-            img = self.apply(av)
-            for fi in range(a.dim):
-                fv = a.basis_vec(fi)
-                lhs = self.apply(m.act_right(av, fv))
-                rhs = f.act_right(self.degree, img, fv)
+        right = [f.right_mult_cols(self.degree, 0, f.algebra.basis_vec(fi))
+                 for fi in range(f.algebra.dim)]
+        for ai, col in enumerate(self.cols):
+            for fi, act in enumerate(right):
+                moved = f._moved[fi][ai]
+                lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
+                       if moved else [])
+                rhs = _col_sum([(act[k], c) for k, c in col]) if col else []
                 if lhs != rhs:
                     return (ai, fi)
         return None

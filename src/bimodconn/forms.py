@@ -100,16 +100,20 @@ class Forms:
         sparse.  These span M⊗I^r: m = g·a gives m⊗ι = g⊗a·ι, and I is a
         left ideal.  g⊗(e_i0·de_β) = (g·e_i0)⊗de_β, and g·e_i0 is column g
         of the stored right action of e_i0, so g⊗ι is read off those
-        columns at ι's nonzeros."""
+        columns at ι's nonzeros.  Each ι is decoded once, into its ((i0, β),
+        coeff) terms, for every generator."""
         nt = self.n_tails(r)
+        moved = self._moved
+        terms = [[(divmod(flat, nt), iota[flat])
+                  for flat in compress(range(len(iota)), iota)]
+                 for iota in self.calculus.ideal[r]]
         out = []
         for g in self.generators:
-            for iota in self.calculus.ideal[r]:
+            for iota in terms:
                 tu: SparseVec = {}
-                for flat in compress(range(len(iota)), iota):
-                    i0, bidx = divmod(flat, nt)
-                    for a, x in self._moved[i0][g]:
-                        at, y = a * nt + bidx, iota[flat] * x
+                for (i0, bidx), c in iota:
+                    for a, x in moved[i0][g]:
+                        at, y = a * nt + bidx, c * x
                         tu[at] = tu[at] + y if at in tu else y
                 out.append({at: y for at, y in tu.items() if y})
         return out

@@ -24,10 +24,14 @@ alike).  On m2_grass that cut the ``_col_sum`` calls of one parse and
 and ∇ and for the maps a report prints (σ, ρ, ∇′_M); ``_to_cols`` and
 ``_to_mat`` convert.  One eliminator keeps sparse rows, ``dict[column,
 entry]``, reduced and keyed by pivot, so reducing a vector touches only the
-rows at the pivots in its support: ``SpanBuilder`` holds them (sparse or
-dense intake), ``row_reduce`` reads its RREF off them, and ``null_space``
-and ``kernel_quotient`` read a map's kernel off one elimination of the rows
-of its columns, so no kernel witness densifies its map.  No check calls
+rows at the pivots in its support, and beside them a column index (per
+column, the pivots of the rows that hold it), so clearing a new pivot
+touches only the rows that hold it: a span costs the rows it changes, not
+the rows it stores (one m2_grass parse updates 67 stored rows over 454 new
+pivots).  ``SpanBuilder`` holds them (sparse or dense intake),
+``row_reduce`` reads its RREF off them, and ``null_space`` and
+``kernel_quotient`` read a map's kernel off one elimination of the rows of
+its columns, so no kernel witness densifies its map.  No check calls
 ``row_reduce``, ``rank`` or ``LinSolver`` any more; they stay as public and
 profiled names.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
 ``_combine``) find the nonzeros of a dense row with ``itertools.compress``
@@ -109,6 +113,9 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 
 SparseVec = dict[int, int | Fraction]
+# The column index of reduced rows: per column j, the pivots of the rows
+# that are nonzero at j, each row's own pivot left out.
+_Held = dict[int, set[int]]
 
 
 def _sparse(v: Vec) -> SparseVec:
@@ -231,10 +238,11 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
     """
     n_cols = len(matrix[0]) if matrix else 0
     rows: dict[int, SparseVec] = {}
+    held: _Held = {}
     for row in matrix:
         if len(rows) == n_cols:
             break
-        _absorb(rows, _sparse(row))
+        _absorb(rows, held, _sparse(row))
     pivots = sorted(rows)
     rref = [_col_vec([(j, _exact(x)) for j, x in rows[pc].items()], n_cols)
             for pc in pivots]
@@ -361,18 +369,44 @@ def _reduce(rows: dict[int, SparseVec], res: SparseVec) -> SparseVec:
     return res
 
 
-def _absorb(rows: dict[int, SparseVec], res: SparseVec) -> bool:
+def _absorb(rows: dict[int, SparseVec], held: _Held, res: SparseVec) -> bool:
     """Reduce res modulo the rows; a nonzero residual becomes the row of its
-    first column, scaled to 1 there, cleared from the other rows.  True
-    when res enlarged their span."""
+    first column pc, scaled to 1 there, cleared from the other rows.  True
+    when res enlarged their span.
+
+    ``held`` indexes the rows by column, so clearing pc reads only the rows
+    ``held[pc]`` names: it costs the rows changed, not the rows stored.
+    The new row's non-pivot columns are registered; each cleared row drops
+    pc, and its fill-in and cancelled entries (all at the new row's
+    non-pivot columns, none at a pivot) enter and leave the index.  A
+    row's update reads only that row and the new one, so the order in
+    which the rows are cleared cannot change them."""
     if not _reduce(rows, res):
         return False
     pc = min(res)
     pv = res[pc]
     row = res if pv == 1 else {j: _div(x, pv) for j, x in res.items()}
-    for other in rows.values():
-        if pc in other:
-            _eliminate(other, other[pc], row)
+    holders = held.pop(pc, None)
+    for j in row:
+        if j != pc:
+            if j in held:
+                held[j].add(pc)
+            else:
+                held[j] = {pc}
+    if holders:
+        tail = [(j, x) for j, x in row.items() if j != pc]
+        for p in holders:
+            other = rows[p]
+            nc = -other.pop(pc)
+            for j, x in tail:
+                if j not in other:
+                    other[j] = nc * x
+                    held[j].add(p)
+                elif y := other[j] + nc * x:
+                    other[j] = y
+                else:
+                    del other[j]
+                    held[j].remove(p)
     rows[pc] = row
     return True
 
@@ -390,6 +424,7 @@ class SpanBuilder:
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
         self._rows: dict[int, SparseVec] = {}
+        self._held: _Held = {}              # the column index of _rows
         self._added: list[SparseVec] = []   # independent inserted vectors
 
     @property
@@ -407,7 +442,8 @@ class SpanBuilder:
     def add(self, v: Vec | SparseVec) -> bool:
         """Add v; True when it enlarged the span."""
         res = self._intake(v)
-        if len(self._rows) == self.ambient_dim or not _absorb(self._rows, res):
+        if len(self._rows) == self.ambient_dim or \
+                not _absorb(self._rows, self._held, res):
             return False
         self._added.append(v.copy() if type(v) is dict else _sparse(v))
         return True
@@ -452,12 +488,13 @@ def _kernel(cols: Cols, at: range) -> dict[int, SparseVec]:
         for i, x in col:
             by_row.setdefault(i, {})[k] = x
     rows: dict[int, SparseVec] = {}
+    held: _Held = {}
     # sparsest rows first: on ℂ[ℤ₅] at D=3 that keeps fill-in and the
     # rationals small enough to take a quarter off κ̄'s top degree
     for row in sorted(by_row.values(), key=len):
         if len(rows) == n:
             break
-        _absorb(rows, row)
+        _absorb(rows, held, row)
     col_at = {k: u for u, k in enumerate(at)}
     kernel = {u: {u: 1} for u, k in enumerate(at) if k not in rows}
     for p, row in rows.items():

@@ -12,10 +12,11 @@ on their own, not read off ``InducedCalculus``;
 κ(1·de_j) is the sum of raw operators (``kappa_raw``), not ∇̂ê_j.  Beside
 them, the dense operator route that right-Ω operators took before they were
 kept by sparse columns (``DenseRHom``, ``DenseRoute``, with ``omega_hat``
-and ``raw_ops`` replaying ``OmegaHat`` and κ's raw operators on it), and
-the extension of a map on M that lifts Φ(m), concatenates the tail and
-projects densely (``extension_columns``).  Below them, the whole-span
-checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal`` and
+and ``raw_ops`` replaying ``OmegaHat`` and κ's raw operators on it), the
+right A-linearity of an operator decided on dense vectors
+(``right_linearity_witness``), and the extension of a map on M that lifts
+Φ(m), concatenates the tail and projects densely (``extension_columns``).
+Below them, the whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal`` and
 ``extend_connection``), and ``j_ideal``'s and ``OmegaM``'s right
 multiplications before they skipped a zero factor.  Next, the per-pair route of the three right
 Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
@@ -347,6 +348,23 @@ class DenseRoute:
         """∇∘∇: T_r → T_{r+2}."""
         return mat_mul(self._nabla.ext_matrix(r + 1),
                        self._nabla.ext_matrix(r))
+
+
+def right_linearity_witness(op):
+    """``DegreeRHom.right_linearity_witness`` on dense vectors: for each
+    module basis vector a, then each algebra basis vector f, Φ applied to
+    a·f against f's right action on T_degree applied to Φ(a)."""
+    f = op.forms
+    m, a = f.module, f.algebra
+    for ai in range(m.dim):
+        av = m.basis_vec(ai)
+        img = op.apply(av)
+        for fi in range(a.dim):
+            fv = a.basis_vec(fi)
+            if op.apply(m.act_right(av, fv)) != \
+                    f.act_right(op.degree, img, fv):
+                return (ai, fi)
+    return None
 
 
 def omega_hat(route):

@@ -436,10 +436,10 @@ def test_main_exit_one_on_failing_identity(capsys):
 
 
 def _odd_numbers(root) -> list[tuple[object, bool]]:
-    """Numbers reachable from root through lists, tuples, dicts and package
-    objects that are not ints: floats anywhere, bools held as entries (a
-    flag under a string key or in an attribute is fine) and Fractions,
-    each with whether it sits in a Verdict."""
+    """Numbers reachable from root through lists, tuples, sets, dicts and
+    package objects that are not ints: floats anywhere, bools held as
+    entries (a flag under a string key or in an attribute is fine) and
+    Fractions, each with whether it sits in a Verdict."""
     odd, seen = [], set()
     stack = [(root, False, False)]
     while stack:
@@ -452,7 +452,7 @@ def _odd_numbers(root) -> list[tuple[object, bool]]:
             odd.append((obj, in_verdict))
             continue
         seen.add(id(obj))
-        if kind in (list, tuple):
+        if kind in (list, tuple, set, frozenset):
             if not set(map(type, obj)) <= {int}:
                 stack.extend((x, True, in_verdict) for x in obj)
         elif kind is dict:

@@ -255,3 +255,35 @@ def test_sigma_of_a_perturbed_kappa1_matches_the_reference(name, exists):
     assert res.exists == exists
     failing = [v.check_id for v in res.verdicts if not v.ok]
     assert failing == ["sigma-well-defined" if exists else "sigma-exists"]
+
+
+def _raised(op: DegreeRHom, i: int, row: int) -> DegreeRHom:
+    """op with its entry at (row, module basis i) raised by one."""
+    col = dict(op.cols[i])
+    col[row] = col.get(row, 0) + 1
+    cols = list(op.cols)
+    cols[i] = sorted((r, x) for r, x in col.items() if x)
+    return DegreeRHom(op.forms, op.degree, cols)
+
+
+@pytest.mark.parametrize("name", ["m2_grass", "a2_twist"])
+def test_a_perturbed_operator_gives_the_dense_right_linearity_witness(name):
+    # each ∇̂ê_g and the curvature operator, then each with one entry
+    # raised by one: the witness read off columns is the dense route's
+    # (tests/_reference.py); the perturbations fail at more than one pair,
+    # or some pass
+    c = nabla(name)
+    a = c.module.algebra
+    ops = [nabla_hat(c, kappa0_op(c, a.basis_vec(g))) for g in range(a.dim)]
+    ops.append(DegreeRHom(c.forms, 2, c.curvature_cols(0)))
+    found = []
+    for op in ops:
+        assert op.right_linearity_witness() is None
+        assert _reference.right_linearity_witness(op) is None
+        for i in range(c.module.dim):
+            for row in range(c.forms.dim(op.degree)):
+                bad = _raised(op, i, row)
+                w = bad.right_linearity_witness()
+                assert w == _reference.right_linearity_witness(bad)
+                found.append(w)
+    assert len(set(found)) > 1 and any(found)

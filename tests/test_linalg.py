@@ -515,8 +515,9 @@ def test_compose_matches_the_dense_combination(drawn):
 
 # `_col_sum` calls in one parse and `all` of m2_grass: 7,829 while every
 # empty column and zero operator still cost a call; a skip that is lost
-# shows here
-COL_SUM_CALLS_M2 = 5075
+# shows here.  168 of them sum a nonempty side of right A-linearity (two
+# sides per module basis vector and algebra basis vector)
+COL_SUM_CALLS_M2 = 5243
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
@@ -634,6 +635,127 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
         ref.contains(v)
     assert len(calls) > sum(len(pivots & {j for j, x in enumerate(v) if x})
                             for v in probes)
+
+
+def _index_of(rows) -> dict[int, set[int]]:
+    """The column index of reduced rows, rebuilt: per column j, the pivots
+    of the rows nonzero at j other than at their own pivot."""
+    held: dict[int, set[int]] = {}
+    for p, row in rows.items():
+        for j in row:
+            if j != p:
+                held.setdefault(j, set()).add(p)
+    return held
+
+
+def _nonempty(held) -> dict[int, set[int]]:
+    """The index without the columns no row holds any more."""
+    return {j: ps for j, ps in held.items() if ps}
+
+
+@settings(deadline=None)
+@given(matrices())
+# clearing pivot 1 from row 0 cancels its entry at 2
+@example([[F(1), F(1), F(1)], [F(0), F(1), F(1)]])
+def test_the_column_index_is_the_one_rebuilt_from_the_rows(m):
+    # after every `_absorb`, in SpanBuilder (dense and sparse intake),
+    # row_reduce, null_space and kernel_quotient; their outputs are still
+    # the references'
+    n = len(m[0])
+    absorb, checked = linalg._absorb, []
+
+    def checking(rows, held, res):
+        added = absorb(rows, held, res)
+        assert _nonempty(held) == _index_of(rows)
+        checked.append(added)
+        return added
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_absorb", checking)
+        for rows in (m, _ints(m)):
+            ref = _reference.EchelonSpanBuilder(n)
+            spans = SpanBuilder(n), SpanBuilder(n)
+            for v in rows:
+                added = ref.add(v)
+                for span, w in zip(spans, (v, _sparse_draw(v))):
+                    assert span.add(w) == added
+                    assert _nonempty(span._held) == _index_of(span._rows)
+            for span in spans:
+                assert span.quotient().sub == ref.basis
+            cols = _to_cols(rows, n)
+            assert row_reduce(rows)[1] == \
+                [_frac(_sym(m).rref()[0].row(i)) for i in range(len(m))]
+            assert null_space(cols) == _reference.null_space(rows, n)
+            q = kernel_quotient(cols)
+            want = _reference.kernel_quotient(cols, len(rows))
+            assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
+    # a nonzero row or, for the zero map, the reference's kernel was absorbed
+    assert any(checked)
+
+
+def _clearing_work(monkeypatch) -> list[tuple[int, set[int], set[int]]]:
+    """Per new pivot pc that ``_absorb`` makes from now on: (pc, the stored
+    rows read while it is cleared, the stored rows that held pc).  Every
+    stored row is watched on each access; what ``_reduce`` reads is not
+    counted."""
+    clearing, touched, work = [False], set(), []
+
+    class Watched(dict):
+        pass
+    for name in ("__contains__", "__getitem__", "__setitem__",
+                 "__delitem__", "__iter__", "get", "pop", "items", "keys",
+                 "values"):
+        def watched(self, *args, method=getattr(dict, name)):
+            if clearing[0]:
+                touched.add(id(self))
+            return method(self, *args)
+        setattr(Watched, name, watched)
+    absorb, reduce = linalg._absorb, linalg._reduce
+
+    def reducing(rows, res):
+        was, clearing[0] = clearing[0], False
+        out = reduce(rows, res)
+        clearing[0] = was
+        return out
+
+    def absorbing(rows, *args):
+        # rows first and res last, whatever else `_absorb` takes
+        for p, row in dict.items(rows):
+            if type(row) is not Watched:
+                rows[p] = Watched(row)
+        left = reduce(rows, dict(args[-1]))
+        pc = min(left) if left else None
+        holders = {id(row) for row in rows.values()
+                   if dict.__contains__(row, pc)}
+        touched.clear()
+        clearing[0] = True
+        try:
+            added = absorb(rows, *args)
+        finally:
+            clearing[0] = False
+        if added:
+            work.append((pc, set(touched), holders))
+        return added
+    monkeypatch.setattr(linalg, "_reduce", reducing)
+    monkeypatch.setattr(linalg, "_absorb", absorbing)
+    return work
+
+
+# One parse of m2_grass makes 454 new pivots, and 67 stored rows hold one
+# when it is made, where a walk over every stored row would read 29,590.
+# Its `all` clears 15.
+NEW_PIVOTS_M2, HOLDERS_M2, HOLDERS_M2_ALL = 454, 67, 15
+
+
+def test_clearing_a_new_pivot_reads_only_the_rows_that_hold_it(monkeypatch):
+    work = _clearing_work(monkeypatch)
+    model = parse_model(str(MODELS / "m2_grass.model"))
+    assert len(work) == NEW_PIVOTS_M2
+    assert all(read == holders for _, read, holders in work)
+    assert sum(len(holders) for _, _, holders in work) == HOLDERS_M2
+    work.clear()
+    cli.run("all", model)
+    assert all(read == holders for _, read, holders in work)
+    assert sum(len(holders) for _, _, holders in work) == HOLDERS_M2_ALL
 
 
 @st.composite
