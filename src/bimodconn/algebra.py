@@ -1,19 +1,22 @@
 """Finite-dimensional algebras, bimodules and tensor products over A.
 
-An algebra is given by structure constants on a fixed basis; modules are
-given by dense action matrices per algebra basis element.  All constructions
-reduce to kernels and images of explicit rational matrices.
+An algebra is given by structure constants on a fixed basis; a bimodule by
+its left and right actions of each algebra basis element, held by sparse
+columns (``linalg.Cols``) and converted from dense matrices once, at
+intake.  The axiom checks compose those columns; all constructions reduce
+to kernels and images of explicit rational maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import anchors
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _to_cols, frac, identity_mat, mat_mul, mat_vec,
-                     QuotientSpace, zero_mat, zeros)
+                     _col_sum, _combine, _compose, _to_cols, frac,
+                     QuotientSpace, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -84,62 +87,51 @@ def check_algebra(a: Algebra) -> Verdict:
     return passed("check-algebra", anchors.ALGEBRA, {"dim": a.dim})
 
 
-def action_matrix(actions, f: Vec) -> Mat:
-    """Σ fᵢ·(action matrix of e_i), from one square matrix per basis element."""
-    out = zero_mat(len(actions[0]), len(actions[0]))
-    for i, c in enumerate(f):
-        if c == 0:
-            continue
-        m = actions[i]
-        for r in range(len(out)):
-            row = m[r]
-            orow = out[r]
-            for s in range(len(orow)):
-                if row[s]:
-                    orow[s] += c * row[s]
-    return out
-
-
-def act(actions, f: Vec, v: Vec) -> Vec:
-    """(action of f)·v; a basis element f applies its stored matrix as is."""
-    nz = [i for i, c in enumerate(f) if c]
-    if len(nz) == 1 and f[nz[0]] == 1:
-        return mat_vec(actions[nz[0]], v)
-    return mat_vec(action_matrix(actions, f), v)
-
-
 @dataclass(frozen=True)
 class Bimodule:
-    """Finite-dimensional A-bimodule with commuting left and right actions."""
+    """Finite-dimensional A-bimodule with commuting left and right actions,
+    each held by sparse columns: ``left_action[i]`` is m ↦ e_i·m and
+    ``right_action[i]`` is m ↦ m·e_i, one ``Cols`` per basis element e_i.
+    The columns are shared, so no caller may change them."""
 
     dim: int
     algebra: Algebra
-    left_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
-    right_action: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
+    left_action: tuple[Cols, ...]
+    right_action: tuple[Cols, ...]
 
     @staticmethod
     def from_actions(algebra: Algebra, left: list[Mat], right: list[Mat]) -> "Bimodule":
-        freeze = lambda ms: tuple(tuple(tuple(frac(x) for x in row)
-                                        for row in m) for m in ms)
-        return Bimodule(len(left[0]), algebra, freeze(left), freeze(right))
+        """The bimodule of dense action matrices, one per basis element,
+        their entries normalized by ``frac`` and held by columns."""
+        dim = len(left[0])
+        by_cols = lambda ms: tuple(_to_cols([[frac(x) for x in row]
+                                             for row in m], dim) for m in ms)
+        return Bimodule(dim, algebra, by_cols(left), by_cols(right))
 
-    def left_matrices(self) -> list[Mat]:
-        return [[list(r) for r in m] for m in self.left_action]
+    def _action_cols(self, actions: tuple[Cols, ...], f: Vec) -> Cols:
+        """Σ fᵢ·(action of e_i) by columns, each a ``_col_sum`` of the basis
+        actions' columns at f's nonzeros; a basis element with coefficient
+        1 gives its stored columns, which the caller must not change."""
+        terms = [(actions[i], f[i]) for i in compress(range(len(f)), f)]
+        if len(terms) == 1 and terms[0][1] == 1:
+            return terms[0][0]
+        return [_col_sum(t) if (t := [(cols[j], c) for cols, c in terms
+                                      if cols[j]]) else []
+                for j in range(self.dim)]
 
-    def right_matrices(self) -> list[Mat]:
-        return [[list(r) for r in m] for m in self.right_action]
+    def left_cols(self, f: Vec) -> Cols:
+        """m ↦ f·m by columns."""
+        return self._action_cols(self.left_action, f)
 
-    def left_matrix(self, f: Vec) -> Mat:
-        return action_matrix(self.left_action, f)
-
-    def right_matrix(self, f: Vec) -> Mat:
-        return action_matrix(self.right_action, f)
+    def right_cols(self, f: Vec) -> Cols:
+        """m ↦ m·f by columns."""
+        return self._action_cols(self.right_action, f)
 
     def act_left(self, f: Vec, m: Vec) -> Vec:
-        return act(self.left_action, f, m)
+        return _combine(self.left_cols(f), m, self.dim)
 
     def act_right(self, m: Vec, f: Vec) -> Vec:
-        return act(self.right_action, f, m)
+        return _combine(self.right_cols(f), m, self.dim)
 
     def basis_vec(self, i: int) -> Vec:
         v = zeros(self.dim)
@@ -153,7 +145,6 @@ def right_module_generators(mod) -> list[int]:
     indices generate.  Deterministic (ascending basis order)."""
     gens: list[int] = []
     reached = SpanBuilder(mod.dim)
-    mats = mod.right_matrices()
     for i in range(mod.dim):
         v = mod.basis_vec(i)
         if reached.contains(v):
@@ -163,27 +154,30 @@ def right_module_generators(mod) -> list[int]:
         reached.add(v)
         while stack:
             w = stack.pop()
-            for m in mats:
-                u = mat_vec(m, w)
+            for cols in mod.right_action:
+                u = _combine(cols, w, mod.dim)
                 if reached.add(u):
                     stack.append(u)
     return gens
 
 
-def _check_one_sided(mod, matrices: list[Mat], side: str, check_id: str,
+def _check_one_sided(mod, side: str, check_id: str,
                      anchor: str) -> Verdict | None:
+    """Unitality and associativity of one action, by columns: the action
+    of e_i·e_j against the composition of the actions of e_i and e_j."""
     a = mod.algebra
-    unit_m = action_matrix(matrices, a.unit_vec())
-    if unit_m != identity_mat(mod.dim):
+    actions = mod.left_action if side == "left" else mod.right_action
+    if mod._action_cols(actions, a.unit_vec()) != \
+            [[(i, 1)] for i in range(mod.dim)]:
         return failed(check_id, anchor, {"axiom": f"{side}-unit"})
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.mult(a.basis_vec(i), a.basis_vec(j))
-            m_prod = action_matrix(matrices, prod)
+            m_prod = mod._action_cols(actions, prod)
             if side == "left":
-                m_comp = mat_mul(matrices[i], matrices[j])
+                m_comp = _compose(actions[i], actions[j])
             else:
-                m_comp = mat_mul(matrices[j], matrices[i])
+                m_comp = _compose(actions[j], actions[i])
             if m_prod != m_comp:
                 return failed(check_id, anchor,
                               {"axiom": f"{side}-associativity", "pair": [i, j]})
@@ -191,15 +185,16 @@ def _check_one_sided(mod, matrices: list[Mat], side: str, check_id: str,
 
 
 def check_bimodule(m: Bimodule) -> Verdict:
-    """Unitality, action associativity and left/right commutation, all basis tuples."""
-    left, right = m.left_matrices(), m.right_matrices()
-    for side, mats in (("left", left), ("right", right)):
-        bad = _check_one_sided(m, mats, side, "check-bimodule", anchors.BIMODULE)
+    """Unitality, action associativity and left/right commutation, all basis
+    tuples, each an identity of maps composed by columns."""
+    for side in ("left", "right"):
+        bad = _check_one_sided(m, side, "check-bimodule", anchors.BIMODULE)
         if bad is not None:
             return bad
+    left, right = m.left_action, m.right_action
     for i in range(m.algebra.dim):
         for j in range(m.algebra.dim):
-            if mat_mul(right[j], left[i]) != mat_mul(left[i], right[j]):
+            if _compose(right[j], left[i]) != _compose(left[i], right[j]):
                 return failed("check-bimodule", anchors.BIMODULE,
                               {"axiom": "left-right-commutation", "pair": [i, j]})
     return passed("check-bimodule", anchors.BIMODULE, {"dim": m.dim})
@@ -249,7 +244,7 @@ class BalancedTensor:
     def induced_right_cols(self, f: Vec) -> Cols:
         """·f on classes by columns, from the plain map x_i⊗y_j ↦
         x_i⊗(y_j·f)."""
-        ry = _to_cols(self.right_factor.right_matrix(f), self.right_factor.dim)
+        ry = self.right_factor.right_cols(f)
         ydim = self.right_factor.dim
         plain = [[(i * ydim + l, c) for l, c in ry[j]]
                  for i in range(self.left_factor.dim) for j in range(ydim)]
@@ -261,8 +256,7 @@ def balancing_relations(x, y: Bimodule) -> list[SparseVec]:
     sparse plain-tensor vector; the zero ones are left out.  x_i·f and
     f·y_j are columns of the stored actions of f = e_fi."""
     yd = y.dim
-    right = [_to_cols(act, x.dim) for act in x.right_action]
-    left = [_to_cols(act, yd) for act in y.left_action]
+    right, left = x.right_action, y.left_action
     rels = []
     for i in range(x.dim):
         for fi in range(x.algebra.dim):

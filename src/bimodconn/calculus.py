@@ -348,14 +348,15 @@ class GradedCalculus:
         return self.class_of_bar(r + s, bar)
 
     def degree_bimodule(self, r: int) -> Bimodule:
-        """Ω^r as an A-bimodule in quotient coordinates."""
+        """Ω^r as an A-bimodule in quotient coordinates, its actions the
+        maps the universal calculus's actions induce on classes."""
         if r not in self._bimods:
             q = self.quotients[r]
             uni = self.universal
-            left, right = [[_to_mat(q.induced(cols(r, i), q), q.dim)
-                            for i in range(self.algebra.dim)]
+            left, right = [tuple(q.induced(cols(r, i), q)
+                                 for i in range(self.algebra.dim))
                            for cols in (uni.left_cols, uni.right_cols)]
-            self._bimods[r] = Bimodule.from_actions(self.algebra, left, right)
+            self._bimods[r] = Bimodule(q.dim, self.algebra, left, right)
         return self._bimods[r]
 
     def d_of_algebra(self, f: Vec) -> Vec:

@@ -2,23 +2,24 @@
 
 One :class:`Connection` type covers every module a connection acts on: a
 bimodule M, or a right module N on the tensor side, against Ω or Ω_∇.  It
-is stored as the exact matrix of ∇: M → M⊗_AΩ¹ in quotient class
-coordinates of its :class:`Forms`.  Right-Ω-linear operators of degree r
-are stored by their restriction to M (a right-A-linear map M → M⊗_AΩ^r)
-and extended on demand; this is faithful because M generates M⊗_AΩ as a
-right Ω-module.
+is stored as the exact map ∇: M → M⊗_AΩ¹, by sparse columns, in quotient
+class coordinates of its :class:`Forms`.  Right-Ω-linear operators of
+degree r are stored by their restriction to M (a right-A-linear map
+M → M⊗_AΩ^r) and extended on demand; this is faithful because M generates
+M⊗_AΩ as a right Ω-module.
 
 Every map on M⊗_AΩ is stored by sparse columns (``linalg.Cols``: per basis
 vector, its nonzero (row, coeff) pairs), because these maps are almost all
-zeros: operators, their extensions, ∇'s extensions, the curvature and the
-actions and right multiplications of ``Forms``.  A composition, a sum, ∇̂
-or a Leibniz identity combines the columns of one factor at the nonzeros
-of the other (``linalg._compose``, ``_commutator``, ``leibniz_failure``),
-so its cost is the number of nonzeros met, not the size of the matrices.
+zeros: ∇ itself, the module's actions, operators, their extensions, ∇'s
+extensions, the curvature and the actions and right multiplications of
+``Forms``.  A composition, a sum, ∇̂ or a Leibniz identity combines the
+columns of one factor at the nonzeros of the other (``linalg._compose``,
+``_commutator``, ``leibniz_failure``), so its cost is the number of
+nonzeros met, not the size of the matrices.
 κ₁ is kept as its operators, one per bar basis vector of Ω¹_u, and σ's
-operators are κ₁'s at the representatives of Ω¹'s classes.  Dense matrices
-remain only for inputs and printed maps: ∇ itself, the module's actions and
-σ; σ's witness is read off the columns of Ω¹'s projection by ``null_space``.
+operators are κ₁'s at the representatives of Ω¹'s classes.  A dense matrix
+remains only for σ, which a report prints; σ's witness is read off the
+columns of Ω¹'s projection by ``null_space``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
 from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, SparseVec, Vec,
                      _col_sum, _col_vec, _combine, _compose, _sparse,
-                     _to_cols, _to_mat, identity_mat, kernel_quotient,
-                     mat_vec, null_space, vec_add)
+                     _to_mat, identity_mat, kernel_quotient, mat_vec,
+                     null_space, vec_add)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -41,20 +42,24 @@ class Connection:
     """∇: M → M⊗_AΩ¹ with the right Leibniz rule as its defining contract.
 
     M is ``forms.module`` (a bimodule or a right module) and Ω is
-    ``forms.calculus``; only the right action of M is used.
+    ``forms.calculus``; only the right action of M is used.  ``nabla`` is ∇
+    by sparse columns, one per basis vector of M, each sorted by row with
+    its rows in range(dim M⊗_AΩ¹); it is shared, so no caller may change
+    it.
     """
 
-    def __init__(self, forms: Forms, nabla: Mat):
+    def __init__(self, forms: Forms, nabla: Cols):
         self.forms = forms
         self.module = forms.module
         self.calculus = forms.calculus
-        if len(nabla) != forms.dim(1) or \
-                (nabla and len(nabla[0]) != self.module.dim):
-            raise ValueError("nabla matrix must be dim(M⊗Ω¹) x dim(M)")
-        self.nabla = [row[:] for row in nabla]
+        n_rows = forms.dim(1)
+        if len(nabla) != self.module.dim or \
+                any(not 0 <= row < n_rows for col in nabla for row, _ in col):
+            raise ValueError("nabla must have one column per basis vector "
+                             "of M, its rows in range(dim(M⊗Ω¹))")
+        self.nabla = nabla
         # ∇'s extensions by sparse columns, by (degree, kind)
-        self._ext_cols: dict[tuple[int, str], Cols] = {
-            (0, "ext"): _to_cols(self.nabla, self.module.dim)}
+        self._ext_cols: dict[tuple[int, str], Cols] = {(0, "ext"): nabla}
         # ∇̂Φ by the id of Φ (DegreeRHom.key)
         self.nabla_hats: dict[int, DegreeRHom] = {}
         # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
@@ -62,7 +67,7 @@ class Connection:
         self._tensors: dict[int, tuple] = {}
 
     def nabla_apply(self, m_vec: Vec) -> Vec:
-        return mat_vec(self.nabla, m_vec)
+        return _combine(self.nabla, m_vec, self.forms.dim(1))
 
     def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
         """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
@@ -238,11 +243,11 @@ class DegreeRHom:
         right = [f.right_mult_cols(self.degree, 0, f.algebra.basis_vec(fi))
                  for fi in range(f.algebra.dim)]
         for ai, col in enumerate(self.cols):
-            for fi, act in enumerate(right):
-                moved = f._moved[fi][ai]
+            for fi, by_f in enumerate(right):
+                moved = f.module.right_action[fi][ai]
                 lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
                        if moved else [])
-                rhs = _col_sum([(act[k], c) for k, c in col]) if col else []
+                rhs = _col_sum([(by_f[k], c) for k, c in col]) if col else []
                 if lhs != rhs:
                     return (ai, fi)
         return None
@@ -264,8 +269,7 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
 
 def kappa0_op(c: Connection, f_vec: Vec) -> DegreeRHom:
     """The left-multiplication operator f̂ as a degree-0 right-Ω operator."""
-    return DegreeRHom(c.forms, 0,
-                      _to_cols(c.module.left_matrix(f_vec), c.module.dim))
+    return DegreeRHom(c.forms, 0, c.module.left_cols(f_vec))
 
 
 def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:

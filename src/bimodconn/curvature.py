@@ -18,7 +18,7 @@ from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
 from .linalg import (Col, Cols, SpanBuilder, Vec, _col_sum, _col_vec,
-                     _combine, _compose, _sparse, _to_cols, identity_mat,
+                     _combine, _compose, _sparse, identity_mat,
                      kernel_quotient, quotient, QuotientSpace, zeros)
 from .report import Verdict, failed, passed, rationals
 
@@ -398,8 +398,7 @@ class OmegaM:
         rbar = _compose(q2.proj_cols, c.curvature_cols(0))
         for fi in range(a.dim):
             fv = a.basis_vec(fi)
-            lhs = _compose(rbar, _to_cols(c.module.left_matrix(fv),
-                                          c.module.dim))
+            lhs = _compose(rbar, c.module.left_cols(fv))
             rhs = _compose(q2.induced(f.left_action_cols(2, fv), q2), rbar)
             if lhs != rhs:
                 self.verdicts.append(failed("curvature-left-linear-on-omega-m",
@@ -553,9 +552,15 @@ class InducedCalculus:
         uni = self.connection.calculus.universal
         m = self.connection.module
         a = m.algebra
-        # L_k by rows, each as its nonzero (column, entry) pairs
-        l_rows = [[list(_sparse(row).items()) for row in m.left_action[k]]
-                  for k in range(a.dim)]
+        # L_k by rows, each as its nonzero (column, entry) pairs in column
+        # order, read once off L_k's columns
+        l_rows = []
+        for cols in m.left_action:
+            rows = [[] for _ in range(m.dim)]
+            for c, col in enumerate(cols):
+                for j, y in col:
+                    rows[j].append((c, y))
+            l_rows.append(rows)
         for r in range(uni.D + 1):
             moved = [uni.right_cols(r, kj) for kj in range(a.dim)]
             for ki, col in enumerate(self._columns[r]):

@@ -7,8 +7,8 @@ M ⊗ I^r.  Right multiplication by a tail is index concatenation, which is
 what keeps desk-scale computations fast and exact.
 
 Every map on these spaces is stored by sparse columns (``linalg.Cols``),
-and dense only where a caller needs a dense matrix: the actions of
-``as_bimodule``, which a ``Bimodule`` holds dense (built once per degree).
+as the module's own actions are: ``as_bimodule`` hands a ``Bimodule`` the
+action columns this class already holds (built once per degree).
 
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
@@ -33,8 +33,7 @@ from typing import TYPE_CHECKING
 from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _combine, _to_cols, _to_mat, QuotientSpace,
-                     zeros)
+                     _col_sum, _combine, QuotientSpace, zeros)
 
 if TYPE_CHECKING:
     from .connection import DegreeRHom
@@ -56,10 +55,6 @@ class Forms:
             {beta: k for k, beta in enumerate(ts)} for ts in self._tails]
         # M generates M⊗_AΩ as a right Ω-module, and so do these basis indices
         self.generators = right_module_generators(module)
-        # per k and module basis index i: the nonzero (a, x) of m_i·e_k,
-        # column i of the stored right action of e_k
-        self._moved = [_to_cols(act, module.dim)
-                       for act in module.right_action]
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
         # the actions on T_r by columns, by (r, f) and by (r, s, ω)
@@ -103,7 +98,7 @@ class Forms:
         columns at ι's nonzeros.  Each ι is decoded once, into its ((i0, β),
         coeff) terms, for every generator."""
         nt = self.n_tails(r)
-        moved = self._moved
+        moved = self.module.right_action
         terms = [[(divmod(flat, nt), iota[flat])
                   for flat in compress(range(len(iota)), iota)]
                  for iota in self.calculus.ideal[r]]
@@ -153,6 +148,7 @@ class Forms:
         tails_r, tails_s = self._tails[r], self._tails[s]
         pos = self._tail_pos[r + s]
         nt_out = self.n_tails(r + s)
+        moved = self.module.right_action
         m_i, bidx = divmod(flat, nt_r)
         out = []
         for oflat in compress(range(len(omega_bar)), omega_bar):
@@ -163,7 +159,7 @@ class Forms:
                 gpos = pos[tails_r[gidx] + beta_s]
                 coeff = oc * d
                 out.extend((a * nt_out + gpos, coeff * x)
-                           for a, x in self._moved[k0][m_i])
+                           for a, x in moved[k0][m_i])
         return out
 
     # -- right-Ω extensions ----------------------------------------------
@@ -209,8 +205,7 @@ class Forms:
         key = (r, tuple(f))
         if key not in self._left_cols:
             self._left_cols[key] = self.extension_columns(
-                0, _to_cols(self.module.left_matrix(f), self.module.dim), r,
-                self._quotients[r].free)
+                0, self.module.left_cols(f), r, self._quotients[r].free)
         return self._left_cols[key]
 
     def right_mult_cols(self, r: int, s: int, omega: Vec) -> Cols:
@@ -240,13 +235,13 @@ class Forms:
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω), its
-        actions densified for ``Bimodule``; built once per r and shared."""
+        actions the columns ``left_action_cols`` and ``right_mult_cols``
+        hold; built once per r and shared."""
         if r not in self._bimodules:
             basis = [self.algebra.basis_vec(i)
                      for i in range(self.algebra.dim)]
-            n = self.dim(r)
-            left = [_to_mat(self.left_action_cols(r, f), n) for f in basis]
-            right = [_to_mat(self.right_mult_cols(r, 0, f), n) for f in basis]
-            self._bimodules[r] = Bimodule.from_actions(self.algebra, left,
-                                                       right)
+            self._bimodules[r] = Bimodule(
+                self.dim(r), self.algebra,
+                tuple(self.left_action_cols(r, f) for f in basis),
+                tuple(self.right_mult_cols(r, 0, f) for f in basis))
         return self._bimodules[r]

@@ -10,21 +10,21 @@ compares and hashes equal to the int.
 Every linear map a check uses is stored by columns (``Cols``: per column,
 its nonzero (row, entry) pairs sorted by row): the structure maps of the
 universal calculus, the projection of every :class:`QuotientSpace` (column
-i is the class of e_i), d on classes, every map on M⊗_AΩ (``forms``,
-``connection``), κ̄, the operators that span Ω¹_∇ and those of κ₁, ν̂, ∇⊗
-and ·f on a balanced tensor.  Such a map is applied by ``_combine`` at the
-nonzeros of a dense vector, composed by ``_compose`` and summed by
-``_col_sum``, so its cost is the number of nonzeros met, and an empty
-column costs no call: ``_col_sum`` of no term is [] at once and sums in one
-pass, and ``_compose`` takes an empty column of b to [] without a term
-list (the operator layer skips its empty columns and zero operators
-alike).  On m2_grass that cut the ``_col_sum`` calls of one parse and
-``all`` from 7,829 to 5,075 and the bench's check_s from ≈19.9 ms to
-≈16.7 ms.  Dense matrices (lists of rows) remain for the model's actions
-and ∇ and for the maps a report prints (σ, ρ, ∇′_M); ``_to_cols`` and
-``_to_mat`` convert.  One eliminator keeps sparse rows, ``dict[column,
-entry]``, reduced and keyed by pivot, so reducing a vector touches only the
-rows at the pivots in its support, and beside them a column index (per
+i is the class of e_i), d on classes, a bimodule's actions, ∇, every map
+on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that span Ω¹_∇ and
+those of κ₁, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
+applied by ``_combine`` at the nonzeros of a dense vector, composed by
+``_compose`` and summed by ``_col_sum``, so its cost is the number of
+nonzeros met.  ``_compose`` takes an empty column of b to [] without a
+call, and the operator layer skips its empty columns and zero operators
+alike; a caller that hands ``_col_sum`` no term still pays one call, which
+returns [].  Dense matrices (lists of rows) remain only at intake, where
+``_to_cols`` converts a model's actions and ∇ once, and for the maps a
+report prints (σ, ρ), which ``_to_mat`` builds.
+
+One eliminator keeps sparse rows, ``dict[column, entry]``, reduced and
+keyed by pivot, so reducing a vector touches only the rows at the pivots
+in its support, and beside them a column index (per
 column, the pivots of the rows that hold it), so clearing a new pivot
 touches only the rows that hold it: a span costs the rows it changes, not
 the rows it stores (one m2_grass parse updates 67 stored rows over 454 new
@@ -33,9 +33,9 @@ pivots).  ``SpanBuilder`` holds them (sparse or dense intake),
 ``kernel_quotient`` read a map's kernel off one elimination of the rows of
 its columns, so no kernel witness densifies its map.  No check calls
 ``row_reduce``, ``rank`` or ``LinSolver`` any more; they stay as public and
-profiled names.  The kernels (``mat_vec``, ``mat_mul``, ``_sparse``,
-``_combine``) find the nonzeros of a dense row with ``itertools.compress``
-and do Python-level work only on those.  Everything is exact: the one
+profiled names.  The kernels (``mat_vec``, ``_sparse``, ``_combine``)
+find the nonzeros of a dense row with ``itertools.compress`` and do
+Python-level work only on those.  Everything is exact: the one
 division, :func:`_div`, returns an int or a Fraction, never a float, so
 every equality test in the rest of the package is decidable.
 """
@@ -209,24 +209,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     if not nz:
         return [0] * len(m)
     return [sum([x * c for j, c in nz if (x := row[j])]) for row in m]
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    """a·b row by row: row i is the sum of a[i][k]·b[k] over the nonzeros
-    a[i][k], each b[k] taken at its nonzeros."""
-    if a and b and len(a[0]) != len(b):
-        raise DimensionError("matrix product shape mismatch")
-    n = len(b[0]) if b else 0
-    b_nz = {k: [(j, b[k][j]) for j in compress(range(n), b[k])]
-            for k in compress(range(len(b)), map(any, b))}
-    out = [[0] * n for _ in a]
-    for i in compress(range(len(a)), map(any, a)):
-        arow, acc = a[i], out[i]
-        for k in compress(range(len(arow)), arow):
-            c = arow[k]
-            for j, x in b_nz.get(k, ()):
-                acc[j] += c * x
-    return out
 
 
 def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:

@@ -33,7 +33,7 @@ from .algebra import Algebra, Bimodule, check_algebra, check_bimodule
 from .calculus import GradedCalculus, quotient_calculus, universal_graded
 from .connection import Connection, check_right_leibniz
 from .forms import Forms
-from .linalg import DimensionError, Mat, Vec, _exact
+from .linalg import DimensionError, Mat, Vec, _compose, _exact, _to_cols
 from .report import Verdict
 
 SCHEMA_VERSION = 1
@@ -230,16 +230,15 @@ def _parse_connection(doc, path: str, model: ModelFile) -> Connection:
     if not isinstance(mod_name, str) or mod_name not in model.modules:
         raise ModelError(f"{path}.module", f"unknown module {mod_name!r}")
     module = model.modules[mod_name]
+    n_tails = len(model.calculus.universal.tails(1))
+    nabla_tu = _to_cols(_rat_mat(_get(doc, "nabla", path), f"{path}.nabla",
+                                 module.dim * n_tails, module.dim),
+                        module.dim)
     forms = Forms(module, model.calculus)
-    n_rows = module.dim * forms.n_tails(1)
-    nabla_tu = _rat_mat(_get(doc, "nabla", path), f"{path}.nabla",
-                        n_rows, module.dim)
-    cols = []
-    for c in range(module.dim):
-        cols.append(forms.project(1, [nabla_tu[r][c] for r in range(n_rows)]))
-    nabla = [[_exact(cols[c][r]) for c in range(module.dim)]
-             for r in range(forms.dim(1))]
-    return Connection(forms, nabla)
+    # each column's class: the projection's columns at its nonzeros
+    proj = forms.quotient_space(1).proj_cols
+    return Connection(forms, [[(r, _exact(x)) for r, x in col]
+                              for col in _compose(proj, nabla_tu)])
 
 
 def parse_model(path: str, truncation: int | None = None) -> ModelFile:

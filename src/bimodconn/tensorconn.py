@@ -21,10 +21,9 @@ from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
-from .linalg import (Cols, DimensionError, Mat, SpanBuilder, Vec, _col_sum,
+from .linalg import (Cols, DimensionError, SpanBuilder, Vec, _col_sum,
                      _col_vec, _combine, _compose, _sparse, _sparse_sum,
-                     _to_cols, _to_mat, is_zero_vec, kernel_quotient, mat_vec,
-                     null_space, zeros)
+                     is_zero_vec, kernel_quotient, null_space, zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -129,11 +128,10 @@ def degeneracy_brute(pair: DegeneracyPair) -> Verdict:
 def check_compatibility(c: Connection, rc: Connection,
                         pair: DegeneracyPair) -> Verdict:
     """∇M₀ ⊆ M₀⊗_AΩ¹ and ∇′N₀ ⊆ N₀⊗_AΩ¹ (each against its own calculus)."""
-    for sub, forms, nab, side in (
-            (pair.m0, c.forms, c.nabla, "M0"),
-            (pair.n0, rc.forms, rc.nabla, "N0")):
+    for sub, conn, side in ((pair.m0, c, "M0"), (pair.n0, rc, "N0")):
         if not sub:
             continue
+        forms = conn.forms
         uni = forms.calculus.universal
         span = SpanBuilder(forms.dim(1))
         for v in sub:
@@ -142,7 +140,7 @@ def check_compatibility(c: Connection, rc: Connection,
                 bar[k] = 1
                 span.add(forms.class_of_pair_bar(1, v, bar))
         for v in sub:
-            if not span.contains(mat_vec(nab, v)):
+            if not span.contains(conn.nabla_apply(v)):
                 return failed("tensor-compatibility",
                               anchors.ASSUME_DEGENERACY,
                               {"side": side, "vector": rationals(v)})
@@ -426,13 +424,13 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
 
 @dataclass
 class AssociatedResult:
-    """∇′_M with ν̂∘∇′ = ∇′_M∘ν̂, degree by degree (``ext_matrices``, dense
-    for ``Connection``), or the obstruction to it: a vector of ker ν̂ that
-    ν̂∘∇′ does not kill."""
+    """∇′_M with ν̂∘∇′ = ∇′_M∘ν̂, degree by degree (``ext_cols``, by sparse
+    columns, the degree-0 ones ``connection.nabla``), or the obstruction to
+    it: a vector of ker ν̂ that ν̂∘∇′ does not kill."""
 
     exists: bool
     connection: Connection | None = None
-    ext_matrices: list[Mat] = field(default_factory=list)
+    ext_cols: list[Cols] = field(default_factory=list)
     verdicts: list[Verdict] = field(default_factory=list)
 
 
@@ -461,22 +459,20 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
                     if any(_combine(pushed[r], v, tgt.dim(r + 1)))), None)
         if wit is not None:
             res.exists = False
-            res.ext_matrices = []
+            res.ext_cols = []
             res.verdicts.append(Verdict("associated-connection",
                                         anchors.ASSOCIATED, "absent",
                                         {"degree": r,
                                          "kernel_element": rationals(wit)}))
             return res
         pos = {fc: k for k, fc in enumerate(src.quotient_space(r).free)}
-        res.ext_matrices.append(_to_mat(
-            [pushed[r][pos[fc]] for fc in tgt.quotient_space(r).free],
-            tgt.dim(r + 1)))
-    res.connection = Connection(tgt, res.ext_matrices[0])
+        res.ext_cols.append(
+            [pushed[r][pos[fc]] for fc in tgt.quotient_space(r).free])
+    res.connection = Connection(tgt, res.ext_cols[0])
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked by columns
     for r in range(src.D):
-        if pushed[r] != _compose(_to_cols(res.ext_matrices[r], tgt.dim(r)),
-                                 nu.maps[r]):
+        if pushed[r] != _compose(res.ext_cols[r], nu.maps[r]):
             res.verdicts.append(failed("associated-square", anchors.ASSOCIATED,
                                        {"degree": r}))
             return res

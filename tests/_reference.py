@@ -2,6 +2,10 @@
 check returns the witness of the first failing case, or None when every
 case holds.
 
+The bimodule axioms on dense action matrices, each composition a
+``mat_mul`` (``check_bimodule``), the route ``algebra.check_bimodule`` took
+before the actions were held by columns.
+
 The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 ``sigma_full``): each pair builds the raw operators it needs, composes them
 and projects the result to Ω(M) by the dense projection matrix
@@ -27,16 +31,20 @@ coordinates in the accepted basis of Ω¹_∇ with σ built by
 ``factor_through`` (``kappa1_coords``, ``sigma``), and the unit complement
 and π read off a span's coordinates (``unit_complement``).
 
-Then the ``linalg`` kernels the sparse ones replaced: the product that
-builds one column of b at a time, the span builder that keeps echelon
-rows in a list and walks all of them to reduce a vector, and the quotient
-read off a second row reduction of its sub.  At the top, next to the
-dense helpers, the dense null space off ``row_reduce`` (``null_space``)
-and the factorisation through a surjection on ``LinSolver``
-(``factor_through``), which σ, ⪯ and ∇′_M took before they were read
-off a map's columns at a quotient's ``free`` columns.  Then the ideal
-saturation that also tries every product by de_j, each formed in tensor-power
-coordinates, so that it reads none of the column tables it checks.  Then
+Then the ``linalg`` kernels the sparse ones replaced: the dense product
+(``mat_mul``) and the one that builds one column of b at a time, the span
+builder that keeps echelon rows in a list and walks all of them to reduce
+a vector, and the quotient read off a second row reduction of its sub.
+At the top, next to the dense helpers (∇ and a bimodule's actions
+densified, ``nabla_matrix``, ``actions``, ``action_matrix``), a textbook
+Gauss–Jordan (``rref``) that shares no eliminator with ``linalg``, so a
+fault in ``linalg``'s cannot reach both sides of a comparison, the dense
+null space off it (``null_space``) and the factorisation through a
+surjection on ``LinSolver`` (``factor_through``), which σ, ⪯ and ∇′_M took
+before they were read off a map's columns at a quotient's ``free``
+columns.  Then the ideal saturation that also tries every product by de_j,
+each formed in tensor-power coordinates, so that it reads none of the
+column tables it checks.  Then
 ⪯ decided by eliminating I₁ afresh and ρ built by ``factor_through``.  Then Ω_∇ through κ̄ densified and its
 null space (``kernel_quotient``), and the dense tensor checks: ν̂'s
 right-linearity squares, the balancing relations as dense vectors, ∇⊗
@@ -56,7 +64,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from _embedding import d_emb, product_emb, to_emb
-from bimodconn import anchors, linalg
+from bimodconn import anchors
 from bimodconn.algebra import tensor_over_A
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
@@ -64,8 +72,7 @@ from bimodconn.curvature import _square_hat
 from bimodconn.linalg import (DimensionError, LinSolver, QuotientSpace,
                               SpanBuilder, _col_vec, _div, _eliminate, _exact,
                               _sparse, _to_mat, identity_mat, is_zero_vec,
-                              mat_mul, mat_vec, rank, row_reduce, vec_add,
-                              zero_mat, zeros)
+                              mat_vec, rank, vec_add, zero_mat, zeros)
 from bimodconn.model import ModelError
 from bimodconn.report import failed, passed, rationals
 from bimodconn.tensorconn import (DegeneracyPair, _pure_pair_columns,
@@ -84,13 +91,40 @@ def at_free(q, m):
     return [[row[fc] for fc in q.free] for row in m]
 
 
+def rref(matrix):
+    """(rank, RREF, pivot columns) of a dense matrix, the zero rows last, as
+    ``linalg.row_reduce`` returns them, by textbook Gauss–Jordan on dense
+    rows: column by column, the first remaining row nonzero there becomes
+    the next pivot row, scaled to 1, and is cleared from every other row.
+    It shares no eliminator with ``linalg``."""
+    rows = [list(row) for row in matrix]
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pv = rows[r][c]
+        rows[r] = [_div(x, pv) for x in rows[r]]
+        nz = [(j, rows[r][j]) for j in range(n_cols) if rows[r][j]]
+        for i, row in enumerate(rows):
+            if i != r and (f := row[c]):
+                for j, x in nz:
+                    row[j] -= f * x
+        pivots.append(c)
+    return (len(pivots), [[_exact(x) for x in row] for row in rows],
+            pivots)
+
+
 def null_space(matrix, n_cols):
     """Basis of {x : matrix @ x = 0} for a dense matrix with n_cols columns,
-    off ``row_reduce``'s RREF: for each free column fc ascending,
+    off the RREF of ``rref``: for each free column fc ascending,
     e_fc − Σ rref[r][fc]·e_(pivot r), the basis ``linalg.null_space`` reads
     off a map's columns."""
     rows = [r for r in matrix if any(r)]
-    _, rref, pivots = row_reduce(rows) if rows else (0, [], [])
+    _, reduced, pivots = rref(rows) if rows else (0, [], [])
     basis = []
     for fc in range(n_cols):
         if fc in pivots:
@@ -98,7 +132,7 @@ def null_space(matrix, n_cols):
         v = zeros(n_cols)
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
+            v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
 
@@ -139,6 +173,35 @@ def scaled(op, c):
     return DegreeRHom(op.forms, op.degree,
                       [[(row, c * x) for row, x in col] if c else []
                        for col in op.cols])
+
+
+def nabla_matrix(c):
+    """∇ as a dense dim T_1 × dim M matrix, read off its columns."""
+    return _to_mat(c.nabla, c.forms.dim(1))
+
+
+def actions(mod, side):
+    """A bimodule's left or right actions of the algebra basis elements as
+    dense matrices, read off their columns."""
+    cols = mod.left_action if side == "left" else mod.right_action
+    return [_to_mat(m, mod.dim) for m in cols]
+
+
+def action_matrix(matrices, f):
+    """Σ fᵢ·(action matrix of e_i), from one square matrix per basis
+    element."""
+    out = zero_mat(len(matrices[0]), len(matrices[0]))
+    for i, c in enumerate(f):
+        if c == 0:
+            continue
+        m = matrices[i]
+        for r in range(len(out)):
+            row = m[r]
+            orow = out[r]
+            for s in range(len(orow)):
+                if row[s]:
+                    orow[s] += c * row[s]
+    return out
 
 
 def projection(q):
@@ -269,12 +332,54 @@ def sigma_u_derivation(induced):
             op = induced._raw[r][k]
             lhs = mat_mul(nabla_ext(c, r), dense(op))
             first = mat_vec(kappa[r + 1], mat_vec(dm, bar))
-            second = mat_mul(ext_matrix(op, 1), c.nabla)
+            second = mat_mul(ext_matrix(op, 1), nabla_matrix(c))
             rest = [[x - sign * y for x, y in zip(rx, ry)]
                     for rx, ry in zip(lhs, second)]
             if project_op(induced, r + 1, rest) != first:
                 return {"degree": r, "basis": k}
     return None
+
+
+# -- the bimodule axioms on dense matrices ----------------------------------
+#
+# ``algebra.check_bimodule`` before the actions were held by columns: each
+# action of a combination of basis elements a dense matrix, each
+# composition a ``mat_mul``, in the same loop order.
+
+def _check_one_sided(mod, matrices, side, check_id, anchor):
+    a = mod.algebra
+    unit_m = action_matrix(matrices, a.unit_vec())
+    if unit_m != identity_mat(mod.dim):
+        return failed(check_id, anchor, {"axiom": f"{side}-unit"})
+    for i in range(a.dim):
+        for j in range(a.dim):
+            prod = a.mult(a.basis_vec(i), a.basis_vec(j))
+            m_prod = action_matrix(matrices, prod)
+            if side == "left":
+                m_comp = mat_mul(matrices[i], matrices[j])
+            else:
+                m_comp = mat_mul(matrices[j], matrices[i])
+            if m_prod != m_comp:
+                return failed(check_id, anchor,
+                              {"axiom": f"{side}-associativity", "pair": [i, j]})
+    return None
+
+
+def check_bimodule(m):
+    """Unitality, action associativity and left/right commutation, all
+    basis tuples, on the dense action matrices."""
+    left, right = actions(m, "left"), actions(m, "right")
+    for side, mats in (("left", left), ("right", right)):
+        bad = _check_one_sided(m, mats, side, "check-bimodule",
+                               anchors.BIMODULE)
+        if bad is not None:
+            return bad
+    for i in range(m.algebra.dim):
+        for j in range(m.algebra.dim):
+            if mat_mul(right[j], left[i]) != mat_mul(left[i], right[j]):
+                return failed("check-bimodule", anchors.BIMODULE,
+                              {"axiom": "left-right-commutation", "pair": [i, j]})
+    return passed("check-bimodule", anchors.BIMODULE, {"dim": m.dim})
 
 
 # -- the dense operator route -----------------------------------------------
@@ -328,17 +433,19 @@ class DenseRoute:
 
     def __init__(self, c):
         self.c = c
-        self._nabla = DenseRHom(c.forms, 1, c.nabla)
+        self.nabla = nabla_matrix(c)
+        self._nabla = DenseRHom(c.forms, 1, self.nabla)
 
     def kappa0(self, f_vec):
         c = self.c
-        return DenseRHom(c.forms, 0, c.module.left_matrix(f_vec))
+        return DenseRHom(c.forms, 0,
+                         action_matrix(actions(c.module, "left"), f_vec))
 
     def nabla_hat(self, phi):
         """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇."""
         r = phi.degree
         first = mat_mul(self._nabla.ext_matrix(r), phi.matrix)
-        second = mat_mul(phi.ext_matrix(1), self.c.nabla)
+        second = mat_mul(phi.ext_matrix(1), self.nabla)
         sign = -1 if r % 2 == 0 else 1
         return DenseRHom(self.c.forms, r + 1,
                          [[a + sign * b for a, b in zip(ra, rb)]
@@ -770,8 +877,7 @@ def kappa1_bimodule_linear(k):
                 fm = _to_mat(c.forms.left_action_cols(1, a.basis_vec(f)),
                              c.forms.dim(1))
                 rhs = mat_mul(fm, mat_mul(dense(k.op(alpha)),
-                                          c.module.left_matrix(
-                                              a.basis_vec(g))))
+                                          actions(c.module, "left")[g]))
                 if lhs != rhs:
                     return {"triple": [f, g, bi]}
     return None
@@ -852,6 +958,24 @@ def unit_complement(a):
 
 # -- the dense linalg kernels ----------------------------------------------
 
+def mat_mul(a, b):
+    """a·b row by row: row i is the sum of a[i][k]·b[k] over the nonzeros
+    a[i][k], each b[k] taken at its nonzeros."""
+    if a and b and len(a[0]) != len(b):
+        raise DimensionError("matrix product shape mismatch")
+    n = len(b[0]) if b else 0
+    b_nz = {k: [(j, b[k][j]) for j in itertools.compress(range(n), b[k])]
+            for k in itertools.compress(range(len(b)), map(any, b))}
+    out = [[0] * n for _ in a]
+    for i in itertools.compress(range(len(a)), map(any, a)):
+        arow, acc = a[i], out[i]
+        for k in itertools.compress(range(len(arow)), arow):
+            c = arow[k]
+            for j, x in b_nz.get(k, ()):
+                acc[j] += c * x
+    return out
+
+
 def dense_mat_mul(a, b):
     """a·b one column of b at a time, each column a full ``mat_vec``."""
     if a and b and len(a[0]) != len(b):
@@ -919,11 +1043,11 @@ class EchelonSpanBuilder:
 
 
 def quotient(total, sub):
-    """total / span(sub) by ``row_reduce``: reducing e_i modulo the RREF rows
+    """total / span(sub) by ``rref``: reducing e_i modulo the RREF rows
     leaves e_i for a free column i and e_i − row for the pivot i of a row."""
     if any(len(v) != total for v in sub):
         raise DimensionError("sub is not presented inside total")
-    sub_rank, rref, pivots = row_reduce(sub) if sub else (0, [], [])
+    sub_rank, reduced, pivots = rref(sub) if sub else (0, [], [])
     if sub_rank != len(sub):
         raise DimensionError("sub basis is degenerate")
     pivot_set = set(pivots)
@@ -931,7 +1055,7 @@ def quotient(total, sub):
     proj = zero_mat(len(free), total)
     for k, fc in enumerate(free):
         proj[k][fc] = 1
-    for row, pc in zip(rref, pivots):
+    for row, pc in zip(reduced, pivots):
         for k, fc in enumerate(free):
             proj[k][pc] = -row[fc]
     cols = [[(k, row[c]) for k, row in enumerate(proj) if row[c]]
@@ -1001,10 +1125,10 @@ def preceq(c1, c2):
 
 def kernel_quotient(cols, n_rows):
     """``linalg.kernel_quotient`` as the map densified, its null space
-    taken by ``null_space`` and the quotient by that basis by
-    ``linalg.quotient``: the route ``InducedCalculus`` took to Ω_∇."""
+    taken by ``null_space`` and the quotient by that basis by ``quotient``:
+    the route ``InducedCalculus`` took to Ω_∇, on this module's ``rref``."""
     n = len(cols)
-    return linalg.quotient(n, null_space(_to_mat(cols, n_rows), n))
+    return quotient(n, null_space(_to_mat(cols, n_rows), n))
 
 
 def nu_hat_right_linear(nu):
@@ -1077,8 +1201,8 @@ def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
             for (k, bidx), cc in terms:
                 for l, x in tail_ops[bidx][i]:
                     out[k * t1 + l] += cc * x
-            for l, row in enumerate(c.nabla):
-                out[j * t1 + l] += row[i]
+            for l, x in c.nabla[i]:
+                out[j * t1 + l] += x
             cols.append(w.project(out))
     return at_free(tc.domain.quotient, cols_to_mat(cols, w.dim))
 
@@ -1136,15 +1260,15 @@ def associated_factors(rc, nu):
     return out
 
 
-def associated_square(rc, nu, ext_matrices):
-    """The witness of ``associated-square``, or None: ν̂∘∇′ and ∇′_M∘ν̂
-    compared as dense products."""
+def associated_square(rc, nu, ext_cols):
+    """The witness of ``associated-square``, or None: ν̂∘∇′ and ∇′_M∘ν̂,
+    ∇′_M given by columns, compared as dense products."""
     src, tgt = nu.source, nu.target
     for r in range(src.D):
         nu_r = _to_mat(nu.maps[r], tgt.dim(r))
         pushed = mat_mul(_to_mat(nu.maps[r + 1], tgt.dim(r + 1)),
                          _to_mat(rc.nabla_ext_cols(r), src.dim(r + 1)))
-        if pushed != mat_mul(ext_matrices[r], nu_r):
+        if pushed != mat_mul(_to_mat(ext_cols[r], tgt.dim(r + 1)), nu_r):
             return {"degree": r}
     return None
 

@@ -11,6 +11,7 @@ from bimodconn.calculus import (GradedCalculus, quotient_calculus,
 from bimodconn.connection import Connection
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
+from bimodconn.linalg import _sparse
 from bimodconn.model import ModelFile, parse_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -113,8 +114,7 @@ def regular_connection(a: Algebra, truncation: int, gamma: int | list,
         x + y for x, y in zip(uni.d(0, a.basis_vec(c)),
                               uni.product(1, g, 0, a.basis_vec(c)))])
         for c in range(a.dim)]
-    return Connection(forms, [[col[r] for col in cols]
-                              for r in range(forms.dim(1))])
+    return Connection(forms, [list(_sparse(col).items()) for col in cols])
 
 
 def model_file(conn: Connection, name: str = "generated") -> ModelFile:

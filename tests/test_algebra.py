@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
-from _shared import a2, m2, model, universal
+import pytest
+
+import _reference
+from _shared import NAMES, a2, m2, model, nabla, universal
 from bimodconn.algebra import (Algebra, Bimodule, check_algebra,
                                check_bimodule, tensor_over_A)
 from bimodconn.linalg import zero_mat
@@ -44,8 +47,68 @@ def test_check_bimodule_degree_one():
 def test_check_bimodule_zero_left_action():
     reg = model("a2_flat").modules["M"]
     bad = Bimodule.from_actions(a2(), [zero_mat(2, 2), zero_mat(2, 2)],
-                                reg.right_matrices())
+                                _reference.actions(reg, "right"))
     assert check_bimodule(bad).status == "fail"
+
+
+def _checked_bimodules():
+    """Every bimodule a run checks or builds: each shipped model's modules,
+    and M⊗_AΩ^r and Ω^r as bimodules for r ≤ 2."""
+    for name in NAMES:
+        yield from model(name).modules.values()
+        for r in range(3):
+            yield nabla(name).forms.as_bimodule(r)
+            yield model(name).calculus.degree_bimodule(r)
+
+
+def test_check_bimodule_matches_the_dense_reference():
+    # the axioms composed by columns against the dense matrices multiplied
+    # by mat_mul (tests/_reference.py): the same verdict and witness
+    for mod in _checked_bimodules():
+        v = check_bimodule(mod)
+        assert v.ok and v == _reference.check_bimodule(mod)
+
+
+# a2_flat's M with one action replaced, one fault per axiom: each first
+# fails there, in the checks' order (both units, then associativity on
+# each side, then commutation)
+FAULTS = {
+    # e_0 acts by 2 on m_0, so e_0 + e_1 does not act as the identity
+    "left-unit": ("left", [[[2, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    "right-unit": ("right", [[[2, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    # unital, but e_0·e_0 = e_0 acts by 2·E₀₀, not by its square
+    "left-associativity": ("left", [[[2, 0], [0, 0]], [[-1, 0], [0, 1]]]),
+    "right-associativity": ("right", [[[2, 0], [0, 0]], [[-1, 0], [0, 1]]]),
+    # another pair of orthogonal idempotents: a left action that does not
+    # commute with the right one
+    "left-right-commutation": ("left", [[[1, 1], [0, 0]], [[0, -1], [0, 1]]]),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(FAULTS))
+def test_check_bimodule_finds_each_fault_as_the_dense_reference(axiom):
+    reg = model("a2_flat").modules["M"]
+    side, matrices = FAULTS[axiom]
+    acts = {s: _reference.actions(reg, s) for s in ("left", "right")}
+    acts[side] = matrices
+    bad = Bimodule.from_actions(a2(), acts["left"], acts["right"])
+    v = check_bimodule(bad)
+    assert not v.ok and v.witness["axiom"] == axiom
+    assert v == _reference.check_bimodule(bad)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_check_bimodule_finds_a_fault_in_m2_as_the_dense_reference(side):
+    # one entry of the action of e_1 = E₁₂, which the unit E₁₁ + E₂₂
+    # leaves out, changed: associativity fails at a pair other than (0, 0)
+    mod = model("m2_grass").modules["M"]
+    acts = {s: _reference.actions(mod, s) for s in ("left", "right")}
+    acts[side][1][1][0] += 1
+    bad = Bimodule.from_actions(m2(), acts["left"], acts["right"])
+    v = check_bimodule(bad)
+    assert v.witness["axiom"] == f"{side}-associativity"
+    assert v.witness["pair"] != [0, 0]
+    assert v == _reference.check_bimodule(bad)
 
 
 def test_tensor_unit_balancing():

@@ -206,7 +206,8 @@ def test_kernels_and_factorisations_are_read_off_columns():
 # the sparse operator route: each function below works on sparse columns
 # (``linalg.Cols``) and may call no dense kernel
 SPARSE_ROUTE = {
-    "algebra": {"balancing_relations"},
+    "algebra": {"balancing_relations", "Bimodule._action_cols",
+                "check_bimodule"},
     "calculus": {"saturate_ideal", "GradedCalculus.d_cols",
                  "UniversalCalculus.algebra_generators"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
@@ -289,11 +290,14 @@ def test_the_operator_route_stays_sparse():
 # of a quotient, ∇'s dense extensions, the dense actions and right
 # multiplications on M⊗_AΩ, the dense structure maps of the universal
 # calculus, κ̄'s flattened dense columns with their combination and their
-# heights, d on classes and ·f on a balanced tensor
+# heights, d on classes, ·f on a balanced tensor, a bimodule's dense
+# actions, ∇′_M's dense matrices and the dense product that composed them
 DENSE_TWINS = {"nabla_ext_matrix", "right_mult_matrix", "left_action_matrix",
                "d_bar_matrix", "left_mult_bar_matrix",
                "right_mult_bar_matrix", "_combination", "_heights",
-               "d_matrix", "_d_mats", "induced_right_matrix"}
+               "d_matrix", "_d_mats", "induced_right_matrix",
+               "action_matrix", "left_matrix", "right_matrix",
+               "left_matrices", "right_matrices", "ext_matrices", "mat_mul"}
 
 
 def test_each_map_is_stored_once_by_columns():
@@ -313,11 +317,38 @@ def test_each_map_is_stored_once_by_columns():
     assert named == set()
 
 
+def test_only_intake_and_printed_maps_convert_between_the_two_forms():
+    # a bimodule's actions and ∇ are converted to columns once, where a
+    # model is read (Bimodule.from_actions, the dense intake of the parser
+    # and the tests, and _parse_connection), and a dense matrix is built
+    # only for a map a report prints (ρ in preceq, σ in sigma_exists)
+    users = {"_to_cols": set(), "_to_mat": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.FunctionDef):
+                    for sub in ast.walk(child):
+                        if getattr(sub, "id", None) in users:
+                            users[sub.id].add(f"{path.stem}:{prefix}"
+                                              f"{child.name}")
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert users == {
+        "_to_cols": {"algebra:Bimodule.from_actions",
+                     "model:_parse_connection"},
+        "_to_mat": {"calculus:preceq", "connection:sigma_exists"}}
+
+
 def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():
     # Ω_∇ is read off one elimination of κ̄'s rows (kernel_quotient), with
     # no dense κ̄, rank, null space or second row reduction; and every map
-    # a check composes is composed by columns, so mat_mul is left to the
-    # axiom checks of algebra.py on the model's dense actions
+    # a check composes is composed by columns, the bimodule axioms on the
+    # model's actions included, so no module names mat_mul
     named = _named("curvature", "InducedCalculus._build_calculus")
     assert named & {"null_space", "rank", "row_reduce", "_to_mat"} == set()
     assert "kernel_quotient" in named
@@ -327,4 +358,4 @@ def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():
             if getattr(node, "id", getattr(node, "attr", None)) == "mat_mul" \
                     or isinstance(node, ast.alias) and node.name == "mat_mul":
                 users.add(path.name)
-    assert users == {"algebra.py"}
+    assert users == set()

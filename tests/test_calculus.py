@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
+from _reference import mat_mul
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref)
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
@@ -23,8 +24,8 @@ from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
 from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, j_ideal,
                                  sigma_full)
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, _to_mat,
-                              frac, identity_mat, is_zero_vec, mat_mul,
-                              mat_vec, row_reduce, vec_add, zeros)
+                              frac, identity_mat, is_zero_vec, mat_vec,
+                              row_reduce, vec_add, zeros)
 from bimodconn.model import parse_model
 
 F = Fraction

@@ -17,6 +17,7 @@ from _shared import (MODELS, NAMES, cyclic_group_algebra, m2, model_file,
                      regular_connection, universal, upper_triangular)
 import bimodconn
 from bimodconn import cli
+from bimodconn import model as model_module
 from bimodconn.calculus import preceq
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
@@ -194,6 +195,32 @@ def test_parse_rejects_oversized_truncation(tmp_path, capsys):
                      "--truncation", "40"])
     assert code == 2
     assert "calculus.truncation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, path", [
+    (lambda m: m.pop(), "connections.nabla.nabla"),
+    (lambda m: m.append(["0", "0"]), "connections.nabla.nabla"),
+    (lambda m: m[0].pop(), "connections.nabla.nabla[0]"),
+    (lambda m: m[1].append("0"), "connections.nabla.nabla[1]"),
+], ids=["row-short", "row-over", "column-short", "column-over"])
+def test_parse_rejects_a_connection_matrix_of_the_wrong_shape(
+        tmp_path, capsys, monkeypatch, change, path):
+    # the parser checks ∇'s shape before M⊗_AΩ or ∇ is built, so a model
+    # file never reaches the shape check of Connection itself
+    doc = flat_doc()
+    change(doc["connections"]["nabla"]["nabla"])
+    model_path = write_doc(tmp_path, doc)
+
+    def never(*args):
+        raise AssertionError("built before the shape was checked")
+
+    monkeypatch.setattr(model_module, "Forms", never)
+    monkeypatch.setattr(model_module, "Connection", never)
+    with pytest.raises(ModelError) as err:
+        parse_model(model_path)
+    assert err.value.path == path
+    assert cli.main(["check", "--model", model_path]) == 2
+    assert f"model error at {path}:" in capsys.readouterr().err
 
 
 def _entries(doc: dict, key: str, n: int) -> None:

@@ -11,7 +11,7 @@ from bimodconn.connection import (Connection, DegreeRHom,
                                   check_right_leibniz, induced_first_order,
                                   kappa0_op, kappa1, nabla_hat, sigma_exists)
 from bimodconn.forms import Forms
-from bimodconn.linalg import is_zero_vec, rank, zero_mat, zeros
+from bimodconn.linalg import is_zero_vec, rank, zeros
 from bimodconn.model import parse_model
 
 F = Fraction
@@ -30,11 +30,23 @@ def test_right_leibniz_flat():
 
 def test_right_leibniz_zero_map_fails():
     c0 = nabla("a2_flat")
-    forms_dim = c0.forms.dim(1)
-    bad = Connection(c0.forms, zero_mat(forms_dim, 2))
+    bad = Connection(c0.forms, [[], []])
     v = check_right_leibniz(bad)
     assert v.status == "fail"
     assert v.witness is not None
+
+
+def test_connection_refuses_nabla_of_the_wrong_shape():
+    # one column per basis vector of M, each row in range(dim M⊗_AΩ¹)
+    c = nabla("a2_flat")
+    n_rows = c.forms.dim(1)
+    assert len(c.nabla) == c.module.dim == 2
+    for bad in (c.nabla[:1], c.nabla + [[]], [[(n_rows, 1)], c.nabla[1]],
+                [[(-1, 1)], c.nabla[1]]):
+        with pytest.raises(ValueError, match="one column per basis vector"):
+            Connection(c.forms, bad)
+    assert Connection(c.forms, [[(n_rows - 1, 1)], []]).nabla == \
+        [[(n_rows - 1, 1)], []]
 
 
 def test_right_leibniz_twist():

@@ -17,9 +17,9 @@ from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
-from bimodconn.linalg import (SpanBuilder, _col_vec, _combine, _to_mat,
-                              is_zero_vec, kernel_quotient, mat_mul, mat_vec,
-                              rank, row_reduce)
+from bimodconn.linalg import (SpanBuilder, _col_vec, _combine, _to_cols,
+                              _to_mat, is_zero_vec, kernel_quotient, mat_vec,
+                              rank)
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -40,9 +40,9 @@ def test_extension_failure_names_a_vector_of_the_generator_span(
     m2 = model("m2_grass")
     good = m2.connections["nabla"]
     f = good.forms
-    bad = [row[:] for row in good.nabla]
+    bad = _reference.nabla_matrix(good)
     bad[0][0] += 1
-    conn = Connection(f, bad)
+    conn = Connection(f, _to_cols(bad, good.module.dim))
     assert not check_right_leibniz(conn).ok
     (v,) = extend_connection(conn)
     assert v.check_id == "nabla-extension-well-defined" and not v.ok
@@ -90,7 +90,8 @@ def test_cached_operators_match_a_cold_computation(name):
         for psi in ops:
             if phi.degree + psi.degree <= f.D:
                 assert dense(phi.compose(psi)) == \
-                    mat_mul(ext_matrix(phi, psi.degree), dense(psi)) == \
+                    _reference.mat_mul(ext_matrix(phi, psi.degree),
+                                       dense(psi)) == \
                     dense(cold(phi)[1].compose(psi))
 
 
@@ -325,7 +326,7 @@ def test_omega_nabla_is_read_off_one_elimination_of_kappa_bar(make):
         q = kernel_quotient(cols)
         want = _reference.kernel_quotient(cols, ic.omega_m.dim(r) * width)
         assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
-        rref = row_reduce(want.sub)[1][:len(want.sub)] if want.sub else []
+        rref = _reference.rref(want.sub)[1] if want.sub else []
         assert q.sub == rref
         if r:
             got = ic.calculus.quotients[r]
@@ -685,11 +686,11 @@ def test_leibniz_checks_match_the_per_pair_reference(make):
 
 
 def _with_nabla(name, change):
-    """A fresh parse's ∇, with ``change`` applied to a copy of its matrix."""
+    """A fresh parse's ∇, with ``change`` applied to its dense matrix."""
     conn = parse_model(str(MODELS / f"{name}.model")).connections["nabla"]
-    matrix = [row[:] for row in conn.nabla]
+    matrix = _reference.nabla_matrix(conn)
     change(matrix)
-    return Connection(conn.forms, matrix)
+    return Connection(conn.forms, _to_cols(matrix, conn.module.dim))
 
 
 def _zero(matrix):

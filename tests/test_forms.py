@@ -13,7 +13,7 @@ from bimodconn.calculus import quotient_calculus, universal_graded
 from bimodconn.connection import Connection
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, _col_vec, _to_mat, \
-    identity_mat, mat_mul, zeros
+    identity_mat, zeros
 from bimodconn.model import parse_model
 
 
@@ -56,8 +56,9 @@ def _check_right_mult(f: Forms) -> None:
             for t in range(f.D - r - s + 1):
                 for w1 in identity_mat(cal.dim(s)):
                     for w2 in identity_mat(cal.dim(t)):
-                        assert mat_mul(_right_mult(f, r + s, t, w2),
-                                       _right_mult(f, r, s, w1)) == \
+                        assert _reference.mat_mul(
+                            _right_mult(f, r + s, t, w2),
+                            _right_mult(f, r, s, w1)) == \
                             _right_mult(f, r, s + t,
                                         cal.product(s, w1, t, w2))
         # ·[de_j] is concatenation of the tail (j,) on representatives
@@ -181,7 +182,8 @@ def test_every_cached_extension_matches_the_representative_route(
                 n_ext += 1
         for (r, fv), cols in f._left_cols.items():
             assert _to_mat(cols, f.dim(r)) == _reference.extension_columns(
-                f, 0, f.module.left_matrix(list(fv)), r,
+                f, 0, _reference.action_matrix(
+                    _reference.actions(f.module, "left"), list(fv)), r,
                 f.quotient_space(r).free)
             checked += 1
     for c in conns:
@@ -189,8 +191,8 @@ def test_every_cached_extension_matches_the_representative_route(
         for (r, kind), cols in c._ext_cols.items():
             if kind == "curvature":
                 continue                # ∇∘∇: a product of two extensions
-            want = _reference.extension_columns(f, 1, c.nabla, r,
-                                                range(f.tu_dim(r)))
+            want = _reference.extension_columns(
+                f, 1, _reference.nabla_matrix(c), r, range(f.tu_dim(r)))
             if kind == "ext":
                 want = _reference.at_free(f.quotient_space(r), want)
             assert _to_mat(cols, f.dim(r + 1)) == want

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
+from _reference import mat_mul
 from _shared import MODELS, a2
-from bimodconn import (cli, connection, curvature, forms, linalg,
+import bimodconn
+from bimodconn import (algebra, cli, connection, curvature, forms, linalg,
                        parse_model, tensorconn)
 from bimodconn.linalg import (DimensionError, SpanBuilder, _col_vec, _compose,
                               _to_cols, _to_mat, frac, identity_mat,
-                              kernel_quotient, mat_mul, mat_vec, null_space,
+                              kernel_quotient, mat_vec, null_space,
                               quotient, rank, row_reduce, vec_add, zero_mat,
                               zeros)
 
@@ -341,7 +343,7 @@ def _assert_kernel_quotient(rows, n_cols):
     want = _reference.kernel_quotient(cols, len(rows))
     assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
     kernel = _reference.null_space(rows, n_cols)
-    assert q.sub == (row_reduce(kernel)[1] if kernel else [])
+    assert q.sub == (_reference.rref(kernel)[1] if kernel else [])
     assert _typed(q.sub) and _typed(_to_mat(q.proj_cols, q.dim))
     return q
 
@@ -516,8 +518,10 @@ def test_compose_matches_the_dense_combination(drawn):
 # `_col_sum` calls in one parse and `all` of m2_grass: 7,829 while every
 # empty column and zero operator still cost a call; a skip that is lost
 # shows here.  168 of them sum a nonempty side of right A-linearity (two
-# sides per module basis vector and algebra basis vector)
-COL_SUM_CALLS_M2 = 5243
+# sides per module basis vector and algebra basis vector).  5,243 while
+# the bimodule axioms multiplied dense matrices; composing the module's
+# action columns instead (and projecting ∇'s columns at intake) adds 279
+COL_SUM_CALLS_M2 = 5522
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
@@ -531,13 +535,43 @@ def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
         from_compose.append(terms)
         return counting(terms)
 
-    for module in (connection, curvature, forms, tensorconn):
+    for module in (algebra, connection, curvature, forms, tensorconn):
         monkeypatch.setattr(module, "_col_sum", counting)
     # within linalg only _compose calls it
     monkeypatch.setattr(linalg, "_col_sum", compose_counting)
     cli.run("all", parse_model(str(MODELS / "m2_grass.model")))
     assert len(calls) == COL_SUM_CALLS_M2
     assert from_compose and all(from_compose)
+
+
+# `_to_cols` and `_to_mat` calls in one parse and `all`, by the module that
+# makes them: a bimodule's actions (algebra, one call per action of a basis
+# element) and ∇ (model) are converted to columns once, at intake, and only
+# maps a report prints are densified (ρ in calculus, σ in connection).
+# While the actions and ∇ were held dense, m2_grass made 77 and 3 such
+# calls and a2_flat 64 and 18.
+CONVERSIONS = {
+    "m2_grass": ({"algebra": 8, "model": 1}, {"calculus": 3}),
+    "a2_flat": ({"algebra": 4, "model": 1}, {"calculus": 6, "connection": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERSIONS))
+def test_maps_are_converted_only_at_intake_and_for_printing(monkeypatch,
+                                                            name):
+    calls = {"_to_cols": {}, "_to_mat": {}}
+    for at in ("algebra", "calculus", "cli", "connection", "curvature",
+               "forms", "linalg", "model", "tensorconn"):
+        module = getattr(bimodconn, at)
+        for fn, counts in calls.items():
+            if hasattr(module, fn):
+                def counting(*args, convert=getattr(module, fn),
+                             counts=counts, at=at):
+                    counts[at] = counts.get(at, 0) + 1
+                    return convert(*args)
+                monkeypatch.setattr(module, fn, counting)
+    cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    assert (calls["_to_cols"], calls["_to_mat"]) == CONVERSIONS[name]
 
 
 def _assert_reduced(span: SpanBuilder, ref) -> None:
@@ -688,8 +722,9 @@ def test_the_column_index_is_the_one_rebuilt_from_the_rows(m):
             q = kernel_quotient(cols)
             want = _reference.kernel_quotient(cols, len(rows))
             assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
-    # a nonzero row or, for the zero map, the reference's kernel was absorbed
-    assert any(checked)
+    # a nonzero row was absorbed unless the map is zero (the references
+    # eliminate without _absorb)
+    assert any(checked) or not any(map(any, m))
 
 
 def _clearing_work(monkeypatch) -> list[tuple[int, set[int], set[int]]]:

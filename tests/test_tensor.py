@@ -14,9 +14,9 @@ from bimodconn.calculus import preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
-from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _to_mat,
-                              identity_mat, is_zero_vec,
-                              vec_add, zeros)
+from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _to_cols,
+                              _to_mat, identity_mat, is_zero_vec, vec_add,
+                              zeros)
 from bimodconn.model import parse_model
 from bimodconn.report import rationals
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
@@ -85,7 +85,7 @@ def column_connection() -> Connection:
     emb[0 * 2 + 1] = F(1)                           # e1 (x) e2
     bar = cal.universal.from_emb(1, emb)
     col = [-x for x in forms.class_of_pair_bar(1, [F(1)], bar)]
-    c = Connection(forms, [[x] for x in col])
+    c = Connection(forms, _to_cols([[x] for x in col], 1))
     assert check_right_leibniz(c).ok
     return c
 
@@ -105,7 +105,7 @@ def skew_connection(perturbed: bool = False) -> Connection:
         cols[0] = vec_add(cols[0], forms.class_of_pair_bar(
             1, n.basis_vec(1), uni.from_emb(1, emb)))
     matrix = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
-    rc = Connection(forms, matrix)
+    rc = Connection(forms, _to_cols(matrix, 2))
     assert check_right_leibniz(rc).ok
     return rc
 
@@ -320,10 +320,11 @@ def test_the_tensor_checks_by_columns_match_the_dense_references(name):
         assert [_col_vec(rel.items(), x.dim * y.dim) for rel in rels] == \
             _reference.balancing_relations(x, y)
         assert all(rel and all(rel.values()) for rel in rels)
-    assert assoc.ext_matrices == \
+    assert [_to_mat(cols, nu.target.dim(r + 1))
+            for r, cols in enumerate(assoc.ext_cols)] == \
         [h for h, _ in _reference.associated_factors(c, nu)]
     assert _witness(assoc.verdicts, "associated-square") == \
-        _reference.associated_square(c, nu, assoc.ext_matrices)
+        _reference.associated_square(c, nu, assoc.ext_cols)
 
 
 def _bumped(col, row: int = 0):
@@ -424,26 +425,24 @@ def test_a_perturbed_tensor_column_fails_right_leibniz_as_the_dense_route(
 @pytest.mark.parametrize("name", TENSOR_CASES)
 def test_a_perturbed_associated_entry_fails_the_square_as_the_dense_route(
         monkeypatch, name):
-    # ∇′_M's matrix in degree 0, off by one at (0, 0) as it is densified
-    # off ν̂∘∇′'s columns at the target's free columns
+    # ∇′_M in degree 0, read off ν̂∘∇′'s columns at the target's free
+    # columns, off by one at (0, 0) as it is handed to Connection
     c, ic = _fresh(name)
     nu = nu_hat(c, ic.below[0])
 
     calls = []
 
-    def perturbed(cols, n_rows):
-        m = _to_mat(cols, n_rows)
-        calls.append(n_rows)
-        if len(calls) == 1:
-            m[0][0] += 1
-        return m
+    def perturbed(forms, nabla):
+        calls.append(forms)
+        nabla[0] = _bumped(nabla[0])
+        return Connection(forms, nabla)
 
-    monkeypatch.setattr(tensorconn, "_to_mat", perturbed)
+    monkeypatch.setattr(tensorconn, "Connection", perturbed)
     assoc = associated_connection(c, nu)
-    assert calls[0] == nu.target.dim(1)
+    assert calls == [nu.target]
     witness = _witness(assoc.verdicts, "associated-square")
     assert witness == {"degree": 0}
-    assert witness == _reference.associated_square(c, nu, assoc.ext_matrices)
+    assert witness == _reference.associated_square(c, nu, assoc.ext_cols)
 
 
 def test_a_kernel_vector_of_nu_hat_that_nabla_moves_is_the_absent_witness():
@@ -462,7 +461,7 @@ def test_a_kernel_vector_of_nu_hat_that_nabla_moves_is_the_absent_witness():
     assoc = associated_connection(c, nu)
     (v,) = [v for v in assoc.verdicts if v.check_id == "associated-connection"]
     assert v.status == "absent" and not assoc.exists
-    assert assoc.connection is None and assoc.ext_matrices == []
+    assert assoc.connection is None and assoc.ext_cols == []
     factors = _reference.associated_factors(c, nu)
     assert [h is None for h, _ in factors] == [False, True]
     assert v.witness == {"degree": 1,
