@@ -29,8 +29,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .algebra import Algebra, Bimodule
-from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _combine, _div, _exact, _sparse, _sparse_sum, _to_mat,
+from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
+                     _col_vec, _combine, _div, _exact, _sparse, _sparse_sum,
                      identity_mat, quotient, QuotientSpace, zeros)
 
 
@@ -306,7 +306,7 @@ class GradedCalculus:
     def __init__(self, universal: UniversalCalculus,
                  quotients: list[QuotientSpace]):
         """Degree r is Ω^r_u / ``quotients[r].sub``; the ideal's basis per
-        degree, in bar coordinates, is ``ideal[r]``."""
+        degree, in bar coordinates and sparse, is ``ideal[r]``."""
         self.universal = universal
         self.algebra = universal.algebra
         self.D = universal.D
@@ -340,12 +340,6 @@ class GradedCalculus:
 
     def d_apply(self, r: int, q: Vec) -> Vec:
         return _combine(self.d_cols(r), q, self.dim(r + 1))
-
-    def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
-        """Product of quotient classes, via representatives."""
-        bar = self.universal.product(r, self.quotients[r].lift(u),
-                                     s, self.quotients[s].lift(v))
-        return self.class_of_bar(r + s, bar)
 
     def degree_bimodule(self, r: int) -> Bimodule:
         """Ω^r as an A-bimodule in quotient coordinates, its actions the
@@ -429,35 +423,35 @@ def quotient_calculus(base: GradedCalculus,
 
 @dataclass
 class CalculusMorphism:
-    """Per-degree maps between calculi intertwining products and d, such as
-    ``preceq``'s canonical projection ρ_r = P₁·lift₂."""
+    """Per-degree maps between calculi intertwining products and d, by
+    columns, such as ``preceq``'s canonical projection ρ_r = P₁·lift₂."""
 
     source: GradedCalculus
     target: GradedCalculus
-    maps: list[Mat]             # degree 0..D
+    maps: list[Cols]            # degree 0..D
 
 
 def preceq(c1: GradedCalculus, c2: GradedCalculus) \
         -> tuple[CalculusMorphism | None, tuple[int, Vec] | None]:
     """(Ω₁,d₁) ⪯ (Ω₂,d₂): the canonical projection ρ: Ω₂ → Ω₁ exists iff the
     defining ideal of Ω₂ is contained degree-wise in that of Ω₁, the kernel
-    of Ω₁'s projection P₁.  Then ρ_r = P₁·lift₂, P₁'s columns at Ω₂'s free
-    columns, densified as a map on classes: P₂·lift₂ = I and ker P₂ ⊆ ker P₁
-    give ρ_r·P₂ = P₁.
+    of Ω₁'s projection P₁: b ∈ I₂ lies in I₁ iff P₁'s columns at b's
+    nonzeros sum to zero.  Then ρ_r = P₁·lift₂, P₁'s columns at Ω₂'s free
+    columns: P₂·lift₂ = I and ker P₂ ⊆ ker P₁ give ρ_r·P₂ = P₁.  In degree 0
+    both ideals are zero, so ρ₀ is the identity.
 
     Returns (ρ, None) on success, (None, (degree, witness)) otherwise, the
-    witness the first basis vector of I₂ \\ I₁ by degree, in bar
+    witness the first basis vector of I₂ \\ I₁ by degree, densified in bar
     coordinates of the shared universal calculus.
     """
     if c1.universal is not c2.universal and \
             (c1.algebra != c2.algebra or c1.D != c2.D):
         raise DimensionError("calculi must share algebra and truncation")
     for r in range(1, c1.D + 1):
+        proj = c1.quotients[r].proj_cols
         for b in c2.ideal[r]:
-            if any(c1.quotients[r].project(b)):
-                return None, (r, b)
-    maps = [identity_mat(c1.algebra.dim)] + [
-        _to_mat([c1.quotients[r].proj_cols[fc] for fc in c2.quotients[r].free],
-                c1.dim(r))
-        for r in range(1, c1.D + 1)]
+            if _sparse_sum([(proj[x], c) for x, c in b.items()]):
+                return None, (r, _col_vec(b.items(), len(proj)))
+    maps = [[c1.quotients[r].proj_cols[fc] for fc in c2.quotients[r].free]
+            for r in range(c1.D + 1)]
     return CalculusMorphism(c2, c1, maps), None

@@ -373,10 +373,11 @@ class Kappa1:
     ops: list[DegreeRHom]
     verdicts: list[Verdict] = field(default_factory=list)
 
-    def op(self, alpha_bar: Vec) -> DegreeRHom:
-        """κ₁(α): per column of M, ``ops``' columns combined at α's
-        nonzeros."""
-        terms = [(self.ops[u], x) for u, x in _sparse(alpha_bar).items()]
+    def op(self, alpha: Vec | SparseVec) -> DegreeRHom:
+        """κ₁(α), α dense or sparse in bar coordinates: per column of M,
+        ``ops``' columns combined at α's nonzeros."""
+        nz = alpha if type(alpha) is dict else _sparse(alpha)
+        terms = [(self.ops[u], x) for u, x in nz.items()]
         return DegreeRHom(self.connection.forms, 1, [
             _col_sum([(col, x) for op, x in terms if (col := op.cols[i])])
             for i in range(self.connection.module.dim)])

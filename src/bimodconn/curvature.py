@@ -17,9 +17,10 @@ from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
-from .linalg import (Col, Cols, SpanBuilder, Vec, _col_sum, _col_vec,
-                     _combine, _compose, _sparse, identity_mat,
-                     kernel_quotient, quotient, QuotientSpace, zeros)
+from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _col_sum,
+                     _col_vec, _combine, _compose, _sparse, _sparse_sum,
+                     identity_mat, kernel_quotient, quotient, QuotientSpace,
+                     zeros)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -38,7 +39,7 @@ def extend_connection(c: Connection) -> list[Verdict]:
     for r in range(1, f.D):
         plain = c.nabla_ext_plain(r)
         for k, v in enumerate(f.quotient_space(r).sub):
-            if any(_combine(plain, v, f.dim(r + 1))):
+            if _sparse_sum([(plain[x], y) for x, y in v.items()]):
                 verdicts.append(failed("nabla-extension-well-defined",
                                        anchors.EXTENDING_NABLA,
                                        {"degree": r, "sub_basis": k}))
@@ -177,9 +178,6 @@ class OmegaHat:
         self._check_derivation()
         self._check_square_identity()
 
-    def dim(self, r: int) -> int:
-        return self.spans[r].dim
-
     def ops(self, r: int) -> list[DegreeRHom]:
         """A basis of Ω̂_r."""
         return self._ops[r]
@@ -253,10 +251,10 @@ def _square_hat(c: Connection, phi: DegreeRHom) -> Cols:
 
 @dataclass
 class JIdeal:
-    """J_r ⊆ M⊗_AΩ^r spanned by all (∇̂²Φ)(a)·ω, as bases in quotient
+    """J_r ⊆ M⊗_AΩ^r spanned by all (∇̂²Φ)(a)·ω, as sparse bases in quotient
     coordinates of M⊗_AΩ^r, and the quotients M⊗_AΩ^r / J_r."""
 
-    spans: list[list[Vec]]
+    spans: list[list[SparseVec]]
     quotients: list[QuotientSpace]
     verdicts: list[Verdict] = field(default_factory=list)
 
@@ -270,7 +268,9 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
 
     ∇̂²Φ is taken as ∇²∘Φ − Φ∘∇², from the cached curvature columns: the
     two ∇Φ∇ terms of ∇̂(∇̂Φ) cancel, and ``nabla-hat-squared-identity``
-    decides that identity on Ω̂.
+    decides that identity on Ω̂.  Each generator, its products and J's
+    basis vectors stay sparse: a map is applied to one by combining its
+    columns at the vector's nonzeros.
     """
     f = c.forms
     D = f.D
@@ -281,13 +281,12 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
             for col in _square_hat(c, phi):
                 if not col:         # a zero column spans nothing
                     continue
-                base = _col_vec(col, f.dim(p + 2))
-                builders[p + 2].add(base)
+                builders[p + 2].add(dict(col))
                 for s in range(1, D - p - 2 + 1):
                     for w in identity_mat(cal.dim(s)):
-                        builders[p + 2 + s].add(_combine(
-                            f.right_mult_cols(p + 2, s, w), base,
-                            f.dim(p + 2 + s)))
+                        rm = f.right_mult_cols(p + 2, s, w)
+                        builders[p + 2 + s].add(
+                            _sparse_sum([(rm[k], x) for k, x in col]))
     quotients = [b.quotient() for b in builders]
     j = JIdeal([q.sub for q in quotients], quotients)
     if j.spans[0] or j.spans[1]:
@@ -299,24 +298,28 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     # Φ̂ ∈ Ω̂ is a sum of words in T, and T₀ ⊆ κ₀(A) acts as f·, so Φ̂(J) ⊆ J
     # follows; the "omega-hat" witness indexes gen_ops(p)
     a = c.module.algebra
+
+    def image(cols: Cols, v: SparseVec) -> SparseVec:
+        return _sparse_sum([(cols[x], y) for x, y in v.items()])
+
     for r in range(2, D + 1):
         for k, v in enumerate(j.spans[r]):
             if r + 1 <= D and not builders[r + 1].contains(
-                    _combine(c.nabla_ext_cols(r), v, f.dim(r + 1))):
+                    image(c.nabla_ext_cols(r), v)):
                 j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
                                          {"op": "nabla", "degree": r,
                                           "basis": k}))
                 return j
             for i in range(a.dim):
-                if not builders[r].contains(f.act_left(r, a.basis_vec(i), v)):
+                if not builders[r].contains(
+                        image(f.left_action_cols(r, a.basis_vec(i)), v)):
                     j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
                                              {"op": "left", "degree": r,
                                               "basis": k, "algebra_basis": i}))
                     return j
             for p in range(1, D - r + 1):
                 for kp, t in enumerate(omega_hat.gen_ops(p)):
-                    if not builders[r + p].contains(
-                            _combine(t.ext_cols(r), v, f.dim(r + p))):
+                    if not builders[r + p].contains(image(t.ext_cols(r), v)):
                         j.verdicts.append(failed(
                             "j-closure", anchors.J_CLOSURE,
                             {"op": "omega-hat", "degrees": [p, r],
@@ -368,9 +371,6 @@ class OmegaM:
     def dims(self) -> list[int]:
         return [self.dim(r) for r in range(self.connection.forms.D + 1)]
 
-    def project(self, r: int, t_class: Vec) -> Vec:
-        return self.quotients[r].project(t_class)
-
     def nabla_cols(self, r: int) -> Cols:
         """Factored ∇: Ω(M)_r → Ω(M)_{r+1}."""
         if r not in self._nabla:
@@ -385,8 +385,10 @@ class OmegaM:
         # ∇ descends (J is ∇-stable; re-check on J's basis)
         for r in range(2, f.D):
             nx = c.nabla_ext_cols(r)
+            proj = self.quotients[r + 1].proj_cols
             for k, v in enumerate(self.j.spans[r]):
-                if any(self.project(r + 1, _combine(nx, v, f.dim(r + 1)))):
+                image = _sparse_sum([(nx[x], y) for x, y in v.items()])
+                if _sparse_sum([(proj[x], y) for x, y in image.items()]):
                     self.verdicts.append(failed("omega-m-nabla-descends",
                                                 anchors.UNIQUE_FACTORIZATIONS,
                                                 {"degree": r, "basis": k}))
@@ -725,8 +727,9 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
                                {"degree": r, "basis": k}))
     for r in range(1, cal.D + 1):
         for v in cal.ideal[r]:
-            if induced.image(r, list(_sparse(v).items())):
-                witnesses.append((r, v))
+            if induced.image(r, list(v.items())):
+                witnesses.append((r, _col_vec(v.items(),
+                                              cal.universal.bar_dim(r))))
                 break
     if witnesses:
         verdicts.append(Verdict("sigma-all-degrees", anchors.SIGMA_FULL_IFF,

@@ -21,7 +21,8 @@ q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω.  Its column k is the product
 of class k's representative (a basis tensor) by a representative of ω, as
 the terms of ``_product_terms``, each read as the projection's sparse
 column at its index.  The right A-action is its s = 0 case.  Both are
-computed once per argument.
+computed once per argument.  I⁰ = 0, so T₀ is M and column i of
+``right_mult_cols(0, s, ω)`` is the class of m_i⊗ω.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _combine, QuotientSpace, zeros)
+                     _col_sum, _combine, QuotientSpace)
 
 if TYPE_CHECKING:
     from .connection import DegreeRHom
@@ -95,12 +96,11 @@ class Forms:
         sparse.  These span M⊗I^r: m = g·a gives m⊗ι = g⊗a·ι, and I is a
         left ideal.  g⊗(e_i0·de_β) = (g·e_i0)⊗de_β, and g·e_i0 is column g
         of the stored right action of e_i0, so g⊗ι is read off those
-        columns at ι's nonzeros.  Each ι is decoded once, into its ((i0, β),
-        coeff) terms, for every generator."""
+        columns at ι's nonzeros.  Each ι, sparse, is decoded once, into its
+        ((i0, β), coeff) terms, for every generator."""
         nt = self.n_tails(r)
         moved = self.module.right_action
-        terms = [[(divmod(flat, nt), iota[flat])
-                  for flat in compress(range(len(iota)), iota)]
+        terms = [[(divmod(flat, nt), c) for flat, c in iota.items()]
                  for iota in self.calculus.ideal[r]]
         out = []
         for g in self.generators:
@@ -116,27 +116,7 @@ class Forms:
     def quotient_space(self, r: int) -> QuotientSpace:
         return self._quotients[r]
 
-    def project(self, r: int, tu: Vec) -> Vec:
-        return self._quotients[r].project(tu)
-
-    def lift(self, r: int, q: Vec) -> Vec:
-        return self._quotients[r].lift(q)
-
-    # -- element construction ---------------------------------------------
-    def class_of_pair_bar(self, r: int, m_vec: Vec, u_bar: Vec) -> Vec:
-        """Class of m ⊗ u for u in degree-r bar coordinates."""
-        return self.project(r, self.mult_tu_by_bar(0, m_vec, r, u_bar))
-
     # -- tail right multiplication ----------------------------------------
-    def mult_tu_by_bar(self, r: int, tu: Vec, s: int, omega_bar: Vec) -> Vec:
-        """(element of T^u_r) · (degree-s universal element) → T^u_{r+s}."""
-        out = zeros(self.tu_dim(r + s))
-        for flat in compress(range(len(tu)), tu):
-            c = tu[flat]
-            for at, x in self._product_terms(r, flat, s, omega_bar):
-                out[at] += c * x
-        return out
-
     def _product_terms(self, r: int, flat: int, s: int, omega_bar: Vec) \
             -> list[tuple[int, int | Fraction]]:
         """The (index, coeff) terms in T^u_{r+s} of the basis tensor
@@ -228,10 +208,6 @@ class Forms:
     def act_left(self, r: int, f: Vec, q: Vec) -> Vec:
         """f·q for f in A and a class q of T_r."""
         return _combine(self.left_action_cols(r, f), q, self.dim(r))
-
-    def act_right(self, r: int, q: Vec, f: Vec) -> Vec:
-        """q·f for a class q of T_r and f in A."""
-        return _combine(self.right_mult_cols(r, 0, f), q, self.dim(r))
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω), its

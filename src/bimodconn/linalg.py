@@ -19,8 +19,12 @@ nonzeros met.  ``_compose`` takes an empty column of b to [] without a
 call, and the operator layer skips its empty columns and zero operators
 alike; a caller that hands ``_col_sum`` no term still pays one call, which
 returns [].  Dense matrices (lists of rows) remain only at intake, where
-``_to_cols`` converts a model's actions and ∇ once, and for the maps a
-report prints (σ, ρ), which ``_to_mat`` builds.
+``_to_cols`` converts a model's actions and ∇ once, and for σ, which a
+report prints and ``_to_mat`` builds.  A span's basis is sparse too: the
+``sub`` of a :class:`QuotientSpace` (an ideal, M⊗I, J or a kernel) holds
+the ``SparseVec``s the eliminator accepted, a reader combines columns at
+their nonzeros (``_sparse_sum``), and a witness it prints is densified
+once, by ``_col_vec``.
 
 One eliminator keeps sparse rows, ``dict[column, entry]``, reduced and
 keyed by pivot, so reducing a vector touches only the rows at the pivots
@@ -102,10 +106,6 @@ def identity_mat(n: int) -> Mat:
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def is_zero_vec(v: Vec) -> bool:
-    return all(x == 0 for x in v)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -255,14 +255,15 @@ class QuotientSpace:
     −row at the pivot i of a reduced row of sub.  ``project`` combines those
     columns at v's nonzeros, and a caller that needs the class of one unit
     vector reads its column.  ``sub`` is the independent basis the quotient
-    was taken by, and ``free`` the columns of total (the pivot complement of
-    sub) whose unit vectors represent the quotient basis: lift(e_k) =
-    e_{free[k]}.  So a map m on total, composed with ``lift``, is m's
-    columns at ``free``, and the map it induces on classes is read off
-    those columns (``induced``).
+    was taken by, held sparse as the eliminator accepted it (no zero entry),
+    and ``free`` the columns of total (the pivot complement of sub) whose
+    unit vectors represent the quotient basis: lift(e_k) = e_{free[k]}.
+    So a map m on total, composed with ``lift``, is m's columns at
+    ``free``, and the map it induces on classes is read off those columns
+    (``induced``).
     """
 
-    sub: list[Vec]
+    sub: list[SparseVec]
     free: list[int]
     proj_cols: Cols
 
@@ -396,7 +397,8 @@ def _absorb(rows: dict[int, SparseVec], held: _Held, res: SparseVec) -> bool:
 class SpanBuilder:
     """Incrementally built span, kept as its reduced row echelon form
     ``_rows`` (see ``_absorb``); ``_added`` holds the vectors that enlarged
-    it, in order, sparse, densified only as a quotient's ``sub``.
+    it, in order, sparse; ``quotient`` hands out a copy of that list as its
+    ``sub``, so a later ``add`` leaves that quotient as it was.
 
     ``add`` and ``contains`` take a ``SparseVec`` (no zero entry, keys in
     range(ambient_dim); left unchanged) or a ``Vec`` (its length checked,
@@ -435,13 +437,12 @@ class SpanBuilder:
 
     def quotient(self) -> QuotientSpace:
         """The ambient space modulo this span, read off the reduced rows."""
-        n = self.ambient_dim
-        return _quotient_of_rows(n, self._rows, [_col_vec(v.items(), n)
-                                                 for v in self._added])
+        return _quotient_of_rows(self.ambient_dim, self._rows,
+                                 self._added[:])
 
 
 def _quotient_of_rows(n: int, rows: dict[int, SparseVec],
-                      sub: list[Vec]) -> QuotientSpace:
+                      sub: list[SparseVec]) -> QuotientSpace:
     """The n-dimensional space modulo the span of sub, read off that span's
     RREF ``rows`` (keyed by pivot): e_i reduces to itself for a free column
     i and to e_i − row for the pivot i of a row, and the projection's
@@ -489,11 +490,10 @@ def _kernel(cols: Cols, at: range) -> dict[int, SparseVec]:
 def kernel_quotient(cols: Cols) -> QuotientSpace:
     """The domain of a map, given by its n sparse columns, modulo its
     kernel: ``quotient(n, null_space(cols))`` with ``sub`` the kernel's
-    RREF, from one elimination of the map's rows.  The rows are reduced
-    with column u at index n−1−u, so each kernel vector of ``_kernel`` is
-    zero at every other non-pivot u and has its first nonzero at u: these
-    vectors are the kernel's RREF."""
+    RREF rows, sparse, from one elimination of the map's rows.  The rows
+    are reduced with column u at index n−1−u, so each kernel vector of
+    ``_kernel`` is zero at every other non-pivot u and has its first
+    nonzero at u: these vectors are the kernel's RREF."""
     n = len(cols)
     kernel = _kernel(cols, range(n - 1, -1, -1))
-    return _quotient_of_rows(n, kernel, [_col_vec(row.items(), n)
-                                         for row in kernel.values()])
+    return _quotient_of_rows(n, kernel, list(kernel.values()))

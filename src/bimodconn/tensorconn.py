@@ -23,7 +23,7 @@ from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, SpanBuilder, Vec, _col_sum,
                      _col_vec, _combine, _compose, _sparse, _sparse_sum,
-                     is_zero_vec, kernel_quotient, null_space, zeros)
+                     identity_mat, kernel_quotient, null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -127,18 +127,20 @@ def degeneracy_brute(pair: DegeneracyPair) -> Verdict:
 
 def check_compatibility(c: Connection, rc: Connection,
                         pair: DegeneracyPair) -> Verdict:
-    """∇M₀ ⊆ M₀⊗_AΩ¹ and ∇′N₀ ⊆ N₀⊗_AΩ¹ (each against its own calculus)."""
+    """∇M₀ ⊆ M₀⊗_AΩ¹ and ∇′N₀ ⊆ N₀⊗_AΩ¹ (each against its own calculus).
+
+    M₀⊗_AΩ¹ is spanned by v⊗ω over a basis v of M₀ and the basis classes ω
+    of Ω¹, and v⊗ω combines the columns of ``right_mult_cols(0, 1, ω)``,
+    the classes m_i⊗ω, at v's nonzeros."""
     for sub, conn, side in ((pair.m0, c, "M0"), (pair.n0, rc, "N0")):
         if not sub:
             continue
         forms = conn.forms
-        uni = forms.calculus.universal
         span = SpanBuilder(forms.dim(1))
-        for v in sub:
-            for k in range(uni.bar_dim(1)):
-                bar = zeros(uni.bar_dim(1))
-                bar[k] = 1
-                span.add(forms.class_of_pair_bar(1, v, bar))
+        for w in identity_mat(forms.calculus.dim(1)):
+            rm = forms.right_mult_cols(0, 1, w)
+            for v in sub:
+                span.add(_combine(rm, v, forms.dim(1)))
         for v in sub:
             if not span.contains(conn.nabla_apply(v)):
                 return failed("tensor-compatibility",
@@ -196,11 +198,13 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         nu.maps.append([proj[fc] for fc in src.quotient_space(r).free])
     # well defined: the source relations are killed in the target
     for r in range(src.D + 1):
+        proj = tgt.quotient_space(r).proj_cols
         for v in src.quotient_space(r).sub:
-            if not is_zero_vec(tgt.project(r, v)):
-                nu.verdicts.append(failed("nu-hat-well-defined",
-                                          anchors.NU_HAT,
-                                          {"degree": r, "vector": rationals(v)}))
+            if _sparse_sum([(proj[x], y) for x, y in v.items()]):
+                nu.verdicts.append(failed(
+                    "nu-hat-well-defined", anchors.NU_HAT,
+                    {"degree": r,
+                     "vector": rationals(_col_vec(v.items(), len(proj)))}))
                 return nu
     nu.verdicts.append(passed("nu-hat-well-defined", anchors.NU_HAT))
     nu.verdicts.append(_nu_right_linear(nu))
@@ -256,9 +260,6 @@ class TensorConnection:
     @property
     def available(self) -> bool:
         return self.cols is not None
-
-    def apply(self, cls: Vec) -> Vec:
-        return _combine(self.cols, cls, self.codomain.dim)
 
 
 def _tail_bars(uni) -> list[Vec]:
@@ -329,28 +330,26 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
     Per f, ∇⊗∘(·f) and (·f)∘∇⊗ are composed once by columns; the class x
     at basis index k lifts to the pure pair free[k] = (j, i), where x⊗df is
     the W-class of b_j⊗(a_i⊗df), W's projection columns at b_j and the
-    nonzeros of the class of a_i⊗df.
+    nonzeros of the class of a_i⊗df, column i of ``right_mult_cols(0, 1,
+    df)``.
     """
     tn, w = tc.domain, tc.codomain
     m = c.module
     a = m.algebra
-    uni = c.calculus.universal
     t1 = c.forms.dim(1)
     proj = w.quotient.proj_cols
     per_f = []
     for fi in range(a.dim):
         fv = a.basis_vec(fi)
-        df_bar = uni.d(0, fv)
         per_f.append((_compose(tc.cols, tn.induced_right_cols(fv)),
                       _compose(w.induced_right_cols(fv), tc.cols),
-                      [_sparse(c.forms.class_of_pair_bar(
-                          1, m.basis_vec(i), df_bar)) for i in range(m.dim)]))
+                      c.forms.right_mult_cols(
+                          0, 1, c.calculus.d_of_algebra(fv))))
     for col, fc in enumerate(tn.quotient.free):
         j, i = divmod(fc, m.dim)
         for fi, (lhs, rhs, pieces) in enumerate(per_f):
             if _sparse_sum([(lhs[col], 1), (rhs[col], -1)]
-                           + [(proj[j * t1 + l], -x)
-                              for l, x in pieces[i].items()]):
+                           + [(proj[j * t1 + l], -x) for l, x in pieces[i]]):
                 tc.verdicts.append(failed("tensor-right-leibniz",
                                           anchors.TENSOR_CONNECTION,
                                           {"basis": col, "algebra_basis": fi}))

@@ -25,7 +25,8 @@ Below them, the whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``
 multiplications before they skipped a zero factor.  Next, the per-pair route of the three right
 Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
 rule and ``OmegaM``'s), which multiply classes through representatives
-(``mult_class``) rather than ``Forms.right_mult_cols``.  Then the
+(``mult_class``, on the dense ``mult_tu_by_bar``; ``class_of_pair_bar`` and
+``class_product`` likewise) rather than ``Forms.right_mult_cols``.  Then the
 per-triple route of κ₁'s bimodule linearity (``kappa1``), κ₁ as
 coordinates in the accepted basis of Ω¹_∇ with σ built by
 ``factor_through`` (``kappa1_coords``, ``sigma``), and the unit complement
@@ -38,23 +39,25 @@ a vector, and the quotient read off a second row reduction of its sub.
 At the top, next to the dense helpers (∇ and a bimodule's actions
 densified, ``nabla_matrix``, ``actions``, ``action_matrix``), a textbook
 Gauss–Jordan (``rref``) that shares no eliminator with ``linalg``, so a
-fault in ``linalg``'s cannot reach both sides of a comparison, the dense
-null space off it (``null_space``) and the factorisation through a
-surjection on ``LinSolver`` (``factor_through``), which σ, ⪯ and ∇′_M took
-before they were read off a map's columns at a quotient's ``free``
-columns.  Then the ideal saturation that also tries every product by de_j,
-each formed in tensor-power coordinates, so that it reads none of the
-column tables it checks.  Then
-⪯ decided by eliminating I₁ afresh and ρ built by ``factor_through``.  Then Ω_∇ through κ̄ densified and its
-null space (``kernel_quotient``), and the dense tensor checks: ν̂'s
-right-linearity squares, the balancing relations as dense vectors, ∇⊗
-filled in entry by entry, its right Leibniz rule with ·f on classes
-through representatives, and the associated connection's factors and
-square.  Then the degeneracy submodules, their brute-force oracle and the
-σ-route agreement with the class of each basis pair b_j⊗a_i formed by
-``project_pure`` on dense unit vectors, not read off the tensor's
-projection columns.  Last, the parse of a rational string that reads
-every string by ``Fraction``.
+fault in ``linalg``'s cannot reach both sides of a comparison, with its
+own zero test (``is_zero_vec``), span membership (``reduces_to_zero``) and
+densified sparse vectors (``dense_vecs``), the dense null space off it
+(``null_space``) and the factorisation through a surjection off the
+``rref`` of [f | I] (``factor_through``), which σ, ⪯ and ∇′_M took before
+they were read off a map's columns at a quotient's ``free`` columns.
+Then the ideal saturation that also tries every product by de_j, each
+formed in tensor-power coordinates, so that it reads none of the column
+tables it checks.  Then ⪯ decided by reducing I₂'s basis modulo the
+``rref`` of I₁'s and ρ built by ``factor_through``.  Then Ω_∇ through κ̄
+densified and its null space (``kernel_quotient``), and the dense tensor
+checks: ν̂'s right-linearity squares, the balancing relations as dense
+vectors, ∇⊗ filled in entry by entry, its right Leibniz rule with ·f on
+classes through representatives, and the associated connection's
+factors and square.  Then the degeneracy submodules, their brute-force
+oracle and the σ-route agreement with the class of each basis pair
+b_j⊗a_i formed by ``project_pure`` on dense unit vectors, not read off
+the tensor's projection columns.  Last, the parse of a rational string
+that reads every string by ``Fraction``.
 """
 
 import bisect
@@ -69,10 +72,10 @@ from bimodconn.algebra import tensor_over_A
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
-from bimodconn.linalg import (DimensionError, LinSolver, QuotientSpace,
-                              SpanBuilder, _col_vec, _div, _eliminate, _exact,
-                              _sparse, _to_mat, identity_mat, is_zero_vec,
-                              mat_vec, rank, vec_add, zero_mat, zeros)
+from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
+                              _col_vec, _combine, _div, _eliminate, _exact,
+                              _sparse, _to_mat, identity_mat, mat_vec,
+                              vec_add, zero_mat, zeros)
 from bimodconn.model import ModelError
 from bimodconn.report import failed, passed, rationals
 from bimodconn.tensorconn import (DegeneracyPair, _pure_pair_columns,
@@ -118,6 +121,34 @@ def rref(matrix):
             pivots)
 
 
+def is_zero_vec(v):
+    """Whether every entry of a dense vector is zero."""
+    return not any(v)
+
+
+def dense_vecs(vectors, n):
+    """Sparse vectors, such as a quotient's ``sub``, as dense vectors of
+    length n."""
+    out = []
+    for v in vectors:
+        d = [0] * n
+        for k, x in v.items():
+            d[k] = x
+        out.append(d)
+    return out
+
+
+def reduces_to_zero(reduced, pivots, v):
+    """Whether the dense vector v lies in the span of the nonzero RREF rows
+    ``reduced`` with their ``pivots`` (as ``rref`` returns them): each row
+    is 1 at its pivot and 0 at the others, so subtracting v's entry at each
+    pivot times its row leaves zero exactly when v is in the span."""
+    for row, pc in zip(reduced, pivots):
+        if x := v[pc]:
+            v = [y - x * z for y, z in zip(v, row)]
+    return not any(v)
+
+
 def null_space(matrix, n_cols):
     """Basis of {x : matrix @ x = 0} for a dense matrix with n_cols columns,
     off the RREF of ``rref``: for each free column fc ascending,
@@ -143,18 +174,29 @@ class SurjectivityError(ValueError):
 
 def factor_through(f, g, n):
     """Factor g through the surjection f, both dense maps on an
-    n-dimensional domain: (h, None) with h∘f = g when ker f ⊆ ker g, h's
-    column i g applied to a ``LinSolver`` solution of f x = e_i; otherwise
-    (None, the first vector of ``null_space(f)`` that g does not kill)."""
+    n-dimensional domain: (h, None) with h∘f = g when ker f ⊆ ker g;
+    otherwise (None, the first vector of ``null_space(f)`` that g does not
+    kill).  h's column i is g applied to the solution x of f x = e_i with
+    zero free entries, read off the ``rref`` of [f | I]: its rows are
+    [R | T] with T·f = R, so x is column i of T at R's pivots, and f is
+    onto exactly when every pivot lies in f's block."""
     if any(len(row) != n for row in f) or any(len(row) != n for row in g):
         raise DimensionError("f and g must share a domain")
-    if rank(f) != len(f):
+    k = len(f)
+    _, reduced, pivots = rref([list(row) + [int(i == j) for j in range(k)]
+                               for i, row in enumerate(f)]) if f else \
+        (0, [], [])
+    if any(pc >= n for pc in pivots):
         raise SurjectivityError("factor_through requires f surjective")
     for v in null_space(f, n):
         if not is_zero_vec(mat_vec(g, v)):
             return None, v
-    solver = LinSolver(f)
-    cols = [mat_vec(g, solver.solve(e)) for e in identity_mat(len(f))]
+    cols = []
+    for i in range(k):
+        x = zeros(n)
+        for row, pc in zip(reduced, pivots):
+            x[pc] = row[n + i]
+        cols.append(mat_vec(g, x))
     return cols_to_mat(cols, len(g)), None
 
 
@@ -460,7 +502,8 @@ class DenseRoute:
 def right_linearity_witness(op):
     """``DegreeRHom.right_linearity_witness`` on dense vectors: for each
     module basis vector a, then each algebra basis vector f, Φ applied to
-    a·f against f's right action on T_degree applied to Φ(a)."""
+    a·f against Φ(a)·f, multiplied through representatives
+    (``mult_class``)."""
     f = op.forms
     m, a = f.module, f.algebra
     for ai in range(m.dim):
@@ -469,7 +512,7 @@ def right_linearity_witness(op):
         for fi in range(a.dim):
             fv = a.basis_vec(fi)
             if op.apply(m.act_right(av, fv)) != \
-                    f.act_right(op.degree, img, fv):
+                    mult_class(f, op.degree, img, 0, fv):
                 return (ai, fi)
     return None
 
@@ -577,7 +620,8 @@ def extension_columns(f, r, phi, s, indices):
     of Φ(m_i) with β concatenated."""
     q = f.quotient_space(r + s)
     tails = f.uni.tails(s)
-    imgs = [f.lift(r, [row[i] for row in phi]) for i in range(f.module.dim)]
+    imgs = [f.quotient_space(r).lift([row[i] for row in phi])
+            for i in range(f.module.dim)]
     cols = []
     for flat in indices:
         m_i, bidx = divmod(flat, f.n_tails(s))
@@ -760,7 +804,8 @@ def j_closure(c, ops):
     D = f.D
     builders = j_spans(c, ops)
     for r in range(2, D + 1):
-        for k, v in enumerate(builders[r].quotient().sub):
+        for k, v in enumerate(dense_vecs(builders[r].quotient().sub,
+                                         f.dim(r))):
             if r + 1 <= D and not builders[r + 1].contains(
                     mat_vec(nabla_ext(c, r), v)):
                 return {"op": "nabla", "degree": r, "basis": k}
@@ -795,11 +840,38 @@ def graded_leibniz(c):
 # -- the right Leibniz checks, per basis pair -----------------------------
 
 
+def mult_tu_by_bar(f, r, tu, s, omega_bar):
+    """(element of T^u_r)·(degree-s universal element) → T^u_{r+s}, summed
+    densely over ``Forms._product_terms`` at tu's nonzeros."""
+    out = zeros(f.tu_dim(r + s))
+    for flat, c in enumerate(tu):
+        if c:
+            for at, x in f._product_terms(r, flat, s, omega_bar):
+                out[at] += c * x
+    return out
+
+
+def class_of_pair_bar(f, r, m_vec, u_bar):
+    """The class in T_r of m⊗u, m in M and u in degree-r bar coordinates:
+    the product in T^u projected densely."""
+    return f.quotient_space(r).project(mult_tu_by_bar(f, 0, m_vec, r, u_bar))
+
+
+def class_product(cal, r, u, s, v):
+    """The product of the classes u of Ω^r and v of Ω^s via
+    representatives: lift both, multiply in the universal calculus and
+    project."""
+    bar = cal.universal.product(r, cal.quotients[r].lift(u),
+                                s, cal.quotients[s].lift(v))
+    return cal.class_of_bar(r + s, bar)
+
+
 def mult_class(f, r, q, s, omega):
     """(T_r class q)·(Ω^s class ω), via representatives: lift both, multiply
     on T^u and project."""
     omega_bar = f.calculus.quotients[s].lift(omega)
-    return f.project(r + s, f.mult_tu_by_bar(r, f.lift(r, q), s, omega_bar))
+    tu = mult_tu_by_bar(f, r, f.quotient_space(r).lift(q), s, omega_bar)
+    return f.quotient_space(r + s).project(tu)
 
 
 def right_leibniz(c):
@@ -811,8 +883,8 @@ def right_leibniz(c):
         for fi in range(a.dim):
             fv = a.basis_vec(fi)
             lhs = c.nabla_apply(m.act_right(av, fv))
-            rhs = vec_add(mult_class(f, 1, na, 0, fv), f.class_of_pair_bar(
-                1, av, c.calculus.universal.d(0, fv)))
+            rhs = vec_add(mult_class(f, 1, na, 0, fv), class_of_pair_bar(
+                f, 1, av, c.calculus.universal.d(0, fv)))
             if lhs != rhs:
                 return {"module_basis": ai, "algebra_basis": fi}
     return None
@@ -843,12 +915,12 @@ def omega_m_right_leibniz(c, omega_m):
             nv = mat_vec(nx, v)
             for fi in range(a.dim):
                 fv = a.basis_vec(fi)
-                lhs = omega_m.project(r + 1, mat_vec(
+                lhs = omega_m.quotients[r + 1].project(mat_vec(
                     nx, mult_class(f, r, v, 0, fv)))
                 rhs = vec_add(mult_class(f, r + 1, nv, 0, fv),
                               [sign * x for x in mult_class(
                                   f, r, v, 1, c.calculus.d_of_algebra(fv))])
-                if lhs != omega_m.project(r + 1, rhs):
+                if lhs != omega_m.quotients[r + 1].project(rhs):
                     return {"degree": r, "basis": [k, fi]}
     return None
 
@@ -1044,7 +1116,8 @@ class EchelonSpanBuilder:
 
 def quotient(total, sub):
     """total / span(sub) by ``rref``: reducing e_i modulo the RREF rows
-    leaves e_i for a free column i and e_i − row for the pivot i of a row."""
+    leaves e_i for a free column i and e_i − row for the pivot i of a row.
+    Its ``sub`` is the dense vectors as given."""
     if any(len(v) != total for v in sub):
         raise DimensionError("sub is not presented inside total")
     sub_rank, reduced, pivots = rref(sub) if sub else (0, [], [])
@@ -1100,16 +1173,18 @@ def saturate_ideal(uni, generators):
 # -- the partial order ⪯ ----------------------------------------------------
 
 def preceq(c1, c2):
-    """(ρ, None) or (None, (degree, witness)) as ``calculus.preceq``: I₂ ⊆ I₁
-    decided against a fresh elimination of I₁'s basis, the witness the first
-    basis vector of I₂ outside it, and ρ_r the h with h·P₂ = P₁ that
-    ``factor_through`` solves for."""
+    """(ρ, None) or (None, (degree, witness)) as ``calculus.preceq``, with
+    ρ densified: I₂ ⊆ I₁ decided against the ``rref`` of I₁'s basis,
+    densified, the witness the first basis vector of I₂, densified, that
+    does not reduce to zero modulo it, and ρ_r the h with h·P₂ = P₁ that
+    ``factor_through`` solves for.  No step runs ``linalg``'s
+    eliminator."""
     for r in range(1, c1.D + 1):
-        i1 = SpanBuilder(c1.universal.bar_dim(r))
-        for b in c1.ideal[r]:
-            i1.add(b)
-        for b in c2.ideal[r]:
-            if not i1.contains(b):
+        n = c1.universal.bar_dim(r)
+        i1 = dense_vecs(c1.ideal[r], n)
+        _, reduced, pivots = rref(i1) if i1 else (0, [], [])
+        for b in dense_vecs(c2.ideal[r], n):
+            if not reduces_to_zero(reduced, pivots, b):
                 return None, (r, b)
     maps = [identity_mat(c1.algebra.dim)]
     for r in range(1, c1.D + 1):
@@ -1195,7 +1270,8 @@ def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
     cols = []
     for j, xi in enumerate(xi_list):
         terms = [(divmod(flat, nt), cc)
-                 for flat, cc in enumerate(xi_forms.lift(1, xi)) if cc]
+                 for flat, cc in enumerate(xi_forms.quotient_space(1).lift(xi))
+                 if cc]
         for i in range(c.module.dim):
             out = zeros(w.plain_dim)
             for (k, bidx), cc in terms:
@@ -1236,8 +1312,8 @@ def tensor_right_leibniz(tc, c):
         j, i = divmod(fc, m.dim)
         for fi, (lhs, rhs, df_bar) in enumerate(per_f):
             extra = zeros(w.plain_dim)
-            extra[j * t1:(j + 1) * t1] = c.forms.class_of_pair_bar(
-                1, m.basis_vec(i), df_bar)
+            extra[j * t1:(j + 1) * t1] = class_of_pair_bar(
+                c.forms, 1, m.basis_vec(i), df_bar)
             if [row[col] for row in lhs] != vec_add(
                     [row[col] for row in rhs], w.project(extra)):
                 return {"basis": col, "algebra_basis": fi}
@@ -1369,7 +1445,8 @@ def sigma_route(tc, rc, c, sigma):
     pure = _pure(tc.domain, n, m)
     for j in range(n.dim):
         for i in range(m.dim):
-            if dict(plain[j * m.dim + i]) != _sparse(tc.apply(pure[j][i])):
+            if dict(plain[j * m.dim + i]) != _sparse(
+                    _combine(tc.cols, pure[j][i], tc.codomain.dim)):
                 return {"pair": [j, i]}
     return None
 

@@ -356,10 +356,13 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
     for f in built:
         for r in range(f.D + 1):
             full = SpanBuilder(f.tu_dim(r))
-            for v in f.calculus.ideal[r]:
+            for v in _reference.dense_vecs(f.calculus.ideal[r],
+                                           f.uni.bar_dim(r)):
                 for i in range(f.module.dim):
-                    full.add(f.mult_tu_by_bar(0, f.module.basis_vec(i), r, v))
-            old = quotient(f.tu_dim(r), full.quotient().sub)
+                    full.add(_reference.mult_tu_by_bar(
+                        f, 0, f.module.basis_vec(i), r, v))
+            old = quotient(f.tu_dim(r), _reference.dense_vecs(
+                full.quotient().sub, f.tu_dim(r)))
             new = f.quotient_space(r)
             assert (new.proj_cols, new.free) == (old.proj_cols, old.free)
 

@@ -59,8 +59,8 @@ def _check_right_mult(f: Forms) -> None:
                         assert _reference.mat_mul(
                             _right_mult(f, r + s, t, w2),
                             _right_mult(f, r, s, w1)) == \
-                            _right_mult(f, r, s + t,
-                                        cal.product(s, w1, t, w2))
+                            _right_mult(f, r, s + t, _reference.class_product(
+                                cal, s, w1, t, w2))
         # ·[de_j] is concatenation of the tail (j,) on representatives
         if r < f.D:
             for j in cal.universal.complement:
@@ -68,8 +68,8 @@ def _check_right_mult(f: Forms) -> None:
                 for fc in f.quotient_space(r).free:
                     tu = zeros(f.tu_dim(r))
                     tu[fc] = 1
-                    cols.append(f.project(
-                        r + 1, _reference.concat_tu(f, r, tu, (j,))))
+                    cols.append(f.quotient_space(r + 1).project(
+                        _reference.concat_tu(f, r, tu, (j,))))
                 assert _right_mult(
                     f, r, 1, cal.d_of_algebra(a.basis_vec(j))) == \
                     _reference.cols_to_mat(cols, f.dim(r + 1))
@@ -130,9 +130,10 @@ def test_ideal_tensors_are_the_product(make):
     for r in range(f.D + 1):
         tensors = f._ideal_tensors(r)
         assert all(all(tu.values()) for tu in tensors)
+        ideal = _reference.dense_vecs(cal.ideal[r], cal.universal.bar_dim(r))
         assert [_col_vec(tu.items(), f.tu_dim(r)) for tu in tensors] == [
-            f.mult_tu_by_bar(0, module.basis_vec(g), r, iota)
-            for g in f.generators for iota in cal.ideal[r]]
+            _reference.mult_tu_by_bar(f, 0, module.basis_vec(g), r, iota)
+            for g in f.generators for iota in ideal]
 
 
 # the runs whose caches are checked, and the ("ext", …) entries of

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _reference import mat_mul
-from _shared import MODELS, a2
+from _reference import dense_vecs, mat_mul
+from _shared import MODELS, NAMES, a2
 import bimodconn
 from bimodconn import (algebra, cli, connection, curvature, forms, linalg,
                        parse_model, tensorconn)
@@ -313,7 +313,7 @@ def test_quotient_read_off_the_span_matches_the_row_reduce_reference(m, data):
         want = _reference.quotient(n, basis)
         for q in (span.quotient(), quotient(n, basis)):
             assert (q.proj_cols, q.free) == (want.proj_cols, want.free)
-            assert q.sub == basis
+            assert dense_vecs(q.sub, n) == basis
             assert _typed(_to_mat(q.proj_cols, q.dim))
 
 
@@ -343,8 +343,9 @@ def _assert_kernel_quotient(rows, n_cols):
     want = _reference.kernel_quotient(cols, len(rows))
     assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
     kernel = _reference.null_space(rows, n_cols)
-    assert q.sub == (_reference.rref(kernel)[1] if kernel else [])
-    assert _typed(q.sub) and _typed(_to_mat(q.proj_cols, q.dim))
+    sub = dense_vecs(q.sub, n_cols)
+    assert sub == (_reference.rref(kernel)[1] if kernel else [])
+    assert _typed(sub) and _typed(_to_mat(q.proj_cols, q.dim))
     return q
 
 
@@ -547,12 +548,13 @@ def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
 # `_to_cols` and `_to_mat` calls in one parse and `all`, by the module that
 # makes them: a bimodule's actions (algebra, one call per action of a basis
 # element) and ∇ (model) are converted to columns once, at intake, and only
-# maps a report prints are densified (ρ in calculus, σ in connection).
-# While the actions and ∇ were held dense, m2_grass made 77 and 3 such
-# calls and a2_flat 64 and 18.
+# σ, which a report prints, is densified (in connection).  While the
+# actions and ∇ were held dense, m2_grass made 77 and 3 such calls and
+# a2_flat 64 and 18; while ρ was densified in calculus, m2_grass made 3
+# `_to_mat` calls there and a2_flat 6.
 CONVERSIONS = {
-    "m2_grass": ({"algebra": 8, "model": 1}, {"calculus": 3}),
-    "a2_flat": ({"algebra": 4, "model": 1}, {"calculus": 6, "connection": 1}),
+    "m2_grass": ({"algebra": 8, "model": 1}, {}),
+    "a2_flat": ({"algebra": 4, "model": 1}, {"connection": 1}),
 }
 
 
@@ -604,7 +606,7 @@ def test_span_builder_matches_the_echelon_reference(m, data):
             added = ref.add(v)
             for span, w in zip(spans, (v, _sparse_draw(v))):
                 assert span.add(w) == added
-                assert span.quotient().sub == ref.basis
+                assert dense_vecs(span.quotient().sub, n) == ref.basis
                 assert span.dim == ref.dim
                 assert sorted(span._rows) == ref.row_pivots
                 _assert_reduced(span, ref)
@@ -625,7 +627,7 @@ def test_sparse_input_is_not_changed_and_a_full_span_is_not_reduced(
     span = SpanBuilder(3)
     v = {0: 1, 2: F(1, 2)}
     assert span.add(v) and v == {0: 1, 2: F(1, 2)}
-    assert span.quotient().sub == [[1, 0, F(1, 2)]]
+    assert span.quotient().sub == [{0: 1, 2: F(1, 2)}]
     assert span.add([0, 1, 0]) and span.add({2: 3})
     calls = []
     monkeypatch.setattr(linalg, "_eliminate",
@@ -634,6 +636,42 @@ def test_sparse_input_is_not_changed_and_a_full_span_is_not_reduced(
     assert calls == []
     with pytest.raises(DimensionError):
         span.add([1, 1])
+
+
+def test_a_quotient_keeps_its_sub_when_the_span_grows():
+    # quotient() hands out a copy of the accepted vectors, so a later add
+    # enlarges the span but not a quotient already taken
+    span = SpanBuilder(3)
+    span.add([1, 0, 0])
+    q = span.quotient()
+    assert span.add({1: 2})
+    assert q.sub == [{0: 1}] and q.dim == 2 and q.free == [1, 2]
+    assert span.quotient().sub == [{0: 1}, {1: 2}]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_every_quotient_of_all_holds_its_sub_sparse(monkeypatch, name):
+    # every QuotientSpace one parse + `all` builds (the ideal, M⊗I, J, the
+    # balanced tensors, Ω_∇'s kernels) holds sub as the zero-free sparse
+    # vectors it was taken by, no dense cell among them; densified, they
+    # are independent and give the quotient that tests/_reference.py's
+    # rref of them gives
+    built = []
+
+    def recording(n, rows, sub, quotient_of_rows=linalg._quotient_of_rows):
+        q = quotient_of_rows(n, rows, sub)
+        built.append(q)
+        return q
+
+    monkeypatch.setattr(linalg, "_quotient_of_rows", recording)
+    cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    assert any(q.sub for q in built)
+    for q in built:
+        n = len(q.proj_cols)
+        assert all(type(v) is dict and v and all(v.values())
+                   and all(0 <= k < n for k in v) for v in q.sub)
+        want = _reference.quotient(n, dense_vecs(q.sub, n))
+        assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
 
 
 def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
@@ -714,7 +752,7 @@ def test_the_column_index_is_the_one_rebuilt_from_the_rows(m):
                     assert span.add(w) == added
                     assert _nonempty(span._held) == _index_of(span._rows)
             for span in spans:
-                assert span.quotient().sub == ref.basis
+                assert dense_vecs(span.quotient().sub, n) == ref.basis
             cols = _to_cols(rows, n)
             assert row_reduce(rows)[1] == \
                 [_frac(_sym(m).rref()[0].row(i)) for i in range(len(m))]
@@ -802,7 +840,7 @@ def sub_bases(draw):
     span = SpanBuilder(total)
     for v in draw(st.lists(vec, max_size=total)):
         span.add(v)
-    return total, span.quotient().sub, draw(vec)
+    return total, dense_vecs(span.quotient().sub, total), draw(vec)
 
 
 @settings(deadline=None)
@@ -815,6 +853,6 @@ def test_project_combines_the_projection_columns(drawn):
               quotient(total, _ints(sub))):
         dense = _to_mat(q.proj_cols, q.dim)
         assert q.proj_cols == _to_cols(dense, total) == \
-            _reference.quotient(total, q.sub).proj_cols
+            _reference.quotient(total, dense_vecs(q.sub, total)).proj_cols
         for w in (v, _ints(v)):
             assert q.project(w) == mat_vec(dense, w)
