@@ -185,22 +185,19 @@ class UniversalCalculus:
                      for p, cp in self._pi[i0] for t, ct in self._unit]
                     for i0 in range(n) for bidx in range(nt)])
 
-    def product(self, r: int, u: Vec, s: int, v: Vec) -> Vec:
-        """Ω^r × Ω^s → Ω^{r+s}: u·(e_k·de_γ) is u·e_k followed by γ."""
+    def product(self, r: int, u: SparseVec, s: int, v: SparseVec) \
+            -> SparseVec:
+        """Ω^r × Ω^s → Ω^{r+s} on sparse vectors: u·(e_k·de_γ) is u·e_k,
+        R_{e_k}'s columns at u's nonzeros, followed by γ, which moves row x
+        to x·m^s + (index of γ)."""
         nt = len(self._tails[s])
-        out = zeros(self.bar_dim(r + s))
-        times: dict[int, Vec] = {}
-        for flat, c in enumerate(v):
-            if c:
-                k, g = divmod(flat, nt)
-                w = times.get(k)
-                if w is None:
-                    w = times[k] = _combine(self._right_cols[r][k], u,
-                                            self.bar_dim(r))
-                for x, cw in enumerate(w):
-                    if cw:
-                        out[x * nt + g] += c * cw
-        return out
+        terms = []
+        for flat, c in v.items():
+            k, g = divmod(flat, nt)
+            right = self._right_cols[r][k]
+            terms += [([(x * nt + g, w) for x, w in right[y]], c * cu)
+                      for y, cu in u.items()]
+        return _sparse_sum(terms)
 
     def d(self, r: int, v: Vec) -> Vec:
         """d: Ω^r → Ω^{r+1}, d(e_i0·de_β) = de_i0·de_β with de_i0 expanded

@@ -4,7 +4,8 @@ The curvature ∇² is always a right-Ω-homomorphism but in general not left
 A-linear.  Left linearity is restored on the quotient Ω(M) = M⊗_AΩ / J,
 where J is the right Ω-ideal generated by all (∇̂²Φ)(a)·ω.  Composing the
 operators f̂₀∘∇̂f̂₁∘⋯∘∇̂f̂_r with the projection onto Ω(M) yields the map κ
-whose degree-wise kernels cut out the induced calculus Ω_∇.
+whose degree-wise kernels cut out the induced calculus Ω_∇.  Ω̂ itself is
+built through degree D−1, the last degree a check reads.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
 from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _col_sum,
-                     _col_vec, _combine, _compose, _sparse, _sparse_sum,
-                     identity_mat, kernel_quotient, quotient, QuotientSpace,
-                     zeros)
+                     _col_vec, _combine, _compose, _sparse_sum, identity_mat,
+                     kernel_quotient, quotient, QuotientSpace)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -119,18 +119,23 @@ class OmegaHat:
     Ω̂ is built from its generators T: T₀ is a basis of κ₀(A) and T_k a
     basis of ∇̂(T_{k−1}), k = 1..D (``gen_ops``).  A worklist W is seeded
     with T₀; each operator w that enlarges its degree's span is kept, and
-    t∘w, for every t in T with deg t + deg w ≤ D, is tried in turn.  Then:
+    t∘w, for every t in T with deg t + deg w ≤ D−1, is tried in turn.  No
+    check reads Ω̂_D (the derivation identity reads Ω̂_s for s ≤ D−1, J
+    reads Ω̂_p for p ≤ D−2), and a degree-D operator only feeds degree-D
+    candidates, so W stops at D−1.  Then, through degree D−1:
 
     - W ⊆ Ω̂, since every candidate is a composition of operators of Ω̂;
     - W holds T₀ and is closed under composition on the left by T, and
       1 ∈ span T₀, so span W holds every word t₁∘⋯∘t_k in T (T included).
 
     The graded Leibniz rule ∇̂(t∘w) = (∇̂t)∘w + (−1)^r t∘∇̂w, with ∇̂t in
-    span T, then makes span W ∇̂-closed, by induction on the length of w as
-    a word: so span W is Ω̂, the closure of κ₀(A) under composition and ∇̂.
+    span T, then maps span W_r into span W_{r+1} for r ≤ D−2, by induction
+    on the length of w as a word.  Composition and ∇̂ never lower a degree,
+    so span W_r is Ω̂_r, the closure of κ₀(A) under composition and ∇̂, in
+    every degree r ≤ D−1.
     ``_check_derivation`` decides that rule on the pairs (t, w) it needs;
-    if it fails, the verdict already fails.  ``ops(r)`` is a basis of Ω̂_r
-    in the order W found it.
+    if it fails, the verdict already fails.  ``ops(r)``, r < D, is a basis
+    of Ω̂_r in the order W found it.
     """
 
     def __init__(self, connection: Connection):
@@ -154,8 +159,8 @@ class OmegaHat:
                                if span.add(op.flat(self.generators))])
             if r < D:
                 found = [nabla_hat(c, t) for t in self._gens[r]]
-        self.spans = [new_span(r) for r in range(D + 1)]
-        self._ops: list[list[DegreeRHom]] = [[] for _ in range(D + 1)]
+        self.spans = [new_span(r) for r in range(D)]
+        self._ops: list[list[DegreeRHom]] = [[] for _ in range(D)]
         self.verdicts: list[Verdict] = []
         queue: list[DegreeRHom] = []
         # ids already tried: their content lies in their degree's span
@@ -172,14 +177,14 @@ class OmegaHat:
         for t in self._gens[0]:
             try_add(t)
         for w in queue:             # grows while it is read
-            for r in range(D + 1 - w.degree):
+            for r in range(D - w.degree):
                 for t in self._gens[r]:
                     try_add(t.compose(w))
         self._check_derivation()
         self._check_square_identity()
 
     def ops(self, r: int) -> list[DegreeRHom]:
-        """A basis of Ω̂_r."""
+        """A basis of Ω̂_r, r < D."""
         return self._ops[r]
 
     def gen_ops(self, r: int) -> list[DegreeRHom]:
@@ -520,18 +525,22 @@ class InducedCalculus:
     def _project_op(self, r: int, op: DegreeRHom) -> Col:
         """The operator projected to Ω(M)_r, flattened row by row as in κ:
         each nonzero (k, x) of the operator's column c adds x times the
-        projection's sparse column k, at the rows p·dim M + c."""
+        projection's sparse column k, at the rows p·dim M + c; a zero
+        operator is [] with no ``_col_sum`` call."""
         proj = self.omega_m.quotients[r].proj_cols
         width = self.connection.module.dim
-        return _col_sum([([(p * width + c, y) for p, y in proj[k]], x)
-                         for c, col in enumerate(op.cols) for k, x in col])
+        terms = [([(p * width + c, y) for p, y in proj[k]], x)
+                 for c, col in enumerate(op.cols) for k, x in col]
+        return _col_sum(terms) if terms else []
 
     def image(self, r: int, terms: list[tuple[int, int | Fraction]]) -> Col:
         """κ̄ of Σ c·(bar basis vector x) over the (x, c) terms, flattened as
         κ̄'s columns are; one term with c = 1 is that column itself, which
-        the caller must not change."""
+        the caller must not change.  Terms at empty columns are dropped,
+        and [] comes back with no ``_col_sum`` call when none is left."""
         cols = self._columns[r]
-        return _col_sum([(col, c) for x, c in terms if (col := cols[x])])
+        terms = [(col, c) for x, c in terms if (col := cols[x])]
+        return _col_sum(terms) if terms else []
 
     def _check_multiplicative(self) -> None:
         """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.
@@ -666,8 +675,9 @@ def _sigma_u_product_failure(induced: InducedCalculus) \
     failure stands unless a product by de_j fails at an earlier u.
 
     For ω₂ = de_j, whose bar coordinates are 1·de_j = Σ c_i·e_i·de_j (the
-    unit 1 = Σ c_i·e_i written out), the left side is κ̄(u·1·de_j), the
-    combination of κ̄'s columns at the nonzeros of the product.  The right
+    unit 1 = Σ c_i·e_i written out: d's column j), the left side is
+    κ̄(u·1·de_j), the combination of κ̄'s columns at the nonzeros of the
+    sparse product (column u of each R_{e_i}, the tail appended).  The right
     side, κ(u)∘κ(1·de_j) projected, is κ̄'s own column at the monomial
     u·de_j, index u·m + t for j the t-th of the m complement indices: that
     column is the projection of κ(u)∘∇̂ê_j, and κ(1·de_j) = Σ c_i·ê_i∘∇̂ê_j
@@ -675,23 +685,19 @@ def _sigma_u_product_failure(induced: InducedCalculus) \
     rejects a module that fails ``check_bimodule``, unitality included).
     """
     uni = induced.connection.calculus.universal
-    a = uni.algebra
     m = len(uni.complement)
     contraction = induced.multiplicative_failure
-    tails = [uni.d(0, a.basis_vec(j)) for j in uni.complement]
+    tails = [dict(uni.d_cols(0)[j]) for j in uni.complement]
     for r in range(uni.D):
         columns = induced._columns[r + 1]
         for ki in range(uni.bar_dim(r)):
             if contraction is not None and contraction[:2] == (r, ki):
                 return contraction
-            u = zeros(uni.bar_dim(r))
-            u[ki] = 1
             for t, v in enumerate(tails):
-                lhs = induced.image(r + 1,
-                                    list(_sparse(uni.product(r, u, 1, v))
-                                         .items()))
+                lhs = induced.image(
+                    r + 1, list(uni.product(r, {ki: 1}, 1, v).items()))
                 if lhs != columns[ki * m + t]:
-                    return r, ki, a.dim + t
+                    return r, ki, uni.algebra.dim + t
     return contraction
 
 

@@ -35,7 +35,9 @@ and π read off a span's coordinates (``unit_complement``).
 Then the ``linalg`` kernels the sparse ones replaced: the dense product
 (``mat_mul``) and the one that builds one column of b at a time, the span
 builder that keeps echelon rows in a list and walks all of them to reduce
-a vector, and the quotient read off a second row reduction of its sub.
+a vector, with its own elimination step (``EchelonSpanBuilder``, which
+also holds the spans of Ω̂'s references and of the saturation reference),
+and the quotient read off a second row reduction of its sub.
 At the top, next to the dense helpers (∇ and a bimodule's actions
 densified, ``nabla_matrix``, ``actions``, ``action_matrix``), a textbook
 Gauss–Jordan (``rref``) that shares no eliminator with ``linalg``, so a
@@ -73,7 +75,7 @@ from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
 from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
-                              _col_vec, _combine, _div, _eliminate, _exact,
+                              _col_vec, _combine, _exact,
                               _sparse, _to_mat, identity_mat, mat_vec,
                               vec_add, zero_mat, zeros)
 from bimodconn.model import ModelError
@@ -94,6 +96,12 @@ def at_free(q, m):
     return [[row[fc] for fc in q.free] for row in m]
 
 
+def _over(a, b):
+    """a / b exactly, an int when integral: the one division of ``rref``
+    and ``EchelonSpanBuilder``, apart from ``linalg``'s."""
+    return _exact(Fraction(a) / b)
+
+
 def rref(matrix):
     """(rank, RREF, pivot columns) of a dense matrix, the zero rows last, as
     ``linalg.row_reduce`` returns them, by textbook Gauss–Jordan on dense
@@ -110,7 +118,7 @@ def rref(matrix):
             continue
         rows[r], rows[p] = rows[p], rows[r]
         pv = rows[r][c]
-        rows[r] = [_div(x, pv) for x in rows[r]]
+        rows[r] = [_over(x, pv) for x in rows[r]]
         nz = [(j, rows[r][j]) for j in range(n_cols) if rows[r][j]]
         for i, row in enumerate(rows):
             if i != r and (f := row[c]):
@@ -124,6 +132,12 @@ def rref(matrix):
 def is_zero_vec(v):
     """Whether every entry of a dense vector is zero."""
     return not any(v)
+
+
+def product(uni, r, u, s, v):
+    """``UniversalCalculus.product`` of dense bar vectors, densified."""
+    return _col_vec(uni.product(r, _sparse(u), s, _sparse(v)).items(),
+                    uni.bar_dim(r + s))
 
 
 def dense_vecs(vectors, n):
@@ -351,7 +365,7 @@ def sigma_u_multiplicative(induced):
             for kj, (s, v, vop) in enumerate(second):
                 if r + s > uni.D:
                     continue
-                lhs = mat_vec(kappa[r + s], uni.product(r, u, s, v))
+                lhs = mat_vec(kappa[r + s], product(uni, r, u, s, v))
                 rhs = project_op(induced, r + s,
                                  dense(induced._raw[r][ki].compose(vop)))
                 if lhs != rhs:
@@ -533,11 +547,12 @@ def omega_hat(route):
     gens = []
     found = [route.kappa0(a.basis_vec(i)) for i in range(a.dim)]
     for r in range(D + 1):
-        span = SpanBuilder(f.dim(r) * len(f.generators))
+        span = EchelonSpanBuilder(f.dim(r) * len(f.generators))
         gens.append([op for op in found if span.add(key(op))])
         if r < D:
             found = [route.nabla_hat(t) for t in gens[r]]
-    spans = [SpanBuilder(f.dim(r) * len(f.generators)) for r in range(D + 1)]
+    spans = [EchelonSpanBuilder(f.dim(r) * len(f.generators))
+             for r in range(D + 1)]
     ops = [[] for _ in range(D + 1)]
     queue = []
 
@@ -646,7 +661,8 @@ def omega_hat_ops(c):
     at that time."""
     f = c.forms
     a = c.module.algebra
-    spans = [SpanBuilder(f.dim(r) * c.module.dim) for r in range(f.D + 1)]
+    spans = [EchelonSpanBuilder(f.dim(r) * c.module.dim)
+             for r in range(f.D + 1)]
     ops = [[] for _ in range(f.D + 1)]
     queue = []
 
@@ -861,8 +877,8 @@ def class_product(cal, r, u, s, v):
     """The product of the classes u of Ω^r and v of Ω^s via
     representatives: lift both, multiply in the universal calculus and
     project."""
-    bar = cal.universal.product(r, cal.quotients[r].lift(u),
-                                s, cal.quotients[s].lift(v))
+    bar = product(cal.universal, r, cal.quotients[r].lift(u),
+                  s, cal.quotients[s].lift(v))
     return cal.class_of_bar(r + s, bar)
 
 
@@ -1056,9 +1072,22 @@ def dense_mat_mul(a, b):
     return [[col[i] for col in cols] for i in range(len(a))]
 
 
+def _eliminate(v, c, row):
+    """v −= c·row in place, the cancelled entries dropped: the elimination
+    step of ``EchelonSpanBuilder``, apart from ``linalg``'s."""
+    for j, b in row.items():
+        if x := v.get(j, 0) - c * b:
+            v[j] = x
+        else:
+            v.pop(j, None)
+
+
 class EchelonSpanBuilder:
     """``SpanBuilder`` on echelon rows kept in pivot order: reducing v walks
-    every row, and a new row is inserted unreduced."""
+    every row, and a new row is inserted unreduced.  Its elimination step
+    (``_eliminate``) and division (``_over``) are its own, so a fault in
+    ``linalg``'s eliminator cannot reach the spans built here: the Ω̂
+    references and the saturation reference."""
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
@@ -1092,9 +1121,9 @@ class EchelonSpanBuilder:
         idx = len(self.basis)
         self.basis.append(v[:])
         pv = res[pc]
-        row = {j: _div(x, pv) for j, x in res.items()}
-        expr = {k: _div(-c, pv) for k, c in combo.items()}
-        expr[idx] = _div(1, pv)
+        row = {j: _over(x, pv) for j, x in res.items()}
+        expr = {k: _over(-c, pv) for k, c in combo.items()}
+        expr[idx] = _over(1, pv)
         pos = bisect.bisect(self.row_pivots, pc)
         self.rows.insert(pos, row)
         self.row_pivots.insert(pos, pc)
@@ -1142,9 +1171,11 @@ def saturate_ideal(uni, generators):
     """The FIFO worklist that expands each new vector v by e_i·v and v·e_i,
     dv, and de_j·v and v·de_j for j in the unit complement, every image
     formed in tensor-power coordinates (``_embedding``) and brought back by
-    ``from_emb``, so no column table of ``UniversalCalculus`` is read."""
+    ``from_emb``, so no column table of ``UniversalCalculus`` is read.  The
+    spans are ``EchelonSpanBuilder``s, whose ``basis`` holds the accepted
+    vectors in order, so no step runs ``linalg``'s eliminator."""
     a = uni.algebra
-    spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
+    spans = [EchelonSpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue = deque()
     for deg, bar in generators:
         if spans[deg].add(bar):

@@ -210,7 +210,8 @@ SPARSE_ROUTE = {
     "algebra": {"balancing_relations", "Bimodule._action_cols",
                 "check_bimodule"},
     "calculus": {"saturate_ideal", "GradedCalculus.d_cols",
-                 "UniversalCalculus.algebra_generators", "preceq"},
+                 "UniversalCalculus.algebra_generators",
+                 "UniversalCalculus.product", "preceq"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
                    "Connection.curvature_cols", "DegreeRHom.key",
                    "DegreeRHom.apply", "DegreeRHom.flat",
@@ -225,7 +226,7 @@ SPARSE_ROUTE = {
                   "InducedCalculus._build_calculus", "OmegaM.nabla_cols",
                   "OmegaHat.__init__", "OmegaHat._check_derivation",
                   "extend_connection", "j_ideal", "OmegaM._check",
-                  "sigma_full"},
+                  "_sigma_u_product_failure", "sigma_full"},
     "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
               "Forms._ideal_tensors"},
     "linalg": {"_compose", "QuotientSpace.induced", "kernel_quotient",

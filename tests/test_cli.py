@@ -560,6 +560,8 @@ GENERATED_PINS = {
                "599dae3f29a134e7f5867439ed9da395c0e856bb0d16bcbc991d535286f8413a"),
     "M2-D3": (m2, 3,
               "a3243bd8d53de3d62fc8498c4c832399ad3fce4dd98d0d3c2e431b18ad09cc5d"),
+    "T3-D3": (lambda: upper_triangular(3), 3,
+              "39b0f261ccc9134de11f92355dc22492e435bbe26d04c11ea2e3e70631e852b2"),
 }
 
 

@@ -75,7 +75,7 @@ def test_nabla_hat_of_e1_is_left_mult_by_de1():
     nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
     de1 = uni.d(0, a2().basis_vec(0))
     for i in range(2):
-        prod = uni.product(1, de1, 0, a2().basis_vec(i))
+        prod = _reference.product(uni, 1, de1, 0, a2().basis_vec(i))
         expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), prod)
         assert nh.apply(a2().basis_vec(i)) == expected
 

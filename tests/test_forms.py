@@ -111,7 +111,8 @@ def _t2_forms_over_a_quotient() -> tuple:
     uni = base.universal
     e12_de11 = [0] * uni.bar_dim(1)
     e12_de11[2] = 1
-    dd = uni.product(1, uni.d(0, [1, 0, 0]), 1, uni.d(0, [0, 1, 0]))
+    dd = _reference.product(uni, 1, uni.d(0, [1, 0, 0]), 1,
+                            uni.d(0, [0, 1, 0]))
     cal = quotient_calculus(base, [(1, e12_de11), (2, dd)])
     assert all(cal.ideal[1:]) and cal.dims()[1:] != [0] * 3
     return regular_bimodule(a), cal
