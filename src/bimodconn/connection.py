@@ -375,11 +375,13 @@ class Kappa1:
 
     def op(self, alpha: Vec | SparseVec) -> DegreeRHom:
         """κ₁(α), α dense or sparse in bar coordinates: per column of M,
-        ``ops``' columns combined at α's nonzeros."""
+        ``ops``' columns combined at α's nonzeros, [] without a call where
+        every one is empty."""
         nz = alpha if type(alpha) is dict else _sparse(alpha)
         terms = [(self.ops[u], x) for u, x in nz.items()]
         return DegreeRHom(self.connection.forms, 1, [
-            _col_sum([(col, x) for op, x in terms if (col := op.cols[i])])
+            _col_sum(t) if (t := [(col, x) for op, x in terms
+                                  if (col := op.cols[i])]) else []
             for i in range(self.connection.module.dim)])
 
     def rank(self) -> int:
@@ -427,7 +429,8 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
             for bi, col in enumerate(moved):
                 if not col and alpha_g[g][bi].is_zero():
                     continue        # both sides are zero
-                lhs = _col_sum([(alpha_flat[x], y) for x, y in col])
+                lhs = _col_sum([(alpha_flat[x], y) for x, y in col]) \
+                    if col else []
                 rhs = hats[f].compose(alpha_g[g][bi]).flat()
                 if dict(lhs) != rhs:
                     k.verdicts.append(failed("kappa1-bimodule-linear",

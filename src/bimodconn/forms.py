@@ -192,7 +192,8 @@ class Forms:
         """Right multiplication q ↦ q·ω by an Ω^s class ω, T_r → T_{r+s}, by
         columns: column k sums the projection's sparse columns at the
         ``_product_terms`` of class k's representative, the basis tensor at
-        free[k], by a representative of ω."""
+        free[k], by a representative of ω, and is [] without a call when
+        that product has no term."""
         if r + s > self.D:
             raise DimensionError("product degree past the truncation")
         key = (r, s, tuple(omega))
@@ -200,9 +201,10 @@ class Forms:
             omega_bar = self.calculus.quotients[s].lift(omega)
             proj = self._quotients[r + s].proj_cols
             self._right_cols[key] = [
-                _col_sum([(proj[at], x) for at, x in
-                          self._product_terms(r, fc, s, omega_bar)])
-                for fc in self._quotients[r].free]
+                _col_sum(t) if (t := [(proj[at], x) for at, x in
+                                      self._product_terms(r, fc, s,
+                                                          omega_bar)])
+                else [] for fc in self._quotients[r].free]
         return self._right_cols[key]
 
     def act_left(self, r: int, f: Vec, q: Vec) -> Vec:

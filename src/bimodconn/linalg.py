@@ -15,16 +15,15 @@ on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that span Ω¹_∇ 
 those of κ₁, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
 applied by ``_combine`` at the nonzeros of a dense vector, composed by
 ``_compose`` and summed by ``_col_sum``, so its cost is the number of
-nonzeros met.  ``_compose`` takes an empty column of b to [] without a
-call, and the operator layer skips its empty columns and zero operators
-alike; a caller that hands ``_col_sum`` no term still pays one call, which
-returns [].  Dense matrices (lists of rows) remain only at intake, where
-``_to_cols`` converts a model's actions and ∇ once, and for σ, which a
-report prints and ``_to_mat`` builds.  A span's basis is sparse too: the
-``sub`` of a :class:`QuotientSpace` (an ideal, M⊗I, J or a kernel) holds
-the ``SparseVec``s the eliminator accepted, a reader combines columns at
-their nonzeros (``_sparse_sum``), and a witness it prints is densified
-once, by ``_col_vec``.
+nonzeros met.  No caller hands ``_col_sum`` an empty term list: an empty
+column (in ``_compose`` and the operator layer alike), a zero operator or
+a product with no term gives [] without a call.  Dense matrices (lists of
+rows) remain only at intake, where ``_to_cols`` converts a model's actions
+and ∇ once, and for σ, which a report prints and ``_to_mat`` builds.  A
+span's basis is sparse too: the ``sub`` of a :class:`QuotientSpace` (an
+ideal, M⊗I, J or a kernel) holds the ``SparseVec``s the eliminator
+accepted, a reader combines columns at their nonzeros (``_sparse_sum``),
+and a witness it prints is densified once, by ``_col_vec``.
 
 One eliminator keeps sparse rows, ``dict[column, entry]``, reduced and
 keyed by pivot, so reducing a vector touches only the rows at the pivots

@@ -409,7 +409,9 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
     for j in range(n.dim):
         for i in range(m.dim):
             at = tc.domain.pure_index(j, i)
-            if plain[at] != _col_sum([(tc.cols[k], x) for k, x in proj[at]]):
+            got = _col_sum([(tc.cols[k], x) for k, x in proj[at]]) \
+                if proj[at] else []
+            if plain[at] != got:
                 tc.verdicts.append(failed("tensor-route-agreement",
                                           anchors.NEC_SUFF,
                                           {"pair": [j, i]}))

@@ -36,7 +36,7 @@ Then the ``linalg`` kernels the sparse ones replaced: the dense product
 (``mat_mul``) and the one that builds one column of b at a time, the span
 builder that keeps echelon rows in a list and walks all of them to reduce
 a vector, with its own elimination step (``EchelonSpanBuilder``, which
-also holds the spans of Ω̂'s references and of the saturation reference),
+also holds the spans of the Ω̂, J, saturation and degeneracy references),
 and the quotient read off a second row reduction of its sub.
 At the top, next to the dense helpers (∇ and a bimodule's actions
 densified, ``nabla_matrix``, ``actions``, ``action_matrix``), a textbook
@@ -55,31 +55,35 @@ densified and its null space (``kernel_quotient``), and the dense tensor
 checks: ν̂'s right-linearity squares, the balancing relations as dense
 vectors, ∇⊗ filled in entry by entry, its right Leibniz rule with ·f on
 classes through representatives, and the associated connection's
-factors and square.  Then the degeneracy submodules, their brute-force
+factors and square.  Then the degeneracy submodules, on a balanced
+tensor of their own (``balanced_tensor``), their brute-force
 oracle and the σ-route agreement with the class of each basis pair
 b_j⊗a_i formed by ``project_pure`` on dense unit vectors, not read off
-the tensor's projection columns.  Last, the parse of a rational string
-that reads every string by ``Fraction``.
+the tensor's projection columns.  Then the parse of a rational string
+that reads every string by ``Fraction``.  Last, a report's two renderings
+by the stdlib route ``Report`` took before it wrote them in one pass:
+``json.dumps`` of each payload made ``jsonable`` first, with an indent (so
+json's pure-Python encoder) for the JSON report.
 """
 
 import bisect
 import itertools
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from _embedding import d_emb, product_emb, to_emb
 from bimodconn import anchors
-from bimodconn.algebra import tensor_over_A
+from bimodconn.algebra import BalancedTensor, tensor_over_A
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
-from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
-                              _col_vec, _combine, _exact,
-                              _sparse, _to_mat, identity_mat, mat_vec,
-                              vec_add, zero_mat, zeros)
+from bimodconn.linalg import (DimensionError, QuotientSpace, _col_vec,
+                              _combine, _exact, _sparse, _to_mat,
+                              identity_mat, mat_vec, vec_add, zero_mat, zeros)
 from bimodconn.model import ModelError
-from bimodconn.report import failed, passed, rationals
+from bimodconn.report import failed, jsonable, passed, rationals
 from bimodconn.tensorconn import (DegeneracyPair, _pure_pair_columns,
                                   _tail_bars)
 
@@ -742,12 +746,13 @@ def squared_identity(c, ops):
 
 
 def j_spans(c, ops):
-    """J_r as a SpanBuilder per degree, spanned by (∇̂²Φ)(a)·ω for Φ in
-    ``ops``, a a basis vector of M and ω a basis vector of Ω^s."""
+    """J_r as an ``EchelonSpanBuilder`` per degree, spanned by (∇̂²Φ)(a)·ω
+    for Φ in ``ops``, a a basis vector of M and ω a basis vector of
+    Ω^s."""
     f = c.forms
     D = f.D
     cal = c.calculus
-    builders = [SpanBuilder(f.dim(r)) for r in range(D + 1)]
+    builders = [EchelonSpanBuilder(f.dim(r)) for r in range(D + 1)]
     for p in range(D - 1):
         for phi in ops[p]:
             sq = nabla_hat(c, nabla_hat(c, phi))
@@ -764,13 +769,13 @@ def j_spans(c, ops):
 
 
 def j_ideal_spans(c, omega_hat):
-    """J_r as a SpanBuilder per degree, by ``j_ideal``'s loop before it
-    skipped the zero columns: every column of ∇²∘Φ − Φ∘∇², for Φ in
-    ``omega_hat``'s basis of Ω̂_p, is added and multiplied on the right by
-    every basis vector of Ω^s, the right multiplication densified."""
+    """J_r as an ``EchelonSpanBuilder`` per degree, by ``j_ideal``'s loop
+    before it skipped the zero columns: every column of ∇²∘Φ − Φ∘∇², for Φ
+    in ``omega_hat``'s basis of Ω̂_p, is added and multiplied on the right
+    by every basis vector of Ω^s, the right multiplication densified."""
     f = c.forms
     D = f.D
-    builders = [SpanBuilder(f.dim(r)) for r in range(D + 1)]
+    builders = [EchelonSpanBuilder(f.dim(r)) for r in range(D + 1)]
     for p in range(D - 1):
         for phi in omega_hat.ops(p):
             for col in _square_hat(c, phi):
@@ -820,8 +825,7 @@ def j_closure(c, ops):
     D = f.D
     builders = j_spans(c, ops)
     for r in range(2, D + 1):
-        for k, v in enumerate(dense_vecs(builders[r].quotient().sub,
-                                         f.dim(r))):
+        for k, v in enumerate(builders[r].basis):
             if r + 1 <= D and not builders[r + 1].contains(
                     mat_vec(nabla_ext(c, r), v)):
                 return {"op": "nabla", "degree": r, "basis": k}
@@ -1086,8 +1090,8 @@ class EchelonSpanBuilder:
     """``SpanBuilder`` on echelon rows kept in pivot order: reducing v walks
     every row, and a new row is inserted unreduced.  Its elimination step
     (``_eliminate``) and division (``_over``) are its own, so a fault in
-    ``linalg``'s eliminator cannot reach the spans built here: the Ω̂
-    references and the saturation reference."""
+    ``linalg``'s eliminator cannot reach the spans built here: the Ω̂, J,
+    saturation and degeneracy references."""
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
@@ -1291,6 +1295,14 @@ def balancing_relations(x, y):
     return rels
 
 
+def balanced_tensor(x, y):
+    """``algebra.tensor_over_A``, the span of ``balancing_relations`` read
+    off their ``rref`` and the quotient by it taken by ``quotient``."""
+    rels = balancing_relations(x, y)
+    k, reduced, _ = rref(rels) if rels else (0, [], [])
+    return BalancedTensor(x, y, quotient(x.dim * y.dim, reduced[:k]))
+
+
 def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
     """∇⊗ on classes as a dense matrix: each pure pair's plain vector
     ξ_j·a_i + b_j⊗∇a_i filled in entry by entry and projected, then the
@@ -1389,9 +1401,11 @@ def _pure(t, x, y):
 
 
 def degeneracy_submodules(n, m):
-    """``tensorconn.degeneracy_submodules`` on N⊗_AM built afresh, with the
-    pairing maps stacked from dense classes of the basis pairs."""
-    t = tensor_over_A(n, m)
+    """``tensorconn.degeneracy_submodules`` on N⊗_AM built afresh by
+    ``balanced_tensor``, with the pairing maps stacked from dense classes
+    of the basis pairs and the spans of N₀ and M₀ held by
+    ``EchelonSpanBuilder``s, so no step runs ``linalg``'s eliminator."""
+    t = balanced_tensor(n, m)
     pure = _pure(t, n, m)
     n0 = null_space(cols_to_mat(
         [[x for i in range(m.dim) for x in pure[j][i]] for j in range(n.dim)],
@@ -1401,10 +1415,10 @@ def degeneracy_submodules(n, m):
         n.dim * t.dim), m.dim)
     pair = DegeneracyPair(n, m, t, n0, m0)
     a = m.algebra
-    span_n = SpanBuilder(n.dim)
+    span_n = EchelonSpanBuilder(n.dim)
     for v in n0:
         span_n.add(v)
-    span_m = SpanBuilder(m.dim)
+    span_m = EchelonSpanBuilder(m.dim)
     for v in m0:
         span_m.add(v)
     for v in n0:
@@ -1434,17 +1448,17 @@ def degeneracy_submodules(n, m):
 
 def degeneracy_brute(pair):
     """``tensorconn.degeneracy_brute``, each basis pair tested zero as a
-    dense class."""
+    dense class, the spans held by ``EchelonSpanBuilder``s."""
     n, m = pair.left, pair.right
     pure = _pure(pair.tensor, n, m)
     n0_b = [j for j in range(n.dim)
             if all(is_zero_vec(pure[j][i]) for i in range(m.dim))]
     m0_b = [i for i in range(m.dim)
             if all(is_zero_vec(pure[j][i]) for j in range(n.dim))]
-    span_n = SpanBuilder(n.dim)
+    span_n = EchelonSpanBuilder(n.dim)
     for j in n0_b:
         span_n.add(n.basis_vec(j))
-    span_m = SpanBuilder(m.dim)
+    span_m = EchelonSpanBuilder(m.dim)
     for i in m0_b:
         span_m.add(m.basis_vec(i))
     ok = (span_n.dim == len(pair.n0)
@@ -1495,3 +1509,25 @@ def parse_rational(value, path):
     except (ValueError, ZeroDivisionError) as exc:
         raise ModelError(path, f"not a rational: {value!r} ({exc})") from None
     return _exact(f)
+
+
+# -- rendering ---------------------------------------------------------------
+
+def render_json(report):
+    """``Report.to_json`` as ``json.dumps`` of ``to_dict``, indented."""
+    return json.dumps(report.to_dict(), indent=2)
+
+
+def render_text(report):
+    """``Report.to_text`` with each payload made ``jsonable`` and written
+    by ``json.dumps``."""
+    lines = []
+    for r in report.records:
+        line = f"[{r.status.upper():^11}] {r.check_id} ({r.anchor})"
+        if r.dims:
+            line += "  dims=" + json.dumps(jsonable(r.dims), sort_keys=True)
+        if r.witness is not None:
+            line += "  witness=" + json.dumps(jsonable(r.witness))
+        lines.append(line)
+    lines.append(f"summary: {report.summary}")
+    return "\n".join(lines)

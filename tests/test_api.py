@@ -87,10 +87,13 @@ def test_every_defined_function_is_referenced():
     # called by Python itself.  LinSolver.solve is exempt by its qualified
     # name alone: perfbench/layers.py profiles it, and it is kept for the
     # benchmark's counts though nothing in src/ solves a system any more.
+    # Report.to_dict likewise: perfbench/layers.py reads its records, and
+    # the tests compare to_json with json.dumps of it, though no program
+    # path renders through it any more.
     programs = [p for p in sorted(PACKAGE.glob("*.py"))
                 if p.name != "__init__.py"] + sorted(
                     (ROOT / "demos").glob("*.py"))
-    kept = {"linalg.py:LinSolver.solve"}
+    kept = {"linalg.py:LinSolver.solve", "report.py:Report.to_dict"}
     used = set()
     for path in programs:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -111,6 +114,27 @@ def test_every_defined_function_is_referenced():
                         not in kept):
                 unused.append(f"{path.name}:{node.lineno}:{node.name}")
     assert unused == []
+
+
+def test_reports_are_written_without_the_pure_python_encoder():
+    # json.dumps with an indent runs json's pure-Python encoder, and the
+    # jsonable copy of a payload is a second pass over it: the report
+    # module makes no json.dumps or JSONEncoder call with an indent, and
+    # to_json and to_text (with the writers they call) name neither
+    # jsonable nor the records of to_dict, the stdlib route the tests
+    # compare with, that go through it
+    tree = ast.parse((PACKAGE / "report.py").read_text(encoding="utf-8"))
+    indented = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                in ("dumps", "JSONEncoder")
+                and any(kw.arg == "indent" for kw in node.keywords)]
+    assert indented == []
+    for name in ("Report.to_json", "Report.to_text", "Verdict._json",
+                 "_indented", "_fraction"):
+        assert _named("report", name) & {"jsonable", "to_dict",
+                                         "to_record"} == set(), name
+    assert "jsonable" in _named("report", "Verdict.to_record")
 
 
 def test_no_reference_route_is_named_in_the_package():

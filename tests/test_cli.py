@@ -23,7 +23,8 @@ from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
 from bimodconn.model import (MAX_EMB_DIM, MAX_ENTRIES, ModelError,
                              TensorRequest, parse_model, parse_rational)
-from bimodconn.report import Report, Verdict, failed, passed
+from bimodconn.report import (ABSENT, FAIL, PASS, UNAVAILABLE, Report,
+                              Verdict, failed, passed)
 
 def flat_doc() -> dict:
     return json.loads((MODELS / "a2_flat.model").read_text())
@@ -565,10 +566,107 @@ GENERATED_PINS = {
 }
 
 
-@pytest.mark.parametrize("name", GENERATED_PINS)
-def test_the_all_report_of_a_generated_model_is_pinned(name):
-    algebra, truncation, digest = GENERATED_PINS[name]
+def _generated(name):
+    algebra, truncation, _ = GENERATED_PINS[name]
     mf = model_file(regular_connection(algebra(), truncation, 0))
     mf.tensor_requests.append(TensorRequest("nabla", "nabla", "both"))
-    report = cli.run("all", mf).to_json()
-    assert hashlib.sha256(report.encode()).hexdigest() == digest
+    return mf
+
+
+@pytest.mark.parametrize("name", GENERATED_PINS)
+def test_the_all_report_of_a_generated_model_is_pinned(name):
+    report = cli.run("all", _generated(name)).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == \
+        GENERATED_PINS[name][2]
+
+
+def _keys(x):
+    """Every dict key met in a payload, at any depth."""
+    if isinstance(x, dict):
+        return [*x, *(k for v in x.values() for k in _keys(v))]
+    if isinstance(x, (list, tuple)):
+        return [k for v in x for k in _keys(v)]
+    return []
+
+
+def _assert_renders_as_the_stdlib(report):
+    assert report.to_json() == _reference.render_json(report)
+    assert report.to_text() == _reference.render_text(report)
+
+
+RENDERED = {
+    **{name: lambda name=name: parse_model(str(MODELS / f"{name}.model"))
+       for name in NAMES},
+    **{f"{name}-D9": lambda name=name: parse_model(
+        str(MODELS / f"{name}.model"), truncation=9)
+       for name in ("a2_flat", "a2_quotient")},
+    **{name: lambda name=name: _generated(name) for name in GENERATED_PINS}}
+
+
+@pytest.mark.parametrize("name", RENDERED)
+def test_every_report_renders_as_the_stdlib_route(name):
+    # to_json and to_text write in one pass what json.dumps writes of the
+    # jsonable records; every key is a str, which is what lets the text
+    # route's C encoder stand for jsonable's str(k) (a bool key, say, would
+    # be written "true" there and "True" by jsonable)
+    mf = RENDERED[name]()
+    for command in cli.COMMANDS:
+        report = cli.run(command, mf)
+        _assert_renders_as_the_stdlib(report)
+        for v in report.records:
+            for payload in (v.witness, v.dims):
+                assert all(type(k) is str for k in _keys(payload)), \
+                    (command, v.check_id)
+
+
+ESCAPED = ['"', "\\", "\n", "\t\x00\x1f\x7f", "—", "é ∇̂ ⊗", "\U0001d6fa",
+           "\\u2014", "</script>"]
+SCALARS = [0, -1, 2**70, True, False, None, Fraction(3), Fraction(-7, 2),
+           Fraction(1, 10**30), "", [], {}, (), [[]], [{}], {"": []}]
+
+
+def test_scalars_escapes_and_empty_reports_render_as_the_stdlib_route():
+    _assert_renders_as_the_stdlib(Report())
+    for x in SCALARS + ESCAPED:
+        for status in (PASS, FAIL):
+            _assert_renders_as_the_stdlib(Report([
+                Verdict(x if isinstance(x, str) else "id", "anchor", status,
+                        x, {"x": x}),
+                Verdict("id", x if isinstance(x, str) else "", status, None,
+                        {x: [x, (x,), {x: x}]} if isinstance(x, str)
+                        else None)]))
+    _assert_renders_as_the_stdlib(Report([passed("a", "b", {}),
+                                          failed("a", "b", [], {})]))
+
+
+@pytest.mark.parametrize("payload", [0.5, [1, [Fraction(1, 2), 1e3]],
+                                     {"x": float("nan")}, {1: 2}, {None: 0},
+                                     {(0, 1): 2}, {0, 1}, b"x", 1j])
+def test_the_json_writer_refuses_what_it_would_not_write_identically(payload):
+    # a float, a non-str key and any type json does not write raise rather
+    # than write bytes that might differ from the stdlib route's
+    with pytest.raises(TypeError):
+        Report([failed("id", "anchor", payload)]).to_json()
+    with pytest.raises(TypeError):
+        Report([passed("id", "anchor", {"dims": payload})]).to_json()
+
+
+_text = st.text(max_size=8) | st.sampled_from(ESCAPED)
+# Fractions negative, non-integral and integral-valued (a Fraction equal to
+# an int is written as a string, an int as a number)
+_leaves = (st.integers() | st.booleans() | st.none() | _text
+           | st.fractions() | st.integers().map(Fraction))
+_payloads = st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_text, inner, max_size=3), max_leaves=12)
+_verdicts = st.builds(
+    Verdict, _text, _text, st.sampled_from([PASS, FAIL, ABSENT, UNAVAILABLE]),
+    st.none() | _payloads, st.none() | st.dictionaries(_text, _payloads,
+                                                       max_size=3))
+
+
+@settings(deadline=None)
+@given(st.lists(_verdicts, max_size=4))
+def test_drawn_reports_render_as_the_stdlib_route(verdicts):
+    _assert_renders_as_the_stdlib(Report(verdicts))

@@ -480,14 +480,16 @@ def test_omega_hat_and_span_checks_match_the_whole_span_reference(make):
     D = conn.forms.D
     # Ω̂ is built through degree D−1, the last degree a check reads
     assert len(oh.spans) == D
+    # the ranks by _reference.rref, which shares no eliminator with linalg
     for r in range(D):
         new = [_flat(op) for op in oh.ops(r)]
         old = [_flat(op) for op in ops[r]]
-        assert len(new) == oh.spans[r].dim == len(old) == rank(new + old)
+        assert len(new) == oh.spans[r].dim == len(old) == \
+            _reference.rref(new + old)[0]
     for r in range(D + 1):
-        new, old = [dense_vecs(sub, conn.forms.dim(r)) for sub in
-                    (j.spans[r], j_ref[r].quotient().sub)]
-        assert len(new) == len(old) == rank(new + old)
+        new = dense_vecs(j.spans[r], conn.forms.dim(r))
+        old = j_ref[r].basis
+        assert len(new) == len(old) == _reference.rref(new + old)[0]
     assert {k: v.ok for k, v in got.items()} == \
         {k: w is None for k, w in want.items()}
 
@@ -760,10 +762,15 @@ def test_j_and_omega_m_match_the_loops_over_every_product(make):
     oh = OmegaHat(conn)
     j = j_ideal(conn, oh)
     ref = _reference.j_ideal_spans(conn, oh)
-    # the same vectors in the same order, so the same quotients
-    assert j.spans == [b.quotient().sub for b in ref]
-    assert [(q.sub, q.free, q.proj_cols) for q in j.quotients] == \
-        [(q.sub, q.free, q.proj_cols) for q in (b.quotient() for b in ref)]
+    # the same vectors in the same order, so the same quotients, the
+    # reference's taken by _reference.quotient on its own rref
+    dims = [conn.forms.dim(r) for r in range(len(ref))]
+    assert [dense_vecs(sub, n) for sub, n in zip(j.spans, dims)] == \
+        [b.basis for b in ref]
+    assert [(dense_vecs(q.sub, n), q.free, q.proj_cols)
+            for q, n in zip(j.quotients, dims)] == \
+        [(q.sub, q.free, q.proj_cols)
+         for q in (_reference.quotient(n, b.basis) for b, n in zip(ref, dims))]
     om = OmegaM(conn, j)
     (got,) = [v for v in om.verdicts if v.check_id == CURVATURE_RIGHT_OMEGA]
     assert got.ok and _reference.curvature_right_omega(conn, om) is None
