@@ -224,23 +224,6 @@ class BalancedTensor:
     def pure_index(self, i: int, j: int) -> int:
         return i * self.right_factor.dim + j
 
-    def pure(self, x: Vec, y: Vec) -> Vec:
-        """Plain-tensor coordinates of x⊗y."""
-        out = zeros(self.plain_dim)
-        for i, ci in enumerate(x):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(y):
-                if cj:
-                    out[self.pure_index(i, j)] = ci * cj
-        return out
-
-    def project(self, plain: Vec) -> Vec:
-        return self.quotient.project(plain)
-
-    def project_pure(self, x: Vec, y: Vec) -> Vec:
-        return self.project(self.pure(x, y))
-
     def induced_right_cols(self, f: Vec) -> Cols:
         """·f on classes by columns, from the plain map x_i⊗y_j ↦
         x_i⊗(y_j·f)."""

@@ -28,6 +28,7 @@ from .connection import (Connection, induced_first_order, kappa1,
                          sigma_exists)
 from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
                         extend_connection, j_ideal, sigma_full)
+from .linalg import _to_mat
 from .model import ModelError, ModelFile, parse_model
 from .report import Report, Verdict, rationals
 from .tensorconn import (associated_connection, check_compatibility,
@@ -117,10 +118,10 @@ def _cmd_sigma(report: Report, name: str, p: _Pipeline) -> None:
     _scope(report, "sigma", name)
     report.extend(p.kappa1.verdicts)
     report.extend(p.sigma.verdicts)
-    if p.sigma.exists and p.sigma.sigma is not None:
+    if p.sigma.exists and (s := p.sigma.sigma) is not None:
         report.append(Verdict("sigma-matrix", anchors.PLUMBING, "pass", None,
-                              {"level": p.sigma.sigma.level,
-                               "matrix": rationals(p.sigma.sigma.matrix)}))
+                              {"level": s.level, "matrix": rationals(
+                                  _to_mat(s.cols, p.conn.forms.dim(1)))}))
     report.extend(p.sigma_full.verdicts)
 
 

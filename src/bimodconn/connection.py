@@ -16,25 +16,23 @@ extensions, the curvature and the actions and right multiplications of
 columns of one factor at the nonzeros of the other (``linalg._compose``,
 ``_commutator``, ``leibniz_failure``), so its cost is the number of
 nonzeros met, not the size of the matrices.
-κ₁ is kept as its operators, one per bar basis vector of Ω¹_u, and σ's
-operators are κ₁'s at the representatives of Ω¹'s classes.  A dense matrix
-remains only for σ, which a report prints; σ's witness is read off the
-columns of Ω¹'s projection by ``null_space``.
+κ₁ is kept as its operators, one per bar basis vector of Ω¹_u, and σ is
+held by κ₁'s columns at the representatives of Ω¹'s classes; only the
+report densifies it.  The left Leibniz rule, for d_∇ and σ alike, is an
+identity of maps decided by columns (``_left_leibniz_failure``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
-from .linalg import (Cols, Mat, QuotientSpace, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _col_vec, _combine, _compose, _sparse,
-                     _to_mat, identity_mat, kernel_quotient, mat_vec,
-                     null_space, vec_add)
+from .linalg import (Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
+                     _col_sum, _combine, _compose, _sparse, identity_mat,
+                     kernel_quotient, null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -180,9 +178,6 @@ class DegreeRHom:
         return ids.setdefault((self.degree, tuple(map(tuple, self.cols))),
                               len(ids))
 
-    def apply(self, m_vec: Vec) -> Vec:
-        return _combine(self.cols, m_vec, self.forms.dim(self.degree))
-
     def flat(self, at: list[int] | range | None = None) -> SparseVec:
         """The matrix T_degree × M row by row, at the module basis indices
         ``at`` (every one by default), as a sparse vector: entry (row, x)
@@ -289,19 +284,22 @@ def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:
     return hats[phi.key]
 
 
-def _left_leibniz_failure(c: Connection, x: Callable[[int, Vec], Vec]) \
+def _left_leibniz_failure(c: Connection, xs: list[Cols]) \
         -> list[int] | None:
     """The first basis pair [f, ai], by f and then ai, at which the left
-    Leibniz rule ∇(f·a) = X(f, a) + f·∇a fails, X(f, a) = ``x(f, a)``;
-    None when it holds on every pair."""
-    a, m = c.module.algebra, c.module
-    for f in range(a.dim):
-        fv = a.basis_vec(f)
-        for ai in range(m.dim):
-            av = m.basis_vec(ai)
-            lhs = c.nabla_apply(m.act_left(fv, av))
-            rhs = vec_add(x(f, av), c.forms.act_left(1, fv, c.nabla_apply(av)))
-            if lhs != rhs:
+    Leibniz rule ∇(f·a) = X_f(a) + f·∇a fails, X_f = ``xs[f]`` a map
+    M → M⊗_AΩ¹ by columns; None when it holds on every pair.  Per f it is
+    the identity of maps ∇∘L_f = X_f + L_f∘∇, L_f the left action of e_f
+    on M and on M⊗_AΩ¹, composed by columns and compared column by column;
+    a column empty on all three sides is [] without a call."""
+    m = c.module
+    for f, x in enumerate(xs):
+        fv = m.algebra.basis_vec(f)
+        lhs = _compose(c.nabla, m.left_cols(fv))
+        rhs = _compose(c.forms.left_action_cols(1, fv), c.nabla)
+        for ai, (col, x_col, r_col) in enumerate(zip(lhs, x, rhs)):
+            if (col or x_col or r_col) and \
+                    _col_sum([(col, 1), (x_col, -1), (r_col, -1)]):
                 return [f, ai]
     return None
 
@@ -353,7 +351,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                 return ifo
     ifo.verdicts.append(passed("d-nabla-derivation", anchors.DERIVATION_SINCE))
     # left Leibniz in the induced calculus: ∇(fa) = (d_∇f)(a) + f∇a
-    pair = _left_leibniz_failure(c, lambda f, av: d_ops[f].apply(av))
+    pair = _left_leibniz_failure(c, [op.cols for op in d_ops])
     if pair is not None:
         ifo.verdicts.append(failed("left-leibniz-induced",
                                    anchors.INDUCED_SUBGROUP, {"pair": pair}))
@@ -443,15 +441,23 @@ def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
 
 @dataclass
 class SigmaMap:
-    """σ: Ω¹⊗_AM → M⊗_AΩ¹ (level 'projected') or σ_u (level 'universal')."""
+    """σ: Ω¹⊗_AM → M⊗_AΩ¹ (level 'projected') or σ_u (level 'universal'),
+    by columns, one per class of ``tensor``: κ₁'s operator columns, shared,
+    so no caller may change one in place."""
 
     level: str
     tensor: BalancedTensor               # Ω¹ ⊗_A M
-    matrix: Mat                          # dim T_1 x tensor.dim
+    cols: Cols
     verdicts: list[Verdict] = field(default_factory=list)
 
-    def apply(self, cls: Vec) -> Vec:
-        return mat_vec(self.matrix, cls)
+    def on(self, w: Vec) -> Cols:
+        """a ↦ σ(w⊗a) for a class w of Ω¹, by columns: column i is σ's
+        columns at the class of w⊗a_i, the tensor's projection columns at
+        the pure pairs (k, i) over w's nonzeros k."""
+        t = self.tensor
+        pure = [[(t.pure_index(k, i), x) for k, x in enumerate(w) if x]
+                for i in range(t.right_factor.dim)]
+        return _compose(self.cols, _compose(t.quotient.proj_cols, pure))
 
 
 @dataclass
@@ -491,33 +497,30 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
         return res
     res.verdicts.append(passed("sigma-exists", anchors.FACTOR_UNIQUELY))
     # realize σ on Ω¹ ⊗_A M: column (wi, mj) of the plain tensor is
-    # κ̂₁(class wi)(a_mj), so σ is read off the columns at the tensor's
-    # free, densified once, for printing
+    # κ̂₁(class wi)(a_mj), so σ is read off the columns at the tensor's free
     omega1_bimod = cal.degree_bimodule(1)
     tens = tensor_over_A(omega1_bimod, c.module)
-    t1 = c.forms.dim(1)
     ops = [k1.ops[fc] for fc in q1.free]
     plain = [col for op in ops for col in op.cols]
     sigma = SigmaMap("projected" if cal.ideal[1] else "universal", tens,
-                     _to_mat([plain[fc] for fc in tens.quotient.free], t1))
+                     [plain[fc] for fc in tens.quotient.free])
     res.sigma = sigma
-    # well-definedness on balanced classes
+    # well-definedness on balanced classes: w ↦ σ(w⊗·) against κ̂₁(w) on
+    # each basis class w of Ω¹
     for wi, op in enumerate(ops):
-        wq = omega1_bimod.basis_vec(wi)
-        for mj in range(c.module.dim):
-            direct = _col_vec(op.cols[mj], t1)
-            via = sigma.apply(tens.project_pure(wq, c.module.basis_vec(mj)))
-            if direct != via:
-                res.verdicts.append(failed("sigma-well-defined",
-                                           anchors.GENERALIZED_PERMUTATION,
-                                           {"pair": [wi, mj]}))
-                return res
+        via = sigma.on(omega1_bimod.basis_vec(wi))
+        mj = next((mj for mj, (x, y) in enumerate(zip(op.cols, via))
+                   if x != y), None)
+        if mj is not None:
+            res.verdicts.append(failed("sigma-well-defined",
+                                       anchors.GENERALIZED_PERMUTATION,
+                                       {"pair": [wi, mj]}))
+            return res
     res.verdicts.append(passed("sigma-well-defined",
                                anchors.GENERALIZED_PERMUTATION))
     # left Leibniz rule: ∇(fa) = σ(df ⊗ a) + f ∇a
     dfs = [cal.d_of_algebra(fv) for fv in identity_mat(c.module.algebra.dim)]
-    pair = _left_leibniz_failure(
-        c, lambda f, av: sigma.apply(tens.project_pure(dfs[f], av)))
+    pair = _left_leibniz_failure(c, [sigma.on(df) for df in dfs])
     if pair is not None:
         res.verdicts.append(failed("sigma-left-leibniz", anchors.LEFT_LEIBNIZ,
                                    {"pair": pair}))

@@ -19,7 +19,7 @@ from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
                          leibniz_failure, nabla_hat)
 from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _col_sum,
-                     _col_vec, _combine, _compose, _sparse_sum, identity_mat,
+                     _col_vec, _compose, _sparse_sum, identity_mat,
                      kernel_quotient, quotient, QuotientSpace)
 from .report import Verdict, failed, passed, rationals
 
@@ -331,20 +331,20 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                              "basis": [kp, k]}))
                         return j
     j.verdicts.append(passed("j-closure", anchors.J_CLOSURE))
-    # the earlier proposal: factor by span{∇²(fa) − f∇²a} only; that span is
-    # contained in J² by construction, equality is merely reported
+    # the earlier proposal: factor by span{∇²(fa) − f∇²a}, the columns of
+    # ∇²∘L_f − L_f∘∇², only; it lies in J² by construction, and equality is
+    # merely reported
     r2 = c.curvature_cols(0)
     sub2 = SpanBuilder(f.dim(2))
     contained = True
     for fi in range(a.dim):
         fv = a.basis_vec(fi)
-        for ai in range(c.module.dim):
-            av = c.module.basis_vec(ai)
-            v = [x - y for x, y in zip(
-                _combine(r2, c.module.act_left(fv, av), f.dim(2)),
-                f.act_left(2, fv, _col_vec(r2[ai], f.dim(2))))]
-            sub2.add(v)
-            contained &= builders[2].contains(v)
+        for x, y in zip(_compose(r2, c.module.left_cols(fv)),
+                        _compose(f.left_action_cols(2, fv), r2)):
+            if x != y:
+                v = dict(_col_sum([(x, 1), (y, -1)]))
+                sub2.add(v)
+                contained &= builders[2].contains(v)
     if contained:
         j.verdicts.append(passed("early-quotient-span-in-j2",
                                  anchors.FACTORING_PROPOSED,

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _combine, QuotientSpace)
+                     _col_sum, QuotientSpace)
 
 if TYPE_CHECKING:
     from .connection import DegreeRHom
@@ -206,10 +206,6 @@ class Forms:
                                                           omega_bar)])
                 else [] for fc in self._quotients[r].free]
         return self._right_cols[key]
-
-    def act_left(self, r: int, f: Vec, q: Vec) -> Vec:
-        """f·q for f in A and a class q of T_r."""
-        return _combine(self.left_action_cols(r, f), q, self.dim(r))
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω), its

@@ -12,14 +12,14 @@ its nonzero (row, entry) pairs sorted by row): the structure maps of the
 universal calculus, the projection of every :class:`QuotientSpace` (column
 i is the class of e_i), d on classes, a bimodule's actions, ∇, every map
 on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that span Ω¹_∇ and
-those of κ₁, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
+those of κ₁, σ, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
 applied by ``_combine`` at the nonzeros of a dense vector, composed by
 ``_compose`` and summed by ``_col_sum``, so its cost is the number of
 nonzeros met.  No caller hands ``_col_sum`` an empty term list: an empty
 column (in ``_compose`` and the operator layer alike), a zero operator or
 a product with no term gives [] without a call.  Dense matrices (lists of
 rows) remain only at intake, where ``_to_cols`` converts a model's actions
-and ∇ once, and for σ, which a report prints and ``_to_mat`` builds.  A
+and ∇ once, and where a report prints σ, which ``_to_mat`` densifies.  A
 span's basis is sparse too: the ``sub`` of a :class:`QuotientSpace` (an
 ideal, M⊗I, J or a kernel) holds the ``SparseVec``s the eliminator
 accepted, a reader combines columns at their nonzeros (``_sparse_sum``),
@@ -35,8 +35,8 @@ pivots).  ``SpanBuilder`` holds them (sparse or dense intake),
 ``row_reduce`` reads its RREF off them, and ``null_space`` and
 ``kernel_quotient`` read a map's kernel off one elimination of the rows of
 its columns, so no kernel witness densifies its map.  No check calls
-``row_reduce``, ``rank`` or ``LinSolver`` any more; they stay as public and
-profiled names.  The kernels (``mat_vec``, ``_sparse``, ``_combine``)
+``row_reduce``, ``rank``, ``LinSolver`` or ``mat_vec`` any more; they stay
+as public and profiled names.  The kernels (``_sparse``, ``_combine``)
 find the nonzeros of a dense row with ``itertools.compress`` and do
 Python-level work only on those.  Everything is exact: the one
 division, :func:`_div`, returns an int or a Fraction, never a float, so
@@ -105,10 +105,6 @@ def identity_mat(n: int) -> Mat:
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [a + b for a, b in zip(u, v, strict=True)]
 
 
 SparseVec = dict[int, int | Fraction]

@@ -22,8 +22,8 @@ from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, SpanBuilder, Vec, _col_sum,
-                     _col_vec, _combine, _compose, _sparse, _sparse_sum,
-                     identity_mat, kernel_quotient, null_space)
+                     _col_vec, _combine, _compose, _sparse_sum, identity_mat,
+                     kernel_quotient, null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -164,9 +164,6 @@ class NuHat:
     maps: list[Cols] = field(default_factory=list)
     verdicts: list[Verdict] = field(default_factory=list)
 
-    def apply(self, r: int, v: Vec) -> Vec:
-        return _combine(self.maps[r], v, self.target.dim(r))
-
     def rank(self, r: int) -> int:
         return kernel_quotient(self.maps[r]).dim
 
@@ -262,31 +259,25 @@ class TensorConnection:
         return self.cols is not None
 
 
-def _tail_bars(uni) -> list[Vec]:
-    """Bar coordinates of 1·de_j per degree-one tail (j): d(e_j) itself,
-    since π(e_j) is a unit vector for j in the unit complement."""
-    return [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
-
-
 def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
-                       xi_list: list[Vec], tail_ops: list[Cols]) -> Cols:
+                       xi: Cols, tail_ops: list[Cols]) -> Cols:
     """∇⊗ on the plain N⊗M by columns, into W = N⊗_A(M⊗_AΩ¹): column
     (j, i) is the W-class of ξ_j·a_i + b_j⊗∇a_i, the sum of W's
     projection columns at the plain indices of its terms.
 
-    ξ_j is a degree-one N-form of ``xi_forms``.  A term x·b_k⊗de_β of its
-    representative acts on a_i through its tail: it gives x·b_k⊗(T_β·a_i)
-    for the M → M⊗_AΩ¹ map T_β = ``tail_ops[β]``, by sparse columns.
+    ξ_j = ``xi[j]`` is a degree-one N-form of ``xi_forms``, by its sparse
+    column.  A term x·b_k⊗de_β of its representative acts on a_i through
+    its tail: it gives x·b_k⊗(T_β·a_i) for the M → M⊗_AΩ¹ map
+    T_β = ``tail_ops[β]``, by sparse columns.
     """
     nt = xi_forms.n_tails(1)
     t1 = c.forms.dim(1)
     free = xi_forms.quotient_space(1).free
     proj = w.quotient.proj_cols
-    nabla = c.nabla_ext_cols(0)
     cols = []
-    for j, xi in enumerate(xi_list):
-        terms = [(divmod(free[k], nt), x) for k, x in enumerate(xi) if x]
-        for i, nabla_i in enumerate(nabla):
+    for j, xi_j in enumerate(xi):
+        terms = [(divmod(free[k], nt), x) for k, x in xi_j]
+        for i, nabla_i in enumerate(c.nabla):
             cols.append(_col_sum(
                 [(proj[k * t1 + l], x * y)
                  for (k, bidx), x in terms for l, y in tail_ops[bidx][i]]
@@ -295,7 +286,7 @@ def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
 
 
 def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
-                    xi_forms: Forms, xi_list: list[Vec],
+                    xi_forms: Forms, xi: Cols,
                     well_defined_anchor: str) -> TensorConnection:
     """Assemble ∇⊗ from the degree-one N-forms ξ_j = "(∇ of b_j) downstairs".
 
@@ -308,7 +299,7 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
     tn, w = c.tensors(n)
     tail_ops = [induced.d_ops[j].cols
                 for j in c.calculus.universal.complement]
-    plain = _pure_pair_columns(c, w, xi_forms, xi_list, tail_ops)
+    plain = _pure_pair_columns(c, w, xi_forms, xi, tail_ops)
     tc = TensorConnection(route, tn, w)
     # well defined on balanced classes
     for rel in balancing_relations(n, m):
@@ -364,10 +355,8 @@ def tensor_connection_induced(rc: Connection, c: Connection,
     if rc.calculus is not induced.calculus:
         raise DimensionError(
             "the N-side connection must live over the induced calculus")
-    xi = [rc.nabla_apply(rc.module.basis_vec(j))
-          for j in range(rc.module.dim)]
-    return _tensor_from_xi("induced", rc.module, c, induced, rc.forms, xi,
-                           anchors.INTERPRETED)
+    return _tensor_from_xi("induced", rc.module, c, induced, rc.forms,
+                           rc.nabla, anchors.INTERPRETED)
 
 
 def tensor_connection_original(rc: Connection, c: Connection,
@@ -379,9 +368,8 @@ def tensor_connection_original(rc: Connection, c: Connection,
         tc.verdicts.append(Verdict("tensor-connection-original",
                                    anchors.ORIGINAL_ROUTE, "unavailable"))
         return tc
-    n = rc.module
-    xi = [nu.apply(1, rc.nabla_apply(n.basis_vec(j))) for j in range(n.dim)]
-    tc = _tensor_from_xi("nu-hat", n, c, induced, nu.target, xi,
+    tc = _tensor_from_xi("nu-hat", rc.module, c, induced, nu.target,
+                         _compose(nu.maps[1], rc.nabla),
                          anchors.ORIGINAL_ROUTE)
     if sigma is not None and sigma.exists:
         _check_sigma_route(tc, rc, c, sigma)
@@ -391,18 +379,15 @@ def tensor_connection_original(rc: Connection, c: Connection,
 def _check_sigma_route(tc: TensorConnection, rc: Connection,
                        c: Connection, sigma) -> None:
     """(id_N⊗σ)(∇′b)⊗a + b⊗∇a equals the ν̂-route value on all pure pairs:
-    the pure-pair columns with the tails acting by σ(1·de_β ⊗ a)."""
+    the pure-pair columns with the tail de_j acting as a ↦ σ(1·de_j ⊗ a),
+    whose class is that of d(e_j)."""
     n, m = rc.module, c.module
     s = sigma.sigma
     cal = c.calculus
-    tail_ops = []
-    for bar in _tail_bars(cal.universal):
-        cls = cal.class_of_bar(1, bar)
-        tail_ops.append([list(_sparse(s.apply(
-            s.tensor.project_pure(cls, m.basis_vec(i)))).items())
-            for i in range(m.dim)])
-    xi = [rc.nabla_apply(n.basis_vec(j)) for j in range(n.dim)]
-    plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
+    a = m.algebra
+    tail_ops = [s.on(cal.d_of_algebra(a.basis_vec(j)))
+                for j in cal.universal.complement]
+    plain = _pure_pair_columns(c, tc.codomain, rc.forms, rc.nabla, tail_ops)
     # the pure pair (j, i) is column pure_index(j, i) of both the plain
     # columns and the domain's projection, which holds its class
     proj = tc.domain.quotient.proj_cols

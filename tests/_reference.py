@@ -29,7 +29,8 @@ rule and ``OmegaM``'s), which multiply classes through representatives
 ``class_product`` likewise) rather than ``Forms.right_mult_cols``.  Then the
 per-triple route of κ₁'s bimodule linearity (``kappa1``), κ₁ as
 coordinates in the accepted basis of Ω¹_∇ with σ built by
-``factor_through`` (``kappa1_coords``, ``sigma``), and the unit complement
+``factor_through`` on Ω¹⊗_AM from ``balanced_tensor`` (``kappa1_coords``,
+``sigma``), and the unit complement
 and π read off a span's coordinates (``unit_complement``).
 
 Then the ``linalg`` kernels the sparse ones replaced: the dense product
@@ -59,7 +60,9 @@ factors and square.  Then the degeneracy submodules, on a balanced
 tensor of their own (``balanced_tensor``), their brute-force
 oracle and the σ-route agreement with the class of each basis pair
 b_j⊗a_i formed by ``project_pure`` on dense unit vectors, not read off
-the tensor's projection columns.  Then the parse of a rational string
+the tensor's projection columns, and σ applied as its matrix
+(``sigma_apply``).  Then the per-pair route of both left Leibniz rules
+(``left_leibniz``), on dense vectors.  Then the parse of a rational string
 that reads every string by ``Fraction``.  Last, a report's two renderings
 by the stdlib route ``Report`` took before it wrote them in one pass:
 ``json.dumps`` of each payload made ``jsonable`` first, with an indent (so
@@ -75,17 +78,16 @@ from fractions import Fraction
 
 from _embedding import d_emb, product_emb, to_emb
 from bimodconn import anchors
-from bimodconn.algebra import BalancedTensor, tensor_over_A
+from bimodconn.algebra import BalancedTensor
 from bimodconn.calculus import CalculusMorphism
 from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
 from bimodconn.linalg import (DimensionError, QuotientSpace, _col_vec,
                               _combine, _exact, _sparse, _to_mat,
-                              identity_mat, mat_vec, vec_add, zero_mat, zeros)
+                              identity_mat, mat_vec, zero_mat, zeros)
 from bimodconn.model import ModelError
 from bimodconn.report import failed, jsonable, passed, rationals
-from bimodconn.tensorconn import (DegeneracyPair, _pure_pair_columns,
-                                  _tail_bars)
+from bimodconn.tensorconn import DegeneracyPair
 
 
 def cols_to_mat(cols, n_rows):
@@ -136,6 +138,11 @@ def rref(matrix):
 def is_zero_vec(v):
     """Whether every entry of a dense vector is zero."""
     return not any(v)
+
+
+def vec_add(u, v):
+    """The entrywise sum of two dense vectors of one length."""
+    return [a + b for a, b in zip(u, v, strict=True)]
 
 
 def product(uni, r, u, s, v):
@@ -221,6 +228,12 @@ def factor_through(f, g, n):
 def dense(op):
     """A ``DegreeRHom``'s sparse columns as a dense dim T_r × dim M matrix."""
     return _to_mat(op.cols, op.forms.dim(op.degree))
+
+
+def apply(op, v):
+    """A ``DegreeRHom`` applied to a dense vector of M: its columns combined
+    at v's nonzeros."""
+    return _combine(op.cols, v, op.forms.dim(op.degree))
 
 
 def ext_matrix(op, s):
@@ -526,10 +539,10 @@ def right_linearity_witness(op):
     m, a = f.module, f.algebra
     for ai in range(m.dim):
         av = m.basis_vec(ai)
-        img = op.apply(av)
+        img = apply(op, av)
         for fi in range(a.dim):
             fv = a.basis_vec(fi)
-            if op.apply(m.act_right(av, fv)) != \
+            if apply(op, m.act_right(av, fv)) != \
                     mult_class(f, op.degree, img, 0, fv):
                 return (ai, fi)
     return None
@@ -757,7 +770,7 @@ def j_spans(c, ops):
         for phi in ops[p]:
             sq = nabla_hat(c, nabla_hat(c, phi))
             for ai in range(c.module.dim):
-                base = sq.apply(c.module.basis_vec(ai))
+                base = apply(sq, c.module.basis_vec(ai))
                 builders[p + 2].add(base)
                 for s in range(1, D - p - 1):
                     for wi in range(cal.dim(s)):
@@ -1029,7 +1042,7 @@ def sigma(k1):
                 op = [[x + row[wi] * y for x, y in zip(r0, r1)]
                       for r0, r1 in zip(op, dense(acc))]
         plain += [[r[i] for r in op] for i in range(width)]
-    tens = tensor_over_A(cal.degree_bimodule(1), c.module)
+    tens = balanced_tensor(cal.degree_bimodule(1), c.module)
     return True, None, at_free(tens.quotient, cols_to_mat(plain, t1))
 
 
@@ -1303,27 +1316,34 @@ def balanced_tensor(x, y):
     return BalancedTensor(x, y, quotient(x.dim * y.dim, reduced[:k]))
 
 
-def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
-    """∇⊗ on classes as a dense matrix: each pure pair's plain vector
-    ξ_j·a_i + b_j⊗∇a_i filled in entry by entry and projected, then the
-    columns at the domain's ``free``."""
-    w = tc.codomain
+def pure_pair_vectors(c, w, xi_forms, xi_list, tail_ops):
+    """Per pure pair (j, i) of N⊗M, the W-class of ξ_j·a_i + b_j⊗∇a_i as a
+    dense vector: its plain vector filled in entry by entry, ξ_j a dense
+    class of ``xi_forms`` lifted to its representative, then projected."""
     nt = xi_forms.n_tails(1)
     t1 = c.forms.dim(1)
-    cols = []
+    out = []
     for j, xi in enumerate(xi_list):
         terms = [(divmod(flat, nt), cc)
                  for flat, cc in enumerate(xi_forms.quotient_space(1).lift(xi))
                  if cc]
         for i in range(c.module.dim):
-            out = zeros(w.plain_dim)
+            v = zeros(w.plain_dim)
             for (k, bidx), cc in terms:
                 for l, x in tail_ops[bidx][i]:
-                    out[k * t1 + l] += cc * x
+                    v[k * t1 + l] += cc * x
             for l, x in c.nabla[i]:
-                out[j * t1 + l] += x
-            cols.append(w.project(out))
-    return at_free(tc.domain.quotient, cols_to_mat(cols, w.dim))
+                v[j * t1 + l] += x
+            out.append(w.quotient.project(v))
+    return out
+
+
+def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
+    """∇⊗ on classes as a dense matrix: the columns of
+    ``pure_pair_vectors`` at the domain's ``free``."""
+    w = tc.codomain
+    return at_free(tc.domain.quotient, cols_to_mat(
+        pure_pair_vectors(c, w, xi_forms, xi_list, tail_ops), w.dim))
 
 
 def right_on_classes(bt, f):
@@ -1333,8 +1353,8 @@ def right_on_classes(bt, f):
     cols = []
     for fc in bt.quotient.free:
         i, j = divmod(fc, y.dim)
-        cols.append(bt.project(bt.pure(bt.left_factor.basis_vec(i),
-                                       y.act_right(y.basis_vec(j), f))))
+        cols.append(project_pure(bt, bt.left_factor.basis_vec(i),
+                                 y.act_right(y.basis_vec(j), f)))
     return cols_to_mat(cols, bt.dim)
 
 
@@ -1358,7 +1378,7 @@ def tensor_right_leibniz(tc, c):
             extra[j * t1:(j + 1) * t1] = class_of_pair_bar(
                 c.forms, 1, m.basis_vec(i), df_bar)
             if [row[col] for row in lhs] != vec_add(
-                    [row[col] for row in rhs], w.project(extra)):
+                    [row[col] for row in rhs], w.quotient.project(extra)):
                 return {"basis": col, "algebra_basis": fi}
     return None
 
@@ -1394,9 +1414,25 @@ def associated_square(rc, nu, ext_cols):
 
 # -- pure pairs through project_pure --------------------------------------
 
+def pure(t, x, y):
+    """Plain-tensor coordinates of x⊗y in the balanced tensor t."""
+    out = zeros(t.plain_dim)
+    for i, ci in enumerate(x):
+        for j, cj in enumerate(y):
+            if ci and cj:
+                out[t.pure_index(i, j)] = ci * cj
+    return out
+
+
+def project_pure(t, x, y):
+    """The class of x⊗y in the balanced tensor t, its plain coordinates
+    projected."""
+    return t.quotient.project(pure(t, x, y))
+
+
 def _pure(t, x, y):
     """The class of the basis pair x_j⊗y_i of t, by ``project_pure``."""
-    return [[t.project_pure(x.basis_vec(j), y.basis_vec(i))
+    return [[project_pure(t, x.basis_vec(j), y.basis_vec(i))
              for i in range(y.dim)] for j in range(x.dim)]
 
 
@@ -1473,27 +1509,80 @@ def degeneracy_brute(pair):
                   {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
 
+def sigma_apply(c, s, cls):
+    """σ (a ``SigmaMap`` of ∇ = c) applied to a dense class of Ω¹⊗_AM, as
+    its matrix: σ's columns densified."""
+    return mat_vec(_to_mat(s.cols, c.forms.dim(1)), cls)
+
+
+def tail_bars(uni):
+    """Bar coordinates of 1·de_j per degree-one tail (j): d(e_j) itself,
+    since π(e_j) is a unit vector for j in the unit complement."""
+    return [uni.d(0, uni.algebra.basis_vec(j)) for j in uni.complement]
+
+
 def sigma_route(tc, rc, c, sigma):
-    """The witness of ``tensor-route-agreement``, or None: the ν̂ route's
-    value on each pure pair applied to its dense class."""
+    """The witness of ``tensor-route-agreement``, or None: per pure pair
+    (b_j, a_i), (id_N⊗σ)(∇′b_j)·a_i + b_j⊗∇a_i as a dense vector
+    (``pure_pair_vectors``, the tail β acting on a_i by σ's matrix at the
+    class of 1·de_β⊗a_i), against ∇⊗ applied to the pair's dense class."""
     n, m = rc.module, c.module
     s = sigma.sigma
     cal = c.calculus
     tail_ops = []
-    for bar in _tail_bars(cal.universal):
+    for bar in tail_bars(cal.universal):
         cls = cal.class_of_bar(1, bar)
-        tail_ops.append([list(_sparse(s.apply(
-            s.tensor.project_pure(cls, m.basis_vec(i)))).items())
-            for i in range(m.dim)])
+        tail_ops.append([list(_sparse(sigma_apply(c, s, project_pure(
+            s.tensor, cls, m.basis_vec(i)))).items()) for i in range(m.dim)])
     xi = [rc.nabla_apply(n.basis_vec(j)) for j in range(n.dim)]
-    plain = _pure_pair_columns(c, tc.codomain, rc.forms, xi, tail_ops)
-    pure = _pure(tc.domain, n, m)
+    plain = pure_pair_vectors(c, tc.codomain, rc.forms, xi, tail_ops)
+    pure_classes = _pure(tc.domain, n, m)
     for j in range(n.dim):
         for i in range(m.dim):
-            if dict(plain[j * m.dim + i]) != _sparse(
-                    _combine(tc.cols, pure[j][i], tc.codomain.dim)):
+            if plain[j * m.dim + i] != _combine(tc.cols, pure_classes[j][i],
+                                                tc.codomain.dim):
                 return {"pair": [j, i]}
     return None
+
+
+# -- the left Leibniz rule, per basis pair --------------------------------
+#
+# The route ``connection._left_leibniz_failure`` took before it compared
+# maps by columns: per basis pair (f, a), ∇(f·a) against X(f, a) + f·∇a on
+# dense vectors, f acting on M⊗_AΩ¹ by its action densified, where
+# X(f, a) is (d_∇f)(a) (``d_nabla_x``) or σ(df⊗a), σ's matrix applied to
+# the class of df⊗a formed by ``project_pure`` (``sigma_x``).
+
+def left_leibniz(c, x):
+    """The first basis pair [f, ai], by f and then ai, at which
+    ∇(f·a_i) = x(f, a_i) + f·∇a_i fails, or None."""
+    m = c.module
+    a = m.algebra
+    for f in range(a.dim):
+        fv = a.basis_vec(f)
+        left = _to_mat(c.forms.left_action_cols(1, fv), c.forms.dim(1))
+        for ai in range(m.dim):
+            av = m.basis_vec(ai)
+            lhs = c.nabla_apply(m.act_left(fv, av))
+            rhs = vec_add(x(f, av), mat_vec(left, c.nabla_apply(av)))
+            if lhs != rhs:
+                return [f, ai]
+    return None
+
+
+def d_nabla_x(c):
+    """X(f, a) = (d_∇e_f)(a) = (∇̂ê_f)(a), the left rule of
+    ``left-leibniz-induced``."""
+    a = c.module.algebra
+    ops = [nabla_hat(c, kappa0_op(c, e)) for e in identity_mat(a.dim)]
+    return lambda f, av: apply(ops[f], av)
+
+
+def sigma_x(c, s):
+    """X(f, a) = σ(de_f⊗a), the left rule of ``sigma-left-leibniz``."""
+    dfs = [c.calculus.d_of_algebra(e)
+           for e in identity_mat(c.module.algebra.dim)]
+    return lambda f, av: sigma_apply(c, s, project_pure(s.tensor, dfs[f], av))
 
 
 # -- parsing -----------------------------------------------------------------

@@ -132,6 +132,6 @@ def test_tensor_balancing_relation():
             for j in range(x.dim):
                 xv, yv = x.basis_vec(i), x.basis_vec(j)
                 fv = alg.basis_vec(k)
-                lhs = t.project_pure(x.act_right(xv, fv), yv)
-                rhs = t.project_pure(xv, x.act_left(fv, yv))
+                lhs = _reference.project_pure(t, x.act_right(xv, fv), yv)
+                rhs = _reference.project_pure(t, xv, x.act_left(fv, yv))
                 assert lhs == rhs

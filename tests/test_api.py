@@ -84,16 +84,18 @@ def test_every_defined_function_is_referenced():
     # aside) or demos/ names is reached only from tests, if at all, and
     # should be deleted; names are compared as identifiers and attributes,
     # so a def line does not count as a use of itself.  Dunder methods are
-    # called by Python itself.  LinSolver.solve is exempt by its qualified
-    # name alone: perfbench/layers.py profiles it, and it is kept for the
-    # benchmark's counts though nothing in src/ solves a system any more.
+    # called by Python itself.  LinSolver.solve and mat_vec are exempt by
+    # their qualified names alone: perfbench/layers.py profiles them, and
+    # they are kept for the benchmark's counts though nothing in src/
+    # solves a system or applies a dense matrix any more.
     # Report.to_dict likewise: perfbench/layers.py reads its records, and
     # the tests compare to_json with json.dumps of it, though no program
     # path renders through it any more.
     programs = [p for p in sorted(PACKAGE.glob("*.py"))
                 if p.name != "__init__.py"] + sorted(
                     (ROOT / "demos").glob("*.py"))
-    kept = {"linalg.py:LinSolver.solve", "report.py:Report.to_dict"}
+    kept = {"linalg.py:LinSolver.solve", "linalg.py:mat_vec",
+            "report.py:Report.to_dict"}
     used = set()
     for path in programs:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -238,11 +240,11 @@ SPARSE_ROUTE = {
                  "UniversalCalculus.product", "preceq"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
                    "Connection.curvature_cols", "DegreeRHom.key",
-                   "DegreeRHom.apply", "DegreeRHom.flat",
-                   "DegreeRHom.ext_cols", "DegreeRHom.compose",
-                   "DegreeRHom.add", "DegreeRHom.is_zero",
-                   "_commutator", "nabla_hat", "leibniz_failure",
-                   "Kappa1.op"},
+                   "DegreeRHom.flat", "DegreeRHom.ext_cols",
+                   "DegreeRHom.compose", "DegreeRHom.add",
+                   "DegreeRHom.is_zero", "_commutator", "nabla_hat",
+                   "leibniz_failure", "_left_leibniz_failure", "Kappa1.op",
+                   "SigmaMap.on", "sigma_exists"},
     "curvature": {"_square_hat", "InducedCalculus._project_op",
                   "InducedCalculus.image",
                   "InducedCalculus._check_multiplicative",
@@ -256,7 +258,7 @@ SPARSE_ROUTE = {
     "linalg": {"_compose", "QuotientSpace.induced", "kernel_quotient",
                "SpanBuilder.quotient"},
     "tensorconn": {"nu_hat", "_nu_right_linear", "_pure_pair_columns",
-                   "_check_tensor_leibniz"},
+                   "_check_tensor_leibniz", "_check_sigma_route"},
 }
 DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
                  "_cols_to_mat", "nabla_ext_matrix", "left_matrix",
@@ -351,8 +353,8 @@ def test_only_intake_and_printed_maps_convert_between_the_two_forms():
     # a bimodule's actions and ∇ are converted to columns once, where a
     # model is read (Bimodule.from_actions, the dense intake of the parser
     # and the tests, and _parse_connection), and a dense matrix is built
-    # only for the map a report prints, σ in sigma_exists (ρ is held by
-    # columns, as ν̂ is)
+    # only for the map a report prints, σ where the sigma command prints it
+    # (σ, ρ and ν̂ are held by columns)
     users = {"_to_cols": set(), "_to_mat": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "linalg":
@@ -372,7 +374,7 @@ def test_only_intake_and_printed_maps_convert_between_the_two_forms():
     assert users == {
         "_to_cols": {"algebra:Bimodule.from_actions",
                      "model:_parse_connection"},
-        "_to_mat": {"connection:sigma_exists"}}
+        "_to_mat": {"cli:_cmd_sigma"}}
 
 
 def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():

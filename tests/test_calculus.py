@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _reference import class_product, dense_vecs, is_zero_vec, mat_mul
+from _reference import (class_product, dense_vecs, is_zero_vec, mat_mul,
+                        vec_add)
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref)
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
@@ -24,8 +25,7 @@ from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
 from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, j_ideal,
                                  sigma_full)
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, _sparse,
-                              _to_mat, frac, identity_mat, mat_vec, vec_add,
-                              zeros)
+                              _to_mat, frac, identity_mat, mat_vec, zeros)
 from bimodconn.model import parse_model
 
 F = Fraction

@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _reference import class_of_pair_bar, is_zero_vec
+from _reference import apply, class_of_pair_bar, is_zero_vec
 from _shared import (MODELS, NAMES, a2, model, nabla, regular_connection,
                      upper_triangular)
 from bimodconn.connection import (Connection, DegreeRHom,
-                                  check_right_leibniz, induced_first_order,
-                                  kappa0_op, kappa1, nabla_hat, sigma_exists)
+                                  _left_leibniz_failure, check_right_leibniz,
+                                  induced_first_order, kappa0_op, kappa1,
+                                  nabla_hat, sigma_exists)
 from bimodconn.forms import Forms
-from bimodconn.linalg import rank, zeros
+from bimodconn.linalg import _col_sum, _to_mat, mat_vec, zeros
 from bimodconn.model import parse_model
 
 F = Fraction
@@ -65,7 +66,7 @@ def test_nabla_hat_of_e1_on_e2():
     nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
     bar = c.calculus.universal.from_emb(1, [-x for x in emb_e1e2()])
     expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), bar)
-    assert nh.apply(a2().basis_vec(1)) == expected
+    assert apply(nh, a2().basis_vec(1)) == expected
 
 
 def test_nabla_hat_of_e1_is_left_mult_by_de1():
@@ -77,7 +78,7 @@ def test_nabla_hat_of_e1_is_left_mult_by_de1():
     for i in range(2):
         prod = _reference.product(uni, 1, de1, 0, a2().basis_vec(i))
         expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), prod)
-        assert nh.apply(a2().basis_vec(i)) == expected
+        assert apply(nh, a2().basis_vec(i)) == expected
 
 
 def test_compose_past_the_truncation_raises():
@@ -141,9 +142,9 @@ def test_kappa1_on_e1_tensor_e2():
     k1 = kappa1(c)
     bar = c.calculus.universal.from_emb(1, emb_e1e2())
     op = k1.op(bar)
-    assert is_zero_vec(op.apply(a2().basis_vec(0)))
+    assert is_zero_vec(apply(op, a2().basis_vec(0)))
     expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), bar)
-    assert op.apply(a2().basis_vec(1)) == expected
+    assert apply(op, a2().basis_vec(1)) == expected
 
 
 def test_kappa1_injective_on_flat():
@@ -239,7 +240,8 @@ def _assert_sigma_matches_the_reference(c, k1):
     res = sigma_exists(c, k1)
     exists, witness, matrix = _reference.sigma(k1)
     assert (res.exists, res.witness_bar) == (exists, witness)
-    assert (res.sigma.matrix if res.exists else None) == matrix
+    assert (_to_mat(res.sigma.cols, c.forms.dim(1)) if res.exists
+            else None) == matrix
     return res
 
 
@@ -248,7 +250,8 @@ def test_sigma_and_kappa1_rank_match_the_coordinate_reference(case):
     c = SIGMA_CASES[case]()
     k1 = kappa1(c)
     _assert_sigma_matches_the_reference(c, k1)
-    dense_rank = rank(_reference.kappa1_coords(k1)[0])
+    coords = _reference.kappa1_coords(k1)[0]
+    dense_rank = _reference.rref(coords)[0] if coords else 0
     assert k1.rank() == dense_rank
     assert k1.injective == (dense_rank == c.calculus.universal.bar_dim(1))
 
@@ -268,6 +271,58 @@ def test_sigma_of_a_perturbed_kappa1_matches_the_reference(name, exists):
     assert res.exists == exists
     failing = [v.check_id for v in res.verdicts if not v.ok]
     assert failing == ["sigma-well-defined" if exists else "sigma-exists"]
+
+
+def _d_nabla_cols(c: Connection):
+    """d_∇e_f = ∇̂ê_f by columns, per basis element f of A."""
+    a = c.module.algebra
+    return [nabla_hat(c, kappa0_op(c, a.basis_vec(f))).cols
+            for f in range(a.dim)]
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA_CASES))
+def test_the_left_leibniz_rule_by_columns_matches_the_per_pair_reference(case):
+    # ∇∘L_f = X_f + L_f∘∇ decided by columns, against the dense per-pair
+    # route of tests/_reference.py, for X_f = d_∇e_f and, where σ exists,
+    # X_f = σ(de_f⊗·) by σ's columns and by σ's matrix
+    c = SIGMA_CASES[case]()
+    assert _left_leibniz_failure(c, _d_nabla_cols(c)) is None
+    assert _reference.left_leibniz(c, _reference.d_nabla_x(c)) is None
+    res = sigma_exists(c)
+    if res.exists:
+        a = c.module.algebra
+        xs = [res.sigma.on(c.calculus.d_of_algebra(a.basis_vec(f)))
+              for f in range(a.dim)]
+        assert _left_leibniz_failure(c, xs) is None
+        assert _reference.left_leibniz(
+            c, _reference.sigma_x(c, res.sigma)) is None
+
+
+@pytest.mark.parametrize("name", ["a2_flat", "a2_twist", "m2_grass"])
+def test_a_failing_left_leibniz_rule_gives_the_per_pair_witness(name):
+    # X_f taken as d_∇ of the next basis element, then d_∇e_f with one
+    # entry raised by one at (f, a_i) in its first and last row: each rule
+    # fails, and the first failing pair by columns is the reference's
+    c = nabla(name)
+    t1 = c.forms.dim(1)
+    xs = _d_nabla_cols(c)
+    cases = [xs[1:] + xs[:1]]
+    for f, x in enumerate(xs):
+        for i, col in enumerate(x):
+            for row in {0, t1 - 1}:
+                bad = list(xs)
+                bad[f] = list(x)
+                bad[f][i] = _col_sum([(col, 1), ([(row, 1)], 1)])
+                cases.append(bad)
+    found = []
+    for bad in cases:
+        w = _left_leibniz_failure(c, bad)
+        assert w == _reference.left_leibniz(
+            c, lambda f, av, bad=bad: mat_vec(_to_mat(bad[f], t1), av))
+        found.append(w)
+    assert None not in found
+    assert found[1:] == [[f, i] for f, x in enumerate(xs)
+                         for i in range(len(x)) for _ in {0, t1 - 1}]
 
 
 def _raised(op: DegreeRHom, i: int, row: int) -> DegreeRHom:

@@ -10,15 +10,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _reference import dense_vecs, mat_mul
+from _reference import dense_vecs, mat_mul, vec_add
 from _shared import MODELS, NAMES, a2
 import bimodconn
 from bimodconn import cli, linalg, parse_model
 from bimodconn.linalg import (DimensionError, SpanBuilder, _col_vec, _compose,
                               _to_cols, _to_mat, frac, identity_mat,
                               kernel_quotient, mat_vec, null_space,
-                              quotient, rank, row_reduce, vec_add, zero_mat,
-                              zeros)
+                              quotient, rank, row_reduce, zero_mat, zeros)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
 
@@ -528,8 +527,14 @@ def test_compose_matches_the_dense_combination(drawn):
 # handed no term to 190 of them: 124 right multiplications by ω with no
 # product term, 66 in κ₁ and its bimodule linearity at empty columns (over
 # the four shipped models, 254 such calls, 4 of them tensorconn's at pure
-# pairs of zero class)
-COL_SUM_CALLS_M2 = 4114
+# pairs of zero class).  4,114 while the left Leibniz rule and the
+# early-quotient span of J were decided per basis pair on dense vectors:
+# deciding them as identities of maps by columns adds 66 calls in
+# left-leibniz-induced (44 for the compositions ∇∘L_f and L_f∘∇, 22 for
+# the differences of the columns where a side is nonempty) and 42 in
+# j_ideal (32 for ∇²∘L_f and L_f∘∇², 10 for the nonzero differences);
+# m2_grass has no σ, so σ's left Leibniz rule adds none
+COL_SUM_CALLS_M2 = 4222
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
@@ -560,13 +565,14 @@ def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
 # `_to_cols` and `_to_mat` calls in one parse and `all`, by the module that
 # makes them: a bimodule's actions (algebra, one call per action of a basis
 # element) and ∇ (model) are converted to columns once, at intake, and only
-# σ, which a report prints, is densified (in connection).  While the
-# actions and ∇ were held dense, m2_grass made 77 and 3 such calls and
-# a2_flat 64 and 18; while ρ was densified in calculus, m2_grass made 3
-# `_to_mat` calls there and a2_flat 6.
+# σ, which a report prints, is densified (in cli, where it is printed).
+# While the actions and ∇ were held dense, m2_grass made 77 and 3 such
+# calls and a2_flat 64 and 18; while ρ was densified in calculus, m2_grass
+# made 3 `_to_mat` calls there and a2_flat 6; while σ was held dense, its
+# one call was made in connection.
 CONVERSIONS = {
     "m2_grass": ({"algebra": 8, "model": 1}, {}),
-    "a2_flat": ({"algebra": 4, "model": 1}, {"connection": 1}),
+    "a2_flat": ({"algebra": 4, "model": 1}, {"cli": 1}),
 }
 
 

@@ -16,8 +16,7 @@ from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
 from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _combine,
-                              _to_cols, _to_mat, identity_mat, vec_add,
-                              zeros)
+                              _to_cols, _to_mat, identity_mat, zeros)
 from bimodconn.model import parse_model
 from bimodconn.report import rationals
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
@@ -103,7 +102,7 @@ def skew_connection(perturbed: bool = False) -> Connection:
     if perturbed:
         emb = zeros(4)
         emb[0 * 2 + 1] = F(1)                       # add y⊗(e1⊗e2) to ∇′x
-        cols[0] = vec_add(cols[0], class_of_pair_bar(
+        cols[0] = _reference.vec_add(cols[0], class_of_pair_bar(
             forms, 1, n.basis_vec(1), uni.from_emb(1, emb)))
     matrix = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
     rc = Connection(forms, _to_cols(matrix, 2))
@@ -197,9 +196,10 @@ def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
             de_src = conn.calculus.d_of_algebra(a.basis_vec(j))
             de_tgt = target.d_of_algebra(a.basis_vec(j))
             for c, q in enumerate(identity_mat(src.dim(r))):
-                lhs = _reference.mult_class(tgt, r, nu.apply(r, q), 1, de_tgt)
-                rhs = nu.apply(r + 1,
-                               _reference.mult_class(src, r, q, 1, de_src))
+                lhs = _reference.mult_class(
+                    tgt, r, _combine(nu.maps[r], q, tgt.dim(r)), 1, de_tgt)
+                rhs = _combine(nu.maps[r + 1], _reference.mult_class(
+                    src, r, q, 1, de_src), tgt.dim(r + 1))
                 if lhs != rhs:
                     differ.append({"degree": r, "tail": j, "basis": c})
     assert differ
@@ -228,7 +228,10 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
     rc = rc_of("a2_flat")
     nu = nu_hat(rc, kappa_hat("a2_flat"))
     sig = sigma_exists(conn)
-    sig.sigma.matrix[1][0] += 1
+    # σ's columns are κ₁'s operator columns, shared: column 0 is replaced
+    # by a new one with its entry in row 1 raised by one, never edited
+    sig.sigma.cols = list(sig.sigma.cols)
+    sig.sigma.cols[0] = _bumped(sig.sigma.cols[0], 1)
     tco = tensor_connection_original(rc, conn, induced("a2_flat"), nu, sig)
     (v,) = [v for v in tco.verdicts if v.check_id == "tensor-route-agreement"]
     assert not v.ok
@@ -252,14 +255,17 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
             out = zeros(w.plain_dim)
             for flat, cc in enumerate(xi):
                 k, bidx = divmod(flat, nt)
-                val = sig.sigma.apply(
-                    sig.sigma.tensor.project_pure(tails[bidx], av))
+                val = _reference.sigma_apply(conn, sig.sigma,
+                                             _reference.project_pure(
+                                                 sig.sigma.tensor,
+                                                 tails[bidx], av))
                 for l, x in enumerate(val):
                     out[k * t1 + l] += cc * x
-            out = vec_add(out, w.pure(n.basis_vec(j), conn.nabla_apply(av)))
-            via_nu = _combine(tco.cols, tco.domain.project_pure(
-                n.basis_vec(j), av), w.dim)
-            if w.project(out) != via_nu:
+            out = _reference.vec_add(out, _reference.pure(
+                w, n.basis_vec(j), conn.nabla_apply(av)))
+            via_nu = _combine(tco.cols, _reference.project_pure(
+                tco.domain, n.basis_vec(j), av), w.dim)
+            if w.quotient.project(out) != via_nu:
                 differ.append([j, i])
     assert differ
     assert v.witness == {"pair": differ[0]}
@@ -308,8 +314,8 @@ def test_the_tensor_checks_by_columns_match_the_dense_references(name):
     tail_ops = [ic.d_ops[j].cols for j in c.calculus.universal.complement]
     rc = assoc.connection
     for tc, xi_forms, xi in (
-            (tco, nu.target, [nu.apply(1, c.nabla_apply(n.basis_vec(j)))
-                              for j in range(n.dim)]),
+            (tco, nu.target, [_combine(nu.maps[1], c.nabla_apply(
+                n.basis_vec(j)), nu.target.dim(1)) for j in range(n.dim)]),
             (tci, rc.forms, [rc.nabla_apply(n.basis_vec(j))
                              for j in range(n.dim)])):
         assert _to_mat(tc.cols, tc.codomain.dim) == \
