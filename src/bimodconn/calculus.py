@@ -367,42 +367,77 @@ def saturate_ideal(uni: UniversalCalculus,
     """Smallest two-sided graded ideal containing the generators, closed
     under d, degree-wise up to the truncation.
 
-    FIFO worklist: every vector v that enlarges its degree's span is
-    expanded exactly once, into e_i·v and v·e_i for ascending i and then dv
-    below the truncation, each combined sparsely from the column tables of
-    L_{e_i}, R_{e_i} and d at v's nonzeros.  Above degree 1, i runs over
-    the ``algebra_generators`` only, as L_{ab} = L_a∘L_b and R_{ab} =
-    R_b∘R_a; degree 1, fed only by the generators and by itself, keeps the
-    whole basis and so I¹'s basis and order.  So the span I is closed under
-    both actions of A and under d.  Products by the degree-one generators
-    de_j need no attempts of their own: for v in I^r with r < D, the graded
-    Leibniz rule of Ω_u gives
+    Degree 1 is the bimodule closure of the degree-1 generators: a FIFO
+    worklist expands every vector that enlarges the span exactly once,
+    into e_i·v and v·e_i for ascending i, each combined sparsely from the
+    column tables of L_{e_i} and R_{e_i} at v's nonzeros.  Each higher
+    degree follows in closed form from the one below,
 
-        v·de_j = (−1)^r (d(v·e_j) − dv·e_j),    de_j·v = d(e_j·v) − e_j·dv,
+        I^{r+1} = I^r·Ω¹ + A·d(I^r) + ⟨G^{r+1}⟩,
 
-    and each term on the right is in I^{r+1}.  Ω_u is generated by A and
-    the de_j, so I is then a two-sided ideal.  The span is
-    finite-dimensional, so the worklist runs dry.
+    read in bar coordinates off the reduced rows of I^r:
+    - I^r·Ω¹ = I^r·dA is spanned by each row followed by each tail slot t
+      (index x to x·m + t), as v·(a·db) = (v·a)·db;
+    - A·d(I^r) = A ⊗ W_r, with W_r the span of (π⊗id)(v) over the rows,
+      as d(e_i0·de_β) = 1·de_{π(e_i0)}·de_β: e_i0·de_β goes to
+      Σ_p π(e_i0)_p at tail index p·m^r + β, and each e_i ⊗ w, w in W_r's
+      rows, sits at index i·m^{r+1} + w;
+    - ⟨G^{r+1}⟩ is the degree-(r+1) generators closed by the worklist
+      under e_s· and ·e_s for s in the ``algebra_generators`` only, as
+      L_{ab} = L_a∘L_b and R_{ab} = R_b∘R_a.
+
+    Call the right side J.  Each part lies in every differential ideal
+    that holds the generators, so J ⊆ I^{r+1}.  Conversely the graded
+    span with J in degree r+1 holds the generators and is closed under d
+    (d(I^r) = 1·d(I^r)) and ·Ω¹ by construction, and, with I^r closed
+    under both actions of A:
+    - under Ω¹·, as de_j·x = d(e_j·x) − e_j·dx for x in I^r;
+    - under a·, as a·(x·ω) = (a·x)·ω and a·(b·dx) = (ab)·dx;
+    - under ·a, as (x·db)·a = x·d(ba) − (x·b)·da and
+      (b·dx)·a = b·d(x·a) − (−1)^r (b·x)·da;
+    and ⟨G^{r+1}⟩ is closed under both actions of A.  Ω_u is generated by
+    A and the de_j, so that span is the smallest differential ideal.  The
+    RREF of each degree is unique, so the quotients do not depend on the
+    order in which a basis was found.
     """
+    n, m = uni.algebra.dim, len(uni.complement)
     spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
-    queue: deque[tuple[int, SparseVec]] = deque()
+    by_degree: list[list[Vec]] = [[] for _ in spans]
     for deg, bar in generators:
         if deg < 1 or deg > uni.D:
             raise DimensionError("ideal generators must be homogeneous of "
                                  "degree between 1 and the truncation")
-        if spans[deg].add(bar):
-            queue.append((deg, _sparse(bar)))
-    while queue:
-        r, v = queue.popleft()
-        acts = uni.algebra_generators if r > 1 else range(uni.algebra.dim)
-        maps = [(r, cols) for i in acts
+        by_degree[deg].append(bar)
+    for r in range(1, uni.D + 1):
+        span = spans[r]
+        if r > 1:
+            # I^{r−1}'s row index x is i0·nt + (index of its tail)
+            rows, nt = spans[r - 1].reduced_rows(), m ** (r - 1)
+            for v in rows:
+                for t in range(m):
+                    span.add({x * m + t: c for x, c in v.items()})
+            w_span = SpanBuilder(m * nt)
+            for v in rows:
+                w_span.add(_sparse_sum([
+                    ([(p * nt + x % nt, cp) for p, cp in uni._pi[x // nt]], c)
+                    for x, c in v.items()]))
+            w_rows = w_span.reduced_rows()
+            for i in range(n):
+                for w in w_rows:
+                    span.add({i * m * nt + y: c for y, c in w.items()})
+        queue: deque[SparseVec] = deque()
+        for bar in by_degree[r]:
+            if span.add(bar):
+                queue.append(_sparse(bar))
+        acts = range(n) if r == 1 else uni.algebra_generators if queue else ()
+        maps = [cols for i in acts
                 for cols in (uni._left_cols[r][i], uni._right_cols[r][i])]
-        if r < uni.D:
-            maps.append((r + 1, uni.d_cols(r)))
-        for s, cols in maps:
-            w = _sparse_sum([(cols[x], c) for x, c in v.items()])
-            if spans[s].add(w):
-                queue.append((s, w))
+        while queue:
+            v = queue.popleft()
+            for cols in maps:
+                w = _sparse_sum([(cols[x], c) for x, c in v.items()])
+                if span.add(w):
+                    queue.append(w)
     return spans
 
 

@@ -14,7 +14,7 @@ import _reference
 from _reference import (class_product, dense_vecs, is_zero_vec, mat_mul,
                         vec_add)
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
-                        product_ref)
+                        product_ref, to_emb)
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
                      model, regular_connection, universal, upper_triangular)
 from bimodconn import cli
@@ -123,30 +123,45 @@ def test_quotient_idempotent():
     assert first.dims() == second.dims()
 
 
-@pytest.mark.parametrize("truncation, attempts", [(3, 16), (9, 52)])
-def test_saturation_expands_each_ideal_vector_once(monkeypatch, truncation,
-                                                   attempts):
-    # one attempt per generator, then per basis vector of I^r: 2n products
-    # by the algebra basis in degree 1 and 2|S| by the algebra generators S
-    # above it, and d below the top degree (the products by de_j follow by
-    # the Leibniz rule); re-expanding a vector would add more attempts
-    uni = UniversalCalculus(a2(), truncation)
-    gens = [(1, uni.from_emb(1, emb_e1e2()))]
-    acts = len(uni.algebra_generators)      # computed before the count
+# Span adds of the saturation per degree, and of each W_r = (π⊗id)(I^r).
+# Degree 1 tries each generator, then 2n products by the algebra basis per
+# basis vector of I¹ (each expanded once).  Each higher degree, with no
+# generator of its own, tries m = len(complement) rows of I^r·Ω¹ per
+# reduced row of I^r (all accepted: I^r's RREF with a tail slot appended)
+# and n vectors e_i ⊗ w per reduced row w of W_r; W_r tries one (π⊗id)(v)
+# per reduced row v of I^r.  a2 (n = 2, m = 1): I¹ = span{e1·de2} gives
+# 1 + 4 = 5, then 1 + 2·1 = 3 in degree 2 and 2 + 2·1 = 4 in every degree
+# above; m2_grass (n = 4, m = 3): I¹ has dimension 8, so 1 + 8·8 = 65,
+# then 3·8 + 4·7 = 52 and 3·32 + 4·25 = 196 with W_1 and W_2 of dimension
+# 7 and 25 (8 and 32 adds).
+@pytest.mark.parametrize("name, truncation, adds, w_adds", [
+    ("a2_quotient", 3, [0, 5, 3, 4], [1, 2]),
+    ("a2_quotient", 9, [0, 5, 3] + [4] * 7, [1] + [2] * 7),
+    ("m2_grass", 3, [0, 65, 52, 196], [8, 32])],
+    ids=["a2-D3", "a2-D9", "m2_grass-D3"])
+def test_saturation_span_adds_follow_the_closed_form(
+        monkeypatch, name, truncation, adds, w_adds):
+    uni = UniversalCalculus(model(name).algebra, truncation)
+    gens = _model_generators(name, uni)
     calls = []
     add = SpanBuilder.add
 
     def counting_add(self, v):
-        calls.append(v)
+        calls.append(self)
         return add(self, v)
 
     monkeypatch.setattr(SpanBuilder, "add", counting_add)
     spans = saturate_ideal(uni, gens)
-    n = uni.algebra.dim
-    expected = len(gens) + sum(
-        s.dim * (2 * (n if r == 1 else acts) + (1 if r < uni.D else 0))
-        for r, s in enumerate(spans))
-    assert len(calls) == expected == attempts
+    assert [sum(c is s for c in calls) for s in spans] == adds
+    w_spans = [c for k, c in enumerate(calls)
+               if all(c is not s for s in spans + calls[:k])]
+    assert [sum(c is w for c in calls) for w in w_spans] == w_adds
+    n, m = uni.algebra.dim, len(uni.complement)
+    assert adds == [0, len(gens) + 2 * n * spans[1].dim] + [
+        m * s.dim + n * w.dim for s, w in zip(spans[1:], w_spans)]
+    assert w_adds == [s.dim for s in spans[1:-1]]
+    # degree 1 alone closes by products; no generator lies above it
+    assert "algebra_generators" not in vars(uni)
 
 
 def _model_generators(name, uni):
@@ -157,12 +172,15 @@ def _model_generators(name, uni):
             for g in doc["calculus"].get("ideal_generators", [])]
 
 
-def _assert_saturation_matches_reference(uni, gens):
+def _assert_saturation_matches_reference(uni, gens, ref=None):
     # the same span in every degree, and the same basis of I¹, which
     # sigma-all-degrees reads its witness off; both sides are compared by
-    # the reference's own Gauss–Jordan, not by linalg's eliminator
+    # the reference's own Gauss–Jordan, not by linalg's eliminator.  A
+    # fault injected into ``uni`` after ``ref`` was computed reaches only
+    # the saturation
     spans = saturate_ideal(uni, gens)
-    ref = _reference.saturate_ideal(uni, gens)
+    if ref is None:
+        ref = _reference.saturate_ideal(uni, gens)
     for r, (s, t) in enumerate(zip(spans, ref)):
         assert s.dim == t.dim, r
         assert _reference.rref(dense_vecs(s.quotient().sub, s.ambient_dim)) \
@@ -206,6 +224,32 @@ def test_saturation_matches_the_worklist_reference_on_drawn_generators(
     _assert_saturation_matches_reference(uni, gens)
 
 
+# M₂ at D=3 costs the reference up to 0.8 s a draw; the m2_grass cases
+# cover it at D=3 and D=4
+_MIXED = [(n, d) for n in sorted(_ALGEBRAS) for d in (2, 3)
+          if (n, d) != ("M2", 3)]
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.sampled_from(_MIXED), st.data())
+def test_saturation_recursion_matches_the_reference_on_mixed_degrees(
+        case, data):
+    # a generator of degree 1, whose ideal the recursion carries upwards,
+    # and one of degree 2..D, closed in a degree the recursion also fills
+    name, truncation = case
+    uni = UniversalCalculus(_ALGEBRAS[name](), truncation)
+    r = data.draw(st.integers(2, truncation))
+    gens = [(1, data.draw(bar_elements(uni, 1))),
+            (r, data.draw(bar_elements(uni, r)))]
+    _assert_saturation_matches_reference(uni, gens)
+
+
+def test_saturation_recursion_matches_the_reference_on_m2_grass_at_d4():
+    uni = UniversalCalculus(m2(), 4)
+    _assert_saturation_matches_reference(
+        uni, _model_generators("m2_grass", uni))
+
+
 def test_a_wrong_column_table_entry_fails_the_saturation_reference():
     # the reference forms e_i·v in tensor-power coordinates, which read no
     # table of L_{e_i}
@@ -219,31 +263,33 @@ def test_a_wrong_column_table_entry_fails_the_saturation_reference():
         _assert_saturation_matches_reference(uni, gens)
 
 
-def test_a_wrong_generator_table_entry_on_omega2_fails_the_reference_on_m2():
-    # the reference forms every product in tensor-power coordinates, so a
-    # wrong entry in the table of R_{e21} on Ω² (M₂'s algebra generators
-    # are e12 and e21) reaches the saturation only; it was missed while the
-    # reference multiplied through ``product``, which reads the same table
+def test_a_wrong_projection_entry_fails_the_reference_on_m2():
+    # above degree 1 the saturation reads no column table: A·d(I^r) is
+    # A ⊗ (π⊗id)(I^r), read off ``_pi``.  A wrong entry of π(e22) =
+    # −π(e11) (e22 is M₂'s unit index u) reaches I² and I³.  The reference
+    # is computed first, since ``from_emb`` reads π too
     uni = UniversalCalculus(m2(), 3)
-    assert uni.algebra_generators == [1, 2]
     gens = _model_generators("m2_grass", uni)
-    _assert_saturation_matches_reference(uni, gens)
-    col = uni._right_cols[2][2][2]      # (e11·de11·de21)·e21
-    row, c = col[0]
-    col[0] = (row, c + 1)
+    ref = _reference.saturate_ideal(uni, gens)
+    _assert_saturation_matches_reference(uni, gens, ref)
+    assert uni._pi[3] == [(0, -1)]
+    uni._pi[3][0] = (0, -2)
     with pytest.raises(AssertionError):
-        _assert_saturation_matches_reference(uni, gens)
+        _assert_saturation_matches_reference(uni, gens, ref)
 
 
 def test_a_wrong_generator_table_entry_above_degree_one_fails_the_reference():
-    # above degree 1 the saturation acts by the algebra generators only
-    # (T₂'s are e12 and e22), and the reference by every e_i and de_j: a
-    # wrong entry in the table of R_{e22} on Ω² is caught
+    # a generator above degree 1 is closed by e_s· and ·e_s for the algebra
+    # generators s only (T₂'s are e12 and e22), and the reference by every
+    # e_i and de_j in tensor-power coordinates: a wrong entry in the table
+    # of R_{e22} on Ω² at the generator e11·de12·de11 is caught.  A
+    # degree-1 generator would not reach that table: I² is then read off
+    # I¹'s rows and π
     uni = UniversalCalculus(upper_triangular(2), 3)
     assert uni.algebra_generators == [1, 2]
-    e12_de11 = [0] * uni.bar_dim(1)
-    e12_de11[2] = 1
-    gens = [(1, e12_de11)]
+    e11_de12_de11 = [0] * uni.bar_dim(2)
+    e11_de12_de11[2] = 1
+    gens = [(2, e11_de12_de11)]
     _assert_saturation_matches_reference(uni, gens)
     col = uni._right_cols[2][2][2]      # (e11·de12·de11)·e22
     row, c = col[0]
@@ -303,13 +349,27 @@ def test_algebra_generators_of_m2_and_a2():
     assert UniversalCalculus(a2(), 1).algebra_generators == [1]
 
 
-def test_algebra_generators_are_found_only_above_degree_one():
-    # computed when the saturation first expands a vector above degree 1,
-    # so never for a model without ideal generators
+def test_algebra_generators_are_found_only_above_degree_one(tmp_path):
+    # computed only to close a generator of degree ≥ 2: never for a model
+    # without ideal generators, nor for m2_grass, whose generator has
+    # degree 1 (I¹ is closed by the whole basis, and the higher degrees
+    # are read off the one below)
     m = parse_model(str(MODELS / "a2_flat.model"))
     assert "algebra_generators" not in vars(m.calculus.universal)
     m = parse_model(str(MODELS / "m2_grass.model"))
-    assert vars(m.calculus.universal)["algebra_generators"] == [1, 2]
+    assert "algebra_generators" not in vars(m.calculus.universal)
+    # a2_flat with the degree-2 generator e2·de1·de1 (in tensor-power
+    # coordinates) closes it under e2· and ·e2, its algebra generator
+    doc = json.loads((MODELS / "a2_flat.model").read_text(encoding="utf-8"))
+    uni = UniversalCalculus(a2(), 3)
+    e2_de1_de1 = to_emb(uni, 2, [0, 1])
+    doc["calculus"]["ideal_generators"] = [
+        {"degree": 2, "element": [str(x) for x in e2_de1_de1]}]
+    path = tmp_path / "a2_degree_two.model"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    m = parse_model(str(path))
+    assert vars(m.calculus.universal)["algebra_generators"] == [1]
+    assert m.calculus.dims() == [2, 2, 1, 0]
 
 
 @settings(deadline=None, max_examples=20)
