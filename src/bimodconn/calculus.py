@@ -8,7 +8,8 @@ d(e_i·de_β) = de_i·de_β with de_i expanded through π; right multiplication
 by e_k moves e_k left through the tail by (x·de_j)·e_k = x·d(e_j e_k) −
 (x·e_j)·de_k; and u·(e_k·de_γ) is u·e_k followed by the tail γ.  Left and
 right multiplication by each e_i and d are kept as sparse column tables,
-built once, which every map that uses them reads.
+built once, which every map that uses them reads: R_{e_i} and d at
+construction, L_{e_i} one degree at a time, on first read.
 
 Tensor-power coordinates (Ω^r_u inside A^{⊗(r+1)}) appear only at intake:
 model files give ideal generators in them, and from_emb converts one to
@@ -51,9 +52,10 @@ class UniversalCalculus:
                        for r in range(self.D + 1)]
         self._tail_times: dict[tuple[int, int],
                                list[list[tuple[int, int, Fraction | int]]]] = {}
-        # per degree r: the sparse columns of L_{e_i} and R_{e_i} on Ω^r
-        # (per basis index i), and of d: Ω^r → Ω^{r+1} below the truncation
-        self._left_cols: list[list[Cols]] = []
+        # per degree r: the sparse columns of L_{e_i} (by r, built on first
+        # read) and R_{e_i} on Ω^r (per basis index i), and of d: Ω^r →
+        # Ω^{r+1} below the truncation
+        self._left_cols: dict[int, list[Cols]] = {}
         self._right_cols: list[list[Cols]] = []
         self._d_cols: list[Cols] = []
         self._build_structure_cols()
@@ -165,17 +167,12 @@ class UniversalCalculus:
         return cols
 
     def _build_structure_cols(self) -> None:
-        """The column tables of L_{e_i}, R_{e_i} and d, degree by degree:
-        e_i·(e_i0·de_β) = (e_i e_i0)·de_β; R_{e_k} as in ``_right_columns``;
-        and d(e_i0·de_β) = Σ π(e_i0)_p·1·de_{c_p}·de_β, the unit 1 = Σ u_t·e_t
-        written out."""
+        """The column tables of R_{e_i} and d, degree by degree: R_{e_k} as
+        in ``_right_columns``, and d(e_i0·de_β) = Σ π(e_i0)_p·1·de_{c_p}·de_β,
+        the unit 1 = Σ u_t·e_t written out."""
         n, m = self.algebra.dim, len(self.complement)
         for r in range(self.D + 1):
             nt = len(self._tails[r])
-            self._left_cols.append([
-                [[(l * nt + bidx, c) for l, c in self._mult[i][i0]]
-                 for i0 in range(n) for bidx in range(nt)]
-                for i in range(n)])
             self._right_cols.append([self._right_columns(r, k)
                                      for k in range(n)])
             if r < self.D:
@@ -206,7 +203,15 @@ class UniversalCalculus:
 
     # The column tables themselves, shared: no caller may change them.
     def left_cols(self, r: int, k: int) -> Cols:
-        """L_{e_k} on Ω^r: column x holds the nonzeros of e_k·(bar basis x)."""
+        """L_{e_k} on Ω^r: column x holds the nonzeros of e_k·(bar basis x),
+        e_k·(e_i0·de_β) = (e_k e_i0)·de_β; every L_{e_i} of degree r is
+        built on the first read of one."""
+        if r not in self._left_cols:
+            n, nt = self.algebra.dim, len(self._tails[r])
+            self._left_cols[r] = [
+                [[(l * nt + bidx, c) for l, c in self._mult[i][i0]]
+                 for i0 in range(n) for bidx in range(nt)]
+                for i in range(n)]
         return self._left_cols[r][k]
 
     def right_cols(self, r: int, k: int) -> Cols:
@@ -311,6 +316,9 @@ class GradedCalculus:
         self.ideal = [q.sub for q in quotients]
         self._d_cols: dict[int, Cols] = {}
         self._bimods: dict[int, Bimodule] = {}
+        # M⊗_AΩ over this calculus, one per module, by the id of M: (M, its
+        # Forms); the entry holds M, so the id stays M's (``Forms.of``)
+        self.forms_by_module: dict[int, tuple] = {}
 
     # -- basics -----------------------------------------------------------
     def dim(self, r: int) -> int:
@@ -431,7 +439,7 @@ def saturate_ideal(uni: UniversalCalculus,
                 queue.append(_sparse(bar))
         acts = range(n) if r == 1 else uni.algebra_generators if queue else ()
         maps = [cols for i in acts
-                for cols in (uni._left_cols[r][i], uni._right_cols[r][i])]
+                for cols in (uni.left_cols(r, i), uni.right_cols(r, i))]
         while queue:
             v = queue.popleft()
             for cols in maps:

@@ -480,6 +480,8 @@ class InducedCalculus:
     extended or projected per pair, and Ω_∇ is read off one elimination of
     each degree's rows (``_build_calculus``).  ``d_ops`` are the ∇̂ê_j, j in the
     unit complement, that every raw operator of degree ≥ 1 ends in.
+    ``calculus`` is Ω_∇, Ω's own object (``connection.calculus``) when the
+    two ideals agree in every degree (``_build_calculus``).
     """
 
     def __init__(self, c: Connection, omega_m: OmegaM):
@@ -613,12 +615,24 @@ class InducedCalculus:
         """Ω_∇ = Ω_u / ker κ degree-wise, with Ω⁰_∇ = A by convention: each
         degree is read off one elimination of κ̄'s rows
         (``linalg.kernel_quotient``), and κ₀ is injective when that
-        quotient keeps all of A.  d_∇² = 0 is decided by columns."""
-        uni = self.connection.calculus.universal
+        quotient keeps all of A.  d_∇² = 0 is decided by columns.
+
+        When every degree's quotient has the (``free``, ``proj_cols``) of
+        Ω's, Ω_∇ is Ω's own object: the projection is read off the RREF of
+        the ideal, which is unique, so equal projections mean equal ideals,
+        and Ω's ``Forms`` then serve Ω_∇ too.  Otherwise Ω_∇ is a new
+        ``GradedCalculus``."""
+        own = self.connection.calculus
+        uni = own.universal
         self.kappa0_injective = \
             kernel_quotient(self._columns[0]).dim == uni.algebra.dim
-        self.calculus = GradedCalculus(uni, [quotient(uni.bar_dim(0), [])] + [
-            kernel_quotient(self._columns[r]) for r in range(1, uni.D + 1)])
+        quotients = [quotient(uni.bar_dim(0), [])] + [
+            kernel_quotient(self._columns[r]) for r in range(1, uni.D + 1)]
+        if all((q.free, q.proj_cols) == (p.free, p.proj_cols)
+               for q, p in zip(quotients, own.quotients)):
+            self.calculus = own
+        else:
+            self.calculus = GradedCalculus(uni, quotients)
         self.verdicts.append(Verdict(
             "omega0-is-algebra", anchors.OMEGA0_IS_A, "pass", None,
             {"kappa0_injective": self.kappa0_injective}))

@@ -41,7 +41,21 @@ if TYPE_CHECKING:
 
 
 class Forms:
-    """M⊗_AΩ^r for r = 0..D, with actions, products and lifts."""
+    """M⊗_AΩ^r for r = 0..D, with actions, products and lifts.
+
+    Built once per (module, calculus) through ``Forms.of``, so every
+    connection on M against Ω, and ν̂'s target when Ω_∇ is Ω, share its
+    quotients, right multiplications, extensions and operator intern table.
+    """
+
+    @classmethod
+    def of(cls, module: Bimodule, calculus: GradedCalculus) -> "Forms":
+        """M⊗_AΩ for this module and calculus, built on the first call and
+        kept in ``calculus.forms_by_module``."""
+        memo = calculus.forms_by_module
+        if id(module) not in memo:
+            memo[id(module)] = (module, cls(module, calculus))
+        return memo[id(module)][1]
 
     def __init__(self, module: Bimodule, calculus: GradedCalculus):
         self.module = module

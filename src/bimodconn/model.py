@@ -46,7 +46,7 @@ ROUTES = ("induced", "nu-hat", "both")
 # the number of degrees of a one-dimensional algebra.
 MAX_EMB_DIM = 4096
 # Most modules, connections and tensor requests a model may hold, each: every
-# connection builds its own M⊗_AΩ, and `all` runs every check once per
+# module builds its own M⊗_AΩ, and `all` runs every check once per
 # connection and per tensor request.
 MAX_ENTRIES = 16
 
@@ -234,7 +234,7 @@ def _parse_connection(doc, path: str, model: ModelFile) -> Connection:
     nabla_tu = _to_cols(_rat_mat(_get(doc, "nabla", path), f"{path}.nabla",
                                  module.dim * n_tails, module.dim),
                         module.dim)
-    forms = Forms(module, model.calculus)
+    forms = Forms.of(module, model.calculus)
     # each column's class: the projection's columns at its nonzeros
     proj = forms.quotient_space(1).proj_cols
     return Connection(forms, [[(r, _exact(x)) for r, x in col]

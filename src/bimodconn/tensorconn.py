@@ -9,6 +9,11 @@ and compared here, together with the degeneracy submodules N₀, M₀ they
 assume stable.  The N-side ∇′ and the associated connection ∇′_M are plain
 :class:`Connection` objects over a right module N; the right Leibniz rule
 is checked by :func:`check_right_leibniz` as for a bimodule.
+
+N⊗_AΩ_∇ is ``Forms.of(N, Ω_∇)``.  When Ω_∇ has Ω's ideal it is Ω's own
+object (``InducedCalculus``), so that is the N-side ∇′'s own Forms: ν̂ is
+the identity, and its checks, ∇′_M and the induced route reuse the
+quotients, right multiplications and extensions built for ∇′.
 """
 
 from __future__ import annotations
@@ -178,7 +183,10 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     projection columns at the source's ``free`` columns, held as they are.
     Its right linearity is decided by composing those columns with the
     right multiplications of ``Forms``.  The source is ``rc.forms``; only
-    the target N⊗Ω_∇ is built here.
+    the target N⊗Ω_∇ is built here, through ``Forms.of``.  When κ̂'s
+    target is ``rc.calculus`` (Ω_∇ = Ω), that is the parser's
+    ``rc.forms``, ν̂ the identity, and nothing is built; every check below
+    still runs.
     """
     if kappa_hat is None:
         nu = NuHat(False)
@@ -188,7 +196,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
         raise DimensionError(
             "the N-side connection must live over the source of κ̂")
     src = rc.forms
-    tgt = Forms(rc.module, kappa_hat.target)
+    tgt = Forms.of(rc.module, kappa_hat.target)
     nu = NuHat(True, src, tgt)
     for r in range(src.D + 1):
         proj = tgt.quotient_space(r).proj_cols
@@ -429,6 +437,9 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     columns, as ``preceq`` reads ρ: ν̂'s target ideal contains its
     source's, so the target's ``free`` columns are among the source's, and
     ν̂ takes the source class at the target's k-th free column to e_k.
+    ∇′_M lives on ν̂'s target, which is ``rc.forms`` when Ω_∇ = Ω: ∇′_M is
+    then a second connection on ∇′'s own Forms, and its right Leibniz rule
+    reads the right multiplications ∇′'s checks built.
     """
     if not nu.available:
         res = AssociatedResult(False)

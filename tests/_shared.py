@@ -13,7 +13,7 @@ from bimodconn.connection import Connection
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
 from bimodconn.linalg import _sparse
-from bimodconn.model import ModelFile, parse_model
+from bimodconn.model import ModelFile, TensorRequest, parse_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 NAMES = ("a2_flat", "a2_quotient", "a2_twist", "m2_grass")
@@ -105,7 +105,7 @@ def regular_connection(a: Algebra, truncation: int, gamma: int | list,
     if generators:
         cal = quotient_calculus(cal, generators)
     uni = cal.universal
-    forms = Forms(regular_bimodule(a), cal)
+    forms = Forms.of(regular_bimodule(a), cal)
     if isinstance(gamma, int):
         g = [0] * uni.bar_dim(1)
         g[gamma] = 1
@@ -123,3 +123,12 @@ def model_file(conn: Connection, name: str = "generated") -> ModelFile:
     "nabla", and its bimodule, named "A", for ``cli.run``."""
     return ModelFile(name, conn.module.algebra, conn.forms.D, conn.calculus,
                      {"A": conn.module}, {"nabla": conn})
+
+
+def generated_model(a: Algebra, truncation: int) -> ModelFile:
+    """``model_file`` of ∇ = d + Γ· on the regular bimodule of A over the
+    universal calculus, Γ the bar basis 1-form 0, with a "both" tensor
+    request for ∇ on itself."""
+    mf = model_file(regular_connection(a, truncation, 0))
+    mf.tensor_requests.append(TensorRequest("nabla", "nabla", "both"))
+    return mf

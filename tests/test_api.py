@@ -392,3 +392,31 @@ def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():
                     or isinstance(node, ast.alias) and node.name == "mat_mul":
                 users.add(path.name)
     assert users == set()
+
+
+def test_forms_are_built_only_through_the_memo():
+    # one M⊗_AΩ per (module, calculus): the package calls Forms nowhere and
+    # builds one only inside Forms.of (as ``cls``), which keeps it on the
+    # calculus; the parser and ν̂ take theirs from it
+    calls = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.")
+                elif isinstance(child, ast.FunctionDef):
+                    for sub in ast.walk(child):
+                        if isinstance(sub, ast.Call) and \
+                                getattr(sub.func, "id", None) in ("Forms",
+                                                                  "cls"):
+                            calls.add(f"{path.stem}:{prefix}{child.name}:"
+                                      f"{sub.func.id}")
+                        if isinstance(sub, ast.Attribute) and \
+                                sub.attr == "of" and \
+                                getattr(sub.value, "id", None) == "Forms":
+                            calls.add(f"{path.stem}:{prefix}{child.name}:of")
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert calls == {"forms:Forms.of:cls", "model:_parse_connection:of",
+                     "tensorconn:nu_hat:of"}

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _shared import (MODELS, NAMES, cyclic_group_algebra, m2, model_file,
-                     regular_connection, universal, upper_triangular)
+from _shared import (MODELS, NAMES, cyclic_group_algebra, generated_model, m2,
+                     universal, upper_triangular)
 import bimodconn
 from bimodconn import cli
 from bimodconn import model as model_module
@@ -22,9 +22,10 @@ from bimodconn.calculus import preceq
 from bimodconn.forms import Forms
 from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
 from bimodconn.model import (MAX_EMB_DIM, MAX_ENTRIES, ModelError,
-                             TensorRequest, parse_model, parse_rational)
+                             parse_model, parse_rational)
 from bimodconn.report import (ABSENT, FAIL, PASS, UNAVAILABLE, Report,
                               Verdict, failed, passed)
+from bimodconn.tensorconn import nu_hat
 
 def flat_doc() -> dict:
     return json.loads((MODELS / "a2_flat.model").read_text())
@@ -215,7 +216,7 @@ def test_parse_rejects_a_connection_matrix_of_the_wrong_shape(
     def never(*args):
         raise AssertionError("built before the shape was checked")
 
-    monkeypatch.setattr(model_module, "Forms", never)
+    monkeypatch.setattr(model_module.Forms, "of", never)
     monkeypatch.setattr(model_module, "Connection", never)
     with pytest.raises(ModelError) as err:
         parse_model(model_path)
@@ -237,7 +238,7 @@ def _entries(doc: dict, key: str, n: int) -> None:
 
 @pytest.mark.parametrize("key", ["modules", "connections", "tensor"])
 def test_parse_caps_the_number_of_entries(tmp_path, capsys, key):
-    # each connection builds its own M⊗_AΩ and `all` runs per connection and
+    # each module builds its own M⊗_AΩ and `all` runs per connection and
     # per request; past the cap the file is refused before anything is built
     doc = flat_doc()
     _entries(doc, key, MAX_ENTRIES)
@@ -317,9 +318,8 @@ def test_report_json_round_trip():
     assert all("paper_anchor" in rec for rec in doc["records"])
 
 
-def test_each_forms_built_once(monkeypatch):
-    # parsing builds M⊗Ω for the one connection; the tensor route reuses it
-    # as the N-side source and builds only its Ω_∇ target
+def _count_forms_builds(monkeypatch) -> list:
+    """The calculus of each Forms built from here on, in order."""
     builds = []
     init = Forms.__init__
 
@@ -328,19 +328,40 @@ def test_each_forms_built_once(monkeypatch):
         init(self, module, calculus)
 
     monkeypatch.setattr(Forms, "__init__", counting_init)
+    return builds
+
+
+def test_each_forms_built_once(monkeypatch):
+    # parsing builds M⊗Ω for the one connection; on a2_flat Ω_∇ is Ω, so
+    # the tensor routes reuse it as ν̂'s source and target and as the Forms
+    # of ∇′_M, and build none
+    builds = _count_forms_builds(monkeypatch)
     model = parse_model(str(MODELS / "a2_flat.model"))
-    assert len(builds) == 1
+    assert builds == [model.calculus]
     report = cli.run("tensor", model)
     assert report.summary == "pass"
-    assert len(builds) == 2
-    assert builds[1] is not model.calculus
+    assert builds == [model.calculus]
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name, truncation", [
+    *((name, None) for name in NAMES), ("a2_flat", 9), ("a2_quotient", 9)])
+def test_parse_and_all_build_one_forms_per_shipped_model(
+        monkeypatch, name, truncation):
+    # one M⊗_AΩ per (module, calculus), through Forms.of: the a2_flat and
+    # a2_quotient tensor requests find Ω_∇ = Ω and reuse the model's Forms,
+    # and a2_twist and m2_grass have no request
+    builds = _count_forms_builds(monkeypatch)
+    model = parse_model(str(MODELS / f"{name}.model"), truncation=truncation)
+    cli.run("all", model)
+    assert builds == [model.calculus]
+
+
+@pytest.mark.parametrize("name", [*NAMES, "CZ3-D3"])
 def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
     # Forms spans M⊗I^r by g⊗ι over the right-module generators g only;
     # rebuild it from every basis vector m_i instead, for every Forms that
-    # parse + all builds (the N-side ones of the tensor requests included)
+    # parse + all builds: the model's, and on the generated model, where
+    # Ω_∇ is not Ω, the N-side one over Ω_∇ of its tensor request
     built = []
     init = Forms.__init__
 
@@ -349,9 +370,12 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
         built.append(self)
 
     monkeypatch.setattr(Forms, "__init__", recording_init)
-    model = parse_model(str(MODELS / f"{name}.model"))
+    if name in GENERATED_PINS:
+        model = _generated(name)
+    else:
+        model = parse_model(str(MODELS / f"{name}.model"))
     cli.run("all", model)
-    assert len(built) == (2 if model.tensor_requests else 1)
+    assert len(built) == (2 if name in GENERATED_PINS else 1)
     if name == "m2_grass":
         assert len(built[0].generators) < built[0].module.dim
     for f in built:
@@ -545,7 +569,9 @@ def test_all_decides_each_order_once_per_pipeline(monkeypatch, name):
     assert len(model.connections) == 1
     assert len(calls) == 2
     (c1, c2), (d1, d2) = calls
-    assert c2 is cal and d1 is cal and c1 is d2 is not cal
+    assert c2 is cal and d1 is cal and c1 is d2
+    # Ω_∇ is Ω's own object exactly when their ideals agree
+    assert (c1 is cal) == (name in ("a2_flat", "a2_quotient"))
 
 
 # The SHA-256 of the JSON `all` report of ∇ = d + Γ· (Γ the bar basis
@@ -568,9 +594,7 @@ GENERATED_PINS = {
 
 def _generated(name):
     algebra, truncation, _ = GENERATED_PINS[name]
-    mf = model_file(regular_connection(algebra(), truncation, 0))
-    mf.tensor_requests.append(TensorRequest("nabla", "nabla", "both"))
-    return mf
+    return generated_model(algebra(), truncation)
 
 
 @pytest.mark.parametrize("name", GENERATED_PINS)
@@ -578,6 +602,52 @@ def test_the_all_report_of_a_generated_model_is_pinned(name):
     report = cli.run("all", _generated(name)).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == \
         GENERATED_PINS[name][2]
+
+
+@pytest.mark.parametrize("name", [*NAMES, *GENERATED_PINS])
+def test_omega_nabla_and_nu_hat_reuse_the_model_exactly_when_the_ideals_agree(
+        name):
+    # on a2_flat and a2_quotient Ω_∇ has Ω's ideal, so it is Ω's object and
+    # ν̂ (the identity) targets the model's own Forms; elsewhere both are
+    # distinct, and on a2_twist and m2_grass, where Ω_∇ ⪯ Ω fails, ν̂ is
+    # unavailable and builds no target
+    mf = _generated(name) if name in GENERATED_PINS else \
+        parse_model(str(MODELS / f"{name}.model"))
+    conn = mf.connections["nabla"]
+    p = cli._Pipeline(conn)
+    nu = nu_hat(conn, p.kappa_hat)
+    if name in ("a2_flat", "a2_quotient"):
+        assert p.induced_calculus.calculus is conn.calculus
+        assert nu.target is conn.forms
+    else:
+        assert p.induced_calculus.calculus is not conn.calculus
+        if name in GENERATED_PINS:
+            assert isinstance(nu.target, Forms)
+            assert nu.target is not conn.forms
+            assert nu.target.calculus is p.induced_calculus.calculus
+        else:
+            assert not nu.available and nu.target is None
+
+
+# The SHA-256 of the JSON `all` report of a2_twist and m2_grass with a
+# "both" tensor request for ∇ on itself, recorded so that a change that
+# moves a byte of it fails: there Ω_∇ is not Ω, and ν̂ is unavailable.
+BOTH_PINS = {
+    "a2_twist":
+        "55a224482c4d3ef511d9ad26b804762b769a94ea82bf695c285abf69009d589f",
+    "m2_grass":
+        "bd017859b072215c1172119dcd9bc89658545af7b4104d83cd393a2283377184",
+}
+
+
+@pytest.mark.parametrize("name", BOTH_PINS)
+def test_the_all_report_with_a_both_request_is_pinned(tmp_path, name):
+    doc = json.loads((MODELS / f"{name}.model").read_text())
+    assert "tensor" not in doc
+    doc["tensor"] = [{"left": "nabla", "right": "nabla", "route": "both"}]
+    model = parse_model(write_doc(tmp_path, doc))
+    report = cli.run("all", model).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == BOTH_PINS[name]
 
 
 def _keys(x):

@@ -6,8 +6,8 @@ against the extension through representatives."""
 import pytest
 
 import _reference
-from _shared import MODELS, NAMES, model, model_file, regular_bimodule, \
-    regular_connection, upper_triangular
+from _shared import MODELS, NAMES, cyclic_group_algebra, generated_model, \
+    model, model_file, regular_bimodule, regular_connection, upper_triangular
 from bimodconn import cli
 from bimodconn.calculus import quotient_calculus, universal_graded
 from bimodconn.connection import Connection
@@ -17,10 +17,17 @@ from bimodconn.linalg import DimensionError, _col_vec, _to_mat, \
 from bimodconn.model import parse_model
 
 
+# the runs of parse + ``all`` whose Forms are checked: the shipped models,
+# whose ν̂ (on a2_flat and a2_quotient, where Ω_∇ is Ω) targets the model's
+# own Forms, and a generated model whose Ω_∇ is not Ω, whose tensor request
+# builds a distinct N-side Forms over Ω_∇ (also the Forms of ∇′_M)
+ALL_RUNS = {
+    **{n: lambda n=n: parse_model(str(MODELS / f"{n}.model")) for n in NAMES},
+    "CZ3-D3": lambda: generated_model(cyclic_group_algebra(3), 3)}
+
+
 def _forms_built_by_all(monkeypatch, name) -> list[Forms]:
-    """Every Forms that parse + ``all`` builds on a shipped model: the
-    model's own, and the ν̂ target (also the Forms of ∇′_M) of its tensor
-    requests."""
+    """Every Forms that parse + ``all`` builds on one of ``ALL_RUNS``."""
     built = []
     init = Forms.__init__
 
@@ -29,7 +36,7 @@ def _forms_built_by_all(monkeypatch, name) -> list[Forms]:
         built.append(self)
 
     monkeypatch.setattr(Forms, "__init__", recording_init)
-    cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    cli.run("all", ALL_RUNS[name]())
     return built
 
 
@@ -75,10 +82,10 @@ def _check_right_mult(f: Forms) -> None:
                     _reference.cols_to_mat(cols, f.dim(r + 1))
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", ALL_RUNS)
 def test_right_mult_matrix_on_every_forms_of_all(monkeypatch, name):
     built = _forms_built_by_all(monkeypatch, name)
-    assert len(built) == (2 if model(name).tensor_requests else 1)
+    assert len(built) == (1 if name in NAMES else 2)
     for f in built:
         _check_right_mult(f)
 

@@ -11,12 +11,13 @@ from _shared import (MODELS, NAMES, a2, induced, nabla, pipeline,
                      regular_connection, universal, upper_triangular)
 from bimodconn import algebra, cli, connection, tensorconn
 from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
-from bimodconn.calculus import preceq
+from bimodconn.calculus import GradedCalculus, preceq
 from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
 from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
 from bimodconn.forms import Forms
 from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _combine,
-                              _to_cols, _to_mat, identity_mat, zeros)
+                              _to_cols, _to_mat, identity_mat, kernel_quotient,
+                              zeros)
 from bimodconn.model import parse_model
 from bimodconn.report import rationals
 from bimodconn.tensorconn import (associated_connection, check_compatibility,
@@ -176,10 +177,16 @@ def test_both_routes_flat():
 
 
 def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
-    # a fresh pipeline, so the fault does not reach the cached models
+    # a fresh pipeline, so the fault does not reach the cached models.  On
+    # a2_flat Ω_∇ is Ω's own object, where the fault would reach both sides
+    # of the square; the target is a distinct calculus built from the same
+    # kernel quotients, so ν̂'s target is a Forms of its own
     conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
-    target = InducedCalculus(
-        conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn)))).calculus
+    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    assert ic.calculus is conn.calculus
+    uni = conn.calculus.universal
+    target = GradedCalculus(uni, [conn.calculus.quotients[0]] + [
+        kernel_quotient(ic._columns[r]) for r in range(1, uni.D + 1)])
     a = conn.module.algebra
     # the target's class of de_j replaced by that of e_0·de_j
     d_of_algebra = target.d_of_algebra
@@ -190,6 +197,7 @@ def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
     (v,) = [v for v in nu.verdicts if v.check_id == "nu-hat-right-linear"]
     # ν̂(q)·de_j against ν̂(q·de_j), column by column, by representatives
     src, tgt = nu.source, nu.target
+    assert tgt is not src and tgt.calculus is target
     differ = []
     for r in range(src.D):
         for j in src.uni.complement:
