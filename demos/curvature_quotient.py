@@ -11,16 +11,16 @@ m2_grass model and takes a second or two.)
 
 from pathlib import Path
 
-from bimodconn import parse_model
-from bimodconn.curvature import OmegaHat, OmegaM, curvature, j_ideal
+from bimodconn import Pipeline, parse_model
 from bimodconn.report import rat_str
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    conn = parse_model(str(MODELS / "m2_grass.model")).connections["nabla"]
-    res = curvature(conn)
+    p = Pipeline(
+        parse_model(str(MODELS / "m2_grass.model")).connections["nabla"])
+    res = p.curvature
     print("curvature is zero:", res.operator.is_zero())
     print("curvature left-linear upstairs:", res.left_linear)
     w = res.witness
@@ -28,9 +28,8 @@ def main() -> None:
           "module basis", w["module_basis"],
           "difference", [rat_str(x) for x in w["difference"]])
 
-    j = j_ideal(conn, OmegaHat(conn))
-    print("J dims per degree:", j.dims())
-    om = OmegaM(conn, j)
+    print("J dims per degree:", p.j_ideal.dims())
+    om = p.omega_m
     print("Omega(M) dims per degree:", om.dims())
     for v in om.verdicts:
         if v.check_id.startswith("curvature"):

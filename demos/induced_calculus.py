@@ -11,27 +11,25 @@ started from.
 
 from pathlib import Path
 
-from bimodconn import induced_first_order, kappa1, parse_model
-from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
+from bimodconn import Pipeline, parse_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
-    print("calculus dims (degrees 0..3):", conn.calculus.dims())
+    p = Pipeline(
+        parse_model(str(MODELS / "a2_flat.model")).connections["nabla"])
+    print("calculus dims (degrees 0..3):", p.conn.calculus.dims())
 
-    ifo = induced_first_order(conn)
+    ifo = p.induced_first_order
     print("dim of the induced degree-one space:", ifo.dim)
     for v in ifo.verdicts:
         print(" ", v.check_id, "->", v.status)
 
-    k1 = kappa1(conn, ifo)
+    k1 = p.kappa1
     print("kappa1 rank:", k1.rank(), "(injective)" if k1.injective else "")
 
-    oh = OmegaHat(conn)
-    om = OmegaM(conn, j_ideal(conn, oh))
-    ic = InducedCalculus(conn, om)
+    ic = p.induced_calculus
     print("induced calculus dims:", ic.calculus.dims())
     cmp = ic.compare()
     print("induced ⪯ original:", cmp.dims["induced_preceq_calculus"])

@@ -11,20 +11,22 @@ can factor through the projection.
 
 from pathlib import Path
 
-from bimodconn import kappa1, parse_model, sigma_exists
+from bimodconn import Pipeline, parse_model
 from bimodconn.report import rat_str
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    flat = parse_model(str(MODELS / "a2_quotient.model")).connections["nabla"]
-    ok = sigma_exists(flat)
-    print("flat connection on the quotient calculus: sigma exists =", ok.exists)
+    flat = Pipeline(
+        parse_model(str(MODELS / "a2_quotient.model")).connections["nabla"])
+    print("flat connection on the quotient calculus: sigma exists =",
+          flat.sigma.exists)
 
-    c = parse_model(str(MODELS / "a2_twist.model")).connections["nabla"]
-    k1 = kappa1(c)
-    res = sigma_exists(c, k1)
+    twist = Pipeline(
+        parse_model(str(MODELS / "a2_twist.model")).connections["nabla"])
+    k1 = twist.kappa1
+    res = twist.sigma
     print("a2_twist model: sigma exists =", res.exists)
     wit = res.witness_bar
     print("witness in K (bar coordinates):", [rat_str(x) for x in wit])

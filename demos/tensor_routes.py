@@ -10,8 +10,8 @@ a2_flat model and shown to produce the same columns.
 
 from pathlib import Path
 
-from bimodconn import Connection, parse_model, preceq, sigma_exists
-from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
+from bimodconn import Pipeline, parse_model
+from bimodconn.connection import Connection
 from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
                                   degeneracy_submodules, nu_hat,
                                   tensor_connection_induced,
@@ -21,19 +21,19 @@ MODELS = Path(__file__).resolve().parents[1] / "models"
 
 
 def main() -> None:
-    conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
-    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    p = Pipeline(
+        parse_model(str(MODELS / "a2_flat.model")).connections["nabla"])
+    conn, ic = p.conn, p.induced_calculus
 
     pair = degeneracy_submodules(conn.module, conn.module)
     print("degeneracy kernels N0, M0:", len(pair.n0), len(pair.m0))
     print("brute-force pairing oracle:", degeneracy_brute(pair).status)
 
     rc = Connection(conn.forms, conn.nabla)
-    kap = preceq(ic.calculus, conn.calculus)[0]
-    nu = nu_hat(rc, kap)
+    nu = nu_hat(rc, p.kappa_hat)
     print("nu-hat rank in degree 1:", nu.rank(1))
 
-    tco = tensor_connection_original(rc, conn, ic, nu, sigma_exists(conn))
+    tco = tensor_connection_original(rc, conn, ic, nu, p.sigma)
     assoc = associated_connection(rc, nu)
     tci = tensor_connection_induced(assoc.connection, conn, ic)
     for v in tco.verdicts + assoc.verdicts:

@@ -1,4 +1,4 @@
-"""Command-line driver: run the analysis pipelines on a model file.
+"""Command-line driver: run the analysis stages on a model file.
 
 Usage::
 
@@ -11,8 +11,13 @@ calculus, κ and d²), ``sigma`` (σ existence with witness), ``curvature``
 connections), ``compare`` (partial order between the model's calculus and
 the induced one, with per-degree dimension tables), ``all``.
 
+Each connection gets one ``Pipeline``, whose stages every command reads,
+so a stage that several commands need is computed once; ``tensor`` reads
+the pipeline of each request's right factor.
+
 Exit codes: 0 all identities pass, 1 some identity check fails, 2 the
-input is invalid.
+input is invalid.  A character stdout cannot encode is written as its
+backslash escape.
 """
 
 from __future__ import annotations
@@ -21,13 +26,9 @@ import argparse
 import errno
 import os
 import sys
-from functools import cached_property
 
 from . import anchors
-from .connection import (Connection, induced_first_order, kappa1,
-                         sigma_exists)
-from .curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
-                        extend_connection, j_ideal, sigma_full)
+from .curvature import Pipeline
 from .linalg import _to_mat
 from .model import ModelError, ModelFile, parse_model
 from .report import Report, Verdict, rationals
@@ -38,57 +39,6 @@ from .tensorconn import (associated_connection, check_compatibility,
 
 COMMANDS = ("check", "induce", "sigma", "curvature", "tensor", "compare",
             "all")
-
-
-class _Pipeline:
-    """Lazily computed analysis stages for one connection."""
-
-    def __init__(self, conn: Connection):
-        self.conn = conn
-
-    @cached_property
-    def induced_first_order(self):
-        return induced_first_order(self.conn)
-
-    @cached_property
-    def kappa1(self):
-        return kappa1(self.conn, self.induced_first_order)
-
-    @cached_property
-    def sigma(self):
-        return sigma_exists(self.conn, self.kappa1)
-
-    @cached_property
-    def extension(self):
-        return extend_connection(self.conn)
-
-    @cached_property
-    def curvature(self):
-        return curvature(self.conn)
-
-    @cached_property
-    def omega_hat(self):
-        return OmegaHat(self.conn)
-
-    @cached_property
-    def j_ideal(self):
-        return j_ideal(self.conn, self.omega_hat)
-
-    @cached_property
-    def omega_m(self):
-        return OmegaM(self.conn, self.j_ideal)
-
-    @cached_property
-    def induced_calculus(self):
-        return InducedCalculus(self.conn, self.omega_m)
-
-    @cached_property
-    def sigma_full(self):
-        return sigma_full(self.induced_calculus)
-
-    @cached_property
-    def kappa_hat(self):
-        return self.induced_calculus.below[0]
 
 
 def _scope(report: Report, command: str, connection: str | None = None) -> None:
@@ -103,7 +53,7 @@ def _cmd_check(report: Report, model: ModelFile) -> None:
     report.extend(model.axiom_verdicts)
 
 
-def _cmd_induce(report: Report, name: str, p: _Pipeline) -> None:
+def _cmd_induce(report: Report, name: str, p: Pipeline) -> None:
     _scope(report, "induce", name)
     report.extend(p.induced_first_order.verdicts)
     report.extend(p.kappa1.verdicts)
@@ -114,7 +64,7 @@ def _cmd_induce(report: Report, name: str, p: _Pipeline) -> None:
          "omega_nabla_dims": p.induced_calculus.calculus.dims()}))
 
 
-def _cmd_sigma(report: Report, name: str, p: _Pipeline) -> None:
+def _cmd_sigma(report: Report, name: str, p: Pipeline) -> None:
     _scope(report, "sigma", name)
     report.extend(p.kappa1.verdicts)
     report.extend(p.sigma.verdicts)
@@ -125,7 +75,7 @@ def _cmd_sigma(report: Report, name: str, p: _Pipeline) -> None:
     report.extend(p.sigma_full.verdicts)
 
 
-def _cmd_curvature(report: Report, name: str, p: _Pipeline) -> None:
+def _cmd_curvature(report: Report, name: str, p: Pipeline) -> None:
     _scope(report, "curvature", name)
     report.extend(p.extension)
     report.extend(p.curvature.verdicts)
@@ -137,14 +87,14 @@ def _cmd_curvature(report: Report, name: str, p: _Pipeline) -> None:
         {"j_dims": p.j_ideal.dims(), "omega_m_dims": p.omega_m.dims()}))
 
 
-def _cmd_compare(report: Report, name: str, p: _Pipeline) -> None:
+def _cmd_compare(report: Report, name: str, p: Pipeline) -> None:
     _scope(report, "compare", name)
     report.append(p.induced_calculus.compare())
     report.extend(p.sigma_full.verdicts)
 
 
 def _cmd_tensor(report: Report, model: ModelFile,
-                pipelines: dict[str, _Pipeline]) -> None:
+                pipelines: dict[str, Pipeline]) -> None:
     for req in model.tensor_requests:
         _scope(report, "tensor", f"{req.left}⊗{req.right}")
         c = model.connections[req.right]
@@ -182,7 +132,7 @@ def run(command: str, model: ModelFile,
             raise ModelError("--connection",
                              f"unknown connection {connection!r}")
         names = [connection]
-    pipelines = {n: _Pipeline(model.connections[n]) for n in names}
+    pipelines = {n: Pipeline(model.connections[n]) for n in names}
     report = Report()
     if command in ("check", "all"):
         _cmd_check(report, model)
@@ -243,7 +193,10 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write("\n")
         except OSError as exc:
             return _cannot_write(args.json_out, exc)
-    print(report.to_text())
+    # a stdout that cannot encode a character writes its escape, as
+    # Python's stderr does, rather than fail a model that passes
+    enc = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(report.to_text().encode(enc, "backslashreplace").decode(enc))
     return 0 if report.summary == "pass" else 1
 
 

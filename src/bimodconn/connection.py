@@ -393,10 +393,9 @@ class Kappa1:
         return self.rank() == len(self.ops)
 
 
-def kappa1(c: Connection, induced: InducedFirstOrder | None = None) -> Kappa1:
-    """Basis element f·dg ↦ f̂∘∇̂(ĝ), with linearity and diagram checks."""
-    if induced is None:
-        induced = induced_first_order(c)
+def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
+    """Basis element f·dg ↦ f̂∘∇̂(ĝ), with linearity and diagram checks;
+    ``induced`` is Ω¹_∇ of the same connection."""
     uni = c.calculus.universal
     a = c.module.algebra
     hats = [kappa0_op(c, fv) for fv in identity_mat(a.dim)]
@@ -468,7 +467,7 @@ class SigmaResult:
     verdicts: list[Verdict] = field(default_factory=list)
 
 
-def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
+def sigma_exists(c: Connection, k1: Kappa1) -> SigmaResult:
     """σ exists iff κ₁ annihilates the defining kernel K = I¹ of the calculus.
 
     K is the kernel of Ω¹'s projection P₁, spanned by its ``sub``, so the
@@ -479,10 +478,8 @@ def sigma_exists(c: Connection, k1: Kappa1 | None = None) -> SigmaResult:
     ∇(fa) = σ(df⊗a) + f∇a is then verified exactly on all basis pairs.  On
     failure the witness is the first vector of P₁'s null space (the
     canonical basis of ``null_space``, read off P₁'s columns) with nonzero
-    κ₁-image.
+    κ₁-image.  ``k1`` is κ₁ of the same connection.
     """
-    if k1 is None:
-        k1 = kappa1(c)
     cal = c.calculus
     q1 = cal.quotients[1]
     absent = any(not k1.op(b).is_zero() for b in q1.sub)

@@ -16,8 +16,9 @@ from functools import cached_property
 
 from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
-from .connection import (Connection, DegreeRHom, _commutator, kappa0_op,
-                         leibniz_failure, nabla_hat)
+from .connection import (Connection, DegreeRHom, _commutator,
+                         induced_first_order, kappa0_op, kappa1,
+                         leibniz_failure, nabla_hat, sigma_exists)
 from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _col_sum,
                      _col_vec, _compose, _sparse_sum, identity_mat,
                      kernel_quotient, quotient, QuotientSpace)
@@ -767,3 +768,65 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
                                                 "sigma": not witnesses},
                             {"induced_preceq_calculus": rho is not None}))
     return SigmaFull(not witnesses, witnesses, verdicts)
+
+
+class Pipeline:
+    """Every stage of the analysis of one connection, each computed on
+    first read and kept.
+
+    The stages, in the order ``cli`` reads them for ``all``: ∇̂ and Ω¹_∇
+    (``induced_first_order``), κ₁ (``kappa1``), σ (``sigma``), the
+    ∇-extension (``extension``), the curvature (``curvature``), Ω̂
+    (``omega_hat``), J (``j_ideal``), Ω(M) (``omega_m``), Ω_∇ with κ̄
+    (``induced_calculus``), σ_u (``sigma_full``) and κ̂: Ω_∇ → Ω where
+    Ω_∇ ⪯ Ω (``kappa_hat``).  Each stage function takes the earlier stages
+    it reads as arguments and builds none of them; this class is the one
+    place that hands a stage another stage's result.
+    """
+
+    def __init__(self, conn: Connection):
+        self.conn = conn
+
+    @cached_property
+    def induced_first_order(self):
+        return induced_first_order(self.conn)
+
+    @cached_property
+    def kappa1(self):
+        return kappa1(self.conn, self.induced_first_order)
+
+    @cached_property
+    def sigma(self):
+        return sigma_exists(self.conn, self.kappa1)
+
+    @cached_property
+    def extension(self):
+        return extend_connection(self.conn)
+
+    @cached_property
+    def curvature(self):
+        return curvature(self.conn)
+
+    @cached_property
+    def omega_hat(self):
+        return OmegaHat(self.conn)
+
+    @cached_property
+    def j_ideal(self):
+        return j_ideal(self.conn, self.omega_hat)
+
+    @cached_property
+    def omega_m(self):
+        return OmegaM(self.conn, self.j_ideal)
+
+    @cached_property
+    def induced_calculus(self):
+        return InducedCalculus(self.conn, self.omega_m)
+
+    @cached_property
+    def sigma_full(self):
+        return sigma_full(self.induced_calculus)
+
+    @cached_property
+    def kappa_hat(self):
+        return self.induced_calculus.below[0]

@@ -1190,7 +1190,10 @@ def saturate_ideal(uni, generators):
     formed in tensor-power coordinates (``_embedding``) and brought back by
     ``from_emb``, so no column table of ``UniversalCalculus`` is read.  The
     spans are ``EchelonSpanBuilder``s, whose ``basis`` holds the accepted
-    vectors in order, so no step runs ``linalg``'s eliminator."""
+    vectors in order, so no step runs ``linalg``'s eliminator.  No image is
+    formed into a degree whose span is already full when the vector is
+    taken from the queue: that span rejects it anyway, so the spans are
+    the same."""
     a = uni.algebra
     spans = [EchelonSpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue = deque()
@@ -1203,10 +1206,11 @@ def saturate_ideal(uni, generators):
         r, v = queue.popleft()
         v_emb = to_emb(uni, r, v)
         images = []
-        for f in fs:
-            images.append((r, product_emb(a, f, 0, v_emb, r)))
-            images.append((r, product_emb(a, v_emb, r, f, 0)))
-        if r < uni.D:
+        if spans[r].dim < uni.bar_dim(r):
+            for f in fs:
+                images.append((r, product_emb(a, f, 0, v_emb, r)))
+                images.append((r, product_emb(a, v_emb, r, f, 0)))
+        if r < uni.D and spans[r + 1].dim < uni.bar_dim(r + 1):
             images.append((r + 1, d_emb(a, v_emb, r)))
             for de in des:
                 images.append((r + 1, product_emb(a, de, 1, v_emb, r)))

@@ -10,7 +10,7 @@ from bimodconn.algebra import Algebra, Bimodule
 from bimodconn.calculus import (GradedCalculus, quotient_calculus,
                                 universal_graded)
 from bimodconn.connection import Connection
-from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
+from bimodconn.curvature import Pipeline
 from bimodconn.forms import Forms
 from bimodconn.linalg import _sparse
 from bimodconn.model import ModelFile, TensorRequest, parse_model
@@ -48,19 +48,9 @@ def universal(name: str) -> GradedCalculus:
 
 
 @cache
-def pipeline(name: str, truncation: int | None = None):
-    """(connection, OmegaHat, JIdeal, OmegaM) for one model's ∇."""
-    conn = model(name, truncation).connections["nabla"]
-    oh = OmegaHat(conn)
-    j = j_ideal(conn, oh)
-    om = OmegaM(conn, j)
-    return conn, oh, j, om
-
-
-@cache
-def induced(name: str, truncation: int | None = None) -> InducedCalculus:
-    conn, _, _, om = pipeline(name, truncation)
-    return InducedCalculus(conn, om)
+def pipeline(name: str, truncation: int | None = None) -> Pipeline:
+    """The stages of one model's ∇, each computed once per process."""
+    return Pipeline(model(name, truncation).connections["nabla"])
 
 
 def upper_triangular(n: int) -> Algebra:

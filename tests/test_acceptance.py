@@ -5,13 +5,10 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from _shared import MODELS, NAMES, induced, nabla, pipeline, universal
+from _shared import MODELS, NAMES, pipeline, universal
 from bimodconn import cli
-from bimodconn.calculus import preceq
-from bimodconn.connection import (Connection, check_right_leibniz,
-                                  induced_first_order, kappa0_op, kappa1,
-                                  nabla_hat, sigma_exists)
-from bimodconn.curvature import curvature, sigma_full
+from bimodconn.connection import (Connection, check_right_leibniz, kappa0_op,
+                                  nabla_hat)
 from bimodconn.model import parse_model
 from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
                                   degeneracy_submodules, nu_hat,
@@ -30,9 +27,9 @@ def test_01_universal_dimension_law():
 
 def test_02_right_leibniz_and_derivation_law():
     for which in NAMES:
-        conn = pipeline(which)[0]
-        assert check_right_leibniz(conn).ok
-        ifo = induced_first_order(conn)
+        p = pipeline(which)
+        assert check_right_leibniz(p.conn).ok
+        ifo = p.induced_first_order
         ids = {v.check_id: v for v in ifo.verdicts}
         assert ids["d-nabla-derivation"].ok
         assert ids["left-leibniz-induced"].ok
@@ -40,8 +37,7 @@ def test_02_right_leibniz_and_derivation_law():
 
 def test_03_kappa1_diagram_commutes():
     for which in NAMES:
-        conn = pipeline(which)[0]
-        k1 = kappa1(conn)
+        k1 = pipeline(which).kappa1
         ids = {v.check_id: v for v in k1.verdicts}
         assert ids["kappa1-diagram"].ok
         assert ids["kappa1-bimodule-linear"].ok
@@ -49,13 +45,11 @@ def test_03_kappa1_diagram_commutes():
 
 def test_04_sigma_dichotomy():
     for name in ("a2_flat", "a2_quotient"):
-        res = sigma_exists(nabla(name))
+        res = pipeline(name).sigma
         assert res.exists
         ids = {v.check_id: v for v in res.verdicts}
         assert ids["sigma-left-leibniz"].ok
-    c = nabla("a2_twist")
-    k1 = kappa1(c)
-    res = sigma_exists(c, k1)
+    k1, res = pipeline("a2_twist").kappa1, pipeline("a2_twist").sigma
     assert not res.exists
     assert res.witness_bar is not None
     assert not k1.op(res.witness_bar).is_zero()
@@ -63,20 +57,19 @@ def test_04_sigma_dichotomy():
 
 def test_05_curvature_linearity_report():
     for which in NAMES:
-        conn, _, _, om = pipeline(which)
-        res = curvature(conn)
+        res = pipeline(which).curvature
         assert any(v.check_id == "curvature-right-omega-linear" and v.ok
                    for v in res.verdicts)
-        ids = {v.check_id: v for v in om.verdicts}
+        ids = {v.check_id: v for v in pipeline(which).omega_m.verdicts}
         assert ids["curvature-left-linear-on-omega-m"].ok
-    grass_res = curvature(pipeline("m2_grass")[0])
+    grass_res = pipeline("m2_grass").curvature
     assert not grass_res.left_linear
     assert grass_res.witness is not None
 
 
 def test_06_j_closure():
     for which in NAMES:
-        j = pipeline(which)[2]
+        j = pipeline(which).j_ideal
         assert j.dims()[0] == 0 and j.dims()[1] == 0
         ids = {v.check_id: v for v in j.verdicts}
         assert ids["j-degrees-0-1-vanish"].ok
@@ -85,11 +78,11 @@ def test_06_j_closure():
 
 def test_07_d_nabla_squared_zero():
     for which in NAMES:
-        ic = induced(which)
+        ic = pipeline(which).induced_calculus
         assert any(v.check_id == "d-nabla-squared-zero" and v.ok
                    for v in ic.verdicts)
     # on the gauge model the unfactored nabla-hat square is nonzero
-    conn = pipeline("m2_grass")[0]
+    conn = pipeline("m2_grass").conn
     squares = []
     for i in range(conn.module.algebra.dim):
         f_hat = kappa0_op(conn, conn.module.algebra.basis_vec(i))
@@ -99,7 +92,7 @@ def test_07_d_nabla_squared_zero():
 
 def test_08_sigma_u_full_degree_identities():
     for which in ("a2_flat", "a2_quotient"):
-        sf = sigma_full(induced(which))
+        sf = pipeline(which).sigma_full
         ids = {v.check_id: v for v in sf.verdicts}
         assert ids["sigma-u-multiplicative"].ok
         assert ids["sigma-u-derivation"].ok
@@ -108,16 +101,15 @@ def test_08_sigma_u_full_degree_identities():
 
 def test_09_tensor_product_routes():
     for which in NAMES:
-        conn = pipeline(which)[0]
+        conn = pipeline(which).conn
         pair = degeneracy_submodules(conn.module, conn.module)
         assert degeneracy_brute(pair).ok
     for which in ("a2_flat", "a2_quotient"):
-        conn = pipeline(which)[0]
-        ic = induced(which)
+        p = pipeline(which)
+        conn, ic = p.conn, p.induced_calculus
         rc = Connection(conn.forms, conn.nabla)
-        kap = preceq(ic.calculus, conn.calculus)[0]
-        nu = nu_hat(rc, kap)
-        tco = tensor_connection_original(rc, conn, ic, nu, sigma_exists(conn))
+        nu = nu_hat(rc, p.kappa_hat)
+        tco = tensor_connection_original(rc, conn, ic, nu, p.sigma)
         assert all(v.ok for v in tco.verdicts)
         assert any(v.check_id == "tensor-route-agreement"
                    for v in tco.verdicts)

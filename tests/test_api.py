@@ -1,15 +1,21 @@
-"""The public names of the bimodconn package, the function names the
-benchmark profiles, the functions nothing in the program calls, the
-reference routes the program no longer takes, the stages that reuse
-what an earlier one built, and the maps that are stored by columns only."""
+"""The public names of the bimodconn package, the one place that wires
+the stages, the function names the benchmark profiles, the functions
+nothing in the program calls, the reference routes the program no longer
+takes, the stages that reuse what an earlier one built, and the maps that
+are stored by columns only."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import bimodconn
+from bimodconn.connection import kappa1, sigma_exists
 from bimodconn.linalg import QuotientSpace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +29,60 @@ def test_all_names_resolve_and_star_import():
     namespace = {}
     exec("from bimodconn import *", namespace)
     assert set(bimodconn.__all__) <= set(namespace)
+
+
+def test_the_package_exports_what_a_pipeline_user_needs():
+    # a model is parsed, each connection's stages come from a Pipeline, and
+    # cli.run renders them as a Report of Verdicts; every stage and helper
+    # is imported from its own submodule
+    assert bimodconn.__all__ == ["ModelError", "ModelFile", "Pipeline",
+                                 "Report", "Verdict", "parse_model"]
+
+
+# every stage entry point that takes another stage's result, or that
+# Pipeline computes for one connection
+STAGES = {"induced_first_order", "kappa1", "sigma_exists",
+          "extend_connection", "curvature", "OmegaHat", "j_ideal", "OmegaM",
+          "InducedCalculus", "sigma_full"}
+
+
+def test_only_the_pipeline_calls_a_stage():
+    # Pipeline is the one place in src/ and demos/ that builds a stage, so
+    # the order of the stages and what each is handed is written once; a
+    # stage takes its inputs, and none builds an earlier one for itself
+    outside, inside = [], set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(
+            (ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        wiring = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Pipeline"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in STAGES and id(node) in wiring:
+                inside.add(name)
+            elif name in STAGES:
+                outside.append(f"{path.name}:{node.lineno}:{name}")
+    assert outside == []
+    assert inside == STAGES
+    for stage in (kappa1, sigma_exists):
+        assert all(p.default is inspect.Parameter.empty
+                   for p in inspect.signature(stage).parameters.values())
+
+
+def test_the_package_does_not_import_the_cli():
+    # runpy warns when the module it runs is already in sys.modules after
+    # its package is imported, so ``python -m bimodconn.cli`` stays silent
+    # only while the package leaves cli alone
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "bimodconn.cli",
+         "check", "--model", str(ROOT / "models" / "a2_flat.model")],
+        capture_output=True, env=env, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_each_submodule_is_its_own_attribute():

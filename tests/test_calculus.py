@@ -15,15 +15,14 @@ from _reference import (class_product, dense_vecs, is_zero_vec, mat_mul,
                         vec_add)
 from _embedding import (bar_columns, d_emb, d_ref, product_emb,
                         product_ref, to_emb)
-from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
-                     model, regular_connection, universal, upper_triangular)
-from bimodconn import cli
+from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
+                     pipeline, regular_connection, universal,
+                     upper_triangular)
+from bimodconn import Pipeline, cli
 from bimodconn.algebra import Algebra, check_algebra
 from bimodconn.calculus import (GradedCalculus, UniversalCalculus, preceq,
                                 quotient_calculus, saturate_ideal,
                                 universal_graded)
-from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, j_ideal,
-                                 sigma_full)
 from bimodconn.linalg import (DimensionError, LinSolver, SpanBuilder, _sparse,
                               _to_mat, frac, identity_mat, mat_vec, zeros)
 from bimodconn.model import parse_model
@@ -387,8 +386,8 @@ def test_sigma_witness_degree_matches_the_reference_saturation(
                                         min_size=1, max_size=2))]
     gamma = data.draw(st.integers(0, uni.bar_dim(1) - 1))
     conn = regular_connection(a, truncation, gamma, gens)
-    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
-    witnesses = sigma_full(ic).witnesses
+    p = Pipeline(conn)
+    ic, witnesses = p.induced_calculus, p.sigma_full.witnesses
     ref = _reference.saturate_ideal(uni, gens)
     want = next((r for r in range(1, truncation + 1)
                  for v in ref[r].basis
@@ -468,12 +467,12 @@ def _order_calculi(name):
     model, or of ∇ = d + Γ· on T₂ at D=3 ("t2") or T₃ at D=2 ("t3"), whose
     calculus is the universal one."""
     if name in NAMES:
-        return model(name).calculus, universal(name), induced(name).calculus
+        return (model(name).calculus, universal(name),
+                pipeline(name).induced_calculus.calculus)
     n, truncation = {"t2": (2, 3), "t3": (3, 2)}[name]
     conn = regular_connection(upper_triangular(n), truncation, 0)
-    omega_m = OmegaM(conn, j_ideal(conn, OmegaHat(conn)))
     return (conn.calculus, universal_graded(conn.calculus.algebra, truncation),
-            InducedCalculus(conn, omega_m).calculus)
+            Pipeline(conn).induced_calculus.calculus)
 
 
 def _assert_preceq_matches_reference(c1, c2):

@@ -3,7 +3,10 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -435,6 +438,28 @@ def test_main_exit_zero_and_json(tmp_path, capsys):
     assert "check-algebra" in capsys.readouterr().out
 
 
+def test_main_escapes_what_an_ascii_stdout_cannot_encode():
+    # every shipped report holds characters outside ASCII (the "—" of the
+    # plumbing anchor, at least): an ASCII stdout gets them as backslash
+    # escapes, as stderr would, and the exit code still says whether every
+    # identity passed
+    env = {**os.environ, "PYTHONIOENCODING": "ascii",
+           "PYTHONPATH": os.pathsep.join([str(MODELS.parent / "src"),
+                                          os.environ.get("PYTHONPATH", "")])}
+    codes = []
+    for name in NAMES:
+        path = str(MODELS / f"{name}.model")
+        done = subprocess.run(
+            [sys.executable, "-m", "bimodconn.cli", "all", "--model", path],
+            capture_output=True, env=env)
+        assert b"Traceback" not in done.stderr
+        text = cli.run("all", parse_model(path)).to_text()
+        assert not text.isascii()
+        assert done.stdout == text.encode("ascii", "backslashreplace") + b"\n"
+        codes.append(done.returncode)
+    assert codes == [0, 0, 0, 1]
+
+
 def test_main_exit_two_on_missing_file(tmp_path, capsys):
     code = cli.main(["check", "--model", str(tmp_path / "nope.json")])
     assert code == 2
@@ -526,13 +551,13 @@ def test_no_float_bool_or_integral_fraction_after_all(monkeypatch, name):
     # every operand of a shipped model is integral, so every cached matrix
     # and vector holds plain ints; only report payloads carry Fractions
     pipelines = []
-    make = cli._Pipeline
+    make = cli.Pipeline
 
     def recording(conn):
         pipelines.append(make(conn))
         return pipelines[-1]
 
-    monkeypatch.setattr(cli, "_Pipeline", recording)
+    monkeypatch.setattr(cli, "Pipeline", recording)
     model = parse_model(str(MODELS / f"{name}.model"))
     report = cli.run("all", model)
     cal, conn = model.calculus, model.connections["nabla"]
@@ -550,9 +575,8 @@ def test_no_float_bool_or_integral_fraction_after_all(monkeypatch, name):
 def test_all_decides_each_order_once_per_pipeline(monkeypatch, name):
     # Ω_∇ ⪯ Ω is decided once (InducedCalculus.below, which sigma_full,
     # compare and κ̂ for the tensor routes read) and Ω ⪯ Ω_∇ once, in
-    # compare.  Every module that binds preceq is patched by name, through
-    # importlib: the package re-exports the function ``curvature`` under its
-    # module's name, so ``bimodconn.curvature`` is not that module.
+    # compare.  Every module that binds preceq is patched by name, each
+    # module found through importlib.
     calls = []
 
     def counting(c1, c2):
@@ -614,7 +638,7 @@ def test_omega_nabla_and_nu_hat_reuse_the_model_exactly_when_the_ideals_agree(
     mf = _generated(name) if name in GENERATED_PINS else \
         parse_model(str(MODELS / f"{name}.model"))
     conn = mf.connections["nabla"]
-    p = cli._Pipeline(conn)
+    p = bimodconn.Pipeline(conn)
     nu = nu_hat(conn, p.kappa_hat)
     if name in ("a2_flat", "a2_quotient"):
         assert p.induced_calculus.calculus is conn.calculus

@@ -6,12 +6,13 @@ import pytest
 
 import _reference
 from _reference import apply, class_of_pair_bar, is_zero_vec
-from _shared import (MODELS, NAMES, a2, model, nabla, regular_connection,
-                     upper_triangular)
+from _shared import (MODELS, NAMES, a2, model, nabla, pipeline,
+                     regular_connection, upper_triangular)
+from bimodconn import Pipeline
 from bimodconn.connection import (Connection, DegreeRHom,
                                   _left_leibniz_failure, check_right_leibniz,
-                                  induced_first_order, kappa0_op, kappa1,
-                                  nabla_hat, sigma_exists)
+                                  induced_first_order, kappa0_op, nabla_hat,
+                                  sigma_exists)
 from bimodconn.forms import Forms
 from bimodconn.linalg import _col_sum, _to_mat, mat_vec, zeros
 from bimodconn.model import parse_model
@@ -139,7 +140,7 @@ def test_induced_derivation_law_on_twist():
 
 def test_kappa1_on_e1_tensor_e2():
     c = nabla("a2_flat")
-    k1 = kappa1(c)
+    k1 = pipeline("a2_flat").kappa1
     bar = c.calculus.universal.from_emb(1, emb_e1e2())
     op = k1.op(bar)
     assert is_zero_vec(apply(op, a2().basis_vec(0)))
@@ -148,7 +149,7 @@ def test_kappa1_on_e1_tensor_e2():
 
 
 def test_kappa1_injective_on_flat():
-    k1 = kappa1(nabla("a2_flat"))
+    k1 = pipeline("a2_flat").kappa1
     assert k1.rank() == 2
     assert k1.injective
     assert all(v.ok for v in k1.verdicts)
@@ -156,21 +157,21 @@ def test_kappa1_injective_on_flat():
 
 def test_kappa1_of_d_unit_is_zero():
     c = nabla("a2_flat")
-    k1 = kappa1(c)
+    k1 = pipeline("a2_flat").kappa1
     d_unit = c.calculus.universal.d(0, a2().unit_vec())
     assert is_zero_vec(d_unit)
     assert k1.op(d_unit).is_zero()
 
 
 def test_sigma_exists_universal():
-    res = sigma_exists(nabla("a2_flat"))
+    res = pipeline("a2_flat").sigma
     assert res.exists
     assert res.sigma.level == "universal"
     assert all(v.ok for v in res.verdicts)
 
 
 def test_sigma_exists_on_quotient():
-    res = sigma_exists(nabla("a2_quotient"))
+    res = pipeline("a2_quotient").sigma
     assert res.exists
     assert res.sigma.level == "projected"
     assert all(v.ok for v in res.verdicts)
@@ -179,9 +180,8 @@ def test_sigma_exists_on_quotient():
 
 
 def test_sigma_absent_on_twist():
-    c = nabla("a2_twist")
-    k1 = kappa1(c)
-    res = sigma_exists(c, k1)
+    p = pipeline("a2_twist")
+    c, k1, res = p.conn, p.kappa1, p.sigma
     assert not res.exists
     wit = res.witness_bar
     assert wit is not None and not is_zero_vec(wit)
@@ -201,7 +201,7 @@ def _linearity_witness(k1):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_kappa1_linearity_matches_the_per_triple_reference(name):
-    k1 = kappa1(nabla(name))
+    k1 = pipeline(name).kappa1
     assert _linearity_witness(k1) is None
     assert _reference.kappa1_bimodule_linear(k1) is None
 
@@ -220,7 +220,7 @@ def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
     entries = dict(table[col])
     entries[row] = entries.get(row, 0) + 1
     table[col] = sorted((k, x) for k, x in entries.items() if x)
-    k1 = kappa1(m.connections["nabla"])
+    k1 = Pipeline(m.connections["nabla"]).kappa1
     assert _linearity_witness(k1) == {"triple": triple}
     assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}
 
@@ -248,7 +248,7 @@ def _assert_sigma_matches_the_reference(c, k1):
 @pytest.mark.parametrize("case", sorted(SIGMA_CASES))
 def test_sigma_and_kappa1_rank_match_the_coordinate_reference(case):
     c = SIGMA_CASES[case]()
-    k1 = kappa1(c)
+    k1 = Pipeline(c).kappa1
     _assert_sigma_matches_the_reference(c, k1)
     coords = _reference.kappa1_coords(k1)[0]
     dense_rank = _reference.rref(coords)[0] if coords else 0
@@ -263,9 +263,10 @@ def test_sigma_of_a_perturbed_kappa1_matches_the_reference(name, exists):
     # a2_quotient I¹ is spanned by e_0·de, which κ₁ killed, so σ is then
     # absent; a2_flat's calculus is universal (I¹ = 0), so σ still exists
     # there, but is no longer well defined on balanced classes
-    c = nabla(name)
-    k1 = kappa1(c)
-    assert all(v.ok for v in sigma_exists(c, k1).verdicts)
+    # a fresh pipeline: the perturbation must not reach the cached one
+    p = Pipeline(nabla(name))
+    c, k1 = p.conn, p.kappa1
+    assert all(v.ok for v in p.sigma.verdicts)
     k1.ops[0] = k1.ops[0].add(k1.ops[1])
     res = _assert_sigma_matches_the_reference(c, k1)
     assert res.exists == exists
@@ -288,7 +289,7 @@ def test_the_left_leibniz_rule_by_columns_matches_the_per_pair_reference(case):
     c = SIGMA_CASES[case]()
     assert _left_leibniz_failure(c, _d_nabla_cols(c)) is None
     assert _reference.left_leibniz(c, _reference.d_nabla_x(c)) is None
-    res = sigma_exists(c)
+    res = Pipeline(c).sigma
     if res.exists:
         a = c.module.algebra
         xs = [res.sigma.on(c.calculus.d_of_algebra(a.basis_vec(f)))

@@ -7,14 +7,14 @@ import pytest
 
 import _reference
 from _reference import dense_vecs, is_zero_vec
-from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, induced, m2,
-                     model, model_file, pipeline, regular_connection,
+from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
+                     model_file, pipeline, regular_connection,
                      upper_triangular)
 import bimodconn.curvature as curvature_module
-from bimodconn import cli
+from bimodconn import Pipeline, cli
 from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
                                   kappa0_op, leibniz_failure)
-from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM, curvature,
+from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
@@ -27,8 +27,7 @@ F = Fraction
 
 def test_extension_well_defined_everywhere():
     for which in NAMES:
-        conn = pipeline(which)[0]
-        assert all(v.ok for v in extend_connection(conn))
+        assert all(v.ok for v in pipeline(which).extension)
 
 
 def test_extension_failure_names_a_vector_of_the_generator_span(
@@ -68,7 +67,7 @@ def test_cached_operators_match_a_cold_computation(name):
     # compose, ext_cols and nabla_hat read shared sparse columns out of the
     # caches of Forms and Connection; recompute each on fresh ones, and
     # compare them densified
-    conn, oh, _, _ = pipeline(name)
+    conn, oh = pipeline(name).conn, pipeline(name).omega_hat
     f = conn.forms
     dense, ext_matrix = _reference.dense, _reference.ext_matrix
 
@@ -98,21 +97,20 @@ def test_cached_operators_match_a_cold_computation(name):
 
 def test_flat_curvature_vanishes():
     for which in ("a2_flat", "a2_quotient"):
-        conn = pipeline(which)[0]
-        res = curvature(conn)
+        res = pipeline(which).curvature
         assert res.operator.is_zero()
         assert res.left_linear
 
 
 def test_curvature_right_omega_linear_everywhere():
     for which in NAMES:
-        res = curvature(pipeline(which)[0])
+        res = pipeline(which).curvature
         assert any(v.check_id == "curvature-right-omega-linear" and v.ok
                    for v in res.verdicts)
 
 
 def test_curvature_not_left_linear_on_gauge_fixture():
-    res = curvature(pipeline("m2_grass")[0])
+    res = pipeline("m2_grass").curvature
     assert not res.operator.is_zero()
     assert not res.left_linear
     assert res.witness is not None
@@ -120,14 +118,14 @@ def test_curvature_not_left_linear_on_gauge_fixture():
 
 
 def test_omega_hat_contains_kappa0_and_degree_one():
-    conn, oh, _, _ = pipeline("a2_flat")
+    oh = pipeline("a2_flat").omega_hat
     assert oh.spans[0].dim >= 2
     assert oh.spans[1].dim == 2
     assert all(v.ok for v in oh.verdicts)
 
 
 def test_omega_hat_second_derivative_vanishes_flat():
-    conn, oh, _, _ = pipeline("a2_flat")
+    conn = pipeline("a2_flat").conn
     for i in range(2):
         f_hat = kappa0_op(conn, a2().basis_vec(i))
         assert nabla_hat(conn, nabla_hat(conn, f_hat)).is_zero()
@@ -138,7 +136,7 @@ def test_omega_hat_adds_each_operator_it_meets_once(monkeypatch):
     # deg t + deg w ≤ D−1; many candidates repeat an operator already tried,
     # and OmegaHat skips an id it has met, so its spans see one add per
     # distinct id: 41 on m2_grass (60 while Ω̂_D was built too)
-    conn = pipeline("m2_grass")[0]
+    conn = pipeline("m2_grass").conn
     adds = []
     add = SpanBuilder.add
 
@@ -158,7 +156,7 @@ def test_omega_hat_adds_each_operator_it_meets_once(monkeypatch):
 
 def test_j_degrees_zero_one_vanish_everywhere():
     for which in NAMES:
-        j = pipeline(which)[2]
+        j = pipeline(which).j_ideal
         assert j.dims()[0] == 0
         assert j.dims()[1] == 0
         assert all(v.ok for v in j.verdicts)
@@ -166,55 +164,54 @@ def test_j_degrees_zero_one_vanish_everywhere():
 
 def test_j_vanishes_for_flat():
     for which in ("a2_flat", "a2_quotient"):
-        assert all(d == 0 for d in pipeline(which)[2].dims())
+        assert all(d == 0 for d in pipeline(which).j_ideal.dims())
 
 
 def test_j_nonzero_for_gauge_fixture():
-    j = pipeline("m2_grass")[2]
+    j = pipeline("m2_grass").j_ideal
     assert j.dims()[2] > 0
 
 
 def test_omega_m_equals_forms_when_j_zero():
-    conn, _, _, om = pipeline("a2_flat")
-    assert om.dims() == conn.forms.dims()
+    p = pipeline("a2_flat")
+    assert p.omega_m.dims() == p.conn.forms.dims()
 
 
 def test_omega_m_verdicts_everywhere():
     for which in NAMES:
-        om = pipeline(which)[3]
+        om = pipeline(which).omega_m
         assert all(v.ok for v in om.verdicts)
 
 
 def test_factored_curvature_left_linear_on_gauge_fixture():
     # upstairs the curvature is not left-linear; on Omega(M) it must be
-    conn, _, _, om = pipeline("m2_grass")
-    ids = {v.check_id: v for v in om.verdicts}
+    ids = {v.check_id: v for v in pipeline("m2_grass").omega_m.verdicts}
     assert ids["curvature-left-linear-on-omega-m"].ok
     assert ids["curvature-right-omega-on-omega-m"].ok
 
 
 def test_induced_calculus_flat():
-    ic = induced("a2_flat")
+    ic = pipeline("a2_flat").induced_calculus
     assert all(v.ok for v in ic.verdicts)
     assert ic.calculus.dims() == [2, 2, 2, 2]
 
 
 def test_induced_calculus_degree_zero_is_algebra():
     for which in NAMES:
-        ic = induced(which)
+        ic = pipeline(which).induced_calculus
         assert ic.calculus.dim(0) == ic.connection.module.algebra.dim
 
 
 def test_d_nabla_squared_zero_everywhere():
     # includes the gauge model, where nabla-hat squared is nonzero upstairs
     for which in NAMES:
-        ic = induced(which)
+        ic = pipeline(which).induced_calculus
         assert any(v.check_id == "d-nabla-squared-zero" and v.ok
                    for v in ic.verdicts)
 
 
 def test_sigma_full_flat():
-    sf = sigma_full(induced("a2_flat"))
+    sf = pipeline("a2_flat").sigma_full
     assert sf.exists
     ids = {v.check_id: v for v in sf.verdicts}
     assert ids["sigma-u-multiplicative"].ok
@@ -223,7 +220,7 @@ def test_sigma_full_flat():
 
 
 def test_sigma_full_absent_on_twist():
-    sf = sigma_full(induced("a2_twist"))
+    sf = pipeline("a2_twist").sigma_full
     assert not sf.exists
     assert sf.witnesses
     deg, bar = sf.witnesses[0]
@@ -232,13 +229,13 @@ def test_sigma_full_absent_on_twist():
 
 
 def test_compare_flat_mutually_below():
-    v = induced("a2_flat").compare()
+    v = pipeline("a2_flat").induced_calculus.compare()
     assert v.dims["induced_preceq_calculus"]
     assert v.dims["calculus_preceq_induced"]
 
 
 def test_compare_twist_not_below():
-    v = induced("a2_twist").compare()
+    v = pipeline("a2_twist").induced_calculus.compare()
     assert not v.dims["calculus_preceq_induced"]
 
 
@@ -261,12 +258,12 @@ def _kappa_and_sigma_u_verdicts(ic: InducedCalculus) -> dict:
                          [(n, None) for n in NAMES] + [("a2_flat", 9)])
 def test_kappa_and_sigma_u_checks_match_the_per_pair_reference(name,
                                                                 truncation):
-    _assert_matches_the_per_pair_reference(induced(name, truncation))
+    _assert_matches_the_per_pair_reference(pipeline(name, truncation).induced_calculus)
 
 
 def _induced_calculus(conn: Connection) -> InducedCalculus:
     """A fresh Ω_∇ of ``conn``, built through Ω̂, J and Ω(M)."""
-    return InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    return Pipeline(conn).induced_calculus
 
 
 def _t2_weighted():
@@ -304,8 +301,8 @@ def _kappa_column_failure(ic: InducedCalculus) -> tuple[int, int] | None:
 
 
 @pytest.mark.parametrize("make", [
-    *[lambda n=n: induced(n) for n in NAMES],
-    lambda: induced("a2_flat", 9), _t2_weighted,
+    *[lambda n=n: pipeline(n).induced_calculus for n in NAMES],
+    lambda: pipeline("a2_flat", 9).induced_calculus, _t2_weighted,
     lambda: _induced_calculus(regular_connection(upper_triangular(3), 2, 0))],
     ids=[*NAMES, "a2_flat-D9", "t2-D3", "t3-D2"])
 def test_kappa_columns_are_sparse_and_match_the_dense_reference(make):
@@ -313,7 +310,7 @@ def test_kappa_columns_are_sparse_and_match_the_dense_reference(make):
 
 
 @pytest.mark.parametrize("make", [
-    *[lambda n=n: induced(n) for n in NAMES],
+    *[lambda n=n: pipeline(n).induced_calculus for n in NAMES],
     lambda: _induced_calculus(regular_connection(upper_triangular(3), 2, 0)),
     lambda: _induced_calculus(
         regular_connection(cyclic_group_algebra(4), 2, 0)),
@@ -432,8 +429,7 @@ def test_a_fault_upstream_of_kappa_fails_like_the_reference(
     m = parse_model(str(MODELS / f"{name}.model"))
     for fault in faults:
         fault(m.calculus.universal)
-    conn = m.connections["nabla"]
-    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    ic = Pipeline(m.connections["nabla"]).induced_calculus
     verdicts = _kappa_and_sigma_u_verdicts(ic)
     assert all(v.ok == (v.witness is None) for v in verdicts.values())
     got = {k: v.witness for k, v in verdicts.items()}
@@ -653,9 +649,9 @@ def _assert_omega_hat_matches_the_dense_route(conn, oh):
     *[lambda n=n: model(n).connections["nabla"] for n in NAMES],
     *GENERATED.values()], ids=[*NAMES, *GENERATED])
 def test_sparse_operators_match_the_dense_route(make):
-    conn = make()
+    p = Pipeline(make())
+    conn, oh = p.conn, p.omega_hat
     f = conn.forms
-    oh = OmegaHat(conn)
     route, ops = _assert_omega_hat_matches_the_dense_route(conn, oh)
     # every extension and every ∇̂ of Ω̂'s basis
     for r in range(f.D):
@@ -664,8 +660,8 @@ def test_sparse_operators_match_the_dense_route(make):
                 assert _reference.ext_matrix(op, s) == want.ext_matrix(s)
             assert _reference.dense(nabla_hat(conn, op)) == \
                 route.nabla_hat(want).matrix
-    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, oh)))
-    assert [[_reference.dense(op) for op in ops] for ops in ic._raw] == \
+    assert [[_reference.dense(op) for op in ops]
+            for ops in p.induced_calculus._raw] == \
         [[op.matrix for op in ops] for ops in _reference.raw_ops(route)]
 
 
@@ -696,9 +692,10 @@ LEIBNIZ = {"right-leibniz": lambda conn, om: _reference.right_leibniz(conn),
 def _leibniz_verdicts_match_the_reference(conn) -> dict:
     """The Leibniz verdicts of ``conn`` that ran, by check id, after
     asserting that each has the reference's status and witness."""
-    om = OmegaM(conn, j_ideal(conn, OmegaHat(conn)))
+    p = Pipeline(conn)
+    om = p.omega_m
     got = {v.check_id: v for v in [check_right_leibniz(conn)]
-           + extend_connection(conn) + om.verdicts if v.check_id in LEIBNIZ}
+           + p.extension + om.verdicts if v.check_id in LEIBNIZ}
     for check_id, v in got.items():
         want = LEIBNIZ[check_id](conn, om)
         assert v.witness == want, check_id

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import _reference
 from _reference import dense_vecs, mat_mul, vec_add
 from _shared import MODELS, NAMES, a2
+from test_cli import GENERATED_PINS, _generated
 import bimodconn
 from bimodconn import cli, linalg, parse_model
 from bimodconn.linalg import (DimensionError, SpanBuilder, _col_vec, _compose,
@@ -857,6 +858,104 @@ def test_clearing_a_new_pivot_reads_only_the_rows_that_hold_it(monkeypatch):
     cli.run("all", model)
     assert all(read == holders for _, read, holders in work)
     assert sum(len(holders) for _, _, holders in work) == HOLDERS_M2_ALL
+
+
+def _sum_of(terms) -> dict:
+    """Σ c·v over the (c, sparse v) terms, sparse, by products and sums."""
+    out: dict = {}
+    for c, v in terms:
+        for j, x in v.items():
+            out[j] = out.get(j, 0) + c * x
+    return {j: x for j, x in out.items() if x}
+
+
+def _on_pivots(v: dict, rows: dict) -> dict:
+    """Σ (v's entry at p / row p's entry at p)·row p over the pivots p of
+    the reduced rows: v itself exactly when v lies in their span."""
+    return _sum_of((F(v[p]) / rows[p][p], rows[p]) for p in v if p in rows)
+
+
+@pytest.fixture
+def checked_eliminator(monkeypatch):
+    """``linalg._absorb`` and ``linalg._kernel``, each call checked against
+    the rows before it with products and sums only, dividing by nothing
+    but a row's entry at its pivot; the fixture gives the number of steps
+    checked, [absorbs, kernels].
+
+    ``_absorb`` must find the rows as the last checked step left them (a
+    copy is kept per rows dict), and leave them in reduced echelon shape:
+    each row's pivot is its first column, and no other pivot is in it.
+    The input and every changed old row lie in the new span (each is the
+    sum, over the pivots p, of its entry at p over row p's entry there
+    times row p; an unchanged row is a row of it), and the new rows lie in
+    the old span plus the input: the new row is the input less the old
+    rows at the input's pivots, scaled, and each old row changed by a
+    multiple of it, none where it held no entry at the new pivot.  After
+    ``_kernel``: each kernel vector is 1 at its own free index and 0 at the
+    others, the columns combined at it are 0, and there are n less the
+    rank (the rows the elimination added) of them."""
+    absorb, kernel = linalg._absorb, linalg._kernel
+    steps, added_rows, copies = [0, 0], [0], {}
+
+    def absorbing(rows, held, res):
+        # the rows dict itself is kept beside its copy, so its id is not
+        # reused while the copy is
+        old = copies.setdefault(id(rows), (rows, {}))[1]
+        assert rows == old
+        given = dict(res)
+        residual = _sum_of([(1, given)] + [
+            (-F(given[p]) / old[p][p], old[p]) for p in given if p in old])
+        added = absorb(rows, held, res)
+        steps[0] += 1
+        added_rows[0] += added
+        new = rows.keys() - old.keys()
+        assert added == bool(new) == bool(residual) and len(new) <= 1
+        if not added:
+            assert rows == old
+            return added
+        (pc,) = new
+        row = rows[pc]
+        assert min(row) == pc and not (row.keys() - {pc}) & rows.keys()
+        assert _sum_of([(F(residual[pc]) / row[pc], row)]) == residual
+        assert _on_pivots(given, rows) == given
+        for p, was in old.items():
+            if pc not in was:
+                assert rows[p] == was
+                continue
+            now = rows[p]
+            assert min(now) == p and pc not in now
+            diff = _sum_of([(1, now), (-1, was)])
+            assert _sum_of([(F(diff[pc]) / row[pc], row)]) == diff
+            assert _on_pivots(was, rows) == was
+            old[p] = dict(now)
+        old[pc] = dict(row)
+        return added
+
+    def kernel_of(cols, at):
+        before = added_rows[0]
+        out = kernel(cols, at)
+        steps[1] += 1
+        assert len(out) == len(cols) - (added_rows[0] - before)
+        for u, v in out.items():
+            assert v[u] == 1 and not (v.keys() & out.keys()) - {u}
+            assert _sum_of((x, dict(cols[w])) for w, x in v.items()) == {}
+        return out
+    monkeypatch.setattr(linalg, "_absorb", absorbing)
+    monkeypatch.setattr(linalg, "_kernel", kernel_of)
+    return steps
+
+
+def test_every_elimination_of_the_shipped_and_generated_models_checks_out(
+        checked_eliminator):
+    # every elimination a parse and an ``all`` run make, each model built
+    # afresh under the checks: the four shipped models and the generated
+    # ones whose reports test_cli pins
+    for name in NAMES:
+        cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    for name in GENERATED_PINS:
+        cli.run("all", _generated(name))
+    absorbs, kernels = checked_eliminator
+    assert absorbs > 1000 and kernels > 20
 
 
 @st.composite

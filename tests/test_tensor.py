@@ -7,13 +7,12 @@ import pytest
 
 import _reference
 from _reference import class_of_pair_bar, class_product, is_zero_vec
-from _shared import (MODELS, NAMES, a2, induced, nabla, pipeline,
-                     regular_connection, universal, upper_triangular)
-from bimodconn import algebra, cli, connection, tensorconn
+from _shared import (MODELS, NAMES, a2, nabla, pipeline, regular_connection,
+                     universal, upper_triangular)
+from bimodconn import Pipeline, algebra, cli, connection, tensorconn
 from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
 from bimodconn.calculus import GradedCalculus, preceq
-from bimodconn.connection import Connection, check_right_leibniz, sigma_exists
-from bimodconn.curvature import InducedCalculus, OmegaHat, OmegaM, j_ideal
+from bimodconn.connection import Connection, check_right_leibniz
 from bimodconn.forms import Forms
 from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _combine,
                               _to_cols, _to_mat, identity_mat, kernel_quotient,
@@ -28,13 +27,8 @@ from bimodconn.tensorconn import (associated_connection, check_compatibility,
 F = Fraction
 
 
-def kappa_hat(which: str):
-    conn = pipeline(which)[0]
-    return preceq(induced(which).calculus, conn.calculus)[0]
-
-
 def rc_of(which: str) -> Connection:
-    conn = pipeline(which)[0]
+    conn = pipeline(which).conn
     return Connection(conn.forms, conn.nabla)
 
 
@@ -52,7 +46,7 @@ def test_regular_pairing_is_faithful():
 
 def test_degeneracy_brute_oracle_everywhere():
     for which in NAMES:
-        conn = pipeline(which)[0]
+        conn = pipeline(which).conn
         pair = degeneracy_submodules(conn.module, conn.module)
         assert degeneracy_brute(pair).ok
 
@@ -136,14 +130,14 @@ def test_compatibility_pass_and_fail():
 # ---------------------------------------------------------------------------
 
 def test_nu_hat_iso_in_degree_one_flat():
-    nu = nu_hat(rc_of("a2_flat"), kappa_hat("a2_flat"))
+    nu = nu_hat(rc_of("a2_flat"), pipeline("a2_flat").kappa_hat)
     assert nu.available
     assert all(v.ok for v in nu.verdicts)
     assert nu.rank(1) == nu.source.dim(1) == 2
 
 
 def test_nu_hat_unavailable_without_kappa_hat():
-    assert kappa_hat("a2_twist") is None
+    assert pipeline("a2_twist").kappa_hat is None
     nu = nu_hat(rc_of("a2_twist"), None)
     assert not nu.available
     assert any(v.status == "unavailable" for v in nu.verdicts)
@@ -151,17 +145,16 @@ def test_nu_hat_unavailable_without_kappa_hat():
 
 def test_nu_hat_rejects_connection_over_another_calculus():
     with pytest.raises(DimensionError):
-        nu_hat(rc_of("a2_quotient"), kappa_hat("a2_flat"))
+        nu_hat(rc_of("a2_quotient"), pipeline("a2_flat").kappa_hat)
 
 
 def test_both_routes_flat():
     for which in ("a2_flat", "a2_quotient"):
-        conn = pipeline(which)[0]
-        ic = induced(which)
+        p = pipeline(which)
+        conn, ic = p.conn, p.induced_calculus
         rc = rc_of(which)
-        nu = nu_hat(rc, kappa_hat(which))
-        sig = sigma_exists(conn)
-        tco = tensor_connection_original(rc, conn, ic, nu, sig)
+        nu = nu_hat(rc, p.kappa_hat)
+        tco = tensor_connection_original(rc, conn, ic, nu, p.sigma)
         assert tco.available
         assert all(v.ok for v in tco.verdicts)
         ids = {v.check_id for v in tco.verdicts}
@@ -182,7 +175,7 @@ def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
     # of the square; the target is a distinct calculus built from the same
     # kernel quotients, so ν̂'s target is a Forms of its own
     conn = parse_model(str(MODELS / "a2_flat.model")).connections["nabla"]
-    ic = InducedCalculus(conn, OmegaM(conn, j_ideal(conn, OmegaHat(conn))))
+    ic = Pipeline(conn).induced_calculus
     assert ic.calculus is conn.calculus
     uni = conn.calculus.universal
     target = GradedCalculus(uni, [conn.calculus.quotients[0]] + [
@@ -218,7 +211,7 @@ def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
 def test_associated_connection_of_d_is_d_nabla():
     # ∇′ = d on N = A: the associated connection is d against (Ω_∇, d_∇)
     rc = rc_of("a2_flat")
-    nu = nu_hat(rc, kappa_hat("a2_flat"))
+    nu = nu_hat(rc, pipeline("a2_flat").kappa_hat)
     assoc = associated_connection(rc, nu)
     assert assoc.exists
     am = assoc.connection
@@ -232,15 +225,16 @@ def test_associated_connection_of_d_is_d_nabla():
 
 
 def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
-    conn = pipeline("a2_flat")[0]
-    rc = rc_of("a2_flat")
-    nu = nu_hat(rc, kappa_hat("a2_flat"))
-    sig = sigma_exists(conn)
+    p = pipeline("a2_flat")
+    conn, rc = p.conn, rc_of("a2_flat")
+    nu = nu_hat(rc, p.kappa_hat)
+    # a fresh σ: the perturbation must not reach the cached pipeline
+    sig = Pipeline(conn).sigma
     # σ's columns are κ₁'s operator columns, shared: column 0 is replaced
     # by a new one with its entry in row 1 raised by one, never edited
     sig.sigma.cols = list(sig.sigma.cols)
     sig.sigma.cols[0] = _bumped(sig.sigma.cols[0], 1)
-    tco = tensor_connection_original(rc, conn, induced("a2_flat"), nu, sig)
+    tco = tensor_connection_original(rc, conn, p.induced_calculus, nu, sig)
     (v,) = [v for v in tco.verdicts if v.check_id == "tensor-route-agreement"]
     assert not v.ok
     # per pure pair (b_j, a_i): (id_N⊗σ)(∇′b_j)⊗a_i + b_j⊗∇a_i against the
@@ -283,21 +277,21 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
 # the column routes against the dense references
 # ---------------------------------------------------------------------------
 
-def _fresh(name: str):
-    """(∇, Ω_∇) built afresh, so a fault reaches no cached pipeline: a
-    shipped model's ∇, or ∇ = d + Γ· on T₃ at D=2 ("t3")."""
+def _fresh(name: str) -> Pipeline:
+    """A pipeline built afresh, so a fault reaches no cached one: of a
+    shipped model's ∇, or of ∇ = d + Γ· on T₃ at D=2 ("t3")."""
     if name == "t3":
-        c = regular_connection(upper_triangular(3), 2, 0)
-    else:
-        c = parse_model(str(MODELS / f"{name}.model")).connections["nabla"]
-    return c, InducedCalculus(c, OmegaM(c, j_ideal(c, OmegaHat(c))))
+        return Pipeline(regular_connection(upper_triangular(3), 2, 0))
+    return Pipeline(
+        parse_model(str(MODELS / f"{name}.model")).connections["nabla"])
 
 
-def _routes(c: Connection, ic: InducedCalculus):
+def _routes(p: Pipeline):
     """ν̂, the ν̂ route, the associated connection and the induced route for
     ∇′ = ∇ (N = M), as ``cli.run`` builds them for a "both" request."""
-    nu = nu_hat(c, ic.below[0])
-    tco = tensor_connection_original(c, c, ic, nu, sigma_exists(c))
+    c, ic = p.conn, p.induced_calculus
+    nu = nu_hat(c, p.kappa_hat)
+    tco = tensor_connection_original(c, c, ic, nu, p.sigma)
     assoc = associated_connection(c, nu)
     tci = tensor_connection_induced(assoc.connection, c, ic)
     return nu, tco, assoc, tci
@@ -313,8 +307,9 @@ TENSOR_CASES = ["a2_flat", "a2_quotient", "t3"]
 
 @pytest.mark.parametrize("name", TENSOR_CASES)
 def test_the_tensor_checks_by_columns_match_the_dense_references(name):
-    c, ic = _fresh(name)
-    nu, tco, assoc, tci = _routes(c, ic)
+    p = _fresh(name)
+    c, ic = p.conn, p.induced_calculus
+    nu, tco, assoc, tci = _routes(p)
     assert nu.available and assoc.exists
     assert _witness(nu.verdicts, "nu-hat-right-linear") == \
         _reference.nu_hat_right_linear(nu)
@@ -349,15 +344,13 @@ def _bumped(col, row: int = 0):
 
 
 def _pure_pair_case(name: str):
-    """(∇ on M, ∇′ on N, Ω_∇ of ∇): N = M for a shipped model or T₃ at
-    D=2, as a "both" request builds them, or the N and M of
+    """(the pipeline of ∇ on M, ∇′ on N): N = M for a shipped model or T₃
+    at D=2, as a "both" request builds them, or the N and M of
     test_nonzero_degeneracy_kernel ("skew", where N₀ ≠ 0)."""
     if name == "skew":
-        c = column_connection()
-        return c, skew_connection(), InducedCalculus(
-            c, OmegaM(c, j_ideal(c, OmegaHat(c))))
-    c, ic = _fresh(name)
-    return c, c, ic
+        return Pipeline(column_connection()), skew_connection()
+    p = _fresh(name)
+    return p, p.conn
 
 
 @pytest.mark.parametrize("name", [*NAMES, "t3", "skew"])
@@ -365,7 +358,8 @@ def test_pure_pairs_off_the_projection_match_the_project_pure_route(name):
     # the class of b_j⊗a_i is read as a column of the tensor's projection;
     # N₀, M₀, both degeneracy verdicts and the σ-route agreement must be
     # those of tests/_reference.py, which projects dense unit vectors
-    c, rc, ic = _pure_pair_case(name)
+    p, rc = _pure_pair_case(name)
+    c, ic = p.conn, p.induced_calculus
     n, m = rc.module, c.module
     ref = _reference.degeneracy_submodules(n, m)
     for pair in (degeneracy_submodules(n, m),
@@ -373,8 +367,8 @@ def test_pure_pairs_off_the_projection_match_the_project_pure_route(name):
         assert (pair.n0, pair.m0, pair.verdicts) == \
             (ref.n0, ref.m0, ref.verdicts)
         assert degeneracy_brute(pair) == _reference.degeneracy_brute(ref)
-    sig = sigma_exists(c)
-    tco = tensor_connection_original(rc, c, ic, nu_hat(rc, ic.below[0]), sig)
+    sig = p.sigma
+    tco = tensor_connection_original(rc, c, ic, nu_hat(rc, p.kappa_hat), sig)
     if name in ("a2_twist", "m2_grass"):
         assert not sig.exists         # so no ν̂ and no σ route
         return
@@ -410,9 +404,9 @@ def test_a_tensor_request_builds_its_balanced_tensors_once(monkeypatch):
 
 @pytest.mark.parametrize("name", TENSOR_CASES)
 def test_a_perturbed_nu_hat_column_fails_as_the_dense_squares_do(name):
-    c, ic = _fresh(name)
+    p = _fresh(name)
     # the last column of ν̂ in degree 1 off by one in row 0
-    nu = nu_hat(c, ic.below[0])
+    nu = nu_hat(p.conn, p.kappa_hat)
     assert nu.verdicts[-1].ok
     nu.maps[1] = nu.maps[1][:]
     nu.maps[1][-1] = _bumped(nu.maps[1][-1])
@@ -428,8 +422,9 @@ def test_a_perturbed_tensor_column_fails_right_leibniz_as_the_dense_route(
         name, col, row):
     # one entry of ∇⊗ off by one, where that change is not itself right
     # linear
-    c, ic = _fresh(name)
-    for tc in _routes(c, ic)[1::2]:
+    p = _fresh(name)
+    c = p.conn
+    for tc in _routes(p)[1::2]:
         tc.cols[col] = _bumped(tc.cols[col], row)
         tc.verdicts = []
         tensorconn._check_tensor_leibniz(tc, c)
@@ -443,8 +438,9 @@ def test_a_perturbed_associated_entry_fails_the_square_as_the_dense_route(
         monkeypatch, name):
     # ∇′_M in degree 0, read off ν̂∘∇′'s columns at the target's free
     # columns, off by one at (0, 0) as it is handed to Connection
-    c, ic = _fresh(name)
-    nu = nu_hat(c, ic.below[0])
+    p = _fresh(name)
+    c = p.conn
+    nu = nu_hat(c, p.kappa_hat)
 
     calls = []
 
@@ -467,8 +463,9 @@ def test_a_kernel_vector_of_nu_hat_that_nabla_moves_is_the_absent_witness():
     # span ker ν̂₁, and ν̂∘∇′ kills them.  With the first of them set to e_0,
     # ν̂₁'s column at the representative of target class 0, ker ν̂₁ holds
     # a difference of two unit vectors instead, which ν̂∘∇′ does not kill
-    c, ic = _fresh("t3")
-    nu = nu_hat(c, ic.below[0])
+    p = _fresh("t3")
+    c = p.conn
+    nu = nu_hat(c, p.kappa_hat)
     src, tgt = nu.source.quotient_space(1), nu.target.quotient_space(1)
     assert (src.dim, tgt.dim) == (30, 27)
     off = [k for k, fc in enumerate(src.free) if fc not in tgt.free]
