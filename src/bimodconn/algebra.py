@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 
 from . import anchors
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _combine, _compose, _to_cols, frac,
-                     QuotientSpace, zeros)
+                     _col_sum, _combine, _compose, _sparse_sum, _to_cols,
+                     frac, QuotientSpace, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -61,6 +62,43 @@ class Algebra:
                     if s:
                         out[k] += c * s
         return out
+
+    @cached_property
+    def generators(self) -> list[int]:
+        """Basis indices that generate A as a unital algebra: all of them,
+        less each one, in ascending order, that the rest do without.  S
+        generates A iff span{1} closed under ·e_s, s in S, is A; column x
+        of ·e_s holds the nonzeros of e_x·e_s."""
+        n = self.dim
+        right = [[[(k, c) for k, c in enumerate(self.structure[x][s]) if c]
+                  for x in range(n)] for s in range(n)]
+        unit = {k: c for k, c in enumerate(self.unit) if c}
+        gens = list(range(n))
+        for i in range(n):
+            rest = [s for s in gens if s != i]
+            span, queue = SpanBuilder(n), [unit]
+            while queue:
+                v = queue.pop()
+                if span.add(v):
+                    queue += [_sparse_sum([(right[s][x], c)
+                                           for x, c in v.items()])
+                              for s in rest]
+            if span.dim == n:
+                gens = rest
+        return gens
+
+    def first_failure(self, scan):
+        """The first failure of an identity that must hold for every f in
+        A, or None.  ``scan(indices)`` decides it on the basis elements
+        e_f, f in ``indices``, and returns its first failure there, or
+        None.  The f on which such an identity holds form a unital
+        subalgebra (each caller's docstring says why), so it holds on A
+        iff it holds on ``generators``.  The scan runs on them first, and
+        on the whole basis only when one fails, so a failure is the basis
+        scan's own, witness included."""
+        if scan(self.generators) is None:
+            return None
+        return scan(range(self.dim))
 
 
 def check_algebra(a: Algebra) -> Verdict:

@@ -27,7 +27,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
@@ -81,26 +80,6 @@ class UniversalCalculus:
         pi = [[(k if k < u else k - 1, 1)] for k in range(self.algebra.dim)]
         pi[u] = [(t, _div(-c, unit[u])) for t, c in enumerate(unit[:u]) if c]
         return [k for k in range(self.algebra.dim) if k != u], pi
-
-    @cached_property
-    def algebra_generators(self) -> list[int]:
-        """Basis indices that generate A as a unital algebra: all of them,
-        less each one, in ascending order, that the rest do without.  S
-        generates A iff span{1} closed under R_{e_s}, s in S, is A."""
-        n, right = self.algebra.dim, self._right_cols[0]
-        gens = list(range(n))
-        for i in range(n):
-            rest = [s for s in gens if s != i]
-            span, queue = SpanBuilder(n), [dict(self._unit)]
-            while queue:
-                v = queue.pop()
-                if span.add(v):
-                    queue += [_sparse_sum([(right[s][x], c)
-                                           for x, c in v.items()])
-                              for s in rest]
-            if span.dim == n:
-                gens = rest
-        return gens
 
     # -- dimensions and bases --------------------------------------------
     def bar_dim(self, r: int) -> int:
@@ -391,7 +370,7 @@ def saturate_ideal(uni: UniversalCalculus,
       Σ_p π(e_i0)_p at tail index p·m^r + β, and each e_i ⊗ w, w in W_r's
       rows, sits at index i·m^{r+1} + w;
     - ⟨G^{r+1}⟩ is the degree-(r+1) generators closed by the worklist
-      under e_s· and ·e_s for s in the ``algebra_generators`` only, as
+      under e_s· and ·e_s for s in ``Algebra.generators`` only, as
       L_{ab} = L_a∘L_b and R_{ab} = R_b∘R_a.
 
     Call the right side J.  Each part lies in every differential ideal
@@ -437,7 +416,7 @@ def saturate_ideal(uni: UniversalCalculus,
         for bar in by_degree[r]:
             if span.add(bar):
                 queue.append(_sparse(bar))
-        acts = range(n) if r == 1 else uni.algebra_generators if queue else ()
+        acts = range(n) if r == 1 else uni.algebra.generators if queue else ()
         maps = [cols for i in acts
                 for cols in (uni.left_cols(r, i), uni.right_cols(r, i))]
         while queue:

@@ -141,10 +141,20 @@ def leibniz_failure(c: Connection, r: int, s: int, omegas: list[Vec],
 
 
 def check_right_leibniz(c: Connection) -> Verdict:
-    """∇(a·f) = (∇a)·f + a⊗df on all basis pairs, exactly."""
+    """∇(a·f) = (∇a)·f + a⊗df on all basis pairs, exactly, decided on A's
+    generators first (``Algebra.first_failure``).  The f on which it holds
+    for every a form a unital subalgebra: the rule is linear in f, holds at
+    f = 1 (a·1 = a, d1 = 0), and for two such f and g,
+    ∇(a·fg) = (∇(a·f))·g + a·f⊗dg = ∇a·fg + a⊗(df·g + f·dg)
+    = ∇a·fg + a⊗d(fg)."""
     a = c.module.algebra
-    fail = leibniz_failure(c, 0, 0, [a.basis_vec(i) for i in range(a.dim)],
-                           range(c.module.dim))
+
+    def scan(fs):
+        fail = leibniz_failure(c, 0, 0, [a.basis_vec(i) for i in fs],
+                               range(c.module.dim))
+        return None if fail is None else (fail[0], fs[fail[1]])
+
+    fail = a.first_failure(scan)
     if fail is not None:
         return failed("right-leibniz", anchors.RIGHT_LEIBNIZ,
                       {"module_basis": fail[0], "algebra_basis": fail[1]})
@@ -230,22 +240,32 @@ class DegreeRHom:
 
     def right_linearity_witness(self) -> tuple[int, int] | None:
         """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None,
-        the first in a, then f.  Both sides are sparse columns: Φ's columns
-        combined at the nonzeros of m_a·e_f (column a of the stored right
-        action of e_f), and the columns of ·e_f on T_degree combined at Φ's
-        column a; an empty side is [] without a call."""
+        the first in a, then f, decided on A's generators first
+        (``Algebra.first_failure``).  The f on which it holds for every a
+        form a unital subalgebra: it is linear in f, holds at f = 1, and
+        Φ(a·fg) = Φ((a·f)·g) = Φ(a·f)·g = Φ(a)·fg.  Both sides are sparse
+        columns: Φ's columns combined at the nonzeros of m_a·e_f (column a
+        of the stored right action of e_f), and the columns of ·e_f on
+        T_degree combined at Φ's column a; an empty side is [] without a
+        call."""
         f = self.forms
-        right = [f.right_mult_cols(self.degree, 0, f.algebra.basis_vec(fi))
-                 for fi in range(f.algebra.dim)]
-        for ai, col in enumerate(self.cols):
-            for fi, by_f in enumerate(right):
-                moved = f.module.right_action[fi][ai]
-                lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
-                       if moved else [])
-                rhs = _col_sum([(by_f[k], c) for k, c in col]) if col else []
-                if lhs != rhs:
-                    return (ai, fi)
-        return None
+        alg = f.algebra
+
+        def scan(fis):
+            right = [(fi, f.right_mult_cols(self.degree, 0, alg.basis_vec(fi)))
+                     for fi in fis]
+            for ai, col in enumerate(self.cols):
+                for fi, by_f in right:
+                    moved = f.module.right_action[fi][ai]
+                    lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
+                           if moved else [])
+                    rhs = (_col_sum([(by_f[k], c) for k, c in col])
+                           if col else [])
+                    if lhs != rhs:
+                        return (ai, fi)
+            return None
+
+        return alg.first_failure(scan)
 
 
 def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
@@ -321,7 +341,17 @@ class InducedFirstOrder:
 
 
 def induced_first_order(c: Connection) -> InducedFirstOrder:
-    """Span of {f̂∘∇̂(ĝ)∘ĥ} with the derivation-law and left-Leibniz checks."""
+    """Span of {f̂∘∇̂(ĝ)∘ĥ} with the derivation-law and left-Leibniz checks.
+
+    The derivation law ∇̂(fg)^ = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ) is decided for f on A's
+    generators first (``Algebra.first_failure``) and g on the basis.  The
+    f for which it holds for every g form a unital subalgebra: it is linear
+    in f, holds at f = 1 (∇̂1̂ = 0), and for two such f₁, f₂ and any g, with
+    κ₀ multiplicative (the module's left action is associative), the law
+    for (f₁, f₂g), then for (f₂, g) and for (f₁, f₂) gives
+    ∇̂(f₁f₂g)^ = (∇̂f̂₁)∘f̂₂∘ĝ + f̂₁∘((∇̂f̂₂)∘ĝ + f̂₂∘∇̂ĝ)
+    = (∇̂(f₁f₂)^)∘ĝ + (f₁f₂)^∘∇̂ĝ.
+    """
     a = c.module.algebra
     m = c.module
     span = SpanBuilder(c.forms.dim(1) * m.dim)
@@ -339,16 +369,22 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
         for g in range(a.dim):
             for h in range(a.dim):
                 span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
-    # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ)
-    for f in range(a.dim):
-        for g in range(a.dim):
-            prod = kappa0_op(c, a.mult(a.basis_vec(f), a.basis_vec(g)))
-            rhs = d_ops[f].compose(hats[g]).add(hats[f].compose(d_ops[g]))
-            if nabla_hat(c, prod).cols != rhs.cols:
-                ifo.verdicts.append(failed("d-nabla-derivation",
-                                           anchors.DERIVATION_SINCE,
-                                           {"pair": [f, g]}))
-                return ifo
+    # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ), f on A's generators
+    # first and g on the basis
+    def derivation_failure(fs):
+        for f in fs:
+            for g in range(a.dim):
+                prod = kappa0_op(c, a.mult(a.basis_vec(f), a.basis_vec(g)))
+                rhs = d_ops[f].compose(hats[g]).add(hats[f].compose(d_ops[g]))
+                if nabla_hat(c, prod).cols != rhs.cols:
+                    return [f, g]
+        return None
+
+    pair = a.first_failure(derivation_failure)
+    if pair is not None:
+        ifo.verdicts.append(failed("d-nabla-derivation",
+                                   anchors.DERIVATION_SINCE, {"pair": pair}))
+        return ifo
     ifo.verdicts.append(passed("d-nabla-derivation", anchors.DERIVATION_SINCE))
     # left Leibniz in the induced calculus: ∇(fa) = (d_∇f)(a) + f∇a
     pair = _left_leibniz_failure(c, [op.cols for op in d_ops])
@@ -395,7 +431,18 @@ class Kappa1:
 
 def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
     """Basis element f·dg ↦ f̂∘∇̂(ĝ), with linearity and diagram checks;
-    ``induced`` is Ω¹_∇ of the same connection."""
+    ``induced`` is Ω¹_∇ of the same connection.
+
+    Bimodule linearity κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ holds iff κ₁ is left linear,
+    κ₁(f·α) = f̂∘κ₁(α), and right linear, κ₁(α·g) = κ₁(α)∘ĝ (take g = 1,
+    then f = 1; conversely compose the two).  Each is decided on A's
+    generators: the f on which one holds for every α form a unital
+    subalgebra, as it is linear in f, holds at f = 1, and with κ₀
+    multiplicative κ₁(fg·α) = f̂∘κ₁(g·α) = (fg)^∘κ₁(α) and
+    κ₁(α·fg) = κ₁(α·f)∘ĝ = κ₁(α)∘(fg)^.  Only when one fails on a
+    generator is the (f, g, α) triple scan run, for its first failing
+    triple.
+    """
     uni = c.calculus.universal
     a = c.module.algebra
     hats = [kappa0_op(c, fv) for fv in identity_mat(a.dim)]
@@ -413,28 +460,42 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
                                      {"algebra_basis": f}))
             return k
     k.verdicts.append(passed("kappa1-diagram", anchors.DIAGRAM_COMMUTES))
-    # bimodule linearity: κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ on basis triples (f, g, α);
-    # f·α·g for every α at once is L_{e_f}∘R_{e_g} by columns, and κ₁ is
-    # linear, so the left side is the combination of the flattened κ₁(α'),
-    # each one sparse column, at the nonzeros α' of f·α·g
+    # bimodule linearity: f·α, α·g and f·α·g for every α at once are L_{e_f},
+    # R_{e_g} and L_{e_f}∘R_{e_g} by columns, and κ₁ is linear, so the left
+    # side is the combination of the flattened κ₁(α'), each one sparse
+    # column, at the nonzeros α' of that column; where it is empty and
+    # κ₁(α) is zero, both sides are zero
     alpha_flat = [list(op.flat().items()) for op in ops]
+
+    def kappa_of(col) -> dict:
+        return dict(_col_sum([(alpha_flat[x], y) for x, y in col])) \
+            if col else {}
+
+    def one_sided_failure(fs):
+        for side, f_cols, compose in (
+                ("left", uni.left_cols, lambda op, f: hats[f].compose(op)),
+                ("right", uni.right_cols, lambda op, f: op.compose(hats[f]))):
+            for f in fs:
+                for bi, col in enumerate(f_cols(1, f)):
+                    if (col or not ops[bi].is_zero()) and \
+                            kappa_of(col) != compose(ops[bi], f).flat():
+                        return side, f, bi
+        return None
+
+    if one_sided_failure(a.generators) is None:
+        k.verdicts.append(passed("kappa1-bimodule-linear",
+                                 anchors.DIAGRAM_COMMUTES))
+        return k
     # κ₁(α)∘ĝ per g and α, shared by every f
     alpha_g = [[op.compose(g_hat) for op in ops] for g_hat in hats]
-    for f in range(a.dim):
-        for g in range(a.dim):
-            moved = _compose(uni.left_cols(1, f), uni.right_cols(1, g))
-            for bi, col in enumerate(moved):
-                if not col and alpha_g[g][bi].is_zero():
-                    continue        # both sides are zero
-                lhs = _col_sum([(alpha_flat[x], y) for x, y in col]) \
-                    if col else []
-                rhs = hats[f].compose(alpha_g[g][bi]).flat()
-                if dict(lhs) != rhs:
-                    k.verdicts.append(failed("kappa1-bimodule-linear",
-                                             anchors.DIAGRAM_COMMUTES,
-                                             {"triple": [f, g, bi]}))
-                    return k
-    k.verdicts.append(passed("kappa1-bimodule-linear", anchors.DIAGRAM_COMMUTES))
+    triple = next([f, g, bi]
+                  for f in range(a.dim) for g in range(a.dim)
+                  for bi, col in enumerate(_compose(uni.left_cols(1, f),
+                                                    uni.right_cols(1, g)))
+                  if (col or not alpha_g[g][bi].is_zero()) and
+                  kappa_of(col) != hats[f].compose(alpha_g[g][bi]).flat())
+    k.verdicts.append(failed("kappa1-bimodule-linear",
+                             anchors.DIAGRAM_COMMUTES, {"triple": triple}))
     return k
 
 

@@ -71,7 +71,14 @@ class CurvatureResult:
 
 
 def curvature(c: Connection) -> CurvatureResult:
-    """∇²: M → M⊗_AΩ²; right-Ω-linearity must hold, left-A-linearity may not."""
+    """∇²: M → M⊗_AΩ²; right-Ω-linearity must hold, left-A-linearity may not.
+
+    Left linearity ∇²∘f̂ = f̂∘∇² is decided on A's generators first
+    (``Algebra.first_failure``): the f on which it holds form a unital
+    subalgebra, as it is linear in f, holds at f = 1 (1̂ = id on M and on
+    M⊗_AΩ²), and ∇²∘(fg)^ = ∇²∘f̂∘ĝ = f̂∘∇²∘ĝ = f̂∘ĝ∘∇² = (fg)^∘∇², f̂ on
+    M⊗_AΩ² being the extension of f̂ on M.  The witness is the basis scan's.
+    """
     if c.calculus.D < 2:
         raise ValueError("curvature needs truncation at least 2")
     f = c.forms
@@ -93,17 +100,21 @@ def curvature(c: Connection) -> CurvatureResult:
         verdicts.append(passed("curvature-right-omega-linear",
                                anchors.RIGHT_OMEGA_HOM))
     a = c.module.algebra
-    witness = None
-    for fi in range(a.dim):
-        f_hat = kappa0_op(c, a.basis_vec(fi))
-        lhs, rhs = op.compose(f_hat).cols, f_hat.compose(op).cols
-        if lhs != rhs:
-            mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            dl = [x - y for x, y in zip(_col_vec(lhs[mi], f.dim(2)),
-                                        _col_vec(rhs[mi], f.dim(2)))]
-            witness = {"algebra_basis": fi, "module_basis": mi,
-                       "difference": rationals(dl)}
-            break
+
+    def scan(fis):
+        for fi in fis:
+            f_hat = kappa0_op(c, a.basis_vec(fi))
+            lhs, rhs = op.compose(f_hat).cols, f_hat.compose(op).cols
+            if lhs != rhs:
+                mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs))
+                          if x != y)
+                dl = [x - y for x, y in zip(_col_vec(lhs[mi], f.dim(2)),
+                                            _col_vec(rhs[mi], f.dim(2)))]
+                return {"algebra_basis": fi, "module_basis": mi,
+                        "difference": rationals(dl)}
+        return None
+
+    witness = a.first_failure(scan)
     if witness is None:
         verdicts.append(passed("curvature-left-linear",
                                anchors.NOT_LEFT_LINEAR))
@@ -277,6 +288,11 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     decides that identity on Ω̂.  Each generator, its products and J's
     basis vectors stay sparse: a map is applied to one by combining its
     columns at the vector's nonzeros.
+
+    ``j-closure`` decides f·J ⊆ J on A's generators first
+    (``Algebra.first_failure``), the rest of its scan unchanged: the f with
+    f·J ⊆ J form a unital subalgebra, as the condition is linear in f,
+    1·J = J, and fg·J = f·(g·J) ⊆ f·J ⊆ J.
     """
     f = c.forms
     D = f.D
@@ -308,29 +324,29 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     def image(cols: Cols, v: SparseVec) -> SparseVec:
         return _sparse_sum([(cols[x], y) for x, y in v.items()])
 
-    for r in range(2, D + 1):
-        for k, v in enumerate(j.spans[r]):
-            if r + 1 <= D and not builders[r + 1].contains(
-                    image(c.nabla_ext_cols(r), v)):
-                j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
-                                         {"op": "nabla", "degree": r,
-                                          "basis": k}))
-                return j
-            for i in range(a.dim):
-                if not builders[r].contains(
-                        image(f.left_action_cols(r, a.basis_vec(i)), v)):
-                    j.verdicts.append(failed("j-closure", anchors.J_CLOSURE,
-                                             {"op": "left", "degree": r,
-                                              "basis": k, "algebra_basis": i}))
-                    return j
-            for p in range(1, D - r + 1):
-                for kp, t in enumerate(omega_hat.gen_ops(p)):
-                    if not builders[r + p].contains(image(t.ext_cols(r), v)):
-                        j.verdicts.append(failed(
-                            "j-closure", anchors.J_CLOSURE,
-                            {"op": "omega-hat", "degrees": [p, r],
-                             "basis": [kp, k]}))
-                        return j
+    def closure_failure(fis):
+        for r in range(2, D + 1):
+            for k, v in enumerate(j.spans[r]):
+                if r + 1 <= D and not builders[r + 1].contains(
+                        image(c.nabla_ext_cols(r), v)):
+                    return {"op": "nabla", "degree": r, "basis": k}
+                for i in fis:
+                    if not builders[r].contains(image(
+                            f.left_action_cols(r, a.basis_vec(i)), v)):
+                        return {"op": "left", "degree": r, "basis": k,
+                                "algebra_basis": i}
+                for p in range(1, D - r + 1):
+                    for kp, t in enumerate(omega_hat.gen_ops(p)):
+                        if not builders[r + p].contains(
+                                image(t.ext_cols(r), v)):
+                            return {"op": "omega-hat", "degrees": [p, r],
+                                    "basis": [kp, k]}
+        return None
+
+    fail = a.first_failure(closure_failure)
+    if fail is not None:
+        j.verdicts.append(failed("j-closure", anchors.J_CLOSURE, fail))
+        return j
     j.verdicts.append(passed("j-closure", anchors.J_CLOSURE))
     # the earlier proposal: factor by span{∇²(fa) − f∇²a}, the columns of
     # ∇²∘L_f − L_f∘∇², only; it lies in J² by construction, and equality is
@@ -361,7 +377,23 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
 
 class OmegaM:
     """Ω(M) = (M⊗_AΩ)/J with the factored ∇ and the checks that ∇, the
-    actions and the curvature descend to it, on maps by columns."""
+    actions and the curvature descend to it, on maps by columns.
+
+    Two of the checks hold for every f in A and are decided on A's
+    generators first (``Algebra.first_failure``), each f's set a unital
+    subalgebra:
+
+    - ``curvature-left-linear-on-omega-m``, R̄∘f̂ = f̂∘R̄: linear in f, 1̂
+      is the identity on M and on Ω(M)_2, and R̄∘(fg)^ = R̄∘f̂∘ĝ =
+      f̂∘R̄∘ĝ = f̂∘ĝ∘R̄ = (fg)^∘R̄, f̂ on Ω(M)_2 induced by f̂ on M⊗_AΩ².
+    - ``omega-m-right-leibniz``: E(ξ, f) = ∇(ξ·f) − (∇ξ)·f − (−1)^r ξ·df
+      is bilinear, E(ξ, 1) = 0, and E(ξ, fg) = E(ξ·f, g) + E(ξ, f)·g.  J
+      is a right Ω-submodule (its generators (∇̂²Φ)(a) are values of
+      right-linear maps) with ∇J ⊆ J (``omega-m-nabla-descends``, decided
+      first), so E(j, g) lies in J for j in J.  Writing ξ·f = ξ' + j, ξ'
+      in the span of the lifts of Ω(M)'s classes, E(ξ, fg) lies in J
+      when E vanishes modulo J at f and at g on the lifts.
+    """
 
     def __init__(self, c: Connection, j: JIdeal):
         self.connection = c
@@ -404,15 +436,22 @@ class OmegaM:
         # curvature is left A-linear on Ω(M): R̄∘f = f∘R̄ for R̄ = P∘∇² on M
         q2 = self.quotients[2]
         rbar = _compose(q2.proj_cols, c.curvature_cols(0))
-        for fi in range(a.dim):
-            fv = a.basis_vec(fi)
-            lhs = _compose(rbar, c.module.left_cols(fv))
-            rhs = _compose(q2.induced(f.left_action_cols(2, fv), q2), rbar)
-            if lhs != rhs:
-                self.verdicts.append(failed("curvature-left-linear-on-omega-m",
-                                            anchors.J_GENERATORS,
-                                            {"algebra_basis": fi}))
-                return
+
+        def left_linear_failure(fis):
+            for fi in fis:
+                fv = a.basis_vec(fi)
+                lhs = _compose(rbar, c.module.left_cols(fv))
+                rhs = _compose(q2.induced(f.left_action_cols(2, fv), q2), rbar)
+                if lhs != rhs:
+                    return fi
+            return None
+
+        fi = a.first_failure(left_linear_failure)
+        if fi is not None:
+            self.verdicts.append(failed("curvature-left-linear-on-omega-m",
+                                        anchors.J_GENERATORS,
+                                        {"algebra_basis": fi}))
+            return
         self.verdicts.append(passed("curvature-left-linear-on-omega-m",
                                     anchors.J_GENERATORS))
         # quotient coherence: p∘∇ = ∇̄∘p on every T_r basis element
@@ -432,15 +471,20 @@ class OmegaM:
                                     anchors.CANONICAL_PROJECTION))
         # right Leibniz of the factored ∇: ∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df, on the
         # lifts of Ω(M)'s basis classes
-        basis = [a.basis_vec(i) for i in range(a.dim)]
-        for r in range(f.D):
-            fail = leibniz_failure(c, r, 0, basis, self.quotients[r].free,
-                                   self.quotients[r + 1])
-            if fail is not None:
-                self.verdicts.append(failed("omega-m-right-leibniz",
-                                            anchors.UNIQUE_FACTORIZATIONS,
-                                            {"degree": r, "basis": list(fail)}))
-                return
+        def leibniz_scan(fis):
+            basis = [a.basis_vec(i) for i in fis]
+            for r in range(f.D):
+                fail = leibniz_failure(c, r, 0, basis, self.quotients[r].free,
+                                       self.quotients[r + 1])
+                if fail is not None:
+                    return {"degree": r, "basis": [fail[0], fis[fail[1]]]}
+            return None
+
+        fail = a.first_failure(leibniz_scan)
+        if fail is not None:
+            self.verdicts.append(failed("omega-m-right-leibniz",
+                                        anchors.UNIQUE_FACTORIZATIONS, fail))
+            return
         self.verdicts.append(passed("omega-m-right-leibniz",
                                     anchors.UNIQUE_FACTORIZATIONS))
         # factored curvature stays a right Ω-homomorphism: on Ω(M),
@@ -562,6 +606,13 @@ class InducedCalculus:
         x·L_k[j][c] at (i, c) for the nonzeros of L_k's row j, so no
         operator is composed or projected per pair.  The first failing pair,
         in the order r, u, k, is kept as ``multiplicative_failure``.
+
+        It is decided for e_k on A's generators first
+        (``Algebra.first_failure``), so that pair is the basis scan's.  The
+        f with κ̄(u·f) = κ̄(u)∘f̂ for every u form a unital subalgebra: the
+        identity is linear in f, holds at f = 1 (u·1 = u, 1̂ = id), and
+        κ̄(u·fg) = κ̄((u·f)·g) = κ̄(u·f)∘ĝ = κ̄(u)∘f̂∘ĝ = κ̄(u)∘(fg)^, u·f a
+        combination of bar basis vectors and κ̄ linear.
         """
         uni = self.connection.calculus.universal
         m = self.connection.module
@@ -575,22 +626,28 @@ class InducedCalculus:
                 for j, y in col:
                     rows[j].append((c, y))
             l_rows.append(rows)
-        for r in range(uni.D + 1):
-            moved = [uni.right_cols(r, kj) for kj in range(a.dim)]
-            for ki, col in enumerate(self._columns[r]):
-                nz = [(x - x % m.dim, x % m.dim, y) for x, y in col]
-                for kj in range(a.dim):
-                    rhs: dict[int, int | Fraction] = {}
-                    for i, j, x in nz:
-                        for c, y in l_rows[kj][j]:
-                            rhs[i + c] = rhs.get(i + c, 0) + x * y
-                    if dict(self.image(r, moved[kj][ki])) != \
-                            {i: x for i, x in rhs.items() if x}:
-                        self.multiplicative_failure = (r, ki, kj)
-                        self.verdicts.append(failed(
-                            "kappa-multiplicative", anchors.OMEGA_HAT,
-                            {"degree": r, "basis": [ki, kj]}))
-                        return
+
+        def scan(kjs):
+            for r in range(uni.D + 1):
+                moved = [(kj, uni.right_cols(r, kj)) for kj in kjs]
+                for ki, col in enumerate(self._columns[r]):
+                    nz = [(x - x % m.dim, x % m.dim, y) for x, y in col]
+                    for kj, by_k in moved:
+                        rhs: dict[int, int | Fraction] = {}
+                        for i, j, x in nz:
+                            for c, y in l_rows[kj][j]:
+                                rhs[i + c] = rhs.get(i + c, 0) + x * y
+                        if dict(self.image(r, by_k[ki])) != \
+                                {i: x for i, x in rhs.items() if x}:
+                            return r, ki, kj
+            return None
+
+        fail = self.multiplicative_failure = a.first_failure(scan)
+        if fail is not None:
+            self.verdicts.append(failed(
+                "kappa-multiplicative", anchors.OMEGA_HAT,
+                {"degree": fail[0], "basis": list(fail[1:])}))
+            return
         self.verdicts.append(passed("kappa-multiplicative", anchors.OMEGA_HAT))
 
     def _check_diagram(self) -> None:

@@ -55,7 +55,10 @@ def degeneracy_submodules(n, m: Bimodule,
 
     The class of the basis pair b_j⊗a_i is column ``pure_index(j, i)`` of
     the tensor's projection, so each pairing map is stacked from those
-    columns."""
+    columns.  N₀·f ⊆ N₀, M₀·f ⊆ M₀ and f·M₀ ⊆ M₀ are decided on A's
+    generators first (``Algebra.first_failure``): the f for which each
+    holds form a unital subalgebra, as each is linear in f, holds at f = 1,
+    and N₀·fg = (N₀·f)·g ⊆ N₀·g ⊆ N₀, and likewise on M₀."""
     if tensor is None:
         tensor = tensor_over_A(n, m)
     t = tensor
@@ -76,23 +79,28 @@ def degeneracy_submodules(n, m: Bimodule,
     span_m = SpanBuilder(m.dim)
     for v in m0:
         span_m.add(v)
-    for v in n0:
-        for fi in range(a.dim):
-            if not span_n.contains(n.act_right(v, a.basis_vec(fi))):
-                pair.verdicts.append(failed(
-                    "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
-                    {"side": "N0", "algebra_basis": fi, "vector": rationals(v)}))
-                return pair
-    for v in m0:
-        for fi in range(a.dim):
-            fv = a.basis_vec(fi)
-            for moved, side in ((m.act_right(v, fv), "M0-right"),
-                                (m.act_left(fv, v), "M0-left")):
-                if not span_m.contains(moved):
-                    pair.verdicts.append(failed(
-                        "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
-                        {"side": side, "algebra_basis": fi, "vector": rationals(v)}))
-                    return pair
+
+    def scan(fis):
+        for v in n0:
+            for fi in fis:
+                if not span_n.contains(n.act_right(v, a.basis_vec(fi))):
+                    return {"side": "N0", "algebra_basis": fi,
+                            "vector": rationals(v)}
+        for v in m0:
+            for fi in fis:
+                fv = a.basis_vec(fi)
+                for moved, side in ((m.act_right(v, fv), "M0-right"),
+                                    (m.act_left(fv, v), "M0-left")):
+                    if not span_m.contains(moved):
+                        return {"side": side, "algebra_basis": fi,
+                                "vector": rationals(v)}
+        return None
+
+    fail = a.first_failure(scan)
+    if fail is not None:
+        pair.verdicts.append(failed("degeneracy-submodules",
+                                    anchors.ASSUME_DEGENERACY, fail))
+        return pair
     pair.verdicts.append(passed("degeneracy-submodules",
                                 anchors.ASSUME_DEGENERACY,
                                 {"dim_n0": len(n0), "dim_m0": len(m0)}))
@@ -221,29 +229,42 @@ def _nu_right_linear(nu: NuHat) -> Verdict:
     ·de_j, as the squares ν_r·R^src(r, 0, e_i) = R^tgt(r, 0, e_i)·ν_r and
     ν_{r+1}·R^src(r, 1, [de_j]) = R^tgt(r, 1, [de_j])·ν_r, composed by
     columns; the witness is the first failing square, and for ·de_j its
-    first differing column."""
+    first differing column.
+
+    The ·f squares are decided on A's generators first
+    (``Algebra.first_failure``), the ·de_j squares unchanged: the f whose
+    square commutes form a unital subalgebra, as it is linear in f, R(1) is
+    the identity, and R(fg) = R(g)∘R(f) on both sides, so
+    ν∘R^src(fg) = ν∘R^src(g)∘R^src(f) = R^tgt(g)∘ν∘R^src(f) =
+    R^tgt(g)∘R^tgt(f)∘ν = R^tgt(fg)∘ν."""
     src, tgt = nu.source, nu.target
     uni = src.uni
     a = uni.algebra
     tails = [(j, src.calculus.d_of_algebra(a.basis_vec(j)),
               tgt.calculus.d_of_algebra(a.basis_vec(j)))
              for j in uni.complement]
-    for r in range(src.D + 1):
-        for fi in range(a.dim):
-            e_i = a.basis_vec(fi)
-            if _compose(nu.maps[r], src.right_mult_cols(r, 0, e_i)) != \
-                    _compose(tgt.right_mult_cols(r, 0, e_i), nu.maps[r]):
-                return failed("nu-hat-right-linear", anchors.NU_HAT,
-                              {"degree": r, "algebra_basis": fi})
-        if r + 1 > src.D:
-            continue
-        for j, de_src, de_tgt in tails:
-            lhs = _compose(tgt.right_mult_cols(r, 1, de_tgt), nu.maps[r])
-            rhs = _compose(nu.maps[r + 1], src.right_mult_cols(r, 1, de_src))
-            for col, (x, y) in enumerate(zip(lhs, rhs)):
-                if x != y:
-                    return failed("nu-hat-right-linear", anchors.NU_HAT,
-                                  {"degree": r, "tail": j, "basis": col})
+
+    def scan(fis):
+        for r in range(src.D + 1):
+            for fi in fis:
+                e_i = a.basis_vec(fi)
+                if _compose(nu.maps[r], src.right_mult_cols(r, 0, e_i)) != \
+                        _compose(tgt.right_mult_cols(r, 0, e_i), nu.maps[r]):
+                    return {"degree": r, "algebra_basis": fi}
+            if r + 1 > src.D:
+                continue
+            for j, de_src, de_tgt in tails:
+                lhs = _compose(tgt.right_mult_cols(r, 1, de_tgt), nu.maps[r])
+                rhs = _compose(nu.maps[r + 1],
+                               src.right_mult_cols(r, 1, de_src))
+                for col, (x, y) in enumerate(zip(lhs, rhs)):
+                    if x != y:
+                        return {"degree": r, "tail": j, "basis": col}
+        return None
+
+    fail = a.first_failure(scan)
+    if fail is not None:
+        return failed("nu-hat-right-linear", anchors.NU_HAT, fail)
     return passed("nu-hat-right-linear", anchors.NU_HAT)
 
 
@@ -324,7 +345,11 @@ def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
 
 
 def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
-    """∇⊗(x·f) = (∇⊗x)·f + x⊗df on all domain basis / algebra pairs.
+    """∇⊗(x·f) = (∇⊗x)·f + x⊗df on all domain basis / algebra pairs,
+    decided on A's generators first (``Algebra.first_failure``): the f on
+    which it holds for every x form a unital subalgebra, as for
+    ``check_right_leibniz``: ∇⊗(x·fg) = (∇⊗(x·f))·g + x·f⊗dg =
+    (∇⊗x)·fg + x⊗(df·g + f·dg) = (∇⊗x)·fg + x⊗d(fg).
 
     Per f, ∇⊗∘(·f) and (·f)∘∇⊗ are composed once by columns; the class x
     at basis index k lifts to the pure pair free[k] = (j, i), where x⊗df is
@@ -337,22 +362,29 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
     a = m.algebra
     t1 = c.forms.dim(1)
     proj = w.quotient.proj_cols
-    per_f = []
-    for fi in range(a.dim):
-        fv = a.basis_vec(fi)
-        per_f.append((_compose(tc.cols, tn.induced_right_cols(fv)),
-                      _compose(w.induced_right_cols(fv), tc.cols),
-                      c.forms.right_mult_cols(
-                          0, 1, c.calculus.d_of_algebra(fv))))
-    for col, fc in enumerate(tn.quotient.free):
-        j, i = divmod(fc, m.dim)
-        for fi, (lhs, rhs, pieces) in enumerate(per_f):
-            if _sparse_sum([(lhs[col], 1), (rhs[col], -1)]
-                           + [(proj[j * t1 + l], -x) for l, x in pieces[i]]):
-                tc.verdicts.append(failed("tensor-right-leibniz",
-                                          anchors.TENSOR_CONNECTION,
-                                          {"basis": col, "algebra_basis": fi}))
-                return
+
+    def scan(fis):
+        per_f = []
+        for fi in fis:
+            fv = a.basis_vec(fi)
+            per_f.append((fi, _compose(tc.cols, tn.induced_right_cols(fv)),
+                          _compose(w.induced_right_cols(fv), tc.cols),
+                          c.forms.right_mult_cols(
+                              0, 1, c.calculus.d_of_algebra(fv))))
+        for col, fc in enumerate(tn.quotient.free):
+            j, i = divmod(fc, m.dim)
+            for fi, lhs, rhs, pieces in per_f:
+                if _sparse_sum([(lhs[col], 1), (rhs[col], -1)]
+                               + [(proj[j * t1 + l], -x)
+                                  for l, x in pieces[i]]):
+                    return {"basis": col, "algebra_basis": fi}
+        return None
+
+    fail = a.first_failure(scan)
+    if fail is not None:
+        tc.verdicts.append(failed("tensor-right-leibniz",
+                                  anchors.TENSOR_CONNECTION, fail))
+        return
     tc.verdicts.append(passed("tensor-right-leibniz",
                               anchors.TENSOR_CONNECTION))
 

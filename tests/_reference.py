@@ -1006,12 +1006,12 @@ def flatten(op):
 def kappa1_coords(k1):
     """(κ₁'s matrix, the accepted operators): column u of the matrix holds
     the coordinates of ``k1.ops[u]`` in the accepted operators, found by
-    ``EchelonSpanBuilder.coords``."""
+    ``CoordSpanBuilder.coords``."""
     c = k1.connection
     a = c.module.algebra
     hats = [kappa0_op(c, e) for e in identity_mat(a.dim)]
     d_ops = [nabla_hat(c, h) for h in hats]
-    span = EchelonSpanBuilder(c.forms.dim(1) * c.module.dim)
+    span = CoordSpanBuilder(c.forms.dim(1) * c.module.dim)
     accepted = []
     for f, g, h in itertools.product(range(a.dim), repeat=3):
         op = hats[f].compose(d_ops[g].compose(hats[h]))
@@ -1052,8 +1052,8 @@ def unit_complement(a):
     """(complement, π) of ``UniversalCalculus._unit_complement`` by the span
     route it replaced: the unit, then each basis vector that enlarges the
     span, is the basis; π(e_k) is e_k's coordinates in it past the unit's,
-    found by ``EchelonSpanBuilder.coords``."""
-    span = EchelonSpanBuilder(a.dim)
+    found by ``CoordSpanBuilder.coords``."""
+    span = CoordSpanBuilder(a.dim)
     span.add(a.unit_vec())
     comp = [i for i in range(a.dim) if span.add(a.basis_vec(i))]
     pi = [[(p, x) for p, x in enumerate(span.coords(e)[1:]) if x]
@@ -1110,7 +1110,6 @@ class EchelonSpanBuilder:
         self.ambient_dim = ambient_dim
         self.rows = []
         self.row_pivots = []
-        self.row_exprs = []
         self.basis = []
 
     @property
@@ -1118,44 +1117,70 @@ class EchelonSpanBuilder:
         return len(self.rows)
 
     def _reduce(self, v):
+        """v's residue modulo the rows, and the multiples of the rows taken
+        off it, (row position, c) in row order."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient space")
         res = _sparse(v)
-        combo = {}
-        for row, pc, expr in zip(self.rows, self.row_pivots, self.row_exprs):
+        taken = []
+        for k, (row, pc) in enumerate(zip(self.rows, self.row_pivots)):
             c = res.get(pc)
             if c is not None:
                 _eliminate(res, c, row)
-                for k, ce in expr.items():
-                    combo[k] = combo.get(k, 0) + c * ce
-        return res, combo
+                taken.append((k, c))
+        return res, taken
 
     def add(self, v):
-        res, combo = self._reduce(v)
+        res, _ = self._reduce(v)
         if not res:
             return False
         pc = min(res)
-        idx = len(self.basis)
         self.basis.append(v[:])
         pv = res[pc]
-        row = {j: _over(x, pv) for j, x in res.items()}
-        expr = {k: _over(-c, pv) for k, c in combo.items()}
-        expr[idx] = _over(1, pv)
         pos = bisect.bisect(self.row_pivots, pc)
-        self.rows.insert(pos, row)
+        self.rows.insert(pos, {j: _over(x, pv) for j, x in res.items()})
         self.row_pivots.insert(pos, pc)
-        self.row_exprs.insert(pos, expr)
         return True
 
     def contains(self, v):
         return not self._reduce(v)[0]
 
+
+class CoordSpanBuilder(EchelonSpanBuilder):
+    """``EchelonSpanBuilder`` that also keeps each row as a combination of
+    the accepted vectors (``basis``), so ``coords`` reads a vector's
+    coordinates in them: the κ₁-coordinates and unit-complement
+    references, which alone read them."""
+
+    def __init__(self, ambient_dim):
+        super().__init__(ambient_dim)
+        self.row_exprs = []
+
+    def _combo(self, taken):
+        combo = {}
+        for k, c in taken:
+            for idx, ce in self.row_exprs[k].items():
+                combo[idx] = combo.get(idx, 0) + c * ce
+        return combo
+
+    def add(self, v):
+        res, taken = self._reduce(v)
+        if not super().add(v):
+            return False
+        # the new row is (v − Σ c·(row k)) / pv, v the last basis vector
+        pc = min(res)
+        pv = res[pc]
+        expr = {k: _over(-c, pv) for k, c in self._combo(taken).items()}
+        expr[len(self.basis) - 1] = _over(1, pv)
+        self.row_exprs.insert(self.row_pivots.index(pc), expr)
+        return True
+
     def coords(self, v):
-        res, combo = self._reduce(v)
+        res, taken = self._reduce(v)
         if res:
             return None
         out = zeros(len(self.basis))
-        for k, c in combo.items():
+        for k, c in self._combo(taken).items():
             out[k] = _exact(c)
         return out
 

@@ -53,6 +53,14 @@ def pipeline(name: str, truncation: int | None = None) -> Pipeline:
     return Pipeline(model(name, truncation).connections["nabla"])
 
 
+def whole_basis(a: Algebra) -> Algebra:
+    """``a`` with its generating set taken to be its whole basis, so that
+    ``Algebra.first_failure`` runs the plain basis scan: the reference for
+    a check decided on the generators first."""
+    vars(a)["generators"] = list(range(a.dim))
+    return a
+
+
 def upper_triangular(n: int) -> Algebra:
     """T_n, the upper-triangular n×n matrices on the matrix units e_ij,
     i ≤ j, in row order (e11, e12, e22 for n = 2): not semisimple, the

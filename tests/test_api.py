@@ -1,8 +1,8 @@
 """The public names of the bimodconn package, the one place that wires
 the stages, the function names the benchmark profiles, the functions
 nothing in the program calls, the reference routes the program no longer
-takes, the stages that reuse what an earlier one built, and the maps that
-are stored by columns only."""
+takes, the stages that reuse what an earlier one built, the maps that
+are stored by columns only, and the loops over the algebra basis."""
 
 import ast
 import dataclasses
@@ -294,9 +294,8 @@ def test_kernels_and_factorisations_are_read_off_columns():
 # call no dense kernel
 SPARSE_ROUTE = {
     "algebra": {"balancing_relations", "Bimodule._action_cols",
-                "check_bimodule"},
+                "check_bimodule", "Algebra.generators"},
     "calculus": {"saturate_ideal", "GradedCalculus.d_cols",
-                 "UniversalCalculus.algebra_generators",
                  "UniversalCalculus.product", "preceq"},
     "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
                    "Connection.curvature_cols", "DegreeRHom.key",
@@ -480,3 +479,103 @@ def test_forms_are_built_only_through_the_memo():
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     assert calls == {"forms:Forms.of:cls", "model:_parse_connection:of",
                      "tensorconn:nu_hat:of"}
+
+
+# Every loop over the algebra basis in src/, a ``range(X.dim)`` or an
+# ``identity_mat(X.dim)`` with X an algebra (``a``, ``alg``, an attribute
+# ``algebra``, or ``self`` in Algebra), counted per top-level function or
+# method (nested functions count for the one that holds them), with why
+# it stays.  An identity that must hold for every f in A goes through
+# Algebra.first_failure instead, and its scan loops over the indices it is
+# handed (GENERATOR_FIRST).
+BASIS_LOOPS = {
+    "algebra:Algebra.first_failure": (
+        1, "the generator-first scan itself: the whole basis, for the "
+           "witness, once a generator fails"),
+    "algebra:check_algebra": (
+        4, "intake axioms, which every closure argument assumes"),
+    "algebra:_check_one_sided": (2, "intake axioms of check_bimodule"),
+    "algebra:check_bimodule": (2, "intake axioms: the actions commute"),
+    "algebra:balancing_relations": (
+        1, "a spanning set: X⊗_AY's balancing relations, in the order the "
+           "tensor's quotient is eliminated"),
+    "calculus:UniversalCalculus._unit_complement": (
+        2, "construction: π and the unit complement"),
+    "calculus:UniversalCalculus.bar_index": (
+        1, "construction: the bar basis"),
+    "calculus:GradedCalculus.degree_bimodule": (
+        1, "construction: Ω^r's actions, one per basis element"),
+    "connection:induced_first_order": (
+        7, "Ω¹_∇'s spanning set f̂∘∇̂ĝ∘ĥ over basis triples; "
+           "nabla-hat-right-linear per g, decided before the derivation "
+           "law that its closure under products would rest on; the "
+           "derivation law's g, on the basis for each f; left-leibniz-"
+           "induced reads ∇̂ĝ per basis g, and closing it under products "
+           "would rest on another verdict"),
+    "connection:kappa1": (
+        4, "κ₀ of every basis element, for κ₁'s operators; kappa1-diagram, "
+           "whose closure under products would rest on kappa1-bimodule-"
+           "linear; the (f, g, α) triple scan, run only when left or right "
+           "linearity fails on a generator, for its witness"),
+    "connection:sigma_exists": (
+        1, "sigma-left-leibniz: closing it under products would rest on "
+           "another verdict"),
+    "curvature:OmegaHat.__init__": (
+        1, "Ω̂'s T₀, a basis of κ₀(A) in basis order, which witnesses index"),
+    "curvature:j_ideal": (
+        1, "the early proposal's span, whose dimension is reported"),
+    "forms:Forms.as_bimodule": (
+        1, "construction: T_r's actions, one per basis element"),
+}
+GENERATOR_FIRST = {
+    "connection:check_right_leibniz",
+    "connection:DegreeRHom.right_linearity_witness",
+    "connection:induced_first_order", "curvature:curvature",
+    "curvature:j_ideal", "curvature:OmegaM._check",
+    "curvature:InducedCalculus._check_multiplicative",
+    "tensorconn:degeneracy_submodules", "tensorconn:_nu_right_linear",
+    "tensorconn:_check_tensor_leibniz"}
+
+
+def _names_an_algebra(node, in_algebra: bool) -> bool:
+    return isinstance(node, ast.Name) and (
+        node.id in ("a", "alg") or in_algebra and node.id == "self") \
+        or isinstance(node, ast.Attribute) and node.attr == "algebra"
+
+
+def test_identities_for_all_f_run_on_the_generators_first():
+    loops, scans, docs = {}, set(), {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, prefix, cls):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{child.name}.", child)
+                elif isinstance(child, ast.FunctionDef):
+                    name = f"{path.stem}:{prefix}{child.name}"
+                    docs[name] = (ast.get_docstring(child) or "") + (
+                        (ast.get_docstring(cls) or "") if cls else "")
+                    for sub in ast.walk(child):
+                        if isinstance(sub, ast.Call) and \
+                                getattr(sub.func, "id", None) in (
+                                    "range", "identity_mat") and \
+                                len(sub.args) == 1 and \
+                                isinstance(sub.args[0], ast.Attribute) and \
+                                sub.args[0].attr == "dim" and \
+                                _names_an_algebra(sub.args[0].value,
+                                                  prefix == "Algebra."):
+                            loops[name] = loops.get(name, 0) + 1
+                        if getattr(sub, "attr", None) == "first_failure" \
+                                and name != "algebra:Algebra.first_failure":
+                            scans.add(name)
+
+        visit(tree, "", None)
+    assert loops == {name: n for name, (n, _) in BASIS_LOOPS.items()}
+    assert scans == GENERATOR_FIRST
+    # κ₁'s bimodule linearity decides its two halves on the generators
+    # and runs no generator-first scan of its own
+    assert "generators" in _named("connection", "kappa1")
+    # each converted check says why its good f form a unital subalgebra
+    for name in GENERATOR_FIRST | {"connection:kappa1"}:
+        assert "subalgebra" in docs[name], name

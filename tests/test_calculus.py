@@ -4,7 +4,7 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import pytest
 from hypothesis import given, settings
@@ -140,7 +140,9 @@ def test_quotient_idempotent():
     ids=["a2-D3", "a2-D9", "m2_grass-D3"])
 def test_saturation_span_adds_follow_the_closed_form(
         monkeypatch, name, truncation, adds, w_adds):
-    uni = UniversalCalculus(model(name).algebra, truncation)
+    # a fresh copy of the algebra, whose generating set nothing has read
+    uni = UniversalCalculus(dataclasses.replace(model(name).algebra),
+                            truncation)
     gens = _model_generators(name, uni)
     calls = []
     add = SpanBuilder.add
@@ -160,7 +162,7 @@ def test_saturation_span_adds_follow_the_closed_form(
         m * s.dim + n * w.dim for s, w in zip(spans[1:], w_spans)]
     assert w_adds == [s.dim for s in spans[1:-1]]
     # degree 1 alone closes by products; no generator lies above it
-    assert "algebra_generators" not in vars(uni)
+    assert "generators" not in vars(uni.algebra)
 
 
 def _model_generators(name, uni):
@@ -285,7 +287,7 @@ def test_a_wrong_generator_table_entry_above_degree_one_fails_the_reference():
     # degree-1 generator would not reach that table: I² is then read off
     # I¹'s rows and π
     uni = UniversalCalculus(upper_triangular(2), 3)
-    assert uni.algebra_generators == [1, 2]
+    assert uni.algebra.generators == [1, 2]
     e11_de12_de11 = [0] * uni.bar_dim(2)
     e11_de12_de11[2] = 1
     gens = [(2, e11_de12_de11)]
@@ -332,43 +334,72 @@ _GENERATED_BY = {**_ALGEBRAS,
 @pytest.mark.parametrize("name", sorted(_GENERATED_BY))
 def test_algebra_generators_generate_and_each_is_needed(name):
     a = _GENERATED_BY[name]()
-    gens = UniversalCalculus(a, 1).algebra_generators
+    gens = a.generators
     assert gens == sorted(gens)
     assert _generated_dim(a, gens) == a.dim
     for s in gens:
         assert _generated_dim(a, [t for t in gens if t != s]) < a.dim, s
-    # deterministic: a second calculus on the same algebra, at another
-    # truncation, finds the same set
-    assert UniversalCalculus(a, 3).algebra_generators == gens
+    # deterministic: a second copy of the algebra finds the same set
+    assert dataclasses.replace(a).generators == gens
 
 
 def test_algebra_generators_of_m2_and_a2():
     # M₂: e12 and e21 (e11 = e12·e21, e22 = e21·e12); ℂ²: e2 (e1 = 1 − e2)
-    assert UniversalCalculus(m2(), 1).algebra_generators == [1, 2]
-    assert UniversalCalculus(a2(), 1).algebra_generators == [1]
+    assert m2().generators == [1, 2]
+    assert a2().generators == [1]
 
 
-def test_algebra_generators_are_found_only_above_degree_one(tmp_path):
-    # computed only to close a generator of degree ≥ 2: never for a model
-    # without ideal generators, nor for m2_grass, whose generator has
-    # degree 1 (I¹ is closed by the whole basis, and the higher degrees
-    # are read off the one below)
-    m = parse_model(str(MODELS / "a2_flat.model"))
-    assert "algebra_generators" not in vars(m.calculus.universal)
-    m = parse_model(str(MODELS / "m2_grass.model"))
-    assert "algebra_generators" not in vars(m.calculus.universal)
+def test_the_generating_set_is_computed_once_per_algebra_and_shared(
+        monkeypatch, tmp_path):
+    # Algebra.generators is the one generating set: the saturation closes
+    # a generator above degree 1 under it, and every check of an identity
+    # that holds for all f in A runs on it first (Algebra.first_failure).
+    # A parse and `all` compute it once per algebra, and every such check
+    # reads that algebra's set
+    computed, scanned = [], []
+    generators = Algebra.__dict__["generators"].func
+    first_failure = Algebra.first_failure
+
+    def counting(a):
+        computed.append(a)
+        return generators(a)
+
+    def spying(a, scan):
+        scanned.append(a)
+        return first_failure(a, scan)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Algebra, "generators")
+    monkeypatch.setattr(Algebra, "generators", counted)
+    monkeypatch.setattr(Algebra, "first_failure", spying)
+    # the saturation reads it only to close a generator of degree ≥ 2:
     # a2_flat with the degree-2 generator e2·de1·de1 (in tensor-power
-    # coordinates) closes it under e2· and ·e2, its algebra generator
-    doc = json.loads((MODELS / "a2_flat.model").read_text(encoding="utf-8"))
-    uni = UniversalCalculus(a2(), 3)
+    # coordinates) closes it under e2· and ·e2, e2 its algebra generator
+    alg = dataclasses.replace(a2())
+    uni = UniversalCalculus(alg, 3)
     e2_de1_de1 = to_emb(uni, 2, [0, 1])
+    saturate_ideal(uni, [(2, uni.from_emb(2, e2_de1_de1))])
+    assert computed == [alg] and vars(alg)["generators"] == [1]
+    # m2_grass's generator has degree 1 (I¹ is closed by the whole basis,
+    # and the higher degrees are read off the one below)
+    alg = dataclasses.replace(m2())
+    uni = UniversalCalculus(alg, 3)
+    saturate_ideal(uni, _model_generators("m2_grass", uni))
+    assert len(computed) == 1 and "generators" not in vars(alg)
+    doc = json.loads((MODELS / "a2_flat.model").read_text(encoding="utf-8"))
     doc["calculus"]["ideal_generators"] = [
         {"degree": 2, "element": [str(x) for x in e2_de1_de1]}]
     path = tmp_path / "a2_degree_two.model"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    m = parse_model(str(path))
-    assert vars(m.calculus.universal)["algebra_generators"] == [1]
-    assert m.calculus.dims() == [2, 2, 1, 0]
+    for path, dims in ((path, [2, 2, 1, 0]),
+                       (MODELS / "m2_grass.model", [4, 4, 4, 4])):
+        computed.clear()
+        scanned.clear()
+        m = parse_model(str(path))
+        assert m.calculus.dims() == dims
+        cli.run("all", m)
+        assert computed == [m.algebra], path.name
+        assert scanned and {id(a) for a in scanned} == {id(m.algebra)}
 
 
 @settings(deadline=None, max_examples=20)

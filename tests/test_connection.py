@@ -7,7 +7,8 @@ import pytest
 import _reference
 from _reference import apply, class_of_pair_bar, is_zero_vec
 from _shared import (MODELS, NAMES, a2, model, nabla, pipeline,
-                     regular_connection, upper_triangular)
+                     regular_connection, upper_triangular, whole_basis)
+import bimodconn.connection as connection_module
 from bimodconn import Pipeline
 from bimodconn.connection import (Connection, DegreeRHom,
                                   _left_leibniz_failure, check_right_leibniz,
@@ -138,6 +139,55 @@ def test_induced_derivation_law_on_twist():
     assert all(v.ok for v in ifo.verdicts)
 
 
+# Faults that break an identity for all f in A first at a basis element
+# that is not a generator: the check, decided on the generators first, must
+# fail with the witness of the plain basis scan (``whole_basis``).  Each
+# fault keeps the set of good f a unital subalgebra, so a generator fails
+# too.
+
+def _faulted_connection(name: str) -> Connection:
+    """A fresh ∇, so a fault reaches no cached one: m2_grass's, or
+    ∇ = d + Γ· on T₂ at D=3."""
+    if name == "m2_grass":
+        return parse_model(
+            str(MODELS / "m2_grass.model")).connections["nabla"]
+    return regular_connection(upper_triangular(2), 3, 0)
+
+
+@pytest.mark.parametrize("name, k, entry, pair", [
+    ("m2_grass", 0, (2, 0), [0, 2]), ("t2", 0, (1, 2), [0, 1])])
+def test_a_wrong_nabla_hat_fails_the_derivation_law_as_the_basis_scan(
+        monkeypatch, name, k, entry, pair):
+    # ∇̂ on degree-0 operators off by λ(Φ)·∇̂ê_k, λ(Φ) the entry of Φ at
+    # (row, column) = ``entry``: linear and zero at the identity, but no
+    # derivation, so the law fails; the f for which it holds for every g
+    # still form a unital subalgebra
+    real = connection_module.nabla_hat
+    row, col = entry
+
+    def wrong(c, phi):
+        out = real(c, phi)
+        lam = dict(phi.cols[col]).get(row, 0) if phi.degree == 0 else 0
+        if not lam:
+            return out
+        psi = real(c, kappa0_op(c, c.module.algebra.basis_vec(k)))
+        return DegreeRHom(out.forms, 1, [
+            _col_sum([(x, 1), (y, lam)]) if x or y else []
+            for x, y in zip(out.cols, psi.cols)])
+
+    monkeypatch.setattr(connection_module, "nabla_hat", wrong)
+    verdicts = []
+    for scan in (lambda a: a, whole_basis):
+        c = _faulted_connection(name)
+        scan(c.module.algebra)
+        verdicts.append(induced_first_order(c).verdicts)
+    got, plain = verdicts
+    assert got == plain
+    assert (got[-1].check_id, got[-1].status, got[-1].witness) == \
+        ("d-nabla-derivation", "fail", {"pair": pair})
+    assert pair[0] not in _faulted_connection(name).module.algebra.generators
+
+
 def test_kappa1_on_e1_tensor_e2():
     c = nabla("a2_flat")
     k1 = pipeline("a2_flat").kappa1
@@ -223,6 +273,40 @@ def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
     k1 = Pipeline(m.connections["nabla"]).kappa1
     assert _linearity_witness(k1) == {"triple": triple}
     assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}
+
+
+def _inner_automorphism(a, n: int) -> list[list]:
+    """φ(e_f) = (1 + e_n)·e_f·(1 − e_n) per f, an automorphism of A for
+    e_n with e_n² = 0, as coordinate vectors."""
+    one, e = a.unit_vec(), a.basis_vec(n)
+    p, q = [x + y for x, y in zip(one, e)], [x - y for x, y in zip(one, e)]
+    return [a.mult(a.mult(p, a.basis_vec(f)), q) for f in range(a.dim)]
+
+
+@pytest.mark.parametrize("name, triple", [
+    ("m2_grass", [0, 0, 2]), ("t2", [0, 0, 1])])
+def test_a_twisted_right_action_fails_kappa1_linearity_as_the_basis_scan(
+        name, triple):
+    # u ↦ u·e_g on Ω¹_u replaced by u ↦ u·φ(e_g), φ conjugation by 1 + e12:
+    # still a right action, so the g on which κ₁ is right linear form a
+    # unital subalgebra, which e11 (index 0) and e21 or e22 leave; the
+    # triple is the basis scan's and the reference's, at f = g = e11
+    witnesses = []
+    for scan in (lambda a: a, whole_basis):
+        c = _faulted_connection(name)
+        a = scan(c.module.algebra)
+        uni = c.calculus.universal
+        table, phi = uni._right_cols[1], _inner_automorphism(a, 1)
+        uni._right_cols[1] = [
+            [_col_sum(t) if (t := [(table[k][col], x)
+                                   for k, x in enumerate(phi[g])
+                                   if x and table[k][col]]) else []
+             for col in range(len(table[g]))] for g in range(a.dim)]
+        k1 = Pipeline(c).kappa1
+        witnesses.append(_linearity_witness(k1))
+        assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}
+    assert witnesses == [{"triple": triple}] * 2
+    assert triple[0] not in _faulted_connection(name).module.algebra.generators
 
 
 # σ and κ₁'s rank against the route they took before κ₁ was kept as its

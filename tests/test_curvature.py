@@ -9,17 +9,17 @@ import _reference
 from _reference import dense_vecs, is_zero_vec
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
                      model_file, pipeline, regular_connection,
-                     upper_triangular)
+                     upper_triangular, whole_basis)
 import bimodconn.curvature as curvature_module
 from bimodconn import Pipeline, cli
 from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
                                   kappa0_op, leibniz_failure)
-from bimodconn.curvature import (InducedCalculus, OmegaHat, OmegaM,
+from bimodconn.curvature import (InducedCalculus, JIdeal, OmegaHat, OmegaM,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
 from bimodconn.linalg import (SpanBuilder, _col_vec, _combine, _to_cols,
-                              _to_mat, kernel_quotient, mat_vec)
+                              _to_mat, kernel_quotient, mat_vec, quotient)
 from bimodconn.model import ModelFile, parse_model
 
 F = Fraction
@@ -188,6 +188,63 @@ def test_factored_curvature_left_linear_on_gauge_fixture():
     ids = {v.check_id: v for v in pipeline("m2_grass").omega_m.verdicts}
     assert ids["curvature-left-linear-on-omega-m"].ok
     assert ids["curvature-right-omega-on-omega-m"].ok
+
+
+# Faults that break an identity for all f in A first at e11 (index 0),
+# which is not one of M₂'s generators e12 and e21: the check, decided on
+# the generators first, must fail with the witness of the plain basis scan
+# (``whole_basis``).  Each fault keeps the set of good f a unital
+# subalgebra, so a generator fails too.
+
+def _m2_pipeline(scan) -> Pipeline:
+    """A fresh pipeline of m2_grass's ∇, so a fault reaches no cached one,
+    its algebra passed through ``scan``."""
+    conn = parse_model(str(MODELS / "m2_grass.model")).connections["nabla"]
+    scan(conn.module.algebra)
+    return Pipeline(conn)
+
+
+def test_omega_m_with_j2_zero_fails_left_linearity_as_the_basis_scan():
+    # J₂ taken as 0, a left-A-stable subspace: modulo it the curvature is
+    # left linear exactly where it is upstairs, which fails at e11
+    found = []
+    for scan in (lambda a: a, whole_basis):
+        p = _m2_pipeline(scan)
+        j, f = p.j_ideal, p.conn.forms
+        small = JIdeal([[] if r == 2 else s for r, s in enumerate(j.spans)],
+                       [quotient(f.dim(2), []) if r == 2 else q
+                        for r, q in enumerate(j.quotients)])
+        found.append(OmegaM(p.conn, small).verdicts)
+    got, plain = found
+    assert got == plain
+    assert (got[-1].check_id, got[-1].status, got[-1].witness) == \
+        ("curvature-left-linear-on-omega-m", "fail", {"algebra_basis": 0})
+    assert 0 not in m2().generators
+
+
+def test_a_vector_added_to_j3_fails_its_left_closure_as_the_basis_scan(
+        monkeypatch):
+    # the class x of T₃ at indices 4 and 6 added to J₃, through one more
+    # column of ∇̂²Φ for the first Φ of Ω̂₁: J₃ is the top degree, where
+    # j-closure reads the left action only, and f·J ⊆ J holds on a unital
+    # subalgebra for any subspace J; e11·x leaves J₃ + span{x} first
+    square_hat = curvature_module._square_hat
+    found = []
+    for scan in (lambda a: a, whole_basis):
+        p = _m2_pipeline(scan)
+        oh = p.omega_hat
+        first = oh.ops(1)[0]
+        monkeypatch.setattr(
+            curvature_module, "_square_hat",
+            lambda c, phi: square_hat(c, phi) + [[(4, 1), (6, 1)]]
+            if phi is first else square_hat(c, phi))
+        found.append([v for v in j_ideal(p.conn, oh).verdicts
+                      if v.check_id == "j-closure"])
+        monkeypatch.undo()
+    got, plain = found
+    assert got == plain
+    assert (got[0].status, got[0].witness) == \
+        ("fail", {"op": "left", "degree": 3, "basis": 4, "algebra_basis": 0})
 
 
 def test_induced_calculus_flat():

@@ -539,8 +539,16 @@ def test_compose_matches_the_dense_combination(drawn):
 # κ̄ on every basis vector of I² and I³ (it kills both) and calls _col_sum
 # for those with a term at a nonempty column of κ̄, 5 and 10 then; the
 # closed form's basis (I^r's reduced rows with a tail slot appended, then
-# A ⊗ W_r) is sparser, and 4 and 6 have such a term
-COL_SUM_CALLS_M2 = 4217
+# A ⊗ W_r) is sparser, and 4 and 6 have such a term.  4,217 while every
+# identity that holds for all f in A was decided on the whole algebra
+# basis: deciding it on A's generators (e12 and e21) first takes 240 calls
+# off κ₁'s bimodule linearity (its left and right halves replace the
+# triple scan), 148 off Ω¹_∇ (right linearity of ∇̂ê_g and the derivation
+# law), 96 off Ω(M)'s checks, 44 off the right Leibniz rule at parse, 42
+# off κ's multiplicativity and 8 each off the curvature and J; the
+# ∇-extension makes 8 more, for ·d(e11) on T₁ (d(e11) is a basis class of
+# Ω¹), which Ω(M)'s right Leibniz rule built first while it read e11
+COL_SUM_CALLS_M2 = 3639
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
@@ -845,7 +853,10 @@ def _clearing_work(monkeypatch) -> list[tuple[int, set[int], set[int]]]:
 # the algebra generators (14 pivots, 4 holders: m2_grass has no generator
 # above degree 1), and clears 16 rows in the saturation (43 before) and
 # 24 in Forms (20 before), whose M⊗I^r vectors follow the ideal's basis.
-NEW_PIVOTS_M2, HOLDERS_M2, HOLDERS_M2_ALL = 472, 40, 13
+# 472 pivots and 40 holders while every check scanned the whole algebra
+# basis: the right Leibniz rule at parse now runs on A's generators first,
+# so the parse finds them again (14 pivots, 4 holders).
+NEW_PIVOTS_M2, HOLDERS_M2, HOLDERS_M2_ALL = 486, 44, 13
 
 
 def test_clearing_a_new_pivot_reads_only_the_rows_that_hold_it(monkeypatch):

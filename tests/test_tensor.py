@@ -8,7 +8,7 @@ import pytest
 import _reference
 from _reference import class_of_pair_bar, class_product, is_zero_vec
 from _shared import (MODELS, NAMES, a2, nabla, pipeline, regular_connection,
-                     universal, upper_triangular)
+                     universal, upper_triangular, whole_basis)
 from bimodconn import Pipeline, algebra, cli, connection, tensorconn
 from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
 from bimodconn.calculus import GradedCalculus, preceq
@@ -431,6 +431,88 @@ def test_a_perturbed_tensor_column_fails_right_leibniz_as_the_dense_route(
         (v,) = tc.verdicts
         assert not v.ok
         assert v.witness == _reference.tensor_right_leibniz(tc, c)
+
+
+# Faults that break an identity for all f in A first at a basis element
+# that is not a generator (index 0: e1 of ℂ², e11 of T₃ and of M₂): the
+# check, decided on the generators first, must fail with the witness of the
+# plain basis scan (``whole_basis``), and of the dense reference where one
+# exists.  Each fault keeps the set of good f a unital subalgebra: the
+# perturbed map is still linear, and a subspace added to N₀ is one.
+
+def _first_failures(name: str, check) -> list:
+    """``check`` on a fresh pipeline, then on one whose algebra scans its
+    whole basis."""
+    assert 0 not in _fresh(name).conn.module.algebra.generators
+    found = []
+    for scan in (lambda a: a, whole_basis):
+        p = _fresh(name)
+        scan(p.conn.module.algebra)
+        found.append(check(p))
+    return found
+
+
+@pytest.mark.parametrize("name", TENSOR_CASES)
+def test_a_perturbed_nu_hat_fails_a_square_by_e_f_as_the_basis_scan(name):
+    # ν̂ in degree 0 off by one at row 1 of column 0
+    def check(p):
+        nu = nu_hat(p.conn, p.kappa_hat)
+        nu.maps[0] = nu.maps[0][:]
+        nu.maps[0][0] = _bumped(nu.maps[0][0], 1)
+        v = tensorconn._nu_right_linear(nu)
+        assert v.witness == _reference.nu_hat_right_linear(nu)
+        return v
+    got, plain = _first_failures(name, check)
+    assert got == plain
+    assert (got.status, got.witness) == \
+        ("fail", {"degree": 0, "algebra_basis": 0})
+
+
+@pytest.mark.parametrize("name, col, row", [("a2_flat", 0, 0),
+                                            ("a2_quotient", 1, 0)])
+def test_a_perturbed_tensor_column_fails_right_leibniz_as_the_basis_scan(
+        name, col, row):
+    def check(p):
+        c = p.conn
+        found = []
+        for tc in _routes(p)[1::2]:
+            tc.cols[col] = _bumped(tc.cols[col], row)
+            tc.verdicts = []
+            tensorconn._check_tensor_leibniz(tc, c)
+            (v,) = tc.verdicts
+            assert v.witness == _reference.tensor_right_leibniz(tc, c)
+            found.append(v)
+        return found
+    got, plain = _first_failures(name, check)
+    assert got == plain
+    assert [(v.status, v.witness) for v in got] == \
+        [("fail", {"basis": col, "algebra_basis": 0})] * 2
+
+
+@pytest.mark.parametrize("name", ["a2_flat", "m2_grass", "t3"])
+def test_a_vector_added_to_n0_fails_its_closure_as_the_basis_scan(
+        monkeypatch, name):
+    # b₀ + b₁ put first in the basis of N₀ that the first null space
+    # degeneracy_submodules computes hands it (N₀ is 0 on these models)
+    real = tensorconn.null_space
+
+    def check(p):
+        calls = []
+
+        def with_x(cols):
+            calls.append(cols)
+            found = real(cols)
+            if len(calls) > 1:
+                return found
+            return [[1, 1] + [0] * (p.conn.module.dim - 2)] + found
+        monkeypatch.setattr(tensorconn, "null_space", with_x)
+        (v,) = degeneracy_submodules(p.conn.module, p.conn.module).verdicts
+        monkeypatch.undo()
+        return v
+    got, plain = _first_failures(name, check)
+    assert got == plain
+    assert (got.status, got.witness["side"], got.witness["algebra_basis"]) \
+        == ("fail", "N0", 0)
 
 
 @pytest.mark.parametrize("name", TENSOR_CASES)
