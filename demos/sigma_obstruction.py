@@ -30,7 +30,9 @@ def main() -> None:
     print("a2_twist model: sigma exists =", res.exists)
     wit = res.witness_bar
     print("witness in K (bar coordinates):", [rat_str(x) for x in wit])
-    print("kappa1(witness) is zero:", k1.op(wit).is_zero())
+    # kappa1 takes a bar vector sparse: its nonzero entries by index
+    alpha = {u: x for u, x in enumerate(wit) if x}
+    print("kappa1(witness) is zero:", k1.op(alpha).is_zero())
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ def main() -> None:
     nu = nu_hat(rc, p.kappa_hat)
     print("nu-hat rank in degree 1:", nu.rank(1))
 
-    tco = tensor_connection_original(rc, conn, ic, nu, p.sigma)
+    tco = tensor_connection_original(rc, conn, nu, p.sigma)
     assoc = associated_connection(rc, nu)
     tci = tensor_connection_induced(assoc.connection, conn, ic)
     for v in tco.verdicts + assoc.verdicts:

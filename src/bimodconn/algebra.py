@@ -16,8 +16,8 @@ from itertools import compress
 
 from . import anchors
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _combine, _compose, _sparse_sum, _to_cols,
-                     frac, QuotientSpace, zeros)
+                     _col_sum, _compose, _sparse_sum, _to_cols, frac,
+                     QuotientSpace, zeros)
 from .report import Verdict, failed, passed
 
 
@@ -161,21 +161,6 @@ class Bimodule:
         """m ↦ f·m by columns."""
         return self._action_cols(self.left_action, f)
 
-    def right_cols(self, f: Vec) -> Cols:
-        """m ↦ m·f by columns."""
-        return self._action_cols(self.right_action, f)
-
-    def act_left(self, f: Vec, m: Vec) -> Vec:
-        return _combine(self.left_cols(f), m, self.dim)
-
-    def act_right(self, m: Vec, f: Vec) -> Vec:
-        return _combine(self.right_cols(f), m, self.dim)
-
-    def basis_vec(self, i: int) -> Vec:
-        v = zeros(self.dim)
-        v[i] = 1
-        return v
-
 
 def right_module_generators(mod) -> list[int]:
     """Greedy minimal-ish generating set of basis indices over the right
@@ -184,16 +169,15 @@ def right_module_generators(mod) -> list[int]:
     gens: list[int] = []
     reached = SpanBuilder(mod.dim)
     for i in range(mod.dim):
-        v = mod.basis_vec(i)
-        if reached.contains(v):
+        if reached.contains({i: 1}):
             continue
         gens.append(i)
-        stack = [v]
-        reached.add(v)
+        stack = [{i: 1}]
+        reached.add(stack[0])
         while stack:
             w = stack.pop()
             for cols in mod.right_action:
-                u = _combine(cols, w, mod.dim)
+                u = _sparse_sum([(cols[x], c) for x, c in w.items()])
                 if reached.add(u):
                     stack.append(u)
     return gens
@@ -262,13 +246,13 @@ class BalancedTensor:
     def pure_index(self, i: int, j: int) -> int:
         return i * self.right_factor.dim + j
 
-    def induced_right_cols(self, f: Vec) -> Cols:
-        """·f on classes by columns, from the plain map x_i⊗y_j ↦
-        x_i⊗(y_j·f)."""
-        ry = self.right_factor.right_cols(f)
+    def induced_right_cols(self, i: int) -> Cols:
+        """·e_i on classes by columns, from the plain map x_k⊗y_j ↦
+        x_k⊗(y_j·e_i)."""
+        ry = self.right_factor.right_action[i]
         ydim = self.right_factor.dim
-        plain = [[(i * ydim + l, c) for l, c in ry[j]]
-                 for i in range(self.left_factor.dim) for j in range(ydim)]
+        plain = [[(k * ydim + l, c) for l, c in ry[j]]
+                 for k in range(self.left_factor.dim) for j in range(ydim)]
         return self.quotient.induced(plain, self.quotient)
 
 

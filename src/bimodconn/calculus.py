@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
-                     _col_vec, _combine, _div, _exact, _sparse, _sparse_sum,
-                     identity_mat, quotient, QuotientSpace, zeros)
+                     _col_vec, _div, _exact, _sparse, _sparse_sum, quotient,
+                     QuotientSpace, zeros)
 
 
 class UniversalCalculus:
@@ -85,10 +85,6 @@ class UniversalCalculus:
     def bar_dim(self, r: int) -> int:
         return self.algebra.dim * len(self._tails[r])
 
-    def bar_index(self, r: int) -> list[tuple[int, tuple[int, ...]]]:
-        return [(i0, beta) for i0 in range(self.algebra.dim)
-                for beta in self._tails[r]]
-
     def tails(self, r: int) -> list[tuple[int, ...]]:
         """The de_j1⋯de_jr tail index tuples of the degree-r bar basis."""
         return self._tails[r]
@@ -134,11 +130,11 @@ class UniversalCalculus:
         nt = len(self._tails[r])
         table = self.tail_times(r, k)
         cols = []
-        for mult in self._mult:
+        for by_i0 in self._mult:
             for terms in table:
                 acc: dict[int, Fraction | int] = {}
                 for k0, g, ct in terms:
-                    for l, cl in mult[k0]:
+                    for l, cl in by_i0[k0]:
                         row = l * nt + g
                         acc[row] = acc.get(row, 0) + ct * cl
                 cols.append([(row, _exact(c))
@@ -175,11 +171,6 @@ class UniversalCalculus:
                       for y, cu in u.items()]
         return _sparse_sum(terms)
 
-    def d(self, r: int, v: Vec) -> Vec:
-        """d: Ω^r → Ω^{r+1}, d(e_i0·de_β) = de_i0·de_β with de_i0 expanded
-        through π as Σ π(e_i0)_p · 1·de_{c_p}."""
-        return _combine(self._d_cols[r], v, self.bar_dim(r + 1))
-
     # The column tables themselves, shared: no caller may change them.
     def left_cols(self, r: int, k: int) -> Cols:
         """L_{e_k} on Ω^r: column x holds the nonzeros of e_k·(bar basis x),
@@ -198,7 +189,9 @@ class UniversalCalculus:
         return self._right_cols[r][k]
 
     def d_cols(self, r: int) -> Cols:
-        """d: Ω^r → Ω^{r+1}: column x holds the nonzeros of d(bar basis x)."""
+        """d: Ω^r → Ω^{r+1}: column x holds the nonzeros of d(bar basis x),
+        d(e_i0·de_β) = de_i0·de_β with de_i0 expanded through π as
+        Σ π(e_i0)_p · 1·de_{c_p}."""
         return self._d_cols[r]
 
     # -- intake of tensor-power coordinates -------------------------------
@@ -240,8 +233,8 @@ class UniversalCalculus:
                                     acc[row] = acc.get(row, 0) - c * cl * ct
                         cols.append([(row, _exact(c))
                                      for row, c in sorted(acc.items()) if c])
-            for col, unit_k in zip(cols, identity_mat(len(cols))):
-                if self._contract(r, col) != unit_k:
+            for k, col in enumerate(cols):
+                if _sparse(self._contract(r, col)) != {k: 1}:
                     raise DimensionError(f"bar basis degenerate in degree {r}; "
                                          "algebra data invalid")
             self._bar_cols.append(cols)
@@ -310,20 +303,15 @@ class GradedCalculus:
     def is_universal(self) -> bool:
         return not any(self.ideal)
 
-    def class_of_bar(self, r: int, bar: Vec) -> Vec:
-        return self.quotients[r].project(bar)
-
     # -- induced structure -------------------------------------------------
     def d_cols(self, r: int) -> Cols:
         """d: Ω^r → Ω^{r+1} in quotient coordinates, by columns, computed
-        once per degree; the columns are shared."""
+        once per degree; the columns are shared.  Column k is the class of
+        d of class k, so column i of ``d_cols(0)`` is the class of de_i."""
         if r not in self._d_cols:
             self._d_cols[r] = self.quotients[r].induced(
                 self.universal.d_cols(r), self.quotients[r + 1])
         return self._d_cols[r]
-
-    def d_apply(self, r: int, q: Vec) -> Vec:
-        return _combine(self.d_cols(r), q, self.dim(r + 1))
 
     def degree_bimodule(self, r: int) -> Bimodule:
         """Ω^r as an A-bimodule in quotient coordinates, its actions the
@@ -337,12 +325,8 @@ class GradedCalculus:
             self._bimods[r] = Bimodule(q.dim, self.algebra, left, right)
         return self._bimods[r]
 
-    def d_of_algebra(self, f: Vec) -> Vec:
-        """Class of d f in Ω¹ coordinates."""
-        return self.class_of_bar(1, self.universal.d(0, f))
 
-
-def universal_graded(algebra: Algebra, truncation: int = 3) -> GradedCalculus:
+def universal_graded(algebra: Algebra, truncation: int) -> GradedCalculus:
     """The universal calculus truncated at the given degree."""
     uni = UniversalCalculus(algebra, truncation)
     return GradedCalculus(uni, [quotient(uni.bar_dim(r), [])

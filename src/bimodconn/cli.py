@@ -109,8 +109,7 @@ def _cmd_tensor(report: Report, model: ModelFile,
         nu = nu_hat(rc, p.kappa_hat)
         report.extend(nu.verdicts)
         if req.route in ("nu-hat", "both"):
-            tco = tensor_connection_original(rc, c, p.induced_calculus, nu,
-                                             p.sigma)
+            tco = tensor_connection_original(rc, c, nu, p.sigma)
             report.extend(tco.verdicts)
         if req.route in ("induced", "both"):
             assoc = associated_connection(rc, nu)

@@ -16,10 +16,16 @@ extensions, the curvature and the actions and right multiplications of
 columns of one factor at the nonzeros of the other (``linalg._compose``,
 ``_commutator``, ``leibniz_failure``), so its cost is the number of
 nonzeros met, not the size of the matrices.
-κ₁ is kept as its operators, one per bar basis vector of Ω¹_u, and σ is
-held by κ₁'s columns at the representatives of Ω¹'s classes; only the
-report densifies it.  The left Leibniz rule, for d_∇ and σ alike, is an
-identity of maps decided by columns (``_left_leibniz_failure``).
+A basis element of A, of M or of Ω^s enters an action, a product or an
+operator as its index or as its sparse class ([(k, 1)] for e_k), never as
+a dense unit vector.  κ's operators are built once per connection and read
+by index: ``Connection.hats`` holds κ₀(e_i) = ê_i, ``d_hats`` holds
+∇̂ê_i = d_∇e_i, and ``kappa_ops(r)`` holds κ on the degree-r bar basis,
+each the composition of its prefix's operator with one ∇̂ê_j.  κ₁ is
+``kappa_ops(1)``, and σ is held by κ₁'s columns at the representatives of
+Ω¹'s classes; only the report densifies it.  The left Leibniz rule, for
+d_∇ and σ alike, is an identity of maps decided by columns
+(``_left_leibniz_failure``).
 """
 
 from __future__ import annotations
@@ -30,9 +36,9 @@ from functools import cached_property
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import Forms
-from .linalg import (Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _combine, _compose, _sparse, identity_mat,
-                     kernel_quotient, null_space)
+from .linalg import (Col, Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
+                     _col_sum, _col_vec, _compose, kernel_quotient,
+                     null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -60,12 +66,37 @@ class Connection:
         self._ext_cols: dict[tuple[int, str], Cols] = {(0, "ext"): nabla}
         # ∇̂Φ by the id of Φ (DegreeRHom.key)
         self.nabla_hats: dict[int, DegreeRHom] = {}
+        # κ on the bar basis, by degree (``kappa_ops``)
+        self._kappa: list[list[DegreeRHom]] = []
         # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
         # entry holds N, so the id stays N's
         self._tensors: dict[int, tuple] = {}
 
-    def nabla_apply(self, m_vec: Vec) -> Vec:
-        return _combine(self.nabla, m_vec, self.forms.dim(1))
+    @cached_property
+    def hats(self) -> list[DegreeRHom]:
+        """κ₀(e_i) = ê_i, m ↦ e_i·m as a degree-0 operator, per basis index
+        i; its columns are the module's stored left action of e_i."""
+        return [DegreeRHom(self.forms, 0, cols)
+                for cols in self.module.left_action]
+
+    @cached_property
+    def d_hats(self) -> list[DegreeRHom]:
+        """d_∇e_i = ∇̂ê_i per basis index i."""
+        return [nabla_hat(self, hat) for hat in self.hats]
+
+    def kappa_ops(self, r: int) -> list[DegreeRHom]:
+        """κ on the degree-r bar basis: the operator at bar index x of
+        e_i0·de_j1⋯de_jr is ê_i0∘∇̂ê_j1∘⋯∘∇̂ê_jr.  Built once, degree from
+        degree: x = x′·m + t for the index x′ of the prefix
+        e_i0·de_j1⋯de_j(r−1) and c_t = j_r, the t-th of the m unit
+        complement indices, so κ(x) = κ(x′)∘∇̂ê_{c_t} and the prefix's
+        extensions are reused."""
+        tails = [self.d_hats[j] for j in self.calculus.universal.complement]
+        while len(self._kappa) <= r:
+            self._kappa.append(
+                [prefix.compose(d) for prefix in self._kappa[-1]
+                 for d in tails] if self._kappa else self.hats)
+        return self._kappa[r]
 
     def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
         """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
@@ -106,12 +137,13 @@ class Connection:
         return self._ext_cols[key]
 
 
-def leibniz_failure(c: Connection, r: int, s: int, omegas: list[Vec],
-                    cols: list[int] | range,
+def leibniz_failure(c: Connection, r: int, s: int,
+                    omegas: list[int] | range, cols: list[int] | range,
                     proj: QuotientSpace | None = None) \
         -> tuple[int, int] | None:
     """The graded right Leibniz rule ∇(q·ω) = (∇q)·ω + (−1)^r q·dω for q in
-    T_r and each ω of Ω^s in ``omegas``, decided as the identity of maps
+    T_r and each basis class ω of Ω^s at the indices ``omegas``, dω its
+    column of ``d_cols(s)``, decided as the identity of maps
 
         N_{r+s}·R(r, s, ω) − R(r+1, s, ω)·N_r − (−1)^r R(r, s+1, dω) = 0,
 
@@ -125,9 +157,10 @@ def leibniz_failure(c: Connection, r: int, s: int, omegas: list[Vec],
     f = c.forms
     sign = 1 if r % 2 == 0 else -1
     n_r, n_rs = c.nabla_ext_cols(r), c.nabla_ext_cols(r + s)
-    maps = [(f.right_mult_cols(r, s, w), f.right_mult_cols(r + 1, s, w),
-             f.right_mult_cols(r, s + 1, c.calculus.d_apply(s, w)))
-            for w in omegas]
+    d = c.calculus.d_cols(s)
+    maps = [(f.right_mult_cols(r, s, [(k, 1)]),
+             f.right_mult_cols(r + 1, s, [(k, 1)]),
+             f.right_mult_cols(r, s + 1, d[k])) for k in omegas]
     for k, col in enumerate(cols):
         for i, (rm, rm_next, rm_dw) in enumerate(maps):
             diff = _col_sum([(n_rs[row], x) for row, x in rm[col]]
@@ -150,8 +183,7 @@ def check_right_leibniz(c: Connection) -> Verdict:
     a = c.module.algebra
 
     def scan(fs):
-        fail = leibniz_failure(c, 0, 0, [a.basis_vec(i) for i in fs],
-                               range(c.module.dim))
+        fail = leibniz_failure(c, 0, 0, fs, range(c.module.dim))
         return None if fail is None else (fail[0], fs[fail[1]])
 
     fail = a.first_failure(scan)
@@ -252,7 +284,7 @@ class DegreeRHom:
         alg = f.algebra
 
         def scan(fis):
-            right = [(fi, f.right_mult_cols(self.degree, 0, alg.basis_vec(fi)))
+            right = [(fi, f.right_mult_cols(self.degree, 0, [(fi, 1)]))
                      for fi in fis]
             for ai, col in enumerate(self.cols):
                 for fi, by_f in right:
@@ -283,7 +315,9 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
 
 
 def kappa0_op(c: Connection, f_vec: Vec) -> DegreeRHom:
-    """The left-multiplication operator f̂ as a degree-0 right-Ω operator."""
+    """The left-multiplication operator f̂ as a degree-0 right-Ω operator,
+    f in A by its coordinates; κ₀ of a basis element is
+    ``Connection.hats``."""
     return DegreeRHom(c.forms, 0, c.module.left_cols(f_vec))
 
 
@@ -312,11 +346,9 @@ def _left_leibniz_failure(c: Connection, xs: list[Cols]) \
     the identity of maps ∇∘L_f = X_f + L_f∘∇, L_f the left action of e_f
     on M and on M⊗_AΩ¹, composed by columns and compared column by column;
     a column empty on all three sides is [] without a call."""
-    m = c.module
     for f, x in enumerate(xs):
-        fv = m.algebra.basis_vec(f)
-        lhs = _compose(c.nabla, m.left_cols(fv))
-        rhs = _compose(c.forms.left_action_cols(1, fv), c.nabla)
+        lhs = _compose(c.nabla, c.module.left_action[f])
+        rhs = _compose(c.forms.left_action_cols(1, f), c.nabla)
         for ai, (col, x_col, r_col) in enumerate(zip(lhs, x, rhs)):
             if (col or x_col or r_col) and \
                     _col_sum([(col, 1), (x_col, -1), (r_col, -1)]):
@@ -336,9 +368,6 @@ class InducedFirstOrder:
     def dim(self) -> int:
         return self.span.dim
 
-    def d_nabla(self, f_vec: Vec) -> DegreeRHom:
-        return nabla_hat(self.connection, kappa0_op(self.connection, f_vec))
-
 
 def induced_first_order(c: Connection) -> InducedFirstOrder:
     """Span of {f̂∘∇̂(ĝ)∘ĥ} with the derivation-law and left-Leibniz checks.
@@ -355,7 +384,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
     a = c.module.algebra
     m = c.module
     span = SpanBuilder(c.forms.dim(1) * m.dim)
-    d_ops = [nabla_hat(c, kappa0_op(c, a.basis_vec(g))) for g in range(a.dim)]
+    hats, d_ops = c.hats, c.d_hats
     ifo = InducedFirstOrder(c, span)
     for g in range(a.dim):
         w = d_ops[g].right_linearity_witness()
@@ -364,17 +393,16 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                                        anchors.NABLA_HAT,
                                        {"algebra_basis": g, "witness": w}))
             return ifo
-    hats = [kappa0_op(c, a.basis_vec(f)) for f in range(a.dim)]
     for f in range(a.dim):
         for g in range(a.dim):
             for h in range(a.dim):
                 span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
     # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ), f on A's generators
-    # first and g on the basis
+    # first and g on the basis; e_f·e_g by its structure constants
     def derivation_failure(fs):
         for f in fs:
             for g in range(a.dim):
-                prod = kappa0_op(c, a.mult(a.basis_vec(f), a.basis_vec(g)))
+                prod = kappa0_op(c, a.structure[f][g])
                 rhs = d_ops[f].compose(hats[g]).add(hats[f].compose(d_ops[g]))
                 if nabla_hat(c, prod).cols != rhs.cols:
                     return [f, g]
@@ -401,18 +429,17 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
 @dataclass
 class Kappa1:
     """κ₁: Ω¹_u → Ω¹_∇ with κ₁∘d_u = d_∇, held as its operators: ``ops[u]``
-    is κ₁ of the bar basis vector u."""
+    is κ₁ of the bar basis vector u, ``Connection.kappa_ops(1)``."""
 
     connection: Connection
     ops: list[DegreeRHom]
     verdicts: list[Verdict] = field(default_factory=list)
 
-    def op(self, alpha: Vec | SparseVec) -> DegreeRHom:
-        """κ₁(α), α dense or sparse in bar coordinates: per column of M,
-        ``ops``' columns combined at α's nonzeros, [] without a call where
-        every one is empty."""
-        nz = alpha if type(alpha) is dict else _sparse(alpha)
-        terms = [(self.ops[u], x) for u, x in nz.items()]
+    def op(self, alpha: SparseVec) -> DegreeRHom:
+        """κ₁(α), α sparse in bar coordinates: per column of M, ``ops``'
+        columns combined at α's nonzeros, [] without a call where every one
+        is empty."""
+        terms = [(self.ops[u], x) for u, x in alpha.items()]
         return DegreeRHom(self.connection.forms, 1, [
             _col_sum(t) if (t := [(col, x) for op, x in terms
                                   if (col := op.cols[i])]) else []
@@ -445,17 +472,13 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
     """
     uni = c.calculus.universal
     a = c.module.algebra
-    hats = [kappa0_op(c, fv) for fv in identity_mat(a.dim)]
-    ops = [hats[i0].compose(induced.d_nabla(a.basis_vec(beta[0])))
-           for i0, beta in uni.bar_index(1)]
+    hats, ops = c.hats, c.kappa_ops(1)
     assert all(induced.span.contains(op.flat()) for op in ops), \
         "kappa1 image must lie in omega1_nabla"
     k = Kappa1(c, ops)
     # diagram: κ₁ ∘ d_u = d_∇ on all algebra basis elements
     for f in range(a.dim):
-        fv = a.basis_vec(f)
-        alpha = uni.d(0, fv)
-        if k.op(alpha).cols != induced.d_nabla(fv).cols:
+        if k.op(dict(uni.d_cols(0)[f])).cols != c.d_hats[f].cols:
             k.verdicts.append(failed("kappa1-diagram", anchors.DIAGRAM_COMMUTES,
                                      {"algebra_basis": f}))
             return k
@@ -510,12 +533,13 @@ class SigmaMap:
     cols: Cols
     verdicts: list[Verdict] = field(default_factory=list)
 
-    def on(self, w: Vec) -> Cols:
-        """a ↦ σ(w⊗a) for a class w of Ω¹, by columns: column i is σ's
-        columns at the class of w⊗a_i, the tensor's projection columns at
-        the pure pairs (k, i) over w's nonzeros k."""
+    def on(self, w: Col) -> Cols:
+        """a ↦ σ(w⊗a) for the class w of Ω¹ given by its sparse (class,
+        coeff) pairs, by columns: column i is σ's columns at the class of
+        w⊗a_i, the tensor's projection columns at the pure pairs (k, i) over
+        w's nonzeros k."""
         t = self.tensor
-        pure = [[(t.pure_index(k, i), x) for k, x in enumerate(w) if x]
+        pure = [[(t.pure_index(k, i), x) for k, x in w]
                 for i in range(t.right_factor.dim)]
         return _compose(self.cols, _compose(t.quotient.proj_cols, pure))
 
@@ -546,8 +570,9 @@ def sigma_exists(c: Connection, k1: Kappa1) -> SigmaResult:
     absent = any(not k1.op(b).is_zero() for b in q1.sub)
     res = SigmaResult(not absent, None, None)
     if absent:
-        wit = next(v for v in null_space(q1.proj_cols)
-                   if not k1.op(v).is_zero())
+        kernel = next(v for v in null_space(q1.proj_cols)
+                      if not k1.op(v).is_zero())
+        wit = _col_vec(kernel.items(), len(q1.proj_cols))
         res.witness_bar = wit
         res.verdicts.append(Verdict("sigma-exists", anchors.FACTOR_UNIQUELY,
                                     "absent",
@@ -566,7 +591,7 @@ def sigma_exists(c: Connection, k1: Kappa1) -> SigmaResult:
     # well-definedness on balanced classes: w ↦ σ(w⊗·) against κ̂₁(w) on
     # each basis class w of Ω¹
     for wi, op in enumerate(ops):
-        via = sigma.on(omega1_bimod.basis_vec(wi))
+        via = sigma.on([(wi, 1)])
         mj = next((mj for mj, (x, y) in enumerate(zip(op.cols, via))
                    if x != y), None)
         if mj is not None:
@@ -577,8 +602,7 @@ def sigma_exists(c: Connection, k1: Kappa1) -> SigmaResult:
     res.verdicts.append(passed("sigma-well-defined",
                                anchors.GENERALIZED_PERMUTATION))
     # left Leibniz rule: ∇(fa) = σ(df ⊗ a) + f ∇a
-    dfs = [cal.d_of_algebra(fv) for fv in identity_mat(c.module.algebra.dim)]
-    pair = _left_leibniz_failure(c, [sigma.on(df) for df in dfs])
+    pair = _left_leibniz_failure(c, [sigma.on(df) for df in cal.d_cols(0)])
     if pair is not None:
         res.verdicts.append(failed("sigma-left-leibniz", anchors.LEFT_LEIBNIZ,
                                    {"pair": pair}))

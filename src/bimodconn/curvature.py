@@ -17,11 +17,11 @@ from functools import cached_property
 from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, DegreeRHom, _commutator,
-                         induced_first_order, kappa0_op, kappa1,
-                         leibniz_failure, nabla_hat, sigma_exists)
+                         induced_first_order, kappa1, leibniz_failure,
+                         nabla_hat, sigma_exists)
 from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _col_sum,
-                     _col_vec, _compose, _sparse_sum, identity_mat,
-                     kernel_quotient, quotient, QuotientSpace)
+                     _col_vec, _compose, _sparse_sum, kernel_quotient,
+                     quotient, QuotientSpace)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -47,9 +47,9 @@ def extend_connection(c: Connection) -> list[Verdict]:
                 return verdicts
     verdicts.append(passed("nabla-extension-well-defined",
                            anchors.EXTENDING_NABLA))
-    omegas = identity_mat(c.calculus.dim(1))
     for r in range(f.D - 1):
-        fail = leibniz_failure(c, r, 1, omegas, range(f.dim(r)))
+        fail = leibniz_failure(c, r, 1, range(c.calculus.dim(1)),
+                               range(f.dim(r)))
         if fail is not None:
             verdicts.append(failed("nabla-extension-graded-leibniz",
                                    anchors.EXTENDING_NABLA,
@@ -103,7 +103,7 @@ def curvature(c: Connection) -> CurvatureResult:
 
     def scan(fis):
         for fi in fis:
-            f_hat = kappa0_op(c, a.basis_vec(fi))
+            f_hat = c.hats[fi]
             lhs, rhs = op.compose(f_hat).cols, f_hat.compose(op).cols
             if lhs != rhs:
                 mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs))
@@ -162,9 +162,8 @@ class OmegaHat:
         def new_span(r: int) -> SpanBuilder:
             return SpanBuilder(f.dim(r) * len(self.generators))
 
-        a = c.module.algebra
         self._gens: list[list[DegreeRHom]] = []
-        found = [kappa0_op(c, a.basis_vec(i)) for i in range(a.dim)]
+        found = c.hats
         for r in range(D + 1):
             span = new_span(r)
             self._gens.append([op for op in found
@@ -305,8 +304,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                     continue
                 builders[p + 2].add(dict(col))
                 for s in range(1, D - p - 2 + 1):
-                    for w in identity_mat(cal.dim(s)):
-                        rm = f.right_mult_cols(p + 2, s, w)
+                    for k in range(cal.dim(s)):
+                        rm = f.right_mult_cols(p + 2, s, [(k, 1)])
                         builders[p + 2 + s].add(
                             _sparse_sum([(rm[k], x) for k, x in col]))
     quotients = [b.quotient() for b in builders]
@@ -332,7 +331,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
                     return {"op": "nabla", "degree": r, "basis": k}
                 for i in fis:
                     if not builders[r].contains(image(
-                            f.left_action_cols(r, a.basis_vec(i)), v)):
+                            f.left_action_cols(r, i), v)):
                         return {"op": "left", "degree": r, "basis": k,
                                 "algebra_basis": i}
                 for p in range(1, D - r + 1):
@@ -355,9 +354,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     sub2 = SpanBuilder(f.dim(2))
     contained = True
     for fi in range(a.dim):
-        fv = a.basis_vec(fi)
-        for x, y in zip(_compose(r2, c.module.left_cols(fv)),
-                        _compose(f.left_action_cols(2, fv), r2)):
+        for x, y in zip(_compose(r2, c.module.left_action[fi]),
+                        _compose(f.left_action_cols(2, fi), r2)):
             if x != y:
                 v = dict(_col_sum([(x, 1), (y, -1)]))
                 sub2.add(v)
@@ -439,9 +437,8 @@ class OmegaM:
 
         def left_linear_failure(fis):
             for fi in fis:
-                fv = a.basis_vec(fi)
-                lhs = _compose(rbar, c.module.left_cols(fv))
-                rhs = _compose(q2.induced(f.left_action_cols(2, fv), q2), rbar)
+                lhs = _compose(rbar, c.module.left_action[fi])
+                rhs = _compose(q2.induced(f.left_action_cols(2, fi), q2), rbar)
                 if lhs != rhs:
                     return fi
             return None
@@ -472,9 +469,8 @@ class OmegaM:
         # right Leibniz of the factored ∇: ∇̄(ξ̄·f) = (∇̄ξ̄)·f + ξ̄·df, on the
         # lifts of Ω(M)'s basis classes
         def leibniz_scan(fis):
-            basis = [a.basis_vec(i) for i in fis]
             for r in range(f.D):
-                fail = leibniz_failure(c, r, 0, basis, self.quotients[r].free,
+                fail = leibniz_failure(c, r, 0, fis, self.quotients[r].free,
                                        self.quotients[r + 1])
                 if fail is not None:
                     return {"degree": r, "basis": [fail[0], fis[fail[1]]]}
@@ -496,11 +492,13 @@ class OmegaM:
             curv = c.curvature_cols(s)
             proj = self.quotients[s + 2].proj_cols
             sides = [
-                (_compose(proj, _compose(curv, f.right_mult_cols(0, s, w)))
+                (_compose(proj, _compose(
+                    curv, f.right_mult_cols(0, s, [(k, 1)])))
                  if any(curv) else zero,
-                 _compose(proj, _compose(f.right_mult_cols(2, s, w), r2))
+                 _compose(proj, _compose(
+                     f.right_mult_cols(2, s, [(k, 1)]), r2))
                  if any(r2) else zero)
-                for w in identity_mat(c.calculus.dim(s))]
+                for k in range(c.calculus.dim(s))]
             for mi in range(c.module.dim):
                 for wi, (lhs, rhs) in enumerate(sides):
                     if lhs[mi] != rhs[mi]:
@@ -517,14 +515,13 @@ class InducedCalculus:
     """Ω_∇ from the kernels of κ, with d_∇ and the comparison with Ω.
 
     κ̄ is kept by sparse columns (``linalg.Cols``, one per degree): column u
-    is the raw operator of the bar basis monomial u projected to Ω(M),
-    flattened row by row (entry (p, c) at row p·dim M + c), so κ̄ of any bar
-    vector is the ``_col_sum`` of its columns at the vector's nonzeros
-    (``image``).  Each identity of κ is decided on those columns, which
-    decide it on every element by linearity: no operator is composed,
-    extended or projected per pair, and Ω_∇ is read off one elimination of
-    each degree's rows (``_build_calculus``).  ``d_ops`` are the ∇̂ê_j, j in the
-    unit complement, that every raw operator of degree ≥ 1 ends in.
+    is κ of the bar basis monomial u, ``Connection.kappa_ops(r)[u]``,
+    projected to Ω(M) and flattened row by row (entry (p, c) at row
+    p·dim M + c), so κ̄ of any bar vector is the ``_col_sum`` of its columns
+    at the vector's nonzeros (``image``).  Each identity of κ is decided on
+    those columns, which decide it on every element by linearity: no
+    operator is composed, extended or projected per pair, and Ω_∇ is read
+    off one elimination of each degree's rows (``_build_calculus``).
     ``calculus`` is Ω_∇, Ω's own object (``connection.calculus``) when the
     two ideals agree in every degree (``_build_calculus``).
     """
@@ -532,36 +529,12 @@ class InducedCalculus:
     def __init__(self, c: Connection, omega_m: OmegaM):
         self.connection = c
         self.omega_m = omega_m
-        uni = c.calculus.universal
-        a = c.module.algebra
-        f = c.forms
-        D = f.D
         self.verdicts: list[Verdict] = []
-        # raw operators for each bar basis monomial e_i0 de_j1 ⋯ de_jr
-        self._raw: list[list[DegreeRHom]] = []
-        self.d_ops: dict[int, DegreeRHom] = {
-            j: nabla_hat(c, kappa0_op(c, a.basis_vec(j)))
-            for j in uni.complement}
-        prev_pos: dict[tuple[int, tuple[int, ...]], int] = {}
-        for r in range(D + 1):
-            ops = []
-            pos: dict[tuple[int, tuple[int, ...]], int] = {}
-            for k, (i0, beta) in enumerate(uni.bar_index(r)):
-                if r == 0:
-                    op = kappa0_op(c, a.basis_vec(i0))
-                else:
-                    # reuse the degree-(r−1) prefix so extensions stay cached
-                    prefix = self._raw[r - 1][prev_pos[(i0, beta[:-1])]]
-                    op = prefix.compose(self.d_ops[beta[-1]])
-                ops.append(op)
-                pos[(i0, beta)] = k
-            self._raw.append(ops)
-            prev_pos = pos
         # κ̄ = J-projected operators on bar coordinates; column u is the
-        # projection of u's raw operator, flattened row by row
+        # projection of κ(u), flattened row by row
         self._columns: list[Cols] = [
-            [self._project_op(r, op) for op in self._raw[r]]
-            for r in range(D + 1)]
+            [self._project_op(r, op) for op in c.kappa_ops(r)]
+            for r in range(c.forms.D + 1)]
         # first failing pairs, which sigma_full reports under its own ids
         self.multiplicative_failure: tuple[int, int, int] | None = None
         self.diagram_failure: tuple[int, int] | None = None
@@ -600,7 +573,7 @@ class InducedCalculus:
 
         The left side is the combination of κ̄'s columns at the nonzeros of
         u·e_k, which column u of R_{e_k}'s table holds.  The right side is
-        P·(R_u·L_k), for u's raw operator R_u, the left action L_k of e_k on
+        P·(R_u·L_k), for R_u = κ(u), the left action L_k of e_k on
         M and the projection P onto Ω(M)_r; it is (P·R_u)·L_k, column u of
         κ̄ as an Ω(M)_r × M matrix times L_k: each nonzero x at (i, j) adds
         x·L_k[j][c] at (i, c) for the nonzeros of L_k's row j, so no
@@ -658,9 +631,9 @@ class InducedCalculus:
         uni = c.calculus.universal
         for r in range(uni.D):
             d_cols = uni.d_cols(r)
-            for k in range(uni.bar_dim(r)):
+            for k, op in enumerate(c.kappa_ops(r)):
                 lhs = self.image(r + 1, d_cols[k])
-                rhs = self._project_op(r + 1, nabla_hat(c, self._raw[r][k]))
+                rhs = self._project_op(r + 1, nabla_hat(c, op))
                 if lhs != rhs:
                     self.diagram_failure = (r, k)
                     self.verdicts.append(failed("kappa-d-diagram",

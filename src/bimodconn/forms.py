@@ -13,27 +13,28 @@ action columns this class already holds (built once per degree).
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
 the projection's sparse columns (see ``linalg.QuotientSpace``) at the
-concatenated indices of Φ(m)'s representative.  The left action of f in A
-on T_r is the extension of m ↦ f·m (``left_action_cols``).
+concatenated indices of Φ(m)'s representative.  The left action of e_i
+on T_r is the extension of m ↦ e_i·m (``left_action_cols(r, i)``).
 
 ``right_mult_cols(r, s, ω)`` is the one right multiplication on classes:
-q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω.  Its column k is the product
-of class k's representative (a basis tensor) by a representative of ω, as
-the terms of ``_product_terms``, each read as the projection's sparse
-column at its index.  The right A-action is its s = 0 case.  Both are
-computed once per argument.  I⁰ = 0, so T₀ is M and column i of
+q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω, given sparse ([(k, 1)] for
+basis class k, column k of ``GradedCalculus.d_cols(0)`` for de_k).  Its
+column k is the product of class k's representative (a basis tensor) by
+ω's representative, read off Ω^s's ``free``, as the terms of
+``_product_terms``, each read as the projection's sparse column at its
+index.  The right action of e_i is its s = 0 case, ω = [(i, 1)].  Both
+are computed once per argument.  I⁰ = 0, so T₀ is M and column i of
 ``right_mult_cols(0, s, ω)`` is the class of m_i⊗ω.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from typing import TYPE_CHECKING
 
 from .algebra import Bimodule, right_module_generators
 from .calculus import GradedCalculus
-from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
+from .linalg import (Col, Cols, DimensionError, SpanBuilder, SparseVec,
                      _col_sum, QuotientSpace)
 
 if TYPE_CHECKING:
@@ -72,7 +73,7 @@ class Forms:
         self.generators = right_module_generators(module)
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
-        # the actions on T_r by columns, by (r, f) and by (r, s, ω)
+        # the actions on T_r by columns, by (r, i) and by (r, s, ω)
         self._left_cols: dict[tuple, Cols] = {}
         self._right_cols: dict[tuple, Cols] = {}
         # T_r as a Bimodule, by r
@@ -131,11 +132,13 @@ class Forms:
         return self._quotients[r]
 
     # -- tail right multiplication ----------------------------------------
-    def _product_terms(self, r: int, flat: int, s: int, omega_bar: Vec) \
+    def _product_terms(self, r: int, flat: int, s: int,
+                       omega_bar: list[tuple[int, int | Fraction]]) \
             -> list[tuple[int, int | Fraction]]:
         """The (index, coeff) terms in T^u_{r+s} of the basis tensor
         m_i⊗de_β at ``flat`` of T^u_r times the degree-s universal element
-        ``omega_bar``; an index may repeat.  (m_i⊗de_β)·(e_i0·de_σ) is
+        whose nonzero (bar index, coeff) pairs are ``omega_bar``; an index
+        may repeat.  (m_i⊗de_β)·(e_i0·de_σ) is
         Σ d·(m_i·e_k0)⊗de_γσ over the ``tail_times`` terms (k0, γ, d) of β,
         and m_i·e_k0 is column m_i of the stored right action of e_k0."""
         nt_r, nt_s = self.n_tails(r), self.n_tails(s)
@@ -145,8 +148,7 @@ class Forms:
         moved = self.module.right_action
         m_i, bidx = divmod(flat, nt_r)
         out = []
-        for oflat in compress(range(len(omega_bar)), omega_bar):
-            oc = omega_bar[oflat]
+        for oflat, oc in omega_bar:
             i0, sidx = divmod(oflat, nt_s)
             beta_s = tails_s[sidx]
             for k0, gidx, d in self.uni.tail_times(r, i0)[bidx]:
@@ -193,26 +195,29 @@ class Forms:
 
     # -- actions on quotient coordinates ----------------------------------
     # The columns are shared: no caller may change them.
-    def left_action_cols(self, r: int, f: Vec) -> Cols:
-        """Left action q ↦ f·q of f in A on T_r, by columns: the extension
-        of m ↦ f·m, which commutes with the right action."""
-        key = (r, tuple(f))
+    def left_action_cols(self, r: int, i: int) -> Cols:
+        """Left action q ↦ e_i·q of the basis element e_i on T_r, by
+        columns: the extension of m ↦ e_i·m, which commutes with the right
+        action."""
+        key = (r, i)
         if key not in self._left_cols:
             self._left_cols[key] = self.extension_columns(
-                0, self.module.left_cols(f), r, self._quotients[r].free)
+                0, self.module.left_action[i], r, self._quotients[r].free)
         return self._left_cols[key]
 
-    def right_mult_cols(self, r: int, s: int, omega: Vec) -> Cols:
-        """Right multiplication q ↦ q·ω by an Ω^s class ω, T_r → T_{r+s}, by
-        columns: column k sums the projection's sparse columns at the
-        ``_product_terms`` of class k's representative, the basis tensor at
-        free[k], by a representative of ω, and is [] without a call when
-        that product has no term."""
+    def right_mult_cols(self, r: int, s: int, omega: Col) -> Cols:
+        """Right multiplication q ↦ q·ω by the Ω^s class ω, given by its
+        sparse (class, coeff) pairs, T_r → T_{r+s}, by columns: column k
+        sums the projection's sparse columns at the ``_product_terms`` of
+        class k's representative, the basis tensor at free[k], by ω's, the
+        basis tensors at Ω^s's ``free``, and is [] without a call when that
+        product has no term."""
         if r + s > self.D:
             raise DimensionError("product degree past the truncation")
         key = (r, s, tuple(omega))
         if key not in self._right_cols:
-            omega_bar = self.calculus.quotients[s].lift(omega)
+            free = self.calculus.quotients[s].free
+            omega_bar = [(free[k], c) for k, c in omega]
             proj = self._quotients[r + s].proj_cols
             self._right_cols[key] = [
                 _col_sum(t) if (t := [(proj[at], x) for at, x in
@@ -226,10 +231,9 @@ class Forms:
         actions the columns ``left_action_cols`` and ``right_mult_cols``
         hold; built once per r and shared."""
         if r not in self._bimodules:
-            basis = [self.algebra.basis_vec(i)
-                     for i in range(self.algebra.dim)]
+            basis = range(self.algebra.dim)
             self._bimodules[r] = Bimodule(
                 self.dim(r), self.algebra,
-                tuple(self.left_action_cols(r, f) for f in basis),
-                tuple(self.right_mult_cols(r, 0, f) for f in basis))
+                tuple(self.left_action_cols(r, i) for i in basis),
+                tuple(self.right_mult_cols(r, 0, [(i, 1)]) for i in basis))
         return self._bimodules[r]

@@ -13,17 +13,17 @@ universal calculus, the projection of every :class:`QuotientSpace` (column
 i is the class of e_i), d on classes, a bimodule's actions, ∇, every map
 on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that span Ω¹_∇ and
 those of κ₁, σ, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
-applied by ``_combine`` at the nonzeros of a dense vector, composed by
+applied at the nonzeros of a sparse vector by ``_sparse_sum``, composed by
 ``_compose`` and summed by ``_col_sum``, so its cost is the number of
-nonzeros met.  No caller hands ``_col_sum`` an empty term list: an empty
+nonzeros met; a basis element enters as its index, its image the map's
+column there.  No caller hands ``_col_sum`` an empty term list: an empty
 column (in ``_compose`` and the operator layer alike), a zero operator or
 a product with no term gives [] without a call.  Dense matrices (lists of
 rows) remain only at intake, where ``_to_cols`` converts a model's actions
 and ∇ once, and where a report prints σ, which ``_to_mat`` densifies.  A
 span's basis is sparse too: the ``sub`` of a :class:`QuotientSpace` (an
 ideal, M⊗I, J or a kernel) holds the ``SparseVec``s the eliminator
-accepted, a reader combines columns at their nonzeros (``_sparse_sum``),
-and a witness it prints is densified once, by ``_col_vec``.
+accepted, and a witness it prints is densified once, by ``_col_vec``.
 
 One eliminator keeps sparse rows, ``dict[column, entry]``, reduced and
 keyed by pivot, so reducing a vector touches only the rows at the pivots
@@ -34,13 +34,12 @@ the rows it stores (one m2_grass parse updates 40 stored rows over 472 new
 pivots).  ``SpanBuilder`` holds them (sparse or dense intake) and hands
 them out by pivot (``reduced_rows``), ``row_reduce`` reads its RREF off
 them, and ``null_space`` and ``kernel_quotient`` read a map's kernel off
-one elimination of the rows of its columns, so no kernel witness
-densifies its map.  No check calls ``row_reduce``, ``rank``,
+one elimination of the rows of its columns, sparse, so no kernel
+densifies its map or its vectors.  No check calls ``row_reduce``,
 ``LinSolver`` or ``mat_vec`` any more; they stay as public and profiled
-names.  The kernels (``_sparse``, ``_combine``)
-find the nonzeros of a dense row with ``itertools.compress`` and do
-Python-level work only on those.  Everything is exact: the one
-division, :func:`_div`, returns an int or a Fraction, never a float, so
+names.  ``_sparse`` finds the nonzeros of a dense row with
+``itertools.compress`` and does Python-level work only on those.
+Everything is exact: the one division, :func:`_div`, returns an int or a Fraction, never a float, so
 every equality test in the rest of the package is decidable.
 """
 
@@ -101,13 +100,6 @@ def zero_mat(r: int, c: int) -> Mat:
     return [zeros(c) for _ in range(r)]
 
 
-def identity_mat(n: int) -> Mat:
-    m = zero_mat(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
-
-
 SparseVec = dict[int, int | Fraction]
 # The column index of reduced rows: per column j, the pivots of the rows
 # that are nonzero at j, each row's own pivot left out.
@@ -128,16 +120,6 @@ def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
             v[j] = x
         else:
             del v[j]
-
-
-def _combine(cols: Cols, v: Vec, n_rows: int) -> Vec:
-    """Σ v_x·(column x) over v's nonzeros."""
-    out = [0] * n_rows
-    for x in compress(range(len(v)), v):
-        c = v[x]
-        for row, cc in cols[x]:
-            out[row] += c * cc
-    return out
 
 
 def _sparse_sum(terms: list[tuple[Col, int | Fraction]]) -> SparseVec:
@@ -228,18 +210,12 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
     return len(pivots), rref, pivots
 
 
-def null_space(cols: Cols) -> list[Vec]:
+def null_space(cols: Cols) -> list[SparseVec]:
     """Basis of the kernel of a map given by its sparse columns, from one
-    elimination of its rows (``_kernel``): for each free column fc
-    ascending, e_fc − Σ row_pc[fc]·e_pc over the reduced rows, keyed by
-    their pivots pc."""
-    n = len(cols)
-    return [_col_vec(v.items(), n)
-            for v in _kernel(cols, range(n)).values()]
-
-
-def rank(matrix: Mat) -> int:
-    return row_reduce(matrix)[0] if matrix else 0
+    elimination of its rows (``_kernel``), held sparse: for each free
+    column fc ascending, e_fc − Σ row_pc[fc]·e_pc over the reduced rows,
+    keyed by their pivots pc."""
+    return list(_kernel(cols, range(len(cols))).values())
 
 
 @dataclass(frozen=True)
@@ -248,15 +224,14 @@ class QuotientSpace:
 
     ``proj_cols`` is the projection by sparse columns: column i is the class
     of e_i, which is [(k, 1)] for i = free[k] and holds the few nonzeros of
-    −row at the pivot i of a reduced row of sub.  ``project`` combines those
-    columns at v's nonzeros, and a caller that needs the class of one unit
-    vector reads its column.  ``sub`` is the independent basis the quotient
-    was taken by, held sparse as the eliminator accepted it (no zero entry),
-    and ``free`` the columns of total (the pivot complement of sub) whose
-    unit vectors represent the quotient basis: lift(e_k) = e_{free[k]}.
-    So a map m on total, composed with ``lift``, is m's columns at
-    ``free``, and the map it induces on classes is read off those columns
-    (``induced``).
+    −row at the pivot i of a reduced row of sub; a vector's class combines
+    those columns at its nonzeros.  ``sub`` is the independent basis the
+    quotient was taken by, held sparse as the eliminator accepted it (no
+    zero entry), and ``free`` the columns of total (the pivot complement of
+    sub) whose unit vectors represent the quotient basis: class k lifts to
+    e_{free[k]}.  So a map m on total, composed with that lift, is m's
+    columns at ``free``, and the map it induces on classes is read off
+    those columns (``induced``).
     """
 
     sub: list[SparseVec]
@@ -272,21 +247,6 @@ class QuotientSpace:
         given by columns, induces: m's columns at ``free``, each projected
         through ``target.proj_cols``."""
         return _compose(target.proj_cols, [m[fc] for fc in self.free])
-
-    def project(self, v: Vec) -> Vec:
-        if len(v) != len(self.sub) + self.dim:
-            raise DimensionError("not a vector of the total space")
-        if not self.sub:
-            return v[:]
-        return _combine(self.proj_cols, v, self.dim)
-
-    def lift(self, q: Vec) -> Vec:
-        if len(q) != self.dim:
-            raise DimensionError("not a vector of the quotient")
-        v = zeros(len(self.sub) + self.dim)
-        for fc, x in zip(self.free, q):
-            v[fc] = x
-        return v
 
 
 def quotient(total: int, sub: list[Vec]) -> QuotientSpace:

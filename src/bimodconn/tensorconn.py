@@ -26,9 +26,9 @@ from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
-from .linalg import (Cols, DimensionError, SpanBuilder, Vec, _col_sum,
-                     _col_vec, _combine, _compose, _sparse_sum, identity_mat,
-                     kernel_quotient, null_space)
+from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, _col_sum,
+                     _col_vec, _compose, _sparse_sum, kernel_quotient,
+                     null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -43,8 +43,8 @@ class DegeneracyPair:
     left: object                 # N, a right module
     right: Bimodule              # M
     tensor: BalancedTensor       # N ⊗_A M
-    n0: list[Vec]                # basis of N₀
-    m0: list[Vec]                # basis of M₀
+    n0: list[SparseVec]          # basis of N₀
+    m0: list[SparseVec]          # basis of M₀
     verdicts: list[Verdict] = field(default_factory=list)
 
 
@@ -80,20 +80,23 @@ def degeneracy_submodules(n, m: Bimodule,
     for v in m0:
         span_m.add(v)
 
+    def moved(cols, v):
+        return _sparse_sum([(cols[x], y) for x, y in v.items()])
+
     def scan(fis):
         for v in n0:
             for fi in fis:
-                if not span_n.contains(n.act_right(v, a.basis_vec(fi))):
+                if not span_n.contains(moved(n.right_action[fi], v)):
                     return {"side": "N0", "algebra_basis": fi,
-                            "vector": rationals(v)}
+                            "vector": rationals(_col_vec(v.items(), n.dim))}
         for v in m0:
             for fi in fis:
-                fv = a.basis_vec(fi)
-                for moved, side in ((m.act_right(v, fv), "M0-right"),
-                                    (m.act_left(fv, v), "M0-left")):
-                    if not span_m.contains(moved):
+                for cols, side in ((m.right_action[fi], "M0-right"),
+                                   (m.left_action[fi], "M0-left")):
+                    if not span_m.contains(moved(cols, v)):
                         return {"side": side, "algebra_basis": fi,
-                                "vector": rationals(v)}
+                                "vector": rationals(_col_vec(v.items(),
+                                                             m.dim))}
         return None
 
     fail = a.first_failure(scan)
@@ -122,10 +125,10 @@ def degeneracy_brute(pair: DegeneracyPair) -> Verdict:
             if not any(proj[t.pure_index(j, i)] for j in range(n.dim))]
     span_n = SpanBuilder(n.dim)
     for j in n0_b:
-        span_n.add(n.basis_vec(j))
+        span_n.add({j: 1})
     span_m = SpanBuilder(m.dim)
     for i in m0_b:
-        span_m.add(m.basis_vec(i))
+        span_m.add({i: 1})
     ok = (span_n.dim == len(pair.n0)
           and all(span_n.contains(v) for v in pair.n0)
           and span_m.dim == len(pair.m0)
@@ -144,21 +147,23 @@ def check_compatibility(c: Connection, rc: Connection,
 
     M₀⊗_AΩ¹ is spanned by v⊗ω over a basis v of M₀ and the basis classes ω
     of Ω¹, and v⊗ω combines the columns of ``right_mult_cols(0, 1, ω)``,
-    the classes m_i⊗ω, at v's nonzeros."""
+    the classes m_i⊗ω, at v's nonzeros; ∇v combines ∇'s columns there."""
     for sub, conn, side in ((pair.m0, c, "M0"), (pair.n0, rc, "N0")):
         if not sub:
             continue
         forms = conn.forms
         span = SpanBuilder(forms.dim(1))
-        for w in identity_mat(forms.calculus.dim(1)):
-            rm = forms.right_mult_cols(0, 1, w)
+        for k in range(forms.calculus.dim(1)):
+            rm = forms.right_mult_cols(0, 1, [(k, 1)])
             for v in sub:
-                span.add(_combine(rm, v, forms.dim(1)))
+                span.add(_sparse_sum([(rm[x], y) for x, y in v.items()]))
         for v in sub:
-            if not span.contains(conn.nabla_apply(v)):
+            if not span.contains(_sparse_sum([(conn.nabla[x], y)
+                                              for x, y in v.items()])):
                 return failed("tensor-compatibility",
                               anchors.ASSUME_DEGENERACY,
-                              {"side": side, "vector": rationals(v)})
+                              {"side": side, "vector": rationals(
+                                  _col_vec(v.items(), conn.module.dim))})
     return passed("tensor-compatibility", anchors.ASSUME_DEGENERACY,
                   {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
@@ -240,14 +245,13 @@ def _nu_right_linear(nu: NuHat) -> Verdict:
     src, tgt = nu.source, nu.target
     uni = src.uni
     a = uni.algebra
-    tails = [(j, src.calculus.d_of_algebra(a.basis_vec(j)),
-              tgt.calculus.d_of_algebra(a.basis_vec(j)))
+    tails = [(j, src.calculus.d_cols(0)[j], tgt.calculus.d_cols(0)[j])
              for j in uni.complement]
 
     def scan(fis):
         for r in range(src.D + 1):
             for fi in fis:
-                e_i = a.basis_vec(fi)
+                e_i = [(fi, 1)]
                 if _compose(nu.maps[r], src.right_mult_cols(r, 0, e_i)) != \
                         _compose(tgt.right_mult_cols(r, 0, e_i), nu.maps[r]):
                     return {"degree": r, "algebra_basis": fi}
@@ -314,20 +318,18 @@ def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
     return cols
 
 
-def _tensor_from_xi(route: str, n, c: Connection, induced: InducedCalculus,
-                    xi_forms: Forms, xi: Cols,
+def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
                     well_defined_anchor: str) -> TensorConnection:
     """Assemble ∇⊗ from the degree-one N-forms ξ_j = "(∇ of b_j) downstairs".
 
     Each ξ_j lives in N⊗_AΩ¹_∇; its tail de_j acts on M through
-    κ(1·de_j) = ∇̂ê_j (``InducedCalculus.d_ops``; 1 acts as the identity
+    κ(1·de_j) = ∇̂ê_j (``Connection.d_hats``; 1 acts as the identity
     because M is unital), which is the interpretation rule
     (b⊗Φ̂)a := b⊗Φ̂(a).
     """
     m = c.module
     tn, w = c.tensors(n)
-    tail_ops = [induced.d_ops[j].cols
-                for j in c.calculus.universal.complement]
+    tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, w, xi_forms, xi, tail_ops)
     tc = TensorConnection(route, tn, w)
     # well defined on balanced classes
@@ -366,11 +368,10 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
     def scan(fis):
         per_f = []
         for fi in fis:
-            fv = a.basis_vec(fi)
-            per_f.append((fi, _compose(tc.cols, tn.induced_right_cols(fv)),
-                          _compose(w.induced_right_cols(fv), tc.cols),
+            per_f.append((fi, _compose(tc.cols, tn.induced_right_cols(fi)),
+                          _compose(w.induced_right_cols(fi), tc.cols),
                           c.forms.right_mult_cols(
-                              0, 1, c.calculus.d_of_algebra(fv))))
+                              0, 1, c.calculus.d_cols(0)[fi])))
         for col, fc in enumerate(tn.quotient.free):
             j, i = divmod(fc, m.dim)
             for fi, lhs, rhs, pieces in per_f:
@@ -395,23 +396,22 @@ def tensor_connection_induced(rc: Connection, c: Connection,
     if rc.calculus is not induced.calculus:
         raise DimensionError(
             "the N-side connection must live over the induced calculus")
-    return _tensor_from_xi("induced", rc.module, c, induced, rc.forms,
-                           rc.nabla, anchors.INTERPRETED)
+    return _tensor_from_xi("induced", rc.module, c, rc.forms, rc.nabla,
+                           anchors.INTERPRETED)
 
 
-def tensor_connection_original(rc: Connection, c: Connection,
-                               induced: InducedCalculus, nu: NuHat,
-                               sigma=None) -> TensorConnection:
+def tensor_connection_original(rc: Connection, c: Connection, nu: NuHat,
+                               sigma) -> TensorConnection:
     """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, with the σ-route agreement check."""
     if not nu.available:
         tc = TensorConnection("nu-hat", *c.tensors(rc.module))
         tc.verdicts.append(Verdict("tensor-connection-original",
                                    anchors.ORIGINAL_ROUTE, "unavailable"))
         return tc
-    tc = _tensor_from_xi("nu-hat", rc.module, c, induced, nu.target,
+    tc = _tensor_from_xi("nu-hat", rc.module, c, nu.target,
                          _compose(nu.maps[1], rc.nabla),
                          anchors.ORIGINAL_ROUTE)
-    if sigma is not None and sigma.exists:
+    if sigma.exists:
         _check_sigma_route(tc, rc, c, sigma)
     return tc
 
@@ -424,9 +424,7 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
     n, m = rc.module, c.module
     s = sigma.sigma
     cal = c.calculus
-    a = m.algebra
-    tail_ops = [s.on(cal.d_of_algebra(a.basis_vec(j)))
-                for j in cal.universal.complement]
+    tail_ops = [s.on(cal.d_cols(0)[j]) for j in cal.universal.complement]
     plain = _pure_pair_columns(c, tc.codomain, rc.forms, rc.nabla, tail_ops)
     # the pure pair (j, i) is column pure_index(j, i) of both the plain
     # columns and the domain's projection, which holds its class
@@ -485,14 +483,16 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
               for r in range(src.D)]
     for r in range(src.D):
         wit = next((v for v in null_space(nu.maps[r])
-                    if any(_combine(pushed[r], v, tgt.dim(r + 1)))), None)
+                    if _sparse_sum([(pushed[r][x], y)
+                                    for x, y in v.items()])), None)
         if wit is not None:
             res.exists = False
             res.ext_cols = []
             res.verdicts.append(Verdict("associated-connection",
                                         anchors.ASSOCIATED, "absent",
                                         {"degree": r,
-                                         "kernel_element": rationals(wit)}))
+                                         "kernel_element": rationals(_col_vec(
+                                             wit.items(), src.dim(r)))}))
             return res
         pos = {fc: k for k, fc in enumerate(src.quotient_space(r).free)}
         res.ext_cols.append(

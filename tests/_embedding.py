@@ -52,11 +52,13 @@ def bar_columns(uni, r):
     """e_i·de_j1⋯de_jr in tensor-power coordinates, in bar-index order."""
     a = uni.algebra
     cols = []
-    for i0, beta in uni.bar_index(r):
-        col = a.basis_vec(i0)
-        for deg, j in enumerate(beta):
-            col = product_emb(a, col, deg, d_emb(a, a.basis_vec(j), 0), 1)
-        cols.append(col)
+    for i0 in range(a.dim):
+        for beta in uni.tails(r):
+            col = a.basis_vec(i0)
+            for deg, j in enumerate(beta):
+                col = product_emb(a, col, deg, d_emb(a, a.basis_vec(j), 0),
+                                  1)
+            cols.append(col)
     return cols
 
 

@@ -5,7 +5,7 @@ models beside them."""
 from functools import cache
 from pathlib import Path
 
-from _reference import class_of_pair_bar, product
+from _reference import class_of_pair_bar, d_bar, product
 from bimodconn.algebra import Algebra, Bimodule
 from bimodconn.calculus import (GradedCalculus, quotient_calculus,
                                 universal_graded)
@@ -110,7 +110,7 @@ def regular_connection(a: Algebra, truncation: int, gamma: int | list,
     else:
         g = gamma
     cols = [class_of_pair_bar(forms, 1, a.unit_vec(), [
-        x + y for x, y in zip(uni.d(0, a.basis_vec(c)),
+        x + y for x, y in zip(d_bar(uni, 0, a.basis_vec(c)),
                               product(uni, 1, g, 0, a.basis_vec(c)))])
         for c in range(a.dim)]
     return Connection(forms, [list(_sparse(col).items()) for col in cols])

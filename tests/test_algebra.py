@@ -34,8 +34,8 @@ def test_check_bimodule_regular():
     for i in range(a.dim):
         for j in range(a.dim):
             ei, ej = a.basis_vec(i), a.basis_vec(j)
-            assert reg.act_left(ei, ej) == a.mult(ei, ej)
-            assert reg.act_right(ei, ej) == a.mult(ei, ej)
+            assert _reference.act_left(reg, ei, ej) == a.mult(ei, ej)
+            assert _reference.act_right(reg, ei, ej) == a.mult(ei, ej)
     assert check_bimodule(reg).status == "pass"
 
 
@@ -130,8 +130,11 @@ def test_tensor_balancing_relation():
     for i in range(x.dim):
         for k in range(alg.dim):
             for j in range(x.dim):
-                xv, yv = x.basis_vec(i), x.basis_vec(j)
+                xv = _reference.basis_vec(x.dim, i)
+                yv = _reference.basis_vec(x.dim, j)
                 fv = alg.basis_vec(k)
-                lhs = _reference.project_pure(t, x.act_right(xv, fv), yv)
-                rhs = _reference.project_pure(t, xv, x.act_left(fv, yv))
+                lhs = _reference.project_pure(
+                    t, _reference.act_right(x, xv, fv), yv)
+                rhs = _reference.project_pure(
+                    t, xv, _reference.act_left(x, fv, yv))
                 assert lhs == rhs

@@ -2,7 +2,9 @@
 the stages, the function names the benchmark profiles, the functions
 nothing in the program calls, the reference routes the program no longer
 takes, the stages that reuse what an earlier one built, the maps that
-are stored by columns only, and the loops over the algebra basis."""
+are stored by columns only, the functions that may build a dense vector,
+the one place κ's operators are built, and the loops over the algebra
+basis."""
 
 import ast
 import dataclasses
@@ -142,9 +144,13 @@ def test_every_function_the_benchmark_profiles_is_defined():
 def test_every_defined_function_is_referenced():
     # a function or method that no code in src/ (re-exports in __init__.py
     # aside) or demos/ names is reached only from tests, if at all, and
-    # should be deleted; names are compared as identifiers and attributes,
-    # so a def line does not count as a use of itself.  Dunder methods are
-    # called by Python itself.  LinSolver.solve and mat_vec are exempt by
+    # should be deleted; a def line does not count as a use of itself.  A
+    # module-level function counts as used only where some program loads
+    # it by name, as an identifier read: an attribute or a method of the
+    # same name (``LinSolver.rank``, ``Kappa1.rank``) is no use of it.  A
+    # method counts as used where its name is read as an identifier or an
+    # attribute.  Dunder methods are called by Python itself.
+    # LinSolver.solve and mat_vec are exempt by
     # their qualified names alone: perfbench/layers.py profiles them, and
     # they are kept for the benchmark's counts though nothing in src/
     # solves a system or applies a dense matrix any more.
@@ -156,11 +162,13 @@ def test_every_defined_function_is_referenced():
                     (ROOT / "demos").glob("*.py"))
     kept = {"linalg.py:LinSolver.solve", "linalg.py:mat_vec",
             "report.py:Report.to_dict"}
-    used = set()
+    used, loaded = set(), set()
     for path in programs:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 used.add(node.id)
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     unused = []
@@ -168,10 +176,12 @@ def test_every_defined_function_is_referenced():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {id(f): f"{c.name}." for c in ast.walk(tree)
                  if isinstance(c, ast.ClassDef) for f in c.body}
+        top = {id(f) for f in tree.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and not node.name.startswith("__") \
-                    and node.name not in used and (
+                    and node.name not in (loaded if id(node) in top
+                                          else used) and (
                         f"{path.name}:{owner.get(id(node), '')}{node.name}"
                         not in kept):
                 unused.append(f"{path.name}:{node.lineno}:{node.name}")
@@ -200,7 +210,7 @@ def test_reports_are_written_without_the_pure_python_encoder():
 
 
 def test_no_reference_route_is_named_in_the_package():
-    # κ(1·de_j) is InducedCalculus.d_ops, and a tail is concatenated inside
+    # κ(1·de_j) is Connection.d_hats, and a tail is concatenated inside
     # Forms.extension_columns; the sums of raw operators (kappa_raw) and the
     # concatenation of a whole vector (concat_tu) are routes of
     # tests/_reference.py only
@@ -289,39 +299,25 @@ def test_kernels_and_factorisations_are_read_off_columns():
     assert found == set()
 
 
-# the sparse operator route: each function below works on sparse columns
-# (``linalg.Cols``) and sparse span bases (a ``QuotientSpace.sub``) and may
-# call no dense kernel
-SPARSE_ROUTE = {
-    "algebra": {"balancing_relations", "Bimodule._action_cols",
-                "check_bimodule", "Algebra.generators"},
-    "calculus": {"saturate_ideal", "GradedCalculus.d_cols",
-                 "UniversalCalculus.product", "preceq"},
-    "connection": {"Connection.nabla_ext_plain", "Connection.nabla_ext_cols",
-                   "Connection.curvature_cols", "DegreeRHom.key",
-                   "DegreeRHom.flat", "DegreeRHom.ext_cols",
-                   "DegreeRHom.compose", "DegreeRHom.add",
-                   "DegreeRHom.is_zero", "_commutator", "nabla_hat",
-                   "leibniz_failure", "_left_leibniz_failure", "Kappa1.op",
-                   "SigmaMap.on", "sigma_exists"},
-    "curvature": {"_square_hat", "InducedCalculus._project_op",
-                  "InducedCalculus.image",
-                  "InducedCalculus._check_multiplicative",
-                  "InducedCalculus._check_diagram",
-                  "InducedCalculus._build_calculus", "OmegaM.nabla_cols",
-                  "OmegaHat.__init__", "OmegaHat._check_derivation",
-                  "extend_connection", "j_ideal", "OmegaM._check",
-                  "_sigma_u_product_failure", "sigma_full"},
-    "forms": {"Forms.extension_columns", "Forms.right_mult_cols",
-              "Forms._ideal_tensors"},
-    "linalg": {"_compose", "QuotientSpace.induced", "kernel_quotient",
-               "SpanBuilder.quotient"},
-    "tensorconn": {"nu_hat", "_nu_right_linear", "_pure_pair_columns",
-                   "_check_tensor_leibniz", "_check_sigma_route"},
+# Every function in src/ works on sparse columns (``linalg.Cols``), sparse
+# vectors and basis indices, and may build no dense vector, except the
+# functions below: intake (the algebra and bimodule axioms on dense
+# coordinates, the tensor-power intake of the universal calculus), report
+# rendering (a densified witness or σ's printed matrix) and the linalg
+# functions perfbench/layers.py profiles.
+DENSE_ALLOWED = {
+    "algebra": {"Algebra.basis_vec", "Algebra.mult", "check_algebra",
+                "_check_one_sided"},
+    "calculus": {"UniversalCalculus._contract"},
+    "cli": {"_cmd_sigma"},
+    "linalg": {"zeros", "zero_mat", "_col_vec", "_to_mat", "mat_vec",
+               "row_reduce", "LinSolver.solve"},
 }
-DENSE_KERNELS = {"mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
+# dense unit vectors and the dense products and combinations that read them
+DENSE_KERNELS = {"basis_vec", "unit_vec", "identity_mat", "mult", "_combine",
+                 "mat_mul", "mat_vec", "zero_mat", "zeros", "_to_mat",
                  "_cols_to_mat", "nabla_ext_matrix", "left_matrix",
-                 "projection", "mult", "project", "is_zero_vec",
+                 "projection", "project", "lift", "is_zero_vec",
                  "class_of_pair_bar", "mult_tu_by_bar"}
 # the dense operator route of tests/_reference.py
 DENSE_ROUTE = {"ext_matrix", "DenseRHom", "DenseRoute", "matrix"}
@@ -334,24 +330,24 @@ def _dense_list(node) -> bool:
 
 
 def test_the_operator_route_stays_sparse():
-    # a right-Ω operator, each of its extensions, ∇̂ and ∇'s extensions are
-    # sparse columns; the dense route (a dense extension per operator, a
-    # mat_mul per composition) lives in tests/_reference.py only, so no
-    # function of the sparse route may name a dense kernel or fill a dense
-    # list, and no DegreeRHom may grow a dense matrix again.  The spans of
-    # the ideal, of M⊗I and of Ω̂ take their vectors sparse: the ideal's
-    # images, each g⊗ι and each operator's key (its flattening)
+    # an element of A, of M or of Ω^s enters an action, a product or an
+    # operator as its basis index or as a sparse class; right-Ω operators,
+    # their extensions, ∇̂ and ∇'s extensions are sparse columns, and the
+    # dense route (a dense extension per operator, a mat_mul per
+    # composition) lives in tests/_reference.py only.  So no function
+    # outside DENSE_ALLOWED names a dense kernel or fills a dense list
     found, dense = set(), []
-    for module, names in SPARSE_ROUTE.items():
-        path = PACKAGE / f"{module}.py"
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = DENSE_ALLOWED.get(path.stem, set())
 
         def visit(node, prefix):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.ClassDef):
                     visit(child, f"{prefix}{child.name}.")
-                elif isinstance(child, ast.FunctionDef) and \
-                        prefix + child.name in names:
-                    found.add(f"{module}:{prefix}{child.name}")
+                elif isinstance(child, ast.FunctionDef):
+                    if prefix + child.name in allowed:
+                        found.add(f"{path.stem}:{prefix}{child.name}")
+                        continue
                     for sub in ast.walk(child):
                         name = getattr(sub, "id", getattr(sub, "attr", None))
                         if name in DENSE_KERNELS | DENSE_ROUTE:
@@ -360,14 +356,8 @@ def test_the_operator_route_stays_sparse():
                             dense.append(f"{path.name}:{sub.lineno}:[]*")
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    assert found == {f"{m}:{n}" for m, ns in SPARSE_ROUTE.items() for n in ns}
+    assert found == {f"{m}:{n}" for m, ns in DENSE_ALLOWED.items() for n in ns}
     assert dense == []
-    # the ideal's images are sparse combinations of the column tables, not
-    # dense ones (_combine) nor the dense d of the universal calculus
-    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
-              for node in ast.walk(_function("calculus", "saturate_ideal"))
-              if isinstance(node, ast.Call)}
-    assert called & {"_combine", "d"} == set()
     named = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -375,6 +365,56 @@ def test_the_operator_route_stays_sparse():
                 if getattr(node, field, None) in DENSE_ROUTE - {"matrix"}:
                     named.add(f"{path.name}:{node.lineno}")
     assert named == set()
+
+
+def _calls_by_function(module: str) -> dict[str, list[ast.Call]]:
+    """The calls in each top-level function or method of a package module
+    (nested functions count for the one that holds them)."""
+    calls: dict[str, list[ast.Call]] = {}
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                calls[f"{module}:{prefix}{child.name}"] = [
+                    sub for sub in ast.walk(child)
+                    if isinstance(sub, ast.Call)]
+
+    visit(tree, "")
+    return calls
+
+
+def test_kappa_is_built_once_per_connection():
+    # κ₀(e_i) = ê_i is Connection.hats, ∇̂ê_i is Connection.d_hats and κ on
+    # the bar basis is Connection.kappa_ops: a degree-0 operator is built
+    # only there and in kappa0_op, whose one caller is the derivation law's
+    # κ₀(e_f·e_g), e_f·e_g by its structure constants
+    built, kappa0 = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, calls in _calls_by_function(path.stem).items():
+            for call in calls:
+                func = getattr(call.func, "id", getattr(call.func, "attr",
+                                                        None))
+                degree = call.args[1] if len(call.args) > 1 else next(
+                    (kw.value for kw in call.keywords if kw.arg == "degree"),
+                    None)
+                if func == "DegreeRHom" and isinstance(degree, ast.Constant) \
+                        and degree.value == 0:
+                    built.add(name)
+                elif func == "kappa0_op":
+                    kappa0.append(name)
+    assert built == {"connection:Connection.hats", "connection:kappa0_op"}
+    assert kappa0 == ["connection:induced_first_order"]
+    assert "structure" in _named("connection", "induced_first_order")
+    # κ₁'s operators are κ on the degree-1 bar basis, the same list
+    for name in ("a2_flat", "m2_grass"):
+        p = bimodconn.Pipeline(bimodconn.parse_model(
+            str(ROOT / "models" / f"{name}.model")).connections["nabla"])
+        assert p.kappa1.ops is p.conn.kappa_ops(1)
+        assert p.conn.kappa_ops(0) is p.conn.hats
+        assert len(p.conn.d_hats) == p.conn.module.algebra.dim
 
 
 # the dense twins of maps that are stored by columns: the dense projection
@@ -481,9 +521,9 @@ def test_forms_are_built_only_through_the_memo():
                      "tensorconn:nu_hat:of"}
 
 
-# Every loop over the algebra basis in src/, a ``range(X.dim)`` or an
-# ``identity_mat(X.dim)`` with X an algebra (``a``, ``alg``, an attribute
-# ``algebra``, or ``self`` in Algebra), counted per top-level function or
+# Every loop over the algebra basis in src/, a ``range(X.dim)`` with X an
+# algebra (``a``, ``alg``, an attribute ``algebra``, or ``self`` in
+# Algebra), counted per top-level function or
 # method (nested functions count for the one that holds them), with why
 # it stays.  An identity that must hold for every f in A goes through
 # Algebra.first_failure instead, and its scan loops over the indices it is
@@ -501,27 +541,18 @@ BASIS_LOOPS = {
            "tensor's quotient is eliminated"),
     "calculus:UniversalCalculus._unit_complement": (
         2, "construction: π and the unit complement"),
-    "calculus:UniversalCalculus.bar_index": (
-        1, "construction: the bar basis"),
     "calculus:GradedCalculus.degree_bimodule": (
         1, "construction: Ω^r's actions, one per basis element"),
     "connection:induced_first_order": (
-        7, "Ω¹_∇'s spanning set f̂∘∇̂ĝ∘ĥ over basis triples; "
+        5, "Ω¹_∇'s spanning set f̂∘∇̂ĝ∘ĥ over basis triples; "
            "nabla-hat-right-linear per g, decided before the derivation "
            "law that its closure under products would rest on; the "
-           "derivation law's g, on the basis for each f; left-leibniz-"
-           "induced reads ∇̂ĝ per basis g, and closing it under products "
-           "would rest on another verdict"),
+           "derivation law's g, on the basis for each f"),
     "connection:kappa1": (
-        4, "κ₀ of every basis element, for κ₁'s operators; kappa1-diagram, "
-           "whose closure under products would rest on kappa1-bimodule-"
-           "linear; the (f, g, α) triple scan, run only when left or right "
-           "linearity fails on a generator, for its witness"),
-    "connection:sigma_exists": (
-        1, "sigma-left-leibniz: closing it under products would rest on "
-           "another verdict"),
-    "curvature:OmegaHat.__init__": (
-        1, "Ω̂'s T₀, a basis of κ₀(A) in basis order, which witnesses index"),
+        3, "kappa1-diagram, whose closure under products would rest on "
+           "kappa1-bimodule-linear; the (f, g, α) triple scan, run only "
+           "when left or right linearity fails on a generator, for its "
+           "witness"),
     "curvature:j_ideal": (
         1, "the early proposal's span, whose dimension is reported"),
     "forms:Forms.as_bimodule": (
@@ -558,8 +589,7 @@ def test_identities_for_all_f_run_on_the_generators_first():
                         (ast.get_docstring(cls) or "") if cls else "")
                     for sub in ast.walk(child):
                         if isinstance(sub, ast.Call) and \
-                                getattr(sub.func, "id", None) in (
-                                    "range", "identity_mat") and \
+                                getattr(sub.func, "id", None) == "range" and \
                                 len(sub.args) == 1 and \
                                 isinstance(sub.args[0], ast.Attribute) and \
                                 sub.args[0].attr == "dim" and \

@@ -388,7 +388,7 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
                                            f.uni.bar_dim(r)):
                 for i in range(f.module.dim):
                     full.add(_reference.mult_tu_by_bar(
-                        f, 0, f.module.basis_vec(i), r, v))
+                        f, 0, _reference.basis_vec(f.module.dim, i), r, v))
             old = quotient(f.tu_dim(r), _reference.dense_vecs(
                 full.quotient().sub, f.tu_dim(r)))
             new = f.quotient_space(r)

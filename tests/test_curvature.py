@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _reference import dense_vecs, is_zero_vec
+from _reference import combine, dense_vecs, is_zero_vec
 from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
                      model_file, pipeline, regular_connection,
                      upper_triangular, whole_basis)
@@ -18,7 +18,7 @@ from bimodconn.curvature import (InducedCalculus, JIdeal, OmegaHat, OmegaM,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
 from bimodconn.forms import Forms
-from bimodconn.linalg import (SpanBuilder, _col_vec, _combine, _to_cols,
+from bimodconn.linalg import (SpanBuilder, _col_vec, _to_cols,
                               _to_mat, kernel_quotient, mat_vec, quotient)
 from bimodconn.model import ModelFile, parse_model
 
@@ -51,8 +51,8 @@ def test_extension_failure_names_a_vector_of_the_generator_span(
     # the witness is the first vector of M⊗I^r, as spanned from the module
     # generators, that ∇ does not send to zero
     plain = conn.nabla_ext_plain(r)
-    assert any(_combine(plain, sub[k], f.dim(r + 1)))
-    assert not any(any(_combine(plain, w, f.dim(r + 1))) for w in sub[:k])
+    assert any(combine(plain, sub[k], f.dim(r + 1)))
+    assert not any(any(combine(plain, w, f.dim(r + 1))) for w in sub[:k])
     monkeypatch.setattr(cli, "parse_model", lambda path, truncation=None:
                         ModelFile(m2.name, m2.algebra, m2.truncation,
                                   m2.calculus, m2.modules, {"nabla": conn}))
@@ -634,8 +634,8 @@ def _fails_at(check_id, conn, oh, j, w):
         op, target = _reference.ext_matrix(oh.gen_ops(p)[kp], r), r + p
     elif w["op"] == "left":
         r, k = w["degree"], w["basis"]
-        fv = conn.module.algebra.basis_vec(w["algebra_basis"])
-        op = _to_mat(conn.forms.left_action_cols(r, fv), conn.forms.dim(r))
+        op = _to_mat(conn.forms.left_action_cols(r, w["algebra_basis"]),
+                     conn.forms.dim(r))
         target = r
     else:
         r, k = w["degree"], w["basis"]
@@ -717,8 +717,8 @@ def test_sparse_operators_match_the_dense_route(make):
                 assert _reference.ext_matrix(op, s) == want.ext_matrix(s)
             assert _reference.dense(nabla_hat(conn, op)) == \
                 route.nabla_hat(want).matrix
-    assert [[_reference.dense(op) for op in ops]
-            for ops in p.induced_calculus._raw] == \
+    assert [[_reference.dense(op) for op in conn.kappa_ops(r)]
+            for r in range(f.D + 1)] == \
         [[op.matrix for op in ops] for ops in _reference.raw_ops(route)]
 
 
@@ -859,9 +859,8 @@ def test_a_flat_connection_multiplies_no_zero_map():
     before = len(f._right_cols)
     j = j_ideal(conn, oh)
     assert len(f._right_cols) == before
-    basis = [f.algebra.basis_vec(i) for i in range(f.algebra.dim)]
     for r in range(f.D):
-        leibniz_failure(conn, r, 0, basis, j.quotients[r].free,
+        leibniz_failure(conn, r, 0, range(f.algebra.dim), j.quotients[r].free,
                         j.quotients[r + 1])
     before = len(f._right_cols)
     om = OmegaM(conn, j)

@@ -6,14 +6,14 @@ against the extension through representatives."""
 import pytest
 
 import _reference
+from _reference import identity_mat, sparse_class
 from _shared import MODELS, NAMES, cyclic_group_algebra, generated_model, \
     model, model_file, regular_bimodule, regular_connection, upper_triangular
 from bimodconn import cli
 from bimodconn.calculus import quotient_calculus, universal_graded
 from bimodconn.connection import Connection
 from bimodconn.forms import Forms
-from bimodconn.linalg import DimensionError, _col_vec, _to_mat, \
-    identity_mat, zeros
+from bimodconn.linalg import DimensionError, _col_vec, _to_mat, zeros
 from bimodconn.model import parse_model
 
 
@@ -41,8 +41,8 @@ def _forms_built_by_all(monkeypatch, name) -> list[Forms]:
 
 
 def _right_mult(f: Forms, r: int, s: int, w) -> list:
-    """``Forms.right_mult_cols`` densified."""
-    return _to_mat(f.right_mult_cols(r, s, w), f.dim(r + s))
+    """``Forms.right_mult_cols`` at a dense class w, densified."""
+    return _to_mat(f.right_mult_cols(r, s, sparse_class(w)), f.dim(r + s))
 
 
 def _check_right_mult(f: Forms) -> None:
@@ -75,10 +75,11 @@ def _check_right_mult(f: Forms) -> None:
                 for fc in f.quotient_space(r).free:
                     tu = zeros(f.tu_dim(r))
                     tu[fc] = 1
-                    cols.append(f.quotient_space(r + 1).project(
+                    cols.append(_reference.project(
+                        f.quotient_space(r + 1),
                         _reference.concat_tu(f, r, tu, (j,))))
-                assert _right_mult(
-                    f, r, 1, cal.d_of_algebra(a.basis_vec(j))) == \
+                assert _right_mult(f, r, 1, _reference.d_of_algebra(
+                    cal, a.basis_vec(j))) == \
                     _reference.cols_to_mat(cols, f.dim(r + 1))
 
 
@@ -94,20 +95,19 @@ def test_right_mult_matrix_on_the_t2_model():
     _check_right_mult(regular_connection(upper_triangular(2), 3, 0).forms)
 
 
-def test_right_mult_matrix_rejects_bad_degrees_and_lengths():
+def test_right_mult_matrix_rejects_bad_degrees_and_classes():
     f = model("m2_grass").connections["nabla"].forms
     D = f.D
-    w1 = identity_mat(f.calculus.dim(1))[0]
     # past the truncation, where T_{r+s} does not exist
     for r, s in ((D, 1), (1, D), (D, D)):
-        w = identity_mat(f.calculus.dim(s))[0]
         with pytest.raises(DimensionError):
-            f.right_mult_cols(r, s, w)
-    # an ω that is not an Ω^s class
-    for bad in (w1[:-1], w1 + [0], []):
-        with pytest.raises(DimensionError):
-            f.right_mult_cols(0, 1, bad)
-    assert any(f.right_mult_cols(0, 1, w1))
+            f.right_mult_cols(r, s, [(0, 1)])
+    # an ω with an index past Ω¹'s basis is no class
+    with pytest.raises(IndexError):
+        f.right_mult_cols(0, 1, [(f.calculus.dim(1), 1)])
+    # the zero class multiplies to zero, the first basis class does not
+    assert f.right_mult_cols(0, 1, []) == [[] for _ in range(f.dim(0))]
+    assert any(f.right_mult_cols(0, 1, [(0, 1)]))
 
 
 def _t2_forms_over_a_quotient() -> tuple:
@@ -118,8 +118,8 @@ def _t2_forms_over_a_quotient() -> tuple:
     uni = base.universal
     e12_de11 = [0] * uni.bar_dim(1)
     e12_de11[2] = 1
-    dd = _reference.product(uni, 1, uni.d(0, [1, 0, 0]), 1,
-                            uni.d(0, [0, 1, 0]))
+    dd = _reference.product(uni, 1, _reference.d_bar(uni, 0, [1, 0, 0]), 1,
+                            _reference.d_bar(uni, 0, [0, 1, 0]))
     cal = quotient_calculus(base, [(1, e12_de11), (2, dd)])
     assert all(cal.ideal[1:]) and cal.dims()[1:] != [0] * 3
     return regular_bimodule(a), cal
@@ -140,7 +140,8 @@ def test_ideal_tensors_are_the_product(make):
         assert all(all(tu.values()) for tu in tensors)
         ideal = _reference.dense_vecs(cal.ideal[r], cal.universal.bar_dim(r))
         assert [_col_vec(tu.items(), f.tu_dim(r)) for tu in tensors] == [
-            _reference.mult_tu_by_bar(f, 0, module.basis_vec(g), r, iota)
+            _reference.mult_tu_by_bar(
+                f, 0, _reference.basis_vec(module.dim, g), r, iota)
             for g in f.generators for iota in ideal]
 
 
@@ -189,10 +190,9 @@ def test_every_cached_extension_matches_the_representative_route(
                         f, degree, _to_mat(phi, f.dim(degree)), s,
                         f.quotient_space(s).free)
                 n_ext += 1
-        for (r, fv), cols in f._left_cols.items():
+        for (r, i), cols in f._left_cols.items():
             assert _to_mat(cols, f.dim(r)) == _reference.extension_columns(
-                f, 0, _reference.action_matrix(
-                    _reference.actions(f.module, "left"), list(fv)), r,
+                f, 0, _reference.actions(f.module, "left")[i], r,
                 f.quotient_space(r).free)
             checked += 1
     for c in conns:

@@ -10,15 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _reference import dense_vecs, mat_mul, vec_add
+from _reference import (dense_vecs, identity_mat, lift, mat_mul, project,
+                        sparse_class, vec_add)
 from _shared import MODELS, NAMES, a2
 from test_cli import GENERATED_PINS, _generated
 import bimodconn
 from bimodconn import cli, linalg, parse_model
 from bimodconn.linalg import (DimensionError, SpanBuilder, _col_vec, _compose,
-                              _to_cols, _to_mat, frac, identity_mat,
-                              kernel_quotient, mat_vec, null_space,
-                              quotient, rank, row_reduce, zero_mat, zeros)
+                              _sparse, _sparse_sum, _to_cols, _to_mat, frac,
+                              kernel_quotient, mat_vec, null_space, quotient,
+                              row_reduce, zero_mat, zeros)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
 
@@ -107,21 +108,18 @@ def test_kernel_multiplication_map():
     mu = [[a.structure[i][j][k] for i in range(2) for j in range(2)]
           for k in range(2)]
     ker = null_space(_to_cols(mu, 4))
-    assert len(ker) == 2
-    expected = {(F(0), F(1), F(0), F(0)), (F(0), F(0), F(1), F(0))}
-    got = {tuple(v) for v in ker}
-    assert got == expected
+    assert ker == [{1: 1}, {2: 1}]
 
 
 def test_quotient_dimensions():
     q = quotient(3, [[F(1), F(0), F(0)]])
     assert q.dim == 2
     # projection kills the subspace and splits the section exactly
-    assert q.project([F(5), F(0), F(0)]) == zeros(2)
+    assert project(q, [F(5), F(0), F(0)]) == zeros(2)
     for k in range(2):
         e = zeros(2)
         e[k] = F(1)
-        assert q.project(q.lift(e)) == e
+        assert project(q, lift(q, e)) == e
 
 
 def test_quotient_by_zero_and_by_all():
@@ -174,7 +172,7 @@ def test_factor_through_rejects_bad_shapes_and_non_surjection():
 
 def test_rank_nullity():
     f = [[1, 2, 3], [2, 4, 6]]
-    assert len(null_space(_to_cols(f, 3))) + rank(f) == 3
+    assert len(null_space(_to_cols(f, 3))) + row_reduce(f)[0] == 3
 
 
 def test_wrong_length_vectors_are_rejected():
@@ -185,19 +183,6 @@ def test_wrong_length_vectors_are_rejected():
             span.contains(bad)
         with pytest.raises(DimensionError):
             mat_vec(identity_mat(3), bad)
-    q = quotient(3, [[1, 0, 0]])
-    for bad in ([1], [1, 0, 0]):
-        with pytest.raises(DimensionError):
-            q.lift(bad)
-    for bad in ([1, 0], [1, 0, 0, 0]):
-        with pytest.raises(DimensionError):
-            q.project(bad)
-    q = quotient(3, [])
-    for bad in ([1, 0], [1, 0, 0, 0]):
-        with pytest.raises(DimensionError):
-            q.project(bad)
-        with pytest.raises(DimensionError):
-            q.lift(bad)
 
 
 # Oracle tests against sympy, on rationals that are not integral: every
@@ -259,11 +244,12 @@ def test_row_reduce_and_null_space_match_sympy(m):
     for rows in (m, _ints(m)):
         got_rank, rref, pivots = row_reduce(rows)
         assert pivots == list(s_pivots)
-        assert got_rank == len(s_pivots) == rank(rows)
+        assert got_rank == len(s_pivots)
         assert rref == [_frac(s_rref.row(i)) for i in range(len(m))]
         null = null_space(_to_cols(rows, n_cols))
-        assert null == [_frac(v) for v in _sym(m).nullspace()]
-        assert _typed(rref) and _typed(null)
+        assert null == [dict(sparse_class(_frac(v)))
+                        for v in _sym(m).nullspace()]
+        assert _typed(rref) and _typed([list(v.values()) for v in null])
 
 
 @settings(deadline=None)
@@ -282,17 +268,17 @@ def test_quotient_splits_and_kills_sub(m, data):
         assert q.dim == n - len(sub)
         assert _typed(_to_mat(q.proj_cols, q.dim))
         # induced reads m·lift off the columns at free
-        lifts = [q.lift(e) for e in identity_mat(q.dim)]
+        lifts = [lift(q, e) for e in identity_mat(q.dim)]
         square = mat_mul([list(col) for col in zip(*rows)], rows)
         assert _to_mat(q.induced(_to_cols(square, n), q), q.dim) == \
-            _reference.cols_to_mat([q.project(mat_vec(square, x))
+            _reference.cols_to_mat([project(q, mat_vec(square, x))
                                     for x in lifts], q.dim)
         for s in subs:
-            assert q.project(s) == zeros(q.dim)
-        assert q.project(q.lift(c)) == c
+            assert project(q, s) == zeros(q.dim)
+        assert project(q, lift(q, c)) == c
         for v in rows:
             # v and lift(project(v)) differ by an element of span(sub)
-            diff = vec_add(v, [-x for x in q.lift(q.project(v))])
+            diff = vec_add(v, [-x for x in lift(q, project(q, v))])
             assert _sym_rank(sub + [diff]) == len(sub)
         results.append((q.proj_cols, q.free))
     assert results[0] == results[1]
@@ -788,7 +774,8 @@ def test_the_column_index_is_the_one_rebuilt_from_the_rows(m):
             cols = _to_cols(rows, n)
             assert row_reduce(rows)[1] == \
                 [_frac(_sym(m).rref()[0].row(i)) for i in range(len(m))]
-            assert null_space(cols) == _reference.null_space(rows, n)
+            assert null_space(cols) == [dict(sparse_class(v)) for v in
+                                        _reference.null_space(rows, n)]
             q = kernel_quotient(cols)
             want = _reference.kernel_quotient(cols, len(rows))
             assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
@@ -984,8 +971,9 @@ def sub_bases(draw):
 @settings(deadline=None)
 @given(sub_bases())
 def test_project_combines_the_projection_columns(drawn):
-    # project reads the sparse columns; the projection densified from them
-    # is the oracle, and the columns are sorted by row with no zero entry
+    # a vector's class combines the sparse columns at its nonzeros; the
+    # projection densified from them is the oracle, and the columns are
+    # sorted by row with no zero entry
     total, sub, v = drawn
     for q in (quotient(total, sub), quotient(total, []),
               quotient(total, _ints(sub))):
@@ -993,4 +981,6 @@ def test_project_combines_the_projection_columns(drawn):
         assert q.proj_cols == _to_cols(dense, total) == \
             _reference.quotient(total, dense_vecs(q.sub, total)).proj_cols
         for w in (v, _ints(v)):
-            assert q.project(w) == mat_vec(dense, w)
+            assert _sparse_sum([(q.proj_cols[x], y)
+                                for x, y in _sparse(w).items()]) == \
+                _sparse(mat_vec(dense, w))

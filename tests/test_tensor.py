@@ -6,7 +6,10 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _reference import class_of_pair_bar, class_product, is_zero_vec
+from _reference import (basis_vec, class_of_pair_bar, class_product, combine,
+                        d_bar, d_of_algebra, dense_vecs, identity_mat,
+                        is_zero_vec, lift, nabla_apply, project,
+                        sparse_class)
 from _shared import (MODELS, NAMES, a2, nabla, pipeline, regular_connection,
                      universal, upper_triangular, whole_basis)
 from bimodconn import Pipeline, algebra, cli, connection, tensorconn
@@ -14,8 +17,8 @@ from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
 from bimodconn.calculus import GradedCalculus, preceq
 from bimodconn.connection import Connection, check_right_leibniz
 from bimodconn.forms import Forms
-from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _combine,
-                              _to_cols, _to_mat, identity_mat, kernel_quotient,
+from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _to_cols,
+                              _to_mat, kernel_quotient,
                               zeros)
 from bimodconn.model import parse_model
 from bimodconn.report import rationals
@@ -92,13 +95,13 @@ def skew_connection(perturbed: bool = False) -> Connection:
     uni = cal.universal
     cols = []
     for i, j in ((0, 1), (1, 0)):                   # x⊗de2, y⊗de1
-        bar = uni.d(0, a2().basis_vec(j))
-        cols.append(class_of_pair_bar(forms, 1, n.basis_vec(i), bar))
+        bar = d_bar(uni, 0, a2().basis_vec(j))
+        cols.append(class_of_pair_bar(forms, 1, basis_vec(n.dim, i), bar))
     if perturbed:
         emb = zeros(4)
         emb[0 * 2 + 1] = F(1)                       # add y⊗(e1⊗e2) to ∇′x
         cols[0] = _reference.vec_add(cols[0], class_of_pair_bar(
-            forms, 1, n.basis_vec(1), uni.from_emb(1, emb)))
+            forms, 1, basis_vec(n.dim, 1), uni.from_emb(1, emb)))
     matrix = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
     rc = Connection(forms, _to_cols(matrix, 2))
     assert check_right_leibniz(rc).ok
@@ -109,7 +112,7 @@ def test_nonzero_degeneracy_kernel():
     pair = degeneracy_submodules(skew_right_module(), column_module())
     assert pair.tensor.dim == 1
     assert len(pair.n0) == 1
-    assert pair.n0[0] == [F(1), F(0)]               # N0 = span(x)
+    assert pair.n0[0] == {0: 1}                     # N0 = span(x)
     assert pair.m0 == []
     assert all(v.ok for v in pair.verdicts)
     assert degeneracy_brute(pair).ok
@@ -154,7 +157,7 @@ def test_both_routes_flat():
         conn, ic = p.conn, p.induced_calculus
         rc = rc_of(which)
         nu = nu_hat(rc, p.kappa_hat)
-        tco = tensor_connection_original(rc, conn, ic, nu, p.sigma)
+        tco = tensor_connection_original(rc, conn, nu, p.sigma)
         assert tco.available
         assert all(v.ok for v in tco.verdicts)
         ids = {v.check_id for v in tco.verdicts}
@@ -181,10 +184,11 @@ def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
     target = GradedCalculus(uni, [conn.calculus.quotients[0]] + [
         kernel_quotient(ic._columns[r]) for r in range(1, uni.D + 1)])
     a = conn.module.algebra
-    # the target's class of de_j replaced by that of e_0·de_j
-    d_of_algebra = target.d_of_algebra
-    target.d_of_algebra = lambda f: class_product(
-        target, 0, a.basis_vec(0), 1, d_of_algebra(f))
+    # the target's class of de_j, column j of d on Ω⁰, replaced by that of
+    # e_0·de_j
+    target._d_cols[0] = [sparse_class(class_product(
+        target, 0, a.basis_vec(0), 1, _col_vec(col, target.dim(1))))
+        for col in target.d_cols(0)]
     nu = nu_hat(Connection(conn.forms, conn.nabla),
                 preceq(target, conn.calculus)[0])
     (v,) = [v for v in nu.verdicts if v.check_id == "nu-hat-right-linear"]
@@ -194,12 +198,12 @@ def test_a_wrong_de_class_fails_nu_hat_right_linearity_at_the_first_column():
     differ = []
     for r in range(src.D):
         for j in src.uni.complement:
-            de_src = conn.calculus.d_of_algebra(a.basis_vec(j))
-            de_tgt = target.d_of_algebra(a.basis_vec(j))
+            de_src = d_of_algebra(conn.calculus, a.basis_vec(j))
+            de_tgt = _col_vec(target.d_cols(0)[j], target.dim(1))
             for c, q in enumerate(identity_mat(src.dim(r))):
                 lhs = _reference.mult_class(
-                    tgt, r, _combine(nu.maps[r], q, tgt.dim(r)), 1, de_tgt)
-                rhs = _combine(nu.maps[r + 1], _reference.mult_class(
+                    tgt, r, combine(nu.maps[r], q, tgt.dim(r)), 1, de_tgt)
+                rhs = combine(nu.maps[r + 1], _reference.mult_class(
                     src, r, q, 1, de_src), tgt.dim(r + 1))
                 if lhs != rhs:
                     differ.append({"degree": r, "tail": j, "basis": c})
@@ -218,10 +222,10 @@ def test_associated_connection_of_d_is_d_nabla():
     uni = am.calculus.universal
     unit = a2().unit_vec()
     for i in range(a2().dim):
-        bar = uni.d(0, a2().basis_vec(i))
+        bar = d_bar(uni, 0, a2().basis_vec(i))
         expected = class_of_pair_bar(am.forms, 1, unit, bar)
-        assert am.nabla_apply(rc.module.basis_vec(i)) == expected
-    assert is_zero_vec(am.nabla_apply(unit))
+        assert nabla_apply(am, basis_vec(rc.module.dim, i)) == expected
+    assert is_zero_vec(nabla_apply(am, unit))
 
 
 def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
@@ -234,7 +238,7 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
     # by a new one with its entry in row 1 raised by one, never edited
     sig.sigma.cols = list(sig.sigma.cols)
     sig.sigma.cols[0] = _bumped(sig.sigma.cols[0], 1)
-    tco = tensor_connection_original(rc, conn, p.induced_calculus, nu, sig)
+    tco = tensor_connection_original(rc, conn, nu, sig)
     (v,) = [v for v in tco.verdicts if v.check_id == "tensor-route-agreement"]
     assert not v.ok
     # per pure pair (b_j, a_i): (id_N⊗σ)(∇′b_j)⊗a_i + b_j⊗∇a_i against the
@@ -248,12 +252,13 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
         bar = zeros(uni.bar_dim(1))
         for t, ct in enumerate(unit):
             bar[t * nt + bidx] = ct
-        tails.append(conn.calculus.class_of_bar(1, bar))
+        tails.append(project(conn.calculus.quotients[1], bar))
     differ = []
     for j in range(n.dim):
-        xi = rc.forms.quotient_space(1).lift(rc.nabla_apply(n.basis_vec(j)))
+        xi = lift(rc.forms.quotient_space(1),
+                  nabla_apply(rc, basis_vec(n.dim, j)))
         for i in range(m.dim):
-            av = m.basis_vec(i)
+            av = basis_vec(m.dim, i)
             out = zeros(w.plain_dim)
             for flat, cc in enumerate(xi):
                 k, bidx = divmod(flat, nt)
@@ -264,10 +269,10 @@ def test_a_perturbed_sigma_fails_route_agreement_at_the_first_differing_pair():
                 for l, x in enumerate(val):
                     out[k * t1 + l] += cc * x
             out = _reference.vec_add(out, _reference.pure(
-                w, n.basis_vec(j), conn.nabla_apply(av)))
-            via_nu = _combine(tco.cols, _reference.project_pure(
-                tco.domain, n.basis_vec(j), av), w.dim)
-            if w.quotient.project(out) != via_nu:
+                w, basis_vec(n.dim, j), nabla_apply(conn, av)))
+            via_nu = combine(tco.cols, _reference.project_pure(
+                tco.domain, basis_vec(n.dim, j), av), w.dim)
+            if project(w.quotient, out) != via_nu:
                 differ.append([j, i])
     assert differ
     assert v.witness == {"pair": differ[0]}
@@ -291,7 +296,7 @@ def _routes(p: Pipeline):
     ∇′ = ∇ (N = M), as ``cli.run`` builds them for a "both" request."""
     c, ic = p.conn, p.induced_calculus
     nu = nu_hat(c, p.kappa_hat)
-    tco = tensor_connection_original(c, c, ic, nu, p.sigma)
+    tco = tensor_connection_original(c, c, nu, p.sigma)
     assoc = associated_connection(c, nu)
     tci = tensor_connection_induced(assoc.connection, c, ic)
     return nu, tco, assoc, tci
@@ -308,18 +313,19 @@ TENSOR_CASES = ["a2_flat", "a2_quotient", "t3"]
 @pytest.mark.parametrize("name", TENSOR_CASES)
 def test_the_tensor_checks_by_columns_match_the_dense_references(name):
     p = _fresh(name)
-    c, ic = p.conn, p.induced_calculus
+    c = p.conn
     nu, tco, assoc, tci = _routes(p)
     assert nu.available and assoc.exists
     assert _witness(nu.verdicts, "nu-hat-right-linear") == \
         _reference.nu_hat_right_linear(nu)
     n = c.module
-    tail_ops = [ic.d_ops[j].cols for j in c.calculus.universal.complement]
+    tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
     rc = assoc.connection
     for tc, xi_forms, xi in (
-            (tco, nu.target, [_combine(nu.maps[1], c.nabla_apply(
-                n.basis_vec(j)), nu.target.dim(1)) for j in range(n.dim)]),
-            (tci, rc.forms, [rc.nabla_apply(n.basis_vec(j))
+            (tco, nu.target, [combine(nu.maps[1], nabla_apply(
+                c, basis_vec(n.dim, j)), nu.target.dim(1))
+                for j in range(n.dim)]),
+            (tci, rc.forms, [nabla_apply(rc, basis_vec(n.dim, j))
                              for j in range(n.dim)])):
         assert _to_mat(tc.cols, tc.codomain.dim) == \
             _reference.tensor_matrix(c, tc, xi_forms, xi, tail_ops)
@@ -359,16 +365,16 @@ def test_pure_pairs_off_the_projection_match_the_project_pure_route(name):
     # N₀, M₀, both degeneracy verdicts and the σ-route agreement must be
     # those of tests/_reference.py, which projects dense unit vectors
     p, rc = _pure_pair_case(name)
-    c, ic = p.conn, p.induced_calculus
+    c = p.conn
     n, m = rc.module, c.module
     ref = _reference.degeneracy_submodules(n, m)
     for pair in (degeneracy_submodules(n, m),
                  degeneracy_submodules(n, m, tensor=c.tensors(n)[0])):
-        assert (pair.n0, pair.m0, pair.verdicts) == \
-            (ref.n0, ref.m0, ref.verdicts)
+        assert (dense_vecs(pair.n0, n.dim), dense_vecs(pair.m0, m.dim),
+                pair.verdicts) == (ref.n0, ref.m0, ref.verdicts)
         assert degeneracy_brute(pair) == _reference.degeneracy_brute(ref)
     sig = p.sigma
-    tco = tensor_connection_original(rc, c, ic, nu_hat(rc, p.kappa_hat), sig)
+    tco = tensor_connection_original(rc, c, nu_hat(rc, p.kappa_hat), sig)
     if name in ("a2_twist", "m2_grass"):
         assert not sig.exists         # so no ν̂ and no σ route
         return
@@ -504,7 +510,7 @@ def test_a_vector_added_to_n0_fails_its_closure_as_the_basis_scan(
             found = real(cols)
             if len(calls) > 1:
                 return found
-            return [[1, 1] + [0] * (p.conn.module.dim - 2)] + found
+            return [{0: 1, 1: 1}] + found
         monkeypatch.setattr(tensorconn, "null_space", with_x)
         (v,) = degeneracy_submodules(p.conn.module, p.conn.module).verdicts
         monkeypatch.undo()
