@@ -16,7 +16,7 @@ from itertools import compress
 
 from . import anchors
 from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _compose, _sparse_sum, _to_cols, frac,
+                     _apply, _col_sum, _compose, _to_cols, frac,
                      QuotientSpace, zeros)
 from .report import Verdict, failed, passed
 
@@ -80,9 +80,7 @@ class Algebra:
             while queue:
                 v = queue.pop()
                 if span.add(v):
-                    queue += [_sparse_sum([(right[s][x], c)
-                                           for x, c in v.items()])
-                              for s in rest]
+                    queue += [_apply(right[s], v) for s in rest]
             if span.dim == n:
                 gens = rest
         return gens
@@ -177,7 +175,7 @@ def right_module_generators(mod) -> list[int]:
         while stack:
             w = stack.pop()
             for cols in mod.right_action:
-                u = _sparse_sum([(cols[x], c) for x, c in w.items()])
+                u = _apply(cols, w)
                 if reached.add(u):
                     stack.append(u)
     return gens

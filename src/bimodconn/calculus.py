@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
-                     _col_vec, _div, _exact, _sparse, _sparse_sum, quotient,
-                     QuotientSpace, zeros)
+                     _apply, _col_vec, _div, _exact, _sparse, _sparse_sum,
+                     quotient, QuotientSpace, zeros)
 
 
 class UniversalCalculus:
@@ -406,7 +406,7 @@ def saturate_ideal(uni: UniversalCalculus,
         while queue:
             v = queue.popleft()
             for cols in maps:
-                w = _sparse_sum([(cols[x], c) for x, c in v.items()])
+                w = _apply(cols, v)
                 if span.add(w):
                     queue.append(w)
     return spans
@@ -453,7 +453,7 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus) \
     for r in range(1, c1.D + 1):
         proj = c1.quotients[r].proj_cols
         for b in c2.ideal[r]:
-            if _sparse_sum([(proj[x], c) for x, c in b.items()]):
+            if _apply(proj, b):
                 return None, (r, _col_vec(b.items(), len(proj)))
     maps = [[c1.quotients[r].proj_cols[fc] for fc in c2.quotients[r].free]
             for r in range(c1.D + 1)]

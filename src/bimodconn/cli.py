@@ -30,7 +30,7 @@ import sys
 from . import anchors
 from .curvature import Pipeline
 from .linalg import _to_mat
-from .model import ModelError, ModelFile, parse_model
+from .model import ModelError, ModelFile, TensorRequest, parse_model
 from .report import Report, Verdict, rationals
 from .tensorconn import (associated_connection, check_compatibility,
                          degeneracy_brute, degeneracy_submodules, nu_hat,
@@ -94,14 +94,15 @@ def _cmd_compare(report: Report, name: str, p: Pipeline) -> None:
 
 
 def _cmd_tensor(report: Report, model: ModelFile,
+                requests: list[TensorRequest],
                 pipelines: dict[str, Pipeline]) -> None:
-    for req in model.tensor_requests:
+    for req in requests:
         _scope(report, "tensor", f"{req.left}⊗{req.right}")
         c = model.connections[req.right]
         rc = model.connections[req.left]
         # N⊗_AM, as every check below reads it: built once per N
         pair = degeneracy_submodules(rc.module, c.module,
-                                     tensor=c.tensors(rc.module)[0])
+                                     tensor=c.forms.tensors(rc.module)[0])
         report.extend(pair.verdicts)
         report.append(degeneracy_brute(pair))
         report.append(check_compatibility(c, rc, pair))
@@ -145,15 +146,10 @@ def run(command: str, model: ModelFile,
         if command in ("compare", "all"):
             _cmd_compare(report, n, pipelines[n])
     if command in ("tensor", "all"):
-        if connection is None:
-            _cmd_tensor(report, model, pipelines)
-        else:
-            reqs = [r for r in model.tensor_requests
-                    if r.right == connection and r.left in pipelines]
-            sub = ModelFile(model.name, model.algebra, model.truncation,
-                            model.calculus, model.modules, model.connections,
-                            reqs)
-            _cmd_tensor(report, sub, pipelines)
+        # the requests whose two connections are in the run
+        _cmd_tensor(report, model, [
+            r for r in model.tensor_requests
+            if r.left in pipelines and r.right in pipelines], pipelines)
     return report
 
 

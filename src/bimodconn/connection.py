@@ -3,23 +3,22 @@
 One :class:`Connection` type covers every module a connection acts on: a
 bimodule M, or a right module N on the tensor side, against Ω or Ω_∇.  It
 is stored as the exact map ∇: M → M⊗_AΩ¹, by sparse columns, in quotient
-class coordinates of its :class:`Forms`.  Right-Ω-linear operators of
-degree r are stored by their restriction to M (a right-A-linear map
-M → M⊗_AΩ^r) and extended on demand; this is faithful because M generates
-M⊗_AΩ as a right Ω-module.
+class coordinates of its :class:`Forms`.  A ``Connection`` holds only ∇
+and what is built from it: ∇'s extensions, the curvature ∇∘∇, ∇̂ and κ.
+Every map on M⊗_AΩ that ∇ does not enter (the actions, the right
+multiplications, the right-Ω operators ``DegreeRHom`` with their
+extensions and compositions, κ₀ and N⊗_AM) is held by the Forms.
 
 Every map on M⊗_AΩ is stored by sparse columns (``linalg.Cols``: per basis
 vector, its nonzero (row, coeff) pairs), because these maps are almost all
-zeros: ∇ itself, the module's actions, operators, their extensions, ∇'s
-extensions, the curvature and the actions and right multiplications of
-``Forms``.  A composition, a sum, ∇̂ or a Leibniz identity combines the
+zeros.  A composition, a sum, ∇̂ or a Leibniz identity combines the
 columns of one factor at the nonzeros of the other (``linalg._compose``,
 ``_commutator``, ``leibniz_failure``), so its cost is the number of
 nonzeros met, not the size of the matrices.
 A basis element of A, of M or of Ω^s enters an action, a product or an
 operator as its index or as its sparse class ([(k, 1)] for e_k), never as
-a dense unit vector.  κ's operators are built once per connection and read
-by index: ``Connection.hats`` holds κ₀(e_i) = ê_i, ``d_hats`` holds
+a dense unit vector.  κ's operators are built once and read by index:
+``Forms.hats`` holds κ₀(e_i) = ê_i, ``Connection.d_hats`` holds
 ∇̂ê_i = d_∇e_i, and ``kappa_ops(r)`` holds κ on the degree-r bar basis,
 each the composition of its prefix's operator with one ∇̂ê_j.  κ₁ is
 ``kappa_ops(1)``, and σ is held by κ₁'s columns at the representatives of
@@ -35,7 +34,7 @@ from functools import cached_property
 
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
-from .forms import Forms
+from .forms import DegreeRHom, Forms
 from .linalg import (Col, Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
                      _col_sum, _col_vec, _compose, kernel_quotient,
                      null_space)
@@ -68,21 +67,11 @@ class Connection:
         self.nabla_hats: dict[int, DegreeRHom] = {}
         # κ on the bar basis, by degree (``kappa_ops``)
         self._kappa: list[list[DegreeRHom]] = []
-        # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
-        # entry holds N, so the id stays N's
-        self._tensors: dict[int, tuple] = {}
-
-    @cached_property
-    def hats(self) -> list[DegreeRHom]:
-        """κ₀(e_i) = ê_i, m ↦ e_i·m as a degree-0 operator, per basis index
-        i; its columns are the module's stored left action of e_i."""
-        return [DegreeRHom(self.forms, 0, cols)
-                for cols in self.module.left_action]
 
     @cached_property
     def d_hats(self) -> list[DegreeRHom]:
-        """d_∇e_i = ∇̂ê_i per basis index i."""
-        return [nabla_hat(self, hat) for hat in self.hats]
+        """d_∇e_i = ∇̂ê_i per basis index i, ê_i = ``Forms.hats[i]``."""
+        return [nabla_hat(self, hat) for hat in self.forms.hats]
 
     def kappa_ops(self, r: int) -> list[DegreeRHom]:
         """κ on the degree-r bar basis: the operator at bar index x of
@@ -95,17 +84,8 @@ class Connection:
         while len(self._kappa) <= r:
             self._kappa.append(
                 [prefix.compose(d) for prefix in self._kappa[-1]
-                 for d in tails] if self._kappa else self.hats)
+                 for d in tails] if self._kappa else self.forms.hats)
         return self._kappa[r]
-
-    def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
-        """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
-        codomain of a tensor-product connection, built once per N."""
-        if id(n) not in self._tensors:
-            t1 = self.forms.as_bimodule(1)
-            self._tensors[id(n)] = (n, tensor_over_A(n, self.module),
-                                    tensor_over_A(n, t1))
-        return self._tensors[id(n)][1:]
 
     def nabla_ext_plain(self, r: int) -> Cols:
         """Extension on free coordinates: T^u_r → T_{r+1} classes, every
@@ -193,113 +173,6 @@ def check_right_leibniz(c: Connection) -> Verdict:
     return passed("right-leibniz", anchors.RIGHT_LEIBNIZ)
 
 
-@dataclass
-class DegreeRHom:
-    """Degree-r right-Ω-linear operator, stored by its restriction to M as
-    sparse columns: ``cols[i]`` holds the nonzero (row, coeff) pairs of
-    Φ(m_i) in T_r, sorted by row, so equal operators have equal columns.
-
-    ``key`` is the operator's id in the intern table ``forms.op_ids``: equal
-    operators of one ``Forms`` get one id, and each instance tuples and
-    hashes its content once.  Extensions and compositions are computed once
-    per operand ids and kept in ``forms.op_cache``, ∇̂ in
-    ``Connection.nabla_hats``; a composition or ∇̂ found there is the
-    operator itself, whose id is already known.  Only operators of one
-    ``Forms`` are combined.  Columns and operators are shared, so no caller
-    may change ``cols`` or an extension in place.
-    """
-
-    forms: Forms
-    degree: int
-    cols: Cols               # per basis vector of M, its rows in T_degree
-
-    @cached_property
-    def key(self) -> int:
-        """The id of the content, the degree and the columns as tuples."""
-        ids = self.forms.op_ids
-        return ids.setdefault((self.degree, tuple(map(tuple, self.cols))),
-                              len(ids))
-
-    def flat(self, at: list[int] | range | None = None) -> SparseVec:
-        """The matrix T_degree × M row by row, at the module basis indices
-        ``at`` (every one by default), as a sparse vector: entry (row, x)
-        at row·len(at) + x."""
-        at = range(len(self.cols)) if at is None else at
-        return {row * len(at) + x: c
-                for x, i in enumerate(at) for row, c in self.cols[i]}
-
-    def ext_cols(self, s: int) -> Cols:
-        """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω,
-        by sparse columns; a zero operator's is zero, and not cached."""
-        if s == 0:
-            return self.cols
-        if self.is_zero():
-            return [[] for _ in range(self.forms.dim(s))]
-        cache = self.forms.op_cache
-        key = ("ext", self.key, s)
-        if key not in cache:
-            f = self.forms
-            cache[key] = f.extension_columns(self.degree, self.cols, s,
-                                             f.quotient_space(s).free)
-        return cache[key]
-
-    def compose(self, other: "DegreeRHom") -> "DegreeRHom":
-        """self ∘ other (other applied first): column i combines this
-        operator's extension columns at the nonzeros of other's column i.
-        With a zero operand it is the zero operator, and nothing is
-        extended or cached."""
-        degree = self.degree + other.degree
-        if degree > self.forms.D:
-            raise ValueError("degree overflow past truncation")
-        if self.is_zero() or other.is_zero():
-            return DegreeRHom(self.forms, degree, [[] for _ in other.cols])
-        cache = self.forms.op_cache
-        key = ("compose", self.key, other.key)
-        if key not in cache:
-            cache[key] = DegreeRHom(self.forms, degree, _compose(
-                self.ext_cols(other.degree), other.cols))
-        return cache[key]
-
-    def add(self, other: "DegreeRHom") -> "DegreeRHom":
-        if other.degree != self.degree:
-            raise ValueError("operators of different degrees")
-        return DegreeRHom(self.forms, self.degree,
-                          [_col_sum([(a, 1), (b, 1)])
-                           for a, b in zip(self.cols, other.cols)])
-
-    def is_zero(self) -> bool:
-        return not any(self.cols)
-
-    def right_linearity_witness(self) -> tuple[int, int] | None:
-        """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None,
-        the first in a, then f, decided on A's generators first
-        (``Algebra.first_failure``).  The f on which it holds for every a
-        form a unital subalgebra: it is linear in f, holds at f = 1, and
-        Φ(a·fg) = Φ((a·f)·g) = Φ(a·f)·g = Φ(a)·fg.  Both sides are sparse
-        columns: Φ's columns combined at the nonzeros of m_a·e_f (column a
-        of the stored right action of e_f), and the columns of ·e_f on
-        T_degree combined at Φ's column a; an empty side is [] without a
-        call."""
-        f = self.forms
-        alg = f.algebra
-
-        def scan(fis):
-            right = [(fi, f.right_mult_cols(self.degree, 0, [(fi, 1)]))
-                     for fi in fis]
-            for ai, col in enumerate(self.cols):
-                for fi, by_f in right:
-                    moved = f.module.right_action[fi][ai]
-                    lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
-                           if moved else [])
-                    rhs = (_col_sum([(by_f[k], c) for k, c in col])
-                           if col else [])
-                    if lhs != rhs:
-                        return (ai, fi)
-            return None
-
-        return alg.first_failure(scan)
-
-
 def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
                 sign: int) -> Cols:
     """The columns of X∘Φ + sign·Φ∘X on M, for a map X of degree s given by
@@ -316,8 +189,7 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
 
 def kappa0_op(c: Connection, f_vec: Vec) -> DegreeRHom:
     """The left-multiplication operator f̂ as a degree-0 right-Ω operator,
-    f in A by its coordinates; κ₀ of a basis element is
-    ``Connection.hats``."""
+    f in A by its coordinates; κ₀ of a basis element is ``Forms.hats``."""
     return DegreeRHom(c.forms, 0, c.module.left_cols(f_vec))
 
 
@@ -344,11 +216,13 @@ def _left_leibniz_failure(c: Connection, xs: list[Cols]) \
     Leibniz rule ∇(f·a) = X_f(a) + f·∇a fails, X_f = ``xs[f]`` a map
     M → M⊗_AΩ¹ by columns; None when it holds on every pair.  Per f it is
     the identity of maps ∇∘L_f = X_f + L_f∘∇, L_f the left action of e_f
-    on M and on M⊗_AΩ¹, composed by columns and compared column by column;
-    a column empty on all three sides is [] without a call."""
+    on M and on M⊗_AΩ¹ (κ₀(e_f) and its extension), composed by columns
+    and compared column by column; a column empty on all three sides is []
+    without a call."""
+    hats = c.forms.hats
     for f, x in enumerate(xs):
-        lhs = _compose(c.nabla, c.module.left_action[f])
-        rhs = _compose(c.forms.left_action_cols(1, f), c.nabla)
+        lhs = _compose(c.nabla, hats[f].cols)
+        rhs = _compose(hats[f].ext_cols(1), c.nabla)
         for ai, (col, x_col, r_col) in enumerate(zip(lhs, x, rhs)):
             if (col or x_col or r_col) and \
                     _col_sum([(col, 1), (x_col, -1), (r_col, -1)]):
@@ -384,7 +258,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
     a = c.module.algebra
     m = c.module
     span = SpanBuilder(c.forms.dim(1) * m.dim)
-    hats, d_ops = c.hats, c.d_hats
+    hats, d_ops = c.forms.hats, c.d_hats
     ifo = InducedFirstOrder(c, span)
     for g in range(a.dim):
         w = d_ops[g].right_linearity_witness()
@@ -472,7 +346,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
     """
     uni = c.calculus.universal
     a = c.module.algebra
-    hats, ops = c.hats, c.kappa_ops(1)
+    hats, ops = c.forms.hats, c.kappa_ops(1)
     assert all(induced.span.contains(op.flat()) for op in ops), \
         "kappa1 image must lie in omega1_nabla"
     k = Kappa1(c, ops)

@@ -16,12 +16,12 @@ from functools import cached_property
 
 from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
-from .connection import (Connection, DegreeRHom, _commutator,
-                         induced_first_order, kappa1, leibniz_failure,
-                         nabla_hat, sigma_exists)
-from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _col_sum,
-                     _col_vec, _compose, _sparse_sum, kernel_quotient,
-                     quotient, QuotientSpace)
+from .connection import (Connection, _commutator, induced_first_order,
+                         kappa1, leibniz_failure, nabla_hat, sigma_exists)
+from .forms import DegreeRHom
+from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _apply,
+                     _col_sum, _col_vec, _compose, kernel_quotient, quotient,
+                     QuotientSpace)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -40,7 +40,7 @@ def extend_connection(c: Connection) -> list[Verdict]:
     for r in range(1, f.D):
         plain = c.nabla_ext_plain(r)
         for k, v in enumerate(f.quotient_space(r).sub):
-            if _sparse_sum([(plain[x], y) for x, y in v.items()]):
+            if _apply(plain, v):
                 verdicts.append(failed("nabla-extension-well-defined",
                                        anchors.EXTENDING_NABLA,
                                        {"degree": r, "sub_basis": k}))
@@ -103,7 +103,7 @@ def curvature(c: Connection) -> CurvatureResult:
 
     def scan(fis):
         for fi in fis:
-            f_hat = c.hats[fi]
+            f_hat = f.hats[fi]
             lhs, rhs = op.compose(f_hat).cols, f_hat.compose(op).cols
             if lhs != rhs:
                 mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs))
@@ -163,7 +163,7 @@ class OmegaHat:
             return SpanBuilder(f.dim(r) * len(self.generators))
 
         self._gens: list[list[DegreeRHom]] = []
-        found = c.hats
+        found = f.hats
         for r in range(D + 1):
             span = new_span(r)
             self._gens.append([op for op in found
@@ -302,12 +302,12 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
             for col in _square_hat(c, phi):
                 if not col:         # a zero column spans nothing
                     continue
-                builders[p + 2].add(dict(col))
+                v = dict(col)
+                builders[p + 2].add(v)
                 for s in range(1, D - p - 2 + 1):
                     for k in range(cal.dim(s)):
-                        rm = f.right_mult_cols(p + 2, s, [(k, 1)])
-                        builders[p + 2 + s].add(
-                            _sparse_sum([(rm[k], x) for k, x in col]))
+                        builders[p + 2 + s].add(_apply(
+                            f.right_mult_cols(p + 2, s, [(k, 1)]), v))
     quotients = [b.quotient() for b in builders]
     j = JIdeal([q.sub for q in quotients], quotients)
     if j.spans[0] or j.spans[1]:
@@ -320,24 +320,21 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     # follows; the "omega-hat" witness indexes gen_ops(p)
     a = c.module.algebra
 
-    def image(cols: Cols, v: SparseVec) -> SparseVec:
-        return _sparse_sum([(cols[x], y) for x, y in v.items()])
-
     def closure_failure(fis):
         for r in range(2, D + 1):
             for k, v in enumerate(j.spans[r]):
                 if r + 1 <= D and not builders[r + 1].contains(
-                        image(c.nabla_ext_cols(r), v)):
+                        _apply(c.nabla_ext_cols(r), v)):
                     return {"op": "nabla", "degree": r, "basis": k}
                 for i in fis:
-                    if not builders[r].contains(image(
-                            f.left_action_cols(r, i), v)):
+                    if not builders[r].contains(
+                            _apply(f.hats[i].ext_cols(r), v)):
                         return {"op": "left", "degree": r, "basis": k,
                                 "algebra_basis": i}
                 for p in range(1, D - r + 1):
                     for kp, t in enumerate(omega_hat.gen_ops(p)):
                         if not builders[r + p].contains(
-                                image(t.ext_cols(r), v)):
+                                _apply(t.ext_cols(r), v)):
                             return {"op": "omega-hat", "degrees": [p, r],
                                     "basis": [kp, k]}
         return None
@@ -354,8 +351,8 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     sub2 = SpanBuilder(f.dim(2))
     contained = True
     for fi in range(a.dim):
-        for x, y in zip(_compose(r2, c.module.left_action[fi]),
-                        _compose(f.left_action_cols(2, fi), r2)):
+        for x, y in zip(_compose(r2, f.hats[fi].cols),
+                        _compose(f.hats[fi].ext_cols(2), r2)):
             if x != y:
                 v = dict(_col_sum([(x, 1), (y, -1)]))
                 sub2.add(v)
@@ -423,8 +420,7 @@ class OmegaM:
             nx = c.nabla_ext_cols(r)
             proj = self.quotients[r + 1].proj_cols
             for k, v in enumerate(self.j.spans[r]):
-                image = _sparse_sum([(nx[x], y) for x, y in v.items()])
-                if _sparse_sum([(proj[x], y) for x, y in image.items()]):
+                if _apply(proj, _apply(nx, v)):
                     self.verdicts.append(failed("omega-m-nabla-descends",
                                                 anchors.UNIQUE_FACTORIZATIONS,
                                                 {"degree": r, "basis": k}))
@@ -437,8 +433,8 @@ class OmegaM:
 
         def left_linear_failure(fis):
             for fi in fis:
-                lhs = _compose(rbar, c.module.left_action[fi])
-                rhs = _compose(q2.induced(f.left_action_cols(2, fi), q2), rbar)
+                lhs = _compose(rbar, f.hats[fi].cols)
+                rhs = _compose(q2.induced(f.hats[fi].ext_cols(2), q2), rbar)
                 if lhs != rhs:
                     return fi
             return None

@@ -1,4 +1,5 @@
-"""The spaces M⊗_AΩ^r a connection acts on, in bar coordinates.
+"""The spaces M⊗_AΩ^r a connection acts on, in bar coordinates, and every
+map on them that ∇ does not enter.
 
 Because the universal calculus is left-free on its bar basis, M⊗_AΩ^r for
 the universal calculus is literally the coordinate space M ⊗ (tails of
@@ -6,15 +7,23 @@ degree r); for a quotient calculus it is that space modulo the image of
 M ⊗ I^r.  Right multiplication by a tail is index concatenation, which is
 what keeps desk-scale computations fast and exact.
 
-Every map on these spaces is stored by sparse columns (``linalg.Cols``),
+``Forms`` holds every map on M⊗_AΩ that ∇ does not enter, each built once
+per ``Forms``; ``connection.Connection`` holds only ∇ and what is built
+from it.  Here are the right-Ω operators (``DegreeRHom``), stored by their
+restriction to M and extended on demand, which is faithful because M
+generates M⊗_AΩ as a right Ω-module; their intern table ``op_ids`` and
+the cache ``op_cache`` of their extensions and compositions;
+κ₀(e_i) = ê_i (``hats``); the right multiplications; and N⊗_AM
+(``tensors``).  Every map is stored by sparse columns (``linalg.Cols``),
 as the module's own actions are: ``as_bimodule`` hands a ``Bimodule`` the
-action columns this class already holds (built once per degree).
+action columns this class already holds.
 
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
 the projection's sparse columns (see ``linalg.QuotientSpace``) at the
 concatenated indices of Φ(m)'s representative.  The left action of e_i
-on T_r is the extension of m ↦ e_i·m (``left_action_cols(r, i)``).
+on T_r is the extension of κ₀(e_i), ``hats[i].ext_cols(r)``, kept in
+``op_cache`` with every other operator's extension.
 
 ``right_mult_cols(r, s, ω)`` is the one right multiplication on classes:
 q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω, given sparse ([(k, 1)] for
@@ -29,16 +38,15 @@ are computed once per argument.  I⁰ = 0, so T₀ is M and column i of
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from functools import cached_property
 
-from .algebra import Bimodule, right_module_generators
+from .algebra import (BalancedTensor, Bimodule, right_module_generators,
+                      tensor_over_A)
 from .calculus import GradedCalculus
 from .linalg import (Col, Cols, DimensionError, SpanBuilder, SparseVec,
-                     _col_sum, QuotientSpace)
-
-if TYPE_CHECKING:
-    from .connection import DegreeRHom
+                     _col_sum, _compose, QuotientSpace)
 
 
 class Forms:
@@ -46,7 +54,8 @@ class Forms:
 
     Built once per (module, calculus) through ``Forms.of``, so every
     connection on M against Ω, and ν̂'s target when Ω_∇ is Ω, share its
-    quotients, right multiplications, extensions and operator intern table.
+    quotients, right multiplications, κ₀, extensions, operator intern
+    table and balanced tensors.
     """
 
     @classmethod
@@ -73,11 +82,13 @@ class Forms:
         self.generators = right_module_generators(module)
         self._quotients: list[QuotientSpace] = []
         self._build_quotients()
-        # the actions on T_r by columns, by (r, i) and by (r, s, ω)
-        self._left_cols: dict[tuple, Cols] = {}
+        # the right multiplications on T_r by columns, by (r, s, ω)
         self._right_cols: dict[tuple, Cols] = {}
         # T_r as a Bimodule, by r
         self._bimodules: dict[int, Bimodule] = {}
+        # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
+        # entry holds N, so the id stays N's
+        self._tensors: dict[int, tuple] = {}
         # the intern table of right-Ω operators on these spaces: the id of
         # each content, (degree, columns as tuples); see DegreeRHom.key
         self.op_ids: dict[tuple, int] = {}
@@ -195,15 +206,13 @@ class Forms:
 
     # -- actions on quotient coordinates ----------------------------------
     # The columns are shared: no caller may change them.
-    def left_action_cols(self, r: int, i: int) -> Cols:
-        """Left action q ↦ e_i·q of the basis element e_i on T_r, by
-        columns: the extension of m ↦ e_i·m, which commutes with the right
-        action."""
-        key = (r, i)
-        if key not in self._left_cols:
-            self._left_cols[key] = self.extension_columns(
-                0, self.module.left_action[i], r, self._quotients[r].free)
-        return self._left_cols[key]
+    @cached_property
+    def hats(self) -> list[DegreeRHom]:
+        """κ₀(e_i) = ê_i, m ↦ e_i·m as a degree-0 operator, per basis index
+        i; its columns are the module's stored left action of e_i, and its
+        extension to T_r, ``hats[i].ext_cols(r)``, is the left action
+        q ↦ e_i·q on T_r, which commutes with the right action."""
+        return [DegreeRHom(self, 0, cols) for cols in self.module.left_action]
 
     def right_mult_cols(self, r: int, s: int, omega: Col) -> Cols:
         """Right multiplication q ↦ q·ω by the Ω^s class ω, given by its
@@ -228,12 +237,128 @@ class Forms:
 
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω), its
-        actions the columns ``left_action_cols`` and ``right_mult_cols``
+        actions the columns ``hats``' extensions and ``right_mult_cols``
         hold; built once per r and shared."""
         if r not in self._bimodules:
             basis = range(self.algebra.dim)
             self._bimodules[r] = Bimodule(
                 self.dim(r), self.algebra,
-                tuple(self.left_action_cols(r, i) for i in basis),
+                tuple(self.hats[i].ext_cols(r) for i in basis),
                 tuple(self.right_mult_cols(r, 0, [(i, 1)]) for i in basis))
         return self._bimodules[r]
+
+    def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
+        """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
+        codomain of a tensor-product connection, built once per N."""
+        if id(n) not in self._tensors:
+            t1 = self.as_bimodule(1)
+            self._tensors[id(n)] = (n, tensor_over_A(n, self.module),
+                                    tensor_over_A(n, t1))
+        return self._tensors[id(n)][1:]
+
+
+@dataclass
+class DegreeRHom:
+    """Degree-r right-Ω-linear operator, stored by its restriction to M as
+    sparse columns: ``cols[i]`` holds the nonzero (row, coeff) pairs of
+    Φ(m_i) in T_r, sorted by row, so equal operators have equal columns.
+
+    ``key`` is the operator's id in the intern table ``forms.op_ids``: equal
+    operators of one ``Forms`` get one id, and each instance tuples and
+    hashes its content once.  Extensions and compositions are computed once
+    per operand ids and kept in ``forms.op_cache``, ∇̂ in
+    ``Connection.nabla_hats``; a composition or ∇̂ found there is the
+    operator itself, whose id is already known.  Only operators of one
+    ``Forms`` are combined.  Columns and operators are shared, so no caller
+    may change ``cols`` or an extension in place.
+    """
+
+    forms: Forms
+    degree: int
+    cols: Cols               # per basis vector of M, its rows in T_degree
+
+    @cached_property
+    def key(self) -> int:
+        """The id of the content, the degree and the columns as tuples."""
+        ids = self.forms.op_ids
+        return ids.setdefault((self.degree, tuple(map(tuple, self.cols))),
+                              len(ids))
+
+    def flat(self, at: list[int] | range | None = None) -> SparseVec:
+        """The matrix T_degree × M row by row, at the module basis indices
+        ``at`` (every one by default), as a sparse vector: entry (row, x)
+        at row·len(at) + x."""
+        at = range(len(self.cols)) if at is None else at
+        return {row * len(at) + x: c
+                for x, i in enumerate(at) for row, c in self.cols[i]}
+
+    def ext_cols(self, s: int) -> Cols:
+        """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω,
+        by sparse columns; a zero operator's is zero, and not cached."""
+        if s == 0:
+            return self.cols
+        if self.is_zero():
+            return [[] for _ in range(self.forms.dim(s))]
+        cache = self.forms.op_cache
+        key = ("ext", self.key, s)
+        if key not in cache:
+            f = self.forms
+            cache[key] = f.extension_columns(self.degree, self.cols, s,
+                                             f.quotient_space(s).free)
+        return cache[key]
+
+    def compose(self, other: "DegreeRHom") -> "DegreeRHom":
+        """self ∘ other (other applied first): column i combines this
+        operator's extension columns at the nonzeros of other's column i.
+        With a zero operand it is the zero operator, and nothing is
+        extended or cached."""
+        degree = self.degree + other.degree
+        if degree > self.forms.D:
+            raise ValueError("degree overflow past truncation")
+        if self.is_zero() or other.is_zero():
+            return DegreeRHom(self.forms, degree, [[] for _ in other.cols])
+        cache = self.forms.op_cache
+        key = ("compose", self.key, other.key)
+        if key not in cache:
+            cache[key] = DegreeRHom(self.forms, degree, _compose(
+                self.ext_cols(other.degree), other.cols))
+        return cache[key]
+
+    def add(self, other: "DegreeRHom") -> "DegreeRHom":
+        if other.degree != self.degree:
+            raise ValueError("operators of different degrees")
+        return DegreeRHom(self.forms, self.degree,
+                          [_col_sum([(a, 1), (b, 1)])
+                           for a, b in zip(self.cols, other.cols)])
+
+    def is_zero(self) -> bool:
+        return not any(self.cols)
+
+    def right_linearity_witness(self) -> tuple[int, int] | None:
+        """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None,
+        the first in a, then f, decided on A's generators first
+        (``Algebra.first_failure``).  The f on which it holds for every a
+        form a unital subalgebra: it is linear in f, holds at f = 1, and
+        Φ(a·fg) = Φ((a·f)·g) = Φ(a·f)·g = Φ(a)·fg.  Both sides are sparse
+        columns: Φ's columns combined at the nonzeros of m_a·e_f (column a
+        of the stored right action of e_f), and the columns of ·e_f on
+        T_degree combined at Φ's column a; an empty side is [] without a
+        call."""
+        f = self.forms
+        alg = f.algebra
+
+        def scan(fis):
+            right = [(fi, f.right_mult_cols(self.degree, 0, [(fi, 1)]))
+                     for fi in fis]
+            for ai, col in enumerate(self.cols):
+                for fi, by_f in right:
+                    moved = f.module.right_action[fi][ai]
+                    lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
+                           if moved else [])
+                    rhs = (_col_sum([(by_f[k], c) for k, c in col])
+                           if col else [])
+                    if lhs != rhs:
+                        return (ai, fi)
+            return None
+
+        return alg.first_failure(scan)

@@ -13,7 +13,7 @@ universal calculus, the projection of every :class:`QuotientSpace` (column
 i is the class of e_i), d on classes, a bimodule's actions, ∇, every map
 on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that span Ω¹_∇ and
 those of κ₁, σ, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
-applied at the nonzeros of a sparse vector by ``_sparse_sum``, composed by
+applied at the nonzeros of a sparse vector by ``_apply``, composed by
 ``_compose`` and summed by ``_col_sum``, so its cost is the number of
 nonzeros met; a basis element enters as its index, its image the map's
 column there.  No caller hands ``_col_sum`` an empty term list: an empty
@@ -130,6 +130,12 @@ def _sparse_sum(terms: list[tuple[Col, int | Fraction]]) -> SparseVec:
         for row, x in col:
             acc[row] = acc[row] + c * x if row in acc else c * x
     return {row: x for row, x in acc.items() if x}
+
+
+def _apply(cols: Cols, v: SparseVec) -> SparseVec:
+    """The map with columns ``cols`` applied to the sparse vector v: its
+    columns combined at v's nonzeros, the cancelled entries dropped."""
+    return _sparse_sum([(cols[x], c) for x, c in v.items()])
 
 
 def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:

@@ -26,9 +26,9 @@ from .calculus import CalculusMorphism
 from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
-from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, _col_sum,
-                     _col_vec, _compose, _sparse_sum, kernel_quotient,
-                     null_space)
+from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, _apply,
+                     _col_sum, _col_vec, _compose, _sparse_sum,
+                     kernel_quotient, null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -80,20 +80,17 @@ def degeneracy_submodules(n, m: Bimodule,
     for v in m0:
         span_m.add(v)
 
-    def moved(cols, v):
-        return _sparse_sum([(cols[x], y) for x, y in v.items()])
-
     def scan(fis):
         for v in n0:
             for fi in fis:
-                if not span_n.contains(moved(n.right_action[fi], v)):
+                if not span_n.contains(_apply(n.right_action[fi], v)):
                     return {"side": "N0", "algebra_basis": fi,
                             "vector": rationals(_col_vec(v.items(), n.dim))}
         for v in m0:
             for fi in fis:
                 for cols, side in ((m.right_action[fi], "M0-right"),
                                    (m.left_action[fi], "M0-left")):
-                    if not span_m.contains(moved(cols, v)):
+                    if not span_m.contains(_apply(cols, v)):
                         return {"side": side, "algebra_basis": fi,
                                 "vector": rationals(_col_vec(v.items(),
                                                              m.dim))}
@@ -156,10 +153,9 @@ def check_compatibility(c: Connection, rc: Connection,
         for k in range(forms.calculus.dim(1)):
             rm = forms.right_mult_cols(0, 1, [(k, 1)])
             for v in sub:
-                span.add(_sparse_sum([(rm[x], y) for x, y in v.items()]))
+                span.add(_apply(rm, v))
         for v in sub:
-            if not span.contains(_sparse_sum([(conn.nabla[x], y)
-                                              for x, y in v.items()])):
+            if not span.contains(_apply(conn.nabla, v)):
                 return failed("tensor-compatibility",
                               anchors.ASSUME_DEGENERACY,
                               {"side": side, "vector": rationals(
@@ -218,7 +214,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     for r in range(src.D + 1):
         proj = tgt.quotient_space(r).proj_cols
         for v in src.quotient_space(r).sub:
-            if _sparse_sum([(proj[x], y) for x, y in v.items()]):
+            if _apply(proj, v):
                 nu.verdicts.append(failed(
                     "nu-hat-well-defined", anchors.NU_HAT,
                     {"degree": r,
@@ -328,13 +324,13 @@ def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
     (b⊗Φ̂)a := b⊗Φ̂(a).
     """
     m = c.module
-    tn, w = c.tensors(n)
+    tn, w = c.forms.tensors(n)
     tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, w, xi_forms, xi, tail_ops)
     tc = TensorConnection(route, tn, w)
     # well defined on balanced classes
     for rel in balancing_relations(n, m):
-        if _sparse_sum([(plain[at], x) for at, x in rel.items()]):
+        if _apply(plain, rel):
             tc.verdicts.append(failed(
                 "tensor-connection-well-defined", well_defined_anchor,
                 {"relation": rationals(_col_vec(rel.items(), tn.plain_dim))}))
@@ -404,7 +400,7 @@ def tensor_connection_original(rc: Connection, c: Connection, nu: NuHat,
                                sigma) -> TensorConnection:
     """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, with the σ-route agreement check."""
     if not nu.available:
-        tc = TensorConnection("nu-hat", *c.tensors(rc.module))
+        tc = TensorConnection("nu-hat", *c.forms.tensors(rc.module))
         tc.verdicts.append(Verdict("tensor-connection-original",
                                    anchors.ORIGINAL_ROUTE, "unavailable"))
         return tc
@@ -483,8 +479,7 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
               for r in range(src.D)]
     for r in range(src.D):
         wit = next((v for v in null_space(nu.maps[r])
-                    if _sparse_sum([(pushed[r][x], y)
-                                    for x, y in v.items()])), None)
+                    if _apply(pushed[r], v)), None)
         if wit is not None:
             res.exists = False
             res.ext_cols = []

@@ -86,8 +86,9 @@ from _embedding import d_emb, product_emb, to_emb
 from bimodconn import anchors
 from bimodconn.algebra import BalancedTensor
 from bimodconn.calculus import CalculusMorphism
-from bimodconn.connection import DegreeRHom, kappa0_op, nabla_hat
+from bimodconn.connection import kappa0_op, nabla_hat
 from bimodconn.curvature import _square_hat
+from bimodconn.forms import DegreeRHom
 from bimodconn.linalg import (DimensionError, QuotientSpace, _col_vec,
                               _exact, _sparse, _to_mat, mat_vec, zero_mat,
                               zeros)
@@ -549,7 +550,7 @@ def check_bimodule(m):
 
 # -- the dense operator route -----------------------------------------------
 #
-# The route ``connection.DegreeRHom`` and ``nabla_hat`` replaced: a right-Ω
+# The route ``forms.DegreeRHom`` and ``nabla_hat`` replaced: a right-Ω
 # operator is a dense dim T_r × dim M matrix, each of its extensions a dense
 # matrix (here through representatives, ``extension_columns`` below), a
 # composition the ``mat_mul`` of an extension by the right factor, and ∇̂Φ
@@ -935,7 +936,7 @@ def j_closure(c, ops):
                     mat_vec(nabla_ext(c, r), v)):
                 return {"op": "nabla", "degree": r, "basis": k}
             for i in range(c.module.algebra.dim):
-                left = f.left_action_cols(r, i)
+                left = f.hats[i].ext_cols(r)
                 if not builders[r].contains(
                         mat_vec(_to_mat(left, f.dim(r)), v)):
                     return {"op": "left", "degree": r, "basis": k,
@@ -1072,7 +1073,7 @@ def kappa1_bimodule_linear(k):
                 alpha[bi] = 1
                 moved = mat_vec(fl, mat_vec(gr, alpha))
                 lhs = dense(k.op(_sparse(moved)))
-                fm = _to_mat(c.forms.left_action_cols(1, f), c.forms.dim(1))
+                fm = _to_mat(c.forms.hats[f].ext_cols(1), c.forms.dim(1))
                 rhs = mat_mul(fm, mat_mul(dense(k.op({bi: 1})),
                                           actions(c.module, "left")[g]))
                 if lhs != rhs:
@@ -1684,7 +1685,7 @@ def left_leibniz(c, x):
     a = m.algebra
     for f in range(a.dim):
         fv = a.basis_vec(f)
-        left = _to_mat(c.forms.left_action_cols(1, f), c.forms.dim(1))
+        left = _to_mat(c.forms.hats[f].ext_cols(1), c.forms.dim(1))
         for ai in range(m.dim):
             av = basis_vec(m.dim, ai)
             lhs = nabla_apply(c, act_left(m, fv, av))

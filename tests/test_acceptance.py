@@ -84,7 +84,7 @@ def test_07_d_nabla_squared_zero():
     # on the gauge model the unfactored nabla-hat square is nonzero
     conn = pipeline("m2_grass").conn
     squares = []
-    for f_hat in conn.hats:
+    for f_hat in conn.forms.hats:
         squares.append(nabla_hat(conn, nabla_hat(conn, f_hat)))
     assert any(not s.is_zero() for s in squares)
 

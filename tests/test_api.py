@@ -387,10 +387,11 @@ def _calls_by_function(module: str) -> dict[str, list[ast.Call]]:
 
 
 def test_kappa_is_built_once_per_connection():
-    # κ₀(e_i) = ê_i is Connection.hats, ∇̂ê_i is Connection.d_hats and κ on
-    # the bar basis is Connection.kappa_ops: a degree-0 operator is built
-    # only there and in kappa0_op, whose one caller is the derivation law's
-    # κ₀(e_f·e_g), e_f·e_g by its structure constants
+    # κ₀(e_i) = ê_i is Forms.hats, built once per Forms, ∇̂ê_i is
+    # Connection.d_hats and κ on the bar basis is Connection.kappa_ops: a
+    # degree-0 operator is built only in Forms.hats and in kappa0_op, whose
+    # one caller is the derivation law's κ₀(e_f·e_g), e_f·e_g by its
+    # structure constants
     built, kappa0 = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, calls in _calls_by_function(path.stem).items():
@@ -405,7 +406,7 @@ def test_kappa_is_built_once_per_connection():
                     built.add(name)
                 elif func == "kappa0_op":
                     kappa0.append(name)
-    assert built == {"connection:Connection.hats", "connection:kappa0_op"}
+    assert built == {"forms:Forms.hats", "connection:kappa0_op"}
     assert kappa0 == ["connection:induced_first_order"]
     assert "structure" in _named("connection", "induced_first_order")
     # κ₁'s operators are κ on the degree-1 bar basis, the same list
@@ -413,7 +414,7 @@ def test_kappa_is_built_once_per_connection():
         p = bimodconn.Pipeline(bimodconn.parse_model(
             str(ROOT / "models" / f"{name}.model")).connections["nabla"])
         assert p.kappa1.ops is p.conn.kappa_ops(1)
-        assert p.conn.kappa_ops(0) is p.conn.hats
+        assert p.conn.kappa_ops(0) is p.conn.forms.hats
         assert len(p.conn.d_hats) == p.conn.module.algebra.dim
 
 
@@ -521,11 +522,13 @@ def test_forms_are_built_only_through_the_memo():
                      "tensorconn:nu_hat:of"}
 
 
-# Every loop over the algebra basis in src/, a ``range(X.dim)`` with X an
-# algebra (``a``, ``alg``, an attribute ``algebra``, or ``self`` in
-# Algebra), counted per top-level function or
-# method (nested functions count for the one that holds them), with why
-# it stays.  An identity that must hold for every f in A goes through
+# Every loop over the algebra basis in src/, counted per top-level function
+# or method (nested functions count for the one that holds them), with why
+# it stays: a ``range(X.dim)`` with X an algebra (``a``, ``alg``, an
+# attribute ``algebra``, or ``self`` in Algebra), and a loop or
+# comprehension over a per-basis list, ``hats``, ``d_hats`` or
+# ``d_cols(0)`` (inside ``enumerate`` or not), directly or through a local
+# name bound to one of them.  An identity that must hold for every f in A goes through
 # Algebra.first_failure instead, and its scan loops over the indices it is
 # handed (GENERATOR_FIRST).
 BASIS_LOOPS = {
@@ -543,16 +546,28 @@ BASIS_LOOPS = {
         2, "construction: π and the unit complement"),
     "calculus:GradedCalculus.degree_bimodule": (
         1, "construction: Ω^r's actions, one per basis element"),
+    "connection:Connection.d_hats": (
+        1, "construction: ∇̂ê_i, one per basis element"),
     "connection:induced_first_order": (
-        5, "Ω¹_∇'s spanning set f̂∘∇̂ĝ∘ĥ over basis triples; "
+        6, "Ω¹_∇'s spanning set f̂∘∇̂ĝ∘ĥ over basis triples; "
            "nabla-hat-right-linear per g, decided before the derivation "
            "law that its closure under products would rest on; the "
-           "derivation law's g, on the basis for each f"),
+           "derivation law's g, on the basis for each f; "
+           "left-leibniz-induced's X_f = d_∇e_f over d_hats, a rule whose "
+           "set of good f is closed under sums but not, without the "
+           "derivation law on the same f, under products, and whose "
+           "witness is the first failing basis pair"),
     "connection:kappa1": (
-        3, "kappa1-diagram, whose closure under products would rest on "
-           "kappa1-bimodule-linear; the (f, g, α) triple scan, run only "
-           "when left or right linearity fails on a generator, for its "
-           "witness"),
+        4, "kappa1-diagram, whose closure under products would rest on "
+           "kappa1-bimodule-linear; the (f, g, α) triple scan and its "
+           "κ₁(α)∘ĝ over hats, run only when left or right linearity "
+           "fails on a generator, for its witness"),
+    "connection:sigma_exists": (
+        1, "sigma-left-leibniz's X_f = σ(df⊗·) over d_cols(0): as for "
+           "left-leibniz-induced, the rule for f and g gives it for fg "
+           "only with σ's own product law, which is not checked first"),
+    "curvature:OmegaHat.__init__": (
+        1, "construction: T₀, a basis of κ₀(A), read off every ê_i"),
     "curvature:j_ideal": (
         1, "the early proposal's span, whose dimension is reported"),
     "forms:Forms.as_bimodule": (
@@ -560,7 +575,7 @@ BASIS_LOOPS = {
 }
 GENERATOR_FIRST = {
     "connection:check_right_leibniz",
-    "connection:DegreeRHom.right_linearity_witness",
+    "forms:DegreeRHom.right_linearity_witness",
     "connection:induced_first_order", "curvature:curvature",
     "curvature:j_ideal", "curvature:OmegaM._check",
     "curvature:InducedCalculus._check_multiplicative",
@@ -572,6 +587,39 @@ def _names_an_algebra(node, in_algebra: bool) -> bool:
     return isinstance(node, ast.Name) and (
         node.id in ("a", "alg") or in_algebra and node.id == "self") \
         or isinstance(node, ast.Attribute) and node.attr == "algebra"
+
+
+# the per-basis lists: κ₀(e_i), ∇̂ê_i and de_i, one per basis element
+PER_BASIS = {"hats", "d_hats"}
+
+
+def _per_basis(node, bound: set[str]) -> bool:
+    """An expression that is a per-basis list: ``hats``, ``d_hats``,
+    ``d_cols(0)``, or a local name bound to one of them."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == \
+            "enumerate" and node.args:
+        node = node.args[0]
+    return isinstance(node, ast.Attribute) and node.attr in PER_BASIS \
+        or isinstance(node, ast.Name) and node.id in bound \
+        or isinstance(node, ast.Call) and \
+        getattr(node.func, "attr", None) == "d_cols" and \
+        len(node.args) == 1 and isinstance(node.args[0], ast.Constant) and \
+        node.args[0].value == 0
+
+
+def _basis_names(func: ast.FunctionDef) -> set[str]:
+    """The local names a function binds to a per-basis list, a tuple
+    assignment taken element by element."""
+    bound: set[str] = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = zip(target.elts, node.value.elts) if isinstance(
+                    target, ast.Tuple) and isinstance(node.value, ast.Tuple) \
+                    else [(target, node.value)]
+                bound |= {t.id for t, v in pairs if isinstance(t, ast.Name)
+                          and _per_basis(v, set())}
+    return bound
 
 
 def test_identities_for_all_f_run_on_the_generators_first():
@@ -587,7 +635,11 @@ def test_identities_for_all_f_run_on_the_generators_first():
                     name = f"{path.stem}:{prefix}{child.name}"
                     docs[name] = (ast.get_docstring(child) or "") + (
                         (ast.get_docstring(cls) or "") if cls else "")
+                    bound = _basis_names(child)
                     for sub in ast.walk(child):
+                        if isinstance(sub, (ast.For, ast.comprehension)) and \
+                                _per_basis(sub.iter, bound):
+                            loops[name] = loops.get(name, 0) + 1
                         if isinstance(sub, ast.Call) and \
                                 getattr(sub.func, "id", None) == "range" and \
                                 len(sub.args) == 1 and \

@@ -11,11 +11,10 @@ from _shared import (MODELS, NAMES, a2, model, nabla, pipeline,
                      regular_connection, upper_triangular, whole_basis)
 import bimodconn.connection as connection_module
 from bimodconn import Pipeline
-from bimodconn.connection import (Connection, DegreeRHom, Kappa1,
-                                  _left_leibniz_failure, check_right_leibniz,
-                                  induced_first_order, kappa0_op, nabla_hat,
-                                  sigma_exists)
-from bimodconn.forms import Forms
+from bimodconn.connection import (Connection, Kappa1, _left_leibniz_failure,
+                                  check_right_leibniz, induced_first_order,
+                                  kappa0_op, nabla_hat, sigma_exists)
+from bimodconn.forms import DegreeRHom, Forms
 from bimodconn.linalg import _col_sum, _sparse, _to_mat, mat_vec, zeros
 from bimodconn.model import parse_model
 

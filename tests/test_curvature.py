@@ -12,12 +12,12 @@ from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
                      upper_triangular, whole_basis)
 import bimodconn.curvature as curvature_module
 from bimodconn import Pipeline, cli
-from bimodconn.connection import (Connection, DegreeRHom, check_right_leibniz,
+from bimodconn.connection import (Connection, check_right_leibniz,
                                   kappa0_op, leibniz_failure)
 from bimodconn.curvature import (InducedCalculus, JIdeal, OmegaHat, OmegaM,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
-from bimodconn.forms import Forms
+from bimodconn.forms import DegreeRHom, Forms
 from bimodconn.linalg import (SpanBuilder, _col_vec, _to_cols,
                               _to_mat, kernel_quotient, mat_vec, quotient)
 from bimodconn.model import ModelFile, parse_model
@@ -634,7 +634,7 @@ def _fails_at(check_id, conn, oh, j, w):
         op, target = _reference.ext_matrix(oh.gen_ops(p)[kp], r), r + p
     elif w["op"] == "left":
         r, k = w["degree"], w["basis"]
-        op = _to_mat(conn.forms.left_action_cols(r, w["algebra_basis"]),
+        op = _to_mat(conn.forms.hats[w["algebra_basis"]].ext_cols(r),
                      conn.forms.dim(r))
         target = r
     else:

@@ -1,7 +1,12 @@
 """Right multiplication on M⊗_AΩ: ``Forms.right_mult_cols`` against the
 product through representatives, and its algebraic laws; the g⊗ι that
-span M⊗_AI against the same product; and every extension a run computes
-against the extension through representatives."""
+span M⊗_AI against the same product; every extension a run computes
+against the extension through representatives, each computed once; and
+the operator tables, which only ``forms`` names."""
+
+import ast
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -147,7 +152,8 @@ def test_ideal_tensors_are_the_product(make):
 
 # the runs whose caches are checked, and the ("ext", …) entries of
 # Forms.op_cache that `all` leaves on each, over every Forms it builds (a
-# zero operator is neither extended nor composed, so it leaves none)
+# zero operator is neither extended nor composed, so it leaves none; a left
+# action is the extension of κ₀(e_i), ``Forms.hats[i]``, so it is among them)
 CACHE_RUNS = {
     **{n: lambda n=n: parse_model(str(MODELS / f"{n}.model")) for n in NAMES},
     "a2_flat-D9": lambda: parse_model(str(MODELS / "a2_flat.model"),
@@ -162,7 +168,7 @@ EXT_ENTRIES = {"a2_flat": 16, "a2_quotient": 7, "a2_twist": 7,
 def test_every_cached_extension_matches_the_representative_route(
         monkeypatch, name):
     # after `all`, every extension held by a Forms (an operator's, in
-    # op_cache, or a left action's) and by a Connection (∇'s) must be the
+    # op_cache, left actions included) and by a Connection (∇'s) must be the
     # lift → concatenate → project route of tests/_reference.py; an
     # operator's degree and columns are read back from the Forms' intern
     # table by its id
@@ -190,11 +196,6 @@ def test_every_cached_extension_matches_the_representative_route(
                         f, degree, _to_mat(phi, f.dim(degree)), s,
                         f.quotient_space(s).free)
                 n_ext += 1
-        for (r, i), cols in f._left_cols.items():
-            assert _to_mat(cols, f.dim(r)) == _reference.extension_columns(
-                f, 0, _reference.actions(f.module, "left")[i], r,
-                f.quotient_space(r).free)
-            checked += 1
     for c in conns:
         f = c.forms
         for (r, kind), cols in c._ext_cols.items():
@@ -207,3 +208,34 @@ def test_every_cached_extension_matches_the_representative_route(
             assert _to_mat(cols, f.dim(r + 1)) == want
             checked += 1
     assert n_ext == EXT_ENTRIES[name] and checked > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_no_map_is_extended_twice(monkeypatch, name):
+    # every map on M⊗_AΩ that ∇ does not enter is a Forms' own, its
+    # extensions kept in op_cache (a left action is κ₀(e_i)'s), and ∇'s are
+    # kept by its Connection: so one parse + `all` extends no map to one
+    # degree at the same indices twice
+    calls = Counter()
+    extend = Forms.extension_columns
+
+    def counting(self, r, phi, s, indices):
+        calls[id(self), r, tuple(map(tuple, phi)), s, tuple(indices)] += 1
+        return extend(self, r, phi, s, indices)
+
+    monkeypatch.setattr(Forms, "extension_columns", counting)
+    cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    assert calls and {k: n for k, n in calls.items() if n > 1} == {}
+
+
+def test_only_forms_names_the_operator_tables():
+    # the intern table and the extension and composition cache belong to
+    # Forms and the DegreeRHom beside it; no other module reads them
+    package = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
+    named = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(node, "attr", getattr(node, "id", None)) in (
+                    "op_ids", "op_cache"):
+                named.add(path.name)
+    assert named == {"forms.py"}

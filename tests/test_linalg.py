@@ -533,8 +533,12 @@ def test_compose_matches_the_dense_combination(drawn):
 # law), 96 off Ω(M)'s checks, 44 off the right Leibniz rule at parse, 42
 # off κ's multiplicativity and 8 each off the curvature and J; the
 # ∇-extension makes 8 more, for ·d(e11) on T₁ (d(e11) is a basis class of
-# Ω¹), which Ω(M)'s right Leibniz rule built first while it read e11
-COL_SUM_CALLS_M2 = 3639
+# Ω¹), which Ω(M)'s right Leibniz rule built first while it read e11.
+# 3,639 while the left action on M⊗_AΩ^r had a cache of its own beside
+# op_cache: the ten left actions `all` built a second time that way (the
+# extensions of κ₀(e_i) already in op_cache) made 40 calls in
+# Forms.extension_columns
+COL_SUM_CALLS_M2 = 3599
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):

@@ -12,7 +12,7 @@ from _reference import (basis_vec, class_of_pair_bar, class_product, combine,
                         sparse_class)
 from _shared import (MODELS, NAMES, a2, nabla, pipeline, regular_connection,
                      universal, upper_triangular, whole_basis)
-from bimodconn import Pipeline, algebra, cli, connection, tensorconn
+from bimodconn import Pipeline, algebra, cli, connection, forms, tensorconn
 from bimodconn.algebra import Bimodule, balancing_relations, check_bimodule
 from bimodconn.calculus import GradedCalculus, preceq
 from bimodconn.connection import Connection, check_right_leibniz
@@ -369,7 +369,7 @@ def test_pure_pairs_off_the_projection_match_the_project_pure_route(name):
     n, m = rc.module, c.module
     ref = _reference.degeneracy_submodules(n, m)
     for pair in (degeneracy_submodules(n, m),
-                 degeneracy_submodules(n, m, tensor=c.tensors(n)[0])):
+                 degeneracy_submodules(n, m, tensor=c.forms.tensors(n)[0])):
         assert (dense_vecs(pair.n0, n.dim), dense_vecs(pair.m0, m.dim),
                 pair.verdicts) == (ref.n0, ref.m0, ref.verdicts)
         assert degeneracy_brute(pair) == _reference.degeneracy_brute(ref)
@@ -398,8 +398,8 @@ def test_a_tensor_request_builds_its_balanced_tensors_once(monkeypatch):
         built.append((id(x), id(y)))
         return tensor_over_A(x, y)
 
-    monkeypatch.setattr(connection, "tensor_over_A", counting)
-    monkeypatch.setattr(tensorconn, "tensor_over_A", counting)
+    for module in (connection, forms, tensorconn):
+        monkeypatch.setattr(module, "tensor_over_A", counting)
     m = parse_model(str(MODELS / "a2_flat.model"))
     cli.run("tensor", m)
     c = m.connections["nabla"]
