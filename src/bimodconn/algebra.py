@@ -1,10 +1,14 @@
 """Finite-dimensional algebras, bimodules and tensor products over A.
 
-An algebra is given by structure constants on a fixed basis; a bimodule by
-its left and right actions of each algebra basis element, held by sparse
+An algebra is given by structure constants on a fixed basis, and its
+product is decoded from them once, into ``Algebra.products`` (e_i·e_j as
+its nonzero (k, coeff) pairs) and ``Algebra.unit_pairs``; no other module
+reads the structure constants or the unit.  A bimodule is given by its
+left and right actions of each algebra basis element, held by sparse
 columns (``linalg.Cols``) and converted from dense matrices once, at
-intake.  The axiom checks compose those columns; all constructions reduce
-to kernels and images of explicit rational maps.
+intake.  The axiom checks are sparse sums over ``products`` and
+compositions of those columns; all constructions reduce to kernels and
+images of explicit rational maps.
 """
 
 from __future__ import annotations
@@ -12,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
-
 from . import anchors
-from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec, Vec,
-                     _apply, _col_sum, _compose, _to_cols, frac,
-                     QuotientSpace, zeros)
+from .linalg import (Col, Cols, DimensionError, Mat, SpanBuilder, SparseVec,
+                     _apply, _col_sum, _compose, _exact, _sparse_sum,
+                     _to_cols, frac, QuotientSpace)
 from .report import Verdict, failed, passed
 
 
@@ -41,27 +43,18 @@ class Algebra:
                                    for cell in row) for row in structure),
                        tuple(frac(x) for x in unit))
 
-    def basis_vec(self, i: int) -> Vec:
-        v = zeros(self.dim)
-        v[i] = 1
-        return v
+    @cached_property
+    def products(self) -> list[list[Col]]:
+        """e_i·e_j as its nonzero (k, coeff) pairs, by (i, j): A's product,
+        decoded from ``structure`` once and shared, so no caller may change
+        it."""
+        return [[[(k, _exact(c)) for k, c in enumerate(cell) if c]
+                 for cell in row] for row in self.structure]
 
-    def unit_vec(self) -> Vec:
-        return list(self.unit)
-
-    def mult(self, u: Vec, v: Vec) -> Vec:
-        out = zeros(self.dim)
-        for i, ci in enumerate(u):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(v):
-                if cj == 0:
-                    continue
-                c = ci * cj
-                for k, s in enumerate(self.structure[i][j]):
-                    if s:
-                        out[k] += c * s
-        return out
+    @cached_property
+    def unit_pairs(self) -> Col:
+        """The unit as its nonzero (k, coeff) pairs, shared likewise."""
+        return [(k, _exact(c)) for k, c in enumerate(self.unit) if c]
 
     @cached_property
     def generators(self) -> list[int]:
@@ -69,10 +62,9 @@ class Algebra:
         less each one, in ascending order, that the rest do without.  S
         generates A iff span{1} closed under ·e_s, s in S, is A; column x
         of ·e_s holds the nonzeros of e_x·e_s."""
-        n = self.dim
-        right = [[[(k, c) for k, c in enumerate(self.structure[x][s]) if c]
-                  for x in range(n)] for s in range(n)]
-        unit = {k: c for k, c in enumerate(self.unit) if c}
+        n, prod = self.dim, self.products
+        right = [[prod[x][s] for x in range(n)] for s in range(n)]
+        unit = dict(self.unit_pairs)
         gens = list(range(n))
         for i in range(n):
             rest = [s for s in gens if s != i]
@@ -100,22 +92,21 @@ class Algebra:
 
 
 def check_algebra(a: Algebra) -> Verdict:
-    """Associativity on all basis triples, unit two-sided on all basis elements."""
+    """Unit two-sided on all basis elements, then associativity on all
+    basis triples, each product a sparse sum over ``products``."""
+    prod, unit = a.products, a.unit_pairs
     for i in range(a.dim):
-        e = a.basis_vec(i)
-        if a.mult(a.unit_vec(), e) != e:
+        if _sparse_sum([(prod[t][i], c) for t, c in unit]) != {i: 1}:
             return failed("check-algebra", anchors.ALGEBRA,
                           {"axiom": "left-unit", "basis": i})
-        if a.mult(e, a.unit_vec()) != e:
+        if _sparse_sum([(prod[i][t], c) for t, c in unit]) != {i: 1}:
             return failed("check-algebra", anchors.ALGEBRA,
                           {"axiom": "right-unit", "basis": i})
     for i in range(a.dim):
         for j in range(a.dim):
-            ij = a.mult(a.basis_vec(i), a.basis_vec(j))
             for k in range(a.dim):
-                lhs = a.mult(ij, a.basis_vec(k))
-                rhs = a.mult(a.basis_vec(i),
-                             a.mult(a.basis_vec(j), a.basis_vec(k)))
+                lhs = _sparse_sum([(prod[l][k], c) for l, c in prod[i][j]])
+                rhs = _sparse_sum([(prod[i][l], c) for l, c in prod[j][k]])
                 if lhs != rhs:
                     return failed("check-algebra", anchors.ALGEBRA,
                                   {"axiom": "associativity",
@@ -144,19 +135,20 @@ class Bimodule:
                                              for row in m], dim) for m in ms)
         return Bimodule(dim, algebra, by_cols(left), by_cols(right))
 
-    def _action_cols(self, actions: tuple[Cols, ...], f: Vec) -> Cols:
-        """Σ fᵢ·(action of e_i) by columns, each a ``_col_sum`` of the basis
-        actions' columns at f's nonzeros; a basis element with coefficient
-        1 gives its stored columns, which the caller must not change."""
-        terms = [(actions[i], f[i]) for i in compress(range(len(f)), f)]
+    def _action_cols(self, actions: tuple[Cols, ...], f: Col) -> Cols:
+        """Σ fᵢ·(action of e_i) by columns, f by its nonzero (i, fᵢ) pairs,
+        each column a ``_col_sum`` of the basis actions' columns there; a
+        basis element with coefficient 1 gives its stored columns, which the
+        caller must not change."""
+        terms = [(actions[i], c) for i, c in f]
         if len(terms) == 1 and terms[0][1] == 1:
             return terms[0][0]
         return [_col_sum(t) if (t := [(cols[j], c) for cols, c in terms
                                       if cols[j]]) else []
                 for j in range(self.dim)]
 
-    def left_cols(self, f: Vec) -> Cols:
-        """m ↦ f·m by columns."""
+    def left_cols(self, f: Col) -> Cols:
+        """m ↦ f·m by columns, f by its nonzero (i, fᵢ) pairs."""
         return self._action_cols(self.left_action, f)
 
 
@@ -187,13 +179,12 @@ def _check_one_sided(mod, side: str, check_id: str,
     of e_i·e_j against the composition of the actions of e_i and e_j."""
     a = mod.algebra
     actions = mod.left_action if side == "left" else mod.right_action
-    if mod._action_cols(actions, a.unit_vec()) != \
+    if mod._action_cols(actions, a.unit_pairs) != \
             [[(i, 1)] for i in range(mod.dim)]:
         return failed(check_id, anchor, {"axiom": f"{side}-unit"})
     for i in range(a.dim):
         for j in range(a.dim):
-            prod = a.mult(a.basis_vec(i), a.basis_vec(j))
-            m_prod = mod._action_cols(actions, prod)
+            m_prod = mod._action_cols(actions, a.products[i][j])
             if side == "left":
                 m_comp = _compose(actions[i], actions[j])
             else:

@@ -12,9 +12,10 @@ built once, which every map that uses them reads: R_{e_i} and d at
 construction, L_{e_i} one degree at a time, on first read.
 
 Tensor-power coordinates (Ω^r_u inside A^{⊗(r+1)}) appear only at intake:
-model files give ideal generators in them, and from_emb converts one to
-bar coordinates by id ⊗ π^{⊗r}, checked by the round trip back to its
-input.
+model files give ideal generators in them, and from_emb converts one to a
+sparse bar vector by id ⊗ π^{⊗r}, checked by the round trip back to its
+input.  A's product and unit are read off ``Algebra.products`` and
+``Algebra.unit_pairs``.
 
 Every calculus is canonically "universal modulo a graded differential
 ideal", truncated at a degree D; the partial order ⪯ then reduces to exact
@@ -31,7 +32,7 @@ from fractions import Fraction
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
                      _apply, _col_vec, _div, _exact, _sparse, _sparse_sum,
-                     quotient, QuotientSpace, zeros)
+                     QuotientSpace)
 
 
 class UniversalCalculus:
@@ -43,10 +44,6 @@ class UniversalCalculus:
         self.algebra = algebra
         self.D = truncation
         self.complement, self._pi = self._unit_complement()
-        self._unit = [(t, _exact(c)) for t, c in enumerate(algebra.unit) if c]
-        # per basis pair (i, j): the nonzero (k, coeff) of e_i·e_j
-        self._mult = [[[(k, _exact(c)) for k, c in enumerate(cell) if c]
-                       for cell in row] for row in algebra.structure]
         self._tails = [list(itertools.product(self.complement, repeat=r))
                        for r in range(self.D + 1)]
         self._tail_times: dict[tuple[int, int],
@@ -75,10 +72,9 @@ class UniversalCalculus:
         coefficient 1_u is nonzero.  π(e_k) is the unit vector at k's
         position for k ≠ u, and 1 ≡ 0 gives π(e_u) = −Σ_{t<u} (1_t/1_u)·π(e_t).
         """
-        unit = self.algebra.unit
-        u = max(t for t, c in enumerate(unit) if c)
+        *rest, (u, cu) = self.algebra.unit_pairs
         pi = [[(k if k < u else k - 1, 1)] for k in range(self.algebra.dim)]
-        pi[u] = [(t, _div(-c, unit[u])) for t, c in enumerate(unit[:u]) if c]
+        pi[u] = [(t, _div(-c, cu)) for t, c in rest]
         return [k for k in range(self.algebra.dim) if k != u], pi
 
     # -- dimensions and bases --------------------------------------------
@@ -106,13 +102,14 @@ class UniversalCalculus:
             table = [[(k, 0, 1)]]
         else:
             m = len(self.complement)
+            prod, unit = self.algebra.products, self.algebra.unit_pairs
             table = []
             for bidx, beta in enumerate(self._tails[r]):
                 head, j = bidx // m, beta[-1]
                 acc: dict[tuple[int, int], Fraction | int] = {}
-                for l, cl in self._mult[j][k]:
+                for l, cl in prod[j][k]:
                     for p, cp in self._pi[l]:
-                        for t, ct in self._unit:
+                        for t, ct in unit:
                             at = (t, head * m + p)
                             acc[at] = acc.get(at, 0) + cl * cp * ct
                 for k0, g, c in self.tail_times(r - 1, j)[head]:
@@ -130,7 +127,7 @@ class UniversalCalculus:
         nt = len(self._tails[r])
         table = self.tail_times(r, k)
         cols = []
-        for by_i0 in self._mult:
+        for by_i0 in self.algebra.products:
             for terms in table:
                 acc: dict[int, Fraction | int] = {}
                 for k0, g, ct in terms:
@@ -146,6 +143,7 @@ class UniversalCalculus:
         in ``_right_columns``, and d(e_i0·de_β) = Σ π(e_i0)_p·1·de_{c_p}·de_β,
         the unit 1 = Σ u_t·e_t written out."""
         n, m = self.algebra.dim, len(self.complement)
+        unit = self.algebra.unit_pairs
         for r in range(self.D + 1):
             nt = len(self._tails[r])
             self._right_cols.append([self._right_columns(r, k)
@@ -154,7 +152,7 @@ class UniversalCalculus:
                 nt1 = nt * m
                 self._d_cols.append([
                     [(t * nt1 + p * nt + bidx, _exact(cp * ct))
-                     for p, cp in self._pi[i0] for t, ct in self._unit]
+                     for p, cp in self._pi[i0] for t, ct in unit]
                     for i0 in range(n) for bidx in range(nt)])
 
     def product(self, r: int, u: SparseVec, s: int, v: SparseVec) \
@@ -178,8 +176,9 @@ class UniversalCalculus:
         built on the first read of one."""
         if r not in self._left_cols:
             n, nt = self.algebra.dim, len(self._tails[r])
+            prod = self.algebra.products
             self._left_cols[r] = [
-                [[(l * nt + bidx, c) for l, c in self._mult[i][i0]]
+                [[(l * nt + bidx, c) for l, c in prod[i][i0]]
                  for i0 in range(n) for bidx in range(nt)]
                 for i in range(n)]
         return self._left_cols[r][k]
@@ -210,6 +209,7 @@ class UniversalCalculus:
         once 1 is a right unit every higher degree passes too, so degree 1
         is built at construction and the rest as model data needs them."""
         n, m = self.algebra.dim, len(self.complement)
+        prod, unit = self.algebra.products, self.algebra.unit_pairs
         for r in range(len(self._bar_cols), top + 1):
             if r == 0:
                 cols = [[(i0, 1)] for i0 in range(n)]
@@ -223,28 +223,28 @@ class UniversalCalculus:
                         acc: dict[int, Fraction | int] = {}
                         for flat, c in prev[i0 * nt_prev + bidx // m]:
                             head, last = divmod(flat, n)
-                            for t, ct in self._unit:
-                                for l, cl in self._mult[last][t]:
+                            for t, ct in unit:
+                                for l, cl in prod[last][t]:
                                     row = (head * n + l) * n + j
                                     acc[row] = acc.get(row, 0) + c * ct * cl
-                            for l, cl in self._mult[last][j]:
-                                for t, ct in self._unit:
+                            for l, cl in prod[last][j]:
+                                for t, ct in unit:
                                     row = (head * n + l) * n + t
                                     acc[row] = acc.get(row, 0) - c * cl * ct
                         cols.append([(row, _exact(c))
                                      for row, c in sorted(acc.items()) if c])
             for k, col in enumerate(cols):
-                if _sparse(self._contract(r, col)) != {k: 1}:
+                if self._contract(r, col) != {k: 1}:
                     raise DimensionError(f"bar basis degenerate in degree {r}; "
                                          "algebra data invalid")
             self._bar_cols.append(cols)
 
-    def _contract(self, r: int, terms) -> Vec:
+    def _contract(self, r: int, terms) -> SparseVec:
         """id ⊗ π^{⊗r} on (flat index, coeff) tensor-power terms, in bar
-        coordinates."""
+        coordinates, sparse and sorted by index."""
         n, m = self.algebra.dim, len(self.complement)
         head, tail_dim = n ** r, m ** r
-        bar = zeros(self.bar_dim(r))
+        bar: SparseVec = {}
         for flat, c in terms:
             i0, rest = divmod(flat, head)
             acc = [(i0 * tail_dim, 1)]
@@ -255,20 +255,20 @@ class UniversalCalculus:
                        for t, s in acc for p, cp in self._pi[k]]
                 stride *= m
             for t, s in acc:
-                bar[t] += c if s == 1 else c * s
-        return bar
+                bar[t] = bar.get(t, 0) + (c if s == 1 else c * s)
+        return {t: bar[t] for t in sorted(bar) if bar[t]}
 
-    def from_emb(self, r: int, emb: Vec) -> Vec:
-        """Bar coordinates of a tensor-power vector: id ⊗ π^{⊗r}, checked by
-        the round trip back to ``emb``."""
+    def from_emb(self, r: int, emb: Vec) -> SparseVec:
+        """Bar coordinates of a tensor-power vector, sparse: id ⊗ π^{⊗r},
+        checked by the round trip back to ``emb`` through the bar basis
+        columns."""
         if len(emb) != self.emb_dim(r):
             raise DimensionError(f"expected {self.emb_dim(r)} tensor-power "
                                  f"coordinates in degree {r}")
         self._extend_bar_cols(r)
         terms = _sparse(emb)
         bar = self._contract(r, terms.items())
-        if _sparse_sum([(col, c) for col, c in zip(self._bar_cols[r], bar)
-                        if c]) != terms:
+        if _apply(self._bar_cols[r], bar) != terms:
             raise DimensionError(
                 f"vector is not in the universal calculus in degree {r}")
         return bar
@@ -287,7 +287,6 @@ class GradedCalculus:
         self.quotients = quotients
         self.ideal = [q.sub for q in quotients]
         self._d_cols: dict[int, Cols] = {}
-        self._bimods: dict[int, Bimodule] = {}
         # M⊗_AΩ over this calculus, one per module, by the id of M: (M, its
         # Forms); the entry holds M, so the id stays M's (``Forms.of``)
         self.forms_by_module: dict[int, tuple] = {}
@@ -315,26 +314,26 @@ class GradedCalculus:
 
     def degree_bimodule(self, r: int) -> Bimodule:
         """Ω^r as an A-bimodule in quotient coordinates, its actions the
-        maps the universal calculus's actions induce on classes."""
-        if r not in self._bimods:
-            q = self.quotients[r]
-            uni = self.universal
-            left, right = [tuple(q.induced(cols(r, i), q)
-                                 for i in range(self.algebra.dim))
-                           for cols in (uni.left_cols, uni.right_cols)]
-            self._bimods[r] = Bimodule(q.dim, self.algebra, left, right)
-        return self._bimods[r]
+        maps the universal calculus's actions induce on classes; built on
+        each call."""
+        q = self.quotients[r]
+        uni = self.universal
+        left, right = [tuple(q.induced(cols(r, i), q)
+                             for i in range(self.algebra.dim))
+                       for cols in (uni.left_cols, uni.right_cols)]
+        return Bimodule(q.dim, self.algebra, left, right)
 
 
 def universal_graded(algebra: Algebra, truncation: int) -> GradedCalculus:
     """The universal calculus truncated at the given degree."""
     uni = UniversalCalculus(algebra, truncation)
-    return GradedCalculus(uni, [quotient(uni.bar_dim(r), [])
+    return GradedCalculus(uni, [SpanBuilder(uni.bar_dim(r)).quotient()
                                 for r in range(truncation + 1)])
 
 
 def saturate_ideal(uni: UniversalCalculus,
-                   generators: list[tuple[int, Vec]]) -> list[SpanBuilder]:
+                   generators: list[tuple[int, SparseVec]]) \
+        -> list[SpanBuilder]:
     """Smallest two-sided graded ideal containing the generators, closed
     under d, degree-wise up to the truncation.
 
@@ -373,7 +372,7 @@ def saturate_ideal(uni: UniversalCalculus,
     """
     n, m = uni.algebra.dim, len(uni.complement)
     spans = [SpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
-    by_degree: list[list[Vec]] = [[] for _ in spans]
+    by_degree: list[list[SparseVec]] = [[] for _ in spans]
     for deg, bar in generators:
         if deg < 1 or deg > uni.D:
             raise DimensionError("ideal generators must be homogeneous of "
@@ -399,7 +398,7 @@ def saturate_ideal(uni: UniversalCalculus,
         queue: deque[SparseVec] = deque()
         for bar in by_degree[r]:
             if span.add(bar):
-                queue.append(_sparse(bar))
+                queue.append(bar)
         acts = range(n) if r == 1 else uni.algebra.generators if queue else ()
         maps = [cols for i in acts
                 for cols in (uni.left_cols(r, i), uni.right_cols(r, i))]
@@ -413,10 +412,12 @@ def saturate_ideal(uni: UniversalCalculus,
 
 
 def quotient_calculus(base: GradedCalculus,
-                      generators: list[tuple[int, Vec]]) -> GradedCalculus:
+                      generators: list[tuple[int, SparseVec]]) \
+        -> GradedCalculus:
     """Quotient of the universal calculus by the differential ideal the
     homogeneous generators span.  Generators are given in bar coordinates
-    of their degree; each degree's quotient is read off the saturated span.
+    of their degree, sparse; each degree's quotient is read off the
+    saturated span.
     """
     if not base.is_universal:
         raise DimensionError("quotient_calculus expects the universal calculus")

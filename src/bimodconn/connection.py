@@ -187,10 +187,11 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
             for col, x_col in zip(phi.cols, x_cols)]
 
 
-def kappa0_op(c: Connection, f_vec: Vec) -> DegreeRHom:
+def kappa0_op(c: Connection, f: Col) -> DegreeRHom:
     """The left-multiplication operator f̂ as a degree-0 right-Ω operator,
-    f in A by its coordinates; κ₀ of a basis element is ``Forms.hats``."""
-    return DegreeRHom(c.forms, 0, c.module.left_cols(f_vec))
+    f in A by its nonzero (i, fᵢ) pairs; κ₀ of a basis element is
+    ``Forms.hats``."""
+    return DegreeRHom(c.forms, 0, c.module.left_cols(f))
 
 
 def nabla_hat(c: Connection, phi: DegreeRHom) -> DegreeRHom:
@@ -272,11 +273,11 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
             for h in range(a.dim):
                 span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
     # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ), f on A's generators
-    # first and g on the basis; e_f·e_g by its structure constants
+    # first and g on the basis; e_f·e_g read off A's products
     def derivation_failure(fs):
         for f in fs:
             for g in range(a.dim):
-                prod = kappa0_op(c, a.structure[f][g])
+                prod = kappa0_op(c, a.products[f][g])
                 rhs = d_ops[f].compose(hats[g]).add(hats[f].compose(d_ops[g]))
                 if nabla_hat(c, prod).cols != rhs.cols:
                     return [f, g]

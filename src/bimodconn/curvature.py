@@ -20,7 +20,7 @@ from .connection import (Connection, _commutator, induced_first_order,
                          kappa1, leibniz_failure, nabla_hat, sigma_exists)
 from .forms import DegreeRHom
 from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _apply,
-                     _col_sum, _col_vec, _compose, kernel_quotient, quotient,
+                     _col_sum, _col_vec, _compose, kernel_quotient,
                      QuotientSpace)
 from .report import Verdict, failed, passed, rationals
 
@@ -395,7 +395,6 @@ class OmegaM:
         self.j = j
         self.quotients = j.quotients
         self.verdicts: list[Verdict] = []
-        self._nabla: dict[int, Cols] = {}
         self._check()
 
     def dim(self, r: int) -> int:
@@ -405,11 +404,9 @@ class OmegaM:
         return [self.dim(r) for r in range(self.connection.forms.D + 1)]
 
     def nabla_cols(self, r: int) -> Cols:
-        """Factored ∇: Ω(M)_r → Ω(M)_{r+1}."""
-        if r not in self._nabla:
-            self._nabla[r] = self.quotients[r].induced(
-                self.connection.nabla_ext_cols(r), self.quotients[r + 1])
-        return self._nabla[r]
+        """Factored ∇: Ω(M)_r → Ω(M)_{r+1}, built on each call."""
+        return self.quotients[r].induced(
+            self.connection.nabla_ext_cols(r), self.quotients[r + 1])
 
     def _check(self) -> None:
         c = self.connection
@@ -653,7 +650,7 @@ class InducedCalculus:
         uni = own.universal
         self.kappa0_injective = \
             kernel_quotient(self._columns[0]).dim == uni.algebra.dim
-        quotients = [quotient(uni.bar_dim(0), [])] + [
+        quotients = [SpanBuilder(uni.bar_dim(0)).quotient()] + [
             kernel_quotient(self._columns[r]) for r in range(1, uni.D + 1)]
         if all((q.free, q.proj_cols) == (p.free, p.proj_cols)
                for q, p in zip(quotients, own.quotients)):

@@ -84,8 +84,6 @@ class Forms:
         self._build_quotients()
         # the right multiplications on T_r by columns, by (r, s, ω)
         self._right_cols: dict[tuple, Cols] = {}
-        # T_r as a Bimodule, by r
-        self._bimodules: dict[int, Bimodule] = {}
         # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
         # entry holds N, so the id stays N's
         self._tensors: dict[int, tuple] = {}
@@ -238,14 +236,12 @@ class Forms:
     def as_bimodule(self, r: int) -> Bimodule:
         """T_r as an A-bimodule (left action on M, right action on Ω), its
         actions the columns ``hats``' extensions and ``right_mult_cols``
-        hold; built once per r and shared."""
-        if r not in self._bimodules:
-            basis = range(self.algebra.dim)
-            self._bimodules[r] = Bimodule(
-                self.dim(r), self.algebra,
-                tuple(self.hats[i].ext_cols(r) for i in basis),
-                tuple(self.right_mult_cols(r, 0, [(i, 1)]) for i in basis))
-        return self._bimodules[r]
+        hold; built on each call, from those shared columns."""
+        basis = range(self.algebra.dim)
+        return Bimodule(
+            self.dim(r), self.algebra,
+            tuple(self.hats[i].ext_cols(r) for i in basis),
+            tuple(self.right_mult_cols(r, 0, [(i, 1)]) for i in basis))
 
     def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
         """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and

@@ -20,10 +20,13 @@ column there.  No caller hands ``_col_sum`` an empty term list: an empty
 column (in ``_compose`` and the operator layer alike), a zero operator or
 a product with no term gives [] without a call.  Dense matrices (lists of
 rows) remain only at intake, where ``_to_cols`` converts a model's actions
-and ∇ once, and where a report prints σ, which ``_to_mat`` densifies.  A
-span's basis is sparse too: the ``sub`` of a :class:`QuotientSpace` (an
-ideal, M⊗I, J or a kernel) holds the ``SparseVec``s the eliminator
-accepted, and a witness it prints is densified once, by ``_col_vec``.
+and ∇ once, and where a report prints σ, which ``_to_mat`` densifies.  No
+function here takes a dense vector for a span: ``SpanBuilder`` takes
+``SparseVec``s only, and a quotient is ``SpanBuilder.quotient`` (the whole
+space is ``SpanBuilder(n).quotient()``).  A span's basis is sparse too:
+the ``sub`` of a :class:`QuotientSpace` (an ideal, M⊗I, J or a kernel)
+holds the ``SparseVec``s the eliminator accepted, and a witness it prints
+is densified once, by ``_col_vec``.
 
 One eliminator keeps sparse rows, ``dict[column, entry]``, reduced and
 keyed by pivot, so reducing a vector touches only the rows at the pivots
@@ -31,9 +34,8 @@ in its support, and beside them a column index (per
 column, the pivots of the rows that hold it), so clearing a new pivot
 touches only the rows that hold it: a span costs the rows it changes, not
 the rows it stores (one m2_grass parse updates 40 stored rows over 472 new
-pivots).  ``SpanBuilder`` holds them (sparse or dense intake) and hands
-them out by pivot (``reduced_rows``), ``row_reduce`` reads its RREF off
-them, and ``null_space`` and ``kernel_quotient`` read a map's kernel off
+pivots).  ``SpanBuilder`` holds them and hands them out by pivot
+(``reduced_rows``), ``row_reduce`` reads its RREF off them, and ``null_space`` and ``kernel_quotient`` read a map's kernel off
 one elimination of the rows of its columns, sparse, so no kernel
 densifies its map or its vectors.  No check calls ``row_reduce``,
 ``LinSolver`` or ``mat_vec`` any more; they stay as public and profiled
@@ -255,23 +257,6 @@ class QuotientSpace:
         return _compose(target.proj_cols, [m[fc] for fc in self.free])
 
 
-def quotient(total: int, sub: list[Vec]) -> QuotientSpace:
-    """Quotient of the coordinate space of dimension `total` by the span of
-    the independent vectors `sub`: one ``SpanBuilder`` pass, then
-    :meth:`SpanBuilder.quotient`.
-
-    The lift maps quotient coordinates to the pivot-complement basis of the
-    reduced rows of sub, so results are reproducible given input ordering.
-    """
-    if any(len(v) != total for v in sub):
-        raise DimensionError("sub is not presented inside total")
-    span = SpanBuilder(total)
-    for v in sub:
-        if not span.add(v):
-            raise DimensionError("sub basis is degenerate")
-    return span.quotient()
-
-
 class LinSolver:
     """Repeated exact solves of A x = b for a fixed matrix A."""
 
@@ -363,8 +348,8 @@ class SpanBuilder:
     ``sub``, so a later ``add`` leaves that quotient as it was.
 
     ``add`` and ``contains`` take a ``SparseVec`` (no zero entry, keys in
-    range(ambient_dim); left unchanged) or a ``Vec`` (its length checked,
-    made sparse at once).  A full span reduces nothing.
+    range(ambient_dim)) and leave it unchanged.  A full span reduces
+    nothing.
     """
 
     def __init__(self, ambient_dim: int):
@@ -377,25 +362,16 @@ class SpanBuilder:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _intake(self, v: Vec | SparseVec) -> SparseVec:
-        """A sparse copy of v for elimination to change."""
-        if type(v) is dict:
-            return v.copy()
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector does not live in the ambient space")
-        return _sparse(v)
-
-    def add(self, v: Vec | SparseVec) -> bool:
+    def add(self, v: SparseVec) -> bool:
         """Add v; True when it enlarged the span."""
-        res = self._intake(v)
         if len(self._rows) == self.ambient_dim or \
-                not _absorb(self._rows, self._held, res):
+                not _absorb(self._rows, self._held, v.copy()):
             return False
-        self._added.append(v.copy() if type(v) is dict else _sparse(v))
+        self._added.append(v.copy())
         return True
 
-    def contains(self, v: Vec | SparseVec) -> bool:
-        return not _reduce(self._rows, self._intake(v))
+    def contains(self, v: SparseVec) -> bool:
+        return not _reduce(self._rows, v.copy())
 
     def reduced_rows(self) -> list[SparseVec]:
         """The span's RREF rows by ascending pivot, shared: no caller may
@@ -456,7 +432,7 @@ def _kernel(cols: Cols, at: range) -> dict[int, SparseVec]:
 
 def kernel_quotient(cols: Cols) -> QuotientSpace:
     """The domain of a map, given by its n sparse columns, modulo its
-    kernel: ``quotient(n, null_space(cols))`` with ``sub`` the kernel's
+    kernel, the span of ``null_space(cols)``, with ``sub`` the kernel's
     RREF rows, sparse, from one elimination of the map's rows.  The rows
     are reduced with column u at index n−1−u, so each kernel vector of
     ``_kernel`` is zero at every other non-pivot u and has its first

@@ -103,12 +103,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
+def _get(obj: dict, key: str, path: str):
     if key not in obj:
-        if required:
-            raise ModelError(f"{path}.{key}" if path else key,
-                             "missing required field")
-        return default
+        raise ModelError(f"{path}.{key}" if path else key,
+                         "missing required field")
     return obj[key]
 
 

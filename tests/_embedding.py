@@ -12,7 +12,7 @@ against a dense solve on these columns.
 
 from functools import cache
 
-from bimodconn.linalg import zeros
+from bimodconn.linalg import _col_vec, zeros
 
 
 def product_emb(a, u, r, v, s):
@@ -51,12 +51,13 @@ def d_emb(a, u, r):
 def bar_columns(uni, r):
     """e_i·de_j1⋯de_jr in tensor-power coordinates, in bar-index order."""
     a = uni.algebra
+    unit_vectors = [[int(k == i) for k in range(a.dim)] for i in range(a.dim)]
     cols = []
     for i0 in range(a.dim):
         for beta in uni.tails(r):
-            col = a.basis_vec(i0)
+            col = unit_vectors[i0]
             for deg, j in enumerate(beta):
-                col = product_emb(a, col, deg, d_emb(a, a.basis_vec(j), 0),
+                col = product_emb(a, col, deg, d_emb(a, unit_vectors[j], 0),
                                   1)
             cols.append(col)
     return cols
@@ -73,11 +74,17 @@ def to_emb(uni, r, bar):
 
 
 def d_ref(uni, r, bar):
-    """d on bar coordinates, through the embedding."""
-    return uni.from_emb(r + 1, d_emb(uni.algebra, to_emb(uni, r, bar), r))
+    """d on dense bar coordinates, through the embedding."""
+    return _bar(uni, r + 1,
+                d_emb(uni.algebra, to_emb(uni, r, bar), r))
 
 
 def product_ref(uni, r, u, s, v):
-    """The product on bar coordinates, through the embedding."""
+    """The product on dense bar coordinates, through the embedding."""
     emb = product_emb(uni.algebra, to_emb(uni, r, u), r, to_emb(uni, s, v), s)
-    return uni.from_emb(r + s, emb)
+    return _bar(uni, r + s, emb)
+
+
+def _bar(uni, r, emb):
+    """``from_emb``'s sparse bar coordinates of emb, densified."""
+    return _col_vec(uni.from_emb(r, emb).items(), uni.bar_dim(r))

@@ -2,9 +2,12 @@
 check returns the witness of the first failing case, or None when every
 case holds.
 
-The bimodule axioms on dense action matrices, each composition a
-``mat_mul`` (``check_bimodule``), the route ``algebra.check_bimodule`` took
-before the actions were held by columns.
+The algebra axioms on dense vectors, each product formed from the
+structure constants by ``mult`` (``check_algebra``), the route
+``algebra.check_algebra`` took before A's product was read off
+``Algebra.products``.  The bimodule axioms on dense action matrices, each
+composition a ``mat_mul`` (``check_bimodule``), the route
+``algebra.check_bimodule`` took before the actions were held by columns.
 
 The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
 ``sigma_full``): each pair builds the raw operators it needs, composes them
@@ -41,8 +44,9 @@ also holds the spans of the Ω̂, J, saturation and degeneracy references),
 and the quotient read off a second row reduction of its sub.
 At the very top, the dense conveniences the tests use and ``src/`` no
 longer has, since a check passes a basis element by index or as a sparse
-class: ``identity_mat``, a module's ``basis_vec``, a map by columns
-applied to a dense vector (``combine``), ``project`` and ``lift`` on a
+class: ``identity_mat``, an algebra's or a module's ``basis_vec``, a map
+by columns applied to a dense vector (``combine``), ``project`` and
+``lift`` on a
 ``QuotientSpace``, ``bar_index``, ``sparse_class``, d on bar vectors and
 on classes, the actions of a dense f and ∇ of a dense vector.
 Next to them, the dense helpers (∇ and a bimodule's actions
@@ -464,9 +468,9 @@ def sigma_u_multiplicative(induced):
     raw = induced.connection.kappa_ops
     second = []
     for a_i in range(a.dim):
-        second.append((0, a.basis_vec(a_i), raw(0)[a_i]))
+        second.append((0, basis_vec(a.dim, a_i), raw(0)[a_i]))
     for j in uni.complement:
-        dj = d_bar(uni, 0, a.basis_vec(j))
+        dj = d_bar(uni, 0, basis_vec(a.dim, j))
         second.append((1, dj, kappa_raw(induced, 1, dj)))
     for r in range(uni.D + 1):
         for ki in range(uni.bar_dim(r)):
@@ -506,6 +510,55 @@ def sigma_u_derivation(induced):
     return None
 
 
+# -- the algebra axioms on dense vectors ------------------------------------
+#
+# ``Algebra.mult`` and ``algebra.check_algebra`` before A's product was read
+# off ``Algebra.products``: each product a dense vector formed from the
+# structure constants, in the same loop order.
+
+def mult(a, u, v):
+    """u·v for dense coordinate vectors u, v of A, by A's structure
+    constants."""
+    out = zeros(a.dim)
+    for i, ci in enumerate(u):
+        if ci == 0:
+            continue
+        for j, cj in enumerate(v):
+            if cj == 0:
+                continue
+            c = ci * cj
+            for k, s in enumerate(a.structure[i][j]):
+                if s:
+                    out[k] += c * s
+    return out
+
+
+def check_algebra(a):
+    """The unit two-sided on all basis elements, then associativity on all
+    basis triples, on dense vectors."""
+    unit = list(a.unit)
+    for i in range(a.dim):
+        e = basis_vec(a.dim, i)
+        if mult(a, unit, e) != e:
+            return failed("check-algebra", anchors.ALGEBRA,
+                          {"axiom": "left-unit", "basis": i})
+        if mult(a, e, unit) != e:
+            return failed("check-algebra", anchors.ALGEBRA,
+                          {"axiom": "right-unit", "basis": i})
+    for i in range(a.dim):
+        for j in range(a.dim):
+            ij = mult(a, basis_vec(a.dim, i), basis_vec(a.dim, j))
+            for k in range(a.dim):
+                lhs = mult(a, ij, basis_vec(a.dim, k))
+                rhs = mult(a, basis_vec(a.dim, i),
+                           mult(a, basis_vec(a.dim, j), basis_vec(a.dim, k)))
+                if lhs != rhs:
+                    return failed("check-algebra", anchors.ALGEBRA,
+                                  {"axiom": "associativity",
+                                   "triple": [i, j, k]})
+    return passed("check-algebra", anchors.ALGEBRA, {"dim": a.dim})
+
+
 # -- the bimodule axioms on dense matrices ----------------------------------
 #
 # ``algebra.check_bimodule`` before the actions were held by columns: each
@@ -514,12 +567,12 @@ def sigma_u_derivation(induced):
 
 def _check_one_sided(mod, matrices, side, check_id, anchor):
     a = mod.algebra
-    unit_m = action_matrix(matrices, a.unit_vec())
+    unit_m = action_matrix(matrices, list(a.unit))
     if unit_m != identity_mat(mod.dim):
         return failed(check_id, anchor, {"axiom": f"{side}-unit"})
     for i in range(a.dim):
         for j in range(a.dim):
-            prod = a.mult(a.basis_vec(i), a.basis_vec(j))
+            prod = mult(a, basis_vec(a.dim, i), basis_vec(a.dim, j))
             m_prod = action_matrix(matrices, prod)
             if side == "left":
                 m_comp = mat_mul(matrices[i], matrices[j])
@@ -634,7 +687,7 @@ def right_linearity_witness(op):
         av = basis_vec(m.dim, ai)
         img = apply(op, av)
         for fi in range(a.dim):
-            fv = a.basis_vec(fi)
+            fv = basis_vec(a.dim, fi)
             if apply(op, act_right(m, av, fv)) != \
                     mult_class(f, op.degree, img, 0, fv):
                 return (ai, fi)
@@ -655,7 +708,7 @@ def omega_hat(route):
                 for g in f.generators]
 
     gens = []
-    found = [route.kappa0(a.basis_vec(i)) for i in range(a.dim)]
+    found = [route.kappa0(basis_vec(a.dim, i)) for i in range(a.dim)]
     for r in range(D + 1):
         span = EchelonSpanBuilder(f.dim(r) * len(f.generators))
         gens.append([op for op in found if span.add(key(op))])
@@ -706,14 +759,14 @@ def raw_ops(route):
     c = route.c
     uni = c.calculus.universal
     a = c.module.algebra
-    d_ops = {j: route.nabla_hat(route.kappa0(a.basis_vec(j)))
+    d_ops = {j: route.nabla_hat(route.kappa0(basis_vec(a.dim, j)))
              for j in uni.complement}
     raw = []
     prev = {}
     for r in range(uni.D + 1):
         ops, pos = [], {}
         for k, (i0, beta) in enumerate(bar_index(uni, r)):
-            ops.append(route.kappa0(a.basis_vec(i0)) if r == 0 else
+            ops.append(route.kappa0(basis_vec(a.dim, i0)) if r == 0 else
                        raw[r - 1][prev[i0, beta[:-1]]].compose(
                            d_ops[beta[-1]]))
             pos[i0, beta] = k
@@ -782,7 +835,7 @@ def omega_hat_ops(c):
             queue.append(op)
 
     for i in range(a.dim):
-        try_add(kappa0_op(c, a.basis_vec(i)))
+        try_add(kappa0_op(c, [(i, 1)]))
     while queue:
         op = queue.pop(0)
         r = op.degree
@@ -1008,7 +1061,7 @@ def right_leibniz(c):
         av = basis_vec(m.dim, ai)
         na = nabla_apply(c, av)
         for fi in range(a.dim):
-            fv = a.basis_vec(fi)
+            fv = basis_vec(a.dim, fi)
             lhs = nabla_apply(c, act_right(m, av, fv))
             rhs = vec_add(mult_class(f, 1, na, 0, fv), class_of_pair_bar(
                 f, 1, av, d_bar(c.calculus.universal, 0, fv)))
@@ -1041,7 +1094,7 @@ def omega_m_right_leibniz(c, omega_m):
             v[fc] = 1
             nv = mat_vec(nx, v)
             for fi in range(a.dim):
-                fv = a.basis_vec(fi)
+                fv = basis_vec(a.dim, fi)
                 q = omega_m.quotients[r + 1]
                 lhs = project(q, mat_vec(nx, mult_class(f, r, v, 0, fv)))
                 rhs = vec_add(mult_class(f, r + 1, nv, 0, fv),
@@ -1102,7 +1155,7 @@ def kappa1_coords(k1):
     ``CoordSpanBuilder.coords``."""
     c = k1.connection
     a = c.module.algebra
-    hats = [kappa0_op(c, e) for e in identity_mat(a.dim)]
+    hats = [kappa0_op(c, [(i, 1)]) for i in range(a.dim)]
     d_ops = [nabla_hat(c, h) for h in hats]
     span = CoordSpanBuilder(c.forms.dim(1) * c.module.dim)
     accepted = []
@@ -1147,8 +1200,8 @@ def unit_complement(a):
     span, is the basis; π(e_k) is e_k's coordinates in it past the unit's,
     found by ``CoordSpanBuilder.coords``."""
     span = CoordSpanBuilder(a.dim)
-    span.add(a.unit_vec())
-    comp = [i for i in range(a.dim) if span.add(a.basis_vec(i))]
+    span.add(list(a.unit))
+    comp = [i for i in range(a.dim) if span.add(basis_vec(a.dim, i))]
     pi = [[(p, x) for p, x in enumerate(span.coords(e)[1:]) if x]
           for e in identity_mat(a.dim)]
     return comp, pi
@@ -1311,11 +1364,13 @@ def saturate_ideal(uni, generators):
     vectors in order, so no step runs ``linalg``'s eliminator.  No image is
     formed into a degree whose span is already full when the vector is
     taken from the queue: that span rejects it anyway, so the spans are
-    the same."""
+    the same.  The generators are (degree, sparse bar vector) pairs, as
+    ``calculus.saturate_ideal`` takes them."""
     a = uni.algebra
     spans = [EchelonSpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue = deque()
     for deg, bar in generators:
+        bar = _col_vec(bar.items(), uni.bar_dim(deg))
         if spans[deg].add(bar):
             queue.append((deg, bar))
     fs = [to_emb(uni, 0, f) for f in identity_mat(a.dim)]
@@ -1334,7 +1389,7 @@ def saturate_ideal(uni, generators):
                 images.append((r + 1, product_emb(a, de, 1, v_emb, r)))
                 images.append((r + 1, product_emb(a, v_emb, r, de, 1)))
         for s, w in images:
-            w = uni.from_emb(s, w)
+            w = _col_vec(uni.from_emb(s, w).items(), uni.bar_dim(s))
             if spans[s].add(w):
                 queue.append((s, w))
     return spans
@@ -1390,15 +1445,15 @@ def nu_hat_right_linear(nu):
 
     for r in range(src.D + 1):
         for fi in range(a.dim):
-            e_i = a.basis_vec(fi)
+            e_i = basis_vec(a.dim, fi)
             if mat_mul(maps[r], right(src, r, 0, e_i)) != \
                     mat_mul(right(tgt, r, 0, e_i), maps[r]):
                 return {"degree": r, "algebra_basis": fi}
         if r + 1 > src.D:
             continue
         for j in src.uni.complement:
-            de_src = d_of_algebra(src.calculus, a.basis_vec(j))
-            de_tgt = d_of_algebra(tgt.calculus, a.basis_vec(j))
+            de_src = d_of_algebra(src.calculus, basis_vec(a.dim, j))
+            de_tgt = d_of_algebra(tgt.calculus, basis_vec(a.dim, j))
             lhs = mat_mul(right(tgt, r, 1, de_tgt), maps[r])
             rhs = mat_mul(maps[r + 1], right(src, r, 1, de_src))
             for col in range(src.dim(r)):
@@ -1415,7 +1470,7 @@ def balancing_relations(x, y):
     a = x.algebra
     for i in range(xd):
         for fi in range(a.dim):
-            f = a.basis_vec(fi)
+            f = basis_vec(a.dim, fi)
             xf = act_right(x, basis_vec(xd, i), f)
             for j in range(yd):
                 fy = act_left(y, f, basis_vec(yd, j))
@@ -1583,7 +1638,7 @@ def degeneracy_submodules(n, m):
         span_m.add(v)
     for v in n0:
         for fi in range(a.dim):
-            if not span_n.contains(act_right(n, v, a.basis_vec(fi))):
+            if not span_n.contains(act_right(n, v, basis_vec(a.dim, fi))):
                 pair.verdicts.append(failed(
                     "degeneracy-submodules", anchors.ASSUME_DEGENERACY,
                     {"side": "N0", "algebra_basis": fi,
@@ -1591,7 +1646,7 @@ def degeneracy_submodules(n, m):
                 return pair
     for v in m0:
         for fi in range(a.dim):
-            fv = a.basis_vec(fi)
+            fv = basis_vec(a.dim, fi)
             for moved, side in ((act_right(m, v, fv), "M0-right"),
                                 (act_left(m, fv, v), "M0-left")):
                 if not span_m.contains(moved):
@@ -1642,7 +1697,8 @@ def sigma_apply(c, s, cls):
 def tail_bars(uni):
     """Bar coordinates of 1·de_j per degree-one tail (j): d(e_j) itself,
     since π(e_j) is a unit vector for j in the unit complement."""
-    return [d_bar(uni, 0, uni.algebra.basis_vec(j)) for j in uni.complement]
+    return [d_bar(uni, 0, basis_vec(uni.algebra.dim, j))
+            for j in uni.complement]
 
 
 def sigma_route(tc, rc, c, sigma):
@@ -1684,7 +1740,7 @@ def left_leibniz(c, x):
     m = c.module
     a = m.algebra
     for f in range(a.dim):
-        fv = a.basis_vec(f)
+        fv = basis_vec(a.dim, f)
         left = _to_mat(c.forms.hats[f].ext_cols(1), c.forms.dim(1))
         for ai in range(m.dim):
             av = basis_vec(m.dim, ai)
@@ -1699,7 +1755,7 @@ def d_nabla_x(c):
     """X(f, a) = (d_∇e_f)(a) = (∇̂ê_f)(a), the left rule of
     ``left-leibniz-induced``."""
     a = c.module.algebra
-    ops = [nabla_hat(c, kappa0_op(c, e)) for e in identity_mat(a.dim)]
+    ops = [nabla_hat(c, kappa0_op(c, [(i, 1)])) for i in range(a.dim)]
     return lambda f, av: apply(ops[f], av)
 
 

@@ -5,7 +5,7 @@ models beside them."""
 from functools import cache
 from pathlib import Path
 
-from _reference import class_of_pair_bar, d_bar, product
+from _reference import basis_vec, class_of_pair_bar, d_bar, product
 from bimodconn.algebra import Algebra, Bimodule
 from bimodconn.calculus import (GradedCalculus, quotient_calculus,
                                 universal_graded)
@@ -83,6 +83,24 @@ def cyclic_group_algebra(k: int) -> Algebra:
     return Algebra.from_table(table, [1] + [0] * (k - 1))
 
 
+# One fault per axiom of check_algebra, each raising one product of T₂ or
+# M₂ by e12 (basis index 1 in both; e11 is index 0 and e22 the last): the
+# basis pair (i, j) whose e_i·e_j changes, j = −1 for e22.  e11·e12 breaks
+# the left unit at e12 and e12·e22 the right unit there; e12·e12 breaks
+# associativity alone, as the unit laws never multiply e12 by e12.
+ALGEBRA_FAULTS = {"left-unit": (0, 1), "right-unit": (1, -1),
+                  "associativity": (1, 1)}
+
+
+def faulted_algebra(name: str, axiom: str) -> Algebra:
+    """T₂ ("T2") or M₂ ("M2") with the ``ALGEBRA_FAULTS`` entry of axiom."""
+    a = upper_triangular(2) if name == "T2" else m2()
+    i, j = ALGEBRA_FAULTS[axiom]
+    table = [[list(cell) for cell in row] for row in a.structure]
+    table[i][j][1] += 1
+    return Algebra.from_table(table, a.unit)
+
+
 def regular_bimodule(a: Algebra) -> Bimodule:
     """A acting on itself by left and right multiplication."""
     left = [[[a.structure[i][j][k] for j in range(a.dim)]
@@ -109,9 +127,9 @@ def regular_connection(a: Algebra, truncation: int, gamma: int | list,
         g[gamma] = 1
     else:
         g = gamma
-    cols = [class_of_pair_bar(forms, 1, a.unit_vec(), [
-        x + y for x, y in zip(d_bar(uni, 0, a.basis_vec(c)),
-                              product(uni, 1, g, 0, a.basis_vec(c)))])
+    cols = [class_of_pair_bar(forms, 1, list(a.unit), [
+        x + y for x, y in zip(d_bar(uni, 0, basis_vec(a.dim, c)),
+                              product(uni, 1, g, 0, basis_vec(a.dim, c)))])
         for c in range(a.dim)]
     return Connection(forms, [list(_sparse(col).items()) for col in cols])
 

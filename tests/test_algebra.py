@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _shared import NAMES, a2, m2, model, nabla, universal
+from _shared import (ALGEBRA_FAULTS, NAMES, a2, faulted_algebra, m2, model,
+                     nabla, universal)
 from bimodconn.algebra import (Algebra, Bimodule, check_algebra,
                                check_bimodule, tensor_over_A)
 from bimodconn.linalg import zero_mat
@@ -28,14 +29,26 @@ def test_check_algebra_bad_unit():
     assert v.witness is not None
 
 
+@pytest.mark.parametrize("axiom", ALGEBRA_FAULTS)
+@pytest.mark.parametrize("name", ["T2", "M2"])
+def test_check_algebra_gives_the_dense_loop_witness_on_each_fault(name, axiom):
+    # the sparse sums over Algebra.products keep the dense loop's order,
+    # so the first failure and its witness are the dense loop's
+    bad = faulted_algebra(name, axiom)
+    v, ref = check_algebra(bad), _reference.check_algebra(bad)
+    assert (v.status, v.witness) == (ref.status, ref.witness)
+    assert v.status == "fail" and v.witness["axiom"] == axiom
+
+
 def test_check_bimodule_regular():
     # a2_flat's M is A acting on itself by multiplication on both sides
     a, reg = a2(), model("a2_flat").modules["M"]
     for i in range(a.dim):
         for j in range(a.dim):
-            ei, ej = a.basis_vec(i), a.basis_vec(j)
-            assert _reference.act_left(reg, ei, ej) == a.mult(ei, ej)
-            assert _reference.act_right(reg, ei, ej) == a.mult(ei, ej)
+            ei, ej = (_reference.basis_vec(a.dim, k) for k in (i, j))
+            ij = _reference.mult(a, ei, ej)
+            assert _reference.act_left(reg, ei, ej) == ij
+            assert _reference.act_right(reg, ei, ej) == ij
     assert check_bimodule(reg).status == "pass"
 
 
@@ -132,7 +145,7 @@ def test_tensor_balancing_relation():
             for j in range(x.dim):
                 xv = _reference.basis_vec(x.dim, i)
                 yv = _reference.basis_vec(x.dim, j)
-                fv = alg.basis_vec(k)
+                fv = _reference.basis_vec(alg.dim, k)
                 lhs = _reference.project_pure(
                     t, _reference.act_right(x, xv, fv), yv)
                 rhs = _reference.project_pure(

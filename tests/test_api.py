@@ -3,8 +3,8 @@ the stages, the function names the benchmark profiles, the functions
 nothing in the program calls, the reference routes the program no longer
 takes, the stages that reuse what an earlier one built, the maps that
 are stored by columns only, the functions that may build a dense vector,
-the one place κ's operators are built, and the loops over the algebra
-basis."""
+the one place κ's operators are built, the one module that reads A's
+structure constants, and the loops over the algebra basis."""
 
 import ast
 import dataclasses
@@ -301,14 +301,11 @@ def test_kernels_and_factorisations_are_read_off_columns():
 
 # Every function in src/ works on sparse columns (``linalg.Cols``), sparse
 # vectors and basis indices, and may build no dense vector, except the
-# functions below: intake (the algebra and bimodule axioms on dense
-# coordinates, the tensor-power intake of the universal calculus), report
-# rendering (a densified witness or σ's printed matrix) and the linalg
-# functions perfbench/layers.py profiles.
+# functions below: report rendering (a densified witness or σ's printed
+# matrix) and the linalg functions perfbench/layers.py profiles.  Parsing
+# turns a model file's JSON lists into columns and sparse vectors before
+# any of these functions sees them.
 DENSE_ALLOWED = {
-    "algebra": {"Algebra.basis_vec", "Algebra.mult", "check_algebra",
-                "_check_one_sided"},
-    "calculus": {"UniversalCalculus._contract"},
     "cli": {"_cmd_sigma"},
     "linalg": {"zeros", "zero_mat", "_col_vec", "_to_mat", "mat_vec",
                "row_reduce", "LinSolver.solve"},
@@ -390,8 +387,8 @@ def test_kappa_is_built_once_per_connection():
     # κ₀(e_i) = ê_i is Forms.hats, built once per Forms, ∇̂ê_i is
     # Connection.d_hats and κ on the bar basis is Connection.kappa_ops: a
     # degree-0 operator is built only in Forms.hats and in kappa0_op, whose
-    # one caller is the derivation law's κ₀(e_f·e_g), e_f·e_g by its
-    # structure constants
+    # one caller is the derivation law's κ₀(e_f·e_g), e_f·e_g read off
+    # A's products
     built, kappa0 = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, calls in _calls_by_function(path.stem).items():
@@ -408,7 +405,7 @@ def test_kappa_is_built_once_per_connection():
                     kappa0.append(name)
     assert built == {"forms:Forms.hats", "connection:kappa0_op"}
     assert kappa0 == ["connection:induced_first_order"]
-    assert "structure" in _named("connection", "induced_first_order")
+    assert "products" in _named("connection", "induced_first_order")
     # κ₁'s operators are κ on the degree-1 bar basis, the same list
     for name in ("a2_flat", "m2_grass"):
         p = bimodconn.Pipeline(bimodconn.parse_model(
@@ -416,6 +413,18 @@ def test_kappa_is_built_once_per_connection():
         assert p.kappa1.ops is p.conn.kappa_ops(1)
         assert p.conn.kappa_ops(0) is p.conn.forms.hats
         assert len(p.conn.d_hats) == p.conn.module.algebra.dim
+
+
+def test_only_algebra_reads_the_structure_constants():
+    # A's product is decoded once, into Algebra.products and unit_pairs;
+    # every other module reads those, never structure or unit
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("structure", "unit"):
+                named.add(path.name)
+    assert named == {"algebra.py"}
 
 
 # the dense twins of maps that are stored by columns: the dense projection

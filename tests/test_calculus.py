@@ -46,16 +46,17 @@ def test_dim_omega1_matrix():
 
 def test_d_of_e1():
     uni = universal("a2_flat").universal
-    d = d_emb(a2(), a2().basis_vec(0), 0)
+    d = d_emb(a2(), _reference.basis_vec(a2().dim, 0), 0)
     # d e1 = e2 (x) e1 - e1 (x) e2 in plain tensor-square coordinates
     assert d == [F(0), F(-1), F(1), F(0)]
-    assert d_bar(uni, 0, a2().basis_vec(0)) == uni.from_emb(1, d)
+    assert _sparse(d_bar(uni, 0, _reference.basis_vec(a2().dim, 0))) == \
+        uni.from_emb(1, d)
 
 
 def test_d_of_unit_is_zero():
     uni = universal("a2_flat").universal
-    assert is_zero_vec(d_emb(a2(), a2().unit_vec(), 0))
-    assert is_zero_vec(d_bar(uni, 0, a2().unit_vec()))
+    assert is_zero_vec(d_emb(a2(), list(a2().unit), 0))
+    assert is_zero_vec(d_bar(uni, 0, list(a2().unit)))
 
 
 def test_graded_dims_two_point():
@@ -201,12 +202,13 @@ def test_saturation_matches_the_worklist_reference_on_t2():
     uni = UniversalCalculus(upper_triangular(2), 3)
     e12_de11 = [0] * uni.bar_dim(1)
     e12_de11[2] = 1                      # e12·de11, a radical element
-    _assert_saturation_matches_reference(uni, [(1, e12_de11)])
+    _assert_saturation_matches_reference(uni, [(1, _sparse(e12_de11))])
     # d(e11)·d(e12), and a combination in degree 3
     dd = _reference.product(uni, 1, d_bar(uni, 0, [1, 0, 0]), 1,
                             d_bar(uni, 0, [0, 1, 0]))
     top = [F(1, 2) * (k % 3) for k in range(uni.bar_dim(3))]
-    _assert_saturation_matches_reference(uni, [(2, dd), (3, top)])
+    _assert_saturation_matches_reference(
+        uni, [(2, _sparse(dd)), (3, _sparse(top))])
 
 
 _ALGEBRAS = {"a2": a2, "T2": lambda: upper_triangular(2),
@@ -221,7 +223,7 @@ def test_saturation_matches_the_worklist_reference_on_drawn_generators(
     gens = []
     for _ in range(data.draw(st.integers(1, 2))):
         r = data.draw(st.integers(1, truncation))
-        gens.append((r, data.draw(bar_elements(uni, r))))
+        gens.append((r, _sparse(data.draw(bar_elements(uni, r)))))
     _assert_saturation_matches_reference(uni, gens)
 
 
@@ -240,8 +242,8 @@ def test_saturation_recursion_matches_the_reference_on_mixed_degrees(
     name, truncation = case
     uni = UniversalCalculus(_ALGEBRAS[name](), truncation)
     r = data.draw(st.integers(2, truncation))
-    gens = [(1, data.draw(bar_elements(uni, 1))),
-            (r, data.draw(bar_elements(uni, r)))]
+    gens = [(1, _sparse(data.draw(bar_elements(uni, 1)))),
+            (r, _sparse(data.draw(bar_elements(uni, r))))]
     _assert_saturation_matches_reference(uni, gens)
 
 
@@ -290,7 +292,7 @@ def test_a_wrong_generator_table_entry_above_degree_one_fails_the_reference():
     assert uni.algebra.generators == [1, 2]
     e11_de12_de11 = [0] * uni.bar_dim(2)
     e11_de12_de11[2] = 1
-    gens = [(2, e11_de12_de11)]
+    gens = [(2, _sparse(e11_de12_de11))]
     _assert_saturation_matches_reference(uni, gens)
     col = uni._right_cols[2][2][2]      # (e11·de12·de11)·e22
     row, c = col[0]
@@ -314,15 +316,15 @@ def _direct_sum(a: Algebra, b: Algebra) -> Algebra:
 def _generated_dim(a: Algebra, gens: list[int]) -> int:
     """The dimension of the unital subalgebra the basis vectors e_s, s in
     gens, generate: span{1} closed under left multiplication by each e_s,
-    by ``Algebra.mult``."""
+    by the dense product ``_reference.mult``."""
     span = SpanBuilder(a.dim)
-    queue = [a.unit_vec()]
-    span.add(queue[0])
+    queue = [list(a.unit)]
+    span.add(_sparse(queue[0]))
     while queue:
         v = queue.pop()
         for s in gens:
-            w = a.mult(a.basis_vec(s), v)
-            if span.add(w):
+            w = _reference.mult(a, _reference.basis_vec(a.dim, s), v)
+            if span.add(_sparse(w)):
                 queue.append(w)
     return span.dim
 
@@ -412,7 +414,7 @@ def test_sigma_witness_degree_matches_the_reference_saturation(
     # Generators above degree 1 give such a witness on about 40% of draws
     a = _ALGEBRAS[name]()
     uni = UniversalCalculus(a, truncation)
-    gens = [(r, data.draw(bar_elements(uni, r)))
+    gens = [(r, _sparse(data.draw(bar_elements(uni, r))))
             for r in data.draw(st.lists(st.integers(2, truncation),
                                         min_size=1, max_size=2))]
     gamma = data.draw(st.integers(0, uni.bar_dim(1) - 1))
@@ -556,22 +558,23 @@ def test_from_emb_matches_dense_solve():
         cols = [bar_columns(uni, r) for r in range(uni.D + 1)]
         for r in range(uni.D + 1):
             for unit_k, col in zip(identity_mat(uni.bar_dim(r)), cols[r]):
-                assert uni.from_emb(r, col) == unit_k
+                assert uni.from_emb(r, col) == _sparse(unit_k)
             solver = LinSolver([list(row) for row in zip(*cols[r])])
             assert solver.rank == uni.bar_dim(r)
             inputs = []
             for col in cols[r]:
                 for i in range(a.dim):
-                    f = a.basis_vec(i)
+                    f = _reference.basis_vec(a.dim, i)
                     inputs.append(product_emb(a, f, 0, col, r))
                     inputs.append(product_emb(a, col, r, f, 0))
             if r:
                 inputs += [d_emb(a, col, r - 1) for col in cols[r - 1]]
-                inputs += [product_emb(a, d_emb(a, a.basis_vec(j), 0), 1,
-                                       col, r - 1)
-                           for j in uni.complement for col in cols[r - 1]]
+                inputs += [
+                    product_emb(a, d_emb(a, _reference.basis_vec(a.dim, j), 0),
+                                1, col, r - 1)
+                    for j in uni.complement for col in cols[r - 1]]
             for x in inputs:
-                assert uni.from_emb(r, x) == solver.solve(x)
+                assert uni.from_emb(r, x) == _sparse(solver.solve(x))
 
 
 def test_bar_native_maps_match_embedding():
@@ -634,7 +637,7 @@ def test_right_mult_bar_matrix_is_the_product_on_unit_columns(make):
 
 @st.composite
 def bar_elements(draw, uni, r):
-    """A sparse element of Ω^r_u in bar coordinates."""
+    """An element of Ω^r_u in dense bar coordinates, with few nonzeros."""
     v = zeros(uni.bar_dim(r))
     terms = draw(st.dictionaries(
         st.integers(0, uni.bar_dim(r) - 1),
@@ -671,8 +674,9 @@ def _rebased(a: Algebra, p) -> Algebra:
     the unit solved for in f-coordinates."""
     solver = LinSolver(p)
     fs = [[row[i] for row in p] for i in range(a.dim)]
-    return Algebra.from_table([[solver.solve(a.mult(u, v)) for v in fs]
-                               for u in fs], solver.solve(a.unit_vec()))
+    return Algebra.from_table(
+        [[solver.solve(_reference.mult(a, u, v)) for v in fs] for u in fs],
+        solver.solve(list(a.unit)))
 
 
 def _m2_rebased() -> Algebra:

@@ -16,14 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference
-from _shared import (MODELS, NAMES, cyclic_group_algebra, generated_model, m2,
-                     universal, upper_triangular)
+from _shared import (ALGEBRA_FAULTS, MODELS, NAMES, cyclic_group_algebra,
+                     faulted_algebra, generated_model, m2, universal,
+                     upper_triangular)
 import bimodconn
 from bimodconn import cli
 from bimodconn import model as model_module
 from bimodconn.calculus import preceq
 from bimodconn.forms import Forms
-from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, quotient
+from bimodconn.linalg import DimensionError, LinSolver, SpanBuilder, _sparse
 from bimodconn.model import (MAX_EMB_DIM, MAX_ENTRIES, ModelError,
                              parse_model, parse_rational)
 from bimodconn.report import (ABSENT, FAIL, PASS, UNAVAILABLE, Report,
@@ -68,6 +69,26 @@ def test_parse_rejects_zero_denominator(tmp_path):
     with pytest.raises(ModelError) as err:
         parse_model(write_doc(tmp_path, doc))
     assert "unit" in err.value.path
+
+
+@pytest.mark.parametrize("axiom", ALGEBRA_FAULTS)
+@pytest.mark.parametrize("name", ["T2", "M2"])
+def test_a_faulted_algebra_exits_two_and_prints_the_dense_witness(
+        tmp_path, capsys, name, axiom):
+    # the algebra is checked before anything else is read, so a2_flat's
+    # modules and connection are never reached
+    bad = faulted_algebra(name, axiom)
+    doc = flat_doc()
+    doc["algebra"] = {
+        "dim": bad.dim, "unit": [str(x) for x in bad.unit],
+        "structure": [[[str(x) for x in cell] for cell in row]
+                      for row in bad.structure]}
+    assert cli.main(["check", "--model", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "model error at algebra: algebra axioms fail" in err
+    ref = _reference.check_algebra(bad)
+    assert ref.witness["axiom"] == axiom
+    assert Report([ref]).to_text() in err
 
 
 def test_main_exit_two_fast_on_exponent_notation(tmp_path, capsys):
@@ -387,9 +408,9 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
             for v in _reference.dense_vecs(f.calculus.ideal[r],
                                            f.uni.bar_dim(r)):
                 for i in range(f.module.dim):
-                    full.add(_reference.mult_tu_by_bar(
-                        f, 0, _reference.basis_vec(f.module.dim, i), r, v))
-            old = quotient(f.tu_dim(r), _reference.dense_vecs(
+                    full.add(_sparse(_reference.mult_tu_by_bar(
+                        f, 0, _reference.basis_vec(f.module.dim, i), r, v)))
+            old = _reference.quotient(f.tu_dim(r), _reference.dense_vecs(
                 full.quotient().sub, f.tu_dim(r)))
             new = f.quotient_space(r)
             assert (new.proj_cols, new.free) == (old.proj_cols, old.free)
@@ -596,6 +617,27 @@ def test_all_decides_each_order_once_per_pipeline(monkeypatch, name):
     assert c2 is cal and d1 is cal and c1 is d2
     # Ω_∇ is Ω's own object exactly when their ideals agree
     assert (c1 is cal) == (name in ("a2_flat", "a2_quotient"))
+
+
+# One SHA-256 over the JSON and the text report of every command on every
+# shipped model, at the model's own truncation and at D=4, recorded so that
+# a change that moves one byte of any of them fails.  Order: model (as in
+# NAMES), then truncation (own, then 4), then command (as in cli.COMMANDS),
+# ``to_json()`` before ``to_text()``; each run parses the model afresh.
+REPORTS_SHA256 = \
+    "61743e0676087f7b2fa1daa6bb60f6054a3b64800618ebaa0173c2d7d3460c3a"
+
+
+def test_every_report_of_the_shipped_models_is_pinned():
+    digest = hashlib.sha256()
+    for name in NAMES:
+        for truncation in (None, 4):
+            for command in cli.COMMANDS:
+                report = cli.run(command, parse_model(
+                    str(MODELS / f"{name}.model"), truncation=truncation))
+                digest.update(report.to_json().encode())
+                digest.update(report.to_text().encode())
+    assert digest.hexdigest() == REPORTS_SHA256
 
 
 # The SHA-256 of the JSON `all` report of ∇ = d + Γ· (Γ the bar basis

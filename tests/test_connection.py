@@ -15,7 +15,8 @@ from bimodconn.connection import (Connection, Kappa1, _left_leibniz_failure,
                                   check_right_leibniz, induced_first_order,
                                   kappa0_op, nabla_hat, sigma_exists)
 from bimodconn.forms import DegreeRHom, Forms
-from bimodconn.linalg import _col_sum, _sparse, _to_mat, mat_vec, zeros
+from bimodconn.linalg import (_col_sum, _col_vec, _sparse, _to_mat, mat_vec,
+                              zeros)
 from bimodconn.model import parse_model
 
 F = Fraction
@@ -59,46 +60,48 @@ def test_right_leibniz_twist():
 
 def test_nabla_hat_of_identity_vanishes():
     c = nabla("a2_flat")
-    one_hat = kappa0_op(c, a2().unit_vec())
+    one_hat = kappa0_op(c, a2().unit_pairs)
     assert nabla_hat(c, one_hat).is_zero()
 
 
 def test_nabla_hat_of_e1_on_e2():
     c = nabla("a2_flat")
-    nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
-    bar = c.calculus.universal.from_emb(1, [-x for x in emb_e1e2()])
-    expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), bar)
-    assert apply(nh, a2().basis_vec(1)) == expected
+    nh = nabla_hat(c, kappa0_op(c, [(0, 1)]))
+    bar = _col_vec(c.calculus.universal.from_emb(
+        1, [-x for x in emb_e1e2()]).items(), c.calculus.universal.bar_dim(1))
+    expected = class_of_pair_bar(c.forms, 1, list(a2().unit), bar)
+    assert apply(nh, _reference.basis_vec(a2().dim, 1)) == expected
 
 
 def test_nabla_hat_of_e1_is_left_mult_by_de1():
     # with nabla = d, (nabla-hat e1-hat)(a) = (d e1)·a for every basis a
     c = nabla("a2_flat")
     uni = c.calculus.universal
-    nh = nabla_hat(c, kappa0_op(c, a2().basis_vec(0)))
-    de1 = d_bar(uni, 0, a2().basis_vec(0))
+    nh = nabla_hat(c, kappa0_op(c, [(0, 1)]))
+    de1 = d_bar(uni, 0, _reference.basis_vec(a2().dim, 0))
     for i in range(2):
-        prod = _reference.product(uni, 1, de1, 0, a2().basis_vec(i))
-        expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), prod)
-        assert apply(nh, a2().basis_vec(i)) == expected
+        prod = _reference.product(uni, 1, de1, 0,
+                                  _reference.basis_vec(a2().dim, i))
+        expected = class_of_pair_bar(c.forms, 1, list(a2().unit), prod)
+        assert apply(nh, _reference.basis_vec(a2().dim, i)) == expected
 
 
 def test_compose_past_the_truncation_raises():
     # a2_flat has D = 3, and ∇̂∇̂ê₁ has degree 2, so the product would have
     # degree 4; it used to end in an IndexError
     c = nabla("a2_flat")
-    t2 = nabla_hat(c, nabla_hat(c, kappa0_op(c, a2().basis_vec(0))))
+    t2 = nabla_hat(c, nabla_hat(c, kappa0_op(c, [(0, 1)])))
     assert t2.degree == 2 and c.forms.D == 3
     with pytest.raises(ValueError, match="truncation"):
         t2.compose(t2)
     with pytest.raises(ValueError, match="truncation"):
-        nabla_hat(c, t2.compose(nabla_hat(c, kappa0_op(c, a2().unit_vec()))))
+        nabla_hat(c, t2.compose(nabla_hat(c, kappa0_op(c, a2().unit_pairs))))
 
 
 def test_add_across_degrees_raises():
     # it used to return a degree-0 operator, silently wrong
     c = nabla("a2_flat")
-    e1 = kappa0_op(c, a2().basis_vec(0))
+    e1 = kappa0_op(c, [(0, 1)])
     with pytest.raises(ValueError, match="degree"):
         e1.add(nabla_hat(c, e1))
     assert e1.add(e1).cols == _reference.scaled(e1, 2).cols
@@ -111,7 +114,7 @@ def test_equal_operators_share_one_id_per_forms():
     c = nabla("a2_flat")
     f = Forms(c.module, c.calculus)
     conn = Connection(f, c.nabla)
-    e1 = kappa0_op(conn, a2().basis_vec(0))
+    e1 = kappa0_op(conn, [(0, 1)])
     twin = DegreeRHom(f, 0, [list(col) for col in e1.cols])
     content = tuple(map(tuple, e1.cols))
     assert twin is not e1 and twin.key == e1.key == f.op_ids[0, content]
@@ -172,7 +175,7 @@ def test_a_wrong_nabla_hat_fails_the_derivation_law_as_the_basis_scan(
         lam = dict(phi.cols[col]).get(row, 0) if phi.degree == 0 else 0
         if not lam:
             return out
-        psi = real(c, kappa0_op(c, c.module.algebra.basis_vec(k)))
+        psi = real(c, kappa0_op(c, [(k, 1)]))
         return DegreeRHom(out.forms, 1, [
             _col_sum([(x, 1), (y, lam)]) if x or y else []
             for x, y in zip(out.cols, psi.cols)])
@@ -194,10 +197,11 @@ def test_kappa1_on_e1_tensor_e2():
     c = nabla("a2_flat")
     k1 = pipeline("a2_flat").kappa1
     bar = c.calculus.universal.from_emb(1, emb_e1e2())
-    op = k1.op(_sparse(bar))
-    assert is_zero_vec(apply(op, a2().basis_vec(0)))
-    expected = class_of_pair_bar(c.forms, 1, a2().unit_vec(), bar)
-    assert apply(op, a2().basis_vec(1)) == expected
+    op = k1.op(bar)
+    assert is_zero_vec(apply(op, _reference.basis_vec(a2().dim, 0)))
+    expected = class_of_pair_bar(c.forms, 1, list(a2().unit), _col_vec(
+        bar.items(), c.calculus.universal.bar_dim(1)))
+    assert apply(op, _reference.basis_vec(a2().dim, 1)) == expected
 
 
 def test_kappa1_injective_on_flat():
@@ -210,7 +214,7 @@ def test_kappa1_injective_on_flat():
 def test_kappa1_of_d_unit_is_zero():
     c = nabla("a2_flat")
     k1 = pipeline("a2_flat").kappa1
-    d_unit = d_bar(c.calculus.universal, 0, a2().unit_vec())
+    d_unit = d_bar(c.calculus.universal, 0, list(a2().unit))
     assert is_zero_vec(d_unit)
     assert k1.op(_sparse(d_unit)).is_zero()
 
@@ -280,9 +284,11 @@ def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
 def _inner_automorphism(a, n: int) -> list[list]:
     """φ(e_f) = (1 + e_n)·e_f·(1 − e_n) per f, an automorphism of A for
     e_n with e_n² = 0, as coordinate vectors."""
-    one, e = a.unit_vec(), a.basis_vec(n)
+    one, e = list(a.unit), _reference.basis_vec(a.dim, n)
     p, q = [x + y for x, y in zip(one, e)], [x - y for x, y in zip(one, e)]
-    return [a.mult(a.mult(p, a.basis_vec(f)), q) for f in range(a.dim)]
+    return [_reference.mult(
+        a, _reference.mult(a, p, _reference.basis_vec(a.dim, f)), q)
+        for f in range(a.dim)]
 
 
 @pytest.mark.parametrize("name, triple", [
@@ -366,7 +372,7 @@ def test_sigma_of_a_perturbed_kappa1_matches_the_reference(name, exists):
 def _d_nabla_cols(c: Connection):
     """d_∇e_f = ∇̂ê_f by columns, per basis element f of A."""
     a = c.module.algebra
-    return [nabla_hat(c, kappa0_op(c, a.basis_vec(f))).cols
+    return [nabla_hat(c, kappa0_op(c, [(f, 1)])).cols
             for f in range(a.dim)]
 
 
@@ -381,9 +387,8 @@ def test_the_left_leibniz_rule_by_columns_matches_the_per_pair_reference(case):
     res = Pipeline(c).sigma
     if res.exists:
         a = c.module.algebra
-        xs = [res.sigma.on(sparse_class(d_of_algebra(c.calculus,
-                                                     a.basis_vec(f))))
-              for f in range(a.dim)]
+        xs = [res.sigma.on(sparse_class(d_of_algebra(
+            c.calculus, _reference.basis_vec(a.dim, f)))) for f in range(a.dim)]
         assert _left_leibniz_failure(c, xs) is None
         assert _reference.left_leibniz(
             c, _reference.sigma_x(c, res.sigma)) is None
@@ -433,7 +438,7 @@ def test_a_perturbed_operator_gives_the_dense_right_linearity_witness(name):
     # or some pass
     c = nabla(name)
     a = c.module.algebra
-    ops = [nabla_hat(c, kappa0_op(c, a.basis_vec(g))) for g in range(a.dim)]
+    ops = [nabla_hat(c, kappa0_op(c, [(g, 1)])) for g in range(a.dim)]
     ops.append(DegreeRHom(c.forms, 2, c.curvature_cols(0)))
     found = []
     for op in ops:
