@@ -1,90 +1,35 @@
-"""Reference routes that checks in ``src/`` are tested against; each
-check returns the witness of the first failing case, or None when every
-case holds.
+"""Reference routes that the checks in ``src/`` are tested against.
 
-The algebra axioms on dense vectors, each product formed from the
-structure constants by ``mult`` (``check_algebra``), the route
-``algebra.check_algebra`` took before A's product was read off
-``Algebra.products``.  The bimodule axioms on dense action matrices, each
-composition a ``mat_mul`` (``check_bimodule``), the route
-``algebra.check_bimodule`` took before the actions were held by columns.
+Each reference computes what a check or kernel of ``src/`` computes by an
+older or more direct route: dense vectors and matrices where ``src/`` keeps
+sparse columns, loops over every basis pair or triple where it decides on
+generators or columns, whole spans where it reads a closed form, and the
+stdlib where it writes a report in one pass.  A check returns the witness
+of its first failing case, in the shape of the verdict's, or None when
+every case holds.
 
-The per-pair checks of κ's identities and of σ_u's (``InducedCalculus`` and
-``sigma_full``): each pair builds the raw operators it needs, composes them
-and projects the result to Ω(M) by the dense projection matrix
-(``project_op``, the projection's columns densified); κ̄ itself
-(``kappa_matrices``) is each raw operator projected so, not read off
-``InducedCalculus``'s columns, and ``sigma_full``'s identities are decided
-on their own, not read off ``InducedCalculus``;
-κ(1·de_j) is the sum of raw operators (``kappa_raw``), not ∇̂ê_j.  Beside
-them, the dense operator route that right-Ω operators took before they were
-kept by sparse columns (``DenseRHom``, ``DenseRoute``, with ``omega_hat``
-and ``raw_ops`` replaying ``OmegaHat`` and κ's raw operators on it), the
-right A-linearity of an operator decided on dense vectors
-(``right_linearity_witness``), and the extension of a map on M that lifts
-Φ(m), concatenates the tail and projects densely (``extension_columns``).
-Below them, the whole-span checks of Ω̂, J and the ∇-extension (``OmegaHat``, ``j_ideal`` and
-``extend_connection``), and ``j_ideal``'s and ``OmegaM``'s right
-multiplications before they skipped a zero factor.  Next, the per-pair route of the three right
-Leibniz checks (``check_right_leibniz``, ``extend_connection``'s graded
-rule and ``OmegaM``'s), which multiply classes through representatives
-(``mult_class``, on the dense ``mult_tu_by_bar``; ``class_of_pair_bar`` and
-``class_product`` likewise) rather than ``Forms.right_mult_cols``.  Then the
-per-triple route of κ₁'s bimodule linearity (``kappa1``), κ₁ as
-coordinates in the accepted basis of Ω¹_∇ with σ built by
-``factor_through`` on Ω¹⊗_AM from ``balanced_tensor`` (``kappa1_coords``,
-``sigma``), and the unit complement
-and π read off a span's coordinates (``unit_complement``).
+All linear algebra here is sympy's ``DomainMatrix`` over QQ: rank, RREF,
+null space, quotient, factorisation through a surjection, the dense
+product, and ``Span``, the incremental span of the worklist references.
+So no reference shares an eliminator with ``bimodconn.linalg``, and an
+``ast`` scan in ``tests/test_linalg.py`` keeps it so.
 
-Then the ``linalg`` kernels the sparse ones replaced: the dense product
-(``mat_mul``) and the one that builds one column of b at a time, the span
-builder that keeps echelon rows in a list and walks all of them to reduce
-a vector, with its own elimination step (``EchelonSpanBuilder``, which
-also holds the spans of the Ω̂, J, saturation and degeneracy references),
-and the quotient read off a second row reduction of its sub.
-At the very top, the dense conveniences the tests use and ``src/`` no
-longer has, since a check passes a basis element by index or as a sparse
-class: ``identity_mat``, an algebra's or a module's ``basis_vec``, a map
-by columns applied to a dense vector (``combine``), ``project`` and
-``lift`` on a
-``QuotientSpace``, ``bar_index``, ``sparse_class``, d on bar vectors and
-on classes, the actions of a dense f and ∇ of a dense vector.
-Next to them, the dense helpers (∇ and a bimodule's actions
-densified, ``nabla_matrix``, ``actions``, ``action_matrix``), a textbook
-Gauss–Jordan (``rref``) that shares no eliminator with ``linalg``, so a
-fault in ``linalg``'s cannot reach both sides of a comparison, with its
-own zero test (``is_zero_vec``), span membership (``reduces_to_zero``) and
-densified sparse vectors (``dense_vecs``), the dense null space off it
-(``null_space``) and the factorisation through a surjection off the
-``rref`` of [f | I] (``factor_through``), which σ, ⪯ and ∇′_M took before
-they were read off a map's columns at a quotient's ``free`` columns.
-Then the ideal saturation that also tries every product by de_j, each
-formed in tensor-power coordinates, so that it reads none of the column
-tables it checks.  Then ⪯ decided by reducing I₂'s basis modulo the
-``rref`` of I₁'s and ρ built by ``factor_through``.  Then Ω_∇ through κ̄
-densified and its null space (``kernel_quotient``), and the dense tensor
-checks: ν̂'s right-linearity squares, the balancing relations as dense
-vectors, ∇⊗ filled in entry by entry, its right Leibniz rule with ·f on
-classes through representatives, and the associated connection's
-factors and square.  Then the degeneracy submodules, on a balanced
-tensor of their own (``balanced_tensor``), their brute-force
-oracle and the σ-route agreement with the class of each basis pair
-b_j⊗a_i formed by ``project_pure`` on dense unit vectors, not read off
-the tensor's projection columns, and σ applied as its matrix
-(``sigma_apply``).  Then the per-pair route of both left Leibniz rules
-(``left_leibniz``), on dense vectors.  Then the parse of a rational string
-that reads every string by ``Fraction``.  Last, a report's two renderings
-by the stdlib route ``Report`` took before it wrote them in one pass:
-``json.dumps`` of each payload made ``jsonable`` first, with an indent (so
-json's pure-Python encoder) for the JSON report.
+The sections, in order: dense conveniences; the eliminator; κ and σ_u per
+pair; the algebra and bimodule axioms; the dense operator route; Ω̂, J and
+the ∇-extension on whole spans; the right Leibniz checks; κ₁ and σ by
+coordinates; the unit complement; ideal saturation in tensor-power
+coordinates; ⪯; Ω_∇ and the tensor routes; degeneracy and pure pairs; the
+left Leibniz rule; parsing; rendering.
 """
 
-import bisect
 import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from _embedding import d_emb, product_emb, to_emb
 from bimodconn import anchors
@@ -196,39 +141,6 @@ def at_free(q, m):
     return [[row[fc] for fc in q.free] for row in m]
 
 
-def _over(a, b):
-    """a / b exactly, an int when integral: the one division of ``rref``
-    and ``EchelonSpanBuilder``, apart from ``linalg``'s."""
-    return _exact(Fraction(a) / b)
-
-
-def rref(matrix):
-    """(rank, RREF, pivot columns) of a dense matrix, the zero rows last, as
-    ``linalg.row_reduce`` returns them, by textbook Gauss–Jordan on dense
-    rows: column by column, the first remaining row nonzero there becomes
-    the next pivot row, scaled to 1, and is cleared from every other row.
-    It shares no eliminator with ``linalg``."""
-    rows = [list(row) for row in matrix]
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(n_cols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pv = rows[r][c]
-        rows[r] = [_over(x, pv) for x in rows[r]]
-        nz = [(j, rows[r][j]) for j in range(n_cols) if rows[r][j]]
-        for i, row in enumerate(rows):
-            if i != r and (f := row[c]):
-                for j, x in nz:
-                    row[j] -= f * x
-        pivots.append(c)
-    return (len(pivots), [[_exact(x) for x in row] for row in rows],
-            pivots)
-
-
 def is_zero_vec(v):
     """Whether every entry of a dense vector is zero."""
     return not any(v)
@@ -255,68 +167,6 @@ def dense_vecs(vectors, n):
             d[k] = x
         out.append(d)
     return out
-
-
-def reduces_to_zero(reduced, pivots, v):
-    """Whether the dense vector v lies in the span of the nonzero RREF rows
-    ``reduced`` with their ``pivots`` (as ``rref`` returns them): each row
-    is 1 at its pivot and 0 at the others, so subtracting v's entry at each
-    pivot times its row leaves zero exactly when v is in the span."""
-    for row, pc in zip(reduced, pivots):
-        if x := v[pc]:
-            v = [y - x * z for y, z in zip(v, row)]
-    return not any(v)
-
-
-def null_space(matrix, n_cols):
-    """Basis of {x : matrix @ x = 0} for a dense matrix with n_cols columns,
-    off the RREF of ``rref``: for each free column fc ascending,
-    e_fc − Σ rref[r][fc]·e_(pivot r), the basis ``linalg.null_space`` reads
-    off a map's columns."""
-    rows = [r for r in matrix if any(r)]
-    _, reduced, pivots = rref(rows) if rows else (0, [], [])
-    basis = []
-    for fc in range(n_cols):
-        if fc in pivots:
-            continue
-        v = zeros(n_cols)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
-
-
-class SurjectivityError(ValueError):
-    """Raised when ``factor_through`` is handed a map that is not onto."""
-
-
-def factor_through(f, g, n):
-    """Factor g through the surjection f, both dense maps on an
-    n-dimensional domain: (h, None) with h∘f = g when ker f ⊆ ker g;
-    otherwise (None, the first vector of ``null_space(f)`` that g does not
-    kill).  h's column i is g applied to the solution x of f x = e_i with
-    zero free entries, read off the ``rref`` of [f | I]: its rows are
-    [R | T] with T·f = R, so x is column i of T at R's pivots, and f is
-    onto exactly when every pivot lies in f's block."""
-    if any(len(row) != n for row in f) or any(len(row) != n for row in g):
-        raise DimensionError("f and g must share a domain")
-    k = len(f)
-    _, reduced, pivots = rref([list(row) + [int(i == j) for j in range(k)]
-                               for i, row in enumerate(f)]) if f else \
-        (0, [], [])
-    if any(pc >= n for pc in pivots):
-        raise SurjectivityError("factor_through requires f surjective")
-    for v in null_space(f, n):
-        if not is_zero_vec(mat_vec(g, v)):
-            return None, v
-    cols = []
-    for i in range(k):
-        x = zeros(n)
-        for row, pc in zip(reduced, pivots):
-            x[pc] = row[n + i]
-        cols.append(mat_vec(g, x))
-    return cols_to_mat(cols, len(g)), None
 
 
 def dense(op):
@@ -386,6 +236,165 @@ def curvature_matrix(c, r):
     """∇∘∇: T_r → T_{r+2} as a product of ∇'s two dense extensions."""
     return mat_mul(nabla_ext(c, r + 1), nabla_ext(c, r))
 
+
+# -- the one eliminator: sympy's DomainMatrix over QQ -----------------------
+#
+# Entries enter as ints and Fractions and come back through ``_exact``, an
+# int where the value is integral.
+
+def _dm(rows, n_cols):
+    """Dense rows with n_cols columns as a sparse DomainMatrix over QQ."""
+    mpq = QQ.dtype
+    return DomainMatrix(
+        {i: {j: mpq(row[j]) for j in itertools.compress(range(n_cols), row)}
+         for i, row in enumerate(rows) if any(row)}, (len(rows), n_cols), QQ)
+
+
+def _rows(m):
+    """A DomainMatrix as dense rows."""
+    out = zero_mat(*m.shape)
+    for i, row in m.to_dod().items():
+        for j, x in row.items():
+            out[i][j] = _exact(Fraction(x.numerator, x.denominator))
+    return out
+
+
+def mat_mul(a, b):
+    """The dense product a·b."""
+    if a and len(a[0]) != len(b):
+        raise DimensionError("matrix product shape mismatch")
+    return _rows(_dm(a, len(b)) * _dm(b, len(b[0]) if b else 0))
+
+
+def rref(matrix, n_cols=None):
+    """(rank, RREF, pivot columns) of a dense matrix, the zero rows last, as
+    ``linalg.row_reduce`` returns them; n_cols is needed only when the
+    matrix has no rows."""
+    if n_cols is None:
+        n_cols = len(matrix[0]) if matrix else 0
+    reduced, pivots = _dm(matrix, n_cols).rref()
+    return len(pivots), _rows(reduced), list(pivots)
+
+
+def null_space(matrix, n_cols):
+    """Basis of {x : matrix @ x = 0} for a dense matrix with n_cols columns,
+    read off its RREF: for each free column fc ascending,
+    e_fc − Σ rref[r][fc]·e_(pivot r), the basis ``linalg.null_space`` reads
+    off a map's columns."""
+    _, reduced, pivots = rref(matrix, n_cols)
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        v = zeros(n_cols)
+        v[fc] = 1
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+class SurjectivityError(ValueError):
+    """Raised when ``factor_through`` is handed a map that is not onto."""
+
+
+def factor_through(f, g, n):
+    """Factor g through the surjection f, both dense maps on an
+    n-dimensional domain: (h, None) with h∘f = g when ker f ⊆ ker g;
+    otherwise (None, the first vector of ``null_space(f)`` that g does not
+    kill).  h's column i is g applied to the solution x of f x = e_i with
+    zero free entries, read off the RREF of [f | I]: its rows are [R | T]
+    with T·f = R, so x is column i of T at R's pivots, and f is onto
+    exactly when every pivot lies in f's block."""
+    if any(len(row) != n for row in f) or any(len(row) != n for row in g):
+        raise DimensionError("f and g must share a domain")
+    k = len(f)
+    _, reduced, pivots = rref([list(row) + basis_vec(k, i)
+                               for i, row in enumerate(f)])
+    if any(pc >= n for pc in pivots):
+        raise SurjectivityError("factor_through requires f surjective")
+    for v in null_space(f, n):
+        if not is_zero_vec(mat_vec(g, v)):
+            return None, v
+    cols = []
+    for i in range(k):
+        x = zeros(n)
+        for row, pc in zip(reduced, pivots):
+            x[pc] = row[n + i]
+        cols.append(mat_vec(g, x))
+    return cols_to_mat(cols, len(g)), None
+
+
+def quotient(total, sub):
+    """total / span(sub), read off the RREF of sub: reducing e_i modulo its
+    rows leaves e_i for a free column i and e_i − row for the pivot i of a
+    row.  Its ``sub`` is the dense vectors as given."""
+    if any(len(v) != total for v in sub):
+        raise DimensionError("sub is not presented inside total")
+    sub_rank, reduced, pivots = rref(sub, total)
+    if sub_rank != len(sub):
+        raise DimensionError("sub basis is degenerate")
+    free = [c for c in range(total) if c not in pivots]
+    proj = zero_mat(len(free), total)
+    for k, fc in enumerate(free):
+        proj[k][fc] = 1
+        for row, pc in zip(reduced, pivots):
+            proj[k][pc] = -row[fc]
+    cols = [[(k, row[c]) for k, row in enumerate(proj) if row[c]]
+            for c in range(total)]
+    return QuotientSpace(sub, free, cols)
+
+
+def kernel_quotient(cols, n_rows):
+    """``linalg.kernel_quotient``: the quotient by the ``null_space`` of
+    the map densified, the route ``InducedCalculus`` took to Ω_∇."""
+    n = len(cols)
+    return quotient(n, null_space(_to_mat(cols, n_rows), n))
+
+
+class Span:
+    """The span of dense vectors added one at a time: ``basis`` holds the
+    vectors that enlarged it, in order, and ``pivots`` the pivot columns of
+    its RREF.  A vector lies in the span when the RREF rows weighted by its
+    entries at the pivots give it back."""
+
+    def __init__(self, ambient_dim):
+        self.ambient_dim = ambient_dim
+        self.basis = []
+        self.pivots = []
+        self._rref = _dm([], ambient_dim)
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+    def _residue(self, v):
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector does not live in the ambient space")
+        at_pivots = _dm([[v[pc] for pc in self.pivots]], self.dim)
+        return _dm([v], self.ambient_dim) - at_pivots * self._rref
+
+    def add(self, v):
+        res = self._residue(v)
+        if res.is_zero_matrix:
+            return False
+        self.basis.append(list(v))
+        self._rref, pivots = self._rref.vstack(res).rref()
+        self.pivots = list(pivots)
+        return True
+
+    def contains(self, v):
+        return self._residue(v).is_zero_matrix
+
+    def coords(self, v):
+        """v's coordinates in ``basis``, read off the RREF of [basisᵀ | v],
+        or None when v is outside the span."""
+        k = self.dim
+        _, reduced, pivots = rref(cols_to_mat(self.basis + [v], len(v)))
+        return None if k in pivots else [row[k] for row in reduced[:k]]
+
+
+# -- κ and σ_u per pair, projected by the dense projection -----------------
 
 def kappa_raw(induced, r, bar):
     """κ(bar) as an operator: the sum of the raw operators of the bar basis
@@ -603,13 +612,10 @@ def check_bimodule(m):
 
 # -- the dense operator route -----------------------------------------------
 #
-# The route ``forms.DegreeRHom`` and ``nabla_hat`` replaced: a right-Ω
-# operator is a dense dim T_r × dim M matrix, each of its extensions a dense
-# matrix (here through representatives, ``extension_columns`` below), a
-# composition the ``mat_mul`` of an extension by the right factor, and ∇̂Φ
-# the two products ∇∘Φ and Φ∘∇.  ``DenseRoute`` runs it on one connection;
-# ``omega_hat`` and ``raw_ops`` replay ``OmegaHat`` and
-# ``InducedCalculus``'s raw operators on it, step for step.
+# A right-Ω operator as a dense dim T_r × dim M matrix, each extension a
+# dense matrix formed through representatives (``extension_columns``), and
+# a composition the ``mat_mul`` of an extension by the right factor.
+# ``omega_hat`` and ``raw_ops`` replay ``OmegaHat`` and κ's raw operators.
 
 
 @dataclass
@@ -710,11 +716,11 @@ def omega_hat(route):
     gens = []
     found = [route.kappa0(basis_vec(a.dim, i)) for i in range(a.dim)]
     for r in range(D + 1):
-        span = EchelonSpanBuilder(f.dim(r) * len(f.generators))
+        span = Span(f.dim(r) * len(f.generators))
         gens.append([op for op in found if span.add(key(op))])
         if r < D:
             found = [route.nabla_hat(t) for t in gens[r]]
-    spans = [EchelonSpanBuilder(f.dim(r) * len(f.generators))
+    spans = [Span(f.dim(r) * len(f.generators))
              for r in range(D + 1)]
     ops = [[] for _ in range(D + 1)]
     queue = []
@@ -810,12 +816,10 @@ def extension_columns(f, r, phi, s, indices):
 
 # -- Ω̂, J and the ∇-extension, decided on whole spans --------------------
 #
-# The route the checks of ``OmegaHat``, ``j_ideal`` and
-# ``extend_connection`` replace: Ω̂ as the fixpoint of ∇̂ and two-sided
-# composition over all of Ω̂, the derivation identity on every pair of
-# spanning operators, the square identity and J-closure on every spanning
-# operator, and the graded Leibniz rule for ω in every degree s.  Each check
-# returns the witness of its first failing case in the old shape, or None.
+# Ω̂ as the fixpoint of ∇̂ and two-sided composition over all of Ω̂; the
+# derivation identity on every pair of spanning operators, the square
+# identity and J-closure on every spanning operator, and the graded Leibniz
+# rule for ω in every degree s.
 
 
 def omega_hat_ops(c):
@@ -824,7 +828,7 @@ def omega_hat_ops(c):
     at that time."""
     f = c.forms
     a = c.module.algebra
-    spans = [EchelonSpanBuilder(f.dim(r) * c.module.dim)
+    spans = [Span(f.dim(r) * c.module.dim)
              for r in range(f.D + 1)]
     ops = [[] for _ in range(f.D + 1)]
     queue = []
@@ -905,13 +909,13 @@ def squared_identity(c, ops):
 
 
 def j_spans(c, ops):
-    """J_r as an ``EchelonSpanBuilder`` per degree, spanned by (∇̂²Φ)(a)·ω
+    """J_r as a ``Span`` per degree, spanned by (∇̂²Φ)(a)·ω
     for Φ in ``ops``, a a basis vector of M and ω a basis vector of
     Ω^s."""
     f = c.forms
     D = f.D
     cal = c.calculus
-    builders = [EchelonSpanBuilder(f.dim(r)) for r in range(D + 1)]
+    builders = [Span(f.dim(r)) for r in range(D + 1)]
     for p in range(D - 1):
         for phi in ops[p]:
             sq = nabla_hat(c, nabla_hat(c, phi))
@@ -928,13 +932,13 @@ def j_spans(c, ops):
 
 
 def j_ideal_spans(c, omega_hat):
-    """J_r as an ``EchelonSpanBuilder`` per degree, by ``j_ideal``'s loop
+    """J_r as a ``Span`` per degree, by ``j_ideal``'s loop
     before it skipped the zero columns: every column of ∇²∘Φ − Φ∘∇², for Φ
     in ``omega_hat``'s basis of Ω̂_p, is added and multiplied on the right
     by every basis vector of Ω^s, the right multiplication densified."""
     f = c.forms
     D = f.D
-    builders = [EchelonSpanBuilder(f.dim(r)) for r in range(D + 1)]
+    builders = [Span(f.dim(r)) for r in range(D + 1)]
     for p in range(D - 1):
         for phi in omega_hat.ops(p):
             for col in _square_hat(c, phi):
@@ -1136,12 +1140,8 @@ def kappa1_bimodule_linear(k):
 
 # -- κ₁ by coordinates in Ω¹_∇, and σ by factor_through ---------------------
 #
-# The route ``kappa1`` and ``sigma_exists`` took before κ₁ was kept as its
-# operators: κ₁(u) as coordinates in the basis of Ω¹_∇ that
-# ``induced_first_order``'s span accepts (the f̂∘∇̂(ĝ)∘ĥ that enlarge it,
-# in (f, g, h) order), and σ from ``factor_through`` on the densified P₁
-# and that matrix, each of σ's operators the accepted ones combined at a
-# column of h.
+# The basis of Ω¹_∇ is the f̂∘∇̂(ĝ)∘ĥ that enlarge its span, in (f, g, h)
+# order, as ``induced_first_order`` accepts them.
 
 def flatten(op):
     """A ``DegreeRHom`` as ``DegreeRHom.flat`` lays it out, dense: its
@@ -1152,12 +1152,12 @@ def flatten(op):
 def kappa1_coords(k1):
     """(κ₁'s matrix, the accepted operators): column u of the matrix holds
     the coordinates of ``k1.ops[u]`` in the accepted operators, found by
-    ``CoordSpanBuilder.coords``."""
+    ``Span.coords``."""
     c = k1.connection
     a = c.module.algebra
     hats = [kappa0_op(c, [(i, 1)]) for i in range(a.dim)]
     d_ops = [nabla_hat(c, h) for h in hats]
-    span = CoordSpanBuilder(c.forms.dim(1) * c.module.dim)
+    span = Span(c.forms.dim(1) * c.module.dim)
     accepted = []
     for f, g, h in itertools.product(range(a.dim), repeat=3):
         op = hats[f].compose(d_ops[g].compose(hats[h]))
@@ -1198,159 +1198,13 @@ def unit_complement(a):
     """(complement, π) of ``UniversalCalculus._unit_complement`` by the span
     route it replaced: the unit, then each basis vector that enlarges the
     span, is the basis; π(e_k) is e_k's coordinates in it past the unit's,
-    found by ``CoordSpanBuilder.coords``."""
-    span = CoordSpanBuilder(a.dim)
+    found by ``Span.coords``."""
+    span = Span(a.dim)
     span.add(list(a.unit))
     comp = [i for i in range(a.dim) if span.add(basis_vec(a.dim, i))]
     pi = [[(p, x) for p, x in enumerate(span.coords(e)[1:]) if x]
           for e in identity_mat(a.dim)]
     return comp, pi
-
-
-# -- the dense linalg kernels ----------------------------------------------
-
-def mat_mul(a, b):
-    """a·b row by row: row i is the sum of a[i][k]·b[k] over the nonzeros
-    a[i][k], each b[k] taken at its nonzeros."""
-    if a and b and len(a[0]) != len(b):
-        raise DimensionError("matrix product shape mismatch")
-    n = len(b[0]) if b else 0
-    b_nz = {k: [(j, b[k][j]) for j in itertools.compress(range(n), b[k])]
-            for k in itertools.compress(range(len(b)), map(any, b))}
-    out = [[0] * n for _ in a]
-    for i in itertools.compress(range(len(a)), map(any, a)):
-        arow, acc = a[i], out[i]
-        for k in itertools.compress(range(len(arow)), arow):
-            c = arow[k]
-            for j, x in b_nz.get(k, ()):
-                acc[j] += c * x
-    return out
-
-
-def dense_mat_mul(a, b):
-    """a·b one column of b at a time, each column a full ``mat_vec``."""
-    if a and b and len(a[0]) != len(b):
-        raise DimensionError("matrix product shape mismatch")
-    cols = [mat_vec(a, list(cb)) for cb in zip(*b)] if b else []
-    return [[col[i] for col in cols] for i in range(len(a))]
-
-
-def _eliminate(v, c, row):
-    """v −= c·row in place, the cancelled entries dropped: the elimination
-    step of ``EchelonSpanBuilder``, apart from ``linalg``'s."""
-    for j, b in row.items():
-        if x := v.get(j, 0) - c * b:
-            v[j] = x
-        else:
-            v.pop(j, None)
-
-
-class EchelonSpanBuilder:
-    """``SpanBuilder`` on echelon rows kept in pivot order: reducing v walks
-    every row, and a new row is inserted unreduced.  Its elimination step
-    (``_eliminate``) and division (``_over``) are its own, so a fault in
-    ``linalg``'s eliminator cannot reach the spans built here: the Ω̂, J,
-    saturation and degeneracy references."""
-
-    def __init__(self, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.rows = []
-        self.row_pivots = []
-        self.basis = []
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def _reduce(self, v):
-        """v's residue modulo the rows, and the multiples of the rows taken
-        off it, (row position, c) in row order."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector does not live in the ambient space")
-        res = _sparse(v)
-        taken = []
-        for k, (row, pc) in enumerate(zip(self.rows, self.row_pivots)):
-            c = res.get(pc)
-            if c is not None:
-                _eliminate(res, c, row)
-                taken.append((k, c))
-        return res, taken
-
-    def add(self, v):
-        res, _ = self._reduce(v)
-        if not res:
-            return False
-        pc = min(res)
-        self.basis.append(v[:])
-        pv = res[pc]
-        pos = bisect.bisect(self.row_pivots, pc)
-        self.rows.insert(pos, {j: _over(x, pv) for j, x in res.items()})
-        self.row_pivots.insert(pos, pc)
-        return True
-
-    def contains(self, v):
-        return not self._reduce(v)[0]
-
-
-class CoordSpanBuilder(EchelonSpanBuilder):
-    """``EchelonSpanBuilder`` that also keeps each row as a combination of
-    the accepted vectors (``basis``), so ``coords`` reads a vector's
-    coordinates in them: the κ₁-coordinates and unit-complement
-    references, which alone read them."""
-
-    def __init__(self, ambient_dim):
-        super().__init__(ambient_dim)
-        self.row_exprs = []
-
-    def _combo(self, taken):
-        combo = {}
-        for k, c in taken:
-            for idx, ce in self.row_exprs[k].items():
-                combo[idx] = combo.get(idx, 0) + c * ce
-        return combo
-
-    def add(self, v):
-        res, taken = self._reduce(v)
-        if not super().add(v):
-            return False
-        # the new row is (v − Σ c·(row k)) / pv, v the last basis vector
-        pc = min(res)
-        pv = res[pc]
-        expr = {k: _over(-c, pv) for k, c in self._combo(taken).items()}
-        expr[len(self.basis) - 1] = _over(1, pv)
-        self.row_exprs.insert(self.row_pivots.index(pc), expr)
-        return True
-
-    def coords(self, v):
-        res, taken = self._reduce(v)
-        if res:
-            return None
-        out = zeros(len(self.basis))
-        for k, c in self._combo(taken).items():
-            out[k] = _exact(c)
-        return out
-
-
-def quotient(total, sub):
-    """total / span(sub) by ``rref``: reducing e_i modulo the RREF rows
-    leaves e_i for a free column i and e_i − row for the pivot i of a row.
-    Its ``sub`` is the dense vectors as given."""
-    if any(len(v) != total for v in sub):
-        raise DimensionError("sub is not presented inside total")
-    sub_rank, reduced, pivots = rref(sub) if sub else (0, [], [])
-    if sub_rank != len(sub):
-        raise DimensionError("sub basis is degenerate")
-    pivot_set = set(pivots)
-    free = [c for c in range(total) if c not in pivot_set]
-    proj = zero_mat(len(free), total)
-    for k, fc in enumerate(free):
-        proj[k][fc] = 1
-    for row, pc in zip(reduced, pivots):
-        for k, fc in enumerate(free):
-            proj[k][pc] = -row[fc]
-    cols = [[(k, row[c]) for k, row in enumerate(proj) if row[c]]
-            for c in range(total)]
-    return QuotientSpace(sub, free, cols)
 
 
 # -- ideal saturation -------------------------------------------------------
@@ -1360,14 +1214,14 @@ def saturate_ideal(uni, generators):
     dv, and de_j·v and v·de_j for j in the unit complement, every image
     formed in tensor-power coordinates (``_embedding``) and brought back by
     ``from_emb``, so no column table of ``UniversalCalculus`` is read.  The
-    spans are ``EchelonSpanBuilder``s, whose ``basis`` holds the accepted
-    vectors in order, so no step runs ``linalg``'s eliminator.  No image is
+    spans are ``Span``s, whose ``basis`` holds the accepted vectors in
+    order.  No image is
     formed into a degree whose span is already full when the vector is
     taken from the queue: that span rejects it anyway, so the spans are
     the same.  The generators are (degree, sparse bar vector) pairs, as
     ``calculus.saturate_ideal`` takes them."""
     a = uni.algebra
-    spans = [EchelonSpanBuilder(uni.bar_dim(r)) for r in range(uni.D + 1)]
+    spans = [Span(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue = deque()
     for deg, bar in generators:
         bar = _col_vec(bar.items(), uni.bar_dim(deg))
@@ -1399,17 +1253,17 @@ def saturate_ideal(uni, generators):
 
 def preceq(c1, c2):
     """(ρ, None) or (None, (degree, witness)) as ``calculus.preceq``, with
-    ρ densified: I₂ ⊆ I₁ decided against the ``rref`` of I₁'s basis,
+    ρ densified: I₂ ⊆ I₁ decided against a ``Span`` of I₁'s basis,
     densified, the witness the first basis vector of I₂, densified, that
-    does not reduce to zero modulo it, and ρ_r the h with h·P₂ = P₁ that
-    ``factor_through`` solves for.  No step runs ``linalg``'s
-    eliminator."""
+    it does not contain, and ρ_r the h with h·P₂ = P₁ that
+    ``factor_through`` solves for."""
     for r in range(1, c1.D + 1):
         n = c1.universal.bar_dim(r)
-        i1 = dense_vecs(c1.ideal[r], n)
-        _, reduced, pivots = rref(i1) if i1 else (0, [], [])
+        i1 = Span(n)
+        for v in dense_vecs(c1.ideal[r], n):
+            i1.add(v)
         for b in dense_vecs(c2.ideal[r], n):
-            if not reduces_to_zero(reduced, pivots, b):
+            if not i1.contains(b):
                 return None, (r, b)
     maps = [identity_mat(c1.algebra.dim)]
     for r in range(1, c1.D + 1):
@@ -1422,14 +1276,6 @@ def preceq(c1, c2):
 
 
 # -- Ω_∇ and the tensor routes ----------------------------------------------
-
-def kernel_quotient(cols, n_rows):
-    """``linalg.kernel_quotient`` as the map densified, its null space
-    taken by ``null_space`` and the quotient by that basis by ``quotient``:
-    the route ``InducedCalculus`` took to Ω_∇, on this module's ``rref``."""
-    n = len(cols)
-    return quotient(n, null_space(_to_mat(cols, n_rows), n))
-
 
 def nu_hat_right_linear(nu):
     """The witness of ``nu-hat-right-linear``, or None: ν̂'s maps and the
@@ -1618,8 +1464,7 @@ def _pure(t, x, y):
 def degeneracy_submodules(n, m):
     """``tensorconn.degeneracy_submodules`` on N⊗_AM built afresh by
     ``balanced_tensor``, with the pairing maps stacked from dense classes
-    of the basis pairs and the spans of N₀ and M₀ held by
-    ``EchelonSpanBuilder``s, so no step runs ``linalg``'s eliminator."""
+    of the basis pairs and the spans of N₀ and M₀ held by ``Span``s."""
     t = balanced_tensor(n, m)
     pure = _pure(t, n, m)
     n0 = null_space(cols_to_mat(
@@ -1630,10 +1475,10 @@ def degeneracy_submodules(n, m):
         n.dim * t.dim), m.dim)
     pair = DegeneracyPair(n, m, t, n0, m0)
     a = m.algebra
-    span_n = EchelonSpanBuilder(n.dim)
+    span_n = Span(n.dim)
     for v in n0:
         span_n.add(v)
-    span_m = EchelonSpanBuilder(m.dim)
+    span_m = Span(m.dim)
     for v in m0:
         span_m.add(v)
     for v in n0:
@@ -1663,17 +1508,17 @@ def degeneracy_submodules(n, m):
 
 def degeneracy_brute(pair):
     """``tensorconn.degeneracy_brute``, each basis pair tested zero as a
-    dense class, the spans held by ``EchelonSpanBuilder``s."""
+    dense class, the spans held by ``Span``s."""
     n, m = pair.left, pair.right
     pure = _pure(pair.tensor, n, m)
     n0_b = [j for j in range(n.dim)
             if all(is_zero_vec(pure[j][i]) for i in range(m.dim))]
     m0_b = [i for i in range(m.dim)
             if all(is_zero_vec(pure[j][i]) for j in range(n.dim))]
-    span_n = EchelonSpanBuilder(n.dim)
+    span_n = Span(n.dim)
     for j in n0_b:
         span_n.add(basis_vec(n.dim, j))
-    span_m = EchelonSpanBuilder(m.dim)
+    span_m = Span(m.dim)
     for i in m0_b:
         span_m.add(basis_vec(m.dim, i))
     ok = (span_n.dim == len(pair.n0)

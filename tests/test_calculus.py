@@ -177,7 +177,7 @@ def _model_generators(name, uni):
 def _assert_saturation_matches_reference(uni, gens, ref=None):
     # the same span in every degree, and the same basis of I¹, which
     # sigma-all-degrees reads its witness off; both sides are compared by
-    # the reference's own Gauss–Jordan, not by linalg's eliminator.  A
+    # sympy's RREF (tests/_reference.py), not by linalg's eliminator.  A
     # fault injected into ``uni`` after ``ref`` was computed reaches only
     # the saturation
     spans = saturate_ideal(uni, gens)

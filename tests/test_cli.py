@@ -631,12 +631,25 @@ REPORTS_SHA256 = \
 def test_every_report_of_the_shipped_models_is_pinned():
     digest = hashlib.sha256()
     for name in NAMES:
+        every = []
         for truncation in (None, 4):
             for command in cli.COMMANDS:
                 report = cli.run(command, parse_model(
                     str(MODELS / f"{name}.model"), truncation=truncation))
                 digest.update(report.to_json().encode())
                 digest.update(report.to_text().encode())
+                if command == "all":
+                    every.append(report.records)
+        # raising the truncation from the model's own (D=3) to D=4 changes
+        # nothing below D=3: the same checks with the same statuses, and
+        # every per-degree dims list a prefix of its D=4 list
+        low, high = every
+        assert [(r.check_id, r.status) for r in low] == \
+            [(r.check_id, r.status) for r in high], name
+        for a, b in zip(low, high):
+            for key, dims in (a.dims or {}).items():
+                if key.endswith("_dims"):
+                    assert b.dims[key][:len(dims)] == dims, (name, key)
     assert digest.hexdigest() == REPORTS_SHA256
 
 

@@ -606,7 +606,7 @@ def _wrong_ext_entry(row, col, degree=2):
 
 
 def _rank(m):
-    """The rank of a dense matrix, by the reference's own Gauss–Jordan."""
+    """The rank of a dense matrix, by sympy (tests/_reference.py)."""
     return _reference.rref(m)[0] if m else 0
 
 
@@ -834,7 +834,7 @@ def test_j_and_omega_m_match_the_loops_over_every_product(make):
     j = j_ideal(conn, oh)
     ref = _reference.j_ideal_spans(conn, oh)
     # the same vectors in the same order, so the same quotients, the
-    # reference's taken by _reference.quotient on its own rref
+    # reference's taken by _reference.quotient on sympy's RREF
     dims = [conn.forms.dim(r) for r in range(len(ref))]
     assert [dense_vecs(sub, n) for sub, n in zip(j.spans, dims)] == \
         [b.basis for b in ref]

@@ -21,7 +21,8 @@ from bimodconn.linalg import (DimensionError, SpanBuilder, _col_vec, _compose,
                               kernel_quotient, mat_vec, null_space,
                               row_reduce, zero_mat, zeros)
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bimodconn"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "bimodconn"
 
 F = Fraction
 
@@ -71,6 +72,35 @@ def test_every_imported_name_is_used():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+ELIMINATOR = {"SpanBuilder", "row_reduce", "null_space", "kernel_quotient",
+              "LinSolver", "_absorb", "_reduce", "_kernel", "_eliminate"}
+
+
+def test_the_references_name_no_routine_of_linalgs_eliminator():
+    # the references eliminate by sympy alone, so a fault in linalg's
+    # eliminator cannot reach both sides of a comparison: they import none
+    # of its routines and not linalg itself, read no attribute so named,
+    # and name one only where they define their own (_reference's sympy
+    # null_space and kernel_quotient)
+    found = []
+    for name in ("_reference.py", "_embedding.py"):
+        tree = ast.parse((TESTS / name).read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                named = {alias.name.split(".")[-1] for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr}
+            elif isinstance(node, ast.Name):
+                named = {node.id} - defined
+            else:
+                continue
+            found += [f"{name}:{node.lineno}:{x}"
+                      for x in sorted(named & (ELIMINATOR | {"linalg"}))]
+    assert found == []
 
 
 def test_row_reduce_identity():
@@ -369,23 +399,10 @@ def products(draw):
 
 @settings(deadline=None)
 @given(products())
-def test_mat_mul_matches_the_dense_reference(ab):
-    a, b = ab
-    m = len(b[0]) if b else 0
-    for x, y in ((a, b), (_ints(a), _ints(b)), (a, _ints(b))):
-        got = mat_mul(x, y)
-        assert got == _reference.dense_mat_mul(x, y)
-        assert [len(row) for row in got] == [m] * len(x)
-        if x:
-            with pytest.raises(DimensionError):
-                mat_mul(x, y + [zeros(m or 1)])
-
-
-@settings(deadline=None)
-@given(products())
 def test_sparse_columns_compose_like_mat_mul(ab):
     # a·b by columns, as _compose builds it for every stored map: column j
-    # combines a's columns at the nonzeros of b's column j
+    # combines a's columns at the nonzeros of b's column j; mat_mul is
+    # sympy's product (tests/_reference.py)
     a, b = ab
     k, m = len(b), len(b[0]) if b else 0
     for x, y in ((a, b), (_ints(a), _ints(b))):
@@ -612,14 +629,14 @@ def test_span_builder_matches_the_echelon_reference(m, data):
     probe = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
     for rows in (m, _ints(m)):
         probes = rows + [probe, _ints(probe)]
-        ref = _reference.EchelonSpanBuilder(n)
+        ref = _reference.Span(n)
         span = SpanBuilder(n)
         for v in rows:
             added = ref.add(v)
             assert span.add(_sparse(v)) == added
             assert dense_vecs(span.quotient().sub, n) == ref.basis
             assert span.dim == ref.dim
-            assert sorted(span._rows) == ref.row_pivots
+            assert sorted(span._rows) == ref.pivots
             _assert_reduced(span, ref)
             if data.draw(st.booleans()):
                 x = data.draw(st.sampled_from(probes))
@@ -682,17 +699,15 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
         monkeypatch):
     # the reduced rows are 0 at every other pivot, so one reduction costs
     # one elimination per pivot in v's support, however many rows there
-    # are; the echelon reference also eliminates at pivots its own
-    # eliminations filled in, and walks every row to find them
+    # are; the pivots are those of the rows' RREF (tests/_reference.py)
     rows = [[1, 1, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0],
             [0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0]]
     probes = identity_mat(7) + rows + [[1, 0, 0, 1, 0, 1, 0],
                                        [0, 0, 0, 0, 0, 1, 1]]
-    span, ref = SpanBuilder(7), _reference.EchelonSpanBuilder(7)
+    span = SpanBuilder(7)
     for v in rows:
         span.add(_sparse(v))
-        ref.add(v)
-    pivots = set(ref.row_pivots)
+    pivots = set(_reference.rref(rows)[2])
     calls = []
     eliminate = linalg._eliminate
 
@@ -700,17 +715,11 @@ def test_reducing_a_vector_eliminates_only_the_pivots_in_its_support(
         calls.append(c)
         eliminate(v, c, row)
     monkeypatch.setattr(linalg, "_eliminate", counting)
-    monkeypatch.setattr(_reference, "_eliminate", counting)
     for v in probes:
         want = len(pivots & {j for j, x in enumerate(v) if x})
         calls.clear()
         span.contains(_sparse(v))
         assert len(calls) == want
-    calls.clear()
-    for v in probes:
-        ref.contains(v)
-    assert len(calls) > sum(len(pivots & {j for j, x in enumerate(v) if x})
-                            for v in probes)
 
 
 def _index_of(rows) -> dict[int, set[int]]:
@@ -747,7 +756,7 @@ def test_the_column_index_is_the_one_rebuilt_from_the_rows(m):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg, "_absorb", checking)
         for rows in (m, _ints(m)):
-            ref = _reference.EchelonSpanBuilder(n)
+            ref = _reference.Span(n)
             span = SpanBuilder(n)
             for v in rows:
                 assert span.add(_sparse(v)) == ref.add(v)
@@ -762,7 +771,7 @@ def test_the_column_index_is_the_one_rebuilt_from_the_rows(m):
             want = _reference.kernel_quotient(cols, len(rows))
             assert (q.free, q.proj_cols) == (want.free, want.proj_cols)
     # a nonzero row was absorbed unless the map is zero (the references
-    # eliminate without _absorb)
+    # eliminate by sympy, without _absorb)
     assert any(checked) or not any(map(any, m))
 
 
