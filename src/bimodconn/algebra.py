@@ -2,8 +2,8 @@
 
 An algebra is given by structure constants on a fixed basis, and its
 product is decoded from them once, into ``Algebra.products`` (e_i·e_j as
-its nonzero (k, coeff) pairs) and ``Algebra.unit_pairs``; no other module
-reads the structure constants or the unit.  A bimodule is given by its
+a sparse vector) and ``Algebra.one``; no other module reads the structure
+constants or the unit.  A bimodule is given by its
 left and right actions of each algebra basis element, held by sparse
 columns (``linalg.Cols``) and converted from dense matrices once, at
 intake.  The axiom checks are sparse sums over ``products`` and
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from . import anchors
-from .linalg import (Col, Cols, DimensionError, Mat, SpanBuilder, SparseVec,
-                     _apply, _col_sum, _compose, _exact, _sparse_sum,
-                     _to_cols, frac, QuotientSpace)
+from .linalg import (Cols, DimensionError, Mat, SpanBuilder, SparseVec,
+                     _apply, _compose, _exact, _to_cols, frac,
+                     QuotientSpace)
 from .report import Verdict, failed, passed
 
 
@@ -44,17 +44,16 @@ class Algebra:
                        tuple(frac(x) for x in unit))
 
     @cached_property
-    def products(self) -> list[list[Col]]:
-        """e_i·e_j as its nonzero (k, coeff) pairs, by (i, j): A's product,
-        decoded from ``structure`` once and shared, so no caller may change
-        it."""
-        return [[[(k, _exact(c)) for k, c in enumerate(cell) if c]
+    def products(self) -> list[Cols]:
+        """e_i·e_j as a sparse vector, by (i, j): A's product, decoded from
+        ``structure`` once and shared, so no caller may change it."""
+        return [[{k: _exact(c) for k, c in enumerate(cell) if c}
                  for cell in row] for row in self.structure]
 
     @cached_property
-    def unit_pairs(self) -> Col:
-        """The unit as its nonzero (k, coeff) pairs, shared likewise."""
-        return [(k, _exact(c)) for k, c in enumerate(self.unit) if c]
+    def one(self) -> SparseVec:
+        """The unit 1 of A as a sparse vector, shared likewise."""
+        return {k: _exact(c) for k, c in enumerate(self.unit) if c}
 
     @cached_property
     def generators(self) -> list[int]:
@@ -62,13 +61,11 @@ class Algebra:
         less each one, in ascending order, that the rest do without.  S
         generates A iff span{1} closed under ·e_s, s in S, is A; column x
         of ·e_s holds the nonzeros of e_x·e_s."""
-        n, prod = self.dim, self.products
-        right = [[prod[x][s] for x in range(n)] for s in range(n)]
-        unit = dict(self.unit_pairs)
+        n, right = self.dim, list(zip(*self.products))
         gens = list(range(n))
         for i in range(n):
             rest = [s for s in gens if s != i]
-            span, queue = SpanBuilder(n), [unit]
+            span, queue = SpanBuilder(n), [self.one]
             while queue:
                 v = queue.pop()
                 if span.add(v):
@@ -93,20 +90,24 @@ class Algebra:
 
 def check_algebra(a: Algebra) -> Verdict:
     """Unit two-sided on all basis elements, then associativity on all
-    basis triples, each product a sparse sum over ``products``."""
-    prod, unit = a.products, a.unit_pairs
+    basis triples, each product ``products`` applied by columns: the
+    columns of ·e_k at the nonzeros of e_i·e_j against those of e_i· at
+    the nonzeros of e_j·e_k."""
+    prod, unit = a.products, a.one
+    # ·e_k by columns: column x is e_x·e_k
+    right = list(zip(*prod))
     for i in range(a.dim):
-        if _sparse_sum([(prod[t][i], c) for t, c in unit]) != {i: 1}:
+        if _apply(right[i], unit) != {i: 1}:
             return failed("check-algebra", anchors.ALGEBRA,
                           {"axiom": "left-unit", "basis": i})
-        if _sparse_sum([(prod[i][t], c) for t, c in unit]) != {i: 1}:
+        if _apply(prod[i], unit) != {i: 1}:
             return failed("check-algebra", anchors.ALGEBRA,
                           {"axiom": "right-unit", "basis": i})
     for i in range(a.dim):
         for j in range(a.dim):
             for k in range(a.dim):
-                lhs = _sparse_sum([(prod[l][k], c) for l, c in prod[i][j]])
-                rhs = _sparse_sum([(prod[i][l], c) for l, c in prod[j][k]])
+                lhs = _apply(right[k], prod[i][j])
+                rhs = _apply(prod[i], prod[j][k])
                 if lhs != rhs:
                     return failed("check-algebra", anchors.ALGEBRA,
                                   {"axiom": "associativity",
@@ -135,20 +136,14 @@ class Bimodule:
                                              for row in m], dim) for m in ms)
         return Bimodule(dim, algebra, by_cols(left), by_cols(right))
 
-    def _action_cols(self, actions: tuple[Cols, ...], f: Col) -> Cols:
-        """Σ fᵢ·(action of e_i) by columns, f by its nonzero (i, fᵢ) pairs,
-        each column a ``_col_sum`` of the basis actions' columns there; a
-        basis element with coefficient 1 gives its stored columns, which the
-        caller must not change."""
-        terms = [(actions[i], c) for i, c in f]
-        if len(terms) == 1 and terms[0][1] == 1:
-            return terms[0][0]
-        return [_col_sum(t) if (t := [(cols[j], c) for cols, c in terms
-                                      if cols[j]]) else []
-                for j in range(self.dim)]
+    def _action_cols(self, actions: tuple[Cols, ...], f: SparseVec) -> Cols:
+        """Σ fᵢ·(action of e_i) by columns, f sparse: column j is the basis
+        actions' columns j applied to f.  The columns may be stored ones,
+        which the caller must not change."""
+        return [_apply(at_j, f) for at_j in zip(*actions)]
 
-    def left_cols(self, f: Col) -> Cols:
-        """m ↦ f·m by columns, f by its nonzero (i, fᵢ) pairs."""
+    def left_cols(self, f: SparseVec) -> Cols:
+        """m ↦ f·m by columns, f sparse."""
         return self._action_cols(self.left_action, f)
 
 
@@ -179,8 +174,8 @@ def _check_one_sided(mod, side: str, check_id: str,
     of e_i·e_j against the composition of the actions of e_i and e_j."""
     a = mod.algebra
     actions = mod.left_action if side == "left" else mod.right_action
-    if mod._action_cols(actions, a.unit_pairs) != \
-            [[(i, 1)] for i in range(mod.dim)]:
+    if mod._action_cols(actions, a.one) != \
+            [{i: 1} for i in range(mod.dim)]:
         return failed(check_id, anchor, {"axiom": f"{side}-unit"})
     for i in range(a.dim):
         for j in range(a.dim):
@@ -240,7 +235,7 @@ class BalancedTensor:
         x_k⊗(y_j·e_i)."""
         ry = self.right_factor.right_action[i]
         ydim = self.right_factor.dim
-        plain = [[(k * ydim + l, c) for l, c in ry[j]]
+        plain = [{k * ydim + l: c for l, c in ry[j].items()}
                  for k in range(self.left_factor.dim) for j in range(ydim)]
         return self.quotient.induced(plain, self.quotient)
 
@@ -255,8 +250,9 @@ def balancing_relations(x, y: Bimodule) -> list[SparseVec]:
     for i in range(x.dim):
         for fi in range(x.algebra.dim):
             for j in range(yd):
-                rel: SparseVec = {k * yd + j: c for k, c in right[fi][i]}
-                for l, c in left[fi][j]:
+                rel: SparseVec = {k * yd + j: c
+                                  for k, c in right[fi][i].items()}
+                for l, c in left[fi][j].items():
                     at = i * yd + l
                     rel[at] = rel.get(at, 0) - c
                 if rel := {at: c for at, c in rel.items() if c}:

@@ -15,7 +15,7 @@ Tensor-power coordinates (Ω^r_u inside A^{⊗(r+1)}) appear only at intake:
 model files give ideal generators in them, and from_emb converts one to a
 sparse bar vector by id ⊗ π^{⊗r}, checked by the round trip back to its
 input.  A's product and unit are read off ``Algebra.products`` and
-``Algebra.unit_pairs``.
+``Algebra.one``.
 
 Every calculus is canonically "universal modulo a graded differential
 ideal", truncated at a degree D; the partial order ⪯ then reduces to exact
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .algebra import Algebra, Bimodule
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, Vec,
-                     _apply, _col_vec, _div, _exact, _sparse, _sparse_sum,
+                     _apply, _col_sum, _col_vec, _div, _exact, _sparse,
                      QuotientSpace)
 
 
@@ -55,26 +55,26 @@ class UniversalCalculus:
         self._right_cols: list[list[Cols]] = []
         self._d_cols: list[Cols] = []
         self._build_structure_cols()
-        # per degree, per bar basis vector: its nonzero (row, coeff) entries
-        # in tensor-power coordinates, for the intake of model data; built
-        # through degree 1 here and further by from_emb as it needs them
-        self._bar_cols: list[list[list[tuple[int, Fraction | int]]]] = []
+        # per degree, per bar basis vector: its column in tensor-power
+        # coordinates, for the intake of model data; built through degree 1
+        # here and further by from_emb as it needs them
+        self._bar_cols: list[Cols] = []
         self._extend_bar_cols(1)
 
     # -- construction -----------------------------------------------------
-    def _unit_complement(self) \
-            -> tuple[list[int], list[list[tuple[int, Fraction | int]]]]:
+    def _unit_complement(self) -> tuple[list[int], Cols]:
         """The basis indices completing the unit to a basis, and the
-        projection π: A → A/ℂ1 as, per basis vector e_k, the nonzero
-        (complement position, coeff) pairs of e_k modulo the unit.
+        projection π: A → A/ℂ1 by columns: column k is e_k modulo the unit,
+        in complement positions.
 
         The complement is every index but u, the last at which the unit's
         coefficient 1_u is nonzero.  π(e_k) is the unit vector at k's
         position for k ≠ u, and 1 ≡ 0 gives π(e_u) = −Σ_{t<u} (1_t/1_u)·π(e_t).
         """
-        *rest, (u, cu) = self.algebra.unit_pairs
-        pi = [[(k if k < u else k - 1, 1)] for k in range(self.algebra.dim)]
-        pi[u] = [(t, _div(-c, cu)) for t, c in rest]
+        unit = self.algebra.one
+        u = max(unit)
+        pi = [{k if k < u else k - 1: 1} for k in range(self.algebra.dim)]
+        pi[u] = {t: _div(-c, unit[u]) for t, c in unit.items() if t != u}
         return [k for k in range(self.algebra.dim) if k != u], pi
 
     # -- dimensions and bases --------------------------------------------
@@ -102,18 +102,18 @@ class UniversalCalculus:
             table = [[(k, 0, 1)]]
         else:
             m = len(self.complement)
-            prod, unit = self.algebra.products, self.algebra.unit_pairs
+            prod, unit = self.algebra.products, self.algebra.one
             table = []
             for bidx, beta in enumerate(self._tails[r]):
                 head, j = bidx // m, beta[-1]
                 acc: dict[tuple[int, int], Fraction | int] = {}
-                for l, cl in prod[j][k]:
-                    for p, cp in self._pi[l]:
-                        for t, ct in unit:
+                for l, cl in prod[j][k].items():
+                    for p, cp in self._pi[l].items():
+                        for t, ct in unit.items():
                             at = (t, head * m + p)
                             acc[at] = acc.get(at, 0) + cl * cp * ct
                 for k0, g, c in self.tail_times(r - 1, j)[head]:
-                    for p, cp in self._pi[k]:
+                    for p, cp in self._pi[k].items():
                         at = (k0, g * m + p)
                         acc[at] = acc.get(at, 0) - c * cp
                 table.append([(k0, g, _exact(c))
@@ -129,13 +129,12 @@ class UniversalCalculus:
         cols = []
         for by_i0 in self.algebra.products:
             for terms in table:
-                acc: dict[int, Fraction | int] = {}
+                acc: SparseVec = {}
                 for k0, g, ct in terms:
-                    for l, cl in by_i0[k0]:
+                    for l, cl in by_i0[k0].items():
                         row = l * nt + g
                         acc[row] = acc.get(row, 0) + ct * cl
-                cols.append([(row, _exact(c))
-                             for row, c in sorted(acc.items()) if c])
+                cols.append({row: _exact(c) for row, c in acc.items() if c})
         return cols
 
     def _build_structure_cols(self) -> None:
@@ -143,7 +142,7 @@ class UniversalCalculus:
         in ``_right_columns``, and d(e_i0·de_β) = Σ π(e_i0)_p·1·de_{c_p}·de_β,
         the unit 1 = Σ u_t·e_t written out."""
         n, m = self.algebra.dim, len(self.complement)
-        unit = self.algebra.unit_pairs
+        unit = self.algebra.one
         for r in range(self.D + 1):
             nt = len(self._tails[r])
             self._right_cols.append([self._right_columns(r, k)
@@ -151,8 +150,9 @@ class UniversalCalculus:
             if r < self.D:
                 nt1 = nt * m
                 self._d_cols.append([
-                    [(t * nt1 + p * nt + bidx, _exact(cp * ct))
-                     for p, cp in self._pi[i0] for t, ct in unit]
+                    {t * nt1 + p * nt + bidx: _exact(cp * ct)
+                     for p, cp in self._pi[i0].items()
+                     for t, ct in unit.items()}
                     for i0 in range(n) for bidx in range(nt)])
 
     def product(self, r: int, u: SparseVec, s: int, v: SparseVec) \
@@ -165,9 +165,9 @@ class UniversalCalculus:
         for flat, c in v.items():
             k, g = divmod(flat, nt)
             right = self._right_cols[r][k]
-            terms += [([(x * nt + g, w) for x, w in right[y]], c * cu)
-                      for y, cu in u.items()]
-        return _sparse_sum(terms)
+            terms += [({x * nt + g: w for x, w in right[y].items()}, c * cu)
+                      for y, cu in u.items() if right[y]]
+        return _col_sum(terms) if terms else {}
 
     # The column tables themselves, shared: no caller may change them.
     def left_cols(self, r: int, k: int) -> Cols:
@@ -178,7 +178,7 @@ class UniversalCalculus:
             n, nt = self.algebra.dim, len(self._tails[r])
             prod = self.algebra.products
             self._left_cols[r] = [
-                [[(l * nt + bidx, c) for l, c in prod[i][i0]]
+                [{l * nt + bidx: c for l, c in prod[i][i0].items()}
                  for i0 in range(n) for bidx in range(nt)]
                 for i in range(n)]
         return self._left_cols[r][k]
@@ -209,10 +209,10 @@ class UniversalCalculus:
         once 1 is a right unit every higher degree passes too, so degree 1
         is built at construction and the rest as model data needs them."""
         n, m = self.algebra.dim, len(self.complement)
-        prod, unit = self.algebra.products, self.algebra.unit_pairs
+        prod, unit = self.algebra.products, self.algebra.one
         for r in range(len(self._bar_cols), top + 1):
             if r == 0:
-                cols = [[(i0, 1)] for i0 in range(n)]
+                cols = [{i0: 1} for i0 in range(n)]
             else:
                 prev = self._bar_cols[r - 1]
                 nt_prev = len(self._tails[r - 1])
@@ -220,43 +220,43 @@ class UniversalCalculus:
                 for i0 in range(n):
                     for bidx, beta in enumerate(self._tails[r]):
                         j = beta[-1]
-                        acc: dict[int, Fraction | int] = {}
-                        for flat, c in prev[i0 * nt_prev + bidx // m]:
+                        acc: SparseVec = {}
+                        for flat, c in prev[i0 * nt_prev + bidx // m].items():
                             head, last = divmod(flat, n)
-                            for t, ct in unit:
-                                for l, cl in prod[last][t]:
+                            for t, ct in unit.items():
+                                for l, cl in prod[last][t].items():
                                     row = (head * n + l) * n + j
                                     acc[row] = acc.get(row, 0) + c * ct * cl
-                            for l, cl in prod[last][j]:
-                                for t, ct in unit:
+                            for l, cl in prod[last][j].items():
+                                for t, ct in unit.items():
                                     row = (head * n + l) * n + t
                                     acc[row] = acc.get(row, 0) - c * cl * ct
-                        cols.append([(row, _exact(c))
-                                     for row, c in sorted(acc.items()) if c])
+                        cols.append({row: _exact(c)
+                                     for row, c in acc.items() if c})
             for k, col in enumerate(cols):
                 if self._contract(r, col) != {k: 1}:
                     raise DimensionError(f"bar basis degenerate in degree {r}; "
                                          "algebra data invalid")
             self._bar_cols.append(cols)
 
-    def _contract(self, r: int, terms) -> SparseVec:
-        """id ⊗ π^{⊗r} on (flat index, coeff) tensor-power terms, in bar
-        coordinates, sparse and sorted by index."""
+    def _contract(self, r: int, v: SparseVec) -> SparseVec:
+        """id ⊗ π^{⊗r} on a sparse tensor-power vector, in bar coordinates,
+        sparse."""
         n, m = self.algebra.dim, len(self.complement)
         head, tail_dim = n ** r, m ** r
         bar: SparseVec = {}
-        for flat, c in terms:
+        for flat, c in v.items():
             i0, rest = divmod(flat, head)
             acc = [(i0 * tail_dim, 1)]
             stride = 1
             for _ in range(r):
                 rest, k = divmod(rest, n)
                 acc = [(t + p * stride, s * cp)
-                       for t, s in acc for p, cp in self._pi[k]]
+                       for t, s in acc for p, cp in self._pi[k].items()]
                 stride *= m
             for t, s in acc:
                 bar[t] = bar.get(t, 0) + (c if s == 1 else c * s)
-        return {t: bar[t] for t in sorted(bar) if bar[t]}
+        return {t: x for t, x in bar.items() if x}
 
     def from_emb(self, r: int, emb: Vec) -> SparseVec:
         """Bar coordinates of a tensor-power vector, sparse: id ⊗ π^{⊗r},
@@ -266,9 +266,9 @@ class UniversalCalculus:
             raise DimensionError(f"expected {self.emb_dim(r)} tensor-power "
                                  f"coordinates in degree {r}")
         self._extend_bar_cols(r)
-        terms = _sparse(emb)
-        bar = self._contract(r, terms.items())
-        if _apply(self._bar_cols[r], bar) != terms:
+        v = _sparse(emb)
+        bar = self._contract(r, v)
+        if _apply(self._bar_cols[r], bar) != v:
             raise DimensionError(
                 f"vector is not in the universal calculus in degree {r}")
         return bar
@@ -388,8 +388,9 @@ def saturate_ideal(uni: UniversalCalculus,
                     span.add({x * m + t: c for x, c in v.items()})
             w_span = SpanBuilder(m * nt)
             for v in rows:
-                w_span.add(_sparse_sum([
-                    ([(p * nt + x % nt, cp) for p, cp in uni._pi[x // nt]], c)
+                w_span.add(_col_sum([
+                    ({p * nt + x % nt: cp
+                      for p, cp in uni._pi[x // nt].items()}, c)
                     for x, c in v.items()]))
             w_rows = w_span.reduced_rows()
             for i in range(n):
@@ -455,7 +456,7 @@ def preceq(c1: GradedCalculus, c2: GradedCalculus) \
         proj = c1.quotients[r].proj_cols
         for b in c2.ideal[r]:
             if _apply(proj, b):
-                return None, (r, _col_vec(b.items(), len(proj)))
+                return None, (r, _col_vec(b, len(proj)))
     maps = [[c1.quotients[r].proj_cols[fc] for fc in c2.quotients[r].free]
             for r in range(c1.D + 1)]
     return CalculusMorphism(c2, c1, maps), None

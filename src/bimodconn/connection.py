@@ -10,13 +10,13 @@ multiplications, the right-Ω operators ``DegreeRHom`` with their
 extensions and compositions, κ₀ and N⊗_AM) is held by the Forms.
 
 Every map on M⊗_AΩ is stored by sparse columns (``linalg.Cols``: per basis
-vector, its nonzero (row, coeff) pairs), because these maps are almost all
+vector, its image as a ``SparseVec``), because these maps are almost all
 zeros.  A composition, a sum, ∇̂ or a Leibniz identity combines the
 columns of one factor at the nonzeros of the other (``linalg._compose``,
 ``_commutator``, ``leibniz_failure``), so its cost is the number of
 nonzeros met, not the size of the matrices.
 A basis element of A, of M or of Ω^s enters an action, a product or an
-operator as its index or as its sparse class ([(k, 1)] for e_k), never as
+operator as its index or as its sparse class ({k: 1} for e_k), never as
 a dense unit vector.  κ's operators are built once and read by index:
 ``Forms.hats`` holds κ₀(e_i) = ê_i, ``Connection.d_hats`` holds
 ∇̂ê_i = d_∇e_i, and ``kappa_ops(r)`` holds κ on the degree-r bar basis,
@@ -35,8 +35,8 @@ from functools import cached_property
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import DegreeRHom, Forms
-from .linalg import (Col, Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
-                     _col_sum, _col_vec, _compose, kernel_quotient,
+from .linalg import (Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
+                     _apply, _col_sum, _col_vec, _compose, kernel_quotient,
                      null_space)
 from .report import Verdict, failed, passed, rationals
 
@@ -46,7 +46,7 @@ class Connection:
 
     M is ``forms.module`` (a bimodule or a right module) and Ω is
     ``forms.calculus``; only the right action of M is used.  ``nabla`` is ∇
-    by sparse columns, one per basis vector of M, each sorted by row with
+    by sparse columns, one per basis vector of M, with no zero entry and
     its rows in range(dim M⊗_AΩ¹); it is shared, so no caller may change
     it.
     """
@@ -57,7 +57,7 @@ class Connection:
         self.calculus = forms.calculus
         n_rows = forms.dim(1)
         if len(nabla) != self.module.dim or \
-                any(not 0 <= row < n_rows for col in nabla for row, _ in col):
+                any(not 0 <= row < n_rows for col in nabla for row in col):
             raise ValueError("nabla must have one column per basis vector "
                              "of M, its rows in range(dim(M⊗Ω¹))")
         self.nabla = nabla
@@ -138,16 +138,17 @@ def leibniz_failure(c: Connection, r: int, s: int,
     sign = 1 if r % 2 == 0 else -1
     n_r, n_rs = c.nabla_ext_cols(r), c.nabla_ext_cols(r + s)
     d = c.calculus.d_cols(s)
-    maps = [(f.right_mult_cols(r, s, [(k, 1)]),
-             f.right_mult_cols(r + 1, s, [(k, 1)]),
+    maps = [(f.right_mult_cols(r, s, {k: 1}),
+             f.right_mult_cols(r + 1, s, {k: 1}),
              f.right_mult_cols(r, s + 1, d[k])) for k in omegas]
     for k, col in enumerate(cols):
         for i, (rm, rm_next, rm_dw) in enumerate(maps):
-            diff = _col_sum([(n_rs[row], x) for row, x in rm[col]]
-                            + [(rm_next[row], -x) for row, x in n_r[col]]
+            diff = _col_sum([(n_rs[row], x) for row, x in rm[col].items()]
+                            + [(rm_next[row], -x)
+                               for row, x in n_r[col].items()]
                             + [(rm_dw[col], -sign)])
             if proj is not None:
-                diff = _compose(proj.proj_cols, [diff])[0]
+                diff = _apply(proj.proj_cols, diff)
             if diff:
                 return k, i
     return None
@@ -179,17 +180,17 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
     its extension ``x_ext`` to T_r (r the degree of Φ) and its restriction
     ``x_cols`` to M: column i combines x_ext at the nonzeros of Φ's column
     i and Φ's extension to T_s at the nonzeros of X's column i; a column
-    empty in both is []."""
+    empty in both is {}."""
     ext = phi.ext_cols(s)
-    return [_col_sum([(x_ext[k], c) for k, c in col]
-                     + [(ext[k], sign * c) for k, c in x_col])
-            if col or x_col else []
+    return [_col_sum([(x_ext[k], c) for k, c in col.items()]
+                     + [(ext[k], sign * c) for k, c in x_col.items()])
+            if col or x_col else {}
             for col, x_col in zip(phi.cols, x_cols)]
 
 
-def kappa0_op(c: Connection, f: Col) -> DegreeRHom:
+def kappa0_op(c: Connection, f: SparseVec) -> DegreeRHom:
     """The left-multiplication operator f̂ as a degree-0 right-Ω operator,
-    f in A by its nonzero (i, fᵢ) pairs; κ₀ of a basis element is
+    f in A sparse; κ₀ of a basis element is
     ``Forms.hats``."""
     return DegreeRHom(c.forms, 0, c.module.left_cols(f))
 
@@ -218,7 +219,7 @@ def _left_leibniz_failure(c: Connection, xs: list[Cols]) \
     M → M⊗_AΩ¹ by columns; None when it holds on every pair.  Per f it is
     the identity of maps ∇∘L_f = X_f + L_f∘∇, L_f the left action of e_f
     on M and on M⊗_AΩ¹ (κ₀(e_f) and its extension), composed by columns
-    and compared column by column; a column empty on all three sides is []
+    and compared column by column; a column empty on all three sides is {}
     without a call."""
     hats = c.forms.hats
     for f, x in enumerate(xs):
@@ -311,20 +312,16 @@ class Kappa1:
     verdicts: list[Verdict] = field(default_factory=list)
 
     def op(self, alpha: SparseVec) -> DegreeRHom:
-        """κ₁(α), α sparse in bar coordinates: per column of M, ``ops``'
-        columns combined at α's nonzeros, [] without a call where every one
-        is empty."""
-        terms = [(self.ops[u], x) for u, x in alpha.items()]
-        return DegreeRHom(self.connection.forms, 1, [
-            _col_sum(t) if (t := [(col, x) for op, x in terms
-                                  if (col := op.cols[i])]) else []
-            for i in range(self.connection.module.dim)])
+        """κ₁(α), α sparse in bar coordinates: column i is the operators'
+        columns i applied to α."""
+        by_column = zip(*(op.cols for op in self.ops))
+        return DegreeRHom(self.connection.forms, 1,
+                          [_apply(at_i, alpha) for at_i in by_column])
 
     def rank(self) -> int:
         """The rank of κ₁: the dimension of Ω¹_u modulo its kernel, the map
         given by the operators' flattenings as columns."""
-        return kernel_quotient([list(op.flat().items())
-                                for op in self.ops]).dim
+        return kernel_quotient([op.flat() for op in self.ops]).dim
 
     @property
     def injective(self) -> bool:
@@ -353,7 +350,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
     k = Kappa1(c, ops)
     # diagram: κ₁ ∘ d_u = d_∇ on all algebra basis elements
     for f in range(a.dim):
-        if k.op(dict(uni.d_cols(0)[f])).cols != c.d_hats[f].cols:
+        if k.op(uni.d_cols(0)[f]).cols != c.d_hats[f].cols:
             k.verdicts.append(failed("kappa1-diagram", anchors.DIAGRAM_COMMUTES,
                                      {"algebra_basis": f}))
             return k
@@ -363,11 +360,7 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
     # side is the combination of the flattened κ₁(α'), each one sparse
     # column, at the nonzeros α' of that column; where it is empty and
     # κ₁(α) is zero, both sides are zero
-    alpha_flat = [list(op.flat().items()) for op in ops]
-
-    def kappa_of(col) -> dict:
-        return dict(_col_sum([(alpha_flat[x], y) for x, y in col])) \
-            if col else {}
+    alpha_flat = [op.flat() for op in ops]
 
     def one_sided_failure(fs):
         for side, f_cols, compose in (
@@ -376,7 +369,8 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
             for f in fs:
                 for bi, col in enumerate(f_cols(1, f)):
                     if (col or not ops[bi].is_zero()) and \
-                            kappa_of(col) != compose(ops[bi], f).flat():
+                            _apply(alpha_flat, col) != \
+                            compose(ops[bi], f).flat():
                         return side, f, bi
         return None
 
@@ -391,7 +385,8 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
                   for bi, col in enumerate(_compose(uni.left_cols(1, f),
                                                     uni.right_cols(1, g)))
                   if (col or not alpha_g[g][bi].is_zero()) and
-                  kappa_of(col) != hats[f].compose(alpha_g[g][bi]).flat())
+                  _apply(alpha_flat, col) !=
+                  hats[f].compose(alpha_g[g][bi]).flat())
     k.verdicts.append(failed("kappa1-bimodule-linear",
                              anchors.DIAGRAM_COMMUTES, {"triple": triple}))
     return k
@@ -408,13 +403,12 @@ class SigmaMap:
     cols: Cols
     verdicts: list[Verdict] = field(default_factory=list)
 
-    def on(self, w: Col) -> Cols:
-        """a ↦ σ(w⊗a) for the class w of Ω¹ given by its sparse (class,
-        coeff) pairs, by columns: column i is σ's columns at the class of
-        w⊗a_i, the tensor's projection columns at the pure pairs (k, i) over
-        w's nonzeros k."""
+    def on(self, w: SparseVec) -> Cols:
+        """a ↦ σ(w⊗a) for the class w of Ω¹, sparse, by columns: column i
+        is σ's columns at the class of w⊗a_i, the tensor's projection
+        columns at the pure pairs (k, i) over w's nonzeros k."""
         t = self.tensor
-        pure = [[(t.pure_index(k, i), x) for k, x in w]
+        pure = [{t.pure_index(k, i): x for k, x in w.items()}
                 for i in range(t.right_factor.dim)]
         return _compose(self.cols, _compose(t.quotient.proj_cols, pure))
 
@@ -447,7 +441,7 @@ def sigma_exists(c: Connection, k1: Kappa1) -> SigmaResult:
     if absent:
         kernel = next(v for v in null_space(q1.proj_cols)
                       if not k1.op(v).is_zero())
-        wit = _col_vec(kernel.items(), len(q1.proj_cols))
+        wit = _col_vec(kernel, len(q1.proj_cols))
         res.witness_bar = wit
         res.verdicts.append(Verdict("sigma-exists", anchors.FACTOR_UNIQUELY,
                                     "absent",
@@ -466,7 +460,7 @@ def sigma_exists(c: Connection, k1: Kappa1) -> SigmaResult:
     # well-definedness on balanced classes: w ↦ σ(w⊗·) against κ̂₁(w) on
     # each basis class w of Ω¹
     for wi, op in enumerate(ops):
-        via = sigma.on([(wi, 1)])
+        via = sigma.on({wi: 1})
         mj = next((mj for mj, (x, y) in enumerate(zip(op.cols, via))
                    if x != y), None)
         if mj is not None:

@@ -11,7 +11,6 @@ built through degree D−1, the last degree a check reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from . import anchors
@@ -19,9 +18,8 @@ from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, _commutator, induced_first_order,
                          kappa1, leibniz_failure, nabla_hat, sigma_exists)
 from .forms import DegreeRHom
-from .linalg import (Col, Cols, SpanBuilder, SparseVec, Vec, _apply,
-                     _col_sum, _col_vec, _compose, kernel_quotient,
-                     QuotientSpace)
+from .linalg import (Cols, SpanBuilder, SparseVec, Vec, _apply, _col_sum,
+                     _col_vec, _compose, kernel_quotient, QuotientSpace)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -108,8 +106,8 @@ def curvature(c: Connection) -> CurvatureResult:
             if lhs != rhs:
                 mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs))
                           if x != y)
-                dl = [x - y for x, y in zip(_col_vec(lhs[mi], f.dim(2)),
-                                            _col_vec(rhs[mi], f.dim(2)))]
+                dl = _col_vec(_col_sum([(lhs[mi], 1), (rhs[mi], -1)]),
+                              f.dim(2))
                 return {"algebra_basis": fi, "module_basis": mi,
                         "difference": rationals(dl)}
         return None
@@ -227,8 +225,9 @@ class OmegaHat:
                         # extended only if some column of ∇̂w reads it
                         t_ext = t.ext_cols(s + 1) if any(dw) else []
                         if any(col != _col_sum(
-                                [(dt_ext[k], x) for k, x in w_col]
-                                + [(t_ext[k], sign * x) for k, x in dw_col])
+                                [(dt_ext[k], x) for k, x in w_col.items()]
+                                + [(t_ext[k], sign * x)
+                                   for k, x in dw_col.items()])
                                if w_col or dw_col else col
                                for col, w_col, dw_col in zip(lhs, w.cols, dw)):
                             self.verdicts.append(failed(
@@ -299,15 +298,14 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
     cal = c.calculus
     for p in range(D - 1):
         for phi in omega_hat.ops(p):
-            for col in _square_hat(c, phi):
-                if not col:         # a zero column spans nothing
+            for v in _square_hat(c, phi):
+                if not v:           # a zero column spans nothing
                     continue
-                v = dict(col)
                 builders[p + 2].add(v)
                 for s in range(1, D - p - 2 + 1):
                     for k in range(cal.dim(s)):
                         builders[p + 2 + s].add(_apply(
-                            f.right_mult_cols(p + 2, s, [(k, 1)]), v))
+                            f.right_mult_cols(p + 2, s, {k: 1}), v))
     quotients = [b.quotient() for b in builders]
     j = JIdeal([q.sub for q in quotients], quotients)
     if j.spans[0] or j.spans[1]:
@@ -354,7 +352,7 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
         for x, y in zip(_compose(r2, f.hats[fi].cols),
                         _compose(f.hats[fi].ext_cols(2), r2)):
             if x != y:
-                v = dict(_col_sum([(x, 1), (y, -1)]))
+                v = _col_sum([(x, 1), (y, -1)])
                 sub2.add(v)
                 contained &= builders[2].contains(v)
     if contained:
@@ -480,16 +478,16 @@ class OmegaM:
         # ∇²(m·ω) = ∇²(m)·ω for basis vectors m of M and ω of Ω^s; a side
         # whose curvature factor is zero is zero, with no product built
         r2 = c.curvature_cols(0)
-        zero = [[] for _ in r2]
+        zero = [{} for _ in r2]
         for s in range(1, f.D - 1):
             curv = c.curvature_cols(s)
             proj = self.quotients[s + 2].proj_cols
             sides = [
                 (_compose(proj, _compose(
-                    curv, f.right_mult_cols(0, s, [(k, 1)])))
+                    curv, f.right_mult_cols(0, s, {k: 1})))
                  if any(curv) else zero,
                  _compose(proj, _compose(
-                     f.right_mult_cols(2, s, [(k, 1)]), r2))
+                     f.right_mult_cols(2, s, {k: 1}), r2))
                  if any(r2) else zero)
                 for k in range(c.calculus.dim(s))]
             for mi in range(c.module.dim):
@@ -535,25 +533,22 @@ class InducedCalculus:
         self._check_diagram()
         self._build_calculus()
 
-    def _project_op(self, r: int, op: DegreeRHom) -> Col:
+    def _project_op(self, r: int, op: DegreeRHom) -> SparseVec:
         """The operator projected to Ω(M)_r, flattened row by row as in κ:
         each nonzero (k, x) of the operator's column c adds x times the
         projection's sparse column k, at the rows p·dim M + c; a zero
-        operator is [] with no ``_col_sum`` call."""
+        operator is {} with no ``_col_sum`` call."""
         proj = self.omega_m.quotients[r].proj_cols
         width = self.connection.module.dim
-        terms = [([(p * width + c, y) for p, y in proj[k]], x)
-                 for c, col in enumerate(op.cols) for k, x in col]
-        return _col_sum(terms) if terms else []
+        terms = [({p * width + c: y for p, y in proj[k].items()}, x)
+                 for c, col in enumerate(op.cols) for k, x in col.items()]
+        return _col_sum(terms) if terms else {}
 
-    def image(self, r: int, terms: list[tuple[int, int | Fraction]]) -> Col:
-        """κ̄ of Σ c·(bar basis vector x) over the (x, c) terms, flattened as
-        κ̄'s columns are; one term with c = 1 is that column itself, which
-        the caller must not change.  Terms at empty columns are dropped,
-        and [] comes back with no ``_col_sum`` call when none is left."""
-        cols = self._columns[r]
-        terms = [(col, c) for x, c in terms if (col := cols[x])]
-        return _col_sum(terms) if terms else []
+    def image(self, r: int, v: SparseVec) -> SparseVec:
+        """κ̄ of the sparse bar vector v, flattened as κ̄'s columns are:
+        ``_apply`` of κ̄'s columns, so one term with c = 1 is that column
+        itself, which the caller must not change."""
+        return _apply(self._columns[r], v)
 
     def _check_multiplicative(self) -> None:
         """κ̄(u·e_k) = κ̄(u)∘ê_k on bar basis pairs, read off κ̄'s columns.
@@ -583,27 +578,27 @@ class InducedCalculus:
         uni = self.connection.calculus.universal
         m = self.connection.module
         a = m.algebra
-        # L_k by rows, each as its nonzero (column, entry) pairs in column
-        # order, read once off L_k's columns
+        # L_k by rows, each a SparseVec, read once off L_k's columns
         l_rows = []
         for cols in m.left_action:
-            rows = [[] for _ in range(m.dim)]
+            rows = [{} for _ in range(m.dim)]
             for c, col in enumerate(cols):
-                for j, y in col:
-                    rows[j].append((c, y))
+                for j, y in col.items():
+                    rows[j][c] = y
             l_rows.append(rows)
 
         def scan(kjs):
             for r in range(uni.D + 1):
                 moved = [(kj, uni.right_cols(r, kj)) for kj in kjs]
                 for ki, col in enumerate(self._columns[r]):
-                    nz = [(x - x % m.dim, x % m.dim, y) for x, y in col]
+                    nz = [(x - x % m.dim, x % m.dim, y)
+                          for x, y in col.items()]
                     for kj, by_k in moved:
-                        rhs: dict[int, int | Fraction] = {}
+                        rhs: SparseVec = {}
                         for i, j, x in nz:
-                            for c, y in l_rows[kj][j]:
+                            for c, y in l_rows[kj][j].items():
                                 rhs[i + c] = rhs.get(i + c, 0) + x * y
-                        if dict(self.image(r, by_k[ki])) != \
+                        if self.image(r, by_k[ki]) != \
                                 {i: x for i, x in rhs.items() if x}:
                             return r, ki, kj
             return None
@@ -725,15 +720,14 @@ def _sigma_u_product_failure(induced: InducedCalculus) \
     uni = induced.connection.calculus.universal
     m = len(uni.complement)
     contraction = induced.multiplicative_failure
-    tails = [dict(uni.d_cols(0)[j]) for j in uni.complement]
+    tails = [uni.d_cols(0)[j] for j in uni.complement]
     for r in range(uni.D):
         columns = induced._columns[r + 1]
         for ki in range(uni.bar_dim(r)):
             if contraction is not None and contraction[:2] == (r, ki):
                 return contraction
             for t, v in enumerate(tails):
-                lhs = induced.image(
-                    r + 1, list(uni.product(r, {ki: 1}, 1, v).items()))
+                lhs = induced.image(r + 1, uni.product(r, {ki: 1}, 1, v))
                 if lhs != columns[ki * m + t]:
                     return r, ki, uni.algebra.dim + t
     return contraction
@@ -771,9 +765,8 @@ def sigma_full(induced: InducedCalculus) -> SigmaFull:
                                {"degree": r, "basis": k}))
     for r in range(1, cal.D + 1):
         for v in cal.ideal[r]:
-            if induced.image(r, list(v.items())):
-                witnesses.append((r, _col_vec(v.items(),
-                                              cal.universal.bar_dim(r))))
+            if induced.image(r, v):
+                witnesses.append((r, _col_vec(v, cal.universal.bar_dim(r))))
                 break
     if witnesses:
         verdicts.append(Verdict("sigma-all-degrees", anchors.SIGMA_FULL_IFF,

@@ -26,12 +26,12 @@ on T_r is the extension of κ₀(e_i), ``hats[i].ext_cols(r)``, kept in
 ``op_cache`` with every other operator's extension.
 
 ``right_mult_cols(r, s, ω)`` is the one right multiplication on classes:
-q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω, given sparse ([(k, 1)] for
+q ↦ q·ω, T_r → T_{r+s}, for an Ω^s class ω, given sparse ({k: 1} for
 basis class k, column k of ``GradedCalculus.d_cols(0)`` for de_k).  Its
 column k is the product of class k's representative (a basis tensor) by
 ω's representative, read off Ω^s's ``free``, as the terms of
 ``_product_terms``, each read as the projection's sparse column at its
-index.  The right action of e_i is its s = 0 case, ω = [(i, 1)].  Both
+index.  The right action of e_i is its s = 0 case, ω = {i: 1}.  Both
 are computed once per argument.  I⁰ = 0, so T₀ is M and column i of
 ``right_mult_cols(0, s, ω)`` is the class of m_i⊗ω.
 """
@@ -45,8 +45,8 @@ from functools import cached_property
 from .algebra import (BalancedTensor, Bimodule, right_module_generators,
                       tensor_over_A)
 from .calculus import GradedCalculus
-from .linalg import (Col, Cols, DimensionError, SpanBuilder, SparseVec,
-                     _col_sum, _compose, QuotientSpace)
+from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec,
+                     _apply, _col_sum, _compose, QuotientSpace)
 
 
 class Forms:
@@ -88,7 +88,7 @@ class Forms:
         # entry holds N, so the id stays N's
         self._tensors: dict[int, tuple] = {}
         # the intern table of right-Ω operators on these spaces: the id of
-        # each content, (degree, columns as tuples); see DegreeRHom.key
+        # each content, (degree, sorted entries); see DegreeRHom.key
         self.op_ids: dict[tuple, int] = {}
         # by operand ids: ("ext", id, s) the extension to T_s, by columns;
         # ("compose", id, id) the composition, an operator
@@ -131,7 +131,7 @@ class Forms:
             for iota in terms:
                 tu: SparseVec = {}
                 for (i0, bidx), c in iota:
-                    for a, x in moved[i0][g]:
+                    for a, x in moved[i0][g].items():
                         at, y = a * nt + bidx, c * x
                         tu[at] = tu[at] + y if at in tu else y
                 out.append({at: y for at, y in tu.items() if y})
@@ -142,14 +142,14 @@ class Forms:
 
     # -- tail right multiplication ----------------------------------------
     def _product_terms(self, r: int, flat: int, s: int,
-                       omega_bar: list[tuple[int, int | Fraction]]) \
+                       omega_bar: SparseVec) \
             -> list[tuple[int, int | Fraction]]:
         """The (index, coeff) terms in T^u_{r+s} of the basis tensor
         m_i⊗de_β at ``flat`` of T^u_r times the degree-s universal element
-        whose nonzero (bar index, coeff) pairs are ``omega_bar``; an index
-        may repeat.  (m_i⊗de_β)·(e_i0·de_σ) is
-        Σ d·(m_i·e_k0)⊗de_γσ over the ``tail_times`` terms (k0, γ, d) of β,
-        and m_i·e_k0 is column m_i of the stored right action of e_k0."""
+        ``omega_bar``, sparse in bar coordinates; an index may repeat.
+        (m_i⊗de_β)·(e_i0·de_σ) is Σ d·(m_i·e_k0)⊗de_γσ over the
+        ``tail_times`` terms (k0, γ, d) of β, and m_i·e_k0 is column m_i of
+        the stored right action of e_k0."""
         nt_r, nt_s = self.n_tails(r), self.n_tails(s)
         tails_r, tails_s = self._tails[r], self._tails[s]
         pos = self._tail_pos[r + s]
@@ -157,14 +157,14 @@ class Forms:
         moved = self.module.right_action
         m_i, bidx = divmod(flat, nt_r)
         out = []
-        for oflat, oc in omega_bar:
+        for oflat, oc in omega_bar.items():
             i0, sidx = divmod(oflat, nt_s)
             beta_s = tails_s[sidx]
             for k0, gidx, d in self.uni.tail_times(r, i0)[bidx]:
                 gpos = pos[tails_r[gidx] + beta_s]
                 coeff = oc * d
                 out.extend((a * nt_out + gpos, coeff * x)
-                           for a, x in moved[k0][m_i])
+                           for a, x in moved[k0][m_i].items())
         return out
 
     # -- right-Ω extensions ----------------------------------------------
@@ -198,8 +198,8 @@ class Forms:
         for flat in indices:
             m_i, bidx = divmod(flat, nt_s)
             out.append(_col_sum([(proj[heads[k] + bidx], c)
-                                 for k, c in col])
-                       if (col := phi[m_i]) else [])
+                                 for k, c in col.items()])
+                       if (col := phi[m_i]) else {})
         return out
 
     # -- actions on quotient coordinates ----------------------------------
@@ -212,25 +212,25 @@ class Forms:
         q ↦ e_i·q on T_r, which commutes with the right action."""
         return [DegreeRHom(self, 0, cols) for cols in self.module.left_action]
 
-    def right_mult_cols(self, r: int, s: int, omega: Col) -> Cols:
-        """Right multiplication q ↦ q·ω by the Ω^s class ω, given by its
-        sparse (class, coeff) pairs, T_r → T_{r+s}, by columns: column k
-        sums the projection's sparse columns at the ``_product_terms`` of
-        class k's representative, the basis tensor at free[k], by ω's, the
-        basis tensors at Ω^s's ``free``, and is [] without a call when that
-        product has no term."""
+    def right_mult_cols(self, r: int, s: int, omega: SparseVec) -> Cols:
+        """Right multiplication q ↦ q·ω by the Ω^s class ω, sparse,
+        T_r → T_{r+s}, by columns: column k sums the projection's sparse
+        columns at the ``_product_terms`` of class k's representative, the
+        basis tensor at free[k], by ω's, the basis tensors at Ω^s's
+        ``free``, and is {} without a call when that product has no term.
+        Kept by (r, s, ω's items sorted), so equal classes share one map."""
         if r + s > self.D:
             raise DimensionError("product degree past the truncation")
-        key = (r, s, tuple(omega))
+        key = (r, s, tuple(sorted(omega.items())))
         if key not in self._right_cols:
             free = self.calculus.quotients[s].free
-            omega_bar = [(free[k], c) for k, c in omega]
+            omega_bar = {free[k]: c for k, c in omega.items()}
             proj = self._quotients[r + s].proj_cols
             self._right_cols[key] = [
                 _col_sum(t) if (t := [(proj[at], x) for at, x in
                                       self._product_terms(r, fc, s,
                                                           omega_bar)])
-                else [] for fc in self._quotients[r].free]
+                else {} for fc in self._quotients[r].free]
         return self._right_cols[key]
 
     def as_bimodule(self, r: int) -> Bimodule:
@@ -241,7 +241,7 @@ class Forms:
         return Bimodule(
             self.dim(r), self.algebra,
             tuple(self.hats[i].ext_cols(r) for i in basis),
-            tuple(self.right_mult_cols(r, 0, [(i, 1)]) for i in basis))
+            tuple(self.right_mult_cols(r, 0, {i: 1}) for i in basis))
 
     def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
         """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
@@ -256,8 +256,8 @@ class Forms:
 @dataclass
 class DegreeRHom:
     """Degree-r right-Ω-linear operator, stored by its restriction to M as
-    sparse columns: ``cols[i]`` holds the nonzero (row, coeff) pairs of
-    Φ(m_i) in T_r, sorted by row, so equal operators have equal columns.
+    sparse columns: ``cols[i]`` is Φ(m_i) in T_r, with no zero entry, so
+    equal operators have equal columns.
 
     ``key`` is the operator's id in the intern table ``forms.op_ids``: equal
     operators of one ``Forms`` get one id, and each instance tuples and
@@ -275,10 +275,13 @@ class DegreeRHom:
 
     @cached_property
     def key(self) -> int:
-        """The id of the content, the degree and the columns as tuples."""
+        """The id of the content: the degree and the nonzero entries as
+        (column, row, entry) triples, sorted, so equal operators get one id
+        whatever the order of their columns' keys."""
         ids = self.forms.op_ids
-        return ids.setdefault((self.degree, tuple(map(tuple, self.cols))),
-                              len(ids))
+        content = tuple(sorted([(i, row, x) for i, col in enumerate(self.cols)
+                                for row, x in col.items()]))
+        return ids.setdefault((self.degree, content), len(ids))
 
     def flat(self, at: list[int] | range | None = None) -> SparseVec:
         """The matrix T_degree × M row by row, at the module basis indices
@@ -286,7 +289,7 @@ class DegreeRHom:
         at row·len(at) + x."""
         at = range(len(self.cols)) if at is None else at
         return {row * len(at) + x: c
-                for x, i in enumerate(at) for row, c in self.cols[i]}
+                for x, i in enumerate(at) for row, c in self.cols[i].items()}
 
     def ext_cols(self, s: int) -> Cols:
         """Right-Ω-linear extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω,
@@ -294,7 +297,7 @@ class DegreeRHom:
         if s == 0:
             return self.cols
         if self.is_zero():
-            return [[] for _ in range(self.forms.dim(s))]
+            return [{} for _ in range(self.forms.dim(s))]
         cache = self.forms.op_cache
         key = ("ext", self.key, s)
         if key not in cache:
@@ -312,7 +315,7 @@ class DegreeRHom:
         if degree > self.forms.D:
             raise ValueError("degree overflow past truncation")
         if self.is_zero() or other.is_zero():
-            return DegreeRHom(self.forms, degree, [[] for _ in other.cols])
+            return DegreeRHom(self.forms, degree, [{} for _ in other.cols])
         cache = self.forms.op_cache
         key = ("compose", self.key, other.key)
         if key not in cache:
@@ -338,21 +341,18 @@ class DegreeRHom:
         Φ(a·fg) = Φ((a·f)·g) = Φ(a·f)·g = Φ(a)·fg.  Both sides are sparse
         columns: Φ's columns combined at the nonzeros of m_a·e_f (column a
         of the stored right action of e_f), and the columns of ·e_f on
-        T_degree combined at Φ's column a; an empty side is [] without a
+        T_degree combined at Φ's column a; an empty side is {} without a
         call."""
         f = self.forms
         alg = f.algebra
 
         def scan(fis):
-            right = [(fi, f.right_mult_cols(self.degree, 0, [(fi, 1)]))
+            right = [(fi, f.right_mult_cols(self.degree, 0, {fi: 1}))
                      for fi in fis]
             for ai, col in enumerate(self.cols):
                 for fi, by_f in right:
-                    moved = f.module.right_action[fi][ai]
-                    lhs = (_col_sum([(self.cols[b], x) for b, x in moved])
-                           if moved else [])
-                    rhs = (_col_sum([(by_f[k], c) for k, c in col])
-                           if col else [])
+                    lhs = _apply(self.cols, f.module.right_action[fi][ai])
+                    rhs = _apply(by_f, col)
                     if lhs != rhs:
                         return (ai, fi)
             return None

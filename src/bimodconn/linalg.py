@@ -7,42 +7,51 @@ results of elimination are normalized so; a sum or product with a
 non-integral operand may still hold an integral value as a Fraction, which
 compares and hashes equal to the int.
 
-Every linear map a check uses is stored by columns (``Cols``: per column,
-its nonzero (row, entry) pairs sorted by row): the structure maps of the
-universal calculus, the projection of every :class:`QuotientSpace` (column
-i is the class of e_i), d on classes, a bimodule's actions, ∇, every map
-on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that span Ω¹_∇ and
-those of κ₁, σ, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.  Such a map is
-applied at the nonzeros of a sparse vector by ``_apply``, composed by
-``_compose`` and summed by ``_col_sum``, so its cost is the number of
-nonzeros met; a basis element enters as its index, its image the map's
-column there.  No caller hands ``_col_sum`` an empty term list: an empty
-column (in ``_compose`` and the operator layer alike), a zero operator or
-a product with no term gives [] without a call.  Dense matrices (lists of
-rows) remain only at intake, where ``_to_cols`` converts a model's actions
-and ∇ once, and where a report prints σ, which ``_to_mat`` densifies.  No
-function here takes a dense vector for a span: ``SpanBuilder`` takes
-``SparseVec``s only, and a quotient is ``SpanBuilder.quotient`` (the whole
-space is ``SpanBuilder(n).quotient()``).  A span's basis is sparse too:
-the ``sub`` of a :class:`QuotientSpace` (an ideal, M⊗I, J or a kernel)
-holds the ``SparseVec``s the eliminator accepted, and a witness it prints
-is densified once, by ``_col_vec``.
+Every vector and every column of every linear map is one format,
+``SparseVec``: a dict from index to nonzero entry.  A map is held by its
+columns (``Cols``, one SparseVec per column): the structure maps of the
+universal calculus, the projection of every :class:`QuotientSpace`
+(column i is the class of e_i), d on classes, a bimodule's actions, ∇,
+every map on M⊗_AΩ (``forms``, ``connection``), κ̄, the operators that
+span Ω¹_∇ and those of κ₁, σ, ν̂, ∇⊗, ∇′_M and ·f on a balanced tensor.
+``_col_sum`` is the one sum of columns, ``_apply`` is that sum at a
+vector's nonzeros and ``_compose`` is ``_apply`` at each column of the
+map applied first, so a map costs the nonzeros met; a basis element
+enters as its index, its image the map's column there.  No caller hands
+``_col_sum`` an empty term list: an empty column, a zero operator or a
+product with no term gives {} without a call.  No stored column holds a
+zero entry, so equal maps have equal columns, whatever the order of
+their keys.  Order matters in two places only: a hash key of a map sorts
+each column's items (``forms.DegreeRHom.key`` and the key of
+``Forms.right_mult_cols``), and ``_kernel`` reads each column by
+ascending row index, so the eliminator meets a map's rows in one order.
+Dense matrices (lists of rows) remain only at intake, where ``_to_cols``
+converts a model's actions and ∇ once, and where a report prints σ,
+which ``_to_mat`` densifies.  A span takes SparseVecs only, and a
+quotient is ``SpanBuilder.quotient`` (the whole space is
+``SpanBuilder(n).quotient()``).  A span's basis is sparse too: the
+``sub`` of a :class:`QuotientSpace` (an ideal, M⊗I, J or a kernel) holds
+the SparseVecs the eliminator accepted, and a witness it prints is
+densified once, by ``_col_vec``.
 
 One eliminator keeps sparse rows, ``dict[column, entry]``, reduced and
 keyed by pivot, so reducing a vector touches only the rows at the pivots
-in its support, and beside them a column index (per
-column, the pivots of the rows that hold it), so clearing a new pivot
-touches only the rows that hold it: a span costs the rows it changes, not
-the rows it stores (one m2_grass parse updates 40 stored rows over 472 new
-pivots).  ``SpanBuilder`` holds them and hands them out by pivot
-(``reduced_rows``), ``row_reduce`` reads its RREF off them, and ``null_space`` and ``kernel_quotient`` read a map's kernel off
-one elimination of the rows of its columns, sparse, so no kernel
-densifies its map or its vectors.  No check calls ``row_reduce``,
-``LinSolver`` or ``mat_vec`` any more; they stay as public and profiled
-names.  ``_sparse`` finds the nonzeros of a dense row with
+in its support, and beside them a column index (per column, the pivots
+of the rows that hold it), so clearing a new pivot touches only the rows
+that hold it: a span costs the rows it changes, not the rows it stores
+(one m2_grass parse clears 486 new pivots from 44 held rows;
+``NEW_PIVOTS_M2`` and ``HOLDERS_M2`` in tests/test_linalg.py pin both).
+``SpanBuilder`` holds them and hands them out by pivot
+(``reduced_rows``), ``row_reduce`` reads its RREF off them, and
+``null_space`` and ``kernel_quotient`` read a map's kernel off one
+elimination of the rows of its columns, sparse, so no kernel densifies
+its map or its vectors.  No check calls ``row_reduce``, ``LinSolver`` or
+``mat_vec`` any more; they stay as public and profiled names.
+``_sparse`` finds the nonzeros of a dense row with
 ``itertools.compress`` and does Python-level work only on those.
-Everything is exact: the one division, :func:`_div`, returns an int or a Fraction, never a float, so
-every equality test in the rest of the package is decidable.
+Everything is exact: the one division, :func:`_div`, returns an int or a
+Fraction, never a float, so every equality test in the rest of the
+package is decidable.
 """
 
 from __future__ import annotations
@@ -53,10 +62,10 @@ from itertools import compress
 
 Vec = list[int | Fraction]
 Mat = list[list[int | Fraction]]
-# A sparse column: its nonzero (row, coeff) pairs, sorted by row.
-Col = list[tuple[int, int | Fraction]]
-# Sparse columns of a linear map, one Col per column.
-Cols = list[Col]
+# A sparse vector, or a column of a map: index ↦ nonzero entry.
+SparseVec = dict[int, int | Fraction]
+# A linear map by its columns, one SparseVec per column.
+Cols = list[SparseVec]
 
 
 class DimensionError(ValueError):
@@ -102,7 +111,6 @@ def zero_mat(r: int, c: int) -> Mat:
     return [zeros(c) for _ in range(r)]
 
 
-SparseVec = dict[int, int | Fraction]
 # The column index of reduced rows: per column j, the pivots of the rows
 # that are nonzero at j, each row's own pivot left out.
 _Held = dict[int, set[int]]
@@ -124,58 +132,46 @@ def _eliminate(v: SparseVec, c: int | Fraction, row: SparseVec) -> None:
             del v[j]
 
 
-def _sparse_sum(terms: list[tuple[Col, int | Fraction]]) -> SparseVec:
-    """Σ c·col over the (col, c) terms, as a SparseVec with the cancelled
-    entries dropped."""
+def _col_sum(terms: list[tuple[SparseVec, int | Fraction]]) -> SparseVec:
+    """Σ c·col over the (col, c) terms, each c nonzero, with the cancelled
+    entries dropped, in one pass over the entries met.  No caller hands it
+    an empty term list, and a single term with c = 1 is that column itself,
+    which the caller must not change."""
+    if len(terms) == 1:
+        col, c = terms[0]
+        return col if c == 1 else {row: c * x for row, x in col.items()}
     acc: SparseVec = {}
     for col, c in terms:
-        for row, x in col:
+        for row, x in col.items():
             acc[row] = acc[row] + c * x if row in acc else c * x
     return {row: x for row, x in acc.items() if x}
 
 
 def _apply(cols: Cols, v: SparseVec) -> SparseVec:
-    """The map with columns ``cols`` applied to the sparse vector v: its
-    columns combined at v's nonzeros, the cancelled entries dropped."""
-    return _sparse_sum([(cols[x], c) for x, c in v.items()])
-
-
-def _col_sum(terms: list[tuple[Col, int | Fraction]]) -> Col:
-    """Σ c·col over the (col, c) terms, each c nonzero, as one sparse column
-    sorted by row with the cancelled entries dropped, in one pass over the
-    entries met; no term gives [] and a single term with c = 1 is that
-    column itself, which the caller must not change."""
-    if len(terms) < 2:
-        if not terms:
-            return []
-        col, c = terms[0]
-        return col if c == 1 else [(row, c * x) for row, x in col]
-    acc: SparseVec = {}
-    for col, c in terms:
-        for row, x in col:
-            acc[row] = acc[row] + c * x if row in acc else c * x
-    return sorted([(row, x) for row, x in acc.items() if x])
+    """The map with columns ``cols`` at the sparse vector v: the
+    ``_col_sum`` of its columns at v's nonzeros, the empty ones left out,
+    and {} without a call when none is left."""
+    terms = [(col, c) for x, c in v.items() if (col := cols[x])]
+    return _col_sum(terms) if terms else {}
 
 
 def _compose(a: Cols, b: Cols) -> Cols:
-    """a∘b by columns (b applied first): column i combines a's columns at
-    the nonzeros of b's column i, and an empty column of b is [] without
-    a look at a."""
-    return [_col_sum([(a[k], c) for k, c in col]) if col else []
-            for col in b]
+    """a∘b by columns (b applied first): a applied to each column of b, an
+    empty column {} without a call."""
+    return [_apply(a, col) if col else {} for col in b]
 
 
-def _col_vec(col: Col, n_rows: int) -> Vec:
-    """A sparse column as a dense vector of length n_rows."""
-    out = [0] * n_rows
-    for row, x in col:
-        out[row] = x
+def _col_vec(v: SparseVec, n: int) -> Vec:
+    """A sparse vector as a dense one of length n."""
+    out = [0] * n
+    for i, x in v.items():
+        out[i] = x
     return out
 
 
 def _to_cols(m: Mat, n_cols: int) -> Cols:
     """The sparse columns of a matrix with n_cols columns."""
-    return [[(i, row[j]) for i, row in enumerate(m) if row[j]]
+    return [{i: row[j] for i, row in enumerate(m) if row[j]}
             for j in range(n_cols)]
 
 
@@ -183,7 +179,7 @@ def _to_mat(cols: Cols, n_rows: int) -> Mat:
     """The dense matrix, with n_rows rows, of sparse columns."""
     out = zero_mat(n_rows, len(cols))
     for j, col in enumerate(cols):
-        for i, x in col:
+        for i, x in col.items():
             out[i][j] = x
     return out
 
@@ -212,7 +208,7 @@ def row_reduce(matrix: Mat) -> tuple[int, Mat, list[int]]:
             break
         _absorb(rows, held, _sparse(row))
     pivots = sorted(rows)
-    rref = [_col_vec([(j, _exact(x)) for j, x in rows[pc].items()], n_cols)
+    rref = [_col_vec({j: _exact(x) for j, x in rows[pc].items()}, n_cols)
             for pc in pivots]
     rref += [[0] * n_cols for _ in range(len(matrix) - len(pivots))]
     return len(pivots), rref, pivots
@@ -231,7 +227,7 @@ class QuotientSpace:
     """total / span(sub), with a deterministic projection and lift.
 
     ``proj_cols`` is the projection by sparse columns: column i is the class
-    of e_i, which is [(k, 1)] for i = free[k] and holds the few nonzeros of
+    of e_i, which is {k: 1} for i = free[k] and holds the few nonzeros of
     −row at the pivot i of a reduced row of sub; a vector's class combines
     those columns at its nonzeros.  ``sub`` is the independent basis the
     quotient was taken by, held sparse as the eliminator accepted it (no
@@ -270,16 +266,14 @@ class LinSolver:
         self.pivots = [p for p in pivots if p < self.n_cols]
         self.rref = rref
         self.rank = len(self.pivots)
-        # sparse view of the transform block, for fast repeated solves
-        self._t_rows = [[(j, row[self.n_cols + j])
-                         for j in range(self.n_rows) if row[self.n_cols + j]]
-                        for row in rref]
+        # the transform block's rows, sparse, for fast repeated solves
+        self._t_rows = [_sparse(row[self.n_cols:]) for row in rref]
 
     def solve(self, b: Vec) -> Vec | None:
         """One solution of A x = b, or None when inconsistent."""
         if len(b) != self.n_rows:
             raise DimensionError("rhs length mismatch")
-        tb = [sum([c * b[j] for j, c in trow if b[j]])
+        tb = [sum([c * b[j] for j, c in trow.items() if b[j]])
               for trow in self._t_rows]
         for r in range(self.rank, len(self.rref)):
             if tb[r] != 0:
@@ -391,14 +385,11 @@ def _quotient_of_rows(n: int, rows: dict[int, SparseVec],
     i and to e_i − row for the pivot i of a row, and the projection's
     column i is that remainder in the free coordinates."""
     free = [c for c in range(n) if c not in rows]
-    cols: Cols = [[] for _ in range(n)]
-    for k, fc in enumerate(free):
-        cols[fc].append((k, 1))
     pos = {fc: k for k, fc in enumerate(free)}
-    for pc, row in rows.items():
-        # every entry but the pivot is in a free column
-        cols[pc] = sorted((pos[j], -_exact(x))
-                          for j, x in row.items() if j != pc)
+    # every entry of a row but its pivot is in a free column
+    cols = [{pos[i]: 1} if i in pos else
+            {pos[j]: -_exact(x) for j, x in rows[i].items() if j != i}
+            for i in range(n)]
     return QuotientSpace(sub, free, cols)
 
 
@@ -407,12 +398,15 @@ def _kernel(cols: Cols, at: range) -> dict[int, SparseVec]:
     elimination of its rows with column u at index at[u] (at a permutation
     of range(n)): the column u at each non-pivot index gives the kernel
     vector e_u − Σ (row's entry at that index)·e_(column at row's pivot),
-    keyed by u ascending and held sparse."""
+    keyed by u ascending and held sparse.  Each column is read by ascending
+    row index, so the rows reach the eliminator in one order (by the first
+    column that holds them, then by index, the sparsest first), whatever
+    the order of a column's keys."""
     n = len(cols)
     by_row: dict[int, SparseVec] = {}
     for k, col in zip(at, cols):
-        for i, x in col:
-            by_row.setdefault(i, {})[k] = x
+        for i in sorted(col):
+            by_row.setdefault(i, {})[k] = col[i]
     rows: dict[int, SparseVec] = {}
     held: _Held = {}
     # sparsest rows first: on ℂ[ℤ₅] at D=3 that keeps fill-in and the

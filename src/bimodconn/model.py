@@ -235,7 +235,7 @@ def _parse_connection(doc, path: str, model: ModelFile) -> Connection:
     forms = Forms.of(module, model.calculus)
     # each column's class: the projection's columns at its nonzeros
     proj = forms.quotient_space(1).proj_cols
-    return Connection(forms, [[(r, _exact(x)) for r, x in col]
+    return Connection(forms, [{r: _exact(x) for r, x in col.items()}
                               for col in _compose(proj, nabla_tu)])
 
 

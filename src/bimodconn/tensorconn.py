@@ -27,8 +27,8 @@ from .connection import Connection, check_right_leibniz
 from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, _apply,
-                     _col_sum, _col_vec, _compose, _sparse_sum,
-                     kernel_quotient, null_space)
+                     _col_sum, _col_vec, _compose, kernel_quotient,
+                     null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -64,12 +64,12 @@ def degeneracy_submodules(n, m: Bimodule,
     t = tensor
     proj = t.quotient.proj_cols
     # b ↦ (class of b⊗a_i)_i, stacked over the M basis
-    n0 = null_space([[(i * t.dim + k, x) for i in range(m.dim)
-                      for k, x in proj[t.pure_index(j, i)]]
+    n0 = null_space([{i * t.dim + k: x for i in range(m.dim)
+                      for k, x in proj[t.pure_index(j, i)].items()}
                      for j in range(n.dim)])
     # a ↦ (class of b_j⊗a)_j, stacked over the N basis
-    m0 = null_space([[(j * t.dim + k, x) for j in range(n.dim)
-                      for k, x in proj[t.pure_index(j, i)]]
+    m0 = null_space([{j * t.dim + k: x for j in range(n.dim)
+                      for k, x in proj[t.pure_index(j, i)].items()}
                      for i in range(m.dim)])
     pair = DegeneracyPair(n, m, t, n0, m0)
     a = m.algebra
@@ -85,15 +85,14 @@ def degeneracy_submodules(n, m: Bimodule,
             for fi in fis:
                 if not span_n.contains(_apply(n.right_action[fi], v)):
                     return {"side": "N0", "algebra_basis": fi,
-                            "vector": rationals(_col_vec(v.items(), n.dim))}
+                            "vector": rationals(_col_vec(v, n.dim))}
         for v in m0:
             for fi in fis:
                 for cols, side in ((m.right_action[fi], "M0-right"),
                                    (m.left_action[fi], "M0-left")):
                     if not span_m.contains(_apply(cols, v)):
                         return {"side": side, "algebra_basis": fi,
-                                "vector": rationals(_col_vec(v.items(),
-                                                             m.dim))}
+                                "vector": rationals(_col_vec(v, m.dim))}
         return None
 
     fail = a.first_failure(scan)
@@ -151,7 +150,7 @@ def check_compatibility(c: Connection, rc: Connection,
         forms = conn.forms
         span = SpanBuilder(forms.dim(1))
         for k in range(forms.calculus.dim(1)):
-            rm = forms.right_mult_cols(0, 1, [(k, 1)])
+            rm = forms.right_mult_cols(0, 1, {k: 1})
             for v in sub:
                 span.add(_apply(rm, v))
         for v in sub:
@@ -159,7 +158,7 @@ def check_compatibility(c: Connection, rc: Connection,
                 return failed("tensor-compatibility",
                               anchors.ASSUME_DEGENERACY,
                               {"side": side, "vector": rationals(
-                                  _col_vec(v.items(), conn.module.dim))})
+                                  _col_vec(v, conn.module.dim))})
     return passed("tensor-compatibility", anchors.ASSUME_DEGENERACY,
                   {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
@@ -218,7 +217,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
                 nu.verdicts.append(failed(
                     "nu-hat-well-defined", anchors.NU_HAT,
                     {"degree": r,
-                     "vector": rationals(_col_vec(v.items(), len(proj)))}))
+                     "vector": rationals(_col_vec(v, len(proj)))}))
                 return nu
     nu.verdicts.append(passed("nu-hat-well-defined", anchors.NU_HAT))
     nu.verdicts.append(_nu_right_linear(nu))
@@ -247,7 +246,7 @@ def _nu_right_linear(nu: NuHat) -> Verdict:
     def scan(fis):
         for r in range(src.D + 1):
             for fi in fis:
-                e_i = [(fi, 1)]
+                e_i = {fi: 1}
                 if _compose(nu.maps[r], src.right_mult_cols(r, 0, e_i)) != \
                         _compose(tgt.right_mult_cols(r, 0, e_i), nu.maps[r]):
                     return {"degree": r, "algebra_basis": fi}
@@ -305,12 +304,12 @@ def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
     proj = w.quotient.proj_cols
     cols = []
     for j, xi_j in enumerate(xi):
-        terms = [(divmod(free[k], nt), x) for k, x in xi_j]
+        terms = [(divmod(free[k], nt), x) for k, x in xi_j.items()]
         for i, nabla_i in enumerate(c.nabla):
             cols.append(_col_sum(
-                [(proj[k * t1 + l], x * y)
-                 for (k, bidx), x in terms for l, y in tail_ops[bidx][i]]
-                + [(proj[j * t1 + l], y) for l, y in nabla_i]))
+                [(proj[k * t1 + l], x * y) for (k, bidx), x in terms
+                 for l, y in tail_ops[bidx][i].items()]
+                + [(proj[j * t1 + l], y) for l, y in nabla_i.items()]))
     return cols
 
 
@@ -333,7 +332,7 @@ def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
         if _apply(plain, rel):
             tc.verdicts.append(failed(
                 "tensor-connection-well-defined", well_defined_anchor,
-                {"relation": rationals(_col_vec(rel.items(), tn.plain_dim))}))
+                {"relation": rationals(_col_vec(rel, tn.plain_dim))}))
             return tc
     tc.verdicts.append(passed("tensor-connection-well-defined",
                               well_defined_anchor))
@@ -371,9 +370,9 @@ def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
         for col, fc in enumerate(tn.quotient.free):
             j, i = divmod(fc, m.dim)
             for fi, lhs, rhs, pieces in per_f:
-                if _sparse_sum([(lhs[col], 1), (rhs[col], -1)]
-                               + [(proj[j * t1 + l], -x)
-                                  for l, x in pieces[i]]):
+                if _col_sum([(lhs[col], 1), (rhs[col], -1)]
+                            + [(proj[j * t1 + l], -x)
+                               for l, x in pieces[i].items()]):
                     return {"basis": col, "algebra_basis": fi}
         return None
 
@@ -428,9 +427,7 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
     for j in range(n.dim):
         for i in range(m.dim):
             at = tc.domain.pure_index(j, i)
-            got = _col_sum([(tc.cols[k], x) for k, x in proj[at]]) \
-                if proj[at] else []
-            if plain[at] != got:
+            if plain[at] != _apply(tc.cols, proj[at]):
                 tc.verdicts.append(failed("tensor-route-agreement",
                                           anchors.NEC_SUFF,
                                           {"pair": [j, i]}))
@@ -486,8 +483,8 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
             res.verdicts.append(Verdict("associated-connection",
                                         anchors.ASSOCIATED, "absent",
                                         {"degree": r,
-                                         "kernel_element": rationals(_col_vec(
-                                             wit.items(), src.dim(r)))}))
+                                         "kernel_element": rationals(
+                                             _col_vec(wit, src.dim(r)))}))
             return res
         pos = {fc: k for k, fc in enumerate(src.quotient_space(r).free)}
         res.ext_cols.append(

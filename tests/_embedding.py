@@ -87,4 +87,4 @@ def product_ref(uni, r, u, s, v):
 
 def _bar(uni, r, emb):
     """``from_emb``'s sparse bar coordinates of emb, densified."""
-    return _col_vec(uni.from_emb(r, emb).items(), uni.bar_dim(r))
+    return _col_vec(uni.from_emb(r, emb), uni.bar_dim(r))

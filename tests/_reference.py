@@ -27,6 +27,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -68,7 +69,7 @@ def combine(cols, v, n_rows):
     out = [0] * n_rows
     for x, c in enumerate(v):
         if c:
-            for row, y in cols[x]:
+            for row, y in cols[x].items():
                 out[row] += c * y
     return out
 
@@ -100,9 +101,9 @@ def bar_index(uni, r):
 
 
 def sparse_class(v):
-    """The dense vector v as its nonzero (index, entry) pairs, the form a
-    class takes in ``Forms.right_mult_cols`` and ``SigmaMap.on``."""
-    return [(k, x) for k, x in enumerate(v) if x]
+    """The dense vector v as a sparse one, the form a class takes in
+    ``Forms.right_mult_cols`` and ``SigmaMap.on``."""
+    return {k: x for k, x in enumerate(v) if x}
 
 
 def d_bar(uni, r, v):
@@ -153,7 +154,7 @@ def vec_add(u, v):
 
 def product(uni, r, u, s, v):
     """``UniversalCalculus.product`` of dense bar vectors, densified."""
-    return _col_vec(uni.product(r, _sparse(u), s, _sparse(v)).items(),
+    return _col_vec(uni.product(r, _sparse(u), s, _sparse(v)),
                     uni.bar_dim(r + s))
 
 
@@ -188,7 +189,7 @@ def ext_matrix(op, s):
 def scaled(op, c):
     """c times a ``DegreeRHom``, column by column (a negation for c = −1)."""
     return DegreeRHom(op.forms, op.degree,
-                      [[(row, c * x) for row, x in col] if c else []
+                      [{row: c * x for row, x in col.items()} if c else {}
                        for col in op.cols])
 
 
@@ -266,6 +267,28 @@ def mat_mul(a, b):
     return _rows(_dm(a, len(b)) * _dm(b, len(b[0]) if b else 0))
 
 
+def _cols_dm(cols, n_rows):
+    """A map by sparse columns as a DomainMatrix with n_rows rows."""
+    mpq = QQ.dtype
+    rows = {}
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = mpq(x)
+    return DomainMatrix(rows, (n_rows, len(cols)), QQ)
+
+
+def _op_dm(op):
+    """A ``DegreeRHom`` as a dim T_r × dim M DomainMatrix."""
+    return _cols_dm(op.cols, op.forms.dim(op.degree))
+
+
+def omega_m_projections(induced):
+    """Ω(M)'s projection per degree as a DomainMatrix, None where J is
+    zero and the projection the identity."""
+    return [_cols_dm(q.proj_cols, q.dim) if q.sub else None
+            for q in induced.omega_m.quotients]
+
+
 def rref(matrix, n_cols=None):
     """(rank, RREF, pivot columns) of a dense matrix, the zero rows last, as
     ``linalg.row_reduce`` returns them; n_cols is needed only when the
@@ -340,7 +363,7 @@ def quotient(total, sub):
         proj[k][fc] = 1
         for row, pc in zip(reduced, pivots):
             proj[k][pc] = -row[fc]
-    cols = [[(k, row[c]) for k, row in enumerate(proj) if row[c]]
+    cols = [{k: row[c] for k, row in enumerate(proj) if row[c]}
             for c in range(total)]
     return QuotientSpace(sub, free, cols)
 
@@ -394,7 +417,7 @@ class Span:
         return None if k in pivots else [row[k] for row in reduced[:k]]
 
 
-# -- κ and σ_u per pair, projected by the dense projection -----------------
+# -- κ and σ_u per pair, projected by the projection matrix ---------------
 
 def kappa_raw(induced, r, bar):
     """κ(bar) as an operator: the sum of the raw operators of the bar basis
@@ -406,32 +429,35 @@ def kappa_raw(induced, r, bar):
             m = scaled(induced.connection.kappa_ops(r)[k], cc)
             acc = m if acc is None else acc.add(m)
     if acc is None:
-        return DegreeRHom(c.forms, r, [[] for _ in range(c.module.dim)])
+        return DegreeRHom(c.forms, r, [{} for _ in range(c.module.dim)])
     return acc
 
 
 def kappa_matrices(induced):
     """κ̄ per degree as a dense matrix on bar coordinates: column u is u's
-    raw operator projected by the dense projection matrix (``project_op``),
+    raw operator projected by the projection matrix (``project_op``),
     not read off ``InducedCalculus``'s own columns."""
     c = induced.connection
-    return [cols_to_mat([project_op(induced, r, dense(op))
+    projections = omega_m_projections(induced)
+    return [cols_to_mat([project_op(projections, r, _op_dm(op))
                          for op in c.kappa_ops(r)],
                         induced.omega_m.dim(r) * c.module.dim)
             for r in range(c.forms.D + 1)]
 
 
-def project_op(induced, r, op):
-    """The operator, a dense matrix, projected to Ω(M)_r by the dense
-    projection matrix, flattened row by row as κ̄'s columns are."""
-    q = induced.omega_m.quotients[r]
-    m = mat_mul(projection(q), op) if q.sub else op
+def project_op(projections, r, op):
+    """The operator, a DomainMatrix, projected to Ω(M)_r by its projection
+    in ``omega_m_projections``, flattened row by row as κ̄'s columns are,
+    dense."""
+    proj = projections[r]
+    m = _rows(op if proj is None else proj * op)
     return [x for row in m for x in row]
 
 
 def kappa_multiplicative(induced):
     """κ(u·e_k) = κ(u)∘κ(e_k), projected to Ω(M), on bar basis pairs."""
     kappa = kappa_matrices(induced)
+    projections = omega_m_projections(induced)
     uni = induced.connection.calculus.universal
     a = induced.connection.module.algebra
     for r in range(uni.D + 1):
@@ -445,7 +471,7 @@ def kappa_multiplicative(induced):
                 lhs = mat_vec(kappa[r], moved)
                 raw = induced.connection.kappa_ops
                 comp = raw(r)[ki].compose(raw(0)[kj])
-                if lhs != project_op(induced, r, dense(comp)):
+                if lhs != project_op(projections, r, _op_dm(comp)):
                     return {"degree": r, "basis": [ki, kj]}
     return None
 
@@ -453,6 +479,7 @@ def kappa_multiplicative(induced):
 def kappa_d_diagram(induced):
     """κ∘d_u = ∇̂∘κ after projection to Ω(M), on bar basis elements."""
     kappa = kappa_matrices(induced)
+    projections = omega_m_projections(induced)
     c = induced.connection
     uni = c.calculus.universal
     for r in range(uni.D):
@@ -461,8 +488,8 @@ def kappa_d_diagram(induced):
             bar = zeros(uni.bar_dim(r))
             bar[k] = 1
             lhs = mat_vec(kappa[r + 1], mat_vec(dm, bar))
-            rhs = project_op(induced, r + 1,
-                             dense(nabla_hat(c, c.kappa_ops(r)[k])))
+            rhs = project_op(projections, r + 1,
+                             _op_dm(nabla_hat(c, c.kappa_ops(r)[k])))
             if lhs != rhs:
                 return {"degree": r, "basis": k}
     return None
@@ -472,6 +499,7 @@ def sigma_u_multiplicative(induced):
     """σ_u(ω₁ω₂⊗ξ) = σ_u(ω₁⊗σ_u(ω₂⊗ξ)) modulo J, for ω₂ = e_k (indices
     0..n−1) and ω₂ = de_j (indices n, n+1, … over the unit complement)."""
     kappa = kappa_matrices(induced)
+    projections = omega_m_projections(induced)
     uni = induced.connection.calculus.universal
     a = uni.algebra
     raw = induced.connection.kappa_ops
@@ -489,8 +517,8 @@ def sigma_u_multiplicative(induced):
                 if r + s > uni.D:
                     continue
                 lhs = mat_vec(kappa[r + s], product(uni, r, u, s, v))
-                rhs = project_op(induced, r + s,
-                                 dense(raw(r)[ki].compose(vop)))
+                rhs = project_op(projections, r + s,
+                                 _op_dm(raw(r)[ki].compose(vop)))
                 if lhs != rhs:
                     return {"degree": r, "basis": [ki, kj]}
     return None
@@ -500,6 +528,7 @@ def sigma_u_derivation(induced):
     """∇σ_u(ω⊗ξ) = σ_u(d_uω⊗ξ) + (−1)^r σ_u(ω⊗∇ξ) modulo J, on bar basis
     elements, with ∇∘κ(ω) and κ(ω)∘∇ composed apart."""
     kappa = kappa_matrices(induced)
+    projections = omega_m_projections(induced)
     c = induced.connection
     uni = c.calculus.universal
     for r in range(uni.D):
@@ -509,12 +538,13 @@ def sigma_u_derivation(induced):
             bar = zeros(uni.bar_dim(r))
             bar[k] = 1
             op = c.kappa_ops(r)[k]
-            lhs = mat_mul(nabla_ext(c, r), dense(op))
+            lhs = _cols_dm(c.nabla_ext_cols(r), c.forms.dim(r + 1)) * \
+                _op_dm(op)
             first = mat_vec(kappa[r + 1], mat_vec(dm, bar))
-            second = mat_mul(ext_matrix(op, 1), nabla_matrix(c))
-            rest = [[x - sign * y for x, y in zip(rx, ry)]
-                    for rx, ry in zip(lhs, second)]
-            if project_op(induced, r + 1, rest) != first:
+            second = _cols_dm(op.ext_cols(1), c.forms.dim(r + 1)) * \
+                _cols_dm(c.nabla, c.forms.dim(1))
+            rest = lhs - second if sign == 1 else lhs + second
+            if project_op(projections, r + 1, rest) != first:
                 return {"degree": r, "basis": k}
     return None
 
@@ -612,44 +642,53 @@ def check_bimodule(m):
 
 # -- the dense operator route -----------------------------------------------
 #
-# A right-Ω operator as a dense dim T_r × dim M matrix, each extension a
-# dense matrix formed through representatives (``extension_columns``), and
-# a composition the ``mat_mul`` of an extension by the right factor.
-# ``omega_hat`` and ``raw_ops`` replay ``OmegaHat`` and κ's raw operators.
+# A right-Ω operator as a dim T_r × dim M ``DomainMatrix``, each extension
+# formed densely through representatives (``extension_columns``), and a
+# composition the product of an extension by the right factor.  The
+# matrices stay DomainMatrices between products; ``matrix`` and
+# ``ext_matrix`` hand out the dense rows the tests compare.  ``omega_hat``
+# and ``raw_ops`` replay ``OmegaHat`` and κ's raw operators.
 
 
 @dataclass
 class DenseRHom:
-    """A degree-r right-Ω operator as a dense matrix; its extensions are
-    computed once per instance."""
+    """A degree-r right-Ω operator as a DomainMatrix ``dm``; its extensions
+    are computed once per instance."""
 
     forms: object
     degree: int
-    matrix: list
+    dm: DomainMatrix
     _ext: dict = field(default_factory=dict, repr=False)
 
-    def ext_matrix(self, s):
+    @cached_property
+    def matrix(self):
+        """The operator as dense rows."""
+        return _rows(self.dm)
+
+    def ext_dm(self, s):
         """The extension T_s → T_{degree+s}, Φ(a⊗ω) = Φ(a)·ω."""
         if s == 0:
-            return self.matrix
+            return self.dm
         if s not in self._ext:
             f = self.forms
-            self._ext[s] = extension_columns(f, self.degree, self.matrix, s,
-                                             f.quotient_space(s).free)
+            free = f.quotient_space(s).free
+            self._ext[s] = _dm(extension_columns(f, self.degree, self.matrix,
+                                                 s, free), len(free))
         return self._ext[s]
+
+    def ext_matrix(self, s):
+        """The extension as dense rows."""
+        return _rows(self.ext_dm(s))
 
     def compose(self, other):
         return DenseRHom(self.forms, self.degree + other.degree,
-                         mat_mul(self.ext_matrix(other.degree), other.matrix))
+                         self.ext_dm(other.degree) * other.dm)
 
     def add(self, other):
-        return DenseRHom(self.forms, self.degree,
-                         [[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.matrix, other.matrix)])
+        return DenseRHom(self.forms, self.degree, self.dm + other.dm)
 
     def scale(self, c):
-        return DenseRHom(self.forms, self.degree,
-                         [[c * x for x in row] for row in self.matrix])
+        return DenseRHom(self.forms, self.degree, self.dm * QQ.dtype(c))
 
 
 class DenseRoute:
@@ -658,28 +697,25 @@ class DenseRoute:
 
     def __init__(self, c):
         self.c = c
-        self.nabla = nabla_matrix(c)
-        self._nabla = DenseRHom(c.forms, 1, self.nabla)
+        self._nabla = DenseRHom(c.forms, 1,
+                                _dm(nabla_matrix(c), c.module.dim))
 
     def kappa0(self, f_vec):
         c = self.c
-        return DenseRHom(c.forms, 0,
-                         action_matrix(actions(c.module, "left"), f_vec))
+        return DenseRHom(c.forms, 0, _dm(
+            action_matrix(actions(c.module, "left"), f_vec), c.module.dim))
 
     def nabla_hat(self, phi):
         """∇̂Φ = ∇∘Φ − (−1)^r Φ∘∇."""
-        r = phi.degree
-        first = mat_mul(self._nabla.ext_matrix(r), phi.matrix)
-        second = mat_mul(phi.ext_matrix(1), self.nabla)
-        sign = -1 if r % 2 == 0 else 1
-        return DenseRHom(self.c.forms, r + 1,
-                         [[a + sign * b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(first, second)])
+        first = self._nabla.ext_dm(phi.degree) * phi.dm
+        second = phi.ext_dm(1) * self._nabla.dm
+        return DenseRHom(self.c.forms, phi.degree + 1,
+                         first - second if phi.degree % 2 == 0
+                         else first + second)
 
     def curvature(self, r):
-        """∇∘∇: T_r → T_{r+2}."""
-        return mat_mul(self._nabla.ext_matrix(r + 1),
-                       self._nabla.ext_matrix(r))
+        """∇∘∇: T_r → T_{r+2}, a DomainMatrix."""
+        return self._nabla.ext_dm(r + 1) * self._nabla.ext_dm(r)
 
 
 def right_linearity_witness(op):
@@ -746,15 +782,15 @@ def omega_hat(route):
                     lhs = route.nabla_hat(t.compose(w))
                     rhs = dt.compose(w).add(
                         t.compose(route.nabla_hat(w)).scale(sign))
-                    if derivation is None and lhs.matrix != rhs.matrix:
+                    if derivation is None and \
+                            not (lhs.dm - rhs.dm).is_zero_matrix:
                         derivation = {"degrees": [r, s], "basis": [ki, kj]}
     for r in range(D - 1):
         for k, t in enumerate(gens[r]):
-            lhs = route.nabla_hat(route.nabla_hat(t)).matrix
-            rhs = [[x - y for x, y in zip(rx, ry)] for rx, ry in zip(
-                mat_mul(route.curvature(r), t.matrix),
-                mat_mul(t.ext_matrix(2), route.curvature(0)))]
-            if square is None and lhs != rhs:
+            lhs = route.nabla_hat(route.nabla_hat(t)).dm
+            rhs = route.curvature(r) * t.dm - \
+                t.ext_dm(2) * route.curvature(0)
+            if square is None and not (lhs - rhs).is_zero_matrix:
                 square = {"degree": r, "basis": k}
     return gens, ops, derivation, square
 
@@ -839,7 +875,7 @@ def omega_hat_ops(c):
             queue.append(op)
 
     for i in range(a.dim):
-        try_add(kappa0_op(c, [(i, 1)]))
+        try_add(kappa0_op(c, {i: 1}))
     while queue:
         op = queue.pop(0)
         r = op.degree
@@ -964,9 +1000,9 @@ def curvature_right_omega(c, omega_m):
         proj = projection(omega_m.quotients[s + 2])
         sides = [
             (mat_mul(proj, mat_mul(curv, _to_mat(f.right_mult_cols(
-                0, s, [(wi, 1)]), f.dim(s)))),
+                0, s, {wi: 1}), f.dim(s)))),
              mat_mul(proj, mat_mul(_to_mat(f.right_mult_cols(
-                 2, s, [(wi, 1)]), f.dim(s + 2)), r2)))
+                 2, s, {wi: 1}), f.dim(s + 2)), r2)))
             for wi in range(c.calculus.dim(s))]
         for mi in range(c.module.dim):
             for wi, (lhs, rhs) in enumerate(sides):
@@ -1155,7 +1191,7 @@ def kappa1_coords(k1):
     ``Span.coords``."""
     c = k1.connection
     a = c.module.algebra
-    hats = [kappa0_op(c, [(i, 1)]) for i in range(a.dim)]
+    hats = [kappa0_op(c, {i: 1}) for i in range(a.dim)]
     d_ops = [nabla_hat(c, h) for h in hats]
     span = Span(c.forms.dim(1) * c.module.dim)
     accepted = []
@@ -1202,8 +1238,7 @@ def unit_complement(a):
     span = Span(a.dim)
     span.add(list(a.unit))
     comp = [i for i in range(a.dim) if span.add(basis_vec(a.dim, i))]
-    pi = [[(p, x) for p, x in enumerate(span.coords(e)[1:]) if x]
-          for e in identity_mat(a.dim)]
+    pi = [sparse_class(span.coords(e)[1:]) for e in identity_mat(a.dim)]
     return comp, pi
 
 
@@ -1224,7 +1259,7 @@ def saturate_ideal(uni, generators):
     spans = [Span(uni.bar_dim(r)) for r in range(uni.D + 1)]
     queue = deque()
     for deg, bar in generators:
-        bar = _col_vec(bar.items(), uni.bar_dim(deg))
+        bar = _col_vec(bar, uni.bar_dim(deg))
         if spans[deg].add(bar):
             queue.append((deg, bar))
     fs = [to_emb(uni, 0, f) for f in identity_mat(a.dim)]
@@ -1243,7 +1278,7 @@ def saturate_ideal(uni, generators):
                 images.append((r + 1, product_emb(a, de, 1, v_emb, r)))
                 images.append((r + 1, product_emb(a, v_emb, r, de, 1)))
         for s, w in images:
-            w = _col_vec(uni.from_emb(s, w).items(), uni.bar_dim(s))
+            w = _col_vec(uni.from_emb(s, w), uni.bar_dim(s))
             if spans[s].add(w):
                 queue.append((s, w))
     return spans
@@ -1355,9 +1390,9 @@ def pure_pair_vectors(c, w, xi_forms, xi_list, tail_ops):
         for i in range(c.module.dim):
             v = zeros(w.plain_dim)
             for (k, bidx), cc in terms:
-                for l, x in tail_ops[bidx][i]:
+                for l, x in tail_ops[bidx][i].items():
                     v[k * t1 + l] += cc * x
-            for l, x in c.nabla[i]:
+            for l, x in c.nabla[i].items():
                 v[j * t1 + l] += x
             out.append(project(w.quotient, v))
     return out
@@ -1557,9 +1592,8 @@ def sigma_route(tc, rc, c, sigma):
     tail_ops = []
     for bar in tail_bars(cal.universal):
         cls = project(cal.quotients[1], bar)
-        tail_ops.append([list(_sparse(sigma_apply(c, s, project_pure(
-            s.tensor, cls, basis_vec(m.dim, i)))).items())
-                         for i in range(m.dim)])
+        tail_ops.append([_sparse(sigma_apply(c, s, project_pure(
+            s.tensor, cls, basis_vec(m.dim, i)))) for i in range(m.dim)])
     xi = [nabla_apply(rc, basis_vec(n.dim, j)) for j in range(n.dim)]
     plain = pure_pair_vectors(c, tc.codomain, rc.forms, xi, tail_ops)
     pure_classes = _pure(tc.domain, n, m)
@@ -1600,7 +1634,7 @@ def d_nabla_x(c):
     """X(f, a) = (d_∇e_f)(a) = (∇̂ê_f)(a), the left rule of
     ``left-leibniz-induced``."""
     a = c.module.algebra
-    ops = [nabla_hat(c, kappa0_op(c, [(i, 1)])) for i in range(a.dim)]
+    ops = [nabla_hat(c, kappa0_op(c, {i: 1})) for i in range(a.dim)]
     return lambda f, av: apply(ops[f], av)
 
 

@@ -131,7 +131,7 @@ def regular_connection(a: Algebra, truncation: int, gamma: int | list,
         x + y for x, y in zip(d_bar(uni, 0, basis_vec(a.dim, c)),
                               product(uni, 1, g, 0, basis_vec(a.dim, c)))])
         for c in range(a.dim)]
-    return Connection(forms, [list(_sparse(col).items()) for col in cols])
+    return Connection(forms, [_sparse(col) for col in cols])
 
 
 def model_file(conn: Connection, name: str = "generated") -> ModelFile:

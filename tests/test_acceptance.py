@@ -181,7 +181,8 @@ def test_12_module_basis_change_keeps_every_verdict(tmp_path):
     p = [[1, Fraction(2, 3)], [Fraction(1, 2), 2]]
     model = parse_model(_rebased_twist(tmp_path, p))
     assert any(x.denominator != 1
-               for col in model.connections["nabla"].nabla for _, x in col)
+               for col in model.connections["nabla"].nabla
+               for x in col.values())
     got = cli.run("all", model)
     want = cli.run("all", parse_model(str(MODELS / "a2_twist.model")))
     assert [(v.check_id, v.status, v.dims) for v in got.records] == \
@@ -192,5 +193,5 @@ def test_12_integral_connection_entries_parse_to_ints(tmp_path):
     # the rebased data hold non-integral entries, the projected ∇ does not
     p = [[1, Fraction(1, 2)], [-1, 3]]
     nabla = parse_model(_rebased_twist(tmp_path, p)).connections["nabla"].nabla
-    assert nabla == [[(0, -4)], [(0, 5)]]
-    assert all(type(x) is int for col in nabla for _, x in col)
+    assert nabla == [{0: -4}, {0: 5}]
+    assert all(type(x) is int for col in nabla for x in col.values())

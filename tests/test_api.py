@@ -416,7 +416,7 @@ def test_kappa_is_built_once_per_connection():
 
 
 def test_only_algebra_reads_the_structure_constants():
-    # A's product is decoded once, into Algebra.products and unit_pairs;
+    # A's product is decoded once, into Algebra.products and Algebra.one;
     # every other module reads those, never structure or unit
     named = set()
     for path in sorted(PACKAGE.glob("*.py")):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -639,18 +640,26 @@ def test_every_report_of_the_shipped_models_is_pinned():
                 digest.update(report.to_json().encode())
                 digest.update(report.to_text().encode())
                 if command == "all":
-                    every.append(report.records)
+                    every.append(report)
         # raising the truncation from the model's own (D=3) to D=4 changes
-        # nothing below D=3: the same checks with the same statuses, and
-        # every per-degree dims list a prefix of its D=4 list
-        low, high = every
-        assert [(r.check_id, r.status) for r in low] == \
-            [(r.check_id, r.status) for r in high], name
-        for a, b in zip(low, high):
-            for key, dims in (a.dims or {}).items():
-                if key.endswith("_dims"):
-                    assert b.dims[key][:len(dims)] == dims, (name, key)
+        # nothing below D=3; the statuses are equal on every record
+        _assert_truncation_prefix(*every, name)
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def _assert_truncation_prefix(low: Report, high: Report, name: str) -> None:
+    """The `all` reports of one model at D and at D+1: the same checks,
+    record by record, with the same statuses, and every per-degree
+    ``*_dims`` list at D a prefix of its list at D+1.  The prefix rule holds
+    for every model (I^r, κ in degree r and J^r read only degrees up to
+    r); equal statuses are what the pinned models show, not a theorem, as a
+    check that reads degree D can first fail at D+1."""
+    assert [(r.check_id, r.status) for r in low.records] == \
+        [(r.check_id, r.status) for r in high.records], name
+    for a, b in zip(low.records, high.records):
+        for key, dims in (a.dims or {}).items():
+            if key.endswith("_dims"):
+                assert b.dims[key][:len(dims)] == dims, (name, key)
 
 
 # The SHA-256 of the JSON `all` report of ∇ = d + Γ· (Γ the bar basis
@@ -676,11 +685,29 @@ def _generated(name):
     return generated_model(algebra(), truncation)
 
 
+@cache
+def _generated_report(algebra: str, truncation: int) -> Report:
+    """The `all` report of ``generated_model`` on the algebra of the
+    GENERATED_PINS names "<algebra>-D<n>", at the given truncation, built
+    once and shared by the pins and the truncation rule."""
+    make = next(make for key, (make, _, _) in GENERATED_PINS.items()
+                if key.split("-D")[0] == algebra)
+    return cli.run("all", generated_model(make(), truncation))
+
+
 @pytest.mark.parametrize("name", GENERATED_PINS)
 def test_the_all_report_of_a_generated_model_is_pinned(name):
-    report = cli.run("all", _generated(name)).to_json()
-    assert hashlib.sha256(report.encode()).hexdigest() == \
+    report = _generated_report(name.split("-D")[0], GENERATED_PINS[name][1])
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
         GENERATED_PINS[name][2]
+
+
+@pytest.mark.parametrize("algebra", ["T3", "CZ3", "M2"])
+def test_a_generated_report_at_d2_is_a_prefix_of_its_report_at_d3(algebra):
+    # the truncation rule on generated models; the statuses are equal on
+    # every record of all three, 58 records each
+    _assert_truncation_prefix(_generated_report(algebra, 2),
+                              _generated_report(algebra, 3), algebra)
 
 
 @pytest.mark.parametrize("name", [*NAMES, *GENERATED_PINS])

@@ -35,7 +35,7 @@ def test_right_leibniz_flat():
 
 def test_right_leibniz_zero_map_fails():
     c0 = nabla("a2_flat")
-    bad = Connection(c0.forms, [[], []])
+    bad = Connection(c0.forms, [{}, {}])
     v = check_right_leibniz(bad)
     assert v.status == "fail"
     assert v.witness is not None
@@ -46,12 +46,12 @@ def test_connection_refuses_nabla_of_the_wrong_shape():
     c = nabla("a2_flat")
     n_rows = c.forms.dim(1)
     assert len(c.nabla) == c.module.dim == 2
-    for bad in (c.nabla[:1], c.nabla + [[]], [[(n_rows, 1)], c.nabla[1]],
-                [[(-1, 1)], c.nabla[1]]):
+    for bad in (c.nabla[:1], c.nabla + [{}], [{n_rows: 1}, c.nabla[1]],
+                [{-1: 1}, c.nabla[1]]):
         with pytest.raises(ValueError, match="one column per basis vector"):
             Connection(c.forms, bad)
-    assert Connection(c.forms, [[(n_rows - 1, 1)], []]).nabla == \
-        [[(n_rows - 1, 1)], []]
+    assert Connection(c.forms, [{n_rows - 1: 1}, {}]).nabla == \
+        [{n_rows - 1: 1}, {}]
 
 
 def test_right_leibniz_twist():
@@ -60,15 +60,15 @@ def test_right_leibniz_twist():
 
 def test_nabla_hat_of_identity_vanishes():
     c = nabla("a2_flat")
-    one_hat = kappa0_op(c, a2().unit_pairs)
+    one_hat = kappa0_op(c, a2().one)
     assert nabla_hat(c, one_hat).is_zero()
 
 
 def test_nabla_hat_of_e1_on_e2():
     c = nabla("a2_flat")
-    nh = nabla_hat(c, kappa0_op(c, [(0, 1)]))
+    nh = nabla_hat(c, kappa0_op(c, {0: 1}))
     bar = _col_vec(c.calculus.universal.from_emb(
-        1, [-x for x in emb_e1e2()]).items(), c.calculus.universal.bar_dim(1))
+        1, [-x for x in emb_e1e2()]), c.calculus.universal.bar_dim(1))
     expected = class_of_pair_bar(c.forms, 1, list(a2().unit), bar)
     assert apply(nh, _reference.basis_vec(a2().dim, 1)) == expected
 
@@ -77,7 +77,7 @@ def test_nabla_hat_of_e1_is_left_mult_by_de1():
     # with nabla = d, (nabla-hat e1-hat)(a) = (d e1)·a for every basis a
     c = nabla("a2_flat")
     uni = c.calculus.universal
-    nh = nabla_hat(c, kappa0_op(c, [(0, 1)]))
+    nh = nabla_hat(c, kappa0_op(c, {0: 1}))
     de1 = d_bar(uni, 0, _reference.basis_vec(a2().dim, 0))
     for i in range(2):
         prod = _reference.product(uni, 1, de1, 0,
@@ -90,33 +90,34 @@ def test_compose_past_the_truncation_raises():
     # a2_flat has D = 3, and ∇̂∇̂ê₁ has degree 2, so the product would have
     # degree 4; it used to end in an IndexError
     c = nabla("a2_flat")
-    t2 = nabla_hat(c, nabla_hat(c, kappa0_op(c, [(0, 1)])))
+    t2 = nabla_hat(c, nabla_hat(c, kappa0_op(c, {0: 1})))
     assert t2.degree == 2 and c.forms.D == 3
     with pytest.raises(ValueError, match="truncation"):
         t2.compose(t2)
     with pytest.raises(ValueError, match="truncation"):
-        nabla_hat(c, t2.compose(nabla_hat(c, kappa0_op(c, a2().unit_pairs))))
+        nabla_hat(c, t2.compose(nabla_hat(c, kappa0_op(c, a2().one))))
 
 
 def test_add_across_degrees_raises():
     # it used to return a degree-0 operator, silently wrong
     c = nabla("a2_flat")
-    e1 = kappa0_op(c, [(0, 1)])
+    e1 = kappa0_op(c, {0: 1})
     with pytest.raises(ValueError, match="degree"):
         e1.add(nabla_hat(c, e1))
     assert e1.add(e1).cols == _reference.scaled(e1, 2).cols
 
 
 def test_equal_operators_share_one_id_per_forms():
-    # DegreeRHom.key interns the content (degree, columns) in its Forms:
-    # equal columns in one degree give one id, and a composition or ∇̂
-    # found in a cache is the operator itself
+    # DegreeRHom.key interns the content (degree, entries) in its Forms:
+    # equal columns in one degree give one id, whatever the order of their
+    # keys, and a composition or ∇̂ found in a cache is the operator itself
     c = nabla("a2_flat")
     f = Forms(c.module, c.calculus)
     conn = Connection(f, c.nabla)
-    e1 = kappa0_op(conn, [(0, 1)])
-    twin = DegreeRHom(f, 0, [list(col) for col in e1.cols])
-    content = tuple(map(tuple, e1.cols))
+    e1 = kappa0_op(conn, {0: 1})
+    twin = DegreeRHom(f, 0, [dict(reversed(col.items())) for col in e1.cols])
+    content = tuple(sorted((i, row, x) for i, col in enumerate(e1.cols)
+                           for row, x in col.items()))
     assert twin is not e1 and twin.key == e1.key == f.op_ids[0, content]
     assert nabla_hat(conn, twin) is nabla_hat(conn, e1)
     assert twin.compose(e1) is e1.compose(twin)
@@ -172,12 +173,12 @@ def test_a_wrong_nabla_hat_fails_the_derivation_law_as_the_basis_scan(
 
     def wrong(c, phi):
         out = real(c, phi)
-        lam = dict(phi.cols[col]).get(row, 0) if phi.degree == 0 else 0
+        lam = phi.cols[col].get(row, 0) if phi.degree == 0 else 0
         if not lam:
             return out
-        psi = real(c, kappa0_op(c, [(k, 1)]))
+        psi = real(c, kappa0_op(c, {k: 1}))
         return DegreeRHom(out.forms, 1, [
-            _col_sum([(x, 1), (y, lam)]) if x or y else []
+            _col_sum([(x, 1), (y, lam)]) if x or y else {}
             for x, y in zip(out.cols, psi.cols)])
 
     monkeypatch.setattr(connection_module, "nabla_hat", wrong)
@@ -200,7 +201,7 @@ def test_kappa1_on_e1_tensor_e2():
     op = k1.op(bar)
     assert is_zero_vec(apply(op, _reference.basis_vec(a2().dim, 0)))
     expected = class_of_pair_bar(c.forms, 1, list(a2().unit), _col_vec(
-        bar.items(), c.calculus.universal.bar_dim(1)))
+        bar, c.calculus.universal.bar_dim(1)))
     assert apply(op, _reference.basis_vec(a2().dim, 1)) == expected
 
 
@@ -275,7 +276,7 @@ def test_a_wrong_right_multiplication_fails_kappa1_like_the_reference(
     table = m.calculus.universal.right_cols(1, g)
     entries = dict(table[col])
     entries[row] = entries.get(row, 0) + 1
-    table[col] = sorted((k, x) for k, x in entries.items() if x)
+    table[col] = {k: x for k, x in entries.items() if x}
     k1 = Pipeline(m.connections["nabla"]).kappa1
     assert _linearity_witness(k1) == {"triple": triple}
     assert _reference.kappa1_bimodule_linear(k1) == {"triple": triple}
@@ -308,7 +309,7 @@ def test_a_twisted_right_action_fails_kappa1_linearity_as_the_basis_scan(
         uni._right_cols[1] = [
             [_col_sum(t) if (t := [(table[k][col], x)
                                    for k, x in enumerate(phi[g])
-                                   if x and table[k][col]]) else []
+                                   if x and table[k][col]]) else {}
              for col in range(len(table[g]))] for g in range(a.dim)]
         k1 = Pipeline(c).kappa1
         witnesses.append(_linearity_witness(k1))
@@ -372,7 +373,7 @@ def test_sigma_of_a_perturbed_kappa1_matches_the_reference(name, exists):
 def _d_nabla_cols(c: Connection):
     """d_∇e_f = ∇̂ê_f by columns, per basis element f of A."""
     a = c.module.algebra
-    return [nabla_hat(c, kappa0_op(c, [(f, 1)])).cols
+    return [nabla_hat(c, kappa0_op(c, {f: 1})).cols
             for f in range(a.dim)]
 
 
@@ -408,7 +409,7 @@ def test_a_failing_left_leibniz_rule_gives_the_per_pair_witness(name):
             for row in {0, t1 - 1}:
                 bad = list(xs)
                 bad[f] = list(x)
-                bad[f][i] = _col_sum([(col, 1), ([(row, 1)], 1)])
+                bad[f][i] = _col_sum([(col, 1), ({row: 1}, 1)])
                 cases.append(bad)
     found = []
     for bad in cases:
@@ -426,7 +427,7 @@ def _raised(op: DegreeRHom, i: int, row: int) -> DegreeRHom:
     col = dict(op.cols[i])
     col[row] = col.get(row, 0) + 1
     cols = list(op.cols)
-    cols[i] = sorted((r, x) for r, x in col.items() if x)
+    cols[i] = {r: x for r, x in col.items() if x}
     return DegreeRHom(op.forms, op.degree, cols)
 
 
@@ -438,7 +439,7 @@ def test_a_perturbed_operator_gives_the_dense_right_linearity_witness(name):
     # or some pass
     c = nabla(name)
     a = c.module.algebra
-    ops = [nabla_hat(c, kappa0_op(c, [(g, 1)])) for g in range(a.dim)]
+    ops = [nabla_hat(c, kappa0_op(c, {g: 1})) for g in range(a.dim)]
     ops.append(DegreeRHom(c.forms, 2, c.curvature_cols(0)))
     found = []
     for op in ops:

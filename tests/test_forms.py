@@ -106,13 +106,13 @@ def test_right_mult_matrix_rejects_bad_degrees_and_classes():
     # past the truncation, where T_{r+s} does not exist
     for r, s in ((D, 1), (1, D), (D, D)):
         with pytest.raises(DimensionError):
-            f.right_mult_cols(r, s, [(0, 1)])
+            f.right_mult_cols(r, s, {0: 1})
     # an ω with an index past Ω¹'s basis is no class
     with pytest.raises(IndexError):
-        f.right_mult_cols(0, 1, [(f.calculus.dim(1), 1)])
+        f.right_mult_cols(0, 1, {f.calculus.dim(1): 1})
     # the zero class multiplies to zero, the first basis class does not
-    assert f.right_mult_cols(0, 1, []) == [[] for _ in range(f.dim(0))]
-    assert any(f.right_mult_cols(0, 1, [(0, 1)]))
+    assert f.right_mult_cols(0, 1, {}) == [{} for _ in range(f.dim(0))]
+    assert any(f.right_mult_cols(0, 1, {0: 1}))
 
 
 def _t2_forms_over_a_quotient() -> tuple:
@@ -144,7 +144,7 @@ def test_ideal_tensors_are_the_product(make):
         tensors = f._ideal_tensors(r)
         assert all(all(tu.values()) for tu in tensors)
         ideal = _reference.dense_vecs(cal.ideal[r], cal.universal.bar_dim(r))
-        assert [_col_vec(tu.items(), f.tu_dim(r)) for tu in tensors] == [
+        assert [_col_vec(tu, f.tu_dim(r)) for tu in tensors] == [
             _reference.mult_tu_by_bar(
                 f, 0, _reference.basis_vec(module.dim, g), r, iota)
             for g in f.generators for iota in ideal]
@@ -190,11 +190,13 @@ def test_every_cached_extension_matches_the_representative_route(
         contents = {op_id: content for content, op_id in f.op_ids.items()}
         for key, cols in f.op_cache.items():
             if key[0] == "ext":
-                (degree, phi), s = contents[key[1]], key[2]
+                (degree, entries), s = contents[key[1]], key[2]
+                phi = [[0] * f.module.dim for _ in range(f.dim(degree))]
+                for i, row, x in entries:
+                    phi[row][i] = x
                 assert _to_mat(cols, f.dim(degree + s)) == \
                     _reference.extension_columns(
-                        f, degree, _to_mat(phi, f.dim(degree)), s,
-                        f.quotient_space(s).free)
+                        f, degree, phi, s, f.quotient_space(s).free)
                 n_ext += 1
     for c in conns:
         f = c.forms
@@ -220,7 +222,8 @@ def test_no_map_is_extended_twice(monkeypatch, name):
     extend = Forms.extension_columns
 
     def counting(self, r, phi, s, indices):
-        calls[id(self), r, tuple(map(tuple, phi)), s, tuple(indices)] += 1
+        content = tuple(tuple(sorted(col.items())) for col in phi)
+        calls[id(self), r, content, s, tuple(indices)] += 1
         return extend(self, r, phi, s, indices)
 
     monkeypatch.setattr(Forms, "extension_columns", counting)

@@ -16,10 +16,13 @@ from _shared import MODELS, NAMES, a2
 from test_cli import GENERATED_PINS, _generated
 import bimodconn
 from bimodconn import cli, linalg, parse_model
-from bimodconn.linalg import (DimensionError, SpanBuilder, _col_vec, _compose,
-                              _sparse, _sparse_sum, _to_cols, _to_mat, frac,
-                              kernel_quotient, mat_vec, null_space,
-                              row_reduce, zero_mat, zeros)
+from bimodconn.connection import Connection
+from bimodconn.curvature import Pipeline
+from bimodconn.forms import DegreeRHom, Forms
+from bimodconn.linalg import (DimensionError, QuotientSpace, SpanBuilder,
+                              _apply, _col_vec, _compose, _sparse, _to_cols,
+                              _to_mat, frac, kernel_quotient, mat_vec,
+                              null_space, row_reduce, zero_mat, zeros)
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "bimodconn"
@@ -412,10 +415,9 @@ def test_sparse_columns_compose_like_mat_mul(ab):
             [[row[j] for row in x] for j in range(k)]
         prod = _compose(x_cols, y_cols)
         assert _to_mat(prod, len(x)) == mat_mul(x, y)
-        # sorted by row, cancelled entries dropped: equal maps, equal columns
-        assert all(all(c for _, c in col) and
-                   [i for i, _ in col] == sorted({i for i, _ in col})
-                   for col in prod)
+        # cancelled entries dropped: equal maps, equal columns
+        for col in prod:
+            _assert_column(col)
         assert prod == _to_cols(mat_mul(x, y), m)
 
 
@@ -434,8 +436,8 @@ def _dense_sum(n: int, cols, coeffs):
 
 
 def _nonzeros(v):
-    """A dense vector's nonzero (index, entry) pairs, as a sparse column."""
-    return [(i, x) for i, x in enumerate(v) if x]
+    """A dense vector as a sparse column."""
+    return {i: x for i, x in enumerate(v) if x}
 
 
 @st.composite
@@ -456,14 +458,16 @@ def dense_terms(draw):
 
 
 def _assert_column(col) -> None:
-    """Sorted by row with no zero entry: equal maps keep equal columns."""
-    assert [i for i, _ in col] == sorted({i for i, _ in col})
-    assert all(x for _, x in col)
+    """A dict with no zero entry: equal maps keep equal columns."""
+    assert type(col) is dict
+    assert all(col.values())
 
 
 @settings(deadline=None)
 @given(dense_terms())
-def test_col_sum_and_sparse_sum_match_the_dense_sum(drawn):
+def test_col_sum_matches_the_dense_sum(drawn):
+    # the one sum of the package, and `_apply`, which is that sum at a
+    # vector's nonzeros, its empty columns left out
     n, cols, coeffs = drawn
     for cs, xs in ((cols, coeffs), (_ints(cols), _ints(coeffs))):
         terms = [(_nonzeros(col), c) for col, c in zip(cs, xs)]
@@ -471,13 +475,17 @@ def test_col_sum_and_sparse_sum_match_the_dense_sum(drawn):
         got = linalg._col_sum(terms)
         assert got == want
         _assert_column(got)
-        assert linalg._sparse_sum(terms) == dict(want)
+        # the terms in any order of their keys give the same column
+        assert linalg._col_sum([(dict(reversed(col.items())), c)
+                                for col, c in terms]) == want
+        at = {x: c for x, (_, c) in enumerate(terms)}
+        assert _apply([col for col, _ in terms], at) == want
         for col, c in terms:
             # a single term with c = 1 is the column itself, not a copy
             assert linalg._col_sum([(col, 1)]) is col
             assert linalg._col_sum([(col, c)]) == \
                 _nonzeros([c * x for x in _col_vec(col, n)])
-    assert linalg._col_sum([]) == [] and linalg._sparse_sum([]) == {}
+    assert _apply([], {}) == {}
 
 
 @st.composite
@@ -510,7 +518,7 @@ def test_compose_matches_the_dense_combination(drawn):
         for col in got:
             _assert_column(col)
     # an empty column of b never indexes a
-    assert _compose([], [[], []]) == [[], []]
+    assert _compose([], [{}, {}]) == [{}, {}]
 
 
 # `_col_sum` calls in one parse and `all` of m2_grass: 7,829 while every
@@ -549,13 +557,21 @@ def test_compose_matches_the_dense_combination(drawn):
 # 3,639 while the left action on M⊗_AΩ^r had a cache of its own beside
 # op_cache: the ten left actions `all` built a second time that way (the
 # extensions of κ₀(e_i) already in op_cache) made 40 calls in
-# Forms.extension_columns
-COL_SUM_CALLS_M2 = 3599
+# Forms.extension_columns.  3,599 while `_sparse_sum` was a second sum
+# beside `_col_sum` and `_compose` summed every column of a it met: the 762
+# `_sparse_sum` calls (380 of them over empty columns only) are `_col_sum`
+# calls now, and `_apply`, which `_compose` applies to each column, leaves
+# the empty columns out and makes no call when none is left (3,277 calls);
+# `Bimodule._action_cols` and `Kappa1.op` apply their columns by `_apply`
+# too, one call per nonempty column where a basis element with coefficient
+# 1 gave the stored columns without a call (80 more)
+COL_SUM_CALLS_M2 = 3357
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
-    # every module's calls are counted (within linalg only _compose calls
-    # it), and no caller hands _col_sum an empty term list
+    # every module's calls are counted (within linalg only _apply calls it,
+    # and _compose through it), and no caller hands _col_sum an empty term
+    # list
     calls, callers = [], set()
 
     def counting(terms, col_sum=linalg._col_sum):
@@ -567,7 +583,7 @@ def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
         if hasattr(module, "_col_sum"):
             monkeypatch.setattr(module, "_col_sum", counting)
             callers.add(path.stem)
-    assert callers == {"algebra", "connection", "curvature", "forms",
+    assert callers == {"calculus", "connection", "curvature", "forms",
                        "linalg", "tensorconn"}
     cli.run("all", parse_model(str(MODELS / "m2_grass.model")))
     assert len(calls) == COL_SUM_CALLS_M2
@@ -576,6 +592,59 @@ def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
         calls.clear()
         cli.run("all", parse_model(str(MODELS / f"{name}.model")))
         assert calls and all(calls), name
+
+
+def _stored_maps(built):
+    """(kind, columns) of every map by columns that the recorded Forms,
+    Connections, QuotientSpaces and Pipelines of a run hold."""
+    for f in built[Forms]:
+        uni = f.uni
+        for cols in f.module.left_action + f.module.right_action:
+            yield "actions", cols
+        for cols in f._right_cols.values():
+            yield "right multiplications", cols
+        for op in f.op_cache.values():
+            yield "operators", op.cols if isinstance(op, DegreeRHom) else op
+        for cols in [*uni._d_cols, *uni._bar_cols, uni._pi,
+                     *(c for t in uni._right_cols for c in t),
+                     *(c for t in uni._left_cols.values() for c in t),
+                     *f.calculus._d_cols.values()]:
+            yield "calculus tables", cols
+    for c in built[Connection]:
+        for cols in c._ext_cols.values():
+            yield "nabla", cols
+        for op in c.nabla_hats.values():
+            yield "nabla hats", op.cols
+    for q in built[QuotientSpace]:
+        yield "projections", q.proj_cols
+    for p in built[Pipeline]:
+        for cols in p.induced_calculus._columns:
+            yield "kappa bar", cols
+        if p.sigma.sigma is not None:
+            yield "sigma", p.sigma.sigma.cols
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_no_stored_column_holds_a_zero_entry(monkeypatch, name):
+    # map equality rests on one invariant: every column a run stores is a
+    # dict with no zero entry, so equal maps have equal columns whatever
+    # the order of their keys
+    built = {Forms: [], Connection: [], QuotientSpace: [], Pipeline: []}
+    for cls, seen in built.items():
+        def recording_init(self, *args, init=cls.__init__, seen=seen):
+            init(self, *args)
+            seen.append(self)
+        monkeypatch.setattr(cls, "__init__", recording_init)
+    cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    kinds = set()
+    for kind, cols in _stored_maps(built):
+        for col in cols:
+            _assert_column(col)
+        kinds.add(kind)
+    assert kinds >= {"actions", "right multiplications", "operators",
+                     "calculus tables", "nabla", "nabla hats", "projections",
+                     "kappa bar"}
+    assert ("sigma" in kinds) == any(p.sigma.exists for p in built[Pipeline])
 
 
 # `_to_cols` and `_to_mat` calls in one parse and `all`, by the module that
@@ -963,15 +1032,16 @@ def sub_bases(draw):
 @given(sub_bases())
 def test_project_combines_the_projection_columns(drawn):
     # a vector's class combines the sparse columns at its nonzeros; the
-    # projection densified from them is the oracle, and the columns are
-    # sorted by row with no zero entry
+    # projection densified from them is the oracle, and the columns hold
+    # no zero entry
     total, sub, v = drawn
     for q in (_span_quotient(total, sub), SpanBuilder(total).quotient(),
               _span_quotient(total, _ints(sub))):
         dense = _to_mat(q.proj_cols, q.dim)
         assert q.proj_cols == _to_cols(dense, total) == \
             _reference.quotient(total, dense_vecs(q.sub, total)).proj_cols
+        for col in q.proj_cols:
+            _assert_column(col)
         for w in (v, _ints(v)):
-            assert _sparse_sum([(q.proj_cols[x], y)
-                                for x, y in _sparse(w).items()]) == \
+            assert _apply(q.proj_cols, _sparse(w)) == \
                 _sparse(mat_vec(dense, w))

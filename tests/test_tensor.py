@@ -81,7 +81,7 @@ def column_connection() -> Connection:
     forms = Forms(m, cal)
     emb = zeros(4)
     emb[0 * 2 + 1] = F(1)                           # e1 (x) e2
-    bar = _col_vec(cal.universal.from_emb(1, emb).items(),
+    bar = _col_vec(cal.universal.from_emb(1, emb),
                    cal.universal.bar_dim(1))
     col = [-x for x in class_of_pair_bar(forms, 1, [F(1)], bar)]
     c = Connection(forms, _to_cols([[x] for x in col], 1))
@@ -103,7 +103,7 @@ def skew_connection(perturbed: bool = False) -> Connection:
         emb[0 * 2 + 1] = F(1)                       # add y⊗(e1⊗e2) to ∇′x
         cols[0] = _reference.vec_add(cols[0], class_of_pair_bar(
             forms, 1, basis_vec(n.dim, 1),
-            _col_vec(uni.from_emb(1, emb).items(), uni.bar_dim(1))))
+            _col_vec(uni.from_emb(1, emb), uni.bar_dim(1))))
     matrix = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
     rc = Connection(forms, _to_cols(matrix, 2))
     assert check_right_leibniz(rc).ok
@@ -336,7 +336,7 @@ def test_the_tensor_checks_by_columns_match_the_dense_references(name):
         assert _witness(tc.verdicts, "tensor-connection-well-defined") is None
     for x, y in ((n, n), (n, c.forms.as_bimodule(1))):
         rels = balancing_relations(x, y)
-        assert [_col_vec(rel.items(), x.dim * y.dim) for rel in rels] == \
+        assert [_col_vec(rel, x.dim * y.dim) for rel in rels] == \
             _reference.balancing_relations(x, y)
         assert all(rel and all(rel.values()) for rel in rels)
     assert [_to_mat(cols, nu.target.dim(r + 1))
@@ -347,8 +347,8 @@ def test_the_tensor_checks_by_columns_match_the_dense_references(name):
 
 
 def _bumped(col, row: int = 0):
-    """A sparse column with 1 added at the given row, as a new list."""
-    return _col_sum([(col, 1), ([(row, 1)], 1)])
+    """A sparse column with 1 added at the given row, as a new dict."""
+    return _col_sum([(col, 1), ({row: 1}, 1)])
 
 
 def _pure_pair_case(name: str):
@@ -559,8 +559,8 @@ def test_a_kernel_vector_of_nu_hat_that_nabla_moves_is_the_absent_witness():
     src, tgt = nu.source.quotient_space(1), nu.target.quotient_space(1)
     assert (src.dim, tgt.dim) == (30, 27)
     off = [k for k, fc in enumerate(src.free) if fc not in tgt.free]
-    assert len(off) == 3 and all(nu.maps[1][k] == [] for k in off)
-    nu.maps[1][off[0]] = [(0, 1)]
+    assert len(off) == 3 and all(nu.maps[1][k] == {} for k in off)
+    nu.maps[1][off[0]] = {0: 1}
     assoc = associated_connection(c, nu)
     (v,) = [v for v in assoc.verdicts if v.check_id == "associated-connection"]
     assert v.status == "absent" and not assoc.exists
