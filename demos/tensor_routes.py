@@ -38,7 +38,8 @@ def main() -> None:
     tci = tensor_connection_induced(assoc.connection, conn, ic)
     for v in tco.verdicts + assoc.verdicts:
         print(" ", v.check_id, "->", v.status)
-    print("routes agree entrywise:", tci.cols == tco.cols)
+    print("routes agree entrywise:",
+          tci.connection.nabla == tco.connection.nabla)
 
 
 if __name__ == "__main__":

@@ -215,7 +215,7 @@ class BalancedTensor:
     induce maps on classes by ``QuotientSpace.induced``.
     """
 
-    left_factor: Bimodule   # only its right action is read
+    left_factor: Bimodule   # its left action read by as_bimodule only
     right_factor: Bimodule
     quotient: QuotientSpace
 
@@ -230,14 +230,24 @@ class BalancedTensor:
     def pure_index(self, i: int, j: int) -> int:
         return i * self.right_factor.dim + j
 
-    def induced_right_cols(self, i: int) -> Cols:
-        """·e_i on classes by columns, from the plain map x_k⊗y_j ↦
-        x_k⊗(y_j·e_i)."""
-        ry = self.right_factor.right_action[i]
-        ydim = self.right_factor.dim
-        plain = [{k * ydim + l: c for l, c in ry[j].items()}
-                 for k in range(self.left_factor.dim) for j in range(ydim)]
-        return self.quotient.induced(plain, self.quotient)
+    def as_bimodule(self) -> Bimodule:
+        """X⊗_AY as an A-bimodule, for a bimodule X: e_i acts on classes
+        by the maps that x_k⊗y_j ↦ (e_i·x_k)⊗y_j and x_k⊗y_j ↦
+        x_k⊗(y_j·e_i) induce, well defined because X's left action commutes
+        with its right one and Y's right action with its left one.  Built
+        on each call."""
+        x, y, q = self.left_factor, self.right_factor, self.quotient
+        # the pure pair x_k⊗y_j at each free column, which lifts its class
+        pairs = [divmod(fc, y.dim) for fc in q.free]
+        left = tuple(_compose(q.proj_cols, [{l * y.dim + j: c
+                                             for l, c in lx[k].items()}
+                                            for k, j in pairs])
+                     for lx in x.left_action)
+        right = tuple(_compose(q.proj_cols, [{k * y.dim + l: c
+                                              for l, c in ry[j].items()}
+                                             for k, j in pairs])
+                      for ry in y.right_action)
+        return Bimodule(self.dim, y.algebra, left, right)
 
 
 def balancing_relations(x, y: Bimodule) -> list[SparseVec]:

@@ -1,9 +1,9 @@
 """Connections: ∇̂, the induced first-order calculus, κ₁ and σ.
 
 One :class:`Connection` type covers every module a connection acts on: a
-bimodule M, or a right module N on the tensor side, against Ω or Ω_∇.  It
-is stored as the exact map ∇: M → M⊗_AΩ¹, by sparse columns, in quotient
-class coordinates of its :class:`Forms`.  A ``Connection`` holds only ∇
+bimodule M, a module N on the tensor side, or N⊗_AM for ∇⊗, against Ω or
+Ω_∇.  It is stored as the exact map ∇: M → M⊗_AΩ¹, by sparse columns, in
+quotient class coordinates of its :class:`Forms`.  A ``Connection`` holds only ∇
 and what is built from it: ∇'s extensions, the curvature ∇∘∇, ∇̂ and κ.
 Every map on M⊗_AΩ that ∇ does not enter (the actions, the right
 multiplications, the right-Ω operators ``DegreeRHom`` with their
@@ -154,20 +154,25 @@ def leibniz_failure(c: Connection, r: int, s: int,
     return None
 
 
-def check_right_leibniz(c: Connection) -> Verdict:
-    """∇(a·f) = (∇a)·f + a⊗df on all basis pairs, exactly, decided on A's
-    generators first (``Algebra.first_failure``).  The f on which it holds
-    for every a form a unital subalgebra: the rule is linear in f, holds at
-    f = 1 (a·1 = a, d1 = 0), and for two such f and g,
+def right_leibniz_failure(c: Connection) -> tuple[int, int] | None:
+    """The first (module basis, algebra basis) pair at which
+    ∇(a·f) = (∇a)·f + a⊗df fails, by a and then f, or None, decided exactly
+    on A's generators first (``Algebra.first_failure``).  The f on which it
+    holds for every a form a unital subalgebra: the rule is linear in f,
+    holds at f = 1 (a·1 = a, d1 = 0), and for two such f and g,
     ∇(a·fg) = (∇(a·f))·g + a·f⊗dg = ∇a·fg + a⊗(df·g + f·dg)
     = ∇a·fg + a⊗d(fg)."""
-    a = c.module.algebra
 
     def scan(fs):
         fail = leibniz_failure(c, 0, 0, fs, range(c.module.dim))
         return None if fail is None else (fail[0], fs[fail[1]])
 
-    fail = a.first_failure(scan)
+    return c.module.algebra.first_failure(scan)
+
+
+def check_right_leibniz(c: Connection) -> Verdict:
+    """The right Leibniz rule of ∇ on M, by ``right_leibniz_failure``."""
+    fail = right_leibniz_failure(c)
     if fail is not None:
         return failed("right-leibniz", anchors.RIGHT_LEIBNIZ,
                       {"module_basis": fail[0], "algebra_basis": fail[1]})

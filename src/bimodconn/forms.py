@@ -14,9 +14,8 @@ restriction to M and extended on demand, which is faithful because M
 generates M⊗_AΩ as a right Ω-module; their intern table ``op_ids`` and
 the cache ``op_cache`` of their extensions and compositions;
 κ₀(e_i) = ê_i (``hats``); the right multiplications; and N⊗_AM
-(``tensors``).  Every map is stored by sparse columns (``linalg.Cols``),
-as the module's own actions are: ``as_bimodule`` hands a ``Bimodule`` the
-action columns this class already holds.
+(``tensors``) with its own Forms (``tensor_forms``).  Every map is stored by sparse columns
+(``linalg.Cols``), as the module's own actions are.
 
 ``extension_columns`` is the one extension of a map on M to M⊗_AΩ^s: the
 column of m⊗de_β is Φ(m) with the tail β concatenated, read as a sum of
@@ -84,9 +83,10 @@ class Forms:
         self._build_quotients()
         # the right multiplications on T_r by columns, by (r, s, ω)
         self._right_cols: dict[tuple, Cols] = {}
-        # by the id of a right module N: (N, N⊗_AM, N⊗_A(M⊗_AΩ¹)); the
-        # entry holds N, so the id stays N's
-        self._tensors: dict[int, tuple] = {}
+        # by the id of a bimodule N: [N, N⊗_AM, (its Forms, b_k⊗q) or
+        # None until a ∇⊗ needs them]; the entry holds N, so the id stays
+        # N's
+        self._tensors: dict[int, list] = {}
         # the intern table of right-Ω operators on these spaces: the id of
         # each content, (degree, sorted entries); see DegreeRHom.key
         self.op_ids: dict[tuple, int] = {}
@@ -233,24 +233,32 @@ class Forms:
                 else {} for fc in self._quotients[r].free]
         return self._right_cols[key]
 
-    def as_bimodule(self, r: int) -> Bimodule:
-        """T_r as an A-bimodule (left action on M, right action on Ω), its
-        actions the columns ``hats``' extensions and ``right_mult_cols``
-        hold; built on each call, from those shared columns."""
-        basis = range(self.algebra.dim)
-        return Bimodule(
-            self.dim(r), self.algebra,
-            tuple(self.hats[i].ext_cols(r) for i in basis),
-            tuple(self.right_mult_cols(r, 0, {i: 1}) for i in basis))
-
-    def tensors(self, n) -> tuple[BalancedTensor, BalancedTensor]:
-        """N⊗_AM and N⊗_A(M⊗_AΩ¹) for a right module N, the domain and
-        codomain of a tensor-product connection, built once per N."""
+    def tensors(self, n) -> BalancedTensor:
+        """N⊗_AM for a bimodule N, the domain of a tensor-product
+        connection, built once per N."""
         if id(n) not in self._tensors:
-            t1 = self.as_bimodule(1)
-            self._tensors[id(n)] = (n, tensor_over_A(n, self.module),
-                                    tensor_over_A(n, t1))
-        return self._tensors[id(n)][1:]
+            self._tensors[id(n)] = [n, tensor_over_A(n, self.module), None]
+        return self._tensors[id(n)][1]
+
+    def tensor_forms(self, n) -> tuple["Forms", Cols]:
+        """The Forms of N⊗_AM against this calculus, whose T₁,
+        (N⊗_AM)⊗_AΩ¹ ≅ N⊗_A(M⊗_AΩ¹), is a tensor-product connection's
+        codomain, and b_k⊗q in that T₁ by columns, at k·dim T₁ + q for the
+        class q of M⊗_AΩ¹ here.  With q's representative m_a⊗de_γ, b_k⊗q is
+        the class of (b_k⊗m_a)⊗de_γ: the projection onto N⊗_AM extended by
+        the tail γ.  Built once per N, on the first call, so a request that
+        builds no ∇⊗ builds neither."""
+        tn = self.tensors(n)
+        entry = self._tensors[id(n)]
+        if entry[2] is None:
+            forms = Forms.of(tn.as_bimodule(), self.calculus)
+            nt = self.n_tails(1)
+            reps = [divmod(fc, nt) for fc in self._quotients[1].free]
+            entry[2] = (forms, forms.extension_columns(
+                0, tn.quotient.proj_cols, 1,
+                [tn.pure_index(k, a) * nt + g
+                 for k in range(n.dim) for a, g in reps]))
+        return entry[2]
 
 
 @dataclass

@@ -6,9 +6,10 @@ operators (the interpretation (b⊗Φ̂)a := b⊗Φ̂(a)), which makes the sum
 The same connection arises from a connection ∇′ against the original
 calculus by first pushing ∇′b down with ν̂ = id⊗κ̂; both routes are built
 and compared here, together with the degeneracy submodules N₀, M₀ they
-assume stable.  The N-side ∇′ and the associated connection ∇′_M are plain
-:class:`Connection` objects over a right module N; the right Leibniz rule
-is checked by :func:`check_right_leibniz` as for a bimodule.
+assume stable.  The N-side ∇′, the associated connection ∇′_M and ∇⊗
+itself, on the bimodule N⊗_AM, are plain :class:`Connection` objects, and
+one function decides the right Leibniz rule of each
+(``right_leibniz_failure``).
 
 N⊗_AΩ_∇ is ``Forms.of(N, Ω_∇)``.  When Ω_∇ has Ω's ideal it is Ω's own
 object (``InducedCalculus``), so that is the N-side ∇′'s own Forms: ν̂ is
@@ -23,7 +24,8 @@ from . import anchors
 from .algebra import (BalancedTensor, Bimodule, balancing_relations,
                       tensor_over_A)
 from .calculus import CalculusMorphism
-from .connection import Connection, check_right_leibniz
+from .connection import (Connection, check_right_leibniz,
+                         right_leibniz_failure)
 from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, _apply,
@@ -273,25 +275,25 @@ def _nu_right_linear(nu: NuHat) -> Verdict:
 
 @dataclass
 class TensorConnection:
-    """∇⊗ on N⊗_AM, valued in N⊗_A(M⊗_AΩ¹), by either route; ``cols``
-    holds it by columns, one per class of N⊗_AM, once it is built."""
+    """∇⊗ on N⊗_AM by either route: once it is built, ``connection``, a
+    :class:`Connection` on the Forms of N⊗_AM (``Forms.tensor_forms``),
+    whose T₁ is (N⊗_AM)⊗_AΩ¹ ≅ N⊗_A(M⊗_AΩ¹)."""
 
     route: str                       # "induced" or "nu-hat"
     domain: BalancedTensor           # N ⊗_A M
-    codomain: BalancedTensor         # N ⊗_A (M⊗_AΩ¹)
-    cols: Cols | None = None
+    connection: Connection | None = None
     verdicts: list[Verdict] = field(default_factory=list)
 
     @property
     def available(self) -> bool:
-        return self.cols is not None
+        return self.connection is not None
 
 
-def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
-                       xi: Cols, tail_ops: list[Cols]) -> Cols:
-    """∇⊗ on the plain N⊗M by columns, into W = N⊗_A(M⊗_AΩ¹): column
-    (j, i) is the W-class of ξ_j·a_i + b_j⊗∇a_i, the sum of W's
-    projection columns at the plain indices of its terms.
+def _pure_pair_columns(c: Connection, n, xi_forms: Forms, xi: Cols,
+                       tail_ops: list[Cols]) -> Cols:
+    """∇⊗ on the plain N⊗M by columns, into (N⊗_AM)⊗_AΩ¹: column (j, i) is
+    the class of ξ_j·a_i + b_j⊗∇a_i, the sum of the columns b_k⊗q of
+    ``Forms.tensor_forms`` at its terms.
 
     ξ_j = ``xi[j]`` is a degree-one N-form of ``xi_forms``, by its sparse
     column.  A term x·b_k⊗de_β of its representative acts on a_i through
@@ -301,15 +303,15 @@ def _pure_pair_columns(c: Connection, w: BalancedTensor, xi_forms: Forms,
     nt = xi_forms.n_tails(1)
     t1 = c.forms.dim(1)
     free = xi_forms.quotient_space(1).free
-    proj = w.quotient.proj_cols
+    pairs = c.forms.tensor_forms(n)[1]
     cols = []
     for j, xi_j in enumerate(xi):
         terms = [(divmod(free[k], nt), x) for k, x in xi_j.items()]
         for i, nabla_i in enumerate(c.nabla):
             cols.append(_col_sum(
-                [(proj[k * t1 + l], x * y) for (k, bidx), x in terms
+                [(pairs[k * t1 + l], x * y) for (k, bidx), x in terms
                  for l, y in tail_ops[bidx][i].items()]
-                + [(proj[j * t1 + l], y) for l, y in nabla_i.items()]))
+                + [(pairs[j * t1 + l], y) for l, y in nabla_i.items()]))
     return cols
 
 
@@ -320,13 +322,15 @@ def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
     Each ξ_j lives in N⊗_AΩ¹_∇; its tail de_j acts on M through
     κ(1·de_j) = ∇̂ê_j (``Connection.d_hats``; 1 acts as the identity
     because M is unital), which is the interpretation rule
-    (b⊗Φ̂)a := b⊗Φ̂(a).
+    (b⊗Φ̂)a := b⊗Φ̂(a).  Its right Leibniz rule is that of any connection
+    (``right_leibniz_failure``), reported with the class of N⊗_AM at
+    ``basis``.
     """
     m = c.module
-    tn, w = c.forms.tensors(n)
+    tn, forms = c.forms.tensors(n), c.forms.tensor_forms(n)[0]
     tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
-    plain = _pure_pair_columns(c, w, xi_forms, xi, tail_ops)
-    tc = TensorConnection(route, tn, w)
+    plain = _pure_pair_columns(c, n, xi_forms, xi, tail_ops)
+    tc = TensorConnection(route, tn)
     # well defined on balanced classes
     for rel in balancing_relations(n, m):
         if _apply(plain, rel):
@@ -336,53 +340,14 @@ def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
             return tc
     tc.verdicts.append(passed("tensor-connection-well-defined",
                               well_defined_anchor))
-    tc.cols = [plain[fc] for fc in tn.quotient.free]
-    _check_tensor_leibniz(tc, c)
+    tc.connection = Connection(forms, [plain[fc] for fc in tn.quotient.free])
+    fail = right_leibniz_failure(tc.connection)
+    tc.verdicts.append(
+        passed("tensor-right-leibniz", anchors.TENSOR_CONNECTION)
+        if fail is None else
+        failed("tensor-right-leibniz", anchors.TENSOR_CONNECTION,
+               {"basis": fail[0], "algebra_basis": fail[1]}))
     return tc
-
-
-def _check_tensor_leibniz(tc: TensorConnection, c: Connection) -> None:
-    """∇⊗(x·f) = (∇⊗x)·f + x⊗df on all domain basis / algebra pairs,
-    decided on A's generators first (``Algebra.first_failure``): the f on
-    which it holds for every x form a unital subalgebra, as for
-    ``check_right_leibniz``: ∇⊗(x·fg) = (∇⊗(x·f))·g + x·f⊗dg =
-    (∇⊗x)·fg + x⊗(df·g + f·dg) = (∇⊗x)·fg + x⊗d(fg).
-
-    Per f, ∇⊗∘(·f) and (·f)∘∇⊗ are composed once by columns; the class x
-    at basis index k lifts to the pure pair free[k] = (j, i), where x⊗df is
-    the W-class of b_j⊗(a_i⊗df), W's projection columns at b_j and the
-    nonzeros of the class of a_i⊗df, column i of ``right_mult_cols(0, 1,
-    df)``.
-    """
-    tn, w = tc.domain, tc.codomain
-    m = c.module
-    a = m.algebra
-    t1 = c.forms.dim(1)
-    proj = w.quotient.proj_cols
-
-    def scan(fis):
-        per_f = []
-        for fi in fis:
-            per_f.append((fi, _compose(tc.cols, tn.induced_right_cols(fi)),
-                          _compose(w.induced_right_cols(fi), tc.cols),
-                          c.forms.right_mult_cols(
-                              0, 1, c.calculus.d_cols(0)[fi])))
-        for col, fc in enumerate(tn.quotient.free):
-            j, i = divmod(fc, m.dim)
-            for fi, lhs, rhs, pieces in per_f:
-                if _col_sum([(lhs[col], 1), (rhs[col], -1)]
-                            + [(proj[j * t1 + l], -x)
-                               for l, x in pieces[i].items()]):
-                    return {"basis": col, "algebra_basis": fi}
-        return None
-
-    fail = a.first_failure(scan)
-    if fail is not None:
-        tc.verdicts.append(failed("tensor-right-leibniz",
-                                  anchors.TENSOR_CONNECTION, fail))
-        return
-    tc.verdicts.append(passed("tensor-right-leibniz",
-                              anchors.TENSOR_CONNECTION))
 
 
 def tensor_connection_induced(rc: Connection, c: Connection,
@@ -399,7 +364,7 @@ def tensor_connection_original(rc: Connection, c: Connection, nu: NuHat,
                                sigma) -> TensorConnection:
     """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, with the σ-route agreement check."""
     if not nu.available:
-        tc = TensorConnection("nu-hat", *c.forms.tensors(rc.module))
+        tc = TensorConnection("nu-hat", c.forms.tensors(rc.module))
         tc.verdicts.append(Verdict("tensor-connection-original",
                                    anchors.ORIGINAL_ROUTE, "unavailable"))
         return tc
@@ -420,14 +385,14 @@ def _check_sigma_route(tc: TensorConnection, rc: Connection,
     s = sigma.sigma
     cal = c.calculus
     tail_ops = [s.on(cal.d_cols(0)[j]) for j in cal.universal.complement]
-    plain = _pure_pair_columns(c, tc.codomain, rc.forms, rc.nabla, tail_ops)
+    plain = _pure_pair_columns(c, n, rc.forms, rc.nabla, tail_ops)
     # the pure pair (j, i) is column pure_index(j, i) of both the plain
     # columns and the domain's projection, which holds its class
     proj = tc.domain.quotient.proj_cols
     for j in range(n.dim):
         for i in range(m.dim):
             at = tc.domain.pure_index(j, i)
-            if plain[at] != _apply(tc.cols, proj[at]):
+            if plain[at] != _apply(tc.connection.nabla, proj[at]):
                 tc.verdicts.append(failed("tensor-route-agreement",
                                           anchors.NEC_SUFF,
                                           {"pair": [j, i]}))

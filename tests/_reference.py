@@ -378,36 +378,54 @@ def kernel_quotient(cols, n_rows):
 class Span:
     """The span of dense vectors added one at a time: ``basis`` holds the
     vectors that enlarged it, in order, and ``pivots`` the pivot columns of
-    its RREF.  A vector lies in the span when the RREF rows weighted by its
-    entries at the pivots give it back."""
+    its RREF, whose rows are kept by pivot, sparse, and refreshed only when
+    the span grows.  A vector lies in the span when the RREF rows weighted
+    by its entries at the pivots give it back."""
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
         self.basis = []
         self.pivots = []
         self._rref = _dm([], ambient_dim)
+        self._by_pivot = {}
 
     @property
     def dim(self):
         return len(self.basis)
 
     def _residue(self, v):
+        """v less the RREF rows weighted by its entries at the pivots, as
+        a sparse vector: empty exactly when v lies in the span."""
         if len(v) != self.ambient_dim:
             raise DimensionError("vector does not live in the ambient space")
-        at_pivots = _dm([[v[pc] for pc in self.pivots]], self.dim)
-        return _dm([v], self.ambient_dim) - at_pivots * self._rref
+        res = {j: x for j, x in enumerate(v) if x}
+        for pc, row in self._by_pivot.items():
+            if c := v[pc]:
+                for j, x in row.items():
+                    if y := res.get(j, 0) - c * x:
+                        res[j] = y
+                    else:
+                        del res[j]
+        return res
 
     def add(self, v):
         res = self._residue(v)
-        if res.is_zero_matrix:
+        if not res:
             return False
         self.basis.append(list(v))
-        self._rref, pivots = self._rref.vstack(res).rref()
+        n = self.ambient_dim
+        self._rref, pivots = self._rref.vstack(
+            _dm([[res.get(j, 0) for j in range(n)]], n)).rref()
         self.pivots = list(pivots)
+        rows = self._rref.to_dod()
+        self._by_pivot = {
+            pc: {j: _exact(Fraction(x.numerator, x.denominator))
+                 for j, x in rows[i].items()}
+            for i, pc in enumerate(self.pivots)}
         return True
 
     def contains(self, v):
-        return self._residue(v).is_zero_matrix
+        return not self._residue(v)
 
     def coords(self, v):
         """v's coordinates in ``basis``, read off the RREF of [basisᵀ | v],
@@ -1375,10 +1393,32 @@ def balanced_tensor(x, y):
     return BalancedTensor(x, y, quotient(x.dim * y.dim, reduced[:k]))
 
 
-def pure_pair_vectors(c, w, xi_forms, xi_list, tail_ops):
-    """Per pure pair (j, i) of N⊗M, the W-class of ξ_j·a_i + b_j⊗∇a_i as a
-    dense vector: its plain vector filled in entry by entry, ξ_j a dense
-    class of ``xi_forms`` lifted to its representative, then projected."""
+def tensor_class(f, tn, forms, v):
+    """A dense vector of N ⊗ (M⊗_AΩ¹) as its class in (N⊗_AM)⊗_AΩ¹, T₁ of
+    ``forms``, the Forms of N⊗_AM = ``tn``: v's entry at k·dim T₁ + q is
+    the coefficient of b_k⊗q for the class q of M⊗_AΩ¹ = T₁ of ``f``.
+    Each slice of v is lifted to its representative Σ x·m_a⊗de_γ, each
+    b_k⊗m_a projected to N⊗_AM by ``project_pure``, the tail γ set after
+    each of its classes, and the sum projected."""
+    n, m = tn.left_factor, tn.right_factor
+    t1, nt = f.dim(1), f.n_tails(1)
+    out = zeros(forms.tu_dim(1))
+    for k in range(n.dim):
+        rep = lift(f.quotient_space(1), v[k * t1:(k + 1) * t1])
+        for flat, x in enumerate(rep):
+            if x:
+                a, g = divmod(flat, nt)
+                for cls, y in enumerate(project_pure(
+                        tn, basis_vec(n.dim, k), basis_vec(m.dim, a))):
+                    out[cls * nt + g] += x * y
+    return project(forms.quotient_space(1), out)
+
+
+def pure_pair_vectors(c, tn, forms, xi_forms, xi_list, tail_ops):
+    """Per pure pair (j, i) of N⊗M, the class of ξ_j·a_i + b_j⊗∇a_i in
+    (N⊗_AM)⊗_AΩ¹ as a dense vector: its vector in N ⊗ (M⊗_AΩ¹) filled in
+    entry by entry, ξ_j a dense class of ``xi_forms`` lifted to its
+    representative, then taken to its class by ``tensor_class``."""
     nt = xi_forms.n_tails(1)
     t1 = c.forms.dim(1)
     out = []
@@ -1388,59 +1428,34 @@ def pure_pair_vectors(c, w, xi_forms, xi_list, tail_ops):
                                                 xi))
                  if cc]
         for i in range(c.module.dim):
-            v = zeros(w.plain_dim)
+            v = zeros(tn.left_factor.dim * t1)
             for (k, bidx), cc in terms:
                 for l, x in tail_ops[bidx][i].items():
                     v[k * t1 + l] += cc * x
             for l, x in c.nabla[i].items():
                 v[j * t1 + l] += x
-            out.append(project(w.quotient, v))
+            out.append(tensor_class(c.forms, tn, forms, v))
     return out
+
+
+def tensor_well_defined(c, tn, forms, xi_forms, xi_list, tail_ops):
+    """The witness of ``tensor-connection-well-defined``, or None: the
+    first of ``balancing_relations`` on which the dense
+    ``pure_pair_vectors`` do not combine to zero."""
+    mat = cols_to_mat(pure_pair_vectors(c, tn, forms, xi_forms, xi_list,
+                                        tail_ops), forms.dim(1))
+    for rel in balancing_relations(tn.left_factor, tn.right_factor):
+        if not is_zero_vec(mat_vec(mat, rel)):
+            return {"relation": rationals(rel)}
+    return None
 
 
 def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
     """∇⊗ on classes as a dense matrix: the columns of
     ``pure_pair_vectors`` at the domain's ``free``."""
-    w = tc.codomain
-    return at_free(tc.domain.quotient, cols_to_mat(
-        pure_pair_vectors(c, w, xi_forms, xi_list, tail_ops), w.dim))
-
-
-def right_on_classes(bt, f):
-    """·f on the classes of a balanced tensor X⊗_AY, dense: the class of
-    x_i⊗(y_j·f) for the pure pair (i, j) at each ``free`` column."""
-    y = bt.right_factor
-    cols = []
-    for fc in bt.quotient.free:
-        i, j = divmod(fc, y.dim)
-        cols.append(project_pure(bt, basis_vec(bt.left_factor.dim, i),
-                                 act_right(y, basis_vec(y.dim, j), f)))
-    return cols_to_mat(cols, bt.dim)
-
-
-def tensor_right_leibniz(tc, c):
-    """The witness of ``tensor-right-leibniz``, or None: ∇⊗ densified,
-    ∇⊗∘(·f) and (·f)∘∇⊗ multiplied by ``mat_mul`` and x⊗df a dense plain
-    vector projected."""
-    tn, w = tc.domain, tc.codomain
-    m = c.module
-    a = m.algebra
-    t1 = c.forms.dim(1)
-    mat = _to_mat(tc.cols, w.dim)
-    per_f = [(mat_mul(mat, right_on_classes(tn, fv)),
-              mat_mul(right_on_classes(w, fv), mat),
-              d_bar(c.calculus.universal, 0, fv))
-             for fv in identity_mat(a.dim)]
-    for col, fc in enumerate(tn.quotient.free):
-        j, i = divmod(fc, m.dim)
-        for fi, (lhs, rhs, df_bar) in enumerate(per_f):
-            extra = zeros(w.plain_dim)
-            extra[j * t1:(j + 1) * t1] = class_of_pair_bar(
-                c.forms, 1, basis_vec(m.dim, i), df_bar)
-            if [row[col] for row in lhs] != vec_add(
-                    [row[col] for row in rhs], project(w.quotient, extra)):
-                return {"basis": col, "algebra_basis": fi}
-    return None
+    forms = tc.connection.forms
+    return at_free(tc.domain.quotient, cols_to_mat(pure_pair_vectors(
+        c, tc.domain, forms, xi_forms, xi_list, tail_ops), forms.dim(1)))
 
 
 def associated_factors(rc, nu):
@@ -1568,6 +1583,22 @@ def degeneracy_brute(pair):
                   {"dim_n0": len(pair.n0), "dim_m0": len(pair.m0)})
 
 
+def compatibility(c, rc, pair):
+    """The witness of ``tensor-compatibility``, or None, on the reference
+    ``pair``: per side, M₀ for ∇ and then N₀ for ∇′, ∇v for each basis
+    vector v of the submodule against the ``Span`` of the classes v⊗u, u
+    over the bar basis of Ω¹_u (``class_of_pair_bar``)."""
+    for sub, conn, side in ((pair.m0, c, "M0"), (pair.n0, rc, "N0")):
+        span = Span(conn.forms.dim(1))
+        for u in identity_mat(conn.calculus.universal.bar_dim(1)):
+            for v in sub:
+                span.add(class_of_pair_bar(conn.forms, 1, v, u))
+        for v in sub:
+            if not span.contains(nabla_apply(conn, v)):
+                return {"side": side, "vector": rationals(v)}
+    return None
+
+
 def sigma_apply(c, s, cls):
     """σ (a ``SigmaMap`` of ∇ = c) applied to a dense class of Ω¹⊗_AM, as
     its matrix: σ's columns densified."""
@@ -1595,12 +1626,14 @@ def sigma_route(tc, rc, c, sigma):
         tail_ops.append([_sparse(sigma_apply(c, s, project_pure(
             s.tensor, cls, basis_vec(m.dim, i)))) for i in range(m.dim)])
     xi = [nabla_apply(rc, basis_vec(n.dim, j)) for j in range(n.dim)]
-    plain = pure_pair_vectors(c, tc.codomain, rc.forms, xi, tail_ops)
+    forms = tc.connection.forms
+    plain = pure_pair_vectors(c, tc.domain, forms, rc.forms, xi, tail_ops)
     pure_classes = _pure(tc.domain, n, m)
     for j in range(n.dim):
         for i in range(m.dim):
-            if plain[j * m.dim + i] != combine(tc.cols, pure_classes[j][i],
-                                               tc.codomain.dim):
+            if plain[j * m.dim + i] != combine(tc.connection.nabla,
+                                               pure_classes[j][i],
+                                               forms.dim(1)):
                 return {"pair": [j, i]}
     return None
 

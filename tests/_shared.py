@@ -1,18 +1,20 @@
 """The shipped model files as the tests' example library, cached
-per-process analysis pipelines over their connections, and generated
-models beside them."""
+per-process analysis pipelines over their connections, generated models
+beside them, and a pair N ≠ M for the tensor routes."""
 
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from _reference import basis_vec, class_of_pair_bar, d_bar, product
-from bimodconn.algebra import Algebra, Bimodule
+from _reference import (basis_vec, class_of_pair_bar, d_bar, product,
+                        vec_add)
+from bimodconn.algebra import Algebra, Bimodule, check_bimodule
 from bimodconn.calculus import (GradedCalculus, quotient_calculus,
                                 universal_graded)
-from bimodconn.connection import Connection
+from bimodconn.connection import Connection, check_right_leibniz
 from bimodconn.curvature import Pipeline
 from bimodconn.forms import Forms
-from bimodconn.linalg import _sparse
+from bimodconn.linalg import _col_vec, _sparse, _to_cols, zeros
 from bimodconn.model import ModelFile, TensorRequest, parse_model
 
 MODELS = Path(__file__).resolve().parents[1] / "models"
@@ -148,3 +150,70 @@ def generated_model(a: Algebra, truncation: int) -> ModelFile:
     mf = model_file(regular_connection(a, truncation, 0))
     mf.tensor_requests.append(TensorRequest("nabla", "nabla", "both"))
     return mf
+
+
+def forms_bimodule(forms: Forms, r: int) -> Bimodule:
+    """T_r of ``forms`` as an A-bimodule: e_i acts on the left by the
+    extension of κ₀(e_i), ``hats[i].ext_cols(r)``, and on the right by
+    ``right_mult_cols(r, 0, {i: 1})``."""
+    basis = range(forms.algebra.dim)
+    return Bimodule(
+        forms.dim(r), forms.algebra,
+        tuple(forms.hats[i].ext_cols(r) for i in basis),
+        tuple(forms.right_mult_cols(r, 0, {i: 1}) for i in basis))
+
+
+# A right module N = x ⊕ y with x·e1 = 0, x·e2 = x, y·e1 = y, y·e2 = 0,
+# paired with the one-dimensional e1-column bimodule M: then x⊗m = 0 for
+# every m, so N0 = span(x) while y⊗m stays nonzero and M0 = 0.
+
+def column_module() -> Bimodule:
+    left = [[[1]], [[0]]]
+    right = [[[1]], [[0]]]
+    m = Bimodule.from_actions(a2(), left, right)
+    assert check_bimodule(m).ok
+    return m
+
+
+def skew_right_module() -> Bimodule:
+    # N's right action pairs it with M and its left one acts on N⊗_AM;
+    # ℂ² is commutative, so the same matrices serve as both
+    right = [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]
+    n = Bimodule.from_actions(a2(), right, right)
+    assert check_bimodule(n).ok
+    return n
+
+
+def column_connection() -> Connection:
+    m = column_module()
+    cal = universal("a2_flat")
+    forms = Forms(m, cal)
+    emb = zeros(4)
+    emb[0 * 2 + 1] = Fraction(1)                    # e1 (x) e2
+    bar = _col_vec(cal.universal.from_emb(1, emb),
+                   cal.universal.bar_dim(1))
+    col = [-x for x in class_of_pair_bar(forms, 1, [Fraction(1)], bar)]
+    c = Connection(forms, _to_cols([[x] for x in col], 1))
+    assert check_right_leibniz(c).ok
+    return c
+
+
+def skew_connection(perturbed: bool = False) -> Connection:
+    n = skew_right_module()
+    cal = universal("a2_flat")
+    forms = Forms(n, cal)
+    uni = cal.universal
+    cols = []
+    for i, j in ((0, 1), (1, 0)):                   # x⊗de2, y⊗de1
+        bar = d_bar(uni, 0, basis_vec(a2().dim, j))
+        cols.append(class_of_pair_bar(forms, 1, basis_vec(n.dim, i), bar))
+    if perturbed:
+        emb = zeros(4)
+        emb[0 * 2 + 1] = Fraction(1)                # add y⊗(e1⊗e2) to ∇′x
+        cols[0] = vec_add(cols[0], class_of_pair_bar(
+            forms, 1, basis_vec(n.dim, 1),
+            _col_vec(uni.from_emb(1, emb), uni.bar_dim(1))))
+    matrix = [[cols[c][r] for c in range(2)] for r in range(forms.dim(1))]
+    rc = Connection(forms, _to_cols(matrix, 2))
+    assert check_right_leibniz(rc).ok
+    return rc

@@ -118,7 +118,7 @@ def test_09_tensor_product_routes():
                    for v in assoc.verdicts)
         tci = tensor_connection_induced(assoc.connection, conn, ic)
         assert all(v.ok for v in tci.verdicts)
-        assert tci.cols == tco.cols
+        assert tci.connection.nabla == tco.connection.nabla
 
 
 def test_10_deterministic_reports():

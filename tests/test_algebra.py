@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import _reference
-from _shared import (ALGEBRA_FAULTS, NAMES, a2, faulted_algebra, m2, model,
-                     nabla, universal)
+from _shared import (ALGEBRA_FAULTS, NAMES, a2, column_module,
+                     faulted_algebra, forms_bimodule, m2, model, nabla,
+                     skew_right_module, universal)
 from bimodconn.algebra import (Algebra, Bimodule, check_algebra,
                                check_bimodule, tensor_over_A)
 from bimodconn.linalg import zero_mat
@@ -66,12 +67,16 @@ def test_check_bimodule_zero_left_action():
 
 def _checked_bimodules():
     """Every bimodule a run checks or builds: each shipped model's modules,
-    and M⊗_AΩ^r and Ω^r as bimodules for r ≤ 2."""
+    M⊗_AΩ^r and Ω^r as bimodules for r ≤ 2, and M⊗_AM, the module of ∇⊗
+    on M; and N⊗_AM for the pair N ≠ M of the tensor tests."""
     for name in NAMES:
         yield from model(name).modules.values()
         for r in range(3):
-            yield nabla(name).forms.as_bimodule(r)
+            yield forms_bimodule(nabla(name).forms, r)
             yield model(name).calculus.degree_bimodule(r)
+        m = nabla(name).module
+        yield tensor_over_A(m, m).as_bimodule()
+    yield tensor_over_A(skew_right_module(), column_module()).as_bimodule()
 
 
 def test_check_bimodule_matches_the_dense_reference():

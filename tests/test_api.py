@@ -18,7 +18,9 @@ from pathlib import Path
 
 import bimodconn
 from bimodconn.connection import kappa1, sigma_exists
+from bimodconn.forms import Forms
 from bimodconn.linalg import QuotientSpace
+from bimodconn.tensorconn import TensorConnection
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bimodconn"
@@ -506,7 +508,8 @@ def test_omega_nabla_eliminates_kappa_bar_once_and_only_algebra_multiplies():
 def test_forms_are_built_only_through_the_memo():
     # one M⊗_AΩ per (module, calculus): the package calls Forms nowhere and
     # builds one only inside Forms.of (as ``cls``), which keeps it on the
-    # calculus; the parser and ν̂ take theirs from it
+    # calculus; the parser, ν̂ and N⊗_AM's (Forms.tensor_forms) take
+    # theirs from it
     calls = set()
     for path in sorted(PACKAGE.glob("*.py")):
 
@@ -527,8 +530,8 @@ def test_forms_are_built_only_through_the_memo():
                             calls.add(f"{path.stem}:{prefix}{child.name}:of")
 
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    assert calls == {"forms:Forms.of:cls", "model:_parse_connection:of",
-                     "tensorconn:nu_hat:of"}
+    assert calls == {"forms:Forms.of:cls", "forms:Forms.tensor_forms:of",
+                     "model:_parse_connection:of", "tensorconn:nu_hat:of"}
 
 
 # Every loop over the algebra basis in src/, counted per top-level function
@@ -579,17 +582,14 @@ BASIS_LOOPS = {
         1, "construction: T₀, a basis of κ₀(A), read off every ê_i"),
     "curvature:j_ideal": (
         1, "the early proposal's span, whose dimension is reported"),
-    "forms:Forms.as_bimodule": (
-        1, "construction: T_r's actions, one per basis element"),
 }
 GENERATOR_FIRST = {
-    "connection:check_right_leibniz",
+    "connection:right_leibniz_failure",
     "forms:DegreeRHom.right_linearity_witness",
     "connection:induced_first_order", "curvature:curvature",
     "curvature:j_ideal", "curvature:OmegaM._check",
     "curvature:InducedCalculus._check_multiplicative",
-    "tensorconn:degeneracy_submodules", "tensorconn:_nu_right_linear",
-    "tensorconn:_check_tensor_leibniz"}
+    "tensorconn:degeneracy_submodules", "tensorconn:_nu_right_linear"}
 
 
 def _names_an_algebra(node, in_algebra: bool) -> bool:
@@ -670,3 +670,53 @@ def test_identities_for_all_f_run_on_the_generators_first():
     # each converted check says why its good f form a unital subalgebra
     for name in GENERATOR_FIRST | {"connection:kappa1"}:
         assert "subalgebra" in docs[name], name
+
+
+def _callers(module: str, names: set[str]) -> dict[str, set[str]]:
+    """Per name, the functions of a package module (methods by qualified
+    name) that name it."""
+    found = {name: set() for name in names}
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                for sub in ast.walk(child):
+                    name = getattr(sub, "id", getattr(sub, "attr", None))
+                    if name in found:
+                        found[name].add(f"{prefix}{child.name}")
+
+    visit(tree, "")
+    return found
+
+
+def test_the_tensor_connection_is_a_connection_with_one_right_leibniz_rule():
+    # ∇⊗ is a Connection on the Forms of N⊗_AM, which is a bimodule of its
+    # own, so its right Leibniz rule is the one every connection has:
+    # tensorconn composes and right-multiplies only for ν̂ and N₀, M₀, and
+    # decides no Leibniz rule by maps of its own
+    assert [f.name for f in dataclasses.fields(TensorConnection)] == \
+        ["route", "domain", "connection", "verdicts"]
+    assert _callers("tensorconn", {
+        "right_leibniz_failure", "leibniz_failure", "right_mult_cols",
+        "_compose", "check_right_leibniz"}) == {
+        "right_leibniz_failure": {"_tensor_from_xi"},
+        "leibniz_failure": set(),
+        "right_mult_cols": {"check_compatibility", "_nu_right_linear"},
+        "_compose": {"_nu_right_linear", "tensor_connection_original",
+                     "associated_connection"},
+        "check_right_leibniz": {"associated_connection"}}
+    assert _callers("connection", {"leibniz_failure"}) == {
+        "leibniz_failure": {"right_leibniz_failure"}}
+    # and no module names the second codomain or its routes
+    gone = {"_check_tensor_leibniz", "induced_right_cols", "codomain"}
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for field in ("id", "attr", "name"):
+                if getattr(node, field, None) in gone:
+                    named.add(f"{path.name}:{node.lineno}")
+    assert named == set()
+    assert not hasattr(Forms, "as_bimodule")

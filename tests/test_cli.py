@@ -359,13 +359,19 @@ def _count_forms_builds(monkeypatch) -> list:
 def test_each_forms_built_once(monkeypatch):
     # parsing builds M⊗Ω for the one connection; on a2_flat Ω_∇ is Ω, so
     # the tensor routes reuse it as ν̂'s source and target and as the Forms
-    # of ∇′_M, and build none
+    # of ∇′_M, and build one more only: (N⊗_AM)⊗_AΩ, the Forms of ∇⊗ on
+    # both routes, once per N, which a second run finds
     builds = _count_forms_builds(monkeypatch)
     model = parse_model(str(MODELS / "a2_flat.model"))
     assert builds == [model.calculus]
-    report = cli.run("tensor", model)
-    assert report.summary == "pass"
-    assert builds == [model.calculus]
+    for _ in range(2):
+        report = cli.run("tensor", model)
+        assert report.summary == "pass"
+        assert builds == [model.calculus] * 2
+    c = model.connections["nabla"]
+    forms = c.forms.tensor_forms(c.module)[0]
+    assert forms.module.dim == c.forms.tensors(c.module).dim
+    assert forms.calculus is model.calculus
 
 
 @pytest.mark.parametrize("name, truncation", [
@@ -374,19 +380,22 @@ def test_parse_and_all_build_one_forms_per_shipped_model(
         monkeypatch, name, truncation):
     # one M⊗_AΩ per (module, calculus), through Forms.of: the a2_flat and
     # a2_quotient tensor requests find Ω_∇ = Ω and reuse the model's Forms,
-    # and a2_twist and m2_grass have no request
+    # and add one, N⊗_AM's, for ∇⊗; a2_twist and m2_grass have no request
     builds = _count_forms_builds(monkeypatch)
     model = parse_model(str(MODELS / f"{name}.model"), truncation=truncation)
     cli.run("all", model)
-    assert builds == [model.calculus]
+    assert builds == [model.calculus] * (1 + bool(model.tensor_requests))
+    assert bool(model.tensor_requests) == (name in ("a2_flat",
+                                                    "a2_quotient"))
 
 
 @pytest.mark.parametrize("name", [*NAMES, "CZ3-D3"])
 def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
     # Forms spans M⊗I^r by g⊗ι over the right-module generators g only;
     # rebuild it from every basis vector m_i instead, for every Forms that
-    # parse + all builds: the model's, and on the generated model, where
-    # Ω_∇ is not Ω, the N-side one over Ω_∇ of its tensor request
+    # parse + all builds: the model's; on the generated model, where Ω_∇ is
+    # not Ω, the N-side one over Ω_∇ of its tensor request; and with a
+    # tensor request, N⊗_AM's, the Forms of ∇⊗
     built = []
     init = Forms.__init__
 
@@ -400,7 +409,8 @@ def test_m_tensor_i_from_generators_equals_full_span(monkeypatch, name):
     else:
         model = parse_model(str(MODELS / f"{name}.model"))
     cli.run("all", model)
-    assert len(built) == (2 if name in GENERATED_PINS else 1)
+    assert len(built) == {"a2_flat": 2, "a2_quotient": 2, "a2_twist": 1,
+                          "m2_grass": 1, "CZ3-D3": 3}[name]
     if name == "m2_grass":
         assert len(built[0].generators) < built[0].module.dim
     for f in built:
@@ -737,7 +747,8 @@ def test_omega_nabla_and_nu_hat_reuse_the_model_exactly_when_the_ideals_agree(
 
 # The SHA-256 of the JSON `all` report of a2_twist and m2_grass with a
 # "both" tensor request for ∇ on itself, recorded so that a change that
-# moves a byte of it fails: there Ω_∇ is not Ω, and ν̂ is unavailable.
+# moves a byte of it fails: there Ω_∇ is not Ω, and ν̂ is unavailable, so
+# no ∇⊗ is built, and neither is the Forms of N⊗_AM.
 BOTH_PINS = {
     "a2_twist":
         "55a224482c4d3ef511d9ad26b804762b769a94ea82bf695c285abf69009d589f",
@@ -747,13 +758,16 @@ BOTH_PINS = {
 
 
 @pytest.mark.parametrize("name", BOTH_PINS)
-def test_the_all_report_with_a_both_request_is_pinned(tmp_path, name):
+def test_the_all_report_with_a_both_request_is_pinned(
+        monkeypatch, tmp_path, name):
     doc = json.loads((MODELS / f"{name}.model").read_text())
     assert "tensor" not in doc
     doc["tensor"] = [{"left": "nabla", "right": "nabla", "route": "both"}]
+    builds = _count_forms_builds(monkeypatch)
     model = parse_model(write_doc(tmp_path, doc))
     report = cli.run("all", model).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == BOTH_PINS[name]
+    assert builds == [model.calculus]
 
 
 def _keys(x):
