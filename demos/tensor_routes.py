@@ -25,7 +25,8 @@ def main() -> None:
         parse_model(str(MODELS / "a2_flat.model")).connections["nabla"])
     conn, ic = p.conn, p.induced_calculus
 
-    pair = degeneracy_submodules(conn.module, conn.module)
+    pair = degeneracy_submodules(conn.module, conn.module,
+                                 conn.forms.tensors(conn.module))
     print("degeneracy kernels N0, M0:", len(pair.n0), len(pair.m0))
     print("brute-force pairing oracle:", degeneracy_brute(pair).status)
 

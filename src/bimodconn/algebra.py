@@ -212,12 +212,15 @@ class BalancedTensor:
 
     Keeps the quotient, so plain (representative) coordinates project to
     classes deterministically, and maps on the plain tensor, by columns,
-    induce maps on classes by ``QuotientSpace.induced``.
+    induce maps on classes by ``QuotientSpace.induced``.  Keeps the
+    ``balancing_relations`` it was built from too, so a map on the plain
+    tensor is checked on them without building them again.
     """
 
     left_factor: Bimodule   # its left action read by as_bimodule only
     right_factor: Bimodule
     quotient: QuotientSpace
+    relations: list[SparseVec]
 
     @property
     def dim(self) -> int:
@@ -274,7 +277,8 @@ def tensor_over_A(x, y: Bimodule) -> BalancedTensor:
     """Balanced tensor product X⊗_AY of a right module X and a bimodule Y."""
     if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise DimensionError("tensor factors live over different algebras")
+    rels = balancing_relations(x, y)
     span = SpanBuilder(x.dim * y.dim)
-    for rel in balancing_relations(x, y):
+    for rel in rels:
         span.add(rel)
-    return BalancedTensor(x, y, span.quotient())
+    return BalancedTensor(x, y, span.quotient(), rels)

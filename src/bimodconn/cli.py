@@ -102,7 +102,7 @@ def _cmd_tensor(report: Report, model: ModelFile,
         rc = model.connections[req.left]
         # N⊗_AM, as every check below reads it: built once per N
         pair = degeneracy_submodules(rc.module, c.module,
-                                     tensor=c.forms.tensors(rc.module))
+                                     c.forms.tensors(rc.module))
         report.extend(pair.verdicts)
         report.append(degeneracy_brute(pair))
         report.append(check_compatibility(c, rc, pair))

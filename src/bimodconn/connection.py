@@ -13,8 +13,8 @@ Every map on M⊗_AΩ is stored by sparse columns (``linalg.Cols``: per basis
 vector, its image as a ``SparseVec``), because these maps are almost all
 zeros.  A composition, a sum, ∇̂ or a Leibniz identity combines the
 columns of one factor at the nonzeros of the other (``linalg._compose``,
-``_commutator``, ``leibniz_failure``), so its cost is the number of
-nonzeros met, not the size of the matrices.
+``_commutator``, ``Forms.right_rule_failure``), so its cost is the number
+of nonzeros met, not the size of the matrices.
 A basis element of A, of M or of Ω^s enters an action, a product or an
 operator as its index or as its sparse class ({k: 1} for e_k), never as
 a dense unit vector.  κ's operators are built once and read by index:
@@ -35,9 +35,8 @@ from functools import cached_property
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import DegreeRHom, Forms
-from .linalg import (Cols, QuotientSpace, SpanBuilder, SparseVec, Vec,
-                     _apply, _col_sum, _col_vec, _compose, kernel_quotient,
-                     null_space)
+from .linalg import (Cols, SpanBuilder, SparseVec, Vec, _apply, _col_sum,
+                     _col_vec, _compose, kernel_quotient, null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -117,43 +116,6 @@ class Connection:
         return self._ext_cols[key]
 
 
-def leibniz_failure(c: Connection, r: int, s: int,
-                    omegas: list[int] | range, cols: list[int] | range,
-                    proj: QuotientSpace | None = None) \
-        -> tuple[int, int] | None:
-    """The graded right Leibniz rule ∇(q·ω) = (∇q)·ω + (−1)^r q·dω for q in
-    T_r and each basis class ω of Ω^s at the indices ``omegas``, dω its
-    column of ``d_cols(s)``, decided as the identity of maps
-
-        N_{r+s}·R(r, s, ω) − R(r+1, s, ω)·N_r − (−1)^r R(r, s+1, dω) = 0,
-
-    N ∇'s extension and R ``Forms.right_mult_cols``, on the columns ``cols``
-    of T_r and after projecting by ``proj`` when given.  The column of the
-    left side is one ``_col_sum``: N_{r+s}'s columns at the nonzeros of
-    R's column, R(r+1, s, ω)'s columns at the nonzeros of N_r's column and
-    R(r, s+1, dω)'s column.  Returns the first failing (k, i), column
-    cols[k] and ω = omegas[i], by k and then i; None when the rule holds.
-    """
-    f = c.forms
-    sign = 1 if r % 2 == 0 else -1
-    n_r, n_rs = c.nabla_ext_cols(r), c.nabla_ext_cols(r + s)
-    d = c.calculus.d_cols(s)
-    maps = [(f.right_mult_cols(r, s, {k: 1}),
-             f.right_mult_cols(r + 1, s, {k: 1}),
-             f.right_mult_cols(r, s + 1, d[k])) for k in omegas]
-    for k, col in enumerate(cols):
-        for i, (rm, rm_next, rm_dw) in enumerate(maps):
-            diff = _col_sum([(n_rs[row], x) for row, x in rm[col].items()]
-                            + [(rm_next[row], -x)
-                               for row, x in n_r[col].items()]
-                            + [(rm_dw[col], -sign)])
-            if proj is not None:
-                diff = _apply(proj.proj_cols, diff)
-            if diff:
-                return k, i
-    return None
-
-
 def right_leibniz_failure(c: Connection) -> tuple[int, int] | None:
     """The first (module basis, algebra basis) pair at which
     ∇(a·f) = (∇a)·f + a⊗df fails, by a and then f, or None, decided exactly
@@ -161,10 +123,12 @@ def right_leibniz_failure(c: Connection) -> tuple[int, int] | None:
     holds for every a form a unital subalgebra: the rule is linear in f,
     holds at f = 1 (a·1 = a, d1 = 0), and for two such f and g,
     ∇(a·fg) = (∇(a·f))·g + a·f⊗dg = ∇a·fg + a⊗(df·g + f·dg)
-    = ∇a·fg + a⊗d(fg)."""
+    = ∇a·fg + a⊗d(fg).  It is ``Forms.right_rule_failure`` with w = 1 on
+    M."""
 
     def scan(fs):
-        fail = leibniz_failure(c, 0, 0, fs, range(c.module.dim))
+        fail = c.forms.right_rule_failure(c.nabla_ext_cols, 1, 1, 0, 0, fs,
+                                          range(c.module.dim))
         return None if fail is None else (fail[0], fs[fail[1]])
 
     return c.module.algebra.first_failure(scan)

@@ -16,7 +16,7 @@ from functools import cached_property
 from . import anchors
 from .calculus import CalculusMorphism, GradedCalculus, preceq
 from .connection import (Connection, _commutator, induced_first_order,
-                         kappa1, leibniz_failure, nabla_hat, sigma_exists)
+                         kappa1, nabla_hat, sigma_exists)
 from .forms import DegreeRHom
 from .linalg import (Cols, SpanBuilder, SparseVec, Vec, _apply, _col_sum,
                      _col_vec, _compose, kernel_quotient, QuotientSpace)
@@ -46,8 +46,8 @@ def extend_connection(c: Connection) -> list[Verdict]:
     verdicts.append(passed("nabla-extension-well-defined",
                            anchors.EXTENDING_NABLA))
     for r in range(f.D - 1):
-        fail = leibniz_failure(c, r, 1, range(c.calculus.dim(1)),
-                               range(f.dim(r)))
+        fail = f.right_rule_failure(c.nabla_ext_cols, 1, 1, r, 1,
+                                    range(c.calculus.dim(1)), range(f.dim(r)))
         if fail is not None:
             verdicts.append(failed("nabla-extension-graded-leibniz",
                                    anchors.EXTENDING_NABLA,
@@ -75,7 +75,9 @@ def curvature(c: Connection) -> CurvatureResult:
     (``Algebra.first_failure``): the f on which it holds form a unital
     subalgebra, as it is linear in f, holds at f = 1 (1̂ = id on M and on
     M⊗_AΩ²), and ∇²∘(fg)^ = ∇²∘f̂∘ĝ = f̂∘∇²∘ĝ = f̂∘ĝ∘∇² = (fg)^∘∇², f̂ on
-    M⊗_AΩ² being the extension of f̂ on M.  The witness is the basis scan's.
+    M⊗_AΩ² being the extension of f̂ on M.  The difference is [∇², f̂]
+    (``_square_hat``), and the witness is the basis scan's first f with a
+    nonzero column, that column and its index.
     """
     if c.calculus.D < 2:
         raise ValueError("curvature needs truncation at least 2")
@@ -101,15 +103,11 @@ def curvature(c: Connection) -> CurvatureResult:
 
     def scan(fis):
         for fi in fis:
-            f_hat = f.hats[fi]
-            lhs, rhs = op.compose(f_hat).cols, f_hat.compose(op).cols
-            if lhs != rhs:
-                mi = next(i for i, (x, y) in enumerate(zip(lhs, rhs))
-                          if x != y)
-                dl = _col_vec(_col_sum([(lhs[mi], 1), (rhs[mi], -1)]),
-                              f.dim(2))
+            diff = _square_hat(c, f.hats[fi])
+            mi = next((i for i, col in enumerate(diff) if col), None)
+            if mi is not None:
                 return {"algebra_basis": fi, "module_basis": mi,
-                        "difference": rationals(dl)}
+                        "difference": rationals(_col_vec(diff[mi], f.dim(2)))}
         return None
 
     witness = a.first_failure(scan)
@@ -342,17 +340,14 @@ def j_ideal(c: Connection, omega_hat: OmegaHat) -> JIdeal:
         j.verdicts.append(failed("j-closure", anchors.J_CLOSURE, fail))
         return j
     j.verdicts.append(passed("j-closure", anchors.J_CLOSURE))
-    # the earlier proposal: factor by span{∇²(fa) − f∇²a}, the columns of
-    # ∇²∘L_f − L_f∘∇², only; it lies in J² by construction, and equality is
-    # merely reported
-    r2 = c.curvature_cols(0)
+    # the earlier proposal: factor by span{∇²(fa) − f∇²a}, the nonzero
+    # columns of [∇², ê_f], only; it lies in J² by construction, and
+    # equality is merely reported
     sub2 = SpanBuilder(f.dim(2))
     contained = True
     for fi in range(a.dim):
-        for x, y in zip(_compose(r2, f.hats[fi].cols),
-                        _compose(f.hats[fi].ext_cols(2), r2)):
-            if x != y:
-                v = _col_sum([(x, 1), (y, -1)])
+        for v in _square_hat(c, f.hats[fi]):
+            if v:
                 sub2.add(v)
                 contained &= builders[2].contains(v)
     if contained:
@@ -461,8 +456,9 @@ class OmegaM:
         # lifts of Ω(M)'s basis classes
         def leibniz_scan(fis):
             for r in range(f.D):
-                fail = leibniz_failure(c, r, 0, fis, self.quotients[r].free,
-                                       self.quotients[r + 1])
+                fail = f.right_rule_failure(
+                    c.nabla_ext_cols, 1, 1, r, 0, fis, self.quotients[r].free,
+                    self.quotients[r + 1])
                 if fail is not None:
                     return {"degree": r, "basis": [fail[0], fis[fail[1]]]}
             return None
@@ -475,29 +471,18 @@ class OmegaM:
         self.verdicts.append(passed("omega-m-right-leibniz",
                                     anchors.UNIQUE_FACTORIZATIONS))
         # factored curvature stays a right Ω-homomorphism: on Ω(M),
-        # ∇²(m·ω) = ∇²(m)·ω for basis vectors m of M and ω of Ω^s; a side
-        # whose curvature factor is zero is zero, with no product built
-        r2 = c.curvature_cols(0)
-        zero = [{} for _ in r2]
+        # ∇²(m·ω) = ∇²(m)·ω for basis vectors m of M and ω of Ω^s, the
+        # right rule of ∇² without its dω term
         for s in range(1, f.D - 1):
-            curv = c.curvature_cols(s)
-            proj = self.quotients[s + 2].proj_cols
-            sides = [
-                (_compose(proj, _compose(
-                    curv, f.right_mult_cols(0, s, {k: 1})))
-                 if any(curv) else zero,
-                 _compose(proj, _compose(
-                     f.right_mult_cols(2, s, {k: 1}), r2))
-                 if any(r2) else zero)
-                for k in range(c.calculus.dim(s))]
-            for mi in range(c.module.dim):
-                for wi, (lhs, rhs) in enumerate(sides):
-                    if lhs[mi] != rhs[mi]:
-                        self.verdicts.append(failed(
-                            "curvature-right-omega-on-omega-m",
-                            anchors.RIGHT_OMEGA_HOM,
-                            {"degree": s, "basis": [mi, wi]}))
-                        return
+            fail = f.right_rule_failure(
+                c.curvature_cols, 2, 0, 0, s, range(c.calculus.dim(s)),
+                range(c.module.dim), self.quotients[s + 2])
+            if fail is not None:
+                self.verdicts.append(failed(
+                    "curvature-right-omega-on-omega-m",
+                    anchors.RIGHT_OMEGA_HOM,
+                    {"degree": s, "basis": list(fail)}))
+                return
         self.verdicts.append(passed("curvature-right-omega-on-omega-m",
                                     anchors.RIGHT_OMEGA_HOM))
 

@@ -33,10 +33,15 @@ column k is the product of class k's representative (a basis tensor) by
 index.  The right action of e_i is its s = 0 case, ω = {i: 1}.  Both
 are computed once per argument.  I⁰ = 0, so T₀ is M and column i of
 ``right_mult_cols(0, s, ω)`` is the class of m_i⊗ω.
+
+``right_rule_failure`` is the one right rule on those products: the graded
+right Leibniz rule of ∇, and right linearity, which is that rule without
+its dω term, of an operator and of ∇².
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -233,6 +238,56 @@ class Forms:
                 else {} for fc in self._quotients[r].free]
         return self._right_cols[key]
 
+    def right_rule_failure(self, ext: Callable[[int], Cols], t: int, w: int,
+                           r: int, s: int, omegas: list[int] | range,
+                           cols: list[int] | range,
+                           proj: QuotientSpace | None = None) \
+            -> tuple[int, int] | None:
+        """The right rule X(q·ω) = X(q)·ω + w·(−1)^r q·dω of a degree-t map
+        X, for q in T_r and each basis class ω of Ω^s at the indices
+        ``omegas``, dω its column of ``d_cols(s)``, decided as the identity
+        of maps
+
+            X_{r+s}·R(r, s, ω) − R(r+t, s, ω)·X_r − w·(−1)^r R(r, s+1, dω) = 0,
+
+        X_p = ``ext(p)`` X's columns on T_p and R ``right_mult_cols``, on
+        the columns ``cols`` of T_r and after projecting by ``proj`` when
+        given.  With w = 1 it is the graded right Leibniz rule of ∇ (t = 1);
+        with w = 0 it is right linearity, of a right-Ω operator or of ∇²,
+        the same rule without its dω term.
+
+        The column of the left side is one ``_col_sum``: X_{r+s}'s columns
+        at the nonzeros of R's column, R(r+t, s, ω)'s columns at the
+        nonzeros of X_r's column and R(r, s+1, dω)'s column, the empty ones
+        left out, and {} without a call when none is left.  No R is built
+        for an X factor that is zero everywhere, whose terms are all zero,
+        and none for dω when w = 0.  Returns the first failing (k, i), column cols[k] and
+        ω = omegas[i], by k and then i; None when the rule holds.
+        """
+        x_r, x_rs = ext(r), ext(r + s)
+        sign = -w if r % 2 == 0 else w
+        d = self.calculus.d_cols(s) if w else None
+        maps = [(self.right_mult_cols(r, s, {k: 1}) if any(x_rs) else None,
+                 self.right_mult_cols(r + t, s, {k: 1}) if any(x_r) else None,
+                 self.right_mult_cols(r, s + 1, d[k]) if w else None)
+                for k in omegas]
+        for k, col in enumerate(cols):
+            x_col = x_r[col]
+            for i, (rm, rm_t, rm_dw) in enumerate(maps):
+                terms = [(v, x) for row, x in rm[col].items()
+                         if (v := x_rs[row])] if rm else []
+                if rm_t:
+                    terms += [(v, -x) for row, x in x_col.items()
+                              if (v := rm_t[row])]
+                if rm_dw and (v := rm_dw[col]):
+                    terms.append((v, sign))
+                diff = _col_sum(terms) if terms else {}
+                if proj is not None and diff:
+                    diff = _apply(proj.proj_cols, diff)
+                if diff:
+                    return k, i
+        return None
+
     def tensors(self, n) -> BalancedTensor:
         """N⊗_AM for a bimodule N, the domain of a tensor-product
         connection, built once per N."""
@@ -343,26 +398,16 @@ class DegreeRHom:
 
     def right_linearity_witness(self) -> tuple[int, int] | None:
         """(module_basis, algebra_basis) violating Φ(a·f) = Φ(a)·f, or None,
-        the first in a, then f, decided on A's generators first
-        (``Algebra.first_failure``).  The f on which it holds for every a
-        form a unital subalgebra: it is linear in f, holds at f = 1, and
-        Φ(a·fg) = Φ((a·f)·g) = Φ(a·f)·g = Φ(a)·fg.  Both sides are sparse
-        columns: Φ's columns combined at the nonzeros of m_a·e_f (column a
-        of the stored right action of e_f), and the columns of ·e_f on
-        T_degree combined at Φ's column a; an empty side is {} without a
-        call."""
+        the first in a, then f: ``Forms.right_rule_failure`` with w = 0 on
+        M, decided on A's generators first (``Algebra.first_failure``).
+        The f on which it holds for every a form a unital subalgebra: it is
+        linear in f, holds at f = 1, and Φ(a·fg) = Φ((a·f)·g) = Φ(a·f)·g =
+        Φ(a)·fg."""
         f = self.forms
-        alg = f.algebra
 
         def scan(fis):
-            right = [(fi, f.right_mult_cols(self.degree, 0, {fi: 1}))
-                     for fi in fis]
-            for ai, col in enumerate(self.cols):
-                for fi, by_f in right:
-                    lhs = _apply(self.cols, f.module.right_action[fi][ai])
-                    rhs = _apply(by_f, col)
-                    if lhs != rhs:
-                        return (ai, fi)
-            return None
+            fail = f.right_rule_failure(self.ext_cols, self.degree, 0, 0, 0,
+                                        fis, range(len(self.cols)))
+            return None if fail is None else (fail[0], fis[fail[1]])
 
-        return alg.first_failure(scan)
+        return f.algebra.first_failure(scan)

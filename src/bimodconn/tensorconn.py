@@ -4,12 +4,14 @@ Degree-one elements of the induced calculus act on the second factor as
 operators (the interpretation (b⊗Φ̂)a := b⊗Φ̂(a)), which makes the sum
 (∇′_M b)·a + b⊗∇a a well-defined connection on the balanced tensor product.
 The same connection arises from a connection ∇′ against the original
-calculus by first pushing ∇′b down with ν̂ = id⊗κ̂; both routes are built
-and compared here, together with the degeneracy submodules N₀, M₀ they
-assume stable.  The N-side ∇′, the associated connection ∇′_M and ∇⊗
-itself, on the bimodule N⊗_AM, are plain :class:`Connection` objects, and
-one function decides the right Leibniz rule of each
-(``right_leibniz_failure``).
+calculus by first pushing ∇′b down with ν̂ = id⊗κ̂.  Both routes are built
+here, from the same degree-one N-forms (∇′_M's ∇ is ν̂∘∇′ in degree 0),
+so they give the same ∇⊗; no verdict compares the two.  The ν̂ route is
+checked against the σ route where σ exists, and the degeneracy
+submodules N₀, M₀ the routes assume stable are checked here too.  The
+N-side ∇′, the associated connection ∇′_M and ∇⊗ itself, on the bimodule
+N⊗_AM, are plain :class:`Connection` objects, and one function decides
+the right Leibniz rule of each (``right_leibniz_failure``).
 
 N⊗_AΩ_∇ is ``Forms.of(N, Ω_∇)``.  When Ω_∇ has Ω's ideal it is Ω's own
 object (``InducedCalculus``), so that is the N-side ∇′'s own Forms: ν̂ is
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from . import anchors
-from .algebra import (BalancedTensor, Bimodule, balancing_relations,
-                      tensor_over_A)
+from .algebra import BalancedTensor, Bimodule
 from .calculus import CalculusMorphism
 from .connection import (Connection, check_right_leibniz,
                          right_leibniz_failure)
@@ -50,19 +51,16 @@ class DegeneracyPair:
     verdicts: list[Verdict] = field(default_factory=list)
 
 
-def degeneracy_submodules(n, m: Bimodule,
-                          tensor: BalancedTensor | None = None) \
+def degeneracy_submodules(n, m: Bimodule, tensor: BalancedTensor) \
         -> DegeneracyPair:
     """Kernels of the two partial pairing maps, verified to be submodules.
 
-    The class of the basis pair b_j⊗a_i is column ``pure_index(j, i)`` of
+    ``tensor`` is N⊗_AM (``Forms.tensors``).  The class of the basis pair b_j⊗a_i is column ``pure_index(j, i)`` of
     the tensor's projection, so each pairing map is stacked from those
     columns.  N₀·f ⊆ N₀, M₀·f ⊆ M₀ and f·M₀ ⊆ M₀ are decided on A's
     generators first (``Algebra.first_failure``): the f for which each
     holds form a unital subalgebra, as each is linear in f, holds at f = 1,
     and N₀·fg = (N₀·f)·g ⊆ N₀·g ⊆ N₀, and likewise on M₀."""
-    if tensor is None:
-        tensor = tensor_over_A(n, m)
     t = tensor
     proj = t.quotient.proj_cols
     # b ↦ (class of b⊗a_i)_i, stacked over the M basis
@@ -326,13 +324,12 @@ def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
     (``right_leibniz_failure``), reported with the class of N⊗_AM at
     ``basis``.
     """
-    m = c.module
     tn, forms = c.forms.tensors(n), c.forms.tensor_forms(n)[0]
     tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
     plain = _pure_pair_columns(c, n, xi_forms, xi, tail_ops)
     tc = TensorConnection(route, tn)
     # well defined on balanced classes
-    for rel in balancing_relations(n, m):
+    for rel in tn.relations:
         if _apply(plain, rel):
             tc.verdicts.append(failed(
                 "tensor-connection-well-defined", well_defined_anchor,

@@ -1390,7 +1390,9 @@ def balanced_tensor(x, y):
     off their ``rref`` and the quotient by it taken by ``quotient``."""
     rels = balancing_relations(x, y)
     k, reduced, _ = rref(rels) if rels else (0, [], [])
-    return BalancedTensor(x, y, quotient(x.dim * y.dim, reduced[:k]))
+    return BalancedTensor(x, y, quotient(x.dim * y.dim, reduced[:k]),
+                          [{k: c for k, c in enumerate(rel) if c}
+                           for rel in rels])
 
 
 def tensor_class(f, tn, forms, v):

@@ -101,7 +101,8 @@ def test_08_sigma_u_full_degree_identities():
 def test_09_tensor_product_routes():
     for which in NAMES:
         conn = pipeline(which).conn
-        pair = degeneracy_submodules(conn.module, conn.module)
+        pair = degeneracy_submodules(conn.module, conn.module,
+                                     conn.forms.tensors(conn.module))
         assert degeneracy_brute(pair).ok
     for which in ("a2_flat", "a2_quotient"):
         p = pipeline(which)

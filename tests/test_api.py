@@ -700,18 +700,17 @@ def test_the_tensor_connection_is_a_connection_with_one_right_leibniz_rule():
     assert [f.name for f in dataclasses.fields(TensorConnection)] == \
         ["route", "domain", "connection", "verdicts"]
     assert _callers("tensorconn", {
-        "right_leibniz_failure", "leibniz_failure", "right_mult_cols",
+        "right_leibniz_failure", "right_rule_failure", "right_mult_cols",
         "_compose", "check_right_leibniz"}) == {
         "right_leibniz_failure": {"_tensor_from_xi"},
-        "leibniz_failure": set(),
+        "right_rule_failure": set(),
         "right_mult_cols": {"check_compatibility", "_nu_right_linear"},
         "_compose": {"_nu_right_linear", "tensor_connection_original",
                      "associated_connection"},
         "check_right_leibniz": {"associated_connection"}}
-    assert _callers("connection", {"leibniz_failure"}) == {
-        "leibniz_failure": {"right_leibniz_failure"}}
     # and no module names the second codomain or its routes
-    gone = {"_check_tensor_leibniz", "induced_right_cols", "codomain"}
+    gone = {"_check_tensor_leibniz", "induced_right_cols", "codomain",
+            "leibniz_failure"}
     named = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -720,3 +719,28 @@ def test_the_tensor_connection_is_a_connection_with_one_right_leibniz_rule():
                     named.add(f"{path.name}:{node.lineno}")
     assert named == set()
     assert not hasattr(Forms, "as_bimodule")
+
+
+def test_one_rule_decides_every_right_leibniz_and_right_linearity_identity():
+    # X(q·ω) = X(q)·ω + w·(−1)^r q·dω, for ∇ (w = 1), an operator or ∇²
+    # (w = 0), is Forms.right_rule_failure: right-leibniz (and
+    # tensor-right-leibniz through it), nabla-extension-graded-leibniz,
+    # omega-m-right-leibniz, nabla-hat-right-linear and the pair witness of
+    # curvature-right-omega-linear (right_linearity_witness) and
+    # curvature-right-omega-on-omega-m
+    callers = {f"{path.stem}:{name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for name in _callers(path.stem, {"right_rule_failure"})[
+                   "right_rule_failure"]}
+    assert callers == {
+        "connection:right_leibniz_failure", "curvature:extend_connection",
+        "curvature:OmegaM._check", "forms:DegreeRHom.right_linearity_witness"}
+    # only the rule multiplies on the right for a right rule
+    for module, name in (("curvature", "OmegaM._check"),
+                         ("forms", "DegreeRHom.right_linearity_witness")):
+        assert "right_mult_cols" not in _named(module, name), name
+    # the curvature's left linearity reads [∇², ê_f], and composes nothing
+    named = _named("curvature", "curvature")
+    assert "_square_hat" in named
+    assert named & {"compose", "_compose"} == set()
+    assert "_square_hat" in _named("curvature", "j_ideal")

@@ -12,8 +12,7 @@ from _shared import (MODELS, NAMES, a2, cyclic_group_algebra, m2, model,
                      upper_triangular, whole_basis)
 import bimodconn.curvature as curvature_module
 from bimodconn import Pipeline, cli
-from bimodconn.connection import (Connection, check_right_leibniz,
-                                  kappa0_op, leibniz_failure)
+from bimodconn.connection import Connection, check_right_leibniz, kappa0_op
 from bimodconn.curvature import (InducedCalculus, JIdeal, OmegaHat, OmegaM,
                                  extend_connection, j_ideal, nabla_hat,
                                  sigma_full)
@@ -738,7 +737,7 @@ def test_a_flipped_nabla_hat_gives_the_dense_route_the_same_witnesses(
 
 # the three right Leibniz checks, each decided on the columns of ∇'s
 # extensions and of the right multiplications by
-# ``connection.leibniz_failure``, against the per-pair reference
+# ``Forms.right_rule_failure``, against the per-pair reference
 LEIBNIZ = {"right-leibniz": lambda conn, om: _reference.right_leibniz(conn),
            "nabla-extension-graded-leibniz":
                lambda conn, om: _reference.graded_leibniz_degree_one(conn),
@@ -859,8 +858,9 @@ def test_a_flat_connection_multiplies_no_zero_map():
     j = j_ideal(conn, oh)
     assert len(f._right_cols) == before
     for r in range(f.D):
-        leibniz_failure(conn, r, 0, range(f.algebra.dim), j.quotients[r].free,
-                        j.quotients[r + 1])
+        f.right_rule_failure(conn.nabla_ext_cols, 1, 1, r, 0,
+                             range(f.algebra.dim), j.quotients[r].free,
+                             j.quotients[r + 1])
     before = len(f._right_cols)
     om = OmegaM(conn, j)
     assert len(f._right_cols) == before
@@ -883,3 +883,24 @@ def test_a_nonzero_curvature_column_gives_the_witness_of_every_product(
     (got,) = [v for v in om.verdicts if v.check_id == CURVATURE_RIGHT_OMEGA]
     want = _reference.curvature_right_omega(conn, om)
     assert want is not None and not got.ok and got.witness == want
+
+
+@pytest.mark.parametrize("truncation, degree, column, row, fails", [
+    (3, 1, 0, 0, False), (3, 1, 2, 5, True), (4, 2, 3, 5, True)])
+def test_a_perturbed_curvature_of_a_curved_connection_fails_on_omega_m(
+        truncation, degree, column, row, fails):
+    # m2_grass's curvature is nonzero, so both products are built: one
+    # entry of ∇² on T_degree added after J is built, in a fresh pipeline,
+    # fails curvature-right-omega-on-omega-m with the reference's witness,
+    # unless the entry lies in J (row 0 here)
+    p = Pipeline(parse_model(str(MODELS / "m2_grass.model"),
+                             truncation=truncation).connections["nabla"])
+    p.j_ideal
+    curv = p.conn.curvature_cols(degree)
+    assert any(curv) and any(p.conn.curvature_cols(0))
+    curv[column] = {**curv[column], row: curv[column].get(row, 0) + 1}
+    (got,) = [v for v in p.omega_m.verdicts
+              if v.check_id == CURVATURE_RIGHT_OMEGA]
+    want = _reference.curvature_right_omega(p.conn, p.omega_m)
+    assert (got.ok, got.witness) == (want is None, want)
+    assert (want is not None) == fails

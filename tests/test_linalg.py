@@ -564,8 +564,17 @@ def test_compose_matches_the_dense_combination(drawn):
 # the empty columns out and makes no call when none is left (3,277 calls);
 # `Bimodule._action_cols` and `Kappa1.op` apply their columns by `_apply`
 # too, one call per nonempty column where a basis element with coefficient
-# 1 gave the stored columns without a call (80 more)
-COL_SUM_CALLS_M2 = 3357
+# 1 gave the stored columns without a call (80 more).  3,357 while right
+# Leibniz and right linearity were decided three ways: deciding each as
+# Forms.right_rule_failure, one call per (column, ω) pair with a nonempty
+# term and the empty columns left out, takes 5 off right-leibniz at parse
+# (16 → 11), 20 off the ∇-extension (64 → 44), 13 off Ω(M)'s right
+# Leibniz rule (40 → 27), 22 off right_linearity_witness (two sides per
+# pair, 44 → 22) and 8 off curvature-right-omega-on-omega-m (its two
+# composed and projected sides, 16 → 8); reading curvature-left-linear and
+# the early-quotient span off [∇², ê_f] (_square_hat) adds 2 to the first
+# (10 → 12) and takes 2 off the second (114 → 112)
+COL_SUM_CALLS_M2 = 3289
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):

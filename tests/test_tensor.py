@@ -15,7 +15,8 @@ from _shared import (MODELS, NAMES, a2, column_connection, column_module,
                      skew_connection, skew_right_module, upper_triangular,
                      whole_basis)
 from bimodconn import Pipeline, algebra, cli, connection, forms, tensorconn
-from bimodconn.algebra import BalancedTensor, balancing_relations
+from bimodconn.algebra import (BalancedTensor, balancing_relations,
+                               tensor_over_A)
 from bimodconn.calculus import GradedCalculus, preceq
 from bimodconn.connection import Connection
 from bimodconn.linalg import (DimensionError, _col_sum, _col_vec, _to_mat,
@@ -39,7 +40,8 @@ def rc_of(which: str) -> Connection:
 
 def test_regular_pairing_is_faithful():
     conn = nabla("a2_flat")
-    pair = degeneracy_submodules(conn.module, conn.module)
+    pair = degeneracy_submodules(conn.module, conn.module,
+                                 conn.forms.tensors(conn.module))
     assert pair.n0 == []
     assert pair.m0 == []
     assert all(v.ok for v in pair.verdicts)
@@ -48,12 +50,14 @@ def test_regular_pairing_is_faithful():
 def test_degeneracy_brute_oracle_everywhere():
     for which in NAMES:
         conn = pipeline(which).conn
-        pair = degeneracy_submodules(conn.module, conn.module)
+        pair = degeneracy_submodules(conn.module, conn.module,
+                                     conn.forms.tensors(conn.module))
         assert degeneracy_brute(pair).ok
 
 
 def test_nonzero_degeneracy_kernel():
-    pair = degeneracy_submodules(skew_right_module(), column_module())
+    n, m = skew_right_module(), column_module()
+    pair = degeneracy_submodules(n, m, tensor_over_A(n, m))
     assert pair.tensor.dim == 1
     assert len(pair.n0) == 1
     assert pair.n0[0] == {0: 1}                     # N0 = span(x)
@@ -63,7 +67,8 @@ def test_nonzero_degeneracy_kernel():
 
 
 def test_compatibility_pass_and_fail():
-    pair = degeneracy_submodules(skew_right_module(), column_module())
+    n, m = skew_right_module(), column_module()
+    pair = degeneracy_submodules(n, m, tensor_over_A(n, m))
     c = column_connection()
     assert check_compatibility(c, skew_connection(), pair).ok
     # a right-linear perturbation pushes ∇′x out of N0⊗Ω¹
@@ -308,6 +313,10 @@ def _assert_routes_match_references(p: Pipeline, rc: Connection, nu, tco,
         _reference.right_leibniz(am)
     assert _witness(tco.verdicts, "tensor-route-agreement") == \
         _reference.sigma_route(tco, rc, c, p.sigma)
+    # the two routes build one ∇⊗: both read it off the same ξ, as ∇′_M's
+    # ∇ is ν̂∘∇′ in degree 0
+    assert tco.connection.forms is tci.connection.forms
+    assert tco.connection.nabla == tci.connection.nabla
 
 
 def _skew_model(perturbed: bool) -> ModelFile:
@@ -415,11 +424,10 @@ def test_pure_pairs_off_the_projection_match_the_project_pure_route(name):
     c = p.conn
     n, m = rc.module, c.module
     ref = _reference.degeneracy_submodules(n, m)
-    for pair in (degeneracy_submodules(n, m),
-                 degeneracy_submodules(n, m, tensor=c.forms.tensors(n))):
-        assert (dense_vecs(pair.n0, n.dim), dense_vecs(pair.m0, m.dim),
-                pair.verdicts) == (ref.n0, ref.m0, ref.verdicts)
-        assert degeneracy_brute(pair) == _reference.degeneracy_brute(ref)
+    pair = degeneracy_submodules(n, m, tensor=c.forms.tensors(n))
+    assert (dense_vecs(pair.n0, n.dim), dense_vecs(pair.m0, m.dim),
+            pair.verdicts) == (ref.n0, ref.m0, ref.verdicts)
+    assert degeneracy_brute(pair) == _reference.degeneracy_brute(ref)
     sig = p.sigma
     tco = tensor_connection_original(rc, c, nu_hat(rc, p.kappa_hat), sig)
     if name in ("a2_twist", "m2_grass"):
@@ -454,7 +462,7 @@ def test_a_tensor_request_builds_its_balanced_tensors_once(monkeypatch):
         bimodules.append(self)
         return as_bimodule(self)
 
-    for module in (connection, forms, tensorconn):
+    for module in (connection, forms):
         monkeypatch.setattr(module, "tensor_over_A", counting)
     monkeypatch.setattr(BalancedTensor, "as_bimodule", counting_bimodule)
     m = parse_model(str(MODELS / "a2_flat.model"))
@@ -465,6 +473,22 @@ def test_a_tensor_request_builds_its_balanced_tensors_once(monkeypatch):
     tn = c.forms.tensors(c.module)
     assert bimodules == [tn]
     assert c.forms.tensor_forms(c.module)[0].module.dim == tn.dim
+
+
+@pytest.mark.parametrize("name", ["a2_flat", "a2_quotient"])
+def test_an_all_run_builds_the_balancing_relations_of_each_pair_once(
+        monkeypatch, name):
+    # Ω¹⊗_AM for σ and N⊗_AM for the tensor request: both routes of ∇⊗
+    # check well-definedness on the relations N⊗_AM keeps
+    calls = []
+
+    def counting(x, y, balancing_relations=algebra.balancing_relations):
+        calls.append((x, y))
+        return balancing_relations(x, y)
+
+    monkeypatch.setattr(algebra, "balancing_relations", counting)
+    cli.run("all", parse_model(str(MODELS / f"{name}.model")))
+    assert len(calls) == len({(id(x), id(y)) for x, y in calls}) == 2
 
 
 @pytest.mark.parametrize("name", TENSOR_CASES)
@@ -565,7 +589,9 @@ def test_a_vector_added_to_n0_fails_its_closure_as_the_basis_scan(
                 return found
             return [{0: 1, 1: 1}] + found
         monkeypatch.setattr(tensorconn, "null_space", with_x)
-        (v,) = degeneracy_submodules(p.conn.module, p.conn.module).verdicts
+        (v,) = degeneracy_submodules(
+            p.conn.module, p.conn.module,
+            p.conn.forms.tensors(p.conn.module)).verdicts
         monkeypatch.undo()
         return v
     got, plain = _first_failures(name, check)
