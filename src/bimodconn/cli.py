@@ -32,8 +32,9 @@ from .curvature import Pipeline
 from .linalg import _to_mat
 from .model import ModelError, ModelFile, TensorRequest, parse_model
 from .report import Report, Verdict, rationals
-from .tensorconn import (associated_connection, check_compatibility,
-                         degeneracy_brute, degeneracy_submodules, nu_hat,
+from .tensorconn import (TensorConnection, associated_connection,
+                         check_compatibility, degeneracy_brute,
+                         degeneracy_submodules, nu_hat,
                          tensor_connection_induced,
                          tensor_connection_original)
 
@@ -109,16 +110,15 @@ def _cmd_tensor(report: Report, model: ModelFile,
         p = pipelines[req.right]
         nu = nu_hat(rc, p.kappa_hat)
         report.extend(nu.verdicts)
+        # one ∇⊗, built by the first route that reports it
+        tc = TensorConnection(pair.tensor, nu.pushed, c)
         if req.route in ("nu-hat", "both"):
-            tco = tensor_connection_original(rc, c, nu, p.sigma)
-            report.extend(tco.verdicts)
+            report.extend(tensor_connection_original(tc, rc, p.sigma))
         if req.route in ("induced", "both"):
             assoc = associated_connection(rc, nu)
             report.extend(assoc.verdicts)
             if assoc.exists:
-                tci = tensor_connection_induced(assoc.connection, c,
-                                                p.induced_calculus)
-                report.extend(tci.verdicts)
+                report.extend(tensor_connection_induced(tc))
 
 
 def run(command: str, model: ModelFile,

@@ -148,9 +148,9 @@ def _commutator(x_ext: Cols, x_cols: Cols, s: int, phi: DegreeRHom,
     """The columns of X∘Φ + sign·Φ∘X on M, for a map X of degree s given by
     its extension ``x_ext`` to T_r (r the degree of Φ) and its restriction
     ``x_cols`` to M: column i combines x_ext at the nonzeros of Φ's column
-    i and Φ's extension to T_s at the nonzeros of X's column i; a column
-    empty in both is {}."""
-    ext = phi.ext_cols(s)
+    i and Φ's extension to T_s at the nonzeros of X's column i, extended
+    only when some column of X is nonzero; a column empty in both is {}."""
+    ext = phi.ext_cols(s) if any(x_cols) else []
     return [_col_sum([(x_ext[k], c) for k, c in col.items()]
                      + [(ext[k], sign * c) for k, c in x_col.items()])
             if col or x_col else {}

@@ -4,30 +4,31 @@ Degree-one elements of the induced calculus act on the second factor as
 operators (the interpretation (b⊗Φ̂)a := b⊗Φ̂(a)), which makes the sum
 (∇′_M b)·a + b⊗∇a a well-defined connection on the balanced tensor product.
 The same connection arises from a connection ∇′ against the original
-calculus by first pushing ∇′b down with ν̂ = id⊗κ̂.  Both routes are built
-here, from the same degree-one N-forms (∇′_M's ∇ is ν̂∘∇′ in degree 0),
-so they give the same ∇⊗; no verdict compares the two.  The ν̂ route is
-checked against the σ route where σ exists, and the degeneracy
-submodules N₀, M₀ the routes assume stable are checked here too.  The
-N-side ∇′, the associated connection ∇′_M and ∇⊗ itself, on the bimodule
-N⊗_AM, are plain :class:`Connection` objects, and one function decides
-the right Leibniz rule of each (``right_leibniz_failure``).
+calculus by first pushing ∇′b down with ν̂ = id⊗κ̂.  ν̂∘∇′ is ∇′_M (ν̂ is
+the identity in degree 0), so it is composed once, as ``NuHat.pushed``,
+∇⊗ is built once from it (``TensorConnection``), and both routes report
+that one ∇⊗.  The ν̂ route is checked against the σ route where σ exists,
+and the degeneracy submodules N₀, M₀ the routes assume stable are checked
+here too.  The N-side ∇′, ∇′_M and ∇⊗ itself, on the bimodule N⊗_AM, are
+plain :class:`Connection` objects, and one function decides the right
+Leibniz rule of each (``right_leibniz_failure``).
 
 N⊗_AΩ_∇ is ``Forms.of(N, Ω_∇)``.  When Ω_∇ has Ω's ideal it is Ω's own
 object (``InducedCalculus``), so that is the N-side ∇′'s own Forms: ν̂ is
-the identity, and its checks, ∇′_M and the induced route reuse the
-quotients, right multiplications and extensions built for ∇′.
+the identity, and its checks, ∇′_M and ∇⊗ reuse the quotients, right
+multiplications and extensions built for ∇′.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
 from . import anchors
 from .algebra import BalancedTensor, Bimodule
 from .calculus import CalculusMorphism
 from .connection import (Connection, check_right_leibniz,
                          right_leibniz_failure)
-from .curvature import InducedCalculus
 from .forms import Forms
 from .linalg import (Cols, DimensionError, SpanBuilder, SparseVec, _apply,
                      _col_sum, _col_vec, _compose, kernel_quotient,
@@ -169,12 +170,14 @@ def check_compatibility(c: Connection, rc: Connection,
 
 @dataclass
 class NuHat:
-    """Per-degree maps N⊗_AΩ^r → N⊗_AΩ_∇^r, b⊗ω ↦ b⊗κ̂(ω), by columns."""
+    """Per-degree maps N⊗_AΩ^r → N⊗_AΩ_∇^r, b⊗ω ↦ b⊗κ̂(ω), by columns, and
+    ν̂∘∇′ on N as a connection on N⊗_AΩ_∇: ∇′_M, and ∇⊗'s ξ."""
 
     available: bool
     source: Forms | None = None          # N ⊗ Ω
     target: Forms | None = None          # N ⊗ Ω_∇
     maps: list[Cols] = field(default_factory=list)
+    pushed: Connection | None = None     # ν̂∘∇′ on N
     verdicts: list[Verdict] = field(default_factory=list)
 
     def rank(self, r: int) -> int:
@@ -209,6 +212,7 @@ def nu_hat(rc: Connection, kappa_hat: CalculusMorphism | None) -> NuHat:
     for r in range(src.D + 1):
         proj = tgt.quotient_space(r).proj_cols
         nu.maps.append([proj[fc] for fc in src.quotient_space(r).free])
+    nu.pushed = Connection(tgt, _compose(nu.maps[1], rc.nabla))
     # well defined: the source relations are killed in the target
     for r in range(src.D + 1):
         proj = tgt.quotient_space(r).proj_cols
@@ -273,37 +277,51 @@ def _nu_right_linear(nu: NuHat) -> Verdict:
 
 @dataclass
 class TensorConnection:
-    """∇⊗ on N⊗_AM by either route: once it is built, ``connection``, a
-    :class:`Connection` on the Forms of N⊗_AM (``Forms.tensor_forms``),
-    whose T₁ is (N⊗_AM)⊗_AΩ¹ ≅ N⊗_A(M⊗_AΩ¹)."""
+    """∇⊗(b⊗a) := ξ(b)·a + b⊗∇a on N⊗_AM for ξ = ν̂∘∇′ = ∇′_M on N
+    (``NuHat.pushed``): one ∇⊗ per request, built on the first read of
+    ``built`` by the first route that reports it, so a request that
+    reports none builds neither it nor the Forms of N⊗_AM."""
 
-    route: str                       # "induced" or "nu-hat"
     domain: BalancedTensor           # N ⊗_A M
-    connection: Connection | None = None
-    verdicts: list[Verdict] = field(default_factory=list)
+    xi: Connection | None            # ν̂∘∇′; None when ν̂ is unavailable
+    c: Connection                    # ∇ on M
 
-    @property
-    def available(self) -> bool:
-        return self.connection is not None
+    @cached_property
+    def built(self) -> tuple[SparseVec | None, Connection | None,
+                             tuple[int, int] | None]:
+        """(the first balancing relation ∇⊗ does not kill, or None; ∇⊗ on
+        ``Forms.tensor_forms`` and its ``right_leibniz_failure`` when there
+        is none).  A tail de_j of ξ_j in N⊗_AΩ¹_∇ acts on M through
+        κ(1·de_j) = ∇̂ê_j (``Connection.d_hats``; 1 acts as the identity
+        because M is unital): the interpretation rule (b⊗Φ̂)a := b⊗Φ̂(a)."""
+        c, tn, n = self.c, self.domain, self.xi.module
+        tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
+        plain = _pure_pair_columns(c, self.xi, tail_ops)
+        rel = next((rel for rel in tn.relations if _apply(plain, rel)), None)
+        if rel is not None:
+            return rel, None, None
+        conn = Connection(c.forms.tensor_forms(n)[0],
+                          [plain[fc] for fc in tn.quotient.free])
+        return None, conn, right_leibniz_failure(conn)
 
 
-def _pure_pair_columns(c: Connection, n, xi_forms: Forms, xi: Cols,
+def _pure_pair_columns(c: Connection, xi: Connection,
                        tail_ops: list[Cols]) -> Cols:
     """∇⊗ on the plain N⊗M by columns, into (N⊗_AM)⊗_AΩ¹: column (j, i) is
     the class of ξ_j·a_i + b_j⊗∇a_i, the sum of the columns b_k⊗q of
     ``Forms.tensor_forms`` at its terms.
 
-    ξ_j = ``xi[j]`` is a degree-one N-form of ``xi_forms``, by its sparse
-    column.  A term x·b_k⊗de_β of its representative acts on a_i through
+    ξ_j = ``xi.nabla[j]`` is a degree-one N-form of ``xi.forms``, by its
+    sparse column.  A term x·b_k⊗de_β of its representative acts on a_i through
     its tail: it gives x·b_k⊗(T_β·a_i) for the M → M⊗_AΩ¹ map
     T_β = ``tail_ops[β]``, by sparse columns.
     """
-    nt = xi_forms.n_tails(1)
+    nt = xi.forms.n_tails(1)
     t1 = c.forms.dim(1)
-    free = xi_forms.quotient_space(1).free
-    pairs = c.forms.tensor_forms(n)[1]
+    free = xi.forms.quotient_space(1).free
+    pairs = c.forms.tensor_forms(xi.module)[1]
     cols = []
-    for j, xi_j in enumerate(xi):
+    for j, xi_j in enumerate(xi.nabla):
         terms = [(divmod(free[k], nt), x) for k, x in xi_j.items()]
         for i, nabla_i in enumerate(c.nabla):
             cols.append(_col_sum(
@@ -313,88 +331,62 @@ def _pure_pair_columns(c: Connection, n, xi_forms: Forms, xi: Cols,
     return cols
 
 
-def _tensor_from_xi(route: str, n, c: Connection, xi_forms: Forms, xi: Cols,
-                    well_defined_anchor: str) -> TensorConnection:
-    """Assemble ∇⊗ from the degree-one N-forms ξ_j = "(∇ of b_j) downstairs".
-
-    Each ξ_j lives in N⊗_AΩ¹_∇; its tail de_j acts on M through
-    κ(1·de_j) = ∇̂ê_j (``Connection.d_hats``; 1 acts as the identity
-    because M is unital), which is the interpretation rule
-    (b⊗Φ̂)a := b⊗Φ̂(a).  Its right Leibniz rule is that of any connection
-    (``right_leibniz_failure``), reported with the class of N⊗_AM at
-    ``basis``.
-    """
-    tn, forms = c.forms.tensors(n), c.forms.tensor_forms(n)[0]
-    tail_ops = [c.d_hats[j].cols for j in c.calculus.universal.complement]
-    plain = _pure_pair_columns(c, n, xi_forms, xi, tail_ops)
-    tc = TensorConnection(route, tn)
-    # well defined on balanced classes
-    for rel in tn.relations:
-        if _apply(plain, rel):
-            tc.verdicts.append(failed(
-                "tensor-connection-well-defined", well_defined_anchor,
-                {"relation": rationals(_col_vec(rel, tn.plain_dim))}))
-            return tc
-    tc.verdicts.append(passed("tensor-connection-well-defined",
-                              well_defined_anchor))
-    tc.connection = Connection(forms, [plain[fc] for fc in tn.quotient.free])
-    fail = right_leibniz_failure(tc.connection)
-    tc.verdicts.append(
-        passed("tensor-right-leibniz", anchors.TENSOR_CONNECTION)
-        if fail is None else
-        failed("tensor-right-leibniz", anchors.TENSOR_CONNECTION,
-               {"basis": fail[0], "algebra_basis": fail[1]}))
-    return tc
+def _report(tc: TensorConnection, well_defined_anchor: str) \
+        -> list[Verdict]:
+    """``tc``'s ∇⊗ as a route reports it: well defined on balanced classes,
+    under the route's anchor, and then its right Leibniz rule, with the
+    class of N⊗_AM at ``basis``."""
+    rel, conn, fail = tc.built
+    if conn is None:
+        return [failed("tensor-connection-well-defined", well_defined_anchor,
+                       {"relation": rationals(
+                           _col_vec(rel, tc.domain.plain_dim))})]
+    return [passed("tensor-connection-well-defined", well_defined_anchor),
+            passed("tensor-right-leibniz", anchors.TENSOR_CONNECTION)
+            if fail is None else
+            failed("tensor-right-leibniz", anchors.TENSOR_CONNECTION,
+                   {"basis": fail[0], "algebra_basis": fail[1]})]
 
 
-def tensor_connection_induced(rc: Connection, c: Connection,
-                              induced: InducedCalculus) -> TensorConnection:
-    """∇⊗(b⊗a) := (∇′_M b)·a + b⊗∇a with ∇′_M against (Ω¹_∇, d_∇)."""
-    if rc.calculus is not induced.calculus:
-        raise DimensionError(
-            "the N-side connection must live over the induced calculus")
-    return _tensor_from_xi("induced", rc.module, c, rc.forms, rc.nabla,
-                           anchors.INTERPRETED)
+def tensor_connection_induced(tc: TensorConnection) -> list[Verdict]:
+    """∇⊗(b⊗a) := (∇′_M b)·a + b⊗∇a with ∇′_M against (Ω¹_∇, d_∇): ``tc``,
+    whose ξ is ∇′_M."""
+    return _report(tc, anchors.INTERPRETED)
 
 
-def tensor_connection_original(rc: Connection, c: Connection, nu: NuHat,
-                               sigma) -> TensorConnection:
-    """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, with the σ-route agreement check."""
-    if not nu.available:
-        tc = TensorConnection("nu-hat", c.forms.tensors(rc.module))
-        tc.verdicts.append(Verdict("tensor-connection-original",
-                                   anchors.ORIGINAL_ROUTE, "unavailable"))
-        return tc
-    tc = _tensor_from_xi("nu-hat", rc.module, c, nu.target,
-                         _compose(nu.maps[1], rc.nabla),
-                         anchors.ORIGINAL_ROUTE)
-    if sigma.exists:
-        _check_sigma_route(tc, rc, c, sigma)
-    return tc
+def tensor_connection_original(tc: TensorConnection, rc: Connection,
+                               sigma) -> list[Verdict]:
+    """∇⊗(b⊗a) := ν̂(∇′b)·a + b⊗∇a, ``tc``, with the σ-route agreement
+    check where σ exists and ∇⊗ is well defined."""
+    if tc.xi is None:
+        return [Verdict("tensor-connection-original", anchors.ORIGINAL_ROUTE,
+                        "unavailable")]
+    verdicts = _report(tc, anchors.ORIGINAL_ROUTE)
+    if sigma.exists and tc.built[1] is not None:
+        verdicts.append(_check_sigma_route(tc, rc, sigma))
+    return verdicts
 
 
 def _check_sigma_route(tc: TensorConnection, rc: Connection,
-                       c: Connection, sigma) -> None:
-    """(id_N⊗σ)(∇′b)⊗a + b⊗∇a equals the ν̂-route value on all pure pairs:
-    the pure-pair columns with the tail de_j acting as a ↦ σ(1·de_j ⊗ a),
-    whose class is that of d(e_j)."""
-    n, m = rc.module, c.module
+                       sigma) -> Verdict:
+    """(id_N⊗σ)(∇′b)⊗a + b⊗∇a equals ∇⊗ on all pure pairs: the pure-pair
+    columns with the tail de_j acting as a ↦ σ(1·de_j ⊗ a), whose class is
+    that of d(e_j).  ∇⊗ must be well defined."""
+    n, m = rc.module, tc.c.module
     s = sigma.sigma
-    cal = c.calculus
+    cal = tc.c.calculus
     tail_ops = [s.on(cal.d_cols(0)[j]) for j in cal.universal.complement]
-    plain = _pure_pair_columns(c, n, rc.forms, rc.nabla, tail_ops)
+    plain = _pure_pair_columns(tc.c, rc, tail_ops)
     # the pure pair (j, i) is column pure_index(j, i) of both the plain
     # columns and the domain's projection, which holds its class
     proj = tc.domain.quotient.proj_cols
     for j in range(n.dim):
         for i in range(m.dim):
             at = tc.domain.pure_index(j, i)
-            if plain[at] != _apply(tc.connection.nabla, proj[at]):
-                tc.verdicts.append(failed("tensor-route-agreement",
-                                          anchors.NEC_SUFF,
-                                          {"pair": [j, i]}))
-                return
-    tc.verdicts.append(passed("tensor-route-agreement", anchors.NEC_SUFF))
+            if plain[at] != _apply(tc.built[1].nabla, proj[at]):
+                return failed("tensor-route-agreement", anchors.NEC_SUFF,
+                              {"pair": [j, i]})
+    return passed("tensor-route-agreement", anchors.NEC_SUFF)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +414,11 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     columns, as ``preceq`` reads ρ: ν̂'s target ideal contains its
     source's, so the target's ``free`` columns are among the source's, and
     ν̂ takes the source class at the target's k-th free column to e_k.
-    ∇′_M lives on ν̂'s target, which is ``rc.forms`` when Ω_∇ = Ω: ∇′_M is
-    then a second connection on ∇′'s own Forms, and its right Leibniz rule
-    reads the right multiplications ∇′'s checks built.
+    ν̂₀ is the identity on N (Ω⁰_∇ = Ω⁰ = A), so ∇′_M∘ν̂ = ν̂∘∇′ reads
+    ∇′_M = ν̂∘∇′ on N: ∇′_M is ``nu.pushed``.  It lives on ν̂'s target,
+    which is ``rc.forms`` when Ω_∇ = Ω: ∇′_M is then a second connection
+    on ∇′'s own Forms, and its right Leibniz rule reads the right
+    multiplications ∇′'s checks built.
     """
     if not nu.available:
         res = AssociatedResult(False)
@@ -434,8 +428,9 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     src, tgt = nu.source, nu.target
     res = AssociatedResult(True)
     # ν̂∘∇′ per degree, by columns
-    pushed = [_compose(nu.maps[r + 1], rc.nabla_ext_cols(r))
-              for r in range(src.D)]
+    pushed = [nu.pushed.nabla] + [
+        _compose(nu.maps[r + 1], rc.nabla_ext_cols(r))
+        for r in range(1, src.D)]
     for r in range(src.D):
         wit = next((v for v in null_space(nu.maps[r])
                     if _apply(pushed[r], v)), None)
@@ -451,7 +446,7 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
         pos = {fc: k for k, fc in enumerate(src.quotient_space(r).free)}
         res.ext_cols.append(
             [pushed[r][pos[fc]] for fc in tgt.quotient_space(r).free])
-    res.connection = Connection(tgt, res.ext_cols[0])
+    res.connection = nu.pushed
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked by columns
     for r in range(src.D):

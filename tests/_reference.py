@@ -1455,7 +1455,7 @@ def tensor_well_defined(c, tn, forms, xi_forms, xi_list, tail_ops):
 def tensor_matrix(c, tc, xi_forms, xi_list, tail_ops):
     """∇⊗ on classes as a dense matrix: the columns of
     ``pure_pair_vectors`` at the domain's ``free``."""
-    forms = tc.connection.forms
+    forms = tc.built[1].forms
     return at_free(tc.domain.quotient, cols_to_mat(pure_pair_vectors(
         c, tc.domain, forms, xi_forms, xi_list, tail_ops), forms.dim(1)))
 
@@ -1628,12 +1628,12 @@ def sigma_route(tc, rc, c, sigma):
         tail_ops.append([_sparse(sigma_apply(c, s, project_pure(
             s.tensor, cls, basis_vec(m.dim, i)))) for i in range(m.dim)])
     xi = [nabla_apply(rc, basis_vec(n.dim, j)) for j in range(n.dim)]
-    forms = tc.connection.forms
+    forms = tc.built[1].forms
     plain = pure_pair_vectors(c, tc.domain, forms, rc.forms, xi, tail_ops)
     pure_classes = _pure(tc.domain, n, m)
     for j in range(n.dim):
         for i in range(m.dim):
-            if plain[j * m.dim + i] != combine(tc.connection.nabla,
+            if plain[j * m.dim + i] != combine(tc.built[1].nabla,
                                                pure_classes[j][i],
                                                forms.dim(1)):
                 return {"pair": [j, i]}

@@ -10,9 +10,9 @@ from bimodconn import cli
 from bimodconn.connection import Connection, check_right_leibniz, nabla_hat
 from bimodconn.linalg import _sparse
 from bimodconn.model import parse_model
-from bimodconn.tensorconn import (associated_connection, degeneracy_brute,
-                                  degeneracy_submodules, nu_hat,
-                                  tensor_connection_induced,
+from bimodconn.tensorconn import (TensorConnection, associated_connection,
+                                  degeneracy_brute, degeneracy_submodules,
+                                  nu_hat, tensor_connection_induced,
                                   tensor_connection_original)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,20 +106,21 @@ def test_09_tensor_product_routes():
         assert degeneracy_brute(pair).ok
     for which in ("a2_flat", "a2_quotient"):
         p = pipeline(which)
-        conn, ic = p.conn, p.induced_calculus
+        conn = p.conn
         rc = Connection(conn.forms, conn.nabla)
         nu = nu_hat(rc, p.kappa_hat)
-        tco = tensor_connection_original(rc, conn, nu, p.sigma)
-        assert all(v.ok for v in tco.verdicts)
-        assert any(v.check_id == "tensor-route-agreement"
-                   for v in tco.verdicts)
+        # one ∇⊗ for the request, which both routes report
+        tc = TensorConnection(conn.forms.tensors(rc.module), nu.pushed, conn)
+        original = tensor_connection_original(tc, rc, p.sigma)
+        assert all(v.ok for v in original)
+        assert any(v.check_id == "tensor-route-agreement" for v in original)
         assoc = associated_connection(rc, nu)
         assert assoc.exists
         assert any(v.check_id == "associated-square" and v.ok
                    for v in assoc.verdicts)
-        tci = tensor_connection_induced(assoc.connection, conn, ic)
-        assert all(v.ok for v in tci.verdicts)
-        assert tci.connection.nabla == tco.connection.nabla
+        induced = tensor_connection_induced(tc)
+        assert all(v.ok for v in induced)
+        assert assoc.connection is tc.xi
 
 
 def test_10_deterministic_reports():

@@ -698,19 +698,19 @@ def test_the_tensor_connection_is_a_connection_with_one_right_leibniz_rule():
     # tensorconn composes and right-multiplies only for ν̂ and N₀, M₀, and
     # decides no Leibniz rule by maps of its own
     assert [f.name for f in dataclasses.fields(TensorConnection)] == \
-        ["route", "domain", "connection", "verdicts"]
+        ["domain", "xi", "c"]
     assert _callers("tensorconn", {
         "right_leibniz_failure", "right_rule_failure", "right_mult_cols",
         "_compose", "check_right_leibniz"}) == {
-        "right_leibniz_failure": {"_tensor_from_xi"},
+        "right_leibniz_failure": {"TensorConnection.built"},
         "right_rule_failure": set(),
         "right_mult_cols": {"check_compatibility", "_nu_right_linear"},
-        "_compose": {"_nu_right_linear", "tensor_connection_original",
-                     "associated_connection"},
+        "_compose": {"_nu_right_linear", "nu_hat", "associated_connection"},
         "check_right_leibniz": {"associated_connection"}}
-    # and no module names the second codomain or its routes
+    # and no module names the second codomain or its routes, or the
+    # per-route build of ∇⊗
     gone = {"_check_tensor_leibniz", "induced_right_cols", "codomain",
-            "leibniz_failure"}
+            "leibniz_failure", "_tensor_from_xi"}
     named = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -719,6 +719,36 @@ def test_the_tensor_connection_is_a_connection_with_one_right_leibniz_rule():
                     named.add(f"{path.name}:{node.lineno}")
     assert named == set()
     assert not hasattr(Forms, "as_bimodule")
+
+
+def test_one_tensor_connection_is_built_per_request():
+    # ν̂∘∇′ is one Connection, ν̂'s, which is ∇′_M, and ∇⊗ one more, built
+    # from it: tensorconn constructs a Connection nowhere else, and the
+    # induced route takes the one ∇⊗, not the induced calculus
+    constructed = set()
+    tree = ast.parse((PACKAGE / "tensorconn.py").read_text(encoding="utf-8"))
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef):
+                constructed.update(
+                    f"{prefix}{child.name}" for sub in ast.walk(child)
+                    if isinstance(sub, ast.Call)
+                    and getattr(sub.func, "id", None) == "Connection")
+
+    visit(tree, "")
+    assert constructed == {"nu_hat", "TensorConnection.built"}
+    assert "Connection" not in {
+        getattr(node.func, "id", None)
+        for node in ast.walk(_function("tensorconn", "associated_connection"))
+        if isinstance(node, ast.Call)}
+    assert _named("tensorconn", "tensor_connection_induced") & {
+        "InducedCalculus", "DimensionError"} == set()
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "curvature"]
 
 
 def test_one_rule_decides_every_right_leibniz_and_right_linearity_identity():
