@@ -21,10 +21,10 @@ a dense unit vector.  κ's operators are built once and read by index:
 ``Forms.hats`` holds κ₀(e_i) = ê_i, ``Connection.d_hats`` holds
 ∇̂ê_i = d_∇e_i, and ``kappa_ops(r)`` holds κ on the degree-r bar basis,
 each the composition of its prefix's operator with one ∇̂ê_j.  κ₁ is
-``kappa_ops(1)``, and σ is held by κ₁'s columns at the representatives of
-Ω¹'s classes; only the report densifies it.  The left Leibniz rule, for
-d_∇ and σ alike, is an identity of maps decided by columns
-(``_left_leibniz_failure``).
+``kappa_ops(1)``; its image is Ω¹_∇, held by its dimension alone, and σ
+is held by κ₁'s columns at the representatives of Ω¹'s classes; only the
+report densifies it.  The left Leibniz rule, for d_∇ and σ alike, is an
+identity of maps decided by columns (``_left_leibniz_failure``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from functools import cached_property
 from . import anchors
 from .algebra import BalancedTensor, tensor_over_A
 from .forms import DegreeRHom, Forms
-from .linalg import (Cols, SpanBuilder, SparseVec, Vec, _apply, _col_sum,
-                     _col_vec, _compose, kernel_quotient, null_space)
+from .linalg import (Cols, SparseVec, Vec, _apply, _col_sum, _col_vec,
+                     _compose, kernel_quotient, null_space)
 from .report import Verdict, failed, passed, rationals
 
 
@@ -203,19 +203,28 @@ def _left_leibniz_failure(c: Connection, xs: list[Cols]) \
 
 @dataclass
 class InducedFirstOrder:
-    """Ω¹_∇ ⊆ Hom^A(M, M⊗_AΩ¹) with d_∇ = ∇̂∘κ₀ and actions f·Φ·g = f̂∘Φ∘ĝ."""
+    """Ω¹_∇ ⊆ Hom^A(M, M⊗_AΩ¹) with d_∇ = ∇̂∘κ₀ and actions f·Φ·g = f̂∘Φ∘ĝ,
+    held by its dimension: Ω¹_∇ is κ₁'s image (``induced_first_order``)."""
 
     connection: Connection
-    span: SpanBuilder                      # vectorized operator matrices
+    dim: int
     verdicts: list[Verdict] = field(default_factory=list)
-
-    @property
-    def dim(self) -> int:
-        return self.span.dim
 
 
 def induced_first_order(c: Connection) -> InducedFirstOrder:
-    """Span of {f̂∘∇̂(ĝ)∘ĥ} with the derivation-law and left-Leibniz checks.
+    """Ω¹_∇ = span{f̂∘∇̂(ĝ)∘ĥ} with the derivation-law and left-Leibniz
+    checks.
+
+    Ω¹_∇ is the image of κ₁, so its dimension is the rank of κ₁'s
+    operators (``Connection.kappa_ops(1)``), read off one kernel of their
+    flattenings.  Ω¹_∇ ⊇ im κ₁: κ₁(e_a·de_c) = ê_a∘∇̂ê_c∘1̂, and
+    1̂ = Σ 1_t·ê_t is the identity, M being unital (the parser checks
+    this).  Ω¹_∇ ⊆ im κ₁: the derivation law below gives
+    (∇̂ê_g)∘ê_h = ∇̂(e_g e_h)^ − ê_g∘∇̂ê_h, so with κ₀ multiplicative every
+    f̂∘∇̂ĝ∘ĥ lies in span{ê_a∘∇̂ê_k}; and ∇̂ê_u at the unit's index u lies
+    in the span of the ∇̂ê_c over the unit complement, because ∇̂1̂ = 0.
+    So ``dim_omega1_nabla`` is reported only once the derivation law has
+    passed.
 
     The derivation law ∇̂(fg)^ = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ) is decided for f on A's
     generators first (``Algebra.first_failure``) and g on the basis.  The
@@ -227,10 +236,9 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
     = (∇̂(f₁f₂)^)∘ĝ + (f₁f₂)^∘∇̂ĝ.
     """
     a = c.module.algebra
-    m = c.module
-    span = SpanBuilder(c.forms.dim(1) * m.dim)
     hats, d_ops = c.forms.hats, c.d_hats
-    ifo = InducedFirstOrder(c, span)
+    ifo = InducedFirstOrder(
+        c, kernel_quotient([op.flat() for op in c.kappa_ops(1)]).dim)
     for g in range(a.dim):
         w = d_ops[g].right_linearity_witness()
         if w is not None:
@@ -238,10 +246,6 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
                                        anchors.NABLA_HAT,
                                        {"algebra_basis": g, "witness": w}))
             return ifo
-    for f in range(a.dim):
-        for g in range(a.dim):
-            for h in range(a.dim):
-                span.add(hats[f].compose(d_ops[g].compose(hats[h])).flat())
     # derivation law: ∇̂(f̂∘ĝ) = (∇̂f̂)∘ĝ + f̂∘(∇̂ĝ), f on A's generators
     # first and g on the basis; e_f·e_g read off A's products
     def derivation_failure(fs):
@@ -267,7 +271,7 @@ def induced_first_order(c: Connection) -> InducedFirstOrder:
     else:
         ifo.verdicts.append(passed("left-leibniz-induced",
                                    anchors.INDUCED_SUBGROUP,
-                                   {"dim_omega1_nabla": span.dim}))
+                                   {"dim_omega1_nabla": ifo.dim}))
     return ifo
 
 
@@ -287,19 +291,10 @@ class Kappa1:
         return DegreeRHom(self.connection.forms, 1,
                           [_apply(at_i, alpha) for at_i in by_column])
 
-    def rank(self) -> int:
-        """The rank of κ₁: the dimension of Ω¹_u modulo its kernel, the map
-        given by the operators' flattenings as columns."""
-        return kernel_quotient([op.flat() for op in self.ops]).dim
 
-    @property
-    def injective(self) -> bool:
-        return self.rank() == len(self.ops)
-
-
-def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
-    """Basis element f·dg ↦ f̂∘∇̂(ĝ), with linearity and diagram checks;
-    ``induced`` is Ω¹_∇ of the same connection.
+def kappa1(c: Connection) -> Kappa1:
+    """Basis element f·dg ↦ f̂∘∇̂(ĝ), with linearity and diagram checks.
+    Its image is Ω¹_∇ (``induced_first_order``).
 
     Bimodule linearity κ₁(f·α·g) = f̂∘κ₁(α)∘ĝ holds iff κ₁ is left linear,
     κ₁(f·α) = f̂∘κ₁(α), and right linear, κ₁(α·g) = κ₁(α)∘ĝ (take g = 1,
@@ -314,8 +309,6 @@ def kappa1(c: Connection, induced: InducedFirstOrder) -> Kappa1:
     uni = c.calculus.universal
     a = c.module.algebra
     hats, ops = c.forms.hats, c.kappa_ops(1)
-    assert all(induced.span.contains(op.flat()) for op in ops), \
-        "kappa1 image must lie in omega1_nabla"
     k = Kappa1(c, ops)
     # diagram: κ₁ ∘ d_u = d_∇ on all algebra basis elements
     for f in range(a.dim):

@@ -794,7 +794,7 @@ class Pipeline:
 
     @cached_property
     def kappa1(self):
-        return kappa1(self.conn, self.induced_first_order)
+        return kappa1(self.conn)
 
     @cached_property
     def sigma(self):

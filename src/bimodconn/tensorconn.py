@@ -414,11 +414,12 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     columns, as ``preceq`` reads ρ: ν̂'s target ideal contains its
     source's, so the target's ``free`` columns are among the source's, and
     ν̂ takes the source class at the target's k-th free column to e_k.
-    ν̂₀ is the identity on N (Ω⁰_∇ = Ω⁰ = A), so ∇′_M∘ν̂ = ν̂∘∇′ reads
-    ∇′_M = ν̂∘∇′ on N: ∇′_M is ``nu.pushed``.  It lives on ν̂'s target,
-    which is ``rc.forms`` when Ω_∇ = Ω: ∇′_M is then a second connection
-    on ∇′'s own Forms, and its right Leibniz rule reads the right
-    multiplications ∇′'s checks built.
+    ν̂₀ = id on N (Ω⁰_∇ = Ω⁰ = A), so ∇′_M∘ν̂ = ν̂∘∇′ reads ∇′_M = ν̂∘∇′
+    on N: ∇′_M is ``nu.pushed``.  At degree 0, ker ν̂₀ = 0 and the square
+    holds by construction, so both are decided from degree 1 on.  ∇′_M
+    lives on ν̂'s target, which is ``rc.forms`` when Ω_∇ = Ω: ∇′_M is then
+    a second connection on ∇′'s own Forms, and its right Leibniz rule
+    reads the right multiplications ∇′'s checks built.
     """
     if not nu.available:
         res = AssociatedResult(False)
@@ -426,12 +427,12 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
                                     anchors.ASSOCIATED, "unavailable"))
         return res
     src, tgt = nu.source, nu.target
-    res = AssociatedResult(True)
+    res = AssociatedResult(True, ext_cols=[nu.pushed.nabla])
     # ν̂∘∇′ per degree, by columns
     pushed = [nu.pushed.nabla] + [
         _compose(nu.maps[r + 1], rc.nabla_ext_cols(r))
         for r in range(1, src.D)]
-    for r in range(src.D):
+    for r in range(1, src.D):
         wit = next((v for v in null_space(nu.maps[r])
                     if _apply(pushed[r], v)), None)
         if wit is not None:
@@ -449,7 +450,7 @@ def associated_connection(rc: Connection, nu: NuHat) -> AssociatedResult:
     res.connection = nu.pushed
     res.verdicts.append(passed("associated-connection", anchors.ASSOCIATED))
     # the square ν̂∘∇′ = ∇′_M∘ν̂, re-checked by columns
-    for r in range(src.D):
+    for r in range(1, src.D):
         if pushed[r] != _compose(res.ext_cols[r], nu.maps[r]):
             res.verdicts.append(failed("associated-square", anchors.ASSOCIATED,
                                        {"degree": r}))

@@ -1195,7 +1195,8 @@ def kappa1_bimodule_linear(k):
 # -- κ₁ by coordinates in Ω¹_∇, and σ by factor_through ---------------------
 #
 # The basis of Ω¹_∇ is the f̂∘∇̂(ĝ)∘ĥ that enlarge its span, in (f, g, h)
-# order, as ``induced_first_order`` accepts them.
+# order: the n³ spanning set of Ω¹_∇'s definition, which
+# ``induced_first_order`` never builds, reading Ω¹_∇ as κ₁'s image.
 
 def flatten(op):
     """A ``DegreeRHom`` as ``DegreeRHom.flat`` lays it out, dense: its

@@ -561,8 +561,7 @@ BASIS_LOOPS = {
     "connection:Connection.d_hats": (
         1, "construction: ∇̂ê_i, one per basis element"),
     "connection:induced_first_order": (
-        6, "Ω¹_∇'s spanning set f̂∘∇̂ĝ∘ĥ over basis triples; "
-           "nabla-hat-right-linear per g, decided before the derivation "
+        3, "nabla-hat-right-linear per g, decided before the derivation "
            "law that its closure under products would rest on; the "
            "derivation law's g, on the basis for each f; "
            "left-leibniz-induced's X_f = d_∇e_f over d_hats, a rule whose "

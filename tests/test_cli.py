@@ -650,11 +650,22 @@ def test_every_report_of_the_shipped_models_is_pinned():
                 digest.update(report.to_json().encode())
                 digest.update(report.to_text().encode())
                 if command == "all":
+                    _assert_omega1_nabla_is_degree_one(report)
                     every.append(report)
         # raising the truncation from the model's own (D=3) to D=4 changes
         # nothing below D=3; the statuses are equal on every record
         _assert_truncation_prefix(*every, name)
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def _assert_omega1_nabla_is_degree_one(report: Report) -> None:
+    """Ω¹_∇, whose dimension is read off κ₁'s image, is Ω_∇'s degree 1:
+    left-leibniz-induced's ``dim_omega1_nabla`` is induced-dimensions'
+    ``omega_nabla_dims[1]`` in an `all` report of one connection."""
+    dims = {r.check_id: r.dims for r in report.records
+            if r.check_id in ("left-leibniz-induced", "induced-dimensions")}
+    assert dims["left-leibniz-induced"]["dim_omega1_nabla"] == \
+        dims["induced-dimensions"]["omega_nabla_dims"][1]
 
 
 def _assert_truncation_prefix(low: Report, high: Report, name: str) -> None:
@@ -710,6 +721,7 @@ def test_the_all_report_of_a_generated_model_is_pinned(name):
     report = _generated_report(name.split("-D")[0], GENERATED_PINS[name][1])
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == \
         GENERATED_PINS[name][2]
+    _assert_omega1_nabla_is_degree_one(report)
 
 
 @pytest.mark.parametrize("algebra", ["T3", "CZ3", "M2"])

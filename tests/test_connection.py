@@ -1,5 +1,6 @@
 """Connections, nabla-hat, the induced first-order calculus, kappa1, sigma."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 import _reference
 from _reference import (apply, class_of_pair_bar, d_bar, d_of_algebra,
                         is_zero_vec, project, sparse_class)
-from _shared import (MODELS, NAMES, a2, model, nabla, pipeline,
+from _shared import (MODELS, NAMES, a2, model, model_file, nabla, pipeline,
                      regular_connection, upper_triangular, whole_basis)
 import bimodconn.connection as connection_module
-from bimodconn import Pipeline
+from bimodconn import Pipeline, anchors, cli
 from bimodconn.connection import (Connection, Kappa1, _left_leibniz_failure,
                                   check_right_leibniz, induced_first_order,
                                   kappa0_op, nabla_hat, sigma_exists)
@@ -194,6 +195,30 @@ def test_a_wrong_nabla_hat_fails_the_derivation_law_as_the_basis_scan(
     assert pair[0] not in _faulted_connection(name).module.algebra.generators
 
 
+def test_a_nabla_hat_that_is_not_right_linear_is_reported_not_raised():
+    # m2_grass's ∇ with 1 added at (row 0, col 0): the parser rejects such
+    # a ∇, but an in-memory model reaches the pipeline with it.  Ω¹_∇ is
+    # read off κ₁ alone, as its image, so induce, sigma and all each return
+    # a report; induce and all give nabla-hat-right-linear the dense
+    # reference's witness at ∇̂ê₁
+    c = _faulted_connection("m2_grass")
+    bad = Connection(c.forms, [_col_sum([(c.nabla[0], 1), ({0: 1}, 1)])]
+                     + c.nabla[1:])
+    assert _reference.right_linearity_witness(bad.d_hats[1]) == (2, 1)
+    expected = {"check_id": "nabla-hat-right-linear",
+                "paper_anchor": anchors.NABLA_HAT, "status": "fail",
+                "witness": {"algebra_basis": 1, "witness": [2, 1]}}
+    for command in ("induce", "sigma", "all"):
+        records = json.loads(
+            cli.run(command, model_file(bad)).to_json())["records"]
+        right_linear = [r for r in records
+                        if r["check_id"] == "nabla-hat-right-linear"]
+        assert right_linear == ([] if command == "sigma" else [expected])
+        assert not any(r["check_id"] in ("d-nabla-derivation",
+                                         "left-leibniz-induced")
+                       for r in records)
+
+
 def test_kappa1_on_e1_tensor_e2():
     c = nabla("a2_flat")
     k1 = pipeline("a2_flat").kappa1
@@ -206,10 +231,11 @@ def test_kappa1_on_e1_tensor_e2():
 
 
 def test_kappa1_injective_on_flat():
-    k1 = pipeline("a2_flat").kappa1
-    assert k1.rank() == 2
-    assert k1.injective
-    assert all(v.ok for v in k1.verdicts)
+    # Ω¹_∇ is κ₁'s image, so κ₁ is injective when dim Ω¹_∇ = dim Ω¹_u
+    p = pipeline("a2_flat")
+    assert p.induced_first_order.dim == 2 == \
+        p.conn.calculus.universal.bar_dim(1)
+    assert all(v.ok for v in p.kappa1.verdicts)
 
 
 def test_kappa1_of_d_unit_is_zero():
@@ -318,9 +344,10 @@ def test_a_twisted_right_action_fails_kappa1_linearity_as_the_basis_scan(
     assert triple[0] not in _faulted_connection(name).module.algebra.generators
 
 
-# σ and κ₁'s rank against the route they took before κ₁ was kept as its
-# operators (tests/_reference.py): κ₁ as coordinates in the accepted basis
-# of Ω¹_∇, σ from factor_through on the densified P₁ and that matrix
+# σ, and dim Ω¹_∇ as κ₁'s rank, against the route they took before κ₁ was
+# kept as its operators (tests/_reference.py): κ₁ as coordinates in the
+# accepted basis of Ω¹_∇, σ from factor_through on the densified P₁ and
+# that matrix
 SIGMA_CASES = {
     **{name: (lambda name=name: nabla(name)) for name in NAMES},
     **{f"{name}-D9": (lambda name=name: model(name, 9).connections["nabla"])
@@ -340,13 +367,15 @@ def _assert_sigma_matches_the_reference(c, k1):
 
 @pytest.mark.parametrize("case", sorted(SIGMA_CASES))
 def test_sigma_and_kappa1_rank_match_the_coordinate_reference(case):
+    # Ω¹_∇ is κ₁'s image: its dimension, read off κ₁'s kernel, is κ₁'s
+    # rank on the n³ spanning set f̂∘∇̂ĝ∘ĥ and the size of a basis of it
     c = SIGMA_CASES[case]()
-    k1 = Pipeline(c).kappa1
+    p = Pipeline(c)
+    k1 = p.kappa1
     _assert_sigma_matches_the_reference(c, k1)
-    coords = _reference.kappa1_coords(k1)[0]
+    coords, accepted = _reference.kappa1_coords(k1)
     dense_rank = _reference.rref(coords)[0] if coords else 0
-    assert k1.rank() == dense_rank
-    assert k1.injective == (dense_rank == c.calculus.universal.bar_dim(1))
+    assert p.induced_first_order.dim == dense_rank == len(accepted)
 
 
 @pytest.mark.parametrize("name, exists", [("a2_flat", True),

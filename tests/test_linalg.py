@@ -573,8 +573,10 @@ def test_compose_matches_the_dense_combination(drawn):
 # pair, 44 → 22) and 8 off curvature-right-omega-on-omega-m (its two
 # composed and projected sides, 16 → 8); reading curvature-left-linear and
 # the early-quotient span off [∇², ê_f] (_square_hat) adds 2 to the first
-# (10 → 12) and takes 2 off the second (114 → 112)
-COL_SUM_CALLS_M2 = 3289
+# (10 → 12) and takes 2 off the second (114 → 112).  3,289 while Ω¹_∇ was
+# spanned a second time, by the 64 compositions f̂∘∇̂ĝ∘ĥ, beside κ₁ (whose
+# operators, built either way, now give its dimension as κ₁'s image)
+COL_SUM_CALLS_M2 = 3273
 
 
 def test_empty_columns_and_zero_operators_cost_no_col_sum_call(monkeypatch):
@@ -903,16 +905,18 @@ def _clearing_work(monkeypatch) -> list[tuple[int, set[int], set[int]]]:
 
 # One parse of m2_grass makes 472 new pivots, and 40 stored rows hold one
 # when it is made, where a walk over every stored row would read 29,893.
-# Its `all` clears 13 (15 while Ω̂_D was built).  454 pivots and 67
-# holders while the ideal was saturated by a worklist above degree 1: the
-# closed form adds the pivots of W_1 and W_2 (7 and 25), no longer finds
-# the algebra generators (14 pivots, 4 holders: m2_grass has no generator
-# above degree 1), and clears 16 rows in the saturation (43 before) and
-# 24 in Forms (20 before), whose M⊗I^r vectors follow the ideal's basis.
+# Its `all` clears 11: 13 while Ω¹_∇ was the span of the f̂∘∇̂ĝ∘ĥ, which
+# cleared 4 rows where the kernel of κ₁'s flattenings clears 2, and 15
+# while Ω̂_D was built.  454 pivots and 67 holders while the ideal was
+# saturated by a worklist above degree 1: the closed form adds the pivots
+# of W_1 and W_2 (7 and 25), no longer finds the algebra generators (14
+# pivots, 4 holders: m2_grass has no generator above degree 1), and
+# clears 16 rows in the saturation (43 before) and 24 in Forms (20
+# before), whose M⊗I^r vectors follow the ideal's basis.
 # 472 pivots and 40 holders while every check scanned the whole algebra
 # basis: the right Leibniz rule at parse now runs on A's generators first,
 # so the parse finds them again (14 pivots, 4 holders).
-NEW_PIVOTS_M2, HOLDERS_M2, HOLDERS_M2_ALL = 486, 44, 13
+NEW_PIVOTS_M2, HOLDERS_M2, HOLDERS_M2_ALL = 486, 44, 11
 
 
 def test_clearing_a_new_pivot_reads_only_the_rows_that_hold_it(monkeypatch):
